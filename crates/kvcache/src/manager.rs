@@ -129,6 +129,45 @@ impl CoreState {
     }
 }
 
+/// Occupancy and health totals the routing layers read per candidate
+/// wafer, kept incrementally at every crossbar mutation so each read is a
+/// field load instead of an O(cores × crossbars) walk. Derived state: never
+/// serialized, rebuilt from the crossbar tables by [`Counters::scan`] on
+/// construction and restore, and checked against the same walks on every
+/// read in debug builds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct Counters {
+    /// Key-side used token slots (failed crossbars included until their
+    /// blocks are released, as [`CrossbarBlocks::used_tokens`] counts them).
+    key_used_tokens: usize,
+    /// Key-side token capacity of the non-failed crossbars.
+    key_capacity_tokens: usize,
+    /// Non-failed crossbars per role (`[key, value]`).
+    healthy_crossbars: [usize; 2],
+}
+
+impl Counters {
+    fn scan(key_cores: &[CoreState], value_cores: &[CoreState]) -> Counters {
+        Counters {
+            key_used_tokens: Counters::used_tokens(key_cores),
+            key_capacity_tokens: Counters::capacity_tokens(key_cores),
+            healthy_crossbars: Counters::healthy_crossbars(key_cores, value_cores),
+        }
+    }
+
+    fn used_tokens(cores: &[CoreState]) -> usize {
+        cores.iter().map(CoreState::used_tokens).sum()
+    }
+
+    fn capacity_tokens(cores: &[CoreState]) -> usize {
+        cores.iter().map(CoreState::capacity_tokens).sum()
+    }
+
+    fn healthy_crossbars(key_cores: &[CoreState], value_cores: &[CoreState]) -> [usize; 2] {
+        [key_cores, value_cores].map(|cores| cores.iter().map(CoreState::healthy_crossbars).sum())
+    }
+}
+
 /// Cursor of the block a (sequence, head, role) tuple is currently appending
 /// into.
 #[derive(Debug, Clone, Copy)]
@@ -342,6 +381,8 @@ pub struct KvManager {
     allocated_blocks: u64,
     /// Lifetime logical-block frees (audit counter).
     freed_blocks: u64,
+    /// Incremental occupancy and health totals (derived, not serialized).
+    counters: Counters,
 }
 
 impl KvManager {
@@ -367,7 +408,7 @@ impl KvManager {
         let value_cores: Vec<CoreState> =
             config.kv_cores[half.min(config.kv_cores.len())..].iter().copied().map(mk_core).collect();
         let value_cores = if value_cores.is_empty() { key_cores.clone() } else { value_cores };
-        Ok(KvManager {
+        let mut m = KvManager {
             config,
             key_cores,
             value_cores,
@@ -381,7 +422,10 @@ impl KvManager {
             seq_shared: FastMap::default(),
             allocated_blocks: 0,
             freed_blocks: 0,
-        })
+            counters: Counters::default(),
+        };
+        m.recount();
+        Ok(m)
     }
 
     /// Captures the manager's complete mutable state for checkpointing.
@@ -497,6 +541,7 @@ impl KvManager {
         };
         restore_side(&mut m.key_cores, &snap.key_cores);
         restore_side(&mut m.value_cores, &snap.value_cores);
+        m.recount();
         m.ring_next = snap.ring_next;
         m.allocated_blocks = snap.allocated_blocks;
         m.freed_blocks = snap.freed_blocks;
@@ -561,14 +606,22 @@ impl KvManager {
         }
     }
 
+    /// Rebuilds the incremental [`Counters`] from the crossbar tables: the
+    /// one place they are derived rather than maintained.
+    fn recount(&mut self) {
+        self.counters = Counters::scan(&self.key_cores, &self.value_cores);
+    }
+
     /// Total token capacity (per role side; K and V are symmetric).
     pub fn capacity_tokens(&self) -> usize {
-        self.key_cores.iter().map(CoreState::capacity_tokens).sum()
+        debug_assert_eq!(self.counters.key_capacity_tokens, Counters::capacity_tokens(&self.key_cores));
+        self.counters.key_capacity_tokens
     }
 
     /// Tokens currently stored on the K side.
     pub fn used_tokens(&self) -> usize {
-        self.key_cores.iter().map(CoreState::used_tokens).sum()
+        debug_assert_eq!(self.counters.key_used_tokens, Counters::used_tokens(&self.key_cores));
+        self.counters.key_used_tokens
     }
 
     /// K-side storage utilisation in `[0, 1]`.
@@ -834,15 +887,29 @@ impl KvManager {
         let block = core.crossbars[xb].allocate(owner).expect("free block just checked");
         let leftover = core.crossbars[xb].append(block, owner, tpb);
         debug_assert_eq!(leftover, 0, "a fresh block holds a whole prefix node");
+        if role == KvRole::Key {
+            self.counters.key_used_tokens += tpb - leftover;
+        }
         self.allocated_blocks += 1;
         Some(SharedSlot { core_index, crossbar: xb, block })
     }
 
     /// Frees one shared block (audit-counted once, whichever path frees it).
     fn free_shared_slot(&mut self, role: KvRole, slot: SharedSlot) {
-        let core = &mut self.cores_mut(role)[slot.core_index];
-        if core.crossbars[slot.crossbar].free_at(slot.block) {
+        self.free_block(role, slot.core_index, slot.crossbar, slot.block);
+    }
+
+    /// Frees one block whoever owns it, keeping the lifetime audit and the
+    /// key-side used-token counter in step; a free block changes nothing.
+    /// Every path that frees a block goes through here.
+    fn free_block(&mut self, role: KvRole, core_index: usize, crossbar: usize, block: usize) {
+        let xb = &mut self.cores_mut(role)[core_index].crossbars[crossbar];
+        let used = xb.block_table()[block].map_or(0, |(_, used)| used);
+        if xb.free_at(block) {
             self.freed_blocks += 1;
+            if role == KvRole::Key {
+                self.counters.key_used_tokens -= used;
+            }
         }
     }
 
@@ -920,32 +987,28 @@ impl KvManager {
         let mut remaining = tokens;
         while remaining > 0 {
             let cursor = *self.cursors.get(&key).ok_or(KvError::UnknownSequence(seq))?;
-            let cores = self.cores_mut(role);
-            let core = &mut cores[cursor.core_index];
-            let leftover = core.crossbars[cursor.crossbar].append(cursor.block, seq, remaining);
+            let xb = &mut self.cores_mut(role)[cursor.core_index].crossbars[cursor.crossbar];
+            let leftover = xb.append(cursor.block, seq, remaining);
             let consumed = remaining - leftover;
+            if role == KvRole::Key {
+                self.counters.key_used_tokens += consumed;
+            }
             remaining = leftover;
             if remaining == 0 {
                 break;
             }
+            let core = &mut self.cores_mut(role)[cursor.core_index];
             if consumed == 0 || core.crossbars[cursor.crossbar].remaining(cursor.block, seq) == 0 {
                 // Need a new block; K prefers a different crossbar, V the same.
-                let order: Vec<usize> = match role {
-                    KvRole::Key => (0..core.crossbars.len())
-                        .map(|i| (cursor.crossbar + 1 + i) % core.crossbars.len())
-                        .collect(),
-                    KvRole::Value => (0..core.crossbars.len())
-                        .map(|i| (cursor.crossbar + i) % core.crossbars.len())
-                        .collect(),
+                let n = core.crossbars.len();
+                let start = match role {
+                    KvRole::Key => cursor.crossbar + 1,
+                    KvRole::Value => cursor.crossbar,
                 };
-                let mut found = None;
-                for xb in order {
-                    if core.crossbars[xb].free_blocks() > 0 {
-                        let block = core.crossbars[xb].allocate(seq).expect("free block");
-                        found = Some(Cursor { core_index: cursor.core_index, crossbar: xb, block });
-                        break;
-                    }
-                }
+                let found = (0..n).map(|i| (start + i) % n).find_map(|xb| {
+                    let block = core.crossbars[xb].allocate(seq)?;
+                    Some(Cursor { core_index: cursor.core_index, crossbar: xb, block })
+                });
                 match found {
                     Some(c) => {
                         self.allocated_blocks += 1;
@@ -969,10 +1032,7 @@ impl KvManager {
         // sequence — the only paths that ever free private blocks run
         // through here, so every indexed block is still owned by `seq`.
         for (role, c) in self.seq_blocks.remove(&seq).unwrap_or_default() {
-            let core = &mut self.cores_mut(role)[c.core_index];
-            if core.crossbars[c.crossbar].free_at(c.block) {
-                self.freed_blocks += 1;
-            }
+            self.free_block(role, c.core_index, c.crossbar, c.block);
         }
         // Bitmap slots and cursors exist only on cores where a cursor was
         // bound; `clear_sequence` is a no-op (returns 0 without mutating)
@@ -1011,9 +1071,9 @@ impl KvManager {
     }
 
     /// One-call occupancy snapshot for periodic samplers:
-    /// `(used tokens, capacity tokens, block audit)`. Equivalent to the
-    /// three individual accessors, bundled so a telemetry cadence point
-    /// walks the core arrays once per wafer instead of three times.
+    /// `(used tokens, capacity tokens, block audit)`, equivalent to the
+    /// three individual accessors. The token totals are counter reads; only
+    /// the audit walks the core arrays.
     pub fn occupancy_snapshot(&self) -> (usize, usize, BlockAudit) {
         (self.used_tokens(), self.capacity_tokens(), self.block_audit())
     }
@@ -1032,12 +1092,17 @@ impl KvManager {
 
     /// Crossbars absorbed by runtime failures so far.
     pub fn failed_kv_units(&self) -> usize {
-        self.key_cores
-            .iter()
-            .chain(self.value_cores.iter())
-            .flat_map(|c| c.crossbars.iter())
-            .filter(|xb| xb.is_failed())
-            .count()
+        let [key, value] = self.healthy_crossbars();
+        self.num_kv_units() - key - value
+    }
+
+    /// Non-failed crossbars per role (`[key, value]`).
+    fn healthy_crossbars(&self) -> [usize; 2] {
+        debug_assert_eq!(
+            self.counters.healthy_crossbars,
+            Counters::healthy_crossbars(&self.key_cores, &self.value_cores)
+        );
+        self.counters.healthy_crossbars
     }
 
     /// Fraction of KV crossbars still healthy, in `[0, 1]`.
@@ -1054,8 +1119,8 @@ impl KvManager {
     /// at least one healthy crossbar (K and V of every head must land
     /// somewhere).
     pub fn is_serviceable(&self) -> bool {
-        self.key_cores.iter().any(|c| c.healthy_crossbars() > 0)
-            && self.value_cores.iter().any(|c| c.healthy_crossbars() > 0)
+        let [key, value] = self.healthy_crossbars();
+        key > 0 && value > 0
     }
 
     /// Fails one attention-mode crossbar — the physical-KV-core equivalent
@@ -1083,7 +1148,12 @@ impl KvManager {
         let id = core.id;
         let xb = &mut core.crossbars[xb_idx];
         let mut evicted_tokens = xb.used_tokens();
+        let lost_capacity = xb.capacity_tokens();
         xb.fail();
+        self.counters.healthy_crossbars[failed_role as usize] -= 1;
+        if failed_role == KvRole::Key {
+            self.counters.key_capacity_tokens -= lost_capacity;
+        }
         let xb = &core.crossbars[xb_idx];
         let mut evicted: Vec<u64> =
             self.resident_tokens.keys().copied().filter(|&seq| xb.owns_any(seq)).collect();
@@ -1702,6 +1772,57 @@ mod tests {
                 prop_assert_eq!(audit.live, 0);
                 prop_assert_eq!(audit.shared_live, 0);
                 prop_assert_eq!(m.prefix_groups(), 0);
+            }
+        }
+    }
+
+    mod counter_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// The observables the incremental counters back.
+        fn observed(m: &KvManager) -> (usize, usize, bool, f64) {
+            (m.used_tokens(), m.capacity_tokens(), m.is_serviceable(), m.healthy_kv_fraction())
+        }
+
+        proptest! {
+            /// The counters agree with a recount from the crossbar tables
+            /// after every operation of a random admit / append / release /
+            /// export / import / fault-to-death interleaving. The recount
+            /// is a manager rebuilt by `restore` from a snapshot, so the
+            /// check also holds in release builds, where the debug
+            /// differential asserts are compiled out.
+            #[test]
+            fn counters_match_a_recount_after_every_operation(
+                ops in proptest::collection::vec((0u8..7, 0u64..24, 1usize..600), 1..120),
+            ) {
+                let mut m = manager(4, 2);
+                for (op, draw, tokens) in ops {
+                    // One draw encodes the sequence (0..8) and its prefix
+                    // group (0..3), so sharers collide frequently.
+                    let seq = draw % 8;
+                    let group = draw / 8;
+                    match op {
+                        0 => { let _ = m.admit_with_prefix(seq, tokens, Some((group, tokens / 2 + 128))); }
+                        1 => { let _ = m.append_tokens(seq, tokens.min(64)); }
+                        2 => { m.release(seq); }
+                        3 => { m.release(seq); m.release(seq); } // double release
+                        4 => { let _ = m.export_sequence(seq); }
+                        5 => { let _ = m.import_with_prefix(seq, tokens, Some((group, tokens / 2)), tokens / 2); }
+                        _ => {
+                            // A burst of faults, so long runs reach full death.
+                            for _ in 0..16 {
+                                if let Some(f) = m.fail_kv_core(tokens) {
+                                    for s in f.evicted_sequences {
+                                        m.release(s);
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    let recounted = KvManager::restore(m.config.clone(), &m.snapshot()).unwrap();
+                    prop_assert_eq!(observed(&m), observed(&recounted));
+                }
             }
         }
     }

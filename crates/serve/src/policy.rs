@@ -17,6 +17,7 @@
 
 use crate::engine::Engine;
 use ouro_workload::Request;
+use std::cmp::Ordering;
 
 /// Assigns each arriving request to a wafer of the entry pool.
 ///
@@ -331,8 +332,8 @@ pub mod placements {
 /// Index of the item with the lowest score, breaking ties toward the
 /// lowest index (a strict `<` scan; `Iterator::min_by` would return the
 /// *last* minimum, making tie-breaks depend on pool size). Every built-in
-/// [`Router`] and [`Placement`] resolves its selection through this helper
-/// (directly or via [`pick_serviceable_min_index`] /
+/// [`Router`] and [`Placement`] resolves its selection through the same
+/// first-minimum scan (via [`pick_serviceable_min_index`] /
 /// [`pick_prefix_affine_index`]), so every pool-selection decision in the
 /// workspace tie-breaks identically.
 ///
@@ -340,17 +341,8 @@ pub mod placements {
 ///
 /// Panics on an empty slice.
 pub fn pick_min_index<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
-    assert!(!items.is_empty(), "selection requires at least one candidate");
-    let mut best = 0;
-    let mut best_score = score(&items[0]);
-    for (i, it) in items.iter().enumerate().skip(1) {
-        let s = score(it);
-        if s.total_cmp(&best_score).is_lt() {
-            best = i;
-            best_score = s;
-        }
-    }
-    best
+    first_min(items.iter().map(score).enumerate(), f64::total_cmp)
+        .expect("selection requires at least one candidate")
 }
 
 /// [`pick_min_index`] over the serviceable engines only (all engines when
@@ -365,8 +357,7 @@ pub fn pick_serviceable_min_index(engines: &[Engine], score: impl Fn(&Engine) ->
 /// alongside the engine, for policies whose score has a positional term
 /// (e.g. locality: optical hops grow with the index on the wafer line).
 pub fn pick_serviceable_min_index_by(engines: &[Engine], score: impl Fn(usize, &Engine) -> f64) -> usize {
-    let any_alive = engines.iter().any(Engine::is_serviceable);
-    pick_routable(engines, any_alive, score)
+    pick_routable(engines.len(), |i| engines[i].is_serviceable(), |i| score(i, &engines[i]), f64::total_cmp)
 }
 
 /// Index of the engine best placed to serve `request`'s shared prefix:
@@ -377,38 +368,78 @@ pub fn pick_serviceable_min_index_by(engines: &[Engine], score: impl Fn(usize, &
 /// request). Shared by the prefix-affinity router and the prefix-affine
 /// decode placement so routing and placement steer identically.
 pub fn pick_prefix_affine_index(engines: &[Engine], request: &Request) -> usize {
-    let any_alive = engines.iter().any(Engine::is_serviceable);
-    let best_cached = engines
-        .iter()
-        .filter(|e| !any_alive || e.is_serviceable())
-        .map(|e| e.prefix_cached_tokens(request))
-        .max()
-        .unwrap_or(0);
-    if best_cached == 0 {
-        return pick_routable(engines, any_alive, |_, e| e.kv_load());
-    }
-    pick_routable(engines, any_alive, |_, e| {
-        if e.prefix_cached_tokens(request) == best_cached {
-            e.kv_load()
-        } else {
-            f64::INFINITY
-        }
-    })
+    pick_routable(
+        engines.len(),
+        |i| engines[i].is_serviceable(),
+        |i| (engines[i].prefix_cached_tokens(request), engines[i].kv_load()),
+        prefix_affine_order,
+    )
 }
 
-/// Index of the lowest-scored engine among the serviceable ones (or all of
-/// them when `any_alive` is false), ties toward the lowest index. The one
-/// serviceability filter every selection helper funnels through.
-fn pick_routable(engines: &[Engine], any_alive: bool, score: impl Fn(usize, &Engine) -> f64) -> usize {
-    let candidates: Vec<usize> =
-        (0..engines.len()).filter(|&i| !any_alive || engines[i].is_serviceable()).collect();
-    candidates[pick_min_index(&candidates, |&i| score(i, &engines[i]))]
+/// The prefix-affine preference over `(cached prefix tokens, kv_load)`
+/// keys: more cached tokens first, then the lower load. When nothing is
+/// cached anywhere every key ties on the first field, which leaves plain
+/// least-KV-load.
+fn prefix_affine_order(a: &(usize, f64), b: &(usize, f64)) -> Ordering {
+    b.0.cmp(&a.0).then(a.1.total_cmp(&b.1))
+}
+
+/// Index of the lowest key among the serviceable candidates `0..n` (among
+/// all of them when none is serviceable), ties toward the lowest index. The
+/// one serviceability filter every selection helper funnels through: a
+/// single pass with no allocation, plus a second pass over the whole pool
+/// only when every candidate is dead.
+fn pick_routable<K>(
+    n: usize,
+    serviceable: impl Fn(usize) -> bool,
+    key: impl Fn(usize) -> K,
+    order: impl Fn(&K, &K) -> Ordering,
+) -> usize {
+    first_min((0..n).filter(|&i| serviceable(i)).map(|i| (i, key(i))), &order)
+        .or_else(|| first_min((0..n).map(|i| (i, key(i))), &order))
+        .expect("selection requires at least one candidate")
+}
+
+/// Index of the first minimum among `(index, key)` pairs under `order`: a
+/// strict-`<` scan, so equal keys resolve to the earliest pair. The one
+/// tie-break implementation behind every selection helper.
+fn first_min<K>(
+    items: impl Iterator<Item = (usize, K)>,
+    order: impl Fn(&K, &K) -> Ordering,
+) -> Option<usize> {
+    let mut best: Option<(usize, K)> = None;
+    for (i, k) in items {
+        if best.as_ref().is_none_or(|(_, b)| order(&k, b).is_lt()) {
+            best = Some((i, k));
+        }
+    }
+    best.map(|(i, _)| i)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The collect-then-pick selection `pick_routable` replaced, kept as the
+    /// reference: gather the serviceable candidates (all of them when none
+    /// is), then take the first minimum among them.
+    fn collecting_pick(alive: &[bool], scores: &[f64]) -> usize {
+        let any_alive = alive.iter().any(|&a| a);
+        let candidates: Vec<usize> = (0..alive.len()).filter(|&i| !any_alive || alive[i]).collect();
+        candidates[pick_min_index(&candidates, |&i| scores[i])]
+    }
+
+    /// The two-pass prefix-affine selection, kept as the reference: the
+    /// longest cached run among the candidates first, then the least load
+    /// among the candidates holding it (every other one scored infinite).
+    fn two_pass_prefix_pick(alive: &[bool], cached: &[usize], loads: &[f64]) -> usize {
+        let any_alive = alive.iter().any(|&a| a);
+        let candidates: Vec<usize> = (0..alive.len()).filter(|&i| !any_alive || alive[i]).collect();
+        let best = candidates.iter().map(|&i| cached[i]).max().unwrap_or(0);
+        let score = |i: usize| if best == 0 || cached[i] == best { loads[i] } else { f64::INFINITY };
+        candidates[pick_min_index(&candidates, |&i| score(i))]
+    }
 
     #[test]
     fn pick_min_index_prefers_the_first_minimum() {
@@ -441,6 +472,39 @@ mod tests {
             let a = pick_min_index(&scores, |&s| s as f64);
             let b = pick_min_index(&scores, |&s| s as f64 * scale as f64);
             prop_assert_eq!(a, b);
+        }
+
+        /// The single-pass selection picks what the collecting reference
+        /// picks, over tie-heavy scores and random dead masks. A zero draw
+        /// kills one wafer; one case in four kills the whole pool.
+        #[test]
+        fn single_pass_selection_matches_the_collecting_reference(
+            pool in proptest::collection::vec((0u8..4, 0u8..4), 1..40),
+            all_dead in 0u8..4
+        ) {
+            let alive: Vec<bool> = pool.iter().map(|p| all_dead != 0 && p.0 != 0).collect();
+            let scores: Vec<f64> = pool.iter().map(|p| p.1 as f64).collect();
+            let picked = pick_routable(pool.len(), |i| alive[i], |i| scores[i], f64::total_cmp);
+            prop_assert_eq!(picked, collecting_pick(&alive, &scores), "alive {:?} scores {:?}", alive, scores);
+        }
+
+        /// The one-pass prefix-affine key (cached tokens descending, load
+        /// ascending, lowest index) picks what the two-pass formulation
+        /// picks, including when nothing is cached anywhere.
+        #[test]
+        fn single_pass_prefix_affinity_matches_the_two_pass_reference(
+            pool in proptest::collection::vec((0u8..4, 0u8..3, 0u8..4), 1..40),
+            all_dead in 0u8..4
+        ) {
+            let alive: Vec<bool> = pool.iter().map(|p| all_dead != 0 && p.0 != 0).collect();
+            let cached: Vec<usize> = pool.iter().map(|p| p.1 as usize * 128).collect();
+            let loads: Vec<f64> = pool.iter().map(|p| p.2 as f64 / 4.0).collect();
+            let picked = pick_routable(pool.len(), |i| alive[i], |i| (cached[i], loads[i]), prefix_affine_order);
+            prop_assert_eq!(
+                picked,
+                two_pass_prefix_pick(&alive, &cached, &loads),
+                "alive {:?} cached {:?} loads {:?}", alive, cached, loads
+            );
         }
     }
 }

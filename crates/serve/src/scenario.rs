@@ -854,11 +854,19 @@ impl Driver {
         deployment: DeploymentInfo,
         injector: Option<FaultInjector>,
     ) -> RunReport {
+        // Sized up front: `collect()` over a `flat_map` would size the vector
+        // from the first engine's records and double from there, so the
+        // run's peak heap would depend on how requests spread over wafers.
+        let merge = |engines: &[Engine]| {
+            let mut all: Vec<RequestRecord> =
+                Vec::with_capacity(engines.iter().map(|e| e.records().len()).sum());
+            for e in engines {
+                all.extend_from_slice(e.records());
+            }
+            all
+        };
         let records = if self.disagg {
-            let mut merged: Vec<RequestRecord> = self.engines[..self.prefill_wafers]
-                .iter()
-                .flat_map(|e| e.records().iter().copied())
-                .collect();
+            let mut merged = merge(&self.engines[..self.prefill_wafers]);
             let decode_by_id: FastMap<usize, &RequestRecord> = self.engines[self.prefill_wafers..]
                 .iter()
                 .flat_map(|e| e.records().iter())
@@ -881,7 +889,7 @@ impl Driver {
             }
             merged
         } else {
-            self.engines.iter().flat_map(|e| e.records().iter().copied()).collect()
+            merge(&self.engines[..])
         };
         let mut records = records;
         records.sort_by_key(|r| r.id);

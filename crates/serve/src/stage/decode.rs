@@ -31,8 +31,7 @@ pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
         }
     }
     let mean_ctx = (ctx_sum / e.active.len() as f64).max(1.0) as usize;
-    let pipeline_s = e.times.token_pipeline_latency_s(mean_ctx);
-    let bottleneck_s = e.times.bottleneck_stage_s(mean_ctx);
+    let (pipeline_s, bottleneck_s) = e.times.step_pricing_s(mean_ctx);
     let step_s = if step_tokens == 0 {
         // Every resident sequence finished prefill with zero decode
         // tokens requested; charge one drain pass so completion time is

@@ -127,14 +127,23 @@ impl HwStageTimes {
     /// Total pipeline latency of one token through all `6 × blocks` stages at
     /// the given context length.
     pub fn token_pipeline_latency_s(&self, attended: usize) -> f64 {
-        let per_block: f64 = StageKind::ALL.iter().map(|&k| self.token_time_s(k, attended)).sum();
-        per_block * self.model.blocks as f64
+        self.step_pricing_s(attended).0
     }
 
     /// The slowest single-stage time at the given context length (the
     /// pipeline's steady-state token interval).
     pub fn bottleneck_stage_s(&self, attended: usize) -> f64 {
-        StageKind::ALL.iter().map(|&k| self.token_time_s(k, attended)).fold(0.0f64, f64::max)
+        self.step_pricing_s(attended).1
+    }
+
+    /// [`token_pipeline_latency_s`](Self::token_pipeline_latency_s) and
+    /// [`bottleneck_stage_s`](Self::bottleneck_stage_s) from one evaluation
+    /// of the six stage times: the `(latency, bottleneck)` pair a pipeline
+    /// step is priced with.
+    pub fn step_pricing_s(&self, attended: usize) -> (f64, f64) {
+        let stages = StageKind::ALL.map(|k| self.token_time_s(k, attended));
+        let per_block: f64 = stages.iter().sum();
+        (per_block * self.model.blocks as f64, stages.iter().copied().fold(0.0f64, f64::max))
     }
 }
 

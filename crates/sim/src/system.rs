@@ -235,8 +235,7 @@ impl OuroborosSystem {
         // Autoregressive decoding limits in-flight tokens to the number of
         // resident sequences; when that is below the pipeline depth the
         // token-grained pipeline cannot stay full (§6.2's 32B discussion).
-        let bottleneck = self.stage_times.bottleneck_stage_s(avg_ctx);
-        let pipeline_latency = self.stage_times.token_pipeline_latency_s(avg_ctx);
+        let (pipeline_latency, bottleneck) = self.stage_times.step_pricing_s(avg_ctx);
         // The autoregressive limit applies to every granularity: with fewer
         // resident sequences than the pipeline has stages, the pipeline
         // cannot stay full.
