@@ -10,7 +10,7 @@
 //! Available experiments: `fig1`, `fig11`, `fig13`, `fig14`, `fig15`,
 //! `fig16`, `fig17`, `fig18`, `fig19`, `fig20`, `fig21`, `table2`,
 //! `serving`, `disagg`, `faults`, `prefix`, `scenario`, `bench-report`,
-//! `analyze`, `compare`, `regress`, `audit`, `all`.
+//! `analyze`, `compare`, `regress`, `all`.
 //! Unknown subcommands and flags are rejected (exit 2) rather than
 //! silently ignored, so a typoed CI invocation cannot "succeed" with
 //! nothing run. Progress and section headers go to stderr; result tables
@@ -71,12 +71,6 @@
 //!   (default 10%, `--threshold`) or any drift failure. `--warn-only`
 //!   waives throughput regressions (for shared CI machines) but never
 //!   schema or determinism drift.
-//!
-//! `audit` runs the `ouro-audit` determinism & invariant lint over the
-//! workspace sources (see `crates/audit`): exit 1 on any unsuppressed
-//! violation or stale allow directive, `--out` dumps the finding rows as
-//! schema-versioned JSON, `--fix-list` prints `path:line rule` per open
-//! violation instead of the full table.
 
 use ouro_baselines::SystemReport;
 use ouro_bench::{
@@ -112,7 +106,6 @@ const SUBCOMMANDS: &[&str] = &[
     "analyze",
     "compare",
     "regress",
-    "audit",
 ];
 
 /// Rejects a malformed invocation: print the problem and the full usage,
@@ -130,7 +123,6 @@ fn usage_error(message: &str) -> ! {
     eprintln!("                 JSON → parse → resume round trip (scenario subcommand only; the");
     eprintln!("                 rows must be byte-identical to a straight run);");
     eprintln!("       --baseline/--current/--store/--threshold/--warn-only gate compare/regress;");
-    eprintln!("       --fix-list prints path:line rule per open violation (audit subcommand only)");
     eprintln!("subcommands: {}", SUBCOMMANDS.join(", "));
     std::process::exit(2);
 }
@@ -150,7 +142,6 @@ fn main() {
     let mut threshold = 0.10;
     let mut threshold_set = false;
     let mut warn_only = false;
-    let mut fix_list = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -220,10 +211,6 @@ fn main() {
                 warn_only = true;
                 i += 1;
             }
-            "--fix-list" => {
-                fix_list = true;
-                i += 1;
-            }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             name => {
                 if which.is_some() {
@@ -264,16 +251,6 @@ fn main() {
     {
         usage_error("--baseline/--current/--store/--threshold/--warn-only only apply to compare/regress");
     }
-    if fix_list && which != "audit" {
-        usage_error("--fix-list only applies to the audit subcommand");
-    }
-
-    // The audit is a source-level gate, not an experiment: it runs alone.
-    if which == "audit" {
-        audit(out_path.as_deref(), fix_list);
-        return;
-    }
-
     // bench-report measures wall clock, so it never joins the deterministic
     // `all` dump; it runs alone and writes its own schema-versioned file.
     if which == "bench-report" {
@@ -370,37 +347,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-/// `audit` — the workspace determinism & invariant lint (`crates/audit`).
-/// Exits 1 on any unsuppressed violation or stale allow directive so CI
-/// can gate on it; exits 2 when the workspace root cannot be scanned.
-fn audit(out_path: Option<&str>, fix_list: bool) {
-    let cwd = std::env::current_dir().unwrap_or_else(|e| usage_error(&format!("audit: no cwd: {e}")));
-    let root = ouro_audit::find_root(&cwd)
-        .unwrap_or_else(|| usage_error("audit: no workspace root (Cargo.toml + crates/) above the cwd"));
-    let report = match ouro_audit::audit_workspace(&root) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("error: audit: scanning {} failed: {e}", root.display());
-            std::process::exit(2);
-        }
-    };
-    if let Some(path) = out_path {
-        if let Err(e) = std::fs::write(path, report.json()) {
-            eprintln!("error: audit: writing {path} failed: {e}");
-            std::process::exit(2);
-        }
-        eprintln!("wrote {} finding row(s) to {path}", report.findings.len());
-    }
-    if fix_list {
-        print!("{}", report.fix_list());
-    } else {
-        print!("{}", report.table());
-    }
-    if report.violations() > 0 || !report.unused_allows.is_empty() {
-        std::process::exit(1);
     }
 }
 

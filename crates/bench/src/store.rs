@@ -20,17 +20,17 @@
 //! gate; regressions gate unless the caller runs warn-only (wall-clock
 //! throughput is machine-dependent, simulated metrics are not).
 //!
-//! Everything here is hand-rolled on the workspace's dependency-free
-//! JSON: [`parse_flat_rows`] is the reader counterpart of
-//! `json::render_array`, restricted to the flat scalar rows every
-//! exporter in this workspace emits.
+//! Everything here sits on the workspace's dependency-free JSON:
+//! [`parse_flat_rows`] reads through the shared `json::read_rows`, the
+//! counterpart of `json::render_array`, and the config hash is the shared
+//! `json::fnv1a`.
 
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::json::JsonObject;
+use crate::json::{self, fnv1a, JsonObject, Value};
 
 /// Version of the flat JSON diff-row schema emitted by
 /// [`Verdict::json_rows`]. Bumped on any key change.
@@ -49,229 +49,26 @@ pub const THROUGHPUT_METRICS: &[&str] = &["requests_per_s", "loop_events_per_s"]
 /// at all on a matching config is a hard failure, not a regression.
 pub const DETERMINISM_METRICS: &[&str] = &["completed", "sim_duration_s"];
 
-/// One scalar JSON value of a flat row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (parsed as `f64`; the workspace emitter renders
-    /// `f64` shortest-roundtrip, so parse→render is exact).
-    Num(f64),
-    /// A string, unescaped.
-    Str(String),
-}
-
-impl JsonValue {
-    /// The value as a number, when it is one.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The value as a string, when it is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
+/// One scalar JSON value of a stored row: the shared reader's value with
+/// owned strings.
+pub type JsonValue = Value<String>;
 
 /// One flat row: key → scalar, ordered by key.
 pub type FlatRow = BTreeMap<String, JsonValue>;
 
 /// Parses a JSON array of flat objects (the shape every workspace
-/// exporter writes). Nested containers are a deliberate error: the
-/// store's schema is flat rows, and anything else means the input is
-/// not one of ours.
+/// exporter writes) through the shared [`json::read_rows`], detaching each row
+/// from the text. Nested containers are an error.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending byte offset on malformed
 /// input.
 pub fn parse_flat_rows(text: &str) -> Result<Vec<FlatRow>, String> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let rows = p.array()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing input at byte {}", p.pos));
-    }
-    Ok(rows)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn array(&mut self) -> Result<Vec<FlatRow>, String> {
-        self.expect(b'[')?;
-        let mut rows = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(rows);
-        }
-        loop {
-            self.skip_ws();
-            rows.push(self.object()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(rows);
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<FlatRow, String> {
-        self.expect(b'{')?;
-        let mut row = FlatRow::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(row);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.scalar()?;
-            row.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(row);
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn scalar(&mut self) -> Result<JsonValue, String> {
-        match self.peek() {
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'{') | Some(b'[') => {
-                Err(format!("nested container at byte {} — the store holds flat rows only", self.pos))
-            }
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        while self.peek().is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>().map(JsonValue::Num).map_err(|_| format!("bad number '{text}' at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?,
-                    );
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-}
-
-/// FNV-1a over `bytes` — the same digest the trace layer pins its golden
-/// with, reused so the store needs no hasher dependency.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    Ok(json::read_rows(text)?
+        .into_iter()
+        .map(|row| row.fields.into_iter().map(|(k, v)| (k.into_owned(), v.into_owned())).collect())
+        .collect())
 }
 
 /// The fields that identify a configuration (as opposed to measuring

@@ -13,7 +13,10 @@
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` keyed through [`FastHasher`].
-// audit: allow(default-hash-map, "the FastMap definition itself: std HashMap rekeyed through the deterministic FastHasher")
+#[expect(
+    clippy::disallowed_types,
+    reason = "the FastMap definition: std HashMap rekeyed through the deterministic FastHasher"
+)]
 pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

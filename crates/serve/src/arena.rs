@@ -217,18 +217,13 @@ impl<T: Copy> IndexQueue<T> {
     /// entries in order reproduces the same admission order (ranks are
     /// renumbered, but their relative order — the only thing any query
     /// observes — is preserved), and the unready/admissible split is
-    /// re-derived lazily from `ready_s` against the monotone clock.
+    /// re-derived lazily from `ready_s` against the monotone clock. Also
+    /// the reference view for the debug-build differential checks against
+    /// the old linear scans.
     pub(crate) fn entries(&self) -> Vec<(f64, T)> {
         let mut live: Vec<&Entry<T>> = self.slots.iter().filter_map(|s| s.entry.as_ref()).collect();
         live.sort_by_key(|e| e.rank);
         live.iter().map(|e| (e.ready_s, e.value)).collect()
-    }
-
-    /// Live entries in queue order — the reference view for the
-    /// debug-build differential checks against the old linear scans.
-    #[cfg(debug_assertions)]
-    pub(crate) fn ordered(&self) -> Vec<(f64, T)> {
-        self.entries()
     }
 }
 
@@ -302,7 +297,7 @@ mod tests {
         q.push_back(1.0, 10u32);
         q.push_front(2.0, 20);
         q.push_back(3.0, 30);
-        let order: Vec<u32> = q.ordered().iter().map(|&(_, v)| v).collect();
+        let order: Vec<u32> = q.entries().iter().map(|&(_, v)| v).collect();
         assert_eq!(order, vec![20, 10, 30]);
     }
 }

@@ -264,7 +264,7 @@ impl Engine {
         #[cfg(debug_assertions)]
         {
             // Differential check against the old linear min-scan.
-            let naive = self.pending.ordered().iter().map(|&(ready, _)| ready).min_by(f64::total_cmp);
+            let naive = self.pending.entries().iter().map(|&(ready, _)| ready).min_by(f64::total_cmp);
             debug_assert_eq!(next, naive, "arena next_ready_s diverged from the naive scan");
         }
         next
@@ -306,7 +306,7 @@ impl Engine {
         #[cfg(debug_assertions)]
         {
             let naive: usize =
-                self.pending.ordered().iter().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum();
+                self.pending.entries().iter().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum();
             debug_assert_eq!(
                 self.pending_wire_tokens, naive,
                 "incremental wire-token counter diverged from the queue scan"

@@ -517,7 +517,10 @@ impl RunState {
         if let Some(inj) = self.injector.as_mut() {
             match inj.poll(next_arrival, next_engine.map(|(_, t)| t), horizon_s) {
                 FaultPoll::Fire(wafer) => {
-                    // audit: allow(wall-clock, "profile-gated self-timing; elapsed wall time feeds LoopProfile only, never simulated state")
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "profile-gated self-timing: wall time feeds LoopProfile only"
+                    )]
                     let t0 = self.driver.profile.is_some().then(Instant::now);
                     inj.inject(&mut self.driver.engines[wafer]);
                     self.driver.refresh_engine(wafer);
@@ -764,14 +767,20 @@ impl Driver {
     /// all other completions retire the request and feed closed-loop
     /// releases back into the arrival queues.
     pub(crate) fn step_engine(&mut self, i: usize, queues: &mut StageQueues) {
-        // audit: allow(wall-clock, "profile-gated self-timing; elapsed wall time feeds LoopProfile only, never simulated state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profile-gated self-timing: wall time feeds LoopProfile only"
+        )]
         let t0 = self.profile.is_some().then(Instant::now);
         let completions = self.engines[i].step();
         self.refresh_engine(i);
         if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
             p.engine_steps.add(t0.elapsed());
         }
-        // audit: allow(wall-clock, "profile-gated self-timing; elapsed wall time feeds LoopProfile only, never simulated state")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profile-gated self-timing: wall time feeds LoopProfile only"
+        )]
         let t1 = (self.profile.is_some() && !completions.is_empty()).then(Instant::now);
         if self.disagg && i < self.prefill_wafers {
             for (rec, t_done) in completions {

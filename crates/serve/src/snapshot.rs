@@ -27,9 +27,11 @@
 //! their IEEE-754 bit pattern (`f64::to_bits`), so round-tripping is exact
 //! (including NaN payloads, which plain decimal JSON cannot carry — the
 //! workspace's JSON writer renders non-finite floats as `null`).
-//! [`Snapshot::parse`] is the strict inverse; the schema is versioned by
-//! [`SNAPSHOT_SCHEMA_VERSION`] and guarded by a config hash so foreign
-//! state cannot be resumed silently.
+//! [`Snapshot::parse`] is the strict inverse. It reads the document through
+//! the workspace's shared flat-row reader ([`ouro_trace::json::read_rows`]),
+//! which borrows every escape-free value from the text, so parsing does not
+//! allocate per field. The schema is versioned by [`SNAPSHOT_SCHEMA_VERSION`]
+//! and guarded by a config hash so foreign state cannot be resumed silently.
 
 use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
@@ -41,6 +43,7 @@ use ouro_kvcache::{
     CrossbarSnapshot, KvError, KvManager, KvManagerSnapshot, KvTransferStats, SharedChainSnapshot,
 };
 use ouro_sim::OuroborosSystem;
+use ouro_trace::json::{self, fnv1a, read_rows};
 use ouro_trace::{LoopProfile, TelemetryRecorder, Tracer};
 use ouro_workload::SharedPrefix;
 use rand::rngs::StdRng;
@@ -243,18 +246,13 @@ pub(crate) fn rebuild(
 /// sensitive to every config field (deployment, workload seeds, policies,
 /// engine tuning, SLO, horizon, faults, observability toggles).
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{scenario:?}").bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    fnv1a(format!("{scenario:?}").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Serialization: flat-JSON rows, string values only, floats as bit-pattern
-// hex. Hand-rolled on both sides — the workspace stays dependency-free, and
-// `ouro_trace::json` cannot round-trip non-finite floats.
+// hex. Written here (`JsonObject::num` cannot round-trip non-finite floats),
+// read back by the shared `ouro_trace::json::read_rows`.
 // ---------------------------------------------------------------------------
 
 fn hex(v: f64) -> String {
@@ -593,7 +591,7 @@ impl Snapshot {
     /// Returns a description of the first malformed token, unknown
     /// section, missing field, or schema-version mismatch.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let rows = parse_rows(text)?;
+        let rows = read_rows(text)?;
         let mut snap = Snapshot {
             schema_version: 0,
             config_hash: 0,
@@ -610,65 +608,65 @@ impl Snapshot {
         };
         let mut saw_meta = false;
         for row in rows {
-            let section = row.get("section")?;
+            let section = row.get_str("section")?;
             match section {
                 "meta" => {
                     saw_meta = true;
                     snap.schema_version =
-                        row.get("schema_version")?.parse().map_err(|e| format!("schema_version: {e}"))?;
+                        row.get_str("schema_version")?.parse().map_err(|e| format!("schema_version: {e}"))?;
                     if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
                         return Err(format!(
                             "snapshot schema v{} is not the supported v{SNAPSHOT_SCHEMA_VERSION}",
                             snap.schema_version
                         ));
                     }
-                    snap.config_hash = p_hex_u64(row.get("config_hash")?)?;
-                    snap.completed = p_u64(row.get("completed")?)?;
-                    snap.faults_fired = p_u64(row.get("faults_fired")?)?;
-                    snap.router_state = p_u64(row.get("router_state")?)?;
-                    snap.placement_state = p_u64(row.get("placement_state")?)?;
+                    snap.config_hash = p_hex_u64(row.get_str("config_hash")?)?;
+                    snap.completed = p_u64(row.get_str("completed")?)?;
+                    snap.faults_fired = p_u64(row.get_str("faults_fired")?)?;
+                    snap.router_state = p_u64(row.get_str("router_state")?)?;
+                    snap.placement_state = p_u64(row.get_str("placement_state")?)?;
                     let rng: Vec<u64> =
-                        split(row.get("think_rng")?, '|').map(p_hex_u64).collect::<Result<_, _>>()?;
+                        split(row.get_str("think_rng")?, '|').map(p_hex_u64).collect::<Result<_, _>>()?;
                     snap.think_rng = rng
                         .try_into()
                         .map_err(|v: Vec<u64>| format!("think_rng has {} words, expected 4", v.len()))?;
-                    snap.arrivals = split(row.get("arrivals")?, ';')
+                    snap.arrivals = split(row.get_str("arrivals")?, ';')
                         .map(|item| {
                             let (t, i) = pair(item, ':')?;
                             Ok((p_f64(t)?, p_usize(i)?))
                         })
                         .collect::<Result<_, String>>()?;
-                    snap.gated = split(row.get("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
+                    snap.gated = split(row.get_str("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
                 }
                 "migration" => snap.migrations.push(Migration {
-                    id: p_usize(row.get("id")?)?,
-                    from_wafer: p_usize(row.get("from")?)?,
-                    to_wafer: p_usize(row.get("to")?)?,
-                    tokens: p_u64(row.get("tokens")?)?,
-                    deduped_tokens: p_u64(row.get("deduped")?)?,
-                    bytes: p_u64(row.get("bytes")?)?,
-                    start_s: p_f64(row.get("start_s")?)?,
-                    arrive_s: p_f64(row.get("arrive_s")?)?,
-                    wafer_hops: p_usize(row.get("hops")?)?,
-                    energy_j: p_f64(row.get("energy_j")?)?,
+                    id: p_usize(row.get_str("id")?)?,
+                    from_wafer: p_usize(row.get_str("from")?)?,
+                    to_wafer: p_usize(row.get_str("to")?)?,
+                    tokens: p_u64(row.get_str("tokens")?)?,
+                    deduped_tokens: p_u64(row.get_str("deduped")?)?,
+                    bytes: p_u64(row.get_str("bytes")?)?,
+                    start_s: p_f64(row.get_str("start_s")?)?,
+                    arrive_s: p_f64(row.get_str("arrive_s")?)?,
+                    wafer_hops: p_usize(row.get_str("hops")?)?,
+                    energy_j: p_f64(row.get_str("energy_j")?)?,
                 }),
                 "engine" => {
-                    let wafer = p_usize(row.get("wafer")?)?;
+                    let wafer = p_usize(row.get_str("wafer")?)?;
                     if wafer != snap.engines.len() {
                         return Err(format!("engine row for wafer {wafer} out of order"));
                     }
-                    let s: Vec<&str> = row.get("stats")?.split('|').collect();
+                    let s: Vec<&str> = row.get_str("stats")?.split('|').collect();
                     if s.len() != 14 {
                         return Err(format!("engine stats has {} fields, expected 14", s.len()));
                     }
                     snap.engines.push(EngineSnapshot {
-                        clock_s: p_f64(row.get("clock_s")?)?,
-                        busy_s: p_f64(row.get("busy_s")?)?,
-                        admission_suspended: p_bool(row.get("suspended")?)?,
-                        pending_tokens: p_usize(row.get("pending_tokens")?)?,
-                        pending_wire_tokens: p_usize(row.get("pending_wire_tokens")?)?,
-                        mean_hops: p_f64(row.get("mean_hops")?)?,
-                        order_counter: p_u64(row.get("order_counter")?)?,
+                        clock_s: p_f64(row.get_str("clock_s")?)?,
+                        busy_s: p_f64(row.get_str("busy_s")?)?,
+                        admission_suspended: p_bool(row.get_str("suspended")?)?,
+                        pending_tokens: p_usize(row.get_str("pending_tokens")?)?,
+                        pending_wire_tokens: p_usize(row.get_str("pending_wire_tokens")?)?,
+                        mean_hops: p_f64(row.get_str("mean_hops")?)?,
+                        order_counter: p_u64(row.get_str("order_counter")?)?,
                         stats: EngineStats {
                             admissions: p_u64(s[0])?,
                             evictions: p_u64(s[1])?,
@@ -706,7 +704,7 @@ impl Snapshot {
                 }
                 "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_page" | "kv_cursor"
                 | "kv_seq_blocks" | "kv_resident" | "kv_shared" | "kv_seq_shared" => {
-                    let wafer = p_usize(row.get("wafer")?)?;
+                    let wafer = p_usize(row.get_str("wafer")?)?;
                     let e = snap
                         .engines
                         .get_mut(wafer)
@@ -715,7 +713,7 @@ impl Snapshot {
                 }
                 "injector" => {
                     snap.injector = Some(FaultInjectorSnapshot {
-                        events: split(row.get("events")?, ';')
+                        events: split(row.get_str("events")?, ';')
                             .map(|item| {
                                 let mut it = item.split(':');
                                 let (w, t, draw) = (next(&mut it)?, next(&mut it)?, next(&mut it)?);
@@ -723,7 +721,7 @@ impl Snapshot {
                             })
                             .collect::<Result<_, String>>()?,
                         wafers: Vec::new(),
-                        counters: split(row.get("counters")?, '|')
+                        counters: split(row.get_str("counters")?, '|')
                             .map(p_u64)
                             .collect::<Result<Vec<u64>, _>>()?
                             .try_into()
@@ -735,13 +733,15 @@ impl Snapshot {
                 "injector_wafer" => {
                     let inj = snap.injector.as_mut().ok_or("injector_wafer row precedes the injector row")?;
                     inj.wafers.push(WaferFaultSnapshot {
-                        assignment: split(row.get("assignment")?, ';')
+                        assignment: split(row.get_str("assignment")?, ';')
                             .map(p_u64)
                             .collect::<Result<_, _>>()?,
-                        kv_cores: split(row.get("kv_cores")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        failed: split(row.get("failed")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        death_s: p_f64(row.get("death_s")?)?,
-                        stall_s: p_f64(row.get("stall_s")?)?,
+                        kv_cores: split(row.get_str("kv_cores")?, ';')
+                            .map(p_u64)
+                            .collect::<Result<_, _>>()?,
+                        failed: split(row.get_str("failed")?, ';').map(p_u64).collect::<Result<_, _>>()?,
+                        death_s: p_f64(row.get_str("death_s")?)?,
+                        stall_s: p_f64(row.get_str("stall_s")?)?,
                     });
                 }
                 other => return Err(format!("unknown snapshot section {other:?}")),
@@ -754,21 +754,21 @@ impl Snapshot {
     }
 }
 
-fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> Result<(), String> {
+fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) -> Result<(), String> {
     match section {
         "record" => e.records.push(RequestRecord {
-            id: p_usize(row.get("id")?)?,
-            wafer: p_usize(row.get("rwafer")?)?,
-            prompt_len: p_usize(row.get("prompt")?)?,
-            decode_len: p_usize(row.get("decode")?)?,
-            arrival_s: p_f64(row.get("arrival_s")?)?,
-            admitted_s: p_f64(row.get("admitted_s")?)?,
-            queue_wait_s: p_f64(row.get("queue_wait_s")?)?,
-            first_token_s: p_f64(row.get("first_token_s")?)?,
-            completed_s: p_f64(row.get("completed_s")?)?,
-            evictions: row.get("evictions")?.parse().map_err(|e| format!("evictions: {e}"))?,
-            cached_prefix_tokens: p_usize(row.get("cached_prefix")?)?,
-            shared_prefix: match row.get("shared")? {
+            id: p_usize(row.get_str("id")?)?,
+            wafer: p_usize(row.get_str("rwafer")?)?,
+            prompt_len: p_usize(row.get_str("prompt")?)?,
+            decode_len: p_usize(row.get_str("decode")?)?,
+            arrival_s: p_f64(row.get_str("arrival_s")?)?,
+            admitted_s: p_f64(row.get_str("admitted_s")?)?,
+            queue_wait_s: p_f64(row.get_str("queue_wait_s")?)?,
+            first_token_s: p_f64(row.get_str("first_token_s")?)?,
+            completed_s: p_f64(row.get_str("completed_s")?)?,
+            evictions: row.get_str("evictions")?.parse().map_err(|e| format!("evictions: {e}"))?,
+            cached_prefix_tokens: p_usize(row.get_str("cached_prefix")?)?,
+            shared_prefix: match row.get_str("shared")? {
                 "-" => None,
                 s => {
                     let (g, t) = pair(s, ':')?;
@@ -777,29 +777,29 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
             },
         }),
         "pending" => e.pending.push((
-            p_f64(row.get("ready_s")?)?,
+            p_f64(row.get_str("ready_s")?)?,
             PendingReq {
-                rec: p_usize(row.get("rec")?)?,
-                decoded: p_usize(row.get("decoded")?)?,
-                ready_s: p_f64(row.get("ready_s")?)?,
-                imported: p_bool(row.get("imported")?)?,
-                wire_tokens: p_usize(row.get("wire_tokens")?)?,
-                evicted: p_bool(row.get("evicted")?)?,
-                prefill_only: p_bool(row.get("prefill_only")?)?,
+                rec: p_usize(row.get_str("rec")?)?,
+                decoded: p_usize(row.get_str("decoded")?)?,
+                ready_s: p_f64(row.get_str("ready_s")?)?,
+                imported: p_bool(row.get_str("imported")?)?,
+                wire_tokens: p_usize(row.get_str("wire_tokens")?)?,
+                evicted: p_bool(row.get_str("evicted")?)?,
+                prefill_only: p_bool(row.get_str("prefill_only")?)?,
             },
         )),
         "active" => e.active.push(ActiveSeq {
-            rec: p_usize(row.get("rec")?)?,
-            prefill_remaining: p_usize(row.get("prefill_remaining")?)?,
-            decoded: p_usize(row.get("decoded")?)?,
-            admission_order: p_u64(row.get("admission_order")?)?,
-            prefill_only: p_bool(row.get("prefill_only")?)?,
+            rec: p_usize(row.get_str("rec")?)?,
+            prefill_remaining: p_usize(row.get_str("prefill_remaining")?)?,
+            decoded: p_usize(row.get_str("decoded")?)?,
+            admission_order: p_u64(row.get_str("admission_order")?)?,
+            prefill_only: p_bool(row.get_str("prefill_only")?)?,
         }),
         "kv" => {
-            e.kv.ring_next = [p_usize(row.get("ring_k")?)?, p_usize(row.get("ring_v")?)?];
-            e.kv.allocated_blocks = p_u64(row.get("allocated")?)?;
-            e.kv.freed_blocks = p_u64(row.get("freed")?)?;
-            let t: Vec<&str> = row.get("transfers")?.split('|').collect();
+            e.kv.ring_next = [p_usize(row.get_str("ring_k")?)?, p_usize(row.get_str("ring_v")?)?];
+            e.kv.allocated_blocks = p_u64(row.get_str("allocated")?)?;
+            e.kv.freed_blocks = p_u64(row.get_str("freed")?)?;
+            let t: Vec<&str> = row.get_str("transfers")?.split('|').collect();
             if t.len() != 4 {
                 return Err(format!("kv transfers has {} fields, expected 4", t.len()));
             }
@@ -811,7 +811,7 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
             };
         }
         "kv_cores" => {
-            let xbs: Vec<CrossbarSnapshot> = split(row.get("xbs")?, ';')
+            let xbs: Vec<CrossbarSnapshot> = split(row.get_str("xbs")?, ';')
                 .map(|xb| {
                     let (failed, blocks) = pair(xb, '!')?;
                     Ok(CrossbarSnapshot {
@@ -829,18 +829,18 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
                     })
                 })
                 .collect::<Result<_, String>>()?;
-            let side = match row.get("side")? {
+            let side = match row.get_str("side")? {
                 "k" => &mut e.kv.key_cores,
                 "v" => &mut e.kv.value_cores,
                 other => return Err(format!("unknown kv side {other:?}")),
             };
-            if p_usize(row.get("core")?)? != side.len() {
+            if p_usize(row.get_str("core")?)? != side.len() {
                 return Err("kv_cores row out of order".to_string());
             }
             side.push(xbs);
         }
         "kv_page" => {
-            e.kv.page_table = split(row.get("entries")?, ';')
+            e.kv.page_table = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let (seq, cores) = pair(item, ':')?;
                     Ok((p_u64(seq)?, split(cores, ',').map(p_u64).collect::<Result<_, _>>()?))
@@ -848,7 +848,7 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
                 .collect::<Result<_, String>>()?;
         }
         "kv_cursor" => {
-            e.kv.cursors = split(row.get("entries")?, ';')
+            e.kv.cursors = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let mut it = item.split(':');
                     Ok((
@@ -863,7 +863,7 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
                 .collect::<Result<_, String>>()?;
         }
         "kv_seq_blocks" => {
-            e.kv.seq_blocks = split(row.get("entries")?, ';')
+            e.kv.seq_blocks = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let (seq, blocks) = pair(item, ':')?;
                     Ok((
@@ -884,7 +884,7 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
                 .collect::<Result<_, String>>()?;
         }
         "kv_resident" => {
-            e.kv.resident_tokens = split(row.get("entries")?, ';')
+            e.kv.resident_tokens = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let (seq, t) = pair(item, ':')?;
                     Ok((p_u64(seq)?, p_usize(t)?))
@@ -901,11 +901,11 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
                     .collect()
             };
             e.kv.shared.push((
-                p_u64(row.get("group")?)?,
+                p_u64(row.get_str("group")?)?,
                 SharedChainSnapshot {
-                    k_cores: split(row.get("k_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
-                    v_cores: split(row.get("v_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
-                    nodes: split(row.get("nodes")?, ';')
+                    k_cores: split(row.get_str("k_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
+                    v_cores: split(row.get_str("v_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
+                    nodes: split(row.get_str("nodes")?, ';')
                         .map(|node| {
                             let mut it = node.split('!');
                             let refs = p_usize(next(&mut it)?)?;
@@ -918,7 +918,7 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
             ));
         }
         "kv_seq_shared" => {
-            e.kv.seq_shared = split(row.get("entries")?, ';')
+            e.kv.seq_shared = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let mut it = item.split(':');
                     Ok((p_u64(next(&mut it)?)?, p_u64(next(&mut it)?)?, p_usize(next(&mut it)?)?))
@@ -931,96 +931,6 @@ fn parse_engine_row(section: &str, row: &ParsedRow, e: &mut EngineSnapshot) -> R
 }
 
 // --- tiny strict parser helpers -------------------------------------------
-
-/// One parsed row's `key → value` pairs (values are always strings).
-struct ParsedRow {
-    pairs: Vec<(String, String)>,
-}
-
-impl ParsedRow {
-    fn get(&self, key: &str) -> Result<&str, String> {
-        self.pairs
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("snapshot row is missing field {key:?}"))
-    }
-}
-
-/// Parses the outer `[ {…}, {…} ]` document. The grammar is the exact
-/// output of [`Snapshot::to_json`]: objects of string-valued fields, no
-/// escapes, no nested containers.
-fn parse_rows(text: &str) -> Result<Vec<ParsedRow>, String> {
-    let b = text.as_bytes();
-    let mut i = 0usize;
-    let ws = |b: &[u8], i: &mut usize| {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1
-        }
-    };
-    let expect = |b: &[u8], i: &mut usize, c: u8| -> Result<(), String> {
-        if *i < b.len() && b[*i] == c {
-            *i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", c as char, *i))
-        }
-    };
-    let string = |b: &[u8], i: &mut usize| -> Result<String, String> {
-        expect(b, i, b'"')?;
-        let start = *i;
-        while *i < b.len() && b[*i] != b'"' {
-            if b[*i] == b'\\' {
-                return Err(format!("unexpected escape at byte {}", *i));
-            }
-            *i += 1;
-        }
-        if *i >= b.len() {
-            return Err("unterminated string".to_string());
-        }
-        let s = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?.to_string();
-        *i += 1;
-        Ok(s)
-    };
-
-    let mut rows = Vec::new();
-    ws(b, &mut i);
-    expect(b, &mut i, b'[')?;
-    ws(b, &mut i);
-    if i < b.len() && b[i] == b']' {
-        return Ok(rows);
-    }
-    loop {
-        expect(b, &mut i, b'{')?;
-        let mut pairs = Vec::new();
-        loop {
-            ws(b, &mut i);
-            let key = string(b, &mut i)?;
-            ws(b, &mut i);
-            expect(b, &mut i, b':')?;
-            ws(b, &mut i);
-            let value = string(b, &mut i)?;
-            pairs.push((key, value));
-            ws(b, &mut i);
-            if i < b.len() && b[i] == b',' {
-                i += 1;
-                continue;
-            }
-            break;
-        }
-        expect(b, &mut i, b'}')?;
-        rows.push(ParsedRow { pairs });
-        ws(b, &mut i);
-        if i < b.len() && b[i] == b',' {
-            i += 1;
-            ws(b, &mut i);
-            continue;
-        }
-        break;
-    }
-    expect(b, &mut i, b']')?;
-    Ok(rows)
-}
 
 fn split(s: &str, sep: char) -> impl Iterator<Item = &str> {
     s.split(sep).filter(|p| !p.is_empty())

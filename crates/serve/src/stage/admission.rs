@@ -40,7 +40,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         {
             // Differential check against the old FCFS position scan.
             let naive =
-                e.pending.ordered().iter().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.rec);
+                e.pending.entries().iter().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.rec);
             debug_assert_eq!(
                 Some(front.rec),
                 naive,

@@ -13,7 +13,10 @@ use std::time::Instant;
 /// and is due) onto an entry wafer: colocated deployments submit for full
 /// local service, disaggregated ones for prefill-only service.
 pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues) {
-    // audit: allow(wall-clock, "profile-gated self-timing; elapsed wall time feeds LoopProfile only, never simulated state")
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profile-gated self-timing: wall time feeds LoopProfile only"
+    )]
     let t0 = d.profile.is_some().then(Instant::now);
     let ev = q.arrivals.pop_front().expect("peeked above");
     let request = timed.arrivals[ev.index].request;

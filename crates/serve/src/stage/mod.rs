@@ -111,7 +111,10 @@ impl Stage {
             kind.name(),
             event_kind(kind.name())
         );
-        // audit: allow(stage-emit, "the single blessed forwarding site behind the debug-asserted ownership table")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one forwarding site behind the EVENT_OWNERS debug assert"
+        )]
         tracer.emit(t_s, req, kind);
     }
 
@@ -131,7 +134,10 @@ impl Stage {
             kind.name(),
             event_kind(kind.name())
         );
-        // audit: allow(stage-emit, "the single blessed forwarding site behind the debug-asserted ownership table")
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the one forwarding site behind the EVENT_OWNERS debug assert"
+        )]
         tracer.emit_for(wafer, t_s, req, kind);
     }
 }

@@ -10,9 +10,12 @@
 //! open- and closed-loop arrival processes.
 
 use ouro_model::zoo;
+use ouro_serve::json::read_rows;
 use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
+use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn tiny_system() -> OuroborosSystem {
     OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap()
@@ -249,31 +252,6 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "failed", "death_s", "stall_s"]),
 ];
 
-/// Splits one rendered snapshot row into its `(key, value)` pairs. The
-/// writer guarantees every value is a quote- and backslash-free string, so
-/// a plain quote scan is a complete parser.
-fn row_pairs(line: &str) -> Vec<(String, String)> {
-    let mut pairs = Vec::new();
-    let mut chars = line.char_indices().peekable();
-    let mut quoted: Vec<String> = Vec::new();
-    while let Some((start, c)) = chars.next() {
-        if c != '"' {
-            continue;
-        }
-        for (end, c) in chars.by_ref() {
-            if c == '"' {
-                quoted.push(line[start + 1..end].to_string());
-                break;
-            }
-        }
-    }
-    assert!(quoted.len().is_multiple_of(2), "unpaired quoted string in snapshot row: {line}");
-    for kv in quoted.chunks(2) {
-        pairs.push((kv[0].clone(), kv[1].clone()));
-    }
-    pairs
-}
-
 #[test]
 fn snapshot_v1_key_sets_are_pinned() {
     let sys = tiny_system();
@@ -292,17 +270,20 @@ fn snapshot_v1_key_sets_are_pinned() {
         let mut jsons = Vec::new();
         for frac in [0.2, 0.6, 1.0, 1.4, 2.0] {
             run.run_until(mid_s * frac);
-            jsons.push(scenario.checkpoint(&run).to_json());
+            let json = scenario.checkpoint(&run).to_json();
+            let parsed = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{label}@{frac}: {e}"));
+            assert_eq!(parsed.to_json(), json, "{label}@{frac}: parse → to_json drifted");
+            jsons.push(json);
         }
-        for line in jsons.iter().flat_map(|j| j.lines()).filter(|l| l.starts_with('{')) {
-            let pairs = row_pairs(line);
-            let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-            assert!(!pairs.is_empty() && pairs[0].0 == "section", "{label}: row must lead with section");
-            let section = pairs[0].1.clone();
+        for row in jsons.iter().flat_map(|j| read_rows(j).expect("snapshot JSON reads as flat rows")) {
+            let keys: Vec<&str> = row.fields.iter().map(|(k, _)| k.as_ref()).collect();
+            assert!(keys.first() == Some(&"section"), "{label}: row must lead with section");
+            let section = row.get_str("section").unwrap().to_string();
             assert_eq!(keys, expected(&section), "{label}: key set drifted for section {section:?}");
+            assert!(row.fields.iter().all(|(_, v)| v.as_str().is_some()), "{label}: non-string value");
             if section == "meta" {
-                let (_, v) = pairs.iter().find(|(k, _)| k == "schema_version").unwrap();
-                assert_eq!(v, &ouro_serve::SNAPSHOT_SCHEMA_VERSION.to_string(), "{label}");
+                let v = row.get_str("schema_version").unwrap();
+                assert_eq!(v, ouro_serve::SNAPSHOT_SCHEMA_VERSION.to_string(), "{label}");
             }
             seen.insert(section);
         }
@@ -311,5 +292,41 @@ fn snapshot_v1_key_sets_are_pinned() {
     // a table entry nothing emits is a stale pin, not coverage.
     for (section, _) in SNAPSHOT_V1_SECTIONS {
         assert!(seen.contains(*section), "section {section:?} never emitted by the golden shapes");
+    }
+}
+
+/// A real mid-run snapshot of the richest golden shape (disaggregated,
+/// faults, prefix caching), rendered once for the corruption properties.
+fn golden_snapshot_json() -> &'static str {
+    static JSON: OnceLock<String> = OnceLock::new();
+    JSON.get_or_init(|| {
+        let sys = tiny_system();
+        let (_, scenario, mid_s) = golden_shapes().remove(3);
+        let mut run = scenario.start(&sys).unwrap();
+        run.run_until(mid_s);
+        scenario.checkpoint(&run).to_json()
+    })
+}
+
+proptest! {
+    #[test]
+    fn truncated_snapshots_are_errors_not_panics(cut in 0usize..1 << 20) {
+        let json = golden_snapshot_json();
+        let cut = cut % json.len();
+        let prefix = String::from_utf8_lossy(&json.as_bytes()[..cut]);
+        // Any cut before the closing bracket leaves the array unclosed.
+        let closed = cut > json.rfind(']').unwrap();
+        prop_assert_eq!(read_rows(&prefix).is_ok(), closed);
+        prop_assert_eq!(Snapshot::parse(&prefix).is_ok(), closed);
+    }
+
+    #[test]
+    fn flipped_snapshots_never_panic(at in 0usize..1 << 20, flip in 1u8..=255) {
+        let mut bytes = golden_snapshot_json().as_bytes().to_vec();
+        let at = at % bytes.len();
+        bytes[at] ^= flip;
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = read_rows(&text);
+        let _ = Snapshot::parse(&text);
     }
 }

@@ -9,7 +9,7 @@
 //! [`Trace::summarize`] text table for terminals.
 
 use crate::event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
-use crate::json::{render_array, write_array, JsonObject};
+use crate::json::{fnv1a_extend, render_array, write_array, JsonObject, FNV1A_OFFSET};
 
 /// One reconstructed request phase: a closed interval of a request's life
 /// on one wafer. Phases are derived from the event log — `queue` from
@@ -81,14 +81,7 @@ impl Trace {
     /// FNV-1a digest over the rendered flat-JSON rows — one stable
     /// fingerprint per timeline, pinned by golden tests.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for e in &self.events {
-            for b in e.json_object().render().bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h
+        self.events.iter().fold(FNV1A_OFFSET, |h, e| fnv1a_extend(h, e.json_object().render().as_bytes()))
     }
 
     /// The timeline as flat JSON rows (one per event, shared schema).

@@ -1,11 +1,16 @@
-//! Minimal JSON emission for perf-trajectory and trace capture.
+//! The workspace's dependency-free JSON: the flat-row writer, its reader,
+//! and the FNV-1a content hash.
 //!
-//! The workspace is fully offline, so there is no serde; the subset here —
+//! The workspace is fully offline, so there is no serde. The writer covers
 //! objects of strings, numbers, nulls, and (for the Chrome trace-event
-//! `args` field) one level of nested objects, collected into arrays — is
-//! all the `BENCH_*.json` trajectories and trace exporters need. It lives
-//! in `ouro-trace` so the report schema and the trace/telemetry schemas
-//! share one emitter; `ouro-serve` and `ouro-bench` re-export this module.
+//! `args` field) one level of nested objects, collected into arrays — all
+//! the `BENCH_*.json` trajectories and trace exporters need. [`read_rows`]
+//! is its inverse over flat rows: the bench store reads result files and
+//! the serving snapshot reads checkpoints through it. It lives in
+//! `ouro-trace` so every schema shares one writer and one reader;
+//! `ouro-serve` and `ouro-bench` re-export this module.
+
+use std::borrow::Cow;
 
 /// A flat JSON object under construction.
 #[derive(Debug, Clone, Default)]
@@ -107,6 +112,294 @@ pub fn write_array(path: &str, objects: &[JsonObject]) -> std::io::Result<()> {
     std::fs::write(path, render_array(objects))
 }
 
+/// FNV-1a offset basis: the state [`fnv1a_extend`] starts from.
+pub const FNV1A_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into a running FNV-1a state, so a stream can be hashed
+/// piece by piece without first being joined: start from
+/// [`FNV1A_OFFSET`] and pass each piece in order.
+pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// FNV-1a over `bytes` — the workspace's one content hash (trace digests,
+/// snapshot config hashes, bench-store addresses).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV1A_OFFSET, bytes)
+}
+
+/// One scalar value of a flat row. `S` is the string storage:
+/// `Cow<str>` borrowing from the input for [`read_rows`], `String` where
+/// rows outlive the text they were read from.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value<S> {
+    /// `null` (also what the writer renders for non-finite numbers).
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number, as `f64`. The writer renders `f64` shortest
+    /// round-trip, so `num` reads back exactly; `int` does up to 2^53.
+    Num(f64),
+    /// A string, unescaped.
+    Str(S),
+}
+
+impl<S: AsRef<str>> Value<S> {
+    /// The value as a number, when it is one.
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            Value::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The value as a string, when it is one.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s.as_ref()),
+            _ => None,
+        }
+    }
+}
+
+impl Value<Cow<'_, str>> {
+    /// Detaches the value from the text it was read from.
+    pub fn into_owned(self) -> Value<String> {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(b),
+            Value::Num(n) => Value::Num(n),
+            Value::Str(s) => Value::Str(s.into_owned()),
+        }
+    }
+}
+
+/// One flat object as read: its fields in document order. Escape-free
+/// keys and strings borrow from the input.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Row<'a> {
+    /// `(key, value)` pairs in document order.
+    pub fields: Vec<(Cow<'a, str>, Value<Cow<'a, str>>)>,
+}
+
+impl<'a> Row<'a> {
+    /// The first value under `key`.
+    pub fn get(&self, key: &str) -> Option<&Value<Cow<'a, str>>> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The string value under `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is missing or its value is not a string.
+    pub fn get_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key).and_then(Value::as_str).ok_or_else(|| format!("row has no string field {key:?}"))
+    }
+}
+
+/// Reads a JSON array of flat objects — the shape [`render_array`] writes.
+/// Nested containers are an error: every reader in the workspace wants
+/// flat rows, and anything else means the input is not one of ours.
+/// Total over any input: malformed text is an `Err`, never a panic.
+///
+/// # Errors
+///
+/// Returns a message naming the offending byte offset.
+pub fn read_rows(text: &str) -> Result<Vec<Row<'_>>, String> {
+    let mut r = Reader { text, pos: 0 };
+    r.ws();
+    r.expect(b'[')?;
+    let mut rows = Vec::new();
+    r.ws();
+    if !r.eat(b']') {
+        loop {
+            r.ws();
+            rows.push(r.object()?);
+            r.ws();
+            if r.eat(b']') {
+                break;
+            }
+            r.separator(b']')?;
+        }
+    }
+    r.ws();
+    if r.pos != text.len() {
+        return Err(format!("trailing input at byte {}", r.pos));
+    }
+    Ok(rows)
+}
+
+struct Reader<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.eat(b) {
+            Ok(())
+        } else {
+            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+        }
+    }
+
+    /// The `,` between container items, or an error naming the `close`
+    /// that would also have been accepted.
+    fn separator(&mut self, close: u8) -> Result<(), String> {
+        if self.eat(b',') {
+            Ok(())
+        } else {
+            Err(format!("expected ',' or '{}' at byte {}", close as char, self.pos))
+        }
+    }
+
+    fn object(&mut self) -> Result<Row<'a>, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.ws();
+        if !self.eat(b'}') {
+            loop {
+                self.ws();
+                let key = self.string()?;
+                self.ws();
+                self.expect(b':')?;
+                self.ws();
+                fields.push((key, self.scalar()?));
+                self.ws();
+                if self.eat(b'}') {
+                    break;
+                }
+                self.separator(b'}')?;
+            }
+        }
+        Ok(Row { fields })
+    }
+
+    fn scalar(&mut self) -> Result<Value<Cow<'a, str>>, String> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'{' | b'[') => Err(format!("nested container at byte {} — flat rows only", self.pos)),
+            Some(_) => self.number(),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Value<Cow<'a, str>>) -> Result<Value<Cow<'a, str>>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("bad literal at byte {}", self.pos))
+        }
+    }
+
+    fn number(&mut self) -> Result<Value<Cow<'a, str>>, String> {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
+        {
+            self.pos += 1;
+        }
+        let text = &self.text[start..self.pos];
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => Err(format!("bad number {text:?} at byte {start}")),
+        }
+    }
+
+    /// A string, borrowed from the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        self.expect(b'"')?;
+        let start = self.pos;
+        while let Some(b) = self.peek() {
+            match b {
+                b'"' => {
+                    self.pos += 1;
+                    return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+                }
+                b'\\' => return self.unescape(start).map(Cow::Owned),
+                0..=0x1f => return Err(format!("raw control character in string at byte {}", self.pos)),
+                _ => self.pos += 1,
+            }
+        }
+        Err(format!("unterminated string at byte {start}"))
+    }
+
+    /// The rest of a string whose first escape is at `self.pos`; `start`
+    /// is its first byte. Every stop is at an ASCII byte, so the slices
+    /// below always fall on char boundaries.
+    fn unescape(&mut self, start: usize) -> Result<String, String> {
+        let mut out = self.text[start..self.pos].to_string();
+        loop {
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    let at = self.pos;
+                    self.pos += 2;
+                    out.push(match self.text.as_bytes().get(at + 1) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            let hex = self
+                                .text
+                                .get(self.pos..self.pos + 4)
+                                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+                            self.pos += 4;
+                            // Lone surrogates have no char; the writer never emits them.
+                            u32::from_str_radix(hex, 16).ok().and_then(char::from_u32).unwrap_or('\u{fffd}')
+                        }
+                        _ => return Err(format!("bad escape at byte {at}")),
+                    });
+                }
+                Some(0..=0x1f) => {
+                    return Err(format!("raw control character in string at byte {}", self.pos))
+                }
+                Some(_) => {
+                    let run = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[run..self.pos]);
+                }
+                None => return Err(format!("unterminated string at byte {start}")),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +432,53 @@ mod tests {
         let row = prefix.extend(JsonObject::new().null("placement").int("wafers", 4));
         assert_eq!(row.render(), "{\"experiment\": \"serving\", \"placement\": null, \"wafers\": 4}");
         assert_eq!(row.keys(), vec!["experiment", "placement", "wafers"]);
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_unescapes_the_rest() {
+        let text =
+            render_array(&[JsonObject::new().str("plain", "abc").str("esc", "a\"b\nc\u{1}").num("x", 0.5)]);
+        let rows = read_rows(&text).unwrap();
+        assert_eq!(rows.len(), 1);
+        assert!(matches!(rows[0].get("plain"), Some(Value::Str(Cow::Borrowed("abc")))));
+        assert!(matches!(rows[0].get("esc"), Some(Value::Str(Cow::Owned(s))) if s == "a\"b\nc\u{1}"));
+        assert_eq!(rows[0].get("x").and_then(Value::as_num), Some(0.5));
+        assert_eq!(rows[0].get_str("plain"), Ok("abc"));
+        assert!(rows[0].get_str("x").unwrap_err().contains("\"x\""));
+        assert!(rows[0].get_str("missing").is_err());
+    }
+
+    #[test]
+    fn reader_rejects_what_the_writer_never_emits() {
+        assert_eq!(read_rows("[]").unwrap(), Vec::new());
+        assert_eq!(read_rows(" [ {} , {\"a\": true} ]\n").unwrap().len(), 2);
+        for bad in [
+            "",
+            "[",
+            "[{}",
+            "[{},]",
+            "[{\"a\" 1}]",
+            "[{\"a\": 1,}]",
+            "[{\"a\": {\"b\": 1}}]",
+            "[{\"a\": [1]}]",
+            "[{\"a\": 1e999}]",
+            "[{\"a\": nul}]",
+            "[{\"a\": \"x\\q\"}]",
+            "[{\"a\": \"\\u12\"}]",
+            "[{\"a\": \"raw\ncontrol\"}]",
+            "[{\"a\": \"open}]",
+            "[] trailing",
+        ] {
+            assert!(read_rows(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors_and_streams() {
+        assert_eq!(fnv1a(b""), FNV1A_OFFSET);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_extend(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //! - [`profile`] — simulator self-profiling ([`LoopProfile`]): wall-time
 //!   per loop-work bucket and events-simulated/sec, feeding the
 //!   schema-versioned `BENCH_serve.json` perf trajectory.
-//! - [`json`] — the dependency-free JSON writer the whole workspace
-//!   shares (moved here from `ouro-serve` so exporters and the serving
-//!   stack use one implementation).
+//! - [`json`] — the dependency-free flat-row JSON writer and reader and
+//!   the FNV-1a content hash, shared by the whole workspace so exporters,
+//!   the snapshot and the bench store use one implementation of each.
 //!
 //! Every JSON artifact carries its own `schema_version`
 //! ([`TRACE_SCHEMA_VERSION`], [`TELEMETRY_SCHEMA_VERSION`],
