@@ -14,7 +14,10 @@
 //! Unknown subcommands and flags are rejected (exit 2) rather than
 //! silently ignored, so a typoed CI invocation cannot "succeed" with
 //! nothing run. Progress and section headers go to stderr; result tables
-//! go to stdout; machine-readable JSON goes to the `--out` file.
+//! go to stdout; machine-readable JSON goes to the `--out` file. Most
+//! experiments cap `--requests` (the figures at 100–200, the serving
+//! experiments at 200–400, `bench-report`/`analyze` at the default) and
+//! print a stderr note when the cap lowers the requested count.
 //!
 //! The serving-style experiments all drive `ouro_serve::Scenario`, the one
 //! composable run API: `serving` sweeps open-loop load against a colocated
@@ -384,7 +387,7 @@ fn fig1(requests: usize) {
 fn fig11(requests: usize) {
     header("Fig. 11: throughput vs row-activation ratio (LLaMA-13B)");
     let model = zoo::llama_13b();
-    let trace = trace_for(&LengthConfig::fixed(2048, 2048), requests.min(100));
+    let trace = trace_for(&LengthConfig::fixed(2048, 2048), capped(requests, 100, "fig11"));
     println!("{:>12} {:>12} {:>16} {:>14}", "ratio", "crossbars", "SRAM/core (MiB)", "tokens/s");
     for denom in [128u32, 64, 32, 16, 8, 4] {
         let ratio = 1.0 / denom as f64;
@@ -435,9 +438,10 @@ fn fig15(requests: usize) {
     header("Fig. 15: ablation ladder (normalized to Baseline)");
     let workloads =
         [("WikiText-2", LengthConfig::wikitext2_like()), ("LP=128 LD=2048", LengthConfig::fixed(128, 2048))];
+    let requests = capped(requests, 200, "fig15");
     for model in [zoo::llama_13b(), zoo::llama_32b()] {
         for (label, config) in &workloads {
-            let trace = trace_for(config, requests.min(200));
+            let trace = trace_for(config, requests);
             println!("\n--- {} / {label} ---", model.name);
             println!(
                 "{:<12} {:>12} {:>12} {:>12} {:>12}",
@@ -489,10 +493,11 @@ fn fig16(requests: usize) {
 /// Fig. 17 — KV-cache admission threshold sweep.
 fn fig17(requests: usize) {
     header("Fig. 17: throughput and energy vs KV admission threshold");
+    let requests = capped(requests, 200, "fig17");
     for model in [zoo::llama_13b(), zoo::t5_11b()] {
         println!("\n--- {} ---", model.name);
         println!("{:>10} {:>14} {:>14}", "threshold", "norm. tokens/s", "norm. J/token");
-        let trace = trace_for(&LengthConfig::wikitext2_like(), requests.min(200));
+        let trace = trace_for(&LengthConfig::wikitext2_like(), requests);
         let mut base: Option<SystemReport> = None;
         for threshold in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5] {
             let mut cfg = OuroborosConfig::single_wafer();
@@ -553,9 +558,10 @@ fn fig18() {
 fn fig19_20(requests: usize) {
     header("Fig. 19/20: multi-wafer scaling (LLaMA-65B on two wafers)");
     let model = zoo::llama_65b();
+    let requests = capped(requests, 200, "fig19/20");
     for (label, config) in LengthConfig::paper_suite() {
         println!("\n--- {label} ---");
-        let reports = compare_all(&model, &label, &config, requests.min(200));
+        let reports = compare_all(&model, &label, &config, requests);
         print!("{}", format_normalized(&reports));
         print!("{}", format_energy_breakdown(&reports));
     }
@@ -565,9 +571,10 @@ fn fig19_20(requests: usize) {
 fn fig21(requests: usize) {
     header("Fig. 21: CIM core implementations at the system level");
     let trace_cfg = LengthConfig::fixed(2048, 2048);
+    let requests = capped(requests, 200, "fig21");
     for model in decoder_models() {
         println!("\n--- {} ---", model.name);
-        let trace = trace_for(&trace_cfg, requests.min(200));
+        let trace = trace_for(&trace_cfg, requests);
         let mut reports = Vec::new();
         // Ours and Ours+LUT run the full Ouroboros simulator.
         let ours = build_ouroboros(&model).simulate_labeled(&trace, "LP=2048 LD=2048");
@@ -598,43 +605,90 @@ fn fig21(requests: usize) {
     }
 }
 
+/// Wafers of every serving-style experiment's deployment.
+const WAFERS: usize = 4;
+
+/// `requests` lowered to an experiment's `cap`, with one stderr note when
+/// the cap bites (stderr, so the stdout tables stay comparable).
+fn capped(requests: usize, cap: usize, experiment: &str) -> usize {
+    if requests > cap {
+        eprintln!("note: {experiment} runs {cap} requests (--requests {requests} exceeds its cap)");
+    }
+    requests.min(cap)
+}
+
+/// The serving experiments' shared setup: LLaMA-13B on a seeded single
+/// wafer, that wafer's request capacity for `lengths`, and an SLO at 10×
+/// the unloaded latencies of a typical request.
+fn serving_setup(lengths: &LengthConfig) -> (OuroborosSystem, f64, ouro_serve::SloConfig) {
+    use ouro_serve::{capacity_rps_estimate, ideal_latencies, SloConfig};
+
+    let mut cfg = OuroborosConfig::single_wafer();
+    cfg.seed = SEED;
+    let system = OuroborosSystem::new(cfg, &zoo::llama_13b()).expect("LLaMA-13B fits on one wafer");
+    let capacity = capacity_rps_estimate(system.stage_times(), lengths);
+    let typical = lengths.nominal_total_tokens();
+    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
+    (system, capacity, SloConfig::with_slack(ttft, tpot, 10.0))
+}
+
+/// Runs every scenario of a sweep on `threads` workers; the reports come
+/// back in input order, so the thread count never shows in the output.
+fn run_all(
+    system: &OuroborosSystem,
+    scenarios: Vec<ouro_serve::Scenario>,
+    threads: usize,
+) -> Vec<ouro_serve::RunReport> {
+    ouro_serve::parallel_map_indexed(scenarios, threads, |_, s| s.run(system).expect("deployment builds"))
+}
+
+/// One shootout point: a colocated and a `prefill`-wafer disaggregated
+/// deployment of [`WAFERS`] wafers over the same timed trace, in that order.
+fn shootout_sides(
+    prefill: usize,
+    slo: ouro_serve::SloConfig,
+    timed: ouro_workload::TimedTrace,
+) -> [ouro_serve::Scenario; 2] {
+    use ouro_serve::Scenario;
+    [
+        Scenario::colocated(WAFERS).slo(slo).workload(timed.clone()),
+        Scenario::disaggregated(prefill, WAFERS - prefill).slo(slo).workload(timed),
+    ]
+}
+
 /// Online serving — load sweeps and routing policies on a 4-wafer cluster.
 /// Returns the JSON rows of every printed point.
 fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{
-        capacity_rps_estimate, format_sweep, ideal_latencies, routers, LoadSweep, Scenario, SloConfig,
-    };
+    use ouro_serve::{format_sweep, routers, Scenario, LOAD_FRACTIONS};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Serving: online load sweep (4-wafer LLaMA-13B, WikiText-2-like)");
-    let model = zoo::llama_13b();
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
-    let wafers = 4;
     let lengths = LengthConfig::wikitext2_like();
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let typical = lengths.nominal_total_tokens();
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
+    let (system, capacity, slo) = serving_setup(&lengths);
+    let requests = capped(requests, 400, "serving");
+    let aggregate = capacity * WAFERS as f64;
+    let rates: Vec<f64> = LOAD_FRACTIONS.iter().map(|f| f * aggregate).collect();
+    let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
 
-    let mut sweep = LoadSweep::around_capacity(capacity, wafers, lengths.clone(), slo);
-    sweep.seed = SEED;
-    sweep.requests = requests.min(400);
-    sweep.threads = threads;
-    let points = sweep.run(&system);
-    print!("{}", format_sweep(&points));
+    let sweep = rates
+        .iter()
+        .map(|&rate_rps| {
+            let timed = ArrivalConfig::Poisson { rate_rps }.assign(&trace, SEED);
+            Scenario::colocated(WAFERS).slo(slo).workload(timed)
+        })
+        .collect();
+    let reports = run_all(&system, sweep, threads);
+    print!("{}", format_sweep(&reports));
     let mut rows: Vec<ouro_bench::json::JsonObject> =
-        points.iter().map(|p| labeled_row("serving", "poisson-sweep", &p.report)).collect();
+        reports.iter().map(|r| labeled_row("serving", "poisson-sweep", r)).collect();
 
-    let top_rate = sweep.rates_rps[sweep.rates_rps.len() - 1];
+    let top_rate = rates[rates.len() - 1];
     eprintln!("\n--- routing policies at {top_rate:.0} req/s ---");
-    let trace = TraceGenerator::new(SEED).generate(&lengths, sweep.requests);
     println!("{:<22} {:>11} {:>11} {:>11} {:>10}", "policy", "ttft-p99", "tpot-p99", "goodput/s", "slo-att");
     for router in [routers::round_robin(), routers::join_shortest_queue(), routers::least_kv_load()] {
         let name = router.name();
         let timed = ArrivalConfig::Poisson { rate_rps: top_rate }.assign(&trace, SEED);
-        let r = Scenario::colocated(wafers)
+        let r = Scenario::colocated(WAFERS)
             .router(router)
             .slo(slo)
             .workload(timed)
@@ -653,7 +707,7 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
     }
 
     eprintln!("\n--- bursty arrivals (Gamma, cv=4) vs Poisson at the saturation point ---");
-    let rate = sweep.rates_rps[3];
+    let rate = rates[3];
     println!(
         "{:<12} {:>11} {:>11} {:>11} {:>10}",
         "arrivals", "ttft-p50", "ttft-p99", "goodput/s", "slo-att"
@@ -663,12 +717,7 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
         ("bursty", ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }),
     ] {
         let timed = arrival.assign(&trace, SEED);
-        let r = Scenario::colocated(wafers)
-            .router(routers::least_kv_load())
-            .slo(slo)
-            .workload(timed)
-            .run(&system)
-            .expect("cluster builds");
+        let r = Scenario::colocated(WAFERS).slo(slo).workload(timed).run(&system).expect("cluster builds");
         let s = &r.serving;
         println!(
             "{:<12} {:>9.1}ms {:>9.1}ms {:>11.1} {:>9.1}%",
@@ -687,74 +736,56 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
 /// disaggregated shootout at equal wafer count. Returns the JSON rows of
 /// every printed point.
 fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_disagg::{best_ratio, format_shootout, head_to_head, RatioPlanner, ShootoutConfig};
-    use ouro_serve::{capacity_rps_estimate, ideal_latencies, SloConfig};
+    use ouro_serve::{best_ratio, format_shootout, Scenario};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Disaggregation: prefill/decode pools vs colocated (4-wafer LLaMA-13B)");
-    let model = zoo::llama_13b();
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
-    let wafers = 4;
     // A prefill-heavy mix: long prompts, short generations — the regime
     // where prefill bursts hurt colocated decode tails the most.
     let lengths = LengthConfig::fixed(512, 64);
-    let requests = requests.min(300);
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let typical = lengths.nominal_total_tokens();
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
-    let rate = capacity * wafers as f64;
+    let (system, capacity, slo) = serving_setup(&lengths);
+    let requests = capped(requests, 300, "disagg");
+    let rate = capacity * WAFERS as f64;
+    let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
+    let bursty = |rate_rps| ArrivalConfig::Bursty { rate_rps, cv: 4.0 }.assign(&trace, SEED);
     let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
 
     eprintln!("\n--- pool-ratio sweep at {rate:.0} req/s (bursty cv=4, LP=512 LD=64) ---");
-    let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
-    let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
-    let mut planner = RatioPlanner::new(wafers);
-    planner.threads = threads;
-    let plans = planner.sweep(&system, &timed, &slo).expect("pools build");
+    let timed = bursty(rate);
+    let splits = (1..WAFERS)
+        .map(|prefill| Scenario::disaggregated(prefill, WAFERS - prefill).slo(slo).workload(timed.clone()))
+        .collect();
+    let plans = run_all(&system, splits, threads);
     println!(
         "{:<10} {:>11} {:>11} {:>11} {:>11} {:>12}",
         "split", "ttft-p99", "tpot-p99", "goodput/s", "migr (MB)", "migr-mean"
     );
-    for p in &plans {
-        let s = &p.report.serving;
-        let m = p.report.migration.as_ref().expect("disaggregated runs report migration stats");
+    for r in &plans {
+        let (p, d) = (r.deployment.prefill_wafers, r.deployment.decode_wafers);
+        let s = &r.serving;
+        let m = r.migration.as_ref().expect("disaggregated runs report migration stats");
         println!(
             "{:<10} {:>9.1}ms {:>9.3}ms {:>11.1} {:>11.1} {:>10.2}ms",
-            format!("{}p:{}d", p.prefill_wafers, p.decode_wafers),
+            format!("{p}p:{d}d"),
             s.ttft.p99_s * 1e3,
             s.tpot.p99_s * 1e3,
             s.goodput_rps,
             m.exported_kv_bytes as f64 / 1e6,
             m.mean_migration_s * 1e3,
         );
-        rows.push(labeled_row(
-            "disagg",
-            &format!("ratio-{}p{}d", p.prefill_wafers, p.decode_wafers),
-            &p.report,
-        ));
+        rows.push(labeled_row("disagg", &format!("ratio-{p}p{d}d"), r));
     }
     let best = best_ratio(&plans);
-    println!("goodput-optimal split: {}p:{}d", best.prefill_wafers, best.decode_wafers);
+    let (best_p, best_d) = (best.deployment.prefill_wafers, best.deployment.decode_wafers);
+    println!("goodput-optimal split: {best_p}p:{best_d}d");
 
-    eprintln!(
-        "\n--- colocated vs disaggregated ({}p:{}d) over offered load ---",
-        best.prefill_wafers, best.decode_wafers
-    );
-    let mut shootout =
-        ShootoutConfig::new(wafers, best.prefill_wafers, [0.5, 1.0, 1.5].iter().map(|f| f * rate).collect());
-    shootout.requests = requests;
-    shootout.lengths = lengths;
-    shootout.seed = SEED;
-    shootout.slo = slo;
-    shootout.threads = threads;
-    let points = head_to_head(&system, &shootout).expect("clusters build");
-    print!("{}", format_shootout(&points));
-    for p in &points {
-        rows.push(labeled_row("disagg", "colocated", &p.colocated));
-        rows.push(labeled_row("disagg", "disaggregated", &p.disagg));
+    eprintln!("\n--- colocated vs disaggregated ({best_p}p:{best_d}d) over offered load ---");
+    let sides = [0.5, 1.0, 1.5].iter().flat_map(|f| shootout_sides(best_p, slo, bursty(f * rate))).collect();
+    let reports = run_all(&system, sides, threads);
+    print!("{}", format_shootout(&reports));
+    for pair in reports.chunks_exact(2) {
+        rows.push(labeled_row("disagg", "colocated", &pair[0]));
+        rows.push(labeled_row("disagg", "disaggregated", &pair[1]));
     }
     rows
 }
@@ -763,23 +794,14 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
 /// a seeded MTBF process, plus a fault-enabled disagg-vs-colocated
 /// shootout. Returns the JSON rows of every printed point.
 fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_disagg::{format_shootout, head_to_head, ShootoutConfig};
-    use ouro_serve::{capacity_rps_estimate, ideal_latencies, routers, FaultConfig, Scenario, SloConfig};
+    use ouro_serve::{format_shootout, p99_inflation, FaultConfig, FaultInjector, Scenario};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Faults: replacement-chain remaps under live traffic (4-wafer LLaMA-13B)");
-    let model = zoo::llama_13b();
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
-    let wafers = 4;
     let lengths = LengthConfig::wikitext2_like();
-    let requests = requests.min(300);
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let typical = lengths.nominal_total_tokens();
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
-    let rate = 0.7 * capacity * wafers as f64;
+    let (system, capacity, slo) = serving_setup(&lengths);
+    let requests = capped(requests, 300, "faults");
+    let rate = 0.7 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, SEED);
     // MTBF chosen so several faults strike within the arrival span — far
@@ -796,7 +818,7 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     // once and anchors the inflation columns. The swept points are
     // independent seeded runs, so they fan out across the worker threads
     // and reassemble in input order.
-    let base = Scenario::colocated(wafers).router(routers::least_kv_load()).slo(slo).workload(timed.clone());
+    let base = Scenario::colocated(WAFERS).slo(slo).workload(timed.clone());
     let clean = base.clone().run(&system).expect("cluster builds");
     let mtbf_points = [("none", 0.0), ("span/2", 2.0), ("span/6", 6.0)];
     let swept = ouro_serve::parallel_map_indexed(mtbf_points.to_vec(), threads, |_, (label, divisor)| {
@@ -806,11 +828,11 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
             // Zero fault rate: the faulty run is the clean run by
             // definition; only the (empty) fault report is fresh.
             let mut r = clean.clone();
-            let injector = ouro_serve::FaultInjector::new(
+            let injector = FaultInjector::new(
                 &system,
-                wafers,
+                WAFERS,
                 FaultConfig::new(1e18, SEED),
-                ouro_serve::FaultInjector::run_window_s(f64::INFINITY, &timed),
+                FaultInjector::run_window_s(f64::INFINITY, &timed),
             );
             r.faults = Some(injector.report(clean.serving.duration_s));
             r
@@ -830,35 +852,29 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
             faulty.serving.ttft.p99_s * 1e3,
             faulty.serving.tpot.p99_s * 1e3,
         );
-        let inflation = |faulty_s: f64, clean_s: f64| if clean_s > 0.0 { faulty_s / clean_s } else { 1.0 };
+        let (ttft_inflation, tpot_inflation) = p99_inflation(&faulty.serving, &clean.serving);
         rows.push(
             labeled_row("faults", &format!("mtbf-{label}"), &faulty)
-                .num("ttft_p99_inflation", inflation(faulty.serving.ttft.p99_s, clean.serving.ttft.p99_s))
-                .num("tpot_p99_inflation", inflation(faulty.serving.tpot.p99_s, clean.serving.tpot.p99_s)),
+                .num("ttft_p99_inflation", ttft_inflation)
+                .num("tpot_p99_inflation", tpot_inflation),
         );
     }
 
     eprintln!("\n--- colocated vs disaggregated with faults enabled (MTBF = span/4) ---");
-    let mut shootout = ShootoutConfig::new(wafers, 1, vec![rate]);
-    shootout.requests = requests;
-    shootout.lengths = lengths;
-    shootout.seed = SEED;
-    shootout.slo = slo;
-    shootout.threads = threads;
-    shootout.fault = Some(FaultConfig::new(span / 4.0, SEED));
-    let points = head_to_head(&system, &shootout).expect("clusters build");
-    print!("{}", format_shootout(&points));
-    for p in &points {
-        for (label, report) in [("colocated-faulty", &p.colocated), ("disaggregated-faulty", &p.disagg)] {
-            let f = report.faults.as_ref().expect("faults were enabled");
-            println!(
-                "{label:<22} availability {:.4}% ({} faults, {} recomputed sequences)",
-                f.availability * 100.0,
-                f.faults_injected,
-                f.sequences_recomputed
-            );
-            rows.push(labeled_row("faults", label, report));
-        }
+    let fault = FaultConfig::new(span / 4.0, SEED);
+    let bursty = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
+    let sides = shootout_sides(1, slo, bursty).map(|side| side.faults(fault));
+    let reports = run_all(&system, sides.into(), threads);
+    print!("{}", format_shootout(&reports));
+    for (label, report) in ["colocated-faulty", "disaggregated-faulty"].into_iter().zip(&reports) {
+        let f = report.faults.as_ref().expect("faults were enabled");
+        println!(
+            "{label:<22} availability {:.4}% ({} faults, {} recomputed sequences)",
+            f.availability * 100.0,
+            f.faults_injected,
+            f.sequences_recomputed
+        );
+        rows.push(labeled_row("faults", label, report));
     }
     rows
 }
@@ -868,27 +884,17 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
 /// cold prompts on identical traffic. Returns the JSON rows of every
 /// printed point.
 fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{capacity_rps_estimate, ideal_latencies, routers, Router, Scenario, SloConfig};
+    use ouro_serve::{routers, Router, Scenario};
     use ouro_workload::{ArrivalConfig, SessionConfig};
 
     header("Prefix caching: shared system prompts and session traffic (4-wafer LLaMA-13B)");
-    let model = zoo::llama_13b();
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
-    let wafers = 4;
-    let requests = requests.min(300);
+    let requests = capped(requests, 300, "prefix");
     // SLO anchored on the session workload's typical request shape.
     let session = SessionConfig::chat(4, 0.7);
-    let typical = session.shared_prefix_tokens + session.user_turn_tokens + session.decode_tokens;
-    let lengths = ouro_workload::LengthConfig::fixed(
-        session.shared_prefix_tokens + session.user_turn_tokens,
-        session.decode_tokens,
-    );
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
-    let rate = 0.8 * capacity * wafers as f64;
+    let lengths =
+        LengthConfig::fixed(session.shared_prefix_tokens + session.user_turn_tokens, session.decode_tokens);
+    let (system, capacity, slo) = serving_setup(&lengths);
+    let rate = 0.8 * capacity * WAFERS as f64;
     let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
 
     eprintln!("\n--- share-ratio sweep at {rate:.0} req/s (Poisson, {requests} requests/point) ---");
@@ -902,7 +908,7 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
         let configs: [(&str, bool, Box<dyn Router>); 2] =
             [("off", false, routers::least_kv_load()), ("on", true, routers::prefix_affinity())];
         for (label, caching, router) in configs {
-            let r = Scenario::colocated(wafers)
+            let r = Scenario::colocated(WAFERS)
                 .router(router)
                 .prefix_caching(caching)
                 .slo(slo)
@@ -941,25 +947,14 @@ fn scenario_matrix(
     trace_path: Option<&str>,
     via_snapshot: bool,
 ) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{
-        capacity_rps_estimate, ideal_latencies, placements, routers, FaultConfig, Scenario, SloConfig,
-        Snapshot,
-    };
+    use ouro_serve::{placements, routers, FaultConfig, Scenario, Snapshot};
     use ouro_workload::{ArrivalConfig, SessionConfig, TraceGenerator};
 
     header("Scenario matrix: deployment x faults x prefix caching (4-wafer LLaMA-13B)");
-    let model = zoo::llama_13b();
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &model).expect("LLaMA-13B fits on one wafer");
-    let wafers = 4;
-    let requests = requests.min(200);
     let lengths = LengthConfig::fixed(512, 64);
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let typical = lengths.nominal_total_tokens();
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
-    let rate = 0.8 * capacity * wafers as f64;
+    let (system, capacity, slo) = serving_setup(&lengths);
+    let requests = capped(requests, 200, "scenario");
+    let rate = 0.8 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
     let session = SessionConfig::chat(4, 0.7).generate(requests, SEED);
@@ -970,22 +965,22 @@ fn scenario_matrix(
     let mid_s = timed.last_arrival_s() * 0.5;
 
     let cells: Vec<(&str, Scenario)> = vec![
-        ("colocated", Scenario::colocated(wafers).slo(slo).workload(timed.clone())),
+        ("colocated", Scenario::colocated(WAFERS).slo(slo).workload(timed.clone())),
         (
             "colocated-faults",
-            Scenario::colocated(wafers).slo(slo).faults(FaultConfig::new(mtbf, SEED)).workload(timed.clone()),
+            Scenario::colocated(WAFERS).slo(slo).faults(FaultConfig::new(mtbf, SEED)).workload(timed.clone()),
         ),
-        ("disagg", Scenario::disaggregated(1, wafers - 1).slo(slo).workload(timed.clone())),
+        ("disagg", Scenario::disaggregated(1, WAFERS - 1).slo(slo).workload(timed.clone())),
         (
             "disagg-faults",
-            Scenario::disaggregated(1, wafers - 1)
+            Scenario::disaggregated(1, WAFERS - 1)
                 .slo(slo)
                 .faults(FaultConfig::new(mtbf, SEED))
                 .workload(timed),
         ),
         (
             "colocated-prefix",
-            Scenario::colocated(wafers)
+            Scenario::colocated(WAFERS)
                 .router(routers::prefix_affinity())
                 .prefix_caching(true)
                 .slo(slo)
@@ -993,7 +988,7 @@ fn scenario_matrix(
         ),
         (
             "disagg-prefix",
-            Scenario::disaggregated(1, wafers - 1)
+            Scenario::disaggregated(1, WAFERS - 1)
                 .placement(placements::prefix_affinity())
                 .prefix_caching(true)
                 .slo(slo)
@@ -1096,7 +1091,7 @@ fn bench_report_rows(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
     header("Bench report: simulator self-profiling (pinned perf trajectory)");
     let model = zoo::bert_large();
     let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &model).expect("tiny system builds");
-    let requests = requests.min(DEFAULT_REQUESTS);
+    let requests = capped(requests, DEFAULT_REQUESTS, "bench-report");
     let lengths = LengthConfig::fixed(64, 32);
     let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
     let (ttft, tpot) = ideal_latencies(system.stage_times(), 64, 96);
@@ -1172,7 +1167,7 @@ fn analyze(requests: usize, out: Option<&str>) {
     header("Analyze: latency attribution and wafer utilization (golden scenario)");
     let model = zoo::bert_large();
     let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &model).expect("tiny system builds");
-    let requests = requests.min(DEFAULT_REQUESTS);
+    let requests = capped(requests, DEFAULT_REQUESTS, "analyze");
     let lengths = LengthConfig::fixed(64, 32);
     let trace = TraceGenerator::new(8).generate(&lengths, requests);
     let timed = ArrivalConfig::Poisson { rate_rps: 400.0 }.assign(&trace, 8);

@@ -108,9 +108,9 @@ impl NocConfig {
 /// * the *colocated* multi-wafer path (`ouro-sim`'s stage-time model), which
 ///   charges every token's activation one optical crossing when a model is
 ///   ganged across wafers, and
-/// * the *disaggregated* path (`ouro-disagg`), which migrates a sequence's
-///   entire KV cache from a prefill wafer to a decode wafer and charges the
-///   full serialisation of those bytes.
+/// * the *disaggregated* path (`ouro-serve`'s disaggregated scenarios),
+///   which migrates a sequence's entire KV cache from a prefill wafer to a
+///   decode wafer and charges the full serialisation of those bytes.
 ///
 /// Point-to-point streams (a single token's activation) ride one port;
 /// bulk migrations stripe across all `ports`, so a migration's serialisation

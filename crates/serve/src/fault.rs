@@ -319,8 +319,9 @@ impl FaultInjector {
 
     /// The fault window of one serving run: the horizon when it is finite,
     /// otherwise twice the trace's arrival span (bounded below by one
-    /// second). Shared by [`FaultComparison::measure`] and `ouro-disagg`'s
-    /// shootout so every driver bounds the same schedule the same way.
+    /// second). [`crate::scenario::Scenario`] runs and snapshot resumes
+    /// both derive it here, so a fresh and a resumed run bound the same
+    /// schedule the same way.
     pub fn run_window_s(horizon_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
         if horizon_s.is_finite() {
             horizon_s
@@ -526,74 +527,11 @@ impl FaultInjector {
     }
 }
 
-/// One clean-vs-faulty comparison on identical traffic: the same trace,
-/// arrival timestamps, cluster and seed, with and without the fault
-/// process — the availability / goodput-under-faults lens DistServe-style
-/// serving papers report.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultComparison {
-    /// The run without faults.
-    pub clean: ServingReport,
-    /// The run with the fault process active.
-    pub faulty: ServingReport,
-    /// Fault accounting of the faulty run.
-    pub fault: FaultReport,
-}
-
-impl FaultComparison {
-    /// Runs the same timed trace twice on fresh `wafers`-wide colocated
-    /// deployments — once clean, once under `fault` — and pairs the
-    /// reports. The fault window follows the serving horizon, or twice the
-    /// arrival span when the horizon is open-ended.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ouro_kvcache::KvError::NoKvCores`] from engine
-    /// construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure(
-        system: &OuroborosSystem,
-        wafers: usize,
-        router: Box<dyn crate::policy::Router>,
-        engine: crate::engine::EngineConfig,
-        timed: &ouro_workload::TimedTrace,
-        slo: &crate::metrics::SloConfig,
-        horizon_s: f64,
-        fault: FaultConfig,
-    ) -> Result<FaultComparison, ouro_kvcache::KvError> {
-        let base = crate::scenario::Scenario::colocated(wafers)
-            .router(router)
-            .engine(engine)
-            .slo(*slo)
-            .horizon(horizon_s)
-            .workload(timed.clone());
-        let clean = base.clone().run(system)?.serving;
-        let faulty = base.faults(fault).run(system)?;
-        let report = faulty.faults.clone().expect("a fault plan was armed");
-        Ok(FaultComparison { clean, faulty: faulty.serving, fault: report })
-    }
-
-    /// p99 TTFT inflation caused by the faults (1.0 = unchanged).
-    pub fn ttft_p99_inflation(&self) -> f64 {
-        ratio(self.faulty.ttft.p99_s, self.clean.ttft.p99_s)
-    }
-
-    /// p99 TPOT inflation caused by the faults (1.0 = unchanged).
-    pub fn tpot_p99_inflation(&self) -> f64 {
-        ratio(self.faulty.tpot.p99_s, self.clean.tpot.p99_s)
-    }
-}
-
-fn ratio(num: f64, den: f64) -> f64 {
-    if den <= 0.0 {
-        if num <= 0.0 {
-            1.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        num / den
-    }
+/// p99 TTFT and TPOT inflation of a faulty run over the clean run of the
+/// same scenario (1.0 = unchanged; also 1.0 when the clean tail is zero).
+pub fn p99_inflation(faulty: &ServingReport, clean: &ServingReport) -> (f64, f64) {
+    let inflation = |faulty_s: f64, clean_s: f64| if clean_s > 0.0 { faulty_s / clean_s } else { 1.0 };
+    (inflation(faulty.ttft.p99_s, clean.ttft.p99_s), inflation(faulty.tpot.p99_s, clean.tpot.p99_s))
 }
 
 #[cfg(test)]

@@ -33,9 +33,10 @@
 //!   refcounted copy-on-write chains); the engine charges prefill only
 //!   for the uncached suffix and prefix-affinity policies steer sharers
 //!   to the wafer already holding their prefix,
-//! * **SLO metrics and load sweeps** ([`metrics`], [`sweep`]): TTFT / TPOT /
-//!   E2E p50/p95/p99, goodput under an SLO, utilization, and
-//!   throughput-vs-latency curves over offered load,
+//! * **SLO metrics and sweeps** ([`metrics`], [`sweep`]): TTFT / TPOT /
+//!   E2E p50/p95/p99, goodput under an SLO, utilization; a sweep is a
+//!   `Vec<Scenario>` (one per offered load, pool split or deployment side)
+//!   run through [`parallel_map_indexed`],
 //! * **runtime fault injection** ([`fault`]): a seeded MTBF process fires
 //!   mid-run, each fault is healed by a replacement-chain remap
 //!   (`ouro_mapping::fault`), the absorbed KV is evicted and recomputed,
@@ -44,21 +45,33 @@
 //!
 //! # Example
 //!
+//! A sweep is a list of scenarios — here one per offered load, from light
+//! load past saturation — run on worker threads, one [`RunReport`] each:
+//!
 //! ```
 //! use ouro_model::zoo;
-//! use ouro_serve::{capacity_rps_estimate, ideal_latencies, LoadSweep, SloConfig};
+//! use ouro_serve::{
+//!     capacity_rps_estimate, ideal_latencies, parallel_map_indexed, Scenario, SloConfig, LOAD_FRACTIONS,
+//! };
 //! use ouro_sim::{OuroborosConfig, OuroborosSystem};
-//! use ouro_workload::LengthConfig;
+//! use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 //!
 //! let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();
 //! let lengths = LengthConfig::fixed(64, 32);
-//! let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
+//! let capacity = capacity_rps_estimate(system.stage_times(), &lengths) * 2.0;
 //! let (ttft, tpot) = ideal_latencies(system.stage_times(), 64, 96);
-//! let mut sweep = LoadSweep::around_capacity(capacity, 2, lengths, SloConfig::with_slack(ttft, tpot, 10.0));
-//! sweep.requests = 40;
-//! let points = sweep.run(&system);
-//! assert_eq!(points.len(), 6);
-//! assert!(points[0].report.is_conserved());
+//! let slo = SloConfig::with_slack(ttft, tpot, 10.0);
+//! let trace = TraceGenerator::new(7).generate(&lengths, 40);
+//! let sweep: Vec<Scenario> = LOAD_FRACTIONS
+//!     .iter()
+//!     .map(|f| {
+//!         let timed = ArrivalConfig::Poisson { rate_rps: f * capacity }.assign(&trace, 7);
+//!         Scenario::colocated(2).slo(slo).workload(timed)
+//!     })
+//!     .collect();
+//! let reports = parallel_map_indexed(sweep, 2, |_, s| s.run(&system).unwrap());
+//! assert_eq!(reports.len(), 6);
+//! assert!(reports[0].is_conserved());
 //! ```
 
 pub(crate) mod arena;
@@ -85,7 +98,7 @@ pub use ouro_trace::{
 };
 
 pub use engine::{Admission, Engine, EngineConfig, EngineFaultImpact, EngineStats};
-pub use fault::{FaultComparison, FaultConfig, FaultInjector, FaultPoll, FaultReport};
+pub use fault::{p99_inflation, FaultConfig, FaultInjector, FaultPoll, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};
 pub use policy::{
@@ -96,4 +109,6 @@ pub use report::{DeploymentInfo, Migration, MigrationStats, RunReport, SCHEMA_VE
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use stage::{event_kind, Stage, EVENT_OWNERS};
-pub use sweep::{capacity_rps_estimate, format_sweep, ideal_latencies, LoadSweep, SweepPoint};
+pub use sweep::{
+    best_ratio, capacity_rps_estimate, format_shootout, format_sweep, ideal_latencies, LOAD_FRACTIONS,
+};

@@ -14,7 +14,7 @@
 //! from the test name), so a failure reproduces exactly.
 
 use ouro_model::zoo;
-use ouro_serve::{FaultConfig, LoadSweep, Scenario, SloConfig};
+use ouro_serve::{parallel_map_indexed, FaultConfig, Scenario, SloConfig, LOAD_FRACTIONS};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TraceGenerator};
 use proptest::prelude::*;
@@ -106,20 +106,44 @@ proptest! {
 fn sweep_json_is_byte_identical_at_any_thread_count() {
     // The parallel sweep reassembles results in input order, so worker
     // count must never leak into the output — checked at the strictest
-    // level: the rendered JSON rows.
+    // level: the rendered JSON rows. Three sweep shapes: a colocated load
+    // sweep, a pool-ratio split list, and a colocated + disaggregated
+    // shootout pair with faults armed on both sides.
     let sys = tiny_system();
     let slo = SloConfig { ttft_s: 0.5, tpot_s: 0.05 };
-    let mut sweep = LoadSweep::around_capacity(800.0, 2, LengthConfig::fixed(96, 24), slo);
-    sweep.requests = 30;
-    sweep.seed = 17;
-    let render = |points: &[ouro_serve::SweepPoint]| -> String {
-        let rows: Vec<_> = points.iter().map(|p| p.report.json_object()).collect();
-        ouro_serve::json::render_array(&rows)
-    };
-    sweep.threads = 1;
-    let serial = render(&sweep.run(&sys));
-    for threads in [2, 4, 8] {
-        sweep.threads = threads;
-        assert_eq!(serial, render(&sweep.run(&sys)), "threads={threads} changed the sweep JSON");
+    let trace = TraceGenerator::new(17).generate(&LengthConfig::fixed(96, 24), 30);
+    let load_sweep: Vec<Scenario> = LOAD_FRACTIONS
+        .iter()
+        .map(|f| {
+            let timed = ArrivalConfig::Poisson { rate_rps: f * 1600.0 }.assign(&trace, 17);
+            Scenario::colocated(2).slo(slo).workload(timed)
+        })
+        .collect();
+    let bursty = ArrivalConfig::Bursty { rate_rps: 1600.0, cv: 4.0 }.assign(&trace, 17);
+    let pool_ratios: Vec<Scenario> =
+        (1..4).map(|p| Scenario::disaggregated(p, 4 - p).slo(slo).workload(bursty.clone())).collect();
+    let fault = FaultConfig::new(0.005, 17);
+    let faulty_pair = vec![
+        Scenario::colocated(2).slo(slo).faults(fault).workload(bursty.clone()),
+        Scenario::disaggregated(1, 1).slo(slo).faults(fault).workload(bursty),
+    ];
+    for (name, scenarios) in
+        [("load sweep", load_sweep), ("pool ratios", pool_ratios), ("faulty pair", faulty_pair)]
+    {
+        let run =
+            |threads: usize| parallel_map_indexed(scenarios.clone(), threads, |_, s| s.run(&sys).unwrap());
+        let render = |reports: Vec<ouro_serve::RunReport>| -> String {
+            let rows: Vec<_> = reports.iter().map(|r| r.json_object()).collect();
+            ouro_serve::json::render_array(&rows)
+        };
+        let serial = run(1);
+        assert!(
+            serial.iter().all(|r| r.faults.as_ref().is_none_or(|f| f.faults_injected > 0)),
+            "{name}: every armed fault plan must fire"
+        );
+        let serial = render(serial);
+        for threads in [2, 4, 8] {
+            assert_eq!(serial, render(run(threads)), "{name}: threads={threads} changed the sweep JSON");
+        }
     }
 }

@@ -65,8 +65,9 @@ impl HwStageTimes {
     }
 
     /// The aggregated optical fabric between wafers, derived from this
-    /// deployment's NoC parameters (shared with `ouro-disagg` so colocated
-    /// and disaggregated paths price inter-wafer bytes identically).
+    /// deployment's NoC parameters (shared with `ouro-serve`'s KV migration
+    /// so colocated and disaggregated paths price inter-wafer bytes
+    /// identically).
     pub fn inter_wafer_link(&self) -> InterWaferLink {
         InterWaferLink::from_noc(&self.comm.noc)
     }

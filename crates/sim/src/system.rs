@@ -176,7 +176,8 @@ impl OuroborosSystem {
     /// Bytes of KV cache that must cross the optical fabric when a sequence
     /// with `tokens` resident tokens migrates to another wafer: K and V for
     /// every head of every block, at the deployment's precision. This is the
-    /// payload `ouro-disagg` charges against the [`ouro_noc::InterWaferLink`].
+    /// payload a disaggregated `ouro-serve` scenario charges against the
+    /// [`ouro_noc::InterWaferLink`].
     pub fn kv_migration_bytes(&self, tokens: usize) -> u64 {
         tokens as u64 * self.model.kv_bytes_per_token()
     }

@@ -6,8 +6,8 @@
 //!
 //! 1. **KV conservation** — every byte exported by a prefill wafer is
 //!    imported by a decode wafer once the run drains,
-//! 2. **planner optimality** — the pool-ratio planner's chosen split has
-//!    goodput at least as high as every other swept split,
+//! 2. **ratio optimality** — the split `best_ratio` picks from the
+//!    pool-ratio sweep has goodput at least as high as every other split,
 //! 3. **decode-tail isolation** — at the same offered load, disaggregated
 //!    p99 TPOT beats colocated p99 TPOT, because decode wafers never
 //!    interleave prefill chunks into their steps.
@@ -16,9 +16,11 @@
 //! cargo run --release --example disaggregation
 //! ```
 
-use ouroboros::disagg::{best_ratio, format_shootout, head_to_head, RatioPlanner, ShootoutConfig};
 use ouroboros::model::zoo;
-use ouroboros::serve::{capacity_rps_estimate, ideal_latencies, SloConfig};
+use ouroboros::serve::{
+    best_ratio, capacity_rps_estimate, default_threads, format_shootout, ideal_latencies,
+    parallel_map_indexed, RunReport, Scenario, SloConfig,
+};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 
@@ -51,19 +53,29 @@ fn main() {
     let kv_mb = system.kv_migration_bytes(512) as f64 / 1e6;
     println!("KV migrated per 512-token prompt: {kv_mb:.1} MB over the optical fabric\n");
 
-    // --- 1. Pool-ratio planner at the aggregate capacity point. ---
+    // Every sweep below is a list of scenarios run on worker threads; the
+    // reports come back in input order.
+    let run_all = |scenarios: Vec<Scenario>| -> Vec<RunReport> {
+        parallel_map_indexed(scenarios, default_threads(), |_, s| s.run(&system).expect("deployment builds"))
+    };
     let trace = TraceGenerator::new(SEED).generate(&lengths, REQUESTS);
-    let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
-    let planner = RatioPlanner::new(WAFERS);
-    let plans = planner.sweep(&system, &timed, &slo).expect("pools build");
+    let bursty = |rate_rps| ArrivalConfig::Bursty { rate_rps, cv: 4.0 }.assign(&trace, SEED);
+
+    // --- 1. Pool-ratio sweep at the aggregate capacity point: one
+    // disaggregated scenario per prefill:decode split. ---
+    let timed = bursty(rate);
+    let splits = (1..WAFERS)
+        .map(|prefill| Scenario::disaggregated(prefill, WAFERS - prefill).slo(slo).workload(timed.clone()))
+        .collect();
+    let plans = run_all(splits);
     println!("=== pool-ratio sweep at {rate:.0} req/s ===");
     println!("{:<10} {:>11} {:>11} {:>11} {:>12}", "split", "ttft-p99", "tpot-p99", "goodput/s", "migr (MB)");
     for p in &plans {
-        let s = &p.report.serving;
-        let m = p.report.migration.as_ref().expect("disaggregated runs report migration stats");
+        let s = &p.serving;
+        let m = p.migration.as_ref().expect("disaggregated runs report migration stats");
         println!(
             "{:<10} {:>9.1}ms {:>9.3}ms {:>11.1} {:>12.1}",
-            format!("{}p:{}d", p.prefill_wafers, p.decode_wafers),
+            format!("{}p:{}d", p.deployment.prefill_wafers, p.deployment.decode_wafers),
             s.ttft.p99_s * 1e3,
             s.tpot.p99_s * 1e3,
             s.goodput_rps,
@@ -71,9 +83,9 @@ fn main() {
         );
 
         // Invariant 1: KV-migration bytes are conserved at every split.
-        assert!(p.report.is_conserved(), "request conservation must hold");
+        assert!(p.is_conserved(), "request conservation must hold");
         assert!(
-            p.report.kv_bytes_conserved(),
+            p.kv_bytes_conserved(),
             "migration bytes must be conserved: exported {} != imported {} + in-flight {} + dropped {}",
             m.exported_kv_bytes,
             m.imported_kv_bytes,
@@ -83,61 +95,62 @@ fn main() {
         assert_eq!(m.exported_kv_bytes, m.imported_kv_bytes, "a drained run imports every exported byte");
     }
 
-    // Invariant 2: the planner's ratio dominates every swept ratio.
+    // Invariant 2: the chosen ratio dominates every swept ratio.
     let best = best_ratio(&plans);
+    let (best_p, best_d) = (best.deployment.prefill_wafers, best.deployment.decode_wafers);
     for p in &plans {
         assert!(
-            best.goodput_rps() >= p.goodput_rps(),
-            "planner picked {}p:{}d ({:.1} req/s) but {}p:{}d achieves {:.1}",
-            best.prefill_wafers,
-            best.decode_wafers,
-            best.goodput_rps(),
-            p.prefill_wafers,
-            p.decode_wafers,
-            p.goodput_rps()
+            best.serving.goodput_rps >= p.serving.goodput_rps,
+            "best_ratio picked {best_p}p:{best_d}d ({:.1} req/s) but {}p:{}d achieves {:.1}",
+            best.serving.goodput_rps,
+            p.deployment.prefill_wafers,
+            p.deployment.decode_wafers,
+            p.serving.goodput_rps
         );
     }
     println!(
-        "\ngoodput-optimal split: {}p:{}d at {:.1} req/s goodput\n",
-        best.prefill_wafers,
-        best.decode_wafers,
-        best.goodput_rps()
+        "\ngoodput-optimal split: {best_p}p:{best_d}d at {:.1} req/s goodput\n",
+        best.serving.goodput_rps
     );
 
-    // --- 2. Colocated vs disaggregated at equal wafer count. ---
-    let mut shootout = ShootoutConfig::new(WAFERS, best.prefill_wafers, vec![0.5 * rate, rate, 1.5 * rate]);
-    shootout.requests = REQUESTS;
-    shootout.lengths = lengths;
-    shootout.seed = SEED;
-    shootout.slo = slo;
-    let points = head_to_head(&system, &shootout).expect("clusters build");
-    println!(
-        "=== colocated vs disaggregated ({}p:{}d), equal {WAFERS}-wafer budget ===",
-        best.prefill_wafers, best.decode_wafers
-    );
-    print!("{}", format_shootout(&points));
+    // --- 2. Colocated vs disaggregated at equal wafer count: per offered
+    // load, one scenario per side over the identical trace. ---
+    let sides = [0.5 * rate, rate, 1.5 * rate]
+        .into_iter()
+        .flat_map(|load| {
+            let timed = bursty(load);
+            [
+                Scenario::colocated(WAFERS).slo(slo).workload(timed.clone()),
+                Scenario::disaggregated(best_p, WAFERS - best_p).slo(slo).workload(timed),
+            ]
+        })
+        .collect();
+    let reports = run_all(sides);
+    println!("=== colocated vs disaggregated ({best_p}p:{best_d}d), equal {WAFERS}-wafer budget ===");
+    print!("{}", format_shootout(&reports));
 
-    for p in &points {
-        assert!(p.colocated.is_conserved() && p.disagg.is_conserved());
-        assert!(p.disagg.kv_bytes_conserved());
+    for pair in reports.chunks_exact(2) {
+        let (colocated, disagg) = (&pair[0], &pair[1]);
+        assert!(colocated.is_conserved() && disagg.is_conserved());
+        assert!(disagg.kv_bytes_conserved());
 
         // Invariant 3: the decode tail is isolated from prefill bursts.
         assert!(
-            p.disagg.serving.tpot.p99_s < p.colocated.serving.tpot.p99_s,
+            disagg.serving.tpot.p99_s < colocated.serving.tpot.p99_s,
             "at {:.0} req/s disaggregated p99 TPOT ({:.3} ms) must beat colocated ({:.3} ms)",
-            p.rate_rps,
-            p.disagg.serving.tpot.p99_s * 1e3,
-            p.colocated.serving.tpot.p99_s * 1e3
+            colocated.serving.offered_rps.unwrap_or(f64::NAN),
+            disagg.serving.tpot.p99_s * 1e3,
+            colocated.serving.tpot.p99_s * 1e3
         );
     }
 
-    let mid = &points[1];
-    let mid_m = mid.disagg.migration.as_ref().expect("disaggregated runs report migration stats");
+    let (mid_colocated, mid_disagg) = (&reports[2], &reports[3]);
+    let mid_m = mid_disagg.migration.as_ref().expect("disaggregated runs report migration stats");
     println!(
         "\nat {:.0} req/s: disaggregated p99 TPOT is {:.1}% of colocated's \
          ({} migrations, {:.1} MB KV moved, mean migration {:.2} ms, link energy {:.2} J)",
-        mid.rate_rps,
-        100.0 * mid.disagg.serving.tpot.p99_s / mid.colocated.serving.tpot.p99_s,
+        rate,
+        100.0 * mid_disagg.serving.tpot.p99_s / mid_colocated.serving.tpot.p99_s,
         mid_m.migrations,
         mid_m.exported_kv_bytes as f64 / 1e6,
         mid_m.mean_migration_s * 1e3,

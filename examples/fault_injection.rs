@@ -8,7 +8,7 @@
 //! ```
 
 use ouroboros::model::zoo;
-use ouroboros::serve::{routers, EngineConfig, FaultComparison, FaultConfig, SloConfig};
+use ouroboros::serve::{p99_inflation, FaultConfig, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 
@@ -31,20 +31,15 @@ fn main() {
     // An aggressively accelerated MTBF: several faults per wafer within the
     // arrival span, so the healing path is exercised hard.
     let mtbf = timed.last_arrival_s() / 4.0;
-    let fault_cfg = FaultConfig::new(mtbf, 7);
-    let cmp = FaultComparison::measure(
-        &system,
-        wafers,
-        routers::least_kv_load(),
-        EngineConfig::default(),
-        &timed,
-        &slo,
-        f64::INFINITY,
-        fault_cfg,
-    )
-    .expect("cluster builds");
 
-    let f = &cmp.fault;
+    // One base scenario, run clean and with the fault plan armed.
+    let base = Scenario::colocated(wafers).slo(slo).workload(timed.clone());
+    let clean = base.clone().run(&system).expect("cluster builds").serving;
+    let faulty_run = base.faults(FaultConfig::new(mtbf, 7)).run(&system).expect("cluster builds");
+    let f = faulty_run.faults.as_ref().expect("a fault plan was armed");
+    let faulty = &faulty_run.serving;
+    let (ttft_inflation, tpot_inflation) = p99_inflation(faulty, &clean);
+
     println!(
         "{} wafers, {} requests at {rate:.0} req/s, per-wafer MTBF {:.1} ms",
         wafers,
@@ -66,12 +61,12 @@ fn main() {
     );
     println!(
         "p99 TTFT {:.2} ms -> {:.2} ms ({:.2}x), p99 TPOT {:.3} ms -> {:.3} ms ({:.2}x)",
-        cmp.clean.ttft.p99_s * 1e3,
-        cmp.faulty.ttft.p99_s * 1e3,
-        cmp.ttft_p99_inflation(),
-        cmp.clean.tpot.p99_s * 1e3,
-        cmp.faulty.tpot.p99_s * 1e3,
-        cmp.tpot_p99_inflation()
+        clean.ttft.p99_s * 1e3,
+        faulty.ttft.p99_s * 1e3,
+        ttft_inflation,
+        clean.tpot.p99_s * 1e3,
+        faulty.tpot.p99_s * 1e3,
+        tpot_inflation
     );
 
     // The claims the docs make, asserted on every CI run.
@@ -80,6 +75,6 @@ fn main() {
     assert!(f.sequences_recomputed > 0, "faults under load must force recompute");
     assert!(f.availability < 1.0, "remap stalls and dead time must dent availability");
     assert!(f.availability > 0.5, "healing must keep the cluster mostly available");
-    assert!(cmp.clean.is_conserved() && cmp.faulty.is_conserved(), "no request is lost to a fault");
+    assert!(clean.is_conserved() && faulty.is_conserved(), "no request is lost to a fault");
     println!("\nall fault-injection invariants hold");
 }

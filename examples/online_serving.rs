@@ -13,13 +13,15 @@
 
 use ouroboros::model::zoo;
 use ouroboros::serve::{
-    capacity_rps_estimate, format_sweep, ideal_latencies, routers, LoadSweep, Router, Scenario, SloConfig,
+    capacity_rps_estimate, default_threads, format_sweep, ideal_latencies, parallel_map_indexed, routers,
+    Router, Scenario, SloConfig, LOAD_FRACTIONS,
 };
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 
 const SEED: u64 = 2026;
 const WAFERS: usize = 4;
+const REQUESTS: usize = 200;
 
 fn main() {
     let model = zoo::llama_13b();
@@ -41,32 +43,39 @@ fn main() {
     );
     println!("SLO: TTFT <= {:.2} ms, TPOT <= {:.4} ms\n", slo.ttft_s * 1e3, slo.tpot_s * 1e3);
 
-    // Poisson load sweep: 20% to 160% of estimated aggregate capacity.
-    let mut sweep = LoadSweep::around_capacity(capacity, WAFERS, lengths.clone(), slo);
-    sweep.seed = SEED;
-    sweep.requests = 200;
-    sweep.router = routers::least_kv_load();
-    println!("=== Poisson load sweep, {} requests/point, least-kv-load routing ===", sweep.requests);
-    let points = sweep.run(&system);
-    print!("{}", format_sweep(&points));
+    // Poisson load sweep: 20% to 160% of estimated aggregate capacity, one
+    // scenario per offered load over the same request mix.
+    let aggregate = capacity * WAFERS as f64;
+    let rates: Vec<f64> = LOAD_FRACTIONS.iter().map(|f| f * aggregate).collect();
+    let trace = TraceGenerator::new(SEED).generate(&lengths, REQUESTS);
+    let sweep: Vec<Scenario> = rates
+        .iter()
+        .map(|&rate_rps| {
+            let timed = ArrivalConfig::Poisson { rate_rps }.assign(&trace, SEED);
+            Scenario::colocated(WAFERS).router(routers::least_kv_load()).slo(slo).workload(timed)
+        })
+        .collect();
+    println!("=== Poisson load sweep, {REQUESTS} requests/point, least-kv-load routing ===");
+    let reports =
+        parallel_map_indexed(sweep, default_threads(), |_, s| s.run(&system).expect("cluster builds"));
+    print!("{}", format_sweep(&reports));
 
     // The throughput-vs-load curve must rise to saturation and then hold.
-    for w in points.windows(2) {
+    for w in reports.windows(2) {
         assert!(
-            w[1].report.serving.output_tokens_per_s >= w[0].report.serving.output_tokens_per_s * 0.95,
+            w[1].serving.output_tokens_per_s >= w[0].serving.output_tokens_per_s * 0.95,
             "throughput-vs-load curve must be monotone (within tolerance): {:.0} tok/s then {:.0} tok/s",
-            w[0].report.serving.output_tokens_per_s,
-            w[1].report.serving.output_tokens_per_s
+            w[0].serving.output_tokens_per_s,
+            w[1].serving.output_tokens_per_s
         );
     }
-    for p in &points {
-        assert!(p.report.is_conserved(), "request conservation must hold at every load");
+    for r in &reports {
+        assert!(r.is_conserved(), "request conservation must hold at every load");
     }
 
     // Routing-policy shootout at the highest swept load: the same scenario,
     // one builder call different.
-    let top_rate = *sweep.rates_rps.last().expect("sweep has points");
-    let trace = TraceGenerator::new(SEED).generate(&lengths, sweep.requests);
+    let top_rate = *rates.last().expect("sweep has points");
     let timed = ArrivalConfig::Poisson { rate_rps: top_rate }.assign(&trace, SEED);
     println!("\n=== routing policies at {top_rate:.0} req/s (past saturation) ===");
     println!(

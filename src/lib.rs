@@ -16,11 +16,10 @@
 //! * [`baselines`] — analytical models of DGX A100, TPUv4, AttAcc, Cerebras,
 //! * [`sim`] — the end-to-end Ouroboros simulator tying everything together,
 //! * [`serve`] — the online serving simulator: open-loop arrivals,
-//!   continuous batching, multi-wafer load balancing, SLO metrics, and
-//!   runtime fault injection with replacement-chain healing,
-//! * [`disagg`] — prefill/decode disaggregation: phase-specialised wafer
-//!   pools, KV migration over the inter-wafer optical links, decode
-//!   placement policies and the pool-ratio planner,
+//!   continuous batching, multi-wafer load balancing, SLO metrics,
+//!   prefill/decode disaggregation with KV migration over the inter-wafer
+//!   optical links, runtime fault injection with replacement-chain
+//!   healing, and sweeps over lists of scenarios,
 //! * [`trace`] — the observability layer: request-lifecycle trace events,
 //!   sampled per-wafer telemetry, loop self-profiling, and the Chrome
 //!   trace-event / JSON exporters (armed via [`serve::Scenario::trace`],
@@ -67,7 +66,6 @@
 //! ```
 
 pub use ouro_baselines as baselines;
-pub use ouro_disagg as disagg;
 pub use ouro_hw as hw;
 pub use ouro_kvcache as kvcache;
 pub use ouro_mapping as mapping;

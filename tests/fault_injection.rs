@@ -3,7 +3,7 @@
 //! replacement-chain remap (§4.3.3).
 
 use ouroboros::model::zoo;
-use ouroboros::serve::{routers, Admission, EngineConfig, FaultComparison, FaultConfig, Scenario, SloConfig};
+use ouroboros::serve::{p99_inflation, routers, Admission, EngineConfig, FaultConfig, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 
@@ -100,29 +100,27 @@ fn kv_blocks_are_conserved_after_every_remap() {
 #[test]
 fn fault_comparison_degrades_the_faulty_side_only() {
     let sys = tiny_system();
-    let t = timed(50, 300.0, 7);
-    let cmp = FaultComparison::measure(
-        &sys,
-        2,
-        routers::join_shortest_queue(),
-        EngineConfig::default(),
-        &t,
-        &slo(),
-        f64::INFINITY,
-        FaultConfig::new(0.02, 7),
-    )
-    .unwrap();
-    assert!(cmp.clean.is_conserved());
-    assert!(cmp.faulty.is_conserved());
-    assert!(cmp.fault.faults_injected > 0);
-    assert!(cmp.fault.availability < 1.0);
-    assert!(cmp.fault.chains_built > 0);
-    assert!(cmp.fault.mean_chain_len() >= 1.0);
-    assert!(cmp.fault.kv_bytes_evicted >= cmp.fault.kv_tokens_evicted);
+    let base = Scenario::colocated(2)
+        .router(routers::join_shortest_queue())
+        .slo(slo())
+        .workload(timed(50, 300.0, 7));
+    let clean = base.clone().run(&sys).unwrap();
+    let faulty = base.faults(FaultConfig::new(0.02, 7)).run(&sys).unwrap();
+    assert!(clean.faults.is_none());
+    let fault = faulty.faults.as_ref().expect("a fault plan was armed");
+    let (clean, faulty) = (&clean.serving, &faulty.serving);
+    assert!(clean.is_conserved());
+    assert!(faulty.is_conserved());
+    assert!(fault.faults_injected > 0);
+    assert!(fault.availability < 1.0);
+    assert!(fault.chains_built > 0);
+    assert!(fault.mean_chain_len() >= 1.0);
+    assert!(fault.kv_bytes_evicted >= fault.kv_tokens_evicted);
+    let (ttft_inflation, _) = p99_inflation(faulty, clean);
     assert!(
-        cmp.ttft_p99_inflation() >= 1.0 || cmp.faulty.ttft.p99_s >= cmp.clean.ttft.p99_s * 0.99,
+        ttft_inflation >= 1.0 || faulty.ttft.p99_s >= clean.ttft.p99_s * 0.99,
         "faults cannot make the tail faster: clean {} vs faulty {}",
-        cmp.clean.ttft.p99_s,
-        cmp.faulty.ttft.p99_s
+        clean.ttft.p99_s,
+        faulty.ttft.p99_s
     );
 }
