@@ -14,10 +14,10 @@
 //! Unknown subcommands and flags are rejected (exit 2) rather than
 //! silently ignored, so a typoed CI invocation cannot "succeed" with
 //! nothing run. Progress and section headers go to stderr; result tables
-//! go to stdout; machine-readable JSON goes to the `--out` file. Most
-//! experiments cap `--requests` (the figures at 100–200, the serving
-//! experiments at 200–400, `bench-report`/`analyze` at the default) and
-//! print a stderr note when the cap lowers the requested count.
+//! go to stdout; machine-readable JSON goes to the `--out` file. The
+//! offline figure replays cap `--requests` at 100–200 and print a stderr
+//! note when the cap lowers the requested count; the serving-style
+//! experiments run every request asked for.
 //!
 //! The serving-style experiments all drive `ouro_serve::Scenario`, the one
 //! composable run API: `serving` sweeps open-loop load against a colocated
@@ -665,7 +665,6 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
     header("Serving: online load sweep (4-wafer LLaMA-13B, WikiText-2-like)");
     let lengths = LengthConfig::wikitext2_like();
     let (system, capacity, slo) = serving_setup(&lengths);
-    let requests = capped(requests, 400, "serving");
     let aggregate = capacity * WAFERS as f64;
     let rates: Vec<f64> = LOAD_FRACTIONS.iter().map(|f| f * aggregate).collect();
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
@@ -744,7 +743,6 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     // where prefill bursts hurt colocated decode tails the most.
     let lengths = LengthConfig::fixed(512, 64);
     let (system, capacity, slo) = serving_setup(&lengths);
-    let requests = capped(requests, 300, "disagg");
     let rate = capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let bursty = |rate_rps| ArrivalConfig::Bursty { rate_rps, cv: 4.0 }.assign(&trace, SEED);
@@ -800,7 +798,6 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     header("Faults: replacement-chain remaps under live traffic (4-wafer LLaMA-13B)");
     let lengths = LengthConfig::wikitext2_like();
     let (system, capacity, slo) = serving_setup(&lengths);
-    let requests = capped(requests, 300, "faults");
     let rate = 0.7 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, SEED);
@@ -888,7 +885,6 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
     use ouro_workload::{ArrivalConfig, SessionConfig};
 
     header("Prefix caching: shared system prompts and session traffic (4-wafer LLaMA-13B)");
-    let requests = capped(requests, 300, "prefix");
     // SLO anchored on the session workload's typical request shape.
     let session = SessionConfig::chat(4, 0.7);
     let lengths =
@@ -953,7 +949,6 @@ fn scenario_matrix(
     header("Scenario matrix: deployment x faults x prefix caching (4-wafer LLaMA-13B)");
     let lengths = LengthConfig::fixed(512, 64);
     let (system, capacity, slo) = serving_setup(&lengths);
-    let requests = capped(requests, 200, "scenario");
     let rate = 0.8 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
@@ -1091,7 +1086,6 @@ fn bench_report_rows(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
     header("Bench report: simulator self-profiling (pinned perf trajectory)");
     let model = zoo::bert_large();
     let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &model).expect("tiny system builds");
-    let requests = capped(requests, DEFAULT_REQUESTS, "bench-report");
     let lengths = LengthConfig::fixed(64, 32);
     let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
     let (ttft, tpot) = ideal_latencies(system.stage_times(), 64, 96);
@@ -1167,7 +1161,6 @@ fn analyze(requests: usize, out: Option<&str>) {
     header("Analyze: latency attribution and wafer utilization (golden scenario)");
     let model = zoo::bert_large();
     let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &model).expect("tiny system builds");
-    let requests = capped(requests, DEFAULT_REQUESTS, "analyze");
     let lengths = LengthConfig::fixed(64, 32);
     let trace = TraceGenerator::new(8).generate(&lengths, requests);
     let timed = ArrivalConfig::Poisson { rate_rps: 400.0 }.assign(&trace, 8);

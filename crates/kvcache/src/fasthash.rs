@@ -1,12 +1,14 @@
 //! A deterministic multiply-rotate hasher for the manager's hot maps.
 //!
-//! The KV manager keys its cursor, residency, and sharing maps by small
-//! integers (sequence ids, prefix groups), and the serving engine hits the
-//! cursor map several times per resident sequence per step. `std`'s default
-//! SipHash is an order of magnitude slower than needed for integer keys and
-//! randomly seeded per process; this hasher is the classic Fx-style
-//! multiply-rotate mix — fast on word-sized keys and deterministic, which
-//! keeps any incidental iteration-order effect identical across runs.
+//! The KV manager keys its slot index and its sharing maps by small
+//! integers (sequence ids, prefix groups). The engine's decode step
+//! addresses sequences by slot and never hashes, but admission, release,
+//! export and prefix lookups hit these maps once or more per request.
+//! `std`'s default SipHash is an order of magnitude slower than needed for
+//! integer keys and randomly seeded per process; this hasher is the classic
+//! Fx-style multiply-rotate mix — fast on word-sized keys and
+//! deterministic, which keeps any incidental iteration-order effect
+//! identical across runs.
 //!
 //! Not DoS-resistant — fine here, because every key is simulator-internal.
 

@@ -36,7 +36,7 @@ pub use block::{BlockAddress, CrossbarBlocks};
 pub use fasthash::{FastHasher, FastMap};
 pub use manager::{
     BlockAudit, CrossbarSnapshot, KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot,
-    KvTransferStats, SharedChainSnapshot, SnapshotChainNode, SnapshotSeqBlocks, SnapshotSlot,
+    KvSlot, KvTransferStats, SharedChainSnapshot, SnapshotChainNode, SnapshotSeqBlocks, SnapshotSlot,
 };
 pub use scheduler::{KvScheduler, SchedulerOutcome, SchedulerStats};
 pub use static_alloc::StaticKvAllocator;

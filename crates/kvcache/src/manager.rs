@@ -177,6 +177,89 @@ struct Cursor {
     block: usize,
 }
 
+/// Dense index of a resident sequence's per-sequence state inside a
+/// [`KvManager`]: its token count, append cursors and private block list.
+/// A sequence keeps its slot for as long as it stays resident; released
+/// slots are reused, so a slot names a sequence only while
+/// [`KvManager::slot_of`] says so. Slot numbers are never serialized. The
+/// default is slot 0, a placeholder for state rebuilt before use.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KvSlot(u32);
+
+impl KvSlot {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+/// Per-sequence state in struct-of-arrays form, one slot per resident
+/// sequence, so the per-token decode path indexes arrays instead of hashing
+/// the sequence id.
+#[derive(Debug, Clone, Default)]
+struct SlotTable {
+    /// Resident sequence → its slot: the one map the slots are reached by.
+    of: FastMap<u64, KvSlot>,
+    /// Resident (K-side) tokens per slot.
+    tokens: Vec<usize>,
+    /// Append cursor per `(slot, head, role)` at `slot × stride + head × 2 +
+    /// role`; `None` until the admission binds it.
+    cursors: Vec<Option<Cursor>>,
+    /// Every private block allocated to the slot's sequence, in allocation
+    /// order, so [`KvManager::release`] frees exactly the sequence's blocks
+    /// instead of sweeping every crossbar of every core. Shared prefix
+    /// blocks are owned by their group, not the sequence, and are not
+    /// indexed here. Release drops the list rather than keeping its
+    /// capacity for the slot's next sequence, so idle slots hold no blocks.
+    blocks: Vec<Vec<(KvRole, Cursor)>>,
+    /// Released slots, reused last-in first-out.
+    free: Vec<KvSlot>,
+    /// Cursors per slot: `2 × heads`.
+    stride: usize,
+}
+
+impl SlotTable {
+    fn new(heads: usize) -> SlotTable {
+        SlotTable { stride: 2 * heads, ..SlotTable::default() }
+    }
+
+    /// The slot of `seq`, taking a free one (with no cursors and no blocks)
+    /// if the sequence is not resident yet. Its token count becomes
+    /// `tokens`; a resident sequence keeps its cursors and blocks.
+    fn occupy(&mut self, seq: u64, tokens: usize) -> KvSlot {
+        let slot = match self.of.get(&seq) {
+            Some(&slot) => slot,
+            None => {
+                let slot = self.free.pop().unwrap_or_else(|| {
+                    let slot = KvSlot(u32::try_from(self.tokens.len()).expect("fewer than 2^32 slots"));
+                    self.tokens.push(0);
+                    self.cursors.resize(self.cursors.len() + self.stride, None);
+                    self.blocks.push(Vec::new());
+                    slot
+                });
+                self.of.insert(seq, slot);
+                slot
+            }
+        };
+        self.tokens[slot.index()] = tokens;
+        slot
+    }
+
+    /// Index of the `(slot, head, role)` cursor in `cursors`.
+    fn at(&self, slot: KvSlot, head: usize, role: KvRole) -> usize {
+        slot.index() * self.stride + head * 2 + role as usize
+    }
+
+    /// The bound cursors of `slot`, as `(head, role, cursor)` in head-major
+    /// order.
+    fn bound(&self, slot: KvSlot) -> impl Iterator<Item = (usize, u8, Cursor)> + '_ {
+        let start = slot.index() * self.stride;
+        self.cursors[start..start + self.stride]
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| c.map(|c| (i / 2, (i % 2) as u8, c)))
+    }
+}
+
 /// Owner tag of shared-prefix blocks in the per-crossbar block tables:
 /// `SHARED_OWNER_TAG | group` lives in a namespace disjoint from sequence
 /// ids, so [`CrossbarBlocks::release`] sweeps for a sequence never touch
@@ -319,8 +402,9 @@ pub struct SharedChainSnapshot {
 
 /// Complete mutable state of a [`KvManager`], captured by
 /// [`KvManager::snapshot`] and rebuilt by [`KvManager::restore`] against the
-/// same configuration. Map-backed state is stored as key-sorted vectors so
-/// the serialized form is deterministic regardless of hash-map history.
+/// same configuration. Map- and slot-backed state is stored as key-sorted
+/// vectors so the serialized form is deterministic regardless of hash-map
+/// or slot-reuse history.
 ///
 /// The per-core [`CoreBitmap`]s are deliberately *not* captured: they are
 /// write-only observability state (never read back for allocation or
@@ -364,14 +448,9 @@ pub struct KvManager {
     page_table: PageTable,
     /// Ring pointer per role: index of the core after the last one assigned.
     ring_next: [usize; 2],
-    cursors: FastMap<(u64, usize, u8), Cursor>,
-    /// Every private block allocated to each sequence, recorded at
-    /// allocation time so [`KvManager::release`] frees exactly the
-    /// sequence's blocks instead of sweeping every crossbar of every
-    /// core. Shared prefix blocks are owned by their group, not the
-    /// sequence, and are not indexed here.
-    seq_blocks: FastMap<u64, Vec<(KvRole, Cursor)>>,
-    resident_tokens: FastMap<u64, usize>,
+    /// Per-sequence tokens, cursors and private blocks, one slot per
+    /// resident sequence.
+    slots: SlotTable,
     transfers: KvTransferStats,
     /// Shared prefix chains by group id.
     shared: FastMap<u64, SharedChain>,
@@ -408,15 +487,14 @@ impl KvManager {
         let value_cores: Vec<CoreState> =
             config.kv_cores[half.min(config.kv_cores.len())..].iter().copied().map(mk_core).collect();
         let value_cores = if value_cores.is_empty() { key_cores.clone() } else { value_cores };
+        let slots = SlotTable::new(config.heads);
         let mut m = KvManager {
             config,
             key_cores,
             value_cores,
             page_table: PageTable::new(),
             ring_next: [0, 0],
-            cursors: FastMap::default(),
-            seq_blocks: FastMap::default(),
-            resident_tokens: FastMap::default(),
+            slots,
             transfers: KvTransferStats::default(),
             shared: FastMap::default(),
             seq_shared: FastMap::default(),
@@ -454,26 +532,32 @@ impl KvManager {
             .map(|(&seq, cores)| (seq, cores.iter().map(|c| c.0 as u64).collect()))
             .collect();
         page_table.sort_unstable_by_key(|(seq, _)| *seq);
-        let mut cursors: Vec<(u64, usize, u8, usize, usize, usize)> = self
-            .cursors
+        // Slot numbering depends on release history, so every per-slot
+        // row is emitted in sequence order.
+        let mut resident: Vec<(u64, KvSlot)> =
+            self.slots.of.iter().map(|(&seq, &slot)| (seq, slot)).collect();
+        resident.sort_unstable_by_key(|&(seq, _)| seq);
+        let cursors: Vec<(u64, usize, u8, usize, usize, usize)> = resident
             .iter()
-            .map(|(&(seq, head, role), c)| (seq, head, role, c.core_index, c.crossbar, c.block))
+            .flat_map(|&(seq, slot)| {
+                self.slots
+                    .bound(slot)
+                    .map(move |(head, role, c)| (seq, head, role, c.core_index, c.crossbar, c.block))
+            })
             .collect();
-        cursors.sort_unstable_by_key(|&(seq, head, role, ..)| (seq, head, role));
-        let mut seq_blocks: Vec<SnapshotSeqBlocks> = self
-            .seq_blocks
+        let seq_blocks: Vec<SnapshotSeqBlocks> = resident
             .iter()
-            .map(|(&seq, blocks)| {
+            .map(|&(seq, slot)| (seq, &self.slots.blocks[slot.index()]))
+            .filter(|(_, blocks)| !blocks.is_empty())
+            .map(|(seq, blocks)| {
                 (
                     seq,
                     blocks.iter().map(|&(role, c)| (role as u8, c.core_index, c.crossbar, c.block)).collect(),
                 )
             })
             .collect();
-        seq_blocks.sort_unstable_by_key(|(seq, _)| *seq);
-        let mut resident_tokens: Vec<(u64, usize)> =
-            self.resident_tokens.iter().map(|(&seq, &tokens)| (seq, tokens)).collect();
-        resident_tokens.sort_unstable_by_key(|(seq, _)| *seq);
+        let resident_tokens: Vec<(u64, usize)> =
+            resident.iter().map(|&(seq, slot)| (seq, self.slots.tokens[slot.index()])).collect();
         let slot_tuples =
             |slots: &[SharedSlot]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
@@ -520,7 +604,9 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
-    /// cores.
+    /// cores, and [`KvError::UnknownSequence`] when a cursor or block row
+    /// names a sequence the snapshot does not list as resident, or a
+    /// cursor names a head or role outside the configuration.
     ///
     /// # Panics
     ///
@@ -550,22 +636,21 @@ impl KvManager {
             m.page_table.insert(*seq, cores.iter().map(|&c| CoreId(c as usize)).collect());
         }
         let role_of = |r: u8| if r == 0 { KvRole::Key } else { KvRole::Value };
+        for &(seq, tokens) in &snap.resident_tokens {
+            m.slots.occupy(seq, tokens);
+        }
+        let heads = m.config.heads;
         for &(seq, head, role, core_index, crossbar, block) in &snap.cursors {
-            m.cursors.insert((seq, head, role), Cursor { core_index, crossbar, block });
+            let slot =
+                m.slot_of(seq).filter(|_| head < heads && role < 2).ok_or(KvError::UnknownSequence(seq))?;
+            let at = m.slots.at(slot, head, role_of(role));
+            m.slots.cursors[at] = Some(Cursor { core_index, crossbar, block });
         }
         for (seq, blocks) in &snap.seq_blocks {
-            m.seq_blocks.insert(
-                *seq,
-                blocks
-                    .iter()
-                    .map(|&(role, core_index, crossbar, block)| {
-                        (role_of(role), Cursor { core_index, crossbar, block })
-                    })
-                    .collect(),
-            );
-        }
-        for &(seq, tokens) in &snap.resident_tokens {
-            m.resident_tokens.insert(seq, tokens);
+            let slot = m.slot_of(*seq).ok_or(KvError::UnknownSequence(*seq))?;
+            m.slots.blocks[slot.index()].extend(blocks.iter().map(|&(role, core_index, crossbar, block)| {
+                (role_of(role), Cursor { core_index, crossbar, block })
+            }));
         }
         for (group, chain) in &snap.shared {
             let slots = |v: &[(usize, usize, usize)]| {
@@ -636,12 +721,18 @@ impl KvManager {
 
     /// Number of resident sequences.
     pub fn resident_sequences(&self) -> usize {
-        self.resident_tokens.len()
+        self.slots.of.len()
     }
 
     /// Tokens resident for one sequence (K side), if it is resident.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
-        self.resident_tokens.get(&seq).copied()
+        self.slot_of(seq).map(|slot| self.slots.tokens[slot.index()])
+    }
+
+    /// The slot of a resident sequence, valid until the sequence is
+    /// released: the handle [`KvManager::append_at`] grows it through.
+    pub fn slot_of(&self, seq: u64) -> Option<KvSlot> {
+        self.slots.of.get(&seq).copied()
     }
 
     /// Upper bound on how many sequences of `tokens` tokens each could be
@@ -714,14 +805,14 @@ impl KvManager {
         // Record the page-table entry using the K-side cores (one per head).
         let pt_cores: Vec<CoreId> = head_cores_k.iter().map(|&i| self.key_cores[i].id).collect();
         self.page_table.insert(seq, pt_cores);
-        self.resident_tokens.insert(seq, shared);
+        let slot = self.slots.occupy(seq, shared);
         // Allocate the private cursors and fill the non-shared tokens.
         for head in 0..heads {
-            self.bind_cursor(seq, head, KvRole::Key, head_cores_k[head])?;
-            self.bind_cursor(seq, head, KvRole::Value, head_cores_v[head])?;
+            self.bind_cursor(slot, seq, head, KvRole::Key, head_cores_k[head])?;
+            self.bind_cursor(slot, seq, head, KvRole::Value, head_cores_v[head])?;
         }
         if initial_tokens > shared {
-            self.append_tokens(seq, initial_tokens - shared)?;
+            self.append_at(slot, seq, initial_tokens - shared)?;
         }
         Ok(cached)
     }
@@ -943,7 +1034,14 @@ impl KvManager {
         }
     }
 
-    fn bind_cursor(&mut self, seq: u64, head: usize, role: KvRole, core_index: usize) -> Result<(), KvError> {
+    fn bind_cursor(
+        &mut self,
+        slot: KvSlot,
+        seq: u64,
+        head: usize,
+        role: KvRole,
+        core_index: usize,
+    ) -> Result<(), KvError> {
         let cores = self.cores_mut(role);
         let core = &mut cores[core_index];
         // Find a crossbar with a free block.
@@ -956,8 +1054,9 @@ impl KvManager {
         }
         self.allocated_blocks += 1;
         let cursor = Cursor { core_index, crossbar: xb, block };
-        self.seq_blocks.entry(seq).or_default().push((role, cursor));
-        self.cursors.insert((seq, head, role as u8), cursor);
+        self.slots.blocks[slot.index()].push((role, cursor));
+        let at = self.slots.at(slot, head, role);
+        self.slots.cursors[at] = Some(cursor);
         Ok(())
     }
 
@@ -970,23 +1069,43 @@ impl KvManager {
     /// Returns [`KvError::UnknownSequence`] if the sequence is not resident or
     /// [`KvError::OutOfCapacity`] if a head cannot grow.
     pub fn append_tokens(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
-        if !self.resident_tokens.contains_key(&seq) {
-            return Err(KvError::UnknownSequence(seq));
-        }
+        let slot = self.slot_of(seq).ok_or(KvError::UnknownSequence(seq))?;
+        self.append_at(slot, seq, tokens)
+    }
+
+    /// [`KvManager::append_tokens`] through the sequence's slot (see
+    /// [`KvManager::slot_of`]), without the id lookup: the per-token path
+    /// of the serving engine. `slot` must be `seq`'s current slot (debug
+    /// builds assert it).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvError::UnknownSequence`] if a head's cursor was never
+    /// bound (a failed admission) or [`KvError::OutOfCapacity`] if a head
+    /// cannot grow.
+    pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
+        debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
         for head in 0..self.config.heads {
             for role in [KvRole::Key, KvRole::Value] {
-                self.append_for(seq, head, role, tokens)?;
+                self.append_for(slot, seq, head, role, tokens)?;
             }
         }
-        *self.resident_tokens.get_mut(&seq).expect("resident") += tokens;
+        self.slots.tokens[slot.index()] += tokens;
         Ok(())
     }
 
-    fn append_for(&mut self, seq: u64, head: usize, role: KvRole, tokens: usize) -> Result<(), KvError> {
-        let key = (seq, head, role as u8);
+    fn append_for(
+        &mut self,
+        slot: KvSlot,
+        seq: u64,
+        head: usize,
+        role: KvRole,
+        tokens: usize,
+    ) -> Result<(), KvError> {
+        let at = self.slots.at(slot, head, role);
         let mut remaining = tokens;
         while remaining > 0 {
-            let cursor = *self.cursors.get(&key).ok_or(KvError::UnknownSequence(seq))?;
+            let cursor = self.slots.cursors[at].ok_or(KvError::UnknownSequence(seq))?;
             let xb = &mut self.cores_mut(role)[cursor.core_index].crossbars[cursor.crossbar];
             let leftover = xb.append(cursor.block, seq, remaining);
             let consumed = remaining - leftover;
@@ -1012,8 +1131,8 @@ impl KvManager {
                 match found {
                     Some(c) => {
                         self.allocated_blocks += 1;
-                        self.seq_blocks.entry(seq).or_default().push((role, c));
-                        self.cursors.insert(key, c);
+                        self.slots.blocks[slot.index()].push((role, c));
+                        self.slots.cursors[at] = Some(c);
                     }
                     None => return Err(KvError::OutOfCapacity),
                 }
@@ -1027,23 +1146,28 @@ impl KvManager {
     /// rather than freed; a shared block is freed only when its last sharer
     /// releases.
     pub fn release(&mut self, seq: u64) -> usize {
-        let tokens = self.resident_tokens.remove(&seq).unwrap_or(0);
-        // Free exactly the blocks the allocation paths indexed for this
-        // sequence — the only paths that ever free private blocks run
-        // through here, so every indexed block is still owned by `seq`.
-        for (role, c) in self.seq_blocks.remove(&seq).unwrap_or_default() {
-            self.free_block(role, c.core_index, c.crossbar, c.block);
-        }
-        // Bitmap slots and cursors exist only on cores where a cursor was
-        // bound; `clear_sequence` is a no-op (returns 0 without mutating)
-        // on cores the sequence never touched, so visiting the cursor
-        // cores is equivalent to the old every-core sweep.
-        for head in 0..self.config.heads {
-            for role in [KvRole::Key, KvRole::Value] {
-                if let Some(cursor) = self.cursors.remove(&(seq, head, role as u8)) {
-                    self.cores_mut(role)[cursor.core_index].bitmap.clear_sequence(seq);
+        let mut tokens = 0;
+        if let Some(slot) = self.slots.of.remove(&seq) {
+            tokens = self.slots.tokens[slot.index()];
+            // Free exactly the blocks the allocation paths indexed for this
+            // sequence — the only paths that ever free private blocks run
+            // through here, so every indexed block is still owned by `seq`.
+            for (role, c) in std::mem::take(&mut self.slots.blocks[slot.index()]) {
+                self.free_block(role, c.core_index, c.crossbar, c.block);
+            }
+            // Bitmap slots exist only on cores where a cursor was bound;
+            // `clear_sequence` is a no-op (returns 0 without mutating) on
+            // cores the sequence never touched, so visiting the cursor
+            // cores is equivalent to an every-core sweep.
+            for head in 0..self.config.heads {
+                for role in [KvRole::Key, KvRole::Value] {
+                    let at = self.slots.at(slot, head, role);
+                    if let Some(cursor) = self.slots.cursors[at].take() {
+                        self.cores_mut(role)[cursor.core_index].bitmap.clear_sequence(seq);
+                    }
                 }
             }
+            self.slots.free.push(slot);
         }
         #[cfg(debug_assertions)]
         for core in self.key_cores.iter().chain(self.value_cores.iter()) {
@@ -1155,8 +1279,7 @@ impl KvManager {
             self.counters.key_capacity_tokens -= lost_capacity;
         }
         let xb = &core.crossbars[xb_idx];
-        let mut evicted: Vec<u64> =
-            self.resident_tokens.keys().copied().filter(|&seq| xb.owns_any(seq)).collect();
+        let mut evicted: Vec<u64> = self.slots.of.keys().copied().filter(|&seq| xb.owns_any(seq)).collect();
         // Shared prefix chains with a node on the failed crossbar lose part
         // of their prefix KV: every sharer must be evicted for recompute,
         // and the whole chain is freed (each block exactly once — sharers'
@@ -1219,7 +1342,7 @@ impl KvManager {
     /// Returns [`KvError::UnknownSequence`] when the sequence is not
     /// resident.
     pub fn export_sequence(&mut self, seq: u64) -> Result<usize, KvError> {
-        if !self.resident_tokens.contains_key(&seq) {
+        if !self.slots.of.contains_key(&seq) {
             return Err(KvError::UnknownSequence(seq));
         }
         let tokens = self.release(seq);
@@ -1321,6 +1444,19 @@ mod tests {
         assert_eq!(m.release(3), r.release(3));
         assert_eq!(m.fail_kv_core(0), r.fail_kv_core(0));
         assert_eq!(r.snapshot(), m.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_rows_of_sequences_that_are_not_resident() {
+        let mut m = manager(8, 2);
+        m.admit(1, 300).unwrap();
+        let snap = m.snapshot();
+        let mut orphan = snap.clone();
+        orphan.resident_tokens.clear();
+        assert_eq!(KvManager::restore(m.config.clone(), &orphan).unwrap_err(), KvError::UnknownSequence(1));
+        let mut bad_head = snap;
+        bad_head.cursors[0].1 = 2;
+        assert_eq!(KvManager::restore(m.config.clone(), &bad_head).unwrap_err(), KvError::UnknownSequence(1));
     }
 
     #[test]
@@ -1822,6 +1958,70 @@ mod tests {
                     }
                     let recounted = KvManager::restore(m.config.clone(), &m.snapshot()).unwrap();
                     prop_assert_eq!(observed(&m), observed(&recounted));
+                }
+            }
+        }
+    }
+
+    mod slot_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Every slot is either held by exactly one resident sequence or
+        /// on the free list: resident slots are distinct and none leaks.
+        fn assert_slots_partition(m: &KvManager) {
+            let mut slots: Vec<usize> = m.slots.of.values().chain(&m.slots.free).map(|s| s.index()).collect();
+            slots.sort_unstable();
+            assert_eq!(slots, (0..m.slots.tokens.len()).collect::<Vec<_>>());
+        }
+
+        proptest! {
+            /// Appending through a slot and through a sequence id is one
+            /// implementation: two managers driven through the same random
+            /// admit / append / release / export / import / fault ops, one
+            /// appending via `append_at(slot_of(seq), ..)` and the other via
+            /// `append_tokens`, stay snapshot-identical after every op.
+            /// Re-admitting a resident sequence without a release keeps the
+            /// resident count and leaks no slot.
+            #[test]
+            fn slot_and_id_appends_stay_identical(
+                ops in proptest::collection::vec((0u8..7, 0u64..24, 1usize..600), 1..120),
+            ) {
+                let mut by_slot = manager(4, 2);
+                let mut by_id = manager(4, 2);
+                for (op, draw, tokens) in ops {
+                    let seq = draw % 8;
+                    let group = draw / 8;
+                    for (m, via_slot) in [(&mut by_slot, true), (&mut by_id, false)] {
+                        match op {
+                            0 => { let _ = m.admit_with_prefix(seq, tokens, Some((group, tokens / 2 + 128))); }
+                            1 if via_slot => {
+                                if let Some(slot) = m.slot_of(seq) {
+                                    let _ = m.append_at(slot, seq, tokens.min(64));
+                                }
+                            }
+                            1 => { let _ = m.append_tokens(seq, tokens.min(64)); }
+                            2 => { m.release(seq); }
+                            3 => { let _ = m.export_sequence(seq); }
+                            4 => { let _ = m.import_with_prefix(seq, tokens, Some((group, tokens / 2)), tokens / 2); }
+                            5 => {
+                                let before = m.slot_of(seq).map(|_| m.resident_sequences());
+                                let _ = m.admit(seq, tokens.min(256));
+                                if let Some(resident) = before {
+                                    prop_assert_eq!(m.resident_sequences(), resident);
+                                }
+                            }
+                            _ => {
+                                if let Some(f) = m.fail_kv_core(tokens) {
+                                    for s in f.evicted_sequences {
+                                        m.release(s);
+                                    }
+                                }
+                            }
+                        }
+                        assert_slots_partition(m);
+                    }
+                    prop_assert_eq!(by_slot.snapshot(), by_id.snapshot());
                 }
             }
         }

@@ -378,7 +378,9 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`KvError`] from KV-manager reconstruction.
+    /// Propagates [`KvError`] from KV-manager reconstruction, and returns
+    /// [`KvError::UnknownSequence`] when an active sequence is not resident
+    /// in its restored KV manager.
     ///
     /// # Panics
     ///

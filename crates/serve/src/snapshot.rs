@@ -143,7 +143,9 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Errors
 ///
-/// Propagates [`KvError`] from KV-manager reconstruction.
+/// Propagates [`KvError`] from KV-manager reconstruction, and returns
+/// [`KvError::UnknownSequence`] for an active row whose record is out of
+/// range or not resident in the restored manager.
 ///
 /// # Panics
 ///
@@ -181,6 +183,15 @@ pub(crate) fn rebuild(
             e.pending.push_back(ready_s, req);
         }
         e.active = es.active.clone();
+        for a in &mut e.active {
+            let seq = a.rec as u64;
+            let (Some(r), Some(slot)) = (e.records.get(a.rec), e.manager.slot_of(seq)) else {
+                return Err(KvError::UnknownSequence(seq));
+            };
+            a.kv_slot = slot;
+            a.prompt_len = r.prompt_len;
+            a.decode_len = r.decode_len;
+        }
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
@@ -794,6 +805,8 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             decoded: p_usize(row.get_str("decoded")?)?,
             admission_order: p_u64(row.get_str("admission_order")?)?,
             prefill_only: p_bool(row.get_str("prefill_only")?)?,
+            // Derived fields: `rebuild` fills them from the restored state.
+            ..ActiveSeq::default()
         }),
         "kv" => {
             e.kv.ring_next = [p_usize(row.get_str("ring_k")?)?, p_usize(row.get_str("ring_v")?)?];

@@ -115,6 +115,9 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     decoded: front.decoded,
                     admission_order: e.order_counter,
                     prefill_only: front.prefill_only,
+                    kv_slot: e.manager.slot_of(seq_id).expect("an admitted sequence is resident"),
+                    prompt_len: r.prompt_len,
+                    decode_len: r.decode_len,
                 });
                 e.order_counter += 1;
             }
@@ -168,7 +171,7 @@ pub(crate) fn evict_most_recent(e: &mut Engine) {
 /// so a victim touched by both the capacity path and the fault path in
 /// one step is counted once, when the replay is actually scheduled.
 pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
-    let resident = e.records[victim.rec].prompt_len + victim.decoded;
+    let resident = victim.prompt_len + victim.decoded;
     e.stats.evictions += 1;
     e.records[victim.rec].evictions += 1;
     e.manager.release(victim.rec as u64);

@@ -16,9 +16,9 @@ pub(crate) fn retire(e: &mut Engine, end_s: f64) -> Vec<Completion> {
     let manager = &mut e.manager;
     let tracer = &mut e.tracer;
     e.active.retain(|a| {
-        let r = &mut records[a.rec];
-        let done = a.prefill_remaining == 0 && (a.prefill_only || a.decoded >= r.decode_len);
+        let done = a.prefill_remaining == 0 && (a.prefill_only || a.decoded >= a.decode_len);
         if done {
+            let r = &mut records[a.rec];
             r.completed_s = end_s;
             if a.prefill_only {
                 // A disaggregated prefill hands its KV off instead of

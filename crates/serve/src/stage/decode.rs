@@ -21,12 +21,11 @@ pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
     let mut step_tokens = 0usize;
     let mut ctx_sum = 0.0f64;
     for a in &e.active {
-        let r = &e.records[a.rec];
-        let resident = r.prompt_len + a.decoded;
+        let resident = a.prompt_len + a.decoded;
         ctx_sum += resident as f64;
         if a.prefill_remaining > 0 {
             step_tokens += a.prefill_remaining.min(e.config.prefill_chunk);
-        } else if !a.prefill_only && a.decoded < r.decode_len {
+        } else if !a.prefill_only && a.decoded < a.decode_len {
             step_tokens += 1;
         }
     }
@@ -52,21 +51,23 @@ pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
 
 /// Advances active sequence `i` by one decode token (no-op for prefill-only
 /// or finished sequences). A KV-growth failure marks the sequence for
-/// eviction instead.
+/// eviction instead. The record is read only for the first token.
 pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mut Vec<usize>) {
     let a = e.active[i];
     if a.prefill_only {
         return; // completes in the Complete stage; decode happens on another wafer
     }
-    let r = &e.records[a.rec];
-    if a.decoded >= r.decode_len {
+    if a.decoded >= a.decode_len {
         return; // zero-decode request: completes in the Complete stage
     }
-    match e.manager.append_tokens(a.rec as u64, 1) {
+    match e.manager.append_at(a.kv_slot, a.rec as u64, 1) {
         Ok(()) => {
             e.active[i].decoded += 1;
-            let rec = &mut e.records[a.rec];
-            if rec.first_token_s.is_nan() {
+            // Decode progress survives eviction, so no decoded token yet
+            // means no first token yet.
+            debug_assert_eq!(a.decoded == 0, e.records[a.rec].first_token_s.is_nan());
+            if a.decoded == 0 {
+                let rec = &mut e.records[a.rec];
                 rec.first_token_s = end_s;
                 let id = rec.id;
                 Stage::Decode.emit(&mut e.tracer, end_s, Some(id), EventKind::FirstToken);

@@ -50,6 +50,7 @@ pub(crate) mod decode;
 pub(crate) mod migrate;
 pub(crate) mod prefill;
 
+use ouro_kvcache::KvSlot;
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::TimedTrace;
 use rand::rngs::StdRng;
@@ -238,7 +239,12 @@ impl StageQueues {
 
 /// A sequence resident in the KV cache — the prefill/decode stages'
 /// per-engine work set.
-#[derive(Debug, Clone, Copy)]
+///
+/// The last three fields are derived, never serialized: admission copies
+/// them from the KV manager and the record, and a resumed run re-derives
+/// them, so the per-step passes touch neither the record table nor the
+/// manager's id map.
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ActiveSeq {
     /// Index into the engine's record table.
     pub(crate) rec: usize,
@@ -251,6 +257,12 @@ pub(crate) struct ActiveSeq {
     /// Disaggregated prefill: the sequence completes (and exports its KV)
     /// when prefill finishes, emitting no decode tokens here.
     pub(crate) prefill_only: bool,
+    /// The sequence's slot in the engine's KV manager.
+    pub(crate) kv_slot: KvSlot,
+    /// The record's prompt length.
+    pub(crate) prompt_len: usize,
+    /// The record's decode length.
+    pub(crate) decode_len: usize,
 }
 
 /// A request waiting for admission (fresh, evicted with progress, or an

@@ -9,6 +9,7 @@
 //! goldens pin: colocated/disaggregated × faults × prefix caching, over
 //! open- and closed-loop arrival processes.
 
+use ouro_kvcache::KvError;
 use ouro_model::zoo;
 use ouro_serve::json::read_rows;
 use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
@@ -159,6 +160,75 @@ fn run_full_equals_explicit_start_drive_finish() {
         let mut run = scenario.start(&sys).unwrap();
         run.run_to_end();
         assert_eq!(via_run_full, run.finish().report, "{label}: explicit stepping diverged");
+    }
+}
+
+#[test]
+fn resume_across_slot_reuse_is_invisible() {
+    // A saturated long-decode workload on one tiny wafer: the KV cache
+    // fills, sequences are evicted and re-admitted into reused KV slots
+    // before the midpoint, and victims still wait in the queue there. The
+    // resumed run numbers its slots afresh (in sequence order), so an
+    // identical report proves the numbering never reaches an output.
+    let sys = tiny_system();
+    let trace = TraceGenerator::new(71).generate(&LengthConfig::fixed(128, 2048), 64);
+    let timed = ArrivalConfig::Poisson { rate_rps: 4000.0 }.assign(&trace, 71);
+    let scenario = Scenario::colocated(1).prefix_caching(false).workload(timed);
+    let mid_s = 0.25; // about half of the run
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(mid_s);
+    let engine = &run.engines()[0];
+    assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
+    assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
+    assert!(
+        engine.resident() > 0 && engine.queue_len() > 0,
+        "the checkpoint must hold resident and queued work"
+    );
+    let straight = scenario.run(&sys).unwrap();
+    let resumed = run_via_snapshot(&scenario, &sys, mid_s);
+    assert_eq!(straight, resumed, "resumed report diverged");
+    assert_eq!(format!("{straight:?}"), format!("{resumed:?}"), "resumed report Debug form diverged");
+}
+
+/// `golden_snapshot_json` with the first `active` row's `rec` replaced by
+/// `rec(wafer)`, returned with the new `rec`.
+fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
+    let json = golden_snapshot_json();
+    let line = json.lines().find(|l| l.starts_with(r#"{"section":"active""#)).expect("an active row");
+    let doc = format!("[{}]", line.trim_end_matches(','));
+    let row = &read_rows(&doc).unwrap()[0];
+    let new = rec(row.get_str("wafer").unwrap());
+    let old = format!(r#""rec":"{}""#, row.get_str("rec").unwrap());
+    (json.replace(line, &line.replace(&old, &format!(r#""rec":"{new}""#))), new)
+}
+
+#[test]
+fn resume_rejects_active_rows_that_are_not_resident() {
+    let sys = tiny_system();
+    let scenario = golden_shapes().remove(3).1;
+    let rows = read_rows(golden_snapshot_json()).unwrap();
+    let on = |section: &str, wafer: &str| {
+        rows.iter()
+            .filter(|r| r.get_str("section").unwrap() == section && r.get_str("wafer").unwrap() == wafer)
+            .collect::<Vec<_>>()
+    };
+    // A record index past the wafer's record table.
+    let out_of_range = |wafer: &str| on("record", wafer).len() + 7;
+    // A record of the wafer that holds no KV (finished or still queued).
+    let not_resident = |wafer: &str| {
+        let resident = on("kv_resident", wafer)[0].get_str("entries").unwrap().to_string();
+        let resident: Vec<&str> = resident.split(';').map(|e| e.split(':').next().unwrap()).collect();
+        (0..on("record", wafer).len())
+            .find(|r| !resident.contains(&r.to_string().as_str()))
+            .expect("a record without resident KV")
+    };
+    for (case, json_rec) in
+        [("out of range", with_active_rec(out_of_range)), ("not resident", with_active_rec(not_resident))]
+    {
+        let (json, rec) = json_rec;
+        let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let resumed = scenario.resume(&sys, &snap);
+        assert_eq!(resumed.err(), Some(KvError::UnknownSequence(rec as u64)), "{case}");
     }
 }
 
