@@ -9,7 +9,7 @@
 //! whose free space falls below it stop accepting *new* sequences, reserving
 //! room for decode growth.
 
-use crate::manager::{KvError, KvManager, KvManagerConfig};
+use crate::manager::{KvError, KvManager, KvManagerConfig, KvSlot};
 use ouro_workload::Trace;
 use std::collections::VecDeque;
 
@@ -31,6 +31,11 @@ pub struct SchedulerStats {
     pub steps: u64,
     /// Requests fully completed.
     pub completed: u64,
+    /// Requests dropped unserved: a step whose admission phase leaves
+    /// nothing resident drops the head of the waiting queue.
+    pub dropped: u64,
+    /// Requests still waiting or resident when the step budget ran out.
+    pub unfinished: u64,
 }
 
 /// Outcome of a scheduling run: the statistics plus derived quality metrics.
@@ -55,6 +60,8 @@ pub struct KvScheduler {
 #[derive(Debug, Clone, Copy)]
 struct Active {
     request_index: usize,
+    /// The sequence's KV slot, fixed from admission to release.
+    slot: KvSlot,
     decoded: usize,
     /// Tokens already spent on this attempt (for recompute accounting).
     tokens_this_attempt: usize,
@@ -80,6 +87,9 @@ impl KvScheduler {
     /// decodes one token; requests are admitted FCFS whenever capacity
     /// permits; capacity exhaustion evicts the most recently admitted
     /// sequence.
+    ///
+    /// Every request ends completed, dropped or unfinished (see
+    /// [`SchedulerStats`]), so the three counts sum to `trace.len()`.
     pub fn run_trace(&mut self, trace: &Trace) -> SchedulerOutcome {
         let mut waiting: VecDeque<usize> = (0..trace.len()).collect();
         let mut active: Vec<Active> = Vec::new();
@@ -88,6 +98,7 @@ impl KvScheduler {
         let mut resident_integral = 0.0f64;
         let mut order_counter = 0u64;
         let max_steps = 10_000_000u64;
+        let mut evicted_now: Vec<usize> = Vec::new();
 
         while (!waiting.is_empty() || !active.is_empty()) && stats.steps < max_steps {
             // Admission phase (FCFS).
@@ -98,8 +109,11 @@ impl KvScheduler {
                     Ok(()) => {
                         waiting.pop_front();
                         stats.admissions += 1;
+                        let slot =
+                            self.manager.slot_of(req_idx as u64).expect("an admitted sequence has a slot");
                         active.push(Active {
                             request_index: req_idx,
+                            slot,
                             decoded: 0,
                             tokens_this_attempt: req.prompt_len,
                             admission_order: order_counter,
@@ -128,11 +142,14 @@ impl KvScheduler {
             }
 
             if active.is_empty() {
-                // Nothing resident (pathological: a single request larger
-                // than the cache). Drop the offending request to guarantee
-                // progress.
+                // Nothing resident: the head did not fit an empty cache, or
+                // an admission-time eviction emptied the active set and
+                // suspended admission. Drop the head (in the second case
+                // that is the eviction victim, not the request that failed
+                // to fit) to guarantee progress.
                 if let Some(req) = waiting.pop_front() {
                     self.manager.release(req as u64);
+                    stats.dropped += 1;
                     stats.steps += 1;
                     continue;
                 }
@@ -143,21 +160,15 @@ impl KvScheduler {
             stats.peak_resident = stats.peak_resident.max(active.len());
             resident_integral += active.len() as f64;
             stats.steps += 1;
-            let mut finished: Vec<usize> = Vec::new();
-            let mut evicted_now: Vec<usize> = Vec::new();
+            evicted_now.clear();
             for (i, a) in active.iter_mut().enumerate() {
-                let req = &trace.requests[a.request_index];
-                if a.decoded >= req.decode_len {
-                    finished.push(i);
+                if a.decoded >= trace.requests[a.request_index].decode_len {
                     continue;
                 }
-                match self.manager.append_tokens(a.request_index as u64, 1) {
+                match self.manager.append_at(a.slot, a.request_index as u64, 1) {
                     Ok(()) => {
                         a.decoded += 1;
                         a.tokens_this_attempt += 1;
-                        if a.decoded >= req.decode_len {
-                            finished.push(i);
-                        }
                     }
                     Err(KvError::OutOfCapacity) => evicted_now.push(i),
                     Err(e) => panic!("unexpected kv error during decode: {e}"),
@@ -190,6 +201,12 @@ impl KvScheduler {
             }
         }
 
+        stats.unfinished = (waiting.len() + active.len()) as u64;
+        debug_assert_eq!(
+            stats.completed + stats.dropped + stats.unfinished,
+            trace.len() as u64,
+            "every request ends completed, dropped or unfinished"
+        );
         stats.avg_resident = if stats.steps > 0 { resident_integral / stats.steps as f64 } else { 0.0 };
         let useful = trace.total_tokens();
         let waste = stats.recomputed_tokens as f64 / (useful + stats.recomputed_tokens).max(1) as f64;
@@ -270,6 +287,22 @@ mod tests {
         assert_eq!(out.stats.steps, 0);
         assert_eq!(out.stats.completed, 0);
         assert_eq!(out.stats.avg_resident, 0.0);
+    }
+
+    #[test]
+    fn every_request_ends_completed_dropped_or_unfinished() {
+        let mut s = KvScheduler::new(config(2, 1, 0.0)).unwrap();
+        // One request larger than the whole cache, queued between requests
+        // that fit: it can never be admitted, so the queue only drains by
+        // dropping. (Which requests drop is the known admission defect: the
+        // drop takes the queue head, which is the last eviction victim.)
+        let huge = 2 * s.manager().capacity_tokens();
+        let mut trace = TraceGenerator::new(6).generate(&LengthConfig::fixed(64, 32), 6);
+        trace.requests.insert(3, ouro_workload::Request::new(99, huge, 4));
+        let out = s.run_trace(&trace);
+        assert!(out.stats.dropped >= 1 && out.stats.completed >= 1, "{:?}", out.stats);
+        assert_eq!(out.stats.unfinished, 0);
+        assert_eq!(out.stats.completed + out.stats.dropped + out.stats.unfinished, trace.len() as u64);
     }
 
     #[test]

@@ -22,4 +22,4 @@ pub mod schedule;
 pub use engine::{estimate_streaming, simulate_exact};
 pub use granularity::Granularity;
 pub use report::PipelineReport;
-pub use schedule::{ConstantStageTimes, PipelineScheduler, RateStageTimes, StageTimeModel};
+pub use schedule::{ConstantStageTimes, PipelineScheduler, StageTimeModel, StageTimeTable};

@@ -17,7 +17,7 @@
 use crate::engine::{estimate_streaming, simulate_exact};
 use crate::granularity::Granularity;
 use crate::report::PipelineReport;
-use ouro_model::{ModelConfig, StageCosts, StageKind, STAGES_PER_BLOCK};
+use ouro_model::{ModelConfig, StageKind, STAGES_PER_BLOCK};
 use ouro_workload::Trace;
 
 /// Prices one token's work in each pipeline stage on some hardware.
@@ -59,24 +59,60 @@ impl StageTimeModel for ConstantStageTimes {
     }
 }
 
-/// A stage-time model derived from per-stage cost counters and a fixed
-/// compute/SFU rate; used by tests that need model-shaped (rather than
-/// constant) stage times without pulling in the hardware crates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateStageTimes {
-    /// The model whose stage shapes drive the cost counters.
-    pub model: ModelConfig,
-    /// MAC throughput available to one pipeline stage, MAC/s.
-    pub macs_per_s: f64,
-    /// SFU throughput available to one pipeline stage, ops/s.
-    pub sfu_ops_per_s: f64,
+/// A memo of a pure function of the attended length: `rows[n]` is what
+/// the function returned for a token attending to `n` positions, filled in
+/// order the first time a length at or beyond `n` is asked for.
+///
+/// A token's stage times depend only on the stage kind and how many
+/// positions it attends to, so a replay or an engine run that prices the
+/// same context length over and over evaluates the [`StageTimeModel`] once
+/// per length. The offline replayer keeps the six per-kind times per row
+/// (`R = [f64; 6]`); the serving engine keeps the `(latency, bottleneck)`
+/// pair it prices a step with. Rows are only valid for the function that
+/// filled them: a caller whose model changes must [`clear`](Self::clear)
+/// the table.
+#[derive(Debug, Clone)]
+pub struct StageTimeTable<R> {
+    rows: Vec<R>,
 }
 
-impl StageTimeModel for RateStageTimes {
-    fn token_time_s(&self, kind: StageKind, attended: usize) -> f64 {
-        let c = StageCosts::for_token(&self.model, kind, attended);
-        let macs = c.flops / 2;
-        macs as f64 / self.macs_per_s + c.sfu_ops as f64 / self.sfu_ops_per_s
+/// Rows the table grows by at a time. An engine's table lives as long as
+/// its run, so growing exactly (in chunks) rather than by doubling keeps
+/// its footprint at about one row per context length reached.
+const TABLE_CHUNK: usize = 64;
+
+impl<R: Copy> StageTimeTable<R> {
+    /// An empty table.
+    pub fn new() -> StageTimeTable<R> {
+        StageTimeTable { rows: Vec::new() }
+    }
+
+    /// Rows `0..=max_attended`, evaluating `price` at each length the table
+    /// does not hold yet, in increasing order.
+    pub fn rows_through(&mut self, max_attended: usize, mut price: impl FnMut(usize) -> R) -> &[R] {
+        let len = self.rows.len();
+        if max_attended >= len {
+            let target = (max_attended + 1).next_multiple_of(TABLE_CHUNK);
+            self.rows.reserve_exact(target - len);
+            self.rows.extend((len..=max_attended).map(&mut price));
+        }
+        &self.rows[..=max_attended]
+    }
+
+    /// The row of one length (see [`rows_through`](Self::rows_through)).
+    pub fn row(&mut self, attended: usize, price: impl FnMut(usize) -> R) -> R {
+        self.rows_through(attended, price)[attended]
+    }
+
+    /// Forgets every row (the function that filled them changed).
+    pub fn clear(&mut self) {
+        self.rows.clear();
+    }
+}
+
+impl<R: Copy> Default for StageTimeTable<R> {
+    fn default() -> StageTimeTable<R> {
+        StageTimeTable::new()
     }
 }
 
@@ -155,11 +191,14 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
         let mut kind_totals = [0.0f64; STAGES_PER_BLOCK];
         let mut first_token_times = [0.0f64; STAGES_PER_BLOCK];
         let mut first = true;
+        let mut table = StageTimeTable::new();
+        let rows = table.rows_through(trace.max_total_tokens(), |attended| {
+            StageKind::ALL.map(|k| self.times.token_time_s(k, attended))
+        });
         for req in &trace.requests {
-            for t in 0..req.total_tokens() {
-                let attended = t + 1;
-                for (k, kind) in StageKind::ALL.iter().enumerate() {
-                    let time = self.times.token_time_s(*kind, attended);
+            // Token `t` of a request attends to `t + 1` positions.
+            for row in &rows[1..=req.total_tokens()] {
+                for (k, &time) in row.iter().enumerate() {
                     kind_totals[k] += time;
                     if first {
                         first_token_times[k] = time;
@@ -358,15 +397,22 @@ mod tests {
     }
 
     #[test]
-    fn rate_stage_times_scale_attention_with_context() {
-        let model = zoo::llama_13b();
-        let times = RateStageTimes { model: model.clone(), macs_per_s: 1e12, sfu_ops_per_s: 1e11 };
-        let short = times.token_time_s(StageKind::Score, 16);
-        let long = times.token_time_s(StageKind::Score, 1600);
-        assert!(long > short * 50.0);
-        let f1 = times.token_time_s(StageKind::Ffn1, 16);
-        let f2 = times.token_time_s(StageKind::Ffn1, 1600);
-        assert!((f1 - f2).abs() < 1e-15);
+    fn stage_time_table_evaluates_each_length_once() {
+        let calls = std::cell::Cell::new(Vec::new());
+        let price = |attended: usize| {
+            let mut seen = calls.take();
+            seen.push(attended);
+            calls.set(seen);
+            constant().token_time_s(StageKind::Score, attended)
+        };
+        let mut table = StageTimeTable::new();
+        assert_eq!(table.row(3, price), constant().token_time_s(StageKind::Score, 3));
+        assert_eq!(table.rows_through(5, price).len(), 6);
+        assert_eq!(table.row(2, price), constant().token_time_s(StageKind::Score, 2));
+        assert_eq!(calls.take(), [0, 1, 2, 3, 4, 5], "each length once, in order");
+        table.clear();
+        table.row(1, price);
+        assert_eq!(calls.take(), [0, 1], "a cleared table re-evaluates");
     }
 
     #[test]

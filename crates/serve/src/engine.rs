@@ -35,7 +35,7 @@ use crate::arena::IndexQueue;
 use crate::metrics::RequestRecord;
 use crate::stage::{self, ActiveSeq, PendingReq, Stage};
 use ouro_kvcache::{KvError, KvManager, KvManagerConfig, KvTransferStats};
-use ouro_sim::HwStageTimes;
+use ouro_sim::{HwStageTimes, StageTimeTable};
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::Request;
 
@@ -154,7 +154,12 @@ pub enum Admission {
 /// mutable state — the checkpoint/resume identity test holds the proof.
 #[derive(Debug, Clone)]
 pub struct Engine {
+    /// The stage-time model. Change its parameters only through
+    /// [`Engine::set_mean_hops`], which keeps `stage_table` in step.
     pub(crate) times: HwStageTimes,
+    /// `times.step_pricing_s` per attended length, filled by the decode
+    /// stage. Derived state: never serialized, refilled on demand.
+    pub(crate) stage_table: StageTimeTable<(f64, f64)>,
     pub(crate) manager: KvManager,
     pub(crate) config: EngineConfig,
     pub(crate) records: Vec<RequestRecord>,
@@ -191,6 +196,7 @@ impl Engine {
         assert!(config.prefill_chunk > 0, "prefill_chunk must be positive");
         Ok(Engine {
             times,
+            stage_table: StageTimeTable::new(),
             manager: KvManager::new(kv)?,
             config,
             records: Vec::new(),
@@ -391,7 +397,7 @@ impl Engine {
         // The fault strikes at `at_s` but the engine only observes it at a
         // step boundary; the stall extends whichever is later.
         self.clock_s = self.clock_s.max(at_s) + stall_s;
-        self.times.mean_hops += mean_hops_penalty;
+        self.set_mean_hops(self.times.mean_hops + mean_hops_penalty);
         self.stats.faults += 1;
         self.stats.stall_s += stall_s;
         self.stats.fault_evicted_seqs += failure.evicted_sequences.len() as u64;
@@ -426,6 +432,14 @@ impl Engine {
             evicted_tokens: failure.evicted_tokens as u64,
             serviceable: self.manager.is_serviceable(),
         })
+    }
+
+    /// Sets the pipeline's mean hop distance and forgets every memoized
+    /// stage time, which was priced at the old distance. The only way the
+    /// engine's stage-time model changes after construction.
+    pub(crate) fn set_mean_hops(&mut self, mean_hops: f64) {
+        self.times.mean_hops = mean_hops;
+        self.stage_table.clear();
     }
 
     /// Takes the wafer out of service at `at_s` — the path for a fault the
@@ -952,6 +966,39 @@ mod tests {
             e.records()[0].completed_s
         };
         assert!(run(true) > run(false));
+    }
+
+    #[test]
+    fn a_fault_reprices_steps_at_the_new_hop_distance() {
+        // Stage times charge `ceil(mean_hops)` hops, so 3.0 → 3.5 crosses a
+        // hop boundary. A stage-time table kept across the fault would
+        // price the next step at the old distance.
+        let bumped = HwStageTimes { mean_hops: 3.5, ..times() };
+        assert_ne!(times().step_pricing_s(64), bumped.step_pricing_s(64), "the crossing moves the price");
+        // One batch runs to completion and fills the table; after the
+        // fault an identical batch starts at a context the table holds.
+        let next_step = |e: &mut Engine, penalty: f64| {
+            for round in 0..2 {
+                for id in 0..4 {
+                    e.submit_with(Request::new(4 * round + id, 64, 32), e.clock_s(), Admission::Local, 0, 0);
+                }
+                if round == 0 {
+                    while e.has_work() {
+                        e.step();
+                    }
+                    let t = e.clock_s();
+                    e.apply_fault(t, 0.0, 7, penalty).expect("healthy cores remain");
+                }
+            }
+            stage::admission::admit_waiting(e);
+            stage::decode::plan_step(e)
+        };
+        let mut faulted = engine(8);
+        let (tokens, step_s) = next_step(&mut faulted, 0.5);
+        let mut fresh = Engine::new(bumped, kv(8), EngineConfig::default()).unwrap();
+        let (fresh_tokens, fresh_step_s) = next_step(&mut fresh, 0.0);
+        assert_eq!(faulted.times.mean_hops.to_bits(), fresh.times.mean_hops.to_bits());
+        assert_eq!((tokens, step_s.to_bits()), (fresh_tokens, fresh_step_s.to_bits()));
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub(crate) fn rebuild(
     for (wafer, es) in snap.engines.iter().enumerate() {
         let mut e = Engine::new(system.stage_times().clone(), system.serve_kv_config(), scenario.engine)?;
         e.manager = KvManager::restore(system.serve_kv_config(), &es.kv)?;
-        e.times.mean_hops = es.mean_hops;
+        e.set_mean_hops(es.mean_hops);
         e.records = es.records.clone();
         for &(ready_s, req) in &es.pending {
             e.pending.push_back(ready_s, req);

@@ -14,10 +14,13 @@ use ouro_trace::EventKind;
 /// A step that moves `T` tokens with mean context `c̄` takes
 /// `max(L(c̄), T · b(c̄))` seconds: with few tokens in flight the pipeline
 /// drains before it refills, with many it streams one token per bottleneck
-/// interval. The context accumulation is order-sensitive floating point
-/// over the active set, so it stays one loop — splitting it per-stage
-/// would reorder the sum and perturb every golden.
-pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
+/// interval. `L` and `b` come from the engine's stage-time table, so each
+/// context length is priced once per hop distance (see
+/// [`Engine::set_mean_hops`]). The context accumulation is
+/// order-sensitive floating point over the active set, so it stays one
+/// loop — splitting it per-stage would reorder the sum and perturb every
+/// golden.
+pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
     let mut step_tokens = 0usize;
     let mut ctx_sum = 0.0f64;
     for a in &e.active {
@@ -30,7 +33,15 @@ pub(crate) fn plan_step(e: &Engine) -> (usize, f64) {
         }
     }
     let mean_ctx = (ctx_sum / e.active.len() as f64).max(1.0) as usize;
-    let (pipeline_s, bottleneck_s) = e.times.step_pricing_s(mean_ctx);
+    let times = &e.times;
+    let (pipeline_s, bottleneck_s) = e.stage_table.row(mean_ctx, |attended| times.step_pricing_s(attended));
+    debug_assert!(
+        {
+            let (l, b) = times.step_pricing_s(mean_ctx);
+            (l.to_bits(), b.to_bits()) == (pipeline_s.to_bits(), bottleneck_s.to_bits())
+        },
+        "stale stage-time table at context {mean_ctx}"
+    );
     let step_s = if step_tokens == 0 {
         // Every resident sequence finished prefill with zero decode
         // tokens requested; charge one drain pass so completion time is

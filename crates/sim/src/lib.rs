@@ -20,5 +20,7 @@ pub mod system;
 
 pub use ablation::{ablation_ladder, AblationStep};
 pub use config::{BuildError, OuroborosConfig};
+/// The stage-time memo the serving engine prices its steps through.
+pub use ouro_pipeline::StageTimeTable;
 pub use stage_times::HwStageTimes;
 pub use system::OuroborosSystem;

@@ -355,6 +355,20 @@ mod tests {
         TraceGenerator::new(1).generate(&LengthConfig::fixed(64, 32), 8)
     }
 
+    /// The offline KV scheduler's known admission defect: its eviction
+    /// victims restart decode from zero, and a step that leaves nothing
+    /// resident drops the queue head, so on this cell 188 of 200 requests
+    /// are dropped. Pinned so that fixing the admission model has to
+    /// change these counts on purpose.
+    #[test]
+    fn offline_kv_scheduler_defect_cell_is_pinned() {
+        let sys = OuroborosSystem::new(OuroborosConfig::single_wafer(), &zoo::llama_32b()).unwrap();
+        let trace = TraceGenerator::new(1).generate(&LengthConfig::fixed(128, 2048), 200);
+        let out = KvScheduler::new(sys.serve_kv_config()).unwrap().run_trace(&trace);
+        let s = out.stats;
+        assert_eq!((s.completed, s.dropped, s.unfinished, s.steps), (12, 188, 0, 4158), "{s:?}");
+    }
+
     #[test]
     fn tiny_system_builds_and_simulates() {
         let sys = tiny_system();
