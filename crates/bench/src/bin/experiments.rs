@@ -9,15 +9,14 @@
 //!
 //! Available experiments: `fig1`, `fig11`, `fig13`, `fig14`, `fig15`,
 //! `fig16`, `fig17`, `fig18`, `fig19`, `fig20`, `fig21`, `table2`,
-//! `serving`, `disagg`, `faults`, `prefix`, `scenario`, `bench-report`,
-//! `analyze`, `compare`, `regress`, `all`.
-//! Unknown subcommands and flags are rejected (exit 2) rather than
-//! silently ignored, so a typoed CI invocation cannot "succeed" with
-//! nothing run. Progress and section headers go to stderr; result tables
-//! go to stdout; machine-readable JSON goes to the `--out` file. The
-//! offline figure replays cap `--requests` at 100–200 and print a stderr
-//! note when the cap lowers the requested count; the serving-style
-//! experiments run every request asked for.
+//! `serving`, `disagg`, `faults`, `prefix`, `scenario`, `analyze`, `all`.
+//! Unknown subcommands and flags, and flags the chosen subcommand does not
+//! honor, are rejected (exit 2) before anything runs, so a typoed CI
+//! invocation cannot "succeed" with nothing run. Progress and section
+//! headers go to stderr; result tables go to stdout; machine-readable JSON
+//! goes to the `--out` file. The offline figure replays cap `--requests`
+//! at 100–200 and print a stderr note when the cap lowers the requested
+//! count; the serving-style experiments run every request asked for.
 //!
 //! The serving-style experiments all drive `ouro_serve::Scenario`, the one
 //! composable run API: `serving` sweeps open-loop load against a colocated
@@ -33,7 +32,7 @@
 //! caching) — exercising every axis of the API in one run.
 //!
 //! The serving-style subcommands accept `--out <path>` (alias: `--json`)
-//! to dump their points as a JSON array for perf-trajectory capture in CI.
+//! to dump their points as a JSON array for capture in CI.
 //! Every row is one flattened `ouro_serve::RunReport` (one schema for
 //! every experiment, `schema_version` included) prefixed with
 //! `experiment`/`label` tags:
@@ -50,30 +49,16 @@
 //!   loadable in Perfetto / `chrome://tracing` (one track per wafer, one
 //!   span per request phase). Tracing is observational: the cell's report
 //!   row is bit-identical with or without it.
-//! * `bench-report` runs pinned scenario points with loop self-profiling
-//!   on and writes `BENCH_serve.json`: schema-versioned rows with
-//!   requests-simulated/sec, wall-time per loop event kind, and
-//!   events-simulated/sec — the simulator's own perf trajectory. It is
-//!   deliberately excluded from `all` so wall-clock noise never lands in
-//!   the deterministic report dumps.
-//!
-//! Three post-hoc consumers close the loop from collection to
-//! interpretation:
-//!
 //! * `analyze` runs the golden observability scenario with tracing and
 //!   telemetry armed and prints the latency-attribution report — each
 //!   request's E2E decomposed into exclusive phases (queue, prefill, KV
 //!   transit, migration stall, fault stall, decode compute, decode idle)
 //!   — plus per-wafer utilization; `--out` writes the schema-versioned
-//!   analyze JSON rows.
-//! * `compare` diffs a current `bench-report` row set against a baseline
-//!   (a file via `--baseline`, or the latest same-config run in an
-//!   append-only `--store` directory) and reports throughput deltas,
-//!   schema drift, and determinism drift.
-//! * `regress` is `compare` with teeth: exit 1 on threshold regressions
-//!   (default 10%, `--threshold`) or any drift failure. `--warn-only`
-//!   waives throughput regressions (for shared CI machines) but never
-//!   schema or determinism drift.
+//!   analyze JSON rows. It never joins `all`.
+//!
+//! The simulator reads no wall clock, so every output here is a pure
+//! function of the flags. Simulator speed is measured by the separate
+//! `benches/simbench` package.
 
 use ouro_baselines::SystemReport;
 use ouro_bench::{
@@ -87,45 +72,26 @@ use ouro_sim::{ablation_ladder, OuroborosConfig, OuroborosSystem};
 use ouro_workload::LengthConfig;
 
 const SUBCOMMANDS: &[&str] = &[
-    "all",
-    "fig1",
-    "fig11",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "fig19",
-    "fig20",
-    "fig21",
-    "table2",
-    "serving",
-    "disagg",
-    "faults",
-    "prefix",
-    "scenario",
-    "bench-report",
-    "analyze",
-    "compare",
-    "regress",
+    "all", "fig1", "fig11", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20", "fig21",
+    "table2", "serving", "disagg", "faults", "prefix", "scenario", "analyze",
 ];
+
+/// The subcommands that emit JSON rows, and so honor `--out`.
+const ROW_SUBCOMMANDS: &[&str] = &["all", "serving", "disagg", "faults", "prefix", "scenario", "analyze"];
 
 /// Rejects a malformed invocation: print the problem and the full usage,
 /// exit non-zero so CI catches it.
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: experiments [<subcommand>] [--requests N] [--threads N] [--out PATH] [--trace PATH]");
-    eprintln!("       experiments compare|regress [--requests N] [--baseline PATH] [--current PATH]");
-    eprintln!("                                   [--store DIR] [--threshold F] [--warn-only] [--out PATH]");
-    eprintln!("flags: --out writes the subcommand's JSON rows to PATH (--json is an alias);");
+    eprintln!("flags: --out writes the subcommand's JSON rows to PATH (--json is an alias;");
+    eprintln!("                 serving/disagg/faults/prefix/scenario/analyze, or all);");
     eprintln!("       --threads sets sweep worker threads (serving/disagg/faults; default: all cores;");
     eprintln!("                 output is identical at any thread count);");
     eprintln!("       --trace writes a Chrome trace-event JSON (scenario subcommand only);");
     eprintln!("       --via-snapshot routes every scenario cell through a midpoint checkpoint →");
     eprintln!("                 JSON → parse → resume round trip (scenario subcommand only; the");
     eprintln!("                 rows must be byte-identical to a straight run);");
-    eprintln!("       --baseline/--current/--store/--threshold/--warn-only gate compare/regress;");
     eprintln!("subcommands: {}", SUBCOMMANDS.join(", "));
     std::process::exit(2);
 }
@@ -139,12 +105,6 @@ fn main() {
     let mut out_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut via_snapshot = false;
-    let mut baseline_path: Option<String> = None;
-    let mut current_path: Option<String> = None;
-    let mut store_dir: Option<String> = None;
-    let mut threshold = 0.10;
-    let mut threshold_set = false;
-    let mut warn_only = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -184,36 +144,6 @@ fn main() {
                 via_snapshot = true;
                 i += 1;
             }
-            "--baseline" => {
-                let value = args.get(i + 1).unwrap_or_else(|| usage_error("--baseline expects a file path"));
-                baseline_path = Some(value.clone());
-                i += 2;
-            }
-            "--current" => {
-                let value = args.get(i + 1).unwrap_or_else(|| usage_error("--current expects a file path"));
-                current_path = Some(value.clone());
-                i += 2;
-            }
-            "--store" => {
-                let value = args.get(i + 1).unwrap_or_else(|| usage_error("--store expects a directory"));
-                store_dir = Some(value.clone());
-                i += 2;
-            }
-            "--threshold" => {
-                let value = args
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage_error("--threshold expects a fraction like 0.10"));
-                threshold = match value.parse::<f64>() {
-                    Ok(t) if t.is_finite() && (0.0..1.0).contains(&t) => t,
-                    _ => usage_error(&format!("--threshold expects a fraction in [0, 1), got {value:?}")),
-                };
-                threshold_set = true;
-                i += 2;
-            }
-            "--warn-only" => {
-                warn_only = true;
-                i += 1;
-            }
             flag if flag.starts_with('-') => usage_error(&format!("unknown flag {flag:?}")),
             name => {
                 if which.is_some() {
@@ -244,42 +174,8 @@ fn main() {
     if threads_set && !sweeping {
         usage_error("--threads only applies to the sweep subcommands (serving/disagg/faults, or all)");
     }
-    let gating = which == "compare" || which == "regress";
-    if !gating
-        && (baseline_path.is_some()
-            || current_path.is_some()
-            || store_dir.is_some()
-            || threshold_set
-            || warn_only)
-    {
-        usage_error("--baseline/--current/--store/--threshold/--warn-only only apply to compare/regress");
-    }
-    // bench-report measures wall clock, so it never joins the deterministic
-    // `all` dump; it runs alone and writes its own schema-versioned file.
-    if which == "bench-report" {
-        let rows = bench_report_rows(requests);
-        write_rows(out_path.as_deref().unwrap_or("BENCH_serve.json"), &rows, "bench rows");
-        return;
-    }
-    // The analysis and gating subcommands are post-hoc consumers — they
-    // never join `all` either.
-    if which == "analyze" {
-        analyze(requests, out_path.as_deref());
-        return;
-    }
-    if gating {
-        let gate = which == "regress";
-        compare(
-            requests,
-            baseline_path.as_deref(),
-            current_path.as_deref(),
-            store_dir.as_deref(),
-            threshold,
-            warn_only,
-            out_path.as_deref(),
-            gate,
-        );
-        return;
+    if out_path.is_some() && !ROW_SUBCOMMANDS.contains(&which.as_str()) {
+        usage_error("--out only applies to serving/disagg/faults/prefix/scenario/analyze (or all)");
     }
 
     let run = |name: &str| which == "all" || which == name;
@@ -333,16 +229,12 @@ fn main() {
     if run("scenario") {
         rows.extend(scenario_matrix(requests, trace_path.as_deref(), via_snapshot));
     }
+    // `analyze` is a post-hoc consumer of one traced run, so it never
+    // joins `all`.
+    if which == "analyze" {
+        rows.extend(analyze(requests));
+    }
     if let Some(path) = out_path.as_deref() {
-        if rows.is_empty() {
-            // Writing an empty [] here would let a misconfigured CI capture
-            // "succeed" with no data.
-            eprintln!(
-                "\n--out is only produced by the serving/disagg/faults/prefix/scenario subcommands; \
-                 nothing written"
-            );
-            std::process::exit(2);
-        }
         match ouro_bench::json::write_array(path, &rows) {
             Ok(()) => eprintln!("\nwrote {} points to {path}", rows.len()),
             Err(e) => {
@@ -1067,94 +959,12 @@ fn table2() {
     }
 }
 
-/// `bench-report` — simulator self-profiling for the pinned perf
-/// trajectory: end-to-end requests-simulated/sec plus wall-time per loop
-/// event kind (arrival routing, engine steps, fault injection, completion
-/// handling) on pinned scenario points. Rows carry their own
-/// `schema_version` and land in `BENCH_serve.json` by default.
-///
-/// The points run on the tiny test system so the measurement is about the
-/// discrete-event loop itself, not the mapping anneal that builds the big
-/// evaluation systems; the traced point doubles as an always-on check that
-/// the observability layer stays cheap enough to leave enabled.
-fn bench_report_rows(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use std::time::Instant;
-
-    use ouro_serve::{capacity_rps_estimate, ideal_latencies, Scenario, SloConfig};
-    use ouro_workload::{ArrivalConfig, TraceGenerator};
-
-    header("Bench report: simulator self-profiling (pinned perf trajectory)");
-    let model = zoo::bert_large();
-    let system = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &model).expect("tiny system builds");
-    let lengths = LengthConfig::fixed(64, 32);
-    let capacity = capacity_rps_estimate(system.stage_times(), &lengths);
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), 64, 96);
-    let slo = SloConfig::with_slack(ttft, tpot, 10.0);
-    let rate = 0.8 * capacity * 2.0;
-    let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
-    let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, SEED);
-    let cadence_s = (timed.last_arrival_s() / 64.0).max(1e-6);
-
-    let points: Vec<(&str, Scenario)> = vec![
-        ("colocated", Scenario::colocated(2).slo(slo).workload(timed.clone())),
-        (
-            "colocated-traced",
-            Scenario::colocated(2).slo(slo).workload(timed.clone()).trace(true).telemetry_every(cadence_s),
-        ),
-        ("disagg", Scenario::disaggregated(1, 1).slo(slo).workload(timed)),
-    ];
-
-    eprintln!("\n--- {requests} requests/point ---");
-    println!(
-        "{:<18} {:>10} {:>10} {:>12} {:>12} {:>14}",
-        "point", "completed", "wall (s)", "req/s", "events", "events/s"
-    );
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
-    for (label, scenario) in points {
-        let t0 = Instant::now();
-        let outcome = scenario.profile(true).run_full(&system).expect("deployment builds");
-        let wall_s = t0.elapsed().as_secs_f64();
-        let profile = outcome.profile().expect("profiling was enabled");
-        let completed = outcome.report.serving.completed as u64;
-        println!(
-            "{:<18} {:>10} {:>10.3} {:>12.1} {:>12} {:>14.0}",
-            label,
-            completed,
-            wall_s,
-            if wall_s > 0.0 { completed as f64 / wall_s } else { 0.0 },
-            profile.total_events(),
-            profile.events_per_s(),
-        );
-        rows.push(ouro_bench::bench_report_row(
-            label,
-            requests,
-            completed,
-            outcome.report.serving.duration_s,
-            wall_s,
-            profile,
-        ));
-    }
-    rows
-}
-
-/// Writes JSON rows to `path` or exits non-zero — the shared tail of the
-/// perf-trajectory subcommands.
-fn write_rows(path: &str, rows: &[ouro_bench::json::JsonObject], what: &str) {
-    match ouro_bench::json::write_array(path, rows) {
-        Ok(()) => eprintln!("\nwrote {} {what} to {path}", rows.len()),
-        Err(e) => {
-            eprintln!("\nfailed to write {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `analyze` — post-hoc latency attribution on the golden observability
 /// scenario: runs the disaggregated+faults shape with tracing and
 /// telemetry armed, reconstructs per-request timelines, and prints where
 /// p50/p99 TTFT/E2E go, phase by phase, plus per-wafer utilization.
-/// `--out` writes the schema-versioned analyze JSON rows.
-fn analyze(requests: usize, out: Option<&str>) {
+/// Returns the schema-versioned analyze JSON rows for `--out`.
+fn analyze(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
     use ouro_serve::{FaultConfig, Scenario, SloConfig};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
@@ -1175,89 +985,5 @@ fn analyze(requests: usize, out: Option<&str>) {
     let analysis = outcome.analysis().expect("tracing was armed");
     eprintln!("\n--- {requests} requests, disaggregated 2+2, faults armed ---");
     print!("{}", analysis.report());
-    if let Some(path) = out {
-        write_rows(path, &analysis.json_rows(), "analyze rows");
-    }
-}
-
-/// `compare` / `regress` — the regression gate. Produces current bench
-/// rows (from `--current`, or by running `bench-report` afresh), finds a
-/// baseline (the latest run of the same config hash in `--store`, or the
-/// `--baseline` file, default `BENCH_serve.json`), and diffs them.
-/// `regress` exits 1 when the verdict fails; `compare` always reports
-/// and exits 0. Schema drift fails even under `--warn-only`.
-#[allow(clippy::too_many_arguments)]
-fn compare(
-    requests: usize,
-    baseline_path: Option<&str>,
-    current_path: Option<&str>,
-    store_dir: Option<&str>,
-    threshold: f64,
-    warn_only: bool,
-    out: Option<&str>,
-    gate: bool,
-) {
-    use ouro_bench::store::{self, Store};
-
-    header(if gate {
-        "Regress: gate against the stored baseline"
-    } else {
-        "Compare: diff against the stored baseline"
-    });
-    let fail = |msg: &str| -> ! {
-        eprintln!("error: {msg}");
-        std::process::exit(1);
-    };
-
-    let current: Vec<store::FlatRow> = match current_path {
-        Some(path) => store::read_rows(std::path::Path::new(path))
-            .unwrap_or_else(|e| fail(&format!("cannot read --current: {e}"))),
-        None => {
-            // A fresh measurement, round-tripped through the parser so
-            // both sides of the diff took the same path.
-            let rows = bench_report_rows(requests);
-            store::parse_flat_rows(&ouro_bench::json::render_array(&rows))
-                .unwrap_or_else(|e| fail(&format!("fresh bench rows failed to parse: {e}")))
-        }
-    };
-    let hash = store::config_hash(&current);
-    eprintln!("\nconfig hash: {hash:016x} ({} current rows)", current.len());
-
-    let baseline: Option<Vec<store::FlatRow>> = match store_dir {
-        Some(dir) => {
-            let store = Store::open(dir).unwrap_or_else(|e| fail(&format!("cannot open --store: {e}")));
-            let previous =
-                store.latest(hash).unwrap_or_else(|e| fail(&format!("cannot read store history: {e}")));
-            let seq = store
-                .append(hash, &current)
-                .unwrap_or_else(|e| fail(&format!("cannot append to store: {e}")));
-            eprintln!("stored run {seq} under {}", store.path_for(hash).display());
-            previous
-        }
-        None => {
-            let path = baseline_path.unwrap_or("BENCH_serve.json");
-            Some(
-                store::read_rows(std::path::Path::new(path))
-                    .unwrap_or_else(|e| fail(&format!("cannot read baseline {path}: {e}"))),
-            )
-        }
-    };
-    let Some(baseline) = baseline else {
-        eprintln!("no stored history for this config hash yet — baseline seeded, nothing to diff");
-        return;
-    };
-
-    let verdict = store::compare_rows(&current, &baseline, threshold);
-    println!("{}", verdict.report());
-    if let Some(path) = out {
-        write_rows(path, &verdict.json_rows(), "diff rows");
-    }
-    if verdict.passed(warn_only) {
-        eprintln!("gate: PASS");
-    } else if gate {
-        eprintln!("gate: FAIL");
-        std::process::exit(1);
-    } else {
-        eprintln!("gate: FAIL (compare is informational; run `regress` to gate)");
-    }
+    analysis.json_rows()
 }

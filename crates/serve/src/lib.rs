@@ -91,10 +91,9 @@ pub mod sweep;
 /// serving stack share one implementation).
 pub use ouro_trace::json;
 pub use ouro_trace::{
-    Analysis, Counters, EventKind, LoopProfile, PhaseStats, RequestPhases, RingSink, SpanPhase,
-    TelemetryConfig, TelemetryRecorder, TelemetrySample, Trace, TraceEvent, TraceSink, Tracer, WaferGauges,
-    WaferUtilization, ANALYZE_SCHEMA_VERSION, BENCH_SCHEMA_VERSION, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION,
-    TRACE_SCHEMA_VERSION,
+    Analysis, Counters, EventKind, PhaseStats, RequestPhases, RingSink, SpanPhase, TelemetryConfig,
+    TelemetryRecorder, TelemetrySample, Trace, TraceEvent, TraceSink, Tracer, WaferGauges, WaferUtilization,
+    ANALYZE_SCHEMA_VERSION, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
 };
 
 pub use engine::{Admission, Engine, EngineConfig, EngineFaultImpact, EngineStats};

@@ -60,13 +60,11 @@ use ouro_kvcache::KvError;
 use ouro_noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
 use ouro_trace::{
-    Analysis, Counters, LoopProfile, TelemetryConfig, TelemetryRecorder, TelemetrySample, Trace, TraceEvent,
-    Tracer,
+    Analysis, Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, Trace, TraceEvent, Tracer,
 };
 use ouro_workload::TimedTrace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::time::Instant;
 
 /// The pool split of a disaggregated deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +122,6 @@ pub struct Scenario {
     pub(crate) fault: Option<FaultConfig>,
     pub(crate) trace: bool,
     pub(crate) telemetry: Option<TelemetryConfig>,
-    pub(crate) profile: bool,
 }
 
 impl Scenario {
@@ -170,7 +167,6 @@ impl Scenario {
             fault: None,
             trace: false,
             telemetry: None,
-            profile: false,
         }
     }
 
@@ -253,17 +249,6 @@ impl Scenario {
         self.telemetry(TelemetryConfig::every(cadence_s))
     }
 
-    /// Toggles loop self-profiling: the driver measures the wall-clock
-    /// cost of its own work buckets (arrival routing, engine steps, fault
-    /// injection, completion handling) into a [`LoopProfile`], returned
-    /// via [`RunOutcome::profile`]. The profile observes the *simulator*,
-    /// not the simulation: it never feeds back into the report, so
-    /// profiled runs stay deterministic. Off by default.
-    pub fn profile(mut self, enabled: bool) -> Scenario {
-        self.profile = enabled;
-        self
-    }
-
     /// The configured deployment.
     pub fn deployment(&self) -> Deployment {
         self.deployment
@@ -343,7 +328,6 @@ impl Scenario {
             migrations: Vec::new(),
             tracer: if self.trace { Tracer::ring(0) } else { Tracer::off() },
             telemetry: self.telemetry.map(TelemetryRecorder::new),
-            profile: self.profile.then(LoopProfile::default),
             completed: 0,
             faults_fired: 0,
             calendar: BinaryHeap::new(),
@@ -366,9 +350,9 @@ impl Scenario {
     /// snapshot via [`Scenario::resume`] and driving to the end produces a
     /// byte-identical [`RunReport`] to the uninterrupted run.
     ///
-    /// Tracing, telemetry and the loop profile are deliberately *not*
-    /// captured: they are observational sinks that never feed back into
-    /// the simulation, and a resumed run restarts them empty.
+    /// Tracing and telemetry are deliberately *not* captured: they are
+    /// observational sinks that never feed back into the simulation, and a
+    /// resumed run restarts them empty.
     pub fn checkpoint(&self, run: &RunState) -> Snapshot {
         crate::snapshot::capture(self, run)
     }
@@ -421,7 +405,6 @@ pub struct RunOutcome {
     pub report: RunReport,
     trace: Option<Trace>,
     telemetry: Vec<TelemetrySample>,
-    profile: Option<LoopProfile>,
     engines: Vec<Engine>,
     prefill_wafers: usize,
     disagg: bool,
@@ -466,12 +449,6 @@ impl RunOutcome {
     /// unless [`Scenario::telemetry`] was armed).
     pub fn telemetry(&self) -> &[TelemetrySample] {
         &self.telemetry
-    }
-
-    /// The loop self-profile (`None` unless [`Scenario::profile`] was
-    /// armed).
-    pub fn profile(&self) -> Option<&LoopProfile> {
-        self.profile.as_ref()
     }
 
     /// The post-hoc latency attribution and utilization analysis of the
@@ -519,16 +496,8 @@ impl RunState {
         if let Some(inj) = self.injector.as_mut() {
             match inj.poll(next_arrival, next_engine.map(|(_, t)| t), horizon_s) {
                 FaultPoll::Fire(wafer) => {
-                    #[expect(
-                        clippy::disallowed_methods,
-                        reason = "profile-gated self-timing: wall time feeds LoopProfile only"
-                    )]
-                    let t0 = self.driver.profile.is_some().then(Instant::now);
                     inj.inject(&mut self.driver.engines[wafer]);
                     self.driver.refresh_engine(wafer);
-                    if let (Some(p), Some(t0)) = (self.driver.profile.as_mut(), t0) {
-                        p.faults.add(t0.elapsed());
-                    }
                     self.driver.faults_fired += 1;
                     self.driver.telemetry_tick();
                     return true;
@@ -648,7 +617,6 @@ impl RunState {
         RunOutcome {
             report,
             telemetry: driver.telemetry.map(|r| r.samples().to_vec()).unwrap_or_default(),
-            profile: driver.profile,
             trace,
             prefill_wafers: driver.prefill_wafers,
             disagg: driver.disagg,
@@ -676,7 +644,6 @@ pub(crate) struct Driver {
     /// stamped onto the wafer they concern via `emit_for`.
     pub(crate) tracer: Tracer,
     pub(crate) telemetry: Option<TelemetryRecorder>,
-    pub(crate) profile: Option<LoopProfile>,
     /// Requests retired (decode-side completions), for telemetry counters.
     pub(crate) completed: u64,
     /// Runtime faults fired so far, for telemetry counters.
@@ -769,21 +736,8 @@ impl Driver {
     /// all other completions retire the request and feed closed-loop
     /// releases back into the arrival queues.
     pub(crate) fn step_engine(&mut self, i: usize, queues: &mut StageQueues) {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "profile-gated self-timing: wall time feeds LoopProfile only"
-        )]
-        let t0 = self.profile.is_some().then(Instant::now);
         let completions = self.engines[i].step();
         self.refresh_engine(i);
-        if let (Some(p), Some(t0)) = (self.profile.as_mut(), t0) {
-            p.engine_steps.add(t0.elapsed());
-        }
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "profile-gated self-timing: wall time feeds LoopProfile only"
-        )]
-        let t1 = (self.profile.is_some() && !completions.is_empty()).then(Instant::now);
         if self.disagg && i < self.prefill_wafers {
             for (rec, t_done) in completions {
                 stage::migrate::migrate(self, i, rec, t_done);
@@ -793,9 +747,6 @@ impl Driver {
                 self.completed += 1;
                 stage::arrival::release_gated(queues, t_done);
             }
-        }
-        if let (Some(p), Some(t1)) = (self.profile.as_mut(), t1) {
-            p.completions.add(t1.elapsed());
         }
         self.telemetry_tick();
     }

@@ -13,7 +13,7 @@
 //!
 //! * The driver's **event calendar** — a pure cache over the engines,
 //!   rebuilt by `refresh_engine` on resume.
-//! * **Tracing, telemetry and the loop profile** — observational sinks
+//! * **Tracing and telemetry** — observational sinks
 //!   that never feed back into the simulation; a resumed run restarts
 //!   them empty.
 //! * The KV manager's **core bitmaps** — write-only observability state
@@ -44,7 +44,7 @@ use ouro_kvcache::{
 };
 use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{self, fnv1a, read_rows};
-use ouro_trace::{LoopProfile, TelemetryRecorder, Tracer};
+use ouro_trace::{TelemetryRecorder, Tracer};
 use ouro_workload::SharedPrefix;
 use rand::rngs::StdRng;
 use std::collections::BinaryHeap;
@@ -220,7 +220,6 @@ pub(crate) fn rebuild(
         migrations: snap.migrations.clone(),
         tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
         telemetry: scenario.telemetry.map(TelemetryRecorder::new),
-        profile: scenario.profile.then(LoopProfile::default),
         completed: snap.completed,
         faults_fired: snap.faults_fired,
         calendar: BinaryHeap::new(),

@@ -7,17 +7,11 @@ use crate::engine::Admission;
 use crate::scenario::Driver;
 use ouro_trace::EventKind;
 use ouro_workload::TimedTrace;
-use std::time::Instant;
 
 /// Routes the front arrival of `q` (the caller has established one exists
 /// and is due) onto an entry wafer: colocated deployments submit for full
 /// local service, disaggregated ones for prefill-only service.
 pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues) {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "profile-gated self-timing: wall time feeds LoopProfile only"
-    )]
-    let t0 = d.profile.is_some().then(Instant::now);
     let ev = q.arrivals.pop_front().expect("peeked above");
     let request = timed.arrivals[ev.index].request;
     let entry = d.entry_len();
@@ -33,9 +27,6 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues
     let admission = if d.disagg { Admission::PrefillOnly } else { Admission::Local };
     d.engines[wafer].submit_with(request, ev.at_s, admission, ev.index, wafer);
     d.refresh_engine(wafer);
-    if let (Some(p), Some(t0)) = (d.profile.as_mut(), t0) {
-        p.arrivals.add(t0.elapsed());
-    }
     d.telemetry_tick();
 }
 

@@ -110,8 +110,8 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    /// Stable lowercase name of the kind, used as the JSON `kind` value,
-    /// the Chrome trace category, and the profile bucket label.
+    /// Stable lowercase name of the kind, used as the JSON `kind` value and
+    /// the Chrome trace category.
     pub fn name(&self) -> &'static str {
         match self {
             EventKind::Arrival { .. } => "arrival",

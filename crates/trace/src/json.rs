@@ -5,8 +5,8 @@
 //! objects of strings, numbers, nulls, and (for the Chrome trace-event
 //! `args` field) one level of nested objects, collected into arrays — all
 //! the `BENCH_*.json` trajectories and trace exporters need. [`read_rows`]
-//! is its inverse over flat rows: the bench store reads result files and
-//! the serving snapshot reads checkpoints through it. It lives in
+//! is its inverse over flat rows: the serving snapshot reads checkpoints
+//! and the tests read result files through it. It lives in
 //! `ouro-trace` so every schema shares one writer and one reader;
 //! `ouro-serve` and `ouro-bench` re-export this module.
 
@@ -127,7 +127,7 @@ pub fn fnv1a_extend(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 /// FNV-1a over `bytes` — the workspace's one content hash (trace digests,
-/// snapshot config hashes, bench-store addresses).
+/// snapshot config hashes).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV1A_OFFSET, bytes)
 }

@@ -17,22 +17,18 @@
 //! - [`telemetry`] — sampled per-wafer gauges and cluster counters on a
 //!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
 //!   flat JSON time series.
-//! - [`profile`] — simulator self-profiling ([`LoopProfile`]): wall-time
-//!   per loop-work bucket and events-simulated/sec, feeding the
-//!   schema-versioned `BENCH_serve.json` perf trajectory.
 //! - [`json`] — the dependency-free flat-row JSON writer and reader and
-//!   the FNV-1a content hash, shared by the whole workspace so exporters,
-//!   the snapshot and the bench store use one implementation of each.
+//!   the FNV-1a content hash, shared by the whole workspace so exporters
+//!   and the snapshot use one implementation of each.
 //!
 //! Every JSON artifact carries its own `schema_version`
 //! ([`TRACE_SCHEMA_VERSION`], [`TELEMETRY_SCHEMA_VERSION`],
-//! [`BENCH_SCHEMA_VERSION`]) so downstream tooling can detect drift.
+//! [`ANALYZE_SCHEMA_VERSION`]) so downstream tooling can detect drift.
 
 pub mod analyze;
 pub mod chrome;
 pub mod event;
 pub mod json;
-pub mod profile;
 pub mod sink;
 pub mod telemetry;
 
@@ -42,7 +38,6 @@ pub use analyze::{
 };
 pub use chrome::{SpanPhase, Trace};
 pub use event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
-pub use profile::{LoopProfile, ProfileBucket, BENCH_SCHEMA_VERSION};
 pub use sink::{RingSink, TraceSink, Tracer};
 pub use telemetry::{
     Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, WaferGauges, TELEMETRY_SCHEMA_VERSION,

@@ -1,6 +1,5 @@
-//! Observability in one place: request-lifecycle tracing, sampled
-//! telemetry, and loop self-profiling on a disaggregated serving run with
-//! runtime faults — the run with the richest event mix (admissions,
+//! Observability in one place: request-lifecycle tracing and sampled
+//! telemetry on a disaggregated serving run with runtime faults — the run with the richest event mix (admissions,
 //! chunked prefill, KV migrations, fault remaps, evictions).
 //!
 //! Tracing is strictly observational: the same scenario runs twice below,
@@ -54,16 +53,11 @@ fn main() {
             .workload(timed.clone())
     };
 
-    // Dark run: no tracing, no telemetry, no profiling.
+    // Dark run: no tracing, no telemetry.
     let dark = scenario().run(&system).expect("pools build");
 
     // Instrumented run: everything on.
-    let outcome = scenario()
-        .trace(true)
-        .telemetry_every(cadence_s)
-        .profile(true)
-        .run_full(&system)
-        .expect("pools build");
+    let outcome = scenario().trace(true).telemetry_every(cadence_s).run_full(&system).expect("pools build");
 
     // The flagship guarantee: observability never perturbs the simulation.
     assert_eq!(
@@ -105,9 +99,6 @@ fn main() {
         max_batch
     );
     assert!(max_batch > 0, "some wafer must batch work at some sample");
-
-    let profile = outcome.profile().expect("profiling was armed");
-    println!("\n{}", profile.summarize());
 
     std::fs::create_dir_all("target/tracing").expect("target dir");
     trace.write_chrome_trace("target/tracing/chrome_trace.json").expect("chrome trace written");

@@ -21,7 +21,7 @@
 //!   optical links, runtime fault injection with replacement-chain
 //!   healing, and sweeps over lists of scenarios,
 //! * [`trace`] — the observability layer: request-lifecycle trace events,
-//!   sampled per-wafer telemetry, loop self-profiling, and the Chrome
+//!   sampled per-wafer telemetry, post-hoc latency analysis, and the Chrome
 //!   trace-event / JSON exporters (armed via [`serve::Scenario::trace`],
 //!   zero-cost when off).
 //!

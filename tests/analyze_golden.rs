@@ -1,5 +1,5 @@
-//! Laws and schema pins for the analysis layer: latency attribution,
-//! utilization, and the results-store regression gate.
+//! Laws and schema pins for the analysis layer: latency attribution and
+//! utilization.
 //!
 //! The central law is **telescoping attribution**: the analyzer
 //! decomposes each request's E2E latency into exclusive phases, so the
@@ -7,20 +7,15 @@
 //! pinned golden scenario and (property-tested) on every one of the four
 //! golden scenario shapes. The analysis is also strictly post-hoc: an
 //! analyzed run's `RunReport` must be bit-identical to the dark run's.
-//!
-//! The store side pins the gate semantics the CI workflow relies on: a
-//! synthetically injected >10% throughput regression must fail
-//! `compare_rows`, and the `analyze`/`compare` JSON schemas are pinned
-//! as key-set goldens alongside `BENCH_REPORT_V1_KEYS`.
+//! The `analyze` JSON schema is pinned as key-set goldens.
 
 use std::sync::OnceLock;
 
-use ouro_bench::store::{compare_rows, config_hash, parse_flat_rows, JsonValue};
 use ouroboros::model::zoo;
 use ouroboros::serve::{routers, FaultConfig, RunOutcome, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::trace::{
-    Analysis, ANALYZE_PHASE_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS,
+    json, Analysis, ANALYZE_PHASE_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS,
     PHASE_COUNT, PHASE_NAMES,
 };
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
@@ -191,59 +186,9 @@ fn analyze_rows_match_their_pinned_schema() {
     for row in &rows {
         assert!(row.render().starts_with(&format!("{{\"schema_version\": {ANALYZE_SCHEMA_VERSION}")));
     }
-    // The flat rows round-trip through the store's parser — the analyze
-    // export is store-compatible by construction.
-    let parsed = parse_flat_rows(&ouro_bench::json::render_array(&rows)).unwrap();
+    // The flat rows round-trip through the workspace's one JSON reader.
+    let text = json::render_array(&rows);
+    let parsed = json::read_rows(&text).unwrap();
     assert_eq!(parsed.len(), rows.len());
-    assert_eq!(parsed[0]["row"], JsonValue::Str("summary".into()));
-}
-
-#[test]
-fn compare_rows_match_their_pinned_schema() {
-    assert_eq!(ouro_bench::COMPARE_SCHEMA_VERSION, 1);
-    let rows = vec![ouro_bench::bench_report_row("colocated", 40, 40, 0.01, 0.002, &Default::default())];
-    let flat = parse_flat_rows(&ouro_bench::json::render_array(&rows)).unwrap();
-    let verdict = compare_rows(&flat, &flat, 0.10);
-    assert!(verdict.passed(false), "a run diffed against itself passes");
-    for row in verdict.json_rows() {
-        assert_eq!(row.keys(), ouro_bench::COMPARE_V1_KEYS);
-    }
-}
-
-// ---- the regression gate (acceptance criterion) --------------------------
-
-/// A synthetically injected >10% throughput regression must fail the
-/// gate, while determinism metrics staying put keeps it a regression
-/// (not a drift failure) — the exact contract `experiments regress`
-/// gives CI.
-#[test]
-fn synthetic_throughput_regression_fails_the_gate() {
-    let profile = Default::default();
-    let baseline = vec![
-        ouro_bench::bench_report_row("colocated", 100, 97, 0.25, 0.020, &profile),
-        ouro_bench::bench_report_row("disagg", 100, 95, 0.31, 0.025, &profile),
-    ];
-    let baseline = parse_flat_rows(&ouro_bench::json::render_array(&baseline)).unwrap();
-    assert_eq!(config_hash(&baseline), config_hash(&baseline.iter().rev().cloned().collect::<Vec<_>>()));
-
-    // The same configuration measured 20% slower (wall 0.020 -> 0.025 s).
-    let slower = vec![
-        ouro_bench::bench_report_row("colocated", 100, 97, 0.25, 0.025, &profile),
-        ouro_bench::bench_report_row("disagg", 100, 95, 0.31, 0.025, &profile),
-    ];
-    let slower = parse_flat_rows(&ouro_bench::json::render_array(&slower)).unwrap();
-    assert_eq!(config_hash(&slower), config_hash(&baseline), "measurements never move the address");
-
-    let verdict = compare_rows(&slower, &baseline, 0.10);
-    assert!(verdict.regressions() > 0, "a 20% slowdown crosses the 10% threshold");
-    assert!(verdict.failures.is_empty(), "simulated metrics did not move, so no drift failures");
-    assert!(!verdict.passed(false), "regress gates");
-    assert!(verdict.passed(true), "warn-only waives throughput");
-
-    // Schema drift gates even warn-only: rename a measurement key.
-    let mut drifted = slower.clone();
-    let v = drifted[0].remove("requests_per_s").unwrap();
-    drifted[0].insert("requests_per_sec".into(), v);
-    let verdict = compare_rows(&drifted, &baseline, 0.10);
-    assert!(!verdict.passed(true), "schema drift hard-fails");
+    assert_eq!(parsed[0].get_str("row"), Ok("summary"));
 }

@@ -15,18 +15,16 @@ use std::path::{Path, PathBuf};
 
 /// `(file, const)` of every schema version, each pinned by a golden.
 const SCHEMA_PINS: &[(&str, &str)] = &[
-    ("crates/bench/src/store.rs", "COMPARE_SCHEMA_VERSION"),
     ("crates/serve/src/report.rs", "SCHEMA_VERSION"),
     ("crates/serve/src/snapshot.rs", "SNAPSHOT_SCHEMA_VERSION"),
     ("crates/trace/src/analyze.rs", "ANALYZE_SCHEMA_VERSION"),
     ("crates/trace/src/event.rs", "TRACE_SCHEMA_VERSION"),
-    ("crates/trace/src/profile.rs", "BENCH_SCHEMA_VERSION"),
     ("crates/trace/src/telemetry.rs", "TELEMETRY_SCHEMA_VERSION"),
 ];
 
-/// Four profile-gated wall-clock timers, the two stage-emit forwarding
-/// sites, and the `FastMap` alias over std `HashMap`.
-const MAX_EXPECTS: usize = 7;
+/// The two stage-emit forwarding sites and the `FastMap` alias over std
+/// `HashMap`. The wall-clock ban has no exemption.
+const MAX_EXPECTS: usize = 3;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))

@@ -384,14 +384,3 @@ fn experiment_rows_stay_inside_the_pinned_schema() {
     // experiment/label without parsing the whole row.
     assert_eq!(&rows[0].keys()[..2], ouro_bench::EXPERIMENT_TAG_KEYS);
 }
-
-/// The bench-report row (`BENCH_serve.json`) is schema-versioned and its
-/// key list is pinned in `ouro_bench::BENCH_REPORT_V1_KEYS`.
-#[test]
-fn bench_report_rows_match_their_pinned_schema() {
-    let row = ouro_bench::bench_report_row("colocated", 40, 40, 0.01, 0.002, &Default::default());
-    assert_eq!(row.keys(), ouro_bench::BENCH_REPORT_V1_KEYS);
-    assert!(row
-        .render()
-        .starts_with(&format!("{{\"schema_version\": {}", ouroboros::serve::BENCH_SCHEMA_VERSION)));
-}

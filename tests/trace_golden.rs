@@ -45,7 +45,7 @@ fn pinned_scenario() -> Scenario {
 }
 
 fn instrumented(scenario: Scenario) -> RunOutcome {
-    scenario.trace(true).telemetry_every(0.005).profile(true).run_full(tiny_system()).unwrap()
+    scenario.trace(true).telemetry_every(0.005).run_full(tiny_system()).unwrap()
 }
 
 // ---- the golden trace ----------------------------------------------------
@@ -246,9 +246,6 @@ fn trace_and_telemetry_rows_carry_their_schema_versions() {
         assert!(b.counters.faults >= a.counters.faults);
         assert!(b.counters.steps >= a.counters.steps);
     }
-    let profile = outcome.profile().unwrap();
-    assert!(profile.total_events() > 0);
-    assert!(profile.events_per_s() > 0.0, "wall time accrues when profiling is armed");
 }
 
 #[test]
