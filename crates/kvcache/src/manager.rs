@@ -44,6 +44,11 @@ pub enum KvError {
     UnknownSequence(u64),
     /// The manager was built with no KV cores at all.
     NoKvCores,
+    /// A snapshot does not fit the configuration it is restored against:
+    /// its core, crossbar or block counts differ, a block holds more
+    /// tokens than fit, or a cursor or block row names a block its sequence
+    /// does not own.
+    BadSnapshot(&'static str),
 }
 
 impl std::fmt::Display for KvError {
@@ -52,6 +57,7 @@ impl std::fmt::Display for KvError {
             KvError::OutOfCapacity => write!(f, "kv cache out of capacity"),
             KvError::UnknownSequence(s) => write!(f, "sequence {s} is not resident"),
             KvError::NoKvCores => write!(f, "no cores were assigned to the kv cache"),
+            KvError::BadSnapshot(why) => write!(f, "kv snapshot does not fit its configuration: {why}"),
         }
     }
 }
@@ -137,8 +143,10 @@ impl CoreState {
 /// read in debug builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Counters {
-    /// Key-side used token slots (failed crossbars included until their
-    /// blocks are released, as [`CrossbarBlocks::used_tokens`] counts them).
+    /// Key-side used token slots written into the block tables (failed
+    /// crossbars included until their blocks are released, as
+    /// [`CrossbarBlocks::used_tokens`] counts them). Deferred appends are
+    /// not in here; [`KvManager::used_tokens`] adds them.
     key_used_tokens: usize,
     /// Key-side token capacity of the non-failed crossbars.
     key_capacity_tokens: usize,
@@ -192,6 +200,23 @@ impl KvSlot {
     }
 }
 
+/// Token counts of one slot. Appends that fit the slot's cursor blocks
+/// are deferred: they move these three counts only, and reach the block
+/// tables when the slot next needs a block, is re-admitted, or is read
+/// token by token (see [`KvManager::append_at`]). `lag ≤` the `room` it
+/// was taken from, so writing it back never allocates.
+#[derive(Debug, Clone, Copy, Default)]
+struct Fill {
+    /// Resident (K-side) tokens, deferred ones included.
+    tokens: usize,
+    /// Tokens every cursor block of the slot can still take after `lag` is
+    /// written; 0 while a cursor is unbound or not yet measured.
+    room: usize,
+    /// Tokens counted in `tokens` but not yet written into the cursor
+    /// blocks (the same count for every head and role).
+    lag: usize,
+}
+
 /// Per-sequence state in struct-of-arrays form, one slot per resident
 /// sequence, so the per-token decode path indexes arrays instead of hashing
 /// the sequence id.
@@ -199,8 +224,8 @@ impl KvSlot {
 struct SlotTable {
     /// Resident sequence → its slot: the one map the slots are reached by.
     of: FastMap<u64, KvSlot>,
-    /// Resident (K-side) tokens per slot.
-    tokens: Vec<usize>,
+    /// Token counts per slot.
+    fill: Vec<Fill>,
     /// Append cursor per `(slot, head, role)` at `slot × stride + head × 2 +
     /// role`; `None` until the admission binds it.
     cursors: Vec<Option<Cursor>>,
@@ -230,8 +255,8 @@ impl SlotTable {
             Some(&slot) => slot,
             None => {
                 let slot = self.free.pop().unwrap_or_else(|| {
-                    let slot = KvSlot(u32::try_from(self.tokens.len()).expect("fewer than 2^32 slots"));
-                    self.tokens.push(0);
+                    let slot = KvSlot(u32::try_from(self.fill.len()).expect("fewer than 2^32 slots"));
+                    self.fill.push(Fill::default());
                     self.cursors.resize(self.cursors.len() + self.stride, None);
                     self.blocks.push(Vec::new());
                     slot
@@ -240,7 +265,7 @@ impl SlotTable {
                 slot
             }
         };
-        self.tokens[slot.index()] = tokens;
+        self.fill[slot.index()].tokens = tokens;
         slot
     }
 
@@ -462,6 +487,8 @@ pub struct KvManager {
     freed_blocks: u64,
     /// Incremental occupancy and health totals (derived, not serialized).
     counters: Counters,
+    /// Sum of every slot's deferred tokens (see [`Fill`]).
+    lag_total: usize,
 }
 
 impl KvManager {
@@ -501,6 +528,7 @@ impl KvManager {
             allocated_blocks: 0,
             freed_blocks: 0,
             counters: Counters::default(),
+            lag_total: 0,
         };
         m.recount();
         Ok(m)
@@ -510,7 +538,8 @@ impl KvManager {
     /// Restoring the snapshot with [`KvManager::restore`] against the same
     /// configuration yields a manager whose every observable behavior —
     /// admission, growth, eviction, faults, audits — continues exactly as
-    /// this one's would.
+    /// this one's would. Deferred appends are written into the copied
+    /// cursor blocks, so the snapshot is the one an eager manager would take.
     pub fn snapshot(&self) -> KvManagerSnapshot {
         let side = |cores: &[CoreState]| -> Vec<Vec<CrossbarSnapshot>> {
             cores
@@ -537,6 +566,16 @@ impl KvManager {
         let mut resident: Vec<(u64, KvSlot)> =
             self.slots.of.iter().map(|(&seq, &slot)| (seq, slot)).collect();
         resident.sort_unstable_by_key(|&(seq, _)| seq);
+        let mut sides = [side(&self.key_cores), side(&self.value_cores)];
+        for &(_, slot) in &resident {
+            let lag = self.slots.fill[slot.index()].lag;
+            for (_, role, c) in self.slots.bound(slot) {
+                if let Some((_, used)) = &mut sides[role as usize][c.core_index][c.crossbar].blocks[c.block] {
+                    *used += lag;
+                }
+            }
+        }
+        let [key_cores, value_cores] = sides;
         let cursors: Vec<(u64, usize, u8, usize, usize, usize)> = resident
             .iter()
             .flat_map(|&(seq, slot)| {
@@ -557,7 +596,7 @@ impl KvManager {
             })
             .collect();
         let resident_tokens: Vec<(u64, usize)> =
-            resident.iter().map(|&(seq, slot)| (seq, self.slots.tokens[slot.index()])).collect();
+            resident.iter().map(|&(seq, slot)| (seq, self.slots.fill[slot.index()].tokens)).collect();
         let slot_tuples =
             |slots: &[SharedSlot]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
@@ -587,8 +626,8 @@ impl KvManager {
             allocated_blocks: self.allocated_blocks,
             freed_blocks: self.freed_blocks,
             transfers: self.transfers,
-            key_cores: side(&self.key_cores),
-            value_cores: side(&self.value_cores),
+            key_cores,
+            value_cores,
             page_table,
             cursors,
             seq_blocks,
@@ -604,29 +643,39 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
-    /// cores, and [`KvError::UnknownSequence`] when a cursor or block row
+    /// cores; [`KvError::UnknownSequence`] when a cursor or block row
     /// names a sequence the snapshot does not list as resident, or a
-    /// cursor names a head or role outside the configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's core/crossbar geometry does not match the
-    /// configuration — snapshots are only meaningful against the system that
+    /// cursor names a head or role outside the configuration; and
+    /// [`KvError::BadSnapshot`] when the snapshot's core, crossbar or block
+    /// counts differ from the configuration's, a block holds more tokens
+    /// than fit, or a cursor or block row names a block its sequence does
+    /// not own. Snapshots are only meaningful against the system that
     /// produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
         let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
-            assert_eq!(cores.len(), side.len(), "snapshot core count mismatch");
+            if cores.len() != side.len() {
+                return Err(KvError::BadSnapshot("core count"));
+            }
             for (core, xbs) in cores.iter_mut().zip(side) {
-                assert_eq!(core.crossbars.len(), xbs.len(), "snapshot crossbar count mismatch");
+                if core.crossbars.len() != xbs.len() {
+                    return Err(KvError::BadSnapshot("crossbar count"));
+                }
                 for (xb, s) in core.crossbars.iter_mut().zip(xbs) {
-                    assert_eq!(xb.num_blocks(), s.blocks.len(), "snapshot block count mismatch");
-                    *xb = CrossbarBlocks::from_snapshot(xb.tokens_per_block(), s.blocks.clone(), s.failed);
+                    let tpb = xb.tokens_per_block();
+                    if xb.num_blocks() != s.blocks.len() {
+                        return Err(KvError::BadSnapshot("block count"));
+                    }
+                    if s.blocks.iter().flatten().any(|&(_, used)| used > tpb) {
+                        return Err(KvError::BadSnapshot("a block holds more tokens than fit"));
+                    }
+                    *xb = CrossbarBlocks::from_snapshot(tpb, s.blocks.clone(), s.failed);
                 }
             }
+            Ok(())
         };
-        restore_side(&mut m.key_cores, &snap.key_cores);
-        restore_side(&mut m.value_cores, &snap.value_cores);
+        restore_side(&mut m.key_cores, &snap.key_cores)?;
+        restore_side(&mut m.value_cores, &snap.value_cores)?;
         m.recount();
         m.ring_next = snap.ring_next;
         m.allocated_blocks = snap.allocated_blocks;
@@ -640,17 +689,26 @@ impl KvManager {
             m.slots.occupy(seq, tokens);
         }
         let heads = m.config.heads;
+        let not_owned = KvError::BadSnapshot("a cursor or block row names a block its sequence does not own");
         for &(seq, head, role, core_index, crossbar, block) in &snap.cursors {
             let slot =
                 m.slot_of(seq).filter(|_| head < heads && role < 2).ok_or(KvError::UnknownSequence(seq))?;
-            let at = m.slots.at(slot, head, role_of(role));
-            m.slots.cursors[at] = Some(Cursor { core_index, crossbar, block });
+            let (role, cursor) = (role_of(role), Cursor { core_index, crossbar, block });
+            if !m.owns(role, cursor, seq) {
+                return Err(not_owned);
+            }
+            let at = m.slots.at(slot, head, role);
+            m.slots.cursors[at] = Some(cursor);
         }
         for (seq, blocks) in &snap.seq_blocks {
             let slot = m.slot_of(*seq).ok_or(KvError::UnknownSequence(*seq))?;
-            m.slots.blocks[slot.index()].extend(blocks.iter().map(|&(role, core_index, crossbar, block)| {
+            let rows = blocks.iter().map(|&(role, core_index, crossbar, block)| {
                 (role_of(role), Cursor { core_index, crossbar, block })
-            }));
+            });
+            if !rows.clone().all(|(role, cursor)| m.owns(role, cursor, *seq)) {
+                return Err(not_owned);
+            }
+            m.slots.blocks[slot.index()].extend(rows);
         }
         for (group, chain) in &snap.shared {
             let slots = |v: &[(usize, usize, usize)]| {
@@ -675,6 +733,15 @@ impl KvManager {
             m.seq_shared.insert(seq, (group, n));
         }
         Ok(m)
+    }
+
+    /// Whether `c` names a block of `role`'s cores that `seq` owns.
+    fn owns(&self, role: KvRole, c: Cursor, seq: u64) -> bool {
+        self.cores(role)
+            .get(c.core_index)
+            .and_then(|core| core.crossbars.get(c.crossbar))
+            .and_then(|xb| xb.block_table().get(c.block))
+            .is_some_and(|b| matches!(b, Some((owner, _)) if *owner == seq))
     }
 
     fn cores(&self, role: KvRole) -> &[CoreState] {
@@ -703,10 +770,10 @@ impl KvManager {
         self.counters.key_capacity_tokens
     }
 
-    /// Tokens currently stored on the K side.
+    /// Tokens currently stored on the K side, deferred appends included.
     pub fn used_tokens(&self) -> usize {
         debug_assert_eq!(self.counters.key_used_tokens, Counters::used_tokens(&self.key_cores));
-        self.counters.key_used_tokens
+        self.counters.key_used_tokens + self.config.heads * self.lag_total
     }
 
     /// K-side storage utilisation in `[0, 1]`.
@@ -726,7 +793,7 @@ impl KvManager {
 
     /// Tokens resident for one sequence (K side), if it is resident.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
-        self.slot_of(seq).map(|slot| self.slots.tokens[slot.index()])
+        self.slot_of(seq).map(|slot| self.slots.fill[slot.index()].tokens)
     }
 
     /// The slot of a resident sequence, valid until the sequence is
@@ -790,8 +857,12 @@ impl KvManager {
         prefix: Option<(u64, usize)>,
     ) -> Result<usize, KvError> {
         // A stale entry would leak references if the caller re-admits
-        // without releasing; drop it first.
+        // without releasing; drop it first. A resident sequence's deferred
+        // tokens go into the blocks its cursors are about to leave.
         self.detach_shared(seq);
+        if let Some(slot) = self.slot_of(seq) {
+            self.settle(slot, seq);
+        }
         // `shared` tokens live in shared blocks (reused + newly populated);
         // only the `cached` portion pre-existed and skips prefill — the
         // first sharer computes the prefix KV it deposits in the chain.
@@ -1057,6 +1128,9 @@ impl KvManager {
         self.slots.blocks[slot.index()].push((role, cursor));
         let at = self.slots.at(slot, head, role);
         self.slots.cursors[at] = Some(cursor);
+        let fill = &mut self.slots.fill[slot.index()];
+        debug_assert_eq!(fill.lag, 0, "rebinding a cursor with deferred tokens");
+        fill.room = 0;
         Ok(())
     }
 
@@ -1078,6 +1152,13 @@ impl KvManager {
     /// of the serving engine. `slot` must be `seq`'s current slot (debug
     /// builds assert it).
     ///
+    /// Tokens that fit every cursor block of the slot are only counted:
+    /// no allocation decision depends on them, since admission and
+    /// allocation read whole free blocks. They are written into the blocks
+    /// before the slot next grows past its room, and every token-level
+    /// read ([`KvManager::used_tokens`], [`KvManager::snapshot`],
+    /// [`KvManager::fail_kv_core`]) sees them.
+    ///
     /// # Errors
     ///
     /// Returns [`KvError::UnknownSequence`] if a head's cursor was never
@@ -1085,13 +1166,73 @@ impl KvManager {
     /// cannot grow.
     pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
         debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
+        let i = slot.index();
+        let fill = &mut self.slots.fill[i];
+        if tokens <= fill.room {
+            fill.room -= tokens;
+            fill.lag += tokens;
+            fill.tokens += tokens;
+            self.lag_total += tokens;
+            return Ok(());
+        }
+        self.settle(slot, seq);
+        // A failure below leaves the heads unevenly grown: measure again
+        // only after a complete append.
+        self.slots.fill[i].room = 0;
         for head in 0..self.config.heads {
             for role in [KvRole::Key, KvRole::Value] {
                 self.append_for(slot, seq, head, role, tokens)?;
             }
         }
-        self.slots.tokens[slot.index()] += tokens;
+        self.slots.fill[i].tokens += tokens;
+        self.slots.fill[i].room = self.room_of(slot, seq);
         Ok(())
+    }
+
+    /// Writes `slot`'s deferred tokens into its cursor blocks. They fit
+    /// (`lag ≤ room`), so nothing is allocated.
+    fn settle(&mut self, slot: KvSlot, seq: u64) {
+        let lag = std::mem::take(&mut self.slots.fill[slot.index()].lag);
+        if lag == 0 {
+            return;
+        }
+        self.lag_total -= lag;
+        let allocated = self.allocated_blocks;
+        for head in 0..self.config.heads {
+            for role in [KvRole::Key, KvRole::Value] {
+                self.append_for(slot, seq, head, role, lag).expect("deferred tokens fit their bound cursors");
+            }
+        }
+        debug_assert_eq!(self.allocated_blocks, allocated, "settling deferred tokens allocated a block");
+    }
+
+    /// Settles every slot (see [`KvManager::settle`]).
+    fn settle_all(&mut self) {
+        if self.lag_total == 0 {
+            return;
+        }
+        // `settle` never reads the id map, so it is lent out rather than
+        // copied: settling allocates nothing.
+        let of = std::mem::take(&mut self.slots.of);
+        for (&seq, &slot) in &of {
+            self.settle(slot, seq);
+        }
+        self.slots.of = of;
+    }
+
+    /// Tokens every cursor block of `slot` can still take: 0 while a cursor
+    /// is unbound.
+    fn room_of(&self, slot: KvSlot, seq: u64) -> usize {
+        let start = slot.index() * self.slots.stride;
+        self.slots.cursors[start..start + self.slots.stride]
+            .iter()
+            .enumerate()
+            .try_fold(usize::MAX, |room, (i, c)| {
+                let c = (*c)?;
+                let role = if i % 2 == 0 { KvRole::Key } else { KvRole::Value };
+                Some(room.min(self.cores(role)[c.core_index].crossbars[c.crossbar].remaining(c.block, seq)))
+            })
+            .unwrap_or(0)
     }
 
     fn append_for(
@@ -1148,7 +1289,11 @@ impl KvManager {
     pub fn release(&mut self, seq: u64) -> usize {
         let mut tokens = 0;
         if let Some(slot) = self.slots.of.remove(&seq) {
-            tokens = self.slots.tokens[slot.index()];
+            // The deferred tokens never reached the blocks, so the blocks
+            // freed below hold (and subtract) that many fewer.
+            let fill = std::mem::take(&mut self.slots.fill[slot.index()]);
+            tokens = fill.tokens;
+            self.lag_total -= fill.lag;
             // Free exactly the blocks the allocation paths indexed for this
             // sequence — the only paths that ever free private blocks run
             // through here, so every indexed block is still owned by `seq`.
@@ -1258,6 +1403,8 @@ impl KvManager {
     ///
     /// Returns `None` when every crossbar has already failed.
     pub fn fail_kv_core(&mut self, preferred: usize) -> Option<KvCoreFailure> {
+        // `evicted_tokens` reads the struck crossbar's used tokens.
+        self.settle_all();
         let n = self.num_kv_cores();
         let k = self.key_cores.len();
         let index = (0..n).map(|o| (preferred + o) % n).find(|&i| {
@@ -1972,7 +2119,7 @@ mod tests {
         fn assert_slots_partition(m: &KvManager) {
             let mut slots: Vec<usize> = m.slots.of.values().chain(&m.slots.free).map(|s| s.index()).collect();
             slots.sort_unstable();
-            assert_eq!(slots, (0..m.slots.tokens.len()).collect::<Vec<_>>());
+            assert_eq!(slots, (0..m.slots.fill.len()).collect::<Vec<_>>());
         }
 
         proptest! {
@@ -2022,6 +2169,97 @@ mod tests {
                         assert_slots_partition(m);
                     }
                     prop_assert_eq!(by_slot.snapshot(), by_id.snapshot());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_block_appends_are_deferred_until_the_block_fills() {
+        let mut m = manager(8, 2);
+        m.admit(1, 100).unwrap();
+        let slot = m.slot_of(1).unwrap();
+        let (used, audit) = (m.used_tokens(), m.block_audit());
+        assert_eq!(m.slots.fill[slot.index()].room, 28, "one 128-token block per head and role, 100 used");
+        m.append_at(slot, 1, 28).unwrap();
+        assert_eq!(m.slots.fill[slot.index()].lag, 28, "in-block tokens are only counted");
+        assert_eq!(m.counters.key_used_tokens, used, "the blocks are not written yet");
+        assert_eq!(m.used_tokens(), used + 2 * 28);
+        assert_eq!(m.sequence_tokens(1), Some(128));
+        assert_eq!(m.block_audit(), audit);
+        let snap = m.snapshot();
+        assert!(snap
+            .key_cores
+            .iter()
+            .flatten()
+            .flat_map(|xb| &xb.blocks)
+            .flatten()
+            .all(|&(_, used)| used == 128));
+        // The next token needs a new block: the lag is written first.
+        m.append_at(slot, 1, 1).unwrap();
+        let fill = m.slots.fill[slot.index()];
+        assert_eq!((fill.lag, fill.room), (0, 127));
+        assert_eq!(m.counters.key_used_tokens, used + 2 * 29);
+        assert_eq!(m.block_audit().allocated, audit.allocated + 4, "one new block per head and role");
+    }
+
+    mod deferral_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A manager small enough for random runs to fill it.
+        fn small_manager() -> KvManager {
+            let mut cfg = KvManagerConfig::new((0..4).map(CoreId).collect(), 2, 128);
+            cfg.crossbars_per_core = 6;
+            KvManager::new(cfg).unwrap()
+        }
+
+        /// Applies one operation, returning its result in `Debug` form.
+        fn apply(m: &mut KvManager, op: u8, seq: u64, group: u64, tokens: usize) -> String {
+            match op {
+                0 => format!("{:?}", m.admit_with_prefix(seq, tokens, Some((group, tokens / 2 + 128)))),
+                1 => format!("{:?}", m.admit(seq, tokens)),
+                2 => format!("{:?}", m.slot_of(seq).map(|slot| m.append_at(slot, seq, tokens))),
+                3 => {
+                    let tokens = 1 + tokens % 4;
+                    format!("{:?}", m.slot_of(seq).map(|slot| m.append_at(slot, seq, tokens)))
+                }
+                4 => format!("{:?}", m.release(seq)),
+                5 => format!("{:?}", m.export_sequence(seq)),
+                _ => {
+                    let failure = m.fail_kv_core(tokens);
+                    for &s in failure.iter().flat_map(|f| &f.evicted_sequences) {
+                        m.release(s);
+                    }
+                    format!("{failure:?}")
+                }
+            }
+        }
+
+        proptest! {
+            /// Deferred appends are invisible. A twin rebuilt from its own
+            /// snapshot before every operation holds no deferred tokens,
+            /// so each of its appends is written straight into the blocks;
+            /// the live manager and the twin return the same results and
+            /// agree on used tokens, per-sequence tokens, the audit and the
+            /// snapshot after every operation.
+            #[test]
+            fn deferred_appends_match_eager_appends(
+                ops in proptest::collection::vec((0u8..8, 0u64..24, 1usize..300), 1..150),
+            ) {
+                let mut live = small_manager();
+                let mut twin = small_manager();
+                for (op, draw, tokens) in ops {
+                    let (seq, group) = (draw % 8, draw / 8);
+                    twin = KvManager::restore(twin.config.clone(), &twin.snapshot()).unwrap();
+                    prop_assert_eq!(twin.lag_total, 0);
+                    prop_assert_eq!(apply(&mut live, op, seq, group, tokens), apply(&mut twin, op, seq, group, tokens));
+                    prop_assert_eq!(live.used_tokens(), twin.used_tokens());
+                    for s in 0..8 {
+                        prop_assert_eq!(live.sequence_tokens(s), twin.sequence_tokens(s));
+                    }
+                    prop_assert_eq!(live.block_audit(), twin.block_audit());
+                    prop_assert_eq!(live.snapshot(), twin.snapshot());
                 }
             }
         }

@@ -362,15 +362,19 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`KvError`] from KV-manager reconstruction, and returns
+    /// Propagates [`KvError`] from KV-manager reconstruction: in
+    /// particular [`KvError::BadSnapshot`] when the KV rows do not fit
+    /// `system` (core, crossbar or block counts, a block over capacity, a
+    /// cursor on a block its sequence does not own). Returns
     /// [`KvError::UnknownSequence`] when an active sequence is not resident
     /// in its restored KV manager.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot carries an incompatible schema version or
-    /// was captured by a differently-configured scenario (a config hash
-    /// guards against resuming foreign state).
+    /// Panics when the snapshot carries an incompatible schema version, was
+    /// captured by a differently-configured scenario (a config hash guards
+    /// against resuming foreign state), lists a different number of wafers,
+    /// or carries fault state the scenario's fault config does not match.
     pub fn resume(&self, system: &OuroborosSystem, snapshot: &Snapshot) -> Result<RunState, KvError> {
         crate::snapshot::rebuild(self, system, snapshot)
     }

@@ -143,14 +143,17 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Errors
 ///
-/// Propagates [`KvError`] from KV-manager reconstruction, and returns
+/// Propagates [`KvError`] from KV-manager reconstruction
+/// ([`KvError::BadSnapshot`] when a wafer's KV rows do not fit the
+/// system's core, crossbar and block geometry), and returns
 /// [`KvError::UnknownSequence`] for an active row whose record is out of
 /// range or not resident in the restored manager.
 ///
 /// # Panics
 ///
-/// Panics on a schema-version or config-hash mismatch, or when the
-/// snapshot's fault state does not match the scenario's fault config.
+/// Panics on a schema-version, config-hash or wafer-count mismatch, or
+/// when the snapshot's fault state does not match the scenario's fault
+/// config.
 pub(crate) fn rebuild(
     scenario: &Scenario,
     system: &OuroborosSystem,

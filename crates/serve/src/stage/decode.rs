@@ -16,10 +16,9 @@ use ouro_trace::EventKind;
 /// drains before it refills, with many it streams one token per bottleneck
 /// interval. `L` and `b` come from the engine's stage-time table, so each
 /// context length is priced once per hop distance (see
-/// [`Engine::set_mean_hops`]). The context accumulation is
-/// order-sensitive floating point over the active set, so it stays one
-/// loop — splitting it per-stage would reorder the sum and perturb every
-/// golden.
+/// [`Engine::set_mean_hops`]). The context sum adds whole token counts
+/// and stays far below 2^53, so it is exact in `f64` in any order; it
+/// shares one pass over the active set with the token count.
 pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
     let mut step_tokens = 0usize;
     let mut ctx_sum = 0.0f64;

@@ -11,7 +11,7 @@
 
 use ouro_kvcache::KvError;
 use ouro_model::zoo;
-use ouro_serve::json::read_rows;
+use ouro_serve::json::{fnv1a, read_rows};
 use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
@@ -177,6 +177,10 @@ fn resume_across_slot_reuse_is_invisible() {
     let mid_s = 0.25; // about half of the run
     let mut run = scenario.start(&sys).unwrap();
     run.run_until(mid_s);
+    // Most resident sequences are mid-block here, so the snapshot bytes
+    // pin that every decoded token reaches the KV rows.
+    let json = scenario.checkpoint(&run).to_json();
+    assert_eq!(fnv1a(json.as_bytes()), 0xc047_0752_f1ff_5deb, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -376,6 +380,51 @@ fn golden_snapshot_json() -> &'static str {
         run.run_until(mid_s);
         scenario.checkpoint(&run).to_json()
     })
+}
+
+#[test]
+fn golden_snapshot_bytes_are_pinned() {
+    assert_eq!(fnv1a(golden_snapshot_json().as_bytes()), 0x630d_7a90_86b4_e8a6);
+}
+
+#[test]
+fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
+    let sys = tiny_system();
+    let scenario = golden_shapes().remove(3).1;
+    let json = golden_snapshot_json();
+    let lines: Vec<&str> = json.lines().collect();
+    // The last key-side core row of wafer 0: the rows left stay in order,
+    // so the snapshot parses but lists one core too few.
+    let last_k = lines
+        .iter()
+        .rposition(|l| l.starts_with(r#"{"section":"kv_cores","wafer":"0","side":"k""#))
+        .expect("a key-side core row");
+    let dropped: Vec<&str> =
+        lines.iter().enumerate().filter(|&(i, _)| i != last_k).map(|(_, l)| *l).collect();
+    // One allocated block holding a token more than a block fits.
+    let kv = sys.serve_kv_config();
+    let over = kv.crossbar.tokens_per_logical_block(kv.head_dim, kv.bytes_per_elem) + 1;
+    let xbs_of = |line: &str| {
+        read_rows(&format!("[{}]", line.trim_end_matches(','))).unwrap()[0]
+            .get_str("xbs")
+            .unwrap()
+            .to_string()
+    };
+    let (row, xbs) = lines
+        .iter()
+        .filter(|l| l.starts_with(r#"{"section":"kv_cores""#))
+        .map(|l| (*l, xbs_of(l)))
+        .find(|(_, xbs)| xbs.contains(':'))
+        .expect("a core row with an allocated block");
+    let at = xbs.find(':').unwrap();
+    let end = xbs[at..].find([',', ';']).map_or(xbs.len(), |n| at + n);
+    let overfull = format!("{}:{over}{}", &xbs[..at], &xbs[end..]);
+    let overfull = json.replace(row, &row.replace(&xbs, &overfull));
+    for (case, json) in [("missing core row", dropped.join("\n")), ("block over capacity", overfull)] {
+        let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let resumed = scenario.resume(&sys, &snap);
+        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
+    }
 }
 
 proptest! {
