@@ -8,16 +8,6 @@
 
 use ouro_hw::CrossbarConfig;
 
-/// Address of one logical KV block: which crossbar of the core, and which of
-/// its logical blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct BlockAddress {
-    /// Crossbar index within the core (0..32).
-    pub crossbar: usize,
-    /// Logical block index within the crossbar (0..8).
-    pub block: usize,
-}
-
 /// State of the logical blocks of a single attention-mode crossbar, mirroring
 /// the free-block table and the per-block valid-row/column registers of the
 /// crossbar controller.
@@ -152,9 +142,9 @@ impl CrossbarBlocks {
     }
 
     /// Frees block `idx` whoever owns it, returning whether it was
-    /// allocated. The manager uses this for refcounted shared-prefix blocks,
-    /// whose owner is a prefix group rather than a sequence and which must
-    /// therefore not be swept by [`CrossbarBlocks::release`].
+    /// allocated. The manager frees every block through here: private
+    /// blocks by the index its slot keeps, refcounted shared-prefix blocks
+    /// (owned by a prefix group rather than a sequence) by chain node.
     pub fn free_at(&mut self, idx: usize) -> bool {
         match self.blocks[idx].take() {
             Some((_, used)) => {
@@ -164,23 +154,6 @@ impl CrossbarBlocks {
             }
             None => false,
         }
-    }
-
-    /// Frees every block owned by `seq`, returning how many blocks were
-    /// released.
-    pub fn release(&mut self, seq: u64) -> usize {
-        let mut released = 0;
-        for b in &mut self.blocks {
-            if let Some((owner, used)) = b {
-                if *owner == seq {
-                    self.free += 1;
-                    self.used -= *used;
-                    *b = None;
-                    released += 1;
-                }
-            }
-        }
-        released
     }
 
     /// Total token slots used across all blocks.
@@ -195,14 +168,6 @@ impl CrossbarBlocks {
             return 0;
         }
         self.tokens_per_block * self.blocks.len()
-    }
-
-    /// Storage utilisation in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_tokens() == 0 {
-            return 0.0;
-        }
-        self.used_tokens() as f64 / self.capacity_tokens() as f64
     }
 }
 
@@ -234,7 +199,7 @@ mod tests {
         assert_eq!(overflow, 0);
         assert_eq!(b.remaining(idx, 7), 28);
         assert_eq!(b.used_tokens(), 100);
-        assert_eq!(b.release(7), 1);
+        assert!(b.free_at(idx));
         assert_eq!(b.used_tokens(), 0);
         assert!(!b.owns_any(7));
     }
@@ -259,15 +224,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_usage() {
-        let mut b = blocks();
-        assert_eq!(b.utilization(), 0.0);
-        let idx = b.allocate(3).unwrap();
-        b.append(idx, 3, 128);
-        assert!((b.utilization() - 0.125).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic(expected = "different sequence")]
     fn appending_into_foreign_block_panics() {
         let mut b = blocks();
@@ -288,7 +244,7 @@ mod tests {
         // The audit view still sees the resident block and the raw frees.
         assert_eq!(b.raw_free_blocks(), 7);
         assert_eq!(b.used_tokens(), 50);
-        assert_eq!(b.release(4), 1);
+        assert!(b.free_at(idx));
         assert_eq!(b.raw_free_blocks(), 8);
     }
 
@@ -325,7 +281,6 @@ mod tests {
                 };
                 let _ = b.append(idx, seq, tokens.min(b.remaining(idx, seq)));
                 prop_assert!(b.used_tokens() <= b.capacity_tokens());
-                prop_assert!(b.utilization() <= 1.0);
             }
         }
     }

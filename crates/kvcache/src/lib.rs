@@ -6,10 +6,14 @@
 //!
 //! * crossbars in *attention mode* are carved into eight logical blocks that
 //!   are dynamically allocated to sequences ([`block`]),
-//! * a three-level address translation — page table (sequence → per-head core),
-//!   per-core bitmap (sequence → logical block), per-crossbar free-block
-//!   registers (valid rows/columns) — lets a group of cores manage their KV
-//!   storage without centralized control ([`translate`]),
+//! * the paper's three-level address translation — page table (sequence →
+//!   per-head core), per-core bitmap (sequence → logical block),
+//!   per-crossbar free-block registers (valid rows/columns) — lets a group
+//!   of cores manage their KV storage without centralized control. The
+//!   simulator keeps two kinds of data for it: each resident sequence's
+//!   append cursors, which give the page table ([`manager`]), and the
+//!   crossbar block tables ([`block`]). The bitmap is implied by block
+//!   ownership,
 //! * heads of a sequence are spread over consecutive cores of a ring so that
 //!   writes for the next token never collide with in-situ attention for the
 //!   current one, K growth prefers *other* crossbars while V growth prefers
@@ -30,9 +34,8 @@ pub mod fasthash;
 pub mod manager;
 pub mod scheduler;
 pub mod static_alloc;
-pub mod translate;
 
-pub use block::{BlockAddress, CrossbarBlocks};
+pub use block::CrossbarBlocks;
 pub use fasthash::{FastHasher, FastMap};
 pub use manager::{
     BlockAudit, CrossbarSnapshot, KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot,
@@ -40,4 +43,3 @@ pub use manager::{
 };
 pub use scheduler::{KvScheduler, SchedulerOutcome, SchedulerStats};
 pub use static_alloc::StaticKvAllocator;
-pub use translate::{CoreBitmap, PageTable};

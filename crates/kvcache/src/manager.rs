@@ -22,7 +22,6 @@
 
 use crate::block::CrossbarBlocks;
 use crate::fasthash::FastMap;
-use crate::translate::{CoreBitmap, PageTable};
 use ouro_hw::{CoreId, CrossbarConfig};
 
 /// Which half of the attention computation a KV core serves.
@@ -44,10 +43,13 @@ pub enum KvError {
     UnknownSequence(u64),
     /// The manager was built with no KV cores at all.
     NoKvCores,
-    /// A snapshot does not fit the configuration it is restored against:
-    /// its core, crossbar or block counts differ, a block holds more
-    /// tokens than fit, or a cursor or block row names a block its sequence
-    /// does not own.
+    /// A snapshot is malformed or does not fit what it is resumed against:
+    /// a schema version, config hash, wafer count or fault state that
+    /// differs from the scenario's; an index past the records, the workload
+    /// or the deployment; core, crossbar or block counts that differ from
+    /// the configuration's; a block holding more tokens than fit; a cursor,
+    /// block or shared-chain row naming a block its owner does not own; or
+    /// a page-table row that differs from the key cursors.
     BadSnapshot(&'static str),
 }
 
@@ -57,7 +59,7 @@ impl std::fmt::Display for KvError {
             KvError::OutOfCapacity => write!(f, "kv cache out of capacity"),
             KvError::UnknownSequence(s) => write!(f, "sequence {s} is not resident"),
             KvError::NoKvCores => write!(f, "no cores were assigned to the kv cache"),
-            KvError::BadSnapshot(why) => write!(f, "kv snapshot does not fit its configuration: {why}"),
+            KvError::BadSnapshot(why) => write!(f, "snapshot rejected: {why}"),
         }
     }
 }
@@ -107,7 +109,6 @@ impl KvManagerConfig {
 struct CoreState {
     id: CoreId,
     crossbars: Vec<CrossbarBlocks>,
-    bitmap: CoreBitmap,
 }
 
 impl CoreState {
@@ -176,8 +177,10 @@ impl Counters {
     }
 }
 
-/// Cursor of the block a (sequence, head, role) tuple is currently appending
-/// into.
+/// A block's place within a role-side core list: the block a (sequence,
+/// head, role) tuple is currently appending into, or one block of a shared
+/// chain node. A cursor never changes core: growth allocates on
+/// `core_index`, and only a new admission binds a cursor elsewhere.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     core_index: usize,
@@ -287,17 +290,8 @@ impl SlotTable {
 
 /// Owner tag of shared-prefix blocks in the per-crossbar block tables:
 /// `SHARED_OWNER_TAG | group` lives in a namespace disjoint from sequence
-/// ids, so [`CrossbarBlocks::release`] sweeps for a sequence never touch
-/// shared blocks.
+/// ids, so a shared block never passes as a sequence's own.
 const SHARED_OWNER_TAG: u64 = 1 << 63;
-
-/// Physical location of one shared block (within the role-side core list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SharedSlot {
-    core_index: usize,
-    crossbar: usize,
-    block: usize,
-}
 
 /// One whole-block link of a shared prefix chain: the per-head K and V
 /// blocks holding `tokens_per_block` tokens of the prefix, plus how many
@@ -305,8 +299,8 @@ struct SharedSlot {
 #[derive(Debug, Clone)]
 struct SharedNode {
     refs: usize,
-    k_slots: Vec<SharedSlot>,
-    v_slots: Vec<SharedSlot>,
+    k_slots: Vec<Cursor>,
+    v_slots: Vec<Cursor>,
 }
 
 /// The shared block chain of one prefix group. Sequences always reference a
@@ -430,10 +424,6 @@ pub struct SharedChainSnapshot {
 /// same configuration. Map- and slot-backed state is stored as key-sorted
 /// vectors so the serialized form is deterministic regardless of hash-map
 /// or slot-reuse history.
-///
-/// The per-core [`CoreBitmap`]s are deliberately *not* captured: they are
-/// write-only observability state (never read back for allocation or
-/// reporting decisions), so a restored manager starts with fresh bitmaps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvManagerSnapshot {
     /// Ring pointer per role (`[key, value]`).
@@ -449,6 +439,8 @@ pub struct KvManagerSnapshot {
     /// Value-side crossbar tables, per core in order.
     pub value_cores: Vec<Vec<CrossbarSnapshot>>,
     /// Page-table entries `(seq, per-head key-side core ids)`, key-sorted.
+    /// Derived from the key cursors, which never change core; restore
+    /// checks each row against the restored cursors.
     pub page_table: Vec<(u64, Vec<u64>)>,
     /// Append cursors `(seq, head, role, core_index, crossbar, block)`,
     /// key-sorted. Role 0 is K, 1 is V.
@@ -470,7 +462,6 @@ pub struct KvManager {
     config: KvManagerConfig,
     key_cores: Vec<CoreState>,
     value_cores: Vec<CoreState>,
-    page_table: PageTable,
     /// Ring pointer per role: index of the core after the last one assigned.
     ring_next: [usize; 2],
     /// Per-sequence tokens, cursors and private blocks, one slot per
@@ -507,7 +498,6 @@ impl KvManager {
             crossbars: (0..config.crossbars_per_core)
                 .map(|_| CrossbarBlocks::new(&config.crossbar, config.head_dim, config.bytes_per_elem))
                 .collect(),
-            bitmap: CoreBitmap::paper(),
         };
         let half = (config.kv_cores.len() / 2).max(1);
         let key_cores: Vec<CoreState> = config.kv_cores[..half].iter().copied().map(mk_core).collect();
@@ -519,7 +509,6 @@ impl KvManager {
             config,
             key_cores,
             value_cores,
-            page_table: PageTable::new(),
             ring_next: [0, 0],
             slots,
             transfers: KvTransferStats::default(),
@@ -555,17 +544,10 @@ impl KvManager {
                 })
                 .collect()
         };
-        let mut page_table: Vec<(u64, Vec<u64>)> = self
-            .page_table
-            .iter()
-            .map(|(&seq, cores)| (seq, cores.iter().map(|c| c.0 as u64).collect()))
-            .collect();
-        page_table.sort_unstable_by_key(|(seq, _)| *seq);
         // Slot numbering depends on release history, so every per-slot
         // row is emitted in sequence order.
-        let mut resident: Vec<(u64, KvSlot)> =
-            self.slots.of.iter().map(|(&seq, &slot)| (seq, slot)).collect();
-        resident.sort_unstable_by_key(|&(seq, _)| seq);
+        let resident = self.resident();
+        let page_table = self.page_rows(&resident);
         let mut sides = [side(&self.key_cores), side(&self.value_cores)];
         for &(_, slot) in &resident {
             let lag = self.slots.fill[slot.index()].lag;
@@ -598,7 +580,7 @@ impl KvManager {
         let resident_tokens: Vec<(u64, usize)> =
             resident.iter().map(|&(seq, slot)| (seq, self.slots.fill[slot.index()].tokens)).collect();
         let slot_tuples =
-            |slots: &[SharedSlot]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
+            |slots: &[Cursor]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
             .shared
             .iter()
@@ -648,9 +630,12 @@ impl KvManager {
     /// cursor names a head or role outside the configuration; and
     /// [`KvError::BadSnapshot`] when the snapshot's core, crossbar or block
     /// counts differ from the configuration's, a block holds more tokens
-    /// than fit, or a cursor or block row names a block its sequence does
-    /// not own. Snapshots are only meaningful against the system that
-    /// produced them.
+    /// than fit, a cursor, block or shared-chain row names a block its
+    /// owner does not own, a shared chain names a core out of range or a
+    /// node without one block per head, a sharer names an absent chain or
+    /// more nodes than it has, or a page-table row differs from the
+    /// restored key cursors. Snapshots are only meaningful against the
+    /// system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
         let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
@@ -681,9 +666,6 @@ impl KvManager {
         m.allocated_blocks = snap.allocated_blocks;
         m.freed_blocks = snap.freed_blocks;
         m.transfers = snap.transfers;
-        for (seq, cores) in &snap.page_table {
-            m.page_table.insert(*seq, cores.iter().map(|&c| CoreId(c as usize)).collect());
-        }
         let role_of = |r: u8| if r == 0 { KvRole::Key } else { KvRole::Value };
         for &(seq, tokens) in &snap.resident_tokens {
             m.slots.occupy(seq, tokens);
@@ -710,38 +692,88 @@ impl KvManager {
             }
             m.slots.blocks[slot.index()].extend(rows);
         }
+        if snap.page_table != m.page_rows(&m.resident()) {
+            return Err(KvError::BadSnapshot("a page-table row differs from the key cursors"));
+        }
         for (group, chain) in &snap.shared {
-            let slots = |v: &[(usize, usize, usize)]| {
-                v.iter()
-                    .map(|&(core_index, crossbar, block)| SharedSlot { core_index, crossbar, block })
-                    .collect()
+            let fits = |cores: &[usize], n: usize| cores.len() == heads && cores.iter().all(|&c| c < n);
+            if !fits(&chain.k_cores, m.key_cores.len()) || !fits(&chain.v_cores, m.value_cores.len()) {
+                return Err(KvError::BadSnapshot("a shared chain names a core out of range"));
+            }
+            let owner = SHARED_OWNER_TAG | group;
+            let slots = |role: KvRole, v: &[SnapshotSlot]| {
+                let slots: Vec<Cursor> = v
+                    .iter()
+                    .map(|&(core_index, crossbar, block)| Cursor { core_index, crossbar, block })
+                    .collect();
+                (slots.len() == heads && slots.iter().all(|&c| m.owns(role, c, owner)))
+                    .then_some(slots)
+                    .ok_or(KvError::BadSnapshot("a shared chain node does not hold one group block per head"))
             };
+            let nodes = chain
+                .nodes
+                .iter()
+                .map(|(refs, k, v)| {
+                    Ok(SharedNode {
+                        refs: *refs,
+                        k_slots: slots(KvRole::Key, k)?,
+                        v_slots: slots(KvRole::Value, v)?,
+                    })
+                })
+                .collect::<Result<_, KvError>>()?;
             m.shared.insert(
                 *group,
-                SharedChain {
-                    k_cores: chain.k_cores.clone(),
-                    v_cores: chain.v_cores.clone(),
-                    nodes: chain
-                        .nodes
-                        .iter()
-                        .map(|(refs, k, v)| SharedNode { refs: *refs, k_slots: slots(k), v_slots: slots(v) })
-                        .collect(),
-                },
+                SharedChain { k_cores: chain.k_cores.clone(), v_cores: chain.v_cores.clone(), nodes },
             );
         }
         for &(seq, group, n) in &snap.seq_shared {
+            if m.shared.get(&group).is_none_or(|chain| n > chain.nodes.len()) {
+                return Err(KvError::BadSnapshot("a sharer names an absent chain or more nodes than it has"));
+            }
             m.seq_shared.insert(seq, (group, n));
         }
         Ok(m)
     }
 
-    /// Whether `c` names a block of `role`'s cores that `seq` owns.
-    fn owns(&self, role: KvRole, c: Cursor, seq: u64) -> bool {
+    /// Resident sequences and their slots, in sequence order.
+    fn resident(&self) -> Vec<(u64, KvSlot)> {
+        let mut resident: Vec<(u64, KvSlot)> =
+            self.slots.of.iter().map(|(&seq, &slot)| (seq, slot)).collect();
+        resident.sort_unstable_by_key(|&(seq, _)| seq);
+        resident
+    }
+
+    /// The page table (first translation level) of `resident`: each
+    /// sequence's key-side core ids in head order, read off its key
+    /// cursors.
+    fn page_rows(&self, resident: &[(u64, KvSlot)]) -> Vec<(u64, Vec<u64>)> {
+        resident
+            .iter()
+            .map(|&(seq, slot)| {
+                (
+                    seq,
+                    (0..self.config.heads)
+                        .filter_map(|head| self.key_core(slot, head))
+                        .map(|c| c.0 as u64)
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// The core `slot`'s key cursor for `head` is bound on, if it is bound.
+    fn key_core(&self, slot: KvSlot, head: usize) -> Option<CoreId> {
+        let cursor = self.slots.cursors[self.slots.at(slot, head, KvRole::Key)]?;
+        Some(self.key_cores[cursor.core_index].id)
+    }
+
+    /// Whether `c` names a block of `role`'s cores that `owner` owns.
+    fn owns(&self, role: KvRole, c: Cursor, owner: u64) -> bool {
         self.cores(role)
             .get(c.core_index)
             .and_then(|core| core.crossbars.get(c.crossbar))
             .and_then(|xb| xb.block_table().get(c.block))
-            .is_some_and(|b| matches!(b, Some((owner, _)) if *owner == seq))
+            .is_some_and(|b| matches!(b, Some((o, _)) if *o == owner))
     }
 
     fn cores(&self, role: KvRole) -> &[CoreState] {
@@ -873,9 +905,6 @@ impl KvManager {
         let heads = self.config.heads;
         let head_cores_k = self.pick_head_cores(KvRole::Key, 0)?;
         let head_cores_v = self.pick_head_cores(KvRole::Value, 1)?;
-        // Record the page-table entry using the K-side cores (one per head).
-        let pt_cores: Vec<CoreId> = head_cores_k.iter().map(|&i| self.key_cores[i].id).collect();
-        self.page_table.insert(seq, pt_cores);
         let slot = self.slots.occupy(seq, shared);
         // Allocate the private cursors and fill the non-shared tokens.
         for head in 0..heads {
@@ -1043,7 +1072,7 @@ impl KvManager {
         core_index: usize,
         owner: u64,
         tpb: usize,
-    ) -> Option<SharedSlot> {
+    ) -> Option<Cursor> {
         let core = &mut self.cores_mut(role)[core_index];
         let xb = core.crossbars.iter().position(|c| c.free_blocks() > 0)?;
         let block = core.crossbars[xb].allocate(owner).expect("free block just checked");
@@ -1053,11 +1082,11 @@ impl KvManager {
             self.counters.key_used_tokens += tpb - leftover;
         }
         self.allocated_blocks += 1;
-        Some(SharedSlot { core_index, crossbar: xb, block })
+        Some(Cursor { core_index, crossbar: xb, block })
     }
 
     /// Frees one shared block (audit-counted once, whichever path frees it).
-    fn free_shared_slot(&mut self, role: KvRole, slot: SharedSlot) {
+    fn free_shared_slot(&mut self, role: KvRole, slot: Cursor) {
         self.free_block(role, slot.core_index, slot.crossbar, slot.block);
     }
 
@@ -1120,9 +1149,6 @@ impl KvManager {
             return Err(KvError::OutOfCapacity);
         };
         let block = core.crossbars[xb].allocate(seq).expect("free block just checked");
-        if let Some(slot) = core.bitmap.slot_for(seq) {
-            core.bitmap.set(slot, (xb * core.crossbars[xb].num_blocks() + block) % 256);
-        }
         self.allocated_blocks += 1;
         let cursor = Cursor { core_index, crossbar: xb, block };
         self.slots.blocks[slot.index()].push((role, cursor));
@@ -1300,18 +1326,8 @@ impl KvManager {
             for (role, c) in std::mem::take(&mut self.slots.blocks[slot.index()]) {
                 self.free_block(role, c.core_index, c.crossbar, c.block);
             }
-            // Bitmap slots exist only on cores where a cursor was bound;
-            // `clear_sequence` is a no-op (returns 0 without mutating) on
-            // cores the sequence never touched, so visiting the cursor
-            // cores is equivalent to an every-core sweep.
-            for head in 0..self.config.heads {
-                for role in [KvRole::Key, KvRole::Value] {
-                    let at = self.slots.at(slot, head, role);
-                    if let Some(cursor) = self.slots.cursors[at].take() {
-                        self.cores_mut(role)[cursor.core_index].bitmap.clear_sequence(seq);
-                    }
-                }
-            }
+            let start = slot.index() * self.slots.stride;
+            self.slots.cursors[start..start + self.slots.stride].fill(None);
             self.slots.free.push(slot);
         }
         #[cfg(debug_assertions)]
@@ -1320,7 +1336,6 @@ impl KvManager {
                 debug_assert!(!xb.owns_any(seq), "per-sequence block index missed a block");
             }
         }
-        self.page_table.remove(seq);
         self.detach_shared(seq);
         tokens
     }
@@ -1451,7 +1466,7 @@ impl KvManager {
             for node in chain.nodes {
                 // Chain blocks off the failed crossbar are additional
                 // losses; those on it are already inside `xb.used_tokens()`.
-                let off_failed = |role: KvRole, s: &SharedSlot| {
+                let off_failed = |role: KvRole, s: &Cursor| {
                     role != failed_role || s.core_index != role_core || s.crossbar != xb_idx
                 };
                 for slot in node.k_slots {
@@ -1542,15 +1557,12 @@ impl KvManager {
         &self.transfers
     }
 
-    /// The page table (first translation level), for lookups by the
-    /// simulator and tests.
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
-    }
-
-    /// The K-side core id a head of a sequence lives on, if resident.
+    /// The K-side core id a head of a sequence lives on, if resident: the
+    /// page-table entry (first translation level), read off the head's key
+    /// cursor.
     pub fn core_of(&self, seq: u64, head: usize) -> Option<CoreId> {
-        self.page_table.lookup(seq, head)
+        let slot = self.slot_of(seq).filter(|_| head < self.config.heads)?;
+        self.key_core(slot, head)
     }
 }
 
@@ -1604,6 +1616,29 @@ mod tests {
         let mut bad_head = snap;
         bad_head.cursors[0].1 = 2;
         assert_eq!(KvManager::restore(m.config.clone(), &bad_head).unwrap_err(), KvError::UnknownSequence(1));
+    }
+
+    #[test]
+    fn restore_rejects_page_and_shared_rows_that_do_not_fit() {
+        let mut m = manager(8, 2);
+        m.admit_with_prefix(1, 300, Some((42, 256))).unwrap();
+        let snap = m.snapshot();
+        assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
+        let edits: [fn(&mut KvManagerSnapshot); 7] = [
+            |s| s.page_table[0].1[0] += 1,
+            |s| s.page_table.push((9, vec![0, 1])),
+            |s| s.shared[0].1.nodes[0].1[0].1 = 31,
+            |s| s.shared[0].1.k_cores[0] = 99,
+            |s| s.shared[0].1.nodes[0].2.truncate(1),
+            |s| s.seq_shared[0].1 = 7,
+            |s| s.seq_shared[0].2 = 99,
+        ];
+        for (i, edit) in edits.into_iter().enumerate() {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            let err = KvManager::restore(m.config.clone(), &bad).err();
+            assert!(matches!(err, Some(KvError::BadSnapshot(_))), "edit {i}: {err:?}");
+        }
     }
 
     #[test]

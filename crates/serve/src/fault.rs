@@ -32,6 +32,7 @@
 use crate::engine::Engine;
 use crate::metrics::ServingReport;
 use ouro_hw::{CoreId, WaferGeometry};
+use ouro_kvcache::KvError;
 use ouro_mapping::{remap_with_chain, Assignment, RemapError};
 use ouro_sim::OuroborosSystem;
 use ouro_trace::EventKind;
@@ -457,17 +458,28 @@ impl FaultInjector {
     /// and byte constants), then overwrites the mutable state with the
     /// snapshot's. The resumed injector continues the identical fault
     /// realisation from the checkpoint's pending event.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`KvError::BadSnapshot`] when the snapshot lists a different
+    /// number of wafers than `wafers`, or a pending event strikes a wafer
+    /// outside the deployment.
     pub fn restore(
         system: &OuroborosSystem,
         wafers: usize,
         config: FaultConfig,
         fault_horizon_s: f64,
         snap: &FaultInjectorSnapshot,
-    ) -> FaultInjector {
+    ) -> Result<FaultInjector, KvError> {
+        if snap.wafers.len() != wafers {
+            return Err(KvError::BadSnapshot("fault wafer count differs from the deployment"));
+        }
+        if snap.events.iter().any(|&(wafer, ..)| wafer >= wafers) {
+            return Err(KvError::BadSnapshot("a fault event strikes a wafer outside the deployment"));
+        }
         let mut inj = FaultInjector::new(system, wafers, config, fault_horizon_s);
         inj.events =
             snap.events.iter().map(|&(wafer, at_s, draw)| FaultEvent { wafer, at_s, draw }).collect();
-        assert_eq!(snap.wafers.len(), wafers, "snapshot wafer count must match the deployment");
         inj.wafers = snap
             .wafers
             .iter()
@@ -488,7 +500,7 @@ impl FaultInjector {
         inj.sequences_recomputed = sr;
         inj.kv_tokens_evicted = te;
         inj.unrepaired_faults = uf;
-        inj
+        Ok(inj)
     }
 
     /// Assembles the fault report after a run spanning `duration_s`.

@@ -362,19 +362,22 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Propagates [`KvError`] from KV-manager reconstruction: in
-    /// particular [`KvError::BadSnapshot`] when the KV rows do not fit
-    /// `system` (core, crossbar or block counts, a block over capacity, a
-    /// cursor on a block its sequence does not own). Returns
+    /// Returns [`KvError::BadSnapshot`] when the snapshot carries an
+    /// incompatible schema version, was captured by a differently-configured
+    /// scenario (a config hash guards against resuming foreign state), lists
+    /// a different number of wafers, carries fault state the scenario's
+    /// fault config or deployment does not match, names a record, request or
+    /// wafer out of range, or holds KV rows that do not fit `system` (core,
+    /// crossbar or block counts, a block over capacity, a cursor, block or
+    /// shared-chain row on a block its owner does not own, a page-table row
+    /// that differs from the key cursors). Returns
     /// [`KvError::UnknownSequence`] when an active sequence is not resident
     /// in its restored KV manager.
     ///
     /// # Panics
     ///
-    /// Panics when the snapshot carries an incompatible schema version, was
-    /// captured by a differently-configured scenario (a config hash guards
-    /// against resuming foreign state), lists a different number of wafers,
-    /// or carries fault state the scenario's fault config does not match.
+    /// Panics when the scenario has no workload, as [`Scenario::start`]
+    /// does.
     pub fn resume(&self, system: &OuroborosSystem, snapshot: &Snapshot) -> Result<RunState, KvError> {
         crate::snapshot::rebuild(self, system, snapshot)
     }

@@ -16,8 +16,6 @@
 //! * **Tracing and telemetry** — observational sinks
 //!   that never feed back into the simulation; a resumed run restarts
 //!   them empty.
-//! * The KV manager's **core bitmaps** — write-only observability state
-//!   (see [`ouro_kvcache::KvManagerSnapshot`]).
 //!
 //! # Serialized form
 //!
@@ -143,38 +141,58 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Errors
 ///
-/// Propagates [`KvError`] from KV-manager reconstruction
-/// ([`KvError::BadSnapshot`] when a wafer's KV rows do not fit the
-/// system's core, crossbar and block geometry), and returns
+/// Returns [`KvError::BadSnapshot`] on a schema-version, config-hash or
+/// wafer-count mismatch, fault state the scenario's fault config does not
+/// match, a pending row whose record is out of range, or an arrival or
+/// gated index past the workload; propagates it from KV-manager and
+/// fault-injector reconstruction (KV rows that do not fit the system's
+/// geometry, fault state that does not fit the deployment). Returns
 /// [`KvError::UnknownSequence`] for an active row whose record is out of
-/// range or not resident in the restored manager.
+/// range or not resident in the restored manager. Every check runs before
+/// the [`RunState`] is built.
 ///
 /// # Panics
 ///
-/// Panics on a schema-version, config-hash or wafer-count mismatch, or
-/// when the snapshot's fault state does not match the scenario's fault
-/// config.
+/// Panics only when the scenario has no workload, as
+/// [`Scenario::start`] does.
 pub(crate) fn rebuild(
     scenario: &Scenario,
     system: &OuroborosSystem,
     snap: &Snapshot,
 ) -> Result<RunState, KvError> {
-    assert_eq!(
-        snap.schema_version, SNAPSHOT_SCHEMA_VERSION,
-        "snapshot schema v{} cannot be resumed by code expecting v{SNAPSHOT_SCHEMA_VERSION}",
-        snap.schema_version
-    );
-    assert_eq!(
-        snap.config_hash,
-        config_hash(scenario),
-        "snapshot was captured by a differently-configured scenario"
-    );
+    if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
+        return Err(KvError::BadSnapshot("unsupported snapshot schema version"));
+    }
+    if snap.config_hash != config_hash(scenario) {
+        return Err(KvError::BadSnapshot("captured by a differently-configured scenario"));
+    }
     let timed = scenario.workload.as_ref().expect("Scenario needs a workload: call .workload(timed) first");
     let (prefill_wafers, total) = match scenario.deployment {
         Deployment::Colocated { wafers } => (0, wafers),
         Deployment::Disaggregated(cfg) => (cfg.prefill_wafers, cfg.total_wafers()),
     };
-    assert_eq!(snap.engines.len(), total, "snapshot wafer count must match the deployment");
+    if snap.engines.len() != total {
+        return Err(KvError::BadSnapshot("wafer count differs from the deployment"));
+    }
+    if snap.engines.iter().any(|es| es.pending.iter().any(|(_, p)| p.rec >= es.records.len())) {
+        return Err(KvError::BadSnapshot("a pending row names a record out of range"));
+    }
+    let requests = timed.arrivals.len();
+    if snap.arrivals.iter().map(|&(_, index)| index).chain(snap.gated.iter().copied()).any(|i| i >= requests)
+    {
+        return Err(KvError::BadSnapshot("an arrival or gated index is past the workload"));
+    }
+    let injector = match (scenario.fault, &snap.injector) {
+        (Some(cfg), Some(is)) => Some(FaultInjector::restore(
+            system,
+            total,
+            cfg,
+            FaultInjector::run_window_s(scenario.horizon_s, timed),
+            is,
+        )?),
+        (None, None) => None,
+        _ => return Err(KvError::BadSnapshot("fault state does not match the scenario's fault config")),
+    };
 
     let mut engines = Vec::with_capacity(total);
     for (wafer, es) in snap.engines.iter().enumerate() {
@@ -240,17 +258,6 @@ pub(crate) fn rebuild(
             _ => 0.0,
         },
         think_rng: StdRng::from_state(snap.think_rng),
-    };
-    let injector = match (scenario.fault, &snap.injector) {
-        (Some(cfg), Some(is)) => Some(FaultInjector::restore(
-            system,
-            total,
-            cfg,
-            FaultInjector::run_window_s(scenario.horizon_s, timed),
-            is,
-        )),
-        (None, None) => None,
-        _ => panic!("snapshot fault state does not match the scenario's fault config"),
     };
     Ok(RunState { driver, queues, injector, scenario: scenario.clone(), horizon_s: scenario.horizon_s })
 }

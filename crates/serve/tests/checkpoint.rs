@@ -141,7 +141,6 @@ fn a_checkpoint_does_not_perturb_the_run_it_observes() {
 }
 
 #[test]
-#[should_panic(expected = "differently-configured scenario")]
 fn resuming_under_a_different_config_is_rejected() {
     let sys = tiny_system();
     let (_, scenario, mid_s) = golden_shapes().remove(0);
@@ -149,7 +148,35 @@ fn resuming_under_a_different_config_is_rejected() {
     run.run_until(mid_s);
     let snap = scenario.checkpoint(&run);
     let other = golden_shapes().remove(1).1;
-    let _ = other.resume(&sys, &snap);
+    assert!(matches!(other.resume(&sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+}
+
+#[test]
+fn resuming_with_a_wafer_missing_is_rejected() {
+    let sys = tiny_system();
+    let (_, scenario, mid_s) = golden_shapes().remove(0);
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(mid_s);
+    let json = scenario.checkpoint(&run).to_json();
+    let one_wafer = without_rows(&json, |row| row.contains(r#""wafer":"1""#));
+    let snap = Snapshot::parse(&one_wafer).expect("the rows left still parse");
+    assert!(matches!(scenario.resume(&sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+}
+
+/// `json` without the rows `drop` selects, still a well-formed document.
+fn without_rows(json: &str, drop: impl Fn(&str) -> bool) -> String {
+    let rows: Vec<&str> = json
+        .lines()
+        .filter(|l| l.starts_with('{'))
+        .map(|l| l.trim_end_matches(','))
+        .filter(|l| !drop(l))
+        .collect();
+    format!("[\n{}\n]\n", rows.join(",\n"))
+}
+
+/// The string value of `key` in one rendered snapshot row.
+fn field(line: &str, key: &str) -> String {
+    read_rows(&format!("[{}]", line.trim_end_matches(','))).unwrap()[0].get_str(key).unwrap().to_string()
 }
 
 #[test]
@@ -382,6 +409,13 @@ fn golden_snapshot_json() -> &'static str {
     })
 }
 
+/// The system and scenario [`golden_snapshot_json`] was captured under,
+/// built once for the corruption properties.
+fn golden_run() -> &'static (OuroborosSystem, Scenario) {
+    static RUN: OnceLock<(OuroborosSystem, Scenario)> = OnceLock::new();
+    RUN.get_or_init(|| (tiny_system(), golden_shapes().remove(3).1))
+}
+
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
     assert_eq!(fnv1a(golden_snapshot_json().as_bytes()), 0x630d_7a90_86b4_e8a6);
@@ -397,34 +431,71 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     // so the snapshot parses but lists one core too few.
     let last_k = lines
         .iter()
-        .rposition(|l| l.starts_with(r#"{"section":"kv_cores","wafer":"0","side":"k""#))
-        .expect("a key-side core row");
-    let dropped: Vec<&str> =
-        lines.iter().enumerate().filter(|&(i, _)| i != last_k).map(|(_, l)| *l).collect();
+        .rfind(|l| l.starts_with(r#"{"section":"kv_cores","wafer":"0","side":"k""#))
+        .expect("a key-side core row")
+        .trim_end_matches(',');
+    let dropped = without_rows(json, |row| row == last_k);
     // One allocated block holding a token more than a block fits.
     let kv = sys.serve_kv_config();
     let over = kv.crossbar.tokens_per_logical_block(kv.head_dim, kv.bytes_per_elem) + 1;
-    let xbs_of = |line: &str| {
-        read_rows(&format!("[{}]", line.trim_end_matches(','))).unwrap()[0]
-            .get_str("xbs")
-            .unwrap()
-            .to_string()
-    };
     let (row, xbs) = lines
         .iter()
         .filter(|l| l.starts_with(r#"{"section":"kv_cores""#))
-        .map(|l| (*l, xbs_of(l)))
+        .map(|l| (*l, field(l, "xbs")))
         .find(|(_, xbs)| xbs.contains(':'))
         .expect("a core row with an allocated block");
     let at = xbs.find(':').unwrap();
     let end = xbs[at..].find([',', ';']).map_or(xbs.len(), |n| at + n);
     let overfull = format!("{}:{over}{}", &xbs[..at], &xbs[end..]);
     let overfull = json.replace(row, &row.replace(&xbs, &overfull));
-    for (case, json) in [("missing core row", dropped.join("\n")), ("block over capacity", overfull)] {
+    for (case, json) in [("missing core row", dropped), ("block over capacity", overfull)] {
         let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
         let resumed = scenario.resume(&sys, &snap);
         assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
     }
+}
+
+#[test]
+fn resume_rejects_page_rows_that_differ_from_the_key_cursors() {
+    let (sys, scenario) = golden_run();
+    let json = golden_snapshot_json();
+    let line = json
+        .lines()
+        .find(|l| l.starts_with(r#"{"section":"kv_page""#) && field(l, "entries").contains("3:0"))
+        .expect("a page row holding sequence 3 on core 0");
+    let entries = field(line, "entries");
+    let moved = json.replace(line, &line.replace(&entries, &entries.replace("3:0", "3:1")));
+    let extra = json.replace(line, &line.replace(&entries, &format!("{entries};9999:0")));
+    for (case, json) in [("row on another core", moved), ("row of a sequence not resident", extra)] {
+        let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
+        let resumed = scenario.resume(sys, &snap);
+        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
+    }
+}
+
+#[test]
+fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
+    let (sys, scenario) = golden_run();
+    let json = golden_snapshot_json();
+    let line = json.lines().find(|l| l.starts_with(r#"{"section":"kv_shared""#)).expect("a shared chain row");
+    let wafer = field(line, "wafer");
+    // The first node's first key-side slot, `core.crossbar.block`.
+    let nodes = field(line, "nodes");
+    let slot = nodes.split('!').nth(1).unwrap().split(',').next().unwrap();
+    let core = slot.split('.').next().unwrap();
+    let core_row = format!(r#"{{"section":"kv_cores","wafer":"{wafer}","side":"k","core":"{core}""#);
+    let xbs = field(json.lines().find(|l| l.starts_with(&core_row)).expect("the slot's core row"), "xbs");
+    let free = xbs
+        .split(';')
+        .enumerate()
+        .find_map(|(xb, blocks)| {
+            let block = blocks.split_once('!').unwrap().1.split(',').position(|b| b == "-")?;
+            Some(format!("{core}.{xb}.{block}"))
+        })
+        .expect("a free block on the slot's core");
+    let moved = json.replace(line, &line.replacen(&format!("!{slot}"), &format!("!{free}"), 1));
+    let snap = Snapshot::parse(&moved).unwrap();
+    assert!(matches!(scenario.resume(sys, &snap).err(), Some(KvError::BadSnapshot(_))));
 }
 
 proptest! {
@@ -446,6 +517,11 @@ proptest! {
         bytes[at] ^= flip;
         let text = String::from_utf8_lossy(&bytes);
         let _ = read_rows(&text);
-        let _ = Snapshot::parse(&text);
+        // A document that still parses resumes to `Ok` or `Err`, never a
+        // panic.
+        if let Ok(snap) = Snapshot::parse(&text) {
+            let (sys, scenario) = golden_run();
+            let _ = scenario.resume(sys, &snap);
+        }
     }
 }
