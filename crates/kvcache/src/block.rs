@@ -31,10 +31,10 @@ pub struct CrossbarBlocks {
 
 impl CrossbarBlocks {
     /// Creates the block table for one crossbar of the given configuration,
-    /// storing vectors of `head_dim` elements at `bytes_per_elem` precision.
-    pub fn new(config: &CrossbarConfig, head_dim: usize, bytes_per_elem: u64) -> CrossbarBlocks {
+    /// storing int8 vectors of `head_dim` elements.
+    pub fn new(config: &CrossbarConfig, head_dim: usize) -> CrossbarBlocks {
         CrossbarBlocks {
-            tokens_per_block: config.tokens_per_logical_block(head_dim, bytes_per_elem),
+            tokens_per_block: config.tokens_per_logical_block(head_dim, 1),
             blocks: vec![None; config.logical_blocks],
             failed: false,
             free: config.logical_blocks,
@@ -178,7 +178,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn blocks() -> CrossbarBlocks {
-        CrossbarBlocks::new(&CrossbarConfig::paper(), 128, 1)
+        CrossbarBlocks::new(&CrossbarConfig::paper(), 128)
     }
 
     #[test]

@@ -7,17 +7,19 @@
 //! * crossbars in *attention mode* are carved into eight logical blocks that
 //!   are dynamically allocated to sequences ([`block`]),
 //! * the paper's three-level address translation — page table (sequence →
-//!   per-head core), per-core bitmap (sequence → logical block),
+//!   core), per-core bitmap (sequence → logical block),
 //!   per-crossbar free-block registers (valid rows/columns) — lets a group
 //!   of cores manage their KV storage without centralized control. The
 //!   simulator keeps two kinds of data for it: each resident sequence's
 //!   append cursors, which give the page table ([`manager`]), and the
 //!   crossbar block tables ([`block`]). The bitmap is implied by block
 //!   ownership,
-//! * heads of a sequence are spread over consecutive cores of a ring so that
-//!   writes for the next token never collide with in-situ attention for the
-//!   current one, K growth prefers *other* crossbars while V growth prefers
-//!   the *same* crossbar ([`manager`]),
+//! * the manager is per-head-scaled: one scaled core stands for `heads`
+//!   physical cores, so a sequence holds one K and one V cursor, and
+//!   consecutive sequences walk the ring of cores so that writes for the
+//!   next token never collide with in-situ attention for the current one;
+//!   K growth prefers *other* crossbars while V growth prefers the *same*
+//!   crossbar ([`manager`]),
 //! * requests sharing a common prompt prefix (same system prompt,
 //!   conversation history) reference refcounted copy-on-write block chains
 //!   instead of duplicating the prefix KV; a shared block is freed exactly

@@ -2,12 +2,14 @@
 //!
 //! The cores left over after weight mapping are split equally between the
 //! `Q·Kᵀ` (score) computation and the `S·V` (context) computation; K vectors
-//! live on score cores and V vectors on context cores. Heads of one sequence
-//! are spread over consecutive cores of a ring (so that consecutive sequences
-//! never write into the core another sequence is computing on), and growth
-//! follows the K/V-specific policies: K prefers a free block in a *different*
-//! crossbar (it grows along the output-channel dimension, which cannot be
-//! accumulated within one crossbar), V prefers the *same* crossbar.
+//! live on score cores and V vectors on context cores. The manager is
+//! per-head-scaled: one scaled core stands for `heads` physical cores, so a
+//! sequence holds one K and one V append cursor. Consecutive sequences start
+//! on consecutive cores of a ring (so that consecutive sequences never write
+//! into the core another sequence is computing on), and growth follows the
+//! K/V-specific policies: K prefers a free block in a *different* crossbar
+//! (it grows along the output-channel dimension, which cannot be accumulated
+//! within one crossbar), V prefers the *same* crossbar.
 //!
 //! On top of the per-sequence allocation the manager keeps a radix-style
 //! **shared-prefix index**: requests tagged with a
@@ -48,7 +50,8 @@ pub enum KvError {
     /// differs from the scenario's; an index past the records, the workload
     /// or the deployment; core, crossbar or block counts that differ from
     /// the configuration's; a block holding more tokens than fit; a cursor,
-    /// block or shared-chain row naming a block its owner does not own; or
+    /// block or shared-chain row naming a block its owner does not own; an
+    /// allocated block that no block list or chain indexes exactly once; or
     /// a page-table row that differs from the key cursors.
     BadSnapshot(&'static str),
 }
@@ -76,12 +79,9 @@ pub struct KvManagerConfig {
     pub crossbars_per_core: usize,
     /// Crossbar geometry (logical blocks, tokens per block).
     pub crossbar: CrossbarConfig,
-    /// Number of attention heads.
-    pub heads: usize,
-    /// Head dimension in elements.
+    /// Head dimension in int8 elements: one logical block holds the K or V
+    /// vectors of one head.
     pub head_dim: usize,
-    /// Bytes per KV element (1 for int8).
-    pub bytes_per_elem: u64,
     /// Anti-thrashing threshold (§4.4.4): when the fraction of free token
     /// slots on the core currently being allocated from drops below this
     /// value, the core is considered full for *new* sequences, reserving the
@@ -91,14 +91,12 @@ pub struct KvManagerConfig {
 
 impl KvManagerConfig {
     /// A configuration with the paper's crossbar and a simple list of cores.
-    pub fn new(kv_cores: Vec<CoreId>, heads: usize, head_dim: usize) -> KvManagerConfig {
+    pub fn new(kv_cores: Vec<CoreId>, head_dim: usize) -> KvManagerConfig {
         KvManagerConfig {
             kv_cores,
             crossbars_per_core: 32,
             crossbar: CrossbarConfig::paper(),
-            heads,
             head_dim,
-            bytes_per_elem: 1,
             threshold: 0.1,
         }
     }
@@ -177,15 +175,25 @@ impl Counters {
     }
 }
 
+/// Both roles, in the order every per-sequence loop visits them.
+const ROLES: [KvRole; 2] = [KvRole::Key, KvRole::Value];
+
 /// A block's place within a role-side core list: the block a (sequence,
-/// head, role) tuple is currently appending into, or one block of a shared
-/// chain node. A cursor never changes core: growth allocates on
+/// role) pair is currently appending into, or one block of a shared chain
+/// node. A cursor never changes core: growth allocates on
 /// `core_index`, and only a new admission binds a cursor elsewhere.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     core_index: usize,
     crossbar: usize,
     block: usize,
+}
+
+impl Cursor {
+    /// The cursor as a serialized [`SnapshotSlot`].
+    fn slot(self) -> SnapshotSlot {
+        (self.core_index, self.crossbar, self.block)
+    }
 }
 
 /// Dense index of a resident sequence's per-sequence state inside a
@@ -216,7 +224,7 @@ struct Fill {
     /// written; 0 while a cursor is unbound or not yet measured.
     room: usize,
     /// Tokens counted in `tokens` but not yet written into the cursor
-    /// blocks (the same count for every head and role).
+    /// blocks (the same count for both roles).
     lag: usize,
 }
 
@@ -229,9 +237,9 @@ struct SlotTable {
     of: FastMap<u64, KvSlot>,
     /// Token counts per slot.
     fill: Vec<Fill>,
-    /// Append cursor per `(slot, head, role)` at `slot × stride + head × 2 +
-    /// role`; `None` until the admission binds it.
-    cursors: Vec<Option<Cursor>>,
+    /// Append cursors per slot, `[key, value]`; `None` until the admission
+    /// binds them.
+    cursors: Vec<[Option<Cursor>; 2]>,
     /// Every private block allocated to the slot's sequence, in allocation
     /// order, so [`KvManager::release`] frees exactly the sequence's blocks
     /// instead of sweeping every crossbar of every core. Shared prefix
@@ -241,15 +249,9 @@ struct SlotTable {
     blocks: Vec<Vec<(KvRole, Cursor)>>,
     /// Released slots, reused last-in first-out.
     free: Vec<KvSlot>,
-    /// Cursors per slot: `2 × heads`.
-    stride: usize,
 }
 
 impl SlotTable {
-    fn new(heads: usize) -> SlotTable {
-        SlotTable { stride: 2 * heads, ..SlotTable::default() }
-    }
-
     /// The slot of `seq`, taking a free one (with no cursors and no blocks)
     /// if the sequence is not resident yet. Its token count becomes
     /// `tokens`; a resident sequence keeps its cursors and blocks.
@@ -260,7 +262,7 @@ impl SlotTable {
                 let slot = self.free.pop().unwrap_or_else(|| {
                     let slot = KvSlot(u32::try_from(self.fill.len()).expect("fewer than 2^32 slots"));
                     self.fill.push(Fill::default());
-                    self.cursors.resize(self.cursors.len() + self.stride, None);
+                    self.cursors.push([None; 2]);
                     self.blocks.push(Vec::new());
                     slot
                 });
@@ -272,19 +274,9 @@ impl SlotTable {
         slot
     }
 
-    /// Index of the `(slot, head, role)` cursor in `cursors`.
-    fn at(&self, slot: KvSlot, head: usize, role: KvRole) -> usize {
-        slot.index() * self.stride + head * 2 + role as usize
-    }
-
-    /// The bound cursors of `slot`, as `(head, role, cursor)` in head-major
-    /// order.
-    fn bound(&self, slot: KvSlot) -> impl Iterator<Item = (usize, u8, Cursor)> + '_ {
-        let start = slot.index() * self.stride;
-        self.cursors[start..start + self.stride]
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.map(|c| (i / 2, (i % 2) as u8, c)))
+    /// The bound cursors of `slot`, key first.
+    fn bound(&self, slot: KvSlot) -> impl Iterator<Item = (KvRole, Cursor)> {
+        ROLES.into_iter().zip(self.cursors[slot.index()]).filter_map(|(role, c)| Some((role, c?)))
     }
 }
 
@@ -293,14 +285,21 @@ impl SlotTable {
 /// ids, so a shared block never passes as a sequence's own.
 const SHARED_OWNER_TAG: u64 = 1 << 63;
 
-/// One whole-block link of a shared prefix chain: the per-head K and V
-/// blocks holding `tokens_per_block` tokens of the prefix, plus how many
-/// resident sequences currently reference it.
+/// One whole-block link of a shared prefix chain: the K and V blocks
+/// holding `tokens_per_block` tokens of the prefix, plus how many resident
+/// sequences currently reference it.
 #[derive(Debug, Clone)]
 struct SharedNode {
     refs: usize,
-    k_slots: Vec<Cursor>,
-    v_slots: Vec<Cursor>,
+    k: Cursor,
+    v: Cursor,
+}
+
+impl SharedNode {
+    /// The node's blocks with their roles, key first.
+    fn blocks(&self) -> [(KvRole, Cursor); 2] {
+        [(KvRole::Key, self.k), (KvRole::Value, self.v)]
+    }
 }
 
 /// The shared block chain of one prefix group. Sequences always reference a
@@ -308,10 +307,10 @@ struct SharedNode {
 /// and zero-ref nodes form a suffix (freed as soon as they appear).
 #[derive(Debug, Clone)]
 struct SharedChain {
-    /// Per-head core picks on the key side (chains grow on fixed cores).
-    k_cores: Vec<usize>,
-    /// Per-head core picks on the value side.
-    v_cores: Vec<usize>,
+    /// Key-side core pick (chains grow on fixed cores).
+    k_core: usize,
+    /// Value-side core pick.
+    v_core: usize,
     nodes: Vec<SharedNode>,
 }
 
@@ -360,8 +359,8 @@ impl BlockAudit {
 }
 
 /// Outcome of one runtime KV failure. The failure quantum is a single
-/// attention-mode *crossbar*: the serving managers are per-head-scaled
-/// (one scaled core stands for `heads` physical cores), so one crossbar of
+/// attention-mode *crossbar*: the manager is per-head-scaled (one scaled
+/// core stands for `heads` physical cores), so one crossbar of
 /// a scaled core is the nearest allocation unit to one physical KV core's
 /// worth of cache.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -399,8 +398,8 @@ pub struct CrossbarSnapshot {
 /// list, as serialized by [`KvManagerSnapshot`].
 pub type SnapshotSlot = (usize, usize, usize);
 
-/// One node of a serialized shared-prefix chain: `(refs, k_slots, v_slots)`.
-pub type SnapshotChainNode = (usize, Vec<SnapshotSlot>, Vec<SnapshotSlot>);
+/// One node of a serialized shared-prefix chain: `(refs, k_slot, v_slot)`.
+pub type SnapshotChainNode = (usize, SnapshotSlot, SnapshotSlot);
 
 /// A sequence's private block list inside a [`KvManagerSnapshot`]:
 /// `(seq, [(role, core_index, crossbar, block)])` with per-sequence
@@ -411,11 +410,11 @@ pub type SnapshotSeqBlocks = (u64, Vec<(u8, usize, usize, usize)>);
 /// `(core_index, crossbar, block)` triples within the role-side core list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SharedChainSnapshot {
-    /// Per-head core picks on the key side.
-    pub k_cores: Vec<usize>,
-    /// Per-head core picks on the value side.
-    pub v_cores: Vec<usize>,
-    /// Chain nodes in order: `(refs, k_slots, v_slots)`.
+    /// Key-side core pick.
+    pub k_core: usize,
+    /// Value-side core pick.
+    pub v_core: usize,
+    /// Chain nodes in order: `(refs, k_slot, v_slot)`.
     pub nodes: Vec<SnapshotChainNode>,
 }
 
@@ -438,13 +437,13 @@ pub struct KvManagerSnapshot {
     pub key_cores: Vec<Vec<CrossbarSnapshot>>,
     /// Value-side crossbar tables, per core in order.
     pub value_cores: Vec<Vec<CrossbarSnapshot>>,
-    /// Page-table entries `(seq, per-head key-side core ids)`, key-sorted.
-    /// Derived from the key cursors, which never change core; restore
-    /// checks each row against the restored cursors.
-    pub page_table: Vec<(u64, Vec<u64>)>,
-    /// Append cursors `(seq, head, role, core_index, crossbar, block)`,
+    /// Page-table entries `(seq, key-side core id)`, key-sorted. Derived
+    /// from the key cursors, which never change core; restore checks each
+    /// row against the restored cursors.
+    pub page_table: Vec<(u64, u64)>,
+    /// Append cursors `(seq, role, core_index, crossbar, block)`,
     /// key-sorted. Role 0 is K, 1 is V.
-    pub cursors: Vec<(u64, usize, u8, usize, usize, usize)>,
+    pub cursors: Vec<(u64, u8, usize, usize, usize)>,
     /// Private block index ([`SnapshotSeqBlocks`] entries), key-sorted with
     /// per-sequence allocation order preserved.
     pub seq_blocks: Vec<SnapshotSeqBlocks>,
@@ -496,7 +495,7 @@ impl KvManager {
         let mk_core = |id: CoreId| CoreState {
             id,
             crossbars: (0..config.crossbars_per_core)
-                .map(|_| CrossbarBlocks::new(&config.crossbar, config.head_dim, config.bytes_per_elem))
+                .map(|_| CrossbarBlocks::new(&config.crossbar, config.head_dim))
                 .collect(),
         };
         let half = (config.kv_cores.len() / 2).max(1);
@@ -504,13 +503,12 @@ impl KvManager {
         let value_cores: Vec<CoreState> =
             config.kv_cores[half.min(config.kv_cores.len())..].iter().copied().map(mk_core).collect();
         let value_cores = if value_cores.is_empty() { key_cores.clone() } else { value_cores };
-        let slots = SlotTable::new(config.heads);
         let mut m = KvManager {
             config,
             key_cores,
             value_cores,
             ring_next: [0, 0],
-            slots,
+            slots: SlotTable::default(),
             transfers: KvTransferStats::default(),
             shared: FastMap::default(),
             seq_shared: FastMap::default(),
@@ -551,19 +549,19 @@ impl KvManager {
         let mut sides = [side(&self.key_cores), side(&self.value_cores)];
         for &(_, slot) in &resident {
             let lag = self.slots.fill[slot.index()].lag;
-            for (_, role, c) in self.slots.bound(slot) {
+            for (role, c) in self.slots.bound(slot) {
                 if let Some((_, used)) = &mut sides[role as usize][c.core_index][c.crossbar].blocks[c.block] {
                     *used += lag;
                 }
             }
         }
         let [key_cores, value_cores] = sides;
-        let cursors: Vec<(u64, usize, u8, usize, usize, usize)> = resident
+        let cursors: Vec<(u64, u8, usize, usize, usize)> = resident
             .iter()
             .flat_map(|&(seq, slot)| {
                 self.slots
                     .bound(slot)
-                    .map(move |(head, role, c)| (seq, head, role, c.core_index, c.crossbar, c.block))
+                    .map(move |(role, c)| (seq, role as u8, c.core_index, c.crossbar, c.block))
             })
             .collect();
         let seq_blocks: Vec<SnapshotSeqBlocks> = resident
@@ -579,8 +577,6 @@ impl KvManager {
             .collect();
         let resident_tokens: Vec<(u64, usize)> =
             resident.iter().map(|&(seq, slot)| (seq, self.slots.fill[slot.index()].tokens)).collect();
-        let slot_tuples =
-            |slots: &[Cursor]| slots.iter().map(|s| (s.core_index, s.crossbar, s.block)).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
             .shared
             .iter()
@@ -588,13 +584,9 @@ impl KvManager {
                 (
                     group,
                     SharedChainSnapshot {
-                        k_cores: chain.k_cores.clone(),
-                        v_cores: chain.v_cores.clone(),
-                        nodes: chain
-                            .nodes
-                            .iter()
-                            .map(|n| (n.refs, slot_tuples(&n.k_slots), slot_tuples(&n.v_slots)))
-                            .collect(),
+                        k_core: chain.k_core,
+                        v_core: chain.v_core,
+                        nodes: chain.nodes.iter().map(|n| (n.refs, n.k.slot(), n.v.slot())).collect(),
                     },
                 )
             })
@@ -627,15 +619,15 @@ impl KvManager {
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
     /// cores; [`KvError::UnknownSequence`] when a cursor or block row
     /// names a sequence the snapshot does not list as resident, or a
-    /// cursor names a head or role outside the configuration; and
+    /// cursor names a role other than K or V; and
     /// [`KvError::BadSnapshot`] when the snapshot's core, crossbar or block
     /// counts differ from the configuration's, a block holds more tokens
     /// than fit, a cursor, block or shared-chain row names a block its
-    /// owner does not own, a shared chain names a core out of range or a
-    /// node without one block per head, a sharer names an absent chain or
-    /// more nodes than it has, or a page-table row differs from the
-    /// restored key cursors. Snapshots are only meaningful against the
-    /// system that produced them.
+    /// owner does not own, a shared chain names a core out of range, an
+    /// allocated block is missing from its owner's block list or chain or
+    /// listed twice, a sharer names an absent chain or more nodes than it
+    /// has, or a page-table row differs from the restored key cursors.
+    /// Snapshots are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
         let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
@@ -670,17 +662,14 @@ impl KvManager {
         for &(seq, tokens) in &snap.resident_tokens {
             m.slots.occupy(seq, tokens);
         }
-        let heads = m.config.heads;
         let not_owned = KvError::BadSnapshot("a cursor or block row names a block its sequence does not own");
-        for &(seq, head, role, core_index, crossbar, block) in &snap.cursors {
-            let slot =
-                m.slot_of(seq).filter(|_| head < heads && role < 2).ok_or(KvError::UnknownSequence(seq))?;
+        for &(seq, role, core_index, crossbar, block) in &snap.cursors {
+            let slot = m.slot_of(seq).filter(|_| role < 2).ok_or(KvError::UnknownSequence(seq))?;
             let (role, cursor) = (role_of(role), Cursor { core_index, crossbar, block });
             if !m.owns(role, cursor, seq) {
                 return Err(not_owned);
             }
-            let at = m.slots.at(slot, head, role);
-            m.slots.cursors[at] = Some(cursor);
+            m.slots.cursors[slot.index()][role as usize] = Some(cursor);
         }
         for (seq, blocks) in &snap.seq_blocks {
             let slot = m.slot_of(*seq).ok_or(KvError::UnknownSequence(*seq))?;
@@ -696,35 +685,42 @@ impl KvManager {
             return Err(KvError::BadSnapshot("a page-table row differs from the key cursors"));
         }
         for (group, chain) in &snap.shared {
-            let fits = |cores: &[usize], n: usize| cores.len() == heads && cores.iter().all(|&c| c < n);
-            if !fits(&chain.k_cores, m.key_cores.len()) || !fits(&chain.v_cores, m.value_cores.len()) {
+            if chain.k_core >= m.key_cores.len() || chain.v_core >= m.value_cores.len() {
                 return Err(KvError::BadSnapshot("a shared chain names a core out of range"));
             }
             let owner = SHARED_OWNER_TAG | group;
-            let slots = |role: KvRole, v: &[SnapshotSlot]| {
-                let slots: Vec<Cursor> = v
-                    .iter()
-                    .map(|&(core_index, crossbar, block)| Cursor { core_index, crossbar, block })
-                    .collect();
-                (slots.len() == heads && slots.iter().all(|&c| m.owns(role, c, owner)))
-                    .then_some(slots)
-                    .ok_or(KvError::BadSnapshot("a shared chain node does not hold one group block per head"))
+            let block = |role: KvRole, (core_index, crossbar, block): SnapshotSlot| {
+                let c = Cursor { core_index, crossbar, block };
+                m.owns(role, c, owner)
+                    .then_some(c)
+                    .ok_or(KvError::BadSnapshot("a shared chain node names a block its group does not own"))
             };
             let nodes = chain
                 .nodes
                 .iter()
-                .map(|(refs, k, v)| {
-                    Ok(SharedNode {
-                        refs: *refs,
-                        k_slots: slots(KvRole::Key, k)?,
-                        v_slots: slots(KvRole::Value, v)?,
-                    })
+                .map(|&(refs, k, v)| {
+                    Ok(SharedNode { refs, k: block(KvRole::Key, k)?, v: block(KvRole::Value, v)? })
                 })
                 .collect::<Result<_, KvError>>()?;
-            m.shared.insert(
-                *group,
-                SharedChain { k_cores: chain.k_cores.clone(), v_cores: chain.v_cores.clone(), nodes },
-            );
+            m.shared.insert(*group, SharedChain { k_core: chain.k_core, v_core: chain.v_core, nodes });
+        }
+        // Every indexed block is owned by its indexer (checked above). If
+        // the entries are distinct and as many as the live blocks, every
+        // block is indexed exactly once, so release frees what it owns.
+        let mut indexed: Vec<(u8, usize, usize, usize)> = m
+            .slots
+            .blocks
+            .iter()
+            .flatten()
+            .copied()
+            .chain(m.shared.values().flat_map(|chain| chain.nodes.iter().flat_map(SharedNode::blocks)))
+            .map(|(role, c)| (role as u8, c.core_index, c.crossbar, c.block))
+            .collect();
+        indexed.sort_unstable();
+        let listed = indexed.len();
+        indexed.dedup();
+        if indexed.len() != listed || listed as u64 != m.block_audit().live {
+            return Err(KvError::BadSnapshot("an allocated block is not indexed exactly once"));
         }
         for &(seq, group, n) in &snap.seq_shared {
             if m.shared.get(&group).is_none_or(|chain| n > chain.nodes.len()) {
@@ -744,26 +740,15 @@ impl KvManager {
     }
 
     /// The page table (first translation level) of `resident`: each
-    /// sequence's key-side core ids in head order, read off its key
-    /// cursors.
-    fn page_rows(&self, resident: &[(u64, KvSlot)]) -> Vec<(u64, Vec<u64>)> {
-        resident
-            .iter()
-            .map(|&(seq, slot)| {
-                (
-                    seq,
-                    (0..self.config.heads)
-                        .filter_map(|head| self.key_core(slot, head))
-                        .map(|c| c.0 as u64)
-                        .collect(),
-                )
-            })
-            .collect()
+    /// sequence's key-side core id, read off its key cursor. A sequence
+    /// whose key cursor is unbound (a failed admission) has no row.
+    fn page_rows(&self, resident: &[(u64, KvSlot)]) -> Vec<(u64, u64)> {
+        resident.iter().filter_map(|&(seq, slot)| Some((seq, self.key_core(slot)?.0 as u64))).collect()
     }
 
-    /// The core `slot`'s key cursor for `head` is bound on, if it is bound.
-    fn key_core(&self, slot: KvSlot, head: usize) -> Option<CoreId> {
-        let cursor = self.slots.cursors[self.slots.at(slot, head, KvRole::Key)]?;
+    /// The core `slot`'s key cursor is bound on, if it is bound.
+    fn key_core(&self, slot: KvSlot) -> Option<CoreId> {
+        let cursor = self.slots.cursors[slot.index()][KvRole::Key as usize]?;
         Some(self.key_cores[cursor.core_index].id)
     }
 
@@ -805,7 +790,7 @@ impl KvManager {
     /// Tokens currently stored on the K side, deferred appends included.
     pub fn used_tokens(&self) -> usize {
         debug_assert_eq!(self.counters.key_used_tokens, Counters::used_tokens(&self.key_cores));
-        self.counters.key_used_tokens + self.config.heads * self.lag_total
+        self.counters.key_used_tokens + self.lag_total
     }
 
     /// K-side storage utilisation in `[0, 1]`.
@@ -834,27 +819,10 @@ impl KvManager {
         self.slots.of.get(&seq).copied()
     }
 
-    /// Upper bound on how many sequences of `tokens` tokens each could be
-    /// resident simultaneously with fully unique prompts (prefix sharing
-    /// only raises this; allocation is quantised to logical blocks).
-    pub fn max_resident_sequences(&self, tokens: usize) -> usize {
-        let per_block =
-            self.config.crossbar.tokens_per_logical_block(self.config.head_dim, self.config.bytes_per_elem);
-        if per_block == 0 || tokens == 0 {
-            return 0;
-        }
-        let blocks_per_head = tokens.div_ceil(per_block);
-        let total_blocks: usize = self
-            .key_cores
-            .iter()
-            .map(|c| c.crossbars.iter().map(CrossbarBlocks::num_blocks).sum::<usize>())
-            .sum();
-        total_blocks / (blocks_per_head * self.config.heads)
-    }
-
     /// Admits a new sequence with `initial_tokens` of prefilled KV (§4.4.3):
-    /// heads are assigned to consecutive ring cores starting at the ring
-    /// pointer, skipping cores whose free fraction is below the threshold.
+    /// its K and V cursors go to the first ring core of each role at or
+    /// after the role's ring pointer, skipping cores whose free fraction is
+    /// below the threshold.
     ///
     /// # Errors
     ///
@@ -902,52 +870,42 @@ impl KvManager {
             Some((group, tokens)) => self.attach_shared(seq, group, tokens.min(initial_tokens)),
             None => (0, 0),
         };
-        let heads = self.config.heads;
-        let head_cores_k = self.pick_head_cores(KvRole::Key, 0)?;
-        let head_cores_v = self.pick_head_cores(KvRole::Value, 1)?;
+        let k_core = self.pick_core(KvRole::Key)?;
+        let v_core = self.pick_core(KvRole::Value)?;
         let slot = self.slots.occupy(seq, shared);
         // Allocate the private cursors and fill the non-shared tokens.
-        for head in 0..heads {
-            self.bind_cursor(slot, seq, head, KvRole::Key, head_cores_k[head])?;
-            self.bind_cursor(slot, seq, head, KvRole::Value, head_cores_v[head])?;
-        }
+        self.bind_cursor(slot, seq, KvRole::Key, k_core)?;
+        self.bind_cursor(slot, seq, KvRole::Value, v_core)?;
         if initial_tokens > shared {
             self.append_at(slot, seq, initial_tokens - shared)?;
         }
         Ok(cached)
     }
 
-    /// One core pick per head for `role`, walking the ring from the role's
-    /// pointer and skipping cores below the anti-thrashing threshold. Used
-    /// by both private admission and shared-chain creation, so every
-    /// allocation decision follows the same §4.4.3 walk.
-    fn pick_head_cores(&mut self, role: KvRole, role_idx: usize) -> Result<Vec<usize>, KvError> {
-        let heads = self.config.heads;
-        let n = self.cores(role).len();
-        let threshold = self.config.threshold;
-        let mut picked = Vec::with_capacity(heads);
-        let mut scanned = 0;
-        let mut idx = self.ring_next[role_idx];
-        while picked.len() < heads && scanned < 2 * n * (heads.div_ceil(n) + 1) {
-            let core = &self.cores(role)[idx % n];
-            let free_frac = core.free_tokens() as f64 / core.capacity_tokens().max(1) as f64;
-            if free_frac > threshold {
-                picked.push(idx % n);
-            }
-            idx += 1;
-            scanned += 1;
-        }
-        if picked.len() < heads {
-            return Err(KvError::OutOfCapacity);
-        }
-        self.ring_next[role_idx] = idx % n;
+    /// The core of `role` a new cursor goes to: one walk of the ring from
+    /// the role's pointer to the first core above the anti-thrashing
+    /// threshold, which the pointer then moves past. Used by both private
+    /// admission and shared-chain creation, so every allocation decision
+    /// follows the same §4.4.3 walk.
+    fn pick_core(&mut self, role: KvRole) -> Result<usize, KvError> {
+        let cores = self.cores(role);
+        let n = cores.len();
+        let start = self.ring_next[role as usize] % n;
+        let picked = (start..start + n)
+            .map(|i| i % n)
+            .find(|&i| {
+                let core = &cores[i];
+                core.free_tokens() as f64 / core.capacity_tokens().max(1) as f64 > self.config.threshold
+            })
+            .ok_or(KvError::OutOfCapacity)?;
+        self.ring_next[role as usize] = (picked + 1) % n;
         Ok(picked)
     }
 
     /// Token capacity of one logical block for this configuration — the
     /// sharing granularity (only whole blocks of a prefix are shared).
     pub fn tokens_per_block(&self) -> usize {
-        self.config.crossbar.tokens_per_logical_block(self.config.head_dim, self.config.bytes_per_elem)
+        self.config.crossbar.tokens_per_logical_block(self.config.head_dim, 1)
     }
 
     /// Longest cached prefix available to a request of `prefix_tokens`
@@ -986,12 +944,12 @@ impl KvManager {
             return (0, 0);
         }
         if !self.shared.contains_key(&group) {
-            // First sharer: pick the chain's per-head cores with the same
-            // ring walk as a private admission. Failure here just means no
-            // caching for now.
-            let Ok(k_cores) = self.pick_head_cores(KvRole::Key, 0) else { return (0, 0) };
-            let Ok(v_cores) = self.pick_head_cores(KvRole::Value, 1) else { return (0, 0) };
-            self.shared.insert(group, SharedChain { k_cores, v_cores, nodes: Vec::new() });
+            // First sharer: pick the chain's cores with the same ring walk
+            // as a private admission. Failure here just means no caching
+            // for now.
+            let Ok(k_core) = self.pick_core(KvRole::Key) else { return (0, 0) };
+            let Ok(v_core) = self.pick_core(KvRole::Value) else { return (0, 0) };
+            self.shared.insert(group, SharedChain { k_core, v_core, nodes: Vec::new() });
         }
         let existing = self.shared[&group].nodes.len();
         while self.shared[&group].nodes.len() < want {
@@ -1014,53 +972,19 @@ impl KvManager {
         (use_nodes * tpb, existing.min(use_nodes) * tpb)
     }
 
-    /// Appends one full node (per-head K and V blocks) to `group`'s chain,
-    /// rolling back the partial node on allocation failure. Returns whether
-    /// the chain grew.
+    /// Appends one full node (a K and a V block) to `group`'s chain,
+    /// rolling back the K block if the V block cannot be allocated. Returns
+    /// whether the chain grew.
     fn extend_chain(&mut self, group: u64) -> bool {
         let owner = SHARED_OWNER_TAG | group;
         let tpb = self.tokens_per_block();
-        let (k_cores, v_cores) = {
-            let chain = &self.shared[&group];
-            (chain.k_cores.clone(), chain.v_cores.clone())
-        };
-        let mut k_slots = Vec::with_capacity(k_cores.len());
-        let mut v_slots = Vec::with_capacity(v_cores.len());
-        let mut ok = true;
-        for &core_index in &k_cores {
-            match self.alloc_shared_block(KvRole::Key, core_index, owner, tpb) {
-                Some(slot) => k_slots.push(slot),
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
-            for &core_index in &v_cores {
-                match self.alloc_shared_block(KvRole::Value, core_index, owner, tpb) {
-                    Some(slot) => v_slots.push(slot),
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !ok {
-            for slot in k_slots {
-                self.free_shared_slot(KvRole::Key, slot);
-            }
-            for slot in v_slots {
-                self.free_shared_slot(KvRole::Value, slot);
-            }
+        let SharedChain { k_core, v_core, .. } = self.shared[&group];
+        let Some(k) = self.alloc_shared_block(KvRole::Key, k_core, owner, tpb) else { return false };
+        let Some(v) = self.alloc_shared_block(KvRole::Value, v_core, owner, tpb) else {
+            self.free_block(KvRole::Key, k);
             return false;
-        }
-        self.shared.get_mut(&group).expect("chain exists").nodes.push(SharedNode {
-            refs: 0,
-            k_slots,
-            v_slots,
-        });
+        };
+        self.shared.get_mut(&group).expect("chain exists").nodes.push(SharedNode { refs: 0, k, v });
         true
     }
 
@@ -1085,18 +1009,14 @@ impl KvManager {
         Some(Cursor { core_index, crossbar: xb, block })
     }
 
-    /// Frees one shared block (audit-counted once, whichever path frees it).
-    fn free_shared_slot(&mut self, role: KvRole, slot: Cursor) {
-        self.free_block(role, slot.core_index, slot.crossbar, slot.block);
-    }
-
     /// Frees one block whoever owns it, keeping the lifetime audit and the
     /// key-side used-token counter in step; a free block changes nothing.
-    /// Every path that frees a block goes through here.
-    fn free_block(&mut self, role: KvRole, core_index: usize, crossbar: usize, block: usize) {
-        let xb = &mut self.cores_mut(role)[core_index].crossbars[crossbar];
-        let used = xb.block_table()[block].map_or(0, |(_, used)| used);
-        if xb.free_at(block) {
+    /// Every path that frees a block goes through here, so a shared block
+    /// is audit-counted once, whichever path frees it.
+    fn free_block(&mut self, role: KvRole, c: Cursor) {
+        let xb = &mut self.cores_mut(role)[c.core_index].crossbars[c.crossbar];
+        let used = xb.block_table()[c.block].map_or(0, |(_, used)| used);
+        if xb.free_at(c.block) {
             self.freed_blocks += 1;
             if role == KvRole::Key {
                 self.counters.key_used_tokens -= used;
@@ -1124,13 +1044,8 @@ impl KvManager {
         if drop_group {
             self.shared.remove(&group);
         }
-        for node in to_free {
-            for slot in node.k_slots {
-                self.free_shared_slot(KvRole::Key, slot);
-            }
-            for slot in node.v_slots {
-                self.free_shared_slot(KvRole::Value, slot);
-            }
+        for (role, c) in to_free.iter().flat_map(SharedNode::blocks) {
+            self.free_block(role, c);
         }
     }
 
@@ -1138,7 +1053,6 @@ impl KvManager {
         &mut self,
         slot: KvSlot,
         seq: u64,
-        head: usize,
         role: KvRole,
         core_index: usize,
     ) -> Result<(), KvError> {
@@ -1152,22 +1066,20 @@ impl KvManager {
         self.allocated_blocks += 1;
         let cursor = Cursor { core_index, crossbar: xb, block };
         self.slots.blocks[slot.index()].push((role, cursor));
-        let at = self.slots.at(slot, head, role);
-        self.slots.cursors[at] = Some(cursor);
+        self.slots.cursors[slot.index()][role as usize] = Some(cursor);
         let fill = &mut self.slots.fill[slot.index()];
         debug_assert_eq!(fill.lag, 0, "rebinding a cursor with deferred tokens");
         fill.room = 0;
         Ok(())
     }
 
-    /// Appends `tokens` new tokens of K and V for every head of a resident
-    /// sequence (the per-token write that overlaps the attention of the
-    /// current token).
+    /// Appends `tokens` new tokens of K and V to a resident sequence (the
+    /// per-token write that overlaps the attention of the current token).
     ///
     /// # Errors
     ///
     /// Returns [`KvError::UnknownSequence`] if the sequence is not resident or
-    /// [`KvError::OutOfCapacity`] if a head cannot grow.
+    /// [`KvError::OutOfCapacity`] if K or V cannot grow.
     pub fn append_tokens(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
         let slot = self.slot_of(seq).ok_or(KvError::UnknownSequence(seq))?;
         self.append_at(slot, seq, tokens)
@@ -1178,7 +1090,7 @@ impl KvManager {
     /// of the serving engine. `slot` must be `seq`'s current slot (debug
     /// builds assert it).
     ///
-    /// Tokens that fit every cursor block of the slot are only counted:
+    /// Tokens that fit both cursor blocks of the slot are only counted:
     /// no allocation decision depends on them, since admission and
     /// allocation read whole free blocks. They are written into the blocks
     /// before the slot next grows past its room, and every token-level
@@ -1187,9 +1099,9 @@ impl KvManager {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::UnknownSequence`] if a head's cursor was never
-    /// bound (a failed admission) or [`KvError::OutOfCapacity`] if a head
-    /// cannot grow.
+    /// Returns [`KvError::UnknownSequence`] if a cursor was never bound (a
+    /// failed admission) or [`KvError::OutOfCapacity`] if K or V cannot
+    /// grow.
     pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
         debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
         let i = slot.index();
@@ -1202,13 +1114,11 @@ impl KvManager {
             return Ok(());
         }
         self.settle(slot, seq);
-        // A failure below leaves the heads unevenly grown: measure again
-        // only after a complete append.
+        // A failure below leaves K and V unevenly grown: measure again only
+        // after a complete append.
         self.slots.fill[i].room = 0;
-        for head in 0..self.config.heads {
-            for role in [KvRole::Key, KvRole::Value] {
-                self.append_for(slot, seq, head, role, tokens)?;
-            }
+        for role in ROLES {
+            self.append_for(slot, seq, role, tokens)?;
         }
         self.slots.fill[i].tokens += tokens;
         self.slots.fill[i].room = self.room_of(slot, seq);
@@ -1224,10 +1134,8 @@ impl KvManager {
         }
         self.lag_total -= lag;
         let allocated = self.allocated_blocks;
-        for head in 0..self.config.heads {
-            for role in [KvRole::Key, KvRole::Value] {
-                self.append_for(slot, seq, head, role, lag).expect("deferred tokens fit their bound cursors");
-            }
+        for role in ROLES {
+            self.append_for(slot, seq, role, lag).expect("deferred tokens fit their bound cursors");
         }
         debug_assert_eq!(self.allocated_blocks, allocated, "settling deferred tokens allocated a block");
     }
@@ -1246,33 +1154,24 @@ impl KvManager {
         self.slots.of = of;
     }
 
-    /// Tokens every cursor block of `slot` can still take: 0 while a cursor
+    /// Tokens both cursor blocks of `slot` can still take: 0 while a cursor
     /// is unbound.
     fn room_of(&self, slot: KvSlot, seq: u64) -> usize {
-        let start = slot.index() * self.slots.stride;
-        self.slots.cursors[start..start + self.slots.stride]
-            .iter()
-            .enumerate()
-            .try_fold(usize::MAX, |room, (i, c)| {
-                let c = (*c)?;
-                let role = if i % 2 == 0 { KvRole::Key } else { KvRole::Value };
+        ROLES
+            .into_iter()
+            .zip(self.slots.cursors[slot.index()])
+            .try_fold(usize::MAX, |room, (role, c)| {
+                let c = c?;
                 Some(room.min(self.cores(role)[c.core_index].crossbars[c.crossbar].remaining(c.block, seq)))
             })
             .unwrap_or(0)
     }
 
-    fn append_for(
-        &mut self,
-        slot: KvSlot,
-        seq: u64,
-        head: usize,
-        role: KvRole,
-        tokens: usize,
-    ) -> Result<(), KvError> {
-        let at = self.slots.at(slot, head, role);
+    fn append_for(&mut self, slot: KvSlot, seq: u64, role: KvRole, tokens: usize) -> Result<(), KvError> {
+        let at = role as usize;
         let mut remaining = tokens;
         while remaining > 0 {
-            let cursor = self.slots.cursors[at].ok_or(KvError::UnknownSequence(seq))?;
+            let cursor = self.slots.cursors[slot.index()][at].ok_or(KvError::UnknownSequence(seq))?;
             let xb = &mut self.cores_mut(role)[cursor.core_index].crossbars[cursor.crossbar];
             let leftover = xb.append(cursor.block, seq, remaining);
             let consumed = remaining - leftover;
@@ -1299,7 +1198,7 @@ impl KvManager {
                     Some(c) => {
                         self.allocated_blocks += 1;
                         self.slots.blocks[slot.index()].push((role, c));
-                        self.slots.cursors[at] = Some(c);
+                        self.slots.cursors[slot.index()][at] = Some(c);
                     }
                     None => return Err(KvError::OutOfCapacity),
                 }
@@ -1324,10 +1223,9 @@ impl KvManager {
             // sequence — the only paths that ever free private blocks run
             // through here, so every indexed block is still owned by `seq`.
             for (role, c) in std::mem::take(&mut self.slots.blocks[slot.index()]) {
-                self.free_block(role, c.core_index, c.crossbar, c.block);
+                self.free_block(role, c);
             }
-            let start = slot.index() * self.slots.stride;
-            self.slots.cursors[start..start + self.slots.stride].fill(None);
+            self.slots.cursors[slot.index()] = [None; 2];
             self.slots.free.push(slot);
         }
         #[cfg(debug_assertions)]
@@ -1345,12 +1243,7 @@ impl KvManager {
     pub fn block_audit(&self) -> BlockAudit {
         let live: u64 =
             self.key_cores.iter().chain(self.value_cores.iter()).map(CoreState::live_blocks).sum();
-        let shared_live: u64 = self
-            .shared
-            .values()
-            .flat_map(|chain| chain.nodes.iter())
-            .map(|node| (node.k_slots.len() + node.v_slots.len()) as u64)
-            .sum();
+        let shared_live: u64 = self.shared.values().map(|chain| 2 * chain.nodes.len() as u64).sum();
         BlockAudit { allocated: self.allocated_blocks, freed: self.freed_blocks, live, shared_live }
     }
 
@@ -1400,8 +1293,7 @@ impl KvManager {
     }
 
     /// Whether the cache can still hold sequences: both attention roles need
-    /// at least one healthy crossbar (K and V of every head must land
-    /// somewhere).
+    /// at least one healthy crossbar (K and V must both land somewhere).
     pub fn is_serviceable(&self) -> bool {
         let [key, value] = self.healthy_crossbars();
         key > 0 && value > 0
@@ -1446,41 +1338,25 @@ impl KvManager {
         // of their prefix KV: every sharer must be evicted for recompute,
         // and the whole chain is freed (each block exactly once — sharers'
         // later releases find no chain to dereference).
+        let on_failed = |(role, c): (KvRole, Cursor)| {
+            role == failed_role && c.core_index == role_core && c.crossbar == xb_idx
+        };
         let struck_groups: Vec<u64> = self
             .shared
             .iter()
-            .filter(|(_, chain)| {
-                chain.nodes.iter().any(|node| {
-                    let slots = match failed_role {
-                        KvRole::Key => &node.k_slots,
-                        KvRole::Value => &node.v_slots,
-                    };
-                    slots.iter().any(|s| s.core_index == role_core && s.crossbar == xb_idx)
-                })
-            })
+            .filter(|(_, chain)| chain.nodes.iter().flat_map(SharedNode::blocks).any(on_failed))
             .map(|(&group, _)| group)
             .collect();
         let tpb = self.tokens_per_block();
         for group in struck_groups {
             let chain = self.shared.remove(&group).expect("group collected above");
-            for node in chain.nodes {
+            for (role, c) in chain.nodes.iter().flat_map(SharedNode::blocks) {
                 // Chain blocks off the failed crossbar are additional
                 // losses; those on it are already inside `xb.used_tokens()`.
-                let off_failed = |role: KvRole, s: &Cursor| {
-                    role != failed_role || s.core_index != role_core || s.crossbar != xb_idx
-                };
-                for slot in node.k_slots {
-                    if off_failed(KvRole::Key, &slot) {
-                        evicted_tokens += tpb;
-                    }
-                    self.free_shared_slot(KvRole::Key, slot);
+                if !on_failed((role, c)) {
+                    evicted_tokens += tpb;
                 }
-                for slot in node.v_slots {
-                    if off_failed(KvRole::Value, &slot) {
-                        evicted_tokens += tpb;
-                    }
-                    self.free_shared_slot(KvRole::Value, slot);
-                }
+                self.free_block(role, c);
             }
             let sharers: Vec<u64> =
                 self.seq_shared.iter().filter(|(_, &(g, _))| g == group).map(|(&s, _)| s).collect();
@@ -1514,23 +1390,11 @@ impl KvManager {
     }
 
     /// Admits a sequence whose `tokens` of KV were computed on another wafer
-    /// and have arrived over the inter-wafer link: allocation follows the
-    /// same ring/threshold rules as [`KvManager::admit`], but the tokens are
-    /// counted as imported rather than locally produced.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KvError::OutOfCapacity`] under the same conditions as
-    /// [`KvManager::admit`] (the caller should release, evict, and retry).
-    pub fn import_sequence(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
-        self.import_with_prefix(seq, tokens, None, tokens).map(|_| ())
-    }
-
-    /// Prefix-aware import: the sequence's KV arrives over the link, but
-    /// `wire_tokens` of it actually travelled — the rest was deduplicated
-    /// against this wafer's shared prefix cache at announce time. Allocation
-    /// follows [`KvManager::admit_with_prefix`]; only the wire tokens count
-    /// as imported. Returns the tokens served from the local prefix cache at
+    /// and have arrived over the inter-wafer link. Only `wire_tokens` of it
+    /// actually travelled — the rest was deduplicated against this wafer's
+    /// shared prefix cache at announce time. Allocation follows
+    /// [`KvManager::admit_with_prefix`]; only the wire tokens count as
+    /// imported. Returns the tokens served from the local prefix cache at
     /// admission (which can differ from the announce-time figure if the
     /// chain changed while the migration was in flight).
     ///
@@ -1557,12 +1421,10 @@ impl KvManager {
         &self.transfers
     }
 
-    /// The K-side core id a head of a sequence lives on, if resident: the
-    /// page-table entry (first translation level), read off the head's key
-    /// cursor.
-    pub fn core_of(&self, seq: u64, head: usize) -> Option<CoreId> {
-        let slot = self.slot_of(seq).filter(|_| head < self.config.heads)?;
-        self.key_core(slot, head)
+    /// The K-side core id a sequence lives on, if resident: the page-table
+    /// entry (first translation level), read off its key cursor.
+    pub fn core_of(&self, seq: u64) -> Option<CoreId> {
+        self.key_core(self.slot_of(seq)?)
     }
 }
 
@@ -1570,14 +1432,14 @@ impl KvManager {
 mod tests {
     use super::*;
 
-    fn manager(cores: usize, heads: usize) -> KvManager {
+    fn manager(cores: usize) -> KvManager {
         let ids = (0..cores).map(CoreId).collect();
-        KvManager::new(KvManagerConfig::new(ids, heads, 128)).unwrap()
+        KvManager::new(KvManagerConfig::new(ids, 128)).unwrap()
     }
 
     #[test]
     fn snapshot_restore_preserves_every_observable() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit_with_prefix(1, 300, Some((42, 256))).unwrap();
         m.admit_with_prefix(2, 280, Some((42, 256))).unwrap();
         m.admit(3, 100).unwrap();
@@ -1607,31 +1469,42 @@ mod tests {
 
     #[test]
     fn restore_rejects_rows_of_sequences_that_are_not_resident() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit(1, 300).unwrap();
         let snap = m.snapshot();
         let mut orphan = snap.clone();
         orphan.resident_tokens.clear();
         assert_eq!(KvManager::restore(m.config.clone(), &orphan).unwrap_err(), KvError::UnknownSequence(1));
-        let mut bad_head = snap;
-        bad_head.cursors[0].1 = 2;
-        assert_eq!(KvManager::restore(m.config.clone(), &bad_head).unwrap_err(), KvError::UnknownSequence(1));
+        let mut bad_role = snap;
+        bad_role.cursors[0].1 = 2;
+        assert_eq!(KvManager::restore(m.config.clone(), &bad_role).unwrap_err(), KvError::UnknownSequence(1));
     }
 
     #[test]
     fn restore_rejects_page_and_shared_rows_that_do_not_fit() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit_with_prefix(1, 300, Some((42, 256))).unwrap();
         let snap = m.snapshot();
         assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
-        let edits: [fn(&mut KvManagerSnapshot); 7] = [
-            |s| s.page_table[0].1[0] += 1,
-            |s| s.page_table.push((9, vec![0, 1])),
-            |s| s.shared[0].1.nodes[0].1[0].1 = 31,
-            |s| s.shared[0].1.k_cores[0] = 99,
-            |s| s.shared[0].1.nodes[0].2.truncate(1),
+        let edits: [fn(&mut KvManagerSnapshot); 11] = [
+            |s| s.page_table[0].1 += 1,
+            |s| s.page_table.push((9, 0)),
+            |s| s.shared[0].1.nodes[0].1 = (0, 31, 0),
+            |s| s.shared[0].1.k_core = 99,
+            |s| s.shared[0].1.v_core = 99,
             |s| s.seq_shared[0].1 = 7,
             |s| s.seq_shared[0].2 = 99,
+            // Block lists that miss or repeat a block.
+            |s| s.seq_blocks.clear(),
+            |s| s.seq_blocks[0].1.truncate(1),
+            |s| {
+                let block = s.seq_blocks[0].1[0];
+                s.seq_blocks[0].1.push(block);
+            },
+            |s| {
+                let node = s.shared[0].1.nodes[0];
+                s.shared[0].1.nodes.push(node);
+            },
         ];
         for (i, edit) in edits.into_iter().enumerate() {
             let mut bad = snap.clone();
@@ -1643,12 +1516,12 @@ mod tests {
 
     #[test]
     fn no_cores_is_an_error() {
-        assert_eq!(KvManager::new(KvManagerConfig::new(vec![], 8, 128)).unwrap_err(), KvError::NoKvCores);
+        assert_eq!(KvManager::new(KvManagerConfig::new(vec![], 128)).unwrap_err(), KvError::NoKvCores);
     }
 
     #[test]
     fn admit_and_release_roundtrip() {
-        let mut m = manager(8, 4);
+        let mut m = manager(8);
         m.admit(1, 100).unwrap();
         assert_eq!(m.resident_sequences(), 1);
         assert_eq!(m.sequence_tokens(1), Some(100));
@@ -1659,26 +1532,19 @@ mod tests {
     }
 
     #[test]
-    fn heads_are_spread_across_ring_cores() {
-        let mut m = manager(8, 4);
-        m.admit(1, 10).unwrap();
-        let cores: Vec<_> = (0..4).map(|h| m.core_of(1, h).unwrap()).collect();
-        // 4 K-side cores available, 4 heads: all distinct.
-        let unique: std::collections::BTreeSet<_> = cores.iter().collect();
-        assert_eq!(unique.len(), 4);
-    }
-
-    #[test]
     fn consecutive_sequences_start_at_different_ring_positions() {
-        let mut m = manager(16, 2);
-        m.admit(1, 10).unwrap();
-        m.admit(2, 10).unwrap();
-        assert_ne!(m.core_of(1, 0), m.core_of(2, 0));
+        let mut m = manager(8);
+        for seq in 0..4 {
+            m.admit(seq, 10).unwrap();
+        }
+        // 4 K-side cores, 4 consecutive sequences: all on distinct cores.
+        let cores: std::collections::BTreeSet<_> = (0..4).map(|seq| m.core_of(seq).unwrap()).collect();
+        assert_eq!(cores.len(), 4);
     }
 
     #[test]
     fn decode_growth_appends_tokens() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit(7, 64).unwrap();
         for _ in 0..32 {
             m.append_tokens(7, 1).unwrap();
@@ -1688,7 +1554,7 @@ mod tests {
 
     #[test]
     fn growth_spills_into_new_blocks() {
-        let mut m = manager(4, 1);
+        let mut m = manager(4);
         // 200 tokens exceed one 128-token logical block, forcing a second
         // block allocation for both K and V.
         m.admit(3, 200).unwrap();
@@ -1698,13 +1564,13 @@ mod tests {
 
     #[test]
     fn unknown_sequence_append_fails() {
-        let mut m = manager(4, 2);
+        let mut m = manager(4);
         assert_eq!(m.append_tokens(9, 1), Err(KvError::UnknownSequence(9)));
     }
 
     #[test]
     fn capacity_exhaustion_reports_out_of_capacity() {
-        let mut m = manager(2, 1);
+        let mut m = manager(2);
         // Each side has 1 core = 32 crossbars × 8 blocks × 128 tokens.
         let cap = m.capacity_tokens();
         let mut admitted = 0;
@@ -1724,17 +1590,8 @@ mod tests {
     }
 
     #[test]
-    fn max_resident_sequences_matches_block_arithmetic() {
-        let m = manager(8, 4);
-        // 4 K cores × 32 crossbars × 8 blocks = 1024 blocks; a 256-token
-        // sequence needs 2 blocks per head × 4 heads = 8 blocks.
-        assert_eq!(m.max_resident_sequences(256), 1024 / 8);
-        assert_eq!(m.max_resident_sequences(0), 0);
-    }
-
-    #[test]
     fn utilization_grows_with_admissions() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         let before = m.utilization();
         m.admit(1, 512).unwrap();
         assert!(m.utilization() > before);
@@ -1743,7 +1600,7 @@ mod tests {
 
     #[test]
     fn export_releases_blocks_and_counts_tokens() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit(1, 300).unwrap();
         let used_before = m.used_tokens();
         assert!(used_before >= 300);
@@ -1758,15 +1615,15 @@ mod tests {
 
     #[test]
     fn export_of_absent_sequence_fails() {
-        let mut m = manager(4, 1);
+        let mut m = manager(4);
         assert_eq!(m.export_sequence(42), Err(KvError::UnknownSequence(42)));
         assert_eq!(m.transfer_stats().exported_sequences, 0);
     }
 
     #[test]
     fn import_allocates_like_admit_and_counts() {
-        let mut m = manager(8, 2);
-        m.import_sequence(5, 200).unwrap();
+        let mut m = manager(8);
+        m.import_with_prefix(5, 200, None, 200).unwrap();
         assert_eq!(m.sequence_tokens(5), Some(200));
         let s = m.transfer_stats();
         assert_eq!(s.imported_sequences, 1);
@@ -1778,9 +1635,9 @@ mod tests {
 
     #[test]
     fn failed_import_counts_nothing() {
-        let mut m = manager(2, 1);
+        let mut m = manager(2);
         let cap = m.capacity_tokens();
-        assert_eq!(m.import_sequence(9, cap * 2), Err(KvError::OutOfCapacity));
+        assert_eq!(m.import_with_prefix(9, cap * 2, None, cap * 2), Err(KvError::OutOfCapacity));
         assert_eq!(m.transfer_stats().imported_sequences, 0);
         assert_eq!(m.transfer_stats().imported_tokens, 0);
     }
@@ -1789,23 +1646,23 @@ mod tests {
     fn export_import_roundtrip_conserves_tokens() {
         // Simulates a migration: export from one manager, import the same
         // token count into another.
-        let mut prefill = manager(8, 2);
-        let mut decode = manager(8, 2);
+        let mut prefill = manager(8);
+        let mut decode = manager(8);
         prefill.admit(1, 500).unwrap();
         let tokens = prefill.export_sequence(1).unwrap();
-        decode.import_sequence(1, tokens).unwrap();
+        decode.import_with_prefix(1, tokens, None, tokens).unwrap();
         assert_eq!(prefill.transfer_stats().exported_tokens, decode.transfer_stats().imported_tokens);
         assert_eq!(decode.sequence_tokens(1), Some(500));
     }
 
     #[test]
     fn failing_a_crossbar_removes_capacity_and_reports_its_sequences() {
-        let mut m = manager(8, 4);
+        let mut m = manager(2);
         m.admit(1, 200).unwrap();
         m.admit(2, 200).unwrap();
         let cap_before = m.capacity_tokens();
-        // 4 heads over 4 K-side cores, first-fit crossbars: both sequences
-        // hold blocks in crossbar 0 of key core 0.
+        // One key-side core, first-fit crossbars: both sequences hold
+        // blocks in crossbar 0 of key core 0.
         let failure = m.fail_kv_core(0).expect("healthy crossbars exist");
         assert_eq!(failure.index, 0);
         assert_eq!(failure.crossbar, 0);
@@ -1827,7 +1684,7 @@ mod tests {
 
     #[test]
     fn a_fully_failed_core_is_skipped_for_new_admissions() {
-        let mut m = manager(8, 1);
+        let mut m = manager(8);
         // Fail every crossbar of key core 0; the scan stays on the
         // preferred core while it has healthy crossbars.
         let per_core = m.num_kv_units() / m.num_kv_cores();
@@ -1841,13 +1698,13 @@ mod tests {
         // New sequences still admit — the ring walks past the failed core.
         for seq in 0..6 {
             m.admit(seq, 64).unwrap();
-            assert_ne!(m.core_of(seq, 0), failed_core, "no new head may land on a failed core");
+            assert_ne!(m.core_of(seq), failed_core, "no new sequence may land on a failed core");
         }
     }
 
     #[test]
     fn exhausting_every_crossbar_makes_the_manager_unserviceable() {
-        let mut m = manager(4, 1);
+        let mut m = manager(4);
         let total = m.num_kv_units();
         for i in 0..total {
             assert!(m.fail_kv_core(i).is_some());
@@ -1860,7 +1717,7 @@ mod tests {
 
     #[test]
     fn audit_tracks_alloc_and_free_across_a_lifecycle() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         assert_eq!(m.block_audit(), BlockAudit::default());
         m.admit(1, 300).unwrap();
         let mid = m.block_audit();
@@ -1893,7 +1750,7 @@ mod tests {
             fn no_double_free_under_random_interleavings(
                 ops in proptest::collection::vec((0u8..5, 0u64..6, 1usize..400), 1..60),
             ) {
-                let mut m = manager(4, 2);
+                let mut m = manager(4);
                 for (op, seq, tokens) in ops {
                     match op {
                         0 => { let _ = m.admit(seq, tokens); }
@@ -1929,7 +1786,7 @@ mod tests {
 
     #[test]
     fn shared_prefix_blocks_are_allocated_once_and_refcounted() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         let tpb = m.tokens_per_block();
         assert_eq!(tpb, 128);
         // Two sharers of a 256-token prefix (2 whole blocks per head/role)
@@ -1965,7 +1822,7 @@ mod tests {
 
     #[test]
     fn partial_block_prefixes_are_private() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         // 100 tokens < one 128-token block: nothing is shareable.
         assert_eq!(m.admit_with_prefix(1, 200, Some((3, 100))).unwrap(), 0);
         assert_eq!(m.prefix_groups(), 0);
@@ -1976,7 +1833,7 @@ mod tests {
 
     #[test]
     fn divergent_sharers_extend_the_chain_for_longer_prefixes() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         // Sharer A deposits 1 block of the prefix; sharer B reuses it and
         // deposits 2 more.
         assert_eq!(m.admit_with_prefix(1, 200, Some((9, 128))).unwrap(), 0);
@@ -1994,7 +1851,7 @@ mod tests {
 
     #[test]
     fn a_fault_on_a_shared_crossbar_evicts_every_sharer_once() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit_with_prefix(1, 300, Some((5, 256))).unwrap();
         m.admit_with_prefix(2, 300, Some((5, 256))).unwrap();
         // Walk the cores until the failure strikes a crossbar holding the
@@ -2022,7 +1879,7 @@ mod tests {
 
     #[test]
     fn prefix_aware_import_counts_only_wire_tokens() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         // A resident sharer keeps the 256-token prefix cached.
         m.admit_with_prefix(1, 300, Some((4, 256))).unwrap();
         // An import that deduplicated the prefix at announce time ships only
@@ -2053,7 +1910,7 @@ mod tests {
                 ops in proptest::collection::vec(
                     (0u8..5, 0u64..24, 1usize..600), 1..80),
             ) {
-                let mut m = manager(4, 2);
+                let mut m = manager(4);
                 for (op, draw, tokens) in ops {
                     // One draw encodes both the sequence (0..8) and its
                     // prefix group (0..3), so sharers collide frequently.
@@ -2114,7 +1971,7 @@ mod tests {
             fn counters_match_a_recount_after_every_operation(
                 ops in proptest::collection::vec((0u8..7, 0u64..24, 1usize..600), 1..120),
             ) {
-                let mut m = manager(4, 2);
+                let mut m = manager(4);
                 for (op, draw, tokens) in ops {
                     // One draw encodes the sequence (0..8) and its prefix
                     // group (0..3), so sharers collide frequently.
@@ -2169,8 +2026,8 @@ mod tests {
             fn slot_and_id_appends_stay_identical(
                 ops in proptest::collection::vec((0u8..7, 0u64..24, 1usize..600), 1..120),
             ) {
-                let mut by_slot = manager(4, 2);
-                let mut by_id = manager(4, 2);
+                let mut by_slot = manager(4);
+                let mut by_id = manager(4);
                 for (op, draw, tokens) in ops {
                     let seq = draw % 8;
                     let group = draw / 8;
@@ -2211,15 +2068,15 @@ mod tests {
 
     #[test]
     fn in_block_appends_are_deferred_until_the_block_fills() {
-        let mut m = manager(8, 2);
+        let mut m = manager(8);
         m.admit(1, 100).unwrap();
         let slot = m.slot_of(1).unwrap();
         let (used, audit) = (m.used_tokens(), m.block_audit());
-        assert_eq!(m.slots.fill[slot.index()].room, 28, "one 128-token block per head and role, 100 used");
+        assert_eq!(m.slots.fill[slot.index()].room, 28, "one 128-token block per role, 100 used");
         m.append_at(slot, 1, 28).unwrap();
         assert_eq!(m.slots.fill[slot.index()].lag, 28, "in-block tokens are only counted");
         assert_eq!(m.counters.key_used_tokens, used, "the blocks are not written yet");
-        assert_eq!(m.used_tokens(), used + 2 * 28);
+        assert_eq!(m.used_tokens(), used + 28);
         assert_eq!(m.sequence_tokens(1), Some(128));
         assert_eq!(m.block_audit(), audit);
         let snap = m.snapshot();
@@ -2234,8 +2091,8 @@ mod tests {
         m.append_at(slot, 1, 1).unwrap();
         let fill = m.slots.fill[slot.index()];
         assert_eq!((fill.lag, fill.room), (0, 127));
-        assert_eq!(m.counters.key_used_tokens, used + 2 * 29);
-        assert_eq!(m.block_audit().allocated, audit.allocated + 4, "one new block per head and role");
+        assert_eq!(m.counters.key_used_tokens, used + 29);
+        assert_eq!(m.block_audit().allocated, audit.allocated + 2, "one new block per role");
     }
 
     mod deferral_properties {
@@ -2244,7 +2101,7 @@ mod tests {
 
         /// A manager small enough for random runs to fill it.
         fn small_manager() -> KvManager {
-            let mut cfg = KvManagerConfig::new((0..4).map(CoreId).collect(), 2, 128);
+            let mut cfg = KvManagerConfig::new((0..4).map(CoreId).collect(), 128);
             cfg.crossbars_per_core = 6;
             KvManager::new(cfg).unwrap()
         }
@@ -2303,7 +2160,7 @@ mod tests {
     #[test]
     fn threshold_reserves_residual_capacity() {
         let ids: Vec<CoreId> = (0..2).map(CoreId).collect();
-        let mut cfg = KvManagerConfig::new(ids, 1, 128);
+        let mut cfg = KvManagerConfig::new(ids, 128);
         cfg.threshold = 0.9; // cores considered full once 10% is used
         let mut m = KvManager::new(cfg).unwrap();
         m.admit(1, 6000).unwrap();

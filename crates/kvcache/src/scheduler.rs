@@ -220,8 +220,8 @@ mod tests {
     use ouro_hw::CoreId;
     use ouro_workload::{LengthConfig, TraceGenerator};
 
-    fn config(cores: usize, heads: usize, threshold: f64) -> KvManagerConfig {
-        let mut c = KvManagerConfig::new((0..cores).map(CoreId).collect(), heads, 128);
+    fn config(cores: usize, threshold: f64) -> KvManagerConfig {
+        let mut c = KvManagerConfig::new((0..cores).map(CoreId).collect(), 128);
         c.threshold = threshold;
         c
     }
@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn small_trace_completes_without_evictions() {
         let trace = TraceGenerator::new(1).generate(&LengthConfig::fixed(64, 32), 4);
-        let mut s = KvScheduler::new(config(8, 2, 0.0)).unwrap();
+        let mut s = KvScheduler::new(config(8, 0.0)).unwrap();
         let out = s.run_trace(&trace);
         assert_eq!(out.stats.completed, 4);
         assert_eq!(out.stats.evictions, 0);
@@ -240,10 +240,9 @@ mod tests {
 
     #[test]
     fn oversubscribed_cache_evicts_and_still_completes() {
-        // 2 cores / 1 head: tight capacity forces evictions with many long
-        // requests.
+        // 2 cores: tight capacity forces evictions with many long requests.
         let trace = TraceGenerator::new(2).generate(&LengthConfig::fixed(512, 512), 12);
-        let mut s = KvScheduler::new(config(2, 1, 0.0)).unwrap();
+        let mut s = KvScheduler::new(config(2, 0.0)).unwrap();
         let out = s.run_trace(&trace);
         assert_eq!(out.stats.completed, 12, "all requests should eventually finish");
         assert!(out.stats.admissions >= 12);
@@ -252,8 +251,8 @@ mod tests {
     #[test]
     fn zero_threshold_thrashes_more_than_moderate_threshold() {
         let trace = TraceGenerator::new(3).generate(&LengthConfig::fixed(200, 900), 24);
-        let mut none = KvScheduler::new(config(2, 1, 0.0)).unwrap();
-        let mut some = KvScheduler::new(config(2, 1, 0.25)).unwrap();
+        let mut none = KvScheduler::new(config(2, 0.0)).unwrap();
+        let mut some = KvScheduler::new(config(2, 0.25)).unwrap();
         let out_none = none.run_trace(&trace);
         let out_some = some.run_trace(&trace);
         assert!(
@@ -267,8 +266,8 @@ mod tests {
     #[test]
     fn excessive_threshold_reduces_concurrency() {
         let trace = TraceGenerator::new(4).generate(&LengthConfig::fixed(128, 128), 16);
-        let mut low = KvScheduler::new(config(4, 1, 0.05)).unwrap();
-        let mut high = KvScheduler::new(config(4, 1, 0.9)).unwrap();
+        let mut low = KvScheduler::new(config(4, 0.05)).unwrap();
+        let mut high = KvScheduler::new(config(4, 0.9)).unwrap();
         let out_low = low.run_trace(&trace);
         let out_high = high.run_trace(&trace);
         assert!(
@@ -282,7 +281,7 @@ mod tests {
     #[test]
     fn empty_trace_is_a_noop() {
         let trace = ouro_workload::Trace { requests: vec![] };
-        let mut s = KvScheduler::new(config(2, 1, 0.1)).unwrap();
+        let mut s = KvScheduler::new(config(2, 0.1)).unwrap();
         let out = s.run_trace(&trace);
         assert_eq!(out.stats.steps, 0);
         assert_eq!(out.stats.completed, 0);
@@ -291,7 +290,7 @@ mod tests {
 
     #[test]
     fn every_request_ends_completed_dropped_or_unfinished() {
-        let mut s = KvScheduler::new(config(2, 1, 0.0)).unwrap();
+        let mut s = KvScheduler::new(config(2, 0.0)).unwrap();
         // One request larger than the whole cache, queued between requests
         // that fit: it can never be admitted, so the queue only drains by
         // dropping. (Which requests drop is the known admission defect: the
@@ -308,7 +307,7 @@ mod tests {
     #[test]
     fn stats_are_internally_consistent() {
         let trace = TraceGenerator::new(5).generate(&LengthConfig::wikitext2_like(), 10);
-        let mut s = KvScheduler::new(config(8, 2, 0.1)).unwrap();
+        let mut s = KvScheduler::new(config(8, 0.1)).unwrap();
         let out = s.run_trace(&trace);
         assert!(out.stats.admissions >= out.stats.completed);
         assert!(out.stats.peak_resident as f64 >= out.stats.avg_resident);

@@ -3,13 +3,11 @@
 //!
 //! The engine advances in *iterations* (steps), the unit of continuous
 //! batching: at each step boundary it admits waiting requests FCFS into the
-//! KV cache under the same admission/eviction rules as the offline
-//! [`ouro_kvcache::scheduler`] (most-recently-admitted eviction on capacity
-//! exhaustion, admission suspended until a completion, anti-thrashing
-//! threshold inside the manager), then advances every resident sequence by
-//! one unit of work — a chunk of prefill tokens or one decode token — and
-//! charges the step's wall-clock duration from the hardware-derived
-//! [`HwStageTimes`].
+//! KV cache (most-recently-admitted eviction on capacity exhaustion,
+//! admission suspended until a completion, anti-thrashing threshold inside
+//! the manager), then advances every resident sequence by one unit of work
+//! — a chunk of prefill tokens or one decode token — and charges the step's
+//! wall-clock duration from the hardware-derived [`HwStageTimes`].
 //!
 //! The per-stage logic lives in [`crate::stage`]: [`Engine::step`] is the
 //! orchestrator that sequences the Admission → Prefill/Decode → Complete
@@ -25,11 +23,18 @@
 //! autoregressive limit of §6.2), with many it streams one token per
 //! bottleneck interval.
 //!
-//! One deliberate divergence from the offline scheduler: an evicted sequence
-//! keeps its generation progress and only *recomputes* its resident KV
-//! (prompt plus tokens decoded so far) when re-admitted, the way a serving
-//! system replays a prefix. The offline replayer instead restarts decode from
-//! scratch, which would corrupt latency accounting here.
+//! The offline [`ouro_kvcache::scheduler`] admits and evicts by rules that
+//! differ from the engine's (the `stage::admission` module) in four ways:
+//!
+//! * an engine victim keeps its decode progress, the way a serving system
+//!   replays a prefix; an offline victim restarts decode from scratch, which
+//!   would corrupt latency accounting here;
+//! * so re-admission asks for `prompt + decoded` tokens, not the prompt;
+//! * the engine lifts a suspension when nothing is resident (a suspension
+//!   with nothing left to complete would deadlock);
+//! * when nothing is resident the offline drop takes the head of the queue,
+//!   which can be the eviction victim rather than the request that failed
+//!   to fit; the engine drops only a request an empty cache cannot hold.
 
 use crate::arena::IndexQueue;
 use crate::metrics::RequestRecord;
@@ -625,7 +630,7 @@ mod tests {
     }
 
     fn kv(cores: usize) -> KvManagerConfig {
-        KvManagerConfig::new((0..cores).map(CoreId).collect(), 1, 128)
+        KvManagerConfig::new((0..cores).map(CoreId).collect(), 128)
     }
 
     fn engine(cores: usize) -> Engine {

@@ -369,7 +369,8 @@ impl Scenario {
     /// fault config or deployment does not match, names a record, request or
     /// wafer out of range, or holds KV rows that do not fit `system` (core,
     /// crossbar or block counts, a block over capacity, a cursor, block or
-    /// shared-chain row on a block its owner does not own, a page-table row
+    /// shared-chain row on a block its owner does not own, an allocated
+    /// block no block list or chain indexes exactly once, a page-table row
     /// that differs from the key cursors). Returns
     /// [`KvError::UnknownSequence`] when an active sequence is not resident
     /// in its restored KV manager.

@@ -39,6 +39,7 @@ use crate::scenario::{Deployment, Driver, RunState, Scenario};
 use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
 use ouro_kvcache::{
     CrossbarSnapshot, KvError, KvManager, KvManagerSnapshot, KvTransferStats, SharedChainSnapshot,
+    SnapshotSlot,
 };
 use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{self, fnv1a, read_rows};
@@ -322,8 +323,8 @@ fn join<I: IntoIterator<Item = String>>(items: I, sep: char) -> String {
     out
 }
 
-fn slots(list: &[(usize, usize, usize)]) -> String {
-    join(list.iter().map(|&(c, x, b)| format!("{c}.{x}.{b}")), ',')
+fn slot((c, x, b): SnapshotSlot) -> String {
+    format!("{c}.{x}.{b}")
 }
 
 impl Snapshot {
@@ -494,12 +495,7 @@ impl Snapshot {
                     .field("wafer", wafer.to_string())
                     .field(
                         "entries",
-                        join(
-                            kv.page_table.iter().map(|(seq, cores)| {
-                                format!("{seq}:{}", join(cores.iter().map(u64::to_string), ','))
-                            }),
-                            ';',
-                        ),
+                        join(kv.page_table.iter().map(|(seq, core)| format!("{seq}:{core}")), ';'),
                     )
                     .finish(),
             );
@@ -509,9 +505,11 @@ impl Snapshot {
                     .field(
                         "entries",
                         join(
-                            kv.cursors.iter().map(|&(seq, head, role, ci, xb, b)| {
-                                format!("{seq}:{head}:{role}:{ci}:{xb}:{b}")
-                            }),
+                            // The `0` is the head column: the manager keeps one
+                            // head per scaled core.
+                            kv.cursors
+                                .iter()
+                                .map(|&(seq, role, ci, xb, b)| format!("{seq}:0:{role}:{ci}:{xb}:{b}")),
                             ';',
                         ),
                     )
@@ -551,14 +549,15 @@ impl Snapshot {
                     Row::new("kv_shared")
                         .field("wafer", wafer.to_string())
                         .field("group", group.to_string())
-                        .field("k_cores", join(chain.k_cores.iter().map(usize::to_string), ','))
-                        .field("v_cores", join(chain.v_cores.iter().map(usize::to_string), ','))
+                        .field("k_cores", chain.k_core.to_string())
+                        .field("v_cores", chain.v_core.to_string())
                         .field(
                             "nodes",
                             join(
-                                chain.nodes.iter().map(|(refs, k_slots, v_slots)| {
-                                    format!("{refs}!{}!{}", slots(k_slots), slots(v_slots))
-                                }),
+                                chain
+                                    .nodes
+                                    .iter()
+                                    .map(|&(refs, k, v)| format!("{refs}!{}!{}", slot(k), slot(v))),
                                 ';',
                             ),
                         )
@@ -864,8 +863,8 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
         "kv_page" => {
             e.kv.page_table = split(row.get_str("entries")?, ';')
                 .map(|item| {
-                    let (seq, cores) = pair(item, ':')?;
-                    Ok((p_u64(seq)?, split(cores, ',').map(p_u64).collect::<Result<_, _>>()?))
+                    let (seq, core) = pair(item, ':')?;
+                    Ok((p_u64(seq)?, p_u64(core)?))
                 })
                 .collect::<Result<_, String>>()?;
         }
@@ -873,9 +872,15 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             e.kv.cursors = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let mut it = item.split(':');
+                    let seq = p_u64(next(&mut it)?)?;
+                    let head = p_usize(next(&mut it)?)?;
+                    if head != 0 {
+                        return Err(format!(
+                            "kv cursor of sequence {seq} names head {head}; the manager has one"
+                        ));
+                    }
                     Ok((
-                        p_u64(next(&mut it)?)?,
-                        p_usize(next(&mut it)?)?,
+                        seq,
                         p_u8(next(&mut it)?)?,
                         p_usize(next(&mut it)?)?,
                         p_usize(next(&mut it)?)?,
@@ -914,25 +919,21 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
                 .collect::<Result<_, String>>()?;
         }
         "kv_shared" => {
-            let p_slots = |s: &str| -> Result<Vec<(usize, usize, usize)>, String> {
-                split(s, ',')
-                    .map(|slot| {
-                        let mut it = slot.split('.');
-                        Ok((p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?))
-                    })
-                    .collect()
+            let p_slot = |s: &str| -> Result<SnapshotSlot, String> {
+                let mut it = s.split('.');
+                Ok((p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?))
             };
             e.kv.shared.push((
                 p_u64(row.get_str("group")?)?,
                 SharedChainSnapshot {
-                    k_cores: split(row.get_str("k_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
-                    v_cores: split(row.get_str("v_cores")?, ',').map(p_usize).collect::<Result<_, _>>()?,
+                    k_core: p_usize(row.get_str("k_cores")?)?,
+                    v_core: p_usize(row.get_str("v_cores")?)?,
                     nodes: split(row.get_str("nodes")?, ';')
                         .map(|node| {
                             let mut it = node.split('!');
                             let refs = p_usize(next(&mut it)?)?;
-                            let k = p_slots(next(&mut it)?)?;
-                            let v = p_slots(next(&mut it)?)?;
+                            let k = p_slot(next(&mut it)?)?;
+                            let v = p_slot(next(&mut it)?)?;
                             Ok((refs, k, v))
                         })
                         .collect::<Result<_, String>>()?,

@@ -1,5 +1,9 @@
 //! The admission stage: FCFS continuous batching over the pending arena,
-//! with the offline scheduler's eviction rules.
+//! with most-recently-admitted eviction. The rules differ from the offline
+//! scheduler's in four ways, listed in the [`crate::engine`] module docs:
+//! a victim keeps its decode progress, re-admission asks for
+//! `prompt + decoded` tokens, a suspension lifts when nothing is resident,
+//! and only a request an empty cache cannot hold is dropped.
 //!
 //! Consumes [`crate::stage::PendingReq`] events from the engine's pending
 //! arena and produces residency ([`crate::stage::ActiveSeq`] entries in the
@@ -18,8 +22,8 @@ pub(crate) fn resident_demand(e: &Engine, p: &PendingReq) -> usize {
     e.records[p.rec].prompt_len + p.decoded
 }
 
-/// Admission phase of one iteration: FCFS continuous batching with the
-/// offline scheduler's eviction rules.
+/// Admission phase of one iteration: FCFS continuous batching with
+/// most-recently-admitted eviction.
 pub(crate) fn admit_waiting(e: &mut Engine) {
     // Nothing resident means nothing can complete, so a suspension would
     // deadlock; lift it.
@@ -125,8 +129,9 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 e.manager.release(seq_id);
                 if e.active.is_empty() {
                     // Even an empty cache cannot hold it: drop to
-                    // guarantee progress (the offline scheduler does the
-                    // same).
+                    // guarantee progress. (The offline scheduler drops the
+                    // queue head instead, which can be its eviction
+                    // victim.)
                     e.pending.remove(slot);
                     e.pending_tokens -= tokens;
                     e.pending_wire_tokens -= front.wire_tokens;

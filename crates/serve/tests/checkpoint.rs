@@ -437,7 +437,7 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     let dropped = without_rows(json, |row| row == last_k);
     // One allocated block holding a token more than a block fits.
     let kv = sys.serve_kv_config();
-    let over = kv.crossbar.tokens_per_logical_block(kv.head_dim, kv.bytes_per_elem) + 1;
+    let over = kv.crossbar.tokens_per_logical_block(kv.head_dim, 1) + 1;
     let (row, xbs) = lines
         .iter()
         .filter(|l| l.starts_with(r#"{"section":"kv_cores""#))
@@ -452,6 +452,45 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
         let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
         let resumed = scenario.resume(&sys, &snap);
         assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
+    }
+    // The manager keeps one head per scaled core: a row naming a second
+    // head, core or block of a sequence or shared chain does not fit.
+    let edit = |section: &str, key: &str, change: &dyn Fn(&str) -> String| {
+        let prefix = format!(r#"{{"section":"{section}""#);
+        let row = lines
+            .iter()
+            .find(|l| l.starts_with(&prefix) && !field(l, key).is_empty())
+            .unwrap_or_else(|| panic!("a {section} row with {key}"));
+        let old = field(row, key);
+        json.replace(
+            row,
+            &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old))),
+        )
+    };
+    let second_head = edit("kv_cursor", "entries", &|e| {
+        let (seq, rest) = e.split_once(':').unwrap();
+        format!("{seq}:1{}", &rest[1..])
+    });
+    let two_page_cores = edit("kv_page", "entries", &|e| {
+        let end = e.find(';').unwrap_or(e.len());
+        format!("{},0{}", &e[..end], &e[end..])
+    });
+    let two_k_cores = edit("kv_shared", "k_cores", &|c| format!("{c},{c}"));
+    let two_k_slots = edit("kv_shared", "nodes", &|n| {
+        let k = n.split('!').nth(1).unwrap();
+        n.replacen(&format!("!{k}!"), &format!("!{k},{k}!"), 1)
+    });
+    for (case, json) in [
+        ("cursor of a second head", second_head),
+        ("page row with two cores", two_page_cores),
+        ("shared chain with two key cores", two_k_cores),
+        ("shared node with two key slots", two_k_slots),
+    ] {
+        assert_ne!(json, golden_snapshot_json(), "{case}: the edit must change the document");
+        if let Ok(snap) = Snapshot::parse(&json) {
+            let resumed = scenario.resume(&sys, &snap);
+            assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
+        }
     }
 }
 
@@ -508,6 +547,27 @@ proptest! {
         let closed = cut > json.rfind(']').unwrap();
         prop_assert_eq!(read_rows(&prefix).is_ok(), closed);
         prop_assert_eq!(Snapshot::parse(&prefix).is_ok(), closed);
+    }
+
+    #[test]
+    fn dropped_rows_are_errors_or_complete_runs(at in 0usize..1 << 20) {
+        let rows: Vec<&str> = golden_snapshot_json()
+            .lines()
+            .filter(|l| l.starts_with('{'))
+            .map(|l| l.trim_end_matches(','))
+            .collect();
+        let at = at % rows.len();
+        let kept: Vec<&str> = rows.iter().enumerate().filter(|&(i, _)| i != at).map(|(_, r)| *r).collect();
+        let text = format!("[\n{}\n]\n", kept.join(",\n"));
+        // A document missing one row parses to `Err`, resumes to `Err`, or
+        // runs to the end; it never panics.
+        if let Ok(snap) = Snapshot::parse(&text) {
+            let (sys, scenario) = golden_run();
+            if let Ok(mut run) = scenario.resume(sys, &snap) {
+                run.run_to_end();
+                run.finish();
+            }
+        }
     }
 
     #[test]

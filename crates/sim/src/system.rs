@@ -166,7 +166,7 @@ impl OuroborosSystem {
     /// offline and online runs agree on admission capacity.
     pub fn serve_kv_config(&self) -> KvManagerConfig {
         let scaled_cores = (self.kv_cores_per_block / self.model.heads.max(1)).max(2);
-        let mut cfg = KvManagerConfig::new((0..scaled_cores).map(CoreId).collect(), 1, self.model.head_dim);
+        let mut cfg = KvManagerConfig::new((0..scaled_cores).map(CoreId).collect(), self.model.head_dim);
         cfg.crossbars_per_core = self.core.config.crossbars;
         cfg.crossbar = self.core.config.crossbar;
         cfg.threshold = self.config.kv_threshold;

@@ -69,7 +69,7 @@ fn replacement_chain_repairs_a_mapped_block() {
 #[test]
 fn kv_scheduler_completes_a_wikitext_trace_with_bounded_waste() {
     let trace = TraceGenerator::new(21).generate(&LengthConfig::wikitext2_like(), 40);
-    let mut cfg = KvManagerConfig::new((0..8).map(CoreId).collect(), 2, 128);
+    let mut cfg = KvManagerConfig::new((0..8).map(CoreId).collect(), 128);
     cfg.threshold = 0.1;
     let mut sched = KvScheduler::new(cfg).unwrap();
     let out = sched.run_trace(&trace);
