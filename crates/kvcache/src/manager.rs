@@ -1532,14 +1532,23 @@ mod tests {
     }
 
     #[test]
-    fn consecutive_sequences_start_at_different_ring_positions() {
+    fn heads_are_spread_across_ring_cores() {
+        // Each sequence's one head sits on its own scaled KV core, so four
+        // admissions on 4 K-side cores land on 4 distinct cores.
         let mut m = manager(8);
         for seq in 0..4 {
             m.admit(seq, 10).unwrap();
         }
-        // 4 K-side cores, 4 consecutive sequences: all on distinct cores.
         let cores: std::collections::BTreeSet<_> = (0..4).map(|seq| m.core_of(seq).unwrap()).collect();
         assert_eq!(cores.len(), 4);
+    }
+
+    #[test]
+    fn consecutive_sequences_start_at_different_ring_positions() {
+        let mut m = manager(16);
+        m.admit(1, 10).unwrap();
+        m.admit(2, 10).unwrap();
+        assert_ne!(m.core_of(1), m.core_of(2));
     }
 
     #[test]
