@@ -33,11 +33,6 @@ impl SfuModel {
     pub fn latency_s(&self, ops: u64) -> f64 {
         (ops as f64 / self.lanes as f64).ceil() / self.clock_hz
     }
-
-    /// Peak operation throughput in ops/s.
-    pub fn ops_per_second(&self) -> f64 {
-        self.lanes as f64 * self.clock_hz
-    }
 }
 
 /// Static configuration of a CIM core.
@@ -189,11 +184,6 @@ impl CimCore {
     /// Energy of `ops` SFU operations.
     pub fn sfu_energy_j(&self, ops: u64) -> f64 {
         self.config.energy.sfu_energy_j(ops)
-    }
-
-    /// Energy of appending `bytes` of KV data into crossbar SRAM.
-    pub fn kv_write_energy_j(&self, bytes: u64) -> f64 {
-        self.config.energy.sram_write_energy_j(bytes)
     }
 
     /// Static energy burned by the core over `seconds`.

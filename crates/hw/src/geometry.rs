@@ -208,11 +208,6 @@ impl WaferGeometry {
     pub fn total_sram_bytes(&self, per_core_bytes: u64) -> u64 {
         self.total_cores() as u64 * per_core_bytes
     }
-
-    /// Total silicon area occupied by CIM cores, in mm².
-    pub fn total_core_area_mm2(&self) -> f64 {
-        self.total_cores() as f64 * self.core_area_mm2
-    }
 }
 
 #[cfg(test)]

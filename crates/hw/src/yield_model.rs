@@ -120,11 +120,6 @@ impl DefectMap {
         self.defective.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(CoreId(i)))
     }
 
-    /// Iterator over the ids of all defective cores.
-    pub fn defective_cores(&self) -> impl Iterator<Item = CoreId> + '_ {
-        self.defective.iter().enumerate().filter_map(|(i, &d)| d.then_some(CoreId(i)))
-    }
-
     /// Marks an additional core as defective (runtime fault injection).
     pub fn inject_fault(&mut self, id: CoreId) {
         self.defective[id.0] = true;

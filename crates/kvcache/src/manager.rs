@@ -1125,6 +1125,14 @@ impl KvManager {
         Ok(())
     }
 
+    /// Tokens [`KvManager::append_at`] can still add to `slot` by counting
+    /// them, without a block decision: an append of more first needs a new
+    /// block. 0 while a cursor is unbound, after a restore, and after a
+    /// failed append, until the next append measures it again.
+    pub fn room(&self, slot: KvSlot) -> usize {
+        self.slots.fill[slot.index()].room
+    }
+
     /// Writes `slot`'s deferred tokens into its cursor blocks. They fit
     /// (`lag ≤ room`), so nothing is allocated.
     fn settle(&mut self, slot: KvSlot, seq: u64) {

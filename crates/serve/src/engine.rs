@@ -5,16 +5,47 @@
 //! batching: at each step boundary it admits waiting requests FCFS into the
 //! KV cache (most-recently-admitted eviction on capacity exhaustion,
 //! admission suspended until a completion, anti-thrashing threshold inside
-//! the manager), then advances every resident sequence by one unit of work
-//! — a chunk of prefill tokens or one decode token — and charges the step's
-//! wall-clock duration from the hardware-derived [`HwStageTimes`].
+//! the manager). Every step then moves a chunk of prefill tokens for each
+//! prefilling sequence and one decode token for each decoding sequence, and
+//! charges the step's wall-clock duration from the hardware-derived
+//! [`HwStageTimes`].
 //!
 //! The per-stage logic lives in [`crate::stage`]: [`Engine::step`] is the
 //! orchestrator that sequences the Admission → Prefill/Decode → Complete
-//! stages over this wafer's queues. Prefill and decode advance in a single
-//! interleaved pass — a continuous-batching iteration moves prefill chunks
-//! and decode tokens through the *same* pipeline pass, and their trace
-//! events (`prefill_end`, `first_token`) interleave in active-set order.
+//! stages over this wafer's queues.
+//!
+//! # Event-driven decode
+//!
+//! Between its events a decoding sequence changes in one way only: it
+//! takes one token per step. So the engine touches a sequence only at its
+//! events:
+//!
+//! * a prefill chunk (every step while it prefills);
+//! * its first token;
+//! * the token that overflows its KV slot's `room` and needs a new block;
+//! * its last token (completion);
+//! * an eviction, by admission pressure, a fault or a failed block
+//!   allocation.
+//!
+//! Each step adds the number of decoding sequences to three running
+//! counters, the context sum, the tokens not yet handed to the KV manager
+//! (`lazy_tokens`) and, through them, the step's token count; planning
+//! reads the counters and no sequence. A dense `next_event` column, kept
+//! in lockstep with the active set, holds the step of each sequence's next
+//! event, and each step handles the due ones in active-set order. That
+//! keeps the orderings the outputs depend on: `prefill_end` and
+//! `first_token` interleave in active-set order, boundary-crossers
+//! allocate in active-set order, failed allocations evict from the highest
+//! index down, and the Complete stage runs on every step with a
+//! completion.
+//!
+//! A sequence's lazy tokens are written back (*materialized*) into its
+//! `decoded` count and into the KV manager, in one `append_at`, at its own
+//! events, before a fault strikes the manager, and in the copy a
+//! checkpoint records. The routing signals ([`Engine::kv_load`],
+//! [`Engine::kv_free_tokens`], [`Engine::kv_gauges`]) add `lazy_tokens`,
+//! so every observable reads as if each token had been appended in its
+//! own step.
 //!
 //! A step that moves `T` tokens through the token-grained pipeline with mean
 //! context `c̄` takes `max(L(c̄), T · b(c̄))` seconds, where `L` is the full
@@ -39,7 +70,7 @@
 use crate::arena::IndexQueue;
 use crate::metrics::RequestRecord;
 use crate::stage::{self, ActiveSeq, PendingReq, Stage};
-use ouro_kvcache::{KvError, KvManager, KvManagerConfig, KvTransferStats};
+use ouro_kvcache::{KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot, KvTransferStats};
 use ouro_sim::{HwStageTimes, StageTimeTable};
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::Request;
@@ -172,7 +203,24 @@ pub struct Engine {
     /// ([`crate::arena::IndexQueue`]), so admission and the idle
     /// fast-forward query are O(log n) instead of linear scans.
     pub(crate) pending: IndexQueue<PendingReq>,
+    /// Resident sequences. Change it only through
+    /// [`Engine::push_active`], [`Engine::take_active`] and the Complete
+    /// stage, which keep the event column and the counters below in step.
     pub(crate) active: Vec<ActiveSeq>,
+    /// The step of each active sequence's next event, in lockstep with
+    /// `active` (see the module docs). The counters below are running sums
+    /// over `active`. All five are derived state: never serialized, rebuilt
+    /// by [`Engine::push_active`] on resume.
+    pub(crate) next_event: Vec<u64>,
+    /// Sequences that take a decode token in every step.
+    pub(crate) decoding: usize,
+    /// Prefill tokens the next step moves: each prefilling sequence's
+    /// chunk.
+    pub(crate) prefill_tokens: usize,
+    /// Resident context: prompt plus decoded tokens, lazy ones included.
+    pub(crate) ctx_tokens: u64,
+    /// Decode tokens taken but not yet handed to the KV manager.
+    pub(crate) lazy_tokens: usize,
     pub(crate) admission_suspended: bool,
     pub(crate) clock_s: f64,
     pub(crate) busy_s: f64,
@@ -207,6 +255,11 @@ impl Engine {
             records: Vec::new(),
             pending: IndexQueue::new(),
             active: Vec::new(),
+            next_event: Vec::new(),
+            decoding: 0,
+            prefill_tokens: 0,
+            ctx_tokens: 0,
+            lazy_tokens: 0,
             admission_suspended: false,
             clock_s: 0.0,
             busy_s: 0.0,
@@ -264,7 +317,7 @@ impl Engine {
     /// KV pressure for routing: resident plus queued token demand relative to
     /// cache capacity (may exceed 1 under overload).
     pub fn kv_load(&self) -> f64 {
-        let demand = self.manager.used_tokens() + self.pending_tokens;
+        let demand = self.used_tokens() + self.pending_tokens;
         demand as f64 / self.manager.capacity_tokens().max(1) as f64
     }
 
@@ -302,10 +355,13 @@ impl Engine {
     /// Free KV tokens net of the queued demand (0 when oversubscribed), the
     /// signal behind the most-free-blocks decode placement policy.
     pub fn kv_free_tokens(&self) -> usize {
-        self.manager
-            .capacity_tokens()
-            .saturating_sub(self.manager.used_tokens())
-            .saturating_sub(self.pending_tokens)
+        self.manager.capacity_tokens().saturating_sub(self.used_tokens()).saturating_sub(self.pending_tokens)
+    }
+
+    /// Resident KV tokens, lazy decode tokens included: what the manager
+    /// would count had every token been appended in its own step.
+    fn used_tokens(&self) -> usize {
+        self.manager.used_tokens() + self.lazy_tokens
     }
 
     /// Wire-token demand of queued imported-KV requests that have not been
@@ -347,7 +403,7 @@ impl Engine {
         ouro_trace::WaferGauges {
             batch_occupancy: self.active.len(),
             queue_depth: self.pending.len(),
-            kv_used_tokens: used,
+            kv_used_tokens: used + self.lazy_tokens,
             kv_capacity_tokens: capacity,
             kv_blocks_live: audit.live,
             kv_blocks_shared: audit.shared_live,
@@ -398,31 +454,23 @@ impl Engine {
         mean_hops_penalty: f64,
     ) -> Option<EngineFaultImpact> {
         assert!(stall_s >= 0.0 && mean_hops_penalty >= 0.0, "fault charges cannot be negative");
-        let failure = self.manager.fail_kv_core(preferred_kv_core)?;
-        // The fault strikes at `at_s` but the engine only observes it at a
-        // step boundary; the stall extends whichever is later.
-        self.clock_s = self.clock_s.max(at_s) + stall_s;
-        self.set_mean_hops(self.times.mean_hops + mean_hops_penalty);
-        self.stats.faults += 1;
-        self.stats.stall_s += stall_s;
-        self.stats.fault_evicted_seqs += failure.evicted_sequences.len() as u64;
-        self.stats.fault_evicted_tokens += failure.evicted_tokens as u64;
+        let failure = self.fail_kv_core(preferred_kv_core, |e, failure| {
+            // The fault strikes at `at_s` but the engine only observes it
+            // at a step boundary; the stall extends whichever is later.
+            e.clock_s = e.clock_s.max(at_s) + stall_s;
+            e.set_mean_hops(e.times.mean_hops + mean_hops_penalty);
+            e.stats.faults += 1;
+            e.stats.stall_s += stall_s;
+            e.stats.fault_evicted_seqs += failure.evicted_sequences.len() as u64;
+            e.stats.fault_evicted_tokens += failure.evicted_tokens as u64;
+            Stage::Fault.emit(
+                &mut e.tracer,
+                e.clock_s,
+                None,
+                EventKind::Fault { kv_core: failure.index, evicted_seqs: failure.evicted_sequences.len() },
+            );
+        })?;
         let evicted = failure.evicted_sequences.len();
-        Stage::Fault.emit(
-            &mut self.tracer,
-            self.clock_s,
-            None,
-            EventKind::Fault { kv_core: failure.index, evicted_seqs: evicted },
-        );
-        for seq in failure.evicted_sequences {
-            let Some(pos) = self.active.iter().position(|a| a.rec as u64 == seq) else {
-                // The manager can only name resident sequences, and every
-                // resident sequence is active.
-                unreachable!("sequence {seq} is resident but not active");
-            };
-            let victim = self.active.swap_remove(pos);
-            stage::admission::requeue_evicted(self, victim, true);
-        }
         // A fault that evicted sequences freed capacity, so a pre-fault
         // admission suspension no longer reflects reality. A fault that
         // evicted nothing only *shrank* the cache — lifting the suspension
@@ -437,6 +485,35 @@ impl Engine {
             evicted_tokens: failure.evicted_tokens as u64,
             serviceable: self.manager.is_serviceable(),
         })
+    }
+
+    /// The one fault-eviction path: fails one KV crossbar from
+    /// `preferred_kv_core` on ([`KvManager::fail_kv_core`]), runs
+    /// `on_fail`, then evicts every sequence whose KV the crossbar held and
+    /// re-enqueues it for recompute. Lazy decode tokens are materialized
+    /// first, so the failure's `evicted_tokens` and each victim's `decoded`
+    /// count every token decoded so far. Returns `None`, having evicted
+    /// nothing, when every crossbar has already failed.
+    fn fail_kv_core(
+        &mut self,
+        preferred_kv_core: usize,
+        on_fail: impl FnOnce(&mut Engine, &KvCoreFailure),
+    ) -> Option<KvCoreFailure> {
+        for i in 0..self.active.len() {
+            self.materialize(i).expect("lazy tokens fit their slot's room");
+        }
+        let failure = self.manager.fail_kv_core(preferred_kv_core)?;
+        on_fail(self, &failure);
+        for &seq in &failure.evicted_sequences {
+            let Some(pos) = self.active.iter().position(|a| a.rec as u64 == seq) else {
+                // The manager can only name resident sequences, and every
+                // resident sequence is active.
+                unreachable!("sequence {seq} is resident but not active");
+            };
+            let victim = self.take_active(pos);
+            stage::admission::requeue_evicted(self, victim, true);
+        }
+        Some(failure)
     }
 
     /// Sets the pipeline's mean hop distance and forgets every memoized
@@ -459,19 +536,10 @@ impl Engine {
         let mut evicted_seqs = 0usize;
         let mut evicted_tokens = 0u64;
         let mut first_core = None;
-        while let Some(failure) = self.manager.fail_kv_core(0) {
+        while let Some(failure) = self.fail_kv_core(0, |_, _| {}) {
             first_core.get_or_insert(failure.index);
             evicted_tokens += failure.evicted_tokens as u64;
-            for seq in failure.evicted_sequences {
-                let pos = self
-                    .active
-                    .iter()
-                    .position(|a| a.rec as u64 == seq)
-                    .expect("a resident sequence is always active");
-                let victim = self.active.swap_remove(pos);
-                stage::admission::requeue_evicted(self, victim, true);
-                evicted_seqs += 1;
-            }
+            evicted_seqs += failure.evicted_sequences.len();
         }
         Stage::Fault.emit(
             &mut self.tracer,
@@ -554,9 +622,10 @@ impl Engine {
     }
 
     /// Runs one continuous-batching iteration through the stage pipeline:
-    /// Admission admits FCFS, Prefill and Decode advance every resident
-    /// sequence by one unit of work in a single interleaved pass, the
-    /// clock advances by the step duration, and Complete retires finished
+    /// Admission admits FCFS, every prefilling sequence moves a chunk and
+    /// every decoding sequence a token, Prefill and Decode handle the
+    /// sequences whose events fall due in one interleaved pass, the clock
+    /// advances by the step duration, and Complete retires finished
     /// sequences (a completion lifts the admission suspension).
     ///
     /// Returns the completions that occurred, stamped with their times.
@@ -576,7 +645,6 @@ impl Engine {
             return Vec::new();
         }
 
-        self.stats.steps += 1;
         self.stats.peak_resident = self.stats.peak_resident.max(self.active.len());
 
         let (step_tokens, step_s) = stage::decode::plan_step(self);
@@ -584,31 +652,137 @@ impl Engine {
         self.busy_s += step_s;
         stage::decode::emit_step(self, end_s, step_tokens);
 
-        // Advance every resident sequence by its unit of work — ONE
-        // interleaved prefill/decode pass in active-set order (two separate
-        // passes would reorder `prefill_end` relative to `first_token`).
+        // Every decoding sequence takes its token, lazily.
+        self.stats.steps += 1;
+        let now = self.stats.steps;
+        self.lazy_tokens += self.decoding;
+        self.ctx_tokens += self.decoding as u64;
+        // Handle the due events in ONE interleaved prefill/decode pass in
+        // active-set order (two separate passes would reorder
+        // `prefill_end` relative to `first_token`).
         let mut evicted_now: Vec<usize> = Vec::new();
-        for i in 0..self.active.len() {
-            if stage::prefill::advance_one(self, i, end_s) {
-                continue;
+        let mut finished = false;
+        let mut i = 0;
+        while let Some(due) = self.next_event[i..].iter().position(|&step| step <= now) {
+            i += due;
+            if !stage::prefill::advance_one(self, i, end_s) {
+                stage::decode::advance_one(self, i, end_s, &mut evicted_now);
             }
-            stage::decode::advance_one(self, i, end_s, &mut evicted_now);
+            finished |= self.active[i].done();
+            i += 1;
         }
         // Decode-growth failures evict (highest index first so swap_remove
         // keeps earlier indices valid).
         evicted_now.sort_unstable_by(|a, b| b.cmp(a));
         for i in evicted_now {
-            let victim = self.active.swap_remove(i);
+            let victim = self.take_active(i);
             stage::admission::requeue_evicted(self, victim, false);
         }
 
         self.clock_s = end_s;
-        let completions = stage::complete::retire(self, end_s);
-        if !completions.is_empty() {
-            self.admission_suspended = false;
+        if !finished {
+            return Vec::new();
         }
-        completions
+        self.admission_suspended = false;
+        stage::complete::retire(self, end_s)
     }
+
+    /// Adds `a` to the active set as of the end of the last step: counts
+    /// it and books its first event.
+    pub(crate) fn push_active(&mut self, a: ActiveSeq) {
+        let a = ActiveSeq { since: self.stats.steps, ..a };
+        self.decoding += usize::from(a.decoding());
+        self.prefill_tokens += a.prefill_remaining.min(self.config.prefill_chunk);
+        self.ctx_tokens += self.resident_tokens(&a) as u64;
+        self.next_event.push(self.event_step(&a));
+        self.active.push(a);
+    }
+
+    /// Removes active sequence `i` the way `swap_remove` does, with its
+    /// lazy tokens materialized. Between steps they fit the slot's room.
+    pub(crate) fn take_active(&mut self, i: usize) -> ActiveSeq {
+        self.materialize(i).expect("lazy tokens fit their slot's room");
+        self.next_event.swap_remove(i);
+        let a = self.active.swap_remove(i);
+        self.decoding -= usize::from(a.decoding());
+        self.prefill_tokens -= a.prefill_remaining.min(self.config.prefill_chunk);
+        self.ctx_tokens -= self.resident_tokens(&a) as u64;
+        a
+    }
+
+    /// The KV tokens `a` holds by the end of step `since`: its prompt and
+    /// its written-back decode tokens.
+    pub(crate) fn resident_tokens(&self, a: &ActiveSeq) -> usize {
+        self.records[a.rec].prompt_len + a.decoded
+    }
+
+    /// The step of `a`'s next event: its next prefill chunk; for a
+    /// decoding sequence, the first of its first token, the token that
+    /// overflows its slot's room and its last token; for a finished one,
+    /// the next step's Complete stage.
+    pub(crate) fn event_step(&self, a: &ActiveSeq) -> u64 {
+        if !a.decoding() {
+            return self.stats.steps + 1;
+        }
+        let until =
+            if a.decoded == 0 { 1 } else { (self.manager.room(a.kv_slot) + 1).min(a.decode_len - a.decoded) };
+        a.since.saturating_add(until as u64)
+    }
+
+    /// Books active sequence `i`'s next event.
+    pub(crate) fn schedule(&mut self, i: usize) {
+        self.next_event[i] = self.event_step(&self.active[i]);
+    }
+
+    /// Materializes active sequence `i`: hands its lazy decode tokens to
+    /// the KV manager in one append and adds them to `decoded`. At a block
+    /// boundary the last of them needs a new block.
+    ///
+    /// # Errors
+    ///
+    /// Returns the manager's [`KvError::OutOfCapacity`] when that block
+    /// cannot be allocated; the sequence keeps every token but that last
+    /// one, and the caller evicts it.
+    pub(crate) fn materialize(&mut self, i: usize) -> Result<(), KvError> {
+        let lazy = self.active[i].lazy(self.stats.steps);
+        self.lazy_tokens -= lazy;
+        let result = write_back(&mut self.manager, &mut self.active[i], self.stats.steps);
+        match result {
+            Ok(()) => self.decoding -= usize::from(lazy > 0 && !self.active[i].decoding()),
+            Err(_) => self.ctx_tokens -= 1,
+        }
+        result
+    }
+
+    /// The active set and KV manager snapshot with every lazy token
+    /// materialized, as an engine that appended each token in its own step
+    /// holds them: what a checkpoint records. The engine itself does not
+    /// change, so checkpointing cannot perturb the run.
+    pub(crate) fn settled_state(&self) -> (Vec<ActiveSeq>, KvManagerSnapshot) {
+        let mut active = self.active.clone();
+        if self.lazy_tokens == 0 {
+            return (active, self.manager.snapshot());
+        }
+        let mut manager = self.manager.clone();
+        for a in &mut active {
+            write_back(&mut manager, a, self.stats.steps).expect("lazy tokens fit their slot's room");
+        }
+        (active, manager.snapshot())
+    }
+}
+
+/// Writes `a`'s lazy decode tokens as of the end of step `now` back into
+/// `manager`, in one append, and into `a.decoded`. On a failed append the
+/// last token, the one that needed a new block, is not taken.
+fn write_back(manager: &mut KvManager, a: &mut ActiveSeq, now: u64) -> Result<(), KvError> {
+    let lazy = a.lazy(now);
+    a.since = now;
+    if lazy == 0 {
+        return Ok(());
+    }
+    let result = manager.append_at(a.kv_slot, a.rec as u64, lazy);
+    a.decoded += if result.is_ok() { lazy } else { lazy - 1 };
+    result
 }
 
 #[cfg(test)]
@@ -923,17 +1097,28 @@ mod tests {
     #[test]
     fn a_fault_evicts_resident_kv_and_recomputes_it() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 256, 512), 0.0, Admission::Local, 0, 0);
-        // Run until decode is underway, then fail the core holding the KV.
+        let prompt = 256;
+        e.submit_with(Request::new(0, prompt, 512), 0.0, Admission::Local, 0, 0);
+        // Run until decode is underway and five tokens past the first, so
+        // the fault strikes between the sequence's events.
         while e.records()[0].first_token_s.is_nan() {
             e.step();
         }
+        for _ in 0..5 {
+            e.step();
+        }
+        assert_eq!(e.lazy_tokens, 5, "the sequence must sit inside a KV block");
+        let resident = (prompt + 6) as u64;
         let clock_before = e.clock_s();
         let audit_before = e.kv_audit();
         assert!(audit_before.live > 0);
-        let impact = e.apply_fault(clock_before, 0.5e-3, 0, 0.5).expect("healthy cores remain");
+        // The value side grows a sequence on one crossbar, so failing the
+        // first crossbar of the first value core takes all of its KV.
+        let first_value_core = e.manager.num_kv_cores() / 2;
+        let impact =
+            e.apply_fault(clock_before, 0.5e-3, first_value_core, 0.5).expect("healthy cores remain");
         assert_eq!(impact.evicted_sequences, 1, "the lone resident sequence loses its KV");
-        assert!(impact.evicted_tokens > 0);
+        assert_eq!(impact.evicted_tokens, resident, "every decoded token is lost, lazy ones included");
         assert!(impact.serviceable);
         assert!(e.kv_audit().is_conserved(), "fault eviction must not double-free blocks");
         assert!(e.clock_s() >= clock_before + 0.5e-3, "the remap stall pauses the wafer");
@@ -948,7 +1133,7 @@ mod tests {
         while e.has_work() {
             e.step();
         }
-        assert!(e.stats().recomputed_tokens > 0, "lost KV is recomputed on re-admission");
+        assert_eq!(e.stats().recomputed_tokens, resident, "lost KV is recomputed on re-admission");
         assert!(e.records()[0].completed());
         assert_eq!(e.records()[0].evictions, 1);
     }
@@ -1035,6 +1220,28 @@ mod tests {
         e.step();
         assert!(e.resident() == 1);
         assert!(e.kv_load() > 0.0);
+    }
+
+    #[test]
+    fn routing_signals_count_lazy_decode_tokens() {
+        // Stop one sequence inside a KV block, five tokens after its first:
+        // the KV manager has not seen those five yet, and the routing and
+        // placement signals must count them anyway.
+        let mut e = engine(4);
+        let prompt = 100;
+        e.submit_with(Request::new(0, prompt, 64), 0.0, Admission::Local, 0, 0);
+        while e.records()[0].first_token_s.is_nan() {
+            e.step();
+        }
+        for _ in 0..5 {
+            e.step();
+        }
+        assert_eq!(e.lazy_tokens, 5, "the sequence must sit inside a KV block");
+        let resident = prompt + 6;
+        let capacity = e.kv_gauges().kv_capacity_tokens;
+        assert_eq!(e.kv_load(), resident as f64 / capacity as f64);
+        assert_eq!(e.kv_free_tokens(), capacity - resident);
+        assert_eq!(e.kv_gauges().kv_used_tokens, resident);
     }
 
     #[test]

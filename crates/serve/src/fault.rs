@@ -243,12 +243,6 @@ impl FaultInjector {
         &self.config
     }
 
-    /// Number of wafers this injector was built for — must match the
-    /// cluster it is handed to.
-    pub fn wafer_count(&self) -> usize {
-        self.wafers.len()
-    }
-
     /// Time and wafer of the next pending fault, if any.
     pub fn next_fault(&self) -> Option<(f64, usize)> {
         self.events.front().map(|e| (e.at_s, e.wafer))

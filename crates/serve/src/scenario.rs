@@ -426,11 +426,6 @@ impl RunOutcome {
         &self.engines
     }
 
-    /// The prefill-pool engines (empty for colocated deployments).
-    pub fn prefill_engines(&self) -> &[Engine] {
-        &self.engines[..self.prefill_wafers]
-    }
-
     /// The decode-side engines: the decode pool for disaggregated
     /// deployments, every engine for colocated ones.
     pub fn decode_engines(&self) -> &[Engine] {

@@ -118,19 +118,22 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
         engines: d
             .engines
             .iter()
-            .map(|e| EngineSnapshot {
-                clock_s: e.clock_s,
-                busy_s: e.busy_s,
-                admission_suspended: e.admission_suspended,
-                pending_tokens: e.pending_tokens,
-                pending_wire_tokens: e.pending_wire_tokens,
-                mean_hops: e.times.mean_hops,
-                order_counter: e.order_counter,
-                stats: e.stats,
-                records: e.records.clone(),
-                pending: e.pending.entries(),
-                active: e.active.clone(),
-                kv: e.manager.snapshot(),
+            .map(|e| {
+                let (active, kv) = e.settled_state();
+                EngineSnapshot {
+                    clock_s: e.clock_s,
+                    busy_s: e.busy_s,
+                    admission_suspended: e.admission_suspended,
+                    pending_tokens: e.pending_tokens,
+                    pending_wire_tokens: e.pending_wire_tokens,
+                    mean_hops: e.times.mean_hops,
+                    order_counter: e.order_counter,
+                    stats: e.stats,
+                    records: e.records.clone(),
+                    pending: e.pending.entries(),
+                    active,
+                    kv,
+                }
             })
             .collect(),
         injector: run.injector.as_ref().map(FaultInjector::snapshot),
@@ -144,7 +147,8 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// Returns [`KvError::BadSnapshot`] on a schema-version, config-hash or
 /// wafer-count mismatch, fault state the scenario's fault config does not
-/// match, a pending row whose record is out of range, or an arrival or
+/// match, a pending row whose record is out of range, an active row whose
+/// prompt plus decoded tokens differ from its resident KV, or an arrival or
 /// gated index past the workload; propagates it from KV-manager and
 /// fault-injector reconstruction (KV rows that do not fit the system's
 /// geometry, fault state that does not fit the deployment). Returns
@@ -204,22 +208,24 @@ pub(crate) fn rebuild(
         for &(ready_s, req) in &es.pending {
             e.pending.push_back(ready_s, req);
         }
-        e.active = es.active.clone();
-        for a in &mut e.active {
+        // `push_active` stamps each row's `since` with the restored step
+        // count, so the stats come first.
+        e.stats = es.stats;
+        for a in &es.active {
             let seq = a.rec as u64;
             let (Some(r), Some(slot)) = (e.records.get(a.rec), e.manager.slot_of(seq)) else {
                 return Err(KvError::UnknownSequence(seq));
             };
-            a.kv_slot = slot;
-            a.prompt_len = r.prompt_len;
-            a.decode_len = r.decode_len;
+            if e.manager.sequence_tokens(seq) != Some(r.prompt_len + a.decoded) {
+                return Err(KvError::BadSnapshot("an active row's progress differs from its resident KV"));
+            }
+            e.push_active(ActiveSeq { kv_slot: slot, decode_len: r.decode_len, ..*a });
         }
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
         e.pending_tokens = es.pending_tokens;
         e.pending_wire_tokens = es.pending_wire_tokens;
-        e.stats = es.stats;
         e.order_counter = es.order_counter;
         if scenario.trace {
             e.set_tracer(Tracer::ring(wafer));

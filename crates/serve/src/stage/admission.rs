@@ -113,16 +113,17 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                         EventKind::PrefillStart { tokens: prefill_charge },
                     );
                 }
-                e.active.push(ActiveSeq {
+                let admitted = ActiveSeq {
                     rec: front.rec,
                     prefill_remaining: prefill_charge,
                     decoded: front.decoded,
                     admission_order: e.order_counter,
                     prefill_only: front.prefill_only,
                     kv_slot: e.manager.slot_of(seq_id).expect("an admitted sequence is resident"),
-                    prompt_len: r.prompt_len,
                     decode_len: r.decode_len,
-                });
+                    since: 0,
+                };
+                e.push_active(admitted);
                 e.order_counter += 1;
             }
             Err(KvError::OutOfCapacity) => {
@@ -165,7 +166,7 @@ pub(crate) fn evict_most_recent(e: &mut Engine) {
         .max_by_key(|(_, a)| a.admission_order)
         .map(|(i, _)| i)
         .expect("evict_most_recent requires a resident sequence");
-    let victim = e.active.swap_remove(victim_pos);
+    let victim = e.take_active(victim_pos);
     requeue_evicted(e, victim, false);
 }
 
@@ -176,7 +177,7 @@ pub(crate) fn evict_most_recent(e: &mut Engine) {
 /// so a victim touched by both the capacity path and the fault path in
 /// one step is counted once, when the replay is actually scheduled.
 pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
-    let resident = victim.prompt_len + victim.decoded;
+    let resident = e.resident_tokens(&victim);
     e.stats.evictions += 1;
     e.records[victim.rec].evictions += 1;
     e.manager.release(victim.rec as u64);

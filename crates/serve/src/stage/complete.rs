@@ -9,16 +9,26 @@ use ouro_trace::EventKind;
 
 /// Retires every completed sequence at `end_s`: a prefill-only completion
 /// exports its KV for migration, a full completion releases it. Returns
-/// the completions stamped with their times.
+/// the completions stamped with their times. The engine calls it only on
+/// a step where some sequence finished: a finished sequence has had its
+/// last event, so its progress is written back.
 pub(crate) fn retire(e: &mut Engine, end_s: f64) -> Vec<Completion> {
     let mut completions = Vec::new();
+    // The event column drops the same rows as the active set, in order.
+    let active = &e.active;
+    let mut row = 0;
+    e.next_event.retain(|_| {
+        row += 1;
+        !active[row - 1].done()
+    });
     let records = &mut e.records;
     let manager = &mut e.manager;
     let tracer = &mut e.tracer;
+    let ctx_tokens = &mut e.ctx_tokens;
     e.active.retain(|a| {
-        let done = a.prefill_remaining == 0 && (a.prefill_only || a.decoded >= a.decode_len);
-        if done {
+        if a.done() {
             let r = &mut records[a.rec];
+            *ctx_tokens -= (r.prompt_len + a.decoded) as u64;
             r.completed_s = end_s;
             if a.prefill_only {
                 // A disaggregated prefill hands its KV off instead of

@@ -16,22 +16,18 @@ use ouro_trace::EventKind;
 /// drains before it refills, with many it streams one token per bottleneck
 /// interval. `L` and `b` come from the engine's stage-time table, so each
 /// context length is priced once per hop distance (see
-/// [`Engine::set_mean_hops`]). The context sum adds whole token counts
-/// and stays far below 2^53, so it is exact in `f64` in any order; it
-/// shares one pass over the active set with the token count.
+/// [`Engine::set_mean_hops`]). `T` and the context sum are the engine's
+/// running counters, so planning reads no sequence. The context sum is an
+/// exact integer far below 2^53, so its `f64` equals the `f64` sum of the
+/// sequences' contexts in any order.
 pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
-    let mut step_tokens = 0usize;
-    let mut ctx_sum = 0.0f64;
-    for a in &e.active {
-        let resident = a.prompt_len + a.decoded;
-        ctx_sum += resident as f64;
-        if a.prefill_remaining > 0 {
-            step_tokens += a.prefill_remaining.min(e.config.prefill_chunk);
-        } else if !a.prefill_only && a.decoded < a.decode_len {
-            step_tokens += 1;
-        }
-    }
-    let mean_ctx = (ctx_sum / e.active.len() as f64).max(1.0) as usize;
+    let step_tokens = e.prefill_tokens + e.decoding;
+    debug_assert_eq!(
+        (step_tokens, e.ctx_tokens, e.lazy_tokens),
+        full_pass(e),
+        "the step counters diverged from the per-sequence pass"
+    );
+    let mean_ctx = (e.ctx_tokens as f64 / e.active.len() as f64).max(1.0) as usize;
     let times = &e.times;
     let (pipeline_s, bottleneck_s) = e.stage_table.row(mean_ctx, |attended| times.step_pricing_s(attended));
     debug_assert!(
@@ -52,6 +48,32 @@ pub(crate) fn plan_step(e: &mut Engine) -> (usize, f64) {
     (step_tokens, step_s)
 }
 
+/// The per-sequence pass the step counters replace, kept as their debug
+/// differential: the step's tokens, the context sum and the lazy tokens,
+/// recomputed from every sequence's written-back progress. It also checks
+/// each sequence against the KV manager, which holds all of its tokens but
+/// the lazy ones within the slot's room, and against its booked event.
+fn full_pass(e: &Engine) -> (usize, u64, usize) {
+    let now = e.stats.steps;
+    let (mut step_tokens, mut ctx_tokens, mut lazy_tokens) = (0, 0, 0);
+    for (a, &next) in e.active.iter().zip(&e.next_event) {
+        let lazy = a.lazy(now);
+        let decoded = a.decoded + lazy;
+        assert_eq!(e.manager.sequence_tokens(a.rec as u64), Some(e.resident_tokens(a)));
+        assert!(lazy <= e.manager.room(a.kv_slot), "sequence {} passed its block boundary", a.rec);
+        assert_eq!(next, e.event_step(a), "sequence {} has a stale event", a.rec);
+        ctx_tokens += (e.resident_tokens(a) + lazy) as u64;
+        if a.prefill_remaining > 0 {
+            step_tokens += a.prefill_remaining.min(e.config.prefill_chunk);
+        } else if !a.prefill_only && decoded < a.decode_len {
+            step_tokens += 1;
+            lazy_tokens += lazy;
+        }
+    }
+    assert_eq!(e.active.len(), e.next_event.len(), "the event column left the active set");
+    (step_tokens, ctx_tokens, lazy_tokens)
+}
+
 /// Emits the step's `decode_step` event (one per iteration, covering the
 /// whole interleaved batch).
 pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
@@ -59,20 +81,20 @@ pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
     Stage::Decode.emit(&mut e.tracer, end_s, None, EventKind::DecodeStep { batch, tokens: step_tokens });
 }
 
-/// Advances active sequence `i` by one decode token (no-op for prefill-only
-/// or finished sequences). A KV-growth failure marks the sequence for
-/// eviction instead. The record is read only for the first token.
+/// Handles a decode event of active sequence `i`: its first token, the
+/// token that needs a new KV block, or its last token. The lazy tokens
+/// and this step's token reach the KV manager in one append; a failure to
+/// grow marks the sequence for eviction instead. The record is read only
+/// for the first token.
 pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mut Vec<usize>) {
     let a = e.active[i];
-    if a.prefill_only {
-        return; // completes in the Complete stage; decode happens on another wafer
+    if !a.decoding() {
+        // Prefill-only (decode happens on another wafer) or a zero-decode
+        // request: it completes in the Complete stage.
+        return;
     }
-    if a.decoded >= a.decode_len {
-        return; // zero-decode request: completes in the Complete stage
-    }
-    match e.manager.append_at(a.kv_slot, a.rec as u64, 1) {
+    match e.materialize(i) {
         Ok(()) => {
-            e.active[i].decoded += 1;
             // Decode progress survives eviction, so no decoded token yet
             // means no first token yet.
             debug_assert_eq!(a.decoded == 0, e.records[a.rec].first_token_s.is_nan());
@@ -82,6 +104,7 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mu
                 let id = rec.id;
                 Stage::Decode.emit(&mut e.tracer, end_s, Some(id), EventKind::FirstToken);
             }
+            e.schedule(i);
         }
         Err(KvError::OutOfCapacity) => evicted_now.push(i),
         Err(err) => panic!("unexpected kv error during decode: {err}"),

@@ -17,9 +17,10 @@
 //! * **Admission** consumes the per-engine pending arena
 //!   (`crate::arena::IndexQueue` of `PendingReq` admission events) and
 //!   produces residency (`ActiveSeq` entries in the engine's active set).
-//! * **Prefill** and **Decode** advance the active set — one interleaved
-//!   pass per iteration, because a continuous-batching step moves prefill
-//!   chunks and decode tokens through the *same* pipeline pass.
+//! * **Prefill** and **Decode** advance the active set. A
+//!   continuous-batching step moves prefill chunks and decode tokens
+//!   through the *same* pipeline pass, so one interleaved pass handles the
+//!   sequences whose events fall due (see [`crate::engine`]).
 //! * **Migrate**'s in-flight set is the imported subset of the decode
 //!   engines' pending arenas (a migration is announced as a
 //!   `PendingReq` gated on its landing time); it is deliberately not
@@ -240,17 +241,25 @@ impl StageQueues {
 /// A sequence resident in the KV cache — the prefill/decode stages'
 /// per-engine work set.
 ///
+/// A decoding sequence's progress is lazy: `decoded` is its count at the
+/// end of step `since`, and it has taken one more token in every step
+/// after that. The engine writes the lazy tokens back at the sequence's
+/// events, at a checkpoint and before a fault (see the [`crate::engine`]
+/// module docs).
+///
 /// The last three fields are derived, never serialized: admission copies
-/// them from the KV manager and the record, and a resumed run re-derives
-/// them, so the per-step passes touch neither the record table nor the
-/// manager's id map.
+/// the slot from the KV manager and the decode length from the record and
+/// stamps `since`, and a resumed run re-derives all three. Scheduling a
+/// sequence's next event thus touches neither the record table nor the
+/// manager's id map; the record is read only at admission, the first
+/// token, eviction and completion.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ActiveSeq {
     /// Index into the engine's record table.
     pub(crate) rec: usize,
     /// Prefill (or recompute) tokens still to stream through the pipeline.
     pub(crate) prefill_remaining: usize,
-    /// Decode tokens emitted so far.
+    /// Decode tokens emitted by the end of step `since`.
     pub(crate) decoded: usize,
     /// Monotone admission stamp; the eviction victim is the largest.
     pub(crate) admission_order: u64,
@@ -259,10 +268,33 @@ pub(crate) struct ActiveSeq {
     pub(crate) prefill_only: bool,
     /// The sequence's slot in the engine's KV manager.
     pub(crate) kv_slot: KvSlot,
-    /// The record's prompt length.
-    pub(crate) prompt_len: usize,
     /// The record's decode length.
     pub(crate) decode_len: usize,
+    /// The engine step at whose end `decoded` was written.
+    pub(crate) since: u64,
+}
+
+impl ActiveSeq {
+    /// Whether the sequence takes one decode token in every step.
+    pub(crate) fn decoding(&self) -> bool {
+        self.prefill_remaining == 0 && !self.prefill_only && self.decoded < self.decode_len
+    }
+
+    /// Decode tokens taken after `decoded` was written, as of the end of
+    /// step `now`.
+    pub(crate) fn lazy(&self, now: u64) -> usize {
+        if self.decoding() {
+            (now - self.since) as usize
+        } else {
+            0
+        }
+    }
+
+    /// Whether the Complete stage retires the sequence: prefill is over
+    /// and either its decode happens on another wafer or it is finished.
+    pub(crate) fn done(&self) -> bool {
+        self.prefill_remaining == 0 && (self.prefill_only || self.decoded >= self.decode_len)
+    }
 }
 
 /// A request waiting for admission (fresh, evicted with progress, or an

@@ -8,16 +8,22 @@ use ouro_trace::EventKind;
 
 /// Advances the prefill of active sequence `i` by one chunk if it is still
 /// prefilling; returns whether the prefill stage handled the sequence this
-/// iteration (the decode stage then skips it).
+/// iteration (the decode stage then skips it). A sequence whose prefill
+/// ends here decodes from the next step on.
 pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64) -> bool {
     let a = e.active[i];
     if a.prefill_remaining == 0 {
         return false;
     }
-    let left = a.prefill_remaining.saturating_sub(e.config.prefill_chunk);
+    let chunk = e.config.prefill_chunk;
+    let left = a.prefill_remaining.saturating_sub(chunk);
+    e.prefill_tokens = e.prefill_tokens - a.prefill_remaining.min(chunk) + left.min(chunk);
     e.active[i].prefill_remaining = left;
     if left == 0 {
         Stage::Prefill.emit(&mut e.tracer, end_s, Some(e.records[a.rec].id), EventKind::PrefillEnd);
+        e.active[i].since = e.stats.steps;
+        e.decoding += usize::from(e.active[i].decoding());
     }
+    e.schedule(i);
     true
 }

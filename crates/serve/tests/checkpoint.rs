@@ -9,7 +9,7 @@
 //! goldens pin: colocated/disaggregated × faults × prefix caching, over
 //! open- and closed-loop arrival processes.
 
-use ouro_kvcache::KvError;
+use ouro_kvcache::{KvError, KvManager};
 use ouro_model::zoo;
 use ouro_serve::json::{fnv1a, read_rows};
 use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
@@ -190,6 +190,14 @@ fn run_full_equals_explicit_start_drive_finish() {
     }
 }
 
+/// 128/2048-token requests on one tiny wafer at far beyond its capacity:
+/// the KV cache saturates, evicts and re-admits.
+fn saturated_long_decode() -> Scenario {
+    let trace = TraceGenerator::new(71).generate(&LengthConfig::fixed(128, 2048), 64);
+    let timed = ArrivalConfig::Poisson { rate_rps: 4000.0 }.assign(&trace, 71);
+    Scenario::colocated(1).prefix_caching(false).workload(timed)
+}
+
 #[test]
 fn resume_across_slot_reuse_is_invisible() {
     // A saturated long-decode workload on one tiny wafer: the KV cache
@@ -198,9 +206,7 @@ fn resume_across_slot_reuse_is_invisible() {
     // resumed run numbers its slots afresh (in sequence order), so an
     // identical report proves the numbering never reaches an output.
     let sys = tiny_system();
-    let trace = TraceGenerator::new(71).generate(&LengthConfig::fixed(128, 2048), 64);
-    let timed = ArrivalConfig::Poisson { rate_rps: 4000.0 }.assign(&trace, 71);
-    let scenario = Scenario::colocated(1).prefix_caching(false).workload(timed);
+    let scenario = saturated_long_decode();
     let mid_s = 0.25; // about half of the run
     let mut run = scenario.start(&sys).unwrap();
     run.run_until(mid_s);
@@ -584,4 +590,45 @@ proptest! {
             let _ = scenario.resume(sys, &snap);
         }
     }
+}
+
+#[test]
+fn a_mid_block_checkpoint_resumes_exactly() {
+    // Checkpoint at a step that is no resident sequence's event: each has
+    // decoded past its first token and sits inside a KV block, short of
+    // the token that opens the next block and of its last token. The
+    // snapshot must still hold every decoded token, in the active rows and
+    // in the KV rows, and the hash pins those bytes.
+    let sys = tiny_system();
+    let scenario = saturated_long_decode();
+    let (prompt, decode) = (128, 2048);
+    let tokens_per_block = KvManager::new(sys.serve_kv_config()).unwrap().tokens_per_block();
+    let mid_s = 0.21;
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(mid_s);
+    let engine = &run.engines()[0];
+    assert!(engine.stats().evictions > 0, "the checkpoint must follow evictions");
+    assert!(engine.queue_len() > 0, "evicted sequences must still wait in the queue");
+    let json = scenario.checkpoint(&run).to_json();
+    let rows = read_rows(&json).unwrap();
+    let active: Vec<(usize, usize)> = rows
+        .iter()
+        .filter(|r| r.get_str("section").unwrap() == "active")
+        .map(|r| {
+            let n = |key| r.get_str(key).unwrap().parse::<usize>().unwrap();
+            (n("prefill_remaining"), n("decoded"))
+        })
+        .collect();
+    assert_eq!(active.len(), engine.resident());
+    assert!(active.len() > 16, "the cache must hold many sequences");
+    for (prefill_remaining, decoded) in active {
+        assert_eq!(prefill_remaining, 0, "every resident sequence is decoding");
+        assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
+        assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
+    }
+    assert_eq!(fnv1a(json.as_bytes()), 0x7dcc_661d_5bdc_fb34, "mid-block snapshot bytes drifted");
+    let straight = scenario.run(&sys).unwrap();
+    let resumed = run_via_snapshot(&scenario, &sys, mid_s);
+    assert_eq!(straight, resumed, "resumed report diverged");
+    assert_eq!(format!("{straight:?}"), format!("{resumed:?}"), "resumed report Debug form diverged");
 }
