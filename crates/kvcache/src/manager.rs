@@ -50,9 +50,10 @@ pub enum KvError {
     /// differs from the scenario's; an index past the records, the workload
     /// or the deployment; core, crossbar or block counts that differ from
     /// the configuration's; a block holding more tokens than fit; a cursor,
-    /// block or shared-chain row naming a block its owner does not own; an
-    /// allocated block that no block list or chain indexes exactly once; or
-    /// a page-table row that differs from the key cursors.
+    /// block or shared-chain row naming a block its owner does not own; a
+    /// cursor that is not the last block of its role in its sequence's
+    /// block list; or an allocated block that no block list or chain
+    /// indexes exactly once.
     BadSnapshot(&'static str),
 }
 
@@ -182,7 +183,7 @@ const ROLES: [KvRole; 2] = [KvRole::Key, KvRole::Value];
 /// role) pair is currently appending into, or one block of a shared chain
 /// node. A cursor never changes core: growth allocates on
 /// `core_index`, and only a new admission binds a cursor elsewhere.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Cursor {
     core_index: usize,
     crossbar: usize,
@@ -437,10 +438,6 @@ pub struct KvManagerSnapshot {
     pub key_cores: Vec<Vec<CrossbarSnapshot>>,
     /// Value-side crossbar tables, per core in order.
     pub value_cores: Vec<Vec<CrossbarSnapshot>>,
-    /// Page-table entries `(seq, key-side core id)`, key-sorted. Derived
-    /// from the key cursors, which never change core; restore checks each
-    /// row against the restored cursors.
-    pub page_table: Vec<(u64, u64)>,
     /// Append cursors `(seq, role, core_index, crossbar, block)`,
     /// key-sorted. Role 0 is K, 1 is V.
     pub cursors: Vec<(u64, u8, usize, usize, usize)>,
@@ -545,7 +542,6 @@ impl KvManager {
         // Slot numbering depends on release history, so every per-slot
         // row is emitted in sequence order.
         let resident = self.resident();
-        let page_table = self.page_rows(&resident);
         let mut sides = [side(&self.key_cores), side(&self.value_cores)];
         for &(_, slot) in &resident {
             let lag = self.slots.fill[slot.index()].lag;
@@ -602,7 +598,6 @@ impl KvManager {
             transfers: self.transfers,
             key_cores,
             value_cores,
-            page_table,
             cursors,
             seq_blocks,
             resident_tokens,
@@ -623,10 +618,11 @@ impl KvManager {
     /// [`KvError::BadSnapshot`] when the snapshot's core, crossbar or block
     /// counts differ from the configuration's, a block holds more tokens
     /// than fit, a cursor, block or shared-chain row names a block its
-    /// owner does not own, a shared chain names a core out of range, an
-    /// allocated block is missing from its owner's block list or chain or
-    /// listed twice, a sharer names an absent chain or more nodes than it
-    /// has, or a page-table row differs from the restored key cursors.
+    /// owner does not own, a cursor is not the last block of its role in
+    /// its sequence's block list, a shared chain names a core out of
+    /// range, an allocated block is missing from its owner's block list or
+    /// chain or listed twice, or a sharer names an absent chain or more
+    /// nodes than it has.
     /// Snapshots are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
         let mut m = KvManager::new(config)?;
@@ -681,8 +677,16 @@ impl KvManager {
             }
             m.slots.blocks[slot.index()].extend(rows);
         }
-        if snap.page_table != m.page_rows(&m.resident()) {
-            return Err(KvError::BadSnapshot("a page-table row differs from the key cursors"));
+        // Each allocation binds its role's cursor to the block it appends
+        // to the list, so a cursor is always the last block of its role.
+        for slot in m.slots.of.values() {
+            let (cursors, blocks) = (&m.slots.cursors[slot.index()], &m.slots.blocks[slot.index()]);
+            for role in ROLES {
+                let last = blocks.iter().rfind(|(r, _)| *r == role).map(|&(_, c)| c);
+                if cursors[role as usize] != last {
+                    return Err(KvError::BadSnapshot("a cursor is not the last block of its role"));
+                }
+            }
         }
         for (group, chain) in &snap.shared {
             if chain.k_core >= m.key_cores.len() || chain.v_core >= m.value_cores.len() {
@@ -737,13 +741,6 @@ impl KvManager {
             self.slots.of.iter().map(|(&seq, &slot)| (seq, slot)).collect();
         resident.sort_unstable_by_key(|&(seq, _)| seq);
         resident
-    }
-
-    /// The page table (first translation level) of `resident`: each
-    /// sequence's key-side core id, read off its key cursor. A sequence
-    /// whose key cursor is unbound (a failed admission) has no row.
-    fn page_rows(&self, resident: &[(u64, KvSlot)]) -> Vec<(u64, u64)> {
-        resident.iter().filter_map(|&(seq, slot)| Some((seq, self.key_core(slot)?.0 as u64))).collect()
     }
 
     /// The core `slot`'s key cursor is bound on, if it is bound.
@@ -1495,8 +1492,9 @@ mod tests {
         let snap = m.snapshot();
         assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
         let edits: [fn(&mut KvManagerSnapshot); 11] = [
-            |s| s.page_table[0].1 += 1,
-            |s| s.page_table.push((9, 0)),
+            // Cursors, which give the page table, missing for blocks held.
+            |s| s.cursors.clear(),
+            |s| s.cursors.truncate(1),
             |s| s.shared[0].1.nodes[0].1 = (0, 31, 0),
             |s| s.shared[0].1.k_core = 99,
             |s| s.shared[0].1.v_core = 99,

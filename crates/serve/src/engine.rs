@@ -568,8 +568,8 @@ impl Engine {
 
     /// The single admission path: submits a request arriving at
     /// `arrival_s` under the given [`Admission`] flavour, tagged with the
-    /// global id and wafer index for reporting. `arrival_s` is always the
-    /// request's original arrival (kept for TTFT/E2E accounting);
+    /// global id for reporting. `arrival_s` is always the request's
+    /// original arrival (kept for TTFT/E2E accounting);
     /// [`Admission::Imported`] gates admissibility on its own `ready_s`.
     /// Returns the engine-local record index.
     pub fn submit_with(
@@ -578,7 +578,6 @@ impl Engine {
         arrival_s: f64,
         admission: Admission,
         id: usize,
-        wafer: usize,
     ) -> usize {
         let (ready_s, imported, prefill_only) = match admission {
             Admission::Local => (arrival_s, false, false),
@@ -600,7 +599,6 @@ impl Engine {
         };
         self.records.push(RequestRecord {
             id,
-            wafer,
             prompt_len: request.prompt_len,
             decode_len: request.decode_len,
             arrival_s,
@@ -814,7 +812,7 @@ mod tests {
     #[test]
     fn single_request_runs_to_completion() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 64, 8), 0.5, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 64, 8), 0.5, Admission::Local, 0);
         let mut completions = Vec::new();
         while e.has_work() {
             completions.extend(e.step());
@@ -838,9 +836,9 @@ mod tests {
         // never emits a first token (NaN sentinel), and Imported is gated on
         // its `ready_s`, not the nominal arrival.
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0, 0);
-        e.submit_with(Request::new(1, 64, 8), 0.0, Admission::PrefillOnly, 1, 0);
-        e.submit_with(Request::new(2, 64, 8), 0.0, Admission::Imported { ready_s: 0.001 }, 2, 0);
+        e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0);
+        e.submit_with(Request::new(1, 64, 8), 0.0, Admission::PrefillOnly, 1);
+        e.submit_with(Request::new(2, 64, 8), 0.0, Admission::Imported { ready_s: 0.001 }, 2);
         while e.has_work() {
             e.step();
         }
@@ -855,7 +853,7 @@ mod tests {
     #[test]
     fn idle_engine_fast_forwards_to_arrivals() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 32, 4), 10.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 32, 4), 10.0, Admission::Local, 0);
         e.step();
         assert!(e.clock_s() >= 10.0, "the first step jumps an idle engine to the arrival");
         while e.has_work() {
@@ -870,8 +868,8 @@ mod tests {
     #[test]
     fn later_arrival_waits_for_its_timestamp() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 32, 64), 0.0, Admission::Local, 0, 0);
-        e.submit_with(Request::new(1, 32, 4), 1e9, Admission::Local, 1, 0);
+        e.submit_with(Request::new(0, 32, 64), 0.0, Admission::Local, 0);
+        e.submit_with(Request::new(1, 32, 4), 1e9, Admission::Local, 1);
         // The first request completes long before the second arrives.
         let mut steps = 0;
         while e.records()[0].completed_s.is_nan() && steps < 10_000 {
@@ -892,7 +890,7 @@ mod tests {
         // demand ~80k, so decode growth must evict.
         let mut e = engine(2);
         for i in 0..40 {
-            e.submit_with(Request::new(i, 1000, 1000), 0.0, Admission::Local, i, 0);
+            e.submit_with(Request::new(i, 1000, 1000), 0.0, Admission::Local, i);
         }
         let mut completions = 0;
         let mut guard = 0;
@@ -912,7 +910,7 @@ mod tests {
     fn eviction_preserves_decode_progress() {
         let mut e = engine(2);
         for i in 0..40 {
-            e.submit_with(Request::new(i, 800, 800), 0.0, Admission::Local, i, 0);
+            e.submit_with(Request::new(i, 800, 800), 0.0, Admission::Local, i);
         }
         while e.has_work() {
             e.step();
@@ -931,8 +929,8 @@ mod tests {
     fn oversized_request_is_dropped_not_spun_on() {
         let mut e = engine(2);
         let cap = 100_000; // far beyond two cores of KV
-        e.submit_with(Request::new(0, cap, 4), 0.0, Admission::Local, 0, 0);
-        e.submit_with(Request::new(1, 64, 4), 0.0, Admission::Local, 1, 0);
+        e.submit_with(Request::new(0, cap, 4), 0.0, Admission::Local, 0);
+        e.submit_with(Request::new(1, 64, 4), 0.0, Admission::Local, 1);
         while e.has_work() {
             e.step();
         }
@@ -943,7 +941,7 @@ mod tests {
     #[test]
     fn zero_decode_requests_complete_after_prefill() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 128, 0), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 128, 0), 0.0, Admission::Local, 0);
         while e.has_work() {
             e.step();
         }
@@ -961,7 +959,7 @@ mod tests {
         let run = |n: usize| -> f64 {
             let mut e = engine(16);
             for i in 0..n {
-                e.submit_with(Request::new(i, 32, 64), 0.0, Admission::Local, i, 0);
+                e.submit_with(Request::new(i, 32, 64), 0.0, Admission::Local, i);
             }
             while e.has_work() {
                 e.step();
@@ -977,7 +975,7 @@ mod tests {
     #[test]
     fn prefill_only_completes_at_prefill_end_and_exports_kv() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 256, 64), 0.0, Admission::PrefillOnly, 0, 0);
+        e.submit_with(Request::new(0, 256, 64), 0.0, Admission::PrefillOnly, 0);
         let mut completions = Vec::new();
         while e.has_work() {
             completions.extend(e.step());
@@ -997,7 +995,7 @@ mod tests {
         let run = |prefill_only: bool| -> f64 {
             let mut e = engine(8);
             let admission = if prefill_only { Admission::PrefillOnly } else { Admission::Local };
-            e.submit_with(Request::new(0, 256, 64), 0.0, admission, 0, 0);
+            e.submit_with(Request::new(0, 256, 64), 0.0, admission, 0);
             while e.has_work() {
                 e.step();
             }
@@ -1011,7 +1009,7 @@ mod tests {
         let mut e = engine(8);
         // KV for the 256-token prompt was prefilled elsewhere; migration
         // lands at t = 5.0 although the request arrived at t = 1.0.
-        e.submit_with(Request::new(0, 256, 16), 1.0, Admission::Imported { ready_s: 5.0 }, 0, 0);
+        e.submit_with(Request::new(0, 256, 16), 1.0, Admission::Imported { ready_s: 5.0 }, 0);
         let mut completions = Vec::new();
         while e.has_work() {
             completions.extend(e.step());
@@ -1033,7 +1031,7 @@ mod tests {
         let run = |imported: bool| -> f64 {
             let mut e = engine(8);
             let admission = if imported { Admission::Imported { ready_s: 0.0 } } else { Admission::Local };
-            e.submit_with(Request::new(0, 512, 8), 0.0, admission, 0, 0);
+            e.submit_with(Request::new(0, 512, 8), 0.0, admission, 0);
             while e.has_work() {
                 e.step();
             }
@@ -1048,8 +1046,8 @@ mod tests {
         // almost immediately: admission order must follow readiness, not
         // submission order, or the early migration idles for ~1 s.
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 256, 4), 0.0, Admission::Imported { ready_s: 1.0 }, 0, 0);
-        e.submit_with(Request::new(1, 64, 4), 0.0, Admission::Imported { ready_s: 0.001 }, 1, 0);
+        e.submit_with(Request::new(0, 256, 4), 0.0, Admission::Imported { ready_s: 1.0 }, 0);
+        e.submit_with(Request::new(1, 64, 4), 0.0, Admission::Imported { ready_s: 0.001 }, 1);
         let mut guard = 0;
         while e.records()[1].admitted_s.is_nan() && guard < 10_000 {
             e.step();
@@ -1072,7 +1070,7 @@ mod tests {
     fn export_then_import_conserves_tokens_across_engines() {
         let mut prefill = engine(8);
         let mut decode = engine(8);
-        prefill.submit_with(Request::new(0, 300, 20), 0.0, Admission::PrefillOnly, 0, 0);
+        prefill.submit_with(Request::new(0, 300, 20), 0.0, Admission::PrefillOnly, 0);
         let mut done = Vec::new();
         while prefill.has_work() {
             done.extend(prefill.step());
@@ -1085,7 +1083,6 @@ mod tests {
             0.0,
             Admission::Imported { ready_s: t_done + 0.001 },
             0,
-            1,
         );
         while decode.has_work() {
             decode.step();
@@ -1098,7 +1095,7 @@ mod tests {
     fn a_fault_evicts_resident_kv_and_recomputes_it() {
         let mut e = engine(8);
         let prompt = 256;
-        e.submit_with(Request::new(0, prompt, 512), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, prompt, 512), 0.0, Admission::Local, 0);
         // Run until decode is underway and five tokens past the first, so
         // the fault strikes between the sequence's events.
         while e.records()[0].first_token_s.is_nan() {
@@ -1144,7 +1141,7 @@ mod tests {
         // the same work strictly later (stall + mean-hops penalty).
         let run = |fault: bool| -> f64 {
             let mut e = engine(8);
-            e.submit_with(Request::new(0, 128, 256), 0.0, Admission::Local, 0, 0);
+            e.submit_with(Request::new(0, 128, 256), 0.0, Admission::Local, 0);
             e.step();
             if fault {
                 let t = e.clock_s();
@@ -1170,7 +1167,7 @@ mod tests {
         let next_step = |e: &mut Engine, penalty: f64| {
             for round in 0..2 {
                 for id in 0..4 {
-                    e.submit_with(Request::new(4 * round + id, 64, 32), e.clock_s(), Admission::Local, 0, 0);
+                    e.submit_with(Request::new(4 * round + id, 64, 32), e.clock_s(), Admission::Local, 0);
                 }
                 if round == 0 {
                     while e.has_work() {
@@ -1203,7 +1200,7 @@ mod tests {
         assert_eq!(e.healthy_kv_fraction(), 0.0);
         assert!(e.apply_fault(0.0, 0.0, 0, 0.0).is_none(), "a dead wafer absorbs no more faults");
         // Requests routed here anyway are dropped, not spun on.
-        e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0);
         while e.has_work() {
             e.step();
         }
@@ -1214,7 +1211,7 @@ mod tests {
     fn kv_load_tracks_queue_and_residency() {
         let mut e = engine(4);
         assert_eq!(e.kv_load(), 0.0);
-        e.submit_with(Request::new(0, 512, 64), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 512, 64), 0.0, Admission::Local, 0);
         let queued = e.kv_load();
         assert!(queued > 0.0, "queued demand counts toward load");
         e.step();
@@ -1229,7 +1226,7 @@ mod tests {
         // placement signals must count them anyway.
         let mut e = engine(4);
         let prompt = 100;
-        e.submit_with(Request::new(0, prompt, 64), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, prompt, 64), 0.0, Admission::Local, 0);
         while e.records()[0].first_token_s.is_nan() {
             e.step();
         }
@@ -1249,8 +1246,8 @@ mod tests {
         let mut e = engine(8);
         // Two concurrent requests sharing a 256-token system prompt with
         // 64-token unique tails.
-        e.submit_with(Request::new(0, 320, 8).with_shared_prefix(1, 256), 0.0, Admission::Local, 0, 0);
-        e.submit_with(Request::new(1, 320, 8).with_shared_prefix(1, 256), 0.0, Admission::Local, 1, 0);
+        e.submit_with(Request::new(0, 320, 8).with_shared_prefix(1, 256), 0.0, Admission::Local, 0);
+        e.submit_with(Request::new(1, 320, 8).with_shared_prefix(1, 256), 0.0, Admission::Local, 1);
         while e.has_work() {
             e.step();
         }
@@ -1275,13 +1272,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..6 {
-                e.submit_with(
-                    Request::new(i, 520, 8).with_shared_prefix(9, 512),
-                    0.0,
-                    Admission::Local,
-                    i,
-                    0,
-                );
+                e.submit_with(Request::new(i, 520, 8).with_shared_prefix(9, 512), 0.0, Admission::Local, i);
             }
             while e.has_work() {
                 e.step();
@@ -1307,7 +1298,7 @@ mod tests {
     fn post_eviction_queueing_is_accounted_as_queue_wait() {
         let mut e = engine(2);
         for i in 0..40 {
-            e.submit_with(Request::new(i, 800, 800), 0.0, Admission::Local, i, 0);
+            e.submit_with(Request::new(i, 800, 800), 0.0, Admission::Local, i);
         }
         while e.has_work() {
             e.step();
@@ -1338,7 +1329,7 @@ mod tests {
     #[test]
     fn fault_plus_capacity_eviction_charges_recompute_once() {
         let mut e = engine(8);
-        e.submit_with(Request::new(0, 256, 512), 0.0, Admission::Local, 0, 0);
+        e.submit_with(Request::new(0, 256, 512), 0.0, Admission::Local, 0);
         while e.records()[0].first_token_s.is_nan() {
             e.step();
         }

@@ -104,7 +104,7 @@ pub use policy::{
     pick_min_index, pick_prefix_affine_index, pick_serviceable_min_index, pick_serviceable_min_index_by,
     placements, routers, Placement, Router,
 };
-pub use report::{DeploymentInfo, Migration, MigrationStats, RunReport, SCHEMA_VERSION};
+pub use report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use stage::{event_kind, Stage, EVENT_OWNERS};

@@ -12,8 +12,6 @@
 pub struct RequestRecord {
     /// Request id (trace index).
     pub id: usize,
-    /// Wafer (replica) the router assigned the request to.
-    pub wafer: usize,
     /// Prompt length in tokens.
     pub prompt_len: usize,
     /// Decode length in tokens.
@@ -275,7 +273,6 @@ mod tests {
     fn record(arrival: f64, first: f64, done: f64, decode: usize) -> RequestRecord {
         RequestRecord {
             id: 0,
-            wafer: 0,
             prompt_len: 32,
             decode_len: decode,
             arrival_s: arrival,

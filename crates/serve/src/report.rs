@@ -38,34 +38,6 @@ pub struct DeploymentInfo {
     pub placement: Option<String>,
 }
 
-/// One KV migration from a prefill wafer to a decode wafer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Migration {
-    /// Global request id.
-    pub id: usize,
-    /// Global index of the source (prefill) wafer.
-    pub from_wafer: usize,
-    /// Global index of the destination (decode) wafer.
-    pub to_wafer: usize,
-    /// Tokens that actually travelled the wire (the prompt at prefill
-    /// completion minus the prefix tokens already resident on the target).
-    pub tokens: u64,
-    /// Prompt tokens deduplicated against the target's shared-prefix cache
-    /// at announce time (skipped on the wire).
-    pub deduped_tokens: u64,
-    /// Bytes on the wire: wire tokens × the model's full per-token KV
-    /// footprint.
-    pub bytes: u64,
-    /// Prefill-completion instant (migration start).
-    pub start_s: f64,
-    /// Instant the KV lands on the decode wafer and becomes admissible.
-    pub arrive_s: f64,
-    /// Optical wafer boundaries crossed.
-    pub wafer_hops: usize,
-    /// Link energy of the transfer.
-    pub energy_j: f64,
-}
-
 /// KV-migration accounting of one disaggregated run.
 ///
 /// Byte conservation is the core invariant: every byte of KV a prefill
@@ -83,7 +55,7 @@ pub struct MigrationStats {
     pub migrations: usize,
     /// Tokens that actually travelled the wire across all migrations
     /// (whole prompts minus the prefix tokens already resident on each
-    /// target — see [`Migration::tokens`]).
+    /// target at announce time).
     pub migrated_tokens: u64,
     /// KV bytes exported by prefill wafers.
     pub exported_kv_bytes: u64,

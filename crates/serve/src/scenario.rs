@@ -52,10 +52,10 @@ use crate::engine::{Engine, EngineConfig};
 use crate::fault::{FaultConfig, FaultInjector, FaultPoll};
 use crate::metrics::{RequestRecord, RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
-use crate::report::{DeploymentInfo, Migration, MigrationStats, RunReport, SCHEMA_VERSION};
+use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 use crate::snapshot::Snapshot;
+use crate::stage::migrate::MigrationTotals;
 use crate::stage::{self, StageQueues};
-use ouro_kvcache::fasthash::FastMap;
 use ouro_kvcache::KvError;
 use ouro_noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
@@ -270,8 +270,8 @@ impl Scenario {
     }
 
     /// Like [`Scenario::run`], but also hands back the post-run engine
-    /// state and migration log for invariant checks (block audits,
-    /// per-wafer record counts, migration timing).
+    /// state, and the lifecycle trace when armed, for invariant checks
+    /// (block audits, per-wafer record counts, migration timing).
     ///
     /// # Errors
     ///
@@ -325,7 +325,7 @@ impl Scenario {
             placement: self.placement.clone(),
             link: system.stage_times().inter_wafer_link(),
             kv_bytes_per_token: system.kv_migration_bytes(1),
-            migrations: Vec::new(),
+            migrations: MigrationTotals::default(),
             tracer: if self.trace { Tracer::ring(0) } else { Tracer::off() },
             telemetry: self.telemetry.map(TelemetryRecorder::new),
             completed: 0,
@@ -345,10 +345,10 @@ impl Scenario {
 
     /// Captures a mid-run checkpoint of `run`: the stage queues, every
     /// engine's records, pending arena, active set and KV manager, the
-    /// policy and think-stream state, the migration log and the fault
-    /// injector — together the *complete* simulator state. Resuming the
-    /// snapshot via [`Scenario::resume`] and driving to the end produces a
-    /// byte-identical [`RunReport`] to the uninterrupted run.
+    /// policy and think-stream state, the running migration totals and the
+    /// fault injector — together the *complete* simulator state. Resuming
+    /// the snapshot via [`Scenario::resume`] and driving to the end
+    /// produces a byte-identical [`RunReport`] to the uninterrupted run.
     ///
     /// Tracing and telemetry are deliberately *not* captured: they are
     /// observational sinks that never feed back into the simulation, and a
@@ -370,8 +370,7 @@ impl Scenario {
     /// wafer out of range, or holds KV rows that do not fit `system` (core,
     /// crossbar or block counts, a block over capacity, a cursor, block or
     /// shared-chain row on a block its owner does not own, an allocated
-    /// block no block list or chain indexes exactly once, a page-table row
-    /// that differs from the key cursors). Returns
+    /// block no block list or chain indexes exactly once). Returns
     /// [`KvError::UnknownSequence`] when an active sequence is not resident
     /// in its restored KV manager.
     ///
@@ -416,7 +415,6 @@ pub struct RunOutcome {
     engines: Vec<Engine>,
     prefill_wafers: usize,
     disagg: bool,
-    migrations: Vec<Migration>,
 }
 
 impl RunOutcome {
@@ -434,12 +432,6 @@ impl RunOutcome {
         } else {
             &self.engines
         }
-    }
-
-    /// Every KV migration performed, in prefill-completion order (empty
-    /// for colocated deployments).
-    pub fn migrations(&self) -> &[Migration] {
-        &self.migrations
     }
 
     /// The merged lifecycle trace (`None` unless [`Scenario::trace`] was
@@ -465,7 +457,7 @@ impl RunOutcome {
 }
 
 /// The complete mutable state of one in-flight scenario run: the driver
-/// (engines, event calendar, policies, migration log), the arrival-stage
+/// (engines, event calendar, policies, migration totals), the arrival-stage
 /// queues, and the fault injector. Produced by [`Scenario::start`],
 /// advanced by [`RunState::step_once`] / [`RunState::run_until`] /
 /// [`RunState::run_to_end`], closed by [`RunState::finish`], and captured
@@ -624,7 +616,6 @@ impl RunState {
             prefill_wafers: driver.prefill_wafers,
             disagg: driver.disagg,
             engines: driver.engines,
-            migrations: driver.migrations,
         }
     }
 }
@@ -642,7 +633,7 @@ pub(crate) struct Driver {
     pub(crate) placement: Box<dyn Placement>,
     pub(crate) link: InterWaferLink,
     pub(crate) kv_bytes_per_token: u64,
-    pub(crate) migrations: Vec<Migration>,
+    pub(crate) migrations: MigrationTotals,
     /// The driver's own event stream: arrivals and migration endpoints,
     /// stamped onto the wafer they concern via `emit_for`.
     pub(crate) tracer: Tracer,
@@ -765,7 +756,7 @@ impl Driver {
             let t_s = rec.sample_time();
             let counters = Counters {
                 completions: self.completed,
-                migrations: self.migrations.len() as u64,
+                migrations: self.migrations.count,
                 faults: self.faults_fired,
                 steps: self.engines.iter().map(|e| e.stats().steps).sum(),
             };
@@ -796,7 +787,7 @@ impl Driver {
         }
         let counters = Counters {
             completions: self.completed,
-            migrations: self.migrations.len() as u64,
+            migrations: self.migrations.count,
             faults: self.faults_fired,
             steps: self.engines.iter().map(|e| e.stats().steps).sum(),
         };
@@ -807,10 +798,11 @@ impl Driver {
         }
     }
 
-    /// Assembles the unified report. Disaggregated per-request records are
-    /// merged across pools (arrival and prefill admission from the prefill
-    /// side, first-token and completion from the decode side), and KV
-    /// migration accounting is reconciled against both pools' managers.
+    /// Assembles the unified report. A disaggregated request's latency
+    /// lives in its decode-side record (which carries the original
+    /// arrival), so the records reported are the decode pool's plus the
+    /// prefill records never handed off; KV migration accounting is
+    /// reconciled against both pools' managers.
     fn report(
         &self,
         timed: &TimedTrace,
@@ -819,45 +811,26 @@ impl Driver {
         deployment: DeploymentInfo,
         injector: Option<FaultInjector>,
     ) -> RunReport {
+        // A colocated run has no prefill pool, so every engine is on the
+        // decode side. A prefill record was handed off when its retire
+        // stamped `completed_s`; the decode side then owns the request.
+        let (prefill, decode) = self.engines.split_at(self.prefill_wafers);
+        let not_handed_off = |r: &&RequestRecord| !r.completed();
         // Sized up front: `collect()` over a `flat_map` would size the vector
         // from the first engine's records and double from there, so the
         // run's peak heap would depend on how requests spread over wafers.
-        let merge = |engines: &[Engine]| {
-            let mut all: Vec<RequestRecord> =
-                Vec::with_capacity(engines.iter().map(|e| e.records().len()).sum());
-            for e in engines {
-                all.extend_from_slice(e.records());
-            }
-            all
-        };
-        let records = if self.disagg {
-            let mut merged = merge(&self.engines[..self.prefill_wafers]);
-            let decode_by_id: FastMap<usize, &RequestRecord> = self.engines[self.prefill_wafers..]
-                .iter()
-                .flat_map(|e| e.records().iter())
-                .map(|r| (r.id, r))
-                .collect();
-            for r in &mut merged {
-                match decode_by_id.get(&r.id) {
-                    Some(d) => {
-                        // A completed prefill is not a completed request:
-                        // the decode side owns first-token and completion.
-                        r.wafer = d.wafer;
-                        r.first_token_s = d.first_token_s;
-                        r.completed_s = d.completed_s;
-                        r.evictions += d.evictions;
-                    }
-                    None => {
-                        r.completed_s = f64::NAN;
-                    }
-                }
-            }
-            merged
-        } else {
-            merge(&self.engines[..])
-        };
-        let mut records = records;
-        records.sort_by_key(|r| r.id);
+        let mut records: Vec<RequestRecord> = Vec::with_capacity(
+            decode.iter().map(|e| e.records().len()).sum::<usize>()
+                + prefill.iter().map(|e| e.records().iter().filter(not_handed_off).count()).sum::<usize>(),
+        );
+        for e in decode {
+            records.extend_from_slice(e.records());
+        }
+        for e in prefill {
+            records.extend(e.records().iter().filter(not_handed_off));
+        }
+        // Left unsorted: the report counts records, sums integers and sorts
+        // every latency sample, so it does not depend on their order.
 
         let queued: usize = self.engines.iter().map(Engine::queue_len).sum();
         let in_flight: usize = self.engines.iter().map(Engine::resident).sum();
@@ -878,8 +851,6 @@ impl Driver {
             engines.iter().map(|e| e.busy_s().min(end_s) / span).sum::<f64>() / engines.len() as f64
         };
         let (utilization, migration) = if self.disagg {
-            let prefill = &self.engines[..self.prefill_wafers];
-            let decode = &self.engines[self.prefill_wafers..];
             let prefill_utilization = util(prefill);
             let decode_utilization = util(decode);
             let utilization = (prefill_utilization * prefill.len() as f64
@@ -890,23 +861,22 @@ impl Driver {
             let imported_tokens: u64 = decode.iter().map(|e| e.kv_transfers().imported_tokens).sum();
             let in_flight_tokens: u64 = decode.iter().map(|e| e.pending_imported_tokens() as u64).sum();
             let dropped_tokens: u64 = decode.iter().map(|e| e.stats().dropped_imported_tokens).sum();
-            let deduped_tokens: u64 = self.migrations.iter().map(|m| m.deduped_tokens).sum();
-            let migration_times: Vec<f64> = self.migrations.iter().map(|m| m.arrive_s - m.start_s).collect();
+            let totals = &self.migrations;
             let stats = MigrationStats {
-                migrations: self.migrations.len(),
-                migrated_tokens: self.migrations.iter().map(|m| m.tokens).sum(),
+                migrations: totals.count as usize,
+                migrated_tokens: totals.wire_tokens,
                 exported_kv_bytes: exported_tokens * self.kv_bytes_per_token,
                 imported_kv_bytes: imported_tokens * self.kv_bytes_per_token,
                 in_flight_kv_bytes: in_flight_tokens * self.kv_bytes_per_token,
                 dropped_kv_bytes: dropped_tokens * self.kv_bytes_per_token,
-                deduped_kv_bytes: deduped_tokens * self.kv_bytes_per_token,
-                mean_migration_s: if migration_times.is_empty() {
+                deduped_kv_bytes: totals.deduped_tokens * self.kv_bytes_per_token,
+                mean_migration_s: if totals.count == 0 {
                     0.0
                 } else {
-                    migration_times.iter().sum::<f64>() / migration_times.len() as f64
+                    totals.transit_s / totals.count as f64
                 },
-                max_migration_s: migration_times.iter().fold(0.0, |a: f64, &b| a.max(b)),
-                link_energy_j: self.migrations.iter().map(|m| m.energy_j).sum(),
+                max_migration_s: totals.max_transit_s,
+                link_energy_j: totals.energy_j,
                 prefill_utilization,
                 decode_utilization,
             };
@@ -941,6 +911,7 @@ mod tests {
     use crate::policy::{placements, routers};
     use ouro_model::zoo;
     use ouro_sim::OuroborosConfig;
+    use ouro_trace::EventKind;
     use ouro_workload::Request;
     use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TraceGenerator};
 
@@ -955,6 +926,48 @@ mod tests {
     fn timed(n: usize, rate: f64, seed: u64) -> TimedTrace {
         let trace = TraceGenerator::new(seed).generate(&LengthConfig::fixed(64, 32), n);
         ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, seed)
+    }
+
+    /// One KV migration read off a traced run's `migrate_start` and
+    /// `migrate_arrive` events.
+    #[derive(Debug, Clone, Copy)]
+    struct TracedMigration {
+        id: usize,
+        /// Global source (prefill) wafer.
+        from: usize,
+        /// Global destination (decode) wafer.
+        to: usize,
+        start_s: f64,
+        arrive_s: f64,
+    }
+
+    /// Every migration of a run armed with [`Scenario::trace`], in
+    /// announce order.
+    fn traced_migrations(outcome: &RunOutcome) -> Vec<TracedMigration> {
+        let events = outcome.trace().expect("the run was traced").events();
+        let arrive_s = |id| {
+            events
+                .iter()
+                .find(|ev| ev.req == Some(id) && matches!(ev.kind, EventKind::MigrateArrive { .. }))
+                .map(|ev| ev.t_s)
+                .expect("every announced migration lands")
+        };
+        events
+            .iter()
+            .filter_map(|ev| match ev.kind {
+                EventKind::MigrateStart { to_wafer, .. } => {
+                    let id = ev.req.expect("a migration names its request");
+                    Some(TracedMigration {
+                        id,
+                        from: ev.wafer,
+                        to: to_wafer,
+                        start_s: ev.t_s,
+                        arrive_s: arrive_s(id),
+                    })
+                }
+                _ => None,
+            })
+            .collect()
     }
 
     // ---- colocated deployments -------------------------------------------
@@ -1176,17 +1189,19 @@ mod tests {
     #[test]
     fn ttft_includes_prefill_queueing_and_migration() {
         let sys = tiny_system();
-        let outcome =
-            Scenario::disaggregated(1, 1).slo(slo()).workload(timed(10, 100.0, 2)).run_full(&sys).unwrap();
+        let outcome = Scenario::disaggregated(1, 1)
+            .slo(slo())
+            .trace(true)
+            .workload(timed(10, 100.0, 2))
+            .run_full(&sys)
+            .unwrap();
+        let migrations = traced_migrations(&outcome);
         // First token can only appear after the migration lands.
-        for m in outcome.migrations() {
+        for m in &migrations {
             assert!(m.arrive_s > m.start_s);
         }
         assert!(outcome.report.serving.ttft.count > 0);
-        assert!(
-            outcome.report.serving.ttft.mean_s
-                > outcome.migrations()[0].arrive_s - outcome.migrations()[0].start_s
-        );
+        assert!(outcome.report.serving.ttft.mean_s > migrations[0].arrive_s - migrations[0].start_s);
     }
 
     #[test]
@@ -1293,19 +1308,23 @@ mod tests {
     #[test]
     fn locality_aware_prefers_near_decode_wafers() {
         let sys = tiny_system();
-        let outcome = Scenario::disaggregated(1, 3)
+        let prefill_wafers = 1;
+        let outcome = Scenario::disaggregated(prefill_wafers, 3)
             .placement(placements::locality_aware())
             .slo(slo())
+            .trace(true)
             .workload(timed(12, 30.0, 5))
             .run_full(&sys)
             .unwrap();
+        let migrations = traced_migrations(&outcome);
         // Light load: every placement lands on the nearest decode wafer.
-        let near: usize = outcome.migrations().iter().filter(|m| m.to_wafer == 1).count();
+        let near: usize = migrations.iter().filter(|m| m.to == 1).count();
         assert!(
-            near > outcome.migrations().len() / 2,
+            near > migrations.len() / 2,
             "locality-aware must favour the nearest decode wafer under light load"
         );
-        let hops: Vec<usize> = outcome.migrations().iter().map(|m| m.wafer_hops).collect();
+        let hops: Vec<usize> =
+            migrations.iter().map(|m| (prefill_wafers - m.from) + (m.to - prefill_wafers)).collect();
         assert!(hops.iter().all(|&h| h >= 1), "every migration crosses at least one boundary");
     }
 
@@ -1339,11 +1358,16 @@ mod tests {
             seed: 0,
         };
         let run = |arrivals| {
-            Scenario::disaggregated(2, 1).slo(slo()).workload(mk_trace(arrivals)).run_full(&sys).unwrap()
+            Scenario::disaggregated(2, 1)
+                .slo(slo())
+                .trace(true)
+                .workload(mk_trace(arrivals))
+                .run_full(&sys)
+                .unwrap()
         };
         // Probe: when does a lone 1500-token prefill announce its migration?
         let probe = run(vec![TimedRequest { request: Request::new(0, 1500, 4), arrival_s: 0.0 }]);
-        let announce_s = probe.migrations()[0].start_s;
+        let announce_s = traced_migrations(&probe)[0].start_s;
 
         // A tiny request arrives just after the bulk migration is announced:
         // its prefill finishes — and its small migration lands — while the
@@ -1353,8 +1377,9 @@ mod tests {
             TimedRequest { request: Request::new(0, 1500, 4), arrival_s: 0.0 },
             TimedRequest { request: Request::new(1, 32, 4), arrival_s: announce_s * 1.000_001 },
         ]);
-        let bulk = outcome.migrations().iter().find(|m| m.id == 0).copied().unwrap();
-        let small = outcome.migrations().iter().find(|m| m.id == 1).copied().unwrap();
+        let migrations = traced_migrations(&outcome);
+        let bulk = migrations.iter().find(|m| m.id == 0).copied().unwrap();
+        let small = migrations.iter().find(|m| m.id == 1).copied().unwrap();
         assert!(
             small.arrive_s < bulk.arrive_s,
             "scenario guard: the small migration ({} s) must land before the bulk one ({} s)",

@@ -2,12 +2,13 @@
 //!
 //! `capture` folds a [`RunState`]'s complete simulator state — the stage
 //! queues, every engine's records/pending arena/active set/KV manager, the
-//! policy and think-stream state, the migration log and the fault injector
-//! — into a typed [`Snapshot`]. `rebuild` inverts it against the same
-//! [`Scenario`] and hardware system, producing a [`RunState`] that
-//! continues the identical simulation: the golden identity test drives one
-//! run to the horizon and another to the midpoint, snapshots, resumes, and
-//! asserts byte-identical [`crate::RunReport`]s.
+//! policy and think-stream state, the running migration totals and the
+//! fault injector — into a typed [`Snapshot`]. `rebuild` inverts it
+//! against the same [`Scenario`] and hardware system, producing a
+//! [`RunState`] that continues the identical simulation: the golden
+//! identity test drives one run to the horizon and another to the
+//! midpoint, snapshots, resumes, and asserts byte-identical
+//! [`crate::RunReport`]s.
 //!
 //! # What is (deliberately) not captured
 //!
@@ -34,8 +35,8 @@
 use crate::engine::{Engine, EngineStats};
 use crate::fault::{FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
 use crate::metrics::RequestRecord;
-use crate::report::Migration;
 use crate::scenario::{Deployment, Driver, RunState, Scenario};
+use crate::stage::migrate::MigrationTotals;
 use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
 use ouro_kvcache::{
     CrossbarSnapshot, KvError, KvManager, KvManagerSnapshot, KvTransferStats, SharedChainSnapshot,
@@ -51,7 +52,7 @@ use std::collections::BinaryHeap;
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] and `rebuild` both reject
 /// mismatches instead of guessing.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -72,7 +73,7 @@ pub struct Snapshot {
     pub(crate) gated: Vec<usize>,
     /// Raw xoshiro256** state of the think-time stream.
     pub(crate) think_rng: [u64; 4],
-    pub(crate) migrations: Vec<Migration>,
+    pub(crate) migrations: MigrationTotals,
     /// Per-engine state in global wafer order.
     pub(crate) engines: Vec<EngineSnapshot>,
     pub(crate) injector: Option<FaultInjectorSnapshot>,
@@ -114,7 +115,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
         arrivals: run.queues.arrivals.iter().map(|ev| (ev.at_s, ev.index)).collect(),
         gated: run.queues.gated.iter().copied().collect(),
         think_rng: run.queues.think_rng.state(),
-        migrations: d.migrations.clone(),
+        migrations: d.migrations,
         engines: d
             .engines
             .iter()
@@ -245,7 +246,7 @@ pub(crate) fn rebuild(
         placement,
         link: system.stage_times().inter_wafer_link(),
         kv_bytes_per_token: system.kv_migration_bytes(1),
-        migrations: snap.migrations.clone(),
+        migrations: snap.migrations,
         tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
         telemetry: scenario.telemetry.map(TelemetryRecorder::new),
         completed: snap.completed,
@@ -337,12 +338,25 @@ impl Snapshot {
     /// Serializes the snapshot (see the module doc for the format).
     pub fn to_json(&self) -> String {
         let mut rows: Vec<String> = Vec::new();
+        let m = &self.migrations;
         rows.push(
             Row::new("meta")
                 .field("schema_version", self.schema_version.to_string())
                 .field("config_hash", format!("{:016x}", self.config_hash))
                 .field("completed", self.completed.to_string())
                 .field("faults_fired", self.faults_fired.to_string())
+                .field(
+                    "migrations",
+                    format!(
+                        "{}|{}|{}|{}|{}|{}",
+                        m.count,
+                        m.wire_tokens,
+                        m.deduped_tokens,
+                        hex(m.transit_s),
+                        hex(m.max_transit_s),
+                        hex(m.energy_j)
+                    ),
+                )
                 .field("router_state", self.router_state.to_string())
                 .field("placement_state", self.placement_state.to_string())
                 .field("think_rng", join(self.think_rng.iter().map(|w| format!("{w:016x}")), '|'))
@@ -350,22 +364,6 @@ impl Snapshot {
                 .field("gated", join(self.gated.iter().map(usize::to_string), ';'))
                 .finish(),
         );
-        for m in &self.migrations {
-            rows.push(
-                Row::new("migration")
-                    .field("id", m.id.to_string())
-                    .field("from", m.from_wafer.to_string())
-                    .field("to", m.to_wafer.to_string())
-                    .field("tokens", m.tokens.to_string())
-                    .field("deduped", m.deduped_tokens.to_string())
-                    .field("bytes", m.bytes.to_string())
-                    .field("start_s", hex(m.start_s))
-                    .field("arrive_s", hex(m.arrive_s))
-                    .field("hops", m.wafer_hops.to_string())
-                    .field("energy_j", hex(m.energy_j))
-                    .finish(),
-            );
-        }
         for (wafer, e) in self.engines.iter().enumerate() {
             let s = &e.stats;
             rows.push(
@@ -405,7 +403,6 @@ impl Snapshot {
                     Row::new("record")
                         .field("wafer", wafer.to_string())
                         .field("id", r.id.to_string())
-                        .field("rwafer", r.wafer.to_string())
                         .field("prompt", r.prompt_len.to_string())
                         .field("decode", r.decode_len.to_string())
                         .field("arrival_s", hex(r.arrival_s))
@@ -497,25 +494,14 @@ impl Snapshot {
                 }
             }
             rows.push(
-                Row::new("kv_page")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(kv.page_table.iter().map(|(seq, core)| format!("{seq}:{core}")), ';'),
-                    )
-                    .finish(),
-            );
-            rows.push(
                 Row::new("kv_cursor")
                     .field("wafer", wafer.to_string())
                     .field(
                         "entries",
                         join(
-                            // The `0` is the head column: the manager keeps one
-                            // head per scaled core.
                             kv.cursors
                                 .iter()
-                                .map(|&(seq, role, ci, xb, b)| format!("{seq}:0:{role}:{ci}:{xb}:{b}")),
+                                .map(|&(seq, role, ci, xb, b)| format!("{seq}:{role}:{ci}:{xb}:{b}")),
                             ';',
                         ),
                     )
@@ -555,8 +541,8 @@ impl Snapshot {
                     Row::new("kv_shared")
                         .field("wafer", wafer.to_string())
                         .field("group", group.to_string())
-                        .field("k_cores", chain.k_core.to_string())
-                        .field("v_cores", chain.v_core.to_string())
+                        .field("k_core", chain.k_core.to_string())
+                        .field("v_core", chain.v_core.to_string())
                         .field(
                             "nodes",
                             join(
@@ -627,7 +613,7 @@ impl Snapshot {
             arrivals: Vec::new(),
             gated: Vec::new(),
             think_rng: [0; 4],
-            migrations: Vec::new(),
+            migrations: MigrationTotals::default(),
             engines: Vec::new(),
             injector: None,
         };
@@ -648,6 +634,18 @@ impl Snapshot {
                     snap.config_hash = p_hex_u64(row.get_str("config_hash")?)?;
                     snap.completed = p_u64(row.get_str("completed")?)?;
                     snap.faults_fired = p_u64(row.get_str("faults_fired")?)?;
+                    let m: Vec<&str> = row.get_str("migrations")?.split('|').collect();
+                    if m.len() != 6 {
+                        return Err(format!("meta migrations has {} fields, expected 6", m.len()));
+                    }
+                    snap.migrations = MigrationTotals {
+                        count: p_u64(m[0])?,
+                        wire_tokens: p_u64(m[1])?,
+                        deduped_tokens: p_u64(m[2])?,
+                        transit_s: p_f64(m[3])?,
+                        max_transit_s: p_f64(m[4])?,
+                        energy_j: p_f64(m[5])?,
+                    };
                     snap.router_state = p_u64(row.get_str("router_state")?)?;
                     snap.placement_state = p_u64(row.get_str("placement_state")?)?;
                     let rng: Vec<u64> =
@@ -663,18 +661,6 @@ impl Snapshot {
                         .collect::<Result<_, String>>()?;
                     snap.gated = split(row.get_str("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
                 }
-                "migration" => snap.migrations.push(Migration {
-                    id: p_usize(row.get_str("id")?)?,
-                    from_wafer: p_usize(row.get_str("from")?)?,
-                    to_wafer: p_usize(row.get_str("to")?)?,
-                    tokens: p_u64(row.get_str("tokens")?)?,
-                    deduped_tokens: p_u64(row.get_str("deduped")?)?,
-                    bytes: p_u64(row.get_str("bytes")?)?,
-                    start_s: p_f64(row.get_str("start_s")?)?,
-                    arrive_s: p_f64(row.get_str("arrive_s")?)?,
-                    wafer_hops: p_usize(row.get_str("hops")?)?,
-                    energy_j: p_f64(row.get_str("energy_j")?)?,
-                }),
                 "engine" => {
                     let wafer = p_usize(row.get_str("wafer")?)?;
                     if wafer != snap.engines.len() {
@@ -718,7 +704,6 @@ impl Snapshot {
                             transfers: KvTransferStats::default(),
                             key_cores: Vec::new(),
                             value_cores: Vec::new(),
-                            page_table: Vec::new(),
                             cursors: Vec::new(),
                             seq_blocks: Vec::new(),
                             resident_tokens: Vec::new(),
@@ -727,8 +712,8 @@ impl Snapshot {
                         },
                     });
                 }
-                "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_page" | "kv_cursor"
-                | "kv_seq_blocks" | "kv_resident" | "kv_shared" | "kv_seq_shared" => {
+                "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_cursor" | "kv_seq_blocks"
+                | "kv_resident" | "kv_shared" | "kv_seq_shared" => {
                     let wafer = p_usize(row.get_str("wafer")?)?;
                     let e = snap
                         .engines
@@ -757,6 +742,10 @@ impl Snapshot {
                 }
                 "injector_wafer" => {
                     let inj = snap.injector.as_mut().ok_or("injector_wafer row precedes the injector row")?;
+                    let wafer = p_usize(row.get_str("wafer")?)?;
+                    if wafer != inj.wafers.len() {
+                        return Err(format!("injector_wafer row for wafer {wafer} out of order"));
+                    }
                     inj.wafers.push(WaferFaultSnapshot {
                         assignment: split(row.get_str("assignment")?, ';')
                             .map(p_u64)
@@ -783,7 +772,6 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
     match section {
         "record" => e.records.push(RequestRecord {
             id: p_usize(row.get_str("id")?)?,
-            wafer: p_usize(row.get_str("rwafer")?)?,
             prompt_len: p_usize(row.get_str("prompt")?)?,
             decode_len: p_usize(row.get_str("decode")?)?,
             arrival_s: p_f64(row.get_str("arrival_s")?)?,
@@ -866,27 +854,12 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             }
             side.push(xbs);
         }
-        "kv_page" => {
-            e.kv.page_table = split(row.get_str("entries")?, ';')
-                .map(|item| {
-                    let (seq, core) = pair(item, ':')?;
-                    Ok((p_u64(seq)?, p_u64(core)?))
-                })
-                .collect::<Result<_, String>>()?;
-        }
         "kv_cursor" => {
             e.kv.cursors = split(row.get_str("entries")?, ';')
                 .map(|item| {
                     let mut it = item.split(':');
-                    let seq = p_u64(next(&mut it)?)?;
-                    let head = p_usize(next(&mut it)?)?;
-                    if head != 0 {
-                        return Err(format!(
-                            "kv cursor of sequence {seq} names head {head}; the manager has one"
-                        ));
-                    }
                     Ok((
-                        seq,
+                        p_u64(next(&mut it)?)?,
                         p_u8(next(&mut it)?)?,
                         p_usize(next(&mut it)?)?,
                         p_usize(next(&mut it)?)?,
@@ -932,8 +905,8 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             e.kv.shared.push((
                 p_u64(row.get_str("group")?)?,
                 SharedChainSnapshot {
-                    k_core: p_usize(row.get_str("k_cores")?)?,
-                    v_core: p_usize(row.get_str("v_cores")?)?,
+                    k_core: p_usize(row.get_str("k_core")?)?,
+                    v_core: p_usize(row.get_str("v_core")?)?,
                     nodes: split(row.get_str("nodes")?, ';')
                         .map(|node| {
                             let mut it = node.split('!');
@@ -1027,5 +1000,7 @@ mod tests {
         assert!(Snapshot::parse("[]").is_err(), "a meta row is required");
         assert!(Snapshot::parse("[{\"section\":\"warp\"}]").is_err());
         assert!(Snapshot::parse("[{\"section\":\"meta\"}]").is_err(), "meta fields are required");
+        let v1 = Snapshot::parse("[{\"section\":\"meta\",\"schema_version\":\"1\"}]").unwrap_err();
+        assert!(v1.contains("schema v1"), "a v1 document is rejected at its version: {v1}");
     }
 }

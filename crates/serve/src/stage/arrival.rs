@@ -25,7 +25,7 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues
         EventKind::Arrival { prompt_tokens: request.prompt_len, decode_tokens: request.decode_len },
     );
     let admission = if d.disagg { Admission::PrefillOnly } else { Admission::Local };
-    d.engines[wafer].submit_with(request, ev.at_s, admission, ev.index, wafer);
+    d.engines[wafer].submit_with(request, ev.at_s, admission, ev.index);
     d.refresh_engine(wafer);
     d.telemetry_tick();
 }

@@ -6,14 +6,46 @@
 //! The stage's in-flight queue is the imported subset of the decode
 //! engines' pending arenas: announcing a migration submits a
 //! [`crate::stage::PendingReq`] gated on the landing time, so the transfer
-//! needs no extra state to be checkpointable.
+//! needs no extra state to be checkpointable. What the report needs of
+//! the migrations is kept as [`MigrationTotals`], not as a log.
 
 use super::Stage;
 use crate::engine::Admission;
-use crate::report::Migration;
 use crate::scenario::Driver;
 use ouro_trace::EventKind;
 use ouro_workload::Request;
+
+/// Running totals over every migration announced so far, added to in
+/// announce order, so each sum equals the one a log of the migrations
+/// would give.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct MigrationTotals {
+    pub(crate) count: u64,
+    /// Tokens that travelled the wire.
+    pub(crate) wire_tokens: u64,
+    /// Prompt tokens already cached on the target at announce time.
+    pub(crate) deduped_tokens: u64,
+    /// Σ of landing minus announce instants.
+    pub(crate) transit_s: f64,
+    pub(crate) max_transit_s: f64,
+    pub(crate) energy_j: f64,
+}
+
+impl Default for MigrationTotals {
+    fn default() -> MigrationTotals {
+        // The float sums start at `-0.0`, the value `Iterator::sum` folds
+        // from, so a run without migrations reports the zero it did when
+        // the report summed a log.
+        MigrationTotals {
+            count: 0,
+            wire_tokens: 0,
+            deduped_tokens: 0,
+            transit_s: -0.0,
+            max_transit_s: 0.0,
+            energy_j: -0.0,
+        }
+    }
+}
 
 /// Ships one finished prefill's KV to a decode wafer: places the
 /// sequence (prefix-aware policies steer toward resident prefixes),
@@ -57,19 +89,13 @@ pub(crate) fn migrate(d: &mut Driver, from: usize, rec: usize, t_done: f64) {
         record.arrival_s,
         Admission::Imported { ready_s: arrive_s },
         record.id,
-        global_to,
     );
     d.refresh_engine(global_to);
-    d.migrations.push(Migration {
-        id: record.id,
-        from_wafer: from,
-        to_wafer: global_to,
-        tokens: wire_tokens as u64,
-        deduped_tokens: deduped as u64,
-        bytes,
-        start_s: t_done,
-        arrive_s,
-        wafer_hops: hops,
-        energy_j: d.link.transfer_energy_j(bytes, hops),
-    });
+    let (totals, transit_s) = (&mut d.migrations, arrive_s - t_done);
+    totals.count += 1;
+    totals.wire_tokens += wire_tokens as u64;
+    totals.deduped_tokens += deduped as u64;
+    totals.transit_s += transit_s;
+    totals.max_transit_s = totals.max_transit_s.max(transit_s);
+    totals.energy_j += d.link.transfer_energy_j(bytes, hops);
 }

@@ -12,10 +12,11 @@
 use ouro_kvcache::{KvError, KvManager};
 use ouro_model::zoo;
 use ouro_serve::json::{fnv1a, read_rows};
-use ouro_serve::{FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
+use ouro_serve::{EventKind, FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 fn tiny_system() -> OuroborosSystem {
@@ -190,6 +191,46 @@ fn run_full_equals_explicit_start_drive_finish() {
     }
 }
 
+#[test]
+fn migration_stats_agree_with_the_trace() {
+    // The report keeps running totals, not a log of the migrations: the
+    // trace's `migrate_start`/`migrate_arrive` pairs are the independent
+    // record they are checked against.
+    let sys = tiny_system();
+    let kv_bytes_per_token = sys.kv_migration_bytes(1);
+    for (label, scenario, _) in golden_shapes().into_iter().filter(|(label, ..)| label.starts_with("disagg"))
+    {
+        let outcome = scenario.trace(true).run_full(&sys).unwrap();
+        let m = outcome.report.migration.expect("a disaggregated run reports migrations");
+        let trace = outcome.trace().expect("the run was traced");
+        assert_eq!(trace.dropped(), 0, "{label}: the trace must be complete");
+        let landed: BTreeMap<usize, f64> = trace
+            .events()
+            .iter()
+            .filter(|ev| matches!(ev.kind, EventKind::MigrateArrive { .. }))
+            .map(|ev| (ev.req.expect("a migration names its request"), ev.t_s))
+            .collect();
+        let (mut bytes, mut transit) = (0, Vec::new());
+        for ev in trace.events() {
+            if let EventKind::MigrateStart { bytes: b, .. } = ev.kind {
+                bytes += b;
+                transit.push(landed[&ev.req.unwrap()] - ev.t_s);
+            }
+        }
+        assert!(m.migrations > 0, "{label}: the shape must migrate");
+        assert_eq!(m.migrations, trace.count("migrate_start"), "{label}");
+        assert_eq!(landed.len(), m.migrations, "{label}: one landing per migration");
+        assert_eq!(bytes, m.migrated_tokens * kv_bytes_per_token, "{label}");
+        assert_eq!(m.max_migration_s, transit.iter().fold(0.0, |a: f64, &t| a.max(t)), "{label}");
+        let mean = transit.iter().sum::<f64>() / transit.len() as f64;
+        assert!(
+            (m.mean_migration_s - mean).abs() <= 1e-12 * mean,
+            "{label}: {} vs {mean}",
+            m.mean_migration_s
+        );
+    }
+}
+
 /// 128/2048-token requests on one tiny wafer at far beyond its capacity:
 /// the KV cache saturates, evicts and re-admits.
 fn saturated_long_decode() -> Scenario {
@@ -213,7 +254,7 @@ fn resume_across_slot_reuse_is_invisible() {
     // Most resident sequences are mid-block here, so the snapshot bytes
     // pin that every decoded token reaches the KV rows.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0xc047_0752_f1ff_5deb, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x5ba7_1c79_505b_543d, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -281,18 +322,12 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "config_hash",
             "completed",
             "faults_fired",
+            "migrations",
             "router_state",
             "placement_state",
             "think_rng",
             "arrivals",
             "gated",
-        ],
-    ),
-    (
-        "migration",
-        &[
-            "section", "id", "from", "to", "tokens", "deduped", "bytes", "start_s", "arrive_s", "hops",
-            "energy_j",
         ],
     ),
     (
@@ -316,7 +351,6 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "section",
             "wafer",
             "id",
-            "rwafer",
             "prompt",
             "decode",
             "arrival_s",
@@ -349,11 +383,10 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ),
     ("kv", &["section", "wafer", "ring_k", "ring_v", "allocated", "freed", "transfers"]),
     ("kv_cores", &["section", "wafer", "side", "core", "xbs"]),
-    ("kv_page", &["section", "wafer", "entries"]),
     ("kv_cursor", &["section", "wafer", "entries"]),
     ("kv_seq_blocks", &["section", "wafer", "entries"]),
     ("kv_resident", &["section", "wafer", "entries"]),
-    ("kv_shared", &["section", "wafer", "group", "k_cores", "v_cores", "nodes"]),
+    ("kv_shared", &["section", "wafer", "group", "k_core", "v_core", "nodes"]),
     ("kv_seq_shared", &["section", "wafer", "entries"]),
     ("injector", &["section", "events", "counters"]),
     ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "failed", "death_s", "stall_s"]),
@@ -371,8 +404,8 @@ fn snapshot_v1_key_sets_are_pinned() {
     };
     let mut seen = std::collections::BTreeSet::new();
     for (label, scenario, mid_s) in golden_shapes() {
-        // Probe several instants per shape: transient sections (`pending`,
-        // `migration`, …) are only non-empty at some points of a run.
+        // Probe several instants per shape: transient rows (`pending`,
+        // `active`, …) only occur at some points of a run.
         let mut run = scenario.start(&sys).unwrap();
         let mut jsons = Vec::new();
         for frac in [0.2, 0.6, 1.0, 1.4, 2.0] {
@@ -424,7 +457,7 @@ fn golden_run() -> &'static (OuroborosSystem, Scenario) {
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    assert_eq!(fnv1a(golden_snapshot_json().as_bytes()), 0x630d_7a90_86b4_e8a6);
+    assert_eq!(fnv1a(golden_snapshot_json().as_bytes()), 0xd193_228a_7ba9_0fcb);
 }
 
 #[test]
@@ -459,8 +492,8 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
         let resumed = scenario.resume(&sys, &snap);
         assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
     }
-    // The manager keeps one head per scaled core: a row naming a second
-    // head, core or block of a sequence or shared chain does not fit.
+    // A shared chain has one key core and one key slot per node: a row
+    // naming a second does not fit.
     let edit = |section: &str, key: &str, change: &dyn Fn(&str) -> String| {
         let prefix = format!(r#"{{"section":"{section}""#);
         let row = lines
@@ -473,48 +506,19 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
             &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old))),
         )
     };
-    let second_head = edit("kv_cursor", "entries", &|e| {
-        let (seq, rest) = e.split_once(':').unwrap();
-        format!("{seq}:1{}", &rest[1..])
-    });
-    let two_page_cores = edit("kv_page", "entries", &|e| {
-        let end = e.find(';').unwrap_or(e.len());
-        format!("{},0{}", &e[..end], &e[end..])
-    });
-    let two_k_cores = edit("kv_shared", "k_cores", &|c| format!("{c},{c}"));
+    let two_k_cores = edit("kv_shared", "k_core", &|c| format!("{c},{c}"));
     let two_k_slots = edit("kv_shared", "nodes", &|n| {
         let k = n.split('!').nth(1).unwrap();
         n.replacen(&format!("!{k}!"), &format!("!{k},{k}!"), 1)
     });
-    for (case, json) in [
-        ("cursor of a second head", second_head),
-        ("page row with two cores", two_page_cores),
-        ("shared chain with two key cores", two_k_cores),
-        ("shared node with two key slots", two_k_slots),
-    ] {
+    for (case, json) in
+        [("shared chain with two key cores", two_k_cores), ("shared node with two key slots", two_k_slots)]
+    {
         assert_ne!(json, golden_snapshot_json(), "{case}: the edit must change the document");
         if let Ok(snap) = Snapshot::parse(&json) {
             let resumed = scenario.resume(&sys, &snap);
             assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
         }
-    }
-}
-
-#[test]
-fn resume_rejects_page_rows_that_differ_from_the_key_cursors() {
-    let (sys, scenario) = golden_run();
-    let json = golden_snapshot_json();
-    let line = json
-        .lines()
-        .find(|l| l.starts_with(r#"{"section":"kv_page""#) && field(l, "entries").contains("3:0"))
-        .expect("a page row holding sequence 3 on core 0");
-    let entries = field(line, "entries");
-    let moved = json.replace(line, &line.replace(&entries, &entries.replace("3:0", "3:1")));
-    let extra = json.replace(line, &line.replace(&entries, &format!("{entries};9999:0")));
-    for (case, json) in [("row on another core", moved), ("row of a sequence not resident", extra)] {
-        let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
-        let resumed = scenario.resume(sys, &snap);
-        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
     }
 }
 
@@ -541,6 +545,33 @@ fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
     let moved = json.replace(line, &line.replacen(&format!("!{slot}"), &format!("!{free}"), 1));
     let snap = Snapshot::parse(&moved).unwrap();
     assert!(matches!(scenario.resume(sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+}
+
+#[test]
+fn swapped_injector_wafer_rows_are_rejected() {
+    // No fault strikes the golden shape before its midpoint; at a shorter
+    // MTBF one of its two wafers has been struck there and the other not.
+    let sys = tiny_system();
+    let (_, scenario, mid_s) = golden_shapes().remove(3);
+    let scenario = scenario.faults(FaultConfig::new(0.02, 53));
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(mid_s);
+    let json = scenario.checkpoint(&run).to_json();
+    let mut rows: Vec<&str> =
+        json.lines().filter(|l| l.starts_with('{')).map(|l| l.trim_end_matches(',')).collect();
+    let at: Vec<usize> =
+        (0..rows.len()).filter(|&i| rows[i].starts_with(r#"{"section":"injector_wafer""#)).collect();
+    let &[a, b] = at.as_slice() else { panic!("one injector_wafer row per wafer of two") };
+    // Guard: the wafers' fault states differ, so swapped rows would
+    // resume a different run.
+    let state = |row: &str| {
+        let wafer = field(row, "wafer");
+        row.replacen(&format!(r#""wafer":"{wafer}""#), "", 1)
+    };
+    assert_ne!(state(rows[a]), state(rows[b]), "the two injector_wafer rows must differ");
+    rows.swap(a, b);
+    let swapped = format!("[\n{}\n]\n", rows.join(",\n"));
+    assert!(Snapshot::parse(&swapped).is_err(), "rows out of wafer order must not parse");
 }
 
 proptest! {
@@ -626,7 +657,7 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0x7dcc_661d_5bdc_fb34, "mid-block snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x1771_4aee_d039_a08f, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

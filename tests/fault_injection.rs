@@ -61,7 +61,7 @@ fn kv_blocks_are_conserved_after_every_remap() {
     )
     .unwrap();
     for i in 0..24 {
-        engine.submit_with(ouroboros::workload::Request::new(i, 96, 64), 0.0, Admission::Local, i, 0);
+        engine.submit_with(ouroboros::workload::Request::new(i, 96, 64), 0.0, Admission::Local, i);
     }
     let mut faults_applied = 0;
     let mut step = 0u64;

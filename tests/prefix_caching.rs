@@ -105,7 +105,7 @@ fn block_audit_survives_faults_on_shared_chains() {
         Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), EngineConfig::default()).unwrap();
     for i in 0..16 {
         // All sequences share one 256-token system prompt.
-        engine.submit_with(Request::new(i, 288, 24).with_shared_prefix(1, 256), 0.0, Admission::Local, i, 0);
+        engine.submit_with(Request::new(i, 288, 24).with_shared_prefix(1, 256), 0.0, Admission::Local, i);
     }
     let mut faults_applied = 0;
     let mut step = 0u64;
@@ -146,7 +146,7 @@ fn evictions_of_sharers_keep_refcounts_exact() {
         Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), EngineConfig::default()).unwrap();
     // Oversubscribe the tiny cache so the eviction path runs hot.
     for i in 0..30 {
-        engine.submit_with(Request::new(i, 400, 120).with_shared_prefix(2, 384), 0.0, Admission::Local, i, 0);
+        engine.submit_with(Request::new(i, 400, 120).with_shared_prefix(2, 384), 0.0, Admission::Local, i);
     }
     while engine.has_work() {
         engine.step();
