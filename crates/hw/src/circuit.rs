@@ -102,11 +102,6 @@ impl CircuitPoint {
         self.scaled_tops_per_mm2 * wafer_area_mm2
     }
 
-    /// Energy per 8-bit operation in joules (7-nm-scaled).
-    pub fn energy_per_op_j(&self) -> f64 {
-        1.0 / (self.scaled_tops_per_watt * 1e12)
-    }
-
     /// Whether the whole model + KV working set of `model_bytes` fits in the
     /// design's on-wafer capacity.
     pub fn fits_on_wafer(&self, model_bytes: u64) -> bool {
@@ -170,7 +165,7 @@ mod tests {
     fn lut_variant_is_10_percent_more_efficient() {
         let base = CircuitPoint::ouroboros();
         let lut = CircuitPoint::ouroboros_with_lut();
-        let ratio = lut.energy_per_op_j() / base.energy_per_op_j();
+        let ratio = base.scaled_tops_per_watt / lut.scaled_tops_per_watt;
         assert!((ratio - 0.9).abs() < 1e-9);
         assert!(lut.lut_compute);
     }

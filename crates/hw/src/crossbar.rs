@@ -91,11 +91,6 @@ impl CrossbarConfig {
         (self.rows * self.cols) as u64 / 8
     }
 
-    /// Number of 8-bit weights the array stores (1024 × 128).
-    pub fn weight_elements(&self) -> u64 {
-        self.capacity_bytes() / (self.weight_bits as u64 / 8)
-    }
-
     /// Output columns produced per pass (128 for 8-bit weights).
     pub fn output_columns(&self) -> usize {
         self.cols / self.weight_bits
@@ -193,7 +188,6 @@ mod tests {
     fn capacity_is_128_kib() {
         let c = CrossbarConfig::paper();
         assert_eq!(c.capacity_bytes(), 128 * 1024);
-        assert_eq!(c.weight_elements(), 128 * 1024);
     }
 
     #[test]

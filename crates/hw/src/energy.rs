@@ -65,11 +65,6 @@ impl EnergyTable {
         macs as f64 * self.cim_mac_j
     }
 
-    /// Energy of writing `bytes` into crossbar SRAM.
-    pub fn sram_write_energy_j(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.sram_write_j_per_byte
-    }
-
     /// Energy of moving `bytes` through an activation buffer (one direction).
     pub fn buffer_energy_j(&self, bytes: u64) -> f64 {
         bytes as f64 * self.buffer_j_per_byte

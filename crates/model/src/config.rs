@@ -177,12 +177,6 @@ impl ModelConfig {
         self.architecture.mask()
     }
 
-    /// Returns a copy of this configuration with a different deployment
-    /// precision (used when modelling fp16 GPU baselines of the same model).
-    pub fn with_precision(&self, precision: Precision) -> ModelConfig {
-        ModelConfig { precision, ..self.clone() }
-    }
-
     /// Approximate total parameter count expressed in billions, for display.
     pub fn params_billions(&self) -> f64 {
         self.total_params() as f64 / 1e9
@@ -245,9 +239,8 @@ mod tests {
     #[test]
     fn with_precision_scales_bytes() {
         let m = zoo::llama_13b();
-        let fp16 = m.with_precision(Precision::Fp16);
+        let fp16 = ModelConfig { precision: Precision::Fp16, ..m.clone() };
         assert_eq!(fp16.total_weight_bytes(), 2 * m.total_weight_bytes());
-        assert_eq!(fp16.name, m.name);
     }
 
     #[test]

@@ -172,12 +172,6 @@ impl ModelConfig {
         (0..decode_len).map(|t| self.token_flops(prompt_len + t + 1)).sum()
     }
 
-    /// KV-cache bytes resident after prefill of `prompt_len` plus
-    /// `decoded` generated tokens, for one sequence across the whole model.
-    pub fn kv_bytes_for_sequence(&self, prompt_len: usize, decoded: usize) -> u64 {
-        (prompt_len + decoded) as u64 * self.kv_bytes_per_token()
-    }
-
     /// Number of *valid* score entries of a full prefill under this model's
     /// mask — the attention work that the causal mask saves shows up here.
     pub fn prefill_score_entries(&self, prompt_len: usize) -> u64 {
@@ -262,12 +256,6 @@ mod tests {
         let b = bert.prefill_score_entries(512) as f64 / 512.0 / 512.0;
         assert!(l < 0.52 && l > 0.49);
         assert!((b - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn kv_bytes_for_sequence_accumulate() {
-        let m = zoo::llama_13b();
-        assert_eq!(m.kv_bytes_for_sequence(100, 28), 128 * m.kv_bytes_per_token());
     }
 
     proptest! {

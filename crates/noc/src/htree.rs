@@ -40,11 +40,6 @@ impl HTree {
         self.leaves.trailing_zeros() as usize
     }
 
-    /// Number of internal (non-leaf) nodes.
-    pub fn internal_nodes(&self) -> usize {
-        self.leaves - 1
-    }
-
     /// Traffic (in partial-sum words) crossing the node at `depth_from_leaf`
     /// when the nodes below it performed `concats` concatenations out of the
     /// `depth_from_leaf` merge steps on the path, for a per-crossbar output
@@ -85,7 +80,6 @@ mod tests {
         let t = HTree::default();
         assert_eq!(t.leaves, 32);
         assert_eq!(t.depth(), 5);
-        assert_eq!(t.internal_nodes(), 31);
         assert_eq!(t.link_bits, 1024);
     }
 

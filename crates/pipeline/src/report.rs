@@ -44,14 +44,6 @@ impl PipelineReport {
         }
         self.output_tokens as f64 / self.makespan_s
     }
-
-    /// Throughput in total processed tokens (prefill + decode) per second.
-    pub fn total_tokens_per_s(&self) -> f64 {
-        if self.makespan_s <= 0.0 {
-            return 0.0;
-        }
-        self.total_tokens as f64 / self.makespan_s
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +78,6 @@ mod tests {
     fn throughput_uses_output_tokens() {
         let r = report(4.0, vec![4.0], 1);
         assert!((r.output_tokens_per_s() - 10.0).abs() < 1e-12);
-        assert!((r.total_tokens_per_s() - 25.0).abs() < 1e-12);
     }
 
     #[test]

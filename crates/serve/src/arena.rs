@@ -14,7 +14,8 @@
 //!   the `unready` heap; [`IndexQueue::peek_ready`] drains everything that
 //!   has become admissible at the current clock into the rank-ordered
 //!   `admissible` heap and returns its minimum — the earliest-*submitted*
-//!   admissible entry, which is what the FCFS scan used to find,
+//!   admissible entry, which is what the FCFS scan used to find — with its
+//!   `ready_s` key,
 //! * **next event** — the `by_ready` heap holds every live entry keyed by
 //!   `ready_s`, so [`IndexQueue::next_ready_s`] answers the idle-engine
 //!   fast-forward query by peeking one heap top.
@@ -68,9 +69,9 @@ struct Slot<T> {
 #[derive(Debug, Clone)]
 struct Entry<T> {
     rank: i64,
-    /// Read by the checkpoint view ([`IndexQueue::entries`]) and the
-    /// debug-build reference view ([`IndexQueue::ordered`]); the heaps
-    /// carry their own copy of the readiness key.
+    /// The readiness key, returned by [`IndexQueue::peek_ready`] and the
+    /// checkpoint view ([`IndexQueue::entries`]); the heaps carry their
+    /// own copy.
     ready_s: f64,
     value: T,
 }
@@ -158,9 +159,9 @@ impl<T: Copy> IndexQueue<T> {
     }
 
     /// The earliest-submitted entry admissible at `clock_s` (the entry the
-    /// old FCFS `position` scan found), without removing it. Releases
-    /// everything that has become ready first.
-    pub(crate) fn peek_ready(&mut self, clock_s: f64) -> Option<(SlotId, T)> {
+    /// old FCFS `position` scan found) with its readiness key, without
+    /// removing it. Releases everything that has become ready first.
+    pub(crate) fn peek_ready(&mut self, clock_s: f64) -> Option<(SlotId, f64, T)> {
         // Drain newly-ready entries into the rank-ordered admissible heap.
         while let Some(&Reverse((F64Key(ready), slot, epoch))) = self.unready.peek() {
             if self.is_live(slot, epoch) {
@@ -175,8 +176,8 @@ impl<T: Copy> IndexQueue<T> {
         // Scrub stale admissible tops, then peek the minimum rank.
         while let Some(&Reverse((_, slot, epoch))) = self.admissible.peek() {
             if self.is_live(slot, epoch) {
-                let value = self.slots[slot as usize].entry.as_ref().expect("live entry").value;
-                return Some((SlotId(slot), value));
+                let entry = self.slots[slot as usize].entry.as_ref().expect("live entry");
+                return Some((SlotId(slot), entry.ready_s, entry.value));
             }
             self.admissible.pop();
         }
@@ -233,7 +234,7 @@ mod tests {
 
     fn drain_all(q: &mut IndexQueue<u32>, clock: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        while let Some((slot, v)) = q.peek_ready(clock) {
+        while let Some((slot, _, v)) = q.peek_ready(clock) {
             q.remove(slot);
             out.push(v);
         }
@@ -258,7 +259,7 @@ mod tests {
         let mut q = IndexQueue::new();
         q.push_back(5.0, 1u32); // head, not ready
         q.push_back(1.0, 2); // behind, ready
-        assert_eq!(q.peek_ready(2.0), Some((SlotId(1), 2)));
+        assert_eq!(q.peek_ready(2.0), Some((SlotId(1), 1.0, 2)));
         // Once the clock reaches the head, FCFS order resumes.
         assert_eq!(drain_all(&mut q, 5.0), vec![1, 2]);
     }
@@ -271,7 +272,8 @@ mod tests {
         q.push_back(1.0, 2);
         q.push_back(2.0, 3);
         assert_eq!(q.next_ready_s(), Some(1.0));
-        let (slot, _) = q.peek_ready(1.5).expect("entry 2 is ready");
+        let (slot, ready_s, _) = q.peek_ready(1.5).expect("entry 2 is ready");
+        assert_eq!(ready_s, 1.0);
         q.remove(slot);
         assert_eq!(q.next_ready_s(), Some(2.0));
     }
@@ -280,15 +282,15 @@ mod tests {
     fn peek_does_not_remove_and_removal_reuses_slots() {
         let mut q = IndexQueue::new();
         let a = q.push_back(0.0, 7u32);
-        assert_eq!(q.peek_ready(0.0), Some((a, 7)));
-        assert_eq!(q.peek_ready(0.0), Some((a, 7)), "peek is idempotent");
+        assert_eq!(q.peek_ready(0.0), Some((a, 0.0, 7)));
+        assert_eq!(q.peek_ready(0.0), Some((a, 0.0, 7)), "peek is idempotent");
         assert_eq!(q.remove(a), 7);
         // The reused slot gets a fresh epoch: stale heap entries for the
         // old occupant can never resolve to the new one.
         let b = q.push_back(4.0, 8);
         assert_eq!(q.next_ready_s(), Some(4.0));
         assert_eq!(q.peek_ready(2.0), None, "new occupant is not ready yet");
-        assert_eq!(q.peek_ready(4.0), Some((b, 8)));
+        assert_eq!(q.peek_ready(4.0), Some((b, 4.0, 8)));
     }
 
     #[test]

@@ -230,8 +230,9 @@ pub struct Engine {
     /// Wire-token demand of queued imported-KV entries, maintained
     /// incrementally for [`Engine::pending_imported_tokens`].
     pub(crate) pending_wire_tokens: usize,
+    /// Its `admissions` count also stamps each admission's
+    /// `ActiveSeq::admission_order`.
     pub(crate) stats: EngineStats,
-    pub(crate) order_counter: u64,
     /// Lifecycle event emission, disabled (and costless) by default.
     /// Strictly observational: nothing the tracer does feeds back into
     /// admission, timing or eviction decisions.
@@ -266,7 +267,6 @@ impl Engine {
             pending_tokens: 0,
             pending_wire_tokens: 0,
             stats: EngineStats::default(),
-            order_counter: 0,
             tracer: Tracer::off(),
         })
     }
@@ -612,7 +612,7 @@ impl Engine {
         });
         self.pending.push_back(
             ready_s,
-            PendingReq { rec, decoded: 0, ready_s, imported, wire_tokens, evicted: false, prefill_only },
+            PendingReq { rec, decoded: 0, imported, wire_tokens, evicted: false, prefill_only },
         );
         self.pending_tokens += request.prompt_len;
         self.pending_wire_tokens += wire_tokens;

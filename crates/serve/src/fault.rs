@@ -161,19 +161,6 @@ impl FaultReport {
     }
 }
 
-/// What the serving event loop should do about the pending fault, from
-/// [`FaultInjector::poll`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPoll {
-    /// No fault is due before the next arrival or engine event.
-    Wait,
-    /// Inject the next fault into this wafer's engine now.
-    Fire(usize),
-    /// Faults remain but all serving work has drained; the loop should
-    /// stop.
-    Drained,
-}
-
 /// Expands a fault process over a cluster's wafers and drives replacement
 /// chains + KV eviction when the serving event loop hands it an engine.
 #[derive(Debug, Clone)]
@@ -248,68 +235,33 @@ impl FaultInjector {
         self.events.front().map(|e| (e.at_s, e.wafer))
     }
 
-    /// Drops the next pending fault without injecting it (events beyond the
-    /// serving horizon).
-    pub fn discard_next(&mut self) {
-        self.events.pop_front();
-    }
-
-    /// Event-loop arbitration shared by the colocated and disaggregated
-    /// clusters: faults share the discrete-event timeline with arrivals,
-    /// so a pending fault fires only once no earlier arrival or engine
-    /// event is due. Events at or beyond the horizon are discarded, and a
-    /// cluster with no work left gets [`FaultPoll::Drained`] — an empty
-    /// cluster has nothing for a fault to degrade, and injecting it would
-    /// stretch the measured duration past the workload.
-    pub fn poll(
+    /// The pending fault the serving event loop must inject now, as
+    /// `(t, wafer)`. Faults share the discrete-event timeline with
+    /// arrivals and engine iterations, so a fault is due only once no
+    /// earlier arrival or engine event is pending. `None` when no fault is
+    /// due yet, and when the cluster has no work left: an empty cluster
+    /// has nothing for a fault to degrade, and injecting it would stretch
+    /// the measured duration past the workload. Events at or beyond the
+    /// horizon are discarded, which is idempotent, so asking twice gives
+    /// the same answer.
+    pub fn due_fault(
         &mut self,
         next_arrival_s: Option<f64>,
         next_engine_event_s: Option<f64>,
         horizon_s: f64,
-    ) -> FaultPoll {
-        loop {
-            let Some((t_fault, wafer)) = self.next_fault() else {
-                return FaultPoll::Wait;
-            };
-            if next_arrival_s.is_none() && next_engine_event_s.is_none() {
-                return FaultPoll::Drained;
-            }
-            if t_fault >= horizon_s {
-                self.discard_next();
-                continue;
-            }
-            let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
-            let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
-            return if before_arrival && before_engines { FaultPoll::Fire(wafer) } else { FaultPoll::Wait };
+    ) -> Option<(f64, usize)> {
+        if next_arrival_s.is_none() && next_engine_event_s.is_none() {
+            return None;
         }
-    }
-
-    /// Non-destructive variant of [`FaultInjector::poll`] for pause-point
-    /// scheduling ([`crate::scenario::RunState::run_until`]): the instant
-    /// the next fault would fire given the same arbitration inputs, or
-    /// `None` when the verdict would be [`FaultPoll::Wait`] or
-    /// [`FaultPoll::Drained`]. Shares poll's one mutation — events at or
-    /// beyond the horizon are discarded — which is idempotent, so peeking
-    /// then polling gives the same answer as polling directly.
-    pub fn peek_fire_s(
-        &mut self,
-        next_arrival_s: Option<f64>,
-        next_engine_event_s: Option<f64>,
-        horizon_s: f64,
-    ) -> Option<f64> {
-        loop {
-            let (t_fault, _) = self.next_fault()?;
-            if next_arrival_s.is_none() && next_engine_event_s.is_none() {
-                return None; // poll would report Drained
+        while let Some((t_fault, wafer)) = self.next_fault() {
+            if t_fault < horizon_s {
+                let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
+                let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
+                return (before_arrival && before_engines).then_some((t_fault, wafer));
             }
-            if t_fault >= horizon_s {
-                self.discard_next();
-                continue;
-            }
-            let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
-            let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
-            return if before_arrival && before_engines { Some(t_fault) } else { None };
+            self.events.pop_front();
         }
+        None
     }
 
     /// The fault window of one serving run: the horizon when it is finite,

@@ -97,7 +97,7 @@ pub use ouro_trace::{
 };
 
 pub use engine::{Admission, Engine, EngineConfig, EngineFaultImpact, EngineStats};
-pub use fault::{p99_inflation, FaultConfig, FaultInjector, FaultPoll, FaultReport};
+pub use fault::{p99_inflation, FaultConfig, FaultInjector, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};
 pub use policy::{

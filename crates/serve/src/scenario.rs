@@ -49,7 +49,7 @@
 
 use crate::arena::F64Key;
 use crate::engine::{Engine, EngineConfig};
-use crate::fault::{FaultConfig, FaultInjector, FaultPoll};
+use crate::fault::{FaultConfig, FaultInjector};
 use crate::metrics::{RequestRecord, RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
@@ -303,44 +303,42 @@ impl Scenario {
     ///
     /// Panics when no workload was set.
     pub fn start(&self, system: &OuroborosSystem) -> Result<RunState, KvError> {
-        let timed = self.workload.as_ref().expect("Scenario needs a workload: call .workload(timed) first");
-        let (prefill_wafers, total) = match self.deployment {
-            Deployment::Colocated { wafers } => (0, wafers),
-            Deployment::Disaggregated(cfg) => (cfg.prefill_wafers, cfg.total_wafers()),
-        };
-        let mut engines = (0..total)
-            .map(|_| Engine::new(system.stage_times().clone(), system.serve_kv_config(), self.engine))
-            .collect::<Result<Vec<Engine>, KvError>>()?;
+        let total = self.total_wafers();
+        let engines = (0..total).map(|wafer| self.wafer_engine(system, wafer)).collect::<Result<_, _>>()?;
+        let window_s = FaultInjector::run_window_s(self.horizon_s, self.timed());
+        let injector = self.fault.map(|cfg| FaultInjector::new(system, total, cfg, window_s));
+        Ok(RunState::new(self, system, engines, StageQueues::new(self.timed()), injector))
+    }
+
+    /// The timed workload of a run.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no workload was set.
+    pub(crate) fn timed(&self) -> &TimedTrace {
+        self.workload.as_ref().expect("Scenario needs a workload: call .workload(timed) first")
+    }
+
+    /// Wafers of the whole deployment.
+    pub(crate) fn total_wafers(&self) -> usize {
+        match self.deployment {
+            Deployment::Colocated { wafers } => wafers,
+            Deployment::Disaggregated(cfg) => cfg.total_wafers(),
+        }
+    }
+
+    /// A fresh engine for `wafer` of the deployment, its tracer armed when
+    /// the scenario traces.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`KvError::NoKvCores`] from the engine.
+    pub(crate) fn wafer_engine(&self, system: &OuroborosSystem, wafer: usize) -> Result<Engine, KvError> {
+        let mut engine = Engine::new(system.stage_times().clone(), system.serve_kv_config(), self.engine)?;
         if self.trace {
-            for (wafer, engine) in engines.iter_mut().enumerate() {
-                engine.set_tracer(Tracer::ring(wafer));
-            }
+            engine.set_tracer(Tracer::ring(wafer));
         }
-        let engine_gen = vec![0; total];
-        let mut driver = Driver {
-            engines,
-            prefill_wafers,
-            disagg: matches!(self.deployment, Deployment::Disaggregated(_)),
-            router: self.router.clone(),
-            placement: self.placement.clone(),
-            link: system.stage_times().inter_wafer_link(),
-            kv_bytes_per_token: system.kv_migration_bytes(1),
-            migrations: MigrationTotals::default(),
-            tracer: if self.trace { Tracer::ring(0) } else { Tracer::off() },
-            telemetry: self.telemetry.map(TelemetryRecorder::new),
-            completed: 0,
-            faults_fired: 0,
-            calendar: BinaryHeap::new(),
-            engine_gen,
-        };
-        for wafer in 0..total {
-            driver.refresh_engine(wafer);
-        }
-        let injector = self.fault.map(|cfg| {
-            FaultInjector::new(system, total, cfg, FaultInjector::run_window_s(self.horizon_s, timed))
-        });
-        let queues = StageQueues::new(timed);
-        Ok(RunState { driver, queues, injector, scenario: self.clone(), horizon_s: self.horizon_s })
+        Ok(engine)
     }
 
     /// Captures a mid-run checkpoint of `run`: the stage queues, every
@@ -414,7 +412,6 @@ pub struct RunOutcome {
     telemetry: Vec<TelemetrySample>,
     engines: Vec<Engine>,
     prefill_wafers: usize,
-    disagg: bool,
 }
 
 impl RunOutcome {
@@ -425,13 +422,10 @@ impl RunOutcome {
     }
 
     /// The decode-side engines: the decode pool for disaggregated
-    /// deployments, every engine for colocated ones.
+    /// deployments, every engine for colocated ones (which have no
+    /// prefill pool).
     pub fn decode_engines(&self) -> &[Engine] {
-        if self.disagg {
-            &self.engines[self.prefill_wafers..]
-        } else {
-            &self.engines
-        }
+        &self.engines[self.prefill_wafers..]
     }
 
     /// The merged lifecycle trace (`None` unless [`Scenario::trace`] was
@@ -468,93 +462,91 @@ pub struct RunState {
     pub(crate) queues: StageQueues,
     pub(crate) injector: Option<FaultInjector>,
     /// The configuration the run was started from (cloned, so the state
-    /// stays self-contained); `finish` and `checkpoint` read it.
+    /// stays self-contained); the loop, `finish` and `checkpoint` read it.
     pub(crate) scenario: Scenario,
-    pub(crate) horizon_s: f64,
+}
+
+/// The next event of a run, as decided by `RunState::next_event`.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    /// Inject the pending fault into this wafer.
+    Fault(usize),
+    /// Step this engine by one iteration.
+    Engine(usize),
+    /// Route the front open arrival.
+    Arrival,
 }
 
 impl RunState {
+    /// Assembles a run over `engines` (one per wafer, from
+    /// `Scenario::wafer_engine`), `queues` and `injector`; the driver
+    /// books every engine in its calendar. The one construction path of
+    /// [`Scenario::start`] and [`Scenario::resume`]; a resume then
+    /// overwrites the driver state its snapshot restores.
+    pub(crate) fn new(
+        scenario: &Scenario,
+        system: &OuroborosSystem,
+        engines: Vec<Engine>,
+        queues: StageQueues,
+        injector: Option<FaultInjector>,
+    ) -> RunState {
+        RunState {
+            driver: Driver::new(scenario, system, engines),
+            queues,
+            injector,
+            scenario: scenario.clone(),
+        }
+    }
+
+    /// The one decision of the event loop: the instant and kind of the
+    /// earliest pending event, or `None` once the run is drained (no
+    /// arrivals, engine work or faults left below the horizon). A fault
+    /// fires when none of the others is earlier; its check sees the front
+    /// arrival even at or past the horizon ([`FaultInjector::due_fault`]),
+    /// and the injector's wafer index space is global, so a fault can
+    /// strike either side of a disaggregation split. An arrival is routed
+    /// once every busy engine has simulated past it (an engine event at
+    /// the same instant waits), so routing sees current state; arrivals at
+    /// or past the horizon are never injected. Its only mutations (lazy
+    /// calendar scrubbing, discarding fault events past the horizon) are
+    /// idempotent, so asking then stepping equals stepping directly.
+    fn next_event(&mut self) -> Option<(f64, Next)> {
+        let horizon_s = self.scenario.horizon_s;
+        let arrival = self.queues.arrivals.front().map(|ev| ev.at_s);
+        let engine = self.driver.next_event_engine(horizon_s);
+        if let Some(inj) = self.injector.as_mut() {
+            if let Some((t, wafer)) = inj.due_fault(arrival, engine.map(|(_, t)| t), horizon_s) {
+                return Some((t, Next::Fault(wafer)));
+            }
+        }
+        match (arrival.filter(|&t| t < horizon_s), engine) {
+            (Some(t_arr), Some((i, t))) if t < t_arr => Some((t, Next::Engine(i))),
+            (Some(t_arr), _) => Some((t_arr, Next::Arrival)),
+            (None, Some((i, t))) => Some((t, Next::Engine(i))),
+            (None, None) => None,
+        }
+    }
+
     /// Processes the single earliest pending event — one fault injection,
     /// one engine iteration, or one arrival routing — exactly as the
     /// uninterrupted loop would. Returns `false` once the run is drained
     /// (no arrivals, engine work or faults left below the horizon);
     /// calling it again then is a no-op.
     pub fn step_once(&mut self) -> bool {
-        let horizon_s = self.horizon_s;
-        let next_arrival = self.queues.arrivals.front().map(|ev| ev.at_s);
-        let next_engine = self.driver.next_event_engine(horizon_s);
-
-        // Faults share the timeline with arrivals (the arbitration
-        // protocol lives in [`FaultInjector::poll`]); the injector's wafer
-        // index space is global, so a fault can strike either side of a
-        // disaggregation split.
-        if let Some(inj) = self.injector.as_mut() {
-            match inj.poll(next_arrival, next_engine.map(|(_, t)| t), horizon_s) {
-                FaultPoll::Fire(wafer) => {
-                    inj.inject(&mut self.driver.engines[wafer]);
-                    self.driver.refresh_engine(wafer);
-                    self.driver.faults_fired += 1;
-                    self.driver.telemetry_tick();
-                    return true;
-                }
-                FaultPoll::Drained => return false,
-                FaultPoll::Wait => {}
+        let Some((_, next)) = self.next_event() else { return false };
+        let d = &mut self.driver;
+        match next {
+            Next::Fault(wafer) => {
+                let inj = self.injector.as_mut().expect("only an armed injector has a due fault");
+                inj.inject(&mut d.engines[wafer]);
+                d.refresh_engine(wafer);
+                d.faults_fired += 1;
+                d.telemetry_tick();
             }
+            Next::Engine(i) => d.step_engine(i, &mut self.queues),
+            Next::Arrival => stage::arrival::route_next(d, self.scenario.timed(), &mut self.queues),
         }
-
-        let timed = self.scenario.workload.as_ref().expect("a started run always has a workload");
-        match (next_arrival, next_engine) {
-            (None, None) => false,
-            (Some(t_arr), engine) => {
-                if t_arr >= horizon_s {
-                    // Arrivals beyond the horizon are never injected.
-                    let Some((i, _)) = engine else { return false };
-                    self.driver.step_engine(i, &mut self.queues);
-                    return true;
-                }
-                match engine {
-                    // Route the arrival once every busy engine has
-                    // simulated past it, so routing sees current state.
-                    Some((i, event_s)) if event_s < t_arr => {
-                        self.driver.step_engine(i, &mut self.queues);
-                    }
-                    _ => stage::arrival::route_next(&mut self.driver, timed, &mut self.queues),
-                }
-                true
-            }
-            (None, Some((i, _))) => {
-                self.driver.step_engine(i, &mut self.queues);
-                true
-            }
-        }
-    }
-
-    /// The simulated instant the *next* [`RunState::step_once`] call will
-    /// process (fault, engine iteration, or sub-horizon arrival), or
-    /// `None` when the run is drained. Mirrors the arbitration in
-    /// `step_once`; its only mutations (lazy calendar scrubbing, discard
-    /// of past-horizon fault events) are idempotent, so peeking then
-    /// stepping equals stepping directly.
-    fn next_event_time(&mut self) -> Option<f64> {
-        let next_arrival = self.queues.arrivals.front().map(|ev| ev.at_s);
-        let next_engine = self.driver.next_event_engine(self.horizon_s).map(|(_, t)| t);
-        if let Some(inj) = self.injector.as_mut() {
-            if let Some(fire_s) = inj.peek_fire_s(next_arrival, next_engine, self.horizon_s) {
-                return Some(fire_s);
-            }
-        }
-        match (next_arrival, next_engine) {
-            (None, None) => None,
-            (Some(a), None) => (a < self.horizon_s).then_some(a),
-            (None, Some(e)) => Some(e),
-            (Some(a), Some(e)) => {
-                if a >= self.horizon_s {
-                    Some(e)
-                } else {
-                    Some(a.min(e))
-                }
-            }
-        }
+        true
     }
 
     /// Drives the run until the next pending event would be at or past
@@ -563,10 +555,7 @@ impl RunState {
     /// `run_until(t)` → [`Scenario::checkpoint`] → [`Scenario::resume`] →
     /// [`RunState::run_to_end`] reproduces the full run byte-for-byte.
     pub fn run_until(&mut self, t_s: f64) {
-        while let Some(next_s) = self.next_event_time() {
-            if next_s >= t_s {
-                break;
-            }
+        while self.next_event().is_some_and(|(next_s, _)| next_s < t_s) {
             self.step_once();
         }
     }
@@ -596,10 +585,18 @@ impl RunState {
     /// Closes the run: flushes the telemetry tail, assembles the unified
     /// report, and merges the lifecycle trace.
     pub fn finish(self) -> RunOutcome {
-        let RunState { mut driver, injector, scenario, horizon_s, queues: _ } = self;
-        let timed = scenario.workload.as_ref().expect("a started run always has a workload");
-        driver.telemetry_finish(timed, horizon_s);
-        let report = driver.report(timed, &scenario.slo, horizon_s, scenario.deployment_info(), injector);
+        let RunState { mut driver, injector, scenario, queues: _ } = self;
+        let timed = scenario.timed();
+        // The run's end instant: the engine-clock frontier, at least the
+        // last arrival, capped by the horizon.
+        let end_s = driver
+            .engines
+            .iter()
+            .map(Engine::clock_s)
+            .fold(timed.last_arrival_s(), f64::max)
+            .min(scenario.horizon_s);
+        driver.telemetry_finish(end_s);
+        let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info(), injector);
         let trace = scenario.trace.then(|| {
             // Per-wafer engine streams (in global wafer order) plus the
             // driver's own stream (arrivals, migrations); the merge sorts
@@ -614,7 +611,6 @@ impl RunState {
             telemetry: driver.telemetry.map(|r| r.samples().to_vec()).unwrap_or_default(),
             trace,
             prefill_wafers: driver.prefill_wafers,
-            disagg: driver.disagg,
             engines: driver.engines,
         }
     }
@@ -627,8 +623,9 @@ pub(crate) struct Driver {
     /// wafers `0..prefill_wafers` are the prefill pool and the rest the
     /// decode pool (the fault injector's wafer index space matches).
     pub(crate) engines: Vec<Engine>,
+    /// Wafers of the prefill pool: 0 for a colocated deployment, at least
+    /// one for a disaggregated one, so it also tells the shapes apart.
     pub(crate) prefill_wafers: usize,
-    pub(crate) disagg: bool,
     pub(crate) router: Box<dyn Router>,
     pub(crate) placement: Box<dyn Placement>,
     pub(crate) link: InterWaferLink,
@@ -649,17 +646,48 @@ pub(crate) struct Driver {
     /// toward the lowest wafer index, matching the old linear scan.
     /// Never checkpointed: it is a pure cache over the engines, rebuilt by
     /// [`Driver::refresh_engine`] on resume.
-    pub(crate) calendar: BinaryHeap<Reverse<(F64Key, usize, u64)>>,
+    calendar: BinaryHeap<Reverse<(F64Key, usize, u64)>>,
     /// Per-engine generation counters, bumped by [`Driver::refresh_engine`]
     /// after every engine mutation so earlier calendar entries for that
     /// engine can be recognised as stale.
-    pub(crate) engine_gen: Vec<u64>,
+    engine_gen: Vec<u64>,
 }
 
 impl Driver {
-    /// Size of the entry pool the router selects over.
+    /// The one constructor: a fresh driver over `engines` (one per wafer
+    /// of `scenario`'s deployment) with every engine booked in the event
+    /// calendar. A resume overwrites the policy state, migration totals
+    /// and counters it restores.
+    fn new(scenario: &Scenario, system: &OuroborosSystem, engines: Vec<Engine>) -> Driver {
+        let total = engines.len();
+        let mut driver = Driver {
+            engines,
+            prefill_wafers: match scenario.deployment {
+                Deployment::Colocated { .. } => 0,
+                Deployment::Disaggregated(cfg) => cfg.prefill_wafers,
+            },
+            router: scenario.router.clone(),
+            placement: scenario.placement.clone(),
+            link: system.stage_times().inter_wafer_link(),
+            kv_bytes_per_token: system.kv_migration_bytes(1),
+            migrations: MigrationTotals::default(),
+            tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
+            telemetry: scenario.telemetry.map(TelemetryRecorder::new),
+            completed: 0,
+            faults_fired: 0,
+            calendar: BinaryHeap::new(),
+            engine_gen: vec![0; total],
+        };
+        for wafer in 0..total {
+            driver.refresh_engine(wafer);
+        }
+        driver
+    }
+
+    /// Size of the entry pool the router selects over: the prefill pool,
+    /// or every wafer of a colocated deployment.
     pub(crate) fn entry_len(&self) -> usize {
-        if self.disagg {
+        if self.prefill_wafers > 0 {
             self.prefill_wafers
         } else {
             self.engines.len()
@@ -732,7 +760,7 @@ impl Driver {
     pub(crate) fn step_engine(&mut self, i: usize, queues: &mut StageQueues) {
         let completions = self.engines[i].step();
         self.refresh_engine(i);
-        if self.disagg && i < self.prefill_wafers {
+        if i < self.prefill_wafers {
             for (rec, t_done) in completions {
                 stage::migrate::migrate(self, i, rec, t_done);
             }
@@ -750,41 +778,32 @@ impl Driver {
     /// intermediate samples rather than skipping them. A no-op without a
     /// recorder.
     pub(crate) fn telemetry_tick(&mut self) {
-        let Some(rec) = self.telemetry.as_mut() else { return };
+        let Some(mut rec) = self.telemetry.take() else { return };
         let now = self.engines.iter().map(Engine::clock_s).fold(0.0, f64::max);
         while rec.due(now) {
             let t_s = rec.sample_time();
-            let counters = Counters {
-                completions: self.completed,
-                migrations: self.migrations.count,
-                faults: self.faults_fired,
-                steps: self.engines.iter().map(|e| e.stats().steps).sum(),
-            };
-            for (wafer, engine) in self.engines.iter().enumerate() {
-                let mut gauges = engine.kv_gauges();
-                gauges.link_bytes_in_flight =
-                    engine.pending_imported_tokens() as u64 * self.kv_bytes_per_token;
-                rec.record(TelemetrySample { t_s, wafer, gauges, counters });
-            }
+            self.record_samples(&mut rec, t_s);
             rec.advance();
         }
+        self.telemetry = Some(rec);
     }
 
     /// Flushes the telemetry tail after the loop drains: any cadence
-    /// points still owed at the run's end instant, then — when that
-    /// instant sits strictly inside the next cadence window — one final
-    /// off-grid sample per wafer stamped at the end instant, so the last
-    /// partial window is represented instead of silently dropped. The
-    /// end instant is the same one the report uses (engine-clock
-    /// frontier, at least the last arrival, capped by the horizon).
-    fn telemetry_finish(&mut self, timed: &TimedTrace, horizon_s: f64) {
+    /// points still owed at the run's end instant `end_s`, then — when
+    /// that instant sits strictly inside the next cadence window — one
+    /// final off-grid sample per wafer stamped at `end_s`, so the last
+    /// partial window is represented instead of silently dropped.
+    fn telemetry_finish(&mut self, end_s: f64) {
         self.telemetry_tick();
-        let end_s =
-            self.engines.iter().map(Engine::clock_s).fold(timed.last_arrival_s(), f64::max).min(horizon_s);
-        let Some(rec) = self.telemetry.as_mut() else { return };
-        if !rec.tail_due(end_s) {
-            return;
+        let Some(mut rec) = self.telemetry.take() else { return };
+        if rec.tail_due(end_s) {
+            self.record_samples(&mut rec, end_s);
         }
+        self.telemetry = Some(rec);
+    }
+
+    /// Records one telemetry sample per wafer at `t_s`.
+    fn record_samples(&self, rec: &mut TelemetryRecorder, t_s: f64) {
         let counters = Counters {
             completions: self.completed,
             migrations: self.migrations.count,
@@ -794,7 +813,7 @@ impl Driver {
         for (wafer, engine) in self.engines.iter().enumerate() {
             let mut gauges = engine.kv_gauges();
             gauges.link_bytes_in_flight = engine.pending_imported_tokens() as u64 * self.kv_bytes_per_token;
-            rec.record(TelemetrySample { t_s: end_s, wafer, gauges, counters });
+            rec.record(TelemetrySample { t_s, wafer, gauges, counters });
         }
     }
 
@@ -807,7 +826,7 @@ impl Driver {
         &self,
         timed: &TimedTrace,
         slo: &SloConfig,
-        horizon_s: f64,
+        end_s: f64,
         deployment: DeploymentInfo,
         injector: Option<FaultInjector>,
     ) -> RunReport {
@@ -838,8 +857,6 @@ impl Driver {
         let evictions: u64 = self.engines.iter().map(|e| e.stats().evictions).sum();
         let prefilled_tokens: u64 = self.engines.iter().map(|e| e.stats().prefilled_tokens).sum();
         let cached_prefix_tokens: u64 = self.engines.iter().map(|e| e.stats().cached_prefix_tokens).sum();
-        let end_s =
-            self.engines.iter().map(Engine::clock_s).fold(timed.last_arrival_s(), f64::max).min(horizon_s);
         // Degenerate runs (no arrivals, zero horizon) end at `end_s == 0`:
         // guard the span like `metrics.rs` does so per-wafer busy fractions
         // — and with them `utilization` — stay finite in every report.
@@ -850,7 +867,9 @@ impl Driver {
             let span = end_s.max(1e-12);
             engines.iter().map(|e| e.busy_s().min(end_s) / span).sum::<f64>() / engines.len() as f64
         };
-        let (utilization, migration) = if self.disagg {
+        let (utilization, migration) = if prefill.is_empty() {
+            (util(decode), None)
+        } else {
             let prefill_utilization = util(prefill);
             let decode_utilization = util(decode);
             let utilization = (prefill_utilization * prefill.len() as f64
@@ -881,8 +900,6 @@ impl Driver {
                 decode_utilization,
             };
             (utilization, Some(stats))
-        } else {
-            (util(&self.engines), None)
         };
 
         let serving = ServingReport::from_records(

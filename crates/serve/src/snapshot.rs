@@ -32,10 +32,10 @@
 //! allocate per field. The schema is versioned by [`SNAPSHOT_SCHEMA_VERSION`]
 //! and guarded by a config hash so foreign state cannot be resumed silently.
 
-use crate::engine::{Engine, EngineStats};
+use crate::engine::EngineStats;
 use crate::fault::{FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
 use crate::metrics::RequestRecord;
-use crate::scenario::{Deployment, Driver, RunState, Scenario};
+use crate::scenario::{RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
 use ouro_kvcache::{
@@ -44,10 +44,8 @@ use ouro_kvcache::{
 };
 use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{self, fnv1a, read_rows};
-use ouro_trace::{TelemetryRecorder, Tracer};
 use ouro_workload::SharedPrefix;
 use rand::rngs::StdRng;
-use std::collections::BinaryHeap;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] and `rebuild` both reject
@@ -85,11 +83,15 @@ pub(crate) struct EngineSnapshot {
     pub(crate) clock_s: f64,
     pub(crate) busy_s: f64,
     pub(crate) admission_suspended: bool,
+    /// The queue counters. `rebuild` checks them against the pending rows
+    /// they sum; the next schema version drops them.
     pub(crate) pending_tokens: usize,
     pub(crate) pending_wire_tokens: usize,
     /// Absolute mean hop distance (faults append penalties to it, so the
     /// config value cannot be assumed on resume).
     pub(crate) mean_hops: f64,
+    /// Written from `stats.admissions` and checked against it by
+    /// `rebuild`; the next schema version drops it.
     pub(crate) order_counter: u64,
     pub(crate) stats: EngineStats,
     pub(crate) records: Vec<RequestRecord>,
@@ -128,7 +130,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                     pending_tokens: e.pending_tokens,
                     pending_wire_tokens: e.pending_wire_tokens,
                     mean_hops: e.times.mean_hops,
-                    order_counter: e.order_counter,
+                    order_counter: e.stats.admissions,
                     stats: e.stats,
                     records: e.records.clone(),
                     pending: e.pending.entries(),
@@ -148,14 +150,16 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// Returns [`KvError::BadSnapshot`] on a schema-version, config-hash or
 /// wafer-count mismatch, fault state the scenario's fault config does not
-/// match, a pending row whose record is out of range, an active row whose
-/// prompt plus decoded tokens differ from its resident KV, or an arrival or
-/// gated index past the workload; propagates it from KV-manager and
-/// fault-injector reconstruction (KV rows that do not fit the system's
-/// geometry, fault state that does not fit the deployment). Returns
-/// [`KvError::UnknownSequence`] for an active row whose record is out of
-/// range or not resident in the restored manager. Every check runs before
-/// the [`RunState`] is built.
+/// match, a pending row whose record is out of range, a local pending row
+/// carrying wire tokens, an engine row whose queue counters or admission
+/// counter differ from the values its pending rows and stats imply, an
+/// active row whose prompt plus decoded tokens differ from its resident
+/// KV, or an arrival or gated index past the workload; propagates it from
+/// KV-manager and fault-injector reconstruction (KV rows that do not fit
+/// the system's geometry, fault state that does not fit the deployment).
+/// Returns [`KvError::UnknownSequence`] for an active row whose record is
+/// out of range or not resident in the restored manager. Every check runs
+/// before the [`RunState`] is built.
 ///
 /// # Panics
 ///
@@ -172,11 +176,8 @@ pub(crate) fn rebuild(
     if snap.config_hash != config_hash(scenario) {
         return Err(KvError::BadSnapshot("captured by a differently-configured scenario"));
     }
-    let timed = scenario.workload.as_ref().expect("Scenario needs a workload: call .workload(timed) first");
-    let (prefill_wafers, total) = match scenario.deployment {
-        Deployment::Colocated { wafers } => (0, wafers),
-        Deployment::Disaggregated(cfg) => (cfg.prefill_wafers, cfg.total_wafers()),
-    };
+    let timed = scenario.timed();
+    let total = scenario.total_wafers();
     if snap.engines.len() != total {
         return Err(KvError::BadSnapshot("wafer count differs from the deployment"));
     }
@@ -202,13 +203,31 @@ pub(crate) fn rebuild(
 
     let mut engines = Vec::with_capacity(total);
     for (wafer, es) in snap.engines.iter().enumerate() {
-        let mut e = Engine::new(system.stage_times().clone(), system.serve_kv_config(), scenario.engine)?;
+        let mut e = scenario.wafer_engine(system, wafer)?;
         e.manager = KvManager::restore(system.serve_kv_config(), &es.kv)?;
         e.set_mean_hops(es.mean_hops);
         e.records = es.records.clone();
+        // The queue counters are running sums over the pending rows, kept
+        // the way `submit_with` and an eviction add them: prompt plus
+        // decoded tokens per row, wire tokens per imported row. Summed
+        // wide, so no stored value can overflow them.
+        let (mut tokens, mut wire_tokens) = (0u128, 0u128);
         for &(ready_s, req) in &es.pending {
+            if !req.imported && req.wire_tokens > 0 {
+                return Err(KvError::BadSnapshot("a local pending row carries wire tokens"));
+            }
+            tokens += e.records[req.rec].prompt_len as u128 + req.decoded as u128;
+            wire_tokens += req.wire_tokens as u128;
             e.pending.push_back(ready_s, req);
         }
+        if tokens != es.pending_tokens as u128 || wire_tokens != es.pending_wire_tokens as u128 {
+            return Err(KvError::BadSnapshot("an engine's queue counters differ from its pending rows"));
+        }
+        if es.order_counter != es.stats.admissions {
+            return Err(KvError::BadSnapshot("an engine's admission counter differs from its stats"));
+        }
+        e.pending_tokens = es.pending_tokens;
+        e.pending_wire_tokens = es.pending_wire_tokens;
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
@@ -225,49 +244,23 @@ pub(crate) fn rebuild(
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
-        e.pending_tokens = es.pending_tokens;
-        e.pending_wire_tokens = es.pending_wire_tokens;
-        e.order_counter = es.order_counter;
-        if scenario.trace {
-            e.set_tracer(Tracer::ring(wafer));
-        }
         engines.push(e);
     }
 
-    let mut router = scenario.router.clone();
-    router.restore_state(snap.router_state);
-    let mut placement = scenario.placement.clone();
-    placement.restore_state(snap.placement_state);
-    let mut driver = Driver {
-        engines,
-        prefill_wafers,
-        disagg: matches!(scenario.deployment, Deployment::Disaggregated(_)),
-        router,
-        placement,
-        link: system.stage_times().inter_wafer_link(),
-        kv_bytes_per_token: system.kv_migration_bytes(1),
-        migrations: snap.migrations,
-        tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
-        telemetry: scenario.telemetry.map(TelemetryRecorder::new),
-        completed: snap.completed,
-        faults_fired: snap.faults_fired,
-        calendar: BinaryHeap::new(),
-        engine_gen: vec![0; total],
-    };
-    for wafer in 0..total {
-        driver.refresh_engine(wafer);
-    }
-
-    let queues = StageQueues {
-        arrivals: snap.arrivals.iter().map(|&(at_s, index)| ArrivalEvent { at_s, index }).collect(),
-        gated: snap.gated.iter().copied().collect(),
-        think_time_s: match timed.config {
-            ouro_workload::ArrivalConfig::ClosedLoop { think_time_s, .. } => think_time_s,
-            _ => 0.0,
-        },
-        think_rng: StdRng::from_state(snap.think_rng),
-    };
-    Ok(RunState { driver, queues, injector, scenario: scenario.clone(), horizon_s: scenario.horizon_s })
+    let queues = StageQueues::holding(
+        timed,
+        snap.arrivals.iter().map(|&(at_s, index)| ArrivalEvent { at_s, index }).collect(),
+        snap.gated.iter().copied().collect(),
+        StdRng::from_state(snap.think_rng),
+    );
+    let mut run = RunState::new(scenario, system, engines, queues, injector);
+    let d = &mut run.driver;
+    d.router.restore_state(snap.router_state);
+    d.placement.restore_state(snap.placement_state);
+    d.migrations = snap.migrations;
+    d.completed = snap.completed;
+    d.faults_fired = snap.faults_fired;
+    Ok(run)
 }
 
 /// FNV-1a over the scenario's `Debug` form — cheap, dependency-free, and
@@ -794,7 +787,6 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             PendingReq {
                 rec: p_usize(row.get_str("rec")?)?,
                 decoded: p_usize(row.get_str("decoded")?)?,
-                ready_s: p_f64(row.get_str("ready_s")?)?,
                 imported: p_bool(row.get_str("imported")?)?,
                 wire_tokens: p_usize(row.get_str("wire_tokens")?)?,
                 evicted: p_bool(row.get_str("evicted")?)?,

@@ -37,7 +37,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         // submitted earlier), so an unready head must not block a landed
         // request behind it. The arena's readiness/rank heaps answer
         // this in O(log n) where the deque took a linear scan.
-        let Some((slot, front)) = e.pending.peek_ready(e.clock_s) else {
+        let Some((slot, ready_s, front)) = e.pending.peek_ready(e.clock_s) else {
             break; // nothing has arrived (or finished migrating) yet
         };
         #[cfg(debug_assertions)]
@@ -68,6 +68,8 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 e.pending.remove(slot);
                 e.pending_tokens -= tokens;
                 e.pending_wire_tokens -= front.wire_tokens;
+                // The stamp is the admission count before this admission.
+                let admission_order = e.stats.admissions;
                 e.stats.admissions += 1;
                 // Prefill is charged only for tokens that are neither in
                 // the prefix cache nor freshly arrived over the link.
@@ -88,7 +90,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 if r.admitted_s.is_nan() {
                     r.admitted_s = e.clock_s;
                 }
-                r.queue_wait_s += (e.clock_s - front.ready_s).max(0.0);
+                r.queue_wait_s += (e.clock_s - ready_s).max(0.0);
                 r.cached_prefix_tokens = cached;
                 let req = Some(r.id);
                 Stage::Admission.emit(
@@ -117,14 +119,13 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     rec: front.rec,
                     prefill_remaining: prefill_charge,
                     decoded: front.decoded,
-                    admission_order: e.order_counter,
+                    admission_order,
                     prefill_only: front.prefill_only,
                     kv_slot: e.manager.slot_of(seq_id).expect("an admitted sequence is resident"),
                     decode_len: r.decode_len,
                     since: 0,
                 };
                 e.push_active(admitted);
-                e.order_counter += 1;
             }
             Err(KvError::OutOfCapacity) => {
                 e.manager.release(seq_id);
@@ -195,7 +196,6 @@ pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
         PendingReq {
             rec: victim.rec,
             decoded: victim.decoded,
-            ready_s: e.clock_s,
             imported: false,
             wire_tokens: 0,
             evicted: true,

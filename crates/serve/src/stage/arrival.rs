@@ -24,7 +24,7 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues
         Some(ev.index),
         EventKind::Arrival { prompt_tokens: request.prompt_len, decode_tokens: request.decode_len },
     );
-    let admission = if d.disagg { Admission::PrefillOnly } else { Admission::Local };
+    let admission = if d.prefill_wafers > 0 { Admission::PrefillOnly } else { Admission::Local };
     d.engines[wafer].submit_with(request, ev.at_s, admission, ev.index);
     d.refresh_engine(wafer);
     d.telemetry_tick();

@@ -220,16 +220,28 @@ impl StageQueues {
             .collect();
         let gated: VecDeque<usize> =
             timed.arrivals.iter().enumerate().filter(|(_, r)| r.is_gated()).map(|(i, _)| i).collect();
+        StageQueues::holding(
+            timed,
+            arrivals,
+            gated,
+            StdRng::seed_from_u64(timed.seed ^ 0x7417_1e5e_ed00_0002),
+        )
+    }
+
+    /// The arrival queues of a run over `timed` holding `arrivals` and
+    /// `gated`, with the think stream at `think_rng` (a resumed run's
+    /// queues).
+    pub(crate) fn holding(
+        timed: &TimedTrace,
+        arrivals: VecDeque<ArrivalEvent>,
+        gated: VecDeque<usize>,
+        think_rng: StdRng,
+    ) -> StageQueues {
         let think_time_s = match timed.config {
             ouro_workload::ArrivalConfig::ClosedLoop { think_time_s, .. } => think_time_s,
             _ => 0.0,
         };
-        StageQueues {
-            arrivals,
-            gated,
-            think_time_s,
-            think_rng: StdRng::seed_from_u64(timed.seed ^ 0x7417_1e5e_ed00_0002),
-        }
+        StageQueues { arrivals, gated, think_time_s, think_rng }
     }
 
     /// Requests not yet handed to any engine (open plus gated).
@@ -300,18 +312,18 @@ impl ActiveSeq {
 /// A request waiting for admission (fresh, evicted with progress, or an
 /// imported-KV arrival waiting out its migration) — the admission stage's
 /// typed event, queued in the engine's pending arena.
+///
+/// Its arena key is its earliest admission time: the arrival for local
+/// requests, the migration-completion instant for imported KV, the
+/// eviction clock (already in the past) for evicted requeues. Queue-wait
+/// accounting measures from that instant, so migration transit never
+/// counts as queueing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingReq {
     /// Index into the engine's record table.
     pub(crate) rec: usize,
     /// Decode tokens already emitted before an eviction (0 for fresh).
     pub(crate) decoded: usize,
-    /// Earliest admission time: the arrival for local requests, the
-    /// migration-completion instant for imported KV. Evicted requeues use
-    /// the eviction clock (already in the past). Queue-wait accounting
-    /// measures from this instant, so migration transit never counts as
-    /// queueing.
-    pub(crate) ready_s: f64,
     /// The sequence's KV was prefilled on another wafer: admission imports
     /// it (allocation without recompute). Cleared on eviction, because the
     /// migrated KV is lost and must be recomputed locally.

@@ -48,13 +48,15 @@ fn golden_shapes() -> Vec<(&'static str, Scenario, f64)> {
 
     // 3. Colocated under runtime faults, closed-loop clients (the think
     //    stream and the fault schedule must both survive the checkpoint).
+    //    Every open arrival is at t = 0 and the rest are gated, so the
+    //    midpoint is half the straight run's duration, not of the arrivals.
     let trace = TraceGenerator::new(37).generate(&LengthConfig::fixed(128, 16), 30);
     let timed = ArrivalConfig::ClosedLoop { users: 6, think_time_s: 0.02 }.assign(&trace, 37);
-    let faulty = (
-        "colocated-faults-closed-loop",
-        Scenario::colocated(2).faults(FaultConfig::new(0.08, 37)).slo(slo).workload(timed.clone()),
-        mid(&timed),
-    );
+    let scenario = Scenario::colocated(2).faults(FaultConfig::new(0.08, 37)).slo(slo).workload(timed);
+    static CLOSED_LOOP_MID_S: OnceLock<f64> = OnceLock::new();
+    let closed_loop_mid_s =
+        *CLOSED_LOOP_MID_S.get_or_init(|| scenario.run(&tiny_system()).unwrap().serving.duration_s * 0.5);
+    let faulty = ("colocated-faults-closed-loop", scenario, closed_loop_mid_s);
 
     // 4. Disaggregated with faults, prefix caching and a finite horizon
     //    (arrival cutoff + fault window both derive from the horizon).
@@ -103,6 +105,22 @@ fn resumed_runs_reproduce_the_uninterrupted_report_byte_for_byte() {
             "{label}: resumed report Debug form diverged"
         );
     }
+}
+
+#[test]
+fn the_closed_loop_checkpoint_is_taken_mid_run() {
+    // The think stream and the fault schedule are carried across the
+    // checkpoint only if it falls after completions and faults, with users
+    // still gated.
+    let sys = tiny_system();
+    let (label, scenario, mid_s) = golden_shapes().remove(2);
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(mid_s);
+    let json = scenario.checkpoint(&run).to_json();
+    let meta = json.lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
+    assert!(field(meta, "completed").parse::<u64>().unwrap() > 0, "{label}: no completions yet");
+    assert!(!field(meta, "gated").is_empty(), "{label}: no gated requests left");
+    assert!(field(meta, "faults_fired").parse::<u64>().unwrap() > 0, "{label}: no fault fired yet");
 }
 
 #[test]
@@ -520,6 +538,42 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
             assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
         }
     }
+}
+
+#[test]
+fn resume_rejects_engine_counters_that_differ_from_their_rows() {
+    // The queue counters sum the pending rows and the admission counter
+    // equals the admission stat; a stored value that differs is foreign
+    // state, not a run to continue.
+    let sys = tiny_system();
+    let rejected = |scenario: &Scenario, case: &str, edited: &str| {
+        let resumed = Snapshot::parse(edited).map(|snap| scenario.resume(&sys, &snap).map(|_| ()));
+        assert!(matches!(resumed, Err(_) | Ok(Err(KvError::BadSnapshot(_)))), "{case} must not resume");
+    };
+    let edit = |json: &str, row: &str, key: &str| {
+        let old = field(row, key);
+        let edited =
+            json.replace(row, &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"9{old}""#)));
+        assert_ne!(edited, json, "{key}: the edit must change the document");
+        edited
+    };
+    let (_, scenario) = golden_run();
+    let json = golden_snapshot_json();
+    let engine = json.lines().find(|l| l.starts_with(r#"{"section":"engine""#)).expect("an engine row");
+    for key in ["pending_tokens", "pending_wire_tokens", "order_counter"] {
+        rejected(scenario, key, &edit(json, engine, key));
+    }
+    // Only an import carries wire tokens: the evicted sequences queued at
+    // the saturated midpoint are local recomputes.
+    let scenario = saturated_long_decode();
+    let mut run = scenario.start(&sys).unwrap();
+    run.run_until(0.25);
+    let json = scenario.checkpoint(&run).to_json();
+    let local = json
+        .lines()
+        .find(|l| l.starts_with(r#"{"section":"pending""#) && field(l, "imported") == "0")
+        .expect("a local pending row");
+    rejected(&scenario, "wire tokens on a local pending row", &edit(&json, local, "wire_tokens"));
 }
 
 #[test]

@@ -32,7 +32,7 @@ use std::collections::BTreeMap;
 
 use crate::chrome::Trace;
 use crate::event::EventKind;
-use crate::json::{write_array, JsonObject};
+use crate::json::JsonObject;
 use crate::telemetry::TelemetrySample;
 
 /// Version of the flat JSON schema emitted by [`Analysis::json_rows`].
@@ -741,15 +741,6 @@ impl Analysis {
             );
         }
         rows
-    }
-
-    /// Writes [`Analysis::json_rows`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        write_array(path, &self.json_rows())
     }
 }
 

@@ -9,7 +9,7 @@
 //! [`Trace::summarize`] text table for terminals.
 
 use crate::event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
-use crate::json::{fnv1a_extend, render_array, write_array, JsonObject, FNV1A_OFFSET};
+use crate::json::{fnv1a_extend, render_array, JsonObject, FNV1A_OFFSET};
 
 /// One reconstructed request phase: a closed interval of a request's life
 /// on one wafer. Phases are derived from the event log — `queue` from
@@ -241,15 +241,6 @@ impl Trace {
             }
         }
         std::fs::write(path, self.chrome_trace_json())
-    }
-
-    /// Writes the flat-JSON event rows to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        write_array(path, &self.json_rows())
     }
 
     /// A per-run text table: events per kind, per-wafer totals, span, and

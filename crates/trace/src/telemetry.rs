@@ -10,7 +10,7 @@
 //! cluster-wide monotonic [`Counters`] as of that instant. The result is
 //! a flat JSON time series carrying its own `schema_version`.
 
-use crate::json::{write_array, JsonObject};
+use crate::json::JsonObject;
 
 /// Version of the flat JSON schema emitted by
 /// [`TelemetrySample::json_object`]. Bumped on any breaking key change.
@@ -170,15 +170,6 @@ impl TelemetryRecorder {
     /// The time series as flat JSON rows.
     pub fn json_rows(&self) -> Vec<JsonObject> {
         self.samples.iter().map(TelemetrySample::json_object).collect()
-    }
-
-    /// Writes the time series to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from directory creation or the write.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        write_array(path, &self.json_rows())
     }
 }
 

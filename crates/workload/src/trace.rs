@@ -104,11 +104,6 @@ impl TraceGenerator {
             .collect();
         Trace { requests }
     }
-
-    /// Generates the paper's standard 1000-request trace for a configuration.
-    pub fn paper_trace(&self, config: &LengthConfig) -> Trace {
-        self.generate(config, 1000)
-    }
 }
 
 #[cfg(test)]
@@ -141,12 +136,6 @@ mod tests {
         let c = TraceGenerator::new(8).generate(&cfg, 100);
         assert_eq!(a, b);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn paper_trace_has_1000_requests() {
-        let t = TraceGenerator::new(0).paper_trace(&LengthConfig::fixed(2048, 128));
-        assert_eq!(t.len(), 1000);
     }
 
     #[test]
