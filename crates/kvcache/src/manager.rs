@@ -438,11 +438,10 @@ pub struct KvManagerSnapshot {
     pub key_cores: Vec<Vec<CrossbarSnapshot>>,
     /// Value-side crossbar tables, per core in order.
     pub value_cores: Vec<Vec<CrossbarSnapshot>>,
-    /// Append cursors `(seq, role, core_index, crossbar, block)`,
-    /// key-sorted. Role 0 is K, 1 is V.
-    pub cursors: Vec<(u64, u8, usize, usize, usize)>,
     /// Private block index ([`SnapshotSeqBlocks`] entries), key-sorted with
-    /// per-sequence allocation order preserved.
+    /// per-sequence allocation order preserved. Role 0 is K, 1 is V. Each
+    /// sequence's append cursor of a role is the last block of that role
+    /// in its list, so the cursors are not stored.
     pub seq_blocks: Vec<SnapshotSeqBlocks>,
     /// Resident token counts `(seq, tokens)`, key-sorted.
     pub resident_tokens: Vec<(u64, usize)>,
@@ -552,14 +551,6 @@ impl KvManager {
             }
         }
         let [key_cores, value_cores] = sides;
-        let cursors: Vec<(u64, u8, usize, usize, usize)> = resident
-            .iter()
-            .flat_map(|&(seq, slot)| {
-                self.slots
-                    .bound(slot)
-                    .map(move |(role, c)| (seq, role as u8, c.core_index, c.crossbar, c.block))
-            })
-            .collect();
         let seq_blocks: Vec<SnapshotSeqBlocks> = resident
             .iter()
             .map(|&(seq, slot)| (seq, &self.slots.blocks[slot.index()]))
@@ -598,7 +589,6 @@ impl KvManager {
             transfers: self.transfers,
             key_cores,
             value_cores,
-            cursors,
             seq_blocks,
             resident_tokens,
             shared,
@@ -612,14 +602,12 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::NoKvCores`] when the configuration has no KV
-    /// cores; [`KvError::UnknownSequence`] when a cursor or block row
-    /// names a sequence the snapshot does not list as resident, or a
-    /// cursor names a role other than K or V; and
-    /// [`KvError::BadSnapshot`] when the snapshot's core, crossbar or block
-    /// counts differ from the configuration's, a block holds more tokens
-    /// than fit, a cursor, block or shared-chain row names a block its
-    /// owner does not own, a cursor is not the last block of its role in
-    /// its sequence's block list, a shared chain names a core out of
+    /// cores; [`KvError::UnknownSequence`] when a block row names a
+    /// sequence the snapshot does not list as resident, or a role other
+    /// than K or V; and [`KvError::BadSnapshot`] when the snapshot's core,
+    /// crossbar or block counts differ from the configuration's, a block
+    /// holds more tokens than fit, a block or shared-chain row names a
+    /// block its owner does not own, a shared chain names a core out of
     /// range, an allocated block is missing from its owner's block list or
     /// chain or listed twice, or a sharer names an absent chain or more
     /// nodes than it has.
@@ -658,34 +646,23 @@ impl KvManager {
         for &(seq, tokens) in &snap.resident_tokens {
             m.slots.occupy(seq, tokens);
         }
-        let not_owned = KvError::BadSnapshot("a cursor or block row names a block its sequence does not own");
-        for &(seq, role, core_index, crossbar, block) in &snap.cursors {
-            let slot = m.slot_of(seq).filter(|_| role < 2).ok_or(KvError::UnknownSequence(seq))?;
-            let (role, cursor) = (role_of(role), Cursor { core_index, crossbar, block });
-            if !m.owns(role, cursor, seq) {
-                return Err(not_owned);
-            }
-            m.slots.cursors[slot.index()][role as usize] = Some(cursor);
-        }
         for (seq, blocks) in &snap.seq_blocks {
-            let slot = m.slot_of(*seq).ok_or(KvError::UnknownSequence(*seq))?;
+            let slot = m
+                .slot_of(*seq)
+                .filter(|_| blocks.iter().all(|&(role, ..)| role < 2))
+                .ok_or(KvError::UnknownSequence(*seq))?;
             let rows = blocks.iter().map(|&(role, core_index, crossbar, block)| {
                 (role_of(role), Cursor { core_index, crossbar, block })
             });
             if !rows.clone().all(|(role, cursor)| m.owns(role, cursor, *seq)) {
-                return Err(not_owned);
+                return Err(KvError::BadSnapshot("a block row names a block its sequence does not own"));
             }
             m.slots.blocks[slot.index()].extend(rows);
-        }
-        // Each allocation binds its role's cursor to the block it appends
-        // to the list, so a cursor is always the last block of its role.
-        for slot in m.slots.of.values() {
-            let (cursors, blocks) = (&m.slots.cursors[slot.index()], &m.slots.blocks[slot.index()]);
+            // Each allocation binds its role's cursor to the block it
+            // appends to the list, so a cursor is the last block of its role.
+            let (blocks, cursors) = (&m.slots.blocks[slot.index()], &mut m.slots.cursors[slot.index()]);
             for role in ROLES {
-                let last = blocks.iter().rfind(|(r, _)| *r == role).map(|&(_, c)| c);
-                if cursors[role as usize] != last {
-                    return Err(KvError::BadSnapshot("a cursor is not the last block of its role"));
-                }
+                cursors[role as usize] = blocks.iter().rfind(|(r, _)| *r == role).map(|&(_, c)| c);
             }
         }
         for (group, chain) in &snap.shared {
@@ -1481,7 +1458,7 @@ mod tests {
         orphan.resident_tokens.clear();
         assert_eq!(KvManager::restore(m.config.clone(), &orphan).unwrap_err(), KvError::UnknownSequence(1));
         let mut bad_role = snap;
-        bad_role.cursors[0].1 = 2;
+        bad_role.seq_blocks[0].1[0].0 = 2;
         assert_eq!(KvManager::restore(m.config.clone(), &bad_role).unwrap_err(), KvError::UnknownSequence(1));
     }
 
@@ -1491,10 +1468,7 @@ mod tests {
         m.admit_with_prefix(1, 300, Some((42, 256))).unwrap();
         let snap = m.snapshot();
         assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
-        let edits: [fn(&mut KvManagerSnapshot); 11] = [
-            // Cursors, which give the page table, missing for blocks held.
-            |s| s.cursors.clear(),
-            |s| s.cursors.truncate(1),
+        let edits: [fn(&mut KvManagerSnapshot); 9] = [
             |s| s.shared[0].1.nodes[0].1 = (0, 31, 0),
             |s| s.shared[0].1.k_core = 99,
             |s| s.shared[0].1.v_core = 99,

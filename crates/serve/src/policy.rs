@@ -29,6 +29,8 @@ use std::cmp::Ordering;
 /// the same decisions, or seeded runs stop being reproducible.
 pub trait Router: std::fmt::Debug + Send + Sync {
     /// Stable policy name for reports and tables (e.g. `"least-kv-load"`).
+    /// Snapshot config hashes key the policy by it, so it must tell
+    /// differently-behaving policies apart.
     fn name(&self) -> String;
 
     /// Picks the wafer for `request`. Wafers that faults have rendered
@@ -66,6 +68,8 @@ impl Clone for Box<dyn Router> {
 /// crossings) for locality-aware policies.
 pub trait Placement: std::fmt::Debug + Send + Sync {
     /// Stable policy name for reports and tables (e.g. `"locality-aware"`).
+    /// Snapshot config hashes key the policy by it, so it must tell
+    /// differently-behaving policies apart.
     fn name(&self) -> String;
 
     /// Picks the decode wafer (an index into `decode`) for `request`'s

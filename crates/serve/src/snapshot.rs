@@ -25,17 +25,23 @@
 //! each tagged with a `"section"` key. Floats are serialized as the hex of
 //! their IEEE-754 bit pattern (`f64::to_bits`), so round-tripping is exact
 //! (including NaN payloads, which plain decimal JSON cannot carry — the
-//! workspace's JSON writer renders non-finite floats as `null`).
+//! workspace's JSON writer renders non-finite floats as `null`). The writer
+//! appends every value straight into one output `String`, sized up front:
+//! integers as decimal digits, floats as bit-pattern hex.
 //! [`Snapshot::parse`] is the strict inverse. It reads the document through
-//! the workspace's shared flat-row reader ([`ouro_trace::json::read_rows`]),
-//! which borrows every escape-free value from the text, so parsing does not
-//! allocate per field. The schema is versioned by [`SNAPSHOT_SCHEMA_VERSION`]
-//! and guarded by a config hash so foreign state cannot be resumed silently.
+//! the workspace's one flat-row reader ([`ouro_trace::json::RowReader`]),
+//! consuming each row as it is read and each row's keys in their pinned
+//! order; escape-free values borrow from the text, so parsing allocates
+//! neither per field nor per row. Rows carry state only: what the rest
+//! implies (the engines' queue counters, the KV append cursors) is derived
+//! again on resume. The schema is versioned by
+//! [`SNAPSHOT_SCHEMA_VERSION`] and guarded by a canonical config hash, so
+//! foreign state cannot be resumed silently.
 
-use crate::engine::EngineStats;
-use crate::fault::{FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
-use crate::metrics::RequestRecord;
-use crate::scenario::{RunState, Scenario};
+use crate::engine::{EngineConfig, EngineStats};
+use crate::fault::{FaultConfig, FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
+use crate::metrics::{RequestRecord, SloConfig};
+use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
 use ouro_kvcache::{
@@ -43,14 +49,16 @@ use ouro_kvcache::{
     SnapshotSlot,
 };
 use ouro_sim::OuroborosSystem;
-use ouro_trace::json::{self, fnv1a, read_rows};
-use ouro_workload::SharedPrefix;
+use ouro_trace::json::{fnv1a_extend, RowReader, Value, FNV1A_OFFSET};
+use ouro_trace::TelemetryConfig;
+use ouro_workload::{ArrivalConfig, Request, SharedPrefix, TimedRequest, TimedTrace};
 use rand::rngs::StdRng;
+use std::borrow::Cow;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] and `rebuild` both reject
 /// mismatches instead of guessing.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -58,8 +66,9 @@ pub const SNAPSHOT_SCHEMA_VERSION: u32 = 2;
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     pub(crate) schema_version: u32,
-    /// FNV-1a over the scenario's `Debug` form: resuming under a
-    /// differently-configured scenario is a hard error, not silent drift.
+    /// FNV-1a over a canonical encoding of the scenario's config
+    /// ([`config_hash`]): resuming under a differently-configured scenario
+    /// is a hard error, not silent drift.
     pub(crate) config_hash: u64,
     pub(crate) completed: u64,
     pub(crate) faults_fired: u64,
@@ -83,16 +92,9 @@ pub(crate) struct EngineSnapshot {
     pub(crate) clock_s: f64,
     pub(crate) busy_s: f64,
     pub(crate) admission_suspended: bool,
-    /// The queue counters. `rebuild` checks them against the pending rows
-    /// they sum; the next schema version drops them.
-    pub(crate) pending_tokens: usize,
-    pub(crate) pending_wire_tokens: usize,
     /// Absolute mean hop distance (faults append penalties to it, so the
     /// config value cannot be assumed on resume).
     pub(crate) mean_hops: f64,
-    /// Written from `stats.admissions` and checked against it by
-    /// `rebuild`; the next schema version drops it.
-    pub(crate) order_counter: u64,
     pub(crate) stats: EngineStats,
     pub(crate) records: Vec<RequestRecord>,
     /// The pending arena's live entries `(ready_s, event)` in queue order
@@ -127,10 +129,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                     clock_s: e.clock_s,
                     busy_s: e.busy_s,
                     admission_suspended: e.admission_suspended,
-                    pending_tokens: e.pending_tokens,
-                    pending_wire_tokens: e.pending_wire_tokens,
                     mean_hops: e.times.mean_hops,
-                    order_counter: e.stats.admissions,
                     stats: e.stats,
                     records: e.records.clone(),
                     pending: e.pending.entries(),
@@ -151,12 +150,13 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 /// Returns [`KvError::BadSnapshot`] on a schema-version, config-hash or
 /// wafer-count mismatch, fault state the scenario's fault config does not
 /// match, a pending row whose record is out of range, a local pending row
-/// carrying wire tokens, an engine row whose queue counters or admission
-/// counter differ from the values its pending rows and stats imply, an
-/// active row whose prompt plus decoded tokens differ from its resident
-/// KV, or an arrival or gated index past the workload; propagates it from
-/// KV-manager and fault-injector reconstruction (KV rows that do not fit
-/// the system's geometry, fault state that does not fit the deployment).
+/// carrying wire tokens, pending rows whose token sums overflow the
+/// engine's queue counters, an active row whose prompt plus decoded tokens
+/// differ from its resident KV, two active rows naming one record, a
+/// resident sequence with no active row, or an arrival or gated index past
+/// the workload; propagates it from KV-manager and fault-injector
+/// reconstruction (KV rows that do not fit the system's geometry, fault
+/// state that does not fit the deployment).
 /// Returns [`KvError::UnknownSequence`] for an active row whose record is
 /// out of range or not resident in the restored manager. Every check runs
 /// before the [`RunState`] is built.
@@ -210,7 +210,7 @@ pub(crate) fn rebuild(
         // The queue counters are running sums over the pending rows, kept
         // the way `submit_with` and an eviction add them: prompt plus
         // decoded tokens per row, wire tokens per imported row. Summed
-        // wide, so no stored value can overflow them.
+        // wide, so no row can overflow them unnoticed.
         let (mut tokens, mut wire_tokens) = (0u128, 0u128);
         for &(ready_s, req) in &es.pending {
             if !req.imported && req.wire_tokens > 0 {
@@ -220,17 +220,13 @@ pub(crate) fn rebuild(
             wire_tokens += req.wire_tokens as u128;
             e.pending.push_back(ready_s, req);
         }
-        if tokens != es.pending_tokens as u128 || wire_tokens != es.pending_wire_tokens as u128 {
-            return Err(KvError::BadSnapshot("an engine's queue counters differ from its pending rows"));
-        }
-        if es.order_counter != es.stats.admissions {
-            return Err(KvError::BadSnapshot("an engine's admission counter differs from its stats"));
-        }
-        e.pending_tokens = es.pending_tokens;
-        e.pending_wire_tokens = es.pending_wire_tokens;
+        let overflow = || KvError::BadSnapshot("an engine's pending rows overflow its queue counters");
+        e.pending_tokens = usize::try_from(tokens).map_err(|_| overflow())?;
+        e.pending_wire_tokens = usize::try_from(wire_tokens).map_err(|_| overflow())?;
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
+        let mut listed = vec![false; e.records.len()];
         for a in &es.active {
             let seq = a.rec as u64;
             let (Some(r), Some(slot)) = (e.records.get(a.rec), e.manager.slot_of(seq)) else {
@@ -239,7 +235,15 @@ pub(crate) fn rebuild(
             if e.manager.sequence_tokens(seq) != Some(r.prompt_len + a.decoded) {
                 return Err(KvError::BadSnapshot("an active row's progress differs from its resident KV"));
             }
+            if std::mem::replace(&mut listed[a.rec], true) {
+                return Err(KvError::BadSnapshot("two active rows name one record"));
+            }
             e.push_active(ActiveSeq { kv_slot: slot, decode_len: r.decode_len, ..*a });
+        }
+        // Every active row is resident and names its own record, so equal
+        // counts make every resident sequence active.
+        if e.manager.resident_sequences() != es.active.len() {
+            return Err(KvError::BadSnapshot("a resident sequence has no active row"));
         }
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
@@ -263,339 +267,458 @@ pub(crate) fn rebuild(
     Ok(run)
 }
 
-/// FNV-1a over the scenario's `Debug` form — cheap, dependency-free, and
-/// sensitive to every config field (deployment, workload seeds, policies,
-/// engine tuning, SLO, horizon, faults, observability toggles).
+/// FNV-1a over a canonical encoding of every config field (deployment,
+/// workload arrivals and seeds, policies, engine tuning, SLO, horizon,
+/// faults, observability toggles): integers as fixed-width little-endian
+/// words, floats by their bit pattern, enum variants and `Option`s by a
+/// fixed tag, and policies by name. Every struct is destructured in full,
+/// so a new config field does not compile until it is hashed here.
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    fnv1a(format!("{scenario:?}").as_bytes())
+    let Scenario { deployment, workload, router, placement, engine, slo, horizon_s, fault, trace, telemetry } =
+        scenario;
+    let mut h = ConfigHasher(FNV1A_OFFSET);
+    match *deployment {
+        Deployment::Colocated { wafers } => h.tag(0).int(wafers),
+        Deployment::Disaggregated(DisaggConfig { prefill_wafers, decode_wafers }) => {
+            h.tag(1).int(prefill_wafers).int(decode_wafers)
+        }
+    };
+    match workload {
+        None => h.tag(0),
+        Some(TimedTrace { arrivals, config, seed }) => {
+            match *config {
+                ArrivalConfig::Poisson { rate_rps } => h.tag(1).tag(0).float(rate_rps),
+                ArrivalConfig::Bursty { rate_rps, cv } => h.tag(1).tag(1).float(rate_rps).float(cv),
+                ArrivalConfig::ClosedLoop { users, think_time_s } => {
+                    h.tag(1).tag(2).int(users).float(think_time_s)
+                }
+            };
+            h.int(*seed).int(arrivals.len());
+            for &TimedRequest { request: Request { id, prompt_len, decode_len, shared_prefix }, arrival_s } in
+                arrivals
+            {
+                h.float(arrival_s).int(id).int(prompt_len).int(decode_len);
+                match shared_prefix {
+                    None => h.tag(0),
+                    Some(SharedPrefix { group, tokens }) => h.tag(1).int(group).int(tokens),
+                };
+            }
+            &mut h
+        }
+    };
+    h.text(&router.name()).text(&placement.name());
+    let EngineConfig { max_batch, prefill_chunk, prefix_caching } = *engine;
+    let SloConfig { ttft_s, tpot_s } = *slo;
+    h.int(max_batch).int(prefill_chunk).flag(prefix_caching).float(ttft_s).float(tpot_s).float(*horizon_s);
+    match *fault {
+        None => h.tag(0),
+        Some(FaultConfig { mtbf_s, remap_stall_s, seed }) => {
+            h.tag(1).float(mtbf_s).float(remap_stall_s).int(seed)
+        }
+    };
+    h.flag(*trace);
+    match *telemetry {
+        None => h.tag(0),
+        Some(TelemetryConfig { cadence_s }) => h.tag(1).float(cadence_s),
+    };
+    h.0
+}
+
+/// Unsigned integers, widened to the `u64` they are hashed and written as.
+trait Uint: Copy {
+    fn wide(self) -> u64;
+}
+
+macro_rules! uint {
+    ($($t:ty),*) => {
+        $(impl Uint for $t {
+            fn wide(self) -> u64 {
+                self as u64
+            }
+        })*
+    };
+}
+
+uint!(u8, u32, u64, usize);
+
+/// A running FNV-1a state of [`config_hash`].
+struct ConfigHasher(u64);
+
+impl ConfigHasher {
+    fn bytes(&mut self, bytes: &[u8]) -> &mut ConfigHasher {
+        self.0 = fnv1a_extend(self.0, bytes);
+        self
+    }
+
+    fn tag(&mut self, tag: u8) -> &mut ConfigHasher {
+        self.bytes(&[tag])
+    }
+
+    fn flag(&mut self, on: bool) -> &mut ConfigHasher {
+        self.tag(u8::from(on))
+    }
+
+    fn int(&mut self, v: impl Uint) -> &mut ConfigHasher {
+        self.bytes(&v.wide().to_le_bytes())
+    }
+
+    fn float(&mut self, v: f64) -> &mut ConfigHasher {
+        self.int(v.to_bits())
+    }
+
+    /// Length first, so adjacent strings cannot trade bytes.
+    fn text(&mut self, s: &str) -> &mut ConfigHasher {
+        self.int(s.len()).bytes(s.as_bytes())
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Serialization: flat-JSON rows, string values only, floats as bit-pattern
 // hex. Written here (`JsonObject::num` cannot round-trip non-finite floats),
-// read back by the shared `ouro_trace::json::read_rows`.
+// read back row by row through the shared `ouro_trace::json::RowReader`.
 // ---------------------------------------------------------------------------
 
-fn hex(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// One serialized row: `{"section":"…","k":"v",…}`. Values never contain
-/// quotes or backslashes (they are built from digits and fixed separator
-/// characters), so no escaping is needed on either side.
-struct Row {
+/// The document under construction: every row is appended in place to one
+/// output `String`. Values are decimal digits, bit-pattern hex and fixed
+/// separator characters, so nothing needs escaping on either side.
+struct Doc {
     out: String,
+    /// Whether a row is open (its closing brace not yet written).
+    open: bool,
 }
 
-impl Row {
-    fn new(section: &str) -> Row {
-        Row { out: format!("{{\"section\":\"{section}\"") }
+impl Doc {
+    /// An open array with room for `capacity` bytes.
+    fn new(capacity: usize) -> Doc {
+        let mut out = String::with_capacity(capacity);
+        out.push_str("[\n");
+        Doc { out, open: false }
     }
 
-    fn field(mut self, key: &str, value: impl AsRef<str>) -> Row {
-        let value = value.as_ref();
-        debug_assert!(
-            !value.contains('"') && !value.contains('\\'),
-            "snapshot values must not need escaping: {value:?}"
-        );
-        self.out.push_str(",\"");
-        self.out.push_str(key);
-        self.out.push_str("\":\"");
-        self.out.push_str(value);
+    /// Opens a row of `section`, closing the one before it.
+    fn row(&mut self, section: &str) -> &mut Doc {
+        self.out.push_str(if self.open { "},\n{\"section\":\"" } else { "{\"section\":\"" });
+        self.open = true;
+        self.out.push_str(section);
         self.out.push('"');
         self
     }
 
+    /// Opens the value of `key`; [`Doc::close`] ends it.
+    fn key(&mut self, key: &str) -> &mut Doc {
+        self.out.push_str(",\"");
+        self.out.push_str(key);
+        self.out.push_str("\":\"");
+        self
+    }
+
+    fn close(&mut self) -> &mut Doc {
+        self.out.push('"');
+        self
+    }
+
+    fn sep(&mut self, c: char) -> &mut Doc {
+        self.out.push(c);
+        self
+    }
+
+    fn text(&mut self, s: &str) -> &mut Doc {
+        self.out.push_str(s);
+        self
+    }
+
+    /// `v` in decimal.
+    fn n(&mut self, v: impl Uint) -> &mut Doc {
+        let mut v = v.wide();
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        self
+    }
+
+    /// `bits` as 16 lower-case hex digits.
+    fn bits(&mut self, bits: u64) -> &mut Doc {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 16];
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        self.out.push_str(std::str::from_utf8(&digits).expect("ASCII hex digits"));
+        self
+    }
+
+    /// `v` by its IEEE-754 bit pattern, so every value round-trips.
+    fn f(&mut self, v: f64) -> &mut Doc {
+        self.bits(v.to_bits())
+    }
+
+    /// `items`, each written by `each`, `sep`-separated.
+    fn list<T>(
+        &mut self,
+        sep: char,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut Doc, T) -> &mut Doc,
+    ) -> &mut Doc {
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(sep);
+            }
+            each(self, item);
+        }
+        self
+    }
+
+    fn int(&mut self, key: &str, v: impl Uint) -> &mut Doc {
+        self.key(key).n(v).close()
+    }
+
+    fn float(&mut self, key: &str, v: f64) -> &mut Doc {
+        self.key(key).f(v).close()
+    }
+
+    fn flag(&mut self, key: &str, on: bool) -> &mut Doc {
+        self.key(key).sep(if on { '1' } else { '0' }).close()
+    }
+
     fn finish(mut self) -> String {
-        self.out.push('}');
+        if self.open {
+            self.out.push('}');
+        }
+        self.out.push_str("\n]\n");
         self.out
     }
 }
 
-fn join<I: IntoIterator<Item = String>>(items: I, sep: char) -> String {
-    let mut out = String::new();
-    for (i, item) in items.into_iter().enumerate() {
-        if i > 0 {
-            out.push(sep);
-        }
-        out.push_str(&item);
-    }
-    out
-}
-
-fn slot((c, x, b): SnapshotSlot) -> String {
-    format!("{c}.{x}.{b}")
-}
-
 impl Snapshot {
+    /// About how many bytes [`Snapshot::to_json`] writes, from the typical
+    /// rendered length of each row and list item, so the document is
+    /// allocated once.
+    fn json_len(&self) -> usize {
+        let engines: usize = self
+            .engines
+            .iter()
+            .map(|e| {
+                let kv = &e.kv;
+                let blocks: usize =
+                    kv.key_cores.iter().chain(&kv.value_cores).flatten().map(|xb| xb.blocks.len()).sum();
+                let listed: usize = kv.seq_blocks.iter().map(|(_, b)| b.len()).sum();
+                4096 + 300 * e.records.len()
+                    + 160 * (e.pending.len() + e.active.len())
+                    + 4 * blocks
+                    + 16 * listed
+            })
+            .sum();
+        let injector = self.injector.as_ref().map_or(0, |inj| {
+            let cores: usize =
+                inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len() + w.failed.len()).sum();
+            512 + 40 * inj.events.len() + 160 * inj.wafers.len() + 8 * cores
+        });
+        1024 + 24 * self.arrivals.len() + 8 * self.gated.len() + engines + injector
+    }
+
     /// Serializes the snapshot (see the module doc for the format).
     pub fn to_json(&self) -> String {
-        let mut rows: Vec<String> = Vec::new();
+        let mut d = Doc::new(self.json_len());
         let m = &self.migrations;
-        rows.push(
-            Row::new("meta")
-                .field("schema_version", self.schema_version.to_string())
-                .field("config_hash", format!("{:016x}", self.config_hash))
-                .field("completed", self.completed.to_string())
-                .field("faults_fired", self.faults_fired.to_string())
-                .field(
-                    "migrations",
-                    format!(
-                        "{}|{}|{}|{}|{}|{}",
-                        m.count,
-                        m.wire_tokens,
-                        m.deduped_tokens,
-                        hex(m.transit_s),
-                        hex(m.max_transit_s),
-                        hex(m.energy_j)
-                    ),
-                )
-                .field("router_state", self.router_state.to_string())
-                .field("placement_state", self.placement_state.to_string())
-                .field("think_rng", join(self.think_rng.iter().map(|w| format!("{w:016x}")), '|'))
-                .field("arrivals", join(self.arrivals.iter().map(|&(t, i)| format!("{}:{i}", hex(t))), ';'))
-                .field("gated", join(self.gated.iter().map(usize::to_string), ';'))
-                .finish(),
-        );
+        d.row("meta")
+            .int("schema_version", self.schema_version)
+            .key("config_hash")
+            .bits(self.config_hash)
+            .close()
+            .int("completed", self.completed)
+            .int("faults_fired", self.faults_fired)
+            .key("migrations")
+            .list('|', [m.count, m.wire_tokens, m.deduped_tokens], Doc::n)
+            .sep('|')
+            .list('|', [m.transit_s, m.max_transit_s, m.energy_j], Doc::f)
+            .close()
+            .int("router_state", self.router_state)
+            .int("placement_state", self.placement_state)
+            .key("think_rng")
+            .list('|', self.think_rng, Doc::bits)
+            .close()
+            .key("arrivals")
+            .list(';', &self.arrivals, |d, &(t, i)| d.f(t).sep(':').n(i))
+            .close()
+            .key("gated")
+            .list(';', &self.gated, |d, &i| d.n(i))
+            .close();
         for (wafer, e) in self.engines.iter().enumerate() {
             let s = &e.stats;
-            rows.push(
-                Row::new("engine")
-                    .field("wafer", wafer.to_string())
-                    .field("clock_s", hex(e.clock_s))
-                    .field("busy_s", hex(e.busy_s))
-                    .field("suspended", if e.admission_suspended { "1" } else { "0" })
-                    .field("pending_tokens", e.pending_tokens.to_string())
-                    .field("pending_wire_tokens", e.pending_wire_tokens.to_string())
-                    .field("mean_hops", hex(e.mean_hops))
-                    .field("order_counter", e.order_counter.to_string())
-                    .field(
-                        "stats",
-                        format!(
-                            "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-                            s.admissions,
-                            s.evictions,
-                            s.recomputed_tokens,
-                            s.prefilled_tokens,
-                            s.cached_prefix_tokens,
-                            s.prefix_hits,
-                            s.dropped,
-                            s.dropped_imported_tokens,
-                            s.steps,
-                            s.peak_resident,
-                            s.faults,
-                            s.fault_evicted_seqs,
-                            s.fault_evicted_tokens,
-                            hex(s.stall_s),
-                        ),
-                    )
-                    .finish(),
-            );
+            d.row("engine")
+                .int("wafer", wafer)
+                .float("clock_s", e.clock_s)
+                .float("busy_s", e.busy_s)
+                .flag("suspended", e.admission_suspended)
+                .float("mean_hops", e.mean_hops)
+                .key("stats")
+                .list('|', [s.admissions, s.evictions, s.recomputed_tokens, s.prefilled_tokens], Doc::n)
+                .sep('|')
+                .list(
+                    '|',
+                    [s.cached_prefix_tokens, s.prefix_hits, s.dropped, s.dropped_imported_tokens],
+                    Doc::n,
+                )
+                .sep('|')
+                .n(s.steps)
+                .sep('|')
+                .n(s.peak_resident)
+                .sep('|')
+                .list('|', [s.faults, s.fault_evicted_seqs, s.fault_evicted_tokens], Doc::n)
+                .sep('|')
+                .f(s.stall_s)
+                .close();
             for r in &e.records {
-                rows.push(
-                    Row::new("record")
-                        .field("wafer", wafer.to_string())
-                        .field("id", r.id.to_string())
-                        .field("prompt", r.prompt_len.to_string())
-                        .field("decode", r.decode_len.to_string())
-                        .field("arrival_s", hex(r.arrival_s))
-                        .field("admitted_s", hex(r.admitted_s))
-                        .field("queue_wait_s", hex(r.queue_wait_s))
-                        .field("first_token_s", hex(r.first_token_s))
-                        .field("completed_s", hex(r.completed_s))
-                        .field("evictions", r.evictions.to_string())
-                        .field("cached_prefix", r.cached_prefix_tokens.to_string())
-                        .field(
-                            "shared",
-                            r.shared_prefix
-                                .map_or_else(|| "-".to_string(), |p| format!("{}:{}", p.group, p.tokens)),
-                        )
-                        .finish(),
-                );
+                d.row("record")
+                    .int("wafer", wafer)
+                    .int("id", r.id)
+                    .int("prompt", r.prompt_len)
+                    .int("decode", r.decode_len)
+                    .float("arrival_s", r.arrival_s)
+                    .float("admitted_s", r.admitted_s)
+                    .float("queue_wait_s", r.queue_wait_s)
+                    .float("first_token_s", r.first_token_s)
+                    .float("completed_s", r.completed_s)
+                    .int("evictions", r.evictions)
+                    .int("cached_prefix", r.cached_prefix_tokens)
+                    .key("shared");
+                match r.shared_prefix {
+                    None => d.sep('-'),
+                    Some(p) => d.n(p.group).sep(':').n(p.tokens),
+                }
+                .close();
             }
             for &(ready_s, p) in &e.pending {
-                rows.push(
-                    Row::new("pending")
-                        .field("wafer", wafer.to_string())
-                        .field("ready_s", hex(ready_s))
-                        .field("rec", p.rec.to_string())
-                        .field("decoded", p.decoded.to_string())
-                        .field("imported", if p.imported { "1" } else { "0" })
-                        .field("wire_tokens", p.wire_tokens.to_string())
-                        .field("evicted", if p.evicted { "1" } else { "0" })
-                        .field("prefill_only", if p.prefill_only { "1" } else { "0" })
-                        .finish(),
-                );
+                d.row("pending")
+                    .int("wafer", wafer)
+                    .float("ready_s", ready_s)
+                    .int("rec", p.rec)
+                    .int("decoded", p.decoded)
+                    .flag("imported", p.imported)
+                    .int("wire_tokens", p.wire_tokens)
+                    .flag("evicted", p.evicted)
+                    .flag("prefill_only", p.prefill_only);
             }
             for a in &e.active {
-                rows.push(
-                    Row::new("active")
-                        .field("wafer", wafer.to_string())
-                        .field("rec", a.rec.to_string())
-                        .field("prefill_remaining", a.prefill_remaining.to_string())
-                        .field("decoded", a.decoded.to_string())
-                        .field("admission_order", a.admission_order.to_string())
-                        .field("prefill_only", if a.prefill_only { "1" } else { "0" })
-                        .finish(),
-                );
+                d.row("active")
+                    .int("wafer", wafer)
+                    .int("rec", a.rec)
+                    .int("prefill_remaining", a.prefill_remaining)
+                    .int("decoded", a.decoded)
+                    .int("admission_order", a.admission_order)
+                    .flag("prefill_only", a.prefill_only);
             }
             let kv = &e.kv;
-            rows.push(
-                Row::new("kv")
-                    .field("wafer", wafer.to_string())
-                    .field("ring_k", kv.ring_next[0].to_string())
-                    .field("ring_v", kv.ring_next[1].to_string())
-                    .field("allocated", kv.allocated_blocks.to_string())
-                    .field("freed", kv.freed_blocks.to_string())
-                    .field(
-                        "transfers",
-                        format!(
-                            "{}|{}|{}|{}",
-                            kv.transfers.exported_sequences,
-                            kv.transfers.exported_tokens,
-                            kv.transfers.imported_sequences,
-                            kv.transfers.imported_tokens
-                        ),
-                    )
-                    .finish(),
-            );
+            let t = &kv.transfers;
+            d.row("kv")
+                .int("wafer", wafer)
+                .int("ring_k", kv.ring_next[0])
+                .int("ring_v", kv.ring_next[1])
+                .int("allocated", kv.allocated_blocks)
+                .int("freed", kv.freed_blocks)
+                .key("transfers")
+                .list(
+                    '|',
+                    [t.exported_sequences, t.exported_tokens, t.imported_sequences, t.imported_tokens],
+                    Doc::n,
+                )
+                .close();
             for (side, cores) in [("k", &kv.key_cores), ("v", &kv.value_cores)] {
                 for (core, xbs) in cores.iter().enumerate() {
-                    let encoded = join(
-                        xbs.iter().map(|xb| {
-                            let blocks = join(
-                                xb.blocks.iter().map(|b| {
-                                    b.map_or_else(
-                                        || "-".to_string(),
-                                        |(owner, used)| format!("{owner}:{used}"),
-                                    )
-                                }),
-                                ',',
-                            );
-                            format!("{}!{blocks}", u8::from(xb.failed))
-                        }),
-                        ';',
-                    );
-                    rows.push(
-                        Row::new("kv_cores")
-                            .field("wafer", wafer.to_string())
-                            .field("side", side)
-                            .field("core", core.to_string())
-                            .field("xbs", encoded)
-                            .finish(),
-                    );
+                    d.row("kv_cores")
+                        .int("wafer", wafer)
+                        .key("side")
+                        .text(side)
+                        .close()
+                        .int("core", core)
+                        .key("xbs")
+                        .list(';', xbs, |d, xb| {
+                            d.n(u8::from(xb.failed)).sep('!').list(',', &xb.blocks, |d, b| match *b {
+                                None => d.sep('-'),
+                                Some((owner, used)) => d.n(owner).sep(':').n(used),
+                            })
+                        })
+                        .close();
                 }
             }
-            rows.push(
-                Row::new("kv_cursor")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(
-                            kv.cursors
-                                .iter()
-                                .map(|&(seq, role, ci, xb, b)| format!("{seq}:{role}:{ci}:{xb}:{b}")),
-                            ';',
-                        ),
-                    )
-                    .finish(),
-            );
-            rows.push(
-                Row::new("kv_seq_blocks")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(
-                            kv.seq_blocks.iter().map(|(seq, blocks)| {
-                                format!(
-                                    "{seq}:{}",
-                                    join(
-                                        blocks.iter().map(|&(r, ci, xb, b)| format!("{r}.{ci}.{xb}.{b}")),
-                                        ','
-                                    )
-                                )
-                            }),
-                            ';',
-                        ),
-                    )
-                    .finish(),
-            );
-            rows.push(
-                Row::new("kv_resident")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(kv.resident_tokens.iter().map(|&(seq, t)| format!("{seq}:{t}")), ';'),
-                    )
-                    .finish(),
-            );
+            d.row("kv_seq_blocks")
+                .int("wafer", wafer)
+                .key("entries")
+                .list(';', &kv.seq_blocks, |d, (seq, blocks)| {
+                    d.n(*seq).sep(':').list(',', blocks, |d, &(r, ci, xb, b)| {
+                        d.n(r).sep('.').n(ci).sep('.').n(xb).sep('.').n(b)
+                    })
+                })
+                .close();
+            d.row("kv_resident")
+                .int("wafer", wafer)
+                .key("entries")
+                .list(';', &kv.resident_tokens, |d, &(seq, t)| d.n(seq).sep(':').n(t))
+                .close();
             for (group, chain) in &kv.shared {
-                rows.push(
-                    Row::new("kv_shared")
-                        .field("wafer", wafer.to_string())
-                        .field("group", group.to_string())
-                        .field("k_core", chain.k_core.to_string())
-                        .field("v_core", chain.v_core.to_string())
-                        .field(
-                            "nodes",
-                            join(
-                                chain
-                                    .nodes
-                                    .iter()
-                                    .map(|&(refs, k, v)| format!("{refs}!{}!{}", slot(k), slot(v))),
-                                ';',
-                            ),
-                        )
-                        .finish(),
-                );
+                d.row("kv_shared")
+                    .int("wafer", wafer)
+                    .int("group", *group)
+                    .int("k_core", chain.k_core)
+                    .int("v_core", chain.v_core)
+                    .key("nodes")
+                    .list(';', &chain.nodes, |d, &(refs, (kc, kx, kb), (vc, vx, vb))| {
+                        d.n(refs).sep('!').n(kc).sep('.').n(kx).sep('.').n(kb);
+                        d.sep('!').n(vc).sep('.').n(vx).sep('.').n(vb)
+                    })
+                    .close();
             }
-            rows.push(
-                Row::new("kv_seq_shared")
-                    .field("wafer", wafer.to_string())
-                    .field(
-                        "entries",
-                        join(kv.seq_shared.iter().map(|&(seq, g, n)| format!("{seq}:{g}:{n}")), ';'),
-                    )
-                    .finish(),
-            );
+            d.row("kv_seq_shared")
+                .int("wafer", wafer)
+                .key("entries")
+                .list(';', &kv.seq_shared, |d, &(seq, g, n)| d.n(seq).sep(':').n(g).sep(':').n(n))
+                .close();
         }
         if let Some(inj) = &self.injector {
-            rows.push(
-                Row::new("injector")
-                    .field(
-                        "events",
-                        join(inj.events.iter().map(|&(w, t, draw)| format!("{w}:{}:{draw}", hex(t))), ';'),
-                    )
-                    .field("counters", join(inj.counters.iter().map(u64::to_string), '|'))
-                    .finish(),
-            );
+            d.row("injector")
+                .key("events")
+                .list(';', &inj.events, |d, &(w, t, draw)| d.n(w).sep(':').f(t).sep(':').n(draw))
+                .close()
+                .key("counters")
+                .list('|', inj.counters, Doc::n)
+                .close();
             for (wafer, w) in inj.wafers.iter().enumerate() {
-                rows.push(
-                    Row::new("injector_wafer")
-                        .field("wafer", wafer.to_string())
-                        .field("assignment", join(w.assignment.iter().map(u64::to_string), ';'))
-                        .field("kv_cores", join(w.kv_cores.iter().map(u64::to_string), ';'))
-                        .field("failed", join(w.failed.iter().map(u64::to_string), ';'))
-                        .field("death_s", hex(w.death_s))
-                        .field("stall_s", hex(w.stall_s))
-                        .finish(),
-                );
+                d.row("injector_wafer")
+                    .int("wafer", wafer)
+                    .key("assignment")
+                    .list(';', &w.assignment, |d, &c| d.n(c))
+                    .close()
+                    .key("kv_cores")
+                    .list(';', &w.kv_cores, |d, &c| d.n(c))
+                    .close()
+                    .key("failed")
+                    .list(';', &w.failed, |d, &c| d.n(c))
+                    .close()
+                    .float("death_s", w.death_s)
+                    .float("stall_s", w.stall_s);
             }
         }
-        let mut out = String::from("[\n");
-        out.push_str(&rows.join(",\n"));
-        out.push_str("\n]\n");
-        out
+        d.finish()
     }
 
-    /// Parses a [`Snapshot::to_json`] document.
+    /// Parses a [`Snapshot::to_json`] document, consuming each row as it is
+    /// read and each row's keys in their pinned order.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed token, unknown
-    /// section, missing field, or schema-version mismatch.
+    /// section, missing, misplaced or extra field, or schema-version
+    /// mismatch.
     pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let rows = read_rows(text)?;
+        let mut rows = RowReader::new(text)?;
         let mut snap = Snapshot {
             schema_version: 0,
             config_hash: 0,
@@ -611,81 +734,78 @@ impl Snapshot {
             injector: None,
         };
         let mut saw_meta = false;
-        for row in rows {
-            let section = row.get_str("section")?;
+        while let Some(row) = rows.next_row()? {
+            let mut f = Fields(row.fields.iter());
+            let section = f.str("section")?;
             match section {
                 "meta" => {
                     saw_meta = true;
                     snap.schema_version =
-                        row.get_str("schema_version")?.parse().map_err(|e| format!("schema_version: {e}"))?;
+                        f.str("schema_version")?.parse().map_err(|e| format!("schema_version: {e}"))?;
                     if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
                         return Err(format!(
                             "snapshot schema v{} is not the supported v{SNAPSHOT_SCHEMA_VERSION}",
                             snap.schema_version
                         ));
                     }
-                    snap.config_hash = p_hex_u64(row.get_str("config_hash")?)?;
-                    snap.completed = p_u64(row.get_str("completed")?)?;
-                    snap.faults_fired = p_u64(row.get_str("faults_fired")?)?;
-                    let m: Vec<&str> = row.get_str("migrations")?.split('|').collect();
-                    if m.len() != 6 {
-                        return Err(format!("meta migrations has {} fields, expected 6", m.len()));
-                    }
+                    snap.config_hash = p_hex_u64(f.str("config_hash")?)?;
+                    snap.completed = p_u64(f.str("completed")?)?;
+                    snap.faults_fired = p_u64(f.str("faults_fired")?)?;
+                    let [count, wire, deduped, transit, max_transit, energy] =
+                        parts(f.str("migrations")?, "meta migrations")?;
                     snap.migrations = MigrationTotals {
-                        count: p_u64(m[0])?,
-                        wire_tokens: p_u64(m[1])?,
-                        deduped_tokens: p_u64(m[2])?,
-                        transit_s: p_f64(m[3])?,
-                        max_transit_s: p_f64(m[4])?,
-                        energy_j: p_f64(m[5])?,
+                        count: p_u64(count)?,
+                        wire_tokens: p_u64(wire)?,
+                        deduped_tokens: p_u64(deduped)?,
+                        transit_s: p_f64(transit)?,
+                        max_transit_s: p_f64(max_transit)?,
+                        energy_j: p_f64(energy)?,
                     };
-                    snap.router_state = p_u64(row.get_str("router_state")?)?;
-                    snap.placement_state = p_u64(row.get_str("placement_state")?)?;
+                    snap.router_state = p_u64(f.str("router_state")?)?;
+                    snap.placement_state = p_u64(f.str("placement_state")?)?;
                     let rng: Vec<u64> =
-                        split(row.get_str("think_rng")?, '|').map(p_hex_u64).collect::<Result<_, _>>()?;
+                        split(f.str("think_rng")?, '|').map(p_hex_u64).collect::<Result<_, _>>()?;
                     snap.think_rng = rng
                         .try_into()
                         .map_err(|v: Vec<u64>| format!("think_rng has {} words, expected 4", v.len()))?;
-                    snap.arrivals = split(row.get_str("arrivals")?, ';')
+                    snap.arrivals = split(f.str("arrivals")?, ';')
                         .map(|item| {
                             let (t, i) = pair(item, ':')?;
                             Ok((p_f64(t)?, p_usize(i)?))
                         })
                         .collect::<Result<_, String>>()?;
-                    snap.gated = split(row.get_str("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
+                    snap.gated = split(f.str("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
                 }
                 "engine" => {
-                    let wafer = p_usize(row.get_str("wafer")?)?;
+                    let wafer = p_usize(f.str("wafer")?)?;
                     if wafer != snap.engines.len() {
                         return Err(format!("engine row for wafer {wafer} out of order"));
                     }
-                    let s: Vec<&str> = row.get_str("stats")?.split('|').collect();
-                    if s.len() != 14 {
-                        return Err(format!("engine stats has {} fields, expected 14", s.len()));
-                    }
+                    // Struct fields evaluate in source order, which is the
+                    // keys' pinned order.
                     snap.engines.push(EngineSnapshot {
-                        clock_s: p_f64(row.get_str("clock_s")?)?,
-                        busy_s: p_f64(row.get_str("busy_s")?)?,
-                        admission_suspended: p_bool(row.get_str("suspended")?)?,
-                        pending_tokens: p_usize(row.get_str("pending_tokens")?)?,
-                        pending_wire_tokens: p_usize(row.get_str("pending_wire_tokens")?)?,
-                        mean_hops: p_f64(row.get_str("mean_hops")?)?,
-                        order_counter: p_u64(row.get_str("order_counter")?)?,
-                        stats: EngineStats {
-                            admissions: p_u64(s[0])?,
-                            evictions: p_u64(s[1])?,
-                            recomputed_tokens: p_u64(s[2])?,
-                            prefilled_tokens: p_u64(s[3])?,
-                            cached_prefix_tokens: p_u64(s[4])?,
-                            prefix_hits: p_u64(s[5])?,
-                            dropped: p_u64(s[6])?,
-                            dropped_imported_tokens: p_u64(s[7])?,
-                            steps: p_u64(s[8])?,
-                            peak_resident: p_usize(s[9])?,
-                            faults: p_u64(s[10])?,
-                            fault_evicted_seqs: p_u64(s[11])?,
-                            fault_evicted_tokens: p_u64(s[12])?,
-                            stall_s: p_f64(s[13])?,
+                        clock_s: p_f64(f.str("clock_s")?)?,
+                        busy_s: p_f64(f.str("busy_s")?)?,
+                        admission_suspended: p_bool(f.str("suspended")?)?,
+                        mean_hops: p_f64(f.str("mean_hops")?)?,
+                        stats: {
+                            let s: [&str; 14] = parts(f.str("stats")?, "engine stats")?;
+                            EngineStats {
+                                admissions: p_u64(s[0])?,
+                                evictions: p_u64(s[1])?,
+                                recomputed_tokens: p_u64(s[2])?,
+                                prefilled_tokens: p_u64(s[3])?,
+                                cached_prefix_tokens: p_u64(s[4])?,
+                                prefix_hits: p_u64(s[5])?,
+                                dropped: p_u64(s[6])?,
+                                dropped_imported_tokens: p_u64(s[7])?,
+                                steps: p_u64(s[8])?,
+                                peak_resident: p_usize(s[9])?,
+                                faults: p_u64(s[10])?,
+                                fault_evicted_seqs: p_u64(s[11])?,
+                                fault_evicted_tokens: p_u64(s[12])?,
+                                stall_s: p_f64(s[13])?,
+                            }
                         },
                         records: Vec::new(),
                         pending: Vec::new(),
@@ -697,7 +817,6 @@ impl Snapshot {
                             transfers: KvTransferStats::default(),
                             key_cores: Vec::new(),
                             value_cores: Vec::new(),
-                            cursors: Vec::new(),
                             seq_blocks: Vec::new(),
                             resident_tokens: Vec::new(),
                             shared: Vec::new(),
@@ -705,18 +824,18 @@ impl Snapshot {
                         },
                     });
                 }
-                "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_cursor" | "kv_seq_blocks"
-                | "kv_resident" | "kv_shared" | "kv_seq_shared" => {
-                    let wafer = p_usize(row.get_str("wafer")?)?;
+                "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_seq_blocks" | "kv_resident"
+                | "kv_shared" | "kv_seq_shared" => {
+                    let wafer = p_usize(f.str("wafer")?)?;
                     let e = snap
                         .engines
                         .get_mut(wafer)
                         .ok_or_else(|| format!("{section} row for wafer {wafer} precedes its engine row"))?;
-                    parse_engine_row(section, &row, e)?;
+                    parse_engine_row(section, &mut f, e)?;
                 }
                 "injector" => {
                     snap.injector = Some(FaultInjectorSnapshot {
-                        events: split(row.get_str("events")?, ';')
+                        events: split(f.str("events")?, ';')
                             .map(|item| {
                                 let mut it = item.split(':');
                                 let (w, t, draw) = (next(&mut it)?, next(&mut it)?, next(&mut it)?);
@@ -724,7 +843,7 @@ impl Snapshot {
                             })
                             .collect::<Result<_, String>>()?,
                         wafers: Vec::new(),
-                        counters: split(row.get_str("counters")?, '|')
+                        counters: split(f.str("counters")?, '|')
                             .map(p_u64)
                             .collect::<Result<Vec<u64>, _>>()?
                             .try_into()
@@ -735,24 +854,21 @@ impl Snapshot {
                 }
                 "injector_wafer" => {
                     let inj = snap.injector.as_mut().ok_or("injector_wafer row precedes the injector row")?;
-                    let wafer = p_usize(row.get_str("wafer")?)?;
+                    let wafer = p_usize(f.str("wafer")?)?;
                     if wafer != inj.wafers.len() {
                         return Err(format!("injector_wafer row for wafer {wafer} out of order"));
                     }
                     inj.wafers.push(WaferFaultSnapshot {
-                        assignment: split(row.get_str("assignment")?, ';')
-                            .map(p_u64)
-                            .collect::<Result<_, _>>()?,
-                        kv_cores: split(row.get_str("kv_cores")?, ';')
-                            .map(p_u64)
-                            .collect::<Result<_, _>>()?,
-                        failed: split(row.get_str("failed")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        death_s: p_f64(row.get_str("death_s")?)?,
-                        stall_s: p_f64(row.get_str("stall_s")?)?,
+                        assignment: split(f.str("assignment")?, ';').map(p_u64).collect::<Result<_, _>>()?,
+                        kv_cores: split(f.str("kv_cores")?, ';').map(p_u64).collect::<Result<_, _>>()?,
+                        failed: split(f.str("failed")?, ';').map(p_u64).collect::<Result<_, _>>()?,
+                        death_s: p_f64(f.str("death_s")?)?,
+                        stall_s: p_f64(f.str("stall_s")?)?,
                     });
                 }
                 other => return Err(format!("unknown snapshot section {other:?}")),
             }
+            f.end(section)?;
         }
         if !saw_meta {
             return Err("snapshot has no meta row".to_string());
@@ -761,20 +877,41 @@ impl Snapshot {
     }
 }
 
-fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) -> Result<(), String> {
+/// One row's fields, read in their pinned order.
+struct Fields<'r, 'a>(std::slice::Iter<'r, (Cow<'a, str>, Value<Cow<'a, str>>)>);
+
+impl<'r> Fields<'r, '_> {
+    /// The string value of the next field, which must be `key`.
+    fn str(&mut self, key: &str) -> Result<&'r str, String> {
+        match self.0.next() {
+            Some((k, Value::Str(v))) if k == key => Ok(v),
+            _ => Err(format!("row has no string field {key:?} in its place")),
+        }
+    }
+
+    /// Checks that the row has no field left.
+    fn end(mut self, section: &str) -> Result<(), String> {
+        match self.0.next() {
+            None => Ok(()),
+            Some((k, _)) => Err(format!("{section} row has an unexpected field {k:?}")),
+        }
+    }
+}
+
+fn parse_engine_row(section: &str, f: &mut Fields<'_, '_>, e: &mut EngineSnapshot) -> Result<(), String> {
     match section {
         "record" => e.records.push(RequestRecord {
-            id: p_usize(row.get_str("id")?)?,
-            prompt_len: p_usize(row.get_str("prompt")?)?,
-            decode_len: p_usize(row.get_str("decode")?)?,
-            arrival_s: p_f64(row.get_str("arrival_s")?)?,
-            admitted_s: p_f64(row.get_str("admitted_s")?)?,
-            queue_wait_s: p_f64(row.get_str("queue_wait_s")?)?,
-            first_token_s: p_f64(row.get_str("first_token_s")?)?,
-            completed_s: p_f64(row.get_str("completed_s")?)?,
-            evictions: row.get_str("evictions")?.parse().map_err(|e| format!("evictions: {e}"))?,
-            cached_prefix_tokens: p_usize(row.get_str("cached_prefix")?)?,
-            shared_prefix: match row.get_str("shared")? {
+            id: p_usize(f.str("id")?)?,
+            prompt_len: p_usize(f.str("prompt")?)?,
+            decode_len: p_usize(f.str("decode")?)?,
+            arrival_s: p_f64(f.str("arrival_s")?)?,
+            admitted_s: p_f64(f.str("admitted_s")?)?,
+            queue_wait_s: p_f64(f.str("queue_wait_s")?)?,
+            first_token_s: p_f64(f.str("first_token_s")?)?,
+            completed_s: p_f64(f.str("completed_s")?)?,
+            evictions: f.str("evictions")?.parse().map_err(|e| format!("evictions: {e}"))?,
+            cached_prefix_tokens: p_usize(f.str("cached_prefix")?)?,
+            shared_prefix: match f.str("shared")? {
                 "-" => None,
                 s => {
                     let (g, t) = pair(s, ':')?;
@@ -783,42 +920,48 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             },
         }),
         "pending" => e.pending.push((
-            p_f64(row.get_str("ready_s")?)?,
+            p_f64(f.str("ready_s")?)?,
             PendingReq {
-                rec: p_usize(row.get_str("rec")?)?,
-                decoded: p_usize(row.get_str("decoded")?)?,
-                imported: p_bool(row.get_str("imported")?)?,
-                wire_tokens: p_usize(row.get_str("wire_tokens")?)?,
-                evicted: p_bool(row.get_str("evicted")?)?,
-                prefill_only: p_bool(row.get_str("prefill_only")?)?,
+                rec: p_usize(f.str("rec")?)?,
+                decoded: p_usize(f.str("decoded")?)?,
+                imported: p_bool(f.str("imported")?)?,
+                wire_tokens: p_usize(f.str("wire_tokens")?)?,
+                evicted: p_bool(f.str("evicted")?)?,
+                prefill_only: p_bool(f.str("prefill_only")?)?,
             },
         )),
         "active" => e.active.push(ActiveSeq {
-            rec: p_usize(row.get_str("rec")?)?,
-            prefill_remaining: p_usize(row.get_str("prefill_remaining")?)?,
-            decoded: p_usize(row.get_str("decoded")?)?,
-            admission_order: p_u64(row.get_str("admission_order")?)?,
-            prefill_only: p_bool(row.get_str("prefill_only")?)?,
+            rec: p_usize(f.str("rec")?)?,
+            prefill_remaining: p_usize(f.str("prefill_remaining")?)?,
+            decoded: p_usize(f.str("decoded")?)?,
+            admission_order: p_u64(f.str("admission_order")?)?,
+            prefill_only: p_bool(f.str("prefill_only")?)?,
             // Derived fields: `rebuild` fills them from the restored state.
             ..ActiveSeq::default()
         }),
         "kv" => {
-            e.kv.ring_next = [p_usize(row.get_str("ring_k")?)?, p_usize(row.get_str("ring_v")?)?];
-            e.kv.allocated_blocks = p_u64(row.get_str("allocated")?)?;
-            e.kv.freed_blocks = p_u64(row.get_str("freed")?)?;
-            let t: Vec<&str> = row.get_str("transfers")?.split('|').collect();
-            if t.len() != 4 {
-                return Err(format!("kv transfers has {} fields, expected 4", t.len()));
-            }
+            e.kv.ring_next = [p_usize(f.str("ring_k")?)?, p_usize(f.str("ring_v")?)?];
+            e.kv.allocated_blocks = p_u64(f.str("allocated")?)?;
+            e.kv.freed_blocks = p_u64(f.str("freed")?)?;
+            let [exported_sequences, exported_tokens, imported_sequences, imported_tokens] =
+                parts(f.str("transfers")?, "kv transfers")?;
             e.kv.transfers = KvTransferStats {
-                exported_sequences: p_u64(t[0])?,
-                exported_tokens: p_u64(t[1])?,
-                imported_sequences: p_u64(t[2])?,
-                imported_tokens: p_u64(t[3])?,
+                exported_sequences: p_u64(exported_sequences)?,
+                exported_tokens: p_u64(exported_tokens)?,
+                imported_sequences: p_u64(imported_sequences)?,
+                imported_tokens: p_u64(imported_tokens)?,
             };
         }
         "kv_cores" => {
-            let xbs: Vec<CrossbarSnapshot> = split(row.get_str("xbs")?, ';')
+            let side = match f.str("side")? {
+                "k" => &mut e.kv.key_cores,
+                "v" => &mut e.kv.value_cores,
+                other => return Err(format!("unknown kv side {other:?}")),
+            };
+            if p_usize(f.str("core")?)? != side.len() {
+                return Err("kv_cores row out of order".to_string());
+            }
+            let xbs: Vec<CrossbarSnapshot> = split(f.str("xbs")?, ';')
                 .map(|xb| {
                     let (failed, blocks) = pair(xb, '!')?;
                     Ok(CrossbarSnapshot {
@@ -836,32 +979,10 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
                     })
                 })
                 .collect::<Result<_, String>>()?;
-            let side = match row.get_str("side")? {
-                "k" => &mut e.kv.key_cores,
-                "v" => &mut e.kv.value_cores,
-                other => return Err(format!("unknown kv side {other:?}")),
-            };
-            if p_usize(row.get_str("core")?)? != side.len() {
-                return Err("kv_cores row out of order".to_string());
-            }
             side.push(xbs);
         }
-        "kv_cursor" => {
-            e.kv.cursors = split(row.get_str("entries")?, ';')
-                .map(|item| {
-                    let mut it = item.split(':');
-                    Ok((
-                        p_u64(next(&mut it)?)?,
-                        p_u8(next(&mut it)?)?,
-                        p_usize(next(&mut it)?)?,
-                        p_usize(next(&mut it)?)?,
-                        p_usize(next(&mut it)?)?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-        }
         "kv_seq_blocks" => {
-            e.kv.seq_blocks = split(row.get_str("entries")?, ';')
+            e.kv.seq_blocks = split(f.str("entries")?, ';')
                 .map(|item| {
                     let (seq, blocks) = pair(item, ':')?;
                     Ok((
@@ -882,7 +1003,7 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
                 .collect::<Result<_, String>>()?;
         }
         "kv_resident" => {
-            e.kv.resident_tokens = split(row.get_str("entries")?, ';')
+            e.kv.resident_tokens = split(f.str("entries")?, ';')
                 .map(|item| {
                     let (seq, t) = pair(item, ':')?;
                     Ok((p_u64(seq)?, p_usize(t)?))
@@ -895,11 +1016,11 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
                 Ok((p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?))
             };
             e.kv.shared.push((
-                p_u64(row.get_str("group")?)?,
+                p_u64(f.str("group")?)?,
                 SharedChainSnapshot {
-                    k_core: p_usize(row.get_str("k_core")?)?,
-                    v_core: p_usize(row.get_str("v_core")?)?,
-                    nodes: split(row.get_str("nodes")?, ';')
+                    k_core: p_usize(f.str("k_core")?)?,
+                    v_core: p_usize(f.str("v_core")?)?,
+                    nodes: split(f.str("nodes")?, ';')
                         .map(|node| {
                             let mut it = node.split('!');
                             let refs = p_usize(next(&mut it)?)?;
@@ -912,7 +1033,7 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
             ));
         }
         "kv_seq_shared" => {
-            e.kv.seq_shared = split(row.get_str("entries")?, ';')
+            e.kv.seq_shared = split(f.str("entries")?, ';')
                 .map(|item| {
                     let mut it = item.split(':');
                     Ok((p_u64(next(&mut it)?)?, p_u64(next(&mut it)?)?, p_usize(next(&mut it)?)?))
@@ -928,6 +1049,12 @@ fn parse_engine_row(section: &str, row: &json::Row<'_>, e: &mut EngineSnapshot) 
 
 fn split(s: &str, sep: char) -> impl Iterator<Item = &str> {
     s.split(sep).filter(|p| !p.is_empty())
+}
+
+/// The `|`-separated parts of a fixed-width value, exactly `N` of them.
+fn parts<'s, const N: usize>(s: &'s str, what: &str) -> Result<[&'s str; N], String> {
+    let parts: Vec<&str> = s.split('|').collect();
+    parts.try_into().map_err(|v: Vec<&str>| format!("{what} has {} fields, expected {N}", v.len()))
 }
 
 fn pair(s: &str, sep: char) -> Result<(&str, &str), String> {
@@ -969,21 +1096,63 @@ fn p_bool(s: &str) -> Result<bool, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{placements, routers};
+    use ouro_workload::SessionConfig;
+
+    /// What `write` appends to an empty document.
+    fn written(write: impl FnOnce(&mut Doc) -> &mut Doc) -> String {
+        let mut d = Doc::new(0);
+        write(&mut d);
+        d.out.split_off(2)
+    }
 
     #[test]
     fn float_hex_round_trips_every_bit_pattern_class() {
         for v in [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 1e-300] {
-            assert_eq!(p_f64(&hex(v)).unwrap().to_bits(), v.to_bits());
+            assert_eq!(p_f64(&written(|d| d.f(v))).unwrap().to_bits(), v.to_bits());
         }
-        assert!(p_f64(&hex(f64::NAN)).unwrap().is_nan());
+        assert!(p_f64(&written(|d| d.f(f64::NAN))).unwrap().is_nan());
+        assert_eq!(written(|d| d.f(1.0)), format!("{:016x}", 1f64.to_bits()));
+    }
+
+    #[test]
+    fn integers_are_written_in_decimal() {
+        for v in [0, 7, 10, 99, 1_000_000, u64::MAX] {
+            assert_eq!(written(|d| d.n(v)), v.to_string());
+        }
     }
 
     #[test]
     fn config_hash_distinguishes_scenarios() {
-        let a = Scenario::colocated(2);
-        let b = Scenario::colocated(3);
-        assert_eq!(config_hash(&a), config_hash(&a));
-        assert_ne!(config_hash(&a), config_hash(&b));
+        let trace = SessionConfig::chat(3, 0.4).generate(32, 53);
+        let timed = ArrivalConfig::Bursty { rate_rps: 350.0, cv: 4.0 }.assign(&trace, 53);
+        let shared = timed.arrivals.iter().position(|a| a.request.shared_prefix.is_some()).unwrap();
+        let base =
+            Scenario::disaggregated(1, 1).faults(FaultConfig::new(0.06, 53)).horizon(0.5).workload(timed);
+        let hash = config_hash(&base);
+        assert_eq!(config_hash(&base.clone()), hash, "a clone keeps the hash");
+        assert_ne!(config_hash(&Scenario::colocated(2)), config_hash(&Scenario::colocated(3)));
+        let changes = |what: &str, change: &dyn Fn(&mut Scenario)| {
+            let mut s = base.clone();
+            change(&mut s);
+            assert_ne!(config_hash(&s), hash, "{what} must change the config hash");
+        };
+        fn arrivals(s: &mut Scenario) -> &mut Vec<TimedRequest> {
+            &mut s.workload.as_mut().unwrap().arrivals
+        }
+        changes("an arrival 1 ulp later", &|s| {
+            let a = &mut arrivals(s)[5].arrival_s;
+            *a = f64::from_bits(a.to_bits() + 1);
+        });
+        changes("a decode length", &|s| arrivals(s)[9].request.decode_len += 1);
+        changes("a shared-prefix group", &|s| {
+            arrivals(s)[shared].request.shared_prefix.as_mut().unwrap().group += 1;
+        });
+        changes("the router", &|s| s.router = routers::round_robin());
+        changes("the placement", &|s| s.placement = placements::most_free_blocks());
+        changes("the prefill chunk", &|s| s.engine.prefill_chunk += 1);
+        changes("the fault seed", &|s| s.fault.as_mut().unwrap().seed += 1);
+        changes("the horizon", &|s| s.horizon_s = f64::from_bits(s.horizon_s.to_bits() + 1));
     }
 
     #[test]

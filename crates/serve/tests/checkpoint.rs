@@ -59,7 +59,8 @@ fn golden_shapes() -> Vec<(&'static str, Scenario, f64)> {
     let faulty = ("colocated-faults-closed-loop", scenario, closed_loop_mid_s);
 
     // 4. Disaggregated with faults, prefix caching and a finite horizon
-    //    (arrival cutoff + fault window both derive from the horizon).
+    //    (arrival cutoff + fault window both derive from the horizon). One
+    //    fault strikes before the midpoint and two after it.
     let trace = SessionConfig::chat(3, 0.4).generate(32, 53);
     let timed = ArrivalConfig::Bursty { rate_rps: 350.0, cv: 4.0 }.assign(&trace, 53);
     let horizon = timed.last_arrival_s() * 0.8;
@@ -67,7 +68,7 @@ fn golden_shapes() -> Vec<(&'static str, Scenario, f64)> {
         "disagg-faults-prefix-horizon",
         Scenario::disaggregated(1, 1)
             .prefix_caching(true)
-            .faults(FaultConfig::new(0.06, 53))
+            .faults(FaultConfig::new(0.025, 53))
             .horizon(horizon)
             .slo(slo)
             .workload(timed.clone()),
@@ -121,6 +122,23 @@ fn the_closed_loop_checkpoint_is_taken_mid_run() {
     assert!(field(meta, "completed").parse::<u64>().unwrap() > 0, "{label}: no completions yet");
     assert!(!field(meta, "gated").is_empty(), "{label}: no gated requests left");
     assert!(field(meta, "faults_fired").parse::<u64>().unwrap() > 0, "{label}: no fault fired yet");
+}
+
+#[test]
+fn the_disaggregated_fault_checkpoint_falls_between_faults() {
+    // The snapshot carries a struck wafer and a fault schedule still to
+    // fire, and the resumed run replays both exactly.
+    let sys = tiny_system();
+    let (label, scenario, mid_s) = golden_shapes().remove(3);
+    let meta =
+        golden_snapshot_json(3).lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
+    let fired = field(meta, "faults_fired").parse::<u64>().unwrap();
+    assert!(fired > 0, "{label}: no fault fired before the midpoint");
+    let straight = scenario.run(&sys).unwrap();
+    let injected = straight.faults.as_ref().expect("a fault report").faults_injected;
+    assert!(injected > fired, "{label}: no fault fires after the midpoint");
+    let resumed = run_via_snapshot(&scenario, &sys, mid_s);
+    assert_eq!(format!("{straight:?}"), format!("{resumed:?}"), "{label}: resumed report diverged");
 }
 
 #[test]
@@ -272,7 +290,7 @@ fn resume_across_slot_reuse_is_invisible() {
     // Most resident sequences are mid-block here, so the snapshot bytes
     // pin that every decoded token reaches the KV rows.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x5ba7_1c79_505b_543d, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0xf32a_0985_a27f_1115, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -289,7 +307,7 @@ fn resume_across_slot_reuse_is_invisible() {
 /// `golden_snapshot_json` with the first `active` row's `rec` replaced by
 /// `rec(wafer)`, returned with the new `rec`.
 fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
-    let json = golden_snapshot_json();
+    let json = golden_snapshot_json(3);
     let line = json.lines().find(|l| l.starts_with(r#"{"section":"active""#)).expect("an active row");
     let doc = format!("[{}]", line.trim_end_matches(','));
     let row = &read_rows(&doc).unwrap()[0];
@@ -302,7 +320,7 @@ fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
 fn resume_rejects_active_rows_that_are_not_resident() {
     let sys = tiny_system();
     let scenario = golden_shapes().remove(3).1;
-    let rows = read_rows(golden_snapshot_json()).unwrap();
+    let rows = read_rows(golden_snapshot_json(3)).unwrap();
     let on = |section: &str, wafer: &str| {
         rows.iter()
             .filter(|r| r.get_str("section").unwrap() == section && r.get_str("wafer").unwrap() == wafer)
@@ -328,6 +346,26 @@ fn resume_rejects_active_rows_that_are_not_resident() {
     }
 }
 
+#[test]
+fn resume_rejects_a_resident_sequence_without_its_active_row() {
+    // Without its active row the sequence's KV stays resident but no step
+    // serves it; the fault after the midpoint then strikes a sequence the
+    // engine does not know. Resume refuses the snapshot instead.
+    let (sys, scenarios) = golden_runs();
+    let json = golden_snapshot_json(3);
+    let active: Vec<&str> = json
+        .lines()
+        .filter(|l| l.starts_with(r#"{"section":"active""#))
+        .map(|l| l.trim_end_matches(','))
+        .collect();
+    assert!(!active.is_empty(), "the midpoint must hold active rows");
+    for row in active {
+        let snap = Snapshot::parse(&without_rows(json, |r| r == row)).expect("the rows left still parse");
+        let resumed = scenarios[3].resume(sys, &snap);
+        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "dropped {row}");
+    }
+}
+
 /// Every section and its exact key list, in rendered order. Adding,
 /// removing, renaming, or reordering any key is a schema change: update
 /// this table *and* bump [`ouro_serve::SNAPSHOT_SCHEMA_VERSION`].
@@ -348,21 +386,7 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "gated",
         ],
     ),
-    (
-        "engine",
-        &[
-            "section",
-            "wafer",
-            "clock_s",
-            "busy_s",
-            "suspended",
-            "pending_tokens",
-            "pending_wire_tokens",
-            "mean_hops",
-            "order_counter",
-            "stats",
-        ],
-    ),
+    ("engine", &["section", "wafer", "clock_s", "busy_s", "suspended", "mean_hops", "stats"]),
     (
         "record",
         &[
@@ -401,7 +425,6 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ),
     ("kv", &["section", "wafer", "ring_k", "ring_v", "allocated", "freed", "transfers"]),
     ("kv_cores", &["section", "wafer", "side", "core", "xbs"]),
-    ("kv_cursor", &["section", "wafer", "entries"]),
     ("kv_seq_blocks", &["section", "wafer", "entries"]),
     ("kv_resident", &["section", "wafer", "entries"]),
     ("kv_shared", &["section", "wafer", "group", "k_core", "v_core", "nodes"]),
@@ -453,36 +476,53 @@ fn snapshot_v1_key_sets_are_pinned() {
     }
 }
 
-/// A real mid-run snapshot of the richest golden shape (disaggregated,
-/// faults, prefix caching), rendered once for the corruption properties.
-fn golden_snapshot_json() -> &'static str {
-    static JSON: OnceLock<String> = OnceLock::new();
-    JSON.get_or_init(|| {
-        let sys = tiny_system();
-        let (_, scenario, mid_s) = golden_shapes().remove(3);
-        let mut run = scenario.start(&sys).unwrap();
-        run.run_until(mid_s);
-        scenario.checkpoint(&run).to_json()
-    })
+/// The real midpoint snapshot of golden shape `shape` (index into
+/// [`golden_shapes`]), rendered once for the corruption properties. Shape 3
+/// is the richest: disaggregated, faults, prefix caching.
+fn golden_snapshot_json(shape: usize) -> &'static str {
+    static JSON: OnceLock<Vec<String>> = OnceLock::new();
+    &JSON.get_or_init(|| {
+        let (sys, scenarios) = golden_runs();
+        golden_shapes()
+            .into_iter()
+            .zip(scenarios)
+            .map(|((_, _, mid_s), scenario)| {
+                let mut run = scenario.start(sys).unwrap();
+                run.run_until(mid_s);
+                scenario.checkpoint(&run).to_json()
+            })
+            .collect()
+    })[shape]
 }
 
-/// The system and scenario [`golden_snapshot_json`] was captured under,
-/// built once for the corruption properties.
-fn golden_run() -> &'static (OuroborosSystem, Scenario) {
-    static RUN: OnceLock<(OuroborosSystem, Scenario)> = OnceLock::new();
-    RUN.get_or_init(|| (tiny_system(), golden_shapes().remove(3).1))
+/// The system and the golden shapes' scenarios [`golden_snapshot_json`]
+/// was captured under, built once for the corruption properties.
+fn golden_runs() -> &'static (OuroborosSystem, Vec<Scenario>) {
+    static RUN: OnceLock<(OuroborosSystem, Vec<Scenario>)> = OnceLock::new();
+    RUN.get_or_init(|| {
+        (tiny_system(), golden_shapes().into_iter().map(|(_, scenario, _)| scenario).collect())
+    })
 }
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    assert_eq!(fnv1a(golden_snapshot_json().as_bytes()), 0xd193_228a_7ba9_0fcb);
+    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x2eee_cc19_1570_41be);
+}
+
+#[test]
+fn a_v2_snapshot_is_rejected_at_its_schema_version() {
+    // A v2 document's config hash differs too (it hashed the scenario's
+    // `Debug` form); the version is read first, so the error names it.
+    let v2 = golden_snapshot_json(3).replacen(r#""schema_version":"3""#, r#""schema_version":"2""#, 1);
+    let err = Snapshot::parse(&v2).unwrap_err();
+    assert!(err.contains("schema v2"), "{err}");
 }
 
 #[test]
 fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     let sys = tiny_system();
     let scenario = golden_shapes().remove(3).1;
-    let json = golden_snapshot_json();
+    let json = golden_snapshot_json(3);
     let lines: Vec<&str> = json.lines().collect();
     // The last key-side core row of wafer 0: the rows left stay in order,
     // so the snapshot parses but lists one core too few.
@@ -532,7 +572,7 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     for (case, json) in
         [("shared chain with two key cores", two_k_cores), ("shared node with two key slots", two_k_slots)]
     {
-        assert_ne!(json, golden_snapshot_json(), "{case}: the edit must change the document");
+        assert_ne!(json, golden_snapshot_json(3), "{case}: the edit must change the document");
         if let Ok(snap) = Snapshot::parse(&json) {
             let resumed = scenario.resume(&sys, &snap);
             assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
@@ -542,29 +582,11 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
 
 #[test]
 fn resume_rejects_engine_counters_that_differ_from_their_rows() {
-    // The queue counters sum the pending rows and the admission counter
-    // equals the admission stat; a stored value that differs is foreign
-    // state, not a run to continue.
+    // The queue counters are derived from the pending rows, and only an
+    // import carries wire tokens: a local row with some is foreign state,
+    // not a run to continue. The evicted sequences queued at the saturated
+    // midpoint are local recomputes.
     let sys = tiny_system();
-    let rejected = |scenario: &Scenario, case: &str, edited: &str| {
-        let resumed = Snapshot::parse(edited).map(|snap| scenario.resume(&sys, &snap).map(|_| ()));
-        assert!(matches!(resumed, Err(_) | Ok(Err(KvError::BadSnapshot(_)))), "{case} must not resume");
-    };
-    let edit = |json: &str, row: &str, key: &str| {
-        let old = field(row, key);
-        let edited =
-            json.replace(row, &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"9{old}""#)));
-        assert_ne!(edited, json, "{key}: the edit must change the document");
-        edited
-    };
-    let (_, scenario) = golden_run();
-    let json = golden_snapshot_json();
-    let engine = json.lines().find(|l| l.starts_with(r#"{"section":"engine""#)).expect("an engine row");
-    for key in ["pending_tokens", "pending_wire_tokens", "order_counter"] {
-        rejected(scenario, key, &edit(json, engine, key));
-    }
-    // Only an import carries wire tokens: the evicted sequences queued at
-    // the saturated midpoint are local recomputes.
     let scenario = saturated_long_decode();
     let mut run = scenario.start(&sys).unwrap();
     run.run_until(0.25);
@@ -573,13 +595,24 @@ fn resume_rejects_engine_counters_that_differ_from_their_rows() {
         .lines()
         .find(|l| l.starts_with(r#"{"section":"pending""#) && field(l, "imported") == "0")
         .expect("a local pending row");
-    rejected(&scenario, "wire tokens on a local pending row", &edit(&json, local, "wire_tokens"));
+    let old = field(local, "wire_tokens");
+    let edited = json.replace(
+        local,
+        &local.replace(&format!(r#""wire_tokens":"{old}""#), &format!(r#""wire_tokens":"9{old}""#)),
+    );
+    assert_ne!(edited, json, "the edit must change the document");
+    let resumed = Snapshot::parse(&edited).map(|snap| scenario.resume(&sys, &snap).map(|_| ()));
+    assert!(
+        matches!(resumed, Err(_) | Ok(Err(KvError::BadSnapshot(_)))),
+        "wire tokens on a local pending row must not resume"
+    );
 }
 
 #[test]
 fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
-    let (sys, scenario) = golden_run();
-    let json = golden_snapshot_json();
+    let (sys, scenarios) = golden_runs();
+    let scenario = &scenarios[3];
+    let json = golden_snapshot_json(3);
     let line = json.lines().find(|l| l.starts_with(r#"{"section":"kv_shared""#)).expect("a shared chain row");
     let wafer = field(line, "wafer");
     // The first node's first key-side slot, `core.crossbar.block`.
@@ -603,14 +636,9 @@ fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
 
 #[test]
 fn swapped_injector_wafer_rows_are_rejected() {
-    // No fault strikes the golden shape before its midpoint; at a shorter
-    // MTBF one of its two wafers has been struck there and the other not.
-    let sys = tiny_system();
-    let (_, scenario, mid_s) = golden_shapes().remove(3);
-    let scenario = scenario.faults(FaultConfig::new(0.02, 53));
-    let mut run = scenario.start(&sys).unwrap();
-    run.run_until(mid_s);
-    let json = scenario.checkpoint(&run).to_json();
+    // One of the golden shape's two wafers has been struck at its midpoint
+    // and the other not.
+    let json = golden_snapshot_json(3);
     let mut rows: Vec<&str> =
         json.lines().filter(|l| l.starts_with('{')).map(|l| l.trim_end_matches(',')).collect();
     let at: Vec<usize> =
@@ -630,8 +658,8 @@ fn swapped_injector_wafer_rows_are_rejected() {
 
 proptest! {
     #[test]
-    fn truncated_snapshots_are_errors_not_panics(cut in 0usize..1 << 20) {
-        let json = golden_snapshot_json();
+    fn truncated_snapshots_are_errors_not_panics(shape in 0usize..4, cut in 0usize..1 << 20) {
+        let json = golden_snapshot_json(shape);
         let cut = cut % json.len();
         let prefix = String::from_utf8_lossy(&json.as_bytes()[..cut]);
         // Any cut before the closing bracket leaves the array unclosed.
@@ -641,8 +669,8 @@ proptest! {
     }
 
     #[test]
-    fn dropped_rows_are_errors_or_complete_runs(at in 0usize..1 << 20) {
-        let rows: Vec<&str> = golden_snapshot_json()
+    fn dropped_rows_are_errors_or_complete_runs(shape in 0usize..4, at in 0usize..1 << 20) {
+        let rows: Vec<&str> = golden_snapshot_json(shape)
             .lines()
             .filter(|l| l.starts_with('{'))
             .map(|l| l.trim_end_matches(','))
@@ -653,8 +681,8 @@ proptest! {
         // A document missing one row parses to `Err`, resumes to `Err`, or
         // runs to the end; it never panics.
         if let Ok(snap) = Snapshot::parse(&text) {
-            let (sys, scenario) = golden_run();
-            if let Ok(mut run) = scenario.resume(sys, &snap) {
+            let (sys, scenarios) = golden_runs();
+            if let Ok(mut run) = scenarios[shape].resume(sys, &snap) {
                 run.run_to_end();
                 run.finish();
             }
@@ -662,8 +690,8 @@ proptest! {
     }
 
     #[test]
-    fn flipped_snapshots_never_panic(at in 0usize..1 << 20, flip in 1u8..=255) {
-        let mut bytes = golden_snapshot_json().as_bytes().to_vec();
+    fn flipped_snapshots_never_panic(shape in 0usize..4, at in 0usize..1 << 20, flip in 1u8..=255) {
+        let mut bytes = golden_snapshot_json(shape).as_bytes().to_vec();
         let at = at % bytes.len();
         bytes[at] ^= flip;
         let text = String::from_utf8_lossy(&bytes);
@@ -671,8 +699,8 @@ proptest! {
         // A document that still parses resumes to `Ok` or `Err`, never a
         // panic.
         if let Ok(snap) = Snapshot::parse(&text) {
-            let (sys, scenario) = golden_run();
-            let _ = scenario.resume(sys, &snap);
+            let (sys, scenarios) = golden_runs();
+            let _ = scenarios[shape].resume(sys, &snap);
         }
     }
 }
@@ -711,7 +739,7 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0x1771_4aee_d039_a08f, "mid-block snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x5f5f_83f6_462e_60d2, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

@@ -4,11 +4,12 @@
 //! The workspace is fully offline, so there is no serde. The writer covers
 //! objects of strings, numbers, nulls, and (for the Chrome trace-event
 //! `args` field) one level of nested objects, collected into arrays — all
-//! the `BENCH_*.json` trajectories and trace exporters need. [`read_rows`]
-//! is its inverse over flat rows: the serving snapshot reads checkpoints
-//! and the tests read result files through it. It lives in
-//! `ouro-trace` so every schema shares one writer and one reader;
-//! `ouro-serve` and `ouro-bench` re-export this module.
+//! the `BENCH_*.json` trajectories and trace exporters need. [`RowReader`]
+//! is its inverse over flat rows, visiting them in order through one
+//! reused row buffer: the serving snapshot reads checkpoints through it,
+//! and the tests read result files through [`read_rows`], which collects
+//! it. It lives in `ouro-trace` so every schema shares one writer and one
+//! reader; `ouro-serve` and `ouro-bench` re-export this module.
 
 use std::borrow::Cow;
 
@@ -205,33 +206,99 @@ impl<'a> Row<'a> {
 /// Reads a JSON array of flat objects — the shape [`render_array`] writes.
 /// Nested containers are an error: every reader in the workspace wants
 /// flat rows, and anything else means the input is not one of ours.
-/// Total over any input: malformed text is an `Err`, never a panic.
+/// Total over any input: malformed text is an `Err`, never a panic. This
+/// collects a [`RowReader`]; read large documents through it directly.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending byte offset.
 pub fn read_rows(text: &str) -> Result<Vec<Row<'_>>, String> {
-    let mut r = Reader { text, pos: 0 };
-    r.ws();
-    r.expect(b'[')?;
+    let mut reader = RowReader::new(text)?;
     let mut rows = Vec::new();
-    r.ws();
-    if !r.eat(b']') {
-        loop {
-            r.ws();
-            rows.push(r.object()?);
-            r.ws();
-            if r.eat(b']') {
-                break;
-            }
-            r.separator(b']')?;
-        }
-    }
-    r.ws();
-    if r.pos != text.len() {
-        return Err(format!("trailing input at byte {}", r.pos));
+    while let Some(row) = reader.next_row()? {
+        rows.push(row.clone());
     }
     Ok(rows)
+}
+
+/// The workspace's one flat-row parser: visits the rows of a JSON array of
+/// flat objects in document order, refilling one [`Row`] buffer per row,
+/// so a caller that consumes each row as it is read never holds the whole
+/// document's rows at once.
+pub struct RowReader<'a> {
+    r: Reader<'a>,
+    row: Row<'a>,
+    state: State,
+}
+
+/// Where a [`RowReader`] stands in the array.
+enum State {
+    /// After the `[`: a row or the closing `]`.
+    First,
+    /// After a `,`: a row.
+    Next,
+    /// After the closing `]` and the trailing whitespace.
+    Done,
+}
+
+impl<'a> RowReader<'a> {
+    /// A reader positioned after the array's opening bracket.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message when `text` does not open an array.
+    pub fn new(text: &'a str) -> Result<RowReader<'a>, String> {
+        let mut r = Reader { text, pos: 0 };
+        r.ws();
+        r.expect(b'[')?;
+        Ok(RowReader { r, row: Row::default(), state: State::First })
+    }
+
+    /// The next row, or `None` after the closing bracket. The row borrows
+    /// the reader's buffer, which the next call overwrites.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending byte offset. After an error
+    /// the reader yields no more rows.
+    pub fn next_row(&mut self) -> Result<Option<&Row<'a>>, String> {
+        match self.advance() {
+            Ok(read) => Ok(read.then_some(&self.row)),
+            Err(e) => {
+                self.state = State::Done;
+                Err(e)
+            }
+        }
+    }
+
+    /// Reads the next row into the buffer; `false` at the end.
+    fn advance(&mut self) -> Result<bool, String> {
+        self.r.ws();
+        match self.state {
+            State::Done => return Ok(false),
+            State::First if self.r.eat(b']') => return self.close().map(|()| false),
+            State::First | State::Next => {}
+        }
+        self.r.object(&mut self.row.fields)?;
+        self.r.ws();
+        if self.r.eat(b']') {
+            self.close()?;
+        } else {
+            self.r.separator(b']')?;
+            self.state = State::Next;
+        }
+        Ok(true)
+    }
+
+    /// Ends the array: only whitespace may follow the closing bracket.
+    fn close(&mut self) -> Result<(), String> {
+        self.r.ws();
+        if self.r.pos != self.r.text.len() {
+            return Err(format!("trailing input at byte {}", self.r.pos));
+        }
+        self.state = State::Done;
+        Ok(())
+    }
 }
 
 struct Reader<'a> {
@@ -274,9 +341,10 @@ impl<'a> Reader<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Row<'a>, String> {
+    /// One object's fields, into `fields` (cleared first).
+    fn object(&mut self, fields: &mut Vec<(Cow<'a, str>, Value<Cow<'a, str>>)>) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
+        fields.clear();
         self.ws();
         if !self.eat(b'}') {
             loop {
@@ -293,7 +361,7 @@ impl<'a> Reader<'a> {
                 self.separator(b'}')?;
             }
         }
-        Ok(Row { fields })
+        Ok(())
     }
 
     fn scalar(&mut self) -> Result<Value<Cow<'a, str>>, String> {
@@ -471,6 +539,24 @@ mod tests {
         ] {
             assert!(read_rows(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn the_row_reader_visits_rows_in_order_through_one_buffer() {
+        let text = "[{\"a\": \"x\", \"b\": 1}, {}, {\"c\": null}]";
+        let mut reader = RowReader::new(text).unwrap();
+        let mut seen = Vec::new();
+        while let Some(row) = reader.next_row().unwrap() {
+            seen.push(row.fields.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>());
+        }
+        assert_eq!(seen, [vec!["a", "b"], vec![], vec!["c"]]);
+        assert_eq!(reader.next_row(), Ok(None), "the reader stays at the end");
+        // An error ends the rows; the rows before it were read.
+        let mut reader = RowReader::new("[{\"a\": 1}, {\"b\": nul}, {}]").unwrap();
+        assert!(reader.next_row().unwrap().is_some());
+        assert!(reader.next_row().is_err());
+        assert_eq!(reader.next_row(), Ok(None));
+        assert!(RowReader::new("{}").is_err(), "a document is an array");
     }
 
     #[test]
