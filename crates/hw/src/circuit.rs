@@ -96,12 +96,6 @@ impl CircuitPoint {
         }
     }
 
-    /// Wafer-level peak compute in TOPS when the design is tiled over
-    /// `wafer_area_mm2` of core silicon (using the 7-nm-scaled density).
-    pub fn wafer_tops(&self, wafer_area_mm2: f64) -> f64 {
-        self.scaled_tops_per_mm2 * wafer_area_mm2
-    }
-
     /// Whether the whole model + KV working set of `model_bytes` fits in the
     /// design's on-wafer capacity.
     pub fn fits_on_wafer(&self, model_bytes: u64) -> bool {
@@ -188,11 +182,5 @@ mod tests {
         assert!(names.contains(&"VLSI'22"));
         assert!(names.contains(&"ISSCC'22"));
         assert!(names.contains(&"This work + LUT"));
-    }
-
-    #[test]
-    fn wafer_tops_scales_with_area() {
-        let ours = CircuitPoint::ouroboros();
-        assert!((ours.wafer_tops(2000.0) - 2.0 * ours.wafer_tops(1000.0)).abs() < 1e-9);
     }
 }

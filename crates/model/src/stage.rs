@@ -70,11 +70,6 @@ impl StageKind {
     pub fn scales_with_context(self) -> bool {
         matches!(self, StageKind::Score | StageKind::Softmax | StageKind::ContextProjection)
     }
-
-    /// Whether the stage executes primarily on the special-function unit.
-    pub fn runs_on_sfu(self) -> bool {
-        matches!(self, StageKind::Softmax)
-    }
 }
 
 impl std::fmt::Display for StageKind {
@@ -182,13 +177,6 @@ mod tests {
         assert_eq!(ffn1.output_dim, m.ffn_dim);
         assert_eq!(ffn2.input_dim, m.ffn_dim);
         assert_eq!(ffn2.output_dim, m.hidden_dim);
-    }
-
-    #[test]
-    fn softmax_runs_on_sfu_only() {
-        for kind in StageKind::ALL {
-            assert_eq!(kind.runs_on_sfu(), kind == StageKind::Softmax);
-        }
     }
 
     #[test]

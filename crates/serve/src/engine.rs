@@ -54,8 +54,13 @@
 //! autoregressive limit of §6.2), with many it streams one token per
 //! bottleneck interval.
 //!
-//! The offline [`ouro_kvcache::scheduler`] admits and evicts by rules that
-//! differ from the engine's (the `stage::admission` module) in four ways:
+//! The offline [`ouro_kvcache::scheduler`] replays a trace with the same
+//! event structure: lazy progress counted from `since`, a dense
+//! `next_event` column in lockstep with the active set, due events handled
+//! in active-set order with one `append_at` each, and failed boundary
+//! appends evicted from the highest index down. The two loops differ only
+//! in their admission rules (the engine's are the `stage::admission`
+//! module), in four ways:
 //!
 //! * an engine victim keeps its decode progress, the way a serving system
 //!   replays a prefix; an offline victim restarts decode from scratch, which

@@ -187,13 +187,10 @@ impl OuroborosSystem {
     fn kv_behaviour(&self, trace: &Trace) -> (f64, f64) {
         let per_block_tokens = self.kv_block_capacity_tokens();
         if self.config.dynamic_kv {
-            match KvScheduler::new(self.serve_kv_config()) {
-                Ok(mut sched) => {
-                    let out = sched.run_trace(trace);
-                    (out.stats.avg_resident.max(1.0), out.waste_fraction)
-                }
-                Err(_) => (1.0, 0.0),
-            }
+            let mut sched = KvScheduler::new(self.serve_kv_config())
+                .expect("serve_kv_config names at least two KV cores (OuroborosSystem::new rejects fewer)");
+            let out = sched.run_trace(trace);
+            (out.stats.avg_resident.max(1.0), out.waste_fraction)
         } else {
             let alloc = StaticKvAllocator::new(per_block_tokens.max(1), self.model.max_context);
             ((alloc.max_resident_sequences() as f64).max(1.0), 0.0)
