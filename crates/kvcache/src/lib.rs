@@ -41,7 +41,8 @@ pub use block::CrossbarBlocks;
 pub use fasthash::{FastHasher, FastMap};
 pub use manager::{
     BlockAudit, CrossbarSnapshot, KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot,
-    KvSlot, KvTransferStats, SharedChainSnapshot, SnapshotChainNode, SnapshotSeqBlocks, SnapshotSlot,
+    KvRestoreError, KvSlot, KvTransferStats, SharedChainSnapshot, SnapshotChainNode, SnapshotSeqBlocks,
+    SnapshotSlot,
 };
 pub use scheduler::{KvScheduler, SchedulerOutcome, SchedulerStats};
 pub use static_alloc::StaticKvAllocator;

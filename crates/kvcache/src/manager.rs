@@ -45,16 +45,6 @@ pub enum KvError {
     UnknownSequence(u64),
     /// The manager was built with no KV cores at all.
     NoKvCores,
-    /// A snapshot is malformed or does not fit what it is resumed against:
-    /// a schema version, config hash, wafer count or fault state that
-    /// differs from the scenario's; an index past the records, the workload
-    /// or the deployment; core, crossbar or block counts that differ from
-    /// the configuration's; a block holding more tokens than fit; a cursor,
-    /// block or shared-chain row naming a block its owner does not own; a
-    /// cursor that is not the last block of its role in its sequence's
-    /// block list; or an allocated block that no block list or chain
-    /// indexes exactly once.
-    BadSnapshot(&'static str),
 }
 
 impl std::fmt::Display for KvError {
@@ -63,12 +53,60 @@ impl std::fmt::Display for KvError {
             KvError::OutOfCapacity => write!(f, "kv cache out of capacity"),
             KvError::UnknownSequence(s) => write!(f, "sequence {s} is not resident"),
             KvError::NoKvCores => write!(f, "no cores were assigned to the kv cache"),
-            KvError::BadSnapshot(why) => write!(f, "snapshot rejected: {why}"),
         }
     }
 }
 
 impl std::error::Error for KvError {}
+
+/// Why [`KvManager::restore`] rejected a snapshot: the part of it that
+/// does not fit the configuration or the rest of the snapshot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KvRestoreError {
+    /// A side lists a different number of cores than the configuration
+    /// has. A configuration without KV cores fits no snapshot: every
+    /// manager has a core per side.
+    CoreCount,
+    /// A core lists a different number of crossbars than the configuration.
+    CrossbarCount,
+    /// A crossbar lists a different number of blocks than the configuration.
+    BlockCount,
+    /// A block holds more tokens than fit.
+    Overfull,
+    /// A block list names a sequence that is not resident, or a role other
+    /// than K or V.
+    UnknownSequence,
+    /// A block list names a block its sequence does not own.
+    NotOwned,
+    /// A shared chain names a core out of range.
+    ChainCore,
+    /// A shared chain node names a block its group does not own.
+    ChainNotOwned,
+    /// An allocated block is missing from every block list and chain, or
+    /// listed twice.
+    Unindexed,
+    /// A sharer names an absent chain or more nodes than it has.
+    Sharer,
+}
+
+impl std::fmt::Display for KvRestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            KvRestoreError::CoreCount => "kv core count differs from the configuration",
+            KvRestoreError::CrossbarCount => "crossbar count differs from the configuration",
+            KvRestoreError::BlockCount => "block count differs from the configuration",
+            KvRestoreError::Overfull => "a block holds more tokens than fit",
+            KvRestoreError::UnknownSequence => "a block list names a sequence that is not resident",
+            KvRestoreError::NotOwned => "a block list names a block its sequence does not own",
+            KvRestoreError::ChainCore => "a shared chain names a core out of range",
+            KvRestoreError::ChainNotOwned => "a shared chain node names a block its group does not own",
+            KvRestoreError::Unindexed => "an allocated block is not indexed exactly once",
+            KvRestoreError::Sharer => "a sharer names an absent chain or more nodes than it has",
+        })
+    }
+}
+
+impl std::error::Error for KvRestoreError {}
 
 /// Configuration of the distributed KV manager for one transformer block's
 /// attention.
@@ -424,7 +462,7 @@ pub struct SharedChainSnapshot {
 /// same configuration. Map- and slot-backed state is stored as key-sorted
 /// vectors so the serialized form is deterministic regardless of hash-map
 /// or slot-reuse history.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct KvManagerSnapshot {
     /// Ring pointer per role (`[key, value]`).
     pub ring_next: [usize; 2],
@@ -601,34 +639,34 @@ impl KvManager {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::NoKvCores`] when the configuration has no KV
-    /// cores; [`KvError::UnknownSequence`] when a block row names a
-    /// sequence the snapshot does not list as resident, or a role other
-    /// than K or V; and [`KvError::BadSnapshot`] when the snapshot's core,
-    /// crossbar or block counts differ from the configuration's, a block
-    /// holds more tokens than fit, a block or shared-chain row names a
-    /// block its owner does not own, a shared chain names a core out of
-    /// range, an allocated block is missing from its owner's block list or
-    /// chain or listed twice, or a sharer names an absent chain or more
-    /// nodes than it has.
+    /// Returns the [`KvRestoreError`] naming the first part of the
+    /// snapshot that does not fit: core, crossbar or block counts that
+    /// differ from the configuration's (a configuration without KV cores
+    /// is a core-count mismatch), a block holding more tokens than fit, a
+    /// block list naming a sequence that is not resident, a role other
+    /// than K or V, or a block its sequence does not own, a shared chain
+    /// naming a core out of range or a block its group does not own, an
+    /// allocated block missing from its owner's block list or chain or
+    /// listed twice, or a sharer naming an absent chain or more nodes than
+    /// it has.
     /// Snapshots are only meaningful against the system that produced them.
-    pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvError> {
-        let mut m = KvManager::new(config)?;
+    pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvRestoreError> {
+        let mut m = KvManager::new(config).map_err(|_| KvRestoreError::CoreCount)?;
         let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
             if cores.len() != side.len() {
-                return Err(KvError::BadSnapshot("core count"));
+                return Err(KvRestoreError::CoreCount);
             }
             for (core, xbs) in cores.iter_mut().zip(side) {
                 if core.crossbars.len() != xbs.len() {
-                    return Err(KvError::BadSnapshot("crossbar count"));
+                    return Err(KvRestoreError::CrossbarCount);
                 }
                 for (xb, s) in core.crossbars.iter_mut().zip(xbs) {
                     let tpb = xb.tokens_per_block();
                     if xb.num_blocks() != s.blocks.len() {
-                        return Err(KvError::BadSnapshot("block count"));
+                        return Err(KvRestoreError::BlockCount);
                     }
                     if s.blocks.iter().flatten().any(|&(_, used)| used > tpb) {
-                        return Err(KvError::BadSnapshot("a block holds more tokens than fit"));
+                        return Err(KvRestoreError::Overfull);
                     }
                     *xb = CrossbarBlocks::from_snapshot(tpb, s.blocks.clone(), s.failed);
                 }
@@ -650,12 +688,12 @@ impl KvManager {
             let slot = m
                 .slot_of(*seq)
                 .filter(|_| blocks.iter().all(|&(role, ..)| role < 2))
-                .ok_or(KvError::UnknownSequence(*seq))?;
+                .ok_or(KvRestoreError::UnknownSequence)?;
             let rows = blocks.iter().map(|&(role, core_index, crossbar, block)| {
                 (role_of(role), Cursor { core_index, crossbar, block })
             });
             if !rows.clone().all(|(role, cursor)| m.owns(role, cursor, *seq)) {
-                return Err(KvError::BadSnapshot("a block row names a block its sequence does not own"));
+                return Err(KvRestoreError::NotOwned);
             }
             m.slots.blocks[slot.index()].extend(rows);
             // Each allocation binds its role's cursor to the block it
@@ -667,14 +705,12 @@ impl KvManager {
         }
         for (group, chain) in &snap.shared {
             if chain.k_core >= m.key_cores.len() || chain.v_core >= m.value_cores.len() {
-                return Err(KvError::BadSnapshot("a shared chain names a core out of range"));
+                return Err(KvRestoreError::ChainCore);
             }
             let owner = SHARED_OWNER_TAG | group;
             let block = |role: KvRole, (core_index, crossbar, block): SnapshotSlot| {
                 let c = Cursor { core_index, crossbar, block };
-                m.owns(role, c, owner)
-                    .then_some(c)
-                    .ok_or(KvError::BadSnapshot("a shared chain node names a block its group does not own"))
+                m.owns(role, c, owner).then_some(c).ok_or(KvRestoreError::ChainNotOwned)
             };
             let nodes = chain
                 .nodes
@@ -682,7 +718,7 @@ impl KvManager {
                 .map(|&(refs, k, v)| {
                     Ok(SharedNode { refs, k: block(KvRole::Key, k)?, v: block(KvRole::Value, v)? })
                 })
-                .collect::<Result<_, KvError>>()?;
+                .collect::<Result<_, KvRestoreError>>()?;
             m.shared.insert(*group, SharedChain { k_core: chain.k_core, v_core: chain.v_core, nodes });
         }
         // Every indexed block is owned by its indexer (checked above). If
@@ -701,11 +737,11 @@ impl KvManager {
         let listed = indexed.len();
         indexed.dedup();
         if indexed.len() != listed || listed as u64 != m.block_audit().live {
-            return Err(KvError::BadSnapshot("an allocated block is not indexed exactly once"));
+            return Err(KvRestoreError::Unindexed);
         }
         for &(seq, group, n) in &snap.seq_shared {
             if m.shared.get(&group).is_none_or(|chain| n > chain.nodes.len()) {
-                return Err(KvError::BadSnapshot("a sharer names an absent chain or more nodes than it has"));
+                return Err(KvRestoreError::Sharer);
             }
             m.seq_shared.insert(seq, (group, n));
         }
@@ -1456,10 +1492,16 @@ mod tests {
         let snap = m.snapshot();
         let mut orphan = snap.clone();
         orphan.resident_tokens.clear();
-        assert_eq!(KvManager::restore(m.config.clone(), &orphan).unwrap_err(), KvError::UnknownSequence(1));
+        assert_eq!(
+            KvManager::restore(m.config.clone(), &orphan).unwrap_err(),
+            KvRestoreError::UnknownSequence
+        );
         let mut bad_role = snap;
         bad_role.seq_blocks[0].1[0].0 = 2;
-        assert_eq!(KvManager::restore(m.config.clone(), &bad_role).unwrap_err(), KvError::UnknownSequence(1));
+        assert_eq!(
+            KvManager::restore(m.config.clone(), &bad_role).unwrap_err(),
+            KvRestoreError::UnknownSequence
+        );
     }
 
     #[test]
@@ -1468,29 +1510,40 @@ mod tests {
         m.admit_with_prefix(1, 300, Some((42, 256))).unwrap();
         let snap = m.snapshot();
         assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
-        let edits: [fn(&mut KvManagerSnapshot); 9] = [
-            |s| s.shared[0].1.nodes[0].1 = (0, 31, 0),
-            |s| s.shared[0].1.k_core = 99,
-            |s| s.shared[0].1.v_core = 99,
-            |s| s.seq_shared[0].1 = 7,
-            |s| s.seq_shared[0].2 = 99,
+        type Edit = fn(&mut KvManagerSnapshot);
+        let edits: [(Edit, KvRestoreError); 12] = [
+            (|s| s.shared[0].1.nodes[0].1 = (0, 31, 0), KvRestoreError::ChainNotOwned),
+            (|s| s.shared[0].1.k_core = 99, KvRestoreError::ChainCore),
+            (|s| s.shared[0].1.v_core = 99, KvRestoreError::ChainCore),
+            (|s| s.seq_shared[0].1 = 7, KvRestoreError::Sharer),
+            (|s| s.seq_shared[0].2 = 99, KvRestoreError::Sharer),
             // Block lists that miss or repeat a block.
-            |s| s.seq_blocks.clear(),
-            |s| s.seq_blocks[0].1.truncate(1),
-            |s| {
-                let block = s.seq_blocks[0].1[0];
-                s.seq_blocks[0].1.push(block);
-            },
-            |s| {
-                let node = s.shared[0].1.nodes[0];
-                s.shared[0].1.nodes.push(node);
-            },
+            (|s| s.seq_blocks.clear(), KvRestoreError::Unindexed),
+            (|s| s.seq_blocks[0].1.truncate(1), KvRestoreError::Unindexed),
+            (
+                |s| {
+                    let block = s.seq_blocks[0].1[0];
+                    s.seq_blocks[0].1.push(block);
+                },
+                KvRestoreError::Unindexed,
+            ),
+            (
+                |s| {
+                    let node = s.shared[0].1.nodes[0];
+                    s.shared[0].1.nodes.push(node);
+                },
+                KvRestoreError::Unindexed,
+            ),
+            // Core tables that do not fit the configuration.
+            (|s| s.key_cores.truncate(1), KvRestoreError::CoreCount),
+            (|s| s.value_cores[0].truncate(1), KvRestoreError::CrossbarCount),
+            (|s| s.value_cores[0][0].blocks.truncate(1), KvRestoreError::BlockCount),
         ];
-        for (i, edit) in edits.into_iter().enumerate() {
+        for (i, (edit, expected)) in edits.into_iter().enumerate() {
             let mut bad = snap.clone();
             edit(&mut bad);
             let err = KvManager::restore(m.config.clone(), &bad).err();
-            assert!(matches!(err, Some(KvError::BadSnapshot(_))), "edit {i}: {err:?}");
+            assert_eq!(err, Some(expected), "edit {i}");
         }
     }
 

@@ -1,7 +1,6 @@
 //! Model configuration: the architectural hyper-parameters of an LLM.
 
 use crate::mask::MaskKind;
-use crate::stage::{PipelineStage, StageKind};
 
 /// Numeric precision used for weights and activations on Ouroboros.
 ///
@@ -165,13 +164,6 @@ impl ModelConfig {
         self.hidden_dim as u64 * self.precision.bytes()
     }
 
-    /// The six pipeline stages of one transformer block in execution order
-    /// (Fig. 4): QKV generation, score, softmax, context+projection,
-    /// FFN1, FFN2.
-    pub fn pipeline_stages(&self) -> Vec<PipelineStage> {
-        StageKind::ALL.iter().map(|&kind| PipelineStage::new(kind, self)).collect()
-    }
-
     /// Mask kind used by the attention of this model.
     pub fn mask(&self) -> MaskKind {
         self.architecture.mask()
@@ -248,11 +240,5 @@ mod tests {
         let s = format!("{}", zoo::llama_13b());
         assert!(s.contains("LLaMA-13B"));
         assert!(s.contains("decoder-only"));
-    }
-
-    #[test]
-    fn six_stages_per_block() {
-        let m = zoo::llama_13b();
-        assert_eq!(m.pipeline_stages().len(), 6);
     }
 }

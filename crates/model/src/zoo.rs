@@ -98,11 +98,6 @@ pub fn bert_large() -> ModelConfig {
     }
 }
 
-/// All models used in the paper's main evaluation (Fig. 13–16).
-pub fn evaluation_models() -> Vec<ModelConfig> {
-    vec![llama_13b(), baichuan_13b(), llama_32b(), qwen_32b(), bert_large(), t5_11b()]
-}
-
 /// The model sizes swept by the hardware-scaling-tax study (Fig. 1):
 /// roughly 7B, 13B, 19.5B, 32B, 65B and 130B parameters.
 pub fn scaling_tax_models() -> Vec<ModelConfig> {
@@ -175,14 +170,6 @@ mod tests {
         assert!(by_name("LLAMA-65B").is_some());
         assert!(by_name("bert-large").is_some());
         assert!(by_name("no-such-model").is_none());
-    }
-
-    #[test]
-    fn evaluation_set_has_decoder_and_encoder_models() {
-        let models = evaluation_models();
-        assert!(models.iter().any(|m| m.architecture == Architecture::DecoderOnly));
-        assert!(models.iter().any(|m| m.architecture == Architecture::EncoderOnly));
-        assert!(models.iter().any(|m| m.architecture == Architecture::EncoderDecoder));
     }
 
     #[test]

@@ -251,12 +251,21 @@ impl Engine {
     ///
     /// Propagates [`KvError::NoKvCores`] from the manager.
     pub fn new(times: HwStageTimes, kv: KvManagerConfig, config: EngineConfig) -> Result<Engine, KvError> {
+        Ok(Engine::with_manager(times, KvManager::new(kv)?, config))
+    }
+
+    /// An idle engine over `manager`, which may hold restored state.
+    ///
+    /// # Panics
+    ///
+    /// As [`Engine::new`].
+    pub(crate) fn with_manager(times: HwStageTimes, manager: KvManager, config: EngineConfig) -> Engine {
         assert!(config.max_batch > 0, "max_batch must be positive");
         assert!(config.prefill_chunk > 0, "prefill_chunk must be positive");
-        Ok(Engine {
+        Engine {
             times,
             stage_table: StageTimeTable::new(),
-            manager: KvManager::new(kv)?,
+            manager,
             config,
             records: Vec::new(),
             pending: IndexQueue::new(),
@@ -273,7 +282,7 @@ impl Engine {
             pending_wire_tokens: 0,
             stats: EngineStats::default(),
             tracer: Tracer::off(),
-        })
+        }
     }
 
     /// Wires a tracer into the engine (replacing the default disabled

@@ -31,8 +31,8 @@
 
 use crate::engine::Engine;
 use crate::metrics::ServingReport;
+use crate::snapshot::{Injector, InjectorWafer, Row, SnapshotError, SnapshotErrorKind};
 use ouro_hw::{CoreId, WaferGeometry};
-use ouro_kvcache::KvError;
 use ouro_mapping::{remap_with_chain, Assignment, RemapError};
 use ouro_sim::OuroborosSystem;
 use ouro_trace::EventKind;
@@ -407,21 +407,23 @@ impl FaultInjector {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::BadSnapshot`] when the snapshot lists a different
-    /// number of wafers than `wafers`, or a pending event strikes a wafer
-    /// outside the deployment.
+    /// Returns a [`SnapshotError`] of kind
+    /// [`SnapshotErrorKind::WaferCount`] when the snapshot lists a
+    /// different number of wafers than `wafers`, or
+    /// [`SnapshotErrorKind::IndexOutOfRange`] when a pending event strikes
+    /// a wafer outside the deployment.
     pub fn restore(
         system: &OuroborosSystem,
         wafers: usize,
         config: FaultConfig,
         fault_horizon_s: f64,
         snap: &FaultInjectorSnapshot,
-    ) -> Result<FaultInjector, KvError> {
+    ) -> Result<FaultInjector, SnapshotError> {
         if snap.wafers.len() != wafers {
-            return Err(KvError::BadSnapshot("fault wafer count differs from the deployment"));
+            return Err(SnapshotError::resume(None, InjectorWafer::NAME, SnapshotErrorKind::WaferCount));
         }
         if snap.events.iter().any(|&(wafer, ..)| wafer >= wafers) {
-            return Err(KvError::BadSnapshot("a fault event strikes a wafer outside the deployment"));
+            return Err(SnapshotError::resume(None, Injector::NAME, SnapshotErrorKind::IndexOutOfRange));
         }
         let mut inj = FaultInjector::new(system, wafers, config, fault_horizon_s);
         inj.events =

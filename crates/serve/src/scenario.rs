@@ -53,10 +53,10 @@ use crate::fault::{FaultConfig, FaultInjector};
 use crate::metrics::{RequestRecord, RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{self, StageQueues};
-use ouro_kvcache::KvError;
+use ouro_kvcache::{KvError, KvManager};
 use ouro_noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
 use ouro_trace::{
@@ -304,7 +304,9 @@ impl Scenario {
     /// Panics when no workload was set.
     pub fn start(&self, system: &OuroborosSystem) -> Result<RunState, KvError> {
         let total = self.total_wafers();
-        let engines = (0..total).map(|wafer| self.wafer_engine(system, wafer)).collect::<Result<_, _>>()?;
+        let engines = (0..total)
+            .map(|wafer| Ok(self.wafer_engine(system, wafer, KvManager::new(system.serve_kv_config())?)))
+            .collect::<Result<_, KvError>>()?;
         let window_s = FaultInjector::run_window_s(self.horizon_s, self.timed());
         let injector = self.fault.map(|cfg| FaultInjector::new(system, total, cfg, window_s));
         Ok(RunState::new(self, system, engines, StageQueues::new(self.timed()), injector))
@@ -327,18 +329,14 @@ impl Scenario {
         }
     }
 
-    /// A fresh engine for `wafer` of the deployment, its tracer armed when
-    /// the scenario traces.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`KvError::NoKvCores`] from the engine.
-    pub(crate) fn wafer_engine(&self, system: &OuroborosSystem, wafer: usize) -> Result<Engine, KvError> {
-        let mut engine = Engine::new(system.stage_times().clone(), system.serve_kv_config(), self.engine)?;
+    /// An idle engine over `manager` for `wafer` of the deployment, its
+    /// tracer armed when the scenario traces.
+    pub(crate) fn wafer_engine(&self, system: &OuroborosSystem, wafer: usize, manager: KvManager) -> Engine {
+        let mut engine = Engine::with_manager(system.stage_times().clone(), manager, self.engine);
         if self.trace {
             engine.set_tracer(Tracer::ring(wafer));
         }
-        Ok(engine)
+        engine
     }
 
     /// Captures a mid-run checkpoint of `run`: the stage queues, every
@@ -360,23 +358,21 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::BadSnapshot`] when the snapshot carries an
-    /// incompatible schema version, was captured by a differently-configured
-    /// scenario (a config hash guards against resuming foreign state), lists
-    /// a different number of wafers, carries fault state the scenario's
-    /// fault config or deployment does not match, names a record, request or
-    /// wafer out of range, or holds KV rows that do not fit `system` (core,
-    /// crossbar or block counts, a block over capacity, a cursor, block or
-    /// shared-chain row on a block its owner does not own, an allocated
-    /// block no block list or chain indexes exactly once). Returns
-    /// [`KvError::UnknownSequence`] when an active sequence is not resident
-    /// in its restored KV manager.
+    /// Returns the [`SnapshotError`] of the first state that does not fit:
+    /// a config hash that differs from this scenario's (it guards against
+    /// resuming foreign state), a different number of wafers, fault state
+    /// the scenario's fault config or deployment does not match, an index
+    /// past the workload, the records or the deployment, pending rows whose
+    /// wire tokens or token sums do not fit the engine's queue counters, KV
+    /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]), an
+    /// active set that is not the resident set, or an active row whose
+    /// progress differs from its resident KV.
     ///
     /// # Panics
     ///
     /// Panics when the scenario has no workload, as [`Scenario::start`]
     /// does.
-    pub fn resume(&self, system: &OuroborosSystem, snapshot: &Snapshot) -> Result<RunState, KvError> {
+    pub fn resume(&self, system: &OuroborosSystem, snapshot: &Snapshot) -> Result<RunState, SnapshotError> {
         crate::snapshot::rebuild(self, system, snapshot)
     }
 

@@ -22,21 +22,34 @@
 //!
 //! [`Snapshot::to_json`] renders a dependency-free JSON document: an array
 //! of flat objects whose values are all strings, one object per state row,
-//! each tagged with a `"section"` key. Floats are serialized as the hex of
-//! their IEEE-754 bit pattern (`f64::to_bits`), so round-tripping is exact
-//! (including NaN payloads, which plain decimal JSON cannot carry — the
-//! workspace's JSON writer renders non-finite floats as `null`). The writer
-//! appends every value straight into one output `String`, sized up front:
-//! integers as decimal digits, floats as bit-pattern hex.
-//! [`Snapshot::parse`] is the strict inverse. It reads the document through
-//! the workspace's one flat-row reader ([`ouro_trace::json::RowReader`]),
-//! consuming each row as it is read and each row's keys in their pinned
-//! order; escape-free values borrow from the text, so parsing allocates
-//! neither per field nor per row. Rows carry state only: what the rest
-//! implies (the engines' queue counters, the KV append cursors) is derived
-//! again on resume. The schema is versioned by
+//! each led by its `"section"` key and, on per-wafer rows, its `"wafer"`.
+//! The thirteen sections are declared once, in document order, in one
+//! `rows!` block: each as the ordered list of its `(key, field, value
+//! codec)`. One walk of that list writes a row and one walk reads it, in
+//! the keys' pinned order. A codec is one value encoding with a writer and
+//! a strict reader that accepts exactly what the writer emits: decimal
+//! integers (no sign, no leading zero), 16 lower-case hex digits for bit
+//! patterns and for floats (by their IEEE-754 bits, so every float
+//! round-trips, NaN payloads included), `0`/`1` flags, `sep`-joined
+//! lists, fixed-width tuples and `-`-or-value options. The writer appends
+//! every value straight into one output `String`, sized up front.
+//!
+//! [`Snapshot::parse`] is the strict inverse: it reads the rows in the
+//! order `to_json` writes them, so a document it accepts writes back to
+//! itself, whitespace aside. It reads through the workspace's one
+//! flat-row reader ([`ouro_trace::json::RowReader`]), one row ahead, into
+//! one reused field buffer; values borrow from the text, so parsing
+//! allocates neither per field nor per row. Rows carry state only: what
+//! the rest implies (the engines' queue counters, the KV append cursors)
+//! is derived again on resume. The schema is versioned by
 //! [`SNAPSHOT_SCHEMA_VERSION`] and guarded by a canonical config hash, so
 //! foreign state cannot be resumed silently.
+//!
+//! Every rejection, by `parse` or by [`Scenario::resume`], is one
+//! [`SnapshotError`]: its [`SnapshotErrorKind`] and where it was found.
+//! Neither panics on any input, which clippy enforces in this module.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::engine::{EngineConfig, EngineStats};
 use crate::fault::{FaultConfig, FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
@@ -45,19 +58,19 @@ use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
 use ouro_kvcache::{
-    CrossbarSnapshot, KvError, KvManager, KvManagerSnapshot, KvTransferStats, SharedChainSnapshot,
-    SnapshotSlot,
+    CrossbarSnapshot, KvManager, KvManagerSnapshot, KvRestoreError, KvTransferStats, SharedChainSnapshot,
+    SnapshotSeqBlocks,
 };
 use ouro_sim::OuroborosSystem;
-use ouro_trace::json::{fnv1a_extend, RowReader, Value, FNV1A_OFFSET};
+use ouro_trace::json::{fnv1a_extend, JsonError, RowReader, Value, FNV1A_OFFSET};
 use ouro_trace::TelemetryConfig;
 use ouro_workload::{ArrivalConfig, Request, SharedPrefix, TimedRequest, TimedTrace};
 use rand::rngs::StdRng;
 use std::borrow::Cow;
+use std::marker::PhantomData;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
-/// to the row layout; [`Snapshot::parse`] and `rebuild` both reject
-/// mismatches instead of guessing.
+/// to the row layout; [`Snapshot::parse`] rejects any other.
 pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
@@ -65,6 +78,7 @@ pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
 /// with [`Snapshot::to_json`]; parse back with [`Snapshot::parse`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
+    /// Always [`SNAPSHOT_SCHEMA_VERSION`]: `parse` reads no other.
     pub(crate) schema_version: u32,
     /// FNV-1a over a canonical encoding of the scenario's config
     /// ([`config_hash`]): resuming under a differently-configured scenario
@@ -147,18 +161,16 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// # Errors
 ///
-/// Returns [`KvError::BadSnapshot`] on a schema-version, config-hash or
-/// wafer-count mismatch, fault state the scenario's fault config does not
-/// match, a pending row whose record is out of range, a local pending row
+/// Returns the [`SnapshotError`] of the first state that does not fit: a
+/// config hash or wafer count that differs from the scenario's, fault
+/// state its fault config does not match, an arrival, gated, pending or
+/// active index past the workload or the records, a local pending row
 /// carrying wire tokens, pending rows whose token sums overflow the
-/// engine's queue counters, an active row whose prompt plus decoded tokens
-/// differ from its resident KV, two active rows naming one record, a
-/// resident sequence with no active row, or an arrival or gated index past
-/// the workload; propagates it from KV-manager and fault-injector
-/// reconstruction (KV rows that do not fit the system's geometry, fault
-/// state that does not fit the deployment).
-/// Returns [`KvError::UnknownSequence`] for an active row whose record is
-/// out of range or not resident in the restored manager. Every check runs
+/// engine's queue counters, KV rows that do not fit the system (a
+/// [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault state that
+/// does not fit the deployment, an active row that is not resident, whose
+/// prompt plus decoded tokens differ from its resident KV or that repeats
+/// a record, or a resident sequence with no active row. Every check runs
 /// before the [`RunState`] is built.
 ///
 /// # Panics
@@ -169,42 +181,28 @@ pub(crate) fn rebuild(
     scenario: &Scenario,
     system: &OuroborosSystem,
     snap: &Snapshot,
-) -> Result<RunState, KvError> {
-    if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
-        return Err(KvError::BadSnapshot("unsupported snapshot schema version"));
-    }
-    if snap.config_hash != config_hash(scenario) {
-        return Err(KvError::BadSnapshot("captured by a differently-configured scenario"));
-    }
+) -> Result<RunState, SnapshotError> {
+    use SnapshotErrorKind as K;
+    let reject = SnapshotError::resume;
+    ensure(snap.config_hash == config_hash(scenario), reject(None, Meta::NAME, K::ConfigHash))?;
     let timed = scenario.timed();
     let total = scenario.total_wafers();
-    if snap.engines.len() != total {
-        return Err(KvError::BadSnapshot("wafer count differs from the deployment"));
-    }
-    if snap.engines.iter().any(|es| es.pending.iter().any(|(_, p)| p.rec >= es.records.len())) {
-        return Err(KvError::BadSnapshot("a pending row names a record out of range"));
-    }
-    let requests = timed.arrivals.len();
-    if snap.arrivals.iter().map(|&(_, index)| index).chain(snap.gated.iter().copied()).any(|i| i >= requests)
-    {
-        return Err(KvError::BadSnapshot("an arrival or gated index is past the workload"));
-    }
+    ensure(snap.engines.len() == total, reject(None, Engine::NAME, K::WaferCount))?;
+    let mut queued = snap.arrivals.iter().map(|&(_, index)| index).chain(snap.gated.iter().copied());
+    ensure(queued.all(|i| i < timed.arrivals.len()), reject(None, Meta::NAME, K::IndexOutOfRange))?;
+    let window_s = FaultInjector::run_window_s(scenario.horizon_s, timed);
     let injector = match (scenario.fault, &snap.injector) {
-        (Some(cfg), Some(is)) => Some(FaultInjector::restore(
-            system,
-            total,
-            cfg,
-            FaultInjector::run_window_s(scenario.horizon_s, timed),
-            is,
-        )?),
+        (Some(cfg), Some(is)) => Some(FaultInjector::restore(system, total, cfg, window_s, is)?),
         (None, None) => None,
-        _ => return Err(KvError::BadSnapshot("fault state does not match the scenario's fault config")),
+        _ => return Err(reject(None, Injector::NAME, K::FaultState)),
     };
 
     let mut engines = Vec::with_capacity(total);
     for (wafer, es) in snap.engines.iter().enumerate() {
-        let mut e = scenario.wafer_engine(system, wafer)?;
-        e.manager = KvManager::restore(system.serve_kv_config(), &es.kv)?;
+        let reject = |section, kind| reject(Some(wafer), section, kind);
+        let manager = KvManager::restore(system.serve_kv_config(), &es.kv)
+            .map_err(|k| SnapshotError { wafer: Some(wafer), ..k.into() })?;
+        let mut e = scenario.wafer_engine(system, wafer, manager);
         e.set_mean_hops(es.mean_hops);
         e.records = es.records.clone();
         // The queue counters are running sums over the pending rows, kept
@@ -213,38 +211,31 @@ pub(crate) fn rebuild(
         // wide, so no row can overflow them unnoticed.
         let (mut tokens, mut wire_tokens) = (0u128, 0u128);
         for &(ready_s, req) in &es.pending {
-            if !req.imported && req.wire_tokens > 0 {
-                return Err(KvError::BadSnapshot("a local pending row carries wire tokens"));
-            }
-            tokens += e.records[req.rec].prompt_len as u128 + req.decoded as u128;
+            let r = e.records.get(req.rec).ok_or(reject(Pending::NAME, K::IndexOutOfRange))?;
+            ensure(req.imported || req.wire_tokens == 0, reject(Pending::NAME, K::LocalWireTokens))?;
+            tokens += r.prompt_len as u128 + req.decoded as u128;
             wire_tokens += req.wire_tokens as u128;
             e.pending.push_back(ready_s, req);
         }
-        let overflow = || KvError::BadSnapshot("an engine's pending rows overflow its queue counters");
-        e.pending_tokens = usize::try_from(tokens).map_err(|_| overflow())?;
-        e.pending_wire_tokens = usize::try_from(wire_tokens).map_err(|_| overflow())?;
+        let overflow = |_| reject(Pending::NAME, K::CounterOverflow);
+        e.pending_tokens = usize::try_from(tokens).map_err(overflow)?;
+        e.pending_wire_tokens = usize::try_from(wire_tokens).map_err(overflow)?;
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
         let mut listed = vec![false; e.records.len()];
         for a in &es.active {
             let seq = a.rec as u64;
-            let (Some(r), Some(slot)) = (e.records.get(a.rec), e.manager.slot_of(seq)) else {
-                return Err(KvError::UnknownSequence(seq));
-            };
-            if e.manager.sequence_tokens(seq) != Some(r.prompt_len + a.decoded) {
-                return Err(KvError::BadSnapshot("an active row's progress differs from its resident KV"));
-            }
-            if std::mem::replace(&mut listed[a.rec], true) {
-                return Err(KvError::BadSnapshot("two active rows name one record"));
-            }
+            let r = e.records.get(a.rec).ok_or(reject(Active::NAME, K::IndexOutOfRange))?;
+            let slot = e.manager.slot_of(seq).ok_or(reject(Active::NAME, K::NotResident))?;
+            let progress = r.prompt_len.checked_add(a.decoded);
+            ensure(e.manager.sequence_tokens(seq) == progress, reject(Active::NAME, K::ProgressMismatch))?;
+            ensure(!std::mem::replace(&mut listed[a.rec], true), reject(Active::NAME, K::DuplicateActive))?;
             e.push_active(ActiveSeq { kv_slot: slot, decode_len: r.decode_len, ..*a });
         }
         // Every active row is resident and names its own record, so equal
         // counts make every resident sequence active.
-        if e.manager.resident_sequences() != es.active.len() {
-            return Err(KvError::BadSnapshot("a resident sequence has no active row"));
-        }
+        ensure(e.manager.resident_sequences() == es.active.len(), reject(KvResident::NAME, K::Unserved))?;
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
@@ -325,7 +316,7 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
 }
 
 /// Unsigned integers, widened to the `u64` they are hashed and written as.
-trait Uint: Copy {
+trait Uint: Copy + TryFrom<u64> {
     fn wide(self) -> u64;
 }
 
@@ -373,127 +364,628 @@ impl ConfigHasher {
 }
 
 // ---------------------------------------------------------------------------
-// Serialization: flat-JSON rows, string values only, floats as bit-pattern
-// hex. Written here (`JsonObject::num` cannot round-trip non-finite floats),
-// read back row by row through the shared `ouro_trace::json::RowReader`.
+// Errors: one type for every rejection, by `parse` or by `resume`.
 // ---------------------------------------------------------------------------
 
-/// The document under construction: every row is appended in place to one
-/// output `String`. Values are decimal digits, bit-pattern hex and fixed
-/// separator characters, so nothing needs escaping on either side.
-struct Doc {
-    out: String,
-    /// Whether a row is open (its closing brace not yet written).
-    open: bool,
+/// Why a snapshot was rejected, and where: the document row of a
+/// [`Snapshot::parse`] rejection, the wafer of a [`Scenario::resume`] one,
+/// and the section and key wherever they apply.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SnapshotError {
+    /// Index of the offending document row; the `meta` row is row 0.
+    pub row: Option<usize>,
+    /// The wafer whose state does not fit.
+    pub wafer: Option<usize>,
+    /// The section (`"meta"`, `"kv_cores"`, …) of the offending row or
+    /// state.
+    pub section: Option<&'static str>,
+    /// The offending key.
+    pub key: Option<&'static str>,
+    /// What is wrong.
+    pub kind: SnapshotErrorKind,
 }
 
-impl Doc {
-    /// An open array with room for `capacity` bytes.
-    fn new(capacity: usize) -> Doc {
-        let mut out = String::with_capacity(capacity);
-        out.push_str("[\n");
-        Doc { out, open: false }
+/// What a [`SnapshotError`] found wrong. The first eight are
+/// [`Snapshot::parse`]'s, the rest [`Scenario::resume`]'s.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotErrorKind {
+    /// The text is not a JSON array of flat objects.
+    Json(JsonError),
+    /// The meta row's schema version is not [`SNAPSHOT_SCHEMA_VERSION`].
+    SchemaVersion,
+    /// A row lacks the key its layout has next, or its value is not a
+    /// plain string.
+    MissingKey,
+    /// A row has a field past its layout's last key.
+    ExtraKey,
+    /// A value is not in the canonical form of its key's encoding.
+    BadValue,
+    /// A row stands where the writer puts none: its section is unknown or
+    /// out of order, or its wafer or core index is not the next one.
+    OutOfOrder,
+    /// The document ends where the writer puts another row.
+    Incomplete,
+    /// The snapshot was captured by a differently-configured scenario.
+    ConfigHash,
+    /// The snapshot has engine or fault state for a different number of
+    /// wafers than the deployment.
+    WaferCount,
+    /// The snapshot has fault state exactly when the scenario has no fault
+    /// config.
+    FaultState,
+    /// An index past the workload, the records or the deployment.
+    IndexOutOfRange,
+    /// A local pending row carries wire tokens.
+    LocalWireTokens,
+    /// An engine's pending rows overflow its queue counters.
+    CounterOverflow,
+    /// An active row's sequence is not resident.
+    NotResident,
+    /// An active row's prompt plus decoded tokens differ from its resident
+    /// KV.
+    ProgressMismatch,
+    /// Two active rows name one record.
+    DuplicateActive,
+    /// A resident sequence has no active row.
+    Unserved,
+    /// The KV rows do not fit the system.
+    Kv(KvRestoreError),
+}
+
+impl SnapshotError {
+    /// A rejection of snapshot state by `resume`.
+    pub(crate) fn resume(wafer: Option<usize>, section: &'static str, kind: SnapshotErrorKind) -> Self {
+        SnapshotError { row: None, wafer, section: Some(section), key: None, kind }
     }
 
-    /// Opens a row of `section`, closing the one before it.
-    fn row(&mut self, section: &str) -> &mut Doc {
-        self.out.push_str(if self.open { "},\n{\"section\":\"" } else { "{\"section\":\"" });
-        self.open = true;
-        self.out.push_str(section);
-        self.out.push('"');
-        self
+    /// A rejection of document row `row` by `parse`.
+    fn in_row(row: usize, kind: SnapshotErrorKind) -> SnapshotError {
+        SnapshotError { row: Some(row), wafer: None, section: None, key: None, kind }
     }
+}
 
-    /// Opens the value of `key`; [`Doc::close`] ends it.
-    fn key(&mut self, key: &str) -> &mut Doc {
-        self.out.push_str(",\"");
-        self.out.push_str(key);
-        self.out.push_str("\":\"");
-        self
+impl From<KvRestoreError> for SnapshotError {
+    fn from(e: KvRestoreError) -> SnapshotError {
+        use KvRestoreError::*;
+        let section = match e {
+            CoreCount | CrossbarCount | BlockCount | Overfull => KvCores::NAME,
+            UnknownSequence | NotOwned | Unindexed => KvSeqBlocks::NAME,
+            ChainCore | ChainNotOwned => KvShared::NAME,
+            Sharer => KvSeqShared::NAME,
+        };
+        SnapshotError::resume(None, section, SnapshotErrorKind::Kv(e))
     }
+}
 
-    fn close(&mut self) -> &mut Doc {
-        self.out.push('"');
-        self
+impl std::fmt::Display for SnapshotError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "snapshot rejected: {self:?}")
     }
+}
 
-    fn sep(&mut self, c: char) -> &mut Doc {
-        self.out.push(c);
-        self
+impl std::error::Error for SnapshotError {}
+
+impl From<SnapshotError> for String {
+    fn from(e: SnapshotError) -> String {
+        e.to_string()
     }
+}
 
-    fn text(&mut self, s: &str) -> &mut Doc {
-        self.out.push_str(s);
-        self
-    }
+/// `Ok` when `ok`, else `err`.
+fn ensure(ok: bool, err: SnapshotError) -> Result<(), SnapshotError> {
+    ok.then_some(()).ok_or(err)
+}
 
-    /// `v` in decimal.
-    fn n(&mut self, v: impl Uint) -> &mut Doc {
-        let mut v = v.wide();
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
+// ---------------------------------------------------------------------------
+// Value codecs: each encoding once, with a writer and a strict reader.
+// ---------------------------------------------------------------------------
+
+/// One value encoding: a writer and a strict reader that accepts exactly
+/// what the writer emits, so a value that reads writes back to its text.
+trait Codec {
+    type T;
+    /// What a value that does not read is.
+    const BAD: SnapshotErrorKind = SnapshotErrorKind::BadValue;
+    fn put(&self, out: &mut String, v: &Self::T);
+    fn take(&self, s: &str) -> Option<Self::T>;
+}
+
+/// Appends `ascii`, which holds digits and hex digits only.
+#[expect(clippy::expect_used, reason = "digits and hex digits are ASCII, so always UTF-8")]
+fn push_ascii(out: &mut String, ascii: &[u8]) {
+    out.push_str(std::str::from_utf8(ascii).expect("ASCII digits"));
+}
+
+/// An unsigned integer in decimal: digits only, no sign, no leading zero.
+struct Dec<T>(PhantomData<T>);
+const U8: Dec<u8> = Dec(PhantomData);
+const U32: Dec<u32> = Dec(PhantomData);
+const U64: Dec<u64> = Dec(PhantomData);
+const USIZE: Dec<usize> = Dec(PhantomData);
+
+impl<T: Uint> Codec for Dec<T> {
+    type T = T;
+
+    fn put(&self, out: &mut String, v: &T) {
+        let (mut v, mut digits, mut at) = (v.wide(), [0u8; 20], 20);
+        while at == 20 || v > 0 {
             at -= 1;
             digits[at] = b'0' + (v % 10) as u8;
             v /= 10;
-            if v == 0 {
-                break;
-            }
         }
-        self.out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-        self
+        push_ascii(out, &digits[at..]);
     }
 
-    /// `bits` as 16 lower-case hex digits.
-    fn bits(&mut self, bits: u64) -> &mut Doc {
-        const HEX: &[u8; 16] = b"0123456789abcdef";
-        let mut digits = [0u8; 16];
-        for (i, d) in digits.iter_mut().enumerate() {
-            *d = HEX[(bits >> (60 - 4 * i)) as usize & 0xf];
-        }
-        self.out.push_str(std::str::from_utf8(&digits).expect("ASCII hex digits"));
-        self
+    fn take(&self, s: &str) -> Option<T> {
+        let signed_or_padded = s.starts_with('+') || s.len() > 1 && s.starts_with('0');
+        (!signed_or_padded).then(|| s.parse().ok().and_then(|v: u64| T::try_from(v).ok())).flatten()
+    }
+}
+
+/// A `u64` bit pattern as exactly 16 lower-case hex digits.
+struct Bits;
+
+impl Codec for Bits {
+    type T = u64;
+
+    fn put(&self, out: &mut String, &bits: &u64) {
+        let digits: [u8; 16] =
+            std::array::from_fn(|i| b"0123456789abcdef"[(bits >> (60 - 4 * i)) as usize & 0xf]);
+        push_ascii(out, &digits);
     }
 
-    /// `v` by its IEEE-754 bit pattern, so every value round-trips.
-    fn f(&mut self, v: f64) -> &mut Doc {
-        self.bits(v.to_bits())
+    fn take(&self, s: &str) -> Option<u64> {
+        let canonical = s.len() == 16 && !s.starts_with('+') && !s.bytes().any(|b| b.is_ascii_uppercase());
+        canonical.then(|| u64::from_str_radix(s, 16).ok()).flatten()
+    }
+}
+
+/// An `f64` by its IEEE-754 bit pattern in [`Bits`], so every value
+/// round-trips, NaN payloads included.
+struct Float;
+
+impl Codec for Float {
+    type T = f64;
+
+    fn put(&self, out: &mut String, v: &f64) {
+        Bits.put(out, &v.to_bits());
     }
 
-    /// `items`, each written by `each`, `sep`-separated.
-    fn list<T>(
-        &mut self,
-        sep: char,
-        items: impl IntoIterator<Item = T>,
-        mut each: impl FnMut(&mut Doc, T) -> &mut Doc,
-    ) -> &mut Doc {
-        for (i, item) in items.into_iter().enumerate() {
+    fn take(&self, s: &str) -> Option<f64> {
+        Bits.take(s).map(f64::from_bits)
+    }
+}
+
+/// One of a fixed set of words, each standing for a value: `0`/`1` flags
+/// and the `k`/`v` side of a KV core row.
+struct Words<T: 'static>(&'static [(&'static str, T)]);
+const FLAG: Words<bool> = Words(&[("0", false), ("1", true)]);
+const SIDE: Words<bool> = Words(&[("k", false), ("v", true)]);
+
+impl<T: Copy + PartialEq> Codec for Words<T> {
+    type T = T;
+
+    fn put(&self, out: &mut String, v: &T) {
+        out.push_str(self.0.iter().find(|(_, w)| w == v).map_or("", |(word, _)| word));
+    }
+
+    fn take(&self, s: &str) -> Option<T> {
+        self.0.iter().find(|(word, _)| *word == s).map(|&(_, v)| v)
+    }
+}
+
+/// The schema version, in decimal; only [`SNAPSHOT_SCHEMA_VERSION`] reads.
+struct Version;
+
+impl Codec for Version {
+    type T = u32;
+    const BAD: SnapshotErrorKind = SnapshotErrorKind::SchemaVersion;
+
+    fn put(&self, out: &mut String, v: &u32) {
+        U32.put(out, v);
+    }
+
+    fn take(&self, s: &str) -> Option<u32> {
+        U32.take(s).filter(|&v| v == SNAPSHOT_SCHEMA_VERSION)
+    }
+}
+
+/// A `sep`-joined list; the empty list is the empty string.
+struct List<C>(char, C);
+
+impl<C: Codec> Codec for List<C> {
+    type T = Vec<C::T>;
+
+    fn put(&self, out: &mut String, v: &Vec<C::T>) {
+        for (i, item) in v.iter().enumerate() {
             if i > 0 {
-                self.out.push(sep);
+                out.push(self.0);
             }
-            each(self, item);
+            self.1.put(out, item);
         }
-        self
     }
 
-    fn int(&mut self, key: &str, v: impl Uint) -> &mut Doc {
-        self.key(key).n(v).close()
-    }
-
-    fn float(&mut self, key: &str, v: f64) -> &mut Doc {
-        self.key(key).f(v).close()
-    }
-
-    fn flag(&mut self, key: &str, on: bool) -> &mut Doc {
-        self.key(key).sep(if on { '1' } else { '0' }).close()
-    }
-
-    fn finish(mut self) -> String {
-        if self.open {
-            self.out.push('}');
+    fn take(&self, s: &str) -> Option<Vec<C::T>> {
+        if s.is_empty() {
+            return Some(Vec::new());
         }
-        self.out.push_str("\n]\n");
-        self.out
+        s.split(self.0).map(|item| self.1.take(item)).collect()
+    }
+}
+
+/// A fixed-width `sep`-joined array.
+struct Arr<C, const N: usize>(List<C>);
+
+impl<C: Codec<T: Clone>, const N: usize> Codec for Arr<C, N> {
+    type T = [C::T; N];
+
+    fn put(&self, out: &mut String, v: &[C::T; N]) {
+        self.0.put(out, &v.to_vec());
+    }
+
+    fn take(&self, s: &str) -> Option<[C::T; N]> {
+        self.0.take(s)?.try_into().ok()
+    }
+}
+
+/// `-` for `None`, else the value (whose codec never writes `-`).
+struct Opt<C>(C);
+
+impl<C: Codec> Codec for Opt<C> {
+    type T = Option<C::T>;
+
+    fn put(&self, out: &mut String, v: &Option<C::T>) {
+        match v {
+            None => out.push('-'),
+            Some(v) => self.0.put(out, v),
+        }
+    }
+
+    fn take(&self, s: &str) -> Option<Option<C::T>> {
+        match s {
+            "-" => Some(None),
+            _ => self.0.take(s).map(Some),
+        }
+    }
+}
+
+/// A fixed-width `sep`-joined tuple, each element in its own codec. The
+/// last element reads the rest of the text, so its codec must never accept
+/// `sep`; none does here: each last element is a number, or a list joined
+/// by another separator.
+struct Tup<C>(char, C);
+
+macro_rules! tuple_codec {
+    ($($c:ident . $i:tt),+) => {
+        impl<$($c: Codec),+> Codec for Tup<($($c,)+)> {
+            type T = ($($c::T,)+);
+
+            fn put(&self, out: &mut String, v: &Self::T) {
+                let mut sep = None;
+                $(out.extend(sep.replace(self.0)); self.1.$i.put(out, &v.$i);)+
+            }
+
+            fn take(&self, s: &str) -> Option<Self::T> {
+                let mut parts = s.splitn([$($i),+].len(), self.0);
+                Some(($(self.1.$i.take(parts.next()?)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A.0, B.1);
+tuple_codec!(A.0, B.1, C.2);
+tuple_codec!(A.0, B.1, C.2, D.3);
+
+/// Declares each struct's codec once: a fixed-width `sep`-joined tuple of
+/// its fields in the listed order, each in its codec, read as [`Tup`]
+/// reads. The struct is destructured in full, so a new field does not
+/// compile until it is listed.
+macro_rules! struct_codecs {
+    ($($(#[$doc:meta])* $name:ident: $ty:ident = $sep:literal [$($f:ident: $c:expr),+ $(,)?])*) => {$(
+        $(#[$doc])*
+        struct $name;
+
+        impl Codec for $name {
+            type T = $ty;
+
+            fn put(&self, out: &mut String, v: &$ty) {
+                let $ty { $($f),+ } = v;
+                let mut sep = None;
+                $(out.extend(sep.replace($sep)); $c.put(out, $f);)+
+            }
+
+            fn take(&self, s: &str) -> Option<$ty> {
+                let mut parts = s.splitn([$(stringify!($f)),+].len(), $sep);
+                $(let $f = $c.take(parts.next()?)?;)+
+                Some($ty { $($f),+ })
+            }
+        }
+    )*};
+}
+
+struct_codecs! {
+    /// The running migration totals.
+    Migrations: MigrationTotals = '|' [
+        count: U64, wire_tokens: U64, deduped_tokens: U64,
+        transit_s: Float, max_transit_s: Float, energy_j: Float,
+    ]
+
+    /// An engine's stats.
+    Stats: EngineStats = '|' [
+        admissions: U64, evictions: U64, recomputed_tokens: U64, prefilled_tokens: U64,
+        cached_prefix_tokens: U64, prefix_hits: U64, dropped: U64, dropped_imported_tokens: U64,
+        steps: U64, peak_resident: USIZE, faults: U64, fault_evicted_seqs: U64, fault_evicted_tokens: U64,
+        stall_s: Float,
+    ]
+
+    /// A KV manager's export/import counters.
+    Transfers: KvTransferStats = '|' [
+        exported_sequences: U64, exported_tokens: U64, imported_sequences: U64, imported_tokens: U64,
+    ]
+
+    /// A request's shared-prefix tag.
+    Prefix: SharedPrefix = ':' [group: U64, tokens: USIZE]
+
+    /// One crossbar's failure flag and block table (`-` for a free block,
+    /// else `owner:used`).
+    Crossbar: CrossbarSnapshot = '!' [failed: FLAG, blocks: List(',', Opt(Tup(':', (U64, USIZE))))]
+}
+
+/// A KV block slot `core.crossbar.block`.
+const SLOT: Tup<(Dec<usize>, Dec<usize>, Dec<usize>)> = Tup('.', (USIZE, USIZE, USIZE));
+
+// ---------------------------------------------------------------------------
+// Rows: each section declared once, written and read by one walk.
+// ---------------------------------------------------------------------------
+
+/// The key every row leads with.
+const SECTION_KEY: &str = "section";
+/// The key that follows it on per-wafer rows.
+const WAFER_KEY: &str = "wafer";
+/// Keys that more than one section has.
+const REC: &str = "rec";
+const DECODED: &str = "decoded";
+const PREFILL_ONLY: &str = "prefill_only";
+const ENTRIES: &str = "entries";
+
+/// The reading half of a row declared by `row!`.
+pub(crate) trait Row {
+    /// The section's `"section"` value.
+    const NAME: &'static str;
+    type Value;
+    /// Reads the row's fields after its section and wafer.
+    fn take(rows: &mut Rows<'_>) -> Result<Self::Value, SnapshotError>;
+}
+
+/// Declares each section's row once, in document order: its name and the
+/// ordered list of its fields, `"key" => binding: codec`. `{ shape }`
+/// destructures the row's value for the writer and rebuilds it for the
+/// reader; it names every struct field, so a new one does not compile
+/// until it has a key here or is listed in `rest`: the fields other rows
+/// carry, which the reader starts at their default. `Name: Type [..]` is
+/// shorthand for the shape `Type { every binding }`. `Name::put` writes a
+/// row; `Row::take` reads one.
+macro_rules! rows {
+    () => {};
+    (
+        $name:ident = $section:literal: $ty:ident $(rest { $($rest:ident),* })?
+        [$($key:expr => $bind:ident: $codec:expr),* $(,)?] $($more:tt)*
+    ) => {
+        rows! {
+            $name = $section: $ty => $ty { $ty { $($bind,)* $($($rest,)*)? } } $(rest { $($rest),* })?
+            [$($key => $bind: $codec),*] $($more)*
+        }
+    };
+    (
+        $name:ident = $section:literal: $put:ty => $take:ty { $($shape:tt)* } $(rest { $($rest:ident),* })?
+        [$($key:expr => $bind:ident: $codec:expr),* $(,)?] $($more:tt)*
+    ) => {
+        pub(crate) struct $name;
+
+        impl $name {
+            fn put(w: &mut Writer, wafer: Option<usize>, v: &$put) {
+                w.row($name::NAME, wafer);
+                let $($shape)* = v;
+                $($(let _ = $rest;)*)?
+                $(w.field($key, &$codec, $bind);)*
+            }
+        }
+
+        impl Row for $name {
+            const NAME: &'static str = $section;
+            type Value = $take;
+
+            fn take(rows: &mut Rows<'_>) -> Result<$take, SnapshotError> {
+                $(let $bind = rows.field($key, &$codec)?;)*
+                $($(let $rest = Default::default();)*)?
+                Ok($($shape)*)
+            }
+        }
+
+        rows! { $($more)* }
+    };
+}
+
+rows! {
+    Meta = "meta": Snapshot rest { engines, injector } [
+        "schema_version" => schema_version: Version, "config_hash" => config_hash: Bits,
+        "completed" => completed: U64, "faults_fired" => faults_fired: U64, "migrations" => migrations: Migrations,
+        "router_state" => router_state: U64, "placement_state" => placement_state: U64,
+        "think_rng" => think_rng: Arr::<_, 4>(List('|', Bits)),
+        "arrivals" => arrivals: List(';', Tup(':', (Float, USIZE))), "gated" => gated: List(';', USIZE),
+    ]
+
+    Engine = "engine": EngineSnapshot rest { records, pending, active, kv } [
+        "clock_s" => clock_s: Float, "busy_s" => busy_s: Float, "suspended" => admission_suspended: FLAG,
+        "mean_hops" => mean_hops: Float, "stats" => stats: Stats,
+    ]
+
+    Record = "record": RequestRecord [
+        "id" => id: USIZE, "prompt" => prompt_len: USIZE, "decode" => decode_len: USIZE,
+        "arrival_s" => arrival_s: Float, "admitted_s" => admitted_s: Float, "queue_wait_s" => queue_wait_s: Float,
+        "first_token_s" => first_token_s: Float, "completed_s" => completed_s: Float,
+        "evictions" => evictions: U32, "cached_prefix" => cached_prefix_tokens: USIZE,
+        "shared" => shared_prefix: Opt(Prefix),
+    ]
+
+    Pending = "pending": (f64, PendingReq) => (f64, PendingReq) {
+        (ready_s, PendingReq { rec, decoded, imported, wire_tokens, evicted, prefill_only })
+    } [
+        "ready_s" => ready_s: Float, REC => rec: USIZE, DECODED => decoded: USIZE, "imported" => imported: FLAG,
+        "wire_tokens" => wire_tokens: USIZE, "evicted" => evicted: FLAG, PREFILL_ONLY => prefill_only: FLAG,
+    ]
+
+    // The derived fields are rebuilt from the restored state on resume.
+    Active = "active": ActiveSeq rest { kv_slot, decode_len, since } [
+        REC => rec: USIZE, "prefill_remaining" => prefill_remaining: USIZE, DECODED => decoded: USIZE,
+        "admission_order" => admission_order: U64, PREFILL_ONLY => prefill_only: FLAG,
+    ]
+
+    Kv = "kv": KvManagerSnapshot => KvManagerSnapshot {
+        KvManagerSnapshot {
+            ring_next: [ring_k, ring_v], allocated_blocks, freed_blocks, transfers,
+            key_cores, value_cores, seq_blocks, resident_tokens, shared, seq_shared,
+        }
+    }
+    rest { key_cores, value_cores, seq_blocks, resident_tokens, shared, seq_shared } [
+        "ring_k" => ring_k: USIZE, "ring_v" => ring_v: USIZE,
+        "allocated" => allocated_blocks: U64, "freed" => freed_blocks: U64, "transfers" => transfers: Transfers,
+    ]
+
+    // Key-side cores first, each side's in order.
+    KvCores = "kv_cores": (bool, usize, &Vec<CrossbarSnapshot>) => (bool, usize, Vec<CrossbarSnapshot>) {
+        (value_side, core, xbs)
+    } [
+        "side" => value_side: SIDE, "core" => core: USIZE, "xbs" => xbs: List(';', Crossbar),
+    ]
+
+    KvSeqBlocks = "kv_seq_blocks": Vec<SnapshotSeqBlocks> => Vec<SnapshotSeqBlocks> { entries } [
+        ENTRIES => entries: List(';', Tup(':', (U64, List(',', Tup('.', (U8, USIZE, USIZE, USIZE)))))),
+    ]
+
+    KvResident = "kv_resident": Vec<(u64, usize)> => Vec<(u64, usize)> { entries } [
+        ENTRIES => entries: List(';', Tup(':', (U64, USIZE))),
+    ]
+
+    KvShared = "kv_shared": (u64, SharedChainSnapshot) => (u64, SharedChainSnapshot) {
+        (group, SharedChainSnapshot { k_core, v_core, nodes })
+    } [
+        "group" => group: U64, "k_core" => k_core: USIZE, "v_core" => v_core: USIZE,
+        "nodes" => nodes: List(';', Tup('!', (USIZE, SLOT, SLOT))),
+    ]
+
+    KvSeqShared = "kv_seq_shared": Vec<(u64, u64, usize)> => Vec<(u64, u64, usize)> { entries } [
+        ENTRIES => entries: List(';', Tup(':', (U64, U64, USIZE))),
+    ]
+
+    Injector = "injector": FaultInjectorSnapshot rest { wafers } [
+        "events" => events: List(';', Tup(':', (USIZE, Float, U64))),
+        "counters" => counters: Arr::<_, 8>(List('|', U64)),
+    ]
+
+    InjectorWafer = "injector_wafer": WaferFaultSnapshot [
+        "assignment" => assignment: List(';', U64), "kv_cores" => kv_cores: List(';', U64),
+        "failed" => failed: List(';', U64), "death_s" => death_s: Float, "stall_s" => stall_s: Float,
+    ]
+}
+
+/// The document under construction: every row is appended in place to one
+/// output `String`. Values are digits, hex digits and separator
+/// characters, so nothing needs escaping on either side.
+struct Writer(String);
+
+impl Writer {
+    /// Opens a row of `section`, on `wafer` for a per-wafer row, closing
+    /// the one before it (the document opens with `[`).
+    fn row(&mut self, section: &'static str, wafer: Option<usize>) {
+        let open = if self.0.ends_with('[') { "\n{\"" } else { "},\n{\"" };
+        self.0.extend([open, SECTION_KEY, "\":\"", section, "\""]);
+        if let Some(wafer) = wafer {
+            self.field(WAFER_KEY, &USIZE, &wafer);
+        }
+    }
+
+    fn field<C: Codec>(&mut self, key: &str, codec: &C, v: &C::T) {
+        self.0.extend([",\"", key, "\":\""]);
+        codec.put(&mut self.0, v);
+        self.0.push('"');
+    }
+}
+
+/// A document's rows, read in the writer's order: the next row's section
+/// is known before the row is read, and each row's fields are read in
+/// their pinned order. Keys and values must be strings borrowed from the
+/// text: the writer emits no escapes.
+pub(crate) struct Rows<'a> {
+    /// Holds the row being read, `field` of its fields read so far.
+    reader: RowReader<'a>,
+    field: usize,
+    /// Index of the row being read, its section once it is known to be
+    /// the expected one, and its section's name in the text (`None` at
+    /// the end of the document).
+    at: usize,
+    section: Option<&'static str>,
+    next: Option<&'a str>,
+}
+
+impl<'a> Rows<'a> {
+    fn error(&self, key: Option<&'static str>, kind: SnapshotErrorKind) -> SnapshotError {
+        SnapshotError { section: self.section, key, ..SnapshotError::in_row(self.at, kind) }
+    }
+
+    /// Loads the next row and reads its section.
+    fn advance(&mut self) -> Result<(), SnapshotError> {
+        (self.field, self.section) = (0, None);
+        let row =
+            self.reader.next_row().map_err(|e| SnapshotError::in_row(self.at, SnapshotErrorKind::Json(e)))?;
+        self.next = if row.is_some() { Some(self.text(SECTION_KEY)?) } else { None };
+        Ok(())
+    }
+
+    /// The text of the row's next field, which must be `key`.
+    fn text(&mut self, key: &'static str) -> Result<&'a str, SnapshotError> {
+        self.field += 1;
+        match self.reader.row().fields.get(self.field - 1) {
+            Some((Cow::Borrowed(k), Value::Str(Cow::Borrowed(v)))) if *k == key => Ok(v),
+            _ => Err(self.error(Some(key), SnapshotErrorKind::MissingKey)),
+        }
+    }
+
+    /// The value of the row's next field, which must be `key`, in `codec`.
+    fn field<C: Codec>(&mut self, key: &'static str, codec: &C) -> Result<C::T, SnapshotError> {
+        let text = self.text(key)?;
+        codec.take(text).ok_or_else(|| self.error(Some(key), C::BAD))
+    }
+
+    /// Whether the next row is one of `R`.
+    fn next_is<R: Row>(&self) -> bool {
+        self.next == Some(R::NAME)
+    }
+
+    /// The next row, which must be one of `R`, on `wafer` for a per-wafer
+    /// row.
+    fn one<R: Row>(&mut self, wafer: Option<usize>) -> Result<R::Value, SnapshotError> {
+        use SnapshotErrorKind::{Incomplete, OutOfOrder};
+        ensure(
+            self.next_is::<R>(),
+            self.error(None, if self.next.is_some() { OutOfOrder } else { Incomplete }),
+        )?;
+        self.section = Some(R::NAME);
+        if let Some(wafer) = wafer {
+            let read = self.field(WAFER_KEY, &USIZE)?;
+            ensure(read == wafer, self.error(Some(WAFER_KEY), OutOfOrder))?;
+        }
+        let v = R::take(self)?;
+        ensure(self.field == self.reader.row().fields.len(), self.error(None, SnapshotErrorKind::ExtraKey))?;
+        self.at += 1;
+        self.advance()?;
+        Ok(v)
+    }
+
+    /// The rows of `R` on `wafer` that come next, if any.
+    fn many<R: Row>(&mut self, wafer: Option<usize>) -> Result<Vec<R::Value>, SnapshotError> {
+        std::iter::from_fn(|| self.next_is::<R>().then(|| self.one::<R>(wafer))).collect()
     }
 }
 
@@ -502,594 +994,103 @@ impl Snapshot {
     /// rendered length of each row and list item, so the document is
     /// allocated once.
     fn json_len(&self) -> usize {
-        let engines: usize = self
-            .engines
-            .iter()
-            .map(|e| {
-                let kv = &e.kv;
-                let blocks: usize =
-                    kv.key_cores.iter().chain(&kv.value_cores).flatten().map(|xb| xb.blocks.len()).sum();
-                let listed: usize = kv.seq_blocks.iter().map(|(_, b)| b.len()).sum();
-                4096 + 300 * e.records.len()
-                    + 160 * (e.pending.len() + e.active.len())
-                    + 4 * blocks
-                    + 16 * listed
-            })
-            .sum();
-        let injector = self.injector.as_ref().map_or(0, |inj| {
-            let cores: usize =
-                inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len() + w.failed.len()).sum();
-            512 + 40 * inj.events.len() + 160 * inj.wafers.len() + 8 * cores
-        });
-        1024 + 24 * self.arrivals.len() + 8 * self.gated.len() + engines + injector
+        let mut len = 1024 + 24 * self.arrivals.len() + 8 * self.gated.len();
+        for e in &self.engines {
+            let blocks = e.kv.key_cores.iter().chain(&e.kv.value_cores).flatten().map(|xb| xb.blocks.len());
+            let listed = e.kv.seq_blocks.iter().map(|(_, blocks)| blocks.len());
+            len += 4096 + 300 * e.records.len() + 160 * (e.pending.len() + e.active.len());
+            len += 4 * blocks.sum::<usize>() + 16 * listed.sum::<usize>();
+        }
+        if let Some(inj) = &self.injector {
+            let cores = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len() + w.failed.len());
+            len += 512 + 40 * inj.events.len() + 160 * inj.wafers.len() + 8 * cores.sum::<usize>();
+        }
+        len
     }
 
     /// Serializes the snapshot (see the module doc for the format).
     pub fn to_json(&self) -> String {
-        let mut d = Doc::new(self.json_len());
-        let m = &self.migrations;
-        d.row("meta")
-            .int("schema_version", self.schema_version)
-            .key("config_hash")
-            .bits(self.config_hash)
-            .close()
-            .int("completed", self.completed)
-            .int("faults_fired", self.faults_fired)
-            .key("migrations")
-            .list('|', [m.count, m.wire_tokens, m.deduped_tokens], Doc::n)
-            .sep('|')
-            .list('|', [m.transit_s, m.max_transit_s, m.energy_j], Doc::f)
-            .close()
-            .int("router_state", self.router_state)
-            .int("placement_state", self.placement_state)
-            .key("think_rng")
-            .list('|', self.think_rng, Doc::bits)
-            .close()
-            .key("arrivals")
-            .list(';', &self.arrivals, |d, &(t, i)| d.f(t).sep(':').n(i))
-            .close()
-            .key("gated")
-            .list(';', &self.gated, |d, &i| d.n(i))
-            .close();
+        let mut w = Writer(String::with_capacity(self.json_len()));
+        w.0.push('[');
+        Meta::put(&mut w, None, self);
         for (wafer, e) in self.engines.iter().enumerate() {
-            let s = &e.stats;
-            d.row("engine")
-                .int("wafer", wafer)
-                .float("clock_s", e.clock_s)
-                .float("busy_s", e.busy_s)
-                .flag("suspended", e.admission_suspended)
-                .float("mean_hops", e.mean_hops)
-                .key("stats")
-                .list('|', [s.admissions, s.evictions, s.recomputed_tokens, s.prefilled_tokens], Doc::n)
-                .sep('|')
-                .list(
-                    '|',
-                    [s.cached_prefix_tokens, s.prefix_hits, s.dropped, s.dropped_imported_tokens],
-                    Doc::n,
-                )
-                .sep('|')
-                .n(s.steps)
-                .sep('|')
-                .n(s.peak_resident)
-                .sep('|')
-                .list('|', [s.faults, s.fault_evicted_seqs, s.fault_evicted_tokens], Doc::n)
-                .sep('|')
-                .f(s.stall_s)
-                .close();
-            for r in &e.records {
-                d.row("record")
-                    .int("wafer", wafer)
-                    .int("id", r.id)
-                    .int("prompt", r.prompt_len)
-                    .int("decode", r.decode_len)
-                    .float("arrival_s", r.arrival_s)
-                    .float("admitted_s", r.admitted_s)
-                    .float("queue_wait_s", r.queue_wait_s)
-                    .float("first_token_s", r.first_token_s)
-                    .float("completed_s", r.completed_s)
-                    .int("evictions", r.evictions)
-                    .int("cached_prefix", r.cached_prefix_tokens)
-                    .key("shared");
-                match r.shared_prefix {
-                    None => d.sep('-'),
-                    Some(p) => d.n(p.group).sep(':').n(p.tokens),
-                }
-                .close();
-            }
-            for &(ready_s, p) in &e.pending {
-                d.row("pending")
-                    .int("wafer", wafer)
-                    .float("ready_s", ready_s)
-                    .int("rec", p.rec)
-                    .int("decoded", p.decoded)
-                    .flag("imported", p.imported)
-                    .int("wire_tokens", p.wire_tokens)
-                    .flag("evicted", p.evicted)
-                    .flag("prefill_only", p.prefill_only);
-            }
-            for a in &e.active {
-                d.row("active")
-                    .int("wafer", wafer)
-                    .int("rec", a.rec)
-                    .int("prefill_remaining", a.prefill_remaining)
-                    .int("decoded", a.decoded)
-                    .int("admission_order", a.admission_order)
-                    .flag("prefill_only", a.prefill_only);
-            }
+            let at = Some(wafer);
+            Engine::put(&mut w, at, e);
+            e.records.iter().for_each(|r| Record::put(&mut w, at, r));
+            e.pending.iter().for_each(|p| Pending::put(&mut w, at, p));
+            e.active.iter().for_each(|a| Active::put(&mut w, at, a));
             let kv = &e.kv;
-            let t = &kv.transfers;
-            d.row("kv")
-                .int("wafer", wafer)
-                .int("ring_k", kv.ring_next[0])
-                .int("ring_v", kv.ring_next[1])
-                .int("allocated", kv.allocated_blocks)
-                .int("freed", kv.freed_blocks)
-                .key("transfers")
-                .list(
-                    '|',
-                    [t.exported_sequences, t.exported_tokens, t.imported_sequences, t.imported_tokens],
-                    Doc::n,
-                )
-                .close();
-            for (side, cores) in [("k", &kv.key_cores), ("v", &kv.value_cores)] {
+            Kv::put(&mut w, at, kv);
+            for (value_side, cores) in [(false, &kv.key_cores), (true, &kv.value_cores)] {
                 for (core, xbs) in cores.iter().enumerate() {
-                    d.row("kv_cores")
-                        .int("wafer", wafer)
-                        .key("side")
-                        .text(side)
-                        .close()
-                        .int("core", core)
-                        .key("xbs")
-                        .list(';', xbs, |d, xb| {
-                            d.n(u8::from(xb.failed)).sep('!').list(',', &xb.blocks, |d, b| match *b {
-                                None => d.sep('-'),
-                                Some((owner, used)) => d.n(owner).sep(':').n(used),
-                            })
-                        })
-                        .close();
+                    KvCores::put(&mut w, at, &(value_side, core, xbs));
                 }
             }
-            d.row("kv_seq_blocks")
-                .int("wafer", wafer)
-                .key("entries")
-                .list(';', &kv.seq_blocks, |d, (seq, blocks)| {
-                    d.n(*seq).sep(':').list(',', blocks, |d, &(r, ci, xb, b)| {
-                        d.n(r).sep('.').n(ci).sep('.').n(xb).sep('.').n(b)
-                    })
-                })
-                .close();
-            d.row("kv_resident")
-                .int("wafer", wafer)
-                .key("entries")
-                .list(';', &kv.resident_tokens, |d, &(seq, t)| d.n(seq).sep(':').n(t))
-                .close();
-            for (group, chain) in &kv.shared {
-                d.row("kv_shared")
-                    .int("wafer", wafer)
-                    .int("group", *group)
-                    .int("k_core", chain.k_core)
-                    .int("v_core", chain.v_core)
-                    .key("nodes")
-                    .list(';', &chain.nodes, |d, &(refs, (kc, kx, kb), (vc, vx, vb))| {
-                        d.n(refs).sep('!').n(kc).sep('.').n(kx).sep('.').n(kb);
-                        d.sep('!').n(vc).sep('.').n(vx).sep('.').n(vb)
-                    })
-                    .close();
-            }
-            d.row("kv_seq_shared")
-                .int("wafer", wafer)
-                .key("entries")
-                .list(';', &kv.seq_shared, |d, &(seq, g, n)| d.n(seq).sep(':').n(g).sep(':').n(n))
-                .close();
+            KvSeqBlocks::put(&mut w, at, &kv.seq_blocks);
+            KvResident::put(&mut w, at, &kv.resident_tokens);
+            kv.shared.iter().for_each(|chain| KvShared::put(&mut w, at, chain));
+            KvSeqShared::put(&mut w, at, &kv.seq_shared);
         }
         if let Some(inj) = &self.injector {
-            d.row("injector")
-                .key("events")
-                .list(';', &inj.events, |d, &(w, t, draw)| d.n(w).sep(':').f(t).sep(':').n(draw))
-                .close()
-                .key("counters")
-                .list('|', inj.counters, Doc::n)
-                .close();
-            for (wafer, w) in inj.wafers.iter().enumerate() {
-                d.row("injector_wafer")
-                    .int("wafer", wafer)
-                    .key("assignment")
-                    .list(';', &w.assignment, |d, &c| d.n(c))
-                    .close()
-                    .key("kv_cores")
-                    .list(';', &w.kv_cores, |d, &c| d.n(c))
-                    .close()
-                    .key("failed")
-                    .list(';', &w.failed, |d, &c| d.n(c))
-                    .close()
-                    .float("death_s", w.death_s)
-                    .float("stall_s", w.stall_s);
+            Injector::put(&mut w, None, inj);
+            for (wafer, state) in inj.wafers.iter().enumerate() {
+                InjectorWafer::put(&mut w, Some(wafer), state);
             }
         }
-        d.finish()
+        w.0.push_str(if w.0.ends_with('[') { "\n\n]\n" } else { "}\n]\n" });
+        w.0
     }
 
-    /// Parses a [`Snapshot::to_json`] document, consuming each row as it is
-    /// read and each row's keys in their pinned order.
+    /// Parses a [`Snapshot::to_json`] document, reading its rows in the
+    /// order `to_json` writes them and each row's keys in their pinned
+    /// order. A document that parses writes back to itself, whitespace
+    /// aside.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed token, unknown
-    /// section, missing, misplaced or extra field, or schema-version
-    /// mismatch.
-    pub fn parse(text: &str) -> Result<Snapshot, String> {
-        let mut rows = RowReader::new(text)?;
-        let mut snap = Snapshot {
-            schema_version: 0,
-            config_hash: 0,
-            completed: 0,
-            faults_fired: 0,
-            router_state: 0,
-            placement_state: 0,
-            arrivals: Vec::new(),
-            gated: Vec::new(),
-            think_rng: [0; 4],
-            migrations: MigrationTotals::default(),
-            engines: Vec::new(),
-            injector: None,
-        };
-        let mut saw_meta = false;
-        while let Some(row) = rows.next_row()? {
-            let mut f = Fields(row.fields.iter());
-            let section = f.str("section")?;
-            match section {
-                "meta" => {
-                    saw_meta = true;
-                    snap.schema_version =
-                        f.str("schema_version")?.parse().map_err(|e| format!("schema_version: {e}"))?;
-                    if snap.schema_version != SNAPSHOT_SCHEMA_VERSION {
-                        return Err(format!(
-                            "snapshot schema v{} is not the supported v{SNAPSHOT_SCHEMA_VERSION}",
-                            snap.schema_version
-                        ));
-                    }
-                    snap.config_hash = p_hex_u64(f.str("config_hash")?)?;
-                    snap.completed = p_u64(f.str("completed")?)?;
-                    snap.faults_fired = p_u64(f.str("faults_fired")?)?;
-                    let [count, wire, deduped, transit, max_transit, energy] =
-                        parts(f.str("migrations")?, "meta migrations")?;
-                    snap.migrations = MigrationTotals {
-                        count: p_u64(count)?,
-                        wire_tokens: p_u64(wire)?,
-                        deduped_tokens: p_u64(deduped)?,
-                        transit_s: p_f64(transit)?,
-                        max_transit_s: p_f64(max_transit)?,
-                        energy_j: p_f64(energy)?,
-                    };
-                    snap.router_state = p_u64(f.str("router_state")?)?;
-                    snap.placement_state = p_u64(f.str("placement_state")?)?;
-                    let rng: Vec<u64> =
-                        split(f.str("think_rng")?, '|').map(p_hex_u64).collect::<Result<_, _>>()?;
-                    snap.think_rng = rng
-                        .try_into()
-                        .map_err(|v: Vec<u64>| format!("think_rng has {} words, expected 4", v.len()))?;
-                    snap.arrivals = split(f.str("arrivals")?, ';')
-                        .map(|item| {
-                            let (t, i) = pair(item, ':')?;
-                            Ok((p_f64(t)?, p_usize(i)?))
-                        })
-                        .collect::<Result<_, String>>()?;
-                    snap.gated = split(f.str("gated")?, ';').map(p_usize).collect::<Result<_, _>>()?;
-                }
-                "engine" => {
-                    let wafer = p_usize(f.str("wafer")?)?;
-                    if wafer != snap.engines.len() {
-                        return Err(format!("engine row for wafer {wafer} out of order"));
-                    }
-                    // Struct fields evaluate in source order, which is the
-                    // keys' pinned order.
-                    snap.engines.push(EngineSnapshot {
-                        clock_s: p_f64(f.str("clock_s")?)?,
-                        busy_s: p_f64(f.str("busy_s")?)?,
-                        admission_suspended: p_bool(f.str("suspended")?)?,
-                        mean_hops: p_f64(f.str("mean_hops")?)?,
-                        stats: {
-                            let s: [&str; 14] = parts(f.str("stats")?, "engine stats")?;
-                            EngineStats {
-                                admissions: p_u64(s[0])?,
-                                evictions: p_u64(s[1])?,
-                                recomputed_tokens: p_u64(s[2])?,
-                                prefilled_tokens: p_u64(s[3])?,
-                                cached_prefix_tokens: p_u64(s[4])?,
-                                prefix_hits: p_u64(s[5])?,
-                                dropped: p_u64(s[6])?,
-                                dropped_imported_tokens: p_u64(s[7])?,
-                                steps: p_u64(s[8])?,
-                                peak_resident: p_usize(s[9])?,
-                                faults: p_u64(s[10])?,
-                                fault_evicted_seqs: p_u64(s[11])?,
-                                fault_evicted_tokens: p_u64(s[12])?,
-                                stall_s: p_f64(s[13])?,
-                            }
-                        },
-                        records: Vec::new(),
-                        pending: Vec::new(),
-                        active: Vec::new(),
-                        kv: KvManagerSnapshot {
-                            ring_next: [0, 0],
-                            allocated_blocks: 0,
-                            freed_blocks: 0,
-                            transfers: KvTransferStats::default(),
-                            key_cores: Vec::new(),
-                            value_cores: Vec::new(),
-                            seq_blocks: Vec::new(),
-                            resident_tokens: Vec::new(),
-                            shared: Vec::new(),
-                            seq_shared: Vec::new(),
-                        },
-                    });
-                }
-                "record" | "pending" | "active" | "kv" | "kv_cores" | "kv_seq_blocks" | "kv_resident"
-                | "kv_shared" | "kv_seq_shared" => {
-                    let wafer = p_usize(f.str("wafer")?)?;
-                    let e = snap
-                        .engines
-                        .get_mut(wafer)
-                        .ok_or_else(|| format!("{section} row for wafer {wafer} precedes its engine row"))?;
-                    parse_engine_row(section, &mut f, e)?;
-                }
-                "injector" => {
-                    snap.injector = Some(FaultInjectorSnapshot {
-                        events: split(f.str("events")?, ';')
-                            .map(|item| {
-                                let mut it = item.split(':');
-                                let (w, t, draw) = (next(&mut it)?, next(&mut it)?, next(&mut it)?);
-                                Ok((p_usize(w)?, p_f64(t)?, p_u64(draw)?))
-                            })
-                            .collect::<Result<_, String>>()?,
-                        wafers: Vec::new(),
-                        counters: split(f.str("counters")?, '|')
-                            .map(p_u64)
-                            .collect::<Result<Vec<u64>, _>>()?
-                            .try_into()
-                            .map_err(|v: Vec<u64>| {
-                                format!("injector has {} counters, expected 8", v.len())
-                            })?,
-                    });
-                }
-                "injector_wafer" => {
-                    let inj = snap.injector.as_mut().ok_or("injector_wafer row precedes the injector row")?;
-                    let wafer = p_usize(f.str("wafer")?)?;
-                    if wafer != inj.wafers.len() {
-                        return Err(format!("injector_wafer row for wafer {wafer} out of order"));
-                    }
-                    inj.wafers.push(WaferFaultSnapshot {
-                        assignment: split(f.str("assignment")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        kv_cores: split(f.str("kv_cores")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        failed: split(f.str("failed")?, ';').map(p_u64).collect::<Result<_, _>>()?,
-                        death_s: p_f64(f.str("death_s")?)?,
-                        stall_s: p_f64(f.str("stall_s")?)?,
-                    });
-                }
-                other => return Err(format!("unknown snapshot section {other:?}")),
+    /// Returns the [`SnapshotError`] of the first row that is not valid
+    /// JSON, names an unknown section, misses, misplaces or adds a key,
+    /// holds a value not in its canonical form or a schema version other
+    /// than [`SNAPSHOT_SCHEMA_VERSION`], or stands out of the writer's
+    /// order, or of the end of a document cut short.
+    pub fn parse(text: &str) -> Result<Snapshot, SnapshotError> {
+        use SnapshotErrorKind::OutOfOrder;
+        let reader =
+            RowReader::new(text).map_err(|e| SnapshotError::in_row(0, SnapshotErrorKind::Json(e)))?;
+        let mut rows = Rows { reader, field: 0, at: 0, section: None, next: None };
+        rows.advance()?;
+        let mut snap = rows.one::<Meta>(None)?;
+        while rows.next_is::<Engine>() {
+            let at = Some(snap.engines.len());
+            let mut e = rows.one::<Engine>(at)?;
+            e.records = rows.many::<Record>(at)?;
+            e.pending = rows.many::<Pending>(at)?;
+            e.active = rows.many::<Active>(at)?;
+            e.kv = rows.one::<Kv>(at)?;
+            while rows.next_is::<KvCores>() {
+                let in_order = e.kv.value_cores.is_empty();
+                let misplaced =
+                    SnapshotError { section: Some(KvCores::NAME), ..rows.error(None, OutOfOrder) };
+                let (value_side, core, xbs) = rows.one::<KvCores>(at)?;
+                let side = if value_side { &mut e.kv.value_cores } else { &mut e.kv.key_cores };
+                ensure((value_side || in_order) && core == side.len(), misplaced)?;
+                side.push(xbs);
             }
-            f.end(section)?;
+            e.kv.seq_blocks = rows.one::<KvSeqBlocks>(at)?;
+            e.kv.resident_tokens = rows.one::<KvResident>(at)?;
+            e.kv.shared = rows.many::<KvShared>(at)?;
+            e.kv.seq_shared = rows.one::<KvSeqShared>(at)?;
+            snap.engines.push(e);
         }
-        if !saw_meta {
-            return Err("snapshot has no meta row".to_string());
+        if rows.next_is::<Injector>() {
+            let mut inj = rows.one::<Injector>(None)?;
+            while rows.next_is::<InjectorWafer>() {
+                inj.wafers.push(rows.one::<InjectorWafer>(Some(inj.wafers.len()))?);
+            }
+            snap.injector = Some(inj);
         }
+        ensure(rows.next.is_none(), rows.error(None, OutOfOrder))?;
         Ok(snap)
-    }
-}
-
-/// One row's fields, read in their pinned order.
-struct Fields<'r, 'a>(std::slice::Iter<'r, (Cow<'a, str>, Value<Cow<'a, str>>)>);
-
-impl<'r> Fields<'r, '_> {
-    /// The string value of the next field, which must be `key`.
-    fn str(&mut self, key: &str) -> Result<&'r str, String> {
-        match self.0.next() {
-            Some((k, Value::Str(v))) if k == key => Ok(v),
-            _ => Err(format!("row has no string field {key:?} in its place")),
-        }
-    }
-
-    /// Checks that the row has no field left.
-    fn end(mut self, section: &str) -> Result<(), String> {
-        match self.0.next() {
-            None => Ok(()),
-            Some((k, _)) => Err(format!("{section} row has an unexpected field {k:?}")),
-        }
-    }
-}
-
-fn parse_engine_row(section: &str, f: &mut Fields<'_, '_>, e: &mut EngineSnapshot) -> Result<(), String> {
-    match section {
-        "record" => e.records.push(RequestRecord {
-            id: p_usize(f.str("id")?)?,
-            prompt_len: p_usize(f.str("prompt")?)?,
-            decode_len: p_usize(f.str("decode")?)?,
-            arrival_s: p_f64(f.str("arrival_s")?)?,
-            admitted_s: p_f64(f.str("admitted_s")?)?,
-            queue_wait_s: p_f64(f.str("queue_wait_s")?)?,
-            first_token_s: p_f64(f.str("first_token_s")?)?,
-            completed_s: p_f64(f.str("completed_s")?)?,
-            evictions: f.str("evictions")?.parse().map_err(|e| format!("evictions: {e}"))?,
-            cached_prefix_tokens: p_usize(f.str("cached_prefix")?)?,
-            shared_prefix: match f.str("shared")? {
-                "-" => None,
-                s => {
-                    let (g, t) = pair(s, ':')?;
-                    Some(SharedPrefix { group: p_u64(g)?, tokens: p_usize(t)? })
-                }
-            },
-        }),
-        "pending" => e.pending.push((
-            p_f64(f.str("ready_s")?)?,
-            PendingReq {
-                rec: p_usize(f.str("rec")?)?,
-                decoded: p_usize(f.str("decoded")?)?,
-                imported: p_bool(f.str("imported")?)?,
-                wire_tokens: p_usize(f.str("wire_tokens")?)?,
-                evicted: p_bool(f.str("evicted")?)?,
-                prefill_only: p_bool(f.str("prefill_only")?)?,
-            },
-        )),
-        "active" => e.active.push(ActiveSeq {
-            rec: p_usize(f.str("rec")?)?,
-            prefill_remaining: p_usize(f.str("prefill_remaining")?)?,
-            decoded: p_usize(f.str("decoded")?)?,
-            admission_order: p_u64(f.str("admission_order")?)?,
-            prefill_only: p_bool(f.str("prefill_only")?)?,
-            // Derived fields: `rebuild` fills them from the restored state.
-            ..ActiveSeq::default()
-        }),
-        "kv" => {
-            e.kv.ring_next = [p_usize(f.str("ring_k")?)?, p_usize(f.str("ring_v")?)?];
-            e.kv.allocated_blocks = p_u64(f.str("allocated")?)?;
-            e.kv.freed_blocks = p_u64(f.str("freed")?)?;
-            let [exported_sequences, exported_tokens, imported_sequences, imported_tokens] =
-                parts(f.str("transfers")?, "kv transfers")?;
-            e.kv.transfers = KvTransferStats {
-                exported_sequences: p_u64(exported_sequences)?,
-                exported_tokens: p_u64(exported_tokens)?,
-                imported_sequences: p_u64(imported_sequences)?,
-                imported_tokens: p_u64(imported_tokens)?,
-            };
-        }
-        "kv_cores" => {
-            let side = match f.str("side")? {
-                "k" => &mut e.kv.key_cores,
-                "v" => &mut e.kv.value_cores,
-                other => return Err(format!("unknown kv side {other:?}")),
-            };
-            if p_usize(f.str("core")?)? != side.len() {
-                return Err("kv_cores row out of order".to_string());
-            }
-            let xbs: Vec<CrossbarSnapshot> = split(f.str("xbs")?, ';')
-                .map(|xb| {
-                    let (failed, blocks) = pair(xb, '!')?;
-                    Ok(CrossbarSnapshot {
-                        failed: p_bool(failed)?,
-                        blocks: split(blocks, ',')
-                            .map(|b| {
-                                if b == "-" {
-                                    Ok(None)
-                                } else {
-                                    let (owner, used) = pair(b, ':')?;
-                                    Ok(Some((p_u64(owner)?, p_usize(used)?)))
-                                }
-                            })
-                            .collect::<Result<_, String>>()?,
-                    })
-                })
-                .collect::<Result<_, String>>()?;
-            side.push(xbs);
-        }
-        "kv_seq_blocks" => {
-            e.kv.seq_blocks = split(f.str("entries")?, ';')
-                .map(|item| {
-                    let (seq, blocks) = pair(item, ':')?;
-                    Ok((
-                        p_u64(seq)?,
-                        split(blocks, ',')
-                            .map(|b| {
-                                let mut it = b.split('.');
-                                Ok((
-                                    p_u8(next(&mut it)?)?,
-                                    p_usize(next(&mut it)?)?,
-                                    p_usize(next(&mut it)?)?,
-                                    p_usize(next(&mut it)?)?,
-                                ))
-                            })
-                            .collect::<Result<_, String>>()?,
-                    ))
-                })
-                .collect::<Result<_, String>>()?;
-        }
-        "kv_resident" => {
-            e.kv.resident_tokens = split(f.str("entries")?, ';')
-                .map(|item| {
-                    let (seq, t) = pair(item, ':')?;
-                    Ok((p_u64(seq)?, p_usize(t)?))
-                })
-                .collect::<Result<_, String>>()?;
-        }
-        "kv_shared" => {
-            let p_slot = |s: &str| -> Result<SnapshotSlot, String> {
-                let mut it = s.split('.');
-                Ok((p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?, p_usize(next(&mut it)?)?))
-            };
-            e.kv.shared.push((
-                p_u64(f.str("group")?)?,
-                SharedChainSnapshot {
-                    k_core: p_usize(f.str("k_core")?)?,
-                    v_core: p_usize(f.str("v_core")?)?,
-                    nodes: split(f.str("nodes")?, ';')
-                        .map(|node| {
-                            let mut it = node.split('!');
-                            let refs = p_usize(next(&mut it)?)?;
-                            let k = p_slot(next(&mut it)?)?;
-                            let v = p_slot(next(&mut it)?)?;
-                            Ok((refs, k, v))
-                        })
-                        .collect::<Result<_, String>>()?,
-                },
-            ));
-        }
-        "kv_seq_shared" => {
-            e.kv.seq_shared = split(f.str("entries")?, ';')
-                .map(|item| {
-                    let mut it = item.split(':');
-                    Ok((p_u64(next(&mut it)?)?, p_u64(next(&mut it)?)?, p_usize(next(&mut it)?)?))
-                })
-                .collect::<Result<_, String>>()?;
-        }
-        _ => unreachable!("dispatched above"),
-    }
-    Ok(())
-}
-
-// --- tiny strict parser helpers -------------------------------------------
-
-fn split(s: &str, sep: char) -> impl Iterator<Item = &str> {
-    s.split(sep).filter(|p| !p.is_empty())
-}
-
-/// The `|`-separated parts of a fixed-width value, exactly `N` of them.
-fn parts<'s, const N: usize>(s: &'s str, what: &str) -> Result<[&'s str; N], String> {
-    let parts: Vec<&str> = s.split('|').collect();
-    parts.try_into().map_err(|v: Vec<&str>| format!("{what} has {} fields, expected {N}", v.len()))
-}
-
-fn pair(s: &str, sep: char) -> Result<(&str, &str), String> {
-    s.split_once(sep).ok_or_else(|| format!("expected {sep:?}-separated pair, got {s:?}"))
-}
-
-fn next<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<&'a str, String> {
-    it.next().ok_or_else(|| "truncated tuple in snapshot row".to_string())
-}
-
-fn p_u64(s: &str) -> Result<u64, String> {
-    s.parse().map_err(|e| format!("bad u64 {s:?}: {e}"))
-}
-
-fn p_u8(s: &str) -> Result<u8, String> {
-    s.parse().map_err(|e| format!("bad u8 {s:?}: {e}"))
-}
-
-fn p_usize(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|e| format!("bad usize {s:?}: {e}"))
-}
-
-fn p_hex_u64(s: &str) -> Result<u64, String> {
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad hex u64 {s:?}: {e}"))
-}
-
-fn p_f64(s: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(p_hex_u64(s)?))
-}
-
-fn p_bool(s: &str) -> Result<bool, String> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(format!("bad bool {other:?}")),
     }
 }
 
@@ -1097,29 +1098,69 @@ fn p_bool(s: &str) -> Result<bool, String> {
 mod tests {
     use super::*;
     use crate::policy::{placements, routers};
+    use ouro_trace::json::JsonErrorKind;
     use ouro_workload::SessionConfig;
 
-    /// What `write` appends to an empty document.
-    fn written(write: impl FnOnce(&mut Doc) -> &mut Doc) -> String {
-        let mut d = Doc::new(0);
-        write(&mut d);
-        d.out.split_off(2)
+    /// `v` as `codec` writes it.
+    fn written<C: Codec>(codec: C, v: C::T) -> String {
+        let mut out = String::new();
+        codec.put(&mut out, &v);
+        out
     }
 
     #[test]
     fn float_hex_round_trips_every_bit_pattern_class() {
         for v in [0.0, -0.0, 1.5, f64::INFINITY, f64::NEG_INFINITY, f64::MIN_POSITIVE, 1e-300] {
-            assert_eq!(p_f64(&written(|d| d.f(v))).unwrap().to_bits(), v.to_bits());
+            assert_eq!(Float.take(&written(Float, v)).unwrap().to_bits(), v.to_bits());
         }
-        assert!(p_f64(&written(|d| d.f(f64::NAN))).unwrap().is_nan());
-        assert_eq!(written(|d| d.f(1.0)), format!("{:016x}", 1f64.to_bits()));
+        assert!(Float.take(&written(Float, f64::NAN)).unwrap().is_nan());
+        assert_eq!(written(Float, 1.0), format!("{:016x}", 1f64.to_bits()));
     }
 
     #[test]
     fn integers_are_written_in_decimal() {
         for v in [0, 7, 10, 99, 1_000_000, u64::MAX] {
-            assert_eq!(written(|d| d.n(v)), v.to_string());
+            assert_eq!(written(U64, v), v.to_string());
+            assert_eq!(U64.take(&v.to_string()), Some(v));
         }
+    }
+
+    #[test]
+    fn value_readers_accept_exactly_what_the_writers_emit() {
+        for bad in ["", "+1", "-1", "01", "00", " 1", "1 ", "1_0", "18446744073709551616"] {
+            assert_eq!(U64.take(bad), None, "{bad:?}");
+        }
+        assert_eq!(U8.take("255"), Some(255));
+        assert_eq!(U8.take("256"), None, "past the field's width");
+        assert_eq!(Bits.take("00000000000000ff"), Some(0xff));
+        for bad in ["ff", "00000000000000FF", "+00000000000000f", "000000000000000ff", "000000000000000g"] {
+            assert_eq!(Bits.take(bad), None, "{bad:?}");
+        }
+        assert_eq!(
+            (FLAG.take("0"), FLAG.take("1"), FLAG.take("2"), FLAG.take("")),
+            (Some(false), Some(true), None, None)
+        );
+        assert_eq!((SIDE.take("k"), SIDE.take("v"), SIDE.take("K")), (Some(false), Some(true), None));
+        assert_eq!(Version.take("3"), Some(SNAPSHOT_SCHEMA_VERSION));
+        assert_eq!(Version.take("2"), None);
+        let list = List(';', USIZE);
+        assert_eq!(
+            (list.take(""), list.take("4"), list.take("1;2")),
+            (Some(vec![]), Some(vec![4]), Some(vec![1, 2]))
+        );
+        for bad in [";", "1;", ";1", "1;;2"] {
+            assert_eq!(list.take(bad), None, "{bad:?}");
+        }
+        let pair = Opt(Tup(':', (U64, USIZE)));
+        assert_eq!((pair.take("-"), pair.take("1:2")), (Some(None), Some(Some((1, 2)))));
+        for bad in ["", "--", "1", "1:", ":2", "1:2:3"] {
+            assert_eq!(pair.take(bad), None, "{bad:?}");
+        }
+        let four = Arr::<_, 4>(List('|', U64));
+        assert_eq!(four.take("1|2|3|4"), Some([1, 2, 3, 4]));
+        assert_eq!((four.take("1|2|3"), four.take("1|2|3|4|5")), (None, None));
+        assert_eq!(Prefix.take("7:64"), Some(SharedPrefix { group: 7, tokens: 64 }));
+        assert_eq!(Prefix.take("7:64:1"), None);
     }
 
     #[test]
@@ -1157,11 +1198,26 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        assert!(Snapshot::parse("").is_err());
-        assert!(Snapshot::parse("[]").is_err(), "a meta row is required");
-        assert!(Snapshot::parse("[{\"section\":\"warp\"}]").is_err());
-        assert!(Snapshot::parse("[{\"section\":\"meta\"}]").is_err(), "meta fields are required");
-        let v1 = Snapshot::parse("[{\"section\":\"meta\",\"schema_version\":\"1\"}]").unwrap_err();
-        assert!(v1.contains("schema v1"), "a v1 document is rejected at its version: {v1}");
+        use SnapshotErrorKind::*;
+        let at = |row, section, key, kind| SnapshotError { row: Some(row), wafer: None, section, key, kind };
+        let json = |offset, kind| Json(JsonError { offset, kind });
+        for (text, err, why) in [
+            ("", at(0, None, None, json(0, JsonErrorKind::Expected('['))), "not JSON"),
+            ("[]", at(0, None, None, Incomplete), "a meta row is required"),
+            ("[{\"section\":\"warp\"}]", at(0, None, None, OutOfOrder), "an unknown section"),
+            (
+                "[{\"section\":\"meta\"}]",
+                at(0, Some("meta"), Some("schema_version"), MissingKey),
+                "meta fields",
+            ),
+            (
+                "[{\"section\":\"meta\",\"schema_version\":\"1\"}]",
+                at(0, Some("meta"), Some("schema_version"), SchemaVersion),
+                "a v1 document is rejected at its version",
+            ),
+            ("[{\"section\":\"engine\",\"wafer\":\"0\"}]", at(0, None, None, OutOfOrder), "meta comes first"),
+        ] {
+            assert_eq!(Snapshot::parse(text).unwrap_err(), err, "{why}");
+        }
     }
 }

@@ -9,10 +9,11 @@
 //! goldens pin: colocated/disaggregated × faults × prefix caching, over
 //! open- and closed-loop arrival processes.
 
-use ouro_kvcache::{KvError, KvManager};
+use ouro_kvcache::{KvManager, KvRestoreError};
 use ouro_model::zoo;
 use ouro_serve::json::{fnv1a, read_rows};
-use ouro_serve::{EventKind, FaultConfig, RunReport, Scenario, SloConfig, Snapshot};
+use ouro_serve::SnapshotErrorKind::{self, *};
+use ouro_serve::{EventKind, FaultConfig, RunReport, Scenario, SloConfig, Snapshot, SnapshotError};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
 use proptest::prelude::*;
@@ -185,7 +186,7 @@ fn resuming_under_a_different_config_is_rejected() {
     run.run_until(mid_s);
     let snap = scenario.checkpoint(&run);
     let other = golden_shapes().remove(1).1;
-    assert!(matches!(other.resume(&sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+    assert_eq!(other.resume(&sys, &snap).err(), Some(rejected(None, "meta", ConfigHash)));
 }
 
 #[test]
@@ -197,17 +198,33 @@ fn resuming_with_a_wafer_missing_is_rejected() {
     let json = scenario.checkpoint(&run).to_json();
     let one_wafer = without_rows(&json, |row| row.contains(r#""wafer":"1""#));
     let snap = Snapshot::parse(&one_wafer).expect("the rows left still parse");
-    assert!(matches!(scenario.resume(&sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+    assert_eq!(scenario.resume(&sys, &snap).err(), Some(rejected(None, "engine", WaferCount)));
+}
+
+/// A rejection by `resume` of the state of `wafer` (or of the whole
+/// snapshot) in `section`.
+fn rejected(wafer: Option<usize>, section: &'static str, kind: SnapshotErrorKind) -> SnapshotError {
+    SnapshotError { row: None, wafer, section: Some(section), key: None, kind }
+}
+
+/// A rejection by `parse` of document row `row` of `section`, at `key`.
+fn unparsed(
+    row: usize,
+    section: &'static str,
+    key: Option<&'static str>,
+    kind: SnapshotErrorKind,
+) -> SnapshotError {
+    SnapshotError { row: Some(row), wafer: None, section: Some(section), key, kind }
+}
+
+/// The document row index of `line`, one rendered row of `json`.
+fn row_index(json: &str, line: &str) -> usize {
+    rows_of(json).iter().position(|l| *l == line.trim_end_matches(',')).expect("a row of the document")
 }
 
 /// `json` without the rows `drop` selects, still a well-formed document.
 fn without_rows(json: &str, drop: impl Fn(&str) -> bool) -> String {
-    let rows: Vec<&str> = json
-        .lines()
-        .filter(|l| l.starts_with('{'))
-        .map(|l| l.trim_end_matches(','))
-        .filter(|l| !drop(l))
-        .collect();
+    let rows: Vec<&str> = rows_of(json).into_iter().filter(|l| !drop(l)).collect();
     format!("[\n{}\n]\n", rows.join(",\n"))
 }
 
@@ -305,7 +322,7 @@ fn resume_across_slot_reuse_is_invisible() {
 }
 
 /// `golden_snapshot_json` with the first `active` row's `rec` replaced by
-/// `rec(wafer)`, returned with the new `rec`.
+/// `rec(wafer)`, returned with the row's wafer.
 fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
     let json = golden_snapshot_json(3);
     let line = json.lines().find(|l| l.starts_with(r#"{"section":"active""#)).expect("an active row");
@@ -313,7 +330,8 @@ fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
     let row = &read_rows(&doc).unwrap()[0];
     let new = rec(row.get_str("wafer").unwrap());
     let old = format!(r#""rec":"{}""#, row.get_str("rec").unwrap());
-    (json.replace(line, &line.replace(&old, &format!(r#""rec":"{new}""#))), new)
+    let wafer = row.get_str("wafer").unwrap().parse().unwrap();
+    (json.replace(line, &line.replace(&old, &format!(r#""rec":"{new}""#))), wafer)
 }
 
 #[test]
@@ -336,13 +354,13 @@ fn resume_rejects_active_rows_that_are_not_resident() {
             .find(|r| !resident.contains(&r.to_string().as_str()))
             .expect("a record without resident KV")
     };
-    for (case, json_rec) in
-        [("out of range", with_active_rec(out_of_range)), ("not resident", with_active_rec(not_resident))]
-    {
-        let (json, rec) = json_rec;
+    for (case, (json, wafer), kind) in [
+        ("out of range", with_active_rec(out_of_range), IndexOutOfRange),
+        ("not resident", with_active_rec(not_resident), NotResident),
+    ] {
         let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
         let resumed = scenario.resume(&sys, &snap);
-        assert_eq!(resumed.err(), Some(KvError::UnknownSequence(rec as u64)), "{case}");
+        assert_eq!(resumed.err(), Some(rejected(Some(wafer), "active", kind)), "{case}");
     }
 }
 
@@ -362,7 +380,8 @@ fn resume_rejects_a_resident_sequence_without_its_active_row() {
     for row in active {
         let snap = Snapshot::parse(&without_rows(json, |r| r == row)).expect("the rows left still parse");
         let resumed = scenarios[3].resume(sys, &snap);
-        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "dropped {row}");
+        let wafer = field(row, "wafer").parse().unwrap();
+        assert_eq!(resumed.err(), Some(rejected(Some(wafer), "kv_resident", Unserved)), "dropped {row}");
     }
 }
 
@@ -515,7 +534,382 @@ fn a_v2_snapshot_is_rejected_at_its_schema_version() {
     // `Debug` form); the version is read first, so the error names it.
     let v2 = golden_snapshot_json(3).replacen(r#""schema_version":"3""#, r#""schema_version":"2""#, 1);
     let err = Snapshot::parse(&v2).unwrap_err();
-    assert!(err.contains("schema v2"), "{err}");
+    assert_eq!(err, unparsed(0, "meta", Some("schema_version"), SchemaVersion), "{err}");
+}
+
+#[test]
+fn only_the_canonical_form_of_a_value_parses() {
+    // A sign and empty list items read as the same numbers, but neither
+    // writes back to its text, so neither is a snapshot.
+    let json = golden_snapshot_json(3);
+    for (key, edited) in [
+        ("completed", json.replacen(r#""completed":""#, r#""completed":"+"#, 1)),
+        ("gated", json.replacen(r#""gated":""#, r#""gated":";;"#, 1)),
+    ] {
+        assert_ne!(edited, json);
+        assert_eq!(Snapshot::parse(&edited).err(), Some(unparsed(0, "meta", Some(key), BadValue)), "{key}");
+    }
+}
+
+/// The document rows of `json`.
+fn rows_of(json: &str) -> Vec<&str> {
+    json.lines().filter(|l| l.starts_with('{')).map(|l| l.trim_end_matches(',')).collect()
+}
+
+/// `json` with its first row that `pick` selects replaced by `edit(row)`
+/// (no row when empty, several when it joins rows with `,\n`), with that
+/// row's index and wafer.
+fn edit_row(
+    json: &str,
+    pick: impl Fn(&str) -> bool,
+    edit: impl Fn(&str) -> String,
+) -> (String, usize, Option<usize>) {
+    let mut rows: Vec<String> = rows_of(json).into_iter().map(str::to_string).collect();
+    let at = rows.iter().position(|r| pick(r)).expect("a row to edit");
+    let wafer =
+        read_rows(&format!("[{}]", rows[at])).unwrap()[0].get_str("wafer").ok().map(|w| w.parse().unwrap());
+    let edited = edit(&rows[at]);
+    assert_ne!(edited, rows[at], "the edit must change the row");
+    rows[at] = edited;
+    rows.retain(|r| !r.is_empty());
+    (format!("[\n{}\n]\n", rows.join(",\n")), at, wafer)
+}
+
+/// Selects the rows of `section`, on `wafer` when given.
+fn on(section: &str, wafer: Option<usize>) -> impl Fn(&str) -> bool {
+    let prefix = match wafer {
+        Some(w) => format!(r#"{{"section":"{section}","wafer":"{w}""#),
+        None => format!(r#"{{"section":"{section}""#),
+    };
+    move |row| row.starts_with(&prefix)
+}
+
+/// `row` with the value of `key` replaced by `change(value)`.
+fn with_field(row: &str, key: &str, change: impl Fn(&str) -> String) -> String {
+    let old = field(row, key);
+    row.replacen(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old)), 1)
+}
+
+/// The saturated long-decode snapshot at 0.25 s, the one whose pending
+/// rows hold queued evictions.
+fn saturated_snapshot_json() -> &'static str {
+    static JSON: OnceLock<String> = OnceLock::new();
+    JSON.get_or_init(|| {
+        let (sys, scenario) = (&golden_runs().0, saturated_long_decode());
+        let mut run = scenario.start(sys).unwrap();
+        run.run_until(0.25);
+        scenario.checkpoint(&run).to_json()
+    })
+}
+
+/// A position of `kind` among every kind, exhaustively: a new kind does
+/// not compile until it has a place here, and a case below.
+fn kind_index(kind: SnapshotErrorKind) -> usize {
+    use KvRestoreError as R;
+    match kind {
+        Json(_) => 0,
+        SchemaVersion => 1,
+        MissingKey => 2,
+        ExtraKey => 3,
+        BadValue => 4,
+        OutOfOrder => 5,
+        Incomplete => 6,
+        ConfigHash => 7,
+        WaferCount => 8,
+        FaultState => 9,
+        IndexOutOfRange => 10,
+        LocalWireTokens => 11,
+        CounterOverflow => 12,
+        NotResident => 13,
+        ProgressMismatch => 14,
+        DuplicateActive => 15,
+        Unserved => 16,
+        Kv(k) => {
+            17 + match k {
+                R::CoreCount => 0,
+                R::CrossbarCount => 1,
+                R::BlockCount => 2,
+                R::Overfull => 3,
+                R::UnknownSequence => 4,
+                R::NotOwned => 5,
+                R::ChainCore => 6,
+                R::ChainNotOwned => 7,
+                R::Unindexed => 8,
+                R::Sharer => 9,
+            }
+        }
+    }
+}
+
+#[test]
+fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
+    use ouro_serve::json::{JsonError, JsonErrorKind};
+    use KvRestoreError as R;
+    let (sys, scenarios) = golden_runs();
+    let saturated = saturated_long_decode();
+    let (g0, g3, sat) = (golden_snapshot_json(0), golden_snapshot_json(3), saturated_snapshot_json());
+    let rows3 = rows_of(g3).len();
+    // `(case, scenario, edited document, the error it must give)`.
+    let mut cases: Vec<(&str, &Scenario, String, SnapshotError)> = Vec::new();
+    let mut parse =
+        |case, json: &str, pick: &dyn Fn(&str) -> bool, key, edit: &dyn Fn(&str) -> String, kind| {
+            let (json, row, _) = edit_row(json, pick, edit);
+            let section = field(rows_of(&json)[row], "section");
+            let section = ["meta", "engine", "record"].into_iter().find(|s| *s == section).unwrap();
+            cases.push((case, &scenarios[3], json, unparsed(row, section, key, kind)));
+        };
+    parse(
+        "version",
+        g3,
+        &on("meta", None),
+        Some("schema_version"),
+        &|r| with_field(r, "schema_version", |_| "2".into()),
+        SchemaVersion,
+    );
+    parse(
+        "renamed key",
+        g3,
+        &on("engine", None),
+        Some("clock_s"),
+        &|r| r.replacen("clock_s", "clock_z", 1),
+        MissingKey,
+    );
+    parse(
+        "extra key",
+        g3,
+        &on("meta", None),
+        None,
+        &|r| r.replacen("\"}", "\",\"extra\":\"1\"}", 1),
+        ExtraKey,
+    );
+    parse(
+        "signed value",
+        g3,
+        &on("meta", None),
+        Some("completed"),
+        &|r| with_field(r, "completed", |v| format!("+{v}")),
+        BadValue,
+    );
+    parse(
+        "wrong wafer",
+        g3,
+        &on("record", Some(0)),
+        Some("wafer"),
+        &|r| with_field(r, "wafer", |_| "1".into()),
+        OutOfOrder,
+    );
+    let at = |row, kind| SnapshotError { row: Some(row), wafer: None, section: None, key: None, kind };
+    let trailing = JsonError { offset: g3.len(), kind: JsonErrorKind::TrailingInput };
+    cases.push(("trailing text", &scenarios[3], format!("{g3}x"), at(rows3 - 1, Json(trailing))));
+    let (cut, row, _) = edit_row(g0, on("kv_seq_shared", Some(1)), |_: &str| String::new());
+    cases.push(("last row cut", &scenarios[0], cut, at(row, Incomplete)));
+
+    // Each state edit resumes against `scenario` and is rejected in the
+    // edited row's section, on its wafer when it has one.
+    let mut resume = |case,
+                      scenario,
+                      json: &str,
+                      pick: &dyn Fn(&str) -> bool,
+                      edit: &dyn Fn(&str) -> String,
+                      section,
+                      kind| {
+        let (json, _, wafer) = edit_row(json, pick, edit);
+        let wafer = wafer.filter(|_| section != "injector_wafer");
+        cases.push((case, scenario, json, rejected(wafer, section, kind)));
+    };
+    let drop = &|_: &str| String::new();
+    let s3 = &scenarios[3];
+    resume(
+        "config hash",
+        s3,
+        g3,
+        &on("meta", None),
+        &|r| with_field(r, "config_hash", |h| format!("{:016x}", u64::from_str_radix(h, 16).unwrap() ^ 1)),
+        "meta",
+        ConfigHash,
+    );
+    resume("fault wafer missing", s3, g3, &on("injector_wafer", Some(1)), drop, "injector_wafer", WaferCount);
+    resume(
+        "arrival past the workload",
+        s3,
+        g3,
+        &on("meta", None),
+        &|r| with_field(r, "arrivals", |a| a.replacen(':', ":9999999", 1)),
+        "meta",
+        IndexOutOfRange,
+    );
+    resume(
+        "fault past the deployment",
+        s3,
+        g3,
+        &on("injector", None),
+        &|r| with_field(r, "events", |e| format!("7{}", &e[1..])),
+        "injector",
+        IndexOutOfRange,
+    );
+    resume(
+        "active record past the records",
+        s3,
+        g3,
+        &on("active", None),
+        &|r| with_field(r, "rec", |_| "9999".into()),
+        "active",
+        IndexOutOfRange,
+    );
+    resume(
+        "active record not resident",
+        s3,
+        g3,
+        &on("active", None),
+        &|r| with_field(r, "rec", |_| "0".into()),
+        "active",
+        NotResident,
+    );
+    resume(
+        "active progress",
+        s3,
+        g3,
+        &on("active", None),
+        &|r| with_field(r, "decoded", |d| (d.parse::<usize>().unwrap() + 1).to_string()),
+        "active",
+        ProgressMismatch,
+    );
+    resume(
+        "active row twice",
+        s3,
+        g3,
+        &on("active", None),
+        &|r| format!("{r},\n{r}"),
+        "active",
+        DuplicateActive,
+    );
+    resume("active row missing", s3, g3, &on("active", None), drop, "kv_resident", Unserved);
+    resume("key core missing", s3, g3, &on("kv_cores", Some(0)), drop, "kv_cores", Kv(R::CoreCount));
+    resume(
+        "crossbar missing",
+        s3,
+        g3,
+        &on("kv_cores", Some(1)),
+        &|r| with_field(r, "xbs", |x| x.rsplit_once(';').unwrap().0.to_string()),
+        "kv_cores",
+        Kv(R::CrossbarCount),
+    );
+    resume(
+        "block missing",
+        s3,
+        g3,
+        &on("kv_cores", Some(1)),
+        &|r| with_field(r, "xbs", |x| x.replacen(",-;", ";", 1)),
+        "kv_cores",
+        Kv(R::BlockCount),
+    );
+    resume(
+        "block over capacity",
+        s3,
+        g3,
+        &on("kv_cores", Some(1)),
+        &|r| with_field(r, "xbs", |x| x.replacen(":256", ":99999", 1)),
+        "kv_cores",
+        Kv(R::Overfull),
+    );
+    resume(
+        "block of role 2",
+        s3,
+        g3,
+        &on("kv_seq_blocks", Some(1)),
+        &|r| with_field(r, "entries", |e| e.replacen(":0.", ":2.", 1)),
+        "kv_seq_blocks",
+        Kv(R::UnknownSequence),
+    );
+    resume(
+        "blocks of another sequence",
+        s3,
+        g3,
+        &on("kv_seq_blocks", Some(1)),
+        &|r| with_field(r, "entries", |e| format!("3{}", &e[1..])),
+        "kv_seq_blocks",
+        Kv(R::NotOwned),
+    );
+    resume(
+        "block listed twice",
+        s3,
+        g3,
+        &on("kv_seq_blocks", Some(1)),
+        &|r| with_field(r, "entries", |e| e.replacen(',', &format!(",{},", &e[2..9]), 1)),
+        "kv_seq_blocks",
+        Kv(R::Unindexed),
+    );
+    resume(
+        "chain core past the cores",
+        s3,
+        g3,
+        &on("kv_shared", Some(1)),
+        &|r| with_field(r, "k_core", |_| "99".into()),
+        "kv_shared",
+        Kv(R::ChainCore),
+    );
+    resume(
+        "chain on a sequence's block",
+        s3,
+        g3,
+        &on("kv_shared", Some(1)),
+        &|r| with_field(r, "nodes", |n| n.replacen("!0.1.7!", "!0.1.6!", 1)),
+        "kv_shared",
+        Kv(R::ChainNotOwned),
+    );
+    resume(
+        "sharer past its chain",
+        s3,
+        g3,
+        &on("kv_seq_shared", Some(1)),
+        &|r| with_field(r, "entries", |e| e.replacen(":2;", ":99;", 1)),
+        "kv_seq_shared",
+        Kv(R::Sharer),
+    );
+    let local = |r: &str| on("pending", None)(r) && field(r, "imported") == "0";
+    resume(
+        "pending record past the records",
+        &saturated,
+        sat,
+        &local,
+        &|r| with_field(r, "rec", |_| "9999".into()),
+        "pending",
+        IndexOutOfRange,
+    );
+    resume(
+        "wire tokens on a local row",
+        &saturated,
+        sat,
+        &local,
+        &|r| with_field(r, "wire_tokens", |_| "9".into()),
+        "pending",
+        LocalWireTokens,
+    );
+    resume(
+        "pending counters overflow",
+        &saturated,
+        sat,
+        &local,
+        &|r| with_field(r, "decoded", |_| u64::MAX.to_string()),
+        "pending",
+        CounterOverflow,
+    );
+    let s0 = &scenarios[0];
+    let one_wafer = without_rows(g0, |r| r.contains(r#""wafer":"1""#));
+    cases.push(("wafer missing", s0, one_wafer, rejected(None, "engine", WaferCount)));
+    let no_faults = without_rows(g3, |r| r.starts_with(r#"{"section":"injector"#));
+    cases.push(("fault state missing", s3, no_faults, rejected(None, "injector", FaultState)));
+
+    let mut seen = std::collections::BTreeSet::new();
+    for (case, scenario, json, expected) in &cases {
+        let err = match Snapshot::parse(json) {
+            Err(e) => e,
+            Ok(snap) => scenario.resume(sys, &snap).err().unwrap_or_else(|| panic!("{case}: resumed")),
+        };
+        assert_eq!(err, *expected, "{case}");
+        seen.insert(kind_index(err.kind));
+    }
+    assert!(seen.into_iter().eq(0..27), "every kind must be reached");
 }
 
 #[test]
@@ -544,39 +938,42 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     let at = xbs.find(':').unwrap();
     let end = xbs[at..].find([',', ';']).map_or(xbs.len(), |n| at + n);
     let overfull = format!("{}:{over}{}", &xbs[..at], &xbs[end..]);
+    let overfull_wafer = field(row, "wafer").parse().unwrap();
     let overfull = json.replace(row, &row.replace(&xbs, &overfull));
-    for (case, json) in [("missing core row", dropped), ("block over capacity", overfull)] {
+    for (case, json, wafer, kind) in [
+        ("missing core row", dropped, 0, KvRestoreError::CoreCount),
+        ("block over capacity", overfull, overfull_wafer, KvRestoreError::Overfull),
+    ] {
         let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
         let resumed = scenario.resume(&sys, &snap);
-        assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
+        assert_eq!(resumed.err(), Some(rejected(Some(wafer), "kv_cores", Kv(kind))), "{case}");
     }
     // A shared chain has one key core and one key slot per node: a row
     // naming a second does not fit.
-    let edit = |section: &str, key: &str, change: &dyn Fn(&str) -> String| {
+    // Neither parses: the values are not in their keys' encodings.
+    let edit = |section: &str, key: &'static str, change: &dyn Fn(&str) -> String| {
         let prefix = format!(r#"{{"section":"{section}""#);
         let row = lines
             .iter()
             .find(|l| l.starts_with(&prefix) && !field(l, key).is_empty())
             .unwrap_or_else(|| panic!("a {section} row with {key}"));
         let old = field(row, key);
-        json.replace(
+        let edited = json.replace(
             row,
             &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old))),
-        )
+        );
+        (edited, unparsed(row_index(json, row), "kv_shared", Some(key), BadValue))
     };
     let two_k_cores = edit("kv_shared", "k_core", &|c| format!("{c},{c}"));
     let two_k_slots = edit("kv_shared", "nodes", &|n| {
         let k = n.split('!').nth(1).unwrap();
         n.replacen(&format!("!{k}!"), &format!("!{k},{k}!"), 1)
     });
-    for (case, json) in
+    for (case, (json, err)) in
         [("shared chain with two key cores", two_k_cores), ("shared node with two key slots", two_k_slots)]
     {
         assert_ne!(json, golden_snapshot_json(3), "{case}: the edit must change the document");
-        if let Ok(snap) = Snapshot::parse(&json) {
-            let resumed = scenario.resume(&sys, &snap);
-            assert!(matches!(resumed.err(), Some(KvError::BadSnapshot(_))), "{case}");
-        }
+        assert_eq!(Snapshot::parse(&json).err(), Some(err), "{case}");
     }
 }
 
@@ -602,8 +999,10 @@ fn resume_rejects_engine_counters_that_differ_from_their_rows() {
     );
     assert_ne!(edited, json, "the edit must change the document");
     let resumed = Snapshot::parse(&edited).map(|snap| scenario.resume(&sys, &snap).map(|_| ()));
-    assert!(
-        matches!(resumed, Err(_) | Ok(Err(KvError::BadSnapshot(_)))),
+    let wafer = field(local, "wafer").parse().unwrap();
+    assert_eq!(
+        resumed,
+        Ok(Err(rejected(Some(wafer), "pending", LocalWireTokens))),
         "wire tokens on a local pending row must not resume"
     );
 }
@@ -631,7 +1030,9 @@ fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
         .expect("a free block on the slot's core");
     let moved = json.replace(line, &line.replacen(&format!("!{slot}"), &format!("!{free}"), 1));
     let snap = Snapshot::parse(&moved).unwrap();
-    assert!(matches!(scenario.resume(sys, &snap).err(), Some(KvError::BadSnapshot(_))));
+    let wafer = wafer.parse().unwrap();
+    let err = rejected(Some(wafer), "kv_shared", Kv(KvRestoreError::ChainNotOwned));
+    assert_eq!(scenario.resume(sys, &snap).err(), Some(err));
 }
 
 #[test]
@@ -653,7 +1054,13 @@ fn swapped_injector_wafer_rows_are_rejected() {
     assert_ne!(state(rows[a]), state(rows[b]), "the two injector_wafer rows must differ");
     rows.swap(a, b);
     let swapped = format!("[\n{}\n]\n", rows.join(",\n"));
-    assert!(Snapshot::parse(&swapped).is_err(), "rows out of wafer order must not parse");
+    let err = unparsed(a, "injector_wafer", Some("wafer"), OutOfOrder);
+    assert_eq!(Snapshot::parse(&swapped).err(), Some(err), "rows out of wafer order must not parse");
+}
+
+/// `text` without ASCII whitespace, which no snapshot value contains.
+fn without_whitespace(text: &str) -> String {
+    text.chars().filter(|c| !c.is_ascii_whitespace()).collect()
 }
 
 proptest! {
@@ -665,7 +1072,11 @@ proptest! {
         // Any cut before the closing bracket leaves the array unclosed.
         let closed = cut > json.rfind(']').unwrap();
         prop_assert_eq!(read_rows(&prefix).is_ok(), closed);
-        prop_assert_eq!(Snapshot::parse(&prefix).is_ok(), closed);
+        let parsed = Snapshot::parse(&prefix);
+        prop_assert_eq!(parsed.is_ok(), closed);
+        if let Ok(snap) = parsed {
+            prop_assert_eq!(without_whitespace(&snap.to_json()), without_whitespace(&prefix));
+        }
     }
 
     #[test]
@@ -696,9 +1107,11 @@ proptest! {
         bytes[at] ^= flip;
         let text = String::from_utf8_lossy(&bytes);
         let _ = read_rows(&text);
-        // A document that still parses resumes to `Ok` or `Err`, never a
+        // A document that still parses is canonical: it writes back to
+        // itself, whitespace aside. It resumes to `Ok` or `Err`, never a
         // panic.
         if let Ok(snap) = Snapshot::parse(&text) {
+            prop_assert_eq!(without_whitespace(&snap.to_json()), without_whitespace(&text));
             let (sys, scenarios) = golden_runs();
             let _ = scenarios[shape].resume(sys, &snap);
         }

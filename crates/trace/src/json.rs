@@ -10,6 +10,11 @@
 //! and the tests read result files through [`read_rows`], which collects
 //! it. It lives in `ouro-trace` so every schema shares one writer and one
 //! reader; `ouro-serve` and `ouro-bench` re-export this module.
+//!
+//! The reader never panics on input: every malformed document is a
+//! [`JsonError`] naming its byte offset, and clippy enforces that here.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use std::borrow::Cow;
 
@@ -203,6 +208,61 @@ impl<'a> Row<'a> {
     }
 }
 
+/// Why a document is not a JSON array of flat objects, and the byte
+/// offset where the reader found out.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct JsonError {
+    /// Byte offset into the text.
+    pub offset: usize,
+    /// What is wrong there.
+    pub kind: JsonErrorKind,
+}
+
+/// What [`JsonError`] found wrong.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// Not the byte the grammar requires here: `[`, `{`, `:` or `"`.
+    Expected(char),
+    /// Neither `,` nor the container's closing bracket, given here.
+    ExpectedCommaOr(char),
+    /// An object or array as a value: rows are flat.
+    Nested,
+    /// The text ends where a value should start.
+    UnexpectedEnd,
+    /// A bare word other than `null`, `true` or `false`.
+    BadLiteral,
+    /// A number that does not parse, or does not fit a finite `f64`.
+    BadNumber,
+    /// A raw control character inside a string.
+    ControlCharacter,
+    /// A string with no closing quote; the offset is its first byte.
+    UnterminatedString,
+    /// An escape JSON does not define, or `\u` without four hex digits.
+    BadEscape,
+    /// Text after the array's closing bracket.
+    TrailingInput,
+}
+
+impl std::fmt::Display for JsonError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.kind {
+            JsonErrorKind::Expected(c) => write!(f, "expected '{c}'"),
+            JsonErrorKind::ExpectedCommaOr(c) => write!(f, "expected ',' or '{c}'"),
+            JsonErrorKind::Nested => write!(f, "nested container (flat rows only)"),
+            JsonErrorKind::UnexpectedEnd => write!(f, "unexpected end of input"),
+            JsonErrorKind::BadLiteral => write!(f, "bad literal"),
+            JsonErrorKind::BadNumber => write!(f, "bad number"),
+            JsonErrorKind::ControlCharacter => write!(f, "raw control character in string"),
+            JsonErrorKind::UnterminatedString => write!(f, "unterminated string"),
+            JsonErrorKind::BadEscape => write!(f, "bad escape"),
+            JsonErrorKind::TrailingInput => write!(f, "trailing input"),
+        }?;
+        write!(f, " at byte {}", self.offset)
+    }
+}
+
+impl std::error::Error for JsonError {}
+
 /// Reads a JSON array of flat objects — the shape [`render_array`] writes.
 /// Nested containers are an error: every reader in the workspace wants
 /// flat rows, and anything else means the input is not one of ours.
@@ -211,8 +271,8 @@ impl<'a> Row<'a> {
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending byte offset.
-pub fn read_rows(text: &str) -> Result<Vec<Row<'_>>, String> {
+/// Returns the first [`JsonError`].
+pub fn read_rows(text: &str) -> Result<Vec<Row<'_>>, JsonError> {
     let mut reader = RowReader::new(text)?;
     let mut rows = Vec::new();
     while let Some(row) = reader.next_row()? {
@@ -246,8 +306,9 @@ impl<'a> RowReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a message when `text` does not open an array.
-    pub fn new(text: &'a str) -> Result<RowReader<'a>, String> {
+    /// Returns [`JsonErrorKind::Expected`] when `text` does not open an
+    /// array.
+    pub fn new(text: &'a str) -> Result<RowReader<'a>, JsonError> {
         let mut r = Reader { text, pos: 0 };
         r.ws();
         r.expect(b'[')?;
@@ -259,9 +320,9 @@ impl<'a> RowReader<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending byte offset. After an error
-    /// the reader yields no more rows.
-    pub fn next_row(&mut self) -> Result<Option<&Row<'a>>, String> {
+    /// Returns the first [`JsonError`]. After an error the reader yields
+    /// no more rows.
+    pub fn next_row(&mut self) -> Result<Option<&Row<'a>>, JsonError> {
         match self.advance() {
             Ok(read) => Ok(read.then_some(&self.row)),
             Err(e) => {
@@ -271,8 +332,14 @@ impl<'a> RowReader<'a> {
         }
     }
 
+    /// The row [`RowReader::next_row`] last returned, for a caller that
+    /// looks at a row before it reads it. Empty before the first row.
+    pub fn row(&self) -> &Row<'a> {
+        &self.row
+    }
+
     /// Reads the next row into the buffer; `false` at the end.
-    fn advance(&mut self) -> Result<bool, String> {
+    fn advance(&mut self) -> Result<bool, JsonError> {
         self.r.ws();
         match self.state {
             State::Done => return Ok(false),
@@ -291,10 +358,10 @@ impl<'a> RowReader<'a> {
     }
 
     /// Ends the array: only whitespace may follow the closing bracket.
-    fn close(&mut self) -> Result<(), String> {
+    fn close(&mut self) -> Result<(), JsonError> {
         self.r.ws();
         if self.r.pos != self.r.text.len() {
-            return Err(format!("trailing input at byte {}", self.r.pos));
+            return Err(self.r.error(JsonErrorKind::TrailingInput));
         }
         self.state = State::Done;
         Ok(())
@@ -307,6 +374,11 @@ struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// `kind` at the current offset.
+    fn error(&self, kind: JsonErrorKind) -> JsonError {
+        JsonError { offset: self.pos, kind }
+    }
+
     fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
@@ -323,26 +395,26 @@ impl<'a> Reader<'a> {
         hit
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), String> {
+    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
         if self.eat(b) {
             Ok(())
         } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
+            Err(self.error(JsonErrorKind::Expected(char::from(b))))
         }
     }
 
     /// The `,` between container items, or an error naming the `close`
     /// that would also have been accepted.
-    fn separator(&mut self, close: u8) -> Result<(), String> {
+    fn separator(&mut self, close: u8) -> Result<(), JsonError> {
         if self.eat(b',') {
             Ok(())
         } else {
-            Err(format!("expected ',' or '{}' at byte {}", close as char, self.pos))
+            Err(self.error(JsonErrorKind::ExpectedCommaOr(char::from(close))))
         }
     }
 
     /// One object's fields, into `fields` (cleared first).
-    fn object(&mut self, fields: &mut Vec<(Cow<'a, str>, Value<Cow<'a, str>>)>) -> Result<(), String> {
+    fn object(&mut self, fields: &mut Vec<(Cow<'a, str>, Value<Cow<'a, str>>)>) -> Result<(), JsonError> {
         self.expect(b'{')?;
         fields.clear();
         self.ws();
@@ -364,28 +436,28 @@ impl<'a> Reader<'a> {
         Ok(())
     }
 
-    fn scalar(&mut self) -> Result<Value<Cow<'a, str>>, String> {
+    fn scalar(&mut self) -> Result<Value<Cow<'a, str>>, JsonError> {
         match self.peek() {
             Some(b'"') => self.string().map(Value::Str),
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'{' | b'[') => Err(format!("nested container at byte {} — flat rows only", self.pos)),
+            Some(b'{' | b'[') => Err(self.error(JsonErrorKind::Nested)),
             Some(_) => self.number(),
-            None => Err("unexpected end of input".to_string()),
+            None => Err(self.error(JsonErrorKind::UnexpectedEnd)),
         }
     }
 
-    fn literal(&mut self, word: &str, value: Value<Cow<'a, str>>) -> Result<Value<Cow<'a, str>>, String> {
+    fn literal(&mut self, word: &str, value: Value<Cow<'a, str>>) -> Result<Value<Cow<'a, str>>, JsonError> {
         if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
-            Err(format!("bad literal at byte {}", self.pos))
+            Err(self.error(JsonErrorKind::BadLiteral))
         }
     }
 
-    fn number(&mut self) -> Result<Value<Cow<'a, str>>, String> {
+    fn number(&mut self) -> Result<Value<Cow<'a, str>>, JsonError> {
         let start = self.pos;
         while self.peek().is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
         {
@@ -394,12 +466,12 @@ impl<'a> Reader<'a> {
         let text = &self.text[start..self.pos];
         match text.parse::<f64>() {
             Ok(n) if n.is_finite() => Ok(Value::Num(n)),
-            _ => Err(format!("bad number {text:?} at byte {start}")),
+            _ => Err(JsonError { offset: start, kind: JsonErrorKind::BadNumber }),
         }
     }
 
     /// A string, borrowed from the input unless it holds an escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
         let start = self.pos;
         while let Some(b) = self.peek() {
@@ -409,17 +481,17 @@ impl<'a> Reader<'a> {
                     return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
                 }
                 b'\\' => return self.unescape(start).map(Cow::Owned),
-                0..=0x1f => return Err(format!("raw control character in string at byte {}", self.pos)),
+                0..=0x1f => return Err(self.error(JsonErrorKind::ControlCharacter)),
                 _ => self.pos += 1,
             }
         }
-        Err(format!("unterminated string at byte {start}"))
+        Err(JsonError { offset: start, kind: JsonErrorKind::UnterminatedString })
     }
 
     /// The rest of a string whose first escape is at `self.pos`; `start`
     /// is its first byte. Every stop is at an ASCII byte, so the slices
     /// below always fall on char boundaries.
-    fn unescape(&mut self, start: usize) -> Result<String, String> {
+    fn unescape(&mut self, start: usize) -> Result<String, JsonError> {
         let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.peek() {
@@ -430,6 +502,7 @@ impl<'a> Reader<'a> {
                 Some(b'\\') => {
                     let at = self.pos;
                     self.pos += 2;
+                    let bad_escape = JsonError { offset: at, kind: JsonErrorKind::BadEscape };
                     out.push(match self.text.as_bytes().get(at + 1) {
                         Some(b'"') => '"',
                         Some(b'\\') => '\\',
@@ -444,17 +517,15 @@ impl<'a> Reader<'a> {
                                 .text
                                 .get(self.pos..self.pos + 4)
                                 .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .ok_or_else(|| format!("bad \\u escape at byte {at}"))?;
+                                .ok_or(bad_escape)?;
                             self.pos += 4;
                             // Lone surrogates have no char; the writer never emits them.
                             u32::from_str_radix(hex, 16).ok().and_then(char::from_u32).unwrap_or('\u{fffd}')
                         }
-                        _ => return Err(format!("bad escape at byte {at}")),
+                        _ => return Err(bad_escape),
                     });
                 }
-                Some(0..=0x1f) => {
-                    return Err(format!("raw control character in string at byte {}", self.pos))
-                }
+                Some(0..=0x1f) => return Err(self.error(JsonErrorKind::ControlCharacter)),
                 Some(_) => {
                     let run = self.pos;
                     while self.peek().is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20) {
@@ -462,7 +533,7 @@ impl<'a> Reader<'a> {
                     }
                     out.push_str(&self.text[run..self.pos]);
                 }
-                None => return Err(format!("unterminated string at byte {start}")),
+                None => return Err(JsonError { offset: start, kind: JsonErrorKind::UnterminatedString }),
             }
         }
     }
@@ -520,24 +591,26 @@ mod tests {
     fn reader_rejects_what_the_writer_never_emits() {
         assert_eq!(read_rows("[]").unwrap(), Vec::new());
         assert_eq!(read_rows(" [ {} , {\"a\": true} ]\n").unwrap().len(), 2);
-        for bad in [
-            "",
-            "[",
-            "[{}",
-            "[{},]",
-            "[{\"a\" 1}]",
-            "[{\"a\": 1,}]",
-            "[{\"a\": {\"b\": 1}}]",
-            "[{\"a\": [1]}]",
-            "[{\"a\": 1e999}]",
-            "[{\"a\": nul}]",
-            "[{\"a\": \"x\\q\"}]",
-            "[{\"a\": \"\\u12\"}]",
-            "[{\"a\": \"raw\ncontrol\"}]",
-            "[{\"a\": \"open}]",
-            "[] trailing",
+        use JsonErrorKind::*;
+        for (bad, offset, kind) in [
+            ("", 0, Expected('[')),
+            ("[", 1, Expected('{')),
+            ("[{}", 3, ExpectedCommaOr(']')),
+            ("[{},]", 4, Expected('{')),
+            ("[{\"a\" 1}]", 6, Expected(':')),
+            ("[{\"a\": 1,}]", 9, Expected('"')),
+            ("[{\"a\": {\"b\": 1}}]", 7, Nested),
+            ("[{\"a\": [1]}]", 7, Nested),
+            ("[{\"a\": 1e999}]", 7, BadNumber),
+            ("[{\"a\": nul}]", 7, BadLiteral),
+            ("[{\"a\": \"x\\q\"}]", 9, BadEscape),
+            ("[{\"a\": \"\\u12\"}]", 8, BadEscape),
+            ("[{\"a\": \"raw\ncontrol\"}]", 11, ControlCharacter),
+            ("[{\"a\": \"open}]", 8, UnterminatedString),
+            ("[{\"a\": ", 7, UnexpectedEnd),
+            ("[] trailing", 3, TrailingInput),
         ] {
-            assert!(read_rows(bad).is_err(), "{bad:?} must not parse");
+            assert_eq!(read_rows(bad), Err(JsonError { offset, kind }), "{bad:?} must not parse");
         }
     }
 
@@ -548,6 +621,7 @@ mod tests {
         let mut seen = Vec::new();
         while let Some(row) = reader.next_row().unwrap() {
             seen.push(row.fields.iter().map(|(k, _)| k.to_string()).collect::<Vec<_>>());
+            assert_eq!(reader.row().fields.len(), seen[seen.len() - 1].len(), "row() is the row just read");
         }
         assert_eq!(seen, [vec!["a", "b"], vec![], vec!["c"]]);
         assert_eq!(reader.next_row(), Ok(None), "the reader stays at the end");
@@ -556,7 +630,11 @@ mod tests {
         assert!(reader.next_row().unwrap().is_some());
         assert!(reader.next_row().is_err());
         assert_eq!(reader.next_row(), Ok(None));
-        assert!(RowReader::new("{}").is_err(), "a document is an array");
+        assert_eq!(
+            RowReader::new("{}").err(),
+            Some(JsonError { offset: 0, kind: JsonErrorKind::Expected('[') }),
+            "a document is an array"
+        );
     }
 
     #[test]
