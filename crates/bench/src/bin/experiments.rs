@@ -63,7 +63,7 @@
 use ouro_baselines::SystemReport;
 use ouro_bench::{
     build_ouroboros, compare_all, decoder_models, encoder_models, format_energy_breakdown, format_normalized,
-    labeled_row, trace_for, DEFAULT_REQUESTS, SEED,
+    labeled_row, serving_setup, trace_for, DEFAULT_REQUESTS, SEED,
 };
 use ouro_hw::{CircuitPoint, CoreConfig, CrossbarConfig};
 use ouro_mapping::{MappingProblem, Strategy};
@@ -100,6 +100,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
     let mut requests = DEFAULT_REQUESTS;
+    let mut requests_set = false;
     let mut threads = ouro_serve::default_threads();
     let mut threads_set = false;
     let mut out_path: Option<String> = None;
@@ -115,6 +116,7 @@ fn main() {
                     Ok(n) if n > 0 => n,
                     _ => usage_error(&format!("--requests expects a positive integer, got {value:?}")),
                 };
+                requests_set = true;
                 i += 2;
             }
             "--threads" => {
@@ -173,6 +175,9 @@ fn main() {
     let sweeping = which == "serving" || which == "disagg" || which == "faults" || which == "all";
     if threads_set && !sweeping {
         usage_error("--threads only applies to the sweep subcommands (serving/disagg/faults, or all)");
+    }
+    if requests_set && (which == "table2" || which == "fig18") {
+        usage_error("--requests does not apply to table2 or fig18, which simulate no request trace");
     }
     if out_path.is_some() && !ROW_SUBCOMMANDS.contains(&which.as_str()) {
         usage_error("--out only applies to serving/disagg/faults/prefix/scenario/analyze (or all)");
@@ -509,21 +514,6 @@ fn capped(requests: usize, cap: usize, experiment: &str) -> usize {
     requests.min(cap)
 }
 
-/// The serving experiments' shared setup: LLaMA-13B on a seeded single
-/// wafer, that wafer's request capacity for `lengths`, and an SLO at 10×
-/// the unloaded latencies of a typical request.
-fn serving_setup(lengths: &LengthConfig) -> (OuroborosSystem, f64, ouro_serve::SloConfig) {
-    use ouro_serve::{capacity_rps_estimate, ideal_latencies, SloConfig};
-
-    let mut cfg = OuroborosConfig::single_wafer();
-    cfg.seed = SEED;
-    let system = OuroborosSystem::new(cfg, &zoo::llama_13b()).expect("LLaMA-13B fits on one wafer");
-    let capacity = capacity_rps_estimate(system.stage_times(), lengths);
-    let typical = lengths.nominal_total_tokens();
-    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
-    (system, capacity, SloConfig::with_slack(ttft, tpot, 10.0))
-}
-
 /// Runs every scenario of a sweep on `threads` workers; the reports come
 /// back in input order, so the thread count never shows in the output.
 fn run_all(
@@ -556,7 +546,7 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
 
     header("Serving: online load sweep (4-wafer LLaMA-13B, WikiText-2-like)");
     let lengths = LengthConfig::wikitext2_like();
-    let (system, capacity, slo) = serving_setup(&lengths);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let aggregate = capacity * WAFERS as f64;
     let rates: Vec<f64> = LOAD_FRACTIONS.iter().map(|f| f * aggregate).collect();
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
@@ -634,7 +624,7 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     // A prefill-heavy mix: long prompts, short generations — the regime
     // where prefill bursts hurt colocated decode tails the most.
     let lengths = LengthConfig::fixed(512, 64);
-    let (system, capacity, slo) = serving_setup(&lengths);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let rate = capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let bursty = |rate_rps| ArrivalConfig::Bursty { rate_rps, cv: 4.0 }.assign(&trace, SEED);
@@ -689,7 +679,7 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
 
     header("Faults: replacement-chain remaps under live traffic (4-wafer LLaMA-13B)");
     let lengths = LengthConfig::wikitext2_like();
-    let (system, capacity, slo) = serving_setup(&lengths);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let rate = 0.7 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, SEED);
@@ -781,7 +771,7 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
     let session = SessionConfig::chat(4, 0.7);
     let lengths =
         LengthConfig::fixed(session.shared_prefix_tokens + session.user_turn_tokens, session.decode_tokens);
-    let (system, capacity, slo) = serving_setup(&lengths);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let rate = 0.8 * capacity * WAFERS as f64;
     let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
 
@@ -840,7 +830,7 @@ fn scenario_matrix(
 
     header("Scenario matrix: deployment x faults x prefix caching (4-wafer LLaMA-13B)");
     let lengths = LengthConfig::fixed(512, 64);
-    let (system, capacity, slo) = serving_setup(&lengths);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let rate = 0.8 * capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);

@@ -64,6 +64,23 @@ pub fn build_ouroboros(model: &ModelConfig) -> OuroborosSystem {
     panic!("model {} does not fit on four wafers", model.name);
 }
 
+/// The serving experiments' shared setup: LLaMA-13B on a single wafer
+/// mapped with `seed`, that wafer's request capacity for `lengths`, and an
+/// SLO at 10× the unloaded latencies of a typical request. The root tests
+/// check the serving claims on this same setup.
+pub fn serving_setup(seed: u64, lengths: &LengthConfig) -> (OuroborosSystem, f64, ouro_serve::SloConfig) {
+    use ouro_serve::{capacity_rps_estimate, ideal_latencies, SloConfig};
+
+    let mut cfg = OuroborosConfig::single_wafer();
+    cfg.seed = seed;
+    let system =
+        OuroborosSystem::new(cfg, &ouro_model::zoo::llama_13b()).expect("LLaMA-13B fits on one wafer");
+    let capacity = capacity_rps_estimate(system.stage_times(), lengths);
+    let typical = lengths.nominal_total_tokens();
+    let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
+    (system, capacity, SloConfig::with_slack(ttft, tpot, 10.0))
+}
+
 /// Evaluates every baseline plus Ouroboros on one model and workload.
 pub fn compare_all(
     model: &ModelConfig,

@@ -122,42 +122,22 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarises a set of samples. Total on every input: an empty vector
-    /// yields the all-zero summary, and non-finite samples (NaN/±inf, which
-    /// a partial-comparison sort would panic on) are dropped before
-    /// summarising, so the result is always NaN-free.
+    /// Summarises a set of samples by the nearest-rank rule of
+    /// [`ouro_trace::PhaseStats::from_samples`]. Total on every input: an
+    /// empty vector yields the all-zero summary, and non-finite samples
+    /// (NaN/±inf, which a partial-comparison sort would panic on) are
+    /// dropped before summarising, so the result is always NaN-free.
     pub fn from_samples(samples: Vec<f64>) -> LatencyStats {
-        let mut samples: Vec<f64> = samples.into_iter().filter(|s| s.is_finite()).collect();
-        if samples.is_empty() {
-            return LatencyStats::default();
-        }
-        samples.sort_by(f64::total_cmp);
-        let count = samples.len();
-        let mean_s = samples.iter().sum::<f64>() / count as f64;
+        let s = ouro_trace::PhaseStats::from_samples(samples);
         LatencyStats {
-            count,
-            mean_s,
-            p50_s: percentile_sorted(&samples, 50.0),
-            p95_s: percentile_sorted(&samples, 95.0),
-            p99_s: percentile_sorted(&samples, 99.0),
-            max_s: samples[count - 1],
+            count: s.count,
+            mean_s: s.mean_s,
+            p50_s: s.p50_s,
+            p95_s: s.p95_s,
+            p99_s: s.p99_s,
+            max_s: s.max_s,
         }
     }
-}
-
-/// Nearest-rank percentile of an ascending-sorted slice: the smallest
-/// element with at least `pct` percent of the samples at or below it.
-/// Total for every `pct` (clamped into `[0, 100]`) and every length —
-/// `rank = ceil(pct/100 · N)` is clamped into `[1, N]`, so N = 1 returns
-/// the lone sample for every percentile, N = 2 splits at p50, and p → 100
-/// saturates at the maximum rather than indexing past the end.
-fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let pct = pct.clamp(0.0, 100.0);
-    let rank = ((pct / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 /// Aggregate outcome of one serving run.
@@ -359,17 +339,6 @@ mod tests {
         assert_eq!(s.p95_s, 10.0);
         assert_eq!(s.p99_s, 10.0);
         assert_eq!(s.max_s, 10.0);
-    }
-
-    #[test]
-    fn percentile_endpoints_saturate_instead_of_indexing_out_of_bounds() {
-        let sorted = [1.0, 2.0, 3.0];
-        assert_eq!(percentile_sorted(&sorted, 0.0), 1.0);
-        assert_eq!(percentile_sorted(&sorted, 100.0), 3.0);
-        // Out-of-range percentiles clamp rather than panic.
-        assert_eq!(percentile_sorted(&sorted, 150.0), 3.0);
-        assert_eq!(percentile_sorted(&sorted, -5.0), 1.0);
-        assert_eq!(percentile_sorted(&[], 99.0), 0.0);
     }
 
     #[test]

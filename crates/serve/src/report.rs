@@ -104,7 +104,7 @@ impl MigrationStats {
 }
 
 /// Aggregate outcome of one scenario run — the single report type every
-/// entry point (examples, benches, the `experiments` binary, sweeps,
+/// entry point (tests, benches, the `experiments` binary, sweeps,
 /// shootouts) produces.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {

@@ -399,7 +399,7 @@ impl Scenario {
 }
 
 /// A finished scenario run: the unified report plus the post-run engine
-/// state, for tests and examples that assert engine-level invariants.
+/// state, for tests that assert engine-level invariants.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// The unified report of the run.

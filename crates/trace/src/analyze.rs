@@ -99,10 +99,9 @@ pub const ANALYZE_WAFER_KEYS: &[&str] = &[
     "peak_kv_utilization",
 ];
 
-/// Nearest-rank latency statistics of one phase (or one whole metric).
-/// The same shape as `ouro_serve::LatencyStats`, duplicated here because
-/// the trace crate sits below the serving stack, plus the phase's total
-/// (the quantity attribution shares are computed from).
+/// Nearest-rank latency statistics of one phase (or one whole metric),
+/// plus the phase's total (the quantity attribution shares are computed
+/// from).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseStats {
     /// Number of samples summarised.
@@ -144,9 +143,12 @@ impl PhaseStats {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice (the same rule
-/// the serving metrics use): `rank = ceil(pct/100 · N)` clamped into
-/// `[1, N]`.
+/// Nearest-rank percentile of an ascending-sorted slice: the smallest
+/// element with at least `pct` percent of the samples at or below it.
+/// Total for every `pct` (clamped into `[0, 100]`) and every length —
+/// `rank = ceil(pct/100 · N)` is clamped into `[1, N]`, so N = 1 returns
+/// the lone sample for every percentile, N = 2 splits at p50, and p → 100
+/// saturates at the maximum rather than indexing past the end.
 fn percentile_sorted(sorted: &[f64], pct: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
@@ -975,5 +977,16 @@ mod tests {
         assert!((s.p50_s - 2.0).abs() < EPS, "nearest rank: ceil(0.5*4)=2nd");
         assert!((s.p99_s - 4.0).abs() < EPS);
         assert_eq!(PhaseStats::from_samples(vec![]), PhaseStats::default());
+    }
+
+    #[test]
+    fn percentile_endpoints_saturate_instead_of_indexing_out_of_bounds() {
+        let sorted = [1.0, 2.0, 3.0];
+        assert_eq!(percentile_sorted(&sorted, 0.0), 1.0);
+        assert_eq!(percentile_sorted(&sorted, 100.0), 3.0);
+        // Out-of-range percentiles clamp rather than panic.
+        assert_eq!(percentile_sorted(&sorted, 150.0), 3.0);
+        assert_eq!(percentile_sorted(&sorted, -5.0), 1.0);
+        assert_eq!(percentile_sorted(&[], 99.0), 0.0);
     }
 }

@@ -3,12 +3,11 @@
 //! After a run, the per-wafer event streams (plus the driver's own) are
 //! merged into one [`Trace`]: a deterministically ordered event log with
 //! a stable digest for golden tests, a flat-JSON dump sharing the
-//! [`crate::event::TRACE_SCHEMA_VERSION`] schema, a Chrome trace-event
+//! [`crate::event::TRACE_SCHEMA_VERSION`] schema, and a Chrome trace-event
 //! export loadable in `chrome://tracing` / Perfetto (one track per wafer,
-//! one span per request phase, counter tracks for batch occupancy), and a
-//! [`Trace::summarize`] text table for terminals.
+//! one span per request phase, counter tracks for batch occupancy).
 
-use crate::event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
+use crate::event::{EventKind, TraceEvent};
 use crate::json::{fnv1a_extend, render_array, JsonObject, FNV1A_OFFSET};
 
 /// One reconstructed request phase: a closed interval of a request's life
@@ -242,42 +241,6 @@ impl Trace {
         }
         std::fs::write(path, self.chrome_trace_json())
     }
-
-    /// A per-run text table: events per kind, per-wafer totals, span, and
-    /// the timeline digest.
-    pub fn summarize(&self) -> String {
-        let mut out = String::new();
-        let span_s = match (self.events.first(), self.events.last()) {
-            (Some(a), Some(b)) => b.t_s - a.t_s,
-            _ => 0.0,
-        };
-        out.push_str(&format!(
-            "trace: {} events (schema v{}), {:.6} s simulated span, digest {:016x}\n",
-            self.len(),
-            TRACE_SCHEMA_VERSION,
-            span_s,
-            self.digest()
-        ));
-        if self.dropped > 0 {
-            out.push_str(&format!("  ({} oldest events dropped by ring overflow)\n", self.dropped));
-        }
-        out.push_str(&format!("  {:<16} {:>8}\n", "kind", "events"));
-        for name in EventKind::ALL_NAMES {
-            let n = self.count(name);
-            if n > 0 {
-                out.push_str(&format!("  {name:<16} {n:>8}\n"));
-            }
-        }
-        let mut wafers: Vec<usize> = self.events.iter().map(|e| e.wafer).collect();
-        wafers.sort_unstable();
-        wafers.dedup();
-        out.push_str(&format!("  {:<16} {:>8}\n", "wafer", "events"));
-        for w in wafers {
-            let n = self.events.iter().filter(|e| e.wafer == w).count();
-            out.push_str(&format!("  wafer {w:<10} {n:>8}\n"));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -347,20 +310,10 @@ mod tests {
     }
 
     #[test]
-    fn summarize_counts_kinds() {
-        let s = small_timeline().summarize();
-        assert!(s.contains("6 events"));
-        assert!(s.contains("arrival"));
-        assert!(s.contains("complete"));
-        assert!(!s.contains("remap"), "absent kinds are omitted");
-    }
-
-    #[test]
     fn empty_trace_is_harmless() {
         let t = Trace::default();
         assert!(t.is_empty());
         assert_eq!(t.request_spans(), vec![]);
         assert!(t.chrome_trace_json().contains("[\n"));
-        assert!(t.summarize().contains("0 events"));
     }
 }

@@ -12,8 +12,7 @@
 //!   (bounded [`RingSink`] by default).
 //! - [`chrome`] — a merged [`Trace`] over per-wafer event streams:
 //!   per-request span reconstruction, a pinned digest for golden tests,
-//!   Chrome trace-event JSON loadable in Perfetto, and a text
-//!   [`Trace::summarize`] table.
+//!   and Chrome trace-event JSON loadable in Perfetto.
 //! - [`telemetry`] — sampled per-wafer gauges and cluster counters on a
 //!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
 //!   flat JSON time series.

@@ -1,17 +1,14 @@
-//! The `examples/fault_tolerance.rs` walkthrough promoted into tier-1
-//! assertions: defect-map generation, mapping around defects, replacement-
-//! chain repair, and rerouting — the example only *prints* these steps in
-//! CI, so regressions in any of them were previously invisible to
-//! `cargo test`.
+//! Fault tolerance on the paper wafer (§4.3.3, Fig. 9), step by step:
+//! defect-map generation, mapping around defects, replacement-chain
+//! repair of a run-time core failure, and rerouting around it.
 
 use ouroboros::hw::{CoreId, DefectMap, WaferGeometry, YieldModel};
 use ouroboros::mapping::{remap_with_chain, MappingProblem, Strategy};
 use ouroboros::model::zoo;
 use ouroboros::noc::route_xy_avoiding;
 
-/// One shared setup mirroring the example, at a reduced annealing budget:
-/// the paper wafer, the Murphy defect map at seed 2026, and a LLaMA-13B
-/// block mapped around the defects.
+/// One shared setup: the paper wafer, the Murphy defect map at seed 2026,
+/// and a LLaMA-13B block mapped around the defects.
 fn mapped_block() -> (WaferGeometry, DefectMap, ouroboros::mapping::MappingSolution, MappingProblem) {
     let geometry = WaferGeometry::paper();
     let defects = DefectMap::generate(&geometry, &YieldModel::paper(), 2026);
@@ -53,11 +50,10 @@ fn replacement_chain_repairs_a_runtime_failure_on_the_paper_wafer() {
     assert!(problem.num_tiles() > 0);
     let kv_cores: Vec<CoreId> =
         defects.functional_cores().filter(|c| !solution.assignment.core.contains(c)).take(64).collect();
-    assert!(kv_cores.len() >= 8, "the example's 64 spare KV cores must exist");
+    assert!(kv_cores.len() >= 8, "spare KV cores must exist to absorb the displaced weights");
     let failed = solution.assignment.core[problem.num_tiles() / 2];
     let outcome = remap_with_chain(&geometry, &solution.assignment, &kv_cores, failed)
         .expect("kv cores are available to absorb the displaced weights");
-    // The example's printed claims, asserted.
     assert!(!outcome.new_assignment.core.contains(&failed), "the failed core is vacated");
     assert!(outcome.chain.len() >= 2, "a weight-core failure builds a real chain");
     assert_eq!(outcome.moved_tiles, outcome.chain.len() - 1);

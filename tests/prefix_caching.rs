@@ -1,5 +1,6 @@
 //! Workspace-wide invariants of shared-prefix KV caching: the acceptance
-//! claims of the prefix-cache tentpole, pinned on the fast test system.
+//! claims of the prefix cache, pinned on the fast test system and on the
+//! four-wafer LLaMA-13B deployment of `experiments prefix`.
 //!
 //! With shared system prompts (share ratio ≥ 0.5, same seed), the
 //! prefix-cache-on run must show strictly lower mean TTFT and strictly
@@ -7,10 +8,11 @@
 //! byte-identical per seed, and the refcount-aware block audit must stay
 //! conserved after every release, eviction, and fault remap.
 
+use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
 use ouroboros::serve::{routers, Admission, Engine, EngineConfig, Router, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
-use ouroboros::workload::{ArrivalConfig, Request, SessionConfig};
+use ouroboros::workload::{ArrivalConfig, LengthConfig, Request, SessionConfig, TimedTrace};
 
 fn tiny_system() -> OuroborosSystem {
     OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap()
@@ -20,7 +22,7 @@ fn slo() -> SloConfig {
     SloConfig { ttft_s: 0.5, tpot_s: 0.05 }
 }
 
-fn session_timed(n: usize, share: f64, seed: u64) -> ouroboros::workload::TimedTrace {
+fn session_timed(n: usize, share: f64, seed: u64) -> TimedTrace {
     let cfg = SessionConfig {
         groups: 2,
         shared_prefix_tokens: 256,
@@ -33,20 +35,19 @@ fn session_timed(n: usize, share: f64, seed: u64) -> ouroboros::workload::TimedT
     ArrivalConfig::Poisson { rate_rps: 1_500.0 }.assign(&trace, seed)
 }
 
-/// The headline acceptance claim: at share ratio 0.7 on identical traffic,
-/// cache-on beats cache-off on mean TTFT and prefilled tokens, and both
+/// The headline acceptance claim on `timed` served by `wafers` colocated
+/// wafers: cache-on (prefix-affinity routing) beats cache-off
+/// (least-kv-load) on mean TTFT and prefilled tokens, every drained
+/// wafer's refcount-aware block audit is conserved and empty, and both
 /// runs are reproducible byte-for-byte.
-#[test]
-fn prefix_cache_on_beats_off_at_half_sharing() {
-    let sys = tiny_system();
-    let t = session_timed(60, 0.7, 42);
+fn assert_prefix_cache_wins(sys: &OuroborosSystem, wafers: usize, slo: SloConfig, t: &TimedTrace) {
     let run = |caching: bool, router: Box<dyn Router>| {
-        let outcome = Scenario::colocated(2)
+        let outcome = Scenario::colocated(wafers)
             .router(router)
             .prefix_caching(caching)
-            .slo(slo())
+            .slo(slo)
             .workload(t.clone())
-            .run_full(&sys)
+            .run_full(sys)
             .unwrap();
         for e in outcome.engines() {
             let audit = e.kv_audit();
@@ -75,6 +76,27 @@ fn prefix_cache_on_beats_off_at_half_sharing() {
     // Byte-identical per seed, for both configurations.
     assert_eq!(format!("{:?}", run(true, routers::prefix_affinity())), format!("{on:?}"));
     assert_eq!(format!("{:?}", run(false, routers::least_kv_load())), format!("{off:?}"));
+}
+
+/// The headline claim at share ratio 0.7 on the fast test system.
+#[test]
+fn prefix_cache_on_beats_off_at_half_sharing() {
+    assert_prefix_cache_wins(&tiny_system(), 2, slo(), &session_timed(60, 0.7, 42));
+}
+
+/// The same claim on the deployment `experiments prefix` runs: four
+/// LLaMA-13B wafers (seed 2026) serving 200 chat-session requests at share
+/// ratio 0.7 and 80% of capacity.
+#[test]
+fn prefix_cache_on_beats_off_on_four_llama_13b_wafers() {
+    let session = SessionConfig::chat(4, 0.7);
+    let lengths =
+        LengthConfig::fixed(session.shared_prefix_tokens + session.user_turn_tokens, session.decode_tokens);
+    let (system, capacity, slo) = serving_setup(2026, &lengths);
+    let wafers = 4;
+    let rate = 0.8 * capacity * wafers as f64;
+    let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&session.generate(200, 2026), 2026);
+    assert_prefix_cache_wins(&system, wafers, slo, &timed);
 }
 
 /// Untagged traffic must be bit-identical whether the cache is on or off —

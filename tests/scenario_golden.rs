@@ -14,11 +14,14 @@
 //! The second half covers the JSON side of the schema: a flat round-trip
 //! through the one `RunReport` schema and a pinned key list that fails
 //! loudly when a key is renamed or dropped without bumping
-//! `SCHEMA_VERSION`.
+//! `SCHEMA_VERSION`. Last, the `experiments scenario` matrix at 160
+//! requests per cell shows every axis of the API in that one report.
 
+use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
 use ouroboros::serve::{
-    placements, routers, FaultConfig, MigrationStats, RunReport, Scenario, SloConfig, SCHEMA_VERSION,
+    parallel_map_indexed, placements, routers, FaultConfig, MigrationStats, RunReport, Scenario, SloConfig,
+    SCHEMA_VERSION,
 };
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
@@ -383,4 +386,56 @@ fn experiment_rows_stay_inside_the_pinned_schema() {
     // The tag keys come first, so trajectory tooling can group by
     // experiment/label without parsing the whole row.
     assert_eq!(&rows[0].keys()[..2], ouro_bench::EXPERIMENT_TAG_KEYS);
+}
+
+// ---- the scenario matrix at experiment scale -----------------------------
+
+/// One builder composed six ways — colocated/disaggregated × clean,
+/// faulty and prefix-cached — on four LLaMA-13B wafers (seed 2026) at 80%
+/// of capacity: bursty 512/64-token traffic with an MTBF of half the
+/// arrival span, and chat sessions at share ratio 0.7. Every cell keeps
+/// the report's conservation identities, and each axis shows in it.
+#[test]
+fn every_scenario_axis_shows_in_one_report_on_four_llama_13b_wafers() {
+    const SEED: u64 = 2026;
+    const WAFERS: usize = 4;
+    const REQUESTS: usize = 160;
+    let lengths = LengthConfig::fixed(512, 64);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
+    let rate = 0.8 * capacity * WAFERS as f64;
+    let trace = TraceGenerator::new(SEED).generate(&lengths, REQUESTS);
+    let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
+    let sessions = SessionConfig::chat(4, 0.7).generate(REQUESTS, SEED);
+    let session_timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&sessions, SEED);
+    let faults = FaultConfig::new(timed.last_arrival_s() / 2.0, SEED);
+    let colocated = || Scenario::colocated(WAFERS).slo(slo);
+    let disagg = || Scenario::disaggregated(1, WAFERS - 1).slo(slo);
+    let cells = vec![
+        colocated().workload(timed.clone()),
+        disagg().workload(timed.clone()),
+        colocated().faults(faults).workload(timed.clone()),
+        disagg().faults(faults).workload(timed),
+        colocated().router(routers::prefix_affinity()).prefix_caching(true).workload(session_timed.clone()),
+        disagg().placement(placements::prefix_affinity()).prefix_caching(true).workload(session_timed),
+    ];
+    let reports = parallel_map_indexed(cells, 2, |_, s| s.run(&system).expect("builds"));
+    for (i, r) in reports.iter().enumerate() {
+        assert!(r.is_conserved(), "cell {i}: request conservation must hold");
+        assert!(r.kv_bytes_conserved(), "cell {i}: migration bytes must be conserved");
+        assert_eq!(r.schema_version, SCHEMA_VERSION);
+    }
+    let [_, disagg, colocated_faulty, disagg_faulty, colocated_prefix, disagg_prefix] = &reports[..] else {
+        unreachable!("six cells in, six reports out")
+    };
+    for (label, r) in [("colocated", colocated_faulty), ("disagg", disagg_faulty)] {
+        let f = r.faults.as_ref().expect("fault plan was armed");
+        assert!(f.faults_injected > 0, "{label}: the accelerated MTBF must fire");
+        assert!(f.availability < 1.0, "{label}: faults must dent availability");
+    }
+    assert!(colocated_prefix.serving.cached_prefix_tokens > 0, "sharers must hit the prefix cache");
+    assert!(
+        disagg_prefix.migration.as_ref().unwrap().deduped_kv_bytes > 0,
+        "prefix-affine placement must dedup migrated bytes"
+    );
+    assert!(disagg.migration.as_ref().unwrap().migrations > 0);
 }

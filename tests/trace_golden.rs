@@ -13,10 +13,14 @@
 //!    just the pinned one: one arrival per request, terminal events
 //!    terminate, prefill starts match ends (up to evictions), and every
 //!    reconstructed span nests inside its request's lifetime.
+//!
+//! The first and third also hold at experiment scale: a faulty
+//! disaggregated run on four LLaMA-13B wafers, traced end to end.
 
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
+use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
 use ouroboros::serve::{routers, FaultConfig, RunOutcome, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
@@ -88,6 +92,52 @@ fn tracing_never_perturbs_the_report() {
         "tracing must be strictly observational"
     );
     assert_eq!(format!("{:?}", dark.serving), format!("{:?}", lit.report.serving));
+}
+
+/// One prefill and three decode LLaMA-13B wafers (seed 2026) serving 120
+/// bursty (cv = 4) 512/64-token requests at 80% of capacity, with an MTBF
+/// of half the arrival span and telemetry sampled 64 times over it: the
+/// instrumented run reports exactly what the dark run does, and its trace
+/// accounts for every request and every migration.
+#[test]
+fn llama_13b_disaggregated_fault_run_traces_every_request_and_migration() {
+    const SEED: u64 = 2026;
+    const WAFERS: usize = 4;
+    const REQUESTS: usize = 120;
+    let lengths = LengthConfig::fixed(512, 64);
+    let (system, capacity, slo) = serving_setup(SEED, &lengths);
+    let rate = 0.8 * capacity * WAFERS as f64;
+    let trace = TraceGenerator::new(SEED).generate(&lengths, REQUESTS);
+    let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
+    let mtbf = timed.last_arrival_s() / 2.0;
+    let cadence_s = timed.last_arrival_s() / 64.0;
+    let scenario =
+        Scenario::disaggregated(1, WAFERS - 1).slo(slo).faults(FaultConfig::new(mtbf, SEED)).workload(timed);
+
+    let dark = scenario.clone().run(&system).expect("pools build");
+    let outcome = scenario.trace(true).telemetry_every(cadence_s).run_full(&system).expect("pools build");
+    assert_eq!(
+        dark.json_object().render(),
+        outcome.report.json_object().render(),
+        "tracing must be strictly observational"
+    );
+
+    let trace = outcome.trace().expect("tracing was armed");
+    assert!(!trace.is_empty(), "a faulty disaggregated run must emit events");
+    assert_eq!(trace.dropped(), 0, "default ring capacity must hold a small run");
+    assert_eq!(trace.count("arrival"), REQUESTS);
+    assert_eq!(trace.count("complete"), REQUESTS);
+    assert!(trace.count("fault") > 0, "the accelerated MTBF must fire");
+    assert!(trace.count("kv_export") > 0, "disaggregation must migrate KV");
+    // Every migration shipped by the driver appears as a start/arrive pair.
+    let migrations = outcome.report.migration.as_ref().expect("disagg reports migration").migrations;
+    assert_eq!(trace.count("migrate_start"), migrations);
+    assert_eq!(trace.count("migrate_arrive"), migrations);
+
+    let telemetry = outcome.telemetry();
+    assert!(!telemetry.is_empty(), "the recorder must sample at the cadence");
+    let max_batch = telemetry.iter().map(|s| s.gauges.batch_occupancy).max().unwrap();
+    assert!(max_batch > 0, "some wafer must batch work at some sample");
 }
 
 // ---- well-formedness laws ------------------------------------------------
