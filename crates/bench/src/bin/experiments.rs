@@ -538,6 +538,19 @@ fn shootout_sides(
     ]
 }
 
+/// Most faults a wafer may expect over a run's fault window: the
+/// accelerated MTBF is floored at the window over this count. The window is
+/// at least one second ([`ouro_serve::FaultInjector::run_window_s`]), so at
+/// one to three requests an MTBF derived from the arrival span would
+/// otherwise schedule up to 2e11 faults per wafer up front.
+const MAX_FAULTS_PER_WAFER: f64 = 10_000.0;
+
+/// `mtbf_s` (an arrival span over a divisor), floored so a fault plan over
+/// `timed` stays bounded ([`MAX_FAULTS_PER_WAFER`]).
+fn accelerated_mtbf(mtbf_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
+    mtbf_s.max(ouro_serve::FaultInjector::run_window_s(f64::INFINITY, timed) / MAX_FAULTS_PER_WAFER)
+}
+
 /// Online serving — load sweeps and routing policies on a 4-wafer cluster.
 /// Returns the JSON rows of every printed point.
 fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
@@ -702,7 +715,8 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     let mtbf_points = [("none", 0.0), ("span/2", 2.0), ("span/6", 6.0)];
     let swept = ouro_serve::parallel_map_indexed(mtbf_points.to_vec(), threads, |_, (label, divisor)| {
         let faulty = if divisor > 0.0 {
-            base.clone().faults(FaultConfig::new(span / divisor, SEED)).run(&system).expect("cluster builds")
+            let mtbf = accelerated_mtbf(span / divisor, &timed);
+            base.clone().faults(FaultConfig::new(mtbf, SEED)).run(&system).expect("cluster builds")
         } else {
             // Zero fault rate: the faulty run is the clean run by
             // definition; only the (empty) fault report is fresh.
@@ -740,8 +754,8 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     }
 
     eprintln!("\n--- colocated vs disaggregated with faults enabled (MTBF = span/4) ---");
-    let fault = FaultConfig::new(span / 4.0, SEED);
     let bursty = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
+    let fault = FaultConfig::new(accelerated_mtbf(span / 4.0, &bursty), SEED);
     let sides = shootout_sides(1, slo, bursty).map(|side| side.faults(fault));
     let reports = run_all(&system, sides.into(), threads);
     print!("{}", format_shootout(&reports));
@@ -836,7 +850,7 @@ fn scenario_matrix(
     let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
     let session = SessionConfig::chat(4, 0.7).generate(requests, SEED);
     let session_timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&session, SEED);
-    let mtbf = timed.last_arrival_s() / 2.0;
+    let mtbf = accelerated_mtbf(timed.last_arrival_s() / 2.0, &timed);
     // Midpoint checkpoints for --via-snapshot: any event boundary is a
     // valid checkpoint, the arrival midpoint just maximizes in-flight state.
     let mid_s = timed.last_arrival_s() * 0.5;

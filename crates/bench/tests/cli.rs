@@ -1,6 +1,7 @@
-//! The `experiments` binary rejects a flag its subcommand does not honor
-//! before it runs anything, so a misconfigured invocation costs nothing
-//! and leaves no partial output behind.
+//! The `experiments` binary's command line: a flag its subcommand does not
+//! honor is rejected before anything runs, so a misconfigured invocation
+//! costs nothing and leaves no partial output behind; and every serving
+//! subcommand runs to completion at the smallest request counts.
 
 use std::path::Path;
 use std::process::Command;
@@ -22,5 +23,31 @@ fn flags_a_subcommand_does_not_honor_are_rejected_before_it_runs() {
         assert_eq!(run.status.code(), Some(2), "{args:?}: stderr: {}", String::from_utf8_lossy(&run.stderr));
         assert!(run.stdout.is_empty(), "{args:?} ran first: {}", String::from_utf8_lossy(&run.stdout));
         assert!(!out.exists(), "{args:?}: nothing may be written");
+    }
+}
+
+/// Every serving subcommand finishes at one request. At one to three
+/// requests `scenario`'s bursty arrival span is 9 ps to 0.1 µs, so a fault
+/// MTBF derived from it is far shorter than the one-second fault window;
+/// the MTBF floor keeps the fault schedule, and with it the run's memory,
+/// bounded.
+#[test]
+fn serving_subcommands_finish_at_one_to_three_requests() {
+    let cases: [&[&str]; 8] = [
+        &["scenario", "--requests", "1"],
+        &["scenario", "--requests", "2"],
+        &["scenario", "--requests", "3"],
+        &["serving", "--requests", "1"],
+        &["disagg", "--requests", "1"],
+        &["faults", "--requests", "1"],
+        &["prefix", "--requests", "1"],
+        &["analyze", "--requests", "1"],
+    ];
+    for args in cases {
+        let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(args)
+            .output()
+            .expect("the experiments binary starts");
+        assert_eq!(run.status.code(), Some(0), "{args:?}: stderr: {}", String::from_utf8_lossy(&run.stderr));
     }
 }

@@ -95,12 +95,6 @@ impl CircuitPoint {
             lut_compute: false,
         }
     }
-
-    /// Whether the whole model + KV working set of `model_bytes` fits in the
-    /// design's on-wafer capacity.
-    pub fn fits_on_wafer(&self, model_bytes: u64) -> bool {
-        (model_bytes as f64) <= self.wafer_capacity_gb * 1e9
-    }
 }
 
 /// All four design points of Fig. 21 in display order.
@@ -162,15 +156,6 @@ mod tests {
         let ratio = base.scaled_tops_per_watt / lut.scaled_tops_per_watt;
         assert!((ratio - 0.9).abs() < 1e-9);
         assert!(lut.lut_compute);
-    }
-
-    #[test]
-    fn only_ouroboros_fits_a_13b_model() {
-        // LLaMA-13B at int8 is ~13 GB of weights before KV.
-        let model_bytes = 13_000_000_000u64;
-        assert!(CircuitPoint::ouroboros().fits_on_wafer(model_bytes));
-        assert!(!CircuitPoint::vlsi22().fits_on_wafer(model_bytes));
-        assert!(!CircuitPoint::isscc22().fits_on_wafer(model_bytes));
     }
 
     #[test]

@@ -112,13 +112,6 @@ impl CimCore {
         self.config.crossbars as u64 * self.config.crossbar.capacity_bytes()
     }
 
-    /// Capacity available for static weights when `kv_crossbars` of the
-    /// core's crossbars are reserved for dynamic KV blocks.
-    pub fn weight_capacity_bytes(&self, kv_crossbars: usize) -> u64 {
-        let weight_xbars = self.config.crossbars.saturating_sub(kv_crossbars);
-        weight_xbars as u64 * self.config.crossbar.capacity_bytes()
-    }
-
     /// Peak MAC throughput of the whole core (all crossbars busy), MAC/s.
     pub fn peak_macs_per_second(&self) -> f64 {
         self.config.crossbars as f64 * self.config.crossbar.macs_per_second()
@@ -167,15 +160,6 @@ impl CimCore {
         }
     }
 
-    /// Energy in joules for an `in_dim × out_dim` GEMV on this core,
-    /// including input/output buffer traffic.
-    pub fn gemv_energy_j(&self, in_dim: usize, out_dim: usize) -> f64 {
-        let macs = in_dim as u64 * out_dim as u64;
-        let e = &self.config.energy;
-        e.mac_energy_j(macs) + e.buffer_energy_j(in_dim as u64) + e.buffer_energy_j(out_dim as u64 * 4)
-        // 32-bit partial sums out
-    }
-
     /// Latency of `ops` SFU operations.
     pub fn sfu_latency_s(&self, ops: u64) -> f64 {
         self.config.sfu.latency_s(ops)
@@ -218,14 +202,6 @@ mod tests {
         let core = CimCore::paper();
         let d = core.tops_per_mm2();
         assert!(d > 1.0 && d < 4.5, "got {d}");
-    }
-
-    #[test]
-    fn weight_capacity_shrinks_with_kv_reservation() {
-        let core = CimCore::paper();
-        assert_eq!(core.weight_capacity_bytes(0), core.sram_capacity_bytes());
-        assert_eq!(core.weight_capacity_bytes(8), 24 * core.config.crossbar.capacity_bytes());
-        assert_eq!(core.weight_capacity_bytes(64), 0);
     }
 
     #[test]
@@ -290,14 +266,6 @@ mod tests {
             let t = core.gemv_latency_s(in_dim, out_dim);
             // Can never be faster than the peak MAC rate allows.
             prop_assert!(t >= macs / core.peak_macs_per_second() * 0.999);
-        }
-
-        #[test]
-        fn gemv_energy_monotone(in_dim in 1usize..4096, out_dim in 1usize..4096) {
-            let core = CimCore::paper();
-            let e1 = core.gemv_energy_j(in_dim, out_dim);
-            let e2 = core.gemv_energy_j(in_dim + 1, out_dim + 1);
-            prop_assert!(e2 > e1);
         }
     }
 }

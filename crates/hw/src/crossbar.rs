@@ -10,17 +10,6 @@
 
 use crate::energy::CIM_CLOCK_HZ;
 
-/// Operating mode of a crossbar.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CrossbarMode {
-    /// Persistent static weights (FFN / projection layers).
-    #[default]
-    Ffn,
-    /// Dynamically allocated KV-cache logical blocks used for in-situ
-    /// attention (`Q·Kᵀ` and `softmax(S)·V`).
-    Attention,
-}
-
 /// Static configuration of a crossbar array.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrossbarConfig {
@@ -153,32 +142,6 @@ impl CrossbarConfig {
     }
 }
 
-/// A crossbar instance: configuration plus its current operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Crossbar {
-    /// The static array configuration.
-    pub config: CrossbarConfig,
-    /// FFN (static weights) or attention (dynamic KV) mode.
-    pub mode: CrossbarMode,
-}
-
-impl Crossbar {
-    /// Creates a crossbar in the given mode with the paper configuration.
-    pub fn new(mode: CrossbarMode) -> Crossbar {
-        Crossbar { config: CrossbarConfig::paper(), mode }
-    }
-
-    /// Whether the crossbar can accept a weight tile (only in FFN mode).
-    pub fn accepts_weights(&self) -> bool {
-        self.mode == CrossbarMode::Ffn
-    }
-
-    /// Whether the crossbar serves dynamically allocated KV blocks.
-    pub fn serves_kv(&self) -> bool {
-        self.mode == CrossbarMode::Attention
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,14 +195,6 @@ mod tests {
         assert_eq!(c.logical_block_bytes(), 16 * 1024);
         assert_eq!(c.tokens_per_logical_block(128, 1), 128);
         assert_eq!(c.tokens_per_logical_block(64, 1), 256);
-    }
-
-    #[test]
-    fn modes_gate_weight_and_kv_roles() {
-        let ffn = Crossbar::new(CrossbarMode::Ffn);
-        let att = Crossbar::new(CrossbarMode::Attention);
-        assert!(ffn.accepts_weights() && !ffn.serves_kv());
-        assert!(att.serves_kv() && !att.accepts_weights());
     }
 
     #[test]

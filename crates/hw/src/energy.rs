@@ -60,16 +60,6 @@ impl EnergyTable {
         EnergyTable { cim_mac_j: self.cim_mac_j * 0.9, ..self }
     }
 
-    /// Energy of `macs` multiply-accumulates.
-    pub fn mac_energy_j(&self, macs: u64) -> f64 {
-        macs as f64 * self.cim_mac_j
-    }
-
-    /// Energy of moving `bytes` through an activation buffer (one direction).
-    pub fn buffer_energy_j(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.buffer_j_per_byte
-    }
-
     /// Energy of `ops` SFU operations.
     pub fn sfu_energy_j(&self, ops: u64) -> f64 {
         ops as f64 * self.sfu_op_j
@@ -110,8 +100,7 @@ mod tests {
     #[test]
     fn energies_scale_linearly() {
         let t = EnergyTable::paper();
-        assert!((t.mac_energy_j(2_000) - 2.0 * t.mac_energy_j(1_000)).abs() < 1e-18);
-        assert!((t.buffer_energy_j(100) - 100.0 * t.buffer_j_per_byte).abs() < 1e-18);
+        assert!((t.sfu_energy_j(2_000) - 2.0 * t.sfu_energy_j(1_000)).abs() < 1e-18);
         assert_eq!(t.sfu_energy_j(0), 0.0);
     }
 

@@ -30,7 +30,7 @@ pub mod yield_model;
 
 pub use crate::core::{CimCore, CoreConfig, SfuModel};
 pub use circuit::{CircuitPoint, CIRCUIT_BASELINES};
-pub use crossbar::{Crossbar, CrossbarConfig, CrossbarMode};
+pub use crossbar::CrossbarConfig;
 pub use energy::{EnergyTable, CIM_CLOCK_HZ, SFU_CLOCK_HZ};
 pub use geometry::{CoreCoord, CoreId, DieCoord, WaferGeometry};
 pub use yield_model::{murphy_yield, DefectMap, YieldModel};

@@ -119,11 +119,6 @@ impl DefectMap {
     pub fn functional_cores(&self) -> impl Iterator<Item = CoreId> + '_ {
         self.defective.iter().enumerate().filter_map(|(i, &d)| (!d).then_some(CoreId(i)))
     }
-
-    /// Marks an additional core as defective (runtime fault injection).
-    pub fn inject_fault(&mut self, id: CoreId) {
-        self.defective[id.0] = true;
-    }
 }
 
 #[cfg(test)]
@@ -190,15 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn explicit_defects_and_injection() {
+    fn explicit_defects_are_marked() {
         let g = WaferGeometry::tiny(1, 1, 4, 4);
-        let mut map = DefectMap::from_defective(&g, &[CoreId(3), CoreId(7)]);
+        let map = DefectMap::from_defective(&g, &[CoreId(3), CoreId(7)]);
         assert!(map.is_defective(CoreId(3)));
         assert!(!map.is_defective(CoreId(0)));
         assert_eq!(map.defective_count(), 2);
-        map.inject_fault(CoreId(0));
-        assert_eq!(map.defective_count(), 3);
-        assert_eq!(map.functional_cores().count(), 13);
+        assert_eq!(map.functional_cores().count(), 14);
     }
 
     proptest! {

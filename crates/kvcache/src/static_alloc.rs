@@ -38,11 +38,6 @@ impl StaticKvAllocator {
     pub fn utilization(&self, actual_tokens: usize) -> f64 {
         (actual_tokens as f64 / self.reserved_per_sequence as f64).min(1.0)
     }
-
-    /// Tokens wasted per sequence for an actual usage of `actual_tokens`.
-    pub fn wasted_tokens(&self, actual_tokens: usize) -> usize {
-        self.reserved_per_sequence.saturating_sub(actual_tokens)
-    }
 }
 
 #[cfg(test)]
@@ -60,8 +55,6 @@ mod tests {
         let a = StaticKvAllocator::new(100_000, 4096);
         assert!((a.utilization(1024) - 0.25).abs() < 1e-12);
         assert_eq!(a.utilization(8192), 1.0);
-        assert_eq!(a.wasted_tokens(1024), 3072);
-        assert_eq!(a.wasted_tokens(8192), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! ```
 //! use ouro_model::zoo;
-//! use ouro_model::stage::StageKind;
+//! use ouro_model::{StageCosts, StageKind};
 //!
 //! let llama = zoo::llama_13b();
 //! assert_eq!(llama.blocks, 40);
@@ -21,7 +21,7 @@
 //! let bytes = llama.block_weight_bytes();
 //! assert!(bytes > 300_000_000);
 //! // FLOPs performed by the QKV-generation stage for one decode token.
-//! let flops = llama.stage_flops(StageKind::QkvGeneration, 1);
+//! let flops = StageCosts::for_token(&llama, StageKind::QkvGeneration, 1).flops;
 //! assert!(flops > 0);
 //! ```
 

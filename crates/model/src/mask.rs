@@ -46,12 +46,6 @@ impl MaskKind {
         }
     }
 
-    /// Whether attention for token `t` can be computed without waiting for
-    /// any token scheduled *after* it in the pipeline.
-    pub fn token_grained_ready(self, t: usize, seq_len: usize, prefix_len: usize) -> bool {
-        self.attended_positions(t, seq_len, prefix_len) <= t + 1
-    }
-
     /// Total number of score-matrix entries that are *valid* (unmasked) for a
     /// sequence of length `seq_len` — the effective attention work.
     pub fn valid_score_entries(self, seq_len: usize, prefix_len: usize) -> u64 {
@@ -94,19 +88,6 @@ mod tests {
         assert_eq!(MaskKind::Prefix.attended_positions(3, 8, 4), 4);
         assert_eq!(MaskKind::Prefix.attended_positions(4, 8, 4), 5);
         assert_eq!(MaskKind::Prefix.attended_positions(7, 8, 4), 8);
-    }
-
-    #[test]
-    fn causal_is_always_token_grained_ready() {
-        for t in 0..16 {
-            assert!(MaskKind::Causal.token_grained_ready(t, 16, 0));
-        }
-    }
-
-    #[test]
-    fn bidirectional_only_ready_at_last_token() {
-        assert!(!MaskKind::Bidirectional.token_grained_ready(0, 4, 0));
-        assert!(MaskKind::Bidirectional.token_grained_ready(3, 4, 0));
     }
 
     #[test]

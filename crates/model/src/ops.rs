@@ -11,7 +11,6 @@
 //! token-grained pipelining come from.
 
 use crate::config::ModelConfig;
-use crate::mask::MaskKind;
 use crate::stage::{StageKind, STAGES_PER_BLOCK};
 
 /// Operation and data-volume counts for one pipeline stage processing one
@@ -147,12 +146,6 @@ impl BlockCosts {
 }
 
 impl ModelConfig {
-    /// FLOPs performed by `kind` for one token attending to `attended`
-    /// positions (see [`StageCosts::for_token`]).
-    pub fn stage_flops(&self, kind: StageKind, attended: usize) -> u64 {
-        StageCosts::for_token(self, kind, attended).flops
-    }
-
     /// Total FLOPs to run one token through the entire model (all blocks)
     /// when it attends to `attended` positions.
     pub fn token_flops(&self, attended: usize) -> u64 {
@@ -170,12 +163,6 @@ impl ModelConfig {
     /// `prompt_len` tokens (each decode step attends to everything so far).
     pub fn decode_flops(&self, prompt_len: usize, decode_len: usize) -> u64 {
         (0..decode_len).map(|t| self.token_flops(prompt_len + t + 1)).sum()
-    }
-
-    /// Number of *valid* score entries of a full prefill under this model's
-    /// mask — the attention work that the causal mask saves shows up here.
-    pub fn prefill_score_entries(&self, prompt_len: usize) -> u64 {
-        MaskKind::valid_score_entries(self.mask(), prompt_len, prompt_len)
     }
 }
 
@@ -252,8 +239,8 @@ mod tests {
         let llama = zoo::llama_13b();
         let bert = zoo::bert_large();
         // Causal prefill touches ~half the score entries of bidirectional.
-        let l = llama.prefill_score_entries(512) as f64 / 512.0 / 512.0;
-        let b = bert.prefill_score_entries(512) as f64 / 512.0 / 512.0;
+        let l = llama.mask().valid_score_entries(512, 512) as f64 / 512.0 / 512.0;
+        let b = bert.mask().valid_score_entries(512, 512) as f64 / 512.0 / 512.0;
         assert!(l < 0.52 && l > 0.49);
         assert!((b - 1.0).abs() < 1e-9);
     }

@@ -104,23 +104,6 @@ pub fn scaling_tax_models() -> Vec<ModelConfig> {
     vec![llama_7b(), llama_13b(), gpt_20b(), llama_32b(), llama_65b(), dense_130b()]
 }
 
-/// Looks a model up by its display name (case-insensitive).
-pub fn by_name(name: &str) -> Option<ModelConfig> {
-    let all = [
-        llama_7b(),
-        llama_13b(),
-        gpt_20b(),
-        llama_32b(),
-        llama_65b(),
-        dense_130b(),
-        baichuan_13b(),
-        qwen_32b(),
-        t5_11b(),
-        bert_large(),
-    ];
-    all.into_iter().find(|m| m.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,14 +145,6 @@ mod tests {
         for m in [llama_7b(), llama_13b(), llama_32b(), llama_65b(), baichuan_13b(), qwen_32b()] {
             assert_eq!(m.hidden_dim, m.heads * m.head_dim, "{}", m.name);
         }
-    }
-
-    #[test]
-    fn by_name_finds_models_case_insensitively() {
-        assert!(by_name("llama-13b").is_some());
-        assert!(by_name("LLAMA-65B").is_some());
-        assert!(by_name("bert-large").is_some());
-        assert!(by_name("no-such-model").is_none());
     }
 
     #[test]

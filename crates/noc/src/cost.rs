@@ -109,26 +109,10 @@ impl CommCost {
                 + t.wafer_crossings as f64 * self.noc.inter_wafer.energy_j_per_byte)
     }
 
-    /// Convenience: latency of moving `bytes` between two cores of
-    /// `geometry` along the XY route.
-    pub fn transfer_latency_s(&self, geometry: &WaferGeometry, from: CoreId, to: CoreId, bytes: u64) -> f64 {
-        self.latency_s(&Transfer::between(geometry, from, to, bytes))
-    }
-
     /// Convenience: energy of moving `bytes` between two cores of `geometry`
     /// along the XY route.
     pub fn transfer_energy_j(&self, geometry: &WaferGeometry, from: CoreId, to: CoreId, bytes: u64) -> f64 {
         self.energy_j(&Transfer::between(geometry, from, to, bytes))
-    }
-
-    /// The abstract "weighted transmission volume" used by the mapping
-    /// studies (Fig. 18): bytes × hops, with die crossings weighted by the
-    /// `Cost_inter` penalty. Dimensionless apart from bytes.
-    pub fn weighted_volume(&self, t: &Transfer) -> f64 {
-        t.bytes as f64
-            * (t.intra_die_hops as f64
-                + t.die_crossings as f64 * self.noc.cost_inter()
-                + t.wafer_crossings as f64 * self.noc.cost_inter() * 4.0)
     }
 }
 
@@ -150,15 +134,15 @@ mod tests {
     fn same_core_transfer_is_free() {
         let g = WaferGeometry::paper();
         let cost = CommCost::paper();
-        assert_eq!(cost.transfer_latency_s(&g, CoreId(5), CoreId(5), 1 << 20), 0.0);
+        assert_eq!(cost.latency_s(&Transfer::between(&g, CoreId(5), CoreId(5), 1 << 20)), 0.0);
     }
 
     #[test]
     fn longer_routes_cost_more() {
         let g = WaferGeometry::paper();
         let cost = CommCost::paper();
-        let near = cost.transfer_latency_s(&g, CoreId(0), CoreId(1), 4096);
-        let far = cost.transfer_latency_s(&g, CoreId(0), CoreId(5000), 4096);
+        let near = cost.latency_s(&Transfer::between(&g, CoreId(0), CoreId(1), 4096));
+        let far = cost.latency_s(&Transfer::between(&g, CoreId(0), CoreId(5000), 4096));
         assert!(far > near);
         assert!(
             cost.transfer_energy_j(&g, CoreId(0), CoreId(5000), 4096)
@@ -177,8 +161,8 @@ mod tests {
         let cross_a = g.id(CoreCoord { row: 0, col: g.core_cols_per_die - 2 });
         let cross_b = g.id(CoreCoord { row: 0, col: g.core_cols_per_die + 2 });
         assert_eq!(g.manhattan(inside_a, inside_b), g.manhattan(cross_a, cross_b));
-        let inside = cost.transfer_latency_s(&g, inside_a, inside_b, 8192);
-        let cross = cost.transfer_latency_s(&g, cross_a, cross_b, 8192);
+        let inside = cost.latency_s(&Transfer::between(&g, inside_a, inside_b, 8192));
+        let cross = cost.latency_s(&Transfer::between(&g, cross_a, cross_b, 8192));
         assert!(cross > inside);
     }
 
@@ -191,14 +175,6 @@ mod tests {
         let off_wafer = Transfer::inter_wafer(256, 20);
         assert!(cost.latency_s(&off_wafer) > cost.latency_s(&on_wafer));
         assert!(cost.energy_j(&off_wafer) > cost.energy_j(&on_wafer));
-    }
-
-    #[test]
-    fn weighted_volume_penalises_die_crossings() {
-        let cost = CommCost::paper();
-        let intra = Transfer { bytes: 1000, intra_die_hops: 4, die_crossings: 0, wafer_crossings: 0 };
-        let inter = Transfer { bytes: 1000, intra_die_hops: 3, die_crossings: 1, wafer_crossings: 0 };
-        assert!(cost.weighted_volume(&inter) > cost.weighted_volume(&intra));
     }
 
     #[test]
@@ -229,7 +205,6 @@ mod tests {
             let t2 = Transfer { bytes: bytes1 + extra, ..t1 };
             prop_assert!(cost.latency_s(&t2) > cost.latency_s(&t1));
             prop_assert!(cost.energy_j(&t2) > cost.energy_j(&t1));
-            prop_assert!(cost.weighted_volume(&t2) > cost.weighted_volume(&t1));
         }
 
         #[test]

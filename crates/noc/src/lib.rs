@@ -11,20 +11,12 @@
 //! * [`link`] — link/bandwidth/latency/energy parameters for intra-die,
 //!   inter-die and inter-wafer hops, plus the aggregated [`InterWaferLink`]
 //!   optical fabric used for bulk KV migrations between wafers,
-//! * [`routing`] — XY dimension-order routing with fault-aware detours
-//!   around defective cores and links,
 //! * [`cost`] — the transfer cost model (latency and energy of moving a
-//!   payload between two cores) used by the mapper and the end-to-end
-//!   simulator,
-//! * [`htree`] — the 1024-bit H-tree that connects the 32 crossbars inside
-//!   one core, whose bandwidth pressure drives the intra-core DP mapping.
+//!   payload between two cores along the XY route's hop counts) used by the
+//!   mapper and the end-to-end simulator.
 
 pub mod cost;
-pub mod htree;
 pub mod link;
-pub mod routing;
 
 pub use cost::{CommCost, Transfer};
-pub use htree::HTree;
 pub use link::{InterWaferLink, LinkConfig, NocConfig};
-pub use routing::{route_xy, route_xy_avoiding, RouteError};

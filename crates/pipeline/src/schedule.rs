@@ -152,11 +152,6 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
         }
     }
 
-    /// Convenience: run at the finest valid granularity for the model.
-    pub fn run_finest(&self, trace: &Trace) -> PipelineReport {
-        self.run(trace, Granularity::finest_for(self.model))
-    }
-
     fn stage_kind(stage_index: usize) -> StageKind {
         StageKind::ALL[stage_index % STAGES_PER_BLOCK]
     }
@@ -386,13 +381,13 @@ mod tests {
     }
 
     #[test]
-    fn run_finest_picks_the_right_granularity() {
+    fn finest_granularity_runs_for_causal_and_bidirectional_models() {
         let llama = small_llama();
         let bert = ModelConfig { blocks: 2, ..zoo::bert_large() };
         let times = constant();
         let trace = TraceGenerator::new(8).generate(&LengthConfig::fixed(64, 32), 8);
-        let l = PipelineScheduler::new(&llama, &times).run_finest(&trace);
-        let b = PipelineScheduler::new(&bert, &times).run_finest(&trace);
+        let l = PipelineScheduler::new(&llama, &times).run(&trace, Granularity::finest_for(&llama));
+        let b = PipelineScheduler::new(&bert, &times).run(&trace, Granularity::finest_for(&bert));
         assert!(l.makespan_s > 0.0 && b.makespan_s > 0.0);
     }
 

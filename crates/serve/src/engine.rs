@@ -80,28 +80,13 @@ use ouro_sim::{HwStageTimes, StageTimeTable};
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::Request;
 
-/// Tuning knobs of one engine (one wafer's replica).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineConfig {
-    /// Maximum number of simultaneously resident sequences (the KV cache
-    /// usually saturates first).
-    pub max_batch: usize,
-    /// Prefill tokens processed per sequence per iteration (chunked prefill,
-    /// so long prompts cannot starve decode steps).
-    pub prefill_chunk: usize,
-    /// Shared-prefix KV reuse: requests tagged with a
-    /// [`ouro_workload::SharedPrefix`] share the whole-block portion of
-    /// their common prompt prefix in the cache and are charged prefill only
-    /// for the uncached suffix. Off turns every prompt cold (the ablation
-    /// baseline); untagged requests behave identically either way.
-    pub prefix_caching: bool,
-}
+/// Maximum number of simultaneously resident sequences per engine (the KV
+/// cache usually saturates first).
+pub(crate) const MAX_BATCH: usize = 4096;
 
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig { max_batch: 4096, prefill_chunk: 128, prefix_caching: true }
-    }
-}
+/// Prefill tokens processed per sequence per iteration (chunked prefill, so
+/// long prompts cannot starve decode steps).
+pub(crate) const PREFILL_CHUNK: usize = 128;
 
 /// Raw counters exposed by one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -202,7 +187,10 @@ pub struct Engine {
     /// stage. Derived state: never serialized, refilled on demand.
     pub(crate) stage_table: StageTimeTable<(f64, f64)>,
     pub(crate) manager: KvManager,
-    pub(crate) config: EngineConfig,
+    /// Shared-prefix KV reuse ([`crate::Scenario::prefix_caching`]); off
+    /// is the ablation baseline, and untagged requests behave identically
+    /// either way.
+    pub(crate) prefix_caching: bool,
     pub(crate) records: Vec<RequestRecord>,
     /// The waiting queue: a dense arena indexed by rank/readiness heaps
     /// ([`crate::arena::IndexQueue`]), so admission and the idle
@@ -245,28 +233,23 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Builds an engine over a fresh KV manager.
+    /// Builds an engine over a fresh KV manager, with shared-prefix KV
+    /// reuse on or off.
     ///
     /// # Errors
     ///
     /// Propagates [`KvError::NoKvCores`] from the manager.
-    pub fn new(times: HwStageTimes, kv: KvManagerConfig, config: EngineConfig) -> Result<Engine, KvError> {
-        Ok(Engine::with_manager(times, KvManager::new(kv)?, config))
+    pub fn new(times: HwStageTimes, kv: KvManagerConfig, prefix_caching: bool) -> Result<Engine, KvError> {
+        Ok(Engine::with_manager(times, KvManager::new(kv)?, prefix_caching))
     }
 
     /// An idle engine over `manager`, which may hold restored state.
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::new`].
-    pub(crate) fn with_manager(times: HwStageTimes, manager: KvManager, config: EngineConfig) -> Engine {
-        assert!(config.max_batch > 0, "max_batch must be positive");
-        assert!(config.prefill_chunk > 0, "prefill_chunk must be positive");
+    pub(crate) fn with_manager(times: HwStageTimes, manager: KvManager, prefix_caching: bool) -> Engine {
         Engine {
             times,
             stage_table: StageTimeTable::new(),
             manager,
-            config,
+            prefix_caching,
             records: Vec::new(),
             pending: IndexQueue::new(),
             active: Vec::new(),
@@ -400,7 +383,7 @@ impl Engine {
     /// prefix cache (0 with prefix caching disabled or no tag). The signal
     /// behind prefix-affinity routing and migration byte dedup.
     pub fn prefix_cached_tokens(&self, request: &Request) -> usize {
-        if !self.config.prefix_caching {
+        if !self.prefix_caching {
             return 0;
         }
         match request.shared_prefix {
@@ -704,7 +687,7 @@ impl Engine {
     pub(crate) fn push_active(&mut self, a: ActiveSeq) {
         let a = ActiveSeq { since: self.stats.steps, ..a };
         self.decoding += usize::from(a.decoding());
-        self.prefill_tokens += a.prefill_remaining.min(self.config.prefill_chunk);
+        self.prefill_tokens += a.prefill_remaining.min(PREFILL_CHUNK);
         self.ctx_tokens += self.resident_tokens(&a) as u64;
         self.next_event.push(self.event_step(&a));
         self.active.push(a);
@@ -717,7 +700,7 @@ impl Engine {
         self.next_event.swap_remove(i);
         let a = self.active.swap_remove(i);
         self.decoding -= usize::from(a.decoding());
-        self.prefill_tokens -= a.prefill_remaining.min(self.config.prefill_chunk);
+        self.prefill_tokens -= a.prefill_remaining.min(PREFILL_CHUNK);
         self.ctx_tokens -= self.resident_tokens(&a) as u64;
         a
     }
@@ -820,7 +803,7 @@ mod tests {
     }
 
     fn engine(cores: usize) -> Engine {
-        Engine::new(times(), kv(cores), EngineConfig::default()).unwrap()
+        Engine::new(times(), kv(cores), true).unwrap()
     }
 
     #[test]
@@ -1196,7 +1179,7 @@ mod tests {
         };
         let mut faulted = engine(8);
         let (tokens, step_s) = next_step(&mut faulted, 0.5);
-        let mut fresh = Engine::new(bumped, kv(8), EngineConfig::default()).unwrap();
+        let mut fresh = Engine::new(bumped, kv(8), true).unwrap();
         let (fresh_tokens, fresh_step_s) = next_step(&mut fresh, 0.0);
         assert_eq!(faulted.times.mean_hops.to_bits(), fresh.times.mean_hops.to_bits());
         assert_eq!((tokens, step_s.to_bits()), (fresh_tokens, fresh_step_s.to_bits()));
@@ -1279,12 +1262,7 @@ mod tests {
     #[test]
     fn prefix_hits_cut_ttft_against_the_cold_run() {
         let run = |caching: bool| -> (f64, u64) {
-            let mut e = Engine::new(
-                times(),
-                kv(8),
-                EngineConfig { prefix_caching: caching, ..EngineConfig::default() },
-            )
-            .unwrap();
+            let mut e = Engine::new(times(), kv(8), caching).unwrap();
             for i in 0..6 {
                 e.submit_with(Request::new(i, 520, 8).with_shared_prefix(9, 512), 0.0, Admission::Local, i);
             }

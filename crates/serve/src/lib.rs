@@ -96,7 +96,7 @@ pub use ouro_trace::{
     ANALYZE_SCHEMA_VERSION, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
 };
 
-pub use engine::{Admission, Engine, EngineConfig, EngineFaultImpact, EngineStats};
+pub use engine::{Admission, Engine, EngineFaultImpact, EngineStats};
 pub use fault::{p99_inflation, FaultConfig, FaultInjector, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};

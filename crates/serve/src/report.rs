@@ -92,15 +92,6 @@ impl MigrationStats {
                 + self.dropped_kv_bytes
                 + self.deduped_kv_bytes
     }
-
-    /// Mean migrated KV per request, in bytes (0 with no migrations).
-    pub fn mean_migration_bytes(&self) -> f64 {
-        if self.migrations == 0 {
-            0.0
-        } else {
-            self.exported_kv_bytes as f64 / self.migrations as f64
-        }
-    }
 }
 
 /// Aggregate outcome of one scenario run — the single report type every
@@ -311,14 +302,6 @@ mod tests {
         assert!(!s.kv_bytes_conserved());
         s.deduped_kv_bytes = 30;
         assert!(s.kv_bytes_conserved(), "prefix-deduplicated bytes complete the identity");
-    }
-
-    #[test]
-    fn mean_migration_bytes_averages_over_migrations() {
-        assert_eq!(stats(100, 100, 0, 0).mean_migration_bytes(), 50.0);
-        let mut s = stats(0, 0, 0, 0);
-        s.migrations = 0;
-        assert_eq!(s.mean_migration_bytes(), 0.0);
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! ```
 
 use crate::arena::F64Key;
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::Engine;
 use crate::fault::{FaultConfig, FaultInjector};
 use crate::metrics::{RequestRecord, RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
@@ -116,7 +116,7 @@ pub struct Scenario {
     pub(crate) workload: Option<TimedTrace>,
     pub(crate) router: Box<dyn Router>,
     pub(crate) placement: Box<dyn Placement>,
-    pub(crate) engine: EngineConfig,
+    pub(crate) prefix_caching: bool,
     pub(crate) slo: SloConfig,
     pub(crate) horizon_s: f64,
     pub(crate) fault: Option<FaultConfig>,
@@ -126,7 +126,7 @@ pub struct Scenario {
 
 impl Scenario {
     /// A colocated deployment of `wafers` full replicas. Defaults:
-    /// least-KV-load routing, default engine tuning, an always-met SLO
+    /// least-KV-load routing, prefix caching on, an always-met SLO
     /// (goodput equals throughput until [`Scenario::slo`] is set), no
     /// horizon, no faults.
     pub fn colocated(wafers: usize) -> Scenario {
@@ -161,7 +161,7 @@ impl Scenario {
             workload: None,
             router,
             placement: placements::least_kv_load(),
-            engine: EngineConfig::default(),
+            prefix_caching: true,
             slo: SloConfig { ttft_s: f64::INFINITY, tpot_s: f64::INFINITY },
             horizon_s: f64::INFINITY,
             fault: None,
@@ -190,16 +190,12 @@ impl Scenario {
         self
     }
 
-    /// Sets the per-engine tuning shared by every wafer.
-    pub fn engine(mut self, engine: EngineConfig) -> Scenario {
-        self.engine = engine;
-        self
-    }
-
-    /// Toggles shared-prefix KV caching on every engine (a shorthand for
-    /// setting [`EngineConfig::prefix_caching`]).
+    /// Toggles shared-prefix KV caching on every engine (on by default):
+    /// requests tagged with a [`ouro_workload::SharedPrefix`] share the
+    /// whole-block portion of their common prompt prefix and are charged
+    /// prefill only for the uncached suffix. Off turns every prompt cold.
     pub fn prefix_caching(mut self, enabled: bool) -> Scenario {
-        self.engine.prefix_caching = enabled;
+        self.prefix_caching = enabled;
         self
     }
 
@@ -237,16 +233,15 @@ impl Scenario {
     }
 
     /// Arms sampled telemetry: per-wafer gauges and cluster counters are
-    /// recorded every `config.cadence_s` simulated seconds and returned
-    /// via [`RunOutcome::telemetry`]. Off by default.
-    pub fn telemetry(mut self, config: TelemetryConfig) -> Scenario {
-        self.telemetry = Some(config);
+    /// recorded every `cadence_s` simulated seconds and returned via
+    /// [`RunOutcome::telemetry`]. Off by default.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cadence_s` is finite and positive.
+    pub fn telemetry_every(mut self, cadence_s: f64) -> Scenario {
+        self.telemetry = Some(TelemetryConfig::every(cadence_s));
         self
-    }
-
-    /// Shorthand for [`Scenario::telemetry`] with a plain cadence.
-    pub fn telemetry_every(self, cadence_s: f64) -> Scenario {
-        self.telemetry(TelemetryConfig::every(cadence_s))
     }
 
     /// The configured deployment.
@@ -332,7 +327,7 @@ impl Scenario {
     /// An idle engine over `manager` for `wafer` of the deployment, its
     /// tracer armed when the scenario traces.
     pub(crate) fn wafer_engine(&self, system: &OuroborosSystem, wafer: usize, manager: KvManager) -> Engine {
-        let mut engine = Engine::with_manager(system.stage_times().clone(), manager, self.engine);
+        let mut engine = Engine::with_manager(system.stage_times().clone(), manager, self.prefix_caching);
         if self.trace {
             engine.set_tracer(Tracer::ring(wafer));
         }
@@ -431,7 +426,7 @@ impl RunOutcome {
     }
 
     /// The sampled telemetry time series in `(time, wafer)` order (empty
-    /// unless [`Scenario::telemetry`] was armed).
+    /// unless [`Scenario::telemetry_every`] was armed).
     pub fn telemetry(&self) -> &[TelemetrySample] {
         &self.telemetry
     }

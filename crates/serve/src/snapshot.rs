@@ -51,7 +51,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use crate::engine::{EngineConfig, EngineStats};
+use crate::engine::{EngineStats, MAX_BATCH, PREFILL_CHUNK};
 use crate::fault::{FaultConfig, FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
 use crate::metrics::{RequestRecord, SloConfig};
 use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
@@ -259,14 +259,24 @@ pub(crate) fn rebuild(
 }
 
 /// FNV-1a over a canonical encoding of every config field (deployment,
-/// workload arrivals and seeds, policies, engine tuning, SLO, horizon,
+/// workload arrivals and seeds, policies, prefix caching, SLO, horizon,
 /// faults, observability toggles): integers as fixed-width little-endian
 /// words, floats by their bit pattern, enum variants and `Option`s by a
 /// fixed tag, and policies by name. Every struct is destructured in full,
 /// so a new config field does not compile until it is hashed here.
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    let Scenario { deployment, workload, router, placement, engine, slo, horizon_s, fault, trace, telemetry } =
-        scenario;
+    let Scenario {
+        deployment,
+        workload,
+        router,
+        placement,
+        prefix_caching,
+        slo,
+        horizon_s,
+        fault,
+        trace,
+        telemetry,
+    } = scenario;
     let mut h = ConfigHasher(FNV1A_OFFSET);
     match *deployment {
         Deployment::Colocated { wafers } => h.tag(0).int(wafers),
@@ -298,9 +308,11 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
         }
     };
     h.text(&router.name()).text(&placement.name());
-    let EngineConfig { max_batch, prefill_chunk, prefix_caching } = *engine;
     let SloConfig { ttft_s, tpot_s } = *slo;
-    h.int(max_batch).int(prefill_chunk).flag(prefix_caching).float(ttft_s).float(tpot_s).float(*horizon_s);
+    // The engine's batch and chunk constants are hashed too: the v3 hash
+    // covers them, and a snapshot written under other values must not
+    // resume.
+    h.int(MAX_BATCH).int(PREFILL_CHUNK).flag(*prefix_caching).float(ttft_s).float(tpot_s).float(*horizon_s);
     match *fault {
         None => h.tag(0),
         Some(FaultConfig { mtbf_s, remap_stall_s, seed }) => {
@@ -1191,7 +1203,7 @@ mod tests {
         });
         changes("the router", &|s| s.router = routers::round_robin());
         changes("the placement", &|s| s.placement = placements::most_free_blocks());
-        changes("the prefill chunk", &|s| s.engine.prefill_chunk += 1);
+        changes("prefix caching", &|s| s.prefix_caching = !s.prefix_caching);
         changes("the fault seed", &|s| s.fault.as_mut().unwrap().seed += 1);
         changes("the horizon", &|s| s.horizon_s = f64::from_bits(s.horizon_s.to_bits() + 1));
     }

@@ -12,7 +12,7 @@
 //! Owns the `admission`, `drop` and `evict` trace kinds.
 
 use super::{ActiveSeq, PendingReq, Stage};
-use crate::engine::Engine;
+use crate::engine::{Engine, MAX_BATCH};
 use ouro_kvcache::KvError;
 use ouro_trace::EventKind;
 
@@ -30,7 +30,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
     if e.active.is_empty() {
         e.admission_suspended = false;
     }
-    while !e.admission_suspended && e.active.len() < e.config.max_batch {
+    while !e.admission_suspended && e.active.len() < MAX_BATCH {
         // Earliest-submitted *admissible* request. Readiness is monotone
         // with queue order for local arrivals, but not for imported KV
         // (a small migration submitted later can land before a large one
@@ -53,7 +53,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         }
         let tokens = resident_demand(e, &front);
         let seq_id = front.rec as u64;
-        let prefix = if e.config.prefix_caching {
+        let prefix = if e.prefix_caching {
             e.records[front.rec].shared_prefix.map(|p| (p.group, p.tokens))
         } else {
             None

@@ -2,7 +2,7 @@
 //! token growth. Owns the `decode_step` and `first_token` trace kinds.
 
 use super::Stage;
-use crate::engine::Engine;
+use crate::engine::{Engine, PREFILL_CHUNK};
 use ouro_kvcache::KvError;
 use ouro_trace::EventKind;
 
@@ -64,7 +64,7 @@ fn full_pass(e: &Engine) -> (usize, u64, usize) {
         assert_eq!(next, e.event_step(a), "sequence {} has a stale event", a.rec);
         ctx_tokens += (e.resident_tokens(a) + lazy) as u64;
         if a.prefill_remaining > 0 {
-            step_tokens += a.prefill_remaining.min(e.config.prefill_chunk);
+            step_tokens += a.prefill_remaining.min(PREFILL_CHUNK);
         } else if !a.prefill_only && decoded < a.decode_len {
             step_tokens += 1;
             lazy_tokens += lazy;

@@ -3,7 +3,7 @@
 //! where the charge is computed) and `prefill_end` trace kinds.
 
 use super::Stage;
-use crate::engine::Engine;
+use crate::engine::{Engine, PREFILL_CHUNK};
 use ouro_trace::EventKind;
 
 /// Advances the prefill of active sequence `i` by one chunk if it is still
@@ -15,9 +15,8 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64) -> bool {
     if a.prefill_remaining == 0 {
         return false;
     }
-    let chunk = e.config.prefill_chunk;
-    let left = a.prefill_remaining.saturating_sub(chunk);
-    e.prefill_tokens = e.prefill_tokens - a.prefill_remaining.min(chunk) + left.min(chunk);
+    let left = a.prefill_remaining.saturating_sub(PREFILL_CHUNK);
+    e.prefill_tokens = e.prefill_tokens - a.prefill_remaining.min(PREFILL_CHUNK) + left.min(PREFILL_CHUNK);
     e.active[i].prefill_remaining = left;
     if left == 0 {
         Stage::Prefill.emit(&mut e.tracer, end_s, Some(e.records[a.rec].id), EventKind::PrefillEnd);

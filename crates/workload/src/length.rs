@@ -60,11 +60,6 @@ impl LengthConfig {
         ]
     }
 
-    /// Whether the configuration produces identical lengths for every request.
-    pub fn is_fixed(&self) -> bool {
-        matches!(self, LengthConfig::Fixed { .. })
-    }
-
     /// Expected total tokens (prompt + decode) of one request, used for quick
     /// capacity estimates. For log-normal configs this is the clipped
     /// distribution's rough mean, not an exact moment.
@@ -105,13 +100,11 @@ mod tests {
     #[test]
     fn fixed_nominal_tokens() {
         assert_eq!(LengthConfig::fixed(128, 2048).nominal_total_tokens(), 2176);
-        assert!(LengthConfig::fixed(1, 0).is_fixed());
     }
 
     #[test]
     fn wikitext_nominal_tokens_are_plausible() {
         let n = LengthConfig::wikitext2_like().nominal_total_tokens();
         assert!(n > 100 && n < 2048, "got {n}");
-        assert!(!LengthConfig::wikitext2_like().is_fixed());
     }
 }

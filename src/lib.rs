@@ -10,7 +10,7 @@
 //! * [`noc`] — the network-on-wafer communication model,
 //! * [`pipeline`] — sequence-grained, token-grained and blocked pipelines,
 //! * [`kvcache`] — distributed dynamic KV-cache management,
-//! * [`mapping`] — MIQP inter-core mapping, H-tree DP and fault tolerance,
+//! * [`mapping`] — MIQP inter-core mapping and fault tolerance,
 //! * [`workload`] — request-trace and arrival-process generators for the
 //!   evaluation workloads,
 //! * [`baselines`] — analytical models of DGX A100, TPUv4, AttAcc, Cerebras,

@@ -5,9 +5,7 @@
 
 use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
-use ouroboros::serve::{
-    p99_inflation, routers, Admission, EngineConfig, FaultConfig, Scenario, ServingReport, SloConfig,
-};
+use ouroboros::serve::{p99_inflation, routers, Admission, FaultConfig, Scenario, ServingReport, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 
@@ -58,12 +56,8 @@ fn same_seed_produces_a_byte_identical_fault_report() {
 #[test]
 fn kv_blocks_are_conserved_after_every_remap() {
     let sys = tiny_system();
-    let mut engine = ouroboros::serve::Engine::new(
-        sys.stage_times().clone(),
-        sys.serve_kv_config(),
-        EngineConfig::default(),
-    )
-    .unwrap();
+    let mut engine =
+        ouroboros::serve::Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), true).unwrap();
     for i in 0..24 {
         engine.submit_with(ouroboros::workload::Request::new(i, 96, 64), 0.0, Admission::Local, i);
     }

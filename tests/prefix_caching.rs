@@ -10,7 +10,7 @@
 
 use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
-use ouroboros::serve::{routers, Admission, Engine, EngineConfig, Router, Scenario, SloConfig};
+use ouroboros::serve::{routers, Admission, Engine, Router, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, Request, SessionConfig, TimedTrace};
 
@@ -123,8 +123,7 @@ fn cold_traffic_is_unaffected_by_the_prefix_cache() {
 #[test]
 fn block_audit_survives_faults_on_shared_chains() {
     let sys = tiny_system();
-    let mut engine =
-        Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), EngineConfig::default()).unwrap();
+    let mut engine = Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), true).unwrap();
     for i in 0..16 {
         // All sequences share one 256-token system prompt.
         engine.submit_with(Request::new(i, 288, 24).with_shared_prefix(1, 256), 0.0, Admission::Local, i);
@@ -164,8 +163,7 @@ fn block_audit_survives_faults_on_shared_chains() {
 #[test]
 fn evictions_of_sharers_keep_refcounts_exact() {
     let sys = tiny_system();
-    let mut engine =
-        Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), EngineConfig::default()).unwrap();
+    let mut engine = Engine::new(sys.stage_times().clone(), sys.serve_kv_config(), true).unwrap();
     // Oversubscribe the tiny cache so the eviction path runs hot.
     for i in 0..30 {
         engine.submit_with(Request::new(i, 400, 120).with_shared_prefix(2, 384), 0.0, Admission::Local, i);
