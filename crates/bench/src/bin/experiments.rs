@@ -401,7 +401,7 @@ fn fig17(requests: usize) {
             cfg.kv_threshold = threshold;
             cfg.seed = SEED;
             cfg.mapping_iterations = 1_000;
-            let sys = build_with(cfg, &model);
+            let sys = build_ouroboros(cfg, &model);
             let r = sys.simulate_labeled(&trace, "WikiText-2");
             let (t, e) = match &base {
                 Some(b) => (
@@ -414,16 +414,6 @@ fn fig17(requests: usize) {
             if base.is_none() {
                 base = Some(r);
             }
-        }
-    }
-}
-
-fn build_with(mut cfg: OuroborosConfig, model: &ouro_model::ModelConfig) -> OuroborosSystem {
-    loop {
-        match OuroborosSystem::new(cfg.clone(), model) {
-            Ok(sys) => return sys,
-            Err(_) if cfg.wafers < 4 => cfg.wafers += 1,
-            Err(e) => panic!("cannot build system for {}: {e}", model.name),
         }
     }
 }
@@ -474,7 +464,8 @@ fn fig21(requests: usize) {
         let trace = trace_for(&trace_cfg, requests);
         let mut reports = Vec::new();
         // Ours and Ours+LUT run the full Ouroboros simulator.
-        let ours = build_ouroboros(&model).simulate_labeled(&trace, "LP=2048 LD=2048");
+        let ours = build_ouroboros(OuroborosConfig { seed: SEED, ..OuroborosConfig::single_wafer() }, &model)
+            .simulate_labeled(&trace, "LP=2048 LD=2048");
         reports.push(ours.clone());
         for point in [CircuitPoint::vlsi22(), CircuitPoint::isscc22()] {
             let sys = ouro_baselines::hbm_cim_system(
@@ -485,10 +476,8 @@ fn fig21(requests: usize) {
             );
             reports.push(sys.evaluate(&model, &trace, "LP=2048 LD=2048"));
         }
-        let mut lut_cfg = OuroborosConfig::single_wafer();
-        lut_cfg.lut_compute = true;
-        lut_cfg.seed = SEED;
-        reports.push(build_with(lut_cfg, &model).simulate_labeled(&trace, "LP=2048 LD=2048"));
+        let lut_cfg = OuroborosConfig { lut_compute: true, seed: SEED, ..OuroborosConfig::single_wafer() };
+        reports.push(build_ouroboros(lut_cfg, &model).simulate_labeled(&trace, "LP=2048 LD=2048"));
         // Normalise to "Ours".
         println!("{:<16} {:>12} {:>14}", "core", "norm. tput", "norm. J/token");
         for r in &reports {

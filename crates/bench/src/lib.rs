@@ -48,20 +48,17 @@ pub fn baseline_systems() -> Vec<RooflineSystem> {
     ]
 }
 
-/// Builds the Ouroboros system for a model, spilling to a second wafer when a
-/// single wafer cannot hold the weights (the paper does the same for
-/// LLaMA-65B).
-pub fn build_ouroboros(model: &ModelConfig) -> OuroborosSystem {
-    for wafers in 1..=4 {
-        let mut cfg =
-            if wafers == 1 { OuroborosConfig::single_wafer() } else { OuroborosConfig::multi_wafer(wafers) };
-        cfg.mapping_iterations = 2_000;
-        cfg.seed = SEED;
-        if let Ok(sys) = OuroborosSystem::new(cfg, model) {
-            return sys;
+/// Builds the Ouroboros system `cfg` describes for a model, adding wafers
+/// (up to four) while it does not build: the paper spills LLaMA-65B onto a
+/// second wafer the same way.
+pub fn build_ouroboros(mut cfg: OuroborosConfig, model: &ModelConfig) -> OuroborosSystem {
+    loop {
+        match OuroborosSystem::new(cfg.clone(), model) {
+            Ok(sys) => return sys,
+            Err(_) if cfg.wafers < 4 => cfg.wafers += 1,
+            Err(e) => panic!("model {} does not build on four wafers: {e}", model.name),
         }
     }
-    panic!("model {} does not fit on four wafers", model.name);
 }
 
 /// The serving experiments' shared setup: LLaMA-13B on a single wafer
@@ -91,7 +88,7 @@ pub fn compare_all(
     let trace = trace_for(config, requests);
     let mut reports: Vec<SystemReport> =
         baseline_systems().iter().map(|sys| sys.evaluate(model, &trace, label)).collect();
-    let ours = build_ouroboros(model);
+    let ours = build_ouroboros(OuroborosConfig { seed: SEED, ..OuroborosConfig::single_wafer() }, model);
     reports.push(ours.simulate_labeled(&trace, label));
     reports
 }

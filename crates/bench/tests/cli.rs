@@ -4,7 +4,8 @@
 //! subcommand runs to completion at the smallest request counts.
 
 use std::path::Path;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 #[test]
 fn flags_a_subcommand_does_not_honor_are_rejected_before_it_runs() {
@@ -49,5 +50,38 @@ fn serving_subcommands_finish_at_one_to_three_requests() {
             .output()
             .expect("the experiments binary starts");
         assert_eq!(run.status.code(), Some(0), "{args:?}: stderr: {}", String::from_utf8_lossy(&run.stderr));
+    }
+}
+
+/// `faults` at 9 and 10 requests finishes. There the queue head of a decode
+/// wafer cannot fit beside the wafer's lone resident sequence; evicting the
+/// resident re-admitted it at the same instant, so the simulated clock
+/// never moved. Each child is killed after about two minutes of polling
+/// (each takes about a second in a debug build), so a hang fails the test
+/// instead of stalling the suite.
+#[test]
+fn faults_finishes_where_a_lone_resident_blocks_the_queue_head() {
+    let poll = Duration::from_millis(50);
+    for requests in ["9", "10"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["faults", "--requests", requests])
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("the experiments binary starts");
+        let mut polls = 0;
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("the child can be polled") {
+                break status;
+            }
+            polls += 1;
+            if polls > 2_400 {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("faults --requests {requests} did not finish after {polls} polls of {poll:?}");
+            }
+            std::thread::sleep(poll);
+        };
+        assert_eq!(status.code(), Some(0), "faults --requests {requests}");
     }
 }

@@ -181,10 +181,8 @@ impl CoreState {
 /// read in debug builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 struct Counters {
-    /// Key-side used token slots written into the block tables (failed
-    /// crossbars included until their blocks are released, as
-    /// [`CrossbarBlocks::used_tokens`] counts them). Deferred appends are
-    /// not in here; [`KvManager::used_tokens`] adds them.
+    /// Key-side used token slots (failed crossbars included until their
+    /// blocks are released, as [`CrossbarBlocks::used_tokens`] counts them).
     key_used_tokens: usize,
     /// Key-side token capacity of the non-failed crossbars.
     key_capacity_tokens: usize,
@@ -250,23 +248,6 @@ impl KvSlot {
     }
 }
 
-/// Token counts of one slot. Appends that fit the slot's cursor blocks
-/// are deferred: they move these three counts only, and reach the block
-/// tables when the slot next needs a block, is re-admitted, or is read
-/// token by token (see [`KvManager::append_at`]). `lag ≤` the `room` it
-/// was taken from, so writing it back never allocates.
-#[derive(Debug, Clone, Copy, Default)]
-struct Fill {
-    /// Resident (K-side) tokens, deferred ones included.
-    tokens: usize,
-    /// Tokens every cursor block of the slot can still take after `lag` is
-    /// written; 0 while a cursor is unbound or not yet measured.
-    room: usize,
-    /// Tokens counted in `tokens` but not yet written into the cursor
-    /// blocks (the same count for both roles).
-    lag: usize,
-}
-
 /// Per-sequence state in struct-of-arrays form, one slot per resident
 /// sequence, so the per-token decode path indexes arrays instead of hashing
 /// the sequence id.
@@ -274,8 +255,8 @@ struct Fill {
 struct SlotTable {
     /// Resident sequence → its slot: the one map the slots are reached by.
     of: FastMap<u64, KvSlot>,
-    /// Token counts per slot.
-    fill: Vec<Fill>,
+    /// Resident (K-side) tokens per slot.
+    tokens: Vec<usize>,
     /// Append cursors per slot, `[key, value]`; `None` until the admission
     /// binds them.
     cursors: Vec<[Option<Cursor>; 2]>,
@@ -299,8 +280,8 @@ impl SlotTable {
             Some(&slot) => slot,
             None => {
                 let slot = self.free.pop().unwrap_or_else(|| {
-                    let slot = KvSlot(u32::try_from(self.fill.len()).expect("fewer than 2^32 slots"));
-                    self.fill.push(Fill::default());
+                    let slot = KvSlot(u32::try_from(self.tokens.len()).expect("fewer than 2^32 slots"));
+                    self.tokens.push(0);
                     self.cursors.push([None; 2]);
                     self.blocks.push(Vec::new());
                     slot
@@ -309,13 +290,8 @@ impl SlotTable {
                 slot
             }
         };
-        self.fill[slot.index()].tokens = tokens;
+        self.tokens[slot.index()] = tokens;
         slot
-    }
-
-    /// The bound cursors of `slot`, key first.
-    fn bound(&self, slot: KvSlot) -> impl Iterator<Item = (KvRole, Cursor)> {
-        ROLES.into_iter().zip(self.cursors[slot.index()]).filter_map(|(role, c)| Some((role, c?)))
     }
 }
 
@@ -511,8 +487,6 @@ pub struct KvManager {
     freed_blocks: u64,
     /// Incremental occupancy and health totals (derived, not serialized).
     counters: Counters,
-    /// Sum of every slot's deferred tokens (see [`Fill`]).
-    lag_total: usize,
 }
 
 impl KvManager {
@@ -549,7 +523,6 @@ impl KvManager {
             allocated_blocks: 0,
             freed_blocks: 0,
             counters: Counters::default(),
-            lag_total: 0,
         };
         m.recount();
         Ok(m)
@@ -559,8 +532,7 @@ impl KvManager {
     /// Restoring the snapshot with [`KvManager::restore`] against the same
     /// configuration yields a manager whose every observable behavior —
     /// admission, growth, eviction, faults, audits — continues exactly as
-    /// this one's would. Deferred appends are written into the copied
-    /// cursor blocks, so the snapshot is the one an eager manager would take.
+    /// this one's would.
     pub fn snapshot(&self) -> KvManagerSnapshot {
         let side = |cores: &[CoreState]| -> Vec<Vec<CrossbarSnapshot>> {
             cores
@@ -579,16 +551,6 @@ impl KvManager {
         // Slot numbering depends on release history, so every per-slot
         // row is emitted in sequence order.
         let resident = self.resident();
-        let mut sides = [side(&self.key_cores), side(&self.value_cores)];
-        for &(_, slot) in &resident {
-            let lag = self.slots.fill[slot.index()].lag;
-            for (role, c) in self.slots.bound(slot) {
-                if let Some((_, used)) = &mut sides[role as usize][c.core_index][c.crossbar].blocks[c.block] {
-                    *used += lag;
-                }
-            }
-        }
-        let [key_cores, value_cores] = sides;
         let seq_blocks: Vec<SnapshotSeqBlocks> = resident
             .iter()
             .map(|&(seq, slot)| (seq, &self.slots.blocks[slot.index()]))
@@ -601,7 +563,7 @@ impl KvManager {
             })
             .collect();
         let resident_tokens: Vec<(u64, usize)> =
-            resident.iter().map(|&(seq, slot)| (seq, self.slots.fill[slot.index()].tokens)).collect();
+            resident.iter().map(|&(seq, slot)| (seq, self.slots.tokens[slot.index()])).collect();
         let mut shared: Vec<(u64, SharedChainSnapshot)> = self
             .shared
             .iter()
@@ -625,8 +587,8 @@ impl KvManager {
             allocated_blocks: self.allocated_blocks,
             freed_blocks: self.freed_blocks,
             transfers: self.transfers,
-            key_cores,
-            value_cores,
+            key_cores: side(&self.key_cores),
+            value_cores: side(&self.value_cores),
             seq_blocks,
             resident_tokens,
             shared,
@@ -797,10 +759,10 @@ impl KvManager {
         self.counters.key_capacity_tokens
     }
 
-    /// Tokens currently stored on the K side, deferred appends included.
+    /// Tokens currently stored on the K side.
     pub fn used_tokens(&self) -> usize {
         debug_assert_eq!(self.counters.key_used_tokens, Counters::used_tokens(&self.key_cores));
-        self.counters.key_used_tokens + self.lag_total
+        self.counters.key_used_tokens
     }
 
     /// K-side storage utilisation in `[0, 1]`.
@@ -820,7 +782,7 @@ impl KvManager {
 
     /// Tokens resident for one sequence (K side), if it is resident.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
-        self.slot_of(seq).map(|slot| self.slots.fill[slot.index()].tokens)
+        self.slot_of(seq).map(|slot| self.slots.tokens[slot.index()])
     }
 
     /// The slot of a resident sequence, valid until the sequence is
@@ -867,12 +829,8 @@ impl KvManager {
         prefix: Option<(u64, usize)>,
     ) -> Result<usize, KvError> {
         // A stale entry would leak references if the caller re-admits
-        // without releasing; drop it first. A resident sequence's deferred
-        // tokens go into the blocks its cursors are about to leave.
+        // without releasing; drop it first.
         self.detach_shared(seq);
-        if let Some(slot) = self.slot_of(seq) {
-            self.settle(slot, seq);
-        }
         // `shared` tokens live in shared blocks (reused + newly populated);
         // only the `cached` portion pre-existed and skips prefill — the
         // first sharer computes the prefix KV it deposits in the chain.
@@ -1077,9 +1035,6 @@ impl KvManager {
         let cursor = Cursor { core_index, crossbar: xb, block };
         self.slots.blocks[slot.index()].push((role, cursor));
         self.slots.cursors[slot.index()][role as usize] = Some(cursor);
-        let fill = &mut self.slots.fill[slot.index()];
-        debug_assert_eq!(fill.lag, 0, "rebinding a cursor with deferred tokens");
-        fill.room = 0;
         Ok(())
     }
 
@@ -1096,16 +1051,10 @@ impl KvManager {
     }
 
     /// [`KvManager::append_tokens`] through the sequence's slot (see
-    /// [`KvManager::slot_of`]), without the id lookup: the per-token path
-    /// of the serving engine. `slot` must be `seq`'s current slot (debug
-    /// builds assert it).
-    ///
-    /// Tokens that fit both cursor blocks of the slot are only counted:
-    /// no allocation decision depends on them, since admission and
-    /// allocation read whole free blocks. They are written into the blocks
-    /// before the slot next grows past its room, and every token-level
-    /// read ([`KvManager::used_tokens`], [`KvManager::snapshot`],
-    /// [`KvManager::fail_kv_core`]) sees them.
+    /// [`KvManager::slot_of`]), without the id lookup: the append path of
+    /// the serving engine and the offline replay. `slot` must be `seq`'s
+    /// current slot (debug builds assert it). An append of at most
+    /// [`KvManager::room`] tokens allocates no block.
     ///
     /// # Errors
     ///
@@ -1114,73 +1063,26 @@ impl KvManager {
     /// grow.
     pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
         debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
-        let i = slot.index();
-        let fill = &mut self.slots.fill[i];
-        if tokens <= fill.room {
-            fill.room -= tokens;
-            fill.lag += tokens;
-            fill.tokens += tokens;
-            self.lag_total += tokens;
-            return Ok(());
-        }
-        self.settle(slot, seq);
-        // A failure below leaves K and V unevenly grown: measure again only
-        // after a complete append.
-        self.slots.fill[i].room = 0;
         for role in ROLES {
             self.append_for(slot, seq, role, tokens)?;
         }
-        self.slots.fill[i].tokens += tokens;
-        self.slots.fill[i].room = self.room_of(slot, seq);
+        self.slots.tokens[slot.index()] += tokens;
         Ok(())
     }
 
-    /// Tokens [`KvManager::append_at`] can still add to `slot` by counting
-    /// them, without a block decision: an append of more first needs a new
-    /// block. 0 while a cursor is unbound, after a restore, and after a
-    /// failed append, until the next append measures it again.
+    /// Tokens [`KvManager::append_at`] can still add to `slot` without a
+    /// new block: the free token slots left in its two cursor blocks
+    /// (`tokens_per_block − used`, the smaller of the two), 0 while a
+    /// cursor is unbound.
     pub fn room(&self, slot: KvSlot) -> usize {
-        self.slots.fill[slot.index()].room
-    }
-
-    /// Writes `slot`'s deferred tokens into its cursor blocks. They fit
-    /// (`lag ≤ room`), so nothing is allocated.
-    fn settle(&mut self, slot: KvSlot, seq: u64) {
-        let lag = std::mem::take(&mut self.slots.fill[slot.index()].lag);
-        if lag == 0 {
-            return;
-        }
-        self.lag_total -= lag;
-        let allocated = self.allocated_blocks;
-        for role in ROLES {
-            self.append_for(slot, seq, role, lag).expect("deferred tokens fit their bound cursors");
-        }
-        debug_assert_eq!(self.allocated_blocks, allocated, "settling deferred tokens allocated a block");
-    }
-
-    /// Settles every slot (see [`KvManager::settle`]).
-    fn settle_all(&mut self) {
-        if self.lag_total == 0 {
-            return;
-        }
-        // `settle` never reads the id map, so it is lent out rather than
-        // copied: settling allocates nothing.
-        let of = std::mem::take(&mut self.slots.of);
-        for (&seq, &slot) in &of {
-            self.settle(slot, seq);
-        }
-        self.slots.of = of;
-    }
-
-    /// Tokens both cursor blocks of `slot` can still take: 0 while a cursor
-    /// is unbound.
-    fn room_of(&self, slot: KvSlot, seq: u64) -> usize {
         ROLES
             .into_iter()
             .zip(self.slots.cursors[slot.index()])
             .try_fold(usize::MAX, |room, (role, c)| {
                 let c = c?;
-                Some(room.min(self.cores(role)[c.core_index].crossbars[c.crossbar].remaining(c.block, seq)))
+                let xb = &self.cores(role)[c.core_index].crossbars[c.crossbar];
+                let (_, used) = xb.block_table()[c.block]?;
+                Some(room.min(xb.tokens_per_block() - used))
             })
             .unwrap_or(0)
     }
@@ -1232,11 +1134,7 @@ impl KvManager {
     pub fn release(&mut self, seq: u64) -> usize {
         let mut tokens = 0;
         if let Some(slot) = self.slots.of.remove(&seq) {
-            // The deferred tokens never reached the blocks, so the blocks
-            // freed below hold (and subtract) that many fewer.
-            let fill = std::mem::take(&mut self.slots.fill[slot.index()]);
-            tokens = fill.tokens;
-            self.lag_total -= fill.lag;
+            tokens = std::mem::take(&mut self.slots.tokens[slot.index()]);
             // Free exactly the blocks the allocation paths indexed for this
             // sequence — the only paths that ever free private blocks run
             // through here, so every indexed block is still owned by `seq`.
@@ -1328,8 +1226,6 @@ impl KvManager {
     ///
     /// Returns `None` when every crossbar has already failed.
     pub fn fail_kv_core(&mut self, preferred: usize) -> Option<KvCoreFailure> {
-        // `evicted_tokens` reads the struck crossbar's used tokens.
-        self.settle_all();
         let n = self.num_kv_cores();
         let k = self.key_cores.len();
         let index = (0..n).map(|o| (preferred + o) % n).find(|&i| {
@@ -2053,7 +1949,7 @@ mod tests {
         fn assert_slots_partition(m: &KvManager) {
             let mut slots: Vec<usize> = m.slots.of.values().chain(&m.slots.free).map(|s| s.index()).collect();
             slots.sort_unstable();
-            assert_eq!(slots, (0..m.slots.fill.len()).collect::<Vec<_>>());
+            assert_eq!(slots, (0..m.slots.tokens.len()).collect::<Vec<_>>());
         }
 
         proptest! {
@@ -2109,35 +2005,23 @@ mod tests {
     }
 
     #[test]
-    fn in_block_appends_are_deferred_until_the_block_fills() {
+    fn room_is_what_the_cursor_blocks_still_take() {
         let mut m = manager(8);
         m.admit(1, 100).unwrap();
         let slot = m.slot_of(1).unwrap();
         let (used, audit) = (m.used_tokens(), m.block_audit());
-        assert_eq!(m.slots.fill[slot.index()].room, 28, "one 128-token block per role, 100 used");
+        assert_eq!(m.room(slot), 28, "one 128-token block per role, 100 used");
         m.append_at(slot, 1, 28).unwrap();
-        assert_eq!(m.slots.fill[slot.index()].lag, 28, "in-block tokens are only counted");
-        assert_eq!(m.counters.key_used_tokens, used, "the blocks are not written yet");
-        assert_eq!(m.used_tokens(), used + 28);
-        assert_eq!(m.sequence_tokens(1), Some(128));
-        assert_eq!(m.block_audit(), audit);
-        let snap = m.snapshot();
-        assert!(snap
-            .key_cores
-            .iter()
-            .flatten()
-            .flat_map(|xb| &xb.blocks)
-            .flatten()
-            .all(|&(_, used)| used == 128));
-        // The next token needs a new block: the lag is written first.
+        assert_eq!(m.used_tokens(), used + 28, "the tokens are written");
+        assert_eq!(m.block_audit(), audit, "and fill the cursor blocks without a new one");
+        assert_eq!(m.room(slot), 0);
         m.append_at(slot, 1, 1).unwrap();
-        let fill = m.slots.fill[slot.index()];
-        assert_eq!((fill.lag, fill.room), (0, 127));
-        assert_eq!(m.counters.key_used_tokens, used + 29);
         assert_eq!(m.block_audit().allocated, audit.allocated + 2, "one new block per role");
+        assert_eq!(m.room(slot), 127);
+        assert_eq!(m.sequence_tokens(1), Some(129));
     }
 
-    mod deferral_properties {
+    mod restore_properties {
         use super::*;
         use proptest::prelude::*;
 
@@ -2171,14 +2055,13 @@ mod tests {
         }
 
         proptest! {
-            /// Deferred appends are invisible. A twin rebuilt from its own
-            /// snapshot before every operation holds no deferred tokens,
-            /// so each of its appends is written straight into the blocks;
-            /// the live manager and the twin return the same results and
-            /// agree on used tokens, per-sequence tokens, the audit and the
-            /// snapshot after every operation.
+            /// Snapshot → restore is an identity. A twin rebuilt from its
+            /// own snapshot before every operation and the live manager
+            /// return the same results and agree on used tokens,
+            /// per-sequence tokens, the audit and the snapshot after every
+            /// operation.
             #[test]
-            fn deferred_appends_match_eager_appends(
+            fn a_manager_restored_before_every_op_matches_the_live_one(
                 ops in proptest::collection::vec((0u8..8, 0u64..24, 1usize..300), 1..150),
             ) {
                 let mut live = small_manager();
@@ -2186,7 +2069,6 @@ mod tests {
                 for (op, draw, tokens) in ops {
                     let (seq, group) = (draw % 8, draw / 8);
                     twin = KvManager::restore(twin.config.clone(), &twin.snapshot()).unwrap();
-                    prop_assert_eq!(twin.lag_total, 0);
                     prop_assert_eq!(apply(&mut live, op, seq, group, tokens), apply(&mut twin, op, seq, group, tokens));
                     prop_assert_eq!(live.used_tokens(), twin.used_tokens());
                     for s in 0..8 {

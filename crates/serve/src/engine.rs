@@ -60,7 +60,7 @@
 //! in active-set order with one `append_at` each, and failed boundary
 //! appends evicted from the highest index down. The two loops differ only
 //! in their admission rules (the engine's are the `stage::admission`
-//! module), in four ways:
+//! module), in five ways:
 //!
 //! * an engine victim keeps its decode progress, the way a serving system
 //!   replays a prefix; an offline victim restarts decode from scratch, which
@@ -68,13 +68,17 @@
 //! * so re-admission asks for `prompt + decoded` tokens, not the prompt;
 //! * the engine lifts a suspension when nothing is resident (a suspension
 //!   with nothing left to complete would deadlock);
+//! * when the queue head cannot fit beside a lone resident, the engine
+//!   keeps the resident and suspends admission until it completes;
+//!   evicting it would re-admit it at the same instant, and the clock
+//!   would never move. The offline scheduler evicts it;
 //! * when nothing is resident the offline drop takes the head of the queue,
 //!   which can be the eviction victim rather than the request that failed
 //!   to fit; the engine drops only a request an empty cache cannot hold.
 
 use crate::arena::IndexQueue;
 use crate::metrics::RequestRecord;
-use crate::stage::{self, ActiveSeq, PendingReq, Stage};
+use crate::stage::{self, ActiveSeq, PendingReq};
 use ouro_kvcache::{KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot, KvTransferStats};
 use ouro_sim::{HwStageTimes, StageTimeTable};
 use ouro_trace::{EventKind, Tracer};
@@ -460,8 +464,7 @@ impl Engine {
             e.stats.stall_s += stall_s;
             e.stats.fault_evicted_seqs += failure.evicted_sequences.len() as u64;
             e.stats.fault_evicted_tokens += failure.evicted_tokens as u64;
-            Stage::Fault.emit(
-                &mut e.tracer,
+            e.tracer.emit(
                 e.clock_s,
                 None,
                 EventKind::Fault { kv_core: failure.index, evicted_seqs: failure.evicted_sequences.len() },
@@ -538,8 +541,7 @@ impl Engine {
             evicted_tokens += failure.evicted_tokens as u64;
             evicted_seqs += failure.evicted_sequences.len();
         }
-        Stage::Fault.emit(
-            &mut self.tracer,
+        self.tracer.emit(
             self.clock_s,
             None,
             EventKind::Fault { kv_core: first_core.unwrap_or(0), evicted_seqs },
@@ -879,6 +881,26 @@ mod tests {
             e.step();
         }
         assert!(e.records()[1].admitted_s >= 1e9);
+    }
+
+    #[test]
+    fn a_lone_resident_is_kept_for_a_head_that_cannot_fit_beside_it() {
+        // A 2-core cache holds ~32k tokens: either request fits alone, the
+        // two do not fit together. Evicting the resident for the second
+        // would re-admit it at the same instant, forever.
+        let mut e = engine(2);
+        e.submit_with(Request::new(0, 20_000, 8), 0.0, Admission::Local, 0);
+        e.submit_with(Request::new(1, 20_000, 8), 0.0, Admission::Local, 1);
+        let mut steps = 0;
+        while e.has_work() {
+            assert!(steps < 10_000, "stuck after {steps} steps at clock {}", e.clock_s());
+            e.step();
+            steps += 1;
+        }
+        assert_eq!(e.stats().evictions, 0);
+        let [first, second] = e.records() else { panic!("two records") };
+        assert!(first.completed() && second.completed());
+        assert!(second.admitted_s >= first.completed_s, "the second waits for the first to complete");
     }
 
     #[test]

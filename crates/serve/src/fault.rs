@@ -316,8 +316,7 @@ impl FaultInjector {
                 self.chains_built += 1;
                 self.chain_cores += outcome.chain.len() as u64;
                 self.tiles_moved += outcome.moved_tiles as u64;
-                crate::stage::Stage::Fault.emit(
-                    engine.tracer_mut(),
+                engine.tracer_mut().emit(
                     event.at_s,
                     None,
                     EventKind::Remap { chain_len: outcome.chain.len(), moved_tiles: outcome.moved_tiles },

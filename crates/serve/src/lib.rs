@@ -107,7 +107,6 @@ pub use policy::{
 pub use report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotErrorKind, SNAPSHOT_SCHEMA_VERSION};
-pub use stage::{event_kind, Stage, EVENT_OWNERS};
 pub use sweep::{
     best_ratio, capacity_rps_estimate, format_shootout, format_sweep, ideal_latencies, LOAD_FRACTIONS,
 };

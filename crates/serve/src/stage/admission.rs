@@ -1,9 +1,10 @@
 //! The admission stage: FCFS continuous batching over the pending arena,
 //! with most-recently-admitted eviction. The rules differ from the offline
-//! scheduler's in four ways, listed in the [`crate::engine`] module docs:
+//! scheduler's in five ways, listed in the [`crate::engine`] module docs:
 //! a victim keeps its decode progress, re-admission asks for
 //! `prompt + decoded` tokens, a suspension lifts when nothing is resident,
-//! and only a request an empty cache cannot hold is dropped.
+//! a lone resident is never evicted for the queue head, and only a request
+//! an empty cache cannot hold is dropped.
 //!
 //! Consumes [`crate::stage::PendingReq`] events from the engine's pending
 //! arena and produces residency ([`crate::stage::ActiveSeq`] entries in the
@@ -11,7 +12,7 @@
 //! resident sequence to the *front* of the pending arena with its progress.
 //! Owns the `admission`, `drop` and `evict` trace kinds.
 
-use super::{ActiveSeq, PendingReq, Stage};
+use super::{ActiveSeq, PendingReq};
 use crate::engine::{Engine, MAX_BATCH};
 use ouro_kvcache::KvError;
 use ouro_trace::EventKind;
@@ -93,27 +94,20 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 r.queue_wait_s += (e.clock_s - ready_s).max(0.0);
                 r.cached_prefix_tokens = cached;
                 let req = Some(r.id);
-                Stage::Admission.emit(
-                    &mut e.tracer,
+                e.tracer.emit(
                     e.clock_s,
                     req,
                     EventKind::Admission { cached_tokens: cached, recompute: front.evicted },
                 );
                 if front.imported {
-                    Stage::Migrate.emit(
-                        &mut e.tracer,
+                    e.tracer.emit(
                         e.clock_s,
                         req,
                         EventKind::KvImport { wire_tokens: front.wire_tokens, deduped_tokens: cached },
                     );
                 }
                 if prefill_charge > 0 {
-                    Stage::Prefill.emit(
-                        &mut e.tracer,
-                        e.clock_s,
-                        req,
-                        EventKind::PrefillStart { tokens: prefill_charge },
-                    );
+                    e.tracer.emit(e.clock_s, req, EventKind::PrefillStart { tokens: prefill_charge });
                 }
                 let admitted = ActiveSeq {
                     rec: front.rec,
@@ -141,15 +135,15 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     if front.imported {
                         e.stats.dropped_imported_tokens += front.wire_tokens as u64;
                     }
-                    Stage::Admission.emit(
-                        &mut e.tracer,
-                        e.clock_s,
-                        Some(e.records[front.rec].id),
-                        EventKind::Drop,
-                    );
+                    e.tracer.emit(e.clock_s, Some(e.records[front.rec].id), EventKind::Drop);
                     continue;
                 }
-                evict_most_recent(e);
+                // Evicting a lone resident would re-admit it at the same
+                // instant and evict it again; it keeps its place and
+                // admission waits for it to complete.
+                if e.active.len() > 1 {
+                    evict_most_recent(e);
+                }
                 e.admission_suspended = true;
                 break;
             }
@@ -182,8 +176,7 @@ pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
     e.stats.evictions += 1;
     e.records[victim.rec].evictions += 1;
     e.manager.release(victim.rec as u64);
-    Stage::Admission.emit(
-        &mut e.tracer,
+    e.tracer.emit(
         e.clock_s,
         Some(e.records[victim.rec].id),
         EventKind::Evict { resident_tokens: resident, fault },

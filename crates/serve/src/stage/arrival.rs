@@ -2,7 +2,7 @@
 //! feeds closed-loop releases back into the arrival queue. Owns the
 //! `arrival` trace kind.
 
-use super::{ArrivalEvent, Stage, StageQueues};
+use super::{ArrivalEvent, StageQueues};
 use crate::engine::Admission;
 use crate::scenario::Driver;
 use ouro_trace::EventKind;
@@ -17,8 +17,7 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace, q: &mut StageQueues
     let entry = d.entry_len();
     let wafer = d.router.route(&d.engines[..entry], &request);
     assert!(wafer < entry, "router returned wafer {wafer} of an {entry}-wafer pool");
-    Stage::Arrival.emit_for(
-        &mut d.tracer,
+    d.tracer.emit_for(
         wafer,
         ev.at_s,
         Some(ev.index),

@@ -3,7 +3,6 @@
 //! the `kv_export` kind — belongs to the migrate stage, emitted here at
 //! the handoff point).
 
-use super::Stage;
 use crate::engine::{Completion, Engine};
 use ouro_trace::EventKind;
 
@@ -35,10 +34,10 @@ pub(crate) fn retire(e: &mut Engine, end_s: f64) -> Vec<Completion> {
                 // discarding it; the export counter feeds migration
                 // byte accounting.
                 manager.export_sequence(a.rec as u64).expect("prefill-only sequence is resident");
-                Stage::Migrate.emit(tracer, end_s, Some(r.id), EventKind::KvExport { tokens: r.prompt_len });
+                tracer.emit(end_s, Some(r.id), EventKind::KvExport { tokens: r.prompt_len });
             } else {
                 manager.release(a.rec as u64);
-                Stage::Complete.emit(tracer, end_s, Some(r.id), EventKind::Complete);
+                tracer.emit(end_s, Some(r.id), EventKind::Complete);
             }
             completions.push((a.rec, end_s));
             false

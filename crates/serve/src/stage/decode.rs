@@ -1,7 +1,6 @@
 //! The decode stage: work selection over the active set and autoregressive
 //! token growth. Owns the `decode_step` and `first_token` trace kinds.
 
-use super::Stage;
 use crate::engine::{Engine, PREFILL_CHUNK};
 use ouro_kvcache::KvError;
 use ouro_trace::EventKind;
@@ -78,7 +77,7 @@ fn full_pass(e: &Engine) -> (usize, u64, usize) {
 /// whole interleaved batch).
 pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
     let batch = e.active.len();
-    Stage::Decode.emit(&mut e.tracer, end_s, None, EventKind::DecodeStep { batch, tokens: step_tokens });
+    e.tracer.emit(end_s, None, EventKind::DecodeStep { batch, tokens: step_tokens });
 }
 
 /// Handles a decode event of active sequence `i`: its first token, the
@@ -102,7 +101,7 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mu
                 let rec = &mut e.records[a.rec];
                 rec.first_token_s = end_s;
                 let id = rec.id;
-                Stage::Decode.emit(&mut e.tracer, end_s, Some(id), EventKind::FirstToken);
+                e.tracer.emit(end_s, Some(id), EventKind::FirstToken);
             }
             e.schedule(i);
         }

@@ -9,7 +9,6 @@
 //! needs no extra state to be checkpointable. What the report needs of
 //! the migrations is kept as [`MigrationTotals`], not as a log.
 
-use super::Stage;
 use crate::engine::Admission;
 use crate::scenario::Driver;
 use ouro_trace::EventKind;
@@ -70,15 +69,8 @@ pub(crate) fn migrate(d: &mut Driver, from: usize, rec: usize, t_done: f64) {
     let hops = (d.prefill_wafers - from) + to;
     let arrive_s = t_done + d.link.transfer_time_s(bytes, hops);
     let global_to = d.prefill_wafers + to;
-    Stage::Migrate.emit_for(
-        &mut d.tracer,
-        from,
-        t_done,
-        Some(record.id),
-        EventKind::MigrateStart { to_wafer: global_to, bytes },
-    );
-    Stage::Migrate.emit_for(
-        &mut d.tracer,
+    d.tracer.emit_for(from, t_done, Some(record.id), EventKind::MigrateStart { to_wafer: global_to, bytes });
+    d.tracer.emit_for(
         global_to,
         arrive_s,
         Some(record.id),

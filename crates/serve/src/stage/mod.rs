@@ -6,8 +6,7 @@
 //! `Driver::drive` and `Engine::step`. This module makes the pipeline
 //! explicit: each stage is a typed unit (one submodule of free functions
 //! over the engine/driver state), consuming and producing typed event
-//! queues, and the [`Stage`] enum names them so trace emission can be
-//! audited in one place.
+//! queues.
 //!
 //! The queues:
 //!
@@ -35,14 +34,9 @@
 //! [`crate::scenario::Scenario::checkpoint`] /
 //! [`crate::scenario::Scenario::resume`] possible.
 //!
-//! # Event-kind ownership
-//!
-//! Each lifecycle [`EventKind`] is emitted by exactly one stage; the
-//! mapping is the single table behind [`event_kind`], and every emission
-//! site routes through `Stage::emit` / `Stage::emit_for`, which
-//! debug-assert the table. Fault and remap events are out-of-band (they
-//! interrupt the pipeline rather than advance it) and belong to the
-//! pseudo-stage [`Stage::Fault`].
+//! Each stage module names the lifecycle [`ouro_trace::EventKind`]s it
+//! emits. Fault and remap events are out-of-band: they interrupt the
+//! pipeline rather than advance it, and the fault path emits them.
 
 pub(crate) mod admission;
 pub(crate) mod arrival;
@@ -52,134 +46,10 @@ pub(crate) mod migrate;
 pub(crate) mod prefill;
 
 use ouro_kvcache::KvSlot;
-use ouro_trace::{EventKind, Tracer};
 use ouro_workload::TimedTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-
-/// The stages of the request pipeline, plus the out-of-band fault path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Stage {
-    /// A request enters the cluster and is routed to an entry wafer.
-    Arrival,
-    /// The engine admits (or drops, or evicts for) a pending request.
-    Admission,
-    /// Prompt tokens stream through the pipeline.
-    Prefill,
-    /// KV moves between wafers (disaggregated handoff).
-    Migrate,
-    /// Autoregressive token generation.
-    Decode,
-    /// The request retires.
-    Complete,
-    /// Out-of-band: runtime core faults and replacement-chain remaps.
-    Fault,
-}
-
-impl Stage {
-    /// Every stage, in pipeline order (the fault pseudo-stage last).
-    pub const ALL: [Stage; 7] = [
-        Stage::Arrival,
-        Stage::Admission,
-        Stage::Prefill,
-        Stage::Migrate,
-        Stage::Decode,
-        Stage::Complete,
-        Stage::Fault,
-    ];
-
-    /// Stable lowercase name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Stage::Arrival => "arrival",
-            Stage::Admission => "admission",
-            Stage::Prefill => "prefill",
-            Stage::Migrate => "migrate",
-            Stage::Decode => "decode",
-            Stage::Complete => "complete",
-            Stage::Fault => "fault",
-        }
-    }
-
-    /// Emits `kind` on `tracer`, debug-asserting that this stage owns the
-    /// kind per [`event_kind`]. All engine-stream emission sites route
-    /// through here, so the ownership table cannot drift from the code.
-    pub(crate) fn emit(self, tracer: &mut Tracer, t_s: f64, req: Option<usize>, kind: EventKind) {
-        debug_assert_eq!(
-            event_kind(kind.name()),
-            self,
-            "stage {self:?} emitted {}, owned by {:?}",
-            kind.name(),
-            event_kind(kind.name())
-        );
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the one forwarding site behind the EVENT_OWNERS debug assert"
-        )]
-        tracer.emit(t_s, req, kind);
-    }
-
-    /// [`Stage::emit`] for driver-stream events stamped onto a wafer.
-    pub(crate) fn emit_for(
-        self,
-        tracer: &mut Tracer,
-        wafer: usize,
-        t_s: f64,
-        req: Option<usize>,
-        kind: EventKind,
-    ) {
-        debug_assert_eq!(
-            event_kind(kind.name()),
-            self,
-            "stage {self:?} emitted {}, owned by {:?}",
-            kind.name(),
-            event_kind(kind.name())
-        );
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the one forwarding site behind the EVENT_OWNERS debug assert"
-        )]
-        tracer.emit_for(wafer, t_s, req, kind);
-    }
-}
-
-/// The single table mapping every lifecycle event kind (by its pinned
-/// [`EventKind::ALL_NAMES`] name) to the stage that emits it. Each kind is
-/// owned by exactly one stage — asserted by the coverage test below and,
-/// in debug builds, at every emission site via `Stage::emit`.
-pub const EVENT_OWNERS: [(&str, Stage); 15] = [
-    ("arrival", Stage::Arrival),
-    ("admission", Stage::Admission),
-    ("drop", Stage::Admission),
-    ("evict", Stage::Admission),
-    ("prefill_start", Stage::Prefill),
-    ("prefill_end", Stage::Prefill),
-    ("kv_export", Stage::Migrate),
-    ("kv_import", Stage::Migrate),
-    ("migrate_start", Stage::Migrate),
-    ("migrate_arrive", Stage::Migrate),
-    ("decode_step", Stage::Decode),
-    ("first_token", Stage::Decode),
-    ("complete", Stage::Complete),
-    ("fault", Stage::Fault),
-    ("remap", Stage::Fault),
-];
-
-/// The stage that owns (is the unique emitter of) the event kind named
-/// `name` — the table-driven lookup behind every emission site.
-///
-/// # Panics
-///
-/// Panics on a name outside [`EventKind::ALL_NAMES`]; the taxonomy is
-/// closed, so an unknown name is a programming error.
-pub fn event_kind(name: &str) -> Stage {
-    EVENT_OWNERS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, s)| s)
-        .unwrap_or_else(|| panic!("event kind {name:?} is outside the closed taxonomy"))
-}
 
 /// One open arrival waiting to be routed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -337,42 +207,4 @@ pub(crate) struct PendingReq {
     pub(crate) evicted: bool,
     /// Prefill-only service (disaggregated prefill wafer).
     pub(crate) prefill_only: bool,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ouro_trace::EventKind;
-
-    #[test]
-    fn every_lifecycle_event_kind_is_owned_by_exactly_one_stage() {
-        // Coverage: the ownership table spans the closed taxonomy exactly.
-        let mut owned: Vec<&str> = EVENT_OWNERS.iter().map(|&(n, _)| n).collect();
-        owned.sort_unstable();
-        let mut all: Vec<&str> = EventKind::ALL_NAMES.to_vec();
-        all.sort_unstable();
-        assert_eq!(owned, all, "the stage table must cover every event kind exactly once");
-        // Uniqueness: no name appears under two stages.
-        for (i, &(name, stage)) in EVENT_OWNERS.iter().enumerate() {
-            for &(other, other_stage) in &EVENT_OWNERS[i + 1..] {
-                assert!(name != other, "{name} owned by both {stage:?} and {other_stage:?}");
-            }
-        }
-        // The lookup agrees with the table for every pinned name.
-        for &(name, stage) in &EVENT_OWNERS {
-            assert_eq!(event_kind(name), stage);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the closed taxonomy")]
-    fn unknown_event_kinds_are_rejected() {
-        event_kind("warp_core_breach");
-    }
-
-    #[test]
-    fn stage_names_are_stable() {
-        let names: Vec<&str> = Stage::ALL.iter().map(Stage::name).collect();
-        assert_eq!(names, vec!["arrival", "admission", "prefill", "migrate", "decode", "complete", "fault"]);
-    }
 }

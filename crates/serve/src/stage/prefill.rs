@@ -2,7 +2,6 @@
 //! token-grained pipeline. Owns the `prefill_start` (emitted at admission,
 //! where the charge is computed) and `prefill_end` trace kinds.
 
-use super::Stage;
 use crate::engine::{Engine, PREFILL_CHUNK};
 use ouro_trace::EventKind;
 
@@ -19,7 +18,7 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64) -> bool {
     e.prefill_tokens = e.prefill_tokens - a.prefill_remaining.min(PREFILL_CHUNK) + left.min(PREFILL_CHUNK);
     e.active[i].prefill_remaining = left;
     if left == 0 {
-        Stage::Prefill.emit(&mut e.tracer, end_s, Some(e.records[a.rec].id), EventKind::PrefillEnd);
+        e.tracer.emit(end_s, Some(e.records[a.rec].id), EventKind::PrefillEnd);
         e.active[i].since = e.stats.steps;
         e.decoding += usize::from(e.active[i].decoding());
     }

@@ -19,12 +19,11 @@
 //! re-admission (a partially deduplicated import legitimately recomputes
 //! prefill *after* its `migrate_arrive`), so they are checked by their own
 //! pairing property — every `migrate_start` has a `migrate_arrive` at or
-//! after it — rather than by the single-wafer rank walk. The ranks come
-//! from the single [`ouro_serve::event_kind`] ownership table, so this is
-//! also an end-to-end test of that mapping.
+//! after it — rather than by the single-wafer rank walk. The ranks are
+//! this test's own order over the event kind names ([`rank`]).
 
 use ouro_model::zoo;
-use ouro_serve::{event_kind, FaultConfig, RunState, Scenario, SloConfig, Stage, TraceEvent};
+use ouro_serve::{FaultConfig, RunState, Scenario, SloConfig, TraceEvent};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TraceGenerator};
 use proptest::prelude::*;
@@ -77,11 +76,25 @@ fn population(run: &RunState) -> usize {
     run.waiting() + engine_side + run.completed() as usize + dropped
 }
 
-/// Pipeline rank of a stage in the single-wafer lifecycle walk; `None`
-/// for the out-of-band fault pseudo-stage and for Migrate (whose
-/// inter-wafer events carry their own pairing property instead).
-fn rank(stage: Stage) -> Option<usize> {
-    Stage::ALL.iter().position(|s| *s == stage).filter(|_| stage != Stage::Fault && stage != Stage::Migrate)
+/// The rank of the admission kinds, where eviction requeues and imported-KV
+/// re-admissions restart the climb.
+const ADMISSION: usize = 1;
+
+/// Pipeline rank of an event kind in the single-wafer lifecycle walk:
+/// arrival, admission (with its drop and evict outcomes), prefill, decode,
+/// completion. `None` for the out-of-band fault kinds and for the migrate
+/// kinds, whose inter-wafer events carry their own pairing property
+/// instead.
+fn rank(kind: &str) -> Option<usize> {
+    match kind {
+        "arrival" => Some(0),
+        "admission" | "drop" | "evict" => Some(ADMISSION),
+        "prefill_start" | "prefill_end" => Some(2),
+        "decode_step" | "first_token" => Some(3),
+        "complete" => Some(4),
+        "kv_export" | "kv_import" | "migrate_start" | "migrate_arrive" | "fault" | "remap" => None,
+        other => panic!("event kind {other:?} has no place in the stage walk"),
+    }
 }
 
 /// Asserts the stage-order traversal property over one request's events,
@@ -95,9 +108,8 @@ fn assert_stage_order(label: &str, id: usize, events: &[&TraceEvent]) {
     let t_first = events.first().map(|e| e.t_s).unwrap_or_default();
     let mut prev: Option<(f64, usize)> = None;
     for event in events {
-        let stage = event_kind(event.kind.name());
-        let Some(r) = rank(stage) else { continue };
-        if stage == Stage::Arrival {
+        let Some(r) = rank(event.kind.name()) else { continue };
+        if r == 0 {
             prop_assert!(
                 event.t_s <= t_first + 1e-12,
                 "{} req {}: arrival at {}s is not the earliest event",
@@ -111,7 +123,7 @@ fn assert_stage_order(label: &str, id: usize, events: &[&TraceEvent]) {
             // stream index); only strictly later events must walk forward.
             if event.t_s > prev_t {
                 prop_assert!(
-                    r >= prev_r || stage == Stage::Admission,
+                    r >= prev_r || r == ADMISSION,
                     "{} req {}: stage rank {} at {}s after rank {} — pipeline walked backwards",
                     label,
                     id,

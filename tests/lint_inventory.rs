@@ -22,9 +22,9 @@ const SCHEMA_PINS: &[(&str, &str)] = &[
     ("crates/trace/src/telemetry.rs", "TELEMETRY_SCHEMA_VERSION"),
 ];
 
-/// The two stage-emit forwarding sites and the `FastMap` alias over std
-/// `HashMap`. The wall-clock ban has no exemption.
-const MAX_EXPECTS: usize = 3;
+/// The `FastMap` alias over std `HashMap`. The wall-clock ban has no
+/// exemption.
+const MAX_EXPECTS: usize = 1;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
