@@ -529,15 +529,17 @@ fn shootout_sides(
 
 /// Most faults a wafer may expect over a run's fault window: the
 /// accelerated MTBF is floored at the window over this count. The window is
-/// at least one second ([`ouro_serve::FaultInjector::run_window_s`]), so at
-/// one to three requests an MTBF derived from the arrival span would
-/// otherwise schedule up to 2e11 faults per wafer up front.
+/// at least one second ([`ouro_serve::fault_window_s`]), so at one to three
+/// requests an MTBF derived from the arrival span would otherwise fire up
+/// to 2e11 faults per wafer. Faults are drawn as they fall due, so the
+/// floor bounds the faults a run fires, and with them its run time; the
+/// fault state held is one stream per wafer at any MTBF.
 const MAX_FAULTS_PER_WAFER: f64 = 10_000.0;
 
 /// `mtbf_s` (an arrival span over a divisor), floored so a fault plan over
 /// `timed` stays bounded ([`MAX_FAULTS_PER_WAFER`]).
 fn accelerated_mtbf(mtbf_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
-    mtbf_s.max(ouro_serve::FaultInjector::run_window_s(f64::INFINITY, timed) / MAX_FAULTS_PER_WAFER)
+    mtbf_s.max(ouro_serve::fault_window_s(f64::INFINITY, timed) / MAX_FAULTS_PER_WAFER)
 }
 
 /// Online serving — load sweeps and routing policies on a 4-wafer cluster.
@@ -676,7 +678,7 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
 /// a seeded MTBF process, plus a fault-enabled disagg-vs-colocated
 /// shootout. Returns the JSON rows of every printed point.
 fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{format_shootout, p99_inflation, FaultConfig, FaultInjector, Scenario};
+    use ouro_serve::{format_shootout, p99_inflation, FaultConfig, Scenario};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Faults: replacement-chain remaps under live traffic (4-wafer LLaMA-13B)");
@@ -695,32 +697,18 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
         "{:<12} {:>7} {:>7} {:>9} {:>12} {:>13} {:>11} {:>11}",
         "mtbf", "faults", "chains", "recomp", "kv-evict", "availability", "ttft-p99", "tpot-p99"
     );
-    // One scenario, re-armed per swept MTBF; the fault-free baseline runs
-    // once and anchors the inflation columns. The swept points are
-    // independent seeded runs, so they fan out across the worker threads
-    // and reassemble in input order.
+    // One scenario, re-armed per swept MTBF. The `none` point is armed
+    // with an MTBF no window reaches, so it fires nothing, its serving
+    // report is the fault-free run's, and it anchors the inflation
+    // columns. The swept points are independent seeded runs, so they fan
+    // out across the worker threads and reassemble in input order.
     let base = Scenario::colocated(WAFERS).slo(slo).workload(timed.clone());
-    let clean = base.clone().run(&system).expect("cluster builds");
-    let mtbf_points = [("none", 0.0), ("span/2", 2.0), ("span/6", 6.0)];
+    let mtbf_points = [("none", None), ("span/2", Some(2.0)), ("span/6", Some(6.0))];
     let swept = ouro_serve::parallel_map_indexed(mtbf_points.to_vec(), threads, |_, (label, divisor)| {
-        let faulty = if divisor > 0.0 {
-            let mtbf = accelerated_mtbf(span / divisor, &timed);
-            base.clone().faults(FaultConfig::new(mtbf, SEED)).run(&system).expect("cluster builds")
-        } else {
-            // Zero fault rate: the faulty run is the clean run by
-            // definition; only the (empty) fault report is fresh.
-            let mut r = clean.clone();
-            let injector = FaultInjector::new(
-                &system,
-                WAFERS,
-                FaultConfig::new(1e18, SEED),
-                FaultInjector::run_window_s(f64::INFINITY, &timed),
-            );
-            r.faults = Some(injector.report(clean.serving.duration_s));
-            r
-        };
-        (label, faulty)
+        let mtbf = divisor.map_or(1e18, |divisor| accelerated_mtbf(span / divisor, &timed));
+        (label, base.clone().faults(FaultConfig::new(mtbf, SEED)).run(&system).expect("cluster builds"))
     });
+    let clean = swept[0].1.serving.clone();
     for (label, faulty) in swept {
         let f = faulty.faults.as_ref().expect("fault section populated");
         println!(
@@ -734,7 +722,7 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
             faulty.serving.ttft.p99_s * 1e3,
             faulty.serving.tpot.p99_s * 1e3,
         );
-        let (ttft_inflation, tpot_inflation) = p99_inflation(&faulty.serving, &clean.serving);
+        let (ttft_inflation, tpot_inflation) = p99_inflation(&faulty.serving, &clean);
         rows.push(
             labeled_row("faults", &format!("mtbf-{label}"), &faulty)
                 .num("ttft_p99_inflation", ttft_inflation)

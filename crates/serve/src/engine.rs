@@ -43,9 +43,8 @@
 //! `decoded` count and into the KV manager, in one `append_at`, at its own
 //! events, before a fault strikes the manager, and in the copy a
 //! checkpoint records. The routing signals ([`Engine::kv_load`],
-//! [`Engine::kv_free_tokens`], [`Engine::kv_gauges`]) add `lazy_tokens`,
-//! so every observable reads as if each token had been appended in its
-//! own step.
+//! [`Engine::kv_gauges`]) add `lazy_tokens`, so every observable reads as
+//! if each token had been appended in its own step.
 //!
 //! A step that moves `T` tokens through the token-grained pipeline with mean
 //! context `c̄` takes `max(L(c̄), T · b(c̄))` seconds, where `L` is the full
@@ -318,7 +317,9 @@ impl Engine {
     /// KV pressure for routing: resident plus queued token demand relative to
     /// cache capacity (may exceed 1 under overload).
     pub fn kv_load(&self) -> f64 {
-        let demand = self.used_tokens() + self.pending_tokens;
+        // Lazy decode tokens included: what the manager would count had
+        // every token been appended in its own step.
+        let demand = self.manager.used_tokens() + self.lazy_tokens + self.pending_tokens;
         demand as f64 / self.manager.capacity_tokens().max(1) as f64
     }
 
@@ -351,18 +352,6 @@ impl Engine {
         } else {
             self.clock_s
         }
-    }
-
-    /// Free KV tokens net of the queued demand (0 when oversubscribed), the
-    /// signal behind the most-free-blocks decode placement policy.
-    pub fn kv_free_tokens(&self) -> usize {
-        self.manager.capacity_tokens().saturating_sub(self.used_tokens()).saturating_sub(self.pending_tokens)
-    }
-
-    /// Resident KV tokens, lazy decode tokens included: what the manager
-    /// would count had every token been appended in its own step.
-    fn used_tokens(&self) -> usize {
-        self.manager.used_tokens() + self.lazy_tokens
     }
 
     /// Wire-token demand of queued imported-KV requests that have not been
@@ -529,9 +518,8 @@ impl Engine {
     /// weights). Every remaining healthy KV crossbar fails at once, the
     /// affected sequences are evicted for recompute, and the whole outage
     /// counts as a *single* fault in [`EngineStats`] (it is one fault
-    /// event, however many crossbars it takes down). Returns how many
-    /// sequences and token slots of KV the outage evicted.
-    pub fn decommission(&mut self, at_s: f64) -> (usize, u64) {
+    /// event, however many crossbars it takes down).
+    pub fn decommission(&mut self, at_s: f64) {
         self.clock_s = self.clock_s.max(at_s);
         let mut evicted_seqs = 0usize;
         let mut evicted_tokens = 0u64;
@@ -552,7 +540,6 @@ impl Engine {
         if evicted_seqs > 0 {
             self.admission_suspended = false;
         }
-        (evicted_seqs, evicted_tokens)
     }
 
     /// Raw counters.
@@ -1256,7 +1243,6 @@ mod tests {
         let resident = prompt + 6;
         let capacity = e.kv_gauges().kv_capacity_tokens;
         assert_eq!(e.kv_load(), resident as f64 / capacity as f64);
-        assert_eq!(e.kv_free_tokens(), capacity - resident);
         assert_eq!(e.kv_gauges().kv_used_tokens, resident);
     }
 

@@ -7,12 +7,13 @@
 //! sub-millisecond time. The offline story ends there; this module measures
 //! what that costs a deployment under live traffic.
 //!
-//! A [`FaultInjector`] expands a seeded MTBF process
-//! ([`ouro_workload::FaultProcess`]) into per-wafer fault events and, when
-//! the serving event loop reaches one, drives the full healing pipeline:
+//! A `FaultInjector` draws each wafer's faults from its own seeded MTBF
+//! stream ([`ouro_workload::FaultStream`]) as the run reaches them and,
+//! when the serving event loop reaches one, drives the full healing
+//! pipeline:
 //!
 //! 1. pick a victim core (weight or KV) on the struck wafer from the
-//!    event's random draw,
+//!    fault's random draw,
 //! 2. run [`ouro_mapping::remap_with_chain`] over the wafer's live
 //!    assignment to build the replacement chain,
 //! 3. fail the absorbed KV core in the engine's cache manager
@@ -23,6 +24,11 @@
 //! 4. account everything in a [`FaultReport`] — availability, chains,
 //!    evicted KV bytes, recomputed sequences.
 //!
+//! The injector keeps only what no engine holds: each wafer's fault
+//! stream and remap state, and the chain counters. What a fault did to an
+//! engine (evicted sequences and tokens, stall time) is counted once, in
+//! that engine's [`crate::EngineStats`], and the report sums it from there.
+//!
 //! The engine's KV manager is the *per-head-scaled* model
 //! ([`ouro_sim::OuroborosSystem::serve_kv_config`]): one scaled manager
 //! core stands for `heads` physical cores, so a physical KV-core loss is
@@ -31,13 +37,12 @@
 
 use crate::engine::Engine;
 use crate::metrics::ServingReport;
-use crate::snapshot::{Injector, InjectorWafer, Row, SnapshotError, SnapshotErrorKind};
+use crate::snapshot::{InjectorWafer, Row, SnapshotError, SnapshotErrorKind};
 use ouro_hw::{CoreId, WaferGeometry};
 use ouro_mapping::{remap_with_chain, Assignment, RemapError};
 use ouro_sim::OuroborosSystem;
 use ouro_trace::EventKind;
-use ouro_workload::{FaultEvent, FaultProcess};
-use std::collections::VecDeque;
+use ouro_workload::{FaultProcess, FaultStream, TimedTrace};
 
 /// Tuning of the runtime fault process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,18 +63,27 @@ impl FaultConfig {
     }
 }
 
-/// Per-wafer remap state: the live weight assignment and the KV cores still
-/// available to absorb replacement chains.
+/// The fault window of one serving run: the horizon when it is finite,
+/// otherwise twice the trace's arrival span (bounded below by one second).
+/// [`crate::scenario::Scenario`] runs and snapshot resumes both derive it
+/// here, so a fresh and a resumed run bound the same streams the same way.
+pub fn fault_window_s(horizon_s: f64, timed: &TimedTrace) -> f64 {
+    if horizon_s.is_finite() {
+        horizon_s
+    } else {
+        (timed.last_arrival_s() * 2.0).max(1.0)
+    }
+}
+
+/// Per-wafer fault state: the live weight assignment, the KV cores still
+/// available to absorb replacement chains, and the wafer's fault stream.
 #[derive(Debug, Clone)]
 struct WaferFaultState {
     assignment: Assignment,
     kv_cores: Vec<CoreId>,
-    /// Cores failed on this wafer so far.
-    failed: Vec<CoreId>,
     /// Instant the wafer stopped being serviceable (`NaN` while alive).
     death_s: f64,
-    /// Stall time charged to this wafer.
-    stall_s: f64,
+    faults: FaultStream,
 }
 
 impl WaferFaultState {
@@ -78,34 +92,30 @@ impl WaferFaultState {
     }
 }
 
-/// One wafer's remap state in a run checkpoint (core ids flattened to
+/// One wafer's fault state in a run checkpoint (core ids flattened to
 /// integers so the serialized form stays dependency-free).
 #[derive(Debug, Clone, PartialEq)]
-pub struct WaferFaultSnapshot {
+pub(crate) struct WaferFaultSnapshot {
     /// The live weight assignment, as flat core ids.
-    pub assignment: Vec<u64>,
+    pub(crate) assignment: Vec<u64>,
     /// KV cores still available to absorb replacement chains.
-    pub kv_cores: Vec<u64>,
-    /// Cores failed on this wafer so far.
-    pub failed: Vec<u64>,
+    pub(crate) kv_cores: Vec<u64>,
     /// Instant the wafer stopped being serviceable (`NaN` while alive).
-    pub death_s: f64,
-    /// Stall time charged to this wafer.
-    pub stall_s: f64,
+    pub(crate) death_s: f64,
+    /// Faults fired on this wafer: its stream's position
+    /// ([`FaultStream::taken`]).
+    pub(crate) fired: u64,
 }
 
 /// The complete mutable state of a [`FaultInjector`], captured by
 /// [`FaultInjector::snapshot`] and reapplied by [`FaultInjector::restore`].
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultInjectorSnapshot {
-    /// Pending fault events as `(wafer, at_s, draw)`, in schedule order.
-    pub events: Vec<(usize, f64, u64)>,
-    /// Per-wafer remap state.
-    pub wafers: Vec<WaferFaultSnapshot>,
-    /// The eight lifetime counters, in declaration order: faults injected,
-    /// chains built, tiles moved, chain cores, KV cores lost, sequences
-    /// recomputed, KV tokens evicted, unrepaired faults.
-    pub counters: [u64; 8],
+pub(crate) struct FaultInjectorSnapshot {
+    /// Per-wafer fault state.
+    pub(crate) wafers: Vec<WaferFaultSnapshot>,
+    /// The five lifetime counters, in declaration order: chains built,
+    /// tiles moved, chain cores, KV cores lost, unrepaired faults.
+    pub(crate) counters: [u64; 5],
 }
 
 /// Aggregate outcome of one fault-injected serving run.
@@ -126,9 +136,11 @@ pub struct FaultReport {
     /// Physical KV cores absorbed by chains (mapping-level).
     pub kv_cores_lost: u64,
     /// Sequences evicted because a fault took their KV, re-enqueued for
-    /// recompute.
+    /// recompute: the sum of the engines'
+    /// [`crate::EngineStats::fault_evicted_seqs`].
     pub sequences_recomputed: u64,
-    /// Token slots of KV lost to faulted cores.
+    /// Token slots of KV lost to faulted cores: the sum of the engines'
+    /// [`crate::EngineStats::fault_evicted_tokens`].
     pub kv_tokens_evicted: u64,
     /// The same loss in bytes, at the model's full per-token KV footprint.
     pub kv_bytes_evicted: u64,
@@ -137,8 +149,9 @@ pub struct FaultReport {
     pub unrepaired_faults: u64,
     /// Wafers unserviceable at the end of the run.
     pub dead_wafers: usize,
-    /// Total remap stall across wafers (healing pauses only; outage time
-    /// of dead wafers is in `dead_time_s`).
+    /// Total remap stall across wafers, the sum of the engines'
+    /// [`crate::EngineStats::stall_s`] (healing pauses only; outage time of
+    /// dead wafers is in `dead_time_s`).
     pub total_stall_s: f64,
     /// Wafer-time lost to dead wafers: from each death to the end of the
     /// run.
@@ -161,22 +174,18 @@ impl FaultReport {
     }
 }
 
-/// Expands a fault process over a cluster's wafers and drives replacement
-/// chains + KV eviction when the serving event loop hands it an engine.
+/// Draws faults over a cluster's wafers and drives replacement chains +
+/// KV eviction when the serving event loop hands it an engine.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     config: FaultConfig,
     geometry: WaferGeometry,
-    events: VecDeque<FaultEvent>,
     wafers: Vec<WaferFaultState>,
     kv_bytes_per_token: u64,
-    faults_injected: u64,
     chains_built: u64,
     tiles_moved: u64,
     chain_cores: u64,
     kv_cores_lost: u64,
-    sequences_recomputed: u64,
-    kv_tokens_evicted: u64,
     unrepaired_faults: u64,
 }
 
@@ -184,21 +193,19 @@ impl FaultInjector {
     /// Builds the injector for `wafers` replicas of `system`'s deployment:
     /// every wafer starts from the system's block mapping, with the
     /// functional cores left over from weight mapping as its KV cores, and
-    /// draws faults from its own stream over `[0, fault_horizon_s)`.
+    /// draws faults from its own stream over `[0, window_s)`.
     ///
     /// # Panics
     ///
-    /// Panics when `fault_horizon_s` is not finite and positive, or when
-    /// `wafers` is zero.
-    pub fn new(
+    /// Panics when `config.mtbf_s` or `window_s` is not finite and
+    /// positive.
+    pub(crate) fn new(
         system: &OuroborosSystem,
         wafers: usize,
         config: FaultConfig,
-        fault_horizon_s: f64,
+        window_s: f64,
     ) -> FaultInjector {
-        assert!(wafers > 0, "fault injection needs at least one wafer");
-        let events: VecDeque<FaultEvent> =
-            FaultProcess::new(config.mtbf_s).schedule(wafers, fault_horizon_s, config.seed).into();
+        let process = FaultProcess::new(config.mtbf_s);
         let assignment = system.mapping().assignment.clone();
         let kv_cores: Vec<CoreId> = system
             .defects()
@@ -206,33 +213,34 @@ impl FaultInjector {
             .filter(|c| !assignment.core.contains(c))
             .take(system.kv_cores_per_block())
             .collect();
-        let state =
-            WaferFaultState { assignment, kv_cores, failed: Vec::new(), death_s: f64::NAN, stall_s: 0.0 };
         FaultInjector {
             config,
             geometry: system.config().geometry.clone(),
-            events,
-            wafers: vec![state; wafers],
+            wafers: (0..wafers)
+                .map(|wafer| WaferFaultState {
+                    assignment: assignment.clone(),
+                    kv_cores: kv_cores.clone(),
+                    death_s: f64::NAN,
+                    faults: process.stream(wafer, window_s, config.seed),
+                })
+                .collect(),
             kv_bytes_per_token: system.kv_migration_bytes(1),
-            faults_injected: 0,
             chains_built: 0,
             tiles_moved: 0,
             chain_cores: 0,
             kv_cores_lost: 0,
-            sequences_recomputed: 0,
-            kv_tokens_evicted: 0,
             unrepaired_faults: 0,
         }
     }
 
-    /// The configured fault process.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
+    /// Faults fired so far, over every wafer's stream.
+    pub(crate) fn faults_injected(&self) -> u64 {
+        self.wafers.iter().map(|w| w.faults.taken()).sum()
     }
 
     /// Time and wafer of the next pending fault, if any.
-    pub fn next_fault(&self) -> Option<(f64, usize)> {
-        self.events.front().map(|e| (e.at_s, e.wafer))
+    pub(crate) fn next_fault(&self) -> Option<(f64, usize)> {
+        ouro_workload::next_fault(self.wafers.iter().map(|w| &w.faults))
     }
 
     /// The pending fault the serving event loop must inject now, as
@@ -241,11 +249,11 @@ impl FaultInjector {
     /// earlier arrival or engine event is pending. `None` when no fault is
     /// due yet, and when the cluster has no work left: an empty cluster
     /// has nothing for a fault to degrade, and injecting it would stretch
-    /// the measured duration past the workload. Events at or beyond the
-    /// horizon are discarded, which is idempotent, so asking twice gives
-    /// the same answer.
-    pub fn due_fault(
-        &mut self,
+    /// the measured duration past the workload. A finite horizon is the
+    /// window, so no fault at or past it is ever drawn; the comparison
+    /// below keeps every fault from firing under a `NaN` horizon.
+    pub(crate) fn due_fault(
+        &self,
         next_arrival_s: Option<f64>,
         next_engine_event_s: Option<f64>,
         horizon_s: f64,
@@ -253,42 +261,22 @@ impl FaultInjector {
         if next_arrival_s.is_none() && next_engine_event_s.is_none() {
             return None;
         }
-        while let Some((t_fault, wafer)) = self.next_fault() {
-            if t_fault < horizon_s {
-                let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
-                let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
-                return (before_arrival && before_engines).then_some((t_fault, wafer));
-            }
-            self.events.pop_front();
-        }
-        None
+        let (t_fault, wafer) = self.next_fault()?;
+        let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
+        let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
+        (t_fault < horizon_s && before_arrival && before_engines).then_some((t_fault, wafer))
     }
 
-    /// The fault window of one serving run: the horizon when it is finite,
-    /// otherwise twice the trace's arrival span (bounded below by one
-    /// second). [`crate::scenario::Scenario`] runs and snapshot resumes
-    /// both derive it here, so a fresh and a resumed run bound the same
-    /// schedule the same way.
-    pub fn run_window_s(horizon_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
-        if horizon_s.is_finite() {
-            horizon_s
-        } else {
-            (timed.last_arrival_s() * 2.0).max(1.0)
-        }
-    }
-
-    /// Injects the next pending fault into `engine` (which must be the
-    /// wafer named by [`FaultInjector::next_fault`]): picks the victim
+    /// Injects `wafer`'s pending fault into its `engine`: picks the victim
     /// core, builds the replacement chain, and applies KV eviction, stall,
     /// and pipeline degradation to the engine.
     ///
     /// # Panics
     ///
-    /// Panics when no fault is pending.
-    pub fn inject(&mut self, engine: &mut Engine) {
-        let event = self.events.pop_front().expect("inject requires a pending fault");
-        self.faults_injected += 1;
-        let state = &mut self.wafers[event.wafer];
+    /// Panics when `wafer` has no pending fault.
+    pub(crate) fn inject(&mut self, wafer: usize, engine: &mut Engine) {
+        let state = &mut self.wafers[wafer];
+        let (at_s, draw) = state.faults.pop().expect("inject requires a pending fault");
         if state.is_dead() {
             // Dead wafers hold no weights worth healing; the fault only
             // deepens the outage already accounted from `death_s`.
@@ -299,10 +287,10 @@ impl FaultInjector {
         let candidates = state.assignment.core.len() + state.kv_cores.len();
         if candidates == 0 {
             self.unrepaired_faults += 1;
-            state.death_s = event.at_s;
+            state.death_s = at_s;
             return;
         }
-        let pick = (event.draw % candidates as u64) as usize;
+        let pick = (draw % candidates as u64) as usize;
         let victim = if pick < state.assignment.core.len() {
             state.assignment.core[pick]
         } else {
@@ -312,12 +300,11 @@ impl FaultInjector {
         match remap_with_chain(&self.geometry, &state.assignment, &state.kv_cores, victim) {
             Ok(outcome) => {
                 state.assignment = outcome.new_assignment;
-                state.failed.push(victim);
                 self.chains_built += 1;
                 self.chain_cores += outcome.chain.len() as u64;
                 self.tiles_moved += outcome.moved_tiles as u64;
                 engine.tracer_mut().emit(
-                    event.at_s,
+                    at_s,
                     None,
                     EventKind::Remap { chain_len: outcome.chain.len(), moved_tiles: outcome.moved_tiles },
                 );
@@ -331,20 +318,11 @@ impl FaultInjector {
                 // the moved fraction of the block.
                 let tiles = state.assignment.core.len().max(1);
                 let penalty = outcome.moved_tiles as f64 / tiles as f64;
-                match engine.apply_fault(event.at_s, self.config.remap_stall_s, absorbed.0, penalty) {
-                    Some(impact) => {
-                        state.stall_s += self.config.remap_stall_s;
-                        self.sequences_recomputed += impact.evicted_sequences as u64;
-                        self.kv_tokens_evicted += impact.evicted_tokens;
-                        if !impact.serviceable {
-                            state.death_s = event.at_s;
-                        }
-                    }
-                    None => {
-                        // The scaled cache already lost every core: the
-                        // wafer cannot hold KV any more.
-                        state.death_s = event.at_s;
-                    }
+                // `None`: the scaled cache already lost every core, so the
+                // wafer cannot hold KV any more.
+                let impact = engine.apply_fault(at_s, self.config.remap_stall_s, absorbed.0, penalty);
+                if !impact.is_some_and(|impact| impact.serviceable) {
+                    state.death_s = at_s;
                 }
             }
             Err(RemapError::NoKvCores) => {
@@ -354,11 +332,8 @@ impl FaultInjector {
                 // the outage immediately; the KV evicted by the outage
                 // still counts as recompute work.
                 self.unrepaired_faults += 1;
-                state.failed.push(victim);
-                state.death_s = event.at_s;
-                let (seqs, tokens) = engine.decommission(event.at_s);
-                self.sequences_recomputed += seqs as u64;
-                self.kv_tokens_evicted += tokens;
+                state.death_s = at_s;
+                engine.decommission(at_s);
             }
             Err(e @ RemapError::CoreNotOnWafer(_)) => {
                 unreachable!("victims are drawn from live on-wafer cores: {e}");
@@ -367,32 +342,28 @@ impl FaultInjector {
     }
 
     /// Captures the injector's complete mutable state for a run
-    /// checkpoint: the pending event schedule, every wafer's remap state,
-    /// and the lifetime counters. Geometry, per-token KV bytes and the
-    /// config are *not* captured — they are pure functions of the system
-    /// and scenario, recomputed by [`FaultInjector::restore`].
-    pub fn snapshot(&self) -> FaultInjectorSnapshot {
+    /// checkpoint: every wafer's remap state and stream position, and the
+    /// lifetime counters. Geometry, per-token KV bytes, the config and the
+    /// streams' generators are *not* captured — they are pure functions of
+    /// the system, the scenario and the positions, recomputed by
+    /// [`FaultInjector::restore`].
+    pub(crate) fn snapshot(&self) -> FaultInjectorSnapshot {
         FaultInjectorSnapshot {
-            events: self.events.iter().map(|e| (e.wafer, e.at_s, e.draw)).collect(),
             wafers: self
                 .wafers
                 .iter()
                 .map(|w| WaferFaultSnapshot {
                     assignment: w.assignment.core.iter().map(|c| c.0 as u64).collect(),
                     kv_cores: w.kv_cores.iter().map(|c| c.0 as u64).collect(),
-                    failed: w.failed.iter().map(|c| c.0 as u64).collect(),
                     death_s: w.death_s,
-                    stall_s: w.stall_s,
+                    fired: w.faults.taken(),
                 })
                 .collect(),
             counters: [
-                self.faults_injected,
                 self.chains_built,
                 self.tiles_moved,
                 self.chain_cores,
                 self.kv_cores_lost,
-                self.sequences_recomputed,
-                self.kv_tokens_evicted,
                 self.unrepaired_faults,
             ],
         }
@@ -400,65 +371,63 @@ impl FaultInjector {
 
     /// Rebuilds an injector from a checkpoint: constructs a fresh injector
     /// over the same system/config/window (restoring the derived geometry
-    /// and byte constants), then overwrites the mutable state with the
+    /// and byte constants), skips each wafer's stream past the faults it
+    /// fired, then overwrites the remap state and counters with the
     /// snapshot's. The resumed injector continues the identical fault
-    /// realisation from the checkpoint's pending event.
+    /// realisation from each wafer's pending fault; the skip costs one draw
+    /// per fault fired, less than firing it did.
     ///
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] of kind
     /// [`SnapshotErrorKind::WaferCount`] when the snapshot lists a
     /// different number of wafers than `wafers`, or
-    /// [`SnapshotErrorKind::IndexOutOfRange`] when a pending event strikes
-    /// a wafer outside the deployment.
-    pub fn restore(
+    /// [`SnapshotErrorKind::IndexOutOfRange`] when a wafer fired more
+    /// faults than its window holds.
+    pub(crate) fn restore(
         system: &OuroborosSystem,
         wafers: usize,
         config: FaultConfig,
-        fault_horizon_s: f64,
+        window_s: f64,
         snap: &FaultInjectorSnapshot,
     ) -> Result<FaultInjector, SnapshotError> {
         if snap.wafers.len() != wafers {
             return Err(SnapshotError::resume(None, InjectorWafer::NAME, SnapshotErrorKind::WaferCount));
         }
-        if snap.events.iter().any(|&(wafer, ..)| wafer >= wafers) {
-            return Err(SnapshotError::resume(None, Injector::NAME, SnapshotErrorKind::IndexOutOfRange));
+        let mut inj = FaultInjector::new(system, wafers, config, window_s);
+        for (wafer, (state, w)) in inj.wafers.iter_mut().zip(&snap.wafers).enumerate() {
+            if !state.faults.skip(w.fired) {
+                let kind = SnapshotErrorKind::IndexOutOfRange;
+                return Err(SnapshotError::resume(Some(wafer), InjectorWafer::NAME, kind));
+            }
+            state.assignment =
+                Assignment { core: w.assignment.iter().map(|&c| CoreId(c as usize)).collect() };
+            state.kv_cores = w.kv_cores.iter().map(|&c| CoreId(c as usize)).collect();
+            state.death_s = w.death_s;
         }
-        let mut inj = FaultInjector::new(system, wafers, config, fault_horizon_s);
-        inj.events =
-            snap.events.iter().map(|&(wafer, at_s, draw)| FaultEvent { wafer, at_s, draw }).collect();
-        inj.wafers = snap
-            .wafers
-            .iter()
-            .map(|w| WaferFaultState {
-                assignment: Assignment { core: w.assignment.iter().map(|&c| CoreId(c as usize)).collect() },
-                kv_cores: w.kv_cores.iter().map(|&c| CoreId(c as usize)).collect(),
-                failed: w.failed.iter().map(|&c| CoreId(c as usize)).collect(),
-                death_s: w.death_s,
-                stall_s: w.stall_s,
-            })
-            .collect();
-        let [fi, cb, tm, cc, kl, sr, te, uf] = snap.counters;
-        inj.faults_injected = fi;
+        let [cb, tm, cc, kl, uf] = snap.counters;
         inj.chains_built = cb;
         inj.tiles_moved = tm;
         inj.chain_cores = cc;
         inj.kv_cores_lost = kl;
-        inj.sequences_recomputed = sr;
-        inj.kv_tokens_evicted = te;
         inj.unrepaired_faults = uf;
         Ok(inj)
     }
 
-    /// Assembles the fault report after a run spanning `duration_s`.
-    pub fn report(&self, duration_s: f64) -> FaultReport {
+    /// Assembles the fault report after a run spanning `duration_s`, with
+    /// what the faults did to the wafers read from their `engines`.
+    pub(crate) fn report(&self, engines: &[Engine], duration_s: f64) -> FaultReport {
         let wafers = self.wafers.len();
         let span = duration_s.max(0.0);
         let mut stall_s = 0.0;
         let mut dead_time_s = 0.0;
         let mut dead = 0;
-        for w in &self.wafers {
-            stall_s += w.stall_s;
+        let (mut sequences_recomputed, mut kv_tokens_evicted) = (0, 0);
+        for (w, engine) in self.wafers.iter().zip(engines) {
+            let stats = engine.stats();
+            stall_s += stats.stall_s;
+            sequences_recomputed += stats.fault_evicted_seqs;
+            kv_tokens_evicted += stats.fault_evicted_tokens;
             if w.is_dead() {
                 dead += 1;
                 dead_time_s += (span - w.death_s.min(span)).max(0.0);
@@ -468,14 +437,14 @@ impl FaultInjector {
         FaultReport {
             config: self.config,
             wafers,
-            faults_injected: self.faults_injected,
+            faults_injected: self.faults_injected(),
             chains_built: self.chains_built,
             tiles_moved: self.tiles_moved,
             chain_cores: self.chain_cores,
             kv_cores_lost: self.kv_cores_lost,
-            sequences_recomputed: self.sequences_recomputed,
-            kv_tokens_evicted: self.kv_tokens_evicted,
-            kv_bytes_evicted: self.kv_tokens_evicted * self.kv_bytes_per_token,
+            sequences_recomputed,
+            kv_tokens_evicted,
+            kv_bytes_evicted: kv_tokens_evicted * self.kv_bytes_per_token,
             unrepaired_faults: self.unrepaired_faults,
             dead_wafers: dead,
             total_stall_s: stall_s,
@@ -521,9 +490,11 @@ mod tests {
         let sys = tiny_system();
         let inj = FaultInjector::new(&sys, 2, FaultConfig::new(0.01, 3), 1.0);
         assert!(inj.next_fault().is_some(), "a 10ms MTBF must fire within 1s");
-        let r = inj.report(1.0);
-        assert_eq!(r.faults_injected, 0);
-        assert_eq!(r.availability, 1.0, "nothing injected yet");
+        assert_eq!(inj.faults_injected(), 0);
+        for w in &inj.wafers {
+            assert_eq!(w.assignment.core, sys.mapping().assignment.core);
+            assert!(!w.is_dead(), "nothing injected yet");
+        }
     }
 
     #[test]

@@ -92,17 +92,17 @@ pub mod sweep;
 pub use ouro_trace::json;
 pub use ouro_trace::{
     Analysis, Counters, EventKind, PhaseStats, RequestPhases, RingSink, SpanPhase, TelemetryConfig,
-    TelemetryRecorder, TelemetrySample, Trace, TraceEvent, TraceSink, Tracer, WaferGauges, WaferUtilization,
+    TelemetryRecorder, TelemetrySample, Trace, TraceEvent, Tracer, WaferGauges, WaferUtilization,
     ANALYZE_SCHEMA_VERSION, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
 };
 
 pub use engine::{Admission, Engine, EngineFaultImpact, EngineStats};
-pub use fault::{p99_inflation, FaultConfig, FaultInjector, FaultReport};
+pub use fault::{fault_window_s, p99_inflation, FaultConfig, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};
 pub use policy::{
-    pick_min_index, pick_prefix_affine_index, pick_serviceable_min_index, pick_serviceable_min_index_by,
-    placements, routers, Placement, Router,
+    pick_min_index, pick_prefix_affine_index, pick_serviceable_min_index, placements, routers, Placement,
+    Router,
 };
 pub use report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};

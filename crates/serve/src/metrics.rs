@@ -205,22 +205,33 @@ pub struct RunTotals {
 }
 
 impl ServingReport {
-    /// Builds the report from raw records plus engine-level counters.
-    pub fn from_records(
-        records: &[RequestRecord],
+    /// Builds the report from raw records plus engine-level counters, in
+    /// one pass over the records. Their order does not matter: the report
+    /// counts them, sums integers and sorts every latency sample.
+    pub fn from_records<'a>(
+        records: impl IntoIterator<Item = &'a RequestRecord>,
         slo: &SloConfig,
         offered_rps: Option<f64>,
         totals: RunTotals,
     ) -> ServingReport {
-        let injected = records.len();
-        let completed: Vec<&RequestRecord> = records.iter().filter(|r| r.completed()).collect();
-        let met = completed.iter().filter(|r| r.meets_slo(slo)).count();
-        let out_tokens: u64 = completed.iter().map(|r| r.decode_len as u64).sum();
+        let (mut injected, mut completed, mut met, mut out_tokens) = (0, 0, 0, 0u64);
+        let (mut ttft, mut tpot, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
+        for r in records {
+            injected += 1;
+            if r.completed() {
+                completed += 1;
+                met += usize::from(r.meets_slo(slo));
+                out_tokens += r.decode_len as u64;
+            }
+            ttft.extend(r.ttft_s());
+            tpot.extend(r.tpot_s());
+            e2e.extend(r.e2e_s());
+        }
         let span = totals.duration_s.max(1e-12);
         ServingReport {
             offered_rps,
             injected,
-            completed: completed.len(),
+            completed,
             queued_at_horizon: totals.queued_at_horizon,
             in_flight_at_horizon: totals.in_flight_at_horizon,
             dropped: totals.dropped,
@@ -228,13 +239,13 @@ impl ServingReport {
             prefilled_tokens: totals.prefilled_tokens,
             cached_prefix_tokens: totals.cached_prefix_tokens,
             duration_s: totals.duration_s,
-            achieved_rps: completed.len() as f64 / span,
+            achieved_rps: completed as f64 / span,
             output_tokens_per_s: out_tokens as f64 / span,
             goodput_rps: met as f64 / span,
             slo_attainment: if injected == 0 { 0.0 } else { met as f64 / injected as f64 },
-            ttft: LatencyStats::from_samples(records.iter().filter_map(RequestRecord::ttft_s).collect()),
-            tpot: LatencyStats::from_samples(records.iter().filter_map(RequestRecord::tpot_s).collect()),
-            e2e: LatencyStats::from_samples(records.iter().filter_map(RequestRecord::e2e_s).collect()),
+            ttft: LatencyStats::from_samples(ttft),
+            tpot: LatencyStats::from_samples(tpot),
+            e2e: LatencyStats::from_samples(e2e),
             utilization: totals.utilization,
         }
     }

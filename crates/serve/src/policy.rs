@@ -65,9 +65,9 @@ impl Clone for Box<dyn Router> {
 /// prefill wafer the KV was produced on and `prefill_wafers` the size of
 /// the prefill pool, which together define optical distance on the wafer
 /// line (`(prefill_wafers - from_wafer) + decode_index` boundary
-/// crossings) for locality-aware policies.
+/// crossings). No built-in reads the distance; a custom policy may.
 pub trait Placement: std::fmt::Debug + Send + Sync {
-    /// Stable policy name for reports and tables (e.g. `"locality-aware"`).
+    /// Stable policy name for reports and tables (e.g. `"prefix-affinity"`).
     /// Snapshot config hashes key the policy by it, so it must tell
     /// differently-behaving policies apart.
     fn name(&self) -> String;
@@ -231,19 +231,6 @@ pub mod placements {
         Box::new(LeastKvLoad)
     }
 
-    /// The decode wafer with the most free KV tokens net of queued demand
-    /// (block-level headroom rather than relative load).
-    pub fn most_free_blocks() -> Box<dyn Placement> {
-        Box::new(MostFreeBlocks)
-    }
-
-    /// Prefers nearby decode wafers (fewer optical boundary crossings) but
-    /// yields to load: the score is `kv_load + 0.1 · wafer_hops`, so a hop
-    /// of distance is worth 10% of a cache of load.
-    pub fn locality_aware() -> Box<dyn Placement> {
-        Box::new(LocalityAware)
-    }
-
     /// Prefers the decode wafer already holding the longest cached run of
     /// the sequence's shared prefix — the migration then ships only the
     /// uncached bytes. Ties (and untagged sequences) fall back to least KV
@@ -262,52 +249,6 @@ pub mod placements {
 
         fn place(&mut self, decode: &[Engine], _from: usize, _prefill: usize, _request: &Request) -> usize {
             pick_serviceable_min_index(decode, Engine::kv_load)
-        }
-
-        fn clone_box(&self) -> Box<dyn Placement> {
-            Box::new(self.clone())
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct MostFreeBlocks;
-
-    impl Placement for MostFreeBlocks {
-        fn name(&self) -> String {
-            "most-free-blocks".to_string()
-        }
-
-        fn place(&mut self, decode: &[Engine], _from: usize, _prefill: usize, _request: &Request) -> usize {
-            pick_serviceable_min_index(decode, |e| -(e.kv_free_tokens() as f64))
-        }
-
-        fn clone_box(&self) -> Box<dyn Placement> {
-            Box::new(self.clone())
-        }
-    }
-
-    #[derive(Debug, Clone)]
-    struct LocalityAware;
-
-    impl Placement for LocalityAware {
-        fn name(&self) -> String {
-            "locality-aware".to_string()
-        }
-
-        fn place(
-            &mut self,
-            decode: &[Engine],
-            from: usize,
-            prefill_wafers: usize,
-            _request: &Request,
-        ) -> usize {
-            // A migration crosses one optical boundary per position it
-            // travels on the wafer line (prefill wafers first, decode
-            // wafers after them) — a locality term that needs the wafer
-            // index, hence the index-scored selection variant.
-            pick_serviceable_min_index_by(decode, |j, e| {
-                e.kv_load() + 0.1 * ((prefill_wafers - from) + j) as f64
-            })
         }
 
         fn clone_box(&self) -> Box<dyn Placement> {
@@ -354,14 +295,7 @@ pub fn pick_min_index<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
 /// Shared by the built-in routing and placement policies so both route
 /// around fault-degraded wafers identically.
 pub fn pick_serviceable_min_index(engines: &[Engine], score: impl Fn(&Engine) -> f64) -> usize {
-    pick_serviceable_min_index_by(engines, |_, e| score(e))
-}
-
-/// [`pick_serviceable_min_index`] with the wafer index passed to the score
-/// alongside the engine, for policies whose score has a positional term
-/// (e.g. locality: optical hops grow with the index on the wafer line).
-pub fn pick_serviceable_min_index_by(engines: &[Engine], score: impl Fn(usize, &Engine) -> f64) -> usize {
-    pick_routable(engines.len(), |i| engines[i].is_serviceable(), |i| score(i, &engines[i]), f64::total_cmp)
+    pick_routable(engines.len(), |i| engines[i].is_serviceable(), |i| score(&engines[i]), f64::total_cmp)
 }
 
 /// Index of the engine best placed to serve `request`'s shared prefix:

@@ -103,9 +103,10 @@ pub struct RunReport {
     pub schema_version: u32,
     /// The deployment shape and policies of the run.
     pub deployment: DeploymentInfo,
-    /// SLO metrics over the per-request records (for disaggregated runs,
-    /// merged across pools: arrival and prefill admission from the prefill
-    /// side, first token and completion from the decode side).
+    /// SLO metrics over the per-request records. In a disaggregated run a
+    /// request handed off to the decode pool is read from its decode-side
+    /// record alone, which carries the original arrival; a prefill record
+    /// is read only while its request was never handed off.
     pub serving: ServingReport,
     /// KV-migration accounting (`Some` iff the deployment is
     /// disaggregated).

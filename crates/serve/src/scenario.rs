@@ -49,8 +49,8 @@
 
 use crate::arena::F64Key;
 use crate::engine::Engine;
-use crate::fault::{FaultConfig, FaultInjector};
-use crate::metrics::{RequestRecord, RunTotals, ServingReport, SloConfig};
+use crate::fault::{fault_window_s, FaultConfig, FaultInjector};
+use crate::metrics::{RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 use crate::snapshot::{Snapshot, SnapshotError};
@@ -216,7 +216,7 @@ impl Scenario {
     /// of the deployment, interleaved on the serving timeline and healed
     /// by replacement-chain remaps. The fault window follows the horizon,
     /// or twice the arrival span when the horizon is open-ended
-    /// ([`FaultInjector::run_window_s`]).
+    /// ([`fault_window_s`]).
     pub fn faults(mut self, config: FaultConfig) -> Scenario {
         self.fault = Some(config);
         self
@@ -302,7 +302,7 @@ impl Scenario {
         let engines = (0..total)
             .map(|wafer| Ok(self.wafer_engine(system, wafer, KvManager::new(system.serve_kv_config())?)))
             .collect::<Result<_, KvError>>()?;
-        let window_s = FaultInjector::run_window_s(self.horizon_s, self.timed());
+        let window_s = fault_window_s(self.horizon_s, self.timed());
         let injector = self.fault.map(|cfg| FaultInjector::new(system, total, cfg, window_s));
         Ok(RunState::new(self, system, engines, StageQueues::new(self.timed()), injector))
     }
@@ -442,8 +442,8 @@ impl RunOutcome {
 }
 
 /// The complete mutable state of one in-flight scenario run: the driver
-/// (engines, event calendar, policies, migration totals), the arrival-stage
-/// queues, and the fault injector. Produced by [`Scenario::start`],
+/// (engines, event calendar, policies, migration totals, fault injector)
+/// and the arrival-stage queues. Produced by [`Scenario::start`],
 /// advanced by [`RunState::step_once`] / [`RunState::run_until`] /
 /// [`RunState::run_to_end`], closed by [`RunState::finish`], and captured
 /// whole by [`Scenario::checkpoint`].
@@ -451,7 +451,6 @@ impl RunOutcome {
 pub struct RunState {
     pub(crate) driver: Driver,
     pub(crate) queues: StageQueues,
-    pub(crate) injector: Option<FaultInjector>,
     /// The configuration the run was started from (cloned, so the state
     /// stays self-contained); the loop, `finish` and `checkpoint` read it.
     pub(crate) scenario: Scenario,
@@ -482,9 +481,8 @@ impl RunState {
         injector: Option<FaultInjector>,
     ) -> RunState {
         RunState {
-            driver: Driver::new(scenario, system, engines),
+            driver: Driver::new(scenario, system, engines, injector),
             queues,
-            injector,
             scenario: scenario.clone(),
         }
     }
@@ -493,19 +491,19 @@ impl RunState {
     /// earliest pending event, or `None` once the run is drained (no
     /// arrivals, engine work or faults left below the horizon). A fault
     /// fires when none of the others is earlier; its check sees the front
-    /// arrival even at or past the horizon ([`FaultInjector::due_fault`]),
+    /// arrival even at or past the horizon (`FaultInjector::due_fault`),
     /// and the injector's wafer index space is global, so a fault can
     /// strike either side of a disaggregation split. An arrival is routed
     /// once every busy engine has simulated past it (an engine event at
     /// the same instant waits), so routing sees current state; arrivals at
-    /// or past the horizon are never injected. Its only mutations (lazy
-    /// calendar scrubbing, discarding fault events past the horizon) are
-    /// idempotent, so asking then stepping equals stepping directly.
+    /// or past the horizon are never injected. Its only mutation (lazy
+    /// calendar scrubbing) is idempotent, so asking then stepping equals
+    /// stepping directly.
     fn next_event(&mut self) -> Option<(f64, Next)> {
         let horizon_s = self.scenario.horizon_s;
         let arrival = self.queues.arrivals.front().map(|ev| ev.at_s);
         let engine = self.driver.next_event_engine(horizon_s);
-        if let Some(inj) = self.injector.as_mut() {
+        if let Some(inj) = &self.driver.injector {
             if let Some((t, wafer)) = inj.due_fault(arrival, engine.map(|(_, t)| t), horizon_s) {
                 return Some((t, Next::Fault(wafer)));
             }
@@ -528,10 +526,9 @@ impl RunState {
         let d = &mut self.driver;
         match next {
             Next::Fault(wafer) => {
-                let inj = self.injector.as_mut().expect("only an armed injector has a due fault");
-                inj.inject(&mut d.engines[wafer]);
+                let inj = d.injector.as_mut().expect("only an armed injector has a due fault");
+                inj.inject(wafer, &mut d.engines[wafer]);
                 d.refresh_engine(wafer);
-                d.faults_fired += 1;
                 d.telemetry_tick();
             }
             Next::Engine(i) => d.step_engine(i, &mut self.queues),
@@ -576,7 +573,7 @@ impl RunState {
     /// Closes the run: flushes the telemetry tail, assembles the unified
     /// report, and merges the lifecycle trace.
     pub fn finish(self) -> RunOutcome {
-        let RunState { mut driver, injector, scenario, queues: _ } = self;
+        let RunState { mut driver, scenario, queues: _ } = self;
         let timed = scenario.timed();
         // The run's end instant: the engine-clock frontier, at least the
         // last arrival, capped by the horizon.
@@ -587,7 +584,7 @@ impl RunState {
             .fold(timed.last_arrival_s(), f64::max)
             .min(scenario.horizon_s);
         driver.telemetry_finish(end_s);
-        let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info(), injector);
+        let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info());
         let trace = scenario.trace.then(|| {
             // Per-wafer engine streams (in global wafer order) plus the
             // driver's own stream (arrivals, migrations); the merge sorts
@@ -628,8 +625,8 @@ pub(crate) struct Driver {
     pub(crate) telemetry: Option<TelemetryRecorder>,
     /// Requests retired (decode-side completions), for telemetry counters.
     pub(crate) completed: u64,
-    /// Runtime faults fired so far, for telemetry counters.
-    pub(crate) faults_fired: u64,
+    /// The armed fault plan: each wafer's fault stream and remap state.
+    pub(crate) injector: Option<FaultInjector>,
     /// The event calendar: one entry per (engine, generation) holding the
     /// engine's next-event time at refresh. Entries whose generation no
     /// longer matches [`Driver::engine_gen`] are stale and discarded
@@ -649,7 +646,12 @@ impl Driver {
     /// of `scenario`'s deployment) with every engine booked in the event
     /// calendar. A resume overwrites the policy state, migration totals
     /// and counters it restores.
-    fn new(scenario: &Scenario, system: &OuroborosSystem, engines: Vec<Engine>) -> Driver {
+    fn new(
+        scenario: &Scenario,
+        system: &OuroborosSystem,
+        engines: Vec<Engine>,
+        injector: Option<FaultInjector>,
+    ) -> Driver {
         let total = engines.len();
         let mut driver = Driver {
             engines,
@@ -665,7 +667,7 @@ impl Driver {
             tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
             telemetry: scenario.telemetry.map(TelemetryRecorder::new),
             completed: 0,
-            faults_fired: 0,
+            injector,
             calendar: BinaryHeap::new(),
             engine_gen: vec![0; total],
         };
@@ -798,7 +800,7 @@ impl Driver {
         let counters = Counters {
             completions: self.completed,
             migrations: self.migrations.count,
-            faults: self.faults_fired,
+            faults: self.injector.as_ref().map_or(0, FaultInjector::faults_injected),
             steps: self.engines.iter().map(|e| e.stats().steps).sum(),
         };
         for (wafer, engine) in self.engines.iter().enumerate() {
@@ -819,28 +821,15 @@ impl Driver {
         slo: &SloConfig,
         end_s: f64,
         deployment: DeploymentInfo,
-        injector: Option<FaultInjector>,
     ) -> RunReport {
         // A colocated run has no prefill pool, so every engine is on the
         // decode side. A prefill record was handed off when its retire
         // stamped `completed_s`; the decode side then owns the request.
         let (prefill, decode) = self.engines.split_at(self.prefill_wafers);
-        let not_handed_off = |r: &&RequestRecord| !r.completed();
-        // Sized up front: `collect()` over a `flat_map` would size the vector
-        // from the first engine's records and double from there, so the
-        // run's peak heap would depend on how requests spread over wafers.
-        let mut records: Vec<RequestRecord> = Vec::with_capacity(
-            decode.iter().map(|e| e.records().len()).sum::<usize>()
-                + prefill.iter().map(|e| e.records().iter().filter(not_handed_off).count()).sum::<usize>(),
-        );
-        for e in decode {
-            records.extend_from_slice(e.records());
-        }
-        for e in prefill {
-            records.extend(e.records().iter().filter(not_handed_off));
-        }
-        // Left unsorted: the report counts records, sums integers and sorts
-        // every latency sample, so it does not depend on their order.
+        let records = decode
+            .iter()
+            .flat_map(Engine::records)
+            .chain(prefill.iter().flat_map(Engine::records).filter(|r| !r.completed()));
 
         let queued: usize = self.engines.iter().map(Engine::queue_len).sum();
         let in_flight: usize = self.engines.iter().map(Engine::resident).sum();
@@ -894,7 +883,7 @@ impl Driver {
         };
 
         let serving = ServingReport::from_records(
-            &records,
+            records,
             slo,
             timed.config.offered_rps(),
             RunTotals {
@@ -908,7 +897,7 @@ impl Driver {
                 utilization,
             },
         );
-        let faults = injector.map(|inj| inj.report(serving.duration_s));
+        let faults = self.injector.as_ref().map(|inj| inj.report(&self.engines, serving.duration_s));
         RunReport { schema_version: SCHEMA_VERSION, deployment, serving, migration, faults }
     }
 }
@@ -941,10 +930,6 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     struct TracedMigration {
         id: usize,
-        /// Global source (prefill) wafer.
-        from: usize,
-        /// Global destination (decode) wafer.
-        to: usize,
         start_s: f64,
         arrive_s: f64,
     }
@@ -963,15 +948,9 @@ mod tests {
         events
             .iter()
             .filter_map(|ev| match ev.kind {
-                EventKind::MigrateStart { to_wafer, .. } => {
+                EventKind::MigrateStart { .. } => {
                     let id = ev.req.expect("a migration names its request");
-                    Some(TracedMigration {
-                        id,
-                        from: ev.wafer,
-                        to: to_wafer,
-                        start_s: ev.t_s,
-                        arrive_s: arrive_s(id),
-                    })
+                    Some(TracedMigration { id, start_s: ev.t_s, arrive_s: arrive_s(id) })
                 }
                 _ => None,
             })
@@ -1261,12 +1240,7 @@ mod tests {
     #[test]
     fn same_seed_same_disagg_report_for_every_placement() {
         let sys = tiny_system();
-        for placement in [
-            placements::least_kv_load(),
-            placements::most_free_blocks(),
-            placements::locality_aware(),
-            placements::prefix_affinity(),
-        ] {
+        for placement in [placements::least_kv_load(), placements::prefix_affinity()] {
             let name = placement.name();
             let scenario =
                 Scenario::disaggregated(2, 2).placement(placement).slo(slo()).workload(timed(60, 400.0, 3));
@@ -1314,32 +1288,9 @@ mod tests {
     }
 
     #[test]
-    fn locality_aware_prefers_near_decode_wafers() {
-        let sys = tiny_system();
-        let prefill_wafers = 1;
-        let outcome = Scenario::disaggregated(prefill_wafers, 3)
-            .placement(placements::locality_aware())
-            .slo(slo())
-            .trace(true)
-            .workload(timed(12, 30.0, 5))
-            .run_full(&sys)
-            .unwrap();
-        let migrations = traced_migrations(&outcome);
-        // Light load: every placement lands on the nearest decode wafer.
-        let near: usize = migrations.iter().filter(|m| m.to == 1).count();
-        assert!(
-            near > migrations.len() / 2,
-            "locality-aware must favour the nearest decode wafer under light load"
-        );
-        let hops: Vec<usize> =
-            migrations.iter().map(|m| (prefill_wafers - m.from) + (m.to - prefill_wafers)).collect();
-        assert!(hops.iter().all(|&h| h >= 1), "every migration crosses at least one boundary");
-    }
-
-    #[test]
     fn placement_policies_spread_load_under_pressure() {
         let sys = tiny_system();
-        for placement in [placements::least_kv_load(), placements::most_free_blocks()] {
+        for placement in [placements::least_kv_load(), placements::prefix_affinity()] {
             let name = placement.name();
             let outcome = Scenario::disaggregated(1, 2)
                 .placement(placement)

@@ -52,7 +52,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use crate::engine::{EngineStats, MAX_BATCH, PREFILL_CHUNK};
-use crate::fault::{FaultConfig, FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
+use crate::fault::{fault_window_s, FaultConfig, FaultInjector, FaultInjectorSnapshot, WaferFaultSnapshot};
 use crate::metrics::{RequestRecord, SloConfig};
 use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
@@ -71,7 +71,7 @@ use std::marker::PhantomData;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] rejects any other.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 3;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -85,7 +85,6 @@ pub struct Snapshot {
     /// is a hard error, not silent drift.
     pub(crate) config_hash: u64,
     pub(crate) completed: u64,
-    pub(crate) faults_fired: u64,
     pub(crate) router_state: u64,
     pub(crate) placement_state: u64,
     /// Open arrivals `(at_s, trace index)`, in queue (sorted) order.
@@ -127,7 +126,6 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
         schema_version: SNAPSHOT_SCHEMA_VERSION,
         config_hash: config_hash(scenario),
         completed: d.completed,
-        faults_fired: d.faults_fired,
         router_state: d.router.checkpoint_state(),
         placement_state: d.placement.checkpoint_state(),
         arrivals: run.queues.arrivals.iter().map(|ev| (ev.at_s, ev.index)).collect(),
@@ -152,7 +150,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                 }
             })
             .collect(),
-        injector: run.injector.as_ref().map(FaultInjector::snapshot),
+        injector: d.injector.as_ref().map(FaultInjector::snapshot),
     }
 }
 
@@ -190,7 +188,7 @@ pub(crate) fn rebuild(
     ensure(snap.engines.len() == total, reject(None, Engine::NAME, K::WaferCount))?;
     let mut queued = snap.arrivals.iter().map(|&(_, index)| index).chain(snap.gated.iter().copied());
     ensure(queued.all(|i| i < timed.arrivals.len()), reject(None, Meta::NAME, K::IndexOutOfRange))?;
-    let window_s = FaultInjector::run_window_s(scenario.horizon_s, timed);
+    let window_s = fault_window_s(scenario.horizon_s, timed);
     let injector = match (scenario.fault, &snap.injector) {
         (Some(cfg), Some(is)) => Some(FaultInjector::restore(system, total, cfg, window_s, is)?),
         (None, None) => None,
@@ -254,7 +252,6 @@ pub(crate) fn rebuild(
     d.placement.restore_state(snap.placement_state);
     d.migrations = snap.migrations;
     d.completed = snap.completed;
-    d.faults_fired = snap.faults_fired;
     Ok(run)
 }
 
@@ -309,9 +306,9 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
     };
     h.text(&router.name()).text(&placement.name());
     let SloConfig { ttft_s, tpot_s } = *slo;
-    // The engine's batch and chunk constants are hashed too: the v3 hash
-    // covers them, and a snapshot written under other values must not
-    // resume.
+    // The engine's batch and chunk constants are hashed too: the hash has
+    // covered them since they were settable, and a snapshot written under
+    // other values must not resume.
     h.int(MAX_BATCH).int(PREFILL_CHUNK).flag(*prefix_caching).float(ttft_s).float(tpot_s).float(*horizon_s);
     match *fault {
         None => h.tag(0),
@@ -425,7 +422,8 @@ pub enum SnapshotErrorKind {
     /// The snapshot has fault state exactly when the scenario has no fault
     /// config.
     FaultState,
-    /// An index past the workload, the records or the deployment.
+    /// An index past the workload, the records or the deployment, or a
+    /// wafer's fired-fault count past the faults its window holds.
     IndexOutOfRange,
     /// A local pending row carries wire tokens.
     LocalWireTokens,
@@ -822,7 +820,7 @@ macro_rules! rows {
 rows! {
     Meta = "meta": Snapshot rest { engines, injector } [
         "schema_version" => schema_version: Version, "config_hash" => config_hash: Bits,
-        "completed" => completed: U64, "faults_fired" => faults_fired: U64, "migrations" => migrations: Migrations,
+        "completed" => completed: U64, "migrations" => migrations: Migrations,
         "router_state" => router_state: U64, "placement_state" => placement_state: U64,
         "think_rng" => think_rng: Arr::<_, 4>(List('|', Bits)),
         "arrivals" => arrivals: List(';', Tup(':', (Float, USIZE))), "gated" => gated: List(';', USIZE),
@@ -892,13 +890,12 @@ rows! {
     ]
 
     Injector = "injector": FaultInjectorSnapshot rest { wafers } [
-        "events" => events: List(';', Tup(':', (USIZE, Float, U64))),
-        "counters" => counters: Arr::<_, 8>(List('|', U64)),
+        "counters" => counters: Arr::<_, 5>(List('|', U64)),
     ]
 
     InjectorWafer = "injector_wafer": WaferFaultSnapshot [
         "assignment" => assignment: List(';', U64), "kv_cores" => kv_cores: List(';', U64),
-        "failed" => failed: List(';', U64), "death_s" => death_s: Float, "stall_s" => stall_s: Float,
+        "death_s" => death_s: Float, "fired" => fired: U64,
     ]
 }
 
@@ -1014,8 +1011,8 @@ impl Snapshot {
             len += 4 * blocks.sum::<usize>() + 16 * listed.sum::<usize>();
         }
         if let Some(inj) = &self.injector {
-            let cores = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len() + w.failed.len());
-            len += 512 + 40 * inj.events.len() + 160 * inj.wafers.len() + 8 * cores.sum::<usize>();
+            let cores = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len());
+            len += 512 + 160 * inj.wafers.len() + 8 * cores.sum::<usize>();
         }
         len
     }
@@ -1153,8 +1150,8 @@ mod tests {
             (Some(false), Some(true), None, None)
         );
         assert_eq!((SIDE.take("k"), SIDE.take("v"), SIDE.take("K")), (Some(false), Some(true), None));
-        assert_eq!(Version.take("3"), Some(SNAPSHOT_SCHEMA_VERSION));
-        assert_eq!(Version.take("2"), None);
+        assert_eq!(Version.take("4"), Some(SNAPSHOT_SCHEMA_VERSION));
+        assert_eq!(Version.take("3"), None);
         let list = List(';', USIZE);
         assert_eq!(
             (list.take(""), list.take("4"), list.take("1;2")),
@@ -1202,7 +1199,7 @@ mod tests {
             arrivals(s)[shared].request.shared_prefix.as_mut().unwrap().group += 1;
         });
         changes("the router", &|s| s.router = routers::round_robin());
-        changes("the placement", &|s| s.placement = placements::most_free_blocks());
+        changes("the placement", &|s| s.placement = placements::prefix_affinity());
         changes("prefix caching", &|s| s.prefix_caching = !s.prefix_caching);
         changes("the fault seed", &|s| s.fault.as_mut().unwrap().seed += 1);
         changes("the horizon", &|s| s.horizon_s = f64::from_bits(s.horizon_s.to_bits() + 1));

@@ -122,7 +122,14 @@ fn the_closed_loop_checkpoint_is_taken_mid_run() {
     let meta = json.lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
     assert!(field(meta, "completed").parse::<u64>().unwrap() > 0, "{label}: no completions yet");
     assert!(!field(meta, "gated").is_empty(), "{label}: no gated requests left");
-    assert!(field(meta, "faults_fired").parse::<u64>().unwrap() > 0, "{label}: no fault fired yet");
+    assert!(faults_fired(&json) > 0, "{label}: no fault fired yet");
+}
+
+/// The faults fired before a snapshot: the sum of its injector_wafer
+/// rows' stream positions.
+fn faults_fired(json: &str) -> u64 {
+    let rows = rows_of(json).into_iter().filter(|r| on("injector_wafer", None)(r));
+    rows.map(|r| field(r, "fired").parse::<u64>().unwrap()).sum()
 }
 
 #[test]
@@ -131,15 +138,41 @@ fn the_disaggregated_fault_checkpoint_falls_between_faults() {
     // fire, and the resumed run replays both exactly.
     let sys = tiny_system();
     let (label, scenario, mid_s) = golden_shapes().remove(3);
-    let meta =
-        golden_snapshot_json(3).lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
-    let fired = field(meta, "faults_fired").parse::<u64>().unwrap();
+    let fired = faults_fired(golden_snapshot_json(3));
     assert!(fired > 0, "{label}: no fault fired before the midpoint");
     let straight = scenario.run(&sys).unwrap();
     let injected = straight.faults.as_ref().expect("a fault report").faults_injected;
     assert!(injected > fired, "{label}: no fault fires after the midpoint");
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(format!("{straight:?}"), format!("{resumed:?}"), "{label}: resumed report diverged");
+}
+
+#[test]
+fn a_dense_fault_plan_starts_at_once_and_checkpoints_one_stream_per_wafer() {
+    // A 1e-12 s MTBF over the one-second fault window is about 1e12 faults
+    // per wafer. Each wafer's stream draws them as they fall due, so the
+    // run starts at once and its checkpoint holds one stream position per
+    // wafer, before and after faults have fired.
+    let sys = tiny_system();
+    let trace = TraceGenerator::new(5).generate(&LengthConfig::fixed(64, 16), 4);
+    let timed = ArrivalConfig::Poisson { rate_rps: 100.0 }.assign(&trace, 5);
+    let scenario = Scenario::colocated(2).faults(FaultConfig::new(1e-12, 5)).workload(timed);
+    let mut run = scenario.start(&sys).unwrap();
+    for fired in [0, 10] {
+        while faults_fired(&scenario.checkpoint(&run).to_json()) < fired {
+            assert!(run.step_once());
+        }
+        let json = scenario.checkpoint(&run).to_json();
+        assert_eq!(faults_fired(&json), fired);
+        let rows = rows_of(&json).into_iter().filter(|r| on("injector_wafer", None)(r)).count();
+        assert_eq!(rows, 2, "one injector_wafer row, and so one stream position, per wafer");
+        let mut resumed = scenario.resume(&sys, &Snapshot::parse(&json).unwrap()).unwrap();
+        for _ in 0..3 {
+            assert!(run.step_once() && resumed.step_once());
+        }
+        let live = scenario.checkpoint(&run).to_json();
+        assert_eq!(scenario.checkpoint(&resumed).to_json(), live, "a resumed stream continues the live one");
+    }
 }
 
 #[test]
@@ -307,7 +340,7 @@ fn resume_across_slot_reuse_is_invisible() {
     // Most resident sequences are mid-block here, so the snapshot bytes
     // pin that every decoded token reaches the KV rows.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0xf32a_0985_a27f_1115, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x80e9_dcfa_3272_18d6, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -396,7 +429,6 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "schema_version",
             "config_hash",
             "completed",
-            "faults_fired",
             "migrations",
             "router_state",
             "placement_state",
@@ -448,8 +480,8 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ("kv_resident", &["section", "wafer", "entries"]),
     ("kv_shared", &["section", "wafer", "group", "k_core", "v_core", "nodes"]),
     ("kv_seq_shared", &["section", "wafer", "entries"]),
-    ("injector", &["section", "events", "counters"]),
-    ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "failed", "death_s", "stall_s"]),
+    ("injector", &["section", "counters"]),
+    ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "death_s", "fired"]),
 ];
 
 #[test]
@@ -525,16 +557,23 @@ fn golden_runs() -> &'static (OuroborosSystem, Vec<Scenario>) {
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x2eee_cc19_1570_41be);
+    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x4a42_4ea2_d0bf_1a5d);
 }
 
 #[test]
 fn a_v2_snapshot_is_rejected_at_its_schema_version() {
     // A v2 document's config hash differs too (it hashed the scenario's
-    // `Debug` form); the version is read first, so the error names it.
-    let v2 = golden_snapshot_json(3).replacen(r#""schema_version":"3""#, r#""schema_version":"2""#, 1);
-    let err = Snapshot::parse(&v2).unwrap_err();
-    assert_eq!(err, unparsed(0, "meta", Some("schema_version"), SchemaVersion), "{err}");
+    // `Debug` form), and a v3 document lists a pending-fault schedule; the
+    // version is read first, so the error names it.
+    for old in ["2", "3"] {
+        let doc = golden_snapshot_json(3).replacen(
+            r#""schema_version":"4""#,
+            &format!(r#""schema_version":"{old}""#),
+            1,
+        );
+        let err = Snapshot::parse(&doc).unwrap_err();
+        assert_eq!(err, unparsed(0, "meta", Some("schema_version"), SchemaVersion), "v{old}: {err}");
+    }
 }
 
 #[test]
@@ -739,15 +778,6 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         IndexOutOfRange,
     );
     resume(
-        "fault past the deployment",
-        s3,
-        g3,
-        &on("injector", None),
-        &|r| with_field(r, "events", |e| format!("7{}", &e[1..])),
-        "injector",
-        IndexOutOfRange,
-    );
-    resume(
         "active record past the records",
         s3,
         g3,
@@ -899,6 +929,14 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
     cases.push(("wafer missing", s0, one_wafer, rejected(None, "engine", WaferCount)));
     let no_faults = without_rows(g3, |r| r.starts_with(r#"{"section":"injector"#));
     cases.push(("fault state missing", s3, no_faults, rejected(None, "injector", FaultState)));
+    let (past_window, _, _) =
+        edit_row(g3, on("injector_wafer", Some(1)), |r| with_field(r, "fired", |_| "99999".into()));
+    cases.push((
+        "fault past the window",
+        s3,
+        past_window,
+        rejected(Some(1), "injector_wafer", IndexOutOfRange),
+    ));
 
     let mut seen = std::collections::BTreeSet::new();
     for (case, scenario, json, expected) in &cases {
@@ -1152,7 +1190,7 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0x5f5f_83f6_462e_60d2, "mid-block snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0xcf1a_9c0a_ae69_a2b5, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

@@ -10,9 +10,7 @@
 //! table-driven unit checks of each sibling ratio site.
 
 use ouro_model::zoo;
-use ouro_serve::{
-    FaultConfig, FaultInjector, LatencyStats, RunReport, RunTotals, Scenario, ServingReport, SloConfig,
-};
+use ouro_serve::{FaultConfig, LatencyStats, RunReport, RunTotals, Scenario, ServingReport, SloConfig};
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 
@@ -132,10 +130,17 @@ fn latency_stats_are_total_on_degenerate_samples() {
 #[test]
 fn fault_report_over_zero_span_is_fully_available() {
     // The availability ratio divides lost wafer-time by offered
-    // wafer-time; a zero-duration run offers none.
+    // wafer-time; a zero-duration run offers none. A millisecond MTBF
+    // draws faults inside the one-second window, but with no work in
+    // the cluster none of them fires.
     let sys = tiny_system();
-    let injector = FaultInjector::new(&sys, 2, FaultConfig::new(1e9, 3), 1.0);
-    let report = injector.report(0.0);
+    let empty = ArrivalConfig::Poisson { rate_rps: 100.0 }
+        .assign(&TraceGenerator::new(3).generate(&LengthConfig::fixed(64, 16), 0), 3);
+    let run = Scenario::colocated(2).faults(FaultConfig::new(1e-3, 3)).workload(empty).run(&sys).unwrap();
+    assert_eq!(run.serving.duration_s, 0.0);
+    let report = run.faults.expect("a fault plan was armed");
+    assert_eq!(report.faults_injected, 0);
+    assert_eq!(report.duration_s, 0.0);
     assert!(report.availability.is_finite(), "zero-span availability must be finite");
     assert_eq!(report.availability, 1.0);
     assert_eq!(report.mean_chain_len(), 0.0);

@@ -8,8 +8,7 @@
 //!
 //! - [`event`] / [`sink`] — a closed taxonomy of typed request-lifecycle
 //!   events ([`TraceEvent`]/[`EventKind`]) emitted through a
-//!   zero-cost-when-disabled [`Tracer`] into a pluggable [`TraceSink`]
-//!   (bounded [`RingSink`] by default).
+//!   zero-cost-when-disabled [`Tracer`] into a bounded [`RingSink`].
 //! - [`chrome`] — a merged [`Trace`] over per-wafer event streams:
 //!   per-request span reconstruction, a pinned digest for golden tests,
 //!   and Chrome trace-event JSON loadable in Perfetto.
@@ -37,7 +36,7 @@ pub use analyze::{
 };
 pub use chrome::{SpanPhase, Trace};
 pub use event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
-pub use sink::{RingSink, TraceSink, Tracer};
+pub use sink::{RingSink, Tracer};
 pub use telemetry::{
     Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, WaferGauges, TELEMETRY_SCHEMA_VERSION,
 };

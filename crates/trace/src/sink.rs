@@ -1,45 +1,17 @@
-//! Event sinks and the zero-cost-when-disabled [`Tracer`] front-end.
+//! The bounded event sink and the zero-cost-when-disabled [`Tracer`]
+//! front-end.
 //!
 //! The serving stack does not write events anywhere itself: each engine
 //! (and the scenario driver) holds a [`Tracer`], which is either *off* —
 //! one `Option` discriminant test per emission site, no allocation, no
-//! formatting — or wired to a [`TraceSink`]. The default sink is a
-//! bounded ring ([`RingSink`]): when a run outgrows the capacity the
-//! *oldest* events fall off, so the tail of a long run (usually the part
-//! being debugged) survives, and memory stays bounded no matter how long
-//! the simulation runs.
-//!
-//! [`TraceSink`] mirrors the object-safe `clone_box` pattern of the
-//! serving policies: engines derive `Clone`, so their sinks must too.
+//! formatting — or wired to a bounded ring ([`RingSink`]): when a run
+//! outgrows the capacity the *oldest* events fall off, so the tail of a
+//! long run (usually the part being debugged) survives, and memory stays
+//! bounded no matter how long the simulation runs.
 
 use crate::event::{EventKind, TraceEvent};
 
-/// Receives lifecycle events. Object-safe so engines can hold any sink
-/// behind a `Box`, and cloneable through `clone_box` so scenario state
-/// stays `Clone`.
-pub trait TraceSink: std::fmt::Debug {
-    /// Accepts one event.
-    fn emit(&mut self, event: TraceEvent);
-
-    /// The events retained so far, in emission order.
-    fn events(&self) -> &[TraceEvent];
-
-    /// Events accepted but no longer retained (ring overflow).
-    fn dropped(&self) -> u64 {
-        0
-    }
-
-    /// Boxed clone, so tracers holding a sink stay cloneable.
-    fn clone_box(&self) -> Box<dyn TraceSink>;
-}
-
-impl Clone for Box<dyn TraceSink> {
-    fn clone(&self) -> Box<dyn TraceSink> {
-        self.clone_box()
-    }
-}
-
-/// The default sink: a bounded ring buffer that keeps the newest events.
+/// The event sink: a bounded ring buffer that keeps the newest events.
 #[derive(Debug, Clone)]
 pub struct RingSink {
     capacity: usize,
@@ -66,16 +38,9 @@ impl RingSink {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl Default for RingSink {
-    fn default() -> RingSink {
-        RingSink::new(RingSink::DEFAULT_CAPACITY)
-    }
-}
-
-impl TraceSink for RingSink {
-    fn emit(&mut self, event: TraceEvent) {
+    /// Accepts one event.
+    pub fn emit(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             // Compact half at once so overflow is amortised O(1), not a
             // per-event memmove of the whole buffer.
@@ -86,16 +51,20 @@ impl TraceSink for RingSink {
         self.events.push(event);
     }
 
-    fn events(&self) -> &[TraceEvent] {
+    /// The events retained so far, in emission order.
+    pub fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
-    fn dropped(&self) -> u64 {
+    /// Events accepted but no longer retained (ring overflow).
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
+}
 
-    fn clone_box(&self) -> Box<dyn TraceSink> {
-        Box::new(self.clone())
+impl Default for RingSink {
+    fn default() -> RingSink {
+        RingSink::new(RingSink::DEFAULT_CAPACITY)
     }
 }
 
@@ -104,7 +73,7 @@ impl TraceSink for RingSink {
 /// and costs one branch per would-be event.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<RingSink>,
     wafer: usize,
 }
 
@@ -114,14 +83,10 @@ impl Tracer {
         Tracer::default()
     }
 
-    /// A tracer writing into `sink`, stamping events with `wafer`.
-    pub fn new(wafer: usize, sink: Box<dyn TraceSink>) -> Tracer {
-        Tracer { sink: Some(sink), wafer }
-    }
-
-    /// A tracer over a default-capacity [`RingSink`].
+    /// A tracer over a default-capacity [`RingSink`], stamping events with
+    /// `wafer`.
     pub fn ring(wafer: usize) -> Tracer {
-        Tracer::new(wafer, Box::<RingSink>::default())
+        Tracer { sink: Some(RingSink::default()), wafer }
     }
 
     /// Whether events are being recorded. Emission sites with non-trivial
@@ -148,12 +113,12 @@ impl Tracer {
 
     /// The recorded events, in emission order (empty when disabled).
     pub fn events(&self) -> &[TraceEvent] {
-        self.sink.as_deref().map(TraceSink::events).unwrap_or(&[])
+        self.sink.as_ref().map(RingSink::events).unwrap_or(&[])
     }
 
     /// Events lost to ring overflow (0 when disabled).
     pub fn dropped(&self) -> u64 {
-        self.sink.as_deref().map(TraceSink::dropped).unwrap_or(0)
+        self.sink.as_ref().map(RingSink::dropped).unwrap_or(0)
     }
 }
 

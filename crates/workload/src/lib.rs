@@ -28,7 +28,7 @@ pub mod session;
 pub mod trace;
 
 pub use arrival::{ArrivalConfig, TimedRequest, TimedTrace};
-pub use fault::{FaultEvent, FaultProcess};
+pub use fault::{next_fault, FaultProcess, FaultStream};
 pub use length::LengthConfig;
 pub use request::{Request, SharedPrefix};
 pub use session::SessionConfig;
