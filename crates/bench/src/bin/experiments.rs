@@ -539,7 +539,7 @@ const MAX_FAULTS_PER_WAFER: f64 = 10_000.0;
 /// `mtbf_s` (an arrival span over a divisor), floored so a fault plan over
 /// `timed` stays bounded ([`MAX_FAULTS_PER_WAFER`]).
 fn accelerated_mtbf(mtbf_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
-    mtbf_s.max(ouro_serve::fault_window_s(f64::INFINITY, timed) / MAX_FAULTS_PER_WAFER)
+    mtbf_s.max(ouro_serve::fault_window_s(timed) / MAX_FAULTS_PER_WAFER)
 }
 
 /// Online serving — load sweeps and routing policies on a 4-wafer cluster.

@@ -133,20 +133,6 @@ pub struct EngineStats {
     pub stall_s: f64,
 }
 
-/// What one runtime fault did to this wafer's engine.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineFaultImpact {
-    /// Flat index of the KV core the manager marked failed.
-    pub kv_core_index: usize,
-    /// Sequences evicted (and re-enqueued for recompute) because their KV
-    /// lived on the failed core.
-    pub evicted_sequences: usize,
-    /// Token slots of KV lost on the failed core.
-    pub evicted_tokens: u64,
-    /// Whether the wafer can still serve traffic afterwards.
-    pub serviceable: bool,
-}
-
 /// A request completion event: `(record index, completion time)`.
 pub type Completion = (usize, f64);
 
@@ -434,17 +420,20 @@ impl Engine {
     /// sit one hop further from their neighbours, which permanently slows
     /// every stage via [`HwStageTimes`].
     ///
-    /// Returns `None` — and changes nothing — when every KV core has
-    /// already failed (the wafer is dead; the router must steer around it).
+    /// Returns whether a KV core failed: `false` — having changed nothing
+    /// — when every KV core has already failed (the wafer is dead; the
+    /// router must steer around it). What the fault evicted is counted in
+    /// [`EngineStats::fault_evicted_seqs`] and
+    /// [`EngineStats::fault_evicted_tokens`].
     pub fn apply_fault(
         &mut self,
         at_s: f64,
         stall_s: f64,
         preferred_kv_core: usize,
         mean_hops_penalty: f64,
-    ) -> Option<EngineFaultImpact> {
+    ) -> bool {
         assert!(stall_s >= 0.0 && mean_hops_penalty >= 0.0, "fault charges cannot be negative");
-        let failure = self.fail_kv_core(preferred_kv_core, |e, failure| {
+        let Some(failure) = self.fail_kv_core(preferred_kv_core, |e, failure| {
             // The fault strikes at `at_s` but the engine only observes it
             // at a step boundary; the stall extends whichever is later.
             e.clock_s = e.clock_s.max(at_s) + stall_s;
@@ -458,22 +447,18 @@ impl Engine {
                 None,
                 EventKind::Fault { kv_core: failure.index, evicted_seqs: failure.evicted_sequences.len() },
             );
-        })?;
-        let evicted = failure.evicted_sequences.len();
+        }) else {
+            return false;
+        };
         // A fault that evicted sequences freed capacity, so a pre-fault
         // admission suspension no longer reflects reality. A fault that
         // evicted nothing only *shrank* the cache — lifting the suspension
         // then would make the retry protocol evict a healthy resident
         // sequence and misattribute the recompute to the fault.
-        if evicted > 0 {
+        if !failure.evicted_sequences.is_empty() {
             self.admission_suspended = false;
         }
-        Some(EngineFaultImpact {
-            kv_core_index: failure.index,
-            evicted_sequences: evicted,
-            evicted_tokens: failure.evicted_tokens as u64,
-            serviceable: self.manager.is_serviceable(),
-        })
+        true
     }
 
     /// The one fault-eviction path: fails one KV crossbar from
@@ -1118,15 +1103,17 @@ mod tests {
         // The value side grows a sequence on one crossbar, so failing the
         // first crossbar of the first value core takes all of its KV.
         let first_value_core = e.manager.num_kv_cores() / 2;
-        let impact =
-            e.apply_fault(clock_before, 0.5e-3, first_value_core, 0.5).expect("healthy cores remain");
-        assert_eq!(impact.evicted_sequences, 1, "the lone resident sequence loses its KV");
-        assert_eq!(impact.evicted_tokens, resident, "every decoded token is lost, lazy ones included");
-        assert!(impact.serviceable);
+        assert!(e.apply_fault(clock_before, 0.5e-3, first_value_core, 0.5), "healthy cores remain");
+        assert_eq!(e.stats().fault_evicted_seqs, 1, "the lone resident sequence loses its KV");
+        assert_eq!(
+            e.stats().fault_evicted_tokens,
+            resident,
+            "every decoded token is lost, lazy ones included"
+        );
+        assert!(e.is_serviceable());
         assert!(e.kv_audit().is_conserved(), "fault eviction must not double-free blocks");
         assert!(e.clock_s() >= clock_before + 0.5e-3, "the remap stall pauses the wafer");
         assert_eq!(e.stats().faults, 1);
-        assert_eq!(e.stats().fault_evicted_seqs, 1);
         assert_eq!(
             e.stats().recomputed_tokens,
             0,
@@ -1151,7 +1138,7 @@ mod tests {
             e.step();
             if fault {
                 let t = e.clock_s();
-                e.apply_fault(t, 1e-3, 0, 1.0).unwrap();
+                assert!(e.apply_fault(t, 1e-3, 0, 1.0));
             }
             while e.has_work() {
                 e.step();
@@ -1180,7 +1167,7 @@ mod tests {
                         e.step();
                     }
                     let t = e.clock_s();
-                    e.apply_fault(t, 0.0, 7, penalty).expect("healthy cores remain");
+                    assert!(e.apply_fault(t, 0.0, 7, penalty), "healthy cores remain");
                 }
             }
             stage::admission::admit_waiting(e);
@@ -1198,13 +1185,13 @@ mod tests {
     fn a_wafer_with_every_kv_unit_failed_is_dead_but_conserves_requests() {
         let mut e = engine(2); // 1 key + 1 value core, 32 crossbars each
         let mut faults = 0;
-        while e.apply_fault(0.0, 0.0, faults, 0.0).is_some() {
+        while e.apply_fault(0.0, 0.0, faults, 0.0) {
             faults += 1;
         }
         assert_eq!(faults, 64, "one fault per crossbar kills the wafer");
         assert!(!e.is_serviceable());
         assert_eq!(e.healthy_kv_fraction(), 0.0);
-        assert!(e.apply_fault(0.0, 0.0, 0, 0.0).is_none(), "a dead wafer absorbs no more faults");
+        assert!(!e.apply_fault(0.0, 0.0, 0, 0.0), "a dead wafer absorbs no more faults");
         // Requests routed here anyway are dropped, not spun on.
         e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0);
         while e.has_work() {
@@ -1334,8 +1321,8 @@ mod tests {
             e.step();
         }
         // The fault evicts the lone resident sequence (no charge yet)...
-        let impact = e.apply_fault(e.clock_s(), 0.5e-3, 0, 0.0).expect("healthy cores remain");
-        assert_eq!(impact.evicted_sequences, 1);
+        assert!(e.apply_fault(e.clock_s(), 0.5e-3, 0, 0.0), "healthy cores remain");
+        assert_eq!(e.stats().fault_evicted_seqs, 1);
         assert_eq!(e.stats().recomputed_tokens, 0);
         // ...and the following steps re-admit it: one charge, equal to the
         // resident KV at eviction (prompt + decode progress so far).

@@ -63,16 +63,12 @@ impl FaultConfig {
     }
 }
 
-/// The fault window of one serving run: the horizon when it is finite,
-/// otherwise twice the trace's arrival span (bounded below by one second).
-/// [`crate::scenario::Scenario`] runs and snapshot resumes both derive it
-/// here, so a fresh and a resumed run bound the same streams the same way.
-pub fn fault_window_s(horizon_s: f64, timed: &TimedTrace) -> f64 {
-    if horizon_s.is_finite() {
-        horizon_s
-    } else {
-        (timed.last_arrival_s() * 2.0).max(1.0)
-    }
+/// The fault window of one serving run: twice the trace's arrival span,
+/// bounded below by one second. [`crate::scenario::Scenario`] runs and
+/// snapshot resumes both derive it here, so a fresh and a resumed run bound
+/// the same streams the same way.
+pub fn fault_window_s(timed: &TimedTrace) -> f64 {
+    (timed.last_arrival_s() * 2.0).max(1.0)
 }
 
 /// Per-wafer fault state: the live weight assignment, the KV cores still
@@ -249,14 +245,11 @@ impl FaultInjector {
     /// earlier arrival or engine event is pending. `None` when no fault is
     /// due yet, and when the cluster has no work left: an empty cluster
     /// has nothing for a fault to degrade, and injecting it would stretch
-    /// the measured duration past the workload. A finite horizon is the
-    /// window, so no fault at or past it is ever drawn; the comparison
-    /// below keeps every fault from firing under a `NaN` horizon.
+    /// the measured duration past the workload.
     pub(crate) fn due_fault(
         &self,
         next_arrival_s: Option<f64>,
         next_engine_event_s: Option<f64>,
-        horizon_s: f64,
     ) -> Option<(f64, usize)> {
         if next_arrival_s.is_none() && next_engine_event_s.is_none() {
             return None;
@@ -264,7 +257,7 @@ impl FaultInjector {
         let (t_fault, wafer) = self.next_fault()?;
         let before_arrival = next_arrival_s.is_none_or(|t| t_fault <= t);
         let before_engines = next_engine_event_s.is_none_or(|t| t_fault <= t);
-        (t_fault < horizon_s && before_arrival && before_engines).then_some((t_fault, wafer))
+        (before_arrival && before_engines).then_some((t_fault, wafer))
     }
 
     /// Injects `wafer`'s pending fault into its `engine`: picks the victim
@@ -318,10 +311,10 @@ impl FaultInjector {
                 // the moved fraction of the block.
                 let tiles = state.assignment.core.len().max(1);
                 let penalty = outcome.moved_tiles as f64 / tiles as f64;
-                // `None`: the scaled cache already lost every core, so the
-                // wafer cannot hold KV any more.
-                let impact = engine.apply_fault(at_s, self.config.remap_stall_s, absorbed.0, penalty);
-                if !impact.is_some_and(|impact| impact.serviceable) {
+                // A wafer whose cache can no longer hold KV is dead from
+                // this instant.
+                engine.apply_fault(at_s, self.config.remap_stall_s, absorbed.0, penalty);
+                if !engine.is_serviceable() {
                     state.death_s = at_s;
                 }
             }

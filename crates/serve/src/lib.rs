@@ -8,8 +8,8 @@
 //! * **[`Scenario`]** ([`scenario`]): compose a deployment
 //!   ([`Scenario::colocated`] replicas or [`Scenario::disaggregated`]
 //!   prefill/decode pools with KV migration over the optical fabric), a
-//!   timed workload ([`ouro_workload::ArrivalConfig`]: open-loop Poisson,
-//!   bursty Gamma, closed-loop think-time clients, session traces),
+//!   timed workload ([`ouro_workload::ArrivalConfig`]: open-loop Poisson
+//!   or bursty Gamma arrivals over a fixed trace, session traces),
 //!   routing/placement policies, an optional runtime fault plan,
 //!   prefix-caching and SLO config — then `.run()` drives one shared
 //!   discrete-event loop and returns one [`RunReport`] with a stable JSON
@@ -96,7 +96,7 @@ pub use ouro_trace::{
     ANALYZE_SCHEMA_VERSION, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
 };
 
-pub use engine::{Admission, Engine, EngineFaultImpact, EngineStats};
+pub use engine::{Admission, Engine, EngineStats};
 pub use fault::{fault_window_s, p99_inflation, FaultConfig, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};

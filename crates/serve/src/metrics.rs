@@ -32,8 +32,8 @@ pub struct RequestRecord {
     pub queue_wait_s: f64,
     /// Emission time of the first decode token (NaN if none emitted).
     pub first_token_s: f64,
-    /// Completion time of the last decode token (NaN if unfinished at the
-    /// horizon).
+    /// Completion time of the last decode token (NaN if unfinished when
+    /// `finish` runs before the run drains).
     pub completed_s: f64,
     /// Times this request was evicted and had its KV recomputed.
     pub evictions: u32,
@@ -68,7 +68,7 @@ impl RequestRecord {
         finite(self.completed_s - self.arrival_s)
     }
 
-    /// Whether the request finished before the horizon.
+    /// Whether the request finished.
     pub fn completed(&self) -> bool {
         self.completed_s.is_finite()
     }
@@ -143,15 +143,17 @@ impl LatencyStats {
 /// Aggregate outcome of one serving run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingReport {
-    /// Offered load in requests per second (`None` for closed loop).
+    /// Offered load in requests per second of the arrival process.
     pub offered_rps: Option<f64>,
     /// Requests injected into the cluster.
     pub injected: usize,
-    /// Requests completed before the horizon.
+    /// Requests completed.
     pub completed: usize,
-    /// Requests still queued (never admitted) at the horizon.
+    /// Requests still queued (never admitted) when `finish` runs before
+    /// the run drains.
     pub queued_at_horizon: usize,
-    /// Requests admitted but unfinished at the horizon.
+    /// Requests admitted but unfinished when `finish` runs before the run
+    /// drains.
     pub in_flight_at_horizon: usize,
     /// Requests dropped because their prompt alone exceeds the cache.
     pub dropped: usize,
@@ -186,9 +188,11 @@ pub struct ServingReport {
 /// assembling a [`ServingReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunTotals {
-    /// Requests still queued (never admitted) at the horizon.
+    /// Requests still queued (never admitted) when `finish` runs before
+    /// the run drains.
     pub queued_at_horizon: usize,
-    /// Requests admitted but unfinished at the horizon.
+    /// Requests admitted but unfinished when `finish` runs before the run
+    /// drains.
     pub in_flight_at_horizon: usize,
     /// Requests dropped because their prompt alone exceeds the cache.
     pub dropped: usize,

@@ -42,7 +42,7 @@ pub struct DeploymentInfo {
 ///
 /// Byte conservation is the core invariant: every byte of KV a prefill
 /// wafer exports is either imported into a decode wafer's cache, still on
-/// the wire (announced but not admitted) at the horizon, discarded because
+/// the wire (announced but not admitted) when the run stops, discarded because
 /// the sequence could not fit even an empty decode cache, or deduplicated
 /// against the target's shared-prefix cache at announce time (it never
 /// touched the wire). The identity
@@ -61,7 +61,8 @@ pub struct MigrationStats {
     pub exported_kv_bytes: u64,
     /// KV bytes imported (admitted) into decode caches.
     pub imported_kv_bytes: u64,
-    /// KV bytes announced but still in flight (not admitted) at the horizon.
+    /// KV bytes announced but still in flight (not admitted) when `finish`
+    /// runs before the run drains.
     pub in_flight_kv_bytes: u64,
     /// KV bytes discarded because the sequence could not fit an empty
     /// decode cache.

@@ -16,9 +16,8 @@
 //! ordered by next-event time (ties toward the lowest global wafer index)
 //! so every run is a pure function of its seeds. The shapes differ only in
 //! what entry-pool completions mean — a colocated completion retires the
-//! request (and releases the next closed-loop user), a prefill-pool
-//! completion ships the finished KV to a decode wafer over the optical
-//! fabric and the decode side retires it.
+//! request, a prefill-pool completion ships the finished KV to a decode
+//! wafer over the optical fabric and the decode side retires it.
 //!
 //! The per-stage logic of the loop lives in [`crate::stage`]; the driver
 //! here owns only event arbitration. A run can also be held open as an
@@ -54,8 +53,8 @@ use crate::metrics::{RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 use crate::snapshot::{Snapshot, SnapshotError};
+use crate::stage;
 use crate::stage::migrate::MigrationTotals;
-use crate::stage::{self, StageQueues};
 use ouro_kvcache::{KvError, KvManager};
 use ouro_noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
@@ -65,6 +64,7 @@ use ouro_trace::{
 use ouro_workload::TimedTrace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// The pool split of a disaggregated deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,16 +109,16 @@ pub enum Deployment {
 /// chain the setters, then call [`Scenario::run`] (or
 /// [`Scenario::run_full`] to also inspect post-run engine state). A
 /// scenario is reusable: `run` clones its policy objects, so running the
-/// same scenario twice yields byte-identical reports.
+/// same scenario twice yields byte-identical reports. Clones and runs share
+/// one copy of the workload.
 #[derive(Debug, Clone)]
 pub struct Scenario {
     pub(crate) deployment: Deployment,
-    pub(crate) workload: Option<TimedTrace>,
+    pub(crate) workload: Option<Arc<TimedTrace>>,
     pub(crate) router: Box<dyn Router>,
     pub(crate) placement: Box<dyn Placement>,
     pub(crate) prefix_caching: bool,
     pub(crate) slo: SloConfig,
-    pub(crate) horizon_s: f64,
     pub(crate) fault: Option<FaultConfig>,
     pub(crate) trace: bool,
     pub(crate) telemetry: Option<TelemetryConfig>,
@@ -128,7 +128,7 @@ impl Scenario {
     /// A colocated deployment of `wafers` full replicas. Defaults:
     /// least-KV-load routing, prefix caching on, an always-met SLO
     /// (goodput equals throughput until [`Scenario::slo`] is set), no
-    /// horizon, no faults.
+    /// faults.
     pub fn colocated(wafers: usize) -> Scenario {
         assert!(wafers > 0, "a colocated deployment needs at least one wafer");
         Scenario::new(Deployment::Colocated { wafers }, routers::least_kv_load())
@@ -163,16 +163,16 @@ impl Scenario {
             placement: placements::least_kv_load(),
             prefix_caching: true,
             slo: SloConfig { ttft_s: f64::INFINITY, tpot_s: f64::INFINITY },
-            horizon_s: f64::INFINITY,
             fault: None,
             trace: false,
             telemetry: None,
         }
     }
 
-    /// Sets the timed workload (trace + arrival process) the run serves.
+    /// Sets the timed workload (trace + arrival process) the run serves,
+    /// every arrival of it, to the end.
     pub fn workload(mut self, timed: TimedTrace) -> Scenario {
-        self.workload = Some(timed);
+        self.workload = Some(Arc::new(timed));
         self
     }
 
@@ -205,18 +205,10 @@ impl Scenario {
         self
     }
 
-    /// Bounds the simulated timeline (arrivals at or past the horizon are
-    /// never injected; unfinished work is reported queued/in-flight).
-    pub fn horizon(mut self, horizon_s: f64) -> Scenario {
-        self.horizon_s = horizon_s;
-        self
-    }
-
     /// Arms a runtime fault plan: a seeded MTBF process over every wafer
     /// of the deployment, interleaved on the serving timeline and healed
-    /// by replacement-chain remaps. The fault window follows the horizon,
-    /// or twice the arrival span when the horizon is open-ended
-    /// ([`fault_window_s`]).
+    /// by replacement-chain remaps. The fault window is twice the arrival
+    /// span, at least one second ([`fault_window_s`]).
     pub fn faults(mut self, config: FaultConfig) -> Scenario {
         self.fault = Some(config);
         self
@@ -302,9 +294,9 @@ impl Scenario {
         let engines = (0..total)
             .map(|wafer| Ok(self.wafer_engine(system, wafer, KvManager::new(system.serve_kv_config())?)))
             .collect::<Result<_, KvError>>()?;
-        let window_s = fault_window_s(self.horizon_s, self.timed());
+        let window_s = fault_window_s(self.timed());
         let injector = self.fault.map(|cfg| FaultInjector::new(system, total, cfg, window_s));
-        Ok(RunState::new(self, system, engines, StageQueues::new(self.timed()), injector))
+        Ok(RunState::new(self, system, engines, injector))
     }
 
     /// The timed workload of a run.
@@ -313,7 +305,7 @@ impl Scenario {
     ///
     /// Panics when no workload was set.
     pub(crate) fn timed(&self) -> &TimedTrace {
-        self.workload.as_ref().expect("Scenario needs a workload: call .workload(timed) first")
+        self.workload.as_deref().expect("Scenario needs a workload: call .workload(timed) first")
     }
 
     /// Wafers of the whole deployment.
@@ -334,12 +326,12 @@ impl Scenario {
         engine
     }
 
-    /// Captures a mid-run checkpoint of `run`: the stage queues, every
+    /// Captures a mid-run checkpoint of `run`: the arrival cursor, every
     /// engine's records, pending arena, active set and KV manager, the
-    /// policy and think-stream state, the running migration totals and the
-    /// fault injector — together the *complete* simulator state. Resuming
-    /// the snapshot via [`Scenario::resume`] and driving to the end
-    /// produces a byte-identical [`RunReport`] to the uninterrupted run.
+    /// policy state, the running migration totals and the fault injector
+    /// — together the *complete* simulator state. Resuming the snapshot
+    /// via [`Scenario::resume`] and driving to the end produces a
+    /// byte-identical [`RunReport`] to the uninterrupted run.
     ///
     /// Tracing and telemetry are deliberately *not* captured: they are
     /// observational sinks that never feed back into the simulation, and a
@@ -357,7 +349,8 @@ impl Scenario {
     /// a config hash that differs from this scenario's (it guards against
     /// resuming foreign state), a different number of wafers, fault state
     /// the scenario's fault config or deployment does not match, an index
-    /// past the workload, the records or the deployment, pending rows whose
+    /// past the workload, the records or the deployment, an arrival cursor
+    /// that differs from the records of the entry pool, pending rows whose
     /// wire tokens or token sums do not fit the engine's queue counters, KV
     /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]), an
     /// active set that is not the resident set, or an active row whose
@@ -442,17 +435,17 @@ impl RunOutcome {
 }
 
 /// The complete mutable state of one in-flight scenario run: the driver
-/// (engines, event calendar, policies, migration totals, fault injector)
-/// and the arrival-stage queues. Produced by [`Scenario::start`],
+/// (arrival cursor, engines, event calendar, policies, migration totals,
+/// fault injector). Produced by [`Scenario::start`],
 /// advanced by [`RunState::step_once`] / [`RunState::run_until`] /
 /// [`RunState::run_to_end`], closed by [`RunState::finish`], and captured
 /// whole by [`Scenario::checkpoint`].
 #[derive(Debug)]
 pub struct RunState {
     pub(crate) driver: Driver,
-    pub(crate) queues: StageQueues,
     /// The configuration the run was started from (cloned, so the state
-    /// stays self-contained); the loop, `finish` and `checkpoint` read it.
+    /// stays self-contained, with the workload shared); the loop, `finish`
+    /// and `checkpoint` read it.
     pub(crate) scenario: Scenario,
 }
 
@@ -463,52 +456,44 @@ enum Next {
     Fault(usize),
     /// Step this engine by one iteration.
     Engine(usize),
-    /// Route the front open arrival.
+    /// Route the trace's next arrival.
     Arrival,
 }
 
 impl RunState {
     /// Assembles a run over `engines` (one per wafer, from
-    /// `Scenario::wafer_engine`), `queues` and `injector`; the driver
-    /// books every engine in its calendar. The one construction path of
-    /// [`Scenario::start`] and [`Scenario::resume`]; a resume then
+    /// `Scenario::wafer_engine`) and `injector`, with no arrival routed;
+    /// the driver books every engine in its calendar. The one construction
+    /// path of [`Scenario::start`] and [`Scenario::resume`]; a resume then
     /// overwrites the driver state its snapshot restores.
     pub(crate) fn new(
         scenario: &Scenario,
         system: &OuroborosSystem,
         engines: Vec<Engine>,
-        queues: StageQueues,
         injector: Option<FaultInjector>,
     ) -> RunState {
-        RunState {
-            driver: Driver::new(scenario, system, engines, injector),
-            queues,
-            scenario: scenario.clone(),
-        }
+        RunState { driver: Driver::new(scenario, system, engines, injector), scenario: scenario.clone() }
     }
 
     /// The one decision of the event loop: the instant and kind of the
     /// earliest pending event, or `None` once the run is drained (no
-    /// arrivals, engine work or faults left below the horizon). A fault
-    /// fires when none of the others is earlier; its check sees the front
-    /// arrival even at or past the horizon (`FaultInjector::due_fault`),
-    /// and the injector's wafer index space is global, so a fault can
-    /// strike either side of a disaggregation split. An arrival is routed
-    /// once every busy engine has simulated past it (an engine event at
-    /// the same instant waits), so routing sees current state; arrivals at
-    /// or past the horizon are never injected. Its only mutation (lazy
-    /// calendar scrubbing) is idempotent, so asking then stepping equals
-    /// stepping directly.
+    /// arrivals, engine work or faults left). A fault fires when none of
+    /// the others is earlier (`FaultInjector::due_fault`), and the
+    /// injector's wafer index space is global, so a fault can strike
+    /// either side of a disaggregation split. An arrival is routed once
+    /// every busy engine has simulated past it (an engine event at the
+    /// same instant waits), so routing sees current state. Its only
+    /// mutation (lazy calendar scrubbing) is idempotent, so asking then
+    /// stepping equals stepping directly.
     fn next_event(&mut self) -> Option<(f64, Next)> {
-        let horizon_s = self.scenario.horizon_s;
-        let arrival = self.queues.arrivals.front().map(|ev| ev.at_s);
-        let engine = self.driver.next_event_engine(horizon_s);
+        let arrival = self.scenario.timed().arrivals.get(self.driver.routed).map(|r| r.arrival_s);
+        let engine = self.driver.next_event_engine();
         if let Some(inj) = &self.driver.injector {
-            if let Some((t, wafer)) = inj.due_fault(arrival, engine.map(|(_, t)| t), horizon_s) {
+            if let Some((t, wafer)) = inj.due_fault(arrival, engine.map(|(_, t)| t)) {
                 return Some((t, Next::Fault(wafer)));
             }
         }
-        match (arrival.filter(|&t| t < horizon_s), engine) {
+        match (arrival, engine) {
             (Some(t_arr), Some((i, t))) if t < t_arr => Some((t, Next::Engine(i))),
             (Some(t_arr), _) => Some((t_arr, Next::Arrival)),
             (None, Some((i, t))) => Some((t, Next::Engine(i))),
@@ -519,8 +504,8 @@ impl RunState {
     /// Processes the single earliest pending event — one fault injection,
     /// one engine iteration, or one arrival routing — exactly as the
     /// uninterrupted loop would. Returns `false` once the run is drained
-    /// (no arrivals, engine work or faults left below the horizon);
-    /// calling it again then is a no-op.
+    /// (no arrivals, engine work or faults left); calling it again then is
+    /// a no-op.
     pub fn step_once(&mut self) -> bool {
         let Some((_, next)) = self.next_event() else { return false };
         let d = &mut self.driver;
@@ -531,8 +516,8 @@ impl RunState {
                 d.refresh_engine(wafer);
                 d.telemetry_tick();
             }
-            Next::Engine(i) => d.step_engine(i, &mut self.queues),
-            Next::Arrival => stage::arrival::route_next(d, self.scenario.timed(), &mut self.queues),
+            Next::Engine(i) => d.step_engine(i),
+            Next::Arrival => stage::arrival::route_next(d, self.scenario.timed()),
         }
         true
     }
@@ -541,15 +526,17 @@ impl RunState {
     /// `t_s` (or the run drains). The state left behind is exactly the
     /// uninterrupted run's state at that event boundary, so
     /// `run_until(t)` → [`Scenario::checkpoint`] → [`Scenario::resume`] →
-    /// [`RunState::run_to_end`] reproduces the full run byte-for-byte.
+    /// [`RunState::run_to_end`] reproduces the full run byte-for-byte, and
+    /// `run_until(t)` → [`RunState::finish`] reports the run stopped at `t`,
+    /// with its unfinished work queued or in flight.
     pub fn run_until(&mut self, t_s: f64) {
         while self.next_event().is_some_and(|(next_s, _)| next_s < t_s) {
             self.step_once();
         }
     }
 
-    /// Drives the run until it drains (the whole workload is served, or
-    /// the horizon cuts it off).
+    /// Drives the run until it drains: every arrival of the workload is
+    /// served or dropped.
     pub fn run_to_end(&mut self) {
         while self.step_once() {}
     }
@@ -564,25 +551,20 @@ impl RunState {
         self.driver.completed
     }
 
-    /// Requests not yet handed to any engine (open arrivals plus gated
-    /// closed-loop users).
+    /// Requests not yet handed to any engine: the trace's arrivals past the
+    /// cursor.
     pub fn waiting(&self) -> usize {
-        self.queues.waiting()
+        self.scenario.timed().len() - self.driver.routed
     }
 
     /// Closes the run: flushes the telemetry tail, assembles the unified
     /// report, and merges the lifecycle trace.
     pub fn finish(self) -> RunOutcome {
-        let RunState { mut driver, scenario, queues: _ } = self;
+        let RunState { mut driver, scenario } = self;
         let timed = scenario.timed();
         // The run's end instant: the engine-clock frontier, at least the
-        // last arrival, capped by the horizon.
-        let end_s = driver
-            .engines
-            .iter()
-            .map(Engine::clock_s)
-            .fold(timed.last_arrival_s(), f64::max)
-            .min(scenario.horizon_s);
+        // last arrival.
+        let end_s = driver.engines.iter().map(Engine::clock_s).fold(timed.last_arrival_s(), f64::max);
         driver.telemetry_finish(end_s);
         let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info());
         let trace = scenario.trace.then(|| {
@@ -625,6 +607,9 @@ pub(crate) struct Driver {
     pub(crate) telemetry: Option<TelemetryRecorder>,
     /// Requests retired (decode-side completions), for telemetry counters.
     pub(crate) completed: u64,
+    /// The arrival cursor: trace arrivals routed so far, and so the index
+    /// of the next one.
+    pub(crate) routed: usize,
     /// The armed fault plan: each wafer's fault stream and remap state.
     pub(crate) injector: Option<FaultInjector>,
     /// The event calendar: one entry per (engine, generation) holding the
@@ -667,6 +652,7 @@ impl Driver {
             tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
             telemetry: scenario.telemetry.map(TelemetryRecorder::new),
             completed: 0,
+            routed: 0,
             injector,
             calendar: BinaryHeap::new(),
             engine_gen: vec![0; total],
@@ -687,14 +673,13 @@ impl Driver {
         }
     }
 
-    /// The engine whose next event is earliest (and below the horizon);
-    /// ties resolve toward the lowest global wafer index, so runs are
-    /// deterministic. Ordering by next event — not raw clock — matters:
-    /// stepping an idle engine commits its clock to its earliest
-    /// admissible pending, so it must wait its global turn or an engine at
-    /// an earlier simulated time could still announce a migration that
-    /// lands sooner, which would then be admitted late (see
-    /// [`Engine::next_event_s`]).
+    /// The engine whose next event is earliest; ties resolve toward the
+    /// lowest global wafer index, so runs are deterministic. Ordering by
+    /// next event — not raw clock — matters: stepping an idle engine
+    /// commits its clock to its earliest admissible pending, so it must
+    /// wait its global turn or an engine at an earlier simulated time could
+    /// still announce a migration that lands sooner, which would then be
+    /// admitted late (see [`Engine::next_event_s`]).
     ///
     /// Answered from the event calendar: stale entries (generation
     /// mismatch) are popped as they surface; the first live top is the
@@ -702,7 +687,7 @@ impl Driver {
     /// [`Driver::refresh_engine`]. Debug builds re-derive the answer with
     /// the old linear scan and assert the two agree, so every debug test
     /// run doubles as a differential test of the calendar.
-    pub(crate) fn next_event_engine(&mut self, horizon_s: f64) -> Option<(usize, f64)> {
+    pub(crate) fn next_event_engine(&mut self) -> Option<(usize, f64)> {
         let best = loop {
             match self.calendar.peek() {
                 None => break None,
@@ -711,7 +696,7 @@ impl Driver {
                         self.calendar.pop();
                         continue;
                     }
-                    break if event_s < horizon_s { Some((i, event_s)) } else { None };
+                    break Some((i, event_s));
                 }
             }
         };
@@ -720,7 +705,7 @@ impl Driver {
             let mut naive: Option<(usize, f64)> = None;
             for (i, e) in self.engines.iter().enumerate() {
                 let event_s = e.next_event_s();
-                if !e.has_work() || event_s >= horizon_s {
+                if !e.has_work() {
                     continue;
                 }
                 if naive.is_none_or(|(_, c)| event_s.total_cmp(&c).is_lt()) {
@@ -748,9 +733,8 @@ impl Driver {
 
     /// Advances one engine by one iteration. Entry-pool completions of a
     /// disaggregated run become KV migrations ([`crate::stage::migrate`]);
-    /// all other completions retire the request and feed closed-loop
-    /// releases back into the arrival queues.
-    pub(crate) fn step_engine(&mut self, i: usize, queues: &mut StageQueues) {
+    /// all other completions retire the request.
+    pub(crate) fn step_engine(&mut self, i: usize) {
         let completions = self.engines[i].step();
         self.refresh_engine(i);
         if i < self.prefill_wafers {
@@ -758,10 +742,7 @@ impl Driver {
                 stage::migrate::migrate(self, i, rec, t_done);
             }
         } else {
-            for (_, t_done) in completions {
-                self.completed += 1;
-                stage::arrival::release_gated(queues, t_done);
-            }
+            self.completed += completions.len() as u64;
         }
         self.telemetry_tick();
     }
@@ -837,9 +818,9 @@ impl Driver {
         let evictions: u64 = self.engines.iter().map(|e| e.stats().evictions).sum();
         let prefilled_tokens: u64 = self.engines.iter().map(|e| e.stats().prefilled_tokens).sum();
         let cached_prefix_tokens: u64 = self.engines.iter().map(|e| e.stats().cached_prefix_tokens).sum();
-        // Degenerate runs (no arrivals, zero horizon) end at `end_s == 0`:
-        // guard the span like `metrics.rs` does so per-wafer busy fractions
-        // — and with them `utilization` — stay finite in every report.
+        // Degenerate runs (no arrivals) end at `end_s == 0`: guard the span
+        // like `metrics.rs` does so per-wafer busy fractions — and with them
+        // `utilization` — stay finite in every report.
         let util = |engines: &[Engine]| -> f64 {
             if engines.is_empty() {
                 return 0.0;
@@ -885,7 +866,7 @@ impl Driver {
         let serving = ServingReport::from_records(
             records,
             slo,
-            timed.config.offered_rps(),
+            Some(timed.config.offered_rps()),
             RunTotals {
                 queued_at_horizon: queued,
                 in_flight_at_horizon: in_flight,
@@ -1036,15 +1017,16 @@ mod tests {
     #[test]
     fn horizon_truncates_and_conserves() {
         let sys = tiny_system();
-        // Absurd overload with a tight horizon: arrivals span ~10ms but the
-        // horizon cuts at 5ms, and 50k rps is far beyond one tiny wafer.
-        let report = Scenario::colocated(1)
+        // Absurd overload stopped early: arrivals span ~10ms but the run
+        // stops at 5ms, and 50k rps is far beyond one tiny wafer.
+        let mut run = Scenario::colocated(1)
             .router(routers::round_robin())
             .slo(slo())
-            .horizon(0.005)
             .workload(timed(500, 50_000.0, 4))
-            .run(&sys)
+            .start(&sys)
             .unwrap();
+        run.run_until(0.005);
+        let report = run.finish().report;
         let s = &report.serving;
         assert!(
             report.is_conserved(),
@@ -1055,28 +1037,8 @@ mod tests {
             s.in_flight_at_horizon,
             s.dropped
         );
-        assert!(s.injected < 500, "horizon must cut off late arrivals");
+        assert!(s.injected < 500, "stopping early must leave late arrivals unrouted");
         assert!(s.queued_at_horizon + s.in_flight_at_horizon > 0);
-        assert!(s.duration_s <= 0.005 + 1e-9);
-    }
-
-    #[test]
-    fn closed_loop_serves_every_request() {
-        let sys = tiny_system();
-        let trace = TraceGenerator::new(9).generate(&LengthConfig::fixed(32, 16), 30);
-        let t = ArrivalConfig::ClosedLoop { users: 4, think_time_s: 0.01 }.assign(&trace, 9);
-        let outcome = Scenario::colocated(2)
-            .router(routers::join_shortest_queue())
-            .slo(slo())
-            .workload(t)
-            .run_full(&sys)
-            .unwrap();
-        assert_eq!(outcome.report.serving.injected, 30);
-        assert_eq!(outcome.report.serving.completed, 30);
-        assert!(outcome.report.is_conserved());
-        // With 4 users the cluster never holds more than 4 requests.
-        let peak: usize = outcome.engines().iter().map(|e| e.stats().peak_resident).max().unwrap();
-        assert!(peak <= 4, "closed loop caps concurrency, peak {peak}");
     }
 
     #[test]
@@ -1255,12 +1217,10 @@ mod tests {
     #[test]
     fn disagg_horizon_truncates_and_conserves_requests_and_bytes() {
         let sys = tiny_system();
-        let report = Scenario::disaggregated(1, 1)
-            .slo(slo())
-            .horizon(0.004)
-            .workload(timed(300, 20_000.0, 4))
-            .run(&sys)
-            .unwrap();
+        let mut run =
+            Scenario::disaggregated(1, 1).slo(slo()).workload(timed(300, 20_000.0, 4)).start(&sys).unwrap();
+        run.run_until(0.004);
+        let report = run.finish().report;
         let s = &report.serving;
         assert!(
             report.is_conserved(),
@@ -1272,19 +1232,8 @@ mod tests {
             s.dropped
         );
         assert!(report.kv_bytes_conserved());
-        assert!(s.duration_s <= 0.004 + 1e-9);
-    }
-
-    #[test]
-    fn closed_loop_disagg_serves_every_request() {
-        let sys = tiny_system();
-        let trace = TraceGenerator::new(9).generate(&LengthConfig::fixed(32, 16), 24);
-        let t = ArrivalConfig::ClosedLoop { users: 4, think_time_s: 0.01 }.assign(&trace, 9);
-        let report = Scenario::disaggregated(1, 2).slo(slo()).workload(t).run(&sys).unwrap();
-        assert_eq!(report.serving.injected, 24);
-        assert_eq!(report.serving.completed, 24);
-        assert!(report.is_conserved());
-        assert!(report.kv_bytes_conserved());
+        assert!(s.injected < 300, "stopping early must leave late arrivals unrouted");
+        assert!(s.queued_at_horizon + s.in_flight_at_horizon > 0);
     }
 
     #[test]

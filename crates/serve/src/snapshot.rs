@@ -1,14 +1,13 @@
 //! Checkpoint/resume for in-flight scenario runs.
 //!
-//! `capture` folds a [`RunState`]'s complete simulator state — the stage
-//! queues, every engine's records/pending arena/active set/KV manager, the
-//! policy and think-stream state, the running migration totals and the
-//! fault injector — into a typed [`Snapshot`]. `rebuild` inverts it
-//! against the same [`Scenario`] and hardware system, producing a
-//! [`RunState`] that continues the identical simulation: the golden
-//! identity test drives one run to the horizon and another to the
-//! midpoint, snapshots, resumes, and asserts byte-identical
-//! [`crate::RunReport`]s.
+//! `capture` folds a [`RunState`]'s complete simulator state — the arrival
+//! cursor, every engine's records/pending arena/active set/KV manager, the
+//! policy state, the running migration totals and the fault injector —
+//! into a typed [`Snapshot`]. `rebuild` inverts it against the same
+//! [`Scenario`] and hardware system, producing a [`RunState`] that
+//! continues the identical simulation: the golden identity test drives one
+//! run to the end and another to the midpoint, snapshots, resumes, and
+//! asserts byte-identical [`crate::RunReport`]s.
 //!
 //! # What is (deliberately) not captured
 //!
@@ -56,7 +55,7 @@ use crate::fault::{fault_window_s, FaultConfig, FaultInjector, FaultInjectorSnap
 use crate::metrics::{RequestRecord, SloConfig};
 use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
-use crate::stage::{ActiveSeq, ArrivalEvent, PendingReq, StageQueues};
+use crate::stage::{ActiveSeq, PendingReq};
 use ouro_kvcache::{
     CrossbarSnapshot, KvManager, KvManagerSnapshot, KvRestoreError, KvTransferStats, SharedChainSnapshot,
     SnapshotSeqBlocks,
@@ -65,13 +64,12 @@ use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{fnv1a_extend, JsonError, RowReader, Value, FNV1A_OFFSET};
 use ouro_trace::TelemetryConfig;
 use ouro_workload::{ArrivalConfig, Request, SharedPrefix, TimedRequest, TimedTrace};
-use rand::rngs::StdRng;
 use std::borrow::Cow;
 use std::marker::PhantomData;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] rejects any other.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -87,12 +85,9 @@ pub struct Snapshot {
     pub(crate) completed: u64,
     pub(crate) router_state: u64,
     pub(crate) placement_state: u64,
-    /// Open arrivals `(at_s, trace index)`, in queue (sorted) order.
-    pub(crate) arrivals: Vec<(f64, usize)>,
-    /// Gated closed-loop requests, in submission order.
-    pub(crate) gated: Vec<usize>,
-    /// Raw xoshiro256** state of the think-time stream.
-    pub(crate) think_rng: [u64; 4],
+    /// The arrival cursor: trace arrivals routed so far. The rest of the
+    /// trace is still to come, in trace order.
+    pub(crate) routed: usize,
     pub(crate) migrations: MigrationTotals,
     /// Per-engine state in global wafer order.
     pub(crate) engines: Vec<EngineSnapshot>,
@@ -128,9 +123,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
         completed: d.completed,
         router_state: d.router.checkpoint_state(),
         placement_state: d.placement.checkpoint_state(),
-        arrivals: run.queues.arrivals.iter().map(|ev| (ev.at_s, ev.index)).collect(),
-        gated: run.queues.gated.iter().copied().collect(),
-        think_rng: run.queues.think_rng.state(),
+        routed: d.routed,
         migrations: d.migrations,
         engines: d
             .engines
@@ -160,16 +153,17 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 /// # Errors
 ///
 /// Returns the [`SnapshotError`] of the first state that does not fit: a
-/// config hash or wafer count that differs from the scenario's, fault
-/// state its fault config does not match, an arrival, gated, pending or
-/// active index past the workload or the records, a local pending row
-/// carrying wire tokens, pending rows whose token sums overflow the
-/// engine's queue counters, KV rows that do not fit the system (a
-/// [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault state that
-/// does not fit the deployment, an active row that is not resident, whose
-/// prompt plus decoded tokens differ from its resident KV or that repeats
-/// a record, or a resident sequence with no active row. Every check runs
-/// before the [`RunState`] is built.
+/// config hash or wafer count that differs from the scenario's, an arrival
+/// cursor past the workload or different from the number of records on the
+/// entry pool (each routed arrival makes exactly one there), fault state
+/// its fault config does not match, a pending or active index past the
+/// records, a local pending row carrying wire tokens, pending rows whose
+/// token sums overflow the engine's queue counters, KV rows that do not
+/// fit the system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]),
+/// fault state that does not fit the deployment, an active row that is not
+/// resident, whose prompt plus decoded tokens differ from its resident KV
+/// or that repeats a record, or a resident sequence with no active row.
+/// Every check runs before the [`RunState`] is returned.
 ///
 /// # Panics
 ///
@@ -186,9 +180,8 @@ pub(crate) fn rebuild(
     let timed = scenario.timed();
     let total = scenario.total_wafers();
     ensure(snap.engines.len() == total, reject(None, Engine::NAME, K::WaferCount))?;
-    let mut queued = snap.arrivals.iter().map(|&(_, index)| index).chain(snap.gated.iter().copied());
-    ensure(queued.all(|i| i < timed.arrivals.len()), reject(None, Meta::NAME, K::IndexOutOfRange))?;
-    let window_s = fault_window_s(scenario.horizon_s, timed);
+    ensure(snap.routed <= timed.len(), reject(None, Meta::NAME, K::IndexOutOfRange))?;
+    let window_s = fault_window_s(timed);
     let injector = match (scenario.fault, &snap.injector) {
         (Some(cfg), Some(is)) => Some(FaultInjector::restore(system, total, cfg, window_s, is)?),
         (None, None) => None,
@@ -240,14 +233,12 @@ pub(crate) fn rebuild(
         engines.push(e);
     }
 
-    let queues = StageQueues::holding(
-        timed,
-        snap.arrivals.iter().map(|&(at_s, index)| ArrivalEvent { at_s, index }).collect(),
-        snap.gated.iter().copied().collect(),
-        StdRng::from_state(snap.think_rng),
-    );
-    let mut run = RunState::new(scenario, system, engines, queues, injector);
+    let mut run = RunState::new(scenario, system, engines, injector);
     let d = &mut run.driver;
+    // Each routed arrival made exactly one record on the entry pool.
+    let entry_records: usize = d.engines[..d.entry_len()].iter().map(|e| e.records.len()).sum();
+    ensure(snap.routed == entry_records, reject(None, Meta::NAME, K::RoutedMismatch))?;
+    d.routed = snap.routed;
     d.router.restore_state(snap.router_state);
     d.placement.restore_state(snap.placement_state);
     d.migrations = snap.migrations;
@@ -256,24 +247,14 @@ pub(crate) fn rebuild(
 }
 
 /// FNV-1a over a canonical encoding of every config field (deployment,
-/// workload arrivals and seeds, policies, prefix caching, SLO, horizon,
-/// faults, observability toggles): integers as fixed-width little-endian
+/// workload arrivals and seeds, policies, prefix caching, SLO, faults,
+/// observability toggles): integers as fixed-width little-endian
 /// words, floats by their bit pattern, enum variants and `Option`s by a
 /// fixed tag, and policies by name. Every struct is destructured in full,
 /// so a new config field does not compile until it is hashed here.
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    let Scenario {
-        deployment,
-        workload,
-        router,
-        placement,
-        prefix_caching,
-        slo,
-        horizon_s,
-        fault,
-        trace,
-        telemetry,
-    } = scenario;
+    let Scenario { deployment, workload, router, placement, prefix_caching, slo, fault, trace, telemetry } =
+        scenario;
     let mut h = ConfigHasher(FNV1A_OFFSET);
     match *deployment {
         Deployment::Colocated { wafers } => h.tag(0).int(wafers),
@@ -283,13 +264,11 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
     };
     match workload {
         None => h.tag(0),
-        Some(TimedTrace { arrivals, config, seed }) => {
+        Some(timed) => {
+            let TimedTrace { arrivals, config, seed } = &**timed;
             match *config {
                 ArrivalConfig::Poisson { rate_rps } => h.tag(1).tag(0).float(rate_rps),
                 ArrivalConfig::Bursty { rate_rps, cv } => h.tag(1).tag(1).float(rate_rps).float(cv),
-                ArrivalConfig::ClosedLoop { users, think_time_s } => {
-                    h.tag(1).tag(2).int(users).float(think_time_s)
-                }
             };
             h.int(*seed).int(arrivals.len());
             for &TimedRequest { request: Request { id, prompt_len, decode_len, shared_prefix }, arrival_s } in
@@ -309,7 +288,10 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
     // The engine's batch and chunk constants are hashed too: the hash has
     // covered them since they were settable, and a snapshot written under
     // other values must not resume.
-    h.int(MAX_BATCH).int(PREFILL_CHUNK).flag(*prefix_caching).float(ttft_s).float(tpot_s).float(*horizon_s);
+    h.int(MAX_BATCH).int(PREFILL_CHUNK).flag(*prefix_caching).float(ttft_s).float(tpot_s);
+    // Where the run horizon was: every run now serves its whole trace,
+    // which is what the open horizon meant, so no scenario's hash moved.
+    h.float(f64::INFINITY);
     match *fault {
         None => h.tag(0),
         Some(FaultConfig { mtbf_s, remap_stall_s, seed }) => {
@@ -425,6 +407,9 @@ pub enum SnapshotErrorKind {
     /// An index past the workload, the records or the deployment, or a
     /// wafer's fired-fault count past the faults its window holds.
     IndexOutOfRange,
+    /// The arrival cursor differs from the number of records on the entry
+    /// pool, where each routed arrival makes exactly one.
+    RoutedMismatch,
     /// A local pending row carries wire tokens.
     LocalWireTokens,
     /// An engine's pending rows overflow its queue counters.
@@ -822,8 +807,7 @@ rows! {
         "schema_version" => schema_version: Version, "config_hash" => config_hash: Bits,
         "completed" => completed: U64, "migrations" => migrations: Migrations,
         "router_state" => router_state: U64, "placement_state" => placement_state: U64,
-        "think_rng" => think_rng: Arr::<_, 4>(List('|', Bits)),
-        "arrivals" => arrivals: List(';', Tup(':', (Float, USIZE))), "gated" => gated: List(';', USIZE),
+        "routed" => routed: USIZE,
     ]
 
     Engine = "engine": EngineSnapshot rest { records, pending, active, kv } [
@@ -1003,7 +987,7 @@ impl Snapshot {
     /// rendered length of each row and list item, so the document is
     /// allocated once.
     fn json_len(&self) -> usize {
-        let mut len = 1024 + 24 * self.arrivals.len() + 8 * self.gated.len();
+        let mut len = 1024;
         for e in &self.engines {
             let blocks = e.kv.key_cores.iter().chain(&e.kv.value_cores).flatten().map(|xb| xb.blocks.len());
             let listed = e.kv.seq_blocks.iter().map(|(_, blocks)| blocks.len());
@@ -1150,8 +1134,8 @@ mod tests {
             (Some(false), Some(true), None, None)
         );
         assert_eq!((SIDE.take("k"), SIDE.take("v"), SIDE.take("K")), (Some(false), Some(true), None));
-        assert_eq!(Version.take("4"), Some(SNAPSHOT_SCHEMA_VERSION));
-        assert_eq!(Version.take("3"), None);
+        assert_eq!(Version.take("5"), Some(SNAPSHOT_SCHEMA_VERSION));
+        assert_eq!(Version.take("4"), None);
         let list = List(';', USIZE);
         assert_eq!(
             (list.take(""), list.take("4"), list.take("1;2")),
@@ -1177,8 +1161,7 @@ mod tests {
         let trace = SessionConfig::chat(3, 0.4).generate(32, 53);
         let timed = ArrivalConfig::Bursty { rate_rps: 350.0, cv: 4.0 }.assign(&trace, 53);
         let shared = timed.arrivals.iter().position(|a| a.request.shared_prefix.is_some()).unwrap();
-        let base =
-            Scenario::disaggregated(1, 1).faults(FaultConfig::new(0.06, 53)).horizon(0.5).workload(timed);
+        let base = Scenario::disaggregated(1, 1).faults(FaultConfig::new(0.06, 53)).workload(timed);
         let hash = config_hash(&base);
         assert_eq!(config_hash(&base.clone()), hash, "a clone keeps the hash");
         assert_ne!(config_hash(&Scenario::colocated(2)), config_hash(&Scenario::colocated(3)));
@@ -1188,7 +1171,7 @@ mod tests {
             assert_ne!(config_hash(&s), hash, "{what} must change the config hash");
         };
         fn arrivals(s: &mut Scenario) -> &mut Vec<TimedRequest> {
-            &mut s.workload.as_mut().unwrap().arrivals
+            &mut std::sync::Arc::make_mut(s.workload.as_mut().unwrap()).arrivals
         }
         changes("an arrival 1 ulp later", &|s| {
             let a = &mut arrivals(s)[5].arrival_s;
@@ -1202,7 +1185,6 @@ mod tests {
         changes("the placement", &|s| s.placement = placements::prefix_affinity());
         changes("prefix caching", &|s| s.prefix_caching = !s.prefix_caching);
         changes("the fault seed", &|s| s.fault.as_mut().unwrap().seed += 1);
-        changes("the horizon", &|s| s.horizon_s = f64::from_bits(s.horizon_s.to_bits() + 1));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //!
 //! The queues:
 //!
-//! * **Arrival** owns `StageQueues`: the sorted open-arrival deque plus
-//!   the closed-loop gate (released in completion order through the seeded
-//!   think-time stream).
+//! * **Arrival** owns one cursor, the driver's `routed`: the count of trace
+//!   arrivals routed so far. A run routes the trace's arrivals in trace
+//!   order, so the next one is always `timed.arrivals[routed]`.
 //! * **Admission** consumes the per-engine pending arena
 //!   (`crate::arena::IndexQueue` of `PendingReq` admission events) and
 //!   produces residency (`ActiveSeq` entries in the engine's active set).
@@ -24,14 +24,14 @@
 //!   engines' pending arenas (a migration is announced as a
 //!   `PendingReq` gated on its landing time); it is deliberately not
 //!   duplicated into a separate queue, so the conservation invariant
-//!   `arrivals + gated + Σ pending + Σ active + completed + dropped =
-//!   injected` holds at every step boundary.
-//! * **Complete** retires finished sequences (releasing closed-loop users
-//!   or handing KV to Migrate on a disaggregated prefill pool).
+//!   `waiting + Σ pending + Σ active + completed + dropped = injected`
+//!   (with `waiting = len − routed`) holds at every step boundary.
+//! * **Complete** retires finished sequences (or hands their KV to Migrate
+//!   on a disaggregated prefill pool).
 //!
-//! Together with the engines' KV managers and the fault injector these
-//! queues are the *complete* simulator state — which is what makes
-//! [`crate::scenario::Scenario::checkpoint`] /
+//! Together with the engines' KV managers and the fault injector, the
+//! cursor and these queues are the *complete* simulator state — which is
+//! what makes [`crate::scenario::Scenario::checkpoint`] /
 //! [`crate::scenario::Scenario::resume`] possible.
 //!
 //! Each stage module names the lifecycle [`ouro_trace::EventKind`]s it
@@ -46,79 +46,6 @@ pub(crate) mod migrate;
 pub(crate) mod prefill;
 
 use ouro_kvcache::KvSlot;
-use ouro_workload::TimedTrace;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::VecDeque;
-
-/// One open arrival waiting to be routed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct ArrivalEvent {
-    /// Instant the request enters the cluster.
-    pub(crate) at_s: f64,
-    /// Index into the timed trace's arrival list.
-    pub(crate) index: usize,
-}
-
-/// The arrival stage's typed queues — together with the per-engine pending
-/// arenas and active sets, the complete request-location state of a run.
-#[derive(Debug, Clone)]
-pub(crate) struct StageQueues {
-    /// Open arrivals, sorted ascending by time. Closed-loop releases are
-    /// re-inserted in sorted position as completions free their users.
-    pub(crate) arrivals: VecDeque<ArrivalEvent>,
-    /// Closed-loop requests waiting for a completion to release them, in
-    /// submission order.
-    pub(crate) gated: VecDeque<usize>,
-    /// Mean think time between a completion and the released arrival.
-    pub(crate) think_time_s: f64,
-    /// The seeded think-time stream (deterministically derived from the
-    /// workload seed; its raw state is checkpointed so a resumed run
-    /// continues the same stream).
-    pub(crate) think_rng: StdRng,
-}
-
-impl StageQueues {
-    /// Builds the arrival queues of a fresh run over `timed`.
-    pub(crate) fn new(timed: &TimedTrace) -> StageQueues {
-        let arrivals: VecDeque<ArrivalEvent> = timed
-            .arrivals
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| !r.is_gated())
-            .map(|(i, r)| ArrivalEvent { at_s: r.arrival_s, index: i })
-            .collect();
-        let gated: VecDeque<usize> =
-            timed.arrivals.iter().enumerate().filter(|(_, r)| r.is_gated()).map(|(i, _)| i).collect();
-        StageQueues::holding(
-            timed,
-            arrivals,
-            gated,
-            StdRng::seed_from_u64(timed.seed ^ 0x7417_1e5e_ed00_0002),
-        )
-    }
-
-    /// The arrival queues of a run over `timed` holding `arrivals` and
-    /// `gated`, with the think stream at `think_rng` (a resumed run's
-    /// queues).
-    pub(crate) fn holding(
-        timed: &TimedTrace,
-        arrivals: VecDeque<ArrivalEvent>,
-        gated: VecDeque<usize>,
-        think_rng: StdRng,
-    ) -> StageQueues {
-        let think_time_s = match timed.config {
-            ouro_workload::ArrivalConfig::ClosedLoop { think_time_s, .. } => think_time_s,
-            _ => 0.0,
-        };
-        StageQueues { arrivals, gated, think_time_s, think_rng }
-    }
-
-    /// Requests not yet handed to any engine (open plus gated).
-    pub(crate) fn waiting(&self) -> usize {
-        self.arrivals.len() + self.gated.len()
-    }
-}
 
 /// A sequence resident in the KV cache — the prefill/decode stages'
 /// per-engine work set.

@@ -1,13 +1,13 @@
 //! Checkpoint/resume identity: the golden proof that a [`Snapshot`] is the
 //! *complete* simulator state.
 //!
-//! Each shape runs twice — once straight to the horizon, once to the
+//! Each shape runs twice — once straight to the end, once to the
 //! midpoint, through a snapshot → JSON → parse → resume round trip, then to
-//! the horizon — and the two final [`ouro_serve::RunReport`]s must be
+//! the end — and the two final [`ouro_serve::RunReport`]s must be
 //! byte-identical (`PartialEq` plus the rendered `Debug` form, which pins
 //! every float bit). The four shapes cover the scenario matrix the repo's
 //! goldens pin: colocated/disaggregated × faults × prefix caching, over
-//! open- and closed-loop arrival processes.
+//! Poisson and bursty arrivals.
 
 use ouro_kvcache::{KvManager, KvRestoreError};
 use ouro_model::zoo;
@@ -47,30 +47,25 @@ fn golden_shapes() -> Vec<(&'static str, Scenario, f64)> {
         mid(&timed),
     );
 
-    // 3. Colocated under runtime faults, closed-loop clients (the think
-    //    stream and the fault schedule must both survive the checkpoint).
-    //    Every open arrival is at t = 0 and the rest are gated, so the
-    //    midpoint is half the straight run's duration, not of the arrivals.
+    // 3. Colocated under runtime faults (the fault streams must survive
+    //    the checkpoint).
     let trace = TraceGenerator::new(37).generate(&LengthConfig::fixed(128, 16), 30);
-    let timed = ArrivalConfig::ClosedLoop { users: 6, think_time_s: 0.02 }.assign(&trace, 37);
-    let scenario = Scenario::colocated(2).faults(FaultConfig::new(0.08, 37)).slo(slo).workload(timed);
-    static CLOSED_LOOP_MID_S: OnceLock<f64> = OnceLock::new();
-    let closed_loop_mid_s =
-        *CLOSED_LOOP_MID_S.get_or_init(|| scenario.run(&tiny_system()).unwrap().serving.duration_s * 0.5);
-    let faulty = ("colocated-faults-closed-loop", scenario, closed_loop_mid_s);
+    let timed = ArrivalConfig::Poisson { rate_rps: 300.0 }.assign(&trace, 37);
+    let faulty = (
+        "colocated-faults",
+        Scenario::colocated(2).faults(FaultConfig::new(0.08, 37)).slo(slo).workload(timed.clone()),
+        mid(&timed),
+    );
 
-    // 4. Disaggregated with faults, prefix caching and a finite horizon
-    //    (arrival cutoff + fault window both derive from the horizon). One
-    //    fault strikes before the midpoint and two after it.
+    // 4. Disaggregated with faults and prefix caching. Faults strike both
+    //    before and after the midpoint.
     let trace = SessionConfig::chat(3, 0.4).generate(32, 53);
     let timed = ArrivalConfig::Bursty { rate_rps: 350.0, cv: 4.0 }.assign(&trace, 53);
-    let horizon = timed.last_arrival_s() * 0.8;
     let all_on = (
-        "disagg-faults-prefix-horizon",
+        "disagg-faults-prefix",
         Scenario::disaggregated(1, 1)
             .prefix_caching(true)
             .faults(FaultConfig::new(0.025, 53))
-            .horizon(horizon)
             .slo(slo)
             .workload(timed.clone()),
         mid(&timed),
@@ -110,10 +105,10 @@ fn resumed_runs_reproduce_the_uninterrupted_report_byte_for_byte() {
 }
 
 #[test]
-fn the_closed_loop_checkpoint_is_taken_mid_run() {
-    // The think stream and the fault schedule are carried across the
-    // checkpoint only if it falls after completions and faults, with users
-    // still gated.
+fn the_colocated_fault_checkpoint_is_taken_mid_run() {
+    // The fault streams and the arrival cursor are carried across the
+    // checkpoint only if it falls after completions and faults, with
+    // arrivals still to route.
     let sys = tiny_system();
     let (label, scenario, mid_s) = golden_shapes().remove(2);
     let mut run = scenario.start(&sys).unwrap();
@@ -121,7 +116,7 @@ fn the_closed_loop_checkpoint_is_taken_mid_run() {
     let json = scenario.checkpoint(&run).to_json();
     let meta = json.lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
     assert!(field(meta, "completed").parse::<u64>().unwrap() > 0, "{label}: no completions yet");
-    assert!(!field(meta, "gated").is_empty(), "{label}: no gated requests left");
+    assert!(field(meta, "routed").parse::<usize>().unwrap() < 30, "{label}: every arrival routed");
     assert!(faults_fired(&json) > 0, "{label}: no fault fired yet");
 }
 
@@ -340,7 +335,7 @@ fn resume_across_slot_reuse_is_invisible() {
     // Most resident sequences are mid-block here, so the snapshot bytes
     // pin that every decoded token reaches the KV rows.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x80e9_dcfa_3272_18d6, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x8642_a453_d5b3_5e7c, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -432,9 +427,7 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "migrations",
             "router_state",
             "placement_state",
-            "think_rng",
-            "arrivals",
-            "gated",
+            "routed",
         ],
     ),
     ("engine", &["section", "wafer", "clock_s", "busy_s", "suspended", "mean_hops", "stats"]),
@@ -557,17 +550,18 @@ fn golden_runs() -> &'static (OuroborosSystem, Vec<Scenario>) {
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x4a42_4ea2_d0bf_1a5d);
+    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x85fe_145b_f20e_8b8b);
 }
 
 #[test]
 fn a_v2_snapshot_is_rejected_at_its_schema_version() {
     // A v2 document's config hash differs too (it hashed the scenario's
-    // `Debug` form), and a v3 document lists a pending-fault schedule; the
-    // version is read first, so the error names it.
-    for old in ["2", "3"] {
+    // `Debug` form), a v3 document lists a pending-fault schedule and a v4
+    // one its waiting arrivals; the version is read first, so the error
+    // names it.
+    for old in ["2", "3", "4"] {
         let doc = golden_snapshot_json(3).replacen(
-            r#""schema_version":"4""#,
+            r#""schema_version":"5""#,
             &format!(r#""schema_version":"{old}""#),
             1,
         );
@@ -578,12 +572,12 @@ fn a_v2_snapshot_is_rejected_at_its_schema_version() {
 
 #[test]
 fn only_the_canonical_form_of_a_value_parses() {
-    // A sign and empty list items read as the same numbers, but neither
+    // A sign and a leading zero read as the same numbers, but neither
     // writes back to its text, so neither is a snapshot.
     let json = golden_snapshot_json(3);
     for (key, edited) in [
         ("completed", json.replacen(r#""completed":""#, r#""completed":"+"#, 1)),
-        ("gated", json.replacen(r#""gated":""#, r#""gated":";;"#, 1)),
+        ("routed", json.replacen(r#""routed":""#, r#""routed":"0"#, 1)),
     ] {
         assert_ne!(edited, json);
         assert_eq!(Snapshot::parse(&edited).err(), Some(unparsed(0, "meta", Some(key), BadValue)), "{key}");
@@ -657,14 +651,15 @@ fn kind_index(kind: SnapshotErrorKind) -> usize {
         WaferCount => 8,
         FaultState => 9,
         IndexOutOfRange => 10,
-        LocalWireTokens => 11,
-        CounterOverflow => 12,
-        NotResident => 13,
-        ProgressMismatch => 14,
-        DuplicateActive => 15,
-        Unserved => 16,
+        RoutedMismatch => 11,
+        LocalWireTokens => 12,
+        CounterOverflow => 13,
+        NotResident => 14,
+        ProgressMismatch => 15,
+        DuplicateActive => 16,
+        Unserved => 17,
         Kv(k) => {
-            17 + match k {
+            18 + match k {
                 R::CoreCount => 0,
                 R::CrossbarCount => 1,
                 R::BlockCount => 2,
@@ -757,7 +752,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         cases.push((case, scenario, json, rejected(wafer, section, kind)));
     };
     let drop = &|_: &str| String::new();
-    let s3 = &scenarios[3];
+    let (s0, s3) = (&scenarios[0], &scenarios[3]);
     resume(
         "config hash",
         s3,
@@ -768,14 +763,22 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         ConfigHash,
     );
     resume("fault wafer missing", s3, g3, &on("injector_wafer", Some(1)), drop, "injector_wafer", WaferCount);
+    // Each routed arrival makes exactly one record on the entry pool: the
+    // prefill wafer of shape 3, every wafer of the colocated shape 0.
+    // Shape 3's trace holds 32 requests.
+    let cursor = |change: fn(usize) -> usize| {
+        move |r: &str| with_field(r, "routed", |n| change(n.parse().unwrap()).to_string())
+    };
+    resume("cursor past the workload", s3, g3, &on("meta", None), &cursor(|_| 33), "meta", IndexOutOfRange);
+    resume("cursor past the records", s3, g3, &on("meta", None), &cursor(|n| n + 1), "meta", RoutedMismatch);
     resume(
-        "arrival past the workload",
-        s3,
-        g3,
+        "cursor short of the records",
+        s0,
+        g0,
         &on("meta", None),
-        &|r| with_field(r, "arrivals", |a| a.replacen(':', ":9999999", 1)),
+        &cursor(|n| n - 1),
         "meta",
-        IndexOutOfRange,
+        RoutedMismatch,
     );
     resume(
         "active record past the records",
@@ -924,7 +927,6 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "pending",
         CounterOverflow,
     );
-    let s0 = &scenarios[0];
     let one_wafer = without_rows(g0, |r| r.contains(r#""wafer":"1""#));
     cases.push(("wafer missing", s0, one_wafer, rejected(None, "engine", WaferCount)));
     let no_faults = without_rows(g3, |r| r.starts_with(r#"{"section":"injector"#));
@@ -947,7 +949,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         assert_eq!(err, *expected, "{case}");
         seen.insert(kind_index(err.kind));
     }
-    assert!(seen.into_iter().eq(0..27), "every kind must be reached");
+    assert!(seen.into_iter().eq(0..28), "every kind must be reached");
 }
 
 #[test]
@@ -1190,7 +1192,7 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0xcf1a_9c0a_ae69_a2b5, "mid-block snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0xd4d1_de68_bc3a_3b3d, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

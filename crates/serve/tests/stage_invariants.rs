@@ -3,9 +3,9 @@
 //! stepped run.
 //!
 //! Conservation: at any instant between two [`ouro_serve::RunState`] steps,
-//! every injected request is in exactly one place — still waiting (open
-//! arrival or gated closed-loop user), queued in some engine's pending
-//! arena, resident in some active set, retired, or dropped:
+//! every injected request is in exactly one place — still waiting (a trace
+//! arrival past the cursor), queued in some engine's pending arena,
+//! resident in some active set, retired, or dropped:
 //!
 //! ```text
 //! waiting + Σ (queue_len + resident) + completed + Σ dropped = injected
@@ -51,7 +51,7 @@ fn golden_shape(shape: usize, seed: u64) -> (String, Scenario, usize) {
         }
         2 => {
             let trace = TraceGenerator::new(seed).generate(&LengthConfig::fixed(128, 16), requests);
-            let timed = ArrivalConfig::ClosedLoop { users: 5, think_time_s: 0.02 }.assign(&trace, seed);
+            let timed = ArrivalConfig::Poisson { rate_rps: 300.0 }.assign(&trace, seed);
             ("colocated-faults", Scenario::colocated(2).faults(FaultConfig::new(0.08, seed)).workload(timed))
         }
         _ => {

@@ -165,8 +165,8 @@ pub struct RequestPhases {
     pub req: usize,
     /// Arrival instant (the first event of the request).
     pub arrival_s: f64,
-    /// Terminal instant (`complete` or `drop`); `None` when the run's
-    /// horizon truncated the request mid-flight.
+    /// Terminal instant (`complete` or `drop`); `None` when the run
+    /// stopped with the request mid-flight.
     pub terminal_s: Option<f64>,
     /// Whether the terminal event was `complete` (vs `drop`/truncation).
     pub completed: bool,

@@ -89,7 +89,7 @@ impl Trace {
     }
 
     /// Reconstructs the per-request phase spans from the event log. Open
-    /// phases at the end of the timeline (horizon truncation) are closed
+    /// phases at the end of the timeline (a run stopped early) are closed
     /// at the last event's instant so exports stay well-formed.
     pub fn request_spans(&self) -> Vec<SpanPhase> {
         #[derive(Clone, Copy)]

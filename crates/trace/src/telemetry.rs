@@ -157,7 +157,7 @@ impl TelemetryRecorder {
     /// silently dropped unless the caller records one last off-grid
     /// sample stamped at `now_s`. False when the run ends exactly on an
     /// already-drained cadence point (or never advanced past zero), so a
-    /// grid-aligned horizon never duplicates its last sample.
+    /// grid-aligned end instant never duplicates its last sample.
     pub fn tail_due(&self, now_s: f64) -> bool {
         now_s > 0.0 && now_s > self.next_sample_s - self.config.cadence_s
     }

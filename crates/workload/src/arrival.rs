@@ -2,21 +2,16 @@
 //!
 //! The offline evaluation replays a fixed batch of requests with no notion of
 //! *when* each request shows up. Online serving instead draws request arrival
-//! times from a stochastic process and measures latency against them. Three
-//! standard processes are provided (see `DESIGN.md` §3):
+//! times from a stochastic process and measures latency against them. Two
+//! open-loop processes are provided (see `DESIGN.md` §3):
 //!
-//! * [`ArrivalConfig::Poisson`] — the open-loop memoryless process, with
-//!   exponential inter-arrival gaps of mean `1/rate`,
+//! * [`ArrivalConfig::Poisson`] — the memoryless process, with exponential
+//!   inter-arrival gaps of mean `1/rate`,
 //! * [`ArrivalConfig::Bursty`] — Gamma-distributed gaps with a coefficient of
-//!   variation above 1, modelling flash crowds at the same average rate,
-//! * [`ArrivalConfig::ClosedLoop`] — a fixed population of users who each
-//!   submit, wait for the answer, think, and submit again.
+//!   variation above 1, modelling flash crowds at the same average rate.
 //!
-//! Open-loop timestamps are generated up front and are fully determined by
-//! the seed. Closed-loop arrivals depend on completion times, which only the
-//! serving engine knows, so the first `users` requests are stamped at time
-//! zero and the remainder are marked [`TimedRequest::GATED`]; the engine
-//! releases one gated request per completion after the think time.
+//! Timestamps are generated up front and are fully determined by the seed,
+//! so a run serves a fixed trace, as the paper's evaluation does.
 
 use crate::request::Request;
 use crate::trace::Trace;
@@ -40,24 +35,13 @@ pub enum ArrivalConfig {
         /// Coefficient of variation of the inter-arrival gaps.
         cv: f64,
     },
-    /// Closed loop: `users` concurrent clients, each resubmitting after an
-    /// exponentially distributed think time once its previous request
-    /// completes.
-    ClosedLoop {
-        /// Number of concurrent clients.
-        users: usize,
-        /// Mean think time between a completion and the next submission.
-        think_time_s: f64,
-    },
 }
 
 impl ArrivalConfig {
-    /// Mean offered load in requests per second for open-loop processes;
-    /// `None` for closed-loop (whose rate is an outcome, not a parameter).
-    pub fn offered_rps(&self) -> Option<f64> {
+    /// Mean offered load in requests per second.
+    pub fn offered_rps(&self) -> f64 {
         match self {
-            ArrivalConfig::Poisson { rate_rps } | ArrivalConfig::Bursty { rate_rps, .. } => Some(*rate_rps),
-            ArrivalConfig::ClosedLoop { .. } => None,
+            ArrivalConfig::Poisson { rate_rps } | ArrivalConfig::Bursty { rate_rps, .. } => *rate_rps,
         }
     }
 
@@ -79,18 +63,6 @@ impl ArrivalConfig {
                 let scale = 1.0 / (rate_rps * shape);
                 open_loop(trace, |rng| gamma(rng, shape) * scale, &mut rng)
             }
-            ArrivalConfig::ClosedLoop { users, .. } => {
-                assert!(users > 0, "a closed loop needs at least one user");
-                trace
-                    .requests
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &request)| TimedRequest {
-                        request,
-                        arrival_s: if i < users { 0.0 } else { TimedRequest::GATED },
-                    })
-                    .collect()
-            }
         };
         TimedTrace { arrivals, config: *self, seed }
     }
@@ -108,10 +80,9 @@ fn open_loop(trace: &Trace, mut gap: impl FnMut(&mut StdRng) -> f64, rng: &mut S
         .collect()
 }
 
-/// Exponential sample with mean `1/rate` (inverse-CDF method). Public so
-/// consumers drawing related durations — e.g. closed-loop think times in
-/// `ouro-serve` — share one sampler with the arrival processes.
-pub fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
+/// Exponential sample with mean `1/rate` (inverse-CDF method), shared with
+/// the fault process's inter-failure gaps.
+pub(crate) fn exponential(rng: &mut StdRng, rate: f64) -> f64 {
     let u: f64 = rng.gen_range(f64::EPSILON..1.0);
     -u.ln() / rate
 }
@@ -148,31 +119,18 @@ pub struct TimedRequest {
     /// The request itself.
     pub request: Request,
     /// Seconds since the start of the experiment at which the request
-    /// arrives, or [`TimedRequest::GATED`] for closed-loop requests released
-    /// by a completion.
+    /// arrives.
     pub arrival_s: f64,
-}
-
-impl TimedRequest {
-    /// Sentinel arrival time of a closed-loop request that has not been
-    /// released yet.
-    pub const GATED: f64 = f64::INFINITY;
-
-    /// Whether this request waits behind the closed-loop gate.
-    pub fn is_gated(&self) -> bool {
-        self.arrival_s == TimedRequest::GATED
-    }
 }
 
 /// A trace whose requests carry arrival times.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimedTrace {
-    /// Requests in nondecreasing arrival order (gated requests last).
+    /// Requests in nondecreasing arrival order.
     pub arrivals: Vec<TimedRequest>,
     /// The process that generated the timestamps.
     pub config: ArrivalConfig,
-    /// Seed used for timestamp generation (the engine reuses it for think
-    /// times so a run is reproducible end to end).
+    /// Seed used for timestamp generation.
     pub seed: u64,
 }
 
@@ -187,19 +145,18 @@ impl TimedTrace {
         self.arrivals.is_empty()
     }
 
-    /// Time of the last open-loop arrival (0 for an empty or fully gated
-    /// trace).
+    /// Time of the last arrival (0 for an empty trace).
     pub fn last_arrival_s(&self) -> f64 {
-        self.arrivals.iter().filter(|r| !r.is_gated()).map(|r| r.arrival_s).fold(0.0, f64::max)
+        self.arrivals.iter().map(|r| r.arrival_s).fold(0.0, f64::max)
     }
 
-    /// Realised open-loop arrival rate: requests per second over the arrival
-    /// span (`None` for closed-loop traces, where rate is an outcome).
+    /// Realised arrival rate: requests per second over the arrival span
+    /// (`None` for a trace of fewer than two requests or a zero span).
     pub fn realized_rps(&self) -> Option<f64> {
         let span = self.last_arrival_s();
-        let open = self.arrivals.iter().filter(|r| !r.is_gated()).count();
-        if span > 0.0 && open > 1 {
-            Some(open as f64 / span)
+        let n = self.arrivals.len();
+        if span > 0.0 && n > 1 {
+            Some(n as f64 / span)
         } else {
             None
         }
@@ -291,16 +248,6 @@ mod tests {
         let timed = ArrivalConfig::Bursty { rate_rps: 20.0, cv: 3.0 }.assign(&t, 2);
         let realized = timed.realized_rps().unwrap();
         assert!((realized - 20.0).abs() < 0.15 * 20.0, "realised rate {realized} should be ~20");
-    }
-
-    #[test]
-    fn closed_loop_gates_everything_beyond_the_user_population() {
-        let t = trace(10);
-        let timed = ArrivalConfig::ClosedLoop { users: 4, think_time_s: 0.5 }.assign(&t, 0);
-        assert_eq!(timed.arrivals.iter().filter(|r| !r.is_gated()).count(), 4);
-        assert_eq!(timed.arrivals.iter().filter(|r| r.is_gated()).count(), 6);
-        assert_eq!(timed.realized_rps(), None);
-        assert_eq!(ArrivalConfig::ClosedLoop { users: 4, think_time_s: 0.5 }.offered_rps(), None);
     }
 
     #[test]

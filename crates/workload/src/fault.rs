@@ -65,8 +65,8 @@ impl FaultProcess {
             window_s > 0.0 && window_s.is_finite(),
             "fault streams need a finite positive horizon, got {window_s}"
         );
-        // Offset the stream per wafer (and from the arrival/think-time
-        // streams, which use different xor constants on a shared seed).
+        // Offset the stream per wafer (and from the arrival stream, which
+        // uses a different xor constant on a shared seed).
         let rng =
             StdRng::seed_from_u64(seed ^ 0xfa17_0000_0000_0003u64.wrapping_add(wafer as u64 * 0x9e37_79b9));
         let mut stream = FaultStream { rate: 1.0 / self.mtbf_s, window_s, rng, next: None, taken: 0 };

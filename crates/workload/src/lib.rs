@@ -14,8 +14,8 @@
 
 //!
 //! For online serving (the `ouro-serve` crate), [`arrival::ArrivalConfig`]
-//! additionally stamps each request with an arrival time drawn from a
-//! Poisson, bursty-Gamma, or closed-loop process, and
+//! additionally stamps each request with an arrival time drawn from an
+//! open-loop Poisson or bursty-Gamma process, and
 //! [`session::SessionConfig`] generates shared-system-prompt / multi-turn
 //! session traces whose requests carry [`request::SharedPrefix`] tags for
 //! the prefix-caching KV manager.

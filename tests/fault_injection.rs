@@ -68,7 +68,7 @@ fn kv_blocks_are_conserved_after_every_remap() {
         step += 1;
         if step.is_multiple_of(7) {
             // A fault every few iterations, walking the preferred core.
-            if engine.apply_fault(engine.clock_s(), 0.5e-3, faults_applied, 0.01).is_some() {
+            if engine.apply_fault(engine.clock_s(), 0.5e-3, faults_applied, 0.01) {
                 faults_applied += 1;
             }
             let audit = engine.kv_audit();

@@ -134,7 +134,7 @@ fn block_audit_survives_faults_on_shared_chains() {
         engine.step();
         step += 1;
         if step.is_multiple_of(5) {
-            if engine.apply_fault(engine.clock_s(), 0.5e-3, faults_applied, 0.01).is_some() {
+            if engine.apply_fault(engine.clock_s(), 0.5e-3, faults_applied, 0.01) {
                 faults_applied += 1;
             }
             let audit = engine.kv_audit();
