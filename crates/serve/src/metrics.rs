@@ -7,42 +7,23 @@
 //! requests whose TTFT and TPOT both meet the SLO — the standard lens for
 //! throughput-vs-latency curves.
 
-/// Lifecycle of one request as observed by the serving engine.
+/// One request an engine finished: what the latency report reads of it.
+///
+/// An engine pushes a record when it retires a request, so a record is a
+/// finished request. The lifecycle in between (admissions, evictions,
+/// cached-prefix hits, queueing) is in the trace's events, stamped when it
+/// happens.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
-    /// Request id (trace index).
-    pub id: usize,
-    /// Prompt length in tokens.
-    pub prompt_len: usize,
-    /// Decode length in tokens.
-    pub decode_len: usize,
     /// Arrival time (seconds since experiment start).
     pub arrival_s: f64,
-    /// **First** admission into the KV cache (NaN if never admitted).
-    /// Deliberately not updated on re-admission after an eviction: the
-    /// first-admission stamp keeps `admitted_s − arrival_s` meaning "time
-    /// to first service". Queueing delay accumulated *after* an eviction is
-    /// accounted separately in `queue_wait_s`, so post-eviction waits are
-    /// never misattributed to service time.
-    pub admitted_s: f64,
-    /// Total time spent admissible-but-waiting in the engine queue, summed
-    /// over every admission (the initial wait plus each post-eviction
-    /// re-admission wait). Migration transit of imported KV is excluded —
-    /// a request only waits once its KV has landed.
-    pub queue_wait_s: f64,
-    /// Emission time of the first decode token (NaN if none emitted).
+    /// Emission time of the first decode token (NaN for a request with no
+    /// decode tokens).
     pub first_token_s: f64,
-    /// Completion time of the last decode token (NaN if unfinished when
-    /// `finish` runs before the run drains).
+    /// Completion time of the last decode token.
     pub completed_s: f64,
-    /// Times this request was evicted and had its KV recomputed.
-    pub evictions: u32,
-    /// Prompt tokens served from the shared-prefix KV cache at the most
-    /// recent admission (their prefill was skipped).
-    pub cached_prefix_tokens: usize,
-    /// The request's shared-prefix tag, carried through the lifecycle so
-    /// re-admissions, routing, and cross-wafer migration stay prefix-aware.
-    pub shared_prefix: Option<ouro_workload::SharedPrefix>,
+    /// Decode length in tokens.
+    pub decode_len: usize,
 }
 
 impl RequestRecord {
@@ -164,7 +145,8 @@ pub struct ServingReport {
     /// Prompt tokens served from the shared-prefix KV cache (prefill
     /// skipped) across the run.
     pub cached_prefix_tokens: u64,
-    /// Wall-clock span of the run (first arrival to last event).
+    /// Simulated span of the run: from 0 to its end instant, the later of
+    /// the last engine event and the last routed arrival.
     pub duration_s: f64,
     /// Completed requests per second.
     pub achieved_rps: f64,
@@ -174,7 +156,8 @@ pub struct ServingReport {
     pub goodput_rps: f64,
     /// Fraction of *injected* requests that completed within the SLO.
     pub slo_attainment: f64,
-    /// Time to first token distribution over requests that emitted one.
+    /// Time to first token distribution over completed requests that
+    /// emitted one.
     pub ttft: LatencyStats,
     /// Time per output token distribution over completed requests.
     pub tpot: LatencyStats,
@@ -188,6 +171,8 @@ pub struct ServingReport {
 /// assembling a [`ServingReport`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunTotals {
+    /// Requests injected into the cluster.
+    pub injected: usize,
     /// Requests still queued (never admitted) when `finish` runs before
     /// the run drains.
     pub queued_at_horizon: usize,
@@ -209,19 +194,20 @@ pub struct RunTotals {
 }
 
 impl ServingReport {
-    /// Builds the report from raw records plus engine-level counters, in
-    /// one pass over the records. Their order does not matter: the report
-    /// counts them, sums integers and sorts every latency sample.
+    /// Builds the report from the finished requests' records plus
+    /// cluster-level counters, in one pass over the records. Their order
+    /// does not matter: the report counts them, sums integers and sorts
+    /// every latency sample.
     pub fn from_records<'a>(
         records: impl IntoIterator<Item = &'a RequestRecord>,
         slo: &SloConfig,
         offered_rps: Option<f64>,
         totals: RunTotals,
     ) -> ServingReport {
-        let (mut injected, mut completed, mut met, mut out_tokens) = (0, 0, 0, 0u64);
+        let injected = totals.injected;
+        let (mut completed, mut met, mut out_tokens) = (0, 0, 0u64);
         let (mut ttft, mut tpot, mut e2e) = (Vec::new(), Vec::new(), Vec::new());
         for r in records {
-            injected += 1;
             if r.completed() {
                 completed += 1;
                 met += usize::from(r.meets_slo(slo));
@@ -266,19 +252,7 @@ mod tests {
     use super::*;
 
     fn record(arrival: f64, first: f64, done: f64, decode: usize) -> RequestRecord {
-        RequestRecord {
-            id: 0,
-            prompt_len: 32,
-            decode_len: decode,
-            arrival_s: arrival,
-            admitted_s: arrival,
-            queue_wait_s: 0.0,
-            first_token_s: first,
-            completed_s: done,
-            evictions: 0,
-            cached_prefix_tokens: 0,
-            shared_prefix: None,
-        }
+        RequestRecord { arrival_s: arrival, first_token_s: first, completed_s: done, decode_len: decode }
     }
 
     #[test]
@@ -288,6 +262,11 @@ mod tests {
         assert!((r.tpot_s().unwrap() - 0.1).abs() < 1e-12);
         assert!((r.e2e_s().unwrap() - 1.5).abs() < 1e-12);
         assert!(r.completed());
+    }
+
+    #[test]
+    fn a_record_is_four_words() {
+        assert_eq!(std::mem::size_of::<RequestRecord>(), 32);
     }
 
     #[test]
@@ -373,6 +352,7 @@ mod tests {
         let records =
             vec![record(0.0, 0.5, 1.0, 11), record(0.0, 2.0, 2.5, 11), record(0.5, f64::NAN, f64::NAN, 10)];
         let totals = RunTotals {
+            injected: 3,
             queued_at_horizon: 0,
             in_flight_at_horizon: 1,
             dropped: 0,

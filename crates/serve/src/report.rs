@@ -104,10 +104,9 @@ pub struct RunReport {
     pub schema_version: u32,
     /// The deployment shape and policies of the run.
     pub deployment: DeploymentInfo,
-    /// SLO metrics over the per-request records. In a disaggregated run a
-    /// request handed off to the decode pool is read from its decode-side
-    /// record alone, which carries the original arrival; a prefill record
-    /// is read only while its request was never handed off.
+    /// SLO metrics over the finished requests' records. In a
+    /// disaggregated run the decode wafer that finishes a request records
+    /// it, with the original arrival; the prefill pool records none.
     pub serving: ServingReport,
     /// KV-migration accounting (`Some` iff the deployment is
     /// disaggregated).

@@ -349,12 +349,13 @@ impl Scenario {
     /// a config hash that differs from this scenario's (it guards against
     /// resuming foreign state), a different number of wafers, fault state
     /// the scenario's fault config or deployment does not match, an index
-    /// past the workload, the records or the deployment, an arrival cursor
-    /// that differs from the records of the entry pool, pending rows whose
-    /// wire tokens or token sums do not fit the engine's queue counters, KV
-    /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]), an
-    /// active set that is not the resident set, or an active row whose
-    /// progress differs from its resident KV.
+    /// past the workload or the deployment, a sequence id past its
+    /// engine's submissions, pending rows whose wire tokens or token sums
+    /// do not fit the engine's queue counters, KV rows that do not fit
+    /// `system` ([`crate::SnapshotErrorKind::Kv`]), an active set that is
+    /// not the resident set, an active row whose progress differs from its
+    /// resident KV, or an arrival cursor that differs from the requests
+    /// the engines hold (finished, queued, resident or dropped).
     ///
     /// # Panics
     ///
@@ -563,8 +564,10 @@ impl RunState {
         let RunState { mut driver, scenario } = self;
         let timed = scenario.timed();
         // The run's end instant: the engine-clock frontier, at least the
-        // last arrival.
-        let end_s = driver.engines.iter().map(Engine::clock_s).fold(timed.last_arrival_s(), f64::max);
+        // last routed arrival. A run stopped early ends there, not at
+        // arrivals it never reached.
+        let last_routed_s = timed.arrivals[..driver.routed].iter().map(|a| a.arrival_s).fold(0.0, f64::max);
+        let end_s = driver.engines.iter().map(Engine::clock_s).fold(last_routed_s, f64::max);
         driver.telemetry_finish(end_s);
         let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info());
         let trace = scenario.trace.then(|| {
@@ -663,16 +666,6 @@ impl Driver {
         driver
     }
 
-    /// Size of the entry pool the router selects over: the prefill pool,
-    /// or every wafer of a colocated deployment.
-    pub(crate) fn entry_len(&self) -> usize {
-        if self.prefill_wafers > 0 {
-            self.prefill_wafers
-        } else {
-            self.engines.len()
-        }
-    }
-
     /// The engine whose next event is earliest; ties resolve toward the
     /// lowest global wafer index, so runs are deterministic. Ordering by
     /// next event — not raw clock — matters: stepping an idle engine
@@ -738,8 +731,8 @@ impl Driver {
         let completions = self.engines[i].step();
         self.refresh_engine(i);
         if i < self.prefill_wafers {
-            for (rec, t_done) in completions {
-                stage::migrate::migrate(self, i, rec, t_done);
+            for done in completions {
+                stage::migrate::migrate(self, i, done);
             }
         } else {
             self.completed += completions.len() as u64;
@@ -791,11 +784,11 @@ impl Driver {
         }
     }
 
-    /// Assembles the unified report. A disaggregated request's latency
-    /// lives in its decode-side record (which carries the original
-    /// arrival), so the records reported are the decode pool's plus the
-    /// prefill records never handed off; KV migration accounting is
-    /// reconciled against both pools' managers.
+    /// Assembles the unified report. Only the decode side finishes a
+    /// request, so every engine's records are the finished requests (a
+    /// disaggregated one carries its original arrival across the
+    /// migration), and every routed arrival is injected; KV migration
+    /// accounting is reconciled against both pools' managers.
     fn report(
         &self,
         timed: &TimedTrace,
@@ -804,14 +797,8 @@ impl Driver {
         deployment: DeploymentInfo,
     ) -> RunReport {
         // A colocated run has no prefill pool, so every engine is on the
-        // decode side. A prefill record was handed off when its retire
-        // stamped `completed_s`; the decode side then owns the request.
+        // decode side.
         let (prefill, decode) = self.engines.split_at(self.prefill_wafers);
-        let records = decode
-            .iter()
-            .flat_map(Engine::records)
-            .chain(prefill.iter().flat_map(Engine::records).filter(|r| !r.completed()));
-
         let queued: usize = self.engines.iter().map(Engine::queue_len).sum();
         let in_flight: usize = self.engines.iter().map(Engine::resident).sum();
         let dropped: usize = self.engines.iter().map(|e| e.stats().dropped as usize).sum();
@@ -864,10 +851,11 @@ impl Driver {
         };
 
         let serving = ServingReport::from_records(
-            records,
+            self.engines.iter().flat_map(Engine::records),
             slo,
             Some(timed.config.offered_rps()),
             RunTotals {
+                injected: self.routed,
                 queued_at_horizon: queued,
                 in_flight_at_horizon: in_flight,
                 dropped,
@@ -1039,6 +1027,23 @@ mod tests {
         );
         assert!(s.injected < 500, "stopping early must leave late arrivals unrouted");
         assert!(s.queued_at_horizon + s.in_flight_at_horizon > 0);
+    }
+
+    #[test]
+    fn a_run_stopped_early_ends_at_its_own_frontier() {
+        // `horizon_truncates_and_conserves`'s run: the report spans what the
+        // run reached, the engine clocks and the last arrival it routed, not
+        // the trace's last arrival at 0.00981 s.
+        let sys = tiny_system();
+        let t = timed(500, 50_000.0, 4);
+        let scenario = Scenario::colocated(1).router(routers::round_robin()).slo(slo()).workload(t.clone());
+        let mut run = scenario.start(&sys).unwrap();
+        run.run_until(0.005);
+        let last_routed_s = t.arrivals[t.len() - run.waiting() - 1].arrival_s;
+        let end_s = run.engines().iter().map(Engine::clock_s).fold(last_routed_s, f64::max);
+        let duration_s = run.finish().report.serving.duration_s;
+        assert_eq!(duration_s, end_s);
+        assert!(duration_s < t.last_arrival_s(), "{duration_s} s spans arrivals never routed");
     }
 
     #[test]
@@ -1294,15 +1299,19 @@ mod tests {
             small.arrive_s,
             bulk.arrive_s
         );
-        let records = outcome.decode_engines()[0].records();
-        let b = records.iter().find(|r| r.id == 1).unwrap();
+        // The small request's admission on the decode wafer, global wafer 2.
+        let events = outcome.trace().expect("the run was traced").events();
+        let admitted_s = events
+            .iter()
+            .find(|ev| ev.req == Some(1) && ev.wafer == 2 && matches!(ev.kind, EventKind::Admission { .. }))
+            .expect("the small request is admitted on the decode wafer")
+            .t_s;
         assert!(
-            b.admitted_s < bulk.arrive_s,
+            admitted_s < bulk.arrive_s,
             "the early-landing migration (landed {}) must be admitted before the bulk one lands \
-             ({}), not at the decode engine's pre-committed clock: admitted {}",
+             ({}), not at the decode engine's pre-committed clock: admitted {admitted_s}",
             small.arrive_s,
             bulk.arrive_s,
-            b.admitted_s
         );
     }
 

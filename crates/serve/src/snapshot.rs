@@ -55,7 +55,7 @@ use crate::fault::{fault_window_s, FaultConfig, FaultInjector, FaultInjectorSnap
 use crate::metrics::{RequestRecord, SloConfig};
 use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
-use crate::stage::{ActiveSeq, PendingReq};
+use crate::stage::{ActiveSeq, InFlight, PendingReq};
 use ouro_kvcache::{
     CrossbarSnapshot, KvManager, KvManagerSnapshot, KvRestoreError, KvTransferStats, SharedChainSnapshot,
     SnapshotSeqBlocks,
@@ -65,11 +65,12 @@ use ouro_trace::json::{fnv1a_extend, JsonError, RowReader, Value, FNV1A_OFFSET};
 use ouro_trace::TelemetryConfig;
 use ouro_workload::{ArrivalConfig, Request, SharedPrefix, TimedRequest, TimedTrace};
 use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::marker::PhantomData;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] rejects any other.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -82,7 +83,6 @@ pub struct Snapshot {
     /// ([`config_hash`]): resuming under a differently-configured scenario
     /// is a hard error, not silent drift.
     pub(crate) config_hash: u64,
-    pub(crate) completed: u64,
     pub(crate) router_state: u64,
     pub(crate) placement_state: u64,
     /// The arrival cursor: trace arrivals routed so far. The rest of the
@@ -104,10 +104,15 @@ pub(crate) struct EngineSnapshot {
     /// config value cannot be assumed on resume).
     pub(crate) mean_hops: f64,
     pub(crate) stats: EngineStats,
+    /// The engine's submission counter, its next KV sequence id.
+    pub(crate) submitted: u64,
+    /// The records of the requests the engine finished.
     pub(crate) records: Vec<RequestRecord>,
     /// The pending arena's live entries `(ready_s, event)` in queue order
     /// ([`crate::arena::IndexQueue::entries`]); restored by `push_back` in
-    /// order, which preserves relative ranks.
+    /// order, which preserves relative ranks. In a parsed snapshot each
+    /// in-flight entry knows only its request's trace index, and resume
+    /// reads the rest of the request and its arrival from the trace.
     pub(crate) pending: Vec<(f64, PendingReq)>,
     pub(crate) active: Vec<ActiveSeq>,
     pub(crate) kv: KvManagerSnapshot,
@@ -120,7 +125,6 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
     Snapshot {
         schema_version: SNAPSHOT_SCHEMA_VERSION,
         config_hash: config_hash(scenario),
-        completed: d.completed,
         router_state: d.router.checkpoint_state(),
         placement_state: d.placement.checkpoint_state(),
         routed: d.routed,
@@ -136,6 +140,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                     admission_suspended: e.admission_suspended,
                     mean_hops: e.times.mean_hops,
                     stats: e.stats,
+                    submitted: e.submitted,
                     records: e.records.clone(),
                     pending: e.pending.entries(),
                     active,
@@ -154,16 +159,18 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 ///
 /// Returns the [`SnapshotError`] of the first state that does not fit: a
 /// config hash or wafer count that differs from the scenario's, an arrival
-/// cursor past the workload or different from the number of records on the
-/// entry pool (each routed arrival makes exactly one there), fault state
-/// its fault config does not match, a pending or active index past the
-/// records, a local pending row carrying wire tokens, pending rows whose
-/// token sums overflow the engine's queue counters, KV rows that do not
-/// fit the system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]),
-/// fault state that does not fit the deployment, an active row that is not
+/// cursor past the workload, fault state its fault config does not match,
+/// a pending or active row whose trace index is past the trace or whose
+/// sequence id is at or past its engine's submission counter, a local
+/// pending row carrying wire tokens, pending rows whose token sums
+/// overflow the engine's queue counters, KV rows that do not fit the
+/// system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault
+/// state that does not fit the deployment, an active row that is not
 /// resident, whose prompt plus decoded tokens differ from its resident KV
-/// or that repeats a record, or a resident sequence with no active row.
-/// Every check runs before the [`RunState`] is returned.
+/// or that repeats a sequence, a resident sequence with no active row, or
+/// an arrival cursor that breaks the conservation identity: every routed
+/// arrival is finished (a record), queued, resident or dropped, on exactly
+/// one engine. Every check runs before the [`RunState`] is returned.
 ///
 /// # Panics
 ///
@@ -189,6 +196,8 @@ pub(crate) fn rebuild(
     };
 
     let mut engines = Vec::with_capacity(total);
+    // The requests the engines hold, summed wide so no count overflows.
+    let mut held = 0u128;
     for (wafer, es) in snap.engines.iter().enumerate() {
         let reject = |section, kind| reject(Some(wafer), section, kind);
         let manager = KvManager::restore(system.serve_kv_config(), &es.kv)
@@ -196,17 +205,28 @@ pub(crate) fn rebuild(
         let mut e = scenario.wafer_engine(system, wafer, manager);
         e.set_mean_hops(es.mean_hops);
         e.records = es.records.clone();
+        e.submitted = es.submitted;
+        held +=
+            (es.records.len() + es.pending.len() + es.active.len()) as u128 + u128::from(es.stats.dropped);
+        // A row names its request by trace index; the request and its
+        // arrival are the trace's.
+        let in_flight = |req: InFlight, section| -> Result<InFlight, SnapshotError> {
+            let id = req.request.id;
+            let arrival = timed.arrivals.get(id).ok_or(reject(section, K::IndexOutOfRange))?;
+            ensure(req.seq < es.submitted, reject(section, K::IndexOutOfRange))?;
+            Ok(InFlight { request: Request { id, ..arrival.request }, arrival_s: arrival.arrival_s, ..req })
+        };
         // The queue counters are running sums over the pending rows, kept
         // the way `submit_with` and an eviction add them: prompt plus
         // decoded tokens per row, wire tokens per imported row. Summed
         // wide, so no row can overflow them unnoticed.
         let (mut tokens, mut wire_tokens) = (0u128, 0u128);
-        for &(ready_s, req) in &es.pending {
-            let r = e.records.get(req.rec).ok_or(reject(Pending::NAME, K::IndexOutOfRange))?;
-            ensure(req.imported || req.wire_tokens == 0, reject(Pending::NAME, K::LocalWireTokens))?;
-            tokens += r.prompt_len as u128 + req.decoded as u128;
-            wire_tokens += req.wire_tokens as u128;
-            e.pending.push_back(ready_s, req);
+        for &(ready_s, p) in &es.pending {
+            let req = in_flight(p.req, Pending::NAME)?;
+            ensure(p.imported || p.wire_tokens == 0, reject(Pending::NAME, K::LocalWireTokens))?;
+            tokens += req.request.prompt_len as u128 + p.decoded as u128;
+            wire_tokens += p.wire_tokens as u128;
+            e.pending.push_back(ready_s, PendingReq { req, ..p });
         }
         let overflow = |_| reject(Pending::NAME, K::CounterOverflow);
         e.pending_tokens = usize::try_from(tokens).map_err(overflow)?;
@@ -214,18 +234,18 @@ pub(crate) fn rebuild(
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
-        let mut listed = vec![false; e.records.len()];
+        let mut listed = BTreeSet::new();
         for a in &es.active {
-            let seq = a.rec as u64;
-            let r = e.records.get(a.rec).ok_or(reject(Active::NAME, K::IndexOutOfRange))?;
+            let req = in_flight(a.req, Active::NAME)?;
+            let seq = req.seq;
             let slot = e.manager.slot_of(seq).ok_or(reject(Active::NAME, K::NotResident))?;
-            let progress = r.prompt_len.checked_add(a.decoded);
+            let progress = req.request.prompt_len.checked_add(a.decoded);
             ensure(e.manager.sequence_tokens(seq) == progress, reject(Active::NAME, K::ProgressMismatch))?;
-            ensure(!std::mem::replace(&mut listed[a.rec], true), reject(Active::NAME, K::DuplicateActive))?;
-            e.push_active(ActiveSeq { kv_slot: slot, decode_len: r.decode_len, ..*a });
+            ensure(listed.insert(seq), reject(Active::NAME, K::DuplicateActive))?;
+            e.push_active(ActiveSeq { req, kv_slot: slot, ..*a });
         }
-        // Every active row is resident and names its own record, so equal
-        // counts make every resident sequence active.
+        // Every active row is resident and names its own sequence, so
+        // equal counts make every resident sequence active.
         ensure(e.manager.resident_sequences() == es.active.len(), reject(KvResident::NAME, K::Unserved))?;
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
@@ -233,16 +253,18 @@ pub(crate) fn rebuild(
         engines.push(e);
     }
 
+    // The conservation identity: each routed arrival is finished, queued,
+    // resident or dropped, on exactly one engine.
+    ensure(held == snap.routed as u128, reject(None, Meta::NAME, K::RoutedMismatch))?;
     let mut run = RunState::new(scenario, system, engines, injector);
     let d = &mut run.driver;
-    // Each routed arrival made exactly one record on the entry pool.
-    let entry_records: usize = d.engines[..d.entry_len()].iter().map(|e| e.records.len()).sum();
-    ensure(snap.routed == entry_records, reject(None, Meta::NAME, K::RoutedMismatch))?;
     d.routed = snap.routed;
     d.router.restore_state(snap.router_state);
     d.placement.restore_state(snap.placement_state);
     d.migrations = snap.migrations;
-    d.completed = snap.completed;
+    // A record is a finished request, so the records count the driver's
+    // completions.
+    d.completed = snap.engines.iter().map(|es| es.records.len() as u64).sum();
     Ok(run)
 }
 
@@ -404,11 +426,13 @@ pub enum SnapshotErrorKind {
     /// The snapshot has fault state exactly when the scenario has no fault
     /// config.
     FaultState,
-    /// An index past the workload, the records or the deployment, or a
-    /// wafer's fired-fault count past the faults its window holds.
+    /// An index past the workload, a sequence id at or past its engine's
+    /// submission counter, or a wafer's fired-fault count past the faults
+    /// its window holds.
     IndexOutOfRange,
-    /// The arrival cursor differs from the number of records on the entry
-    /// pool, where each routed arrival makes exactly one.
+    /// The arrival cursor differs from the requests the engines hold:
+    /// their records, pending and active rows and drops, where each
+    /// routed arrival is exactly one of them.
     RoutedMismatch,
     /// A local pending row carries wire tokens.
     LocalWireTokens,
@@ -419,7 +443,7 @@ pub enum SnapshotErrorKind {
     /// An active row's prompt plus decoded tokens differ from its resident
     /// KV.
     ProgressMismatch,
-    /// Two active rows name one record.
+    /// Two active rows name one sequence.
     DuplicateActive,
     /// A resident sequence has no active row.
     Unserved,
@@ -719,9 +743,6 @@ struct_codecs! {
         exported_sequences: U64, exported_tokens: U64, imported_sequences: U64, imported_tokens: U64,
     ]
 
-    /// A request's shared-prefix tag.
-    Prefix: SharedPrefix = ':' [group: U64, tokens: USIZE]
-
     /// One crossbar's failure flag and block table (`-` for a free block,
     /// else `owner:used`).
     Crossbar: CrossbarSnapshot = '!' [failed: FLAG, blocks: List(',', Opt(Tup(':', (U64, USIZE))))]
@@ -739,7 +760,9 @@ const SECTION_KEY: &str = "section";
 /// The key that follows it on per-wafer rows.
 const WAFER_KEY: &str = "wafer";
 /// Keys that more than one section has.
-const REC: &str = "rec";
+const ID: &str = "id";
+const SEQ: &str = "seq";
+const FIRST_TOKEN: &str = "first_token_s";
 const DECODED: &str = "decoded";
 const PREFILL_ONLY: &str = "prefill_only";
 const ENTRIES: &str = "entries";
@@ -805,34 +828,47 @@ macro_rules! rows {
 rows! {
     Meta = "meta": Snapshot rest { engines, injector } [
         "schema_version" => schema_version: Version, "config_hash" => config_hash: Bits,
-        "completed" => completed: U64, "migrations" => migrations: Migrations,
+        "migrations" => migrations: Migrations,
         "router_state" => router_state: U64, "placement_state" => placement_state: U64,
         "routed" => routed: USIZE,
     ]
 
     Engine = "engine": EngineSnapshot rest { records, pending, active, kv } [
         "clock_s" => clock_s: Float, "busy_s" => busy_s: Float, "suspended" => admission_suspended: FLAG,
-        "mean_hops" => mean_hops: Float, "stats" => stats: Stats,
+        "mean_hops" => mean_hops: Float, "stats" => stats: Stats, "submitted" => submitted: U64,
     ]
 
     Record = "record": RequestRecord [
-        "id" => id: USIZE, "prompt" => prompt_len: USIZE, "decode" => decode_len: USIZE,
-        "arrival_s" => arrival_s: Float, "admitted_s" => admitted_s: Float, "queue_wait_s" => queue_wait_s: Float,
-        "first_token_s" => first_token_s: Float, "completed_s" => completed_s: Float,
-        "evictions" => evictions: U32, "cached_prefix" => cached_prefix_tokens: USIZE,
-        "shared" => shared_prefix: Opt(Prefix),
+        "arrival_s" => arrival_s: Float, FIRST_TOKEN => first_token_s: Float,
+        "completed_s" => completed_s: Float, "decode" => decode_len: USIZE,
     ]
 
+    // An in-flight row names its request by trace index; resume reads the
+    // rest of the request, and its arrival, from the trace.
     Pending = "pending": (f64, PendingReq) => (f64, PendingReq) {
-        (ready_s, PendingReq { rec, decoded, imported, wire_tokens, evicted, prefill_only })
-    } [
-        "ready_s" => ready_s: Float, REC => rec: USIZE, DECODED => decoded: USIZE, "imported" => imported: FLAG,
-        "wire_tokens" => wire_tokens: USIZE, "evicted" => evicted: FLAG, PREFILL_ONLY => prefill_only: FLAG,
+        (ready_s, PendingReq {
+            req: InFlight {
+                request: Request { id, prompt_len, decode_len, shared_prefix }, arrival_s, first_token_s, seq,
+            },
+            decoded, imported, wire_tokens, evicted, prefill_only,
+        })
+    } rest { prompt_len, decode_len, shared_prefix, arrival_s } [
+        "ready_s" => ready_s: Float, ID => id: USIZE, SEQ => seq: U64, FIRST_TOKEN => first_token_s: Float,
+        DECODED => decoded: USIZE, "imported" => imported: FLAG, "wire_tokens" => wire_tokens: USIZE,
+        "evicted" => evicted: FLAG, PREFILL_ONLY => prefill_only: FLAG,
     ]
 
     // The derived fields are rebuilt from the restored state on resume.
-    Active = "active": ActiveSeq rest { kv_slot, decode_len, since } [
-        REC => rec: USIZE, "prefill_remaining" => prefill_remaining: USIZE, DECODED => decoded: USIZE,
+    Active = "active": ActiveSeq => ActiveSeq {
+        ActiveSeq {
+            req: InFlight {
+                request: Request { id, prompt_len, decode_len, shared_prefix }, arrival_s, first_token_s, seq,
+            },
+            prefill_remaining, decoded, admission_order, prefill_only, kv_slot, since,
+        }
+    } rest { prompt_len, decode_len, shared_prefix, arrival_s, kv_slot, since } [
+        ID => id: USIZE, SEQ => seq: U64, FIRST_TOKEN => first_token_s: Float,
+        "prefill_remaining" => prefill_remaining: USIZE, DECODED => decoded: USIZE,
         "admission_order" => admission_order: U64, PREFILL_ONLY => prefill_only: FLAG,
     ]
 
@@ -983,20 +1019,32 @@ impl<'a> Rows<'a> {
 }
 
 impl Snapshot {
-    /// About how many bytes [`Snapshot::to_json`] writes, from the typical
-    /// rendered length of each row and list item, so the document is
-    /// allocated once.
+    /// About how many bytes [`Snapshot::to_json`] writes, a little more
+    /// than its rows take at their usual widths (16-digit floats, ids of
+    /// up to five digits), so the document is allocated once.
     fn json_len(&self) -> usize {
-        let mut len = 1024;
+        // The brackets and the meta row.
+        let mut len = 256;
         for e in &self.engines {
-            let blocks = e.kv.key_cores.iter().chain(&e.kv.value_cores).flatten().map(|xb| xb.blocks.len());
-            let listed = e.kv.seq_blocks.iter().map(|(_, blocks)| blocks.len());
-            len += 4096 + 300 * e.records.len() + 160 * (e.pending.len() + e.active.len());
-            len += 4 * blocks.sum::<usize>() + 16 * listed.sum::<usize>();
+            let kv = &e.kv;
+            let cores = kv.key_cores.len() + kv.value_cores.len();
+            let crossbars = kv.key_cores.iter().chain(&kv.value_cores).flatten();
+            let (xbs, blocks) = crossbars.fold((0, 0), |(x, b), xb| (x + 1, b + xb.blocks.len()));
+            let listed: usize = kv.seq_blocks.iter().map(|(_, blocks)| blocks.len()).sum();
+            let nodes: usize = kv.shared.iter().map(|(_, chain)| chain.nodes.len()).sum();
+            // The engine and kv rows and the fixed part of the three
+            // list rows; then each request row.
+            len += 512 + 150 * e.records.len() + 210 * e.pending.len() + 180 * e.active.len();
+            // A core row lists its crossbars and their blocks, `-` when
+            // free, `owner:used` when not; each sequence block is also
+            // listed in the kv_seq_blocks row, and each chain node owns a
+            // block per side under a 19-digit owner.
+            len += 72 * cores + 3 * xbs + 2 * blocks + 20 * listed;
+            len += 96 * kv.shared.len() + 64 * nodes + 16 * (kv.resident_tokens.len() + kv.seq_shared.len());
         }
         if let Some(inj) = &self.injector {
-            let cores = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len());
-            len += 512 + 160 * inj.wafers.len() + 8 * cores.sum::<usize>();
+            let cores: usize = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len()).sum();
+            len += 64 + 128 * inj.wafers.len() + 4 * cores;
         }
         len
     }
@@ -1134,8 +1182,8 @@ mod tests {
             (Some(false), Some(true), None, None)
         );
         assert_eq!((SIDE.take("k"), SIDE.take("v"), SIDE.take("K")), (Some(false), Some(true), None));
-        assert_eq!(Version.take("5"), Some(SNAPSHOT_SCHEMA_VERSION));
-        assert_eq!(Version.take("4"), None);
+        assert_eq!(Version.take("6"), Some(SNAPSHOT_SCHEMA_VERSION));
+        assert_eq!(Version.take("5"), None);
         let list = List(';', USIZE);
         assert_eq!(
             (list.take(""), list.take("4"), list.take("1;2")),
@@ -1152,8 +1200,6 @@ mod tests {
         let four = Arr::<_, 4>(List('|', U64));
         assert_eq!(four.take("1|2|3|4"), Some([1, 2, 3, 4]));
         assert_eq!((four.take("1|2|3"), four.take("1|2|3|4|5")), (None, None));
-        assert_eq!(Prefix.take("7:64"), Some(SharedPrefix { group: 7, tokens: 64 }));
-        assert_eq!(Prefix.take("7:64:1"), None);
     }
 
     #[test]
@@ -1185,6 +1231,52 @@ mod tests {
         changes("the placement", &|s| s.placement = placements::prefix_affinity());
         changes("prefix caching", &|s| s.prefix_caching = !s.prefix_caching);
         changes("the fault seed", &|s| s.fault.as_mut().unwrap().seed += 1);
+    }
+
+    #[test]
+    fn to_json_allocates_its_document_once() {
+        // The checkpoint tests' golden shapes at their midpoints, and the
+        // saturated long-decode one at 0.25 s, whose queue holds evictions.
+        use ouro_model::zoo;
+        use ouro_sim::OuroborosConfig;
+        use ouro_workload::{LengthConfig, TraceGenerator};
+        let sys = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();
+        let slo = SloConfig { ttft_s: 0.5, tpot_s: 0.05 };
+        let fixed = |seed, prompt, decode, n, rate_rps| {
+            let trace = TraceGenerator::new(seed).generate(&LengthConfig::fixed(prompt, decode), n);
+            ArrivalConfig::Poisson { rate_rps }.assign(&trace, seed)
+        };
+        let chat = SessionConfig::chat(4, 0.5).generate(40, 23);
+        let chat = ArrivalConfig::Poisson { rate_rps: 400.0 }.assign(&chat, 23);
+        let bursty = SessionConfig::chat(3, 0.4).generate(32, 53);
+        let bursty = ArrivalConfig::Bursty { rate_rps: 350.0, cv: 4.0 }.assign(&bursty, 53);
+        let saturated = fixed(71, 128, 2048, 64, 4000.0);
+        let shapes = [
+            Scenario::colocated(2).prefix_caching(false).workload(fixed(11, 96, 24, 36, 300.0)),
+            Scenario::disaggregated(1, 2).workload(chat),
+            Scenario::colocated(2).faults(FaultConfig::new(0.08, 37)).workload(fixed(37, 128, 16, 30, 300.0)),
+            Scenario::disaggregated(1, 1).faults(FaultConfig::new(0.025, 53)).workload(bursty),
+        ];
+        let mut runs: Vec<(Scenario, f64)> = shapes
+            .into_iter()
+            .map(|s| {
+                let mid_s = s.timed().last_arrival_s() * 0.5;
+                (s.slo(slo), mid_s)
+            })
+            .collect();
+        runs.push((Scenario::colocated(1).prefix_caching(false).workload(saturated), 0.25));
+        for (i, (scenario, mid_s)) in runs.iter().enumerate() {
+            let mut run = scenario.start(&sys).unwrap();
+            run.run_until(*mid_s);
+            let snap = scenario.checkpoint(&run);
+            let (json, reserved) = (snap.to_json(), snap.json_len());
+            assert_eq!(json.capacity(), reserved, "shape {i}: the document outgrew its estimate");
+            assert!(
+                4 * reserved <= 5 * json.len(),
+                "shape {i}: {reserved} bytes reserved for {}",
+                json.len()
+            );
+        }
     }
 
     #[test]

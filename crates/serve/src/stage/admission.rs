@@ -17,12 +17,6 @@ use crate::engine::{Engine, MAX_BATCH};
 use ouro_kvcache::KvError;
 use ouro_trace::EventKind;
 
-/// Tokens a pending request will occupy at admission (prompt plus any
-/// decode progress that survives an eviction).
-pub(crate) fn resident_demand(e: &Engine, p: &PendingReq) -> usize {
-    e.records[p.rec].prompt_len + p.decoded
-}
-
 /// Admission phase of one iteration: FCFS continuous batching with
 /// most-recently-admitted eviction.
 pub(crate) fn admit_waiting(e: &mut Engine) {
@@ -38,24 +32,25 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         // submitted earlier), so an unready head must not block a landed
         // request behind it. The arena's readiness/rank heaps answer
         // this in O(log n) where the deque took a linear scan.
-        let Some((slot, ready_s, front)) = e.pending.peek_ready(e.clock_s) else {
+        let Some((slot, _, front)) = e.pending.peek_ready(e.clock_s) else {
             break; // nothing has arrived (or finished migrating) yet
         };
         #[cfg(debug_assertions)]
         {
             // Differential check against the old FCFS position scan.
             let naive =
-                e.pending.entries().iter().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.rec);
+                e.pending.entries().iter().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.req.seq);
             debug_assert_eq!(
-                Some(front.rec),
+                Some(front.req.seq),
                 naive,
                 "arena admission pick diverged from the naive FCFS scan"
             );
         }
-        let tokens = resident_demand(e, &front);
-        let seq_id = front.rec as u64;
+        // The prompt plus any decode progress that survived an eviction.
+        let tokens = front.req.request.prompt_len + front.decoded;
+        let (seq_id, req) = (front.req.seq, Some(front.req.request.id));
         let prefix = if e.prefix_caching {
-            e.records[front.rec].shared_prefix.map(|p| (p.group, p.tokens))
+            front.req.request.shared_prefix.map(|p| (p.group, p.tokens))
         } else {
             None
         };
@@ -87,13 +82,6 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 if front.evicted {
                     e.stats.recomputed_tokens += prefill_charge as u64;
                 }
-                let r = &mut e.records[front.rec];
-                if r.admitted_s.is_nan() {
-                    r.admitted_s = e.clock_s;
-                }
-                r.queue_wait_s += (e.clock_s - ready_s).max(0.0);
-                r.cached_prefix_tokens = cached;
-                let req = Some(r.id);
                 e.tracer.emit(
                     e.clock_s,
                     req,
@@ -110,13 +98,12 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     e.tracer.emit(e.clock_s, req, EventKind::PrefillStart { tokens: prefill_charge });
                 }
                 let admitted = ActiveSeq {
-                    rec: front.rec,
+                    req: front.req,
                     prefill_remaining: prefill_charge,
                     decoded: front.decoded,
                     admission_order,
                     prefill_only: front.prefill_only,
                     kv_slot: e.manager.slot_of(seq_id).expect("an admitted sequence is resident"),
-                    decode_len: r.decode_len,
                     since: 0,
                 };
                 e.push_active(admitted);
@@ -135,7 +122,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     if front.imported {
                         e.stats.dropped_imported_tokens += front.wire_tokens as u64;
                     }
-                    e.tracer.emit(e.clock_s, Some(e.records[front.rec].id), EventKind::Drop);
+                    e.tracer.emit(e.clock_s, req, EventKind::Drop);
                     continue;
                 }
                 // Evicting a lone resident would re-admit it at the same
@@ -174,11 +161,10 @@ pub(crate) fn evict_most_recent(e: &mut Engine) {
 pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
     let resident = e.resident_tokens(&victim);
     e.stats.evictions += 1;
-    e.records[victim.rec].evictions += 1;
-    e.manager.release(victim.rec as u64);
+    e.manager.release(victim.req.seq);
     e.tracer.emit(
         e.clock_s,
-        Some(e.records[victim.rec].id),
+        Some(victim.req.request.id),
         EventKind::Evict { resident_tokens: resident, fault },
     );
     // An evicted import loses its migrated KV: it re-enters as a local
@@ -187,7 +173,7 @@ pub(crate) fn requeue_evicted(e: &mut Engine, victim: ActiveSeq, fault: bool) {
     e.pending.push_front(
         e.clock_s,
         PendingReq {
-            rec: victim.rec,
+            req: victim.req,
             decoded: victim.decoded,
             imported: false,
             wire_tokens: 0,

@@ -14,7 +14,8 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace) {
     let index = d.routed;
     let arrival = timed.arrivals[index];
     let request = arrival.request;
-    let entry = d.entry_len();
+    // The entry pool: the prefill pool, or every wafer when colocated.
+    let entry = if d.prefill_wafers > 0 { d.prefill_wafers } else { d.engines.len() };
     let wafer = d.router.route(&d.engines[..entry], &request);
     assert!(wafer < entry, "router returned wafer {wafer} of an {entry}-wafer pool");
     d.tracer.emit_for(

@@ -58,13 +58,14 @@ fn full_pass(e: &Engine) -> (usize, u64, usize) {
     for (a, &next) in e.active.iter().zip(&e.next_event) {
         let lazy = a.lazy(now);
         let decoded = a.decoded + lazy;
-        assert_eq!(e.manager.sequence_tokens(a.rec as u64), Some(e.resident_tokens(a)));
-        assert!(lazy <= e.manager.room(a.kv_slot), "sequence {} passed its block boundary", a.rec);
-        assert_eq!(next, e.event_step(a), "sequence {} has a stale event", a.rec);
+        let seq = a.req.seq;
+        assert_eq!(e.manager.sequence_tokens(seq), Some(e.resident_tokens(a)));
+        assert!(lazy <= e.manager.room(a.kv_slot), "sequence {seq} passed its block boundary");
+        assert_eq!(next, e.event_step(a), "sequence {seq} has a stale event");
         ctx_tokens += (e.resident_tokens(a) + lazy) as u64;
         if a.prefill_remaining > 0 {
             step_tokens += a.prefill_remaining.min(PREFILL_CHUNK);
-        } else if !a.prefill_only && decoded < a.decode_len {
+        } else if !a.prefill_only && decoded < a.req.request.decode_len {
             step_tokens += 1;
             lazy_tokens += lazy;
         }
@@ -83,8 +84,8 @@ pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
 /// Handles a decode event of active sequence `i`: its first token, the
 /// token that needs a new KV block, or its last token. The lazy tokens
 /// and this step's token reach the KV manager in one append; a failure to
-/// grow marks the sequence for eviction instead. The record is read only
-/// for the first token.
+/// grow marks the sequence for eviction instead. The first token stamps
+/// the entry's `first_token_s`.
 pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mut Vec<usize>) {
     let a = e.active[i];
     if !a.decoding() {
@@ -96,12 +97,10 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mu
         Ok(()) => {
             // Decode progress survives eviction, so no decoded token yet
             // means no first token yet.
-            debug_assert_eq!(a.decoded == 0, e.records[a.rec].first_token_s.is_nan());
+            debug_assert_eq!(a.decoded == 0, a.req.first_token_s.is_nan());
             if a.decoded == 0 {
-                let rec = &mut e.records[a.rec];
-                rec.first_token_s = end_s;
-                let id = rec.id;
-                e.tracer.emit(end_s, Some(id), EventKind::FirstToken);
+                e.active[i].req.first_token_s = end_s;
+                e.tracer.emit(end_s, Some(a.req.request.id), EventKind::FirstToken);
             }
             e.schedule(i);
         }

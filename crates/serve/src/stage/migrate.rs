@@ -9,10 +9,9 @@
 //! needs no extra state to be checkpointable. What the report needs of
 //! the migrations is kept as [`MigrationTotals`], not as a log.
 
-use crate::engine::Admission;
+use crate::engine::{Admission, Completion};
 use crate::scenario::Driver;
 use ouro_trace::EventKind;
-use ouro_workload::Request;
 
 /// Running totals over every migration announced so far, added to in
 /// announce order, so each sum equals the one a log of the migrations
@@ -51,37 +50,24 @@ impl Default for MigrationTotals {
 /// deduplicates the bytes already cached on the target, charges the
 /// remaining transfer from the link model, and submits it for
 /// imported-KV decode gated on the migration's landing time.
-pub(crate) fn migrate(d: &mut Driver, from: usize, rec: usize, t_done: f64) {
-    let record = d.engines[from].records()[rec];
-    let mut request = Request::new(record.id, record.prompt_len, record.decode_len);
-    if let Some(p) = record.shared_prefix {
-        request = request.with_shared_prefix(p.group, p.tokens);
-    }
+pub(crate) fn migrate(d: &mut Driver, from: usize, done: Completion) {
+    let Completion { request, arrival_s, done_s: t_done } = done;
     let decode = &d.engines[d.prefill_wafers..];
     let to = d.placement.place(decode, from, d.prefill_wafers, &request);
     assert!(to < decode.len(), "placement returned wafer {to} of a {}-wafer pool", decode.len());
     // Bytes already resident on the target's prefix cache never touch
     // the wire; the imported submission performs the identical lookup
     // at this same instant, so the wire accounting matches.
-    let deduped = decode[to].prefix_cached_tokens(&request).min(record.prompt_len);
-    let wire_tokens = record.prompt_len - deduped;
+    let deduped = decode[to].prefix_cached_tokens(&request).min(request.prompt_len);
+    let wire_tokens = request.prompt_len - deduped;
     let bytes = wire_tokens as u64 * d.kv_bytes_per_token;
     let hops = (d.prefill_wafers - from) + to;
     let arrive_s = t_done + d.link.transfer_time_s(bytes, hops);
     let global_to = d.prefill_wafers + to;
-    d.tracer.emit_for(from, t_done, Some(record.id), EventKind::MigrateStart { to_wafer: global_to, bytes });
-    d.tracer.emit_for(
-        global_to,
-        arrive_s,
-        Some(record.id),
-        EventKind::MigrateArrive { from_wafer: from, bytes },
-    );
-    d.engines[global_to].submit_with(
-        request,
-        record.arrival_s,
-        Admission::Imported { ready_s: arrive_s },
-        record.id,
-    );
+    let id = request.id;
+    d.tracer.emit_for(from, t_done, Some(id), EventKind::MigrateStart { to_wafer: global_to, bytes });
+    d.tracer.emit_for(global_to, arrive_s, Some(id), EventKind::MigrateArrive { from_wafer: from, bytes });
+    d.engines[global_to].submit_with(request, arrival_s, Admission::Imported { ready_s: arrive_s }, id);
     d.refresh_engine(global_to);
     let (totals, transit_s) = (&mut d.migrations, arrive_s - t_done);
     totals.count += 1;

@@ -24,10 +24,15 @@
 //!   engines' pending arenas (a migration is announced as a
 //!   `PendingReq` gated on its landing time); it is deliberately not
 //!   duplicated into a separate queue, so the conservation invariant
-//!   `waiting + Σ pending + Σ active + completed + dropped = injected`
+//!   `waiting + Σ pending + Σ active + Σ records + Σ dropped = injected`
 //!   (with `waiting = len − routed`) holds at every step boundary.
-//! * **Complete** retires finished sequences (or hands their KV to Migrate
-//!   on a disaggregated prefill pool).
+//! * **Complete** retires finished sequences into the engine's records
+//!   (or hands their KV to Migrate on a disaggregated prefill pool, which
+//!   records nothing).
+//!
+//! An engine keeps state only for the requests it holds: each pending and
+//! active entry carries its request (`InFlight`) from submission to
+//! retirement, and a record is what the report reads of a finished one.
 //!
 //! Together with the engines' KV managers and the fault injector, the
 //! cursor and these queues are the *complete* simulator state — which is
@@ -46,6 +51,27 @@ pub(crate) mod migrate;
 pub(crate) mod prefill;
 
 use ouro_kvcache::KvSlot;
+use ouro_workload::Request;
+
+/// The request an in-flight entry serves. A [`PendingReq`] and the
+/// [`ActiveSeq`] it becomes carry it from submission to retirement, so an
+/// engine holds state only for the requests it has not finished; the
+/// Complete stage turns it into a [`crate::RequestRecord`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InFlight {
+    /// The request. Its id is the trace index the trace events name.
+    pub(crate) request: Request,
+    /// The request's original arrival, kept for TTFT and E2E.
+    pub(crate) arrival_s: f64,
+    /// Emission time of the first decode token (NaN before it). It
+    /// survives an eviction, since decode progress does.
+    pub(crate) first_token_s: f64,
+    /// The sequence's id in the engine's KV manager: the engine-local
+    /// submission index. It is local, not the trace index, because the
+    /// manager orders a fault's victims by it, and a decode wafer's
+    /// submission order is not trace order.
+    pub(crate) seq: u64,
+}
 
 /// A sequence resident in the KV cache — the prefill/decode stages'
 /// per-engine work set.
@@ -56,16 +82,14 @@ use ouro_kvcache::KvSlot;
 /// events, at a checkpoint and before a fault (see the [`crate::engine`]
 /// module docs).
 ///
-/// The last three fields are derived, never serialized: admission copies
-/// the slot from the KV manager and the decode length from the record and
-/// stamps `since`, and a resumed run re-derives all three. Scheduling a
-/// sequence's next event thus touches neither the record table nor the
-/// manager's id map; the record is read only at admission, the first
-/// token, eviction and completion.
-#[derive(Debug, Clone, Copy, Default)]
+/// The last two fields are derived, never serialized: admission copies
+/// the slot from the KV manager and stamps `since`, and a resumed run
+/// re-derives both. Scheduling a sequence's next event thus touches
+/// neither the manager's id map nor anything outside the entry.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ActiveSeq {
-    /// Index into the engine's record table.
-    pub(crate) rec: usize,
+    /// The request the sequence serves.
+    pub(crate) req: InFlight,
     /// Prefill (or recompute) tokens still to stream through the pipeline.
     pub(crate) prefill_remaining: usize,
     /// Decode tokens emitted by the end of step `since`.
@@ -77,8 +101,6 @@ pub(crate) struct ActiveSeq {
     pub(crate) prefill_only: bool,
     /// The sequence's slot in the engine's KV manager.
     pub(crate) kv_slot: KvSlot,
-    /// The record's decode length.
-    pub(crate) decode_len: usize,
     /// The engine step at whose end `decoded` was written.
     pub(crate) since: u64,
 }
@@ -86,7 +108,7 @@ pub(crate) struct ActiveSeq {
 impl ActiveSeq {
     /// Whether the sequence takes one decode token in every step.
     pub(crate) fn decoding(&self) -> bool {
-        self.prefill_remaining == 0 && !self.prefill_only && self.decoded < self.decode_len
+        self.prefill_remaining == 0 && !self.prefill_only && self.decoded < self.req.request.decode_len
     }
 
     /// Decode tokens taken after `decoded` was written, as of the end of
@@ -102,7 +124,7 @@ impl ActiveSeq {
     /// Whether the Complete stage retires the sequence: prefill is over
     /// and either its decode happens on another wafer or it is finished.
     pub(crate) fn done(&self) -> bool {
-        self.prefill_remaining == 0 && (self.prefill_only || self.decoded >= self.decode_len)
+        self.prefill_remaining == 0 && (self.prefill_only || self.decoded >= self.req.request.decode_len)
     }
 }
 
@@ -112,13 +134,13 @@ impl ActiveSeq {
 ///
 /// Its arena key is its earliest admission time: the arrival for local
 /// requests, the migration-completion instant for imported KV, the
-/// eviction clock (already in the past) for evicted requeues. Queue-wait
-/// accounting measures from that instant, so migration transit never
+/// eviction clock (already in the past) for evicted requeues. The trace's
+/// queue phase measures from that instant, so migration transit never
 /// counts as queueing.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PendingReq {
-    /// Index into the engine's record table.
-    pub(crate) rec: usize,
+    /// The request waiting.
+    pub(crate) req: InFlight,
     /// Decode tokens already emitted before an eviction (0 for fresh).
     pub(crate) decoded: usize,
     /// The sequence's KV was prefilled on another wafer: admission imports

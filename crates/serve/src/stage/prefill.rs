@@ -18,7 +18,7 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64) -> bool {
     e.prefill_tokens = e.prefill_tokens - a.prefill_remaining.min(PREFILL_CHUNK) + left.min(PREFILL_CHUNK);
     e.active[i].prefill_remaining = left;
     if left == 0 {
-        e.tracer.emit(end_s, Some(e.records[a.rec].id), EventKind::PrefillEnd);
+        e.tracer.emit(end_s, Some(a.req.request.id), EventKind::PrefillEnd);
         e.active[i].since = e.stats.steps;
         e.decoding += usize::from(e.active[i].decoding());
     }

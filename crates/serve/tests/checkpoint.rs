@@ -115,7 +115,7 @@ fn the_colocated_fault_checkpoint_is_taken_mid_run() {
     run.run_until(mid_s);
     let json = scenario.checkpoint(&run).to_json();
     let meta = json.lines().find(|l| l.starts_with(r#"{"section":"meta""#)).expect("a meta row");
-    assert!(field(meta, "completed").parse::<u64>().unwrap() > 0, "{label}: no completions yet");
+    assert!(run.completed() > 0, "{label}: no completions yet");
     assert!(field(meta, "routed").parse::<usize>().unwrap() < 30, "{label}: every arrival routed");
     assert!(faults_fired(&json) > 0, "{label}: no fault fired yet");
 }
@@ -167,6 +167,24 @@ fn a_dense_fault_plan_starts_at_once_and_checkpoints_one_stream_per_wafer() {
         }
         let live = scenario.checkpoint(&run).to_json();
         assert_eq!(scenario.checkpoint(&resumed).to_json(), live, "a resumed stream continues the live one");
+    }
+}
+
+#[test]
+fn a_checkpoint_holds_a_record_per_finished_request() {
+    // A record is a finished request: only the decode wafers finish one,
+    // and a request in flight is a pending or active row instead.
+    let sys = tiny_system();
+    for (label, scenario, mid_s) in
+        golden_shapes().into_iter().filter(|(label, ..)| label.starts_with("disagg"))
+    {
+        let mut run = scenario.start(&sys).unwrap();
+        run.run_until(mid_s);
+        let json = scenario.checkpoint(&run).to_json();
+        let records = rows_of(&json).into_iter().filter(|r| on("record", None)(r)).count();
+        assert!(run.completed() > 0, "{label}: no request finished before the midpoint");
+        assert_eq!(records as u64, run.completed(), "{label}: one record per finished request");
+        assert_eq!(rows_of(&json).into_iter().filter(|r| on("record", Some(0))(r)).count(), 0, "{label}");
     }
 }
 
@@ -333,9 +351,13 @@ fn resume_across_slot_reuse_is_invisible() {
     let mut run = scenario.start(&sys).unwrap();
     run.run_until(mid_s);
     // Most resident sequences are mid-block here, so the snapshot bytes
-    // pin that every decoded token reaches the KV rows.
+    // pin that every decoded token reaches the KV rows. Against the v5
+    // document only the meta row (its version, and `completed`, which the
+    // records now give), the engine row's submission counter (64), the
+    // records (9 finished requests, not 64 submitted) and the in-flight
+    // rows' request fields moved; every KV row is the same.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x8642_a453_d5b3_5e7c, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x36ed_185d_c8bb_6c35, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -349,17 +371,14 @@ fn resume_across_slot_reuse_is_invisible() {
     assert_eq!(format!("{straight:?}"), format!("{resumed:?}"), "resumed report Debug form diverged");
 }
 
-/// `golden_snapshot_json` with the first `active` row's `rec` replaced by
-/// `rec(wafer)`, returned with the row's wafer.
-fn with_active_rec(rec: impl Fn(&str) -> usize) -> (String, usize) {
+/// `golden_snapshot_json` with the first `active` row's `key` replaced by
+/// `value(wafer)`, returned with the row's wafer.
+fn with_active_field(key: &str, value: impl Fn(&str) -> usize) -> (String, usize) {
     let json = golden_snapshot_json(3);
     let line = json.lines().find(|l| l.starts_with(r#"{"section":"active""#)).expect("an active row");
-    let doc = format!("[{}]", line.trim_end_matches(','));
-    let row = &read_rows(&doc).unwrap()[0];
-    let new = rec(row.get_str("wafer").unwrap());
-    let old = format!(r#""rec":"{}""#, row.get_str("rec").unwrap());
-    let wafer = row.get_str("wafer").unwrap().parse().unwrap();
-    (json.replace(line, &line.replace(&old, &format!(r#""rec":"{new}""#))), wafer)
+    let wafer = field(line, "wafer");
+    let edited = with_field(line.trim_end_matches(','), key, |_| value(&wafer).to_string());
+    (json.replace(line.trim_end_matches(','), &edited), wafer.parse().unwrap())
 }
 
 #[test]
@@ -372,19 +391,22 @@ fn resume_rejects_active_rows_that_are_not_resident() {
             .filter(|r| r.get_str("section").unwrap() == section && r.get_str("wafer").unwrap() == wafer)
             .collect::<Vec<_>>()
     };
-    // A record index past the wafer's record table.
-    let out_of_range = |wafer: &str| on("record", wafer).len() + 7;
-    // A record of the wafer that holds no KV (finished or still queued).
+    let submitted =
+        |wafer: &str| on("engine", wafer)[0].get_str("submitted").unwrap().parse::<usize>().unwrap();
+    // A sequence the wafer was submitted that holds no KV (finished or
+    // still queued).
     let not_resident = |wafer: &str| {
         let resident = on("kv_resident", wafer)[0].get_str("entries").unwrap().to_string();
         let resident: Vec<&str> = resident.split(';').map(|e| e.split(':').next().unwrap()).collect();
-        (0..on("record", wafer).len())
+        (0..submitted(wafer))
             .find(|r| !resident.contains(&r.to_string().as_str()))
-            .expect("a record without resident KV")
+            .expect("a sequence without KV")
     };
+    // Shape 3's trace holds 32 requests.
     for (case, (json, wafer), kind) in [
-        ("out of range", with_active_rec(out_of_range), IndexOutOfRange),
-        ("not resident", with_active_rec(not_resident), NotResident),
+        ("trace index past the trace", with_active_field("id", |_| 32), IndexOutOfRange),
+        ("sequence past the submissions", with_active_field("seq", submitted), IndexOutOfRange),
+        ("not resident", with_active_field("seq", not_resident), NotResident),
     ] {
         let snap = Snapshot::parse(&json).unwrap_or_else(|e| panic!("{case}: {e}"));
         let resumed = scenario.resume(&sys, &snap);
@@ -423,39 +445,23 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "section",
             "schema_version",
             "config_hash",
-            "completed",
             "migrations",
             "router_state",
             "placement_state",
             "routed",
         ],
     ),
-    ("engine", &["section", "wafer", "clock_s", "busy_s", "suspended", "mean_hops", "stats"]),
-    (
-        "record",
-        &[
-            "section",
-            "wafer",
-            "id",
-            "prompt",
-            "decode",
-            "arrival_s",
-            "admitted_s",
-            "queue_wait_s",
-            "first_token_s",
-            "completed_s",
-            "evictions",
-            "cached_prefix",
-            "shared",
-        ],
-    ),
+    ("engine", &["section", "wafer", "clock_s", "busy_s", "suspended", "mean_hops", "stats", "submitted"]),
+    ("record", &["section", "wafer", "arrival_s", "first_token_s", "completed_s", "decode"]),
     (
         "pending",
         &[
             "section",
             "wafer",
             "ready_s",
-            "rec",
+            "id",
+            "seq",
+            "first_token_s",
             "decoded",
             "imported",
             "wire_tokens",
@@ -465,7 +471,17 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
     ),
     (
         "active",
-        &["section", "wafer", "rec", "prefill_remaining", "decoded", "admission_order", "prefill_only"],
+        &[
+            "section",
+            "wafer",
+            "id",
+            "seq",
+            "first_token_s",
+            "prefill_remaining",
+            "decoded",
+            "admission_order",
+            "prefill_only",
+        ],
     ),
     ("kv", &["section", "wafer", "ring_k", "ring_v", "allocated", "freed", "transfers"]),
     ("kv_cores", &["section", "wafer", "side", "core", "xbs"]),
@@ -550,18 +566,24 @@ fn golden_runs() -> &'static (OuroborosSystem, Vec<Scenario>) {
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0x85fe_145b_f20e_8b8b);
+    // Against the v5 document only the meta row (its version, and
+    // `completed`, which the records now give), the engine rows'
+    // submission counters, the records (the decode wafer's 2 finished
+    // requests, not a record per submission on both wafers) and the
+    // active rows' request fields moved; every KV and fault row is the
+    // same.
+    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0xb9ca_e269_ec59_041e);
 }
 
 #[test]
 fn a_v2_snapshot_is_rejected_at_its_schema_version() {
     // A v2 document's config hash differs too (it hashed the scenario's
-    // `Debug` form), a v3 document lists a pending-fault schedule and a v4
-    // one its waiting arrivals; the version is read first, so the error
-    // names it.
-    for old in ["2", "3", "4"] {
+    // `Debug` form), a v3 document lists a pending-fault schedule, a v4
+    // one its waiting arrivals and a v5 one a record for every request
+    // submitted; the version is read first, so the error names it.
+    for old in ["2", "3", "4", "5"] {
         let doc = golden_snapshot_json(3).replacen(
-            r#""schema_version":"5""#,
+            r#""schema_version":"6""#,
             &format!(r#""schema_version":"{old}""#),
             1,
         );
@@ -576,7 +598,7 @@ fn only_the_canonical_form_of_a_value_parses() {
     // writes back to its text, so neither is a snapshot.
     let json = golden_snapshot_json(3);
     for (key, edited) in [
-        ("completed", json.replacen(r#""completed":""#, r#""completed":"+"#, 1)),
+        ("router_state", json.replacen(r#""router_state":""#, r#""router_state":"+"#, 1)),
         ("routed", json.replacen(r#""routed":""#, r#""routed":"0"#, 1)),
     ] {
         assert_ne!(edited, json);
@@ -720,16 +742,16 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "signed value",
         g3,
         &on("meta", None),
-        Some("completed"),
-        &|r| with_field(r, "completed", |v| format!("+{v}")),
+        Some("routed"),
+        &|r| with_field(r, "routed", |v| format!("+{v}")),
         BadValue,
     );
     parse(
         "wrong wafer",
         g3,
-        &on("record", Some(0)),
+        &on("record", Some(1)),
         Some("wafer"),
-        &|r| with_field(r, "wafer", |_| "1".into()),
+        &|r| with_field(r, "wafer", |_| "0".into()),
         OutOfOrder,
     );
     let at = |row, kind| SnapshotError { row: Some(row), wafer: None, section: None, key: None, kind };
@@ -763,16 +785,15 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         ConfigHash,
     );
     resume("fault wafer missing", s3, g3, &on("injector_wafer", Some(1)), drop, "injector_wafer", WaferCount);
-    // Each routed arrival makes exactly one record on the entry pool: the
-    // prefill wafer of shape 3, every wafer of the colocated shape 0.
-    // Shape 3's trace holds 32 requests.
+    // Each routed arrival is exactly one record, pending row, active row
+    // or drop, on some wafer. Shape 3's trace holds 32 requests.
     let cursor = |change: fn(usize) -> usize| {
         move |r: &str| with_field(r, "routed", |n| change(n.parse().unwrap()).to_string())
     };
     resume("cursor past the workload", s3, g3, &on("meta", None), &cursor(|_| 33), "meta", IndexOutOfRange);
-    resume("cursor past the records", s3, g3, &on("meta", None), &cursor(|n| n + 1), "meta", RoutedMismatch);
+    resume("cursor past the requests", s3, g3, &on("meta", None), &cursor(|n| n + 1), "meta", RoutedMismatch);
     resume(
-        "cursor short of the records",
+        "cursor short of the requests",
         s0,
         g0,
         &on("meta", None),
@@ -781,20 +802,29 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         RoutedMismatch,
     );
     resume(
-        "active record past the records",
+        "active trace index past the trace",
         s3,
         g3,
         &on("active", None),
-        &|r| with_field(r, "rec", |_| "9999".into()),
+        &|r| with_field(r, "id", |_| "9999".into()),
         "active",
         IndexOutOfRange,
     );
     resume(
-        "active record not resident",
+        "active sequence past the submissions",
         s3,
         g3,
         &on("active", None),
-        &|r| with_field(r, "rec", |_| "0".into()),
+        &|r| with_field(r, "seq", |_| "9999".into()),
+        "active",
+        IndexOutOfRange,
+    );
+    resume(
+        "active sequence not resident",
+        s3,
+        g3,
+        &on("active", None),
+        &|r| with_field(r, "seq", |_| "0".into()),
         "active",
         NotResident,
     );
@@ -901,11 +931,11 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
     );
     let local = |r: &str| on("pending", None)(r) && field(r, "imported") == "0";
     resume(
-        "pending record past the records",
+        "pending trace index past the trace",
         &saturated,
         sat,
         &local,
-        &|r| with_field(r, "rec", |_| "9999".into()),
+        &|r| with_field(r, "id", |_| "9999".into()),
         "pending",
         IndexOutOfRange,
     );
@@ -927,6 +957,9 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "pending",
         CounterOverflow,
     );
+    // A finished request's record, gone from the document.
+    let (no_record, _, _) = edit_row(g3, on("record", None), drop);
+    cases.push(("record row missing", s3, no_record, rejected(None, "meta", RoutedMismatch)));
     let one_wafer = without_rows(g0, |r| r.contains(r#""wafer":"1""#));
     cases.push(("wafer missing", s0, one_wafer, rejected(None, "engine", WaferCount)));
     let no_faults = without_rows(g3, |r| r.starts_with(r#"{"section":"injector"#));
@@ -1192,7 +1225,11 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    assert_eq!(fnv1a(json.as_bytes()), 0xd4d1_de68_bc3a_3b3d, "mid-block snapshot bytes drifted");
+    // Against the v5 document only the meta row (its version, and
+    // `completed`), the engine row's submission counter, the records
+    // (none has finished, where v5 held 64) and the in-flight rows'
+    // request fields moved.
+    assert_eq!(fnv1a(json.as_bytes()), 0x7301_c65c_c552_0a41, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

@@ -8,7 +8,7 @@
 //! resident in some active set, retired, or dropped:
 //!
 //! ```text
-//! waiting + Σ (queue_len + resident) + completed + Σ dropped = injected
+//! waiting + Σ (queue_len + resident + records) + Σ dropped = injected
 //! ```
 //!
 //! Stage order: in the merged lifecycle trace, each request's events only
@@ -69,11 +69,15 @@ fn golden_shape(shape: usize, seed: u64) -> (String, Scenario, usize) {
     (format!("{label} seed={seed} requests={requests}"), scenario.slo(slo).trace(true), requests)
 }
 
-/// Where every injected request currently is, summed over the run.
+/// Where every injected request currently is, summed over the run. A
+/// retired request is its engine's record, so the records count the
+/// completions.
 fn population(run: &RunState) -> usize {
     let engine_side: usize = run.engines().iter().map(|e| e.queue_len() + e.resident()).sum();
     let dropped: usize = run.engines().iter().map(|e| e.stats().dropped as usize).sum();
-    run.waiting() + engine_side + run.completed() as usize + dropped
+    let records: usize = run.engines().iter().map(|e| e.records().len()).sum();
+    assert_eq!(records as u64, run.completed(), "a record is a retired request");
+    run.waiting() + engine_side + records + dropped
 }
 
 /// The rank of the admission kinds, where eviction requeues and imported-KV
