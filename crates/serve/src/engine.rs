@@ -75,9 +75,8 @@
 //!   which can be the eviction victim rather than the request that failed
 //!   to fit; the engine drops only a request an empty cache cannot hold.
 
-use crate::arena::IndexQueue;
 use crate::metrics::RequestRecord;
-use crate::stage::{self, ActiveSeq, InFlight, PendingReq};
+use crate::stage::{self, ActiveSeq, InFlight, PendingQueue, PendingReq};
 use ouro_kvcache::{KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot, KvTransferStats};
 use ouro_sim::{HwStageTimes, StageTimeTable};
 use ouro_trace::{EventKind, Tracer};
@@ -149,8 +148,8 @@ pub struct Completion {
 /// How a request enters the engine — the parameter of the single admission
 /// path ([`Engine::submit_with`]) every submission flavour goes through.
 /// Consolidating the three former entry points behind one enum keeps their
-/// bookkeeping (wire-token dedup, readiness gating, queue-demand tracking)
-/// from drifting apart.
+/// bookkeeping (readiness gating, queue-demand tracking) from drifting
+/// apart.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
     /// Full local service: prefill then decode on this wafer.
@@ -168,6 +167,10 @@ pub enum Admission {
         /// Instant the migrated KV lands and the request becomes
         /// admissible.
         ready_s: f64,
+        /// Prompt tokens whose KV travels the link: the rest was
+        /// deduplicated against this wafer's prefix cache when the
+        /// migration was announced. At most the prompt length.
+        wire_tokens: usize,
     },
 }
 
@@ -196,10 +199,10 @@ pub struct Engine {
     pub(crate) records: Vec<RequestRecord>,
     /// Requests submitted so far; the next submission's KV sequence id.
     pub(crate) submitted: u64,
-    /// The waiting queue: a dense arena indexed by rank/readiness heaps
-    /// ([`crate::arena::IndexQueue`]), so admission and the idle
-    /// fast-forward query are O(log n) instead of linear scans.
-    pub(crate) pending: IndexQueue<PendingReq>,
+    /// The waiting queue ([`PendingQueue`]): admission takes the
+    /// earliest-submitted admissible entry and nothing else, and the idle
+    /// fast-forward reads its next-ready time, both in O(log n).
+    pub(crate) pending: PendingQueue,
     /// Resident sequences. Change it only through
     /// [`Engine::push_active`], [`Engine::take_active`] and the Complete
     /// stage, which keep the event column and the counters below in step.
@@ -224,9 +227,6 @@ pub struct Engine {
     /// Token-demand of the pending queue (prompt + decoded per request),
     /// maintained incrementally for the `LeastKvLoad` router.
     pub(crate) pending_tokens: usize,
-    /// Wire-token demand of queued imported-KV entries, maintained
-    /// incrementally for [`Engine::pending_imported_tokens`].
-    pub(crate) pending_wire_tokens: usize,
     /// Its `admissions` count also stamps each admission's
     /// `ActiveSeq::admission_order`.
     pub(crate) stats: EngineStats,
@@ -256,7 +256,7 @@ impl Engine {
             prefix_caching,
             records: Vec::new(),
             submitted: 0,
-            pending: IndexQueue::new(),
+            pending: PendingQueue::new(),
             active: Vec::new(),
             next_event: Vec::new(),
             decoding: 0,
@@ -267,7 +267,6 @@ impl Engine {
             clock_s: 0.0,
             busy_s: 0.0,
             pending_tokens: 0,
-            pending_wire_tokens: 0,
             stats: EngineStats::default(),
             tracer: Tracer::off(),
         }
@@ -325,19 +324,6 @@ impl Engine {
         demand as f64 / self.manager.capacity_tokens().max(1) as f64
     }
 
-    /// Earliest instant at which any queued request becomes admissible
-    /// (`None` with an empty queue).
-    pub fn next_ready_s(&self) -> Option<f64> {
-        let next = self.pending.next_ready_s();
-        #[cfg(debug_assertions)]
-        {
-            // Differential check against the old linear min-scan.
-            let naive = self.pending.entries().iter().map(|&(ready, _)| ready).min_by(f64::total_cmp);
-            debug_assert_eq!(next, naive, "arena next_ready_s diverged from the naive scan");
-        }
-        next
-    }
-
     /// The engine's next event time: its clock while sequences are
     /// resident, otherwise the earliest instant queued work becomes
     /// admissible (stepping an idle engine fast-forwards the clock there).
@@ -347,10 +333,7 @@ impl Engine {
     /// earlier simulated time announces one that lands sooner.
     pub fn next_event_s(&self) -> f64 {
         if self.active.is_empty() {
-            match self.next_ready_s() {
-                Some(ready) => self.clock_s.max(ready),
-                None => self.clock_s,
-            }
+            self.pending.next_ready_s(self.clock_s)
         } else {
             self.clock_s
         }
@@ -360,18 +343,10 @@ impl Engine {
     /// admitted yet (migrations announced but not landed in the cache);
     /// used by conservation checks of the disaggregated cluster. Counts the
     /// tokens actually travelling — prefix-deduplicated tokens never enter
-    /// the wire accounting.
+    /// the wire accounting. A sum over the queue: only telemetry and the
+    /// end-of-run report ask.
     pub fn pending_imported_tokens(&self) -> usize {
-        #[cfg(debug_assertions)]
-        {
-            let naive: usize =
-                self.pending.entries().iter().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum();
-            debug_assert_eq!(
-                self.pending_wire_tokens, naive,
-                "incremental wire-token counter diverged from the queue scan"
-            );
-        }
-        self.pending_wire_tokens
+        self.pending.entries().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum()
     }
 
     /// Tokens of `request`'s shared prefix already resident in this wafer's
@@ -561,12 +536,17 @@ impl Engine {
     /// arrival (kept for TTFT/E2E accounting); [`Admission::Imported`]
     /// gates admissibility on its own `ready_s`. The engine-local
     /// submission index becomes the sequence's KV id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an import's `wire_tokens` exceed the prompt.
     pub fn submit_with(&mut self, request: Request, arrival_s: f64, admission: Admission, id: usize) {
-        let (ready_s, imported, prefill_only) = match admission {
-            Admission::Local => (arrival_s, false, false),
-            Admission::PrefillOnly => (arrival_s, false, true),
-            Admission::Imported { ready_s } => (ready_s, true, false),
+        let (ready_s, imported, wire_tokens, prefill_only) = match admission {
+            Admission::Local => (arrival_s, false, 0, false),
+            Admission::PrefillOnly => (arrival_s, false, 0, true),
+            Admission::Imported { ready_s, wire_tokens } => (ready_s, true, wire_tokens, false),
         };
+        assert!(wire_tokens <= request.prompt_len, "an import cannot ship more KV than its prompt");
         // No clock fast-forward here: an idle engine advances to the
         // earliest admissible instant at the top of `step`, where the
         // *minimum* ready time over the whole queue is known. Jumping to
@@ -574,20 +554,12 @@ impl Engine {
         // becomes ready sooner (migrations land out of submission order).
         let seq = self.submitted;
         self.submitted += 1;
-        // Imported KV is deduplicated against this wafer's prefix cache at
-        // announce time: only the uncached portion travels the link.
-        let wire_tokens = if imported {
-            request.prompt_len - self.prefix_cached_tokens(&request).min(request.prompt_len)
-        } else {
-            0
-        };
         let req = InFlight { request: Request { id, ..request }, arrival_s, first_token_s: f64::NAN, seq };
         self.pending.push_back(
             ready_s,
             PendingReq { req, decoded: 0, imported, wire_tokens, evicted: false, prefill_only },
         );
         self.pending_tokens += request.prompt_len;
-        self.pending_wire_tokens += wire_tokens;
     }
 
     /// Runs one continuous-batching iteration through the stage pipeline:
@@ -602,13 +574,7 @@ impl Engine {
         // An empty batch with only future-ready queued work means the engine
         // is idle: fast-forward to the earliest admissible instant (not the
         // head's — migrations make readiness non-monotone with queue order).
-        if self.active.is_empty() {
-            if let Some(min_ready) = self.next_ready_s() {
-                if min_ready > self.clock_s {
-                    self.clock_s = min_ready;
-                }
-            }
-        }
+        self.clock_s = self.next_event_s();
         stage::admission::admit_waiting(self);
         if self.active.is_empty() {
             return Vec::new();
@@ -839,7 +805,12 @@ mod tests {
         let mut e = traced(8);
         e.submit_with(Request::new(0, 64, 8), 0.0, Admission::Local, 0);
         e.submit_with(Request::new(1, 64, 8), 0.0, Admission::PrefillOnly, 1);
-        e.submit_with(Request::new(2, 64, 8), 0.0, Admission::Imported { ready_s: 0.001 }, 2);
+        e.submit_with(
+            Request::new(2, 64, 8),
+            0.0,
+            Admission::Imported { ready_s: 0.001, wire_tokens: 64 },
+            2,
+        );
         let mut completions = Vec::new();
         while e.has_work() {
             completions.extend(e.step());
@@ -1041,7 +1012,12 @@ mod tests {
         let mut e = traced(8);
         // KV for the 256-token prompt was prefilled elsewhere; migration
         // lands at t = 5.0 although the request arrived at t = 1.0.
-        e.submit_with(Request::new(0, 256, 16), 1.0, Admission::Imported { ready_s: 5.0 }, 0);
+        e.submit_with(
+            Request::new(0, 256, 16),
+            1.0,
+            Admission::Imported { ready_s: 5.0, wire_tokens: 256 },
+            0,
+        );
         let mut completions = Vec::new();
         while e.has_work() {
             completions.extend(e.step());
@@ -1063,7 +1039,11 @@ mod tests {
     fn imported_sequence_starts_decoding_faster_than_full_service() {
         let run = |imported: bool| -> f64 {
             let mut e = engine(8);
-            let admission = if imported { Admission::Imported { ready_s: 0.0 } } else { Admission::Local };
+            let admission = if imported {
+                Admission::Imported { ready_s: 0.0, wire_tokens: 512 }
+            } else {
+                Admission::Local
+            };
             e.submit_with(Request::new(0, 512, 8), 0.0, admission, 0);
             while e.has_work() {
                 e.step();
@@ -1079,8 +1059,18 @@ mod tests {
         // almost immediately: admission order must follow readiness, not
         // submission order, or the early migration idles for ~1 s.
         let mut e = traced(8);
-        e.submit_with(Request::new(0, 256, 4), 0.0, Admission::Imported { ready_s: 1.0 }, 0);
-        e.submit_with(Request::new(1, 64, 4), 0.0, Admission::Imported { ready_s: 0.001 }, 1);
+        e.submit_with(
+            Request::new(0, 256, 4),
+            0.0,
+            Admission::Imported { ready_s: 1.0, wire_tokens: 256 },
+            0,
+        );
+        e.submit_with(
+            Request::new(1, 64, 4),
+            0.0,
+            Admission::Imported { ready_s: 0.001, wire_tokens: 64 },
+            1,
+        );
         let mut guard = 0;
         while at(&e, 1, "admission").is_empty() && guard < 10_000 {
             e.step();
@@ -1099,6 +1089,44 @@ mod tests {
     }
 
     #[test]
+    fn landed_imports_are_admitted_in_submission_order() {
+        // A resident sequence keeps the engine stepping while two imports
+        // land within one step, the later-submitted first. The next
+        // admission pass takes both, in submission order: the queue is
+        // FCFS among admissible entries, not ordered by landing time.
+        let mut e = traced(8);
+        e.submit_with(Request::new(0, 64, 64), 0.0, Admission::Local, 0);
+        e.step();
+        let t = e.clock_s();
+        e.submit_with(
+            Request::new(1, 64, 4),
+            0.0,
+            Admission::Imported { ready_s: t + 2e-9, wire_tokens: 64 },
+            1,
+        );
+        e.submit_with(
+            Request::new(2, 64, 4),
+            0.0,
+            Admission::Imported { ready_s: t + 1e-9, wire_tokens: 64 },
+            2,
+        );
+        while at(&e, 1, "admission").is_empty() || at(&e, 2, "admission").is_empty() {
+            assert_eq!(e.resident(), 1, "the resident sequence is still decoding");
+            e.step();
+        }
+        let admissions: Vec<(Option<usize>, f64)> = e
+            .tracer()
+            .events()
+            .iter()
+            .filter(|ev| matches!(ev.kind, EventKind::Admission { .. }) && ev.req != Some(0))
+            .map(|ev| (ev.req, ev.t_s))
+            .collect();
+        let [(first, first_s), (second, second_s)] = admissions[..] else { panic!("two admissions") };
+        assert_eq!((first, second), (Some(1), Some(2)), "admitted in submission order");
+        assert!(first_s == second_s && first_s > t + 2e-9, "both landed before one admission pass");
+    }
+
+    #[test]
     fn export_then_import_conserves_tokens_across_engines() {
         let mut prefill = engine(8);
         let mut decode = engine(8);
@@ -1110,7 +1138,12 @@ mod tests {
         let Completion { request, arrival_s, done_s } = done[0];
         let tokens = prefill.kv_transfers().exported_tokens;
         assert_eq!(tokens, 300);
-        decode.submit_with(request, arrival_s, Admission::Imported { ready_s: done_s + 0.001 }, request.id);
+        decode.submit_with(
+            request,
+            arrival_s,
+            Admission::Imported { ready_s: done_s + 0.001, wire_tokens: request.prompt_len },
+            request.id,
+        );
         while decode.has_work() {
             decode.step();
         }

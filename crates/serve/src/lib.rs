@@ -74,7 +74,6 @@
 //! assert!(reports[0].is_conserved());
 //! ```
 
-pub(crate) mod arena;
 pub mod engine;
 pub mod fault;
 pub mod metrics;
@@ -85,6 +84,14 @@ pub mod scenario;
 pub mod snapshot;
 pub mod stage;
 pub mod sweep;
+
+/// Case-by-case tests of the engine's pending queue
+/// (`stage::PendingQueue`), beside the property test in `stage`. The
+/// module keeps the name of the slot arena the queue replaced, and each
+/// case the name it had there.
+#[cfg(test)]
+#[path = "stage/queue_cases.rs"]
+mod arena;
 
 /// The workspace's dependency-free JSON writer (re-exported from
 /// `ouro-trace`, where it moved so the observability exporters and the

@@ -46,15 +46,14 @@
 //! assert!(report.is_conserved());
 //! ```
 
-use crate::arena::F64Key;
 use crate::engine::Engine;
 use crate::fault::{fault_window_s, FaultConfig, FaultInjector};
 use crate::metrics::{RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 use crate::snapshot::{Snapshot, SnapshotError};
-use crate::stage;
 use crate::stage::migrate::MigrationTotals;
+use crate::stage::{self, F64Key};
 use ouro_kvcache::{KvError, KvManager};
 use ouro_noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
@@ -327,7 +326,7 @@ impl Scenario {
     }
 
     /// Captures a mid-run checkpoint of `run`: the arrival cursor, every
-    /// engine's records, pending arena, active set and KV manager, the
+    /// engine's records, pending queue, active set and KV manager, the
     /// policy state, the running migration totals and the fault injector
     /// — together the *complete* simulator state. Resuming the snapshot
     /// via [`Scenario::resume`] and driving to the end produces a
@@ -350,12 +349,13 @@ impl Scenario {
     /// resuming foreign state), a different number of wafers, fault state
     /// the scenario's fault config or deployment does not match, an index
     /// past the workload or the deployment, a sequence id past its
-    /// engine's submissions, pending rows whose wire tokens or token sums
-    /// do not fit the engine's queue counters, KV rows that do not fit
-    /// `system` ([`crate::SnapshotErrorKind::Kv`]), an active set that is
-    /// not the resident set, an active row whose progress differs from its
-    /// resident KV, or an arrival cursor that differs from the requests
-    /// the engines hold (finished, queued, resident or dropped).
+    /// engine's submissions, a local pending row carrying wire tokens,
+    /// pending rows whose token or wire-token sums overflow a `usize`, KV
+    /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]),
+    /// an active set that is not the resident set, an active row whose
+    /// progress differs from its resident KV, or an arrival cursor that
+    /// differs from the requests the engines hold (finished, queued,
+    /// resident or dropped).
     ///
     /// # Panics
     ///

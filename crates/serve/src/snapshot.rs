@@ -1,7 +1,7 @@
 //! Checkpoint/resume for in-flight scenario runs.
 //!
 //! `capture` folds a [`RunState`]'s complete simulator state — the arrival
-//! cursor, every engine's records/pending arena/active set/KV manager, the
+//! cursor, every engine's records/pending queue/active set/KV manager, the
 //! policy state, the running migration totals and the fault injector —
 //! into a typed [`Snapshot`]. `rebuild` inverts it against the same
 //! [`Scenario`] and hardware system, producing a [`RunState`] that
@@ -108,8 +108,8 @@ pub(crate) struct EngineSnapshot {
     pub(crate) submitted: u64,
     /// The records of the requests the engine finished.
     pub(crate) records: Vec<RequestRecord>,
-    /// The pending arena's live entries `(ready_s, event)` in queue order
-    /// ([`crate::arena::IndexQueue::entries`]); restored by `push_back` in
+    /// The pending queue's entries `(ready_s, event)` in queue order
+    /// ([`crate::stage::PendingQueue::entries`]); restored by `push_back` in
     /// order, which preserves relative ranks. In a parsed snapshot each
     /// in-flight entry knows only its request's trace index, and resume
     /// reads the rest of the request and its arrival from the trace.
@@ -142,7 +142,7 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
                     stats: e.stats,
                     submitted: e.submitted,
                     records: e.records.clone(),
-                    pending: e.pending.entries(),
+                    pending: e.pending.entries().copied().collect(),
                     active,
                     kv,
                 }
@@ -162,8 +162,8 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 /// cursor past the workload, fault state its fault config does not match,
 /// a pending or active row whose trace index is past the trace or whose
 /// sequence id is at or past its engine's submission counter, a local
-/// pending row carrying wire tokens, pending rows whose token sums
-/// overflow the engine's queue counters, KV rows that do not fit the
+/// pending row carrying wire tokens, pending rows whose token or
+/// wire-token sums overflow a `usize`, KV rows that do not fit the
 /// system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault
 /// state that does not fit the deployment, an active row that is not
 /// resident, whose prompt plus decoded tokens differ from its resident KV
@@ -216,10 +216,11 @@ pub(crate) fn rebuild(
             ensure(req.seq < es.submitted, reject(section, K::IndexOutOfRange))?;
             Ok(InFlight { request: Request { id, ..arrival.request }, arrival_s: arrival.arrival_s, ..req })
         };
-        // The queue counters are running sums over the pending rows, kept
-        // the way `submit_with` and an eviction add them: prompt plus
-        // decoded tokens per row, wire tokens per imported row. Summed
-        // wide, so no row can overflow them unnoticed.
+        // The queue's token counter is a running sum over the pending
+        // rows, kept the way `submit_with` and an eviction add it: prompt
+        // plus decoded tokens per row. `pending_imported_tokens` sums the
+        // imported rows' wire tokens when asked, so that sum must fit too.
+        // Both are summed wide, so no row can overflow them unnoticed.
         let (mut tokens, mut wire_tokens) = (0u128, 0u128);
         for &(ready_s, p) in &es.pending {
             let req = in_flight(p.req, Pending::NAME)?;
@@ -230,7 +231,7 @@ pub(crate) fn rebuild(
         }
         let overflow = |_| reject(Pending::NAME, K::CounterOverflow);
         e.pending_tokens = usize::try_from(tokens).map_err(overflow)?;
-        e.pending_wire_tokens = usize::try_from(wire_tokens).map_err(overflow)?;
+        usize::try_from(wire_tokens).map_err(overflow)?;
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
@@ -436,7 +437,8 @@ pub enum SnapshotErrorKind {
     RoutedMismatch,
     /// A local pending row carries wire tokens.
     LocalWireTokens,
-    /// An engine's pending rows overflow its queue counters.
+    /// An engine's pending rows' token or wire-token sum overflows a
+    /// `usize`.
     CounterOverflow,
     /// An active row's sequence is not resident.
     NotResident,

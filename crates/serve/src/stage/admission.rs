@@ -1,4 +1,4 @@
-//! The admission stage: FCFS continuous batching over the pending arena,
+//! The admission stage: FCFS continuous batching over the pending queue,
 //! with most-recently-admitted eviction. The rules differ from the offline
 //! scheduler's in five ways, listed in the [`crate::engine`] module docs:
 //! a victim keeps its decode progress, re-admission asks for
@@ -7,9 +7,9 @@
 //! an empty cache cannot hold is dropped.
 //!
 //! Consumes [`crate::stage::PendingReq`] events from the engine's pending
-//! arena and produces residency ([`crate::stage::ActiveSeq`] entries in the
+//! queue and produces residency ([`crate::stage::ActiveSeq`] entries in the
 //! active set). Capacity exhaustion flows the other way: eviction returns a
-//! resident sequence to the *front* of the pending arena with its progress.
+//! resident sequence to the *front* of the pending queue with its progress.
 //! Owns the `admission`, `drop` and `evict` trace kinds.
 
 use super::{ActiveSeq, PendingReq};
@@ -30,20 +30,19 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         // with queue order for local arrivals, but not for imported KV
         // (a small migration submitted later can land before a large one
         // submitted earlier), so an unready head must not block a landed
-        // request behind it. The arena's readiness/rank heaps answer
-        // this in O(log n) where the deque took a linear scan.
-        let Some((slot, _, front)) = e.pending.peek_ready(e.clock_s) else {
+        // request behind it. The queue's release heaps answer this in
+        // O(log n) where the deque took a linear scan.
+        let Some(front) = e.pending.peek_ready(e.clock_s) else {
             break; // nothing has arrived (or finished migrating) yet
         };
         #[cfg(debug_assertions)]
         {
             // Differential check against the old FCFS position scan.
-            let naive =
-                e.pending.entries().iter().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.req.seq);
+            let naive = e.pending.entries().find(|&&(ready, _)| ready <= e.clock_s).map(|&(_, p)| p.req.seq);
             debug_assert_eq!(
                 Some(front.req.seq),
                 naive,
-                "arena admission pick diverged from the naive FCFS scan"
+                "pending-queue admission pick diverged from the naive FCFS scan"
             );
         }
         // The prompt plus any decode progress that survived an eviction.
@@ -61,9 +60,8 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
         };
         match admitted {
             Ok(cached) => {
-                e.pending.remove(slot);
+                e.pending.pop_ready();
                 e.pending_tokens -= tokens;
-                e.pending_wire_tokens -= front.wire_tokens;
                 // The stamp is the admission count before this admission.
                 let admission_order = e.stats.admissions;
                 e.stats.admissions += 1;
@@ -115,9 +113,8 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                     // guarantee progress. (The offline scheduler drops the
                     // queue head instead, which can be its eviction
                     // victim.)
-                    e.pending.remove(slot);
+                    e.pending.pop_ready();
                     e.pending_tokens -= tokens;
-                    e.pending_wire_tokens -= front.wire_tokens;
                     e.stats.dropped += 1;
                     if front.imported {
                         e.stats.dropped_imported_tokens += front.wire_tokens as u64;

@@ -4,7 +4,7 @@
 //! (emitted at the receiving engine's admission) trace kinds.
 //!
 //! The stage's in-flight queue is the imported subset of the decode
-//! engines' pending arenas: announcing a migration submits a
+//! engines' pending queues: announcing a migration submits a
 //! [`crate::stage::PendingReq`] gated on the landing time, so the transfer
 //! needs no extra state to be checkpointable. What the report needs of
 //! the migrations is kept as [`MigrationTotals`], not as a log.
@@ -56,8 +56,8 @@ pub(crate) fn migrate(d: &mut Driver, from: usize, done: Completion) {
     let to = d.placement.place(decode, from, d.prefill_wafers, &request);
     assert!(to < decode.len(), "placement returned wafer {to} of a {}-wafer pool", decode.len());
     // Bytes already resident on the target's prefix cache never touch
-    // the wire; the imported submission performs the identical lookup
-    // at this same instant, so the wire accounting matches.
+    // the wire; the imported submission carries this one count, so the
+    // engine's wire accounting is the stage's.
     let deduped = decode[to].prefix_cached_tokens(&request).min(request.prompt_len);
     let wire_tokens = request.prompt_len - deduped;
     let bytes = wire_tokens as u64 * d.kv_bytes_per_token;
@@ -67,7 +67,12 @@ pub(crate) fn migrate(d: &mut Driver, from: usize, done: Completion) {
     let id = request.id;
     d.tracer.emit_for(from, t_done, Some(id), EventKind::MigrateStart { to_wafer: global_to, bytes });
     d.tracer.emit_for(global_to, arrive_s, Some(id), EventKind::MigrateArrive { from_wafer: from, bytes });
-    d.engines[global_to].submit_with(request, arrival_s, Admission::Imported { ready_s: arrive_s }, id);
+    d.engines[global_to].submit_with(
+        request,
+        arrival_s,
+        Admission::Imported { ready_s: arrive_s, wire_tokens },
+        id,
+    );
     d.refresh_engine(global_to);
     let (totals, transit_s) = (&mut d.migrations, arrive_s - t_done);
     totals.count += 1;

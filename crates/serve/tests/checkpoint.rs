@@ -957,6 +957,21 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "pending",
         CounterOverflow,
     );
+    // Two imports of `u64::MAX` wire tokens each: no counter holds the
+    // sum, but the report's in-flight migration bytes read it.
+    resume(
+        "pending wire tokens overflow",
+        &saturated,
+        sat,
+        &local,
+        &|r| {
+            let imported = with_field(r, "imported", |_| "1".into());
+            let imported = with_field(&imported, "wire_tokens", |_| u64::MAX.to_string());
+            format!("{imported},\n{imported}")
+        },
+        "pending",
+        CounterOverflow,
+    );
     // A finished request's record, gone from the document.
     let (no_record, _, _) = edit_row(g3, on("record", None), drop);
     cases.push(("record row missing", s3, no_record, rejected(None, "meta", RoutedMismatch)));

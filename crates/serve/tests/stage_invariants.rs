@@ -4,7 +4,7 @@
 //!
 //! Conservation: at any instant between two [`ouro_serve::RunState`] steps,
 //! every injected request is in exactly one place — still waiting (a trace
-//! arrival past the cursor), queued in some engine's pending arena,
+//! arrival past the cursor), queued in some engine's pending queue,
 //! resident in some active set, retired, or dropped:
 //!
 //! ```text
