@@ -5,15 +5,15 @@
 //! scheme:
 //!
 //! * crossbars in *attention mode* are carved into eight logical blocks that
-//!   are dynamically allocated to sequences ([`block`]),
+//!   are dynamically allocated to sequences (the private `block` module),
 //! * the paper's three-level address translation — page table (sequence →
 //!   core), per-core bitmap (sequence → logical block),
 //!   per-crossbar free-block registers (valid rows/columns) — lets a group
 //!   of cores manage their KV storage without centralized control. The
 //!   simulator keeps two kinds of data for it: each resident sequence's
 //!   append cursors, which give the page table ([`manager`]), and the
-//!   crossbar block tables ([`block`]). The bitmap is implied by block
-//!   ownership,
+//!   crossbar block tables with their free-block bitmasks (`block`). The
+//!   per-core bitmap is implied by block ownership,
 //! * the manager is per-head-scaled: one scaled core stands for `heads`
 //!   physical cores, so a sequence holds one K and one V cursor, and
 //!   consecutive sequences walk the ring of cores so that writes for the
@@ -31,13 +31,12 @@
 //! * a static pre-allocation baseline used by the ablation study
 //!   ([`static_alloc`]).
 
-pub mod block;
+mod block;
 pub mod fasthash;
 pub mod manager;
 pub mod scheduler;
 pub mod static_alloc;
 
-pub use block::CrossbarBlocks;
 pub use fasthash::{FastHasher, FastMap};
 pub use manager::{
     BlockAudit, CrossbarSnapshot, KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot,

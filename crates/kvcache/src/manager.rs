@@ -22,7 +22,7 @@
 //! [`BlockAudit`] counts shared blocks once, so `allocated − freed == live`
 //! holds under sharing too.
 
-use crate::block::CrossbarBlocks;
+use crate::block::{CoreState, CrossbarBlocks};
 use crate::fasthash::FastMap;
 use ouro_hw::{CoreId, CrossbarConfig};
 
@@ -138,38 +138,6 @@ impl KvManagerConfig {
             head_dim,
             threshold: 0.1,
         }
-    }
-}
-
-/// Per-core KV state.
-#[derive(Debug, Clone)]
-struct CoreState {
-    id: CoreId,
-    crossbars: Vec<CrossbarBlocks>,
-}
-
-impl CoreState {
-    fn free_tokens(&self) -> usize {
-        self.crossbars.iter().map(|c| c.free_blocks() * c.tokens_per_block()).sum()
-    }
-
-    fn capacity_tokens(&self) -> usize {
-        self.crossbars.iter().map(CrossbarBlocks::capacity_tokens).sum()
-    }
-
-    fn used_tokens(&self) -> usize {
-        self.crossbars.iter().map(CrossbarBlocks::used_tokens).sum()
-    }
-
-    /// Logical blocks currently allocated on this core, counted raw — the
-    /// audit must see blocks awaiting post-fault eviction on failed
-    /// crossbars too.
-    fn live_blocks(&self) -> u64 {
-        self.crossbars.iter().map(|c| (c.num_blocks() - c.raw_free_blocks()) as u64).sum()
-    }
-
-    fn healthy_crossbars(&self) -> usize {
-        self.crossbars.iter().filter(|c| !c.is_failed()).count()
     }
 }
 
@@ -500,11 +468,9 @@ impl KvManager {
         if config.kv_cores.is_empty() {
             return Err(KvError::NoKvCores);
         }
-        let mk_core = |id: CoreId| CoreState {
-            id,
-            crossbars: (0..config.crossbars_per_core)
-                .map(|_| CrossbarBlocks::new(&config.crossbar, config.head_dim))
-                .collect(),
+        let mk_core = |id: CoreId| {
+            let xb = CrossbarBlocks::new(&config.crossbar, config.head_dim);
+            CoreState::new(id, vec![xb; config.crossbars_per_core])
         };
         let half = (config.kv_cores.len() / 2).max(1);
         let key_cores: Vec<CoreState> = config.kv_cores[..half].iter().copied().map(mk_core).collect();
@@ -538,7 +504,7 @@ impl KvManager {
             cores
                 .iter()
                 .map(|core| {
-                    core.crossbars
+                    core.crossbars()
                         .iter()
                         .map(|xb| CrossbarSnapshot {
                             blocks: xb.block_table().to_vec(),
@@ -619,19 +585,7 @@ impl KvManager {
                 return Err(KvRestoreError::CoreCount);
             }
             for (core, xbs) in cores.iter_mut().zip(side) {
-                if core.crossbars.len() != xbs.len() {
-                    return Err(KvRestoreError::CrossbarCount);
-                }
-                for (xb, s) in core.crossbars.iter_mut().zip(xbs) {
-                    let tpb = xb.tokens_per_block();
-                    if xb.num_blocks() != s.blocks.len() {
-                        return Err(KvRestoreError::BlockCount);
-                    }
-                    if s.blocks.iter().flatten().any(|&(_, used)| used > tpb) {
-                        return Err(KvRestoreError::Overfull);
-                    }
-                    *xb = CrossbarBlocks::from_snapshot(tpb, s.blocks.clone(), s.failed);
-                }
+                core.restore(xbs)?;
             }
             Ok(())
         };
@@ -728,7 +682,7 @@ impl KvManager {
     fn owns(&self, role: KvRole, c: Cursor, owner: u64) -> bool {
         self.cores(role)
             .get(c.core_index)
-            .and_then(|core| core.crossbars.get(c.crossbar))
+            .and_then(|core| core.crossbars().get(c.crossbar))
             .and_then(|xb| xb.block_table().get(c.block))
             .is_some_and(|b| matches!(b, Some((o, _)) if *o == owner))
     }
@@ -856,15 +810,13 @@ impl KvManager {
     /// admission and shared-chain creation, so every allocation decision
     /// follows the same §4.4.3 walk.
     fn pick_core(&mut self, role: KvRole) -> Result<usize, KvError> {
+        let (tpb, threshold) = (self.tokens_per_block(), self.config.threshold);
         let cores = self.cores(role);
         let n = cores.len();
         let start = self.ring_next[role as usize] % n;
         let picked = (start..start + n)
             .map(|i| i % n)
-            .find(|&i| {
-                let core = &cores[i];
-                core.free_tokens() as f64 / core.capacity_tokens().max(1) as f64 > self.config.threshold
-            })
+            .find(|&i| cores[i].above_threshold(tpb, threshold))
             .ok_or(KvError::OutOfCapacity)?;
         self.ring_next[role as usize] = (picked + 1) % n;
         Ok(picked)
@@ -956,8 +908,8 @@ impl KvManager {
         true
     }
 
-    /// Allocates and fills one shared block on a fixed core (first healthy
-    /// crossbar with a free block).
+    /// Allocates and fills one shared block on a fixed core (lowest free
+    /// block of the lowest healthy crossbar with one).
     fn alloc_shared_block(
         &mut self,
         role: KvRole,
@@ -966,9 +918,8 @@ impl KvManager {
         tpb: usize,
     ) -> Option<Cursor> {
         let core = &mut self.cores_mut(role)[core_index];
-        let xb = core.crossbars.iter().position(|c| c.free_blocks() > 0)?;
-        let block = core.crossbars[xb].allocate(owner).expect("free block just checked");
-        let leftover = core.crossbars[xb].append(block, owner, tpb);
+        let (xb, block) = core.allocate_from(0, owner)?;
+        let leftover = core.append(xb, block, owner, tpb);
         debug_assert_eq!(leftover, 0, "a fresh block holds a whole prefix node");
         if role == KvRole::Key {
             self.counters.key_used_tokens += tpb - leftover;
@@ -982,9 +933,7 @@ impl KvManager {
     /// Every path that frees a block goes through here, so a shared block
     /// is audit-counted once, whichever path frees it.
     fn free_block(&mut self, role: KvRole, c: Cursor) {
-        let xb = &mut self.cores_mut(role)[c.core_index].crossbars[c.crossbar];
-        let used = xb.block_table()[c.block].map_or(0, |(_, used)| used);
-        if xb.free_at(c.block) {
+        if let Some(used) = self.cores_mut(role)[c.core_index].free(c.crossbar, c.block) {
             self.freed_blocks += 1;
             if role == KvRole::Key {
                 self.counters.key_used_tokens -= used;
@@ -1024,15 +973,11 @@ impl KvManager {
         role: KvRole,
         core_index: usize,
     ) -> Result<(), KvError> {
-        let cores = self.cores_mut(role);
-        let core = &mut cores[core_index];
-        // Find a crossbar with a free block.
-        let Some(xb) = core.crossbars.iter().position(|c| c.free_blocks() > 0) else {
-            return Err(KvError::OutOfCapacity);
-        };
-        let block = core.crossbars[xb].allocate(seq).expect("free block just checked");
+        // The lowest free block of the lowest crossbar with one.
+        let (crossbar, block) =
+            self.cores_mut(role)[core_index].allocate_from(0, seq).ok_or(KvError::OutOfCapacity)?;
         self.allocated_blocks += 1;
-        let cursor = Cursor { core_index, crossbar: xb, block };
+        let cursor = Cursor { core_index, crossbar, block };
         self.slots.blocks[slot.index()].push((role, cursor));
         self.slots.cursors[slot.index()][role as usize] = Some(cursor);
         Ok(())
@@ -1080,7 +1025,7 @@ impl KvManager {
             .zip(self.slots.cursors[slot.index()])
             .try_fold(usize::MAX, |room, (role, c)| {
                 let c = c?;
-                let xb = &self.cores(role)[c.core_index].crossbars[c.crossbar];
+                let xb = &self.cores(role)[c.core_index].crossbars()[c.crossbar];
                 let (_, used) = xb.block_table()[c.block]?;
                 Some(room.min(xb.tokens_per_block() - used))
             })
@@ -1092,8 +1037,8 @@ impl KvManager {
         let mut remaining = tokens;
         while remaining > 0 {
             let cursor = self.slots.cursors[slot.index()][at].ok_or(KvError::UnknownSequence(seq))?;
-            let xb = &mut self.cores_mut(role)[cursor.core_index].crossbars[cursor.crossbar];
-            let leftover = xb.append(cursor.block, seq, remaining);
+            let core = &mut self.cores_mut(role)[cursor.core_index];
+            let leftover = core.append(cursor.crossbar, cursor.block, seq, remaining);
             let consumed = remaining - leftover;
             if role == KvRole::Key {
                 self.counters.key_used_tokens += consumed;
@@ -1103,25 +1048,17 @@ impl KvManager {
                 break;
             }
             let core = &mut self.cores_mut(role)[cursor.core_index];
-            if consumed == 0 || core.crossbars[cursor.crossbar].remaining(cursor.block, seq) == 0 {
+            if consumed == 0 || core.crossbars()[cursor.crossbar].remaining(cursor.block, seq) == 0 {
                 // Need a new block; K prefers a different crossbar, V the same.
-                let n = core.crossbars.len();
                 let start = match role {
                     KvRole::Key => cursor.crossbar + 1,
                     KvRole::Value => cursor.crossbar,
                 };
-                let found = (0..n).map(|i| (start + i) % n).find_map(|xb| {
-                    let block = core.crossbars[xb].allocate(seq)?;
-                    Some(Cursor { core_index: cursor.core_index, crossbar: xb, block })
-                });
-                match found {
-                    Some(c) => {
-                        self.allocated_blocks += 1;
-                        self.slots.blocks[slot.index()].push((role, c));
-                        self.slots.cursors[slot.index()][at] = Some(c);
-                    }
-                    None => return Err(KvError::OutOfCapacity),
-                }
+                let (crossbar, block) = core.allocate_from(start, seq).ok_or(KvError::OutOfCapacity)?;
+                let c = Cursor { core_index: cursor.core_index, crossbar, block };
+                self.allocated_blocks += 1;
+                self.slots.blocks[slot.index()].push((role, c));
+                self.slots.cursors[slot.index()][at] = Some(c);
             }
         }
         Ok(())
@@ -1144,9 +1081,9 @@ impl KvManager {
             self.slots.cursors[slot.index()] = [None; 2];
             self.slots.free.push(slot);
         }
-        #[cfg(debug_assertions)]
         for core in self.key_cores.iter().chain(self.value_cores.iter()) {
-            for xb in &core.crossbars {
+            debug_assert!(core.counters_are_derived(), "a core's counters differ from a rescan");
+            for xb in core.crossbars() {
                 debug_assert!(!xb.owns_any(seq), "per-sequence block index missed a block");
             }
         }
@@ -1180,7 +1117,7 @@ impl KvManager {
     /// Total failure quanta: attention-mode crossbars across every core of
     /// both roles. A wafer dies after this many faults at the latest.
     pub fn num_kv_units(&self) -> usize {
-        self.key_cores.iter().chain(self.value_cores.iter()).map(|c| c.crossbars.len()).sum()
+        self.key_cores.iter().chain(self.value_cores.iter()).map(|c| c.crossbars().len()).sum()
     }
 
     /// Crossbars absorbed by runtime failures so far.
@@ -1228,26 +1165,43 @@ impl KvManager {
     pub fn fail_kv_core(&mut self, preferred: usize) -> Option<KvCoreFailure> {
         let n = self.num_kv_cores();
         let k = self.key_cores.len();
-        let index = (0..n).map(|o| (preferred + o) % n).find(|&i| {
-            let core = if i < k { &self.key_cores[i] } else { &self.value_cores[i - k] };
-            core.healthy_crossbars() > 0
-        })?;
+        let core_at = |i: usize| if i < k { &self.key_cores[i] } else { &self.value_cores[i - k] };
+        let index = (0..n).map(|o| (preferred + o) % n).find(|&i| core_at(i).has_healthy())?;
         let failed_role = if index < k { KvRole::Key } else { KvRole::Value };
         let role_core = if index < k { index } else { index - k };
-        let core = if index < k { &mut self.key_cores[index] } else { &mut self.value_cores[index - k] };
+        let core = core_at(index);
         let xb_idx =
-            core.crossbars.iter().position(|xb| !xb.is_failed()).expect("scan found a healthy crossbar");
+            core.crossbars().iter().position(|xb| !xb.is_failed()).expect("scan found a healthy crossbar");
         let id = core.id;
-        let xb = &mut core.crossbars[xb_idx];
+        let xb = &core.crossbars()[xb_idx];
         let mut evicted_tokens = xb.used_tokens();
         let lost_capacity = xb.capacity_tokens();
-        xb.fail();
+        // The victims are the struck crossbar's owners that are resident
+        // sequences; shared-prefix owners are handled with their chains.
+        let mut evicted: Vec<u64> = xb
+            .block_table()
+            .iter()
+            .flatten()
+            .map(|&(owner, _)| owner)
+            .filter(|owner| owner & SHARED_OWNER_TAG == 0 && self.slots.of.contains_key(owner))
+            .collect();
+        debug_assert!(
+            {
+                let mut scanned: Vec<u64> =
+                    self.slots.of.keys().copied().filter(|&s| xb.owns_any(s)).collect();
+                scanned.sort_unstable();
+                let mut listed = evicted.clone();
+                listed.sort_unstable();
+                listed.dedup();
+                scanned == listed
+            },
+            "the struck crossbar's table names every resident sequence on it"
+        );
+        self.cores_mut(failed_role)[role_core].fail(xb_idx);
         self.counters.healthy_crossbars[failed_role as usize] -= 1;
         if failed_role == KvRole::Key {
             self.counters.key_capacity_tokens -= lost_capacity;
         }
-        let xb = &core.crossbars[xb_idx];
-        let mut evicted: Vec<u64> = self.slots.of.keys().copied().filter(|&seq| xb.owns_any(seq)).collect();
         // Shared prefix chains with a node on the failed crossbar lose part
         // of their prefix KV: every sharer must be evicted for recompute,
         // and the whole chain is freed (each block exactly once — sharers'
@@ -1935,6 +1889,94 @@ mod tests {
                     }
                     let recounted = KvManager::restore(m.config.clone(), &m.snapshot()).unwrap();
                     prop_assert_eq!(observed(&m), observed(&recounted));
+                }
+            }
+        }
+    }
+
+    mod allocation_properties {
+        use super::*;
+        use crate::block::CoreState;
+        use proptest::prelude::*;
+
+        /// Every pick equals the old scan and every counter a rescan: the
+        /// cyclic pick from `start` and from the ends and middle of the
+        /// crossbar range, and `pick_core`'s threshold test. The lowest
+        /// free block is checked at every allocation.
+        fn check(core: &CoreState, start: usize) {
+            assert!(core.counters_are_derived(), "the counters equal a rescan");
+            let n = core.crossbars().len();
+            for start in [0, n / 2, n - 1, n, start] {
+                assert_eq!(core.first_free(start), core.scan_first_free(start), "start {start}");
+            }
+            let tpb = core.crossbars()[0].tokens_per_block();
+            let (free, capacity) = core.scan_tokens();
+            for threshold in [0.0, 0.1, 0.9] {
+                let scanned = free as f64 / capacity.max(1) as f64 > threshold;
+                assert_eq!(core.above_threshold(tpb, threshold), scanned, "threshold {threshold}");
+            }
+        }
+
+        /// Applies `ops` to a fresh core of `crossbars` crossbars with
+        /// `blocks` logical blocks each, checking it after every one.
+        fn run(crossbars: usize, blocks: usize, ops: &[(u8, usize)]) {
+            let crossbar = CrossbarConfig { logical_blocks: blocks, ..CrossbarConfig::paper() };
+            let tables = (0..crossbars).map(|_| CrossbarBlocks::new(&crossbar, 128)).collect();
+            let mut core = CoreState::new(CoreId(0), tables);
+            let mut allocated: Vec<(usize, usize)> = Vec::new();
+            for &(op, draw) in ops {
+                let start = draw % (crossbars + 1);
+                match op {
+                    // Allocations outnumber frees, so cores fill up.
+                    0 | 1 => {
+                        let expected = core.scan_first_free(start).map(|xb| {
+                            (
+                                xb,
+                                core.crossbars()[xb].scan_first_free().expect("a crossbar with a free block"),
+                            )
+                        });
+                        let got = core.allocate_from(start, draw as u64);
+                        assert_eq!(got, expected, "allocation from {start}");
+                        allocated.extend(got);
+                    }
+                    2 if !allocated.is_empty() => {
+                        let (xb, block) = allocated.swap_remove(draw % allocated.len());
+                        assert!(core.free(xb, block).is_some());
+                        assert_eq!(core.free(xb, block), None, "a second free is a no-op");
+                    }
+                    3 => {
+                        let xb = draw % crossbars;
+                        if !core.crossbars()[xb].is_failed() {
+                            core.fail(xb);
+                        }
+                    }
+                    _ => {
+                        // A burst of allocations from one start.
+                        for _ in 0..draw % 64 {
+                            allocated.extend(core.allocate_from(start, 0));
+                        }
+                    }
+                }
+                check(&core, start);
+            }
+        }
+
+        proptest! {
+            /// Random allocate / free / fail operations on cores of
+            /// {1, 6, 32, 65} crossbars with {1, 8, 65} blocks each: after
+            /// every operation each pick (the first crossbar with a free
+            /// block in cyclic order from a start, the lowest free block,
+            /// `pick_core`'s threshold test) equals the old scan, and every
+            /// counter equals a rescan. Runs in release builds too, where
+            /// the pick sites' differential asserts are compiled out.
+            #[test]
+            fn picks_equal_the_scans_and_counters_a_rescan(
+                ops in proptest::collection::vec((0u8..5, 0usize..4096), 1..120),
+            ) {
+                for crossbars in [1, 6, 32, 65] {
+                    for blocks in [1, 8, 65] {
+                        run(crossbars, blocks, &ops);
+                    }
                 }
             }
         }

@@ -162,8 +162,9 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 /// cursor past the workload, fault state its fault config does not match,
 /// a pending or active row whose trace index is past the trace or whose
 /// sequence id is at or past its engine's submission counter, a local
-/// pending row carrying wire tokens, pending rows whose token or
-/// wire-token sums overflow a `usize`, KV rows that do not fit the
+/// pending row carrying wire tokens, a pending row whose wire tokens
+/// exceed its request's prompt, pending rows whose token sum overflows a
+/// `usize`, KV rows that do not fit the
 /// system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault
 /// state that does not fit the deployment, an active row that is not
 /// resident, whose prompt plus decoded tokens differ from its resident KV
@@ -218,20 +219,19 @@ pub(crate) fn rebuild(
         };
         // The queue's token counter is a running sum over the pending
         // rows, kept the way `submit_with` and an eviction add it: prompt
-        // plus decoded tokens per row. `pending_imported_tokens` sums the
-        // imported rows' wire tokens when asked, so that sum must fit too.
-        // Both are summed wide, so no row can overflow them unnoticed.
-        let (mut tokens, mut wire_tokens) = (0u128, 0u128);
+        // plus decoded tokens per row, summed wide so no row can overflow
+        // it unnoticed. An import ships at most its prompt, as
+        // `submit_with` asserts, so this sum also bounds the wire-token sum
+        // `pending_imported_tokens` reads.
+        let mut tokens = 0u128;
         for &(ready_s, p) in &es.pending {
             let req = in_flight(p.req, Pending::NAME)?;
             ensure(p.imported || p.wire_tokens == 0, reject(Pending::NAME, K::LocalWireTokens))?;
+            ensure(p.wire_tokens <= req.request.prompt_len, reject(Pending::NAME, K::WireTokensPastPrompt))?;
             tokens += req.request.prompt_len as u128 + p.decoded as u128;
-            wire_tokens += p.wire_tokens as u128;
             e.pending.push_back(ready_s, PendingReq { req, ..p });
         }
-        let overflow = |_| reject(Pending::NAME, K::CounterOverflow);
-        e.pending_tokens = usize::try_from(tokens).map_err(overflow)?;
-        usize::try_from(wire_tokens).map_err(overflow)?;
+        e.pending_tokens = usize::try_from(tokens).map_err(|_| reject(Pending::NAME, K::CounterOverflow))?;
         // `push_active` stamps each row's `since` with the restored step
         // count, so the stats come first.
         e.stats = es.stats;
@@ -437,8 +437,10 @@ pub enum SnapshotErrorKind {
     RoutedMismatch,
     /// A local pending row carries wire tokens.
     LocalWireTokens,
-    /// An engine's pending rows' token or wire-token sum overflows a
-    /// `usize`.
+    /// An imported pending row carries more wire tokens than its
+    /// request's prompt.
+    WireTokensPastPrompt,
+    /// An engine's pending rows' token sum overflows a `usize`.
     CounterOverflow,
     /// An active row's sequence is not resident.
     NotResident,

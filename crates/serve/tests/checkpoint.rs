@@ -675,13 +675,14 @@ fn kind_index(kind: SnapshotErrorKind) -> usize {
         IndexOutOfRange => 10,
         RoutedMismatch => 11,
         LocalWireTokens => 12,
-        CounterOverflow => 13,
-        NotResident => 14,
-        ProgressMismatch => 15,
-        DuplicateActive => 16,
-        Unserved => 17,
+        WireTokensPastPrompt => 13,
+        CounterOverflow => 14,
+        NotResident => 15,
+        ProgressMismatch => 16,
+        DuplicateActive => 17,
+        Unserved => 18,
         Kv(k) => {
-            18 + match k {
+            19 + match k {
                 R::CoreCount => 0,
                 R::CrossbarCount => 1,
                 R::BlockCount => 2,
@@ -957,20 +958,15 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "pending",
         CounterOverflow,
     );
-    // Two imports of `u64::MAX` wire tokens each: no counter holds the
-    // sum, but the report's in-flight migration bytes read it.
+    // Every prompt of the saturated workload is 128 tokens.
     resume(
-        "pending wire tokens overflow",
+        "wire tokens past the prompt",
         &saturated,
         sat,
         &local,
-        &|r| {
-            let imported = with_field(r, "imported", |_| "1".into());
-            let imported = with_field(&imported, "wire_tokens", |_| u64::MAX.to_string());
-            format!("{imported},\n{imported}")
-        },
+        &|r| with_field(&with_field(r, "imported", |_| "1".into()), "wire_tokens", |_| "129".into()),
         "pending",
-        CounterOverflow,
+        WireTokensPastPrompt,
     );
     // A finished request's record, gone from the document.
     let (no_record, _, _) = edit_row(g3, on("record", None), drop);
@@ -997,7 +993,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         assert_eq!(err, *expected, "{case}");
         seen.insert(kind_index(err.kind));
     }
-    assert!(seen.into_iter().eq(0..28), "every kind must be reached");
+    assert!(seen.into_iter().eq(0..29), "every kind must be reached");
 }
 
 #[test]
@@ -1093,6 +1089,32 @@ fn resume_rejects_engine_counters_that_differ_from_their_rows() {
         Ok(Err(rejected(Some(wafer), "pending", LocalWireTokens))),
         "wire tokens on a local pending row must not resume"
     );
+}
+
+#[test]
+fn resume_rejects_an_import_that_ships_more_than_its_prompt() {
+    // An import ships at most its prompt's KV (`Engine::submit_with`
+    // asserts it). A pending row claiming more would book the excess as
+    // materialized at admission, or as dropped imported tokens.
+    let sys = tiny_system();
+    let scenario = saturated_long_decode();
+    let json = saturated_snapshot_json();
+    let local = json
+        .lines()
+        .find(|l| l.starts_with(r#"{"section":"pending""#) && field(l, "imported") == "0")
+        .expect("a local pending row");
+    let wafer = field(local, "wafer").parse().unwrap();
+    let prompt = 128; // every prompt of the saturated workload
+    for (wire_tokens, fits) in [(prompt, true), (prompt + 1, false), (1_000_000, false)] {
+        let row = with_field(local, "imported", |_| "1".into());
+        let row = with_field(&row, "wire_tokens", |_| wire_tokens.to_string());
+        let edited = json.replace(local.trim_end_matches(','), row.trim_end_matches(','));
+        assert_ne!(edited, json, "the edit must change the document");
+        let resumed = Snapshot::parse(&edited).map(|snap| scenario.resume(&sys, &snap).map(|_| ()));
+        let expected =
+            if fits { Ok(()) } else { Err(rejected(Some(wafer), "pending", WireTokensPastPrompt)) };
+        assert_eq!(resumed, Ok(expected), "{wire_tokens} wire tokens on a {prompt}-token prompt");
+    }
 }
 
 #[test]
