@@ -60,14 +60,14 @@
 //! function of the flags. Simulator speed is measured by the separate
 //! `benches/simbench` package.
 
-use ouro_baselines::SystemReport;
 use ouro_bench::{
     build_ouroboros, compare_all, decoder_models, encoder_models, format_energy_breakdown, format_normalized,
     labeled_row, serving_setup, trace_for, DEFAULT_REQUESTS, SEED,
 };
 use ouro_hw::{CircuitPoint, CoreConfig, CrossbarConfig};
-use ouro_mapping::{MappingProblem, Strategy};
-use ouro_model::zoo;
+use ouro_sim::baselines::SystemReport;
+use ouro_sim::mapping::{MappingProblem, Strategy};
+use ouro_sim::model::zoo;
 use ouro_sim::{ablation_ladder, OuroborosConfig, OuroborosSystem};
 use ouro_workload::LengthConfig;
 
@@ -264,7 +264,7 @@ fn fig1(requests: usize) {
     println!("{:<12} {:>6} {:>14} {:>14} {:>8}", "model", "GPUs", "compute (J)", "total (J)", "ratio");
     for model in zoo::scaling_tax_models() {
         for gpus in [1usize, 2, 4, 8] {
-            let sys = ouro_baselines::dgx_a100(gpus);
+            let sys = ouro_sim::baselines::dgx_a100(gpus);
             let r = sys.evaluate(&model, &trace, "WikiText-2");
             let compute = r.energy_per_token.compute_j * r.output_tokens as f64;
             let total = r.total_energy_j();
@@ -427,9 +427,9 @@ fn fig18() {
         let defects = ouro_hw::DefectMap::pristine(&geometry);
         let cores: Vec<ouro_hw::CoreId> = geometry.all_cores().collect();
         let problem = MappingProblem::for_block(&model, geometry, defects, cores, 4 * 1024 * 1024, 4.0);
-        let summa = ouro_mapping::solve(&problem, Strategy::Summa, SEED);
-        let wll = ouro_mapping::solve(&problem, Strategy::WaferLlm, SEED);
-        let ours = ouro_mapping::solve(&problem, Strategy::Anneal { iterations: 4_000 }, SEED);
+        let summa = ouro_sim::mapping::solve(&problem, Strategy::Summa, SEED);
+        let wll = ouro_sim::mapping::solve(&problem, Strategy::WaferLlm, SEED);
+        let ours = ouro_sim::mapping::solve(&problem, Strategy::Anneal { iterations: 4_000 }, SEED);
         let norm = summa.summary.transmission_volume();
         println!(
             "{:<12} {:>12.3} {:>12.3} {:>12.3}",
@@ -468,7 +468,7 @@ fn fig21(requests: usize) {
             .simulate_labeled(&trace, "LP=2048 LD=2048");
         reports.push(ours.clone());
         for point in [CircuitPoint::vlsi22(), CircuitPoint::isscc22()] {
-            let sys = ouro_baselines::hbm_cim_system(
+            let sys = ouro_sim::baselines::hbm_cim_system(
                 point.name,
                 point.scaled_tops_per_watt,
                 point.scaled_tops_per_mm2,

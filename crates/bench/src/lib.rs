@@ -5,8 +5,8 @@
 //! experiments -- <figure>`) prints the text tables. Simulator speed is
 //! measured by the separate `benches/simbench` package, not here.
 
-use ouro_baselines::{RooflineSystem, SystemReport};
-use ouro_model::ModelConfig;
+use ouro_sim::baselines::{RooflineSystem, SystemReport};
+use ouro_sim::model::ModelConfig;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{LengthConfig, Trace, TraceGenerator};
 
@@ -26,25 +26,25 @@ pub fn trace_for(config: &LengthConfig, requests: usize) -> Trace {
 /// The decoder models of the main evaluation (Fig. 13–15).
 pub fn decoder_models() -> Vec<ModelConfig> {
     vec![
-        ouro_model::zoo::llama_13b(),
-        ouro_model::zoo::baichuan_13b(),
-        ouro_model::zoo::llama_32b(),
-        ouro_model::zoo::qwen_32b(),
+        ouro_sim::model::zoo::llama_13b(),
+        ouro_sim::model::zoo::baichuan_13b(),
+        ouro_sim::model::zoo::llama_32b(),
+        ouro_sim::model::zoo::qwen_32b(),
     ]
 }
 
 /// The encoder-style models of §6.4 (Fig. 16).
 pub fn encoder_models() -> Vec<ModelConfig> {
-    vec![ouro_model::zoo::bert_large(), ouro_model::zoo::t5_11b()]
+    vec![ouro_sim::model::zoo::bert_large(), ouro_sim::model::zoo::t5_11b()]
 }
 
 /// The baseline systems of the main comparison, in figure order.
-pub fn baseline_systems() -> Vec<RooflineSystem> {
+pub(crate) fn baseline_systems() -> Vec<RooflineSystem> {
     vec![
-        ouro_baselines::dgx_a100(8),
-        ouro_baselines::tpu_v4(),
-        ouro_baselines::attacc(),
-        ouro_baselines::cerebras_wse2(),
+        ouro_sim::baselines::dgx_a100(8),
+        ouro_sim::baselines::tpu_v4(),
+        ouro_sim::baselines::attacc(),
+        ouro_sim::baselines::cerebras_wse2(),
     ]
 }
 
@@ -71,7 +71,7 @@ pub fn serving_setup(seed: u64, lengths: &LengthConfig) -> (OuroborosSystem, f64
     let mut cfg = OuroborosConfig::single_wafer();
     cfg.seed = seed;
     let system =
-        OuroborosSystem::new(cfg, &ouro_model::zoo::llama_13b()).expect("LLaMA-13B fits on one wafer");
+        OuroborosSystem::new(cfg, &ouro_sim::model::zoo::llama_13b()).expect("LLaMA-13B fits on one wafer");
     let capacity = capacity_rps_estimate(system.stage_times(), lengths);
     let typical = lengths.nominal_total_tokens();
     let (ttft, tpot) = ideal_latencies(system.stage_times(), typical / 2, typical);
@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn formatting_contains_every_system() {
-        let model = ouro_model::zoo::llama_13b();
+        let model = ouro_sim::model::zoo::llama_13b();
         let trace = trace_for(&LengthConfig::fixed(64, 64), 4);
         let reports: Vec<SystemReport> =
             baseline_systems().iter().map(|s| s.evaluate(&model, &trace, "t")).collect();

@@ -16,8 +16,8 @@
 
 use ouro_bench::json::{self, JsonObject, Row};
 use ouro_bench::{build_ouroboros, compare_all, trace_for, SEED};
-use ouro_model::{zoo, ModelConfig};
 use ouro_serve::Scenario;
+use ouro_sim::model::{zoo, ModelConfig};
 use ouro_sim::OuroborosConfig;
 use ouro_workload::{ArrivalConfig, LengthConfig};
 

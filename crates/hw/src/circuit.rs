@@ -30,14 +30,14 @@ pub struct CircuitPoint {
     pub wafer_capacity_gb: f64,
     /// Whether a system built from this core must spill model weights and KV
     /// cache to off-chip HBM (true for the high-density baselines).
-    pub needs_offchip_memory: bool,
+    pub(crate) needs_offchip_memory: bool,
     /// Whether the core uses LUT-based compute (the Fig. 21 "+LUT" variant).
-    pub lut_compute: bool,
+    pub(crate) lut_compute: bool,
 }
 
 impl CircuitPoint {
     /// The Ouroboros core (this work): 7 nm, 1 Mb arrays, capacity-first.
-    pub fn ouroboros() -> CircuitPoint {
+    pub(crate) fn ouroboros() -> CircuitPoint {
         CircuitPoint {
             name: "This work",
             technology_nm: 7,
@@ -54,7 +54,7 @@ impl CircuitPoint {
 
     /// The Ouroboros core with LUT-based compute folded in (≈10 % extra
     /// compute-energy saving, Fig. 21).
-    pub fn ouroboros_with_lut() -> CircuitPoint {
+    pub(crate) fn ouroboros_with_lut() -> CircuitPoint {
         CircuitPoint {
             name: "This work + LUT",
             tops_per_watt: 10.98 / 0.9,

@@ -13,13 +13,13 @@ use crate::energy::{EnergyTable, SFU_CLOCK_HZ};
 /// Model of the special-function unit: 64-way parallel element-wise and
 /// reduction lanes with a 10 KB operand buffer, clocked at 1 GHz.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SfuModel {
+pub(crate) struct SfuModel {
     /// Number of parallel lanes (64).
-    pub lanes: usize,
+    pub(crate) lanes: usize,
     /// Clock frequency in hertz (1 GHz).
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Operand buffer capacity in bytes (10 KB).
-    pub buffer_bytes: u64,
+    pub(crate) buffer_bytes: u64,
 }
 
 impl Default for SfuModel {
@@ -30,7 +30,7 @@ impl Default for SfuModel {
 
 impl SfuModel {
     /// Latency in seconds to execute `ops` element-wise/reduction operations.
-    pub fn latency_s(&self, ops: u64) -> f64 {
+    pub(crate) fn latency_s(&self, ops: u64) -> f64 {
         (ops as f64 / self.lanes as f64).ceil() / self.clock_hz
     }
 }
@@ -43,16 +43,16 @@ pub struct CoreConfig {
     /// Crossbar configuration shared by all crossbars in the core.
     pub crossbar: CrossbarConfig,
     /// Input activation buffer capacity in bytes (128 KB, ping-pong).
-    pub input_buffer_bytes: u64,
+    pub(crate) input_buffer_bytes: u64,
     /// Output activation buffer capacity in bytes (32 KB).
-    pub output_buffer_bytes: u64,
+    pub(crate) output_buffer_bytes: u64,
     /// SFU model.
-    pub sfu: SfuModel,
+    pub(crate) sfu: SfuModel,
     /// Per-operation energy table.
     pub energy: EnergyTable,
     /// Fixed area of the non-crossbar logic (buffers, SFU, control, H-tree)
     /// in mm².
-    pub periphery_area_mm2: f64,
+    pub(crate) periphery_area_mm2: f64,
 }
 
 impl Default for CoreConfig {
@@ -113,22 +113,26 @@ impl CimCore {
     }
 
     /// Peak MAC throughput of the whole core (all crossbars busy), MAC/s.
-    pub fn peak_macs_per_second(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_macs_per_second(&self) -> f64 {
         self.config.crossbars as f64 * self.config.crossbar.macs_per_second()
     }
 
     /// Peak 8-bit TOPS of the core.
-    pub fn tops(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tops(&self) -> f64 {
         2.0 * self.peak_macs_per_second() / 1e12
     }
 
     /// Core area in mm².
-    pub fn area_mm2(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.config.crossbars as f64 * self.config.crossbar.area_mm2() + self.config.periphery_area_mm2
     }
 
     /// Compute density in TOPS/mm².
-    pub fn tops_per_mm2(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tops_per_mm2(&self) -> f64 {
         self.tops() / self.area_mm2()
     }
 
@@ -163,16 +167,6 @@ impl CimCore {
     /// Latency of `ops` SFU operations.
     pub fn sfu_latency_s(&self, ops: u64) -> f64 {
         self.config.sfu.latency_s(ops)
-    }
-
-    /// Energy of `ops` SFU operations.
-    pub fn sfu_energy_j(&self, ops: u64) -> f64 {
-        self.config.energy.sfu_energy_j(ops)
-    }
-
-    /// Static energy burned by the core over `seconds`.
-    pub fn static_energy_j(&self, seconds: f64) -> f64 {
-        self.config.energy.core_static_w * seconds
     }
 }
 
@@ -242,12 +236,6 @@ mod tests {
         let nominal_core = CimCore::new(nominal);
         assert!(fast_core.sram_capacity_bytes() < nominal_core.sram_capacity_bytes());
         assert!(fast_core.peak_macs_per_second() > nominal_core.peak_macs_per_second());
-    }
-
-    #[test]
-    fn static_energy_scales_with_time() {
-        let core = CimCore::paper();
-        assert!((core.static_energy_j(2.0) - 2.0 * core.static_energy_j(1.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -16,22 +16,22 @@ pub struct CrossbarConfig {
     /// Number of SRAM rows (1024).
     pub rows: usize,
     /// Number of SRAM columns in bits (1024).
-    pub cols: usize,
+    pub(crate) cols: usize,
     /// Weight precision in bits (8).
-    pub weight_bits: usize,
+    pub(crate) weight_bits: usize,
     /// Input activation precision in bits (8, applied bit-serially).
-    pub input_bits: usize,
+    pub(crate) input_bits: usize,
     /// Number of banks; one row per bank can be active simultaneously (32).
-    pub banks: usize,
+    pub(crate) banks: usize,
     /// Fraction of rows active per cycle (1/32 in the paper).
-    pub row_activation_ratio: f64,
+    pub(crate) row_activation_ratio: f64,
     /// Clock frequency in hertz (300 MHz).
-    pub clock_hz: f64,
+    pub(crate) clock_hz: f64,
     /// Area of the bare SRAM array in mm² (CACTI: 0.063).
-    pub array_area_mm2: f64,
+    pub(crate) array_area_mm2: f64,
     /// Area of the per-crossbar compute periphery (AND gates, adder trees,
     /// shift adders) at the nominal 1/32 activation ratio, in mm².
-    pub logic_area_mm2: f64,
+    pub(crate) logic_area_mm2: f64,
     /// Number of logical KV blocks the array splits into in attention mode (8).
     pub logical_blocks: usize,
 }
@@ -81,29 +81,26 @@ impl CrossbarConfig {
     }
 
     /// Output columns produced per pass (128 for 8-bit weights).
-    pub fn output_columns(&self) -> usize {
+    pub(crate) fn output_columns(&self) -> usize {
         self.cols / self.weight_bits
     }
 
     /// Rows active per cycle.
-    pub fn active_rows(&self) -> usize {
+    pub(crate) fn active_rows(&self) -> usize {
         ((self.rows as f64) * self.row_activation_ratio).round().max(1.0) as usize
     }
 
     /// Multiply-accumulates completed per cycle (bit-serial inputs divide the
     /// per-cycle row work by `input_bits`).
-    pub fn macs_per_cycle(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn macs_per_cycle(&self) -> f64 {
         self.active_rows() as f64 * self.output_columns() as f64 / self.input_bits as f64
     }
 
     /// Peak MAC throughput in MAC/s.
-    pub fn macs_per_second(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn macs_per_second(&self) -> f64 {
         self.macs_per_cycle() * self.clock_hz
-    }
-
-    /// Peak 8-bit TOPS of one crossbar (1 MAC = 2 ops).
-    pub fn tops(&self) -> f64 {
-        2.0 * self.macs_per_second() / 1e12
     }
 
     /// Cycles to run a GEMV tile with `in_dim` inputs against the stored
@@ -114,24 +111,24 @@ impl CrossbarConfig {
     /// # Panics
     ///
     /// Panics if `in_dim` is zero or exceeds the number of rows.
-    pub fn gemv_cycles(&self, in_dim: usize) -> u64 {
+    pub(crate) fn gemv_cycles(&self, in_dim: usize) -> u64 {
         assert!(in_dim > 0 && in_dim <= self.rows, "in_dim {in_dim} must be in 1..={}", self.rows);
         let groups = in_dim.div_ceil(self.active_rows());
         (groups * self.input_bits) as u64
     }
 
     /// Latency in seconds of a GEMV tile with `in_dim` inputs.
-    pub fn gemv_latency_s(&self, in_dim: usize) -> f64 {
+    pub(crate) fn gemv_latency_s(&self, in_dim: usize) -> f64 {
         self.gemv_cycles(in_dim) as f64 / self.clock_hz
     }
 
     /// Total crossbar area (array + compute periphery) in mm².
-    pub fn area_mm2(&self) -> f64 {
+    pub(crate) fn area_mm2(&self) -> f64 {
         self.array_area_mm2 + self.logic_area_mm2
     }
 
     /// Capacity of one logical KV block in bytes (attention mode).
-    pub fn logical_block_bytes(&self) -> u64 {
+    pub(crate) fn logical_block_bytes(&self) -> u64 {
         self.capacity_bytes() / self.logical_blocks as u64
     }
 

@@ -6,10 +6,10 @@
 //! They feed every latency/energy computation in the higher-level crates.
 
 /// Clock frequency of the CIM crossbar arrays (§5: 300 MHz).
-pub const CIM_CLOCK_HZ: f64 = 300.0e6;
+pub(crate) const CIM_CLOCK_HZ: f64 = 300.0e6;
 
 /// Clock frequency of the SFU and control logic (§5: 1 GHz).
-pub const SFU_CLOCK_HZ: f64 = 1.0e9;
+pub(crate) const SFU_CLOCK_HZ: f64 = 1.0e9;
 
 /// Table of per-operation energies (joules) and static power (watts) for one
 /// CIM core and its surrounding memory structures.
@@ -39,7 +39,7 @@ pub struct EnergyTable {
 
 impl EnergyTable {
     /// The paper's 7-nm Ouroboros core characterisation.
-    pub fn paper() -> EnergyTable {
+    pub(crate) fn paper() -> EnergyTable {
         // 10.98 TOPS/W  =>  energy per (8-bit) op = 1 / 10.98e12 J; a MAC is
         // 2 ops.
         let op_j = 1.0 / 10.98e12;
@@ -60,14 +60,10 @@ impl EnergyTable {
         EnergyTable { cim_mac_j: self.cim_mac_j * 0.9, ..self }
     }
 
-    /// Energy of `ops` SFU operations.
-    pub fn sfu_energy_j(&self, ops: u64) -> f64 {
-        ops as f64 * self.sfu_op_j
-    }
-
     /// Effective TOPS/W of the compute path implied by this table
     /// (8-bit operations; 1 MAC = 2 ops).
-    pub fn tops_per_watt(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn tops_per_watt(&self) -> f64 {
         2.0 / self.cim_mac_j / 1e12
     }
 }
@@ -95,13 +91,6 @@ mod tests {
         let lut = base.with_lut_compute();
         assert!((lut.cim_mac_j / base.cim_mac_j - 0.9).abs() < 1e-12);
         assert_eq!(lut.sfu_op_j, base.sfu_op_j);
-    }
-
-    #[test]
-    fn energies_scale_linearly() {
-        let t = EnergyTable::paper();
-        assert!((t.sfu_energy_j(2_000) - 2.0 * t.sfu_energy_j(1_000)).abs() < 1e-18);
-        assert_eq!(t.sfu_energy_j(0), 0.0);
     }
 
     #[test]

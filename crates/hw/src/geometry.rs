@@ -27,35 +27,35 @@ pub struct CoreCoord {
 
 impl CoreCoord {
     /// Manhattan (L1) distance to another core in units of core-to-core hops.
-    pub fn manhattan(&self, other: &CoreCoord) -> usize {
+    pub(crate) fn manhattan(&self, other: &CoreCoord) -> usize {
         self.row.abs_diff(other.row) + self.col.abs_diff(other.col)
     }
 }
 
 /// Position of a die in the wafer's die grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct DieCoord {
+pub(crate) struct DieCoord {
     /// Die row within the wafer (0..die_rows).
-    pub row: usize,
+    pub(crate) row: usize,
     /// Die column within the wafer (0..die_cols).
-    pub col: usize,
+    pub(crate) col: usize,
 }
 
 /// Static description of the wafer's physical organisation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WaferGeometry {
     /// Number of die rows on the wafer (9 in the paper).
-    pub die_rows: usize,
+    pub(crate) die_rows: usize,
     /// Number of die columns on the wafer (7 in the paper).
-    pub die_cols: usize,
+    pub(crate) die_cols: usize,
     /// Core rows per die (13 in the paper).
-    pub core_rows_per_die: usize,
+    pub(crate) core_rows_per_die: usize,
     /// Core columns per die (17 in the paper).
     pub core_cols_per_die: usize,
     /// Area of one CIM core in mm² (2.97 in the paper).
-    pub core_area_mm2: f64,
+    pub(crate) core_area_mm2: f64,
     /// Wafer edge length in mm (215 in the paper).
-    pub wafer_edge_mm: f64,
+    pub(crate) wafer_edge_mm: f64,
 }
 
 impl Default for WaferGeometry {
@@ -89,12 +89,12 @@ impl WaferGeometry {
     }
 
     /// Number of dies on the wafer.
-    pub fn dies(&self) -> usize {
+    pub(crate) fn dies(&self) -> usize {
         self.die_rows * self.die_cols
     }
 
     /// Number of cores per die.
-    pub fn cores_per_die(&self) -> usize {
+    pub(crate) fn cores_per_die(&self) -> usize {
         self.core_rows_per_die * self.core_cols_per_die
     }
 
@@ -104,12 +104,12 @@ impl WaferGeometry {
     }
 
     /// Total rows of the wafer-global core grid.
-    pub fn global_rows(&self) -> usize {
+    pub(crate) fn global_rows(&self) -> usize {
         self.die_rows * self.core_rows_per_die
     }
 
     /// Total columns of the wafer-global core grid.
-    pub fn global_cols(&self) -> usize {
+    pub(crate) fn global_cols(&self) -> usize {
         self.die_cols * self.core_cols_per_die
     }
 
@@ -141,7 +141,7 @@ impl WaferGeometry {
     }
 
     /// The die a core belongs to.
-    pub fn die_of(&self, id: CoreId) -> DieCoord {
+    pub(crate) fn die_of(&self, id: CoreId) -> DieCoord {
         let c = self.coord(id);
         DieCoord { row: c.row / self.core_rows_per_die, col: c.col / self.core_cols_per_die }
     }

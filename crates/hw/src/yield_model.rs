@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 /// `d0_per_cm2` defects per cm².
 ///
 /// Returns a value in `(0, 1]`; areas or densities of zero yield exactly 1.
-pub fn murphy_yield(area_cm2: f64, d0_per_cm2: f64) -> f64 {
+pub(crate) fn murphy_yield(area_cm2: f64, d0_per_cm2: f64) -> f64 {
     let ad = area_cm2 * d0_per_cm2;
     if ad <= 0.0 {
         return 1.0;
@@ -44,7 +44,7 @@ impl YieldModel {
     }
 
     /// Expected yield of a single core of `core_area_mm2`.
-    pub fn core_yield(&self, core_area_mm2: f64) -> f64 {
+    pub(crate) fn core_yield(&self, core_area_mm2: f64) -> f64 {
         murphy_yield(core_area_mm2 / 100.0, self.d0_per_cm2)
     }
 
@@ -96,12 +96,13 @@ impl DefectMap {
     }
 
     /// Number of cores covered by the map.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.defective.len()
     }
 
     /// Whether the map covers zero cores.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.defective.is_empty()
     }
 

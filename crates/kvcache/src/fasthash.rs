@@ -19,13 +19,13 @@ use std::hash::{BuildHasherDefault, Hasher};
     clippy::disallowed_types,
     reason = "the FastMap definition: std HashMap rekeyed through the deterministic FastHasher"
 )]
-pub type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
+pub(crate) type FastMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// The hasher state: one word, folded multiplicatively per written word.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct FastHasher(u64);
+pub(crate) struct FastHasher(u64);
 
 impl FastHasher {
     #[inline]

@@ -113,7 +113,7 @@ impl std::error::Error for KvRestoreError {}
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvManagerConfig {
     /// Cores assigned to KV storage / in-situ attention, in ring order.
-    pub kv_cores: Vec<CoreId>,
+    pub(crate) kv_cores: Vec<CoreId>,
     /// Number of attention-mode crossbars per KV core.
     pub crossbars_per_core: usize,
     /// Crossbar geometry (logical blocks, tokens per block).
@@ -351,9 +351,9 @@ pub struct KvCoreFailure {
     /// Flat index of the struck core (key side first, then value side).
     pub index: usize,
     /// The struck core's id.
-    pub core: CoreId,
+    pub(crate) core: CoreId,
     /// The failed crossbar within the core.
-    pub crossbar: usize,
+    pub(crate) crossbar: usize,
     /// Resident sequences that lost KV to the failure, in ascending order:
     /// those holding a private block on the failed crossbar, plus every
     /// sharer of a prefix chain with a node there (a sharer loses its
@@ -379,10 +379,10 @@ pub struct CrossbarSnapshot {
 
 /// A block slot `(core_index, crossbar, block)` within a role-side core
 /// list, as serialized by [`KvManagerSnapshot`].
-pub type SnapshotSlot = (usize, usize, usize);
+pub(crate) type SnapshotSlot = (usize, usize, usize);
 
 /// One node of a serialized shared-prefix chain: `(refs, k_slot, v_slot)`.
-pub type SnapshotChainNode = (usize, SnapshotSlot, SnapshotSlot);
+pub(crate) type SnapshotChainNode = (usize, SnapshotSlot, SnapshotSlot);
 
 /// A sequence's private block list inside a [`KvManagerSnapshot`]:
 /// `(seq, [(role, core_index, crossbar, block)])` with per-sequence
@@ -673,6 +673,7 @@ impl KvManager {
     }
 
     /// The core `slot`'s key cursor is bound on, if it is bound.
+    #[cfg(test)]
     fn key_core(&self, slot: KvSlot) -> Option<CoreId> {
         let cursor = self.slots.cursors[slot.index()][KvRole::Key as usize]?;
         Some(self.key_cores[cursor.core_index].id)
@@ -720,7 +721,8 @@ impl KvManager {
     }
 
     /// K-side storage utilisation in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self) -> f64 {
         let cap = self.capacity_tokens();
         if cap == 0 {
             0.0
@@ -756,11 +758,11 @@ impl KvManager {
     /// rolled back eagerly — the caller is expected to release, evict, and
     /// retry with the same sequence id) if the cache cannot hold the
     /// sequence.
-    pub fn admit(&mut self, seq: u64, initial_tokens: usize) -> Result<(), KvError> {
+    pub(crate) fn admit(&mut self, seq: u64, initial_tokens: usize) -> Result<(), KvError> {
         self.admit_with_prefix(seq, initial_tokens, None).map(|_| ())
     }
 
-    /// Prefix-aware admission: like [`KvManager::admit`], but when `prefix`
+    /// Prefix-aware admission: like `KvManager::admit`, but when `prefix`
     /// names a shared group, the whole-block portion of the common prefix is
     /// served from the shared chain (allocated on first use, referenced
     /// thereafter) and only the remainder is allocated privately. Returns
@@ -774,7 +776,7 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::OutOfCapacity`] under the same conditions as
-    /// [`KvManager::admit`]. Shared references taken before the failure are
+    /// `KvManager::admit`. Shared references taken before the failure are
     /// undone by the [`KvManager::release`] the retry protocol performs.
     pub fn admit_with_prefix(
         &mut self,
@@ -841,11 +843,6 @@ impl KvManager {
             Some(chain) => chain.nodes.len().min(prefix_tokens / tpb) * tpb,
             None => 0,
         }
-    }
-
-    /// Number of prefix groups with a resident shared chain.
-    pub fn prefix_groups(&self) -> usize {
-        self.shared.len()
     }
 
     /// References the leading `prefix_tokens / tokens_per_block` nodes of
@@ -990,13 +987,14 @@ impl KvManager {
     ///
     /// Returns [`KvError::UnknownSequence`] if the sequence is not resident or
     /// [`KvError::OutOfCapacity`] if K or V cannot grow.
-    pub fn append_tokens(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
+    #[cfg(test)]
+    pub(crate) fn append_tokens(&mut self, seq: u64, tokens: usize) -> Result<(), KvError> {
         let slot = self.slot_of(seq).ok_or(KvError::UnknownSequence(seq))?;
         self.append_at(slot, seq, tokens)
     }
 
-    /// [`KvManager::append_tokens`] through the sequence's slot (see
-    /// [`KvManager::slot_of`]), without the id lookup: the append path of
+    /// Appends `tokens` new tokens of K and V to the resident sequence
+    /// `seq` through its slot (see [`KvManager::slot_of`]): the append path of
     /// the serving engine and the offline replay. `slot` must be `seq`'s
     /// current slot (debug builds assert it). An append of at most
     /// [`KvManager::room`] tokens allocates no block.
@@ -1116,12 +1114,12 @@ impl KvManager {
 
     /// Total failure quanta: attention-mode crossbars across every core of
     /// both roles. A wafer dies after this many faults at the latest.
-    pub fn num_kv_units(&self) -> usize {
+    pub(crate) fn num_kv_units(&self) -> usize {
         self.key_cores.iter().chain(self.value_cores.iter()).map(|c| c.crossbars().len()).sum()
     }
 
     /// Crossbars absorbed by runtime failures so far.
-    pub fn failed_kv_units(&self) -> usize {
+    pub(crate) fn failed_kv_units(&self) -> usize {
         let [key, value] = self.healthy_crossbars();
         self.num_kv_units() - key - value
     }
@@ -1269,7 +1267,7 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::OutOfCapacity`] under the same conditions as
-    /// [`KvManager::admit`] (the caller should release, evict, and retry).
+    /// `KvManager::admit` (the caller should release, evict, and retry).
     pub fn import_with_prefix(
         &mut self,
         seq: u64,
@@ -1291,7 +1289,8 @@ impl KvManager {
 
     /// The K-side core id a sequence lives on, if resident: the page-table
     /// entry (first translation level), read off its key cursor.
-    pub fn core_of(&self, seq: u64) -> Option<CoreId> {
+    #[cfg(test)]
+    pub(crate) fn core_of(&self, seq: u64) -> Option<CoreId> {
         self.key_core(self.slot_of(seq)?)
     }
 }
@@ -1299,6 +1298,11 @@ impl KvManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Number of prefix groups with a resident shared chain.
+    fn prefix_groups(m: &KvManager) -> usize {
+        m.shared.len()
+    }
 
     fn manager(cores: usize) -> KvManager {
         let ids = (0..cores).map(CoreId).collect();
@@ -1705,7 +1709,7 @@ mod tests {
         assert!(m.block_audit().is_conserved());
         m.release(2);
         assert_eq!(m.prefix_lookup(7, 256), 0, "the last sharer frees the chain");
-        assert_eq!(m.prefix_groups(), 0);
+        assert_eq!(prefix_groups(&m), 0);
         let end = m.block_audit();
         assert!(end.is_conserved());
         assert_eq!(end.live, 0);
@@ -1717,7 +1721,7 @@ mod tests {
         let mut m = manager(8);
         // 100 tokens < one 128-token block: nothing is shareable.
         assert_eq!(m.admit_with_prefix(1, 200, Some((3, 100))).unwrap(), 0);
-        assert_eq!(m.prefix_groups(), 0);
+        assert_eq!(prefix_groups(&m), 0);
         assert_eq!(m.block_audit().shared_live, 0);
         m.release(1);
         assert!(m.block_audit().is_conserved());
@@ -1737,7 +1741,7 @@ mod tests {
         assert_eq!(m.prefix_lookup(9, 384), 128);
         assert!(m.block_audit().is_conserved());
         m.release(1);
-        assert_eq!(m.prefix_groups(), 0);
+        assert_eq!(prefix_groups(&m), 0);
         assert_eq!(m.block_audit().live, 0);
     }
 
@@ -1758,7 +1762,7 @@ mod tests {
             }
         }
         assert_eq!(evicted_all, vec![1, 2], "both sharers lose their prefix KV");
-        assert_eq!(m.prefix_groups(), 0, "the struck chain is gone");
+        assert_eq!(prefix_groups(&m), 0, "the struck chain is gone");
         assert!(m.block_audit().is_conserved());
         // The engine releases the evicted sequences; no double-free of the
         // already-freed chain.
@@ -1838,7 +1842,7 @@ mod tests {
                 prop_assert!(audit.is_conserved());
                 prop_assert_eq!(audit.live, 0);
                 prop_assert_eq!(audit.shared_live, 0);
-                prop_assert_eq!(m.prefix_groups(), 0);
+                prop_assert_eq!(prefix_groups(&m), 0);
             }
         }
     }
@@ -1920,7 +1924,8 @@ mod tests {
         /// Applies `ops` to a fresh core of `crossbars` crossbars with
         /// `blocks` logical blocks each, checking it after every one.
         fn run(crossbars: usize, blocks: usize, ops: &[(u8, usize)]) {
-            let crossbar = CrossbarConfig { logical_blocks: blocks, ..CrossbarConfig::paper() };
+            let mut crossbar = CrossbarConfig::paper();
+            crossbar.logical_blocks = blocks;
             let tables = (0..crossbars).map(|_| CrossbarBlocks::new(&crossbar, 128)).collect();
             let mut core = CoreState::new(CoreId(0), tables);
             let mut allocated: Vec<(usize, usize)> = Vec::new();

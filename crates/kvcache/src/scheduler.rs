@@ -26,14 +26,14 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SchedulerStats {
     /// Requests admitted (including re-admissions after eviction).
-    pub admissions: u64,
+    pub(crate) admissions: u64,
     /// Evictions triggered by capacity exhaustion.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Tokens whose K/V had to be recomputed because their sequence was
     /// evicted mid-flight.
-    pub recomputed_tokens: u64,
+    pub(crate) recomputed_tokens: u64,
     /// Maximum number of simultaneously resident sequences.
-    pub peak_resident: usize,
+    pub(crate) peak_resident: usize,
     /// Time-averaged number of resident sequences (in decode-step units).
     pub avg_resident: f64,
     /// Number of decode steps simulated.
@@ -53,7 +53,7 @@ pub struct SchedulerOutcome {
     /// Raw counters.
     pub stats: SchedulerStats,
     /// Total useful tokens (prompt + decode) of the trace.
-    pub useful_tokens: u64,
+    pub(crate) useful_tokens: u64,
     /// Fraction of extra work caused by thrashing:
     /// `recomputed / (useful + recomputed)`.
     pub waste_fraction: f64,
@@ -98,7 +98,8 @@ impl KvScheduler {
     }
 
     /// Read access to the underlying manager (capacity queries).
-    pub fn manager(&self) -> &KvManager {
+    #[cfg(test)]
+    pub(crate) fn manager(&self) -> &KvManager {
         &self.manager
     }
 

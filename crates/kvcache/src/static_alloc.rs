@@ -11,9 +11,9 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StaticKvAllocator {
     /// Total KV token capacity of the system (per K/V side).
-    pub capacity_tokens: usize,
+    pub(crate) capacity_tokens: usize,
     /// Context window reserved for every sequence.
-    pub reserved_per_sequence: usize,
+    pub(crate) reserved_per_sequence: usize,
 }
 
 impl StaticKvAllocator {
@@ -35,7 +35,8 @@ impl StaticKvAllocator {
 
     /// Utilisation achieved when resident sequences actually use
     /// `actual_tokens` tokens on average: `actual / reserved`.
-    pub fn utilization(&self, actual_tokens: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn utilization(&self, actual_tokens: usize) -> f64 {
         (actual_tokens as f64 / self.reserved_per_sequence as f64).min(1.0)
     }
 }

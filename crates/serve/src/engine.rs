@@ -53,7 +53,7 @@
 //! autoregressive limit of §6.2), with many it streams one token per
 //! bottleneck interval.
 //!
-//! The offline [`ouro_kvcache::scheduler`] replays a trace with the same
+//! The offline [`ouro_kvcache::KvScheduler`] replays a trace with the same
 //! event structure: lazy progress counted from `since`, a dense
 //! `next_event` column in lockstep with the active set, due events handled
 //! in active-set order with one `append_at` each, and failed boundary
@@ -78,7 +78,8 @@
 use crate::metrics::RequestRecord;
 use crate::stage::{self, ActiveSeq, InFlight, PendingQueue, PendingReq};
 use ouro_kvcache::{KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot, KvTransferStats};
-use ouro_sim::{HwStageTimes, StageTimeTable};
+use ouro_sim::pipeline::StageTimeTable;
+use ouro_sim::HwStageTimes;
 use ouro_trace::{EventKind, Tracer};
 use ouro_workload::Request;
 
@@ -115,21 +116,21 @@ pub struct EngineStats {
     pub dropped: u64,
     /// Tokens of migrated KV discarded because the imported request was
     /// dropped at admission (its prompt alone exceeds an empty cache).
-    pub dropped_imported_tokens: u64,
+    pub(crate) dropped_imported_tokens: u64,
     /// Continuous-batching iterations executed.
     pub steps: u64,
     /// Peak resident sequences.
     pub peak_resident: usize,
     /// Runtime core faults absorbed by this wafer.
-    pub faults: u64,
+    pub(crate) faults: u64,
     /// Sequences evicted because a fault took their KV core (a subset of
     /// `evictions`).
     pub fault_evicted_seqs: u64,
     /// Token slots of KV lost to faulted cores (recomputed on re-admission).
-    pub fault_evicted_tokens: u64,
+    pub(crate) fault_evicted_tokens: u64,
     /// Wall-clock spent stalled in replacement-chain remaps, charged to
     /// every in-flight request on the wafer.
-    pub stall_s: f64,
+    pub(crate) stall_s: f64,
 }
 
 /// A sequence the Complete stage retired: a finished request, or on a
@@ -138,11 +139,11 @@ pub struct EngineStats {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// The request; its id is the trace index.
-    pub request: Request,
+    pub(crate) request: Request,
     /// The request's original arrival.
-    pub arrival_s: f64,
+    pub(crate) arrival_s: f64,
     /// The instant the request finished, or its prefill did.
-    pub done_s: f64,
+    pub(crate) done_s: f64,
 }
 
 /// How a request enters the engine — the parameter of the single admission
@@ -176,8 +177,8 @@ pub enum Admission {
 
 /// One wafer's online serving engine.
 ///
-/// Fields are crate-visible: the stage units in [`crate::stage`] operate
-/// directly on the engine's queues, and [`crate::snapshot`] serializes
+/// Fields are crate-visible: the stage units in `crate::stage` operate
+/// directly on the engine's queues, and `crate::snapshot` serializes
 /// them. Together with the KV manager they are the engine's *complete*
 /// mutable state — the checkpoint/resume identity test holds the proof.
 #[derive(Debug, Clone)]
@@ -274,19 +275,19 @@ impl Engine {
 
     /// Wires a tracer into the engine (replacing the default disabled
     /// one). Events emitted from here on land in the tracer's sink.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
+    pub(crate) fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
     }
 
     /// The engine's tracer (disabled unless [`Engine::set_tracer`] armed
     /// it).
-    pub fn tracer(&self) -> &Tracer {
+    pub(crate) fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
     /// Mutable tracer access, for collaborators that emit wafer-level
     /// events on this engine's stream (the fault injector's remap events).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
+    pub(crate) fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
 
@@ -296,7 +297,7 @@ impl Engine {
     }
 
     /// Seconds spent with at least one token in flight.
-    pub fn busy_s(&self) -> f64 {
+    pub(crate) fn busy_s(&self) -> f64 {
         self.busy_s
     }
 
@@ -317,7 +318,7 @@ impl Engine {
 
     /// KV pressure for routing: resident plus queued token demand relative to
     /// cache capacity (may exceed 1 under overload).
-    pub fn kv_load(&self) -> f64 {
+    pub(crate) fn kv_load(&self) -> f64 {
         // Lazy decode tokens included: what the manager would count had
         // every token been appended in its own step.
         let demand = self.manager.used_tokens() + self.lazy_tokens + self.pending_tokens;
@@ -331,7 +332,7 @@ impl Engine {
     /// than the raw clock, or an idle engine gets stepped — and commits its
     /// clock — to a late-landing migration before another engine at an
     /// earlier simulated time announces one that lands sooner.
-    pub fn next_event_s(&self) -> f64 {
+    pub(crate) fn next_event_s(&self) -> f64 {
         if self.active.is_empty() {
             self.pending.next_ready_s(self.clock_s)
         } else {
@@ -345,14 +346,14 @@ impl Engine {
     /// tokens actually travelling — prefix-deduplicated tokens never enter
     /// the wire accounting. A sum over the queue: only telemetry and the
     /// end-of-run report ask.
-    pub fn pending_imported_tokens(&self) -> usize {
+    pub(crate) fn pending_imported_tokens(&self) -> usize {
         self.pending.entries().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum()
     }
 
     /// Tokens of `request`'s shared prefix already resident in this wafer's
     /// prefix cache (0 with prefix caching disabled or no tag). The signal
     /// behind prefix-affinity routing and migration byte dedup.
-    pub fn prefix_cached_tokens(&self, request: &Request) -> usize {
+    pub(crate) fn prefix_cached_tokens(&self, request: &Request) -> usize {
         if !self.prefix_caching {
             return 0;
         }
@@ -365,7 +366,7 @@ impl Engine {
     /// Instantaneous telemetry gauges of this wafer: batch occupancy,
     /// queue depth and KV-cache occupancy. The link-bytes gauge is left
     /// zero — only the scenario driver knows the migration byte rate.
-    pub fn kv_gauges(&self) -> ouro_trace::WaferGauges {
+    pub(crate) fn kv_gauges(&self) -> ouro_trace::WaferGauges {
         let (used, capacity, audit) = self.manager.occupancy_snapshot();
         ouro_trace::WaferGauges {
             batch_occupancy: self.active.len(),
@@ -392,12 +393,13 @@ impl Engine {
 
     /// Whether the wafer can still hold sequences (both attention roles
     /// have a healthy KV core left). Routers skip unserviceable wafers.
-    pub fn is_serviceable(&self) -> bool {
+    pub(crate) fn is_serviceable(&self) -> bool {
         self.manager.is_serviceable()
     }
 
     /// Fraction of this wafer's KV cores still healthy, in `[0, 1]`.
-    pub fn healthy_kv_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn healthy_kv_fraction(&self) -> f64 {
         self.manager.healthy_kv_fraction()
     }
 
@@ -415,7 +417,7 @@ impl Engine {
     /// — when every KV core has already failed (the wafer is dead; the
     /// router must steer around it). What the fault evicted is counted in
     /// [`EngineStats::fault_evicted_seqs`] and
-    /// [`EngineStats::fault_evicted_tokens`].
+    /// `EngineStats::fault_evicted_tokens`.
     pub fn apply_fault(
         &mut self,
         at_s: f64,
@@ -495,7 +497,7 @@ impl Engine {
     /// affected sequences are evicted for recompute, and the whole outage
     /// counts as a *single* fault in [`EngineStats`] (it is one fault
     /// event, however many crossbars it takes down).
-    pub fn decommission(&mut self, at_s: f64) {
+    pub(crate) fn decommission(&mut self, at_s: f64) {
         self.clock_s = self.clock_s.max(at_s);
         let mut evicted_seqs = 0usize;
         let mut evicted_tokens = 0u64;
@@ -532,7 +534,7 @@ impl Engine {
     /// The single admission path: submits a request arriving at
     /// `arrival_s` under the given [`Admission`] flavour, tagged with the
     /// global id (its trace index) that its trace events and its
-    /// [`Completion`] carry. `arrival_s` is always the request's original
+    /// `Completion` carry. `arrival_s` is always the request's original
     /// arrival (kept for TTFT/E2E accounting); [`Admission::Imported`]
     /// gates admissibility on its own `ready_s`. The engine-local
     /// submission index becomes the sequence's KV id.
@@ -724,8 +726,8 @@ fn write_back(manager: &mut KvManager, a: &mut ActiveSeq, now: u64) -> Result<()
 mod tests {
     use super::*;
     use ouro_hw::{CimCore, CoreId};
-    use ouro_model::zoo;
-    use ouro_noc::CommCost;
+    use ouro_sim::model::zoo;
+    use ouro_sim::noc::CommCost;
 
     fn times() -> HwStageTimes {
         HwStageTimes {

@@ -14,7 +14,7 @@
 //!
 //! 1. pick a victim core (weight or KV) on the struck wafer from the
 //!    fault's random draw,
-//! 2. run [`ouro_mapping::remap_with_chain`] over the wafer's live
+//! 2. run [`ouro_sim::mapping::remap_with_chain`] over the wafer's live
 //!    assignment to build the replacement chain,
 //! 3. fail the absorbed KV core in the engine's cache manager
 //!    ([`Engine::apply_fault`]): resident sequences that lost KV are
@@ -39,7 +39,7 @@ use crate::engine::Engine;
 use crate::metrics::ServingReport;
 use crate::snapshot::{InjectorWafer, Row, SnapshotError, SnapshotErrorKind};
 use ouro_hw::{CoreId, WaferGeometry};
-use ouro_mapping::{remap_with_chain, Assignment, RemapError};
+use ouro_sim::mapping::{remap_with_chain, Assignment, RemapError};
 use ouro_sim::OuroborosSystem;
 use ouro_trace::EventKind;
 use ouro_workload::{FaultProcess, FaultStream, TimedTrace};
@@ -48,12 +48,12 @@ use ouro_workload::{FaultProcess, FaultStream, TimedTrace};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Per-wafer mean time between failures, in simulated seconds.
-    pub mtbf_s: f64,
+    pub(crate) mtbf_s: f64,
     /// Wafer pause per replacement-chain remap, charged to every in-flight
     /// request on the struck wafer (the paper's repair is sub-millisecond).
-    pub remap_stall_s: f64,
+    pub(crate) remap_stall_s: f64,
     /// Seed of the fault realisation (independent of the arrival seed).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl FaultConfig {
@@ -118,35 +118,35 @@ pub(crate) struct FaultInjectorSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultReport {
     /// The fault process the run was driven by.
-    pub config: FaultConfig,
+    pub(crate) config: FaultConfig,
     /// Wafers exposed to the process.
-    pub wafers: usize,
+    pub(crate) wafers: usize,
     /// Faults injected before the run ended.
     pub faults_injected: u64,
     /// Replacement chains built (successful remaps).
     pub chains_built: u64,
     /// Weight tiles shifted along chains.
-    pub tiles_moved: u64,
+    pub(crate) tiles_moved: u64,
     /// Sum of chain lengths, for the mean below.
-    pub chain_cores: u64,
+    pub(crate) chain_cores: u64,
     /// Physical KV cores absorbed by chains (mapping-level).
-    pub kv_cores_lost: u64,
+    pub(crate) kv_cores_lost: u64,
     /// Sequences evicted because a fault took their KV, re-enqueued for
     /// recompute: the sum of the engines'
     /// [`crate::EngineStats::fault_evicted_seqs`].
     pub sequences_recomputed: u64,
     /// Token slots of KV lost to faulted cores: the sum of the engines'
-    /// [`crate::EngineStats::fault_evicted_tokens`].
+    /// `crate::EngineStats::fault_evicted_tokens`.
     pub kv_tokens_evicted: u64,
     /// The same loss in bytes, at the model's full per-token KV footprint.
     pub kv_bytes_evicted: u64,
     /// Faults that could not be healed (no KV core left to absorb the
     /// chain); the wafer is dead from that instant.
-    pub unrepaired_faults: u64,
+    pub(crate) unrepaired_faults: u64,
     /// Wafers unserviceable at the end of the run.
-    pub dead_wafers: usize,
+    pub(crate) dead_wafers: usize,
     /// Total remap stall across wafers, the sum of the engines'
-    /// [`crate::EngineStats::stall_s`] (healing pauses only; outage time of
+    /// `crate::EngineStats::stall_s` (healing pauses only; outage time of
     /// dead wafers is in `dead_time_s`).
     pub total_stall_s: f64,
     /// Wafer-time lost to dead wafers: from each death to the end of the
@@ -461,7 +461,7 @@ mod tests {
     use crate::metrics::SloConfig;
     use crate::policy::routers;
     use crate::scenario::Scenario;
-    use ouro_model::zoo;
+    use ouro_sim::model::zoo;
     use ouro_sim::{OuroborosConfig, OuroborosSystem};
     use ouro_workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 

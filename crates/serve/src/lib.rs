@@ -5,7 +5,7 @@
 //! traffic can a deployment absorb while meeting latency SLOs". Its
 //! experiment-facing API is one composable builder:
 //!
-//! * **[`Scenario`]** ([`scenario`]): compose a deployment
+//! * **[`Scenario`]** (`scenario`): compose a deployment
 //!   ([`Scenario::colocated`] replicas or [`Scenario::disaggregated`]
 //!   prefill/decode pools with KV migration over the optical fabric), a
 //!   timed workload ([`ouro_workload::ArrivalConfig`]: open-loop Poisson
@@ -23,23 +23,23 @@
 //!   [`Engine::submit_with`], parameterized by [`Admission`]), interleave
 //!   chunked prefill with decode in the token-grained pipeline, and charge
 //!   wall-clock from the hardware-derived [`ouro_sim::HwStageTimes`],
-//! * **open policy traits** ([`policy`]): object-safe [`Router`] /
+//! * **open policy traits** (`policy`): object-safe [`Router`] /
 //!   [`Placement`] with the classic built-ins as constructors
-//!   ([`routers`], [`placements`]) — all tie-breaking funnels through
-//!   [`pick_min_index`] so equal scores resolve to the lowest wafer index,
+//!   ([`routers`], [`placements`]) — all tie-breaking funnels through one
+//!   first-minimum scan so equal scores resolve to the lowest wafer index,
 //! * **shared-prefix KV reuse**: requests tagged with an
 //!   [`ouro_workload::SharedPrefix`] share the whole-block portion of
 //!   their common prompt in the cache ([`ouro_kvcache::KvManager`]'s
 //!   refcounted copy-on-write chains); the engine charges prefill only
 //!   for the uncached suffix and prefix-affinity policies steer sharers
 //!   to the wafer already holding their prefix,
-//! * **SLO metrics and sweeps** ([`metrics`], [`sweep`]): TTFT / TPOT /
+//! * **SLO metrics and sweeps** (`metrics`, `sweep`): TTFT / TPOT /
 //!   E2E p50/p95/p99, goodput under an SLO, utilization; a sweep is a
 //!   `Vec<Scenario>` (one per offered load, pool split or deployment side)
 //!   run through [`parallel_map_indexed`],
-//! * **runtime fault injection** ([`fault`]): a seeded MTBF process fires
+//! * **runtime fault injection** (`fault`): a seeded MTBF process fires
 //!   mid-run, each fault is healed by a replacement-chain remap
-//!   (`ouro_mapping::fault`), the absorbed KV is evicted and recomputed,
+//!   ([`ouro_sim::mapping::remap_with_chain`]), the absorbed KV is evicted and recomputed,
 //!   routers steer around degraded wafers, and the report's fault section
 //!   accounts availability and tail-latency inflation.
 //!
@@ -49,7 +49,7 @@
 //! load past saturation — run on worker threads, one [`RunReport`] each:
 //!
 //! ```
-//! use ouro_model::zoo;
+//! use ouro_sim::model::zoo;
 //! use ouro_serve::{
 //!     capacity_rps_estimate, ideal_latencies, parallel_map_indexed, Scenario, SloConfig, LOAD_FRACTIONS,
 //! };
@@ -74,16 +74,16 @@
 //! assert!(reports[0].is_conserved());
 //! ```
 
-pub mod engine;
-pub mod fault;
-pub mod metrics;
-pub mod parallel;
-pub mod policy;
-pub mod report;
-pub mod scenario;
-pub mod snapshot;
-pub mod stage;
-pub mod sweep;
+mod engine;
+mod fault;
+mod metrics;
+mod parallel;
+mod policy;
+mod report;
+mod scenario;
+mod snapshot;
+mod stage;
+mod sweep;
 
 /// Case-by-case tests of the engine's pending queue
 /// (`stage::PendingQueue`), beside the property test in `stage`. The
@@ -107,10 +107,7 @@ pub use engine::{Admission, Engine, EngineStats};
 pub use fault::{fault_window_s, p99_inflation, FaultConfig, FaultReport};
 pub use metrics::{LatencyStats, RequestRecord, RunTotals, ServingReport, SloConfig};
 pub use parallel::{default_threads, parallel_map_indexed};
-pub use policy::{
-    pick_min_index, pick_prefix_affine_index, pick_serviceable_min_index, placements, routers, Placement,
-    Router,
-};
+pub use policy::{placements, routers, Placement, Router};
 pub use report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotErrorKind, SNAPSHOT_SCHEMA_VERSION};

@@ -16,25 +16,25 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRecord {
     /// Arrival time (seconds since experiment start).
-    pub arrival_s: f64,
+    pub(crate) arrival_s: f64,
     /// Emission time of the first decode token (NaN for a request with no
     /// decode tokens).
-    pub first_token_s: f64,
+    pub(crate) first_token_s: f64,
     /// Completion time of the last decode token.
-    pub completed_s: f64,
+    pub(crate) completed_s: f64,
     /// Decode length in tokens.
     pub decode_len: usize,
 }
 
 impl RequestRecord {
     /// Time to first token, if one was emitted.
-    pub fn ttft_s(&self) -> Option<f64> {
+    pub(crate) fn ttft_s(&self) -> Option<f64> {
         finite(self.first_token_s - self.arrival_s)
     }
 
     /// Mean time per output token after the first, if the request completed.
     /// Requests with a single output token report a TPOT of zero.
-    pub fn tpot_s(&self) -> Option<f64> {
+    pub(crate) fn tpot_s(&self) -> Option<f64> {
         if !self.completed_s.is_finite() || !self.first_token_s.is_finite() {
             return None;
         }
@@ -45,7 +45,7 @@ impl RequestRecord {
     }
 
     /// End-to-end latency, if the request completed.
-    pub fn e2e_s(&self) -> Option<f64> {
+    pub(crate) fn e2e_s(&self) -> Option<f64> {
         finite(self.completed_s - self.arrival_s)
     }
 
@@ -55,7 +55,7 @@ impl RequestRecord {
     }
 
     /// Whether a completed request met both sides of the SLO.
-    pub fn meets_slo(&self, slo: &SloConfig) -> bool {
+    pub(crate) fn meets_slo(&self, slo: &SloConfig) -> bool {
         match (self.ttft_s(), self.tpot_s()) {
             (Some(ttft), Some(tpot)) => ttft <= slo.ttft_s && tpot <= slo.tpot_s,
             _ => false,
@@ -132,10 +132,10 @@ pub struct ServingReport {
     pub completed: usize,
     /// Requests still queued (never admitted) when `finish` runs before
     /// the run drains.
-    pub queued_at_horizon: usize,
+    pub(crate) queued_at_horizon: usize,
     /// Requests admitted but unfinished when `finish` runs before the run
     /// drains.
-    pub in_flight_at_horizon: usize,
+    pub(crate) in_flight_at_horizon: usize,
     /// Requests dropped because their prompt alone exceeds the cache.
     pub dropped: usize,
     /// Total evictions across the run.
@@ -172,25 +172,25 @@ pub struct ServingReport {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunTotals {
     /// Requests injected into the cluster.
-    pub injected: usize,
+    pub(crate) injected: usize,
     /// Requests still queued (never admitted) when `finish` runs before
     /// the run drains.
-    pub queued_at_horizon: usize,
+    pub(crate) queued_at_horizon: usize,
     /// Requests admitted but unfinished when `finish` runs before the run
     /// drains.
-    pub in_flight_at_horizon: usize,
+    pub(crate) in_flight_at_horizon: usize,
     /// Requests dropped because their prompt alone exceeds the cache.
-    pub dropped: usize,
+    pub(crate) dropped: usize,
     /// Total evictions across the run.
-    pub evictions: u64,
+    pub(crate) evictions: u64,
     /// Tokens actually charged as prefill/recompute work across the run.
-    pub prefilled_tokens: u64,
+    pub(crate) prefilled_tokens: u64,
     /// Prompt tokens served from the shared-prefix KV cache across the run.
-    pub cached_prefix_tokens: u64,
+    pub(crate) cached_prefix_tokens: u64,
     /// Wall-clock span of the run.
-    pub duration_s: f64,
+    pub(crate) duration_s: f64,
     /// Mean fraction of wafer-time spent with at least one token in flight.
-    pub utilization: f64,
+    pub(crate) utilization: f64,
 }
 
 impl ServingReport {

@@ -8,12 +8,11 @@
 //! is one `impl`, not a new match arm in two crates — with the classic
 //! built-ins available as constructors ([`routers`], [`placements`]).
 //!
-//! Every built-in resolves score ties through the shared
-//! [`pick_min_index`] family, so equal scores always go to the lowest
-//! wafer index and every run stays a pure function of its seeds. Custom
-//! policies should do the same: route through these helpers instead of
-//! `Iterator::min_by` (which returns the *last* minimum, making tie-breaks
-//! depend on pool size).
+//! Every built-in resolves score ties through one first-minimum scan, so
+//! equal scores always go to the lowest wafer index and every run stays a
+//! pure function of its seeds. Custom policies should do the same: a
+//! strict `<` scan, not `Iterator::min_by` (which returns the *last*
+//! minimum, making tie-breaks depend on pool size).
 
 use crate::engine::Engine;
 use ouro_workload::Request;
@@ -35,7 +34,7 @@ pub trait Router: std::fmt::Debug + Send + Sync {
 
     /// Picks the wafer for `request`. Wafers that faults have rendered
     /// unserviceable should be skipped while any healthy one remains (the
-    /// built-ins all do, via [`pick_serviceable_min_index`]).
+    /// built-ins all do, via `pick_serviceable_min_index`).
     fn route(&mut self, engines: &[Engine], request: &Request) -> usize;
 
     /// Boxed clone, so scenarios holding a router stay cloneable.
@@ -274,27 +273,11 @@ pub mod placements {
     }
 }
 
-/// Index of the item with the lowest score, breaking ties toward the
-/// lowest index (a strict `<` scan; `Iterator::min_by` would return the
-/// *last* minimum, making tie-breaks depend on pool size). Every built-in
-/// [`Router`] and [`Placement`] resolves its selection through the same
-/// first-minimum scan (via [`pick_serviceable_min_index`] /
-/// [`pick_prefix_affine_index`]), so every pool-selection decision in the
-/// workspace tie-breaks identically.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn pick_min_index<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
-    first_min(items.iter().map(score).enumerate(), f64::total_cmp)
-        .expect("selection requires at least one candidate")
-}
-
-/// [`pick_min_index`] over the serviceable engines only (all engines when
-/// the fleet is entirely dead), returning the winner's index in `engines`.
+/// Index of the lowest-scoring serviceable engine (among all engines when
+/// the fleet is entirely dead), ties toward the lowest index.
 /// Shared by the built-in routing and placement policies so both route
 /// around fault-degraded wafers identically.
-pub fn pick_serviceable_min_index(engines: &[Engine], score: impl Fn(&Engine) -> f64) -> usize {
+pub(crate) fn pick_serviceable_min_index(engines: &[Engine], score: impl Fn(&Engine) -> f64) -> usize {
     pick_routable(engines.len(), |i| engines[i].is_serviceable(), |i| score(&engines[i]), f64::total_cmp)
 }
 
@@ -305,7 +288,7 @@ pub fn pick_serviceable_min_index(engines: &[Engine], score: impl Fn(&Engine) ->
 /// least-KV-load when nothing is cached anywhere (including every untagged
 /// request). Shared by the prefix-affinity router and the prefix-affine
 /// decode placement so routing and placement steer identically.
-pub fn pick_prefix_affine_index(engines: &[Engine], request: &Request) -> usize {
+pub(crate) fn pick_prefix_affine_index(engines: &[Engine], request: &Request) -> usize {
     pick_routable(
         engines.len(),
         |i| engines[i].is_serviceable(),
@@ -358,6 +341,17 @@ fn first_min<K>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The plain first-minimum pick over a slice (a strict `<` scan, ties
+    /// toward the lowest index) that the references below select with.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty slice.
+    fn pick_min_index<T>(items: &[T], score: impl Fn(&T) -> f64) -> usize {
+        first_min(items.iter().map(score).enumerate(), f64::total_cmp)
+            .expect("selection requires at least one candidate")
+    }
 
     /// The collect-then-pick selection `pick_routable` replaced, kept as the
     /// reference: gather the serviceable candidates (all of them when none

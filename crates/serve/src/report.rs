@@ -26,16 +26,16 @@ pub struct DeploymentInfo {
     /// `"colocated"` or `"disaggregated"`.
     pub kind: String,
     /// Total wafers of the deployment.
-    pub wafers: usize,
+    pub(crate) wafers: usize,
     /// Wafers in the prefill pool (0 for colocated deployments).
     pub prefill_wafers: usize,
     /// Wafers in the decode pool (0 for colocated deployments, where every
     /// wafer runs both phases).
     pub decode_wafers: usize,
     /// Name of the routing policy over the entry pool.
-    pub router: String,
+    pub(crate) router: String,
     /// Name of the decode-placement policy (`None` for colocated).
-    pub placement: Option<String>,
+    pub(crate) placement: Option<String>,
 }
 
 /// KV-migration accounting of one disaggregated run.
@@ -86,7 +86,7 @@ impl MigrationStats {
     /// The migration-byte conservation identity: every exported byte is
     /// imported, in flight, accounted as dropped, or deduplicated against
     /// the target's prefix cache.
-    pub fn kv_bytes_conserved(&self) -> bool {
+    pub(crate) fn kv_bytes_conserved(&self) -> bool {
         self.exported_kv_bytes
             == self.imported_kv_bytes
                 + self.in_flight_kv_bytes

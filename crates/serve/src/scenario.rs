@@ -28,7 +28,7 @@
 //! # Example
 //!
 //! ```
-//! use ouro_model::zoo;
+//! use ouro_sim::model::zoo;
 //! use ouro_serve::{routers, Scenario, SloConfig};
 //! use ouro_sim::{OuroborosConfig, OuroborosSystem};
 //! use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
@@ -55,7 +55,7 @@ use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{self, F64Key};
 use ouro_kvcache::{KvError, KvManager};
-use ouro_noc::InterWaferLink;
+use ouro_sim::noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
 use ouro_trace::{
     Analysis, Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, Trace, TraceEvent, Tracer,
@@ -81,7 +81,7 @@ impl DisaggConfig {
     }
 
     /// Total wafer count of the deployment.
-    pub fn total_wafers(&self) -> usize {
+    pub(crate) fn total_wafers(&self) -> usize {
         self.prefill_wafers + self.decode_wafers
     }
 }
@@ -236,7 +236,8 @@ impl Scenario {
     }
 
     /// The configured deployment.
-    pub fn deployment(&self) -> Deployment {
+    #[cfg(test)]
+    pub(crate) fn deployment(&self) -> Deployment {
         self.deployment
     }
 
@@ -349,8 +350,10 @@ impl Scenario {
     /// resuming foreign state), a different number of wafers, fault state
     /// the scenario's fault config or deployment does not match, an index
     /// past the workload or the deployment, a sequence id past its
-    /// engine's submissions, a local pending row carrying wire tokens,
-    /// pending rows whose token or wire-token sums overflow a `usize`, KV
+    /// engine's submissions, a local pending row carrying wire tokens, an
+    /// imported pending row whose wire tokens exceed its prompt, pending
+    /// rows whose token sum overflows a `usize` (the wire-token sum is
+    /// bounded by it and has no check of its own), KV
     /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]),
     /// an active set that is not the resident set, an active row whose
     /// progress differs from its resident KV, or an arrival cursor that
@@ -875,7 +878,7 @@ impl Driver {
 mod tests {
     use super::*;
     use crate::policy::{placements, routers};
-    use ouro_model::zoo;
+    use ouro_sim::model::zoo;
     use ouro_sim::OuroborosConfig;
     use ouro_trace::EventKind;
     use ouro_workload::Request;

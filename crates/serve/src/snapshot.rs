@@ -1241,7 +1241,7 @@ mod tests {
     fn to_json_allocates_its_document_once() {
         // The checkpoint tests' golden shapes at their midpoints, and the
         // saturated long-decode one at 0.25 s, whose queue holds evictions.
-        use ouro_model::zoo;
+        use ouro_sim::model::zoo;
         use ouro_sim::OuroborosConfig;
         use ouro_workload::{LengthConfig, TraceGenerator};
         let sys = OuroborosSystem::new(OuroborosConfig::tiny_for_tests(), &zoo::bert_large()).unwrap();

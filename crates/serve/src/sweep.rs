@@ -135,7 +135,7 @@ mod tests {
     use crate::metrics::SloConfig;
     use crate::parallel::parallel_map_indexed;
     use crate::scenario::Scenario;
-    use ouro_model::zoo;
+    use ouro_sim::model::zoo;
     use ouro_sim::{OuroborosConfig, OuroborosSystem};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 

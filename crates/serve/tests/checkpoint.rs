@@ -10,10 +10,10 @@
 //! Poisson and bursty arrivals.
 
 use ouro_kvcache::{KvManager, KvRestoreError};
-use ouro_model::zoo;
 use ouro_serve::json::{fnv1a, read_rows};
 use ouro_serve::SnapshotErrorKind::{self, *};
 use ouro_serve::{EventKind, FaultConfig, RunReport, Scenario, SloConfig, Snapshot, SnapshotError};
+use ouro_sim::model::zoo;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TimedTrace, TraceGenerator};
 use proptest::prelude::*;

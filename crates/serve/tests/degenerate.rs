@@ -9,8 +9,8 @@
 //! degenerate deployment shapes through the full scenario path, plus
 //! table-driven unit checks of each sibling ratio site.
 
-use ouro_model::zoo;
 use ouro_serve::{FaultConfig, LatencyStats, RunReport, RunTotals, Scenario, ServingReport, SloConfig};
+use ouro_sim::model::zoo;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, TraceGenerator};
 

@@ -13,8 +13,8 @@
 //! The shapes are drawn through the vendored `proptest` harness (seeded
 //! from the test name), so a failure reproduces exactly.
 
-use ouro_model::zoo;
 use ouro_serve::{parallel_map_indexed, FaultConfig, Scenario, SloConfig, LOAD_FRACTIONS};
+use ouro_sim::model::zoo;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TraceGenerator};
 use proptest::prelude::*;

@@ -22,8 +22,8 @@
 //! after it — rather than by the single-wafer rank walk. The ranks are
 //! this test's own order over the event kind names ([`rank`]).
 
-use ouro_model::zoo;
 use ouro_serve::{FaultConfig, RunState, Scenario, SloConfig, TraceEvent};
+use ouro_sim::model::zoo;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::{ArrivalConfig, LengthConfig, SessionConfig, TraceGenerator};
 use proptest::prelude::*;

@@ -11,7 +11,7 @@ use crate::config::OuroborosConfig;
 
 /// One rung of the ablation ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AblationStep {
+pub(crate) enum AblationStep {
     /// Chiplet mesh, no CIM, sequence-grained, naive mapping, static KV.
     Baseline,
     /// Adds wafer-scale integration (stitched inter-die links).
@@ -28,7 +28,7 @@ pub enum AblationStep {
 
 impl AblationStep {
     /// Every step in presentation order.
-    pub const ALL: [AblationStep; 6] = [
+    pub(crate) const ALL: [AblationStep; 6] = [
         AblationStep::Baseline,
         AblationStep::PlusWafer,
         AblationStep::PlusCim,
@@ -38,7 +38,7 @@ impl AblationStep {
     ];
 
     /// Display label matching the figure.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             AblationStep::Baseline => "Baseline",
             AblationStep::PlusWafer => "+Wafer",
@@ -51,7 +51,7 @@ impl AblationStep {
 
     /// Builds the cumulative configuration for this step, starting from
     /// `base` (which supplies geometry, seeds, thresholds, ...).
-    pub fn configure(&self, base: &OuroborosConfig) -> OuroborosConfig {
+    pub(crate) fn configure(&self, base: &OuroborosConfig) -> OuroborosConfig {
         let mut cfg = OuroborosConfig {
             wafer_integration: false,
             cim: false,

@@ -1,4 +1,18 @@
-//! Placement baselines used by the transmission-volume comparison (Fig. 18).
+//! Analytical models of the baseline systems Ouroboros is compared against
+//! (§6.1): a DGX A100 node running vLLM, an 8-chip TPU v4 pod, the
+//! DGX+AttAcc PIM system, the Cerebras WSE-2 running WaferLLM, and the
+//! HBM-backed systems built from the VLSI'22 / ISSCC'22 CIM macros (Fig. 21).
+//!
+//! Each baseline is a roofline + memory-hierarchy-energy model
+//! ([`RooflineSystem`]) parameterised with published hardware numbers. All
+//! systems — including the Ouroboros simulator, [`crate::OuroborosSystem`]
+//! — report results through the same [`SystemReport`] type, so the
+//! experiment harness can normalise and tabulate them uniformly, which is
+//! all the paper's figures need (normalised throughput and normalised
+//! energy per output token with a component breakdown).
+//!
+//! The placement baselines of the transmission-volume comparison (Fig. 18)
+//! live here too:
 //!
 //! * **SUMMA (Cerebras default)** — every layer is spread block-cyclically
 //!   over the whole candidate region, the way a SUMMA GEMM decomposition
@@ -8,13 +22,17 @@
 //!   order; better locality than SUMMA but without the S-shaped ordering,
 //!   die-crossing awareness or annealing refinement of the Ouroboros mapper.
 
+pub use crate::report::{EnergyBreakdown, SystemReport};
+pub use crate::roofline::RooflineSystem;
+pub use crate::systems::{attacc, cerebras_wse2, dgx_a100, hbm_cim_system, tpu_v4};
+
 use crate::problem::{Assignment, MappingProblem};
 use ouro_hw::CoreId;
 
 /// SUMMA-style interleaved placement: tile `j` of layer `l` goes to the
 /// candidate core at index `j · L + l` (mod the region size), so each layer
 /// is strided across the whole region.
-pub fn summa_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Assignment {
+pub(crate) fn summa_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Assignment {
     let num_layers = problem.layers.len().max(1);
     let n = feasible.len();
     let mut taken = vec![false; n];
@@ -39,7 +57,7 @@ pub fn summa_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Assign
 /// WaferLLM-style contiguous row-major placement: tiles are placed in their
 /// natural (layer-major) order onto candidate cores sorted by raw core id
 /// (row-major), without the serpentine ordering.
-pub fn waferllm_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Assignment {
+pub(crate) fn waferllm_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Assignment {
     let mut ordered: Vec<CoreId> = feasible.to_vec();
     ordered.sort();
     Assignment { core: (0..problem.num_tiles()).map(|t| ordered[t]).collect() }
@@ -49,8 +67,8 @@ pub fn waferllm_assignment(problem: &MappingProblem, feasible: &[CoreId]) -> Ass
 mod tests {
     use super::*;
     use crate::problem::MappingProblem;
+    use crate::zoo;
     use ouro_hw::{DefectMap, WaferGeometry};
-    use ouro_model::zoo;
 
     fn problem() -> MappingProblem {
         let g = WaferGeometry::tiny(2, 2, 6, 6);

@@ -15,13 +15,13 @@ use ouro_hw::{CoreId, WaferGeometry};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transfer {
     /// Payload size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Number of intra-die mesh hops traversed.
-    pub intra_die_hops: usize,
+    pub(crate) intra_die_hops: usize,
     /// Number of die-boundary crossings traversed.
-    pub die_crossings: usize,
+    pub(crate) die_crossings: usize,
     /// Number of wafer-boundary crossings traversed (0 or 1 in practice).
-    pub wafer_crossings: usize,
+    pub(crate) wafer_crossings: usize,
 }
 
 impl Transfer {
@@ -38,30 +38,18 @@ impl Transfer {
         }
     }
 
-    /// A transfer that crosses to another wafer (used by multi-wafer
-    /// scaling): the on-wafer portion is `hops` mesh hops on each side plus
-    /// one optical crossing.
-    pub fn inter_wafer(bytes: u64, hops: usize) -> Transfer {
-        Transfer { bytes, intra_die_hops: hops, die_crossings: 0, wafer_crossings: 1 }
-    }
-
-    /// A purely local transfer (same core); zero hops, zero cost.
-    pub fn local() -> Transfer {
-        Transfer { bytes: 0, intra_die_hops: 0, die_crossings: 0, wafer_crossings: 0 }
-    }
-
     /// Total number of link traversals.
-    pub fn total_hops(&self) -> usize {
+    pub(crate) fn total_hops(&self) -> usize {
         self.intra_die_hops + self.die_crossings + self.wafer_crossings
     }
 }
 
-/// The communication cost model: combines a [`NocConfig`] with the wafer
+/// The communication cost model: combines a `NocConfig` with the wafer
 /// geometry to price transfers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommCost {
     /// Link parameters.
-    pub noc: NocConfig,
+    pub(crate) noc: NocConfig,
 }
 
 impl Default for CommCost {
@@ -77,7 +65,7 @@ impl CommCost {
     }
 
     /// Cost model for the chiplet/NVLink ablation baseline.
-    pub fn chiplet_nvlink() -> CommCost {
+    pub(crate) fn chiplet_nvlink() -> CommCost {
         CommCost { noc: NocConfig::chiplet_nvlink() }
     }
 
@@ -111,7 +99,14 @@ impl CommCost {
 
     /// Convenience: energy of moving `bytes` between two cores of `geometry`
     /// along the XY route.
-    pub fn transfer_energy_j(&self, geometry: &WaferGeometry, from: CoreId, to: CoreId, bytes: u64) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn transfer_energy_j(
+        &self,
+        geometry: &WaferGeometry,
+        from: CoreId,
+        to: CoreId,
+        bytes: u64,
+    ) -> f64 {
         self.energy_j(&Transfer::between(geometry, from, to, bytes))
     }
 }
@@ -125,7 +120,7 @@ mod tests {
     #[test]
     fn local_transfer_is_free() {
         let cost = CommCost::paper();
-        let t = Transfer::local();
+        let t = Transfer { bytes: 0, intra_die_hops: 0, die_crossings: 0, wafer_crossings: 0 };
         assert_eq!(cost.latency_s(&t), 0.0);
         assert_eq!(cost.energy_j(&t), 0.0);
     }
@@ -172,7 +167,7 @@ mod tests {
         // Small payload: the comparison is head-latency and per-byte energy,
         // where the optical crossing is strictly worse than staying on-wafer.
         let on_wafer = Transfer { bytes: 256, intra_die_hops: 20, die_crossings: 2, wafer_crossings: 0 };
-        let off_wafer = Transfer::inter_wafer(256, 20);
+        let off_wafer = Transfer { bytes: 256, intra_die_hops: 20, die_crossings: 0, wafer_crossings: 1 };
         assert!(cost.latency_s(&off_wafer) > cost.latency_s(&on_wafer));
         assert!(cost.energy_j(&off_wafer) > cost.energy_j(&on_wafer));
     }

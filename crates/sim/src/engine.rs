@@ -20,7 +20,7 @@
 /// # Panics
 ///
 /// Panics if `stages` is zero.
-pub fn simulate_exact(
+pub(crate) fn simulate_exact(
     units: usize,
     stages: usize,
     mut time: impl FnMut(usize, usize) -> f64,
@@ -57,7 +57,7 @@ pub fn simulate_exact(
 /// # Panics
 ///
 /// Panics if the two slices have different lengths or are empty.
-pub fn estimate_streaming(stage_totals: &[f64], first_unit_times: &[f64]) -> (f64, Vec<f64>) {
+pub(crate) fn estimate_streaming(stage_totals: &[f64], first_unit_times: &[f64]) -> (f64, Vec<f64>) {
     assert_eq!(stage_totals.len(), first_unit_times.len(), "stage count mismatch");
     assert!(!stage_totals.is_empty(), "a pipeline needs at least one stage");
     let fill: f64 = first_unit_times.iter().sum();

@@ -1,6 +1,6 @@
 //! Pipeline granularity choices (Fig. 5).
 
-use ouro_model::{Architecture, ModelConfig};
+use crate::config::{Architecture, ModelConfig};
 
 /// The unit of work a pipeline stage advances per slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -32,7 +32,7 @@ impl Granularity {
 
     /// Whether this granularity is valid for the model's mask: plain TGP is
     /// only correct for causal (decoder-only) models.
-    pub fn is_valid_for(&self, model: &ModelConfig) -> bool {
+    pub(crate) fn is_valid_for(&self, model: &ModelConfig) -> bool {
         match self {
             Granularity::Token => model.architecture == Architecture::DecoderOnly,
             Granularity::Sequence | Granularity::TokenWithBlock => true,
@@ -42,7 +42,8 @@ impl Granularity {
     /// Number of tokens of intermediate activation each pipeline stage must
     /// buffer for a maximum sequence length of `max_seq`: one token for
     /// token-grained stages, the whole sequence for sequence-grained ones.
-    pub fn activation_tokens_per_stage(&self, max_seq: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn activation_tokens_per_stage(&self, max_seq: usize) -> usize {
         match self {
             Granularity::Sequence => max_seq,
             Granularity::Token => 1,
@@ -66,7 +67,7 @@ impl std::fmt::Display for Granularity {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ouro_model::zoo;
+    use crate::zoo;
 
     #[test]
     fn decoders_get_full_tgp() {

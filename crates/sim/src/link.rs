@@ -3,46 +3,41 @@
 /// Parameters of one class of link (intra-die mesh, inter-die stitching, or
 /// inter-wafer optical).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkConfig {
+pub(crate) struct LinkConfig {
     /// Usable bandwidth in bytes per second (per direction).
-    pub bandwidth_bytes_per_s: f64,
+    pub(crate) bandwidth_bytes_per_s: f64,
     /// Latency contributed by traversing one such link (router + wire), in
     /// seconds.
-    pub hop_latency_s: f64,
+    pub(crate) hop_latency_s: f64,
     /// Energy of moving one byte across the link, in joules.
-    pub energy_j_per_byte: f64,
+    pub(crate) energy_j_per_byte: f64,
 }
 
 impl LinkConfig {
     /// Time to push `bytes` through the link once the head has arrived
     /// (serialisation latency).
-    pub fn serialization_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn serialization_s(&self, bytes: u64) -> f64 {
         bytes as f64 / self.bandwidth_bytes_per_s
-    }
-
-    /// Energy of moving `bytes` across the link.
-    pub fn energy_j(&self, bytes: u64) -> f64 {
-        bytes as f64 * self.energy_j_per_byte
     }
 }
 
 /// Full network-on-wafer configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NocConfig {
+pub(crate) struct NocConfig {
     /// Core-to-core mesh link inside a die: 256-bit bidirectional at the
     /// 1 GHz control clock (≈32 GB/s per direction).
-    pub intra_die: LinkConfig,
+    pub(crate) intra_die: LinkConfig,
     /// Die-to-die stitched link. Same width, but stitching adds latency and
     /// energy; the ratio of intra- to inter-die bandwidth is the
     /// `Cost_inter` penalty of the MIQP objective.
-    pub inter_die: LinkConfig,
+    pub(crate) inter_die: LinkConfig,
     /// Wafer-to-wafer optical Ethernet, per port (8 × 100 Gb/s ports).
-    pub inter_wafer: LinkConfig,
+    pub(crate) inter_wafer: LinkConfig,
     /// Number of optical Ethernet ports per wafer; bulk transfers (KV
     /// migration) stripe across all of them, point-to-point streams ride
     /// one. Kept here so [`InterWaferLink`] derives its aggregate from the
     /// same configuration that defines the per-port bandwidth.
-    pub inter_wafer_ports: usize,
+    pub(crate) inter_wafer_ports: usize,
 }
 
 impl Default for NocConfig {
@@ -73,7 +68,7 @@ impl Default for NocConfig {
 
 impl NocConfig {
     /// The paper's network configuration.
-    pub fn paper() -> NocConfig {
+    pub(crate) fn paper() -> NocConfig {
         NocConfig::default()
     }
 
@@ -81,7 +76,7 @@ impl NocConfig {
     /// NVLink-class links instead of wafer stitching (the "Baseline" bar of
     /// the Fig. 15 ablation): die-to-die hops are much more expensive in
     /// both latency and energy.
-    pub fn chiplet_nvlink() -> NocConfig {
+    pub(crate) fn chiplet_nvlink() -> NocConfig {
         let paper = NocConfig::paper();
         NocConfig {
             inter_die: LinkConfig {
@@ -95,7 +90,7 @@ impl NocConfig {
 
     /// The MIQP cross-die penalty `Cost_inter`: intra-die bandwidth divided
     /// by inter-die bandwidth (§4.3.1).
-    pub fn cost_inter(&self) -> f64 {
+    pub(crate) fn cost_inter(&self) -> f64 {
         self.intra_die.bandwidth_bytes_per_s / self.inter_die.bandwidth_bytes_per_s
     }
 }
@@ -119,28 +114,29 @@ impl NocConfig {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterWaferLink {
     /// Per-port link parameters (bandwidth is per port, per direction).
-    pub link: LinkConfig,
+    pub(crate) link: LinkConfig,
     /// Number of optical Ethernet ports a bulk transfer can stripe across.
-    pub ports: usize,
+    pub(crate) ports: usize,
     /// Fixed per-transfer setup cost (protocol handshake, DMA descriptor
     /// setup) paid once per migration regardless of size.
-    pub setup_s: f64,
+    pub(crate) setup_s: f64,
 }
 
 impl InterWaferLink {
     /// The paper's configuration: 8 × 100 Gb/s ports, 2 µs setup.
-    pub fn paper() -> InterWaferLink {
+    #[cfg(test)]
+    pub(crate) fn paper() -> InterWaferLink {
         InterWaferLink::from_noc(&NocConfig::paper())
     }
 
     /// Builds the aggregate link from a NoC configuration's per-port
     /// inter-wafer parameters and port count.
-    pub fn from_noc(noc: &NocConfig) -> InterWaferLink {
+    pub(crate) fn from_noc(noc: &NocConfig) -> InterWaferLink {
         InterWaferLink { link: noc.inter_wafer, ports: noc.inter_wafer_ports, setup_s: 2.0e-6 }
     }
 
     /// Aggregate bandwidth of a bulk transfer striped across all ports.
-    pub fn aggregate_bandwidth_bytes_per_s(&self) -> f64 {
+    pub(crate) fn aggregate_bandwidth_bytes_per_s(&self) -> f64 {
         self.link.bandwidth_bytes_per_s * self.ports.max(1) as f64
     }
 
@@ -165,7 +161,7 @@ impl InterWaferLink {
     /// Time for one token's activation to cross a single wafer boundary on
     /// one port (the colocated multi-wafer pipeline charge; streams are not
     /// striped).
-    pub fn token_crossing_s(&self, activation_bytes: u64) -> f64 {
+    pub(crate) fn token_crossing_s(&self, activation_bytes: u64) -> f64 {
         self.link.hop_latency_s + self.link.serialization_s(activation_bytes)
     }
 }
@@ -209,13 +205,6 @@ mod tests {
         assert!(chiplet.cost_inter() > wafer.cost_inter());
         // Intra-die links are unchanged.
         assert_eq!(chiplet.intra_die, wafer.intra_die);
-    }
-
-    #[test]
-    fn link_energy_is_linear() {
-        let l = NocConfig::paper().inter_die;
-        assert_eq!(l.energy_j(0), 0.0);
-        assert!((l.energy_j(1000) - 1000.0 * l.energy_j_per_byte).abs() < 1e-18);
     }
 
     #[test]

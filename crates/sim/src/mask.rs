@@ -9,7 +9,7 @@
 
 /// Shape of the attention mask used by a transformer model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MaskKind {
+pub(crate) enum MaskKind {
     /// Lower-triangular causal mask: token *t* attends to `0..=t`.
     Causal,
     /// Full bidirectional mask: every token attends to every token.
@@ -29,7 +29,7 @@ impl MaskKind {
     /// # Panics
     ///
     /// Panics if `t >= seq_len`.
-    pub fn attended_positions(self, t: usize, seq_len: usize, prefix_len: usize) -> usize {
+    pub(crate) fn attended_positions(self, t: usize, seq_len: usize, prefix_len: usize) -> usize {
         assert!(t < seq_len, "token index {t} out of range for sequence of length {seq_len}");
         match self {
             MaskKind::Causal => t + 1,
@@ -48,7 +48,8 @@ impl MaskKind {
 
     /// Total number of score-matrix entries that are *valid* (unmasked) for a
     /// sequence of length `seq_len` — the effective attention work.
-    pub fn valid_score_entries(self, seq_len: usize, prefix_len: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn valid_score_entries(self, seq_len: usize, prefix_len: usize) -> u64 {
         (0..seq_len).map(|t| self.attended_positions(t, seq_len, prefix_len) as u64).sum()
     }
 }

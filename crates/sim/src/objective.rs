@@ -31,15 +31,15 @@ struct Pair {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CommSummary {
     /// Weighted objective value (bytes × hops × die penalty).
-    pub objective: f64,
+    pub(crate) objective: f64,
     /// Unweighted byte·hop volume of inter-layer activation traffic.
-    pub inter_layer_byte_hops: f64,
+    pub(crate) inter_layer_byte_hops: f64,
     /// Unweighted byte·hop volume of intra-layer reductions.
-    pub reduction_byte_hops: f64,
+    pub(crate) reduction_byte_hops: f64,
     /// Unweighted byte·hop volume of intra-layer gathers.
-    pub gather_byte_hops: f64,
+    pub(crate) gather_byte_hops: f64,
     /// Raw bytes placed on the network per token (independent of placement).
-    pub total_bytes: u64,
+    pub(crate) total_bytes: u64,
     /// Average hop count over all pairs, traffic-weighted.
     pub mean_hops: f64,
 }
@@ -54,7 +54,7 @@ impl CommSummary {
 
 /// Evaluates Eq. 1 for candidate assignments of a [`MappingProblem`].
 #[derive(Debug, Clone)]
-pub struct ObjectiveEvaluator {
+pub(crate) struct ObjectiveEvaluator {
     pairs: Vec<Pair>,
     pairs_of: Vec<Vec<usize>>,
     geometry: ouro_hw::WaferGeometry,
@@ -63,7 +63,7 @@ pub struct ObjectiveEvaluator {
 
 impl ObjectiveEvaluator {
     /// Precomputes the interacting pairs of `problem`.
-    pub fn new(problem: &MappingProblem) -> ObjectiveEvaluator {
+    pub(crate) fn new(problem: &MappingProblem) -> ObjectiveEvaluator {
         let mut pairs = Vec::new();
         let tiles = &problem.tiles;
         let layers = &problem.layers;
@@ -143,7 +143,7 @@ impl ObjectiveEvaluator {
     }
 
     /// Full objective value of an assignment (Eq. 1).
-    pub fn cost(&self, assignment: &Assignment) -> f64 {
+    pub(crate) fn cost(&self, assignment: &Assignment) -> f64 {
         self.pairs
             .iter()
             .map(|p| self.edge_cost(assignment.core_of(p.a), assignment.core_of(p.b), p.bytes))
@@ -152,7 +152,7 @@ impl ObjectiveEvaluator {
 
     /// Change in objective if tile `t` moved to `new_core` (negative is an
     /// improvement). `O(pairs touching t)`.
-    pub fn move_delta(&self, assignment: &Assignment, t: usize, new_core: CoreId) -> f64 {
+    pub(crate) fn move_delta(&self, assignment: &Assignment, t: usize, new_core: CoreId) -> f64 {
         let old_core = assignment.core_of(t);
         if old_core == new_core {
             return 0.0;
@@ -172,7 +172,7 @@ impl ObjectiveEvaluator {
     }
 
     /// Change in objective if tiles `t1` and `t2` swapped cores.
-    pub fn swap_delta(&self, assignment: &Assignment, t1: usize, t2: usize) -> f64 {
+    pub(crate) fn swap_delta(&self, assignment: &Assignment, t1: usize, t2: usize) -> f64 {
         let c1 = assignment.core_of(t1);
         let c2 = assignment.core_of(t2);
         if c1 == c2 || t1 == t2 {
@@ -203,7 +203,7 @@ impl ObjectiveEvaluator {
     }
 
     /// Per-token communication breakdown of an assignment.
-    pub fn summary(&self, assignment: &Assignment) -> CommSummary {
+    pub(crate) fn summary(&self, assignment: &Assignment) -> CommSummary {
         let mut s = CommSummary::default();
         let mut weighted_hops = 0.0;
         let mut total_bytes = 0u64;
@@ -231,8 +231,8 @@ impl ObjectiveEvaluator {
 mod tests {
     use super::*;
     use crate::problem::MappingProblem;
+    use crate::zoo;
     use ouro_hw::{DefectMap, WaferGeometry};
-    use ouro_model::zoo;
     use proptest::prelude::*;
 
     fn problem() -> MappingProblem {

@@ -16,28 +16,28 @@ use crate::stage::{StageKind, STAGES_PER_BLOCK};
 /// Operation and data-volume counts for one pipeline stage processing one
 /// token that attends to `attended` KV positions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageCosts {
+pub(crate) struct StageCosts {
     /// Multiply–accumulate-equivalent floating point operations (1 MAC = 2 FLOPs).
-    pub flops: u64,
+    pub(crate) flops: u64,
     /// Static weight bytes the stage must have resident (and, on non-CIM
     /// hardware, read from memory) to process the token.
-    pub weight_bytes: u64,
+    pub(crate) weight_bytes: u64,
     /// KV-cache bytes read in situ by the stage.
-    pub kv_read_bytes: u64,
+    pub(crate) kv_read_bytes: u64,
     /// KV-cache bytes written (appended) by the stage.
-    pub kv_write_bytes: u64,
+    pub(crate) kv_write_bytes: u64,
     /// Input activation bytes consumed.
-    pub act_in_bytes: u64,
+    pub(crate) act_in_bytes: u64,
     /// Output activation bytes produced.
-    pub act_out_bytes: u64,
+    pub(crate) act_out_bytes: u64,
     /// Element-wise / reduction operations executed on the SFU.
-    pub sfu_ops: u64,
+    pub(crate) sfu_ops: u64,
 }
 
 impl StageCosts {
     /// Computes the costs of `kind` for one token of `model` attending to
     /// `attended` KV positions (including itself).
-    pub fn for_token(model: &ModelConfig, kind: StageKind, attended: usize) -> StageCosts {
+    pub(crate) fn for_token(model: &ModelConfig, kind: StageKind, attended: usize) -> StageCosts {
         let d = model.hidden_dim as u64;
         let qkv = (model.heads * model.head_dim) as u64;
         let f = model.ffn_dim as u64;
@@ -119,14 +119,14 @@ impl std::ops::Add for StageCosts {
 
 /// Aggregated costs of one token flowing through one whole transformer block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BlockCosts {
+pub(crate) struct BlockCosts {
     /// Per-stage costs in pipeline order.
-    pub stages: [StageCosts; STAGES_PER_BLOCK],
+    pub(crate) stages: [StageCosts; STAGES_PER_BLOCK],
 }
 
 impl BlockCosts {
     /// Costs of one token attending to `attended` positions in one block.
-    pub fn for_token(model: &ModelConfig, attended: usize) -> BlockCosts {
+    pub(crate) fn for_token(model: &ModelConfig, attended: usize) -> BlockCosts {
         let mut stages = [StageCosts::default(); STAGES_PER_BLOCK];
         for (i, kind) in StageKind::ALL.iter().enumerate() {
             stages[i] = StageCosts::for_token(model, *kind, attended);
@@ -135,33 +135,28 @@ impl BlockCosts {
     }
 
     /// Total over all six stages.
-    pub fn total(&self) -> StageCosts {
+    pub(crate) fn total(&self) -> StageCosts {
         self.stages.iter().fold(StageCosts::default(), |acc, s| acc + *s)
-    }
-
-    /// Costs of the stage with the given kind.
-    pub fn stage(&self, kind: StageKind) -> StageCosts {
-        self.stages[kind.index()]
     }
 }
 
 impl ModelConfig {
     /// Total FLOPs to run one token through the entire model (all blocks)
     /// when it attends to `attended` positions.
-    pub fn token_flops(&self, attended: usize) -> u64 {
+    pub(crate) fn token_flops(&self, attended: usize) -> u64 {
         BlockCosts::for_token(self, attended).total().flops * self.blocks as u64
     }
 
     /// Total FLOPs of the prefill phase of a prompt of `prompt_len` tokens
     /// under this model's mask (token *t* attends to `attended_positions(t)`).
-    pub fn prefill_flops(&self, prompt_len: usize) -> u64 {
+    pub(crate) fn prefill_flops(&self, prompt_len: usize) -> u64 {
         let mask = self.mask();
         (0..prompt_len).map(|t| self.token_flops(mask.attended_positions(t, prompt_len, prompt_len))).sum()
     }
 
     /// Total FLOPs of decoding `decode_len` tokens after a prompt of
     /// `prompt_len` tokens (each decode step attends to everything so far).
-    pub fn decode_flops(&self, prompt_len: usize, decode_len: usize) -> u64 {
+    pub(crate) fn decode_flops(&self, prompt_len: usize, decode_len: usize) -> u64 {
         (0..decode_len).map(|t| self.token_flops(prompt_len + t + 1)).sum()
     }
 }

@@ -7,19 +7,13 @@
 //! variable sequence lengths and mixed prefill/decode batches (Fig. 5) and
 //! shrinks the activation working set from whole sequences to single tokens.
 //!
-//! This crate is hardware-agnostic: callers supply a [`StageTimeModel`] that
+//! This module is hardware-agnostic: callers supply a [`StageTimeModel`] that
 //! prices one token (or one sequence) in each of the six stage kinds, and the
 //! schedulers here turn a request trace into a [`PipelineReport`] — makespan,
-//! per-stage busy time, bubble fraction and activation-buffer footprint. The
-//! `ouro-sim` crate provides the hardware-derived stage-time model; tests
-//! here use simple synthetic ones.
+//! per-stage busy time, bubble fraction and activation-buffer footprint.
+//! [`crate::HwStageTimes`] is the hardware-derived stage-time model; the
+//! unit tests use simple synthetic ones.
 
-pub mod engine;
-pub mod granularity;
-pub mod report;
-pub mod schedule;
-
-pub use engine::{estimate_streaming, simulate_exact};
-pub use granularity::Granularity;
-pub use report::PipelineReport;
-pub use schedule::{ConstantStageTimes, PipelineScheduler, StageTimeModel, StageTimeTable};
+pub use crate::granularity::Granularity;
+pub use crate::report::PipelineReport;
+pub use crate::schedule::{PipelineScheduler, StageTimeModel, StageTimeTable};

@@ -1,34 +1,35 @@
 //! The inter-core mapping problem: tiles, layers, constraints.
 
+use crate::config::ModelConfig;
+use crate::stage::{PipelineStage, StageKind};
 use ouro_hw::{CoreId, DefectMap, WaferGeometry};
-use ouro_model::{ModelConfig, PipelineStage, StageKind};
 
 /// One weight-holding layer of a transformer block, tiled for mapping.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LayerSpec {
+pub(crate) struct LayerSpec {
     /// The pipeline stage this layer belongs to.
-    pub kind: StageKind,
+    pub(crate) kind: StageKind,
     /// Index of the layer in execution order (0..L).
-    pub index: usize,
+    pub(crate) index: usize,
     /// Number of input-channel splits `I(l)`.
-    pub input_splits: usize,
+    pub(crate) input_splits: usize,
     /// Number of output-channel splits `O(l)`.
-    pub output_splits: usize,
+    pub(crate) output_splits: usize,
     /// Bytes of output activation sent to the next layer per token
     /// (`output(l)` in Eq. 1).
-    pub output_bytes: u64,
+    pub(crate) output_bytes: u64,
     /// Bytes of partial sums reduced across input splits per token
     /// (`reduction(l)`).
-    pub reduction_bytes: u64,
+    pub(crate) reduction_bytes: u64,
     /// Bytes gathered across output splits per token (`gather(l)`).
-    pub gather_bytes: u64,
+    pub(crate) gather_bytes: u64,
     /// Weight bytes of one tile.
-    pub tile_weight_bytes: u64,
+    pub(crate) tile_weight_bytes: u64,
 }
 
 impl LayerSpec {
     /// Number of cores this layer needs (`#Core(l)` = `I(l) × O(l)`).
-    pub fn cores(&self) -> usize {
+    pub(crate) fn cores(&self) -> usize {
         self.input_splits * self.output_splits
     }
 }
@@ -36,37 +37,32 @@ impl LayerSpec {
 /// One weight tile: the `(layer, input-split, output-split)` unit a single
 /// core is responsible for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Tile {
+pub(crate) struct Tile {
     /// Layer index within the block.
-    pub layer: usize,
+    pub(crate) layer: usize,
     /// Input-channel split index `i`.
-    pub input: usize,
+    pub(crate) input: usize,
     /// Output-channel split index `o`.
-    pub output: usize,
+    pub(crate) output: usize,
 }
 
 /// A candidate assignment of every tile to a core.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// `core[t]` is the core of tile `t` (indexed as in
-    /// [`MappingProblem::tiles`]).
+    /// `MappingProblem::tiles`).
     pub core: Vec<CoreId>,
 }
 
 impl Assignment {
     /// Core assigned to tile index `t`.
-    pub fn core_of(&self, t: usize) -> CoreId {
+    pub(crate) fn core_of(&self, t: usize) -> CoreId {
         self.core[t]
     }
 
     /// Number of assigned tiles.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.core.len()
-    }
-
-    /// Whether the assignment covers zero tiles.
-    pub fn is_empty(&self) -> bool {
-        self.core.is_empty()
     }
 }
 
@@ -74,22 +70,22 @@ impl Assignment {
 #[derive(Debug, Clone)]
 pub struct MappingProblem {
     /// The wafer geometry tiles are placed on.
-    pub geometry: WaferGeometry,
+    pub(crate) geometry: WaferGeometry,
     /// Defect map: defective cores cannot take tiles (Eq. 2).
-    pub defects: DefectMap,
+    pub(crate) defects: DefectMap,
     /// The layers of one block in execution order.
-    pub layers: Vec<LayerSpec>,
+    pub(crate) layers: Vec<LayerSpec>,
     /// All tiles in deterministic order (layer-major, then output, then
     /// input).
-    pub tiles: Vec<Tile>,
+    pub(crate) tiles: Vec<Tile>,
     /// The cores eligible for placement (functional cores, restricted to the
     /// region reserved for this block).
-    pub candidate_cores: Vec<CoreId>,
+    pub(crate) candidate_cores: Vec<CoreId>,
     /// Cross-die penalty `Cost_inter` of the objective.
-    pub cost_inter: f64,
+    pub(crate) cost_inter: f64,
     /// Whether the last layer wraps around to feed the first layer of the
     /// next (identically mapped) block.
-    pub wrap_around: bool,
+    pub(crate) wrap_around: bool,
 }
 
 impl MappingProblem {
@@ -166,7 +162,7 @@ impl MappingProblem {
     }
 
     /// Functional candidate cores (the feasible placement domain, Eq. 2).
-    pub fn feasible_cores(&self) -> Vec<CoreId> {
+    pub(crate) fn feasible_cores(&self) -> Vec<CoreId> {
         self.candidate_cores.iter().copied().filter(|c| !self.defects.is_defective(*c)).collect()
     }
 
@@ -188,8 +184,8 @@ impl MappingProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo;
     use ouro_hw::{DefectMap, WaferGeometry};
-    use ouro_model::zoo;
 
     fn small_problem() -> MappingProblem {
         let g = WaferGeometry::tiny(2, 2, 6, 6);

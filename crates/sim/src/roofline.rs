@@ -13,57 +13,57 @@
 //! compute energy — this is exactly the decomposition shown in the stacked
 //! bars of Fig. 1, Fig. 14 and Fig. 20.
 
+use crate::config::ModelConfig;
 use crate::report::{EnergyBreakdown, SystemReport};
-use ouro_model::ModelConfig;
 use ouro_workload::Trace;
 
 /// Hardware parameters of a roofline-modelled system.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RooflineConfig {
+pub(crate) struct RooflineConfig {
     /// Display name.
-    pub name: String,
+    pub(crate) name: String,
     /// Sustained compute throughput in FLOP/s (all chips combined).
-    pub peak_flops: f64,
+    pub(crate) peak_flops: f64,
     /// Fraction of peak compute actually sustained on large GEMMs.
-    pub compute_efficiency: f64,
+    pub(crate) compute_efficiency: f64,
     /// Aggregate first-tier (HBM/DRAM) bandwidth in bytes/s.
-    pub mem_bandwidth: f64,
+    pub(crate) mem_bandwidth: f64,
     /// First-tier memory capacity in bytes.
-    pub mem_capacity: u64,
+    pub(crate) mem_capacity: u64,
     /// Aggregate inter-chip interconnect bandwidth in bytes/s.
-    pub interconnect_bandwidth: f64,
+    pub(crate) interconnect_bandwidth: f64,
     /// Number of chips model weights are sharded across (tensor parallel).
-    pub chips: usize,
+    pub(crate) chips: usize,
     /// Deployment precision bytes per weight/activation element.
-    pub precision_bytes: u64,
+    pub(crate) precision_bytes: u64,
     /// Largest batch of concurrent sequences the serving stack will form.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
     /// Whether attention (KV-cache reads) is served by in-memory compute
     /// rather than streaming KV through the compute chips (AttAcc).
-    pub pim_attention: bool,
+    pub(crate) pim_attention: bool,
     /// Whether weights live in on-chip SRAM (wafer-scale engines) rather
     /// than off-chip HBM/DRAM.
-    pub weights_on_chip: bool,
+    pub(crate) weights_on_chip: bool,
     /// Energy per FLOP in joules.
-    pub energy_per_flop: f64,
+    pub(crate) energy_per_flop: f64,
     /// Energy per byte of off-chip (HBM/DRAM) traffic in joules.
-    pub energy_per_offchip_byte: f64,
+    pub(crate) energy_per_offchip_byte: f64,
     /// Energy per byte of on-chip SRAM traffic in joules.
-    pub energy_per_onchip_byte: f64,
+    pub(crate) energy_per_onchip_byte: f64,
     /// Energy per byte of inter-chip communication in joules.
-    pub energy_per_link_byte: f64,
+    pub(crate) energy_per_link_byte: f64,
 }
 
 /// A baseline system evaluated with the roofline model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RooflineSystem {
     /// Hardware parameters.
-    pub config: RooflineConfig,
+    pub(crate) config: RooflineConfig,
 }
 
 impl RooflineSystem {
     /// Wraps a configuration.
-    pub fn new(config: RooflineConfig) -> RooflineSystem {
+    pub(crate) fn new(config: RooflineConfig) -> RooflineSystem {
         RooflineSystem { config }
     }
 
@@ -79,7 +79,7 @@ impl RooflineSystem {
 
     /// Resident decode batch: limited by KV capacity left after weights and
     /// by the serving stack's configured maximum.
-    pub fn decode_batch(&self, model: &ModelConfig, avg_seq_tokens: usize) -> usize {
+    pub(crate) fn decode_batch(&self, model: &ModelConfig, avg_seq_tokens: usize) -> usize {
         let weights = self.weight_bytes(model);
         let kv_per_seq = self.kv_bytes_per_token(model) * avg_seq_tokens.max(1) as u64;
         let free = self.config.mem_capacity.saturating_sub(weights);
@@ -88,7 +88,7 @@ impl RooflineSystem {
     }
 
     /// Whether the model's weights fit in the first memory tier.
-    pub fn fits(&self, model: &ModelConfig) -> bool {
+    pub(crate) fn fits(&self, model: &ModelConfig) -> bool {
         self.weight_bytes(model) <= self.config.mem_capacity
     }
 
@@ -209,7 +209,7 @@ impl RooflineSystem {
 mod tests {
     use super::*;
     use crate::systems;
-    use ouro_model::zoo;
+    use crate::zoo;
     use ouro_workload::{LengthConfig, TraceGenerator};
 
     fn trace() -> Trace {

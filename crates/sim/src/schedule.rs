@@ -14,10 +14,11 @@
 //!   only extra bubbles appear when a newly scheduled sequence is longer than
 //!   every sequence before it.
 
+use crate::config::ModelConfig;
 use crate::engine::{estimate_streaming, simulate_exact};
 use crate::granularity::Granularity;
 use crate::report::PipelineReport;
-use ouro_model::{ModelConfig, StageKind, STAGES_PER_BLOCK};
+use crate::stage::{StageKind, STAGES_PER_BLOCK};
 use ouro_workload::Trace;
 
 /// Prices one token's work in each pipeline stage on some hardware.
@@ -34,28 +35,6 @@ pub trait StageTimeModel {
     /// growth from `start_ctx + 1` to `start_ctx + len`.
     fn sequence_time_s(&self, kind: StageKind, len: usize, start_ctx: usize) -> f64 {
         (0..len).map(|i| self.token_time_s(kind, start_ctx + i + 1)).sum()
-    }
-}
-
-/// A trivially simple stage-time model: a constant time per token for
-/// non-attention stages plus a per-attended-position increment for attention
-/// stages. Useful for tests and for reasoning about the pipeline in
-/// isolation from real hardware.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConstantStageTimes {
-    /// Base seconds per token per stage.
-    pub base_s: f64,
-    /// Additional seconds per attended position in the attention stages.
-    pub per_context_s: f64,
-}
-
-impl StageTimeModel for ConstantStageTimes {
-    fn token_time_s(&self, kind: StageKind, attended: usize) -> f64 {
-        if kind.scales_with_context() {
-            self.base_s + self.per_context_s * attended as f64
-        } else {
-            self.base_s
-        }
     }
 }
 
@@ -89,7 +68,7 @@ impl<R: Copy> StageTimeTable<R> {
 
     /// Rows `0..=max_attended`, evaluating `price` at each length the table
     /// does not hold yet, in increasing order.
-    pub fn rows_through(&mut self, max_attended: usize, mut price: impl FnMut(usize) -> R) -> &[R] {
+    pub(crate) fn rows_through(&mut self, max_attended: usize, mut price: impl FnMut(usize) -> R) -> &[R] {
         let len = self.rows.len();
         if max_attended >= len {
             let target = (max_attended + 1).next_multiple_of(TABLE_CHUNK);
@@ -99,7 +78,7 @@ impl<R: Copy> StageTimeTable<R> {
         &self.rows[..=max_attended]
     }
 
-    /// The row of one length (see [`rows_through`](Self::rows_through)).
+    /// The row of one length (see `rows_through`).
     pub fn row(&mut self, attended: usize, price: impl FnMut(usize) -> R) -> R {
         self.rows_through(attended, price)[attended]
     }
@@ -130,7 +109,7 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
     }
 
     /// Total number of pipeline stages (6 stages per transformer block).
-    pub fn num_stages(&self) -> usize {
+    pub(crate) fn num_stages(&self) -> usize {
         STAGES_PER_BLOCK * self.model.blocks
     }
 
@@ -254,7 +233,8 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
 
     /// Bytes of intermediate-activation buffering required per stage at the
     /// given granularity, for the trace's longest request.
-    pub fn activation_buffer_bytes(&self, trace: &Trace, granularity: Granularity) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn activation_buffer_bytes(&self, trace: &Trace, granularity: Granularity) -> u64 {
         let tokens = granularity.activation_tokens_per_stage(trace.max_total_tokens()) as u64;
         tokens * self.model.activation_bytes_per_token()
     }
@@ -263,8 +243,30 @@ impl<'a, T: StageTimeModel> PipelineScheduler<'a, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ouro_model::zoo;
+    use crate::zoo;
     use ouro_workload::{LengthConfig, TraceGenerator};
+
+    /// A trivially simple stage-time model: a constant time per token for
+    /// non-attention stages plus a per-attended-position increment for
+    /// attention stages. It prices the pipeline in isolation from real
+    /// hardware.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct ConstantStageTimes {
+        /// Base seconds per token per stage.
+        base_s: f64,
+        /// Additional seconds per attended position in the attention stages.
+        per_context_s: f64,
+    }
+
+    impl StageTimeModel for ConstantStageTimes {
+        fn token_time_s(&self, kind: StageKind, attended: usize) -> f64 {
+            if kind.scales_with_context() {
+                self.base_s + self.per_context_s * attended as f64
+            } else {
+                self.base_s
+            }
+        }
+    }
 
     fn constant() -> ConstantStageTimes {
         ConstantStageTimes { base_s: 1e-6, per_context_s: 1e-9 }

@@ -57,12 +57,8 @@ impl std::fmt::Display for Strategy {
 pub struct MappingSolution {
     /// Tile → core assignment.
     pub assignment: Assignment,
-    /// Objective value (Eq. 1) of the assignment.
-    pub objective: f64,
     /// Communication breakdown per token.
     pub summary: CommSummary,
-    /// The strategy that produced it.
-    pub strategy: Strategy,
 }
 
 /// Solves `problem` with the chosen strategy.
@@ -88,9 +84,8 @@ pub fn solve(problem: &MappingProblem, strategy: Strategy, seed: u64) -> Mapping
         Strategy::WaferLlm => baselines::waferllm_assignment(problem, &feasible),
     };
     debug_assert!(problem.is_feasible(&assignment), "solver produced an infeasible assignment");
-    let objective = evaluator.cost(&assignment);
     let summary = evaluator.summary(&assignment);
-    MappingSolution { assignment, objective, summary, strategy }
+    MappingSolution { assignment, summary }
 }
 
 /// Greedy seed: walk the wafer's S-order and drop tiles (already ordered
@@ -201,8 +196,13 @@ fn exact(problem: &MappingProblem, evaluator: &ObjectiveEvaluator, feasible: &[C
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo;
     use ouro_hw::{DefectMap, WaferGeometry};
-    use ouro_model::zoo;
+
+    /// The objective value (Eq. 1) of a solution's assignment.
+    fn objective(p: &MappingProblem, sol: &MappingSolution) -> f64 {
+        ObjectiveEvaluator::new(p).cost(&sol.assignment)
+    }
 
     fn problem() -> MappingProblem {
         let g = WaferGeometry::tiny(2, 2, 8, 8);
@@ -216,7 +216,7 @@ mod tests {
         let p = problem();
         let sol = solve(&p, Strategy::Greedy, 0);
         assert!(p.is_feasible(&sol.assignment));
-        assert!(sol.objective > 0.0);
+        assert!(objective(&p, &sol) > 0.0);
     }
 
     #[test]
@@ -226,10 +226,10 @@ mod tests {
         let anneal = solve(&p, Strategy::Anneal { iterations: 3000 }, 42);
         assert!(p.is_feasible(&anneal.assignment));
         assert!(
-            anneal.objective <= greedy.objective + 1e-9,
+            objective(&p, &anneal) <= objective(&p, &greedy) + 1e-9,
             "anneal {} should not exceed greedy {}",
-            anneal.objective,
-            greedy.objective
+            objective(&p, &anneal),
+            objective(&p, &greedy)
         );
     }
 
@@ -239,7 +239,7 @@ mod tests {
         let a = solve(&p, Strategy::Anneal { iterations: 1000 }, 7);
         let b = solve(&p, Strategy::Anneal { iterations: 1000 }, 7);
         assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.objective, b.objective);
+        assert_eq!(objective(&p, &a), objective(&p, &b));
     }
 
     #[test]
@@ -287,7 +287,7 @@ mod tests {
         assert!(p.num_tiles() <= 8, "tiny problem expected, got {}", p.num_tiles());
         let exact = solve(&p, Strategy::Exact, 0);
         let anneal = solve(&p, Strategy::Anneal { iterations: 2000 }, 9);
-        assert!(exact.objective <= anneal.objective + 1e-9);
+        assert!(objective(&p, &exact) <= objective(&p, &anneal) + 1e-9);
         assert!(p.is_feasible(&exact.assignment));
     }
 

@@ -14,7 +14,7 @@
 use crate::config::ModelConfig;
 
 /// Number of pipeline stages a single transformer block is split into.
-pub const STAGES_PER_BLOCK: usize = 6;
+pub(crate) const STAGES_PER_BLOCK: usize = 6;
 
 /// Identity of one of the six pipeline stages within a transformer block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,7 +35,7 @@ pub enum StageKind {
 
 impl StageKind {
     /// All six stages in pipeline order.
-    pub const ALL: [StageKind; STAGES_PER_BLOCK] = [
+    pub(crate) const ALL: [StageKind; STAGES_PER_BLOCK] = [
         StageKind::QkvGeneration,
         StageKind::Score,
         StageKind::Softmax,
@@ -45,14 +45,14 @@ impl StageKind {
     ];
 
     /// Position of this stage within a block, `0..6`.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         StageKind::ALL.iter().position(|&k| k == self).expect("stage present in ALL")
     }
 
     /// Whether the stage holds static model weights in its crossbars
     /// (as opposed to the attention stages that read the dynamic KV cache,
     /// and softmax which runs entirely on the SFU).
-    pub fn holds_weights(self) -> bool {
+    pub(crate) fn holds_weights(self) -> bool {
         matches!(
             self,
             StageKind::QkvGeneration | StageKind::ContextProjection | StageKind::Ffn1 | StageKind::Ffn2
@@ -60,14 +60,15 @@ impl StageKind {
     }
 
     /// Whether the stage performs in-situ computation against the KV cache.
-    pub fn uses_kv_cache(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn uses_kv_cache(self) -> bool {
         matches!(self, StageKind::Score | StageKind::ContextProjection)
     }
 
     /// Whether the stage's compute grows with the attended context length
     /// (attention score and context stages) rather than being constant per
     /// token (projections and FFN).
-    pub fn scales_with_context(self) -> bool {
+    pub(crate) fn scales_with_context(self) -> bool {
         matches!(self, StageKind::Score | StageKind::Softmax | StageKind::ContextProjection)
     }
 }
@@ -89,23 +90,23 @@ impl std::fmt::Display for StageKind {
 /// A pipeline stage instantiated for a concrete model: carries the layer
 /// shapes needed by the mapping and hardware crates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipelineStage {
+pub(crate) struct PipelineStage {
     /// Which of the six stages this is.
-    pub kind: StageKind,
+    pub(crate) kind: StageKind,
     /// Input feature dimension of the stage's main GEMV/GEMM.
-    pub input_dim: usize,
+    pub(crate) input_dim: usize,
     /// Output feature dimension of the stage's main GEMV/GEMM.
-    pub output_dim: usize,
+    pub(crate) output_dim: usize,
     /// Static weight elements held by the stage (zero for score/softmax,
     /// whose "weights" are the dynamic KV cache).
-    pub weight_elems: u64,
+    pub(crate) weight_elems: u64,
     /// Number of attention heads the stage is split across (1 for FFN).
-    pub heads: usize,
+    pub(crate) heads: usize,
 }
 
 impl PipelineStage {
     /// Builds the stage description for `kind` from a model configuration.
-    pub fn new(kind: StageKind, model: &ModelConfig) -> PipelineStage {
+    pub(crate) fn new(kind: StageKind, model: &ModelConfig) -> PipelineStage {
         let d = model.hidden_dim;
         let qkv = model.heads * model.head_dim;
         let f = model.ffn_dim;
@@ -118,16 +119,6 @@ impl PipelineStage {
             StageKind::Ffn2 => (f, d, (f * d) as u64, 1),
         };
         PipelineStage { kind, input_dim, output_dim, weight_elems, heads }
-    }
-
-    /// Static weight bytes of this stage at the model's precision.
-    pub fn weight_bytes(&self, model: &ModelConfig) -> u64 {
-        self.weight_elems * model.precision.bytes()
-    }
-
-    /// Output activation bytes produced for one token.
-    pub fn output_bytes(&self, model: &ModelConfig) -> u64 {
-        self.output_dim as u64 * model.precision.bytes()
     }
 }
 

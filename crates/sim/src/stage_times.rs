@@ -6,10 +6,12 @@
 //! the KV cores, SFU time for softmax, plus the NoC time to move the stage's
 //! output activation to the next stage at the mapping's average hop distance.
 
+use crate::config::ModelConfig;
+use crate::cost::{CommCost, Transfer};
+use crate::link::InterWaferLink;
+use crate::schedule::StageTimeModel;
+use crate::stage::StageKind;
 use ouro_hw::CimCore;
-use ouro_model::{ModelConfig, StageKind};
-use ouro_noc::{CommCost, InterWaferLink, Transfer};
-use ouro_pipeline::StageTimeModel;
 
 /// Per-stage service-time model derived from the hardware and the mapping.
 #[derive(Debug, Clone)]
@@ -19,7 +21,7 @@ pub struct HwStageTimes {
     /// The CIM core every stage runs on.
     pub core: CimCore,
     /// Number of cores the mapper assigned to each weight-holding stage of
-    /// one block (indexed by [`StageKind::index`]; attention/softmax entries
+    /// one block (indexed by `StageKind::index`; attention/softmax entries
     /// are ignored).
     pub cores_per_stage: [usize; 6],
     /// Communication cost model of the wafer.
@@ -151,8 +153,8 @@ impl HwStageTimes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::zoo;
     use ouro_hw::CimCore;
-    use ouro_model::zoo;
 
     fn times() -> HwStageTimes {
         HwStageTimes {
@@ -228,7 +230,7 @@ mod tests {
         }
         // The charge equals the shared link model's single-port crossing.
         let link = single.inter_wafer_link();
-        assert_eq!(link, ouro_noc::InterWaferLink::from_noc(&single.comm.noc));
+        assert_eq!(link, crate::link::InterWaferLink::from_noc(&single.comm.noc));
         assert!(link.token_crossing_s(1) > 0.0);
     }
 

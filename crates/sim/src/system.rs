@@ -1,14 +1,17 @@
 //! The assembled Ouroboros system: mapping + pipeline + KV cache + energy.
 
+use crate::config::ModelConfig;
 use crate::config::{BuildError, OuroborosConfig};
+use crate::cost::CommCost;
+use crate::granularity::Granularity;
+use crate::ops::BlockCosts;
+use crate::problem::MappingProblem;
+use crate::report::{EnergyBreakdown, SystemReport};
+use crate::schedule::PipelineScheduler;
+use crate::solvers::{MappingSolution, Strategy};
 use crate::stage_times::HwStageTimes;
-use ouro_baselines::{EnergyBreakdown, SystemReport};
 use ouro_hw::{CimCore, CoreId, DefectMap};
 use ouro_kvcache::{KvManagerConfig, KvScheduler, StaticKvAllocator};
-use ouro_mapping::{MappingProblem, MappingSolution, Strategy};
-use ouro_model::{BlockCosts, ModelConfig};
-use ouro_noc::CommCost;
-use ouro_pipeline::{Granularity, PipelineScheduler};
 use ouro_workload::Trace;
 
 /// A fully assembled Ouroboros deployment serving one model.
@@ -89,7 +92,7 @@ impl OuroborosSystem {
         } else {
             Strategy::WaferLlm
         };
-        let mapping = ouro_mapping::solve(&problem, strategy, config.seed);
+        let mapping = crate::solvers::solve(&problem, strategy, config.seed);
 
         let kv_cores_total = functional_total - weight_cores_total;
         let kv_cores_per_block = kv_cores_total / model.blocks;
@@ -177,7 +180,7 @@ impl OuroborosSystem {
     /// with `tokens` resident tokens migrates to another wafer: K and V for
     /// every head of every block, at the deployment's precision. This is the
     /// payload a disaggregated `ouro-serve` scenario charges against the
-    /// [`ouro_noc::InterWaferLink`].
+    /// [`crate::link::InterWaferLink`].
     pub fn kv_migration_bytes(&self, tokens: usize) -> u64 {
         tokens as u64 * self.model.kv_bytes_per_token()
     }
@@ -336,7 +339,7 @@ impl OuroborosSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ouro_model::zoo;
+    use crate::zoo;
     use ouro_workload::{LengthConfig, TraceGenerator};
 
     fn tiny_model() -> ModelConfig {

@@ -134,7 +134,7 @@ pub fn hbm_cim_system(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ouro_model::zoo;
+    use crate::zoo;
     use ouro_workload::{LengthConfig, TraceGenerator};
 
     #[test]

@@ -36,7 +36,7 @@ pub fn llama_13b() -> ModelConfig {
 }
 
 /// The ~19.5B point of Fig. 1 (a GPT-NeoX-20B-like shape).
-pub fn gpt_20b() -> ModelConfig {
+pub(crate) fn gpt_20b() -> ModelConfig {
     decoder("GPT-20B", 44, 6144, 48, 24576, 50432)
 }
 
@@ -51,7 +51,7 @@ pub fn llama_65b() -> ModelConfig {
 }
 
 /// The ~130B point of Fig. 1 (a GPT-3-scale dense decoder).
-pub fn dense_130b() -> ModelConfig {
+pub(crate) fn dense_130b() -> ModelConfig {
     decoder("Dense-130B", 100, 10240, 80, 40960, 50432)
 }
 

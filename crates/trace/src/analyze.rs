@@ -164,21 +164,21 @@ pub struct RequestPhases {
     /// Global request id.
     pub req: usize,
     /// Arrival instant (the first event of the request).
-    pub arrival_s: f64,
+    pub(crate) arrival_s: f64,
     /// Terminal instant (`complete` or `drop`); `None` when the run
     /// stopped with the request mid-flight.
-    pub terminal_s: Option<f64>,
+    pub(crate) terminal_s: Option<f64>,
     /// Whether the terminal event was `complete` (vs `drop`/truncation).
-    pub completed: bool,
+    pub(crate) completed: bool,
     /// First-token instant, when one was emitted.
-    pub first_token_s: Option<f64>,
+    pub(crate) first_token_s: Option<f64>,
     /// Exclusive per-phase seconds over `[arrival, terminal]`, indexed by
     /// [`PHASE_NAMES`]. Sums to [`RequestPhases::e2e_s`] for completed
     /// requests (up to float addition order).
     pub phases: [f64; PHASE_COUNT],
     /// The same decomposition clipped to `[arrival, first_token]`; all
     /// zero when no first token was emitted.
-    pub ttft_phases: [f64; PHASE_COUNT],
+    pub(crate) ttft_phases: [f64; PHASE_COUNT],
 }
 
 impl RequestPhases {
@@ -209,7 +209,7 @@ pub struct WaferUtilization {
     /// Global wafer index.
     pub wafer: usize,
     /// Seconds the wafer held at least one resident prefill/decode span.
-    pub busy_s: f64,
+    pub(crate) busy_s: f64,
     /// `busy_s` over the trace span (0 when the span is empty).
     pub busy_fraction: f64,
     /// `decode_step` iterations the wafer executed.
@@ -218,13 +218,13 @@ pub struct WaferUtilization {
     /// not armed).
     pub samples: usize,
     /// Mean batch occupancy over the telemetry samples.
-    pub mean_occupancy: f64,
+    pub(crate) mean_occupancy: f64,
     /// Peak batch occupancy over the telemetry samples.
-    pub peak_occupancy: u64,
+    pub(crate) peak_occupancy: u64,
     /// Mean admission-queue depth over the telemetry samples.
-    pub mean_queue_depth: f64,
+    pub(crate) mean_queue_depth: f64,
     /// Peak KV-cache utilization (used/capacity) over the samples.
-    pub peak_kv_utilization: f64,
+    pub(crate) peak_kv_utilization: f64,
 }
 
 /// The full post-hoc analysis of one run: per-request latency
@@ -236,9 +236,9 @@ pub struct Analysis {
     /// Per-wafer utilization, in wafer order.
     pub wafers: Vec<WaferUtilization>,
     /// First event instant of the trace.
-    pub t0_s: f64,
+    pub(crate) t0_s: f64,
     /// Simulated span of the trace (last event minus first).
-    pub span_s: f64,
+    pub(crate) span_s: f64,
 }
 
 /// Internal cursor mode of the per-request walk. `Decode` windows are
@@ -332,12 +332,6 @@ fn split_decode(markers: &[Marker], a: f64, b: f64) -> (f64, f64, f64) {
 }
 
 impl Analysis {
-    /// Analyses a trace alone (utilization rows carry no telemetry
-    /// statistics).
-    pub fn from_trace(trace: &Trace) -> Analysis {
-        Analysis::from_run(trace, &[])
-    }
-
     /// Analyses a finished run from its merged trace and (optionally
     /// empty) telemetry series.
     pub fn from_run(trace: &Trace, telemetry: &[TelemetrySample]) -> Analysis {
@@ -564,24 +558,24 @@ impl Analysis {
     }
 
     /// E2E latency statistics over the completed requests.
-    pub fn e2e_stats(&self) -> PhaseStats {
+    pub(crate) fn e2e_stats(&self) -> PhaseStats {
         PhaseStats::from_samples(self.completed().filter_map(RequestPhases::e2e_s).collect())
     }
 
     /// TTFT statistics over the completed requests that emitted a first
     /// token.
-    pub fn ttft_stats(&self) -> PhaseStats {
+    pub(crate) fn ttft_stats(&self) -> PhaseStats {
         PhaseStats::from_samples(self.completed().filter_map(RequestPhases::ttft_s).collect())
     }
 
     /// The completed request at the nearest-rank `pct` percentile of E2E
     /// latency — the concrete request "where the p99 goes" is read from.
-    pub fn e2e_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
+    pub(crate) fn e2e_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
         self.percentile_request(pct, |r| r.e2e_s())
     }
 
     /// As [`Analysis::e2e_percentile_request`], for TTFT.
-    pub fn ttft_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
+    pub(crate) fn ttft_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
         self.percentile_request(pct, |r| r.ttft_s())
     }
 
@@ -775,7 +769,7 @@ mod tests {
 
     #[test]
     fn colocated_request_decomposes_exactly() {
-        let a = Analysis::from_trace(&colocated_timeline());
+        let a = Analysis::from_run(&colocated_timeline(), &[]);
         assert_eq!(a.requests.len(), 1);
         let r = &a.requests[0];
         assert!(r.completed);
@@ -838,7 +832,7 @@ mod tests {
             ev(0.0, 1, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 }),
             ev(0.4, 1, Some(1), EventKind::MigrateArrive { from_wafer: 0, bytes: 64 }),
         ];
-        let a = Analysis::from_trace(&Trace::from_streams(&[(&wafer1, 0), (&driver, 0)]));
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer1, 0), (&driver, 0)]), &[]);
         let r = &a.requests[0];
         assert!((r.phases[MIGRATION_STALL]).abs() < EPS, "zero-length stall at the shared instant");
         assert!((r.phases[DECODE_COMPUTE] - 0.1).abs() < EPS);
@@ -858,7 +852,7 @@ mod tests {
             ev(0.35, 0, Some(1), EventKind::Complete),
         ];
         let driver = vec![ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 2 })];
-        let a = Analysis::from_trace(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
         let r = &a.requests[0];
         assert!((r.phases[FAULT_STALL] - 0.15).abs() < EPS, "stall {}", r.phases[FAULT_STALL]);
         assert!((r.phases[DECODE_COMPUTE] - 0.2).abs() < EPS, "compute {}", r.phases[DECODE_COMPUTE]);
@@ -877,7 +871,7 @@ mod tests {
             ev(0.7, 0, Some(1), EventKind::Complete),
         ];
         let driver = vec![ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 })];
-        let a = Analysis::from_trace(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
         let r = &a.requests[0];
         assert!((r.phases[QUEUE] - 0.2).abs() < EPS, "arrival wait + capacity requeue");
         assert!((r.phases[FAULT_STALL] - 0.2).abs() < EPS, "fault requeue wait");
@@ -894,7 +888,7 @@ mod tests {
             ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 999, decode_tokens: 1 }),
             ev(0.1, 0, Some(2), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 }),
         ];
-        let a = Analysis::from_trace(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
         assert_eq!(a.requests.len(), 2);
         assert_eq!(a.completed().count(), 0);
         assert_eq!(a.dropped(), 1);
@@ -936,7 +930,7 @@ mod tests {
 
     #[test]
     fn report_names_every_phase() {
-        let text = Analysis::from_trace(&colocated_timeline()).report();
+        let text = Analysis::from_run(&colocated_timeline(), &[]).report();
         for name in PHASE_NAMES {
             assert!(text.contains(name), "missing phase {name}");
         }
@@ -947,7 +941,7 @@ mod tests {
 
     #[test]
     fn json_rows_match_their_pinned_key_sets() {
-        let a = Analysis::from_trace(&colocated_timeline());
+        let a = Analysis::from_run(&colocated_timeline(), &[]);
         let rows = a.json_rows();
         assert_eq!(rows.len(), 1 + PHASE_COUNT + a.wafers.len());
         assert_eq!(rows[0].keys(), ANALYZE_SUMMARY_KEYS);
@@ -962,7 +956,7 @@ mod tests {
 
     #[test]
     fn empty_trace_analyses_to_nothing() {
-        let a = Analysis::from_trace(&Trace::default());
+        let a = Analysis::from_run(&Trace::default(), &[]);
         assert!(a.requests.is_empty() && a.wafers.is_empty());
         assert_eq!(a.json_rows().len(), 1 + PHASE_COUNT);
         assert!(a.report().contains("0 requests"));

@@ -20,7 +20,7 @@ pub struct SpanPhase {
     /// Global request id.
     pub req: usize,
     /// Wafer the phase ran on.
-    pub wafer: usize,
+    pub(crate) wafer: usize,
     /// `"queue"`, `"prefill"`, or `"decode"`.
     pub name: &'static str,
     /// Phase start instant.

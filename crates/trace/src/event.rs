@@ -11,7 +11,7 @@
 
 use crate::json::JsonObject;
 
-/// Version of the flat JSON schema emitted by [`TraceEvent::json_object`]
+/// Version of the flat JSON schema emitted by `TraceEvent::json_object`
 /// (and carried by every trace/telemetry dump). Bumped whenever a key or
 /// an event kind is renamed, removed, or changes meaning.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
@@ -132,26 +132,6 @@ impl EventKind {
         }
     }
 
-    /// Every kind name, in declaration order — the closed taxonomy the
-    /// schema round-trip tests pin.
-    pub const ALL_NAMES: [&'static str; 15] = [
-        "arrival",
-        "admission",
-        "prefill_start",
-        "prefill_end",
-        "first_token",
-        "decode_step",
-        "kv_export",
-        "kv_import",
-        "migrate_start",
-        "migrate_arrive",
-        "evict",
-        "drop",
-        "fault",
-        "remap",
-        "complete",
-    ];
-
     /// The payload quantities as `(a, b)` integer slots, matching the
     /// flat JSON columns `arg_a`/`arg_b`. Kinds without a payload emit
     /// zeros.
@@ -196,7 +176,7 @@ impl TraceEvent {
     /// `t_s`, `wafer`, `req` (null for wafer-level events), `kind`, and
     /// the two payload columns `arg_a`/`arg_b` holding the kind's
     /// integer payload.
-    pub fn json_object(&self) -> JsonObject {
+    pub(crate) fn json_object(&self) -> JsonObject {
         let (a, b) = self.kind.args();
         let o = JsonObject::new()
             .int("schema_version", TRACE_SCHEMA_VERSION as u64)
@@ -234,7 +214,25 @@ mod tests {
             EventKind::Complete,
         ];
         let names: Vec<&str> = kinds.iter().map(EventKind::name).collect();
-        assert_eq!(names, EventKind::ALL_NAMES.to_vec(), "taxonomy must match the pinned name list");
+        // Every kind name, in declaration order: the closed taxonomy.
+        let pinned = [
+            "arrival",
+            "admission",
+            "prefill_start",
+            "prefill_end",
+            "first_token",
+            "decode_step",
+            "kv_export",
+            "kv_import",
+            "migrate_start",
+            "migrate_arrive",
+            "evict",
+            "drop",
+            "fault",
+            "remap",
+            "complete",
+        ];
+        assert_eq!(names, pinned, "taxonomy must match the pinned name list");
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl JsonObject {
     /// Adds a nested object field — the Chrome trace-event format carries
     /// per-event metadata in an `args` object, the one place the flat
     /// schema is not enough.
-    pub fn obj(mut self, key: &str, value: &JsonObject) -> JsonObject {
+    pub(crate) fn obj(mut self, key: &str, value: &JsonObject) -> JsonObject {
         self.fields.push((key.to_string(), value.render()));
         self
     }

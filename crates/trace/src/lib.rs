@@ -6,13 +6,13 @@
 //! facility here is strictly observational, so a traced run produces the
 //! same `RunReport` bit-for-bit as an untraced one:
 //!
-//! - [`event`] / [`sink`] — a closed taxonomy of typed request-lifecycle
+//! - `event` / `sink` — a closed taxonomy of typed request-lifecycle
 //!   events ([`TraceEvent`]/[`EventKind`]) emitted through a
 //!   zero-cost-when-disabled [`Tracer`] into a bounded [`RingSink`].
-//! - [`chrome`] — a merged [`Trace`] over per-wafer event streams:
+//! - `chrome` — a merged [`Trace`] over per-wafer event streams:
 //!   per-request span reconstruction, a pinned digest for golden tests,
 //!   and Chrome trace-event JSON loadable in Perfetto.
-//! - [`telemetry`] — sampled per-wafer gauges and cluster counters on a
+//! - `telemetry` — sampled per-wafer gauges and cluster counters on a
 //!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
 //!   flat JSON time series.
 //! - [`json`] — the dependency-free flat-row JSON writer and reader and
@@ -23,12 +23,12 @@
 //! ([`TRACE_SCHEMA_VERSION`], [`TELEMETRY_SCHEMA_VERSION`],
 //! [`ANALYZE_SCHEMA_VERSION`]) so downstream tooling can detect drift.
 
-pub mod analyze;
-pub mod chrome;
-pub mod event;
+mod analyze;
+mod chrome;
+mod event;
 pub mod json;
-pub mod sink;
-pub mod telemetry;
+mod sink;
+mod telemetry;
 
 pub use analyze::{
     Analysis, PhaseStats, RequestPhases, WaferUtilization, ANALYZE_PHASE_KEYS, ANALYZE_SCHEMA_VERSION,

@@ -22,25 +22,20 @@ pub struct RingSink {
 
 impl RingSink {
     /// Default retained-event capacity (per sink, i.e. per wafer).
-    pub const DEFAULT_CAPACITY: usize = 1 << 20;
+    pub(crate) const DEFAULT_CAPACITY: usize = 1 << 20;
 
     /// A ring retaining at most `capacity` events.
     ///
     /// # Panics
     ///
     /// Panics when `capacity` is zero.
-    pub fn new(capacity: usize) -> RingSink {
+    pub(crate) fn new(capacity: usize) -> RingSink {
         assert!(capacity > 0, "a trace ring needs room for at least one event");
         RingSink { capacity, events: Vec::new(), dropped: 0 }
     }
 
-    /// The retained-event capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Accepts one event.
-    pub fn emit(&mut self, event: TraceEvent) {
+    pub(crate) fn emit(&mut self, event: TraceEvent) {
         if self.events.len() == self.capacity {
             // Compact half at once so overflow is amortised O(1), not a
             // per-event memmove of the whole buffer.
@@ -52,12 +47,12 @@ impl RingSink {
     }
 
     /// The events retained so far, in emission order.
-    pub fn events(&self) -> &[TraceEvent] {
+    pub(crate) fn events(&self) -> &[TraceEvent] {
         &self.events
     }
 
     /// Events accepted but no longer retained (ring overflow).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -87,12 +82,6 @@ impl Tracer {
     /// `wafer`.
     pub fn ring(wafer: usize) -> Tracer {
         Tracer { sink: Some(RingSink::default()), wafer }
-    }
-
-    /// Whether events are being recorded. Emission sites with non-trivial
-    /// payload computation should guard on this.
-    pub fn enabled(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Records one event on this tracer's wafer. A no-op when disabled.
@@ -133,7 +122,6 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::off();
-        assert!(!t.enabled());
         t.emit(1.0, Some(0), EventKind::Complete);
         t.emit_for(3, 2.0, None, EventKind::Drop);
         assert!(t.events().is_empty());

@@ -126,11 +126,6 @@ impl TelemetryRecorder {
         TelemetryRecorder { config, next_sample_s: config.cadence_s, samples: Vec::new() }
     }
 
-    /// The configured cadence.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
-    }
-
     /// Whether a cadence point is due at or before `now_s`.
     pub fn due(&self, now_s: f64) -> bool {
         now_s >= self.next_sample_s
@@ -165,11 +160,6 @@ impl TelemetryRecorder {
     /// The samples recorded so far, in `(time, wafer)` order.
     pub fn samples(&self) -> &[TelemetrySample] {
         &self.samples
-    }
-
-    /// The time series as flat JSON rows.
-    pub fn json_rows(&self) -> Vec<JsonObject> {
-        self.samples.iter().map(TelemetrySample::json_object).collect()
     }
 }
 

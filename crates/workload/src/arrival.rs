@@ -149,18 +149,6 @@ impl TimedTrace {
     pub fn last_arrival_s(&self) -> f64 {
         self.arrivals.iter().map(|r| r.arrival_s).fold(0.0, f64::max)
     }
-
-    /// Realised arrival rate: requests per second over the arrival span
-    /// (`None` for a trace of fewer than two requests or a zero span).
-    pub fn realized_rps(&self) -> Option<f64> {
-        let span = self.last_arrival_s();
-        let n = self.arrivals.len();
-        if span > 0.0 && n > 1 {
-            Some(n as f64 / span)
-        } else {
-            None
-        }
-    }
 }
 
 #[cfg(test)]
@@ -169,6 +157,18 @@ mod tests {
     use crate::length::LengthConfig;
     use crate::trace::TraceGenerator;
     use proptest::prelude::*;
+
+    /// Realised arrival rate: requests per second over the arrival span
+    /// (`None` for a trace of fewer than two requests or a zero span).
+    fn realized_rps(timed: &TimedTrace) -> Option<f64> {
+        let span = timed.last_arrival_s();
+        let n = timed.arrivals.len();
+        if span > 0.0 && n > 1 {
+            Some(n as f64 / span)
+        } else {
+            None
+        }
+    }
 
     fn trace(n: usize) -> Trace {
         TraceGenerator::new(7).generate(&LengthConfig::fixed(64, 64), n)
@@ -206,7 +206,7 @@ mod tests {
             (mean_gap - expected).abs() < 0.1 * expected,
             "mean inter-arrival {mean_gap:.5}s should be within 10% of {expected:.5}s"
         );
-        assert!((timed.realized_rps().unwrap() - rate).abs() < 0.1 * rate);
+        assert!((realized_rps(&timed).unwrap() - rate).abs() < 0.1 * rate);
     }
 
     #[test]
@@ -246,7 +246,7 @@ mod tests {
     fn bursty_mean_rate_matches_poisson() {
         let t = trace(4000);
         let timed = ArrivalConfig::Bursty { rate_rps: 20.0, cv: 3.0 }.assign(&t, 2);
-        let realized = timed.realized_rps().unwrap();
+        let realized = realized_rps(&timed).unwrap();
         assert!((realized - 20.0).abs() < 0.15 * 20.0, "realised rate {realized} should be ~20");
     }
 
@@ -256,7 +256,7 @@ mod tests {
         let timed = ArrivalConfig::Poisson { rate_rps: 1.0 }.assign(&t, 0);
         assert!(timed.is_empty());
         assert_eq!(timed.last_arrival_s(), 0.0);
-        assert_eq!(timed.realized_rps(), None);
+        assert_eq!(realized_rps(&timed), None);
     }
 
     proptest! {
@@ -322,7 +322,7 @@ mod tests {
             let rate = 25.0;
             let t = trace(100_000);
             let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 8.0 }.assign(&t, seed);
-            let realized = timed.realized_rps().expect("long open-loop trace has a rate");
+            let realized = realized_rps(&timed).expect("long open-loop trace has a rate");
             prop_assert!(
                 (realized - rate).abs() < 0.1 * rate,
                 "cv=8 realised rate {realized} must stay within 10% of {rate}"

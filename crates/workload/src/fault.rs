@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 pub struct FaultProcess {
     /// Mean time between failures of one wafer, in seconds of simulated
     /// time.
-    pub mtbf_s: f64,
+    pub(crate) mtbf_s: f64,
 }
 
 /// One wafer's runtime faults over `[0, window_s)`, drawn lazily: the
@@ -79,7 +79,7 @@ impl FaultStream {
     /// The next fault as `(at_s, draw)`: its instant and a uniform draw for
     /// victim selection, so the consumer needs no RNG of its own. `None`
     /// once the window is passed.
-    pub fn peek(&self) -> Option<(f64, u64)> {
+    pub(crate) fn peek(&self) -> Option<(f64, u64)> {
         self.next
     }
 

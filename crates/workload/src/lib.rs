@@ -20,12 +20,12 @@
 //! session traces whose requests carry [`request::SharedPrefix`] tags for
 //! the prefix-caching KV manager.
 
-pub mod arrival;
-pub mod fault;
-pub mod length;
-pub mod request;
-pub mod session;
-pub mod trace;
+mod arrival;
+mod fault;
+mod length;
+mod request;
+mod session;
+mod trace;
 
 pub use arrival::{ArrivalConfig, TimedRequest, TimedTrace};
 pub use fault::{next_fault, FaultProcess, FaultStream};

@@ -51,7 +51,8 @@ impl Request {
     }
 
     /// Shared-prefix tokens of this request (0 for unique prompts).
-    pub fn shared_prefix_tokens(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shared_prefix_tokens(&self) -> usize {
         self.shared_prefix.map_or(0, |p| p.tokens)
     }
 
@@ -61,7 +62,8 @@ impl Request {
     }
 
     /// Number of output tokens (decode tokens) this request produces.
-    pub fn output_tokens(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn output_tokens(&self) -> usize {
         self.decode_len
     }
 }

@@ -106,25 +106,25 @@ impl SessionConfig {
     }
 }
 
-/// Fraction of a trace's requests that carry a shared prefix.
-pub fn shared_fraction(trace: &Trace) -> f64 {
-    if trace.is_empty() {
-        return 0.0;
-    }
-    let shared = trace.requests.iter().filter(|r| r.shared_prefix.is_some()).count();
-    shared as f64 / trace.len() as f64
-}
-
-/// Total tokens of a trace that are *potentially* cacheable: the sum of
-/// shared-prefix lengths over tagged requests. An upper bound on what a
-/// prefix cache can save (actual savings depend on residency overlap).
-pub fn shareable_tokens(trace: &Trace) -> u64 {
-    trace.requests.iter().map(|r| r.shared_prefix_tokens() as u64).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of a trace's requests that carry a shared prefix.
+    fn shared_fraction(trace: &Trace) -> f64 {
+        if trace.is_empty() {
+            return 0.0;
+        }
+        let shared = trace.requests.iter().filter(|r| r.shared_prefix.is_some()).count();
+        shared as f64 / trace.len() as f64
+    }
+
+    /// Total tokens of a trace that are *potentially* cacheable: the sum of
+    /// shared-prefix lengths over tagged requests. An upper bound on what a
+    /// prefix cache can save (actual savings depend on residency overlap).
+    fn shareable_tokens(trace: &Trace) -> u64 {
+        trace.requests.iter().map(|r| r.shared_prefix_tokens() as u64).sum()
+    }
 
     #[test]
     fn generation_is_deterministic_per_seed() {

@@ -43,22 +43,6 @@ impl Trace {
     pub fn max_total_tokens(&self) -> usize {
         self.requests.iter().map(Request::total_tokens).max().unwrap_or(0)
     }
-
-    /// Coefficient of variation of the request total lengths (standard
-    /// deviation over mean); 0 for fixed-length traces. This is the
-    /// "dynamism" that causes sequence-grained pipeline bubbles.
-    pub fn length_cv(&self) -> f64 {
-        if self.requests.len() < 2 {
-            return 0.0;
-        }
-        let lens: Vec<f64> = self.requests.iter().map(|r| r.total_tokens() as f64).collect();
-        let mean = lens.iter().sum::<f64>() / lens.len() as f64;
-        if mean == 0.0 {
-            return 0.0;
-        }
-        let var = lens.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / lens.len() as f64;
-        var.sqrt() / mean
-    }
 }
 
 /// Deterministic trace generator.
@@ -111,19 +95,35 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Coefficient of variation of the request total lengths (standard
+    /// deviation over mean); 0 for fixed-length traces. This is the
+    /// "dynamism" that causes sequence-grained pipeline bubbles.
+    fn length_cv(trace: &Trace) -> f64 {
+        if trace.requests.len() < 2 {
+            return 0.0;
+        }
+        let lens: Vec<f64> = trace.requests.iter().map(|r| r.total_tokens() as f64).collect();
+        let mean = lens.iter().sum::<f64>() / lens.len() as f64;
+        if mean == 0.0 {
+            return 0.0;
+        }
+        let var = lens.iter().map(|l| (l - mean) * (l - mean)).sum::<f64>() / lens.len() as f64;
+        var.sqrt() / mean
+    }
+
     #[test]
     fn fixed_trace_has_uniform_lengths() {
         let t = TraceGenerator::new(1).generate(&LengthConfig::fixed(128, 2048), 50);
         assert_eq!(t.len(), 50);
         assert!(t.requests.iter().all(|r| r.prompt_len == 128 && r.decode_len == 2048));
-        assert_eq!(t.length_cv(), 0.0);
+        assert_eq!(length_cv(&t), 0.0);
         assert_eq!(t.total_tokens(), 50 * 2176);
     }
 
     #[test]
     fn wikitext_trace_is_variable_and_clipped() {
         let t = TraceGenerator::new(3).generate(&LengthConfig::wikitext2_like(), 500);
-        assert!(t.length_cv() > 0.1, "expected variable lengths, cv={}", t.length_cv());
+        assert!(length_cv(&t) > 0.1, "expected variable lengths, cv={}", length_cv(&t));
         assert!(t.requests.iter().all(|r| r.prompt_len >= 16 && r.prompt_len <= 2048));
         assert!(t.requests.iter().all(|r| r.decode_len >= 16 && r.decode_len <= 2048));
     }
@@ -143,7 +143,7 @@ mod tests {
         let t = Trace { requests: vec![] };
         assert!(t.is_empty());
         assert_eq!(t.max_total_tokens(), 0);
-        assert_eq!(t.length_cv(), 0.0);
+        assert_eq!(length_cv(&t), 0.0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! A reproduction of *"Ouroboros: Wafer-Scale SRAM CIM with Token-Grained
 //! Pipelining for Large Language Model Inference"* (ASPLOS 2026) as a family
-//! of Rust crates. This facade crate re-exports every sub-crate so that
-//! downstream users can depend on a single package:
+//! of Rust crates. This facade crate re-exports every sub-crate, and the
+//! simulator's subsystem modules, so that downstream users can depend on a
+//! single package:
 //!
 //! * [`model`] — transformer/LLM architectural descriptions and cost counters,
 //! * [`hw`] — the wafer / die / CIM-core / crossbar hardware model,
@@ -14,7 +15,9 @@
 //! * [`workload`] — request-trace and arrival-process generators for the
 //!   evaluation workloads,
 //! * [`baselines`] — analytical models of DGX A100, TPUv4, AttAcc, Cerebras,
-//! * [`sim`] — the end-to-end Ouroboros simulator tying everything together,
+//! * [`sim`] — the end-to-end Ouroboros simulator tying everything together
+//!   (it holds [`model`], [`noc`], [`pipeline`], [`mapping`] and
+//!   [`baselines`] as modules),
 //! * [`serve`] — the online serving simulator: open-loop arrivals,
 //!   continuous batching, multi-wafer load balancing, SLO metrics,
 //!   prefill/decode disaggregation with KV migration over the inter-wafer
@@ -65,14 +68,10 @@
 //! assert!(report.is_conserved());
 //! ```
 
-pub use ouro_baselines as baselines;
 pub use ouro_hw as hw;
 pub use ouro_kvcache as kvcache;
-pub use ouro_mapping as mapping;
-pub use ouro_model as model;
-pub use ouro_noc as noc;
-pub use ouro_pipeline as pipeline;
 pub use ouro_serve as serve;
 pub use ouro_sim as sim;
+pub use ouro_sim::{baselines, mapping, model, noc, pipeline};
 pub use ouro_trace as trace;
 pub use ouro_workload as workload;

@@ -6,7 +6,9 @@
 //! * The determinism rules live in the `clippy.toml` files (DESIGN §13).
 //!   Their exemptions are `#[expect(clippy::disallowed_…, reason = "…")]`
 //!   sites, capped at [`MAX_EXPECTS`] so the list cannot grow silently.
-//!   `allow` would skip the stale-suppression check, so it is not used.
+//!   Dead-code exemptions are `#[expect(dead_code, reason = "…")]` sites,
+//!   each with its reason, capped at [`MAX_DEAD_CODE_EXPECTS`]. `allow`
+//!   would skip the stale-suppression check, so it is used for neither.
 //!
 //! Plain text scans over the source tree with `std::fs`; no lexer.
 
@@ -25,6 +27,9 @@ const SCHEMA_PINS: &[(&str, &str)] = &[
 /// The `FastMap` alias over std `HashMap`. The wall-clock ban has no
 /// exemption.
 const MAX_EXPECTS: usize = 1;
+
+/// The 16- and 32-bit `Precision` widths, which no zoo model uses.
+const MAX_DEAD_CODE_EXPECTS: usize = 1;
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -102,6 +107,8 @@ fn lint_exemptions_stay_within_the_inventory() {
     let this = file!().replace('\\', "/");
     let mut expects = Vec::new();
     let mut allows = Vec::new();
+    let mut dead_code = Vec::new();
+    let mut unreasoned = Vec::new();
     for dir in ["crates", "src", "tests", "examples"] {
         for (path, text) in sources(&root().join(dir)) {
             if path == this {
@@ -109,15 +116,33 @@ fn lint_exemptions_stay_within_the_inventory() {
             }
             // rustfmt may break an attribute after its `(`, so the lint
             // name is matched past any whitespace.
-            for (attr, sites) in [("expect(", &mut expects), ("allow(", &mut allows)] {
+            for (attr, expect) in [("expect(", true), ("allow(", false)] {
                 for (at, _) in text.match_indices(attr) {
-                    if text[at + attr.len()..].trim_start().starts_with("clippy::disallowed_") {
-                        sites.push(format!("{path}:{}", text[..at].lines().count()));
+                    let args = &text[at + attr.len()..];
+                    let site = format!("{path}:{}", text[..at].lines().count());
+                    if args.trim_start().starts_with("clippy::disallowed_") {
+                        let sites = if expect { &mut expects } else { &mut allows };
+                        sites.push(site);
+                    } else if args.trim_start().starts_with("dead_code") {
+                        if !expect {
+                            allows.push(site);
+                        } else {
+                            let close = args.find(')').unwrap_or(args.len());
+                            if !args[..close].contains("reason =") {
+                                unreasoned.push(site.clone());
+                            }
+                            dead_code.push(site);
+                        }
                     }
                 }
             }
         }
     }
     assert!(expects.len() <= MAX_EXPECTS, "lint exemptions grew past {MAX_EXPECTS}: {expects:#?}");
+    assert!(
+        dead_code.len() <= MAX_DEAD_CODE_EXPECTS,
+        "dead-code exemptions grew past {MAX_DEAD_CODE_EXPECTS}: {dead_code:#?}"
+    );
+    assert!(unreasoned.is_empty(), "a dead-code exemption states no reason: {unreasoned:#?}");
     assert!(allows.is_empty(), "use #[expect(…, reason)], which flags stale exemptions: {allows:#?}");
 }
