@@ -18,6 +18,13 @@
 //! at 100–200 and print a stderr note when the cap lowers the requested
 //! count; the serving-style experiments run every request asked for.
 //!
+//! Every subcommand builds its result as JSON rows and writes them with
+//! `--out <path>` (alias: `--json`). Each stdout table is printed from
+//! those rows (`ouro_bench::format_table`, a column subset per table), so
+//! a table and its file cannot disagree; only `analyze` prints report text
+//! instead. The figure rows are built in the library
+//! (`ouro_bench::FIGURES`) and pinned by `crates/bench/tests/figures.rs`.
+//!
 //! The serving-style experiments all drive `ouro_serve::Scenario`, the one
 //! composable run API: `serving` sweeps open-loop load against a colocated
 //! multi-wafer deployment per routing policy; `disagg` compares colocated
@@ -31,10 +38,8 @@
 //! composed four ways (colocated/disaggregated × clean/faulty × prefix
 //! caching) — exercising every axis of the API in one run.
 //!
-//! The serving-style subcommands accept `--out <path>` (alias: `--json`)
-//! to dump their points as a JSON array for capture in CI.
-//! Every row is one flattened `ouro_serve::RunReport` (one schema for
-//! every experiment, `schema_version` included) prefixed with
+//! Every serving-style row is one flattened `ouro_serve::RunReport` (one
+//! schema for every experiment, `schema_version` included) prefixed with
 //! `experiment`/`label` tags:
 //!
 //! ```text
@@ -60,15 +65,10 @@
 //! function of the flags. Simulator speed is measured by the separate
 //! `benches/simbench` package.
 
-use ouro_bench::{
-    build_ouroboros, compare_all, decoder_models, encoder_models, format_energy_breakdown, format_normalized,
-    labeled_row, serving_setup, trace_for, DEFAULT_REQUESTS, SEED,
-};
-use ouro_hw::{CircuitPoint, CoreConfig, CrossbarConfig};
-use ouro_sim::baselines::SystemReport;
-use ouro_sim::mapping::{MappingProblem, Strategy};
+use ouro_bench::json::JsonObject;
+use ouro_bench::{format_table, labeled_row, serving_setup, DEFAULT_REQUESTS, FIGURES, SEED};
 use ouro_sim::model::zoo;
-use ouro_sim::{ablation_ladder, OuroborosConfig, OuroborosSystem};
+use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::LengthConfig;
 
 const SUBCOMMANDS: &[&str] = &[
@@ -76,16 +76,12 @@ const SUBCOMMANDS: &[&str] = &[
     "table2", "serving", "disagg", "faults", "prefix", "scenario", "analyze",
 ];
 
-/// The subcommands that emit JSON rows, and so honor `--out`.
-const ROW_SUBCOMMANDS: &[&str] = &["all", "serving", "disagg", "faults", "prefix", "scenario", "analyze"];
-
 /// Rejects a malformed invocation: print the problem and the full usage,
 /// exit non-zero so CI catches it.
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: experiments [<subcommand>] [--requests N] [--threads N] [--out PATH] [--trace PATH]");
-    eprintln!("flags: --out writes the subcommand's JSON rows to PATH (--json is an alias;");
-    eprintln!("                 serving/disagg/faults/prefix/scenario/analyze, or all);");
+    eprintln!("flags: --out writes the subcommand's JSON rows to PATH (--json is an alias);");
     eprintln!("       --threads sets sweep worker threads (serving/disagg/faults; default: all cores;");
     eprintln!("                 output is identical at any thread count);");
     eprintln!("       --trace writes a Chrome trace-event JSON (scenario subcommand only);");
@@ -179,46 +175,26 @@ fn main() {
     if requests_set && (which == "table2" || which == "fig18") {
         usage_error("--requests does not apply to table2 or fig18, which simulate no request trace");
     }
-    if out_path.is_some() && !ROW_SUBCOMMANDS.contains(&which.as_str()) {
-        usage_error("--out only applies to serving/disagg/faults/prefix/scenario/analyze (or all)");
-    }
 
     let run = |name: &str| which == "all" || which == name;
 
-    if run("fig1") {
-        fig1(requests);
+    // Every subcommand collects JSON rows; `all --out` merges the rows of
+    // every subcommand into one file (the `experiment` field
+    // disambiguates) instead of overwriting it per subcommand.
+    let mut rows: Vec<JsonObject> = Vec::new();
+    for figure in FIGURES.iter().filter(|f| f.subcommands.iter().any(|s| run(s))) {
+        header(figure.title);
+        let n = figure.requests(requests);
+        if n < requests {
+            eprintln!(
+                "note: {} runs {n} requests (--requests {requests} exceeds its cap)",
+                figure.experiment
+            );
+        }
+        let figure_rows = figure.rows(requests);
+        print!("{}", format_table(&figure_rows, figure.columns));
+        rows.extend(figure_rows);
     }
-    if run("fig11") {
-        fig11(requests);
-    }
-    if run("fig13") || run("fig14") {
-        fig13_14(requests, which == "fig14" || which == "all");
-    }
-    if run("fig15") {
-        fig15(requests);
-    }
-    if run("fig16") {
-        fig16(requests);
-    }
-    if run("fig17") {
-        fig17(requests);
-    }
-    if run("fig18") {
-        fig18();
-    }
-    if run("fig19") || run("fig20") {
-        fig19_20(requests);
-    }
-    if run("fig21") {
-        fig21(requests);
-    }
-    if run("table2") {
-        table2();
-    }
-    // Serving-style experiments collect JSON rows; `all --json` merges the
-    // rows of every collecting subcommand into one file (the `experiment`
-    // field disambiguates) instead of overwriting it per subcommand.
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
     if run("serving") {
         rows.extend(serving(requests, threads));
     }
@@ -256,252 +232,24 @@ fn header(title: &str) {
     eprintln!("\n=== {title} ===");
 }
 
-/// Fig. 1 — hardware scaling tax: energy on 1/2/4/8× A100 vs model size,
-/// compute vs total.
-fn fig1(requests: usize) {
-    header("Fig. 1: hardware scaling tax (A100 nodes, WikiText-2-like workload)");
-    let trace = trace_for(&LengthConfig::wikitext2_like(), requests);
-    println!("{:<12} {:>6} {:>14} {:>14} {:>8}", "model", "GPUs", "compute (J)", "total (J)", "ratio");
-    for model in zoo::scaling_tax_models() {
-        for gpus in [1usize, 2, 4, 8] {
-            let sys = ouro_sim::baselines::dgx_a100(gpus);
-            let r = sys.evaluate(&model, &trace, "WikiText-2");
-            let compute = r.energy_per_token.compute_j * r.output_tokens as f64;
-            let total = r.total_energy_j();
-            println!(
-                "{:<12} {:>6} {:>14.1} {:>14.1} {:>8.2}",
-                model.name,
-                gpus,
-                compute,
-                total,
-                total / compute.max(1e-12)
-            );
-        }
-    }
-}
-
-/// Fig. 11 — throughput under different crossbar row-activation ratios.
-fn fig11(requests: usize) {
-    header("Fig. 11: throughput vs row-activation ratio (LLaMA-13B)");
-    let model = zoo::llama_13b();
-    let trace = trace_for(&LengthConfig::fixed(2048, 2048), capped(requests, 100, "fig11"));
-    println!("{:>12} {:>12} {:>16} {:>14}", "ratio", "crossbars", "SRAM/core (MiB)", "tokens/s");
-    for denom in [128u32, 64, 32, 16, 8, 4] {
-        let ratio = 1.0 / denom as f64;
-        let core = CoreConfig::with_crossbar(CrossbarConfig::with_row_activation(ratio));
-        let mut cfg = OuroborosConfig::single_wafer();
-        cfg.core = core.clone();
-        cfg.seed = SEED;
-        match OuroborosSystem::new(cfg, &model) {
-            Ok(sys) => {
-                let r = sys.simulate_labeled(&trace, "LP=2048 LD=2048");
-                println!(
-                    "{:>12} {:>12} {:>16.2} {:>14.1}",
-                    format!("1/{denom}"),
-                    core.crossbars,
-                    core.crossbars as f64 * core.crossbar.capacity_bytes() as f64 / (1024.0 * 1024.0),
-                    r.throughput_tokens_per_s
-                );
-            }
-            Err(e) => println!(
-                "{:>12} {:>12} {:>16} capacity-bound ({e})",
-                format!("1/{denom}"),
-                core.crossbars,
-                "-"
-            ),
-        }
-    }
-}
-
-/// Fig. 13/14 — normalised throughput and energy vs baselines for the four
-/// decoder models and four workloads.
-fn fig13_14(requests: usize, with_energy: bool) {
-    header("Fig. 13: normalized throughput vs baselines");
-    for model in decoder_models() {
-        for (label, config) in LengthConfig::paper_suite() {
-            println!("\n--- {} / {label} ---", model.name);
-            let reports = compare_all(&model, &label, &config, requests);
-            print!("{}", format_normalized(&reports));
-            if with_energy {
-                println!("(Fig. 14 energy breakdown, J/token)");
-                print!("{}", format_energy_breakdown(&reports));
-            }
-        }
-    }
-}
-
-/// Fig. 15 — cumulative ablation over Wafer/CIM/TGP/Mapping/KV cache.
-fn fig15(requests: usize) {
-    header("Fig. 15: ablation ladder (normalized to Baseline)");
-    let workloads =
-        [("WikiText-2", LengthConfig::wikitext2_like()), ("LP=128 LD=2048", LengthConfig::fixed(128, 2048))];
-    let requests = capped(requests, 200, "fig15");
-    for model in [zoo::llama_13b(), zoo::llama_32b()] {
-        for (label, config) in &workloads {
-            let trace = trace_for(config, requests);
-            println!("\n--- {} / {label} ---", model.name);
-            println!(
-                "{:<12} {:>12} {:>12} {:>12} {:>12}",
-                "step", "tokens/s", "speedup", "J/token", "norm. E"
-            );
-            let mut reference: Option<SystemReport> = None;
-            for (step, cfg) in ablation_ladder(&OuroborosConfig::single_wafer()) {
-                let mut cfg = cfg;
-                cfg.seed = SEED;
-                cfg.mapping_iterations = 1_500;
-                match OuroborosSystem::new(cfg, &model) {
-                    Ok(sys) => {
-                        let r = sys.simulate_labeled(&trace, label);
-                        let (speedup, norm_e) = match &reference {
-                            Some(base) => (r.speedup_over(base), r.energy_ratio_over(base)),
-                            None => (1.0, 1.0),
-                        };
-                        println!(
-                            "{:<12} {:>12.1} {:>11.2}x {:>12.6} {:>12.3}",
-                            step,
-                            r.throughput_tokens_per_s,
-                            speedup,
-                            r.energy_per_token_j(),
-                            norm_e
-                        );
-                        if reference.is_none() {
-                            reference = Some(r);
-                        }
-                    }
-                    Err(e) => println!("{step:<12} does not build: {e}"),
-                }
-            }
-        }
-    }
-}
-
-/// Fig. 16 — encoder-style models (BERT-Large, T5-11B).
-fn fig16(requests: usize) {
-    header("Fig. 16: encoder-based models (throughput and energy vs baselines)");
-    for model in encoder_models() {
-        let config = LengthConfig::fixed(512, 64);
-        let reports = compare_all(&model, "encoder", &config, requests);
-        println!("\n--- {} ---", model.name);
-        print!("{}", format_normalized(&reports));
-        print!("{}", format_energy_breakdown(&reports));
-    }
-}
-
-/// Fig. 17 — KV-cache admission threshold sweep.
-fn fig17(requests: usize) {
-    header("Fig. 17: throughput and energy vs KV admission threshold");
-    let requests = capped(requests, 200, "fig17");
-    for model in [zoo::llama_13b(), zoo::t5_11b()] {
-        println!("\n--- {} ---", model.name);
-        println!("{:>10} {:>14} {:>14}", "threshold", "norm. tokens/s", "norm. J/token");
-        let trace = trace_for(&LengthConfig::wikitext2_like(), requests);
-        let mut base: Option<SystemReport> = None;
-        for threshold in [0.0, 0.1, 0.2, 0.3, 0.4, 0.5] {
-            let mut cfg = OuroborosConfig::single_wafer();
-            cfg.kv_threshold = threshold;
-            cfg.seed = SEED;
-            cfg.mapping_iterations = 1_000;
-            let sys = build_ouroboros(cfg, &model);
-            let r = sys.simulate_labeled(&trace, "WikiText-2");
-            let (t, e) = match &base {
-                Some(b) => (
-                    r.throughput_tokens_per_s / b.throughput_tokens_per_s,
-                    r.energy_per_token_j() / b.energy_per_token_j(),
-                ),
-                None => (1.0, 1.0),
-            };
-            println!("{threshold:>10.1} {t:>14.3} {e:>14.3}");
-            if base.is_none() {
-                base = Some(r);
-            }
-        }
-    }
-}
-
-/// Fig. 18 — normalised transmission volume of the mapping strategies.
-fn fig18() {
-    header("Fig. 18: normalized transmission volume (Cerebras-SUMMA / WaferLLM / Ours)");
-    println!("{:<12} {:>12} {:>12} {:>12}", "model", "Cerebras", "WaferLLM", "Ours");
-    for model in [zoo::llama_13b(), zoo::llama_32b(), zoo::llama_65b()] {
-        let geometry = ouro_hw::WaferGeometry::paper();
-        let defects = ouro_hw::DefectMap::pristine(&geometry);
-        let cores: Vec<ouro_hw::CoreId> = geometry.all_cores().collect();
-        let problem = MappingProblem::for_block(&model, geometry, defects, cores, 4 * 1024 * 1024, 4.0);
-        let summa = ouro_sim::mapping::solve(&problem, Strategy::Summa, SEED);
-        let wll = ouro_sim::mapping::solve(&problem, Strategy::WaferLlm, SEED);
-        let ours = ouro_sim::mapping::solve(&problem, Strategy::Anneal { iterations: 4_000 }, SEED);
-        let norm = summa.summary.transmission_volume();
-        println!(
-            "{:<12} {:>12.3} {:>12.3} {:>12.3}",
-            model.name,
-            1.0,
-            wll.summary.transmission_volume() / norm,
-            ours.summary.transmission_volume() / norm
-        );
-    }
-}
-
-/// Fig. 19/20 — multi-wafer scaling on LLaMA-65B.
-fn fig19_20(requests: usize) {
-    header("Fig. 19/20: multi-wafer scaling (LLaMA-65B on two wafers)");
-    let model = zoo::llama_65b();
-    let requests = capped(requests, 200, "fig19/20");
-    for (label, config) in LengthConfig::paper_suite() {
-        println!("\n--- {label} ---");
-        let reports = compare_all(&model, &label, &config, requests);
-        print!("{}", format_normalized(&reports));
-        print!("{}", format_energy_breakdown(&reports));
-    }
-}
-
-/// Fig. 21 — swapping the CIM core implementation inside the system.
-fn fig21(requests: usize) {
-    header("Fig. 21: CIM core implementations at the system level");
-    let trace_cfg = LengthConfig::fixed(2048, 2048);
-    let requests = capped(requests, 200, "fig21");
-    for model in decoder_models() {
-        println!("\n--- {} ---", model.name);
-        let trace = trace_for(&trace_cfg, requests);
-        let mut reports = Vec::new();
-        // Ours and Ours+LUT run the full Ouroboros simulator.
-        let ours = build_ouroboros(OuroborosConfig { seed: SEED, ..OuroborosConfig::single_wafer() }, &model)
-            .simulate_labeled(&trace, "LP=2048 LD=2048");
-        reports.push(ours.clone());
-        for point in [CircuitPoint::vlsi22(), CircuitPoint::isscc22()] {
-            let sys = ouro_sim::baselines::hbm_cim_system(
-                point.name,
-                point.scaled_tops_per_watt,
-                point.scaled_tops_per_mm2,
-                point.wafer_capacity_gb * 1e9,
-            );
-            reports.push(sys.evaluate(&model, &trace, "LP=2048 LD=2048"));
-        }
-        let lut_cfg = OuroborosConfig { lut_compute: true, seed: SEED, ..OuroborosConfig::single_wafer() };
-        reports.push(build_ouroboros(lut_cfg, &model).simulate_labeled(&trace, "LP=2048 LD=2048"));
-        // Normalise to "Ours".
-        println!("{:<16} {:>12} {:>14}", "core", "norm. tput", "norm. J/token");
-        for r in &reports {
-            println!(
-                "{:<16} {:>12.3} {:>14.3}",
-                r.system,
-                r.throughput_tokens_per_s / ours.throughput_tokens_per_s,
-                r.energy_per_token_j() / ours.energy_per_token_j()
-            );
-        }
-    }
-}
-
 /// Wafers of every serving-style experiment's deployment.
 const WAFERS: usize = 4;
 
-/// `requests` lowered to an experiment's `cap`, with one stderr note when
-/// the cap bites (stderr, so the stdout tables stay comparable).
-fn capped(requests: usize, cap: usize, experiment: &str) -> usize {
-    if requests > cap {
-        eprintln!("note: {experiment} runs {cap} requests (--requests {requests} exceeds its cap)");
-    }
-    requests.min(cap)
-}
+/// The stdout columns of each serving-style table: subsets of the
+/// `labeled_row` rows `--out` writes.
+const SERVING_COLUMNS: &str = "label offered_rps achieved_rps goodput_rps output_tokens_per_s \
+    ttft_p50_s ttft_p99_s tpot_p50_s tpot_p99_s slo_attainment utilization";
+const DISAGG_COLUMNS: &str = "label offered_rps ttft_p50_s ttft_p99_s tpot_p50_s tpot_p99_s goodput_rps \
+    utilization exported_kv_bytes mean_migration_s";
+const FAULT_SWEEP_COLUMNS: &str = "label faults_injected chains_built sequences_recomputed kv_bytes_evicted \
+    availability ttft_p99_s tpot_p99_s ttft_p99_inflation tpot_p99_inflation";
+const FAULT_SHOOTOUT_COLUMNS: &str =
+    "label offered_rps ttft_p50_s ttft_p99_s tpot_p50_s tpot_p99_s goodput_rps \
+    utilization availability faults_injected sequences_recomputed";
+const PREFIX_COLUMNS: &str =
+    "label share_ratio ttft_mean_s ttft_p99_s goodput_rps prefilled_tokens cached_prefix_tokens";
+const SCENARIO_COLUMNS: &str =
+    "label ttft_p99_s tpot_p99_s goodput_rps migrations availability cached_prefix_tokens";
 
 /// Runs every scenario of a sweep on `threads` workers; the reports come
 /// back in input order, so the thread count never shows in the output.
@@ -544,8 +292,8 @@ fn accelerated_mtbf(mtbf_s: f64, timed: &ouro_workload::TimedTrace) -> f64 {
 
 /// Online serving — load sweeps and routing policies on a 4-wafer cluster.
 /// Returns the JSON rows of every printed point.
-fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{format_sweep, routers, Scenario, LOAD_FRACTIONS};
+fn serving(requests: usize, threads: usize) -> Vec<JsonObject> {
+    use ouro_serve::{routers, Scenario, LOAD_FRACTIONS};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Serving: online load sweep (4-wafer LLaMA-13B, WikiText-2-like)");
@@ -562,14 +310,13 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
             Scenario::colocated(WAFERS).slo(slo).workload(timed)
         })
         .collect();
-    let reports = run_all(&system, sweep, threads);
-    print!("{}", format_sweep(&reports));
-    let mut rows: Vec<ouro_bench::json::JsonObject> =
-        reports.iter().map(|r| labeled_row("serving", "poisson-sweep", r)).collect();
+    let mut rows: Vec<JsonObject> =
+        run_all(&system, sweep, threads).iter().map(|r| labeled_row("serving", "poisson-sweep", r)).collect();
+    print!("{}", format_table(&rows, SERVING_COLUMNS));
 
     let top_rate = rates[rates.len() - 1];
     eprintln!("\n--- routing policies at {top_rate:.0} req/s ---");
-    println!("{:<22} {:>11} {:>11} {:>11} {:>10}", "policy", "ttft-p99", "tpot-p99", "goodput/s", "slo-att");
+    let section = rows.len();
     for router in [routers::round_robin(), routers::join_shortest_queue(), routers::least_kv_load()] {
         let name = router.name();
         let timed = ArrivalConfig::Poisson { rate_rps: top_rate }.assign(&trace, SEED);
@@ -579,49 +326,30 @@ fn serving(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject>
             .workload(timed)
             .run(&system)
             .expect("cluster builds");
-        let s = &r.serving;
-        println!(
-            "{:<22} {:>9.1}ms {:>9.3}ms {:>11.1} {:>9.1}%",
-            name,
-            s.ttft.p99_s * 1e3,
-            s.tpot.p99_s * 1e3,
-            s.goodput_rps,
-            s.slo_attainment * 100.0
-        );
         rows.push(labeled_row("serving", &format!("policy-{name}"), &r));
     }
+    print!("{}", format_table(&rows[section..], SERVING_COLUMNS));
 
     eprintln!("\n--- bursty arrivals (Gamma, cv=4) vs Poisson at the saturation point ---");
     let rate = rates[3];
-    println!(
-        "{:<12} {:>11} {:>11} {:>11} {:>10}",
-        "arrivals", "ttft-p50", "ttft-p99", "goodput/s", "slo-att"
-    );
+    let section = rows.len();
     for (label, arrival) in [
         ("poisson", ArrivalConfig::Poisson { rate_rps: rate }),
         ("bursty", ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }),
     ] {
         let timed = arrival.assign(&trace, SEED);
         let r = Scenario::colocated(WAFERS).slo(slo).workload(timed).run(&system).expect("cluster builds");
-        let s = &r.serving;
-        println!(
-            "{:<12} {:>9.1}ms {:>9.1}ms {:>11.1} {:>9.1}%",
-            label,
-            s.ttft.p50_s * 1e3,
-            s.ttft.p99_s * 1e3,
-            s.goodput_rps,
-            s.slo_attainment * 100.0
-        );
         rows.push(labeled_row("serving", &format!("arrivals-{label}"), &r));
     }
+    print!("{}", format_table(&rows[section..], SERVING_COLUMNS));
     rows
 }
 
 /// Disaggregated serving — the pool-ratio sweep and the colocated-vs-
 /// disaggregated shootout at equal wafer count. Returns the JSON rows of
 /// every printed point.
-fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{best_ratio, format_shootout, Scenario};
+fn disagg(requests: usize, threads: usize) -> Vec<JsonObject> {
+    use ouro_serve::{best_ratio, Scenario};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Disaggregation: prefill/decode pools vs colocated (4-wafer LLaMA-13B)");
@@ -632,7 +360,7 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     let rate = capacity * WAFERS as f64;
     let trace = TraceGenerator::new(SEED).generate(&lengths, requests);
     let bursty = |rate_rps| ArrivalConfig::Bursty { rate_rps, cv: 4.0 }.assign(&trace, SEED);
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
+    let mut rows: Vec<JsonObject> = Vec::new();
 
     eprintln!("\n--- pool-ratio sweep at {rate:.0} req/s (bursty cv=4, LP=512 LD=64) ---");
     let timed = bursty(rate);
@@ -640,45 +368,30 @@ fn disagg(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
         .map(|prefill| Scenario::disaggregated(prefill, WAFERS - prefill).slo(slo).workload(timed.clone()))
         .collect();
     let plans = run_all(&system, splits, threads);
-    println!(
-        "{:<10} {:>11} {:>11} {:>11} {:>11} {:>12}",
-        "split", "ttft-p99", "tpot-p99", "goodput/s", "migr (MB)", "migr-mean"
-    );
     for r in &plans {
         let (p, d) = (r.deployment.prefill_wafers, r.deployment.decode_wafers);
-        let s = &r.serving;
-        let m = r.migration.as_ref().expect("disaggregated runs report migration stats");
-        println!(
-            "{:<10} {:>9.1}ms {:>9.3}ms {:>11.1} {:>11.1} {:>10.2}ms",
-            format!("{p}p:{d}d"),
-            s.ttft.p99_s * 1e3,
-            s.tpot.p99_s * 1e3,
-            s.goodput_rps,
-            m.exported_kv_bytes as f64 / 1e6,
-            m.mean_migration_s * 1e3,
-        );
         rows.push(labeled_row("disagg", &format!("ratio-{p}p{d}d"), r));
     }
+    print!("{}", format_table(&rows, DISAGG_COLUMNS));
     let best = best_ratio(&plans);
     let (best_p, best_d) = (best.deployment.prefill_wafers, best.deployment.decode_wafers);
-    println!("goodput-optimal split: {best_p}p:{best_d}d");
 
     eprintln!("\n--- colocated vs disaggregated ({best_p}p:{best_d}d) over offered load ---");
     let sides = [0.5, 1.0, 1.5].iter().flat_map(|f| shootout_sides(best_p, slo, bursty(f * rate))).collect();
-    let reports = run_all(&system, sides, threads);
-    print!("{}", format_shootout(&reports));
-    for pair in reports.chunks_exact(2) {
+    let section = rows.len();
+    for pair in run_all(&system, sides, threads).chunks_exact(2) {
         rows.push(labeled_row("disagg", "colocated", &pair[0]));
         rows.push(labeled_row("disagg", "disaggregated", &pair[1]));
     }
+    print!("{}", format_table(&rows[section..], DISAGG_COLUMNS));
     rows
 }
 
 /// Runtime fault injection — availability and tail-latency inflation under
 /// a seeded MTBF process, plus a fault-enabled disagg-vs-colocated
 /// shootout. Returns the JSON rows of every printed point.
-fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> {
-    use ouro_serve::{format_shootout, p99_inflation, FaultConfig, Scenario};
+fn faults(requests: usize, threads: usize) -> Vec<JsonObject> {
+    use ouro_serve::{p99_inflation, FaultConfig, Scenario};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 
     header("Faults: replacement-chain remaps under live traffic (4-wafer LLaMA-13B)");
@@ -690,13 +403,9 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     // MTBF chosen so several faults strike within the arrival span — far
     // above real hardware rates, as resilience studies accelerate ageing.
     let span = timed.last_arrival_s();
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
+    let mut rows: Vec<JsonObject> = Vec::new();
 
     eprintln!("\n--- MTBF sweep at {rate:.0} req/s (Poisson, WikiText-2-like) ---");
-    println!(
-        "{:<12} {:>7} {:>7} {:>9} {:>12} {:>13} {:>11} {:>11}",
-        "mtbf", "faults", "chains", "recomp", "kv-evict", "availability", "ttft-p99", "tpot-p99"
-    );
     // One scenario, re-armed per swept MTBF. The `none` point is armed
     // with an MTBF no window reaches, so it fires nothing, its serving
     // report is the fault-free run's, and it anchors the inflation
@@ -710,18 +419,6 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
     });
     let clean = swept[0].1.serving.clone();
     for (label, faulty) in swept {
-        let f = faulty.faults.as_ref().expect("fault section populated");
-        println!(
-            "{:<12} {:>7} {:>7} {:>9} {:>10.2}MB {:>12.4}% {:>9.1}ms {:>9.3}ms",
-            label,
-            f.faults_injected,
-            f.chains_built,
-            f.sequences_recomputed,
-            f.kv_bytes_evicted as f64 / 1e6,
-            f.availability * 100.0,
-            faulty.serving.ttft.p99_s * 1e3,
-            faulty.serving.tpot.p99_s * 1e3,
-        );
         let (ttft_inflation, tpot_inflation) = p99_inflation(&faulty.serving, &clean);
         rows.push(
             labeled_row("faults", &format!("mtbf-{label}"), &faulty)
@@ -729,23 +426,18 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
                 .num("tpot_p99_inflation", tpot_inflation),
         );
     }
+    print!("{}", format_table(&rows, FAULT_SWEEP_COLUMNS));
 
     eprintln!("\n--- colocated vs disaggregated with faults enabled (MTBF = span/4) ---");
     let bursty = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
     let fault = FaultConfig::new(accelerated_mtbf(span / 4.0, &bursty), SEED);
     let sides = shootout_sides(1, slo, bursty).map(|side| side.faults(fault));
     let reports = run_all(&system, sides.into(), threads);
-    print!("{}", format_shootout(&reports));
+    let section = rows.len();
     for (label, report) in ["colocated-faulty", "disaggregated-faulty"].into_iter().zip(&reports) {
-        let f = report.faults.as_ref().expect("faults were enabled");
-        println!(
-            "{label:<22} availability {:.4}% ({} faults, {} recomputed sequences)",
-            f.availability * 100.0,
-            f.faults_injected,
-            f.sequences_recomputed
-        );
         rows.push(labeled_row("faults", label, report));
     }
+    print!("{}", format_table(&rows[section..], FAULT_SHOOTOUT_COLUMNS));
     rows
 }
 
@@ -753,7 +445,7 @@ fn faults(requests: usize, threads: usize) -> Vec<ouro_bench::json::JsonObject> 
 /// comparing the radix-style prefix cache (prefix-affinity routing) against
 /// cold prompts on identical traffic. Returns the JSON rows of every
 /// printed point.
-fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
+fn prefix(requests: usize) -> Vec<JsonObject> {
     use ouro_serve::{routers, Router, Scenario};
     use ouro_workload::{ArrivalConfig, SessionConfig};
 
@@ -764,13 +456,9 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
         LengthConfig::fixed(session.shared_prefix_tokens + session.user_turn_tokens, session.decode_tokens);
     let (system, capacity, slo) = serving_setup(SEED, &lengths);
     let rate = 0.8 * capacity * WAFERS as f64;
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
+    let mut rows: Vec<JsonObject> = Vec::new();
 
     eprintln!("\n--- share-ratio sweep at {rate:.0} req/s (Poisson, {requests} requests/point) ---");
-    println!(
-        "{:<14} {:>7} {:>11} {:>11} {:>11} {:>12} {:>12}",
-        "cache", "share", "ttft-mean", "ttft-p99", "goodput/s", "prefilled", "cached"
-    );
     for share in [0.0, 0.25, 0.5, 0.75, 0.9] {
         let trace = SessionConfig::chat(4, share).generate(requests, SEED);
         let timed = ArrivalConfig::Poisson { rate_rps: rate }.assign(&trace, SEED);
@@ -784,22 +472,12 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
                 .workload(timed.clone())
                 .run(&system)
                 .expect("cluster builds");
-            let s = &r.serving;
-            println!(
-                "{:<14} {:>7.2} {:>9.2}ms {:>9.2}ms {:>11.1} {:>12} {:>12}",
-                label,
-                share,
-                s.ttft.mean_s * 1e3,
-                s.ttft.p99_s * 1e3,
-                s.goodput_rps,
-                s.prefilled_tokens,
-                s.cached_prefix_tokens,
-            );
             rows.push(
                 labeled_row("prefix", &format!("share-{share:.2}-{label}"), &r).num("share_ratio", share),
             );
         }
     }
+    print!("{}", format_table(&rows, PREFIX_COLUMNS));
     rows
 }
 
@@ -811,11 +489,7 @@ fn prefix(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
 /// With `via_snapshot`, every cell runs through a midpoint checkpoint →
 /// JSON → parse → resume round trip instead of straight to the end — the
 /// CI smoke diffs the two row files to prove the snapshot is complete.
-fn scenario_matrix(
-    requests: usize,
-    trace_path: Option<&str>,
-    via_snapshot: bool,
-) -> Vec<ouro_bench::json::JsonObject> {
+fn scenario_matrix(requests: usize, trace_path: Option<&str>, via_snapshot: bool) -> Vec<JsonObject> {
     use ouro_serve::{placements, routers, FaultConfig, Scenario, Snapshot};
     use ouro_workload::{ArrivalConfig, SessionConfig, TraceGenerator};
 
@@ -865,17 +539,13 @@ fn scenario_matrix(
     ];
 
     eprintln!("\n--- {requests} requests/cell at {rate:.0} req/s ---");
-    println!(
-        "{:<18} {:>11} {:>11} {:>11} {:>9} {:>13} {:>10}",
-        "cell", "ttft-p99", "tpot-p99", "goodput/s", "migr", "availability", "cached"
-    );
     // `--trace` arms lifecycle tracing on the disagg-faults cell — the one
     // exercising the most event kinds (migrations, faults, evictions) —
     // and exports it as Chrome trace-event JSON. Tracing is observational,
     // so the cell's report row is unchanged.
     const TRACED_CELL: &str = "disagg-faults";
     let cadence_s = (mtbf / 32.0).max(1e-6);
-    let mut rows: Vec<ouro_bench::json::JsonObject> = Vec::new();
+    let mut rows: Vec<JsonObject> = Vec::new();
     for (label, scenario) in cells {
         let scenario = if trace_path.is_some() && label == TRACED_CELL {
             scenario.trace(true).telemetry_every(cadence_s)
@@ -896,17 +566,6 @@ fn scenario_matrix(
         let r = &outcome.report;
         assert!(r.is_conserved(), "{label}: request conservation must hold");
         assert!(r.kv_bytes_conserved(), "{label}: migration bytes must be conserved");
-        let s = &r.serving;
-        println!(
-            "{:<18} {:>9.1}ms {:>9.3}ms {:>11.1} {:>9} {:>12.4}% {:>10}",
-            label,
-            s.ttft.p99_s * 1e3,
-            s.tpot.p99_s * 1e3,
-            s.goodput_rps,
-            r.migration.as_ref().map_or(0, |m| m.migrations),
-            r.faults.as_ref().map_or(100.0, |f| f.availability * 100.0),
-            s.cached_prefix_tokens,
-        );
         rows.push(labeled_row("scenario", label, r));
         if let (Some(path), Some(trace)) = (trace_path, outcome.trace()) {
             match trace.write_chrome_trace(path) {
@@ -922,22 +581,8 @@ fn scenario_matrix(
             }
         }
     }
+    print!("{}", format_table(&rows, SCENARIO_COLUMNS));
     rows
-}
-
-/// Table 2 — circuit-level comparison.
-fn table2() {
-    header("Table 2: CIM core circuit-level comparison");
-    println!(
-        "{:<16} {:>8} {:>10} {:>10} {:>12} {:>14}",
-        "design", "node", "array", "TOPS/W", "TOPS/mm2", "wafer capacity"
-    );
-    for p in ouro_hw::CIRCUIT_BASELINES() {
-        println!(
-            "{:<16} {:>6}nm {:>8}Kb {:>10.2} {:>12.2} {:>11.2} GB",
-            p.name, p.technology_nm, p.array_size_kb, p.tops_per_watt, p.tops_per_mm2, p.wafer_capacity_gb
-        );
-    }
 }
 
 /// `analyze` — post-hoc latency attribution on the golden observability
@@ -945,7 +590,7 @@ fn table2() {
 /// telemetry armed, reconstructs per-request timelines, and prints where
 /// p50/p99 TTFT/E2E go, phase by phase, plus per-wafer utilization.
 /// Returns the schema-versioned analyze JSON rows for `--out`.
-fn analyze(requests: usize) -> Vec<ouro_bench::json::JsonObject> {
+fn analyze(requests: usize) -> Vec<JsonObject> {
     use ouro_serve::{FaultConfig, Scenario, SloConfig};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
 

@@ -1,10 +1,20 @@
-//! Shared experiment harness: builds systems, runs workloads, and formats the
-//! rows that regenerate every table and figure of the paper's evaluation.
+//! Shared experiment harness: builds systems, runs workloads, and builds
+//! the JSON rows of every table and figure of the paper's evaluation
+//! ([`FIGURES`]) and of the serving experiments ([`labeled_row`]).
 //!
-//! The `experiments` binary (`cargo run -p ouro-bench --release --bin
-//! experiments -- <figure>`) prints the text tables. Simulator speed is
-//! measured by the separate `benches/simbench` package, not here.
+//! One output path serves them all: the `experiments` binary
+//! (`cargo run -p ouro-bench --release --bin experiments -- <figure>`)
+//! prints each stdout table from its rows with [`format_table`] and writes
+//! the same rows to its `--out` file, so the two cannot disagree. The
+//! tests pin the figure rows in `golden/figures.json` and the main paper
+//! table in `golden/paper_table.json`. Simulator speed is measured by the
+//! separate `benches/simbench` package, not here.
 
+mod figures;
+
+pub use figures::{Figure, FIGURES};
+
+use json::JsonObject;
 use ouro_sim::baselines::{RooflineSystem, SystemReport};
 use ouro_sim::model::ModelConfig;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
@@ -24,7 +34,7 @@ pub fn trace_for(config: &LengthConfig, requests: usize) -> Trace {
 }
 
 /// The decoder models of the main evaluation (Fig. 13–15).
-pub fn decoder_models() -> Vec<ModelConfig> {
+pub(crate) fn decoder_models() -> Vec<ModelConfig> {
     vec![
         ouro_sim::model::zoo::llama_13b(),
         ouro_sim::model::zoo::baichuan_13b(),
@@ -34,7 +44,7 @@ pub fn decoder_models() -> Vec<ModelConfig> {
 }
 
 /// The encoder-style models of §6.4 (Fig. 16).
-pub fn encoder_models() -> Vec<ModelConfig> {
+pub(crate) fn encoder_models() -> Vec<ModelConfig> {
     vec![ouro_sim::model::zoo::bert_large(), ouro_sim::model::zoo::t5_11b()]
 }
 
@@ -78,64 +88,118 @@ pub fn serving_setup(seed: u64, lengths: &LengthConfig) -> (OuroborosSystem, f64
     (system, capacity, SloConfig::with_slack(ttft, tpot, 10.0))
 }
 
-/// Evaluates every baseline plus Ouroboros on one model and workload.
-pub fn compare_all(
+/// The comparison rows of one model and workload: every baseline plus
+/// Ours, in figure order, with throughput and energy per output token
+/// normalised to the first system (DGX A100) and the energy broken down by
+/// component. Figs. 13/14, 16 and 19/20 and the pinned paper table are
+/// built from these rows.
+pub fn comparison_rows(
     model: &ModelConfig,
-    label: &str,
+    workload: &str,
     config: &LengthConfig,
     requests: usize,
-) -> Vec<SystemReport> {
+) -> Vec<JsonObject> {
     let trace = trace_for(config, requests);
     let mut reports: Vec<SystemReport> =
-        baseline_systems().iter().map(|sys| sys.evaluate(model, &trace, label)).collect();
+        baseline_systems().iter().map(|sys| sys.evaluate(model, &trace, workload)).collect();
     let ours = build_ouroboros(OuroborosConfig { seed: SEED, ..OuroborosConfig::single_wafer() }, model);
-    reports.push(ours.simulate_labeled(&trace, label));
-    reports
+    reports.push(ours.simulate_labeled(&trace, workload));
+    report_rows(&model.name, &reports)
 }
 
-/// Formats a set of reports as a normalised-throughput / normalised-energy
-/// table (normalised to the first report, which is the DGX A100 reference in
-/// the main comparisons).
-pub fn format_normalized(reports: &[SystemReport]) -> String {
-    let mut out = String::new();
+/// [`comparison_rows`] of evaluated reports, the first the reference.
+fn report_rows(model: &str, reports: &[SystemReport]) -> Vec<JsonObject> {
     let reference = &reports[0];
-    out.push_str(&format!(
-        "{:<16} {:>14} {:>12} {:>14} {:>10}\n",
-        "system", "tokens/s", "speedup", "J/token", "norm. E"
-    ));
-    for r in reports {
-        out.push_str(&format!(
-            "{:<16} {:>14.1} {:>11.2}x {:>14.6} {:>10.3}\n",
-            r.system,
-            r.throughput_tokens_per_s,
-            r.speedup_over(reference),
-            r.energy_per_token_j(),
-            r.energy_ratio_over(reference),
-        ));
+    reports
+        .iter()
+        .map(|r| {
+            let e = &r.energy_per_token;
+            JsonObject::new()
+                .str("model", model)
+                .str("workload", &r.workload)
+                .str("system", &r.system)
+                .num("tokens_per_s", r.throughput_tokens_per_s)
+                .num("j_per_token", r.energy_per_token_j())
+                .num("speedup_vs_dgx_a100", r.speedup_over(reference))
+                .num("energy_vs_dgx_a100", r.energy_ratio_over(reference))
+                .num("compute_j", e.compute_j)
+                .num("on_chip_j", e.on_chip_j)
+                .num("off_chip_j", e.off_chip_j)
+                .num("communication_j", e.communication_j)
+        })
+        .collect()
+}
+
+/// Renders `rows` as a text table of `columns` (field names separated by
+/// spaces): a header line of the column names, then one line per row.
+/// The rows go through the codec `--out` writes them with and are read
+/// back, so the table shows what the file holds: strings as written,
+/// `null` as `-`, whole numbers in full and other numbers to four
+/// significant digits, so a nonzero value never shows as zero. Columns
+/// holding numbers are right-aligned.
+///
+/// # Panics
+///
+/// When a row has no field named by `columns`.
+pub fn format_table(rows: &[JsonObject], columns: &str) -> String {
+    let columns: Vec<&str> = columns.split_whitespace().collect();
+    let rendered = json::render_array(rows);
+    let parsed = json::read_rows(&rendered).expect("rows the codec wrote read back");
+    let cells: Vec<Vec<String>> = parsed
+        .iter()
+        .map(|row| {
+            columns
+                .iter()
+                .map(|&column| match row.get(column) {
+                    Some(json::Value::Num(n)) => format_number(*n),
+                    Some(json::Value::Str(s)) => s.to_string(),
+                    Some(json::Value::Bool(b)) => b.to_string(),
+                    Some(json::Value::Null) => "-".to_string(),
+                    None => panic!("a row has no column {column:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    let numeric: Vec<bool> = columns
+        .iter()
+        .map(|&column| parsed.iter().any(|row| matches!(row.get(column), Some(json::Value::Num(_)))))
+        .collect();
+    let widths: Vec<usize> = (0..columns.len())
+        .map(|i| cells.iter().map(|line| line[i].len()).fold(columns[i].len(), usize::max))
+        .collect();
+    let header: Vec<String> = columns.iter().map(|c| c.to_string()).collect();
+    let mut out = String::new();
+    for line in std::iter::once(&header).chain(&cells) {
+        let padded: Vec<String> = line
+            .iter()
+            .enumerate()
+            .map(|(i, cell)| {
+                let w = widths[i];
+                if numeric[i] {
+                    format!("{cell:>w$}")
+                } else {
+                    format!("{cell:<w$}")
+                }
+            })
+            .collect();
+        out.push_str(padded.join("  ").trim_end());
+        out.push('\n');
     }
     out
 }
 
-/// Formats the energy breakdown columns of a set of reports.
-pub fn format_energy_breakdown(reports: &[SystemReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<16} {:>12} {:>12} {:>12} {:>12} {:>12}\n",
-        "system", "compute", "on-chip", "off-chip", "comm", "total (J/tok)"
-    ));
-    for r in reports {
-        let e = &r.energy_per_token;
-        out.push_str(&format!(
-            "{:<16} {:>12.6} {:>12.6} {:>12.6} {:>12.6} {:>12.6}\n",
-            r.system,
-            e.compute_j,
-            e.on_chip_j,
-            e.off_chip_j,
-            e.communication_j,
-            e.total_j()
-        ));
+/// A number as [`format_table`] shows it: whole numbers in full, others to
+/// four significant digits, in scientific notation outside 1e-4..1e15.
+fn format_number(n: f64) -> String {
+    if n == n.trunc() && n.abs() < 1e15 {
+        return format!("{n}");
     }
-    out
+    let magnitude = n.abs().log10().floor();
+    if (-4.0..15.0).contains(&magnitude) {
+        format!("{n:.*}", (3.0 - magnitude).max(0.0) as usize)
+    } else {
+        format!("{n:.3e}")
+    }
 }
 
 /// Minimal JSON emission for perf-trajectory capture (`--out <path>` on
@@ -182,16 +246,42 @@ mod tests {
     }
 
     #[test]
-    fn formatting_contains_every_system() {
+    fn comparison_tables_name_every_system() {
         let model = ouro_sim::model::zoo::llama_13b();
         let trace = trace_for(&LengthConfig::fixed(64, 64), 4);
         let reports: Vec<SystemReport> =
             baseline_systems().iter().map(|s| s.evaluate(&model, &trace, "t")).collect();
-        let table = format_normalized(&reports);
+        let table = format_table(&report_rows(&model.name, &reports), "system tokens_per_s off_chip_j");
         for r in &reports {
-            assert!(table.contains(&r.system));
+            assert!(
+                table.lines().skip(1).any(|line| line.starts_with(&r.system)),
+                "{} missing:\n{table}",
+                r.system
+            );
         }
-        let energy = format_energy_breakdown(&reports);
-        assert!(energy.contains("off-chip"));
+    }
+
+    #[test]
+    fn the_header_is_the_column_list_and_nonzero_values_keep_four_digits() {
+        let rows = [
+            JsonObject::new()
+                .str("name", "a")
+                .num("tiny", 1.234567e-9)
+                .num("small", 0.000123456)
+                .int("count", 7),
+            JsonObject::new().str("name", "bb").num("tiny", -0.5).num("small", 98765.4321).null("count"),
+        ];
+        let table = format_table(&rows, "name small tiny count");
+        let lines: Vec<Vec<&str>> = table.lines().map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(lines[0], ["name", "small", "tiny", "count"]);
+        assert_eq!(lines[1], ["a", "0.0001235", "1.235e-9", "7"]);
+        assert_eq!(lines[2], ["bb", "98765", "-0.5000", "-"]);
+        for n in [1e-300, 3e-7, 0.00049, 0.0123456, 0.999999, 1.5, 12345.678, 6.02e23] {
+            let shown = format_number(n);
+            let digits =
+                shown.split('e').next().unwrap().chars().filter(char::is_ascii_digit).collect::<String>();
+            assert!(shown.parse::<f64>().unwrap() != 0.0, "{n} shows as {shown}");
+            assert!(digits.trim_start_matches('0').len() >= 4, "{n} shows as {shown}");
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! The `experiments` binary's command line: a flag its subcommand does not
 //! honor is rejected before anything runs, so a misconfigured invocation
-//! costs nothing and leaves no partial output behind; and every serving
-//! subcommand runs to completion at the smallest request counts.
+//! costs nothing and leaves no partial output behind; `--out` writes the
+//! rows a figure's table prints; and every serving subcommand runs to
+//! completion at the smallest request counts.
 
+use ouro_bench::json::{self, Row};
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -11,10 +13,14 @@ use std::time::Duration;
 fn flags_a_subcommand_does_not_honor_are_rejected_before_it_runs() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments-rejected-out.json");
     let out_arg = out.to_str().expect("the target directory is UTF-8");
-    // `--out` on a subcommand that emits no rows, and `--requests` on one
-    // that simulates no request trace.
-    let rejected: [&[&str]; 3] =
-        [&["table2", "--out", out_arg], &["table2", "--requests", "5"], &["fig18", "--requests", "5"]];
+    // `--threads` on a subcommand that sweeps nothing, and `--requests` on
+    // one that simulates no request trace. Each also names `--out`, which
+    // must stay unwritten.
+    let rejected: [&[&str]; 3] = [
+        &["fig18", "--threads", "2", "--out", out_arg],
+        &["table2", "--requests", "5", "--out", out_arg],
+        &["fig18", "--requests", "5", "--out", out_arg],
+    ];
     for args in rejected {
         let _ = std::fs::remove_file(&out);
         let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
@@ -25,6 +31,25 @@ fn flags_a_subcommand_does_not_honor_are_rejected_before_it_runs() {
         assert!(run.stdout.is_empty(), "{args:?} ran first: {}", String::from_utf8_lossy(&run.stdout));
         assert!(!out.exists(), "{args:?}: nothing may be written");
     }
+}
+
+/// `--out` works on a figure: `fig18 --out` writes the rows the figure
+/// golden pins for it, byte for byte.
+#[test]
+fn a_figure_writes_its_golden_rows_to_out() {
+    let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments-fig18.json");
+    let _ = std::fs::remove_file(&out);
+    let run = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["fig18", "--out", out.to_str().expect("the target directory is UTF-8")])
+        .output()
+        .expect("the experiments binary starts");
+    assert_eq!(run.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&run.stderr));
+    let written = std::fs::read_to_string(&out).expect("--out wrote a file");
+    let rows = json::read_rows(&written).expect("the written rows parse");
+    let golden = json::read_rows(include_str!("../golden/figures.json")).expect("the golden parses");
+    let pinned: Vec<&Row> = golden.iter().filter(|r| r.get_str("experiment") == Ok("fig18")).collect();
+    assert_eq!(pinned.len(), 3);
+    assert_eq!(rows.iter().collect::<Vec<_>>(), pinned);
 }
 
 /// Every serving subcommand finishes at one request. At one to three

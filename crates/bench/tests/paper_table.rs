@@ -3,6 +3,8 @@
 //! `paper_suite()` × (the four baselines + Ours), at 200 requests and the
 //! harness [`SEED`](ouro_bench::SEED).
 //!
+//! The rows are the [`KEYS`] columns of `ouro_bench::comparison_rows`, the
+//! builder whose rows the `fig13` table prints.
 //! The expected values live in `golden/paper_table.json`, written with the
 //! shared row codec. Numbers render as shortest round-trip `f64`, so the
 //! comparison is exact: any change to a paper number shows up here as a
@@ -14,8 +16,8 @@
 //! the online serving engine too, and pins the ratio of the two paths'
 //! throughputs with the cause of every gap.
 
-use ouro_bench::json::{self, JsonObject, Row};
-use ouro_bench::{build_ouroboros, compare_all, trace_for, SEED};
+use ouro_bench::json::{self, JsonObject, Row, Value};
+use ouro_bench::{build_ouroboros, comparison_rows, trace_for, SEED};
 use ouro_serve::Scenario;
 use ouro_sim::model::{zoo, ModelConfig};
 use ouro_sim::OuroborosConfig;
@@ -26,25 +28,27 @@ const GOLDEN: &str = include_str!("../golden/paper_table.json");
 /// Requests per trace of every cell.
 const REQUESTS: usize = 200;
 
-/// The table rows of one model, in `paper_suite()` × `compare_all` order.
+/// The columns the table pins.
+const KEYS: [&str; 6] = ["model", "workload", "system", "tokens_per_s", "j_per_token", "speedup_vs_dgx_a100"];
+
+/// The table rows of one model, in `paper_suite()` × system order: the
+/// [`KEYS`] columns of its comparison rows.
 fn rows_for(model: &ModelConfig) -> Vec<JsonObject> {
-    let mut rows = Vec::new();
-    for (label, lengths) in LengthConfig::paper_suite() {
-        let reports = compare_all(model, &label, &lengths, REQUESTS);
-        let reference = &reports[0];
-        for r in &reports {
-            rows.push(
-                JsonObject::new()
-                    .str("model", &model.name)
-                    .str("workload", &label)
-                    .str("system", &r.system)
-                    .num("tokens_per_s", r.throughput_tokens_per_s)
-                    .num("j_per_token", r.energy_per_token_j())
-                    .num("speedup_vs_dgx_a100", r.speedup_over(reference)),
-            );
-        }
-    }
-    rows
+    let rows: Vec<JsonObject> = LengthConfig::paper_suite()
+        .into_iter()
+        .flat_map(|(label, lengths)| comparison_rows(model, &label, &lengths, REQUESTS))
+        .collect();
+    let rendered = json::render_array(&rows);
+    let read = json::read_rows(&rendered).expect("rendered rows parse");
+    read.iter()
+        .map(|row| {
+            KEYS.iter().fold(JsonObject::new(), |o, &key| match row.get(key) {
+                Some(Value::Str(s)) => o.str(key, s),
+                Some(Value::Num(n)) => o.num(key, *n),
+                other => panic!("{}: {key} is {other:?}", cell(row)),
+            })
+        })
+        .collect()
 }
 
 /// `model / workload / system` of a row.

@@ -111,6 +111,4 @@ pub use policy::{placements, routers, Placement, Router};
 pub use report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 pub use scenario::{Deployment, DisaggConfig, RunOutcome, RunState, Scenario};
 pub use snapshot::{Snapshot, SnapshotError, SnapshotErrorKind, SNAPSHOT_SCHEMA_VERSION};
-pub use sweep::{
-    best_ratio, capacity_rps_estimate, format_shootout, format_sweep, ideal_latencies, LOAD_FRACTIONS,
-};
+pub use sweep::{best_ratio, capacity_rps_estimate, ideal_latencies, LOAD_FRACTIONS};

@@ -15,7 +15,8 @@
 //! capacity. The pool-ratio sweep runs the same timed trace against every
 //! split of a wafer budget and [`best_ratio`] picks the goodput-optimal
 //! one; the shootout pairs a colocated and a disaggregated scenario per
-//! load ([`format_shootout`]).
+//! load. Each report flattens to one row ([`RunReport::json_object`]),
+//! from which the `experiments` binary prints its tables.
 
 use crate::report::RunReport;
 use ouro_sim::HwStageTimes;
@@ -64,74 +65,11 @@ pub fn best_ratio(reports: &[RunReport]) -> &RunReport {
     best
 }
 
-/// Formats a load sweep as a fixed-width throughput-vs-latency table, one
-/// row per report.
-pub fn format_sweep(reports: &[RunReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>10} {:>10} {:>10} {:>10} {:>11} {:>11} {:>11} {:>11} {:>8} {:>7}\n",
-        "offered/s",
-        "done/s",
-        "goodput/s",
-        "tok/s",
-        "ttft-p50",
-        "ttft-p99",
-        "tpot-p50",
-        "tpot-p99",
-        "slo-att",
-        "util"
-    ));
-    for report in reports {
-        let r = &report.serving;
-        out.push_str(&format!(
-            "{:>10.1} {:>10.1} {:>10.1} {:>10.0} {:>10.1}ms {:>10.1}ms {:>10.3}ms {:>10.3}ms {:>7.1}% {:>6.1}%\n",
-            r.offered_rps.unwrap_or(f64::NAN),
-            r.achieved_rps,
-            r.goodput_rps,
-            r.output_tokens_per_s,
-            r.ttft.p50_s * 1e3,
-            r.ttft.p99_s * 1e3,
-            r.tpot.p50_s * 1e3,
-            r.tpot.p99_s * 1e3,
-            r.slo_attainment * 100.0,
-            r.utilization * 100.0,
-        ));
-    }
-    out
-}
-
-/// Formats a colocated-vs-disaggregated shootout as a fixed-width table.
-/// `reports` holds one (colocated, disaggregated) pair per offered load,
-/// in that order; each pair prints one row per side, with TTFT/TPOT tails
-/// and goodput side by side.
-pub fn format_shootout(reports: &[RunReport]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:>10} {:<14} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8}\n",
-        "offered/s", "deployment", "ttft-p50", "ttft-p99", "tpot-p50", "tpot-p99", "goodput/s", "util"
-    ));
-    for pair in reports.chunks_exact(2) {
-        for (label, r) in [("colocated", &pair[0].serving), ("disaggregated", &pair[1].serving)] {
-            out.push_str(&format!(
-                "{:>10.1} {:<14} {:>10.2}ms {:>10.2}ms {:>10.3}ms {:>10.3}ms {:>11.1} {:>7.1}%\n",
-                pair[0].serving.offered_rps.unwrap_or(f64::NAN),
-                label,
-                r.ttft.p50_s * 1e3,
-                r.ttft.p99_s * 1e3,
-                r.tpot.p50_s * 1e3,
-                r.tpot.p99_s * 1e3,
-                r.goodput_rps,
-                r.utilization * 100.0,
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::FaultConfig;
+    use crate::json;
     use crate::metrics::SloConfig;
     use crate::parallel::parallel_map_indexed;
     use crate::scenario::Scenario;
@@ -145,6 +83,11 @@ mod tests {
 
     fn run_all(sys: &OuroborosSystem, scenarios: Vec<Scenario>) -> Vec<RunReport> {
         parallel_map_indexed(scenarios, 2, |_, s| s.run(sys).unwrap())
+    }
+
+    /// The reports' flattened rows as the codec writes them, to read back.
+    fn rendered(reports: &[RunReport]) -> String {
+        json::render_array(&reports.iter().map(RunReport::json_object).collect::<Vec<_>>())
     }
 
     /// One colocated scenario per [`LOAD_FRACTIONS`] point of
@@ -218,12 +161,13 @@ mod tests {
                 w[1].serving.output_tokens_per_s
             );
         }
-        // Under light load everything completes; the table formats.
+        // Under light load everything completes; each row carries its load.
         assert_eq!(reports[0].serving.completed, 80);
-        let table = format_sweep(&reports);
-        assert!(table.contains("offered/s"));
-        for r in &reports {
+        let text = rendered(&reports);
+        let rows = json::read_rows(&text).unwrap();
+        for (r, row) in reports.iter().zip(&rows) {
             assert!(r.is_conserved());
+            assert_eq!(row.get("offered_rps").and_then(json::Value::as_num), r.serving.offered_rps);
         }
     }
 
@@ -255,17 +199,15 @@ mod tests {
     }
 
     #[test]
-    fn tables_label_rows_with_the_reported_offered_load() {
-        // Both tables read the offered load back from the reports; the
-        // shootout labels each pair's two rows with the colocated side's.
+    fn shootout_rows_carry_their_own_offered_load() {
+        // Each side's row reports the load its own scenario was offered.
         let sys = tiny_system();
         let reports = run_all(&sys, shootout(&[100.0, 300.0], None));
-        let table = format_shootout(&reports);
-        let offered: Vec<&str> =
-            table.lines().skip(1).map(|row| row.split_whitespace().next().unwrap()).collect();
-        assert_eq!(offered, ["100.0", "100.0", "300.0", "300.0"]);
-        let table = format_sweep(&reports[..1]);
-        assert!(table.lines().nth(1).unwrap().trim_start().starts_with("100.0 "));
+        let text = rendered(&reports);
+        let rows = json::read_rows(&text).unwrap();
+        let offered: Vec<Option<f64>> =
+            rows.iter().map(|row| row.get("offered_rps").and_then(json::Value::as_num)).collect();
+        assert_eq!(offered, [Some(100.0), Some(100.0), Some(300.0), Some(300.0)]);
     }
 
     #[test]
@@ -341,8 +283,10 @@ mod tests {
             assert!(disagg.kv_bytes_conserved());
             assert!(colocated.migration.is_none());
         }
-        let table = format_shootout(&reports);
-        assert!(table.contains("colocated") && table.contains("disaggregated"));
+        let text = rendered(&reports);
+        let rows = json::read_rows(&text).unwrap();
+        let deployments: Vec<&str> = rows.iter().map(|row| row.get_str("deployment").unwrap()).collect();
+        assert_eq!(deployments, ["colocated", "disaggregated", "colocated", "disaggregated"]);
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Transfer cost model: latency and energy of moving a payload between two
-//! cores on the wafer (or between wafers).
+//! cores on the wafer. Crossings between wafers are priced by
+//! `InterWaferLink` instead.
 //!
 //! The model is hop-based: a transfer pays one hop latency per mesh link it
 //! traverses (with die-crossing links being slower and more expensive),
@@ -20,8 +21,6 @@ pub struct Transfer {
     pub(crate) intra_die_hops: usize,
     /// Number of die-boundary crossings traversed.
     pub(crate) die_crossings: usize,
-    /// Number of wafer-boundary crossings traversed (0 or 1 in practice).
-    pub(crate) wafer_crossings: usize,
 }
 
 impl Transfer {
@@ -30,17 +29,12 @@ impl Transfer {
     pub fn between(geometry: &WaferGeometry, from: CoreId, to: CoreId, bytes: u64) -> Transfer {
         let hops = geometry.manhattan(from, to);
         let crossings = geometry.die_crossings(from, to);
-        Transfer {
-            bytes,
-            intra_die_hops: hops.saturating_sub(crossings),
-            die_crossings: crossings,
-            wafer_crossings: 0,
-        }
+        Transfer { bytes, intra_die_hops: hops.saturating_sub(crossings), die_crossings: crossings }
     }
 
     /// Total number of link traversals.
     pub(crate) fn total_hops(&self) -> usize {
-        self.intra_die_hops + self.die_crossings + self.wafer_crossings
+        self.intra_die_hops + self.die_crossings
     }
 }
 
@@ -76,15 +70,8 @@ impl CommCost {
             return 0.0;
         }
         let head = t.intra_die_hops as f64 * self.noc.intra_die.hop_latency_s
-            + t.die_crossings as f64 * self.noc.inter_die.hop_latency_s
-            + t.wafer_crossings as f64 * self.noc.inter_wafer.hop_latency_s;
-        let bottleneck = if t.wafer_crossings > 0 {
-            self.noc.inter_wafer
-        } else if t.die_crossings > 0 {
-            self.noc.inter_die
-        } else {
-            self.noc.intra_die
-        };
+            + t.die_crossings as f64 * self.noc.inter_die.hop_latency_s;
+        let bottleneck = if t.die_crossings > 0 { self.noc.inter_die } else { self.noc.intra_die };
         head + bottleneck.serialization_s(t.bytes)
     }
 
@@ -93,8 +80,7 @@ impl CommCost {
     pub fn energy_j(&self, t: &Transfer) -> f64 {
         t.bytes as f64
             * (t.intra_die_hops as f64 * self.noc.intra_die.energy_j_per_byte
-                + t.die_crossings as f64 * self.noc.inter_die.energy_j_per_byte
-                + t.wafer_crossings as f64 * self.noc.inter_wafer.energy_j_per_byte)
+                + t.die_crossings as f64 * self.noc.inter_die.energy_j_per_byte)
     }
 
     /// Convenience: energy of moving `bytes` between two cores of `geometry`
@@ -120,7 +106,7 @@ mod tests {
     #[test]
     fn local_transfer_is_free() {
         let cost = CommCost::paper();
-        let t = Transfer { bytes: 0, intra_die_hops: 0, die_crossings: 0, wafer_crossings: 0 };
+        let t = Transfer { bytes: 0, intra_die_hops: 0, die_crossings: 0 };
         assert_eq!(cost.latency_s(&t), 0.0);
         assert_eq!(cost.energy_j(&t), 0.0);
     }
@@ -162,21 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn inter_wafer_transfer_dominates() {
-        let cost = CommCost::paper();
-        // Small payload: the comparison is head-latency and per-byte energy,
-        // where the optical crossing is strictly worse than staying on-wafer.
-        let on_wafer = Transfer { bytes: 256, intra_die_hops: 20, die_crossings: 2, wafer_crossings: 0 };
-        let off_wafer = Transfer { bytes: 256, intra_die_hops: 20, die_crossings: 0, wafer_crossings: 1 };
-        assert!(cost.latency_s(&off_wafer) > cost.latency_s(&on_wafer));
-        assert!(cost.energy_j(&off_wafer) > cost.energy_j(&on_wafer));
-    }
-
-    #[test]
     fn chiplet_baseline_charges_more_for_crossings() {
         let wafer = CommCost::paper();
         let chiplet = CommCost::chiplet_nvlink();
-        let t = Transfer { bytes: 1 << 14, intra_die_hops: 0, die_crossings: 3, wafer_crossings: 0 };
+        let t = Transfer { bytes: 1 << 14, intra_die_hops: 0, die_crossings: 3 };
         assert!(chiplet.latency_s(&t) > wafer.latency_s(&t));
         assert!(chiplet.energy_j(&t) > wafer.energy_j(&t));
     }
@@ -196,7 +171,7 @@ mod tests {
         fn cost_monotone_in_bytes(bytes1 in 1u64..1_000_000, extra in 1u64..1_000_000,
                                   hops in 1usize..50, crossings in 0usize..5) {
             let cost = CommCost::paper();
-            let t1 = Transfer { bytes: bytes1, intra_die_hops: hops, die_crossings: crossings, wafer_crossings: 0 };
+            let t1 = Transfer { bytes: bytes1, intra_die_hops: hops, die_crossings: crossings };
             let t2 = Transfer { bytes: bytes1 + extra, ..t1 };
             prop_assert!(cost.latency_s(&t2) > cost.latency_s(&t1));
             prop_assert!(cost.energy_j(&t2) > cost.energy_j(&t1));

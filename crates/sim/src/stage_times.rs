@@ -49,12 +49,8 @@ impl HwStageTimes {
             return 0.0;
         }
         let hops = self.mean_hops.ceil().max(1.0) as usize;
-        let t = Transfer {
-            bytes,
-            intra_die_hops: hops,
-            die_crossings: if self.mean_hops > 4.0 { 1 } else { 0 },
-            wafer_crossings: 0,
-        };
+        let t =
+            Transfer { bytes, intra_die_hops: hops, die_crossings: if self.mean_hops > 4.0 { 1 } else { 0 } };
         // Ganged multi-wafer deployments stream each token's activation
         // across the optical fabric once per pipeline pass; the charge comes
         // from the same link model that prices disaggregated KV migrations.
