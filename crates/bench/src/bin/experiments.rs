@@ -21,9 +21,9 @@
 //! Every subcommand builds its result as JSON rows and writes them with
 //! `--out <path>` (alias: `--json`). Each stdout table is printed from
 //! those rows (`ouro_bench::format_table`, a column subset per table), so
-//! a table and its file cannot disagree; only `analyze` prints report text
-//! instead. The figure rows are built in the library
-//! (`ouro_bench::FIGURES`) and pinned by `crates/bench/tests/figures.rs`.
+//! a table and its file cannot disagree. The figure rows are built in the
+//! library (`ouro_bench::FIGURES`) and pinned by
+//! `crates/bench/tests/figures.rs`.
 //!
 //! The serving-style experiments all drive `ouro_serve::Scenario`, the one
 //! composable run API: `serving` sweeps open-loop load against a colocated
@@ -52,21 +52,23 @@
 //! * `scenario --trace <path>` re-runs the richest matrix cell with
 //!   request-lifecycle tracing armed and writes a Chrome trace-event JSON
 //!   loadable in Perfetto / `chrome://tracing` (one track per wafer, one
-//!   span per request phase). Tracing is observational: the cell's report
-//!   row is bit-identical with or without it.
+//!   span per segment of the analysis walk). Tracing is observational:
+//!   the cell's report row is bit-identical with or without it.
 //! * `analyze` runs the golden observability scenario with tracing and
-//!   telemetry armed and prints the latency-attribution report — each
-//!   request's E2E decomposed into exclusive phases (queue, prefill, KV
-//!   transit, migration stall, fault stall, decode compute, decode idle)
-//!   — plus per-wafer utilization; `--out` writes the schema-versioned
-//!   analyze JSON rows. It never joins `all`.
+//!   telemetry armed and prints its schema-versioned analysis rows as
+//!   tables (`ouro_bench::format_analysis`): each phase of the requests'
+//!   E2E (queue, prefill, KV transit, migration stall, fault stall,
+//!   decode compute, decode idle), the p50/p99 TTFT and E2E requests'
+//!   phase shares, and per-wafer utilization. It never joins `all`.
 //!
 //! The simulator reads no wall clock, so every output here is a pure
 //! function of the flags. Simulator speed is measured by the separate
 //! `benches/simbench` package.
 
 use ouro_bench::json::JsonObject;
-use ouro_bench::{format_table, labeled_row, serving_setup, DEFAULT_REQUESTS, FIGURES, SEED};
+use ouro_bench::{
+    format_analysis, format_table, labeled_row, serving_setup, DEFAULT_REQUESTS, FIGURES, SEED,
+};
 use ouro_sim::model::zoo;
 use ouro_sim::{OuroborosConfig, OuroborosSystem};
 use ouro_workload::LengthConfig;
@@ -587,9 +589,9 @@ fn scenario_matrix(requests: usize, trace_path: Option<&str>, via_snapshot: bool
 
 /// `analyze` — post-hoc latency attribution on the golden observability
 /// scenario: runs the disaggregated+faults shape with tracing and
-/// telemetry armed, reconstructs per-request timelines, and prints where
-/// p50/p99 TTFT/E2E go, phase by phase, plus per-wafer utilization.
-/// Returns the schema-versioned analyze JSON rows for `--out`.
+/// telemetry armed, reconstructs per-request timelines, and prints the
+/// analysis rows: phase statistics, where p50/p99 TTFT/E2E go, and
+/// per-wafer utilization. Returns the same rows for `--out`.
 fn analyze(requests: usize) -> Vec<JsonObject> {
     use ouro_serve::{FaultConfig, Scenario, SloConfig};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
@@ -610,6 +612,7 @@ fn analyze(requests: usize) -> Vec<JsonObject> {
         .expect("deployment builds");
     let analysis = outcome.analysis().expect("tracing was armed");
     eprintln!("\n--- {requests} requests, disaggregated 2+2, faults armed ---");
-    print!("{}", analysis.report());
-    analysis.json_rows()
+    let rows = analysis.json_rows();
+    print!("{}", format_analysis(&rows));
+    rows
 }

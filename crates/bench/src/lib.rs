@@ -188,6 +188,22 @@ pub fn format_table(rows: &[JsonObject], columns: &str) -> String {
     out
 }
 
+/// The `experiments analyze` stdout: one [`format_table`] per row kind of
+/// [`ouro_serve::Analysis::json_rows`] (summary, phase, request, wafer),
+/// each showing every field but `schema_version` and `row`.
+pub fn format_analysis(rows: &[JsonObject]) -> String {
+    use ouro_serve::{ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS, ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS};
+    let tables: Vec<String> =
+        [ANALYZE_SUMMARY_KEYS, ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS, ANALYZE_WAFER_KEYS]
+            .iter()
+            .map(|keys| {
+                let of_kind: Vec<JsonObject> = rows.iter().filter(|r| r.keys() == *keys).cloned().collect();
+                format_table(&of_kind, &keys[2..].join(" "))
+            })
+            .collect();
+    tables.join("\n")
+}
+
 /// A number as [`format_table`] shows it: whole numbers in full, others to
 /// four significant digits, in scientific notation outside 1e-4..1e15.
 fn format_number(n: f64) -> String {

@@ -21,23 +21,26 @@
 //! payloads do not carry stall durations, and prefill is charged as one
 //! interval.
 //!
-//! The same pass derives per-wafer utilization: busy time is the union
-//! of resident prefill/decode spans from [`Trace::request_spans`], and
-//! the sampled [`TelemetrySample`] series contributes occupancy / queue
-//! / KV-pressure statistics when telemetry was armed. Everything is
+//! The walk is the one reconstruction of a request's timeline: its
+//! segments, before the decode split, are the spans
+//! [`Trace::request_spans`] returns and the Chrome export draws. The same
+//! pass derives per-wafer utilization: busy time is the union of the
+//! resident `prefill` and `decode` segments, and the sampled
+//! [`TelemetrySample`] series contributes occupancy / queue / KV-pressure
+//! statistics when telemetry was armed. Everything is
 //! strictly observational — the analysis reads a finished run's trace
 //! and telemetry and never feeds back into any report.
 
 use std::collections::BTreeMap;
 
-use crate::chrome::Trace;
+use crate::chrome::{SpanPhase, Trace};
 use crate::event::EventKind;
 use crate::json::JsonObject;
 use crate::telemetry::TelemetrySample;
 
 /// Version of the flat JSON schema emitted by [`Analysis::json_rows`].
 /// Bumped on any key or phase-taxonomy change.
-pub const ANALYZE_SCHEMA_VERSION: u32 = 1;
+pub const ANALYZE_SCHEMA_VERSION: u32 = 2;
 
 /// Number of exclusive latency phases.
 pub const PHASE_COUNT: usize = 7;
@@ -82,6 +85,24 @@ pub const ANALYZE_PHASE_KEYS: &[&str] = &[
     "p95_s",
     "p99_s",
     "max_s",
+];
+
+/// Pinned key list of the `row: "request"` JSON rows: the p50 and p99
+/// requests of TTFT and of E2E, each phase's share of that metric.
+pub const ANALYZE_REQUEST_KEYS: &[&str] = &[
+    "schema_version",
+    "row",
+    "metric",
+    "pct",
+    "req",
+    "total_s",
+    "queue",
+    "prefill",
+    "kv_transit",
+    "migration_stall",
+    "fault_stall",
+    "decode_compute",
+    "decode_idle",
 ];
 
 /// Pinned key list of the `row: "wafer"` JSON rows (one per wafer).
@@ -172,7 +193,8 @@ pub struct RequestPhases {
     pub(crate) completed: bool,
     /// First-token instant, when one was emitted.
     pub(crate) first_token_s: Option<f64>,
-    /// Exclusive per-phase seconds over `[arrival, terminal]`, indexed by
+    /// Exclusive per-phase seconds over `[arrival, terminal]` (or to the
+    /// trace's last event, for a request still in flight), indexed by
     /// [`PHASE_NAMES`]. Sums to [`RequestPhases::e2e_s`] for completed
     /// requests (up to float addition order).
     pub phases: [f64; PHASE_COUNT],
@@ -190,6 +212,15 @@ impl RequestPhases {
     /// Time to first token (`None` when no first token was emitted).
     pub fn ttft_s(&self) -> Option<f64> {
         self.first_token_s.map(|t| t - self.arrival_s)
+    }
+
+    /// TTFT (`ttft`) or E2E latency, with the phases that sum to it.
+    fn metric(&self, ttft: bool) -> (Option<f64>, &[f64; PHASE_COUNT]) {
+        if ttft {
+            (self.ttft_s(), &self.ttft_phases)
+        } else {
+            (self.e2e_s(), &self.phases)
+        }
     }
 
     /// Sum of the exclusive phases (equals E2E for completed requests).
@@ -235,68 +266,125 @@ pub struct Analysis {
     pub requests: Vec<RequestPhases>,
     /// Per-wafer utilization, in wafer order.
     pub wafers: Vec<WaferUtilization>,
-    /// First event instant of the trace.
-    pub(crate) t0_s: f64,
     /// Simulated span of the trace (last event minus first).
     pub(crate) span_s: f64,
 }
 
-/// Internal cursor mode of the per-request walk. `Decode` windows are
-/// split into compute/stall/idle after the walk, against the wafer's
-/// step/fault markers.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Queue,
-    Prefill,
-    KvTransit,
-    MigrationStall,
-    FaultStall,
-    Decode,
-}
+/// The six phases of the per-request walk, indexed by its mode: the names
+/// of its segments and of the Chrome spans. The first five are also the
+/// first five [`PHASE_NAMES`]; a `decode` segment is split after the walk
+/// into `decode_compute`, `fault_stall` and `decode_idle`.
+const WALK_PHASES: [&str; 6] = ["queue", "prefill", "kv_transit", "migration_stall", "fault_stall", "decode"];
+const DECODE: usize = 5;
 
-/// One attributed interval of a request's life.
-#[derive(Clone, Copy)]
-struct Segment {
-    mode: Mode,
-    wafer: usize,
-    a: f64,
-    b: f64,
-}
-
-/// Per-request walk state.
-struct Walk {
+/// One request's walk: the segments that tile its life, in time order,
+/// and the instants its decomposition reads.
+pub(crate) struct Walk {
+    req: usize,
     cursor: f64,
-    mode: Mode,
+    mode: usize,
     wafer: usize,
     arrival_s: f64,
     terminal_s: Option<f64>,
     completed: bool,
     first_token_s: Option<f64>,
-    segments: Vec<Segment>,
+    pub(crate) segments: Vec<SpanPhase>,
 }
 
 impl Walk {
-    fn new(t: f64) -> Walk {
-        Walk {
-            cursor: t,
-            mode: Mode::Queue,
-            wafer: 0,
-            arrival_s: t,
-            terminal_s: None,
-            completed: false,
-            first_token_s: None,
-            segments: Vec::new(),
-        }
-    }
-
     /// Attributes `[cursor, t]` to the current mode and moves the cursor
     /// — the telescoping step that makes the phases exhaustive.
     fn attribute(&mut self, t: f64) {
         if t > self.cursor {
-            self.segments.push(Segment { mode: self.mode, wafer: self.wafer, a: self.cursor, b: t });
+            let name = WALK_PHASES[self.mode];
+            self.segments.push(SpanPhase {
+                req: self.req,
+                wafer: self.wafer,
+                name,
+                start_s: self.cursor,
+                end_s: t,
+            });
         }
         self.cursor = t;
     }
+
+    /// Closes the current segment at `t` and enters `mode` on `wafer`.
+    fn enter(&mut self, t: f64, mode: usize, wafer: usize) {
+        self.attribute(t);
+        self.mode = mode;
+        self.wafer = wafer;
+    }
+}
+
+/// Walks every request of the trace, in request-id order. The merge
+/// breaks timestamp ties by stream order (engines before the driver), so
+/// a driver event that logically precedes a same-instant engine event —
+/// an arrival routed and admitted at one instant, a migration landing
+/// admitted the instant it arrives — can sort after it. Each request's
+/// events are re-sorted with those two driver kinds ranked ahead at
+/// equal timestamps; all other ties keep emission order. A request still
+/// open at the end of the trace is closed at the trace's last event.
+pub(crate) fn walk(trace: &Trace) -> Vec<Walk> {
+    let events = trace.events();
+    let end_s = events.last().map_or(0.0, |e| e.t_s);
+    let mut per_req: BTreeMap<usize, Vec<(f64, usize, EventKind)>> = BTreeMap::new();
+    for e in events {
+        if let Some(req) = e.req {
+            per_req.entry(req).or_default().push((e.t_s, e.wafer, e.kind));
+        }
+    }
+    let rank = |kind: &EventKind| match kind {
+        EventKind::Arrival { .. } => 0,
+        EventKind::MigrateArrive { .. } => 1,
+        _ => 2,
+    };
+    let mut walks = Vec::with_capacity(per_req.len());
+    for (req, mut evs) in per_req {
+        evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(rank(&a.2).cmp(&rank(&b.2))));
+        let (t0, wafer0, _) = evs[0];
+        let mut w = Walk {
+            req,
+            cursor: t0,
+            mode: QUEUE,
+            wafer: wafer0,
+            arrival_s: t0,
+            terminal_s: None,
+            completed: false,
+            first_token_s: None,
+            segments: Vec::new(),
+        };
+        for (t, wafer, kind) in evs {
+            match kind {
+                EventKind::Arrival { .. } => w.enter(t, QUEUE, wafer),
+                EventKind::Admission { .. } | EventKind::PrefillEnd => w.enter(t, DECODE, wafer),
+                EventKind::PrefillStart { .. } => w.enter(t, PREFILL, wafer),
+                EventKind::KvExport { .. } | EventKind::MigrateStart { .. } => w.enter(t, KV_TRANSIT, wafer),
+                EventKind::MigrateArrive { .. } => w.enter(t, MIGRATION_STALL, wafer),
+                EventKind::Evict { fault, .. } => w.enter(t, if fault { FAULT_STALL } else { QUEUE }, wafer),
+                EventKind::Drop => {
+                    w.attribute(t);
+                    w.terminal_s = Some(t);
+                }
+                EventKind::Complete => {
+                    w.attribute(t);
+                    w.terminal_s = Some(t);
+                    w.completed = true;
+                }
+                EventKind::FirstToken => w.first_token_s = Some(t),
+                // Interior markers: kv_import rides the admission
+                // instant; wafer-level kinds never carry a req id.
+                EventKind::KvImport { .. }
+                | EventKind::DecodeStep { .. }
+                | EventKind::Fault { .. }
+                | EventKind::Remap { .. } => {}
+            }
+        }
+        if w.terminal_s.is_none() {
+            w.attribute(end_s);
+        }
+        walks.push(w);
+    }
+    walks
 }
 
 /// A wafer-level decode marker: a step end (compute) or a fault/remap
@@ -336,8 +424,8 @@ impl Analysis {
     /// empty) telemetry series.
     pub fn from_run(trace: &Trace, telemetry: &[TelemetrySample]) -> Analysis {
         let events = trace.events();
-        let t0_s = events.first().map(|e| e.t_s).unwrap_or(0.0);
-        let span_s = events.last().map(|e| e.t_s - t0_s).unwrap_or(0.0);
+        let t0_s = events.first().map_or(0.0, |e| e.t_s);
+        let span_s = events.last().map_or(0.0, |e| e.t_s - t0_s);
 
         // Wafer-level decode markers, already time-sorted by the merge.
         let mut markers: BTreeMap<usize, Vec<Marker>> = BTreeMap::new();
@@ -353,109 +441,41 @@ impl Analysis {
             }
         }
 
-        // Per-request event subsequences. The merge breaks timestamp ties
-        // by stream order (engines before the driver), so a driver event
-        // that logically precedes a same-instant engine event — an
-        // arrival routed and admitted at one instant, a migration landing
-        // admitted the instant it arrives — can sort after it. Rank those
-        // two driver kinds ahead at equal timestamps; all other ties keep
-        // emission order.
-        let mut per_req: BTreeMap<usize, Vec<(f64, usize, EventKind)>> = BTreeMap::new();
-        for e in events {
-            if let Some(req) = e.req {
-                per_req.entry(req).or_default().push((e.t_s, e.wafer, e.kind));
-            }
-        }
-        let rank = |kind: &EventKind| match kind {
-            EventKind::Arrival { .. } => 0,
-            EventKind::MigrateArrive { .. } => 1,
-            _ => 2,
-        };
-        let mut requests = Vec::with_capacity(per_req.len());
-        for (req, mut evs) in per_req {
-            evs.sort_by(|a, b| a.0.total_cmp(&b.0).then(rank(&a.2).cmp(&rank(&b.2))));
-            let mut w = Walk::new(evs[0].0);
-            for (t, wafer, kind) in evs {
-                match kind {
-                    EventKind::Arrival { .. } => {
-                        w.attribute(t);
-                        w.mode = Mode::Queue;
-                    }
-                    EventKind::Admission { .. } => {
-                        w.attribute(t);
-                        w.mode = Mode::Decode;
-                        w.wafer = wafer;
-                    }
-                    EventKind::PrefillStart { .. } => {
-                        w.attribute(t);
-                        w.mode = Mode::Prefill;
-                        w.wafer = wafer;
-                    }
-                    EventKind::PrefillEnd => {
-                        w.attribute(t);
-                        w.mode = Mode::Decode;
-                        w.wafer = wafer;
-                    }
-                    EventKind::KvExport { .. } | EventKind::MigrateStart { .. } => {
-                        w.attribute(t);
-                        w.mode = Mode::KvTransit;
-                    }
-                    EventKind::MigrateArrive { .. } => {
-                        w.attribute(t);
-                        w.mode = Mode::MigrationStall;
-                        w.wafer = wafer;
-                    }
-                    EventKind::Evict { fault, .. } => {
-                        w.attribute(t);
-                        w.mode = if fault { Mode::FaultStall } else { Mode::Queue };
-                    }
-                    EventKind::Drop => {
-                        w.attribute(t);
-                        w.terminal_s = Some(t);
-                    }
-                    EventKind::Complete => {
-                        w.attribute(t);
-                        w.terminal_s = Some(t);
-                        w.completed = true;
-                    }
-                    EventKind::FirstToken => w.first_token_s = Some(t),
-                    // Interior markers: kv_import rides the admission
-                    // instant; wafer-level kinds never carry a req id.
-                    EventKind::KvImport { .. }
-                    | EventKind::DecodeStep { .. }
-                    | EventKind::Fault { .. }
-                    | EventKind::Remap { .. } => {}
-                }
-            }
-            let empty: Vec<Marker> = Vec::new();
+        let empty: Vec<Marker> = Vec::new();
+        let mut requests = Vec::new();
+        // Per-wafer busy time: union of the resident (prefill and decode)
+        // segments.
+        let mut busy: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
+        for w in walk(trace) {
             let mut phases = [0.0; PHASE_COUNT];
             let mut ttft_phases = [0.0; PHASE_COUNT];
             let ft = w.first_token_s;
             for seg in &w.segments {
                 let wafer_markers = markers.get(&seg.wafer).unwrap_or(&empty);
-                let add = |acc: &mut [f64; PHASE_COUNT], a: f64, b: f64| match seg.mode {
-                    Mode::Queue => acc[QUEUE] += b - a,
-                    Mode::Prefill => acc[PREFILL] += b - a,
-                    Mode::KvTransit => acc[KV_TRANSIT] += b - a,
-                    Mode::MigrationStall => acc[MIGRATION_STALL] += b - a,
-                    Mode::FaultStall => acc[FAULT_STALL] += b - a,
-                    Mode::Decode => {
+                // Every walk phase but `decode` is a phase of its own.
+                let phase = PHASE_NAMES.iter().position(|n| *n == seg.name);
+                let add = |acc: &mut [f64; PHASE_COUNT], a: f64, b: f64| match phase {
+                    Some(i) => acc[i] += b - a,
+                    None => {
                         let (compute, stall, idle) = split_decode(wafer_markers, a, b);
                         acc[DECODE_COMPUTE] += compute;
                         acc[FAULT_STALL] += stall;
                         acc[DECODE_IDLE] += idle;
                     }
                 };
-                add(&mut phases, seg.a, seg.b);
+                add(&mut phases, seg.start_s, seg.end_s);
                 if let Some(ft) = ft {
-                    let b = seg.b.min(ft);
-                    if b > seg.a {
-                        add(&mut ttft_phases, seg.a, b);
+                    let b = seg.end_s.min(ft);
+                    if b > seg.start_s {
+                        add(&mut ttft_phases, seg.start_s, b);
                     }
+                }
+                if matches!(seg.name, "prefill" | "decode") {
+                    busy.entry(seg.wafer).or_default().push((seg.start_s, seg.end_s));
                 }
             }
             requests.push(RequestPhases {
-                req,
+                req: w.req,
                 arrival_s: w.arrival_s,
                 terminal_s: w.terminal_s,
                 completed: w.completed,
@@ -463,14 +483,6 @@ impl Analysis {
                 phases,
                 ttft_phases,
             });
-        }
-
-        // Per-wafer busy time: union of resident prefill/decode spans.
-        let mut busy: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
-        for span in trace.request_spans() {
-            if span.name != "queue" {
-                busy.entry(span.wafer).or_default().push((span.start_s, span.end_s));
-            }
         }
         let union = |mut iv: Vec<(f64, f64)>| -> f64 {
             iv.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -534,7 +546,7 @@ impl Analysis {
             })
             .collect();
 
-        Analysis { requests, wafers, t0_s, span_s }
+        Analysis { requests, wafers, span_s }
     }
 
     /// The completed requests' decompositions.
@@ -568,17 +580,8 @@ impl Analysis {
         PhaseStats::from_samples(self.completed().filter_map(RequestPhases::ttft_s).collect())
     }
 
-    /// The completed request at the nearest-rank `pct` percentile of E2E
-    /// latency — the concrete request "where the p99 goes" is read from.
-    pub(crate) fn e2e_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
-        self.percentile_request(pct, |r| r.e2e_s())
-    }
-
-    /// As [`Analysis::e2e_percentile_request`], for TTFT.
-    pub(crate) fn ttft_percentile_request(&self, pct: f64) -> Option<&RequestPhases> {
-        self.percentile_request(pct, |r| r.ttft_s())
-    }
-
+    /// The completed request at the nearest-rank `pct` percentile of
+    /// `metric` — the concrete request "where the p99 goes" is read from.
     fn percentile_request(
         &self,
         pct: f64,
@@ -595,98 +598,12 @@ impl Analysis {
         Some(with[rank.clamp(1, with.len()) - 1].0)
     }
 
-    /// The attribution report as a text table: per-phase statistics over
-    /// completed requests, the concrete p50/p99 requests' breakdowns for
-    /// TTFT and E2E, and per-wafer utilization.
-    pub fn report(&self) -> String {
-        let completed = self.completed().count();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "analysis: {} requests ({} completed, {} dropped, {} unfinished), {:.6} s span \
-             (analyze schema v{})\n",
-            self.requests.len(),
-            completed,
-            self.dropped(),
-            self.requests.len() - completed - self.dropped(),
-            self.span_s,
-            ANALYZE_SCHEMA_VERSION
-        ));
-
-        out.push_str("\nphase attribution over completed requests (exclusive, sums to E2E):\n");
-        out.push_str(&format!(
-            "  {:<16} {:>6} {:>10} {:>7} {:>10} {:>10} {:>10} {:>10}\n",
-            "phase", "count", "total_s", "share", "mean_s", "p50_s", "p99_s", "max_s"
-        ));
-        let stats = self.phase_stats();
-        let e2e_total: f64 = stats.iter().map(|s| s.total_s).sum();
-        let row = |out: &mut String, name: &str, s: &PhaseStats, share: Option<f64>| {
-            let share = match share {
-                Some(v) => format!("{:>6.1}%", v * 100.0),
-                None => format!("{:>7}", "-"),
-            };
-            out.push_str(&format!(
-                "  {:<16} {:>6} {:>10.6} {share} {:>10.6} {:>10.6} {:>10.6} {:>10.6}\n",
-                name, s.count, s.total_s, s.mean_s, s.p50_s, s.p99_s, s.max_s
-            ));
-        };
-        for (name, s) in PHASE_NAMES.iter().zip(&stats) {
-            let share = if e2e_total > 0.0 { s.total_s / e2e_total } else { 0.0 };
-            row(&mut out, name, s, Some(share));
-        }
-        row(&mut out, "ttft (total)", &self.ttft_stats(), None);
-        row(&mut out, "e2e (total)", &self.e2e_stats(), None);
-
-        out.push_str("\nwhere the latency goes (per-phase share of that request's metric):\n");
-        let breakdown = |out: &mut String, label: &str, r: &RequestPhases, total: f64, ttft: bool| {
-            let phases = if ttft { &r.ttft_phases } else { &r.phases };
-            let mut parts: Vec<String> = PHASE_NAMES
-                .iter()
-                .zip(phases)
-                .filter(|(_, v)| total > 0.0 && **v / total >= 0.001)
-                .map(|(n, v)| format!("{n} {:.1}%", v / total * 100.0))
-                .collect();
-            if parts.is_empty() {
-                parts.push("instantaneous".to_string());
-            }
-            out.push_str(&format!("  {label} (req {:>3}, {:.6} s): {}\n", r.req, total, parts.join(", ")));
-        };
-        for pct in [50.0, 99.0] {
-            if let Some(r) = self.ttft_percentile_request(pct) {
-                breakdown(&mut out, &format!("ttft p{pct:<2.0}"), r, r.ttft_s().unwrap_or(0.0), true);
-            }
-        }
-        for pct in [50.0, 99.0] {
-            if let Some(r) = self.e2e_percentile_request(pct) {
-                breakdown(&mut out, &format!("e2e  p{pct:<2.0}"), r, r.e2e_s().unwrap_or(0.0), false);
-            }
-        }
-
-        out.push_str("\nwafer utilization (busy = union of resident prefill/decode spans):\n");
-        out.push_str(&format!(
-            "  {:<6} {:>10} {:>7} {:>8} {:>8} {:>9} {:>9} {:>11} {:>8}\n",
-            "wafer", "busy_s", "busy%", "steps", "samples", "occ-mean", "occ-peak", "queue-mean", "kv-peak"
-        ));
-        for w in &self.wafers {
-            out.push_str(&format!(
-                "  {:<6} {:>10.6} {:>6.1}% {:>8} {:>8} {:>9.2} {:>9} {:>11.2} {:>7.1}%\n",
-                w.wafer,
-                w.busy_s,
-                w.busy_fraction * 100.0,
-                w.steps,
-                w.samples,
-                w.mean_occupancy,
-                w.peak_occupancy,
-                w.mean_queue_depth,
-                w.peak_kv_utilization * 100.0
-            ));
-        }
-        out
-    }
-
     /// The analysis as flat JSON rows sharing [`ANALYZE_SCHEMA_VERSION`]:
-    /// one `summary` row, one `phase` row per phase, one `wafer` row per
-    /// wafer. The `row` field discriminates; each variant's key set is
-    /// pinned by the schema tests.
+    /// one `summary` row, one `phase` row per phase, one `request` row per
+    /// metric and percentile (the p50 and p99 TTFT and E2E requests, each
+    /// phase's share of that request's metric), one `wafer` row per wafer.
+    /// The `row` field discriminates; each variant's key set is pinned by
+    /// the schema tests.
     pub fn json_rows(&self) -> Vec<JsonObject> {
         let completed = self.completed().count();
         let e2e = self.e2e_stats();
@@ -720,6 +637,24 @@ impl Analysis {
                     .num("max_s", s.max_s),
             );
         }
+        for (metric, ttft) in [("ttft", true), ("e2e", false)] {
+            for pct in [50, 99] {
+                let Some(r) = self.percentile_request(pct as f64, |r| r.metric(ttft).0) else { continue };
+                let (total, phases) = r.metric(ttft);
+                let total = total.unwrap_or(0.0);
+                let mut row = JsonObject::new()
+                    .int("schema_version", ANALYZE_SCHEMA_VERSION as u64)
+                    .str("row", "request")
+                    .str("metric", metric)
+                    .int("pct", pct)
+                    .int("req", r.req as u64)
+                    .num("total_s", total);
+                for (name, v) in PHASE_NAMES.iter().zip(phases) {
+                    row = row.num(name, if total > 0.0 { v / total } else { 0.0 });
+                }
+                rows.push(row);
+            }
+        }
         for w in &self.wafers {
             rows.push(
                 JsonObject::new()
@@ -744,6 +679,7 @@ impl Analysis {
 mod tests {
     use super::*;
     use crate::event::TraceEvent;
+    use crate::json;
     use crate::telemetry::{Counters, WaferGauges};
 
     fn ev(t_s: f64, wafer: usize, req: Option<usize>, kind: EventKind) -> TraceEvent {
@@ -930,27 +866,42 @@ mod tests {
 
     #[test]
     fn report_names_every_phase() {
-        let text = Analysis::from_run(&colocated_timeline(), &[]).report();
+        let text = json::render_array(&Analysis::from_run(&colocated_timeline(), &[]).json_rows());
+        let rows = json::read_rows(&text).unwrap();
         for name in PHASE_NAMES {
-            assert!(text.contains(name), "missing phase {name}");
+            assert!(rows.iter().any(|r| r.get_str("phase") == Ok(name)), "missing phase row {name}");
         }
-        assert!(text.contains("wafer utilization"));
-        assert!(text.contains("ttft p50"));
-        assert!(text.contains("e2e  p99"));
+        let requests: Vec<_> = rows.iter().filter(|r| r.get_str("row") == Ok("request")).collect();
+        let tags: Vec<(&str, f64)> = requests
+            .iter()
+            .map(|r| (r.get_str("metric").unwrap(), r.get("pct").unwrap().as_num().unwrap()))
+            .collect();
+        assert_eq!(tags, [("ttft", 50.0), ("ttft", 99.0), ("e2e", 50.0), ("e2e", 99.0)]);
+        // Request 1's E2E: 0.1 s queue, 0.2 s prefill, 0.2 s decode compute.
+        let share = |phase: &str| requests[3].get(phase).unwrap().as_num().unwrap();
+        assert!((share("queue") - 0.2).abs() < EPS);
+        assert!((share("prefill") - 0.4).abs() < EPS);
+        assert!((share("decode_compute") - 0.4).abs() < EPS);
+        assert_eq!(share("kv_transit"), 0.0);
     }
 
     #[test]
     fn json_rows_match_their_pinned_key_sets() {
         let a = Analysis::from_run(&colocated_timeline(), &[]);
         let rows = a.json_rows();
-        assert_eq!(rows.len(), 1 + PHASE_COUNT + a.wafers.len());
+        let requests = 4;
+        assert_eq!(rows.len(), 1 + PHASE_COUNT + requests + a.wafers.len());
         assert_eq!(rows[0].keys(), ANALYZE_SUMMARY_KEYS);
         for row in &rows[1..=PHASE_COUNT] {
             assert_eq!(row.keys(), ANALYZE_PHASE_KEYS);
         }
-        for row in &rows[1 + PHASE_COUNT..] {
+        for row in &rows[1 + PHASE_COUNT..1 + PHASE_COUNT + requests] {
+            assert_eq!(row.keys(), ANALYZE_REQUEST_KEYS);
+        }
+        for row in &rows[1 + PHASE_COUNT + requests..] {
             assert_eq!(row.keys(), ANALYZE_WAFER_KEYS);
         }
+        assert_eq!(&ANALYZE_REQUEST_KEYS[6..], PHASE_NAMES, "one share column per phase");
         assert!(rows[0].render().starts_with(&format!("{{\"schema_version\": {ANALYZE_SCHEMA_VERSION}")));
     }
 
@@ -958,8 +909,9 @@ mod tests {
     fn empty_trace_analyses_to_nothing() {
         let a = Analysis::from_run(&Trace::default(), &[]);
         assert!(a.requests.is_empty() && a.wafers.is_empty());
-        assert_eq!(a.json_rows().len(), 1 + PHASE_COUNT);
-        assert!(a.report().contains("0 requests"));
+        let rows = a.json_rows();
+        assert_eq!(rows.len(), 1 + PHASE_COUNT, "no request rows without a completed request");
+        assert!(rows[0].render().contains("\"requests\": 0,"));
     }
 
     #[test]

@@ -5,27 +5,28 @@
 //! a stable digest for golden tests, a flat-JSON dump sharing the
 //! [`crate::event::TRACE_SCHEMA_VERSION`] schema, and a Chrome trace-event
 //! export loadable in `chrome://tracing` / Perfetto (one track per wafer,
-//! one span per request phase, counter tracks for batch occupancy).
+//! one span per segment of the analysis walk, counter tracks for batch
+//! occupancy).
 
+use crate::analyze::walk;
 use crate::event::{EventKind, TraceEvent};
 use crate::json::{fnv1a_extend, render_array, JsonObject, FNV1A_OFFSET};
 
-/// One reconstructed request phase: a closed interval of a request's life
-/// on one wafer. Phases are derived from the event log — `queue` from
-/// arrival to admission, `prefill` from prefill start to its end (or the
-/// eviction that killed it), `decode` from prefill end (or an
-/// import-style admission) to completion, export, or eviction.
+/// One segment of a request's life on one wafer, as the per-request walk
+/// of [`crate::Analysis`] attributes it. A request's segments tile its
+/// life from arrival to its terminal event with no gaps or overlaps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpanPhase {
     /// Global request id.
     pub req: usize,
     /// Wafer the phase ran on.
     pub(crate) wafer: usize,
-    /// `"queue"`, `"prefill"`, or `"decode"`.
+    /// The walk's phase: `"queue"`, `"prefill"`, `"kv_transit"`,
+    /// `"migration_stall"`, `"fault_stall"` or `"decode"`.
     pub name: &'static str,
     /// Phase start instant.
     pub start_s: f64,
-    /// Phase end instant (`>= start_s`).
+    /// Phase end instant (`> start_s`).
     pub end_s: f64,
 }
 
@@ -88,59 +89,12 @@ impl Trace {
         self.events.iter().map(TraceEvent::json_object).collect()
     }
 
-    /// Reconstructs the per-request phase spans from the event log. Open
-    /// phases at the end of the timeline (a run stopped early) are closed
-    /// at the last event's instant so exports stay well-formed.
+    /// Every request's segments from the analysis walk, sorted by start
+    /// instant, then request. A request still open at the end of the
+    /// timeline (a run stopped early) is closed at the last event's
+    /// instant, so exports stay well-formed.
     pub fn request_spans(&self) -> Vec<SpanPhase> {
-        #[derive(Clone, Copy)]
-        struct Open {
-            wafer: usize,
-            name: &'static str,
-            start_s: f64,
-        }
-        let end_of_trace = self.events.last().map(|e| e.t_s).unwrap_or(0.0);
-        // BTreeMap, not HashMap: open phases are closed in request order at
-        // end-of-trace, so iteration order reaches the exported span list.
-        let mut open: std::collections::BTreeMap<usize, Open> = std::collections::BTreeMap::new();
-        let mut spans = Vec::new();
-        let mut close = |req: usize, open: &mut std::collections::BTreeMap<usize, Open>, t: f64| {
-            if let Some(o) = open.remove(&req) {
-                spans.push(SpanPhase { req, wafer: o.wafer, name: o.name, start_s: o.start_s, end_s: t });
-            }
-        };
-        for e in &self.events {
-            let Some(req) = e.req else { continue };
-            match e.kind {
-                EventKind::Arrival { .. } => {
-                    open.insert(req, Open { wafer: e.wafer, name: "queue", start_s: e.t_s });
-                }
-                EventKind::Admission { .. } => {
-                    close(req, &mut open, e.t_s);
-                    // Tentatively a decode phase; a prefill-start at the
-                    // same instant narrows it below.
-                    open.insert(req, Open { wafer: e.wafer, name: "decode", start_s: e.t_s });
-                }
-                EventKind::PrefillStart { .. } => {
-                    open.insert(req, Open { wafer: e.wafer, name: "prefill", start_s: e.t_s });
-                }
-                EventKind::PrefillEnd => {
-                    close(req, &mut open, e.t_s);
-                    open.insert(req, Open { wafer: e.wafer, name: "decode", start_s: e.t_s });
-                }
-                EventKind::Evict { .. } | EventKind::Drop => close(req, &mut open, e.t_s),
-                EventKind::KvExport { .. } | EventKind::Complete => close(req, &mut open, e.t_s),
-                _ => {}
-            }
-        }
-        for (req, o) in open {
-            spans.push(SpanPhase {
-                req,
-                wafer: o.wafer,
-                name: o.name,
-                start_s: o.start_s,
-                end_s: end_of_trace.max(o.start_s),
-            });
-        }
+        let mut spans: Vec<SpanPhase> = walk(self).into_iter().flat_map(|w| w.segments).collect();
         spans.sort_by(|a, b| a.start_s.total_cmp(&b.start_s).then(a.req.cmp(&b.req)));
         spans
     }
@@ -173,7 +127,7 @@ impl Trace {
                     .str("cat", span.name)
                     .str("ph", "X")
                     .num("ts", us(span.start_s))
-                    .num("dur", us(span.end_s - span.start_s).max(0.0))
+                    .num("dur", us(span.end_s - span.start_s))
                     .int("pid", span.wafer as u64)
                     .int("tid", span.req as u64),
             );

@@ -9,9 +9,10 @@
 //! - `event` / `sink` — a closed taxonomy of typed request-lifecycle
 //!   events ([`TraceEvent`]/[`EventKind`]) emitted through a
 //!   zero-cost-when-disabled [`Tracer`] into a bounded [`RingSink`].
-//! - `chrome` — a merged [`Trace`] over per-wafer event streams:
-//!   per-request span reconstruction, a pinned digest for golden tests,
-//!   and Chrome trace-event JSON loadable in Perfetto.
+//! - `chrome` — a merged [`Trace`] over per-wafer event streams: a
+//!   pinned digest for golden tests, and Chrome trace-event JSON loadable
+//!   in Perfetto whose request spans are the segments of the per-request
+//!   walk behind [`Analysis`].
 //! - `telemetry` — sampled per-wafer gauges and cluster counters on a
 //!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
 //!   flat JSON time series.
@@ -31,8 +32,8 @@ mod sink;
 mod telemetry;
 
 pub use analyze::{
-    Analysis, PhaseStats, RequestPhases, WaferUtilization, ANALYZE_PHASE_KEYS, ANALYZE_SCHEMA_VERSION,
-    ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS, PHASE_COUNT, PHASE_NAMES,
+    Analysis, PhaseStats, RequestPhases, WaferUtilization, ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS,
+    ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS, PHASE_COUNT, PHASE_NAMES,
 };
 pub use chrome::{SpanPhase, Trace};
 pub use event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};

@@ -7,16 +7,19 @@
 //! pinned golden scenario and (property-tested) on every one of the four
 //! golden scenario shapes. The analysis is also strictly post-hoc: an
 //! analyzed run's `RunReport` must be bit-identical to the dark run's.
-//! The `analyze` JSON schema is pinned as key-set goldens.
+//! The exported Chrome spans and the wafer busy time come from the same
+//! walk as the phases, so they agree with them. The `analyze` JSON schema
+//! is pinned as key-set goldens.
 
 use std::sync::OnceLock;
 
+use ouro_bench::format_analysis;
 use ouroboros::model::zoo;
 use ouroboros::serve::{routers, FaultConfig, RunOutcome, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
 use ouroboros::trace::{
-    json, Analysis, ANALYZE_PHASE_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS, ANALYZE_WAFER_KEYS,
-    PHASE_COUNT, PHASE_NAMES,
+    json, Analysis, ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS,
+    ANALYZE_WAFER_KEYS, PHASE_COUNT, PHASE_NAMES,
 };
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 use proptest::prelude::*;
@@ -102,7 +105,7 @@ fn analysis_is_strictly_post_hoc() {
         .run(tiny_system())
         .unwrap();
     let lit = golden_outcome();
-    let _ = lit.analysis().unwrap().report();
+    let _ = format_analysis(&lit.analysis().unwrap().json_rows());
     assert_eq!(
         dark.json_object().render(),
         lit.report.json_object().render(),
@@ -112,12 +115,62 @@ fn analysis_is_strictly_post_hoc() {
 
 #[test]
 fn attribution_table_names_every_phase() {
-    let text = golden_outcome().analysis().unwrap().report();
+    let rows = golden_outcome().analysis().unwrap().json_rows();
+    let text = format_analysis(&rows);
+    let rendered = json::render_array(&rows);
+    let parsed = json::read_rows(&rendered).unwrap();
     for name in PHASE_NAMES {
-        assert!(text.contains(name), "report must name phase {name}");
+        assert!(text.lines().any(|l| l.starts_with(&format!("{name} "))), "no phase row for {name}:\n{text}");
+        assert!(parsed.iter().any(|r| r.get_str("phase") == Ok(name)), "no phase row for {name}");
     }
-    assert!(text.contains("where the latency goes"));
-    assert!(text.contains("wafer utilization"));
+    // Where the latency goes: the p50 and p99 requests of TTFT and E2E,
+    // each with one share column per phase.
+    let header = text.lines().find(|l| l.starts_with("metric ")).expect("a request table");
+    assert_eq!(header.split_whitespace().skip(4).collect::<Vec<_>>(), PHASE_NAMES);
+    for metric in ["ttft", "e2e"] {
+        for pct in ["50", "99"] {
+            let line = |l: &str| l.split_whitespace().take(2).eq([metric, pct]);
+            assert!(text.lines().any(line), "no {metric} p{pct} line:\n{text}");
+            let row = |r: &&json::Row| {
+                r.get_str("metric") == Ok(metric) && r.get("pct").and_then(|v| v.as_num()) == pct.parse().ok()
+            };
+            assert_eq!(parsed.iter().filter(row).count(), 1, "one {metric} p{pct} request row");
+        }
+    }
+    assert!(text.lines().any(|l| l.split_whitespace().next() == Some("wafer")), "a wafer table");
+}
+
+/// The exported spans are the analysis walk's segments: each request's
+/// `prefill` spans add up to its `prefill` phase, and the prefill pool's
+/// span-union busy time matches the utilization the engines report. A
+/// second walk without the same-instant tie rule exported most prefills
+/// as `queue` spans and read the prefill wafers as idle.
+#[test]
+fn exported_spans_carry_the_attributed_prefill_time() {
+    let outcome = golden_outcome();
+    let trace = outcome.trace().unwrap();
+    let analysis = outcome.analysis().unwrap();
+    let prefill = PHASE_NAMES.iter().position(|n| *n == "prefill").unwrap();
+    let mut exported = vec![0.0; analysis.requests.len()];
+    for span in trace.request_spans().iter().filter(|s| s.name == "prefill") {
+        exported[span.req] += span.end_s - span.start_s;
+    }
+    for r in &analysis.requests {
+        assert!(r.phases[prefill] > 0.0, "req {}: every request prefills", r.req);
+        assert!(
+            (exported[r.req] - r.phases[prefill]).abs() <= 1e-12,
+            "req {}: exported prefill {} s, attributed {} s",
+            r.req,
+            exported[r.req],
+            r.phases[prefill]
+        );
+    }
+    let reported = outcome.report.migration.as_ref().expect("disaggregated").prefill_utilization;
+    let busy = (analysis.wafers[0].busy_fraction + analysis.wafers[1].busy_fraction) / 2.0;
+    assert!(
+        (busy - reported).abs() <= 0.05 * reported,
+        "prefill wafers' mean busy fraction {busy} vs reported prefill utilization {reported}"
+    );
 }
 
 proptest! {
@@ -172,15 +225,19 @@ fn utilization_rows_cover_every_wafer_and_read_telemetry() {
 
 #[test]
 fn analyze_rows_match_their_pinned_schema() {
-    assert_eq!(ANALYZE_SCHEMA_VERSION, 1, "bump deliberately, with the key-set goldens");
+    assert_eq!(ANALYZE_SCHEMA_VERSION, 2, "bump deliberately, with the key-set goldens");
     let analysis = golden_outcome().analysis().unwrap();
     let rows = analysis.json_rows();
-    assert_eq!(rows.len(), 1 + PHASE_COUNT + analysis.wafers.len());
+    let requests = 4;
+    assert_eq!(rows.len(), 1 + PHASE_COUNT + requests + analysis.wafers.len());
     assert_eq!(rows[0].keys(), ANALYZE_SUMMARY_KEYS);
     for row in &rows[1..=PHASE_COUNT] {
         assert_eq!(row.keys(), ANALYZE_PHASE_KEYS);
     }
-    for row in &rows[1 + PHASE_COUNT..] {
+    for row in &rows[1 + PHASE_COUNT..1 + PHASE_COUNT + requests] {
+        assert_eq!(row.keys(), ANALYZE_REQUEST_KEYS);
+    }
+    for row in &rows[1 + PHASE_COUNT + requests..] {
         assert_eq!(row.keys(), ANALYZE_WAFER_KEYS);
     }
     for row in &rows {

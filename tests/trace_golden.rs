@@ -11,8 +11,9 @@
 //!    layer landed; two identical runs must agree event for event.
 //! 3. **Span timelines are well formed** — on every sampled workload, not
 //!    just the pinned one: one arrival per request, terminal events
-//!    terminate, prefill starts match ends (up to evictions), and every
-//!    reconstructed span nests inside its request's lifetime.
+//!    terminate, prefill starts match ends (up to evictions), every
+//!    exported span nests inside its request's lifetime, and a completed
+//!    request's spans tile its life from arrival to completion.
 //!
 //! The first and third also hold at experiment scale: a faulty
 //! disaggregated run on four LLaMA-13B wafers, traced end to end.
@@ -181,6 +182,10 @@ fn timelines(events: &[TraceEvent]) -> BTreeMap<usize, ReqTimeline> {
     map
 }
 
+/// The six phases of the per-request walk, the closed taxonomy of the
+/// exported spans.
+const WALK_PHASES: [&str; 6] = ["queue", "prefill", "kv_transit", "migration_stall", "fault_stall", "decode"];
+
 /// Asserts every law a reconstructable span timeline relies on.
 fn assert_well_formed(trace: &Trace, injected: usize, completed: usize, dropped: usize) {
     let lines = timelines(trace.events());
@@ -207,12 +212,25 @@ fn assert_well_formed(trace: &Trace, injected: usize, completed: usize, dropped:
     for pair in trace.events().windows(2) {
         assert!(pair[0].t_s <= pair[1].t_s, "events must be sorted by time");
     }
+    let mut cursor: BTreeMap<usize, f64> = BTreeMap::new();
     for span in trace.request_spans() {
-        assert!(span.end_s >= span.start_s, "span {}/{} runs forward", span.req, span.name);
-        assert!(["queue", "prefill", "decode"].contains(&span.name), "closed phase taxonomy");
+        assert!(span.end_s > span.start_s, "span {}/{} runs forward", span.req, span.name);
+        assert!(WALK_PHASES.contains(&span.name), "closed phase taxonomy, got {}", span.name);
         let line = &lines[&span.req];
         assert!(span.start_s >= line.first_s - 1e-12, "span starts inside the request lifetime");
         assert!(span.end_s <= line.last_s + 1e-12, "span ends inside the request lifetime");
+        // Spans come sorted by start, so each request's spans arrive in
+        // its own time order: each must start where the last one ended.
+        let at = cursor.entry(span.req).or_insert(line.first_s);
+        assert_eq!(span.start_s, *at, "req {}: a gap or an overlap before its {} span", span.req, span.name);
+        *at = span.end_s;
+    }
+    // A completed request's spans tile [arrival, complete].
+    for (req, t) in &lines {
+        if t.completes == 1 {
+            let end = cursor.get(req).copied().unwrap_or(t.first_s);
+            assert_eq!(Some(end), t.terminal_s, "req {req}: spans stop short of its completion");
+        }
     }
 }
 
