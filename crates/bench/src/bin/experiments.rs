@@ -546,14 +546,10 @@ fn scenario_matrix(requests: usize, trace_path: Option<&str>, via_snapshot: bool
     // and exports it as Chrome trace-event JSON. Tracing is observational,
     // so the cell's report row is unchanged.
     const TRACED_CELL: &str = "disagg-faults";
-    let cadence_s = (mtbf / 32.0).max(1e-6);
     let mut rows: Vec<JsonObject> = Vec::new();
     for (label, scenario) in cells {
-        let scenario = if trace_path.is_some() && label == TRACED_CELL {
-            scenario.trace(true).telemetry_every(cadence_s)
-        } else {
-            scenario
-        };
+        let scenario =
+            if trace_path.is_some() && label == TRACED_CELL { scenario.trace(true) } else { scenario };
         let outcome = if via_snapshot {
             let mut run = scenario.start(&system).expect("deployment builds");
             run.run_until(mid_s);

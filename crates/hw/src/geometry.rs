@@ -7,8 +7,22 @@
 
 /// Identifier of a CIM core: a dense index into the wafer's global core grid,
 /// row-major over (global row, global column).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CoreId(pub usize);
+
+/// Cores order by index. (A derived `PartialOrd` would call the
+/// `partial_cmp` the determinism lint bans.)
+impl Ord for CoreId {
+    fn cmp(&self, other: &CoreId) -> std::cmp::Ordering {
+        self.0.cmp(&other.0)
+    }
+}
+
+impl PartialOrd for CoreId {
+    fn partial_cmp(&self, other: &CoreId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl std::fmt::Display for CoreId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -215,15 +215,6 @@ impl CrossbarBlocks {
         tokens - taken
     }
 
-    /// Remaining token slots in block `idx` (0 for free blocks of other
-    /// owners).
-    pub(crate) fn remaining(&self, idx: usize, seq: u64) -> usize {
-        match &self.blocks[idx] {
-            Some((owner, used)) if *owner == seq => self.tokens_per_block - used,
-            _ => 0,
-        }
-    }
-
     /// Frees block `idx` whoever owns it, returning whether it was
     /// allocated. The manager frees every block through here: private
     /// blocks by the index its slot keeps, refcounted shared-prefix blocks
@@ -421,6 +412,16 @@ impl CoreState {
         self.crossbars[xb].append(block, seq, tokens)
     }
 
+    /// Takes `tokens` used token slots of block `block` of crossbar `xb`
+    /// back, undoing a failed append; it changes no free block.
+    pub(crate) fn take_back(&mut self, xb: usize, block: usize, tokens: usize) {
+        let crossbar = &mut self.crossbars[xb];
+        let (_, used) =
+            crossbar.blocks[block].as_mut().expect("taking tokens back from a free logical block");
+        *used -= tokens;
+        crossbar.used -= tokens;
+    }
+
     /// Frees block `block` of crossbar `xb` whoever owns it, returning the
     /// token slots it held, or `None` when it was already free.
     pub(crate) fn free(&mut self, xb: usize, block: usize) -> Option<usize> {
@@ -454,6 +455,17 @@ mod tests {
 
     fn blocks() -> CrossbarBlocks {
         CrossbarBlocks::new(&CrossbarConfig::paper(), 128)
+    }
+
+    impl CrossbarBlocks {
+        /// Remaining token slots in block `idx` (0 for free blocks of other
+        /// owners).
+        fn remaining(&self, idx: usize, seq: u64) -> usize {
+            match &self.blocks[idx] {
+                Some((owner, used)) if *owner == seq => self.tokens_per_block - used,
+                _ => 0,
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ mod static_alloc;
 
 pub use manager::{
     BlockAudit, CrossbarSnapshot, KvCoreFailure, KvError, KvManager, KvManagerConfig, KvManagerSnapshot,
-    KvRestoreError, KvSlot, KvTransferStats, SharedChainSnapshot, SnapshotSeqBlocks,
+    KvRestoreError, KvSlot, KvTransferStats, SnapshotChain, SnapshotSeq,
 };
 pub use scheduler::{KvScheduler, SchedulerOutcome, SchedulerStats};
 pub use static_alloc::StaticKvAllocator;

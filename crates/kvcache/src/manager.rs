@@ -60,7 +60,8 @@ impl std::fmt::Display for KvError {
 impl std::error::Error for KvError {}
 
 /// Why [`KvManager::restore`] rejected a snapshot: the part of it that
-/// does not fit the configuration or the rest of the snapshot.
+/// does not fit the configuration or the rest of the snapshot. Each is a
+/// state the live manager never holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvRestoreError {
     /// A side lists a different number of cores than the configuration
@@ -73,40 +74,26 @@ pub enum KvRestoreError {
     BlockCount,
     /// A block holds more tokens than fit.
     Overfull,
-    /// A block list names a sequence that is not resident, or a role other
-    /// than K or V.
+    /// A private block's owner has no sequence entry, or two entries name
+    /// one sequence.
     UnknownSequence,
-    /// A block list names a block its sequence does not own.
+    /// A cursor names a block its sequence does not own on its side.
     NotOwned,
-    /// A shared chain names a core out of range.
+    /// A sequence's K and V blocks hold different token counts.
+    FillMismatch,
+    /// A shared chain has no node, or nodes on more than one core of a side.
     ChainCore,
     /// A shared chain node names a block its group does not own.
     ChainNotOwned,
-    /// An allocated block is missing from every block list and chain, or
-    /// listed twice.
-    Unindexed,
-    /// A sharer names an absent chain or more nodes than it has.
+    /// A shared block is in no node of its group's chain, or in two.
+    Unchained,
+    /// A sharer names an absent chain, no node, or more nodes than it has.
     Sharer,
+    /// A shared chain node that no sharer references.
+    Unreferenced,
+    /// Fewer blocks were allocated than are live.
+    Allocations,
 }
-
-impl std::fmt::Display for KvRestoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            KvRestoreError::CoreCount => "kv core count differs from the configuration",
-            KvRestoreError::CrossbarCount => "crossbar count differs from the configuration",
-            KvRestoreError::BlockCount => "block count differs from the configuration",
-            KvRestoreError::Overfull => "a block holds more tokens than fit",
-            KvRestoreError::UnknownSequence => "a block list names a sequence that is not resident",
-            KvRestoreError::NotOwned => "a block list names a block its sequence does not own",
-            KvRestoreError::ChainCore => "a shared chain names a core out of range",
-            KvRestoreError::ChainNotOwned => "a shared chain node names a block its group does not own",
-            KvRestoreError::Unindexed => "an allocated block is not indexed exactly once",
-            KvRestoreError::Sharer => "a sharer names an absent chain or more nodes than it has",
-        })
-    }
-}
-
-impl std::error::Error for KvRestoreError {}
 
 /// Configuration of the distributed KV manager for one transformer block's
 /// attention.
@@ -202,7 +189,7 @@ impl Cursor {
 }
 
 /// Dense index of a resident sequence's per-sequence state inside a
-/// [`KvManager`]: its token count, append cursors and private block list.
+/// [`KvManager`]: its append cursors and private block list.
 /// A sequence keeps its slot for as long as it stays resident; released
 /// slots are reused, so a slot names a sequence only while
 /// [`KvManager::slot_of`] says so. Slot numbers are never serialized. The
@@ -223,11 +210,9 @@ impl KvSlot {
 struct SlotTable {
     /// Resident sequence → its slot: the one map the slots are reached by.
     of: FastMap<u64, KvSlot>,
-    /// Resident (K-side) tokens per slot.
-    tokens: Vec<usize>,
-    /// Append cursors per slot, `[key, value]`; `None` until the admission
-    /// binds them.
-    cursors: Vec<[Option<Cursor>; 2]>,
+    /// Append cursors per slot, `[key, value]`: the block of each role that
+    /// grows next. Every resident sequence has both.
+    cursors: Vec<[Cursor; 2]>,
     /// Every private block allocated to the slot's sequence, in allocation
     /// order, so [`KvManager::release`] frees exactly the sequence's blocks
     /// instead of sweeping every crossbar of every core. Shared prefix
@@ -240,25 +225,17 @@ struct SlotTable {
 }
 
 impl SlotTable {
-    /// The slot of `seq`, taking a free one (with no cursors and no blocks)
-    /// if the sequence is not resident yet. Its token count becomes
-    /// `tokens`; a resident sequence keeps its cursors and blocks.
-    fn occupy(&mut self, seq: u64, tokens: usize) -> KvSlot {
-        let slot = match self.of.get(&seq) {
-            Some(&slot) => slot,
-            None => {
-                let slot = self.free.pop().unwrap_or_else(|| {
-                    let slot = KvSlot(u32::try_from(self.tokens.len()).expect("fewer than 2^32 slots"));
-                    self.tokens.push(0);
-                    self.cursors.push([None; 2]);
-                    self.blocks.push(Vec::new());
-                    slot
-                });
-                self.of.insert(seq, slot);
-                slot
-            }
-        };
-        self.tokens[slot.index()] = tokens;
+    /// A slot for the non-resident `seq`, a free one if there is one,
+    /// holding `cursors` and an empty block list.
+    fn occupy(&mut self, seq: u64, cursors: [Cursor; 2]) -> KvSlot {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = KvSlot(u32::try_from(self.cursors.len()).expect("fewer than 2^32 slots"));
+            self.cursors.push(cursors);
+            self.blocks.push(Vec::new());
+            slot
+        });
+        self.of.insert(seq, slot);
+        self.cursors[slot.index()] = cursors;
         slot
     }
 }
@@ -283,18 +260,6 @@ impl SharedNode {
     fn blocks(&self) -> [(KvRole, Cursor); 2] {
         [(KvRole::Key, self.k), (KvRole::Value, self.v)]
     }
-}
-
-/// The shared block chain of one prefix group. Sequences always reference a
-/// *leading* run of nodes, so refcounts are non-increasing along the chain
-/// and zero-ref nodes form a suffix (freed as soon as they appear).
-#[derive(Debug, Clone)]
-struct SharedChain {
-    /// Key-side core pick (chains grow on fixed cores).
-    k_core: usize,
-    /// Value-side core pick.
-    v_core: usize,
-    nodes: Vec<SharedNode>,
 }
 
 /// Counters of KV state handed across wafer boundaries (prefill/decode
@@ -379,58 +344,40 @@ pub struct CrossbarSnapshot {
 
 /// A block slot `(core_index, crossbar, block)` within a role-side core
 /// list, as serialized by [`KvManagerSnapshot`].
-pub(crate) type SnapshotSlot = (usize, usize, usize);
+pub type SnapshotSlot = (usize, usize, usize);
 
-/// One node of a serialized shared-prefix chain: `(refs, k_slot, v_slot)`.
-pub(crate) type SnapshotChainNode = (usize, SnapshotSlot, SnapshotSlot);
+/// A resident sequence inside a [`KvManagerSnapshot`]:
+/// `(seq, k_cursor, v_cursor, shared)`, `shared` being the `(group, nodes)`
+/// leading run of a prefix chain it references.
+pub type SnapshotSeq = (u64, SnapshotSlot, SnapshotSlot, Option<(u64, usize)>);
 
-/// A sequence's private block list inside a [`KvManagerSnapshot`]:
-/// `(seq, [(role, core_index, crossbar, block)])` with per-sequence
-/// allocation order preserved. Role 0 is K, 1 is V.
-pub type SnapshotSeqBlocks = (u64, Vec<(u8, usize, usize, usize)>);
-
-/// One shared-prefix chain inside a [`KvManagerSnapshot`]. Slots are
-/// `(core_index, crossbar, block)` triples within the role-side core list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SharedChainSnapshot {
-    /// Key-side core pick.
-    pub k_core: usize,
-    /// Value-side core pick.
-    pub v_core: usize,
-    /// Chain nodes in order: `(refs, k_slot, v_slot)`.
-    pub nodes: Vec<SnapshotChainNode>,
-}
+/// A shared-prefix chain inside a [`KvManagerSnapshot`]: `(group, nodes)`,
+/// each node its `(k_slot, v_slot)` in chain order.
+pub type SnapshotChain = (u64, Vec<(SnapshotSlot, SnapshotSlot)>);
 
 /// Complete mutable state of a [`KvManager`], captured by
 /// [`KvManager::snapshot`] and rebuilt by [`KvManager::restore`] against the
-/// same configuration. Map- and slot-backed state is stored as key-sorted
-/// vectors so the serialized form is deterministic regardless of hash-map
-/// or slot-reuse history.
+/// same configuration. Each fact is stated once: the crossbar tables say
+/// who owns which block and how full it is, and restore derives what they
+/// imply. Map- and slot-backed state is stored as key-sorted vectors, so
+/// the form is deterministic regardless of hash-map or slot-reuse history.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct KvManagerSnapshot {
     /// Ring pointer per role (`[key, value]`).
     pub ring_next: [usize; 2],
-    /// Lifetime logical-block allocations.
+    /// Lifetime logical-block allocations (the frees are these less the
+    /// live blocks).
     pub allocated_blocks: u64,
-    /// Lifetime logical-block frees.
-    pub freed_blocks: u64,
     /// Export/import counters.
     pub transfers: KvTransferStats,
     /// Key-side crossbar tables, per core in order.
     pub key_cores: Vec<Vec<CrossbarSnapshot>>,
     /// Value-side crossbar tables, per core in order.
     pub value_cores: Vec<Vec<CrossbarSnapshot>>,
-    /// Private block index ([`SnapshotSeqBlocks`] entries), key-sorted with
-    /// per-sequence allocation order preserved. Role 0 is K, 1 is V. Each
-    /// sequence's append cursor of a role is the last block of that role
-    /// in its list, so the cursors are not stored.
-    pub seq_blocks: Vec<SnapshotSeqBlocks>,
-    /// Resident token counts `(seq, tokens)`, key-sorted.
-    pub resident_tokens: Vec<(u64, usize)>,
-    /// Shared prefix chains `(group, chain)`, key-sorted.
-    pub shared: Vec<(u64, SharedChainSnapshot)>,
-    /// Sequence → `(group, referenced leading nodes)`, key-sorted.
-    pub seq_shared: Vec<(u64, u64, usize)>,
+    /// Resident sequences, key-sorted.
+    pub sequences: Vec<SnapshotSeq>,
+    /// Shared prefix chains, key-sorted.
+    pub shared: Vec<SnapshotChain>,
 }
 
 /// The distributed dynamic KV cache manager.
@@ -445,8 +392,10 @@ pub struct KvManager {
     /// resident sequence.
     slots: SlotTable,
     transfers: KvTransferStats,
-    /// Shared prefix chains by group id.
-    shared: FastMap<u64, SharedChain>,
+    /// Shared prefix chains by group id, each its nodes in order, on its
+    /// first node's cores. Sharers reference leading runs, so zero-ref
+    /// nodes form a suffix, freed at once: no chain is empty.
+    shared: FastMap<u64, Vec<SharedNode>>,
     /// How many leading chain nodes each resident sequence references.
     seq_shared: FastMap<u64, (u64, usize)>,
     /// Lifetime logical-block allocations (audit counter).
@@ -498,7 +447,8 @@ impl KvManager {
     /// Restoring the snapshot with [`KvManager::restore`] against the same
     /// configuration yields a manager whose every observable behavior —
     /// admission, growth, eviction, faults, audits — continues exactly as
-    /// this one's would.
+    /// this one's would. Debug builds check that it does: that every fact
+    /// the snapshot leaves out follows from the ones it keeps.
     pub fn snapshot(&self) -> KvManagerSnapshot {
         let side = |cores: &[CoreState]| -> Vec<Vec<CrossbarSnapshot>> {
             cores
@@ -516,150 +466,151 @@ impl KvManager {
         };
         // Slot numbering depends on release history, so every per-slot
         // row is emitted in sequence order.
-        let resident = self.resident();
-        let seq_blocks: Vec<SnapshotSeqBlocks> = resident
-            .iter()
-            .map(|&(seq, slot)| (seq, &self.slots.blocks[slot.index()]))
-            .filter(|(_, blocks)| !blocks.is_empty())
-            .map(|(seq, blocks)| {
-                (
-                    seq,
-                    blocks.iter().map(|&(role, c)| (role as u8, c.core_index, c.crossbar, c.block)).collect(),
-                )
+        let sequences = self
+            .resident()
+            .into_iter()
+            .map(|(seq, slot)| {
+                let [k, v] = self.slots.cursors[slot.index()].map(Cursor::slot);
+                (seq, k, v, self.seq_shared.get(&seq).copied())
             })
             .collect();
-        let resident_tokens: Vec<(u64, usize)> =
-            resident.iter().map(|&(seq, slot)| (seq, self.slots.tokens[slot.index()])).collect();
-        let mut shared: Vec<(u64, SharedChainSnapshot)> = self
+        let mut shared: Vec<SnapshotChain> = self
             .shared
             .iter()
-            .map(|(&group, chain)| {
-                (
-                    group,
-                    SharedChainSnapshot {
-                        k_core: chain.k_core,
-                        v_core: chain.v_core,
-                        nodes: chain.nodes.iter().map(|n| (n.refs, n.k.slot(), n.v.slot())).collect(),
-                    },
-                )
-            })
+            .map(|(&group, nodes)| (group, nodes.iter().map(|n| (n.k.slot(), n.v.slot())).collect()))
             .collect();
         shared.sort_unstable_by_key(|(group, _)| *group);
-        let mut seq_shared: Vec<(u64, u64, usize)> =
-            self.seq_shared.iter().map(|(&seq, &(group, n))| (seq, group, n)).collect();
-        seq_shared.sort_unstable_by_key(|&(seq, ..)| seq);
-        KvManagerSnapshot {
+        let snap = KvManagerSnapshot {
             ring_next: self.ring_next,
             allocated_blocks: self.allocated_blocks,
-            freed_blocks: self.freed_blocks,
             transfers: self.transfers,
             key_cores: side(&self.key_cores),
             value_cores: side(&self.value_cores),
-            seq_blocks,
-            resident_tokens,
+            sequences,
             shared,
-            seq_shared,
+        };
+        if cfg!(debug_assertions) {
+            self.assert_restores(&snap);
+        }
+        snap
+    }
+
+    /// Asserts that `snap` restores (so each sequence's K and V fills
+    /// agree) and that the refcounts and `freed` it derives equal this
+    /// manager's.
+    fn assert_restores(&self, snap: &KvManagerSnapshot) {
+        let restored = KvManager::restore(self.config.clone(), snap);
+        let r = restored.unwrap_or_else(|e| panic!("a live manager's snapshot does not restore: {e:?}"));
+        assert_eq!(r.block_audit(), self.block_audit(), "freed differs from allocated − live");
+        let refs = |nodes: &Vec<SharedNode>| nodes.iter().map(|n| n.refs).collect::<Vec<_>>();
+        for (group, nodes) in &self.shared {
+            assert_eq!(r.shared.get(group).map(refs), Some(refs(nodes)), "group {group}: refcounts differ");
         }
     }
 
     /// Rebuilds a manager from a [`KvManagerSnapshot`] and the configuration
-    /// it was captured under.
+    /// it was captured under, deriving each sequence's blocks, each chain's
+    /// refcounts and cores, and the lifetime frees.
     ///
     /// # Errors
     ///
-    /// Returns the [`KvRestoreError`] naming the first part of the
-    /// snapshot that does not fit: core, crossbar or block counts that
-    /// differ from the configuration's (a configuration without KV cores
-    /// is a core-count mismatch), a block holding more tokens than fit, a
-    /// block list naming a sequence that is not resident, a role other
-    /// than K or V, or a block its sequence does not own, a shared chain
-    /// naming a core out of range or a block its group does not own, an
-    /// allocated block missing from its owner's block list or chain or
-    /// listed twice, or a sharer naming an absent chain or more nodes than
-    /// it has.
+    /// Returns the [`KvRestoreError`] of the first part of the snapshot
+    /// that does not fit the configuration (a configuration without KV
+    /// cores is a core-count mismatch) or that no live manager holds, in
+    /// this order: core tables, allocations, sequence entries and cursors,
+    /// private blocks, chains and their blocks, fills, sharers, refcounts.
     /// Snapshots are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvRestoreError> {
-        let mut m = KvManager::new(config).map_err(|_| KvRestoreError::CoreCount)?;
-        let restore_side = |cores: &mut Vec<CoreState>, side: &[Vec<CrossbarSnapshot>]| {
+        use KvRestoreError as E;
+        let mut m = KvManager::new(config).map_err(|_| E::CoreCount)?;
+        for (cores, side) in [(&mut m.key_cores, &snap.key_cores), (&mut m.value_cores, &snap.value_cores)] {
             if cores.len() != side.len() {
-                return Err(KvRestoreError::CoreCount);
+                return Err(E::CoreCount);
             }
             for (core, xbs) in cores.iter_mut().zip(side) {
                 core.restore(xbs)?;
             }
-            Ok(())
-        };
-        restore_side(&mut m.key_cores, &snap.key_cores)?;
-        restore_side(&mut m.value_cores, &snap.value_cores)?;
+        }
         m.recount();
         m.ring_next = snap.ring_next;
-        m.allocated_blocks = snap.allocated_blocks;
-        m.freed_blocks = snap.freed_blocks;
         m.transfers = snap.transfers;
-        let role_of = |r: u8| if r == 0 { KvRole::Key } else { KvRole::Value };
-        for &(seq, tokens) in &snap.resident_tokens {
-            m.slots.occupy(seq, tokens);
-        }
-        for (seq, blocks) in &snap.seq_blocks {
-            let slot = m
-                .slot_of(*seq)
-                .filter(|_| blocks.iter().all(|&(role, ..)| role < 2))
-                .ok_or(KvRestoreError::UnknownSequence)?;
-            let rows = blocks.iter().map(|&(role, core_index, crossbar, block)| {
-                (role_of(role), Cursor { core_index, crossbar, block })
-            });
-            if !rows.clone().all(|(role, cursor)| m.owns(role, cursor, *seq)) {
-                return Err(KvRestoreError::NotOwned);
+        let live = m.block_audit().live;
+        m.allocated_blocks = snap.allocated_blocks;
+        m.freed_blocks = snap.allocated_blocks.checked_sub(live).ok_or(E::Allocations)?;
+        let cursor = |(core_index, crossbar, block): SnapshotSlot| Cursor { core_index, crossbar, block };
+        for &(seq, k, v, shared) in &snap.sequences {
+            let cursors = [cursor(k), cursor(v)];
+            if m.slots.of.contains_key(&seq) {
+                return Err(E::UnknownSequence);
             }
-            m.slots.blocks[slot.index()].extend(rows);
-            // Each allocation binds its role's cursor to the block it
-            // appends to the list, so a cursor is the last block of its role.
-            let (blocks, cursors) = (&m.slots.blocks[slot.index()], &mut m.slots.cursors[slot.index()]);
-            for role in ROLES {
-                cursors[role as usize] = blocks.iter().rfind(|(r, _)| *r == role).map(|&(_, c)| c);
+            if !ROLES.into_iter().all(|role| m.owns(role, cursors[role as usize], seq)) {
+                return Err(E::NotOwned);
+            }
+            m.slots.occupy(seq, cursors);
+            if let Some(shared) = shared {
+                m.seq_shared.insert(seq, shared);
             }
         }
-        for (group, chain) in &snap.shared {
-            if chain.k_core >= m.key_cores.len() || chain.v_core >= m.value_cores.len() {
-                return Err(KvRestoreError::ChainCore);
+        // Every private block joins its owner's list and fill; shared
+        // blocks are counted, to be found in their chains below.
+        let mut fills = vec![[0; 2]; m.slots.cursors.len()];
+        let mut shared_blocks = 0;
+        for (role, cores) in [(KvRole::Key, &m.key_cores), (KvRole::Value, &m.value_cores)] {
+            for (core_index, core) in cores.iter().enumerate() {
+                for (crossbar, xb) in core.crossbars().iter().enumerate() {
+                    for (block, &(owner, used)) in
+                        xb.block_table().iter().enumerate().filter_map(|(b, e)| Some((b, e.as_ref()?)))
+                    {
+                        if owner & SHARED_OWNER_TAG != 0 {
+                            shared_blocks += 1;
+                            continue;
+                        }
+                        let slot = m.slots.of.get(&owner).ok_or(E::UnknownSequence)?.index();
+                        m.slots.blocks[slot].push((role, Cursor { core_index, crossbar, block }));
+                        fills[slot][role as usize] += used;
+                    }
+                }
             }
+        }
+        // Every node block is its group's; if no two nodes name one and
+        // they are as many as the shared blocks, every shared block is in
+        // exactly one node.
+        let mut chained = std::collections::BTreeSet::new();
+        for (group, slots) in &snap.shared {
             let owner = SHARED_OWNER_TAG | group;
-            let block = |role: KvRole, (core_index, crossbar, block): SnapshotSlot| {
-                let c = Cursor { core_index, crossbar, block };
-                m.owns(role, c, owner).then_some(c).ok_or(KvRestoreError::ChainNotOwned)
-            };
-            let nodes = chain
-                .nodes
-                .iter()
-                .map(|&(refs, k, v)| {
-                    Ok(SharedNode { refs, k: block(KvRole::Key, k)?, v: block(KvRole::Value, v)? })
-                })
-                .collect::<Result<_, KvRestoreError>>()?;
-            m.shared.insert(*group, SharedChain { k_core: chain.k_core, v_core: chain.v_core, nodes });
-        }
-        // Every indexed block is owned by its indexer (checked above). If
-        // the entries are distinct and as many as the live blocks, every
-        // block is indexed exactly once, so release frees what it owns.
-        let mut indexed: Vec<(u8, usize, usize, usize)> = m
-            .slots
-            .blocks
-            .iter()
-            .flatten()
-            .copied()
-            .chain(m.shared.values().flat_map(|chain| chain.nodes.iter().flat_map(SharedNode::blocks)))
-            .map(|(role, c)| (role as u8, c.core_index, c.crossbar, c.block))
-            .collect();
-        indexed.sort_unstable();
-        let listed = indexed.len();
-        indexed.dedup();
-        if indexed.len() != listed || listed as u64 != m.block_audit().live {
-            return Err(KvRestoreError::Unindexed);
-        }
-        for &(seq, group, n) in &snap.seq_shared {
-            if m.shared.get(&group).is_none_or(|chain| n > chain.nodes.len()) {
-                return Err(KvRestoreError::Sharer);
+            let &(k0, v0) = slots.first().ok_or(E::ChainCore)?;
+            let mut nodes = Vec::with_capacity(slots.len());
+            for &(k, v) in slots {
+                let node = SharedNode { refs: 0, k: cursor(k), v: cursor(v) };
+                if !m.owns(KvRole::Key, node.k, owner) || !m.owns(KvRole::Value, node.v, owner) {
+                    return Err(E::ChainNotOwned);
+                }
+                if (k.0, v.0) != (k0.0, v0.0) {
+                    return Err(E::ChainCore);
+                }
+                if !chained.insert((KvRole::Key as u8, k)) || !chained.insert((KvRole::Value as u8, v)) {
+                    return Err(E::Unchained);
+                }
+                nodes.push(node);
             }
-            m.seq_shared.insert(seq, (group, n));
+            if m.shared.insert(*group, nodes).is_some() {
+                return Err(E::Unchained);
+            }
+        }
+        if chained.len() != shared_blocks {
+            return Err(E::Unchained);
+        }
+        if fills.iter().any(|[k_fill, v_fill]| k_fill != v_fill) {
+            return Err(E::FillMismatch);
+        }
+        for &(group, n) in m.seq_shared.values() {
+            let chain = m.shared.get_mut(&group).filter(|c| (1..=c.len()).contains(&n)).ok_or(E::Sharer)?;
+            for node in &mut chain[..n] {
+                node.refs += 1;
+            }
+        }
+        if m.shared.values().flatten().any(|node| node.refs == 0) {
+            return Err(E::Unreferenced);
         }
         Ok(m)
     }
@@ -672,11 +623,10 @@ impl KvManager {
         resident
     }
 
-    /// The core `slot`'s key cursor is bound on, if it is bound.
-    #[cfg(test)]
-    fn key_core(&self, slot: KvSlot) -> Option<CoreId> {
-        let cursor = self.slots.cursors[slot.index()][KvRole::Key as usize]?;
-        Some(self.key_cores[cursor.core_index].id)
+    /// The tokens the block at `c` of `role`'s cores holds.
+    fn fill(&self, role: KvRole, c: Cursor) -> usize {
+        self.cores(role)[c.core_index].crossbars()[c.crossbar].block_table()[c.block]
+            .map_or(0, |(_, used)| used)
     }
 
     /// Whether `c` names a block of `role`'s cores that `owner` owns.
@@ -737,8 +687,13 @@ impl KvManager {
     }
 
     /// Tokens resident for one sequence (K side), if it is resident.
+    /// Its shared tokens plus the tokens its private K blocks hold, which
+    /// its V blocks hold too.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
-        self.slot_of(seq).map(|slot| self.slots.tokens[slot.index()])
+        let blocks = &self.slots.blocks[self.slot_of(seq)?.index()];
+        let private: usize =
+            blocks.iter().filter(|(role, _)| *role == KvRole::Key).map(|&(r, c)| self.fill(r, c)).sum();
+        Some(self.seq_shared.get(&seq).map_or(0, |&(_, n)| n * self.tokens_per_block()) + private)
     }
 
     /// The slot of a resident sequence, valid until the sequence is
@@ -750,14 +705,14 @@ impl KvManager {
     /// Admits a new sequence with `initial_tokens` of prefilled KV (§4.4.3):
     /// its K and V cursors go to the first ring core of each role at or
     /// after the role's ring pointer, skipping cores whose free fraction is
-    /// below the threshold.
+    /// below the threshold. A resident `seq` is released first.
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::OutOfCapacity`] (without partial allocation being
-    /// rolled back eagerly — the caller is expected to release, evict, and
-    /// retry with the same sequence id) if the cache cannot hold the
-    /// sequence.
+    /// Returns [`KvError::OutOfCapacity`] if the cache cannot hold the
+    /// sequence. The sequence is then released: it holds no block and no
+    /// shared reference, and the caller may evict and retry with the same
+    /// sequence id.
     pub(crate) fn admit(&mut self, seq: u64, initial_tokens: usize) -> Result<(), KvError> {
         self.admit_with_prefix(seq, initial_tokens, None).map(|_| ())
     }
@@ -776,17 +731,19 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns [`KvError::OutOfCapacity`] under the same conditions as
-    /// `KvManager::admit`. Shared references taken before the failure are
-    /// undone by the [`KvManager::release`] the retry protocol performs.
+    /// `KvManager::admit`, having released the sequence, shared references
+    /// included.
     pub fn admit_with_prefix(
         &mut self,
         seq: u64,
         initial_tokens: usize,
         prefix: Option<(u64, usize)>,
     ) -> Result<usize, KvError> {
-        // A stale entry would leak references if the caller re-admits
-        // without releasing; drop it first.
-        self.detach_shared(seq);
+        // Re-admission starts a resident sequence afresh. (Only a resident
+        // sequence holds shared references.)
+        if self.slots.of.contains_key(&seq) {
+            self.release(seq);
+        }
         // `shared` tokens live in shared blocks (reused + newly populated);
         // only the `cached` portion pre-existed and skips prefill — the
         // first sharer computes the prefix KV it deposits in the chain.
@@ -794,16 +751,37 @@ impl KvManager {
             Some((group, tokens)) => self.attach_shared(seq, group, tokens.min(initial_tokens)),
             None => (0, 0),
         };
-        let k_core = self.pick_core(KvRole::Key)?;
-        let v_core = self.pick_core(KvRole::Value)?;
-        let slot = self.slots.occupy(seq, shared);
-        // Allocate the private cursors and fill the non-shared tokens.
-        self.bind_cursor(slot, seq, KvRole::Key, k_core)?;
-        self.bind_cursor(slot, seq, KvRole::Value, v_core)?;
-        if initial_tokens > shared {
-            self.append_at(slot, seq, initial_tokens - shared)?;
+        // Allocate the private cursors and fill the non-shared tokens; a
+        // failure releases everything the admission took.
+        let admitted = self.bind(seq).and_then(|slot| {
+            let private = initial_tokens - shared;
+            if private > 0 {
+                self.append_at(slot, seq, private)
+            } else {
+                Ok(())
+            }
+        });
+        if let Err(err) = admitted {
+            self.release(seq);
+            return Err(err);
         }
         Ok(cached)
+    }
+
+    /// Binds `seq`'s two cursors to fresh blocks on the next ring cores of
+    /// their roles and gives it a slot.
+    fn bind(&mut self, seq: u64) -> Result<KvSlot, KvError> {
+        let k_core = self.pick_core(KvRole::Key)?;
+        let v_core = self.pick_core(KvRole::Value)?;
+        // The lowest free block of the lowest crossbar with one.
+        let k = self.alloc_block(KvRole::Key, k_core, 0, seq).ok_or(KvError::OutOfCapacity)?;
+        let Some(v) = self.alloc_block(KvRole::Value, v_core, 0, seq) else {
+            self.free_block(KvRole::Key, k);
+            return Err(KvError::OutOfCapacity);
+        };
+        let slot = self.slots.occupy(seq, [k, v]);
+        self.slots.blocks[slot.index()].extend([(KvRole::Key, k), (KvRole::Value, v)]);
+        Ok(slot)
     }
 
     /// The core of `role` a new cursor goes to: one walk of the ring from
@@ -840,7 +818,7 @@ impl KvManager {
             return 0;
         }
         match self.shared.get(&group) {
-            Some(chain) => chain.nodes.len().min(prefix_tokens / tpb) * tpb,
+            Some(nodes) => nodes.len().min(prefix_tokens / tpb) * tpb,
             None => 0,
         }
     }
@@ -860,49 +838,44 @@ impl KvManager {
         if want == 0 {
             return (0, 0);
         }
-        if !self.shared.contains_key(&group) {
+        let owner = SHARED_OWNER_TAG | group;
+        let mut nodes = self.shared.remove(&group).unwrap_or_default();
+        let cores = match nodes.first() {
+            Some(node) => Ok((node.k.core_index, node.v.core_index)),
             // First sharer: pick the chain's cores with the same ring walk
             // as a private admission. Failure here just means no caching
             // for now.
-            let Ok(k_core) = self.pick_core(KvRole::Key) else { return (0, 0) };
-            let Ok(v_core) = self.pick_core(KvRole::Value) else { return (0, 0) };
-            self.shared.insert(group, SharedChain { k_core, v_core, nodes: Vec::new() });
-        }
-        let existing = self.shared[&group].nodes.len();
-        while self.shared[&group].nodes.len() < want {
-            if !self.extend_chain(group) {
-                break;
+            None => self.pick_core(KvRole::Key).and_then(|k| Ok((k, self.pick_core(KvRole::Value)?))),
+        };
+        let existing = nodes.len();
+        if let Ok((k_core, v_core)) = cores {
+            while nodes.len() < want {
+                let Some(node) = self.alloc_node(owner, k_core, v_core) else { break };
+                nodes.push(node);
             }
         }
-        let chain = self.shared.get_mut(&group).expect("chain ensured above");
-        let use_nodes = chain.nodes.len().min(want);
-        if use_nodes == 0 {
-            if chain.nodes.is_empty() {
-                self.shared.remove(&group);
-            }
+        if nodes.is_empty() {
             return (0, 0);
         }
-        for node in &mut chain.nodes[..use_nodes] {
+        let use_nodes = nodes.len().min(want);
+        for node in &mut nodes[..use_nodes] {
             node.refs += 1;
         }
+        self.shared.insert(group, nodes);
         self.seq_shared.insert(seq, (group, use_nodes));
         (use_nodes * tpb, existing.min(use_nodes) * tpb)
     }
 
-    /// Appends one full node (a K and a V block) to `group`'s chain,
-    /// rolling back the K block if the V block cannot be allocated. Returns
-    /// whether the chain grew.
-    fn extend_chain(&mut self, group: u64) -> bool {
-        let owner = SHARED_OWNER_TAG | group;
+    /// One full node (a K and a V block) of `owner`'s chain on its cores,
+    /// the K block rolled back if the V block cannot be allocated.
+    fn alloc_node(&mut self, owner: u64, k_core: usize, v_core: usize) -> Option<SharedNode> {
         let tpb = self.tokens_per_block();
-        let SharedChain { k_core, v_core, .. } = self.shared[&group];
-        let Some(k) = self.alloc_shared_block(KvRole::Key, k_core, owner, tpb) else { return false };
+        let k = self.alloc_shared_block(KvRole::Key, k_core, owner, tpb)?;
         let Some(v) = self.alloc_shared_block(KvRole::Value, v_core, owner, tpb) else {
             self.free_block(KvRole::Key, k);
-            return false;
+            return None;
         };
-        self.shared.get_mut(&group).expect("chain exists").nodes.push(SharedNode { refs: 0, k, v });
-        true
+        Some(SharedNode { refs: 0, k, v })
     }
 
     /// Allocates and fills one shared block on a fixed core (lowest free
@@ -914,70 +887,57 @@ impl KvManager {
         owner: u64,
         tpb: usize,
     ) -> Option<Cursor> {
-        let core = &mut self.cores_mut(role)[core_index];
-        let (xb, block) = core.allocate_from(0, owner)?;
-        let leftover = core.append(xb, block, owner, tpb);
+        let c = self.alloc_block(role, core_index, 0, owner)?;
+        let leftover = self.cores_mut(role)[core_index].append(c.crossbar, c.block, owner, tpb);
         debug_assert_eq!(leftover, 0, "a fresh block holds a whole prefix node");
         if role == KvRole::Key {
             self.counters.key_used_tokens += tpb - leftover;
         }
-        self.allocated_blocks += 1;
-        Some(Cursor { core_index, crossbar: xb, block })
+        Some(c)
     }
 
-    /// Frees one block whoever owns it, keeping the lifetime audit and the
-    /// key-side used-token counter in step; a free block changes nothing.
+    /// Allocates to `owner` the lowest free block of the first healthy
+    /// crossbar with one, in cyclic order from crossbar `start` of `role`'s
+    /// core `core_index`, counting it in the audit.
+    fn alloc_block(&mut self, role: KvRole, core_index: usize, start: usize, owner: u64) -> Option<Cursor> {
+        let (crossbar, block) = self.cores_mut(role)[core_index].allocate_from(start, owner)?;
+        self.allocated_blocks += 1;
+        Some(Cursor { core_index, crossbar, block })
+    }
+
+    /// Frees one block whoever owns it, returning the tokens it held and
+    /// keeping the lifetime audit and the key-side used-token counter in
+    /// step; a free block changes nothing.
     /// Every path that frees a block goes through here, so a shared block
     /// is audit-counted once, whichever path frees it.
-    fn free_block(&mut self, role: KvRole, c: Cursor) {
-        if let Some(used) = self.cores_mut(role)[c.core_index].free(c.crossbar, c.block) {
-            self.freed_blocks += 1;
-            if role == KvRole::Key {
-                self.counters.key_used_tokens -= used;
-            }
+    fn free_block(&mut self, role: KvRole, c: Cursor) -> usize {
+        let Some(used) = self.cores_mut(role)[c.core_index].free(c.crossbar, c.block) else { return 0 };
+        self.freed_blocks += 1;
+        if role == KvRole::Key {
+            self.counters.key_used_tokens -= used;
         }
+        used
     }
 
     /// Drops `seq`'s references on its shared chain, freeing every node
     /// whose refcount reaches zero (sequences reference leading runs, so
-    /// zero-ref nodes always form a chain suffix).
-    fn detach_shared(&mut self, seq: u64) {
-        let Some((group, n)) = self.seq_shared.remove(&seq) else { return };
-        let mut to_free: Vec<SharedNode> = Vec::new();
-        let mut drop_group = false;
-        if let Some(chain) = self.shared.get_mut(&group) {
-            let n = n.min(chain.nodes.len());
-            for node in &mut chain.nodes[..n] {
-                node.refs = node.refs.saturating_sub(1);
-            }
-            while chain.nodes.last().is_some_and(|node| node.refs == 0) {
-                to_free.push(chain.nodes.pop().expect("non-empty checked"));
-            }
-            drop_group = chain.nodes.is_empty();
+    /// zero-ref nodes always form a chain suffix). Returns how many nodes
+    /// it referenced.
+    fn detach_shared(&mut self, seq: u64) -> usize {
+        let Some((group, n)) = self.seq_shared.remove(&seq) else { return 0 };
+        let Some(mut nodes) = self.shared.remove(&group) else { return n };
+        let covered = n.min(nodes.len());
+        for node in &mut nodes[..covered] {
+            node.refs = node.refs.saturating_sub(1);
         }
-        if drop_group {
-            self.shared.remove(&group);
-        }
-        for (role, c) in to_free.iter().flat_map(SharedNode::blocks) {
+        let kept = nodes.iter().rposition(|node| node.refs > 0).map_or(0, |last| last + 1);
+        for (role, c) in nodes.split_off(kept).iter().flat_map(SharedNode::blocks) {
             self.free_block(role, c);
         }
-    }
-
-    fn bind_cursor(
-        &mut self,
-        slot: KvSlot,
-        seq: u64,
-        role: KvRole,
-        core_index: usize,
-    ) -> Result<(), KvError> {
-        // The lowest free block of the lowest crossbar with one.
-        let (crossbar, block) =
-            self.cores_mut(role)[core_index].allocate_from(0, seq).ok_or(KvError::OutOfCapacity)?;
-        self.allocated_blocks += 1;
-        let cursor = Cursor { core_index, crossbar, block };
-        self.slots.blocks[slot.index()].push((role, cursor));
-        self.slots.cursors[slot.index()][role as usize] = Some(cursor);
-        Ok(())
+        if !nodes.is_empty() {
+            self.shared.insert(group, nodes);
+        }
+        n
     }
 
     /// Appends `tokens` new tokens of K and V to a resident sequence (the
@@ -1001,40 +961,63 @@ impl KvManager {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::UnknownSequence`] if a cursor was never bound (a
-    /// failed admission) or [`KvError::OutOfCapacity`] if K or V cannot
-    /// grow.
+    /// Returns [`KvError::OutOfCapacity`] if K or V cannot grow. The append
+    /// then writes nothing: the tokens it wrote are taken back, so K and V
+    /// still hold the sequence's token count each. The blocks it allocated
+    /// stay the sequence's, empty, until it is released.
     pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
         debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
+        let i = slot.index();
+        let (listed, cursors) = (self.slots.blocks[i].len(), self.slots.cursors[i]);
         for role in ROLES {
-            self.append_for(slot, seq, role, tokens)?;
+            if let Err(unwritten) = self.append_for(slot, seq, role, tokens) {
+                // Take back what it wrote, in the new blocks and in the
+                // cursor blocks it started from.
+                let mut written = [tokens, 0];
+                written[role as usize] = tokens - unwritten;
+                for at in listed..self.slots.blocks[i].len() {
+                    let (role, c) = self.slots.blocks[i][at];
+                    let fill = self.fill(role, c);
+                    self.take_back(role, c, fill);
+                    written[role as usize] -= fill;
+                }
+                for role in ROLES {
+                    self.take_back(role, cursors[role as usize], written[role as usize]);
+                }
+                return Err(KvError::OutOfCapacity);
+            }
         }
-        self.slots.tokens[slot.index()] += tokens;
         Ok(())
+    }
+
+    /// Takes `tokens` of the block at `c` of `role`'s cores back.
+    fn take_back(&mut self, role: KvRole, c: Cursor, tokens: usize) {
+        self.cores_mut(role)[c.core_index].take_back(c.crossbar, c.block, tokens);
+        if role == KvRole::Key {
+            self.counters.key_used_tokens -= tokens;
+        }
     }
 
     /// Tokens [`KvManager::append_at`] can still add to `slot` without a
     /// new block: the free token slots left in its two cursor blocks
-    /// (`tokens_per_block − used`, the smaller of the two), 0 while a
-    /// cursor is unbound.
+    /// (`tokens_per_block − used`, the smaller of the two).
     pub fn room(&self, slot: KvSlot) -> usize {
-        ROLES
-            .into_iter()
-            .zip(self.slots.cursors[slot.index()])
-            .try_fold(usize::MAX, |room, (role, c)| {
-                let c = c?;
-                let xb = &self.cores(role)[c.core_index].crossbars()[c.crossbar];
-                let (_, used) = xb.block_table()[c.block]?;
-                Some(room.min(xb.tokens_per_block() - used))
-            })
-            .unwrap_or(0)
+        let cursors = self.slots.cursors[slot.index()];
+        let room = |role: KvRole| {
+            let c = cursors[role as usize];
+            let xb = &self.cores(role)[c.core_index].crossbars()[c.crossbar];
+            xb.block_table()[c.block].map_or(0, |(_, used)| xb.tokens_per_block() - used)
+        };
+        room(KvRole::Key).min(room(KvRole::Value))
     }
 
-    fn append_for(&mut self, slot: KvSlot, seq: u64, role: KvRole, tokens: usize) -> Result<(), KvError> {
+    /// Appends `tokens` to `role`'s side of `slot`, returning the tokens
+    /// that did not fit when a block cannot be allocated.
+    fn append_for(&mut self, slot: KvSlot, seq: u64, role: KvRole, tokens: usize) -> Result<(), usize> {
         let at = role as usize;
         let mut remaining = tokens;
         while remaining > 0 {
-            let cursor = self.slots.cursors[slot.index()][at].ok_or(KvError::UnknownSequence(seq))?;
+            let cursor = self.slots.cursors[slot.index()][at];
             let core = &mut self.cores_mut(role)[cursor.core_index];
             let leftover = core.append(cursor.crossbar, cursor.block, seq, remaining);
             let consumed = remaining - leftover;
@@ -1045,19 +1028,15 @@ impl KvManager {
             if remaining == 0 {
                 break;
             }
-            let core = &mut self.cores_mut(role)[cursor.core_index];
-            if consumed == 0 || core.crossbars()[cursor.crossbar].remaining(cursor.block, seq) == 0 {
-                // Need a new block; K prefers a different crossbar, V the same.
-                let start = match role {
-                    KvRole::Key => cursor.crossbar + 1,
-                    KvRole::Value => cursor.crossbar,
-                };
-                let (crossbar, block) = core.allocate_from(start, seq).ok_or(KvError::OutOfCapacity)?;
-                let c = Cursor { core_index: cursor.core_index, crossbar, block };
-                self.allocated_blocks += 1;
-                self.slots.blocks[slot.index()].push((role, c));
-                self.slots.cursors[slot.index()][at] = Some(c);
-            }
+            // The cursor block is full: a new one, K preferring a different
+            // crossbar and V the same.
+            let start = match role {
+                KvRole::Key => cursor.crossbar + 1,
+                KvRole::Value => cursor.crossbar,
+            };
+            let c = self.alloc_block(role, cursor.core_index, start, seq).ok_or(remaining)?;
+            self.slots.blocks[slot.index()].push((role, c));
+            self.slots.cursors[slot.index()][at] = c;
         }
         Ok(())
     }
@@ -1069,14 +1048,14 @@ impl KvManager {
     pub fn release(&mut self, seq: u64) -> usize {
         let mut tokens = 0;
         if let Some(slot) = self.slots.of.remove(&seq) {
-            tokens = std::mem::take(&mut self.slots.tokens[slot.index()]);
             // Free exactly the blocks the allocation paths indexed for this
             // sequence — the only paths that ever free private blocks run
             // through here, so every indexed block is still owned by `seq`.
+            // Its K blocks hold its private tokens.
             for (role, c) in std::mem::take(&mut self.slots.blocks[slot.index()]) {
-                self.free_block(role, c);
+                let used = self.free_block(role, c);
+                tokens += if role == KvRole::Key { used } else { 0 };
             }
-            self.slots.cursors[slot.index()] = [None; 2];
             self.slots.free.push(slot);
         }
         for core in self.key_cores.iter().chain(self.value_cores.iter()) {
@@ -1085,8 +1064,10 @@ impl KvManager {
                 debug_assert!(!xb.owns_any(seq), "per-sequence block index missed a block");
             }
         }
-        self.detach_shared(seq);
-        tokens
+        match self.detach_shared(seq) {
+            0 => tokens,
+            nodes => tokens + nodes * self.tokens_per_block(),
+        }
     }
 
     /// The lifetime block audit (`allocated − freed == live`), with shared
@@ -1094,7 +1075,7 @@ impl KvManager {
     pub fn block_audit(&self) -> BlockAudit {
         let live: u64 =
             self.key_cores.iter().chain(self.value_cores.iter()).map(CoreState::live_blocks).sum();
-        let shared_live: u64 = self.shared.values().map(|chain| 2 * chain.nodes.len() as u64).sum();
+        let shared_live: u64 = self.shared.values().map(|nodes| 2 * nodes.len() as u64).sum();
         BlockAudit { allocated: self.allocated_blocks, freed: self.freed_blocks, live, shared_live }
     }
 
@@ -1210,13 +1191,13 @@ impl KvManager {
         let struck_groups: Vec<u64> = self
             .shared
             .iter()
-            .filter(|(_, chain)| chain.nodes.iter().flat_map(SharedNode::blocks).any(on_failed))
+            .filter(|(_, nodes)| nodes.iter().flat_map(SharedNode::blocks).any(on_failed))
             .map(|(&group, _)| group)
             .collect();
         let tpb = self.tokens_per_block();
         for group in struck_groups {
             let chain = self.shared.remove(&group).expect("group collected above");
-            for (role, c) in chain.nodes.iter().flat_map(SharedNode::blocks) {
+            for (role, c) in chain.iter().flat_map(SharedNode::blocks) {
                 // Chain blocks off the failed crossbar are additional
                 // losses; those on it are already inside `xb.used_tokens()`.
                 if !on_failed((role, c)) {
@@ -1291,7 +1272,8 @@ impl KvManager {
     /// entry (first translation level), read off its key cursor.
     #[cfg(test)]
     pub(crate) fn core_of(&self, seq: u64) -> Option<CoreId> {
-        self.key_core(self.slot_of(seq)?)
+        let cursor = self.slots.cursors[self.slot_of(seq)?.index()][KvRole::Key as usize];
+        Some(self.key_cores[cursor.core_index].id)
     }
 }
 
@@ -1345,17 +1327,26 @@ mod tests {
         m.admit(1, 300).unwrap();
         let snap = m.snapshot();
         let mut orphan = snap.clone();
-        orphan.resident_tokens.clear();
+        orphan.sequences.clear();
         assert_eq!(
             KvManager::restore(m.config.clone(), &orphan).unwrap_err(),
             KvRestoreError::UnknownSequence
         );
-        let mut bad_role = snap;
-        bad_role.seq_blocks[0].1[0].0 = 2;
+        let mut twice = snap;
+        twice.sequences.push(twice.sequences[0]);
         assert_eq!(
-            KvManager::restore(m.config.clone(), &bad_role).unwrap_err(),
+            KvManager::restore(m.config.clone(), &twice).unwrap_err(),
             KvRestoreError::UnknownSequence
         );
+    }
+
+    /// `snap` with the K-side block at `slot` holding `entry`.
+    fn set_key_block(
+        snap: &mut KvManagerSnapshot,
+        (core, xb, block): SnapshotSlot,
+        entry: Option<(u64, usize)>,
+    ) {
+        snap.key_cores[core][xb].blocks[block] = entry;
     }
 
     #[test]
@@ -1365,40 +1356,100 @@ mod tests {
         let snap = m.snapshot();
         assert!(KvManager::restore(m.config.clone(), &snap).is_ok());
         type Edit = fn(&mut KvManagerSnapshot);
-        let edits: [(Edit, KvRestoreError); 12] = [
-            (|s| s.shared[0].1.nodes[0].1 = (0, 31, 0), KvRestoreError::ChainNotOwned),
-            (|s| s.shared[0].1.k_core = 99, KvRestoreError::ChainCore),
-            (|s| s.shared[0].1.v_core = 99, KvRestoreError::ChainCore),
-            (|s| s.seq_shared[0].1 = 7, KvRestoreError::Sharer),
-            (|s| s.seq_shared[0].2 = 99, KvRestoreError::Sharer),
-            // Block lists that miss or repeat a block.
-            (|s| s.seq_blocks.clear(), KvRestoreError::Unindexed),
-            (|s| s.seq_blocks[0].1.truncate(1), KvRestoreError::Unindexed),
+        let edits: [(Edit, KvRestoreError); 21] = [
+            (|s| s.allocated_blocks = 5, KvRestoreError::Allocations),
+            // Cursors and fills.
+            (|s| s.sequences[0].1 = (0, 31, 0), KvRestoreError::NotOwned),
+            (|s| s.sequences[0].2 = s.shared[0].1[0].1, KvRestoreError::NotOwned),
             (
                 |s| {
-                    let block = s.seq_blocks[0].1[0];
-                    s.seq_blocks[0].1.push(block);
+                    let (core, xb, block) = s.sequences[0].1;
+                    let (owner, used) = s.key_cores[core][xb].blocks[block].unwrap();
+                    set_key_block(s, (core, xb, block), Some((owner, used - 1)));
                 },
-                KvRestoreError::Unindexed,
+                KvRestoreError::FillMismatch,
+            ),
+            // Chains.
+            (|s| s.shared[0].1.clear(), KvRestoreError::ChainCore),
+            (
+                |s| {
+                    // Node 1's key block moves to another core, still the group's.
+                    let (core, xb, block) = s.shared[0].1[1].0;
+                    let other = ((core + 1) % s.key_cores.len(), 31, 7);
+                    let entry = s.key_cores[core][xb].blocks[block];
+                    set_key_block(s, (core, xb, block), None);
+                    set_key_block(s, other, entry);
+                    s.shared[0].1[1].0 = other;
+                },
+                KvRestoreError::ChainCore,
+            ),
+            (|s| s.shared[0].1[0].0 = (0, 31, 0), KvRestoreError::ChainNotOwned),
+            (|s| s.shared[0].1[0].1 = s.sequences[0].2, KvRestoreError::ChainNotOwned),
+            (|s| s.shared[0].1.truncate(1), KvRestoreError::Unchained),
+            (
+                |s| {
+                    let node = s.shared[0].1[0];
+                    s.shared[0].1.push(node);
+                },
+                KvRestoreError::Unchained,
             ),
             (
                 |s| {
-                    let node = s.shared[0].1.nodes[0];
-                    s.shared[0].1.nodes.push(node);
+                    let chain = s.shared[0].clone();
+                    s.shared.push(chain);
                 },
-                KvRestoreError::Unindexed,
+                KvRestoreError::Unchained,
             ),
+            (
+                |s| {
+                    set_key_block(s, (3, 31, 7), Some((SHARED_OWNER_TAG | 42, 128)));
+                    s.allocated_blocks += 1;
+                },
+                KvRestoreError::Unchained,
+            ),
+            (
+                |s| {
+                    set_key_block(s, (3, 31, 7), Some((SHARED_OWNER_TAG | 9, 128)));
+                    s.allocated_blocks += 1;
+                },
+                KvRestoreError::Unchained,
+            ),
+            // Sharers.
+            (|s| s.sequences[0].3 = Some((7, 2)), KvRestoreError::Sharer),
+            (|s| s.sequences[0].3 = Some((42, 99)), KvRestoreError::Sharer),
+            (|s| s.sequences[0].3 = Some((42, 0)), KvRestoreError::Sharer),
+            (|s| s.sequences[0].3 = Some((42, 1)), KvRestoreError::Unreferenced),
+            (|s| s.sequences[0].3 = None, KvRestoreError::Unreferenced),
             // Core tables that do not fit the configuration.
             (|s| s.key_cores.truncate(1), KvRestoreError::CoreCount),
             (|s| s.value_cores[0].truncate(1), KvRestoreError::CrossbarCount),
             (|s| s.value_cores[0][0].blocks.truncate(1), KvRestoreError::BlockCount),
         ];
+        assert_eq!(snap.shared[0].1.len(), 2, "a two-node chain");
+        assert!(snap.key_cores[3][31].blocks[7].is_none(), "a free block to edit");
         for (i, (edit, expected)) in edits.into_iter().enumerate() {
             let mut bad = snap.clone();
             edit(&mut bad);
+            assert_ne!(bad, snap, "edit {i} changes the snapshot");
             let err = KvManager::restore(m.config.clone(), &bad).err();
             assert_eq!(err, Some(expected), "edit {i}");
         }
+    }
+
+    #[test]
+    fn a_failed_append_takes_its_tokens_back() {
+        // One core per side: sequence 2 takes every block sequence 1 left.
+        let mut m = manager(2);
+        m.admit(1, 100).unwrap();
+        let blocks = m.num_kv_units() / 2 * 8;
+        m.admit(2, (blocks - 1) * m.tokens_per_block()).unwrap();
+        let (used, audit, snap) = (m.used_tokens(), m.block_audit(), m.snapshot());
+        // 28 tokens fit sequence 1's cursor blocks; the 29th needs a block.
+        assert_eq!(m.append_tokens(1, 29), Err(KvError::OutOfCapacity));
+        assert_eq!((m.used_tokens(), m.block_audit(), m.snapshot()), (used, audit, snap));
+        assert_eq!(m.sequence_tokens(1), Some(100));
+        m.append_tokens(1, 28).unwrap();
+        assert_eq!(m.sequence_tokens(1), Some(128));
     }
 
     #[test]
@@ -1996,7 +2047,7 @@ mod tests {
         fn assert_slots_partition(m: &KvManager) {
             let mut slots: Vec<usize> = m.slots.of.values().chain(&m.slots.free).map(|s| s.index()).collect();
             slots.sort_unstable();
-            assert_eq!(slots, (0..m.slots.tokens.len()).collect::<Vec<_>>());
+            assert_eq!(slots, (0..m.slots.cursors.len()).collect::<Vec<_>>());
         }
 
         proptest! {
@@ -2029,10 +2080,13 @@ mod tests {
                             3 => { let _ = m.export_sequence(seq); }
                             4 => { let _ = m.import_with_prefix(seq, tokens, Some((group, tokens / 2)), tokens / 2); }
                             5 => {
+                                // Re-admission releases first, and a failed
+                                // admission leaves the sequence released.
                                 let before = m.slot_of(seq).map(|_| m.resident_sequences());
-                                let _ = m.admit(seq, tokens.min(256));
+                                let admitted = m.admit(seq, tokens.min(256));
+                                prop_assert_eq!(m.slot_of(seq).is_some(), admitted.is_ok());
                                 if let Some(resident) = before {
-                                    prop_assert_eq!(m.resident_sequences(), resident);
+                                    prop_assert_eq!(m.resident_sequences(), resident - usize::from(admitted.is_err()));
                                 }
                             }
                             _ => {

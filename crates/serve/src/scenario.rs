@@ -316,6 +316,15 @@ impl Scenario {
         }
     }
 
+    /// Wafers of the prefill pool, the first of the deployment: none when
+    /// colocated.
+    pub(crate) fn prefill_wafers(&self) -> usize {
+        match self.deployment {
+            Deployment::Colocated { .. } => 0,
+            Deployment::Disaggregated(cfg) => cfg.prefill_wafers,
+        }
+    }
+
     /// An idle engine over `manager` for `wafer` of the deployment, its
     /// tracer armed when the scenario traces.
     pub(crate) fn wafer_engine(&self, system: &OuroborosSystem, wafer: usize, manager: KvManager) -> Engine {
@@ -353,12 +362,14 @@ impl Scenario {
     /// engine's submissions, a local pending row carrying wire tokens, an
     /// imported pending row whose wire tokens exceed its prompt, pending
     /// rows whose token sum overflows a `usize` (the wire-token sum is
-    /// bounded by it and has no check of its own), KV
-    /// rows that do not fit `system` ([`crate::SnapshotErrorKind::Kv`]),
+    /// bounded by it and has no check of its own), KV rows that do not fit
+    /// `system` or hold a state no KV manager holds
+    /// ([`crate::SnapshotErrorKind::Kv`], listed at `KvManager::restore`),
     /// an active set that is not the resident set, an active row whose
     /// progress differs from its resident KV, or an arrival cursor that
     /// differs from the requests the engines hold (finished, queued,
-    /// resident or dropped).
+    /// resident or dropped). What a snapshot leaves out is derived, so it
+    /// cannot disagree.
     ///
     /// # Panics
     ///
@@ -646,10 +657,7 @@ impl Driver {
         let total = engines.len();
         let mut driver = Driver {
             engines,
-            prefill_wafers: match scenario.deployment {
-                Deployment::Colocated { .. } => 0,
-                Deployment::Disaggregated(cfg) => cfg.prefill_wafers,
-            },
+            prefill_wafers: scenario.prefill_wafers(),
             router: scenario.router.clone(),
             placement: scenario.placement.clone(),
             link: system.stage_times().inter_wafer_link(),

@@ -22,7 +22,7 @@
 //! [`Snapshot::to_json`] renders a dependency-free JSON document: an array
 //! of flat objects whose values are all strings, one object per state row,
 //! each led by its `"section"` key and, on per-wafer rows, its `"wafer"`.
-//! The thirteen sections are declared once, in document order, in one
+//! The eleven sections are declared once, in document order, in one
 //! `rows!` block: each as the ordered list of its `(key, field, value
 //! codec)`. One walk of that list writes a row and one walk reads it, in
 //! the keys' pinned order. A codec is one value encoding with a writer and
@@ -38,9 +38,11 @@
 //! itself, whitespace aside. It reads through the workspace's one
 //! flat-row reader ([`ouro_trace::json::RowReader`]), one row ahead, into
 //! one reused field buffer; values borrow from the text, so parsing
-//! allocates neither per field nor per row. Rows carry state only: what
-//! the rest implies (the engines' queue counters, the KV append cursors)
-//! is derived again on resume. The schema is versioned by
+//! allocates neither per field nor per row. Rows carry state only, each
+//! fact once: what the rest implies is derived again on resume (the queue
+//! counters, `prefill_only` from the wafer's pool, and, in
+//! [`KvManager::restore`], block lists, token counts, refcounts and
+//! frees). The schema is versioned by
 //! [`SNAPSHOT_SCHEMA_VERSION`] and guarded by a canonical config hash, so
 //! foreign state cannot be resumed silently.
 //!
@@ -57,8 +59,8 @@ use crate::scenario::{Deployment, DisaggConfig, RunState, Scenario};
 use crate::stage::migrate::MigrationTotals;
 use crate::stage::{ActiveSeq, InFlight, PendingReq};
 use ouro_kvcache::{
-    CrossbarSnapshot, KvManager, KvManagerSnapshot, KvRestoreError, KvTransferStats, SharedChainSnapshot,
-    SnapshotSeqBlocks,
+    CrossbarSnapshot, KvManager, KvManagerSnapshot, KvRestoreError, KvTransferStats, SnapshotChain,
+    SnapshotSeq,
 };
 use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{fnv1a_extend, JsonError, RowReader, Value, FNV1A_OFFSET};
@@ -70,7 +72,7 @@ use std::marker::PhantomData;
 
 /// Version stamp of the serialized snapshot schema. Bumped on any change
 /// to the row layout; [`Snapshot::parse`] rejects any other.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
 
 /// A complete mid-run checkpoint of one scenario run, captured by
 /// [`Scenario::checkpoint`] and resumed by [`Scenario::resume`]. Serialize
@@ -164,11 +166,12 @@ pub(crate) fn capture(scenario: &Scenario, run: &RunState) -> Snapshot {
 /// sequence id is at or past its engine's submission counter, a local
 /// pending row carrying wire tokens, a pending row whose wire tokens
 /// exceed its request's prompt, pending rows whose token sum overflows a
-/// `usize`, KV rows that do not fit the
-/// system (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`]), fault
-/// state that does not fit the deployment, an active row that is not
-/// resident, whose prompt plus decoded tokens differ from its resident KV
-/// or that repeats a sequence, a resident sequence with no active row, or
+/// `usize`, KV rows that do not fit the system or state no live manager
+/// holds (a [`SnapshotErrorKind::Kv`] from [`KvManager::restore`], which
+/// lists them), fault state that does not fit the deployment, an active
+/// row that is not resident, whose prompt plus decoded tokens differ from
+/// the tokens its resident KV holds or that repeats a sequence, a resident
+/// sequence with no active row, or
 /// an arrival cursor that breaks the conservation identity: every routed
 /// arrival is finished (a record), queued, resident or dropped, on exactly
 /// one engine. Every check runs before the [`RunState`] is returned.
@@ -201,6 +204,8 @@ pub(crate) fn rebuild(
     let mut held = 0u128;
     for (wafer, es) in snap.engines.iter().enumerate() {
         let reject = |section, kind| reject(Some(wafer), section, kind);
+        // The pool fixes which requests are served prefill-only.
+        let prefill_only = wafer < scenario.prefill_wafers();
         let manager = KvManager::restore(system.serve_kv_config(), &es.kv)
             .map_err(|k| SnapshotError { wafer: Some(wafer), ..k.into() })?;
         let mut e = scenario.wafer_engine(system, wafer, manager);
@@ -229,7 +234,7 @@ pub(crate) fn rebuild(
             ensure(p.imported || p.wire_tokens == 0, reject(Pending::NAME, K::LocalWireTokens))?;
             ensure(p.wire_tokens <= req.request.prompt_len, reject(Pending::NAME, K::WireTokensPastPrompt))?;
             tokens += req.request.prompt_len as u128 + p.decoded as u128;
-            e.pending.push_back(ready_s, PendingReq { req, ..p });
+            e.pending.push_back(ready_s, PendingReq { req, prefill_only, ..p });
         }
         e.pending_tokens = usize::try_from(tokens).map_err(|_| reject(Pending::NAME, K::CounterOverflow))?;
         // `push_active` stamps each row's `since` with the restored step
@@ -243,11 +248,11 @@ pub(crate) fn rebuild(
             let progress = req.request.prompt_len.checked_add(a.decoded);
             ensure(e.manager.sequence_tokens(seq) == progress, reject(Active::NAME, K::ProgressMismatch))?;
             ensure(listed.insert(seq), reject(Active::NAME, K::DuplicateActive))?;
-            e.push_active(ActiveSeq { req, kv_slot: slot, ..*a });
+            e.push_active(ActiveSeq { req, kv_slot: slot, prefill_only, ..*a });
         }
         // Every active row is resident and names its own sequence, so
         // equal counts make every resident sequence active.
-        ensure(e.manager.resident_sequences() == es.active.len(), reject(KvResident::NAME, K::Unserved))?;
+        ensure(e.manager.resident_sequences() == es.active.len(), reject(KvSeqs::NAME, K::Unserved))?;
         e.admission_suspended = es.admission_suspended;
         e.clock_s = es.clock_s;
         e.busy_s = es.busy_s;
@@ -344,7 +349,7 @@ macro_rules! uint {
     };
 }
 
-uint!(u8, u32, u64, usize);
+uint!(u32, u64, usize);
 
 /// A running FNV-1a state of [`config_hash`].
 struct ConfigHasher(u64);
@@ -471,10 +476,10 @@ impl From<KvRestoreError> for SnapshotError {
     fn from(e: KvRestoreError) -> SnapshotError {
         use KvRestoreError::*;
         let section = match e {
+            Allocations => Kv::NAME,
             CoreCount | CrossbarCount | BlockCount | Overfull => KvCores::NAME,
-            UnknownSequence | NotOwned | Unindexed => KvSeqBlocks::NAME,
-            ChainCore | ChainNotOwned => KvShared::NAME,
-            Sharer => KvSeqShared::NAME,
+            UnknownSequence | NotOwned | FillMismatch | Sharer => KvSeqs::NAME,
+            ChainCore | ChainNotOwned | Unchained | Unreferenced => KvShared::NAME,
         };
         SnapshotError::resume(None, section, SnapshotErrorKind::Kv(e))
     }
@@ -521,7 +526,6 @@ fn push_ascii(out: &mut String, ascii: &[u8]) {
 
 /// An unsigned integer in decimal: digits only, no sign, no leading zero.
 struct Dec<T>(PhantomData<T>);
-const U8: Dec<u8> = Dec(PhantomData);
 const U32: Dec<u32> = Dec(PhantomData);
 const U64: Dec<u64> = Dec(PhantomData);
 const USIZE: Dec<usize> = Dec(PhantomData);
@@ -768,7 +772,6 @@ const ID: &str = "id";
 const SEQ: &str = "seq";
 const FIRST_TOKEN: &str = "first_token_s";
 const DECODED: &str = "decoded";
-const PREFILL_ONLY: &str = "prefill_only";
 const ENTRIES: &str = "entries";
 
 /// The reading half of a row declared by `row!`.
@@ -856,10 +859,10 @@ rows! {
             },
             decoded, imported, wire_tokens, evicted, prefill_only,
         })
-    } rest { prompt_len, decode_len, shared_prefix, arrival_s } [
+    } rest { prompt_len, decode_len, shared_prefix, arrival_s, prefill_only } [
         "ready_s" => ready_s: Float, ID => id: USIZE, SEQ => seq: U64, FIRST_TOKEN => first_token_s: Float,
         DECODED => decoded: USIZE, "imported" => imported: FLAG, "wire_tokens" => wire_tokens: USIZE,
-        "evicted" => evicted: FLAG, PREFILL_ONLY => prefill_only: FLAG,
+        "evicted" => evicted: FLAG,
     ]
 
     // The derived fields are rebuilt from the restored state on resume.
@@ -870,21 +873,20 @@ rows! {
             },
             prefill_remaining, decoded, admission_order, prefill_only, kv_slot, since,
         }
-    } rest { prompt_len, decode_len, shared_prefix, arrival_s, kv_slot, since } [
+    } rest { prompt_len, decode_len, shared_prefix, arrival_s, prefill_only, kv_slot, since } [
         ID => id: USIZE, SEQ => seq: U64, FIRST_TOKEN => first_token_s: Float,
         "prefill_remaining" => prefill_remaining: USIZE, DECODED => decoded: USIZE,
-        "admission_order" => admission_order: U64, PREFILL_ONLY => prefill_only: FLAG,
+        "admission_order" => admission_order: U64,
     ]
 
     Kv = "kv": KvManagerSnapshot => KvManagerSnapshot {
         KvManagerSnapshot {
-            ring_next: [ring_k, ring_v], allocated_blocks, freed_blocks, transfers,
-            key_cores, value_cores, seq_blocks, resident_tokens, shared, seq_shared,
+            ring_next: [ring_k, ring_v], allocated_blocks, transfers, key_cores, value_cores, sequences, shared,
         }
     }
-    rest { key_cores, value_cores, seq_blocks, resident_tokens, shared, seq_shared } [
+    rest { key_cores, value_cores, sequences, shared } [
         "ring_k" => ring_k: USIZE, "ring_v" => ring_v: USIZE,
-        "allocated" => allocated_blocks: U64, "freed" => freed_blocks: U64, "transfers" => transfers: Transfers,
+        "allocated" => allocated_blocks: U64, "transfers" => transfers: Transfers,
     ]
 
     // Key-side cores first, each side's in order.
@@ -894,23 +896,15 @@ rows! {
         "side" => value_side: SIDE, "core" => core: USIZE, "xbs" => xbs: List(';', Crossbar),
     ]
 
-    KvSeqBlocks = "kv_seq_blocks": Vec<SnapshotSeqBlocks> => Vec<SnapshotSeqBlocks> { entries } [
-        ENTRIES => entries: List(';', Tup(':', (U64, List(',', Tup('.', (U8, USIZE, USIZE, USIZE)))))),
+    // Each resident sequence as `seq:k_cursor:v_cursor:shared`, `shared`
+    // being `group.nodes` or `-`.
+    KvSeqs = "kv_seqs": Vec<SnapshotSeq> => Vec<SnapshotSeq> { entries } [
+        ENTRIES => entries: List(';', Tup(':', (U64, SLOT, SLOT, Opt(Tup('.', (U64, USIZE)))))),
     ]
 
-    KvResident = "kv_resident": Vec<(u64, usize)> => Vec<(u64, usize)> { entries } [
-        ENTRIES => entries: List(';', Tup(':', (U64, USIZE))),
-    ]
-
-    KvShared = "kv_shared": (u64, SharedChainSnapshot) => (u64, SharedChainSnapshot) {
-        (group, SharedChainSnapshot { k_core, v_core, nodes })
-    } [
-        "group" => group: U64, "k_core" => k_core: USIZE, "v_core" => v_core: USIZE,
-        "nodes" => nodes: List(';', Tup('!', (USIZE, SLOT, SLOT))),
-    ]
-
-    KvSeqShared = "kv_seq_shared": Vec<(u64, u64, usize)> => Vec<(u64, u64, usize)> { entries } [
-        ENTRIES => entries: List(';', Tup(':', (U64, U64, USIZE))),
+    // Each node as `k_slot!v_slot`.
+    KvShared = "kv_shared": SnapshotChain => SnapshotChain { (group, nodes) } [
+        "group" => group: U64, "nodes" => nodes: List(';', Tup('!', (SLOT, SLOT))),
     ]
 
     Injector = "injector": FaultInjectorSnapshot rest { wafers } [
@@ -1033,18 +1027,19 @@ impl Snapshot {
             let kv = &e.kv;
             let cores = kv.key_cores.len() + kv.value_cores.len();
             let crossbars = kv.key_cores.iter().chain(&kv.value_cores).flatten();
-            let (xbs, blocks) = crossbars.fold((0, 0), |(x, b), xb| (x + 1, b + xb.blocks.len()));
-            let listed: usize = kv.seq_blocks.iter().map(|(_, blocks)| blocks.len()).sum();
-            let nodes: usize = kv.shared.iter().map(|(_, chain)| chain.nodes.len()).sum();
-            // The engine and kv rows and the fixed part of the three
-            // list rows; then each request row.
-            len += 512 + 150 * e.records.len() + 210 * e.pending.len() + 180 * e.active.len();
+            let (xbs, blocks, taken) = crossbars.fold((0, 0, 0), |(x, b, t), xb| {
+                (x + 1, b + xb.blocks.len(), t + xb.blocks.iter().flatten().count())
+            });
+            let nodes: usize = kv.shared.iter().map(|(_, nodes)| nodes.len()).sum();
+            // The engine and kv rows and the fixed part of the kv_seqs
+            // row; then each request row.
+            len += 480 + 150 * e.records.len() + 192 * e.pending.len() + 162 * e.active.len();
             // A core row lists its crossbars and their blocks, `-` when
-            // free, `owner:used` when not; each sequence block is also
-            // listed in the kv_seq_blocks row, and each chain node owns a
-            // block per side under a 19-digit owner.
-            len += 72 * cores + 3 * xbs + 2 * blocks + 20 * listed;
-            len += 96 * kv.shared.len() + 64 * nodes + 16 * (kv.resident_tokens.len() + kv.seq_shared.len());
+            // free, `owner:used` when not; a sequence entry names its two
+            // cursors, and each chain node its two slots and a block per
+            // side under a 19-digit owner.
+            len += 72 * cores + 3 * xbs + 2 * blocks + 10 * taken;
+            len += 64 * kv.shared.len() + 40 * nodes + 32 * kv.sequences.len();
         }
         if let Some(inj) = &self.injector {
             let cores: usize = inj.wafers.iter().map(|w| w.assignment.len() + w.kv_cores.len()).sum();
@@ -1071,10 +1066,8 @@ impl Snapshot {
                     KvCores::put(&mut w, at, &(value_side, core, xbs));
                 }
             }
-            KvSeqBlocks::put(&mut w, at, &kv.seq_blocks);
-            KvResident::put(&mut w, at, &kv.resident_tokens);
+            KvSeqs::put(&mut w, at, &kv.sequences);
             kv.shared.iter().for_each(|chain| KvShared::put(&mut w, at, chain));
-            KvSeqShared::put(&mut w, at, &kv.seq_shared);
         }
         if let Some(inj) = &self.injector {
             Injector::put(&mut w, None, inj);
@@ -1121,10 +1114,8 @@ impl Snapshot {
                 ensure((value_side || in_order) && core == side.len(), misplaced)?;
                 side.push(xbs);
             }
-            e.kv.seq_blocks = rows.one::<KvSeqBlocks>(at)?;
-            e.kv.resident_tokens = rows.one::<KvResident>(at)?;
+            e.kv.sequences = rows.one::<KvSeqs>(at)?;
             e.kv.shared = rows.many::<KvShared>(at)?;
-            e.kv.seq_shared = rows.one::<KvSeqShared>(at)?;
             snap.engines.push(e);
         }
         if rows.next_is::<Injector>() {
@@ -1175,8 +1166,8 @@ mod tests {
         for bad in ["", "+1", "-1", "01", "00", " 1", "1 ", "1_0", "18446744073709551616"] {
             assert_eq!(U64.take(bad), None, "{bad:?}");
         }
-        assert_eq!(U8.take("255"), Some(255));
-        assert_eq!(U8.take("256"), None, "past the field's width");
+        assert_eq!(U32.take("4294967295"), Some(u32::MAX));
+        assert_eq!(U32.take("4294967296"), None, "past the field's width");
         assert_eq!(Bits.take("00000000000000ff"), Some(0xff));
         for bad in ["ff", "00000000000000FF", "+00000000000000f", "000000000000000ff", "000000000000000g"] {
             assert_eq!(Bits.take(bad), None, "{bad:?}");
@@ -1186,8 +1177,8 @@ mod tests {
             (Some(false), Some(true), None, None)
         );
         assert_eq!((SIDE.take("k"), SIDE.take("v"), SIDE.take("K")), (Some(false), Some(true), None));
-        assert_eq!(Version.take("6"), Some(SNAPSHOT_SCHEMA_VERSION));
-        assert_eq!(Version.take("5"), None);
+        assert_eq!(Version.take("7"), Some(SNAPSHOT_SCHEMA_VERSION));
+        assert_eq!(Version.take("6"), None);
         let list = List(';', USIZE);
         assert_eq!(
             (list.take(""), list.take("4"), list.take("1;2")),

@@ -351,13 +351,13 @@ fn resume_across_slot_reuse_is_invisible() {
     let mut run = scenario.start(&sys).unwrap();
     run.run_until(mid_s);
     // Most resident sequences are mid-block here, so the snapshot bytes
-    // pin that every decoded token reaches the KV rows. Against the v5
-    // document only the meta row (its version, and `completed`, which the
-    // records now give), the engine row's submission counter (64), the
-    // records (9 finished requests, not 64 submitted) and the in-flight
-    // rows' request fields moved; every KV row is the same.
+    // pin that every decoded token reaches the KV rows. Against the v6
+    // document only the meta row's version, the in-flight rows (no
+    // `prefill_only`), the kv row (no `freed`) and the per-sequence rows
+    // (one `kv_seqs` row of cursors for the block lists and token counts)
+    // moved; every core table is the same.
     let json = scenario.checkpoint(&run).to_json();
-    assert_eq!(fnv1a(json.as_bytes()), 0x36ed_185d_c8bb_6c35, "midpoint snapshot bytes drifted");
+    assert_eq!(fnv1a(json.as_bytes()), 0x0313_ccce_319c_58ac, "midpoint snapshot bytes drifted");
     let engine = &run.engines()[0];
     assert!(engine.stats().evictions > 0, "the midpoint must follow evictions");
     assert!(engine.stats().admissions > 64, "evicted sequences must have been re-admitted");
@@ -396,7 +396,7 @@ fn resume_rejects_active_rows_that_are_not_resident() {
     // A sequence the wafer was submitted that holds no KV (finished or
     // still queued).
     let not_resident = |wafer: &str| {
-        let resident = on("kv_resident", wafer)[0].get_str("entries").unwrap().to_string();
+        let resident = on("kv_seqs", wafer)[0].get_str("entries").unwrap().to_string();
         let resident: Vec<&str> = resident.split(';').map(|e| e.split(':').next().unwrap()).collect();
         (0..submitted(wafer))
             .find(|r| !resident.contains(&r.to_string().as_str()))
@@ -431,7 +431,7 @@ fn resume_rejects_a_resident_sequence_without_its_active_row() {
         let snap = Snapshot::parse(&without_rows(json, |r| r == row)).expect("the rows left still parse");
         let resumed = scenarios[3].resume(sys, &snap);
         let wafer = field(row, "wafer").parse().unwrap();
-        assert_eq!(resumed.err(), Some(rejected(Some(wafer), "kv_resident", Unserved)), "dropped {row}");
+        assert_eq!(resumed.err(), Some(rejected(Some(wafer), "kv_seqs", Unserved)), "dropped {row}");
     }
 }
 
@@ -466,7 +466,6 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "imported",
             "wire_tokens",
             "evicted",
-            "prefill_only",
         ],
     ),
     (
@@ -480,15 +479,12 @@ const SNAPSHOT_V1_SECTIONS: &[(&str, &[&str])] = &[
             "prefill_remaining",
             "decoded",
             "admission_order",
-            "prefill_only",
         ],
     ),
-    ("kv", &["section", "wafer", "ring_k", "ring_v", "allocated", "freed", "transfers"]),
+    ("kv", &["section", "wafer", "ring_k", "ring_v", "allocated", "transfers"]),
     ("kv_cores", &["section", "wafer", "side", "core", "xbs"]),
-    ("kv_seq_blocks", &["section", "wafer", "entries"]),
-    ("kv_resident", &["section", "wafer", "entries"]),
-    ("kv_shared", &["section", "wafer", "group", "k_core", "v_core", "nodes"]),
-    ("kv_seq_shared", &["section", "wafer", "entries"]),
+    ("kv_seqs", &["section", "wafer", "entries"]),
+    ("kv_shared", &["section", "wafer", "group", "nodes"]),
     ("injector", &["section", "counters"]),
     ("injector_wafer", &["section", "wafer", "assignment", "kv_cores", "death_s", "fired"]),
 ];
@@ -534,6 +530,16 @@ fn snapshot_v1_key_sets_are_pinned() {
     for (section, _) in SNAPSHOT_V1_SECTIONS {
         assert!(seen.contains(*section), "section {section:?} never emitted by the golden shapes");
     }
+    // What the KV rows and the pools imply is derived on resume, so no
+    // section or key states it a second time.
+    for derived in ["refs", "k_core", "v_core", "freed", "prefill_only", "kv_seq_blocks", "kv_resident"] {
+        assert!(
+            SNAPSHOT_V1_SECTIONS
+                .iter()
+                .all(|(section, keys)| *section != derived && !keys.contains(&derived)),
+            "{derived} is derived, not stored"
+        );
+    }
 }
 
 /// The real midpoint snapshot of golden shape `shape` (index into
@@ -566,24 +572,25 @@ fn golden_runs() -> &'static (OuroborosSystem, Vec<Scenario>) {
 
 #[test]
 fn golden_snapshot_bytes_are_pinned() {
-    // Against the v5 document only the meta row (its version, and
-    // `completed`, which the records now give), the engine rows'
-    // submission counters, the records (the decode wafer's 2 finished
-    // requests, not a record per submission on both wafers) and the
-    // active rows' request fields moved; every KV and fault row is the
+    // Against the v6 document only the meta row's version, the in-flight
+    // rows (no `prefill_only`), the kv rows (no `freed`), the
+    // per-sequence rows (one `kv_seqs` row each) and the chain rows (no
+    // refcounts or cores) moved; every core table and fault row is the
     // same.
-    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0xb9ca_e269_ec59_041e);
+    assert_eq!(fnv1a(golden_snapshot_json(3).as_bytes()), 0xd75f_32b4_20e2_c7ea);
 }
 
 #[test]
 fn a_v2_snapshot_is_rejected_at_its_schema_version() {
     // A v2 document's config hash differs too (it hashed the scenario's
     // `Debug` form), a v3 document lists a pending-fault schedule, a v4
-    // one its waiting arrivals and a v5 one a record for every request
-    // submitted; the version is read first, so the error names it.
-    for old in ["2", "3", "4", "5"] {
+    // one its waiting arrivals, a v5 one a record for every request
+    // submitted and a v6 one block lists, token counts, refcounts, frees
+    // and prefill-only flags besides the facts they follow from; the
+    // version is read first, so the error names it.
+    for old in ["2", "3", "4", "5", "6"] {
         let doc = golden_snapshot_json(3).replacen(
-            r#""schema_version":"6""#,
+            r#""schema_version":"7""#,
             &format!(r#""schema_version":"{old}""#),
             1,
         );
@@ -645,6 +652,17 @@ fn with_field(row: &str, key: &str, change: impl Fn(&str) -> String) -> String {
     row.replacen(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old)), 1)
 }
 
+/// A kv_cores row's `xbs` value with block `block` of crossbar `xb`
+/// replaced by `change(block)`.
+fn with_block(xbs: &str, xb: usize, block: usize, change: impl Fn(&str) -> String) -> String {
+    let mut crossbars: Vec<String> = xbs.split(';').map(str::to_string).collect();
+    let (failed, blocks) = crossbars[xb].split_once('!').unwrap();
+    let mut blocks: Vec<String> = blocks.split(',').map(str::to_string).collect();
+    blocks[block] = change(&blocks[block]);
+    crossbars[xb] = format!("{failed}!{}", blocks.join(","));
+    crossbars.join(";")
+}
+
 /// The saturated long-decode snapshot at 0.25 s, the one whose pending
 /// rows hold queued evictions.
 fn saturated_snapshot_json() -> &'static str {
@@ -689,10 +707,13 @@ fn kind_index(kind: SnapshotErrorKind) -> usize {
                 R::Overfull => 3,
                 R::UnknownSequence => 4,
                 R::NotOwned => 5,
-                R::ChainCore => 6,
-                R::ChainNotOwned => 7,
-                R::Unindexed => 8,
-                R::Sharer => 9,
+                R::FillMismatch => 6,
+                R::ChainCore => 7,
+                R::ChainNotOwned => 8,
+                R::Unchained => 9,
+                R::Sharer => 10,
+                R::Unreferenced => 11,
+                R::Allocations => 12,
             }
         }
     }
@@ -758,7 +779,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
     let at = |row, kind| SnapshotError { row: Some(row), wafer: None, section: None, key: None, kind };
     let trailing = JsonError { offset: g3.len(), kind: JsonErrorKind::TrailingInput };
     cases.push(("trailing text", &scenarios[3], format!("{g3}x"), at(rows3 - 1, Json(trailing))));
-    let (cut, row, _) = edit_row(g0, on("kv_seq_shared", Some(1)), |_: &str| String::new());
+    let (cut, row, _) = edit_row(g0, on("kv_seqs", Some(1)), |_: &str| String::new());
     cases.push(("last row cut", &scenarios[0], cut, at(row, Incomplete)));
 
     // Each state edit resumes against `scenario` and is rejected in the
@@ -847,7 +868,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "active",
         DuplicateActive,
     );
-    resume("active row missing", s3, g3, &on("active", None), drop, "kv_resident", Unserved);
+    resume("active row missing", s3, g3, &on("active", None), drop, "kv_seqs", Unserved);
     resume("key core missing", s3, g3, &on("kv_cores", Some(0)), drop, "kv_cores", Kv(R::CoreCount));
     resume(
         "crossbar missing",
@@ -876,39 +897,125 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "kv_cores",
         Kv(R::Overfull),
     );
+    // The KV rows of shape 3's decode wafer: each sequence entry is
+    // `seq:k_cursor:v_cursor:shared`, `shared` being `group.nodes` or `-`.
+    let seqs = on("kv_seqs", Some(1));
+    let entries: Vec<String> = field(rows_of(g3).into_iter().find(|r| seqs(r)).unwrap(), "entries")
+        .split(';')
+        .map(str::to_string)
+        .collect();
+    let parts = |entry: &str| entry.split(':').map(str::to_string).collect::<Vec<_>>();
+    let (first, second) = (parts(&entries[0]), parts(&entries[1]));
+    let join = |entries: &[String]| entries.join(";");
+    let with_entry = |at: usize, entry: String| {
+        let mut edited = entries.clone();
+        edited[at] = entry;
+        join(&edited)
+    };
     resume(
-        "block of role 2",
+        "fewer allocations than live blocks",
         s3,
         g3,
-        &on("kv_seq_blocks", Some(1)),
-        &|r| with_field(r, "entries", |e| e.replacen(":0.", ":2.", 1)),
-        "kv_seq_blocks",
+        &on("kv", Some(1)),
+        &|r| with_field(r, "allocated", |_| "0".into()),
+        "kv",
+        Kv(R::Allocations),
+    );
+    let private = entries.iter().position(|e| e.ends_with(":-")).expect("a sequence that shares nothing");
+    let without_private = {
+        let mut edited = entries.clone();
+        edited.remove(private);
+        join(&edited)
+    };
+    resume(
+        "private blocks without their entry",
+        s3,
+        g3,
+        &seqs,
+        &|r| with_field(r, "entries", |_| without_private.clone()),
+        "kv_seqs",
         Kv(R::UnknownSequence),
     );
+    let twice = format!("{};{}", join(&entries), entries[entries.len() - 1]);
     resume(
-        "blocks of another sequence",
+        "sequence entry twice",
         s3,
         g3,
-        &on("kv_seq_blocks", Some(1)),
-        &|r| with_field(r, "entries", |e| format!("3{}", &e[1..])),
-        "kv_seq_blocks",
+        &seqs,
+        &|r| with_field(r, "entries", |_| twice.clone()),
+        "kv_seqs",
+        Kv(R::UnknownSequence),
+    );
+    // Each of the first two sequences' K cursor on the other's block.
+    let swapped = {
+        let mut edited = entries.clone();
+        edited[0] = [first[0].as_str(), &second[1], &first[2], &first[3]].join(":");
+        edited[1] = [second[0].as_str(), &first[1], &second[2], &second[3]].join(":");
+        join(&edited)
+    };
+    resume(
+        "cursor on another sequence's block",
+        s3,
+        g3,
+        &seqs,
+        &|r| with_field(r, "entries", |_| swapped.clone()),
+        "kv_seqs",
         Kv(R::NotOwned),
     );
+    // The first sequence's K cursor block holding a token less than its V
+    // cursor block.
+    let k_cursor: Vec<usize> = first[1].split('.').map(|n| n.parse().unwrap()).collect();
+    let k_core = format!(r#"{{"section":"kv_cores","wafer":"1","side":"k","core":"{}""#, k_cursor[0]);
     resume(
-        "block listed twice",
+        "K and V fills that disagree",
         s3,
         g3,
-        &on("kv_seq_blocks", Some(1)),
-        &|r| with_field(r, "entries", |e| e.replacen(',', &format!(",{},", &e[2..9]), 1)),
-        "kv_seq_blocks",
-        Kv(R::Unindexed),
+        &|r: &str| r.starts_with(&k_core),
+        &|r| {
+            with_field(r, "xbs", |xbs| {
+                with_block(xbs, k_cursor[1], k_cursor[2], |b| {
+                    let (owner, used) = b.split_once(':').unwrap();
+                    format!("{owner}:{}", used.parse::<usize>().unwrap() - 1)
+                })
+            })
+        },
+        "kv_seqs",
+        Kv(R::FillMismatch),
     );
+    let sharer = entries.iter().position(|e| !e.ends_with(":-")).expect("a sharer");
+    let past_chain = with_entry(sharer, format!("{}.99", entries[sharer].rsplit_once('.').unwrap().0));
     resume(
-        "chain core past the cores",
+        "sharer past its chain",
         s3,
         g3,
-        &on("kv_shared", Some(1)),
-        &|r| with_field(r, "k_core", |_| "99".into()),
+        &seqs,
+        &|r| with_field(r, "entries", |_| past_chain.clone()),
+        "kv_seqs",
+        Kv(R::Sharer),
+    );
+    // A chain whose one sharer stops sharing keeps nodes nobody references.
+    let group = |e: &str| parts(e)[3].split('.').next().unwrap().to_string();
+    let sole = entries
+        .iter()
+        .position(|e| !e.ends_with(":-") && entries.iter().filter(|o| group(o) == group(e)).count() == 1)
+        .expect("a chain with one sharer");
+    let unshared = with_entry(sole, format!("{}:-", entries[sole].rsplit_once(':').unwrap().0));
+    resume(
+        "chain without a sharer",
+        s3,
+        g3,
+        &seqs,
+        &|r| with_field(r, "entries", |_| unshared.clone()),
+        "kv_shared",
+        Kv(R::Unreferenced),
+    );
+    let chains = on("kv_shared", Some(1));
+    resume(
+        "chain without nodes",
+        s3,
+        g3,
+        &chains,
+        &|r| with_field(r, "nodes", |_| String::new()),
         "kv_shared",
         Kv(R::ChainCore),
     );
@@ -916,19 +1023,19 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "chain on a sequence's block",
         s3,
         g3,
-        &on("kv_shared", Some(1)),
-        &|r| with_field(r, "nodes", |n| n.replacen("!0.1.7!", "!0.1.6!", 1)),
+        &chains,
+        &|r| with_field(r, "nodes", |n| n.replacen(n.split('!').next().unwrap(), &first[1], 1)),
         "kv_shared",
         Kv(R::ChainNotOwned),
     );
     resume(
-        "sharer past its chain",
+        "shared blocks in no node",
         s3,
         g3,
-        &on("kv_seq_shared", Some(1)),
-        &|r| with_field(r, "entries", |e| e.replacen(":2;", ":99;", 1)),
-        "kv_seq_shared",
-        Kv(R::Sharer),
+        &chains,
+        &|r| with_field(r, "nodes", |n| n.rsplit_once(';').expect("a chain of two nodes").0.to_string()),
+        "kv_shared",
+        Kv(R::Unchained),
     );
     let local = |r: &str| on("pending", None)(r) && field(r, "imported") == "0";
     resume(
@@ -993,7 +1100,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         assert_eq!(err, *expected, "{case}");
         seen.insert(kind_index(err.kind));
     }
-    assert!(seen.into_iter().eq(0..29), "every kind must be reached");
+    assert!(seen.into_iter().eq(0..32), "every kind must be reached");
 }
 
 #[test]
@@ -1032,32 +1139,29 @@ fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
         let resumed = scenario.resume(&sys, &snap);
         assert_eq!(resumed.err(), Some(rejected(Some(wafer), "kv_cores", Kv(kind))), "{case}");
     }
-    // A shared chain has one key core and one key slot per node: a row
-    // naming a second does not fit.
-    // Neither parses: the values are not in their keys' encodings.
-    let edit = |section: &str, key: &'static str, change: &dyn Fn(&str) -> String| {
-        let prefix = format!(r#"{{"section":"{section}""#);
-        let row = lines
-            .iter()
-            .find(|l| l.starts_with(&prefix) && !field(l, key).is_empty())
-            .unwrap_or_else(|| panic!("a {section} row with {key}"));
-        let old = field(row, key);
-        let edited = json.replace(
-            row,
-            &row.replace(&format!(r#""{key}":"{old}""#), &format!(r#""{key}":"{}""#, change(&old))),
-        );
-        (edited, unparsed(row_index(json, row), "kv_shared", Some(key), BadValue))
+    // A shared chain node has one slot per side: a node naming a second
+    // key slot, or a third slot, does not fit. Neither parses: the values
+    // are not in their key's encoding.
+    let chain = lines.iter().find(|l| l.starts_with(r#"{"section":"kv_shared""#)).expect("a kv_shared row");
+    let nodes = field(chain, "nodes");
+    let (k, v) = nodes.split(';').next().unwrap().split_once('!').unwrap();
+    let with_nodes = |edited: String| {
+        let row = chain.trim_end_matches(',');
+        json.replace(row, &row.replace(&format!(r#""nodes":"{nodes}""#), &format!(r#""nodes":"{edited}""#)))
     };
-    let two_k_cores = edit("kv_shared", "k_core", &|c| format!("{c},{c}"));
-    let two_k_slots = edit("kv_shared", "nodes", &|n| {
-        let k = n.split('!').nth(1).unwrap();
-        n.replacen(&format!("!{k}!"), &format!("!{k},{k}!"), 1)
-    });
-    for (case, (json, err)) in
-        [("shared chain with two key cores", two_k_cores), ("shared node with two key slots", two_k_slots)]
-    {
-        assert_ne!(json, golden_snapshot_json(3), "{case}: the edit must change the document");
-        assert_eq!(Snapshot::parse(&json).err(), Some(err), "{case}");
+    let err = unparsed(row_index(json, chain), "kv_shared", Some("nodes"), BadValue);
+    for (case, edited) in [
+        (
+            "shared node with two key slots",
+            with_nodes(nodes.replacen(&format!("{k}!"), &format!("{k},{k}!"), 1)),
+        ),
+        (
+            "shared node with three slots",
+            with_nodes(nodes.replacen(&format!("{k}!{v}"), &format!("{k}!{v}!{v}"), 1)),
+        ),
+    ] {
+        assert_ne!(edited, json, "{case}: the edit must change the document");
+        assert_eq!(Snapshot::parse(&edited).err(), Some(err), "{case}");
     }
 }
 
@@ -1124,9 +1228,9 @@ fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
     let json = golden_snapshot_json(3);
     let line = json.lines().find(|l| l.starts_with(r#"{"section":"kv_shared""#)).expect("a shared chain row");
     let wafer = field(line, "wafer");
-    // The first node's first key-side slot, `core.crossbar.block`.
+    // The first node's key-side slot, `core.crossbar.block`.
     let nodes = field(line, "nodes");
-    let slot = nodes.split('!').nth(1).unwrap().split(',').next().unwrap();
+    let slot = nodes.split('!').next().unwrap();
     let core = slot.split('.').next().unwrap();
     let core_row = format!(r#"{{"section":"kv_cores","wafer":"{wafer}","side":"k","core":"{core}""#);
     let xbs = field(json.lines().find(|l| l.starts_with(&core_row)).expect("the slot's core row"), "xbs");
@@ -1138,7 +1242,8 @@ fn resume_rejects_shared_chains_on_blocks_their_group_does_not_own() {
             Some(format!("{core}.{xb}.{block}"))
         })
         .expect("a free block on the slot's core");
-    let moved = json.replace(line, &line.replacen(&format!("!{slot}"), &format!("!{free}"), 1));
+    let moved =
+        json.replace(line, &line.replacen(&format!(r#""nodes":"{slot}"#), &format!(r#""nodes":"{free}"#), 1));
     let snap = Snapshot::parse(&moved).unwrap();
     let wafer = wafer.parse().unwrap();
     let err = rejected(Some(wafer), "kv_shared", Kv(KvRestoreError::ChainNotOwned));
@@ -1262,11 +1367,9 @@ fn a_mid_block_checkpoint_resumes_exactly() {
         assert!(decoded > 1 && decoded < decode, "{decoded} is a first or last token");
         assert_ne!((prompt + decoded - 1) % tokens_per_block, 0, "token {decoded} opened a block");
     }
-    // Against the v5 document only the meta row (its version, and
-    // `completed`), the engine row's submission counter, the records
-    // (none has finished, where v5 held 64) and the in-flight rows'
-    // request fields moved.
-    assert_eq!(fnv1a(json.as_bytes()), 0x7301_c65c_c552_0a41, "mid-block snapshot bytes drifted");
+    // Against the v6 document only the meta row's version, the in-flight
+    // rows, the kv row and the per-sequence rows moved, as at 0.25 s.
+    assert_eq!(fnv1a(json.as_bytes()), 0xe12d_745e_eaa1_656c, "mid-block snapshot bytes drifted");
     let straight = scenario.run(&sys).unwrap();
     let resumed = run_via_snapshot(&scenario, &sys, mid_s);
     assert_eq!(straight, resumed, "resumed report diverged");

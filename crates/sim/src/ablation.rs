@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn labels_are_unique() {
-        let labels: std::collections::HashSet<_> = AblationStep::ALL.iter().map(|s| s.label()).collect();
+        let labels: std::collections::BTreeSet<_> = AblationStep::ALL.iter().map(|s| s.label()).collect();
         assert_eq!(labels.len(), 6);
     }
 }

@@ -93,7 +93,7 @@ pub fn remap_with_chain(
     // The chain walks from the failed core to the target along an XY path,
     // restricted to cores that currently hold weights (plus the target): each
     // weight core hands its tile to the next link.
-    let weight_cores: std::collections::HashSet<CoreId> = assignment.core.iter().copied().collect();
+    let weight_cores: std::collections::BTreeSet<CoreId> = assignment.core.iter().copied().collect();
     let mut chain = vec![failed];
     let mut cur = geometry.coord(failed);
     let goal = geometry.coord(target);
@@ -180,7 +180,7 @@ mod tests {
         assert_eq!(*out.chain.first().unwrap(), failed);
         assert_eq!(*out.chain.last().unwrap(), evicted);
         // No duplicates were introduced.
-        let unique: std::collections::HashSet<_> = out.new_assignment.core.iter().collect();
+        let unique: std::collections::BTreeSet<_> = out.new_assignment.core.iter().collect();
         assert_eq!(unique.len(), out.new_assignment.core.len());
     }
 
@@ -227,7 +227,7 @@ mod tests {
                 kv.retain(|c| *c != e);
             }
             assert!(!a.core.contains(&failed));
-            let unique: std::collections::HashSet<_> = a.core.iter().collect();
+            let unique: std::collections::BTreeSet<_> = a.core.iter().collect();
             assert_eq!(unique.len(), a.core.len());
         }
     }
@@ -276,7 +276,7 @@ mod tests {
                 // Same number of tiles, each still on exactly one core, no
                 // core hosting two tiles, and the failed core vacated.
                 prop_assert_eq!(out.new_assignment.core.len(), a.core.len());
-                let unique: std::collections::HashSet<_> = out.new_assignment.core.iter().collect();
+                let unique: std::collections::BTreeSet<_> = out.new_assignment.core.iter().collect();
                 prop_assert_eq!(unique.len(), out.new_assignment.core.len(), "a remap must not stack tiles");
                 prop_assert!(!out.new_assignment.core.contains(&failed));
             }

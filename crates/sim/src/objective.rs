@@ -68,7 +68,7 @@ impl ObjectiveEvaluator {
         let tiles = &problem.tiles;
         let layers = &problem.layers;
         // Index tiles by (layer, input, output) for fast lookup.
-        let mut index = std::collections::HashMap::new();
+        let mut index = std::collections::BTreeMap::new();
         for (t, tile) in tiles.iter().enumerate() {
             index.insert((tile.layer, tile.input, tile.output), t);
         }
@@ -179,11 +179,15 @@ impl ObjectiveEvaluator {
             return 0.0;
         }
         let mut delta = 0.0;
-        let mut seen = std::collections::HashSet::new();
-        for &p in self.pairs_of[t1].iter().chain(self.pairs_of[t2].iter()) {
-            if !seen.insert(p) {
-                continue;
-            }
+        // Each pair touching either tile counts once: a pair from a tile to
+        // itself is listed twice in a row under it, and a pair between the
+        // two tiles under each, so it counts under `t1`.
+        let listed = |t: usize| {
+            let pairs = &self.pairs_of[t];
+            pairs.iter().enumerate().filter(move |&(j, &p)| j == 0 || pairs[j - 1] != p).map(|(_, &p)| p)
+        };
+        let touches_t1 = |p: usize| self.pairs[p].a == t1 || self.pairs[p].b == t1;
+        for p in listed(t1).chain(listed(t2).filter(|&p| !touches_t1(p))) {
             let pair = self.pairs[p];
             let (ca_old, cb_old) = (assignment.core_of(pair.a), assignment.core_of(pair.b));
             let remap = |tile: usize, cur: CoreId| -> CoreId {

@@ -172,8 +172,8 @@ impl MappingProblem {
         if assignment.len() != self.num_tiles() {
             return false;
         }
-        let mut seen = std::collections::HashSet::with_capacity(assignment.len());
-        let candidates: std::collections::HashSet<CoreId> = self.candidate_cores.iter().copied().collect();
+        let mut seen = std::collections::BTreeSet::new();
+        let candidates: std::collections::BTreeSet<CoreId> = self.candidate_cores.iter().copied().collect();
         assignment
             .core
             .iter()

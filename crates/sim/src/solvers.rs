@@ -92,7 +92,7 @@ pub fn solve(problem: &MappingProblem, strategy: Strategy, seed: u64) -> Mapping
 /// layer-major, reduction groups adjacent) onto consecutive functional
 /// candidate cores.
 fn greedy(problem: &MappingProblem, feasible: &[CoreId]) -> Assignment {
-    let candidate_set: std::collections::HashSet<CoreId> = feasible.iter().copied().collect();
+    let candidate_set: std::collections::BTreeSet<CoreId> = feasible.iter().copied().collect();
     let ordered: Vec<CoreId> =
         problem.geometry.s_order().into_iter().filter(|c| candidate_set.contains(c)).collect();
     Assignment { core: (0..problem.num_tiles()).map(|t| ordered[t]).collect() }
@@ -116,7 +116,7 @@ fn anneal(
     let mut best = assignment.clone();
     let mut best_cost = cost;
     // Free cores available for relocation moves.
-    let used: std::collections::HashSet<CoreId> = assignment.core.iter().copied().collect();
+    let used: std::collections::BTreeSet<CoreId> = assignment.core.iter().copied().collect();
     let mut free: Vec<CoreId> = feasible.iter().copied().filter(|c| !used.contains(c)).collect();
     let t0 = (cost / n as f64).max(1.0);
     let t_end = t0 * 1e-3;

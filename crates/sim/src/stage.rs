@@ -17,7 +17,7 @@ use crate::config::ModelConfig;
 pub(crate) const STAGES_PER_BLOCK: usize = 6;
 
 /// Identity of one of the six pipeline stages within a transformer block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageKind {
     /// LayerNorm + Q/K/V projections.
     QkvGeneration,

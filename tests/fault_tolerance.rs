@@ -59,6 +59,6 @@ fn replacement_chain_repairs_a_runtime_failure_on_the_paper_wafer() {
     let evicted = outcome.evicted_kv_core.expect("a weight-core failure must absorb a KV core");
     assert!(kv_cores.contains(&evicted));
     assert!(outcome.new_assignment.core.contains(&evicted), "the KV core now holds weights");
-    let unique: std::collections::HashSet<_> = outcome.new_assignment.core.iter().collect();
+    let unique: std::collections::BTreeSet<_> = outcome.new_assignment.core.iter().collect();
     assert_eq!(unique.len(), outcome.new_assignment.core.len(), "no tile stacking after repair");
 }

@@ -3,7 +3,7 @@
 //! * Every `const …SCHEMA_VERSION: u32` in the crates must be in
 //!   [`SCHEMA_PINS`], and each must be referenced by some test. A new
 //!   schema has to be added here on purpose, next to its key-set golden.
-//! * The determinism rules live in the `clippy.toml` files (DESIGN §13).
+//! * The determinism rules live in the root `clippy.toml` (DESIGN §13).
 //!   Their exemptions are `#[expect(clippy::disallowed_…, reason = "…")]`
 //!   sites, capped at [`MAX_EXPECTS`] so the list cannot grow silently.
 //!   Dead-code exemptions are `#[expect(dead_code, reason = "…")]` sites,

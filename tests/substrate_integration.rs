@@ -62,7 +62,7 @@ fn replacement_chain_repairs_a_mapped_block() {
     let outcome = remap_with_chain(&geometry, &solution.assignment, &kv_cores, failed).unwrap();
     assert!(!outcome.new_assignment.core.contains(&failed));
     // Still a permutation (one tile per core).
-    let unique: std::collections::HashSet<_> = outcome.new_assignment.core.iter().collect();
+    let unique: std::collections::BTreeSet<_> = outcome.new_assignment.core.iter().collect();
     assert_eq!(unique.len(), outcome.new_assignment.core.len());
 }
 
