@@ -54,9 +54,9 @@
 //!   loadable in Perfetto / `chrome://tracing` (one track per wafer, one
 //!   span per segment of the analysis walk). Tracing is observational:
 //!   the cell's report row is bit-identical with or without it.
-//! * `analyze` runs the golden observability scenario with tracing and
-//!   telemetry armed and prints its schema-versioned analysis rows as
-//!   tables (`ouro_bench::format_analysis`): each phase of the requests'
+//! * `analyze` runs the golden observability scenario with tracing armed
+//!   and prints its schema-versioned analysis rows as tables
+//!   (`ouro_bench::format_analysis`): each phase of the requests'
 //!   E2E (queue, prefill, KV transit, migration stall, fault stall,
 //!   decode compute, decode idle), the p50/p99 TTFT and E2E requests'
 //!   phase shares, and per-wafer utilization. It never joins `all`.
@@ -584,10 +584,11 @@ fn scenario_matrix(requests: usize, trace_path: Option<&str>, via_snapshot: bool
 }
 
 /// `analyze` — post-hoc latency attribution on the golden observability
-/// scenario: runs the disaggregated+faults shape with tracing and
-/// telemetry armed, reconstructs per-request timelines, and prints the
-/// analysis rows: phase statistics, where p50/p99 TTFT/E2E go, and
-/// per-wafer utilization. Returns the same rows for `--out`.
+/// scenario: runs the disaggregated+faults shape with tracing armed,
+/// reconstructs per-request timelines, and prints the analysis rows:
+/// phase statistics, where p50/p99 TTFT/E2E go, and per-wafer
+/// utilization, all read from the trace. Returns the same rows for
+/// `--out`.
 fn analyze(requests: usize) -> Vec<JsonObject> {
     use ouro_serve::{FaultConfig, Scenario, SloConfig};
     use ouro_workload::{ArrivalConfig, TraceGenerator};
@@ -603,7 +604,6 @@ fn analyze(requests: usize) -> Vec<JsonObject> {
         .faults(FaultConfig::new(0.02, 8))
         .workload(timed)
         .trace(true)
-        .telemetry_every(0.005)
         .run_full(&system)
         .expect("deployment builds");
     let analysis = outcome.analysis().expect("tracing was armed");

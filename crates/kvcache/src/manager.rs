@@ -1079,14 +1079,6 @@ impl KvManager {
         BlockAudit { allocated: self.allocated_blocks, freed: self.freed_blocks, live, shared_live }
     }
 
-    /// One-call occupancy snapshot for periodic samplers:
-    /// `(used tokens, capacity tokens, block audit)`, equivalent to the
-    /// three individual accessors. The token totals are counter reads; only
-    /// the audit walks the core arrays.
-    pub fn occupancy_snapshot(&self) -> (usize, usize, BlockAudit) {
-        (self.used_tokens(), self.capacity_tokens(), self.block_audit())
-    }
-
     /// Total KV cores across both roles (key side first, then value side) —
     /// the core-index space of [`KvManager::fail_kv_core`].
     pub fn num_kv_cores(&self) -> usize {

@@ -156,8 +156,7 @@ impl KvScheduler {
                         order_counter += 1;
                     }
                     Err(KvError::OutOfCapacity) => {
-                        // Clean up any partial allocation of the failed admit.
-                        self.manager.release(req_idx as u64);
+                        // The failed admit has released the sequence.
                         // Evict the most recently scheduled request if any.
                         if let Some(victim_pos) =
                             active.iter().enumerate().max_by_key(|(_, a)| a.admission_order).map(|(i, _)| i)
@@ -186,7 +185,12 @@ impl KvScheduler {
                 // that is the eviction victim, not the request that failed
                 // to fit) to guarantee progress.
                 if let Some(req) = waiting.pop_front() {
-                    self.manager.release(req as u64);
+                    // A waiting request holds no KV: it never fitted, or
+                    // its eviction released it.
+                    debug_assert!(
+                        self.manager.slot_of(req as u64).is_none(),
+                        "waiting request {req} is resident"
+                    );
                     stats.dropped += 1;
                     stats.steps += 1;
                     continue;

@@ -42,9 +42,9 @@
 //! A sequence's lazy tokens are written back (*materialized*) into its
 //! `decoded` count and into the KV manager, in one `append_at`, at its own
 //! events, before a fault strikes the manager, and in the copy a
-//! checkpoint records. The routing signals ([`Engine::kv_load`],
-//! [`Engine::kv_gauges`]) add `lazy_tokens`, so every observable reads as
-//! if each token had been appended in its own step.
+//! checkpoint records. The routing signal ([`Engine::kv_load`]) and the
+//! `decode_step` trace event add `lazy_tokens`, so every observable reads
+//! as if each token had been appended in its own step.
 //!
 //! A step that moves `T` tokens through the token-grained pipeline with mean
 //! context `c̄` takes `max(L(c̄), T · b(c̄))` seconds, where `L` is the full
@@ -344,8 +344,8 @@ impl Engine {
     /// admitted yet (migrations announced but not landed in the cache);
     /// used by conservation checks of the disaggregated cluster. Counts the
     /// tokens actually travelling — prefix-deduplicated tokens never enter
-    /// the wire accounting. A sum over the queue: only telemetry and the
-    /// end-of-run report ask.
+    /// the wire accounting. A sum over the queue: only the end-of-run
+    /// report asks.
     pub(crate) fn pending_imported_tokens(&self) -> usize {
         self.pending.entries().filter(|(_, p)| p.imported).map(|(_, p)| p.wire_tokens).sum()
     }
@@ -360,22 +360,6 @@ impl Engine {
         match request.shared_prefix {
             Some(p) => self.manager.prefix_lookup(p.group, p.tokens.min(request.prompt_len)),
             None => 0,
-        }
-    }
-
-    /// Instantaneous telemetry gauges of this wafer: batch occupancy,
-    /// queue depth and KV-cache occupancy. The link-bytes gauge is left
-    /// zero — only the scenario driver knows the migration byte rate.
-    pub(crate) fn kv_gauges(&self) -> ouro_trace::WaferGauges {
-        let (used, capacity, audit) = self.manager.occupancy_snapshot();
-        ouro_trace::WaferGauges {
-            batch_occupancy: self.active.len(),
-            queue_depth: self.pending.len(),
-            kv_used_tokens: used + self.lazy_tokens,
-            kv_capacity_tokens: capacity,
-            kv_blocks_live: audit.live,
-            kv_blocks_shared: audit.shared_live,
-            link_bytes_in_flight: 0,
         }
     }
 
@@ -1284,8 +1268,8 @@ mod tests {
     #[test]
     fn routing_signals_count_lazy_decode_tokens() {
         // Stop one sequence inside a KV block, five tokens after its first:
-        // the KV manager has not seen those five yet, and the routing and
-        // placement signals must count them anyway.
+        // the KV manager has not seen those five yet, and the routing
+        // signal and the trace must count them anyway.
         let mut e = traced(4);
         let prompt = 100;
         e.submit_with(Request::new(0, prompt, 64), 0.0, Admission::Local, 0);
@@ -1295,9 +1279,17 @@ mod tests {
         }
         assert_eq!(e.lazy_tokens, 5, "the sequence must sit inside a KV block");
         let resident = prompt + 6;
-        let capacity = e.kv_gauges().kv_capacity_tokens;
+        let capacity = e.manager.capacity_tokens();
         assert_eq!(e.kv_load(), resident as f64 / capacity as f64);
-        assert_eq!(e.kv_gauges().kv_used_tokens, resident);
+        // The next step's event reports the KV its batch holds as it starts.
+        e.step();
+        let kv = e.tracer().events().iter().rev().find_map(|ev| match ev.kind {
+            EventKind::DecodeStep { kv_tokens, kv_capacity_tokens, .. } => {
+                Some((kv_tokens, kv_capacity_tokens))
+            }
+            _ => None,
+        });
+        assert_eq!(kv, Some((resident, capacity)));
     }
 
     #[test]

@@ -98,10 +98,9 @@ mod arena;
 /// serving stack share one implementation).
 pub use ouro_trace::json;
 pub use ouro_trace::{
-    Analysis, Counters, EventKind, PhaseStats, RequestPhases, RingSink, SpanPhase, TelemetryConfig,
-    TelemetryRecorder, TelemetrySample, Trace, TraceEvent, Tracer, WaferGauges, WaferUtilization,
-    ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS,
-    ANALYZE_WAFER_KEYS, PHASE_NAMES, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION,
+    Analysis, EventKind, PhaseStats, RequestPhases, RingSink, SpanPhase, Trace, TraceEvent, Tracer,
+    WaferUtilization, ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS, ANALYZE_SCHEMA_VERSION, ANALYZE_SUMMARY_KEYS,
+    ANALYZE_WAFER_KEYS, PHASE_NAMES, TRACE_SCHEMA_VERSION,
 };
 
 pub use engine::{Admission, Engine, EngineStats};

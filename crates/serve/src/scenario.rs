@@ -57,9 +57,7 @@ use crate::stage::{self, F64Key};
 use ouro_kvcache::{KvError, KvManager};
 use ouro_sim::noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
-use ouro_trace::{
-    Analysis, Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, Trace, TraceEvent, Tracer,
-};
+use ouro_trace::{Analysis, Trace, TraceEvent, Tracer};
 use ouro_workload::TimedTrace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -120,7 +118,6 @@ pub struct Scenario {
     pub(crate) slo: SloConfig,
     pub(crate) fault: Option<FaultConfig>,
     pub(crate) trace: bool,
-    pub(crate) telemetry: Option<TelemetryConfig>,
 }
 
 impl Scenario {
@@ -164,7 +161,6 @@ impl Scenario {
             slo: SloConfig { ttft_s: f64::INFINITY, tpot_s: f64::INFINITY },
             fault: None,
             trace: false,
-            telemetry: None,
         }
     }
 
@@ -220,18 +216,6 @@ impl Scenario {
     /// one. Off by default (and costless when off).
     pub fn trace(mut self, enabled: bool) -> Scenario {
         self.trace = enabled;
-        self
-    }
-
-    /// Arms sampled telemetry: per-wafer gauges and cluster counters are
-    /// recorded every `cadence_s` simulated seconds and returned via
-    /// [`RunOutcome::telemetry`]. Off by default.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cadence_s` is finite and positive.
-    pub fn telemetry_every(mut self, cadence_s: f64) -> Scenario {
-        self.telemetry = Some(TelemetryConfig::every(cadence_s));
         self
     }
 
@@ -342,9 +326,9 @@ impl Scenario {
     /// via [`Scenario::resume`] and driving to the end produces a
     /// byte-identical [`RunReport`] to the uninterrupted run.
     ///
-    /// Tracing and telemetry are deliberately *not* captured: they are
-    /// observational sinks that never feed back into the simulation, and a
-    /// resumed run restarts them empty.
+    /// Tracing is deliberately *not* captured: it is an observational
+    /// sink that never feeds back into the simulation, and a resumed run
+    /// restarts it empty.
     pub fn checkpoint(&self, run: &RunState) -> Snapshot {
         crate::snapshot::capture(self, run)
     }
@@ -408,7 +392,6 @@ pub struct RunOutcome {
     /// The unified report of the run.
     pub report: RunReport,
     trace: Option<Trace>,
-    telemetry: Vec<TelemetrySample>,
     engines: Vec<Engine>,
     prefill_wafers: usize,
 }
@@ -433,19 +416,12 @@ impl RunOutcome {
         self.trace.as_ref()
     }
 
-    /// The sampled telemetry time series in `(time, wafer)` order (empty
-    /// unless [`Scenario::telemetry_every`] was armed).
-    pub fn telemetry(&self) -> &[TelemetrySample] {
-        &self.telemetry
-    }
-
     /// The post-hoc latency attribution and utilization analysis of the
-    /// run, reconstructed from the merged trace plus whatever telemetry
-    /// was sampled (`None` unless [`Scenario::trace`] was armed).
-    /// Strictly observational: reads the finished run's records and
-    /// never feeds back into the report.
+    /// run, reconstructed from the merged trace (`None` unless
+    /// [`Scenario::trace`] was armed). Strictly observational: reads the
+    /// finished run's records and never feeds back into the report.
     pub fn analysis(&self) -> Option<Analysis> {
-        self.trace.as_ref().map(|t| Analysis::from_run(t, &self.telemetry))
+        self.trace.as_ref().map(Analysis::from_run)
     }
 }
 
@@ -529,7 +505,6 @@ impl RunState {
                 let inj = d.injector.as_mut().expect("only an armed injector has a due fault");
                 inj.inject(wafer, &mut d.engines[wafer]);
                 d.refresh_engine(wafer);
-                d.telemetry_tick();
             }
             Next::Engine(i) => d.step_engine(i),
             Next::Arrival => stage::arrival::route_next(d, self.scenario.timed()),
@@ -561,9 +536,10 @@ impl RunState {
         &self.driver.engines
     }
 
-    /// Requests retired so far (decode-side completions).
+    /// Requests retired so far (decode-side completions): every engine's
+    /// records, since only the decode side finishes a request.
     pub fn completed(&self) -> u64 {
-        self.driver.completed
+        self.driver.engines.iter().map(|e| e.records().len() as u64).sum()
     }
 
     /// Requests not yet handed to any engine: the trace's arrivals past the
@@ -572,17 +548,16 @@ impl RunState {
         self.scenario.timed().len() - self.driver.routed
     }
 
-    /// Closes the run: flushes the telemetry tail, assembles the unified
-    /// report, and merges the lifecycle trace.
+    /// Closes the run: assembles the unified report and merges the
+    /// lifecycle trace.
     pub fn finish(self) -> RunOutcome {
-        let RunState { mut driver, scenario } = self;
+        let RunState { driver, scenario } = self;
         let timed = scenario.timed();
         // The run's end instant: the engine-clock frontier, at least the
         // last routed arrival. A run stopped early ends there, not at
         // arrivals it never reached.
         let last_routed_s = timed.arrivals[..driver.routed].iter().map(|a| a.arrival_s).fold(0.0, f64::max);
         let end_s = driver.engines.iter().map(Engine::clock_s).fold(last_routed_s, f64::max);
-        driver.telemetry_finish(end_s);
         let report = driver.report(timed, &scenario.slo, end_s, scenario.deployment_info());
         let trace = scenario.trace.then(|| {
             // Per-wafer engine streams (in global wafer order) plus the
@@ -593,13 +568,7 @@ impl RunState {
             streams.push((driver.tracer.events(), driver.tracer.dropped()));
             Trace::from_streams(&streams)
         });
-        RunOutcome {
-            report,
-            telemetry: driver.telemetry.map(|r| r.samples().to_vec()).unwrap_or_default(),
-            trace,
-            prefill_wafers: driver.prefill_wafers,
-            engines: driver.engines,
-        }
+        RunOutcome { report, trace, prefill_wafers: driver.prefill_wafers, engines: driver.engines }
     }
 }
 
@@ -621,9 +590,6 @@ pub(crate) struct Driver {
     /// The driver's own event stream: arrivals and migration endpoints,
     /// stamped onto the wafer they concern via `emit_for`.
     pub(crate) tracer: Tracer,
-    pub(crate) telemetry: Option<TelemetryRecorder>,
-    /// Requests retired (decode-side completions), for telemetry counters.
-    pub(crate) completed: u64,
     /// The arrival cursor: trace arrivals routed so far, and so the index
     /// of the next one.
     pub(crate) routed: usize,
@@ -664,8 +630,6 @@ impl Driver {
             kv_bytes_per_token: system.kv_migration_bytes(1),
             migrations: MigrationTotals::default(),
             tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
-            telemetry: scenario.telemetry.map(TelemetryRecorder::new),
-            completed: 0,
             routed: 0,
             injector,
             calendar: BinaryHeap::new(),
@@ -737,7 +701,7 @@ impl Driver {
 
     /// Advances one engine by one iteration. Entry-pool completions of a
     /// disaggregated run become KV migrations ([`crate::stage::migrate`]);
-    /// all other completions retire the request.
+    /// all other completions retire the request, as the engine's records.
     pub(crate) fn step_engine(&mut self, i: usize) {
         let completions = self.engines[i].step();
         self.refresh_engine(i);
@@ -745,53 +709,6 @@ impl Driver {
             for done in completions {
                 stage::migrate::migrate(self, i, done);
             }
-        } else {
-            self.completed += completions.len() as u64;
-        }
-        self.telemetry_tick();
-    }
-
-    /// Records every telemetry cadence point now owed: simulated time is
-    /// the frontier of the engine clocks, and a large jump emits all the
-    /// intermediate samples rather than skipping them. A no-op without a
-    /// recorder.
-    pub(crate) fn telemetry_tick(&mut self) {
-        let Some(mut rec) = self.telemetry.take() else { return };
-        let now = self.engines.iter().map(Engine::clock_s).fold(0.0, f64::max);
-        while rec.due(now) {
-            let t_s = rec.sample_time();
-            self.record_samples(&mut rec, t_s);
-            rec.advance();
-        }
-        self.telemetry = Some(rec);
-    }
-
-    /// Flushes the telemetry tail after the loop drains: any cadence
-    /// points still owed at the run's end instant `end_s`, then — when
-    /// that instant sits strictly inside the next cadence window — one
-    /// final off-grid sample per wafer stamped at `end_s`, so the last
-    /// partial window is represented instead of silently dropped.
-    fn telemetry_finish(&mut self, end_s: f64) {
-        self.telemetry_tick();
-        let Some(mut rec) = self.telemetry.take() else { return };
-        if rec.tail_due(end_s) {
-            self.record_samples(&mut rec, end_s);
-        }
-        self.telemetry = Some(rec);
-    }
-
-    /// Records one telemetry sample per wafer at `t_s`.
-    fn record_samples(&self, rec: &mut TelemetryRecorder, t_s: f64) {
-        let counters = Counters {
-            completions: self.completed,
-            migrations: self.migrations.count,
-            faults: self.injector.as_ref().map_or(0, FaultInjector::faults_injected),
-            steps: self.engines.iter().map(|e| e.stats().steps).sum(),
-        };
-        for (wafer, engine) in self.engines.iter().enumerate() {
-            let mut gauges = engine.kv_gauges();
-            gauges.link_bytes_in_flight = engine.pending_imported_tokens() as u64 * self.kv_bytes_per_token;
-            rec.record(TelemetrySample { t_s, wafer, gauges, counters });
         }
     }
 

@@ -13,9 +13,8 @@
 //!
 //! * The driver's **event calendar** — a pure cache over the engines,
 //!   rebuilt by `refresh_engine` on resume.
-//! * **Tracing and telemetry** — observational sinks
-//!   that never feed back into the simulation; a resumed run restarts
-//!   them empty.
+//! * **Tracing** — an observational sink that never feeds back into the
+//!   simulation; a resumed run restarts it empty.
 //!
 //! # Serialized form
 //!
@@ -64,7 +63,6 @@ use ouro_kvcache::{
 };
 use ouro_sim::OuroborosSystem;
 use ouro_trace::json::{fnv1a_extend, JsonError, RowReader, Value, FNV1A_OFFSET};
-use ouro_trace::TelemetryConfig;
 use ouro_workload::{ArrivalConfig, Request, SharedPrefix, TimedRequest, TimedTrace};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -268,21 +266,17 @@ pub(crate) fn rebuild(
     d.router.restore_state(snap.router_state);
     d.placement.restore_state(snap.placement_state);
     d.migrations = snap.migrations;
-    // A record is a finished request, so the records count the driver's
-    // completions.
-    d.completed = snap.engines.iter().map(|es| es.records.len() as u64).sum();
     Ok(run)
 }
 
 /// FNV-1a over a canonical encoding of every config field (deployment,
 /// workload arrivals and seeds, policies, prefix caching, SLO, faults,
-/// observability toggles): integers as fixed-width little-endian
+/// the tracing flag): integers as fixed-width little-endian
 /// words, floats by their bit pattern, enum variants and `Option`s by a
 /// fixed tag, and policies by name. Every struct is destructured in full,
 /// so a new config field does not compile until it is hashed here.
 pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
-    let Scenario { deployment, workload, router, placement, prefix_caching, slo, fault, trace, telemetry } =
-        scenario;
+    let Scenario { deployment, workload, router, placement, prefix_caching, slo, fault, trace } = scenario;
     let mut h = ConfigHasher(FNV1A_OFFSET);
     match *deployment {
         Deployment::Colocated { wafers } => h.tag(0).int(wafers),
@@ -327,10 +321,9 @@ pub(crate) fn config_hash(scenario: &Scenario) -> u64 {
         }
     };
     h.flag(*trace);
-    match *telemetry {
-        None => h.tag(0),
-        Some(TelemetryConfig { cadence_s }) => h.tag(1).float(cadence_s),
-    };
+    // Where the telemetry cadence was: the sampler is gone and every
+    // scenario left had it off, so no scenario's hash moved.
+    h.tag(0);
     h.0
 }
 

@@ -107,7 +107,7 @@ pub(crate) fn admit_waiting(e: &mut Engine) {
                 e.push_active(admitted);
             }
             Err(KvError::OutOfCapacity) => {
-                e.manager.release(seq_id);
+                // `admit_with_prefix` has released the sequence.
                 if e.active.is_empty() {
                     // Even an empty cache cannot hold it: drop to
                     // guarantee progress. (The offline scheduler drops the

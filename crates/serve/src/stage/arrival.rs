@@ -28,5 +28,4 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace) {
     d.engines[wafer].submit_with(request, arrival.arrival_s, admission, index);
     d.routed += 1;
     d.refresh_engine(wafer);
-    d.telemetry_tick();
 }

@@ -75,10 +75,20 @@ fn full_pass(e: &Engine) -> (usize, u64, usize) {
 }
 
 /// Emits the step's `decode_step` event (one per iteration, covering the
-/// whole interleaved batch).
+/// whole interleaved batch) with the KV its batch holds as the step
+/// starts, lazy decode tokens included. The occupancy is read only while
+/// tracing: in debug builds each read rescans every KV core.
 pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
-    let batch = e.active.len();
-    e.tracer.emit(end_s, None, EventKind::DecodeStep { batch, tokens: step_tokens });
+    if !e.tracer.enabled() {
+        return;
+    }
+    let kind = EventKind::DecodeStep {
+        batch: e.active.len(),
+        tokens: step_tokens,
+        kv_tokens: e.manager.used_tokens() + e.lazy_tokens,
+        kv_capacity_tokens: e.manager.capacity_tokens(),
+    };
+    e.tracer.emit(end_s, None, kind);
 }
 
 /// Handles a decode event of active sequence `i`: its first token, the

@@ -24,23 +24,25 @@
 //! The walk is the one reconstruction of a request's timeline: its
 //! segments, before the decode split, are the spans
 //! [`Trace::request_spans`] returns and the Chrome export draws. The same
-//! pass derives per-wafer utilization: busy time is the union of the
-//! resident `prefill` and `decode` segments, and the sampled
-//! [`TelemetrySample`] series contributes occupancy / queue / KV-pressure
-//! statistics when telemetry was armed. Everything is
-//! strictly observational — the analysis reads a finished run's trace
-//! and telemetry and never feeds back into any report.
+//! pass derives every per-wafer utilization column ([`WaferUtilization`]),
+//! exactly: busy time is the union of the wafer's resident `prefill` and
+//! `decode` segments, mean occupancy their summed length over the span,
+//! mean queue depth the summed length of its `queue` and
+//! `migration_stall` segments over the span, and the two peaks are read
+//! from its `decode_step` events. Everything is strictly observational —
+//! the analysis reads a finished run's trace and never feeds back into
+//! any report.
 
 use std::collections::BTreeMap;
 
 use crate::chrome::{SpanPhase, Trace};
 use crate::event::EventKind;
 use crate::json::JsonObject;
-use crate::telemetry::TelemetrySample;
 
 /// Version of the flat JSON schema emitted by [`Analysis::json_rows`].
-/// Bumped on any key or phase-taxonomy change.
-pub const ANALYZE_SCHEMA_VERSION: u32 = 2;
+/// Bumped on any key or phase-taxonomy change. Version 3 dropped the
+/// `samples` key: every wafer column is now read from the trace.
+pub const ANALYZE_SCHEMA_VERSION: u32 = 3;
 
 /// Number of exclusive latency phases.
 pub const PHASE_COUNT: usize = 7;
@@ -113,7 +115,6 @@ pub const ANALYZE_WAFER_KEYS: &[&str] = &[
     "busy_s",
     "busy_fraction",
     "steps",
-    "samples",
     "mean_occupancy",
     "peak_occupancy",
     "mean_queue_depth",
@@ -234,28 +235,33 @@ impl RequestPhases {
     }
 }
 
-/// Per-wafer busy/idle and occupancy statistics.
+/// Per-wafer busy/idle and occupancy statistics, every one read from the
+/// trace. The means are time averages over the trace span (0 when the
+/// span is empty).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WaferUtilization {
     /// Global wafer index.
     pub wafer: usize,
     /// Seconds the wafer held at least one resident prefill/decode span.
     pub(crate) busy_s: f64,
-    /// `busy_s` over the trace span (0 when the span is empty).
+    /// `busy_s` over the trace span.
     pub busy_fraction: f64,
     /// `decode_step` iterations the wafer executed.
     pub steps: u64,
-    /// Telemetry samples recorded for the wafer (0 when telemetry was
-    /// not armed).
-    pub samples: usize,
-    /// Mean batch occupancy over the telemetry samples.
-    pub(crate) mean_occupancy: f64,
-    /// Peak batch occupancy over the telemetry samples.
-    pub(crate) peak_occupancy: u64,
-    /// Mean admission-queue depth over the telemetry samples.
+    /// Mean resident sequences: the summed length of the wafer's
+    /// `prefill` and `decode` segments over the span.
+    pub mean_occupancy: f64,
+    /// Largest `batch` of the wafer's `decode_step` events.
+    pub peak_occupancy: u64,
+    /// Mean requests waiting on the wafer: the summed length of its
+    /// `queue` segments (waiting for admission, first or after a capacity
+    /// eviction) and `migration_stall` segments (landed KV waiting for
+    /// admission) over the span. A fault-evicted request's wait is its
+    /// `fault_stall` phase and is not counted.
     pub(crate) mean_queue_depth: f64,
-    /// Peak KV-cache utilization (used/capacity) over the samples.
-    pub(crate) peak_kv_utilization: f64,
+    /// Largest KV utilization (`kv_tokens / kv_capacity_tokens`) of the
+    /// wafer's `decode_step` events.
+    pub peak_kv_utilization: f64,
 }
 
 /// The full post-hoc analysis of one run: per-request latency
@@ -395,6 +401,21 @@ struct Marker {
     is_step: bool,
 }
 
+/// What one pass over the timeline gathers for one wafer.
+#[derive(Default)]
+struct WaferEvents {
+    /// Decode markers, already time-sorted by the merge.
+    markers: Vec<Marker>,
+    /// Resident (`prefill` and `decode`) segments, in walk order.
+    resident: Vec<(f64, f64)>,
+    /// Summed length of the `queue` and `migration_stall` segments.
+    waiting_s: f64,
+    /// Largest `decode_step` batch.
+    peak_batch: u64,
+    /// Largest `decode_step` KV utilization.
+    peak_kv: f64,
+}
+
 /// Splits one decode window `(a, b]` against a wafer's sorted markers:
 /// each marker claims the gap back to the previous marker (clamped to
 /// the window) — steps as compute, fault/remap as stall — and whatever
@@ -419,45 +440,66 @@ fn split_decode(markers: &[Marker], a: f64, b: f64) -> (f64, f64, f64) {
     (compute, stall, b - prev)
 }
 
+/// Total length of the union of `intervals`.
+fn union_s(mut intervals: Vec<(f64, f64)>) -> f64 {
+    intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut total = 0.0;
+    let mut cur: Option<(f64, f64)> = None;
+    for (a, b) in intervals {
+        match cur {
+            Some((ca, cb)) if a <= cb => cur = Some((ca, cb.max(b))),
+            Some((ca, cb)) => {
+                total += cb - ca;
+                cur = Some((a, b));
+            }
+            None => cur = Some((a, b)),
+        }
+    }
+    if let Some((ca, cb)) = cur {
+        total += cb - ca;
+    }
+    total
+}
+
 impl Analysis {
-    /// Analyses a finished run from its merged trace and (optionally
-    /// empty) telemetry series.
-    pub fn from_run(trace: &Trace, telemetry: &[TelemetrySample]) -> Analysis {
+    /// Analyses a finished run from its merged trace.
+    pub fn from_run(trace: &Trace) -> Analysis {
         let events = trace.events();
         let t0_s = events.first().map_or(0.0, |e| e.t_s);
         let span_s = events.last().map_or(0.0, |e| e.t_s - t0_s);
 
-        // Wafer-level decode markers, already time-sorted by the merge.
-        let mut markers: BTreeMap<usize, Vec<Marker>> = BTreeMap::new();
+        // Every wafer an event names, with its wafer-level events.
+        let mut wafers: BTreeMap<usize, WaferEvents> = BTreeMap::new();
         for e in events {
+            let w = wafers.entry(e.wafer).or_default();
             match e.kind {
-                EventKind::DecodeStep { .. } => {
-                    markers.entry(e.wafer).or_default().push(Marker { t_s: e.t_s, is_step: true })
+                EventKind::DecodeStep { batch, kv_tokens, kv_capacity_tokens, .. } => {
+                    w.markers.push(Marker { t_s: e.t_s, is_step: true });
+                    w.peak_batch = w.peak_batch.max(batch as u64);
+                    if kv_capacity_tokens > 0 {
+                        w.peak_kv = w.peak_kv.max(kv_tokens as f64 / kv_capacity_tokens as f64);
+                    }
                 }
                 EventKind::Fault { .. } | EventKind::Remap { .. } => {
-                    markers.entry(e.wafer).or_default().push(Marker { t_s: e.t_s, is_step: false })
+                    w.markers.push(Marker { t_s: e.t_s, is_step: false })
                 }
                 _ => {}
             }
         }
 
-        let empty: Vec<Marker> = Vec::new();
         let mut requests = Vec::new();
-        // Per-wafer busy time: union of the resident (prefill and decode)
-        // segments.
-        let mut busy: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
         for w in walk(trace) {
             let mut phases = [0.0; PHASE_COUNT];
             let mut ttft_phases = [0.0; PHASE_COUNT];
             let ft = w.first_token_s;
             for seg in &w.segments {
-                let wafer_markers = markers.get(&seg.wafer).unwrap_or(&empty);
+                let wafer = wafers.entry(seg.wafer).or_default();
                 // Every walk phase but `decode` is a phase of its own.
                 let phase = PHASE_NAMES.iter().position(|n| *n == seg.name);
                 let add = |acc: &mut [f64; PHASE_COUNT], a: f64, b: f64| match phase {
                     Some(i) => acc[i] += b - a,
                     None => {
-                        let (compute, stall, idle) = split_decode(wafer_markers, a, b);
+                        let (compute, stall, idle) = split_decode(&wafer.markers, a, b);
                         acc[DECODE_COMPUTE] += compute;
                         acc[FAULT_STALL] += stall;
                         acc[DECODE_IDLE] += idle;
@@ -470,8 +512,10 @@ impl Analysis {
                         add(&mut ttft_phases, seg.start_s, b);
                     }
                 }
-                if matches!(seg.name, "prefill" | "decode") {
-                    busy.entry(seg.wafer).or_default().push((seg.start_s, seg.end_s));
+                match seg.name {
+                    "prefill" | "decode" => wafer.resident.push((seg.start_s, seg.end_s)),
+                    "queue" | "migration_stall" => wafer.waiting_s += seg.end_s - seg.start_s,
+                    _ => {}
                 }
             }
             requests.push(RequestPhases {
@@ -484,64 +528,22 @@ impl Analysis {
                 ttft_phases,
             });
         }
-        let union = |mut iv: Vec<(f64, f64)>| -> f64 {
-            iv.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut total = 0.0;
-            let mut cur: Option<(f64, f64)> = None;
-            for (a, b) in iv {
-                match cur {
-                    Some((ca, cb)) if a <= cb => cur = Some((ca, cb.max(b))),
-                    Some((ca, cb)) => {
-                        total += cb - ca;
-                        cur = Some((a, b));
-                    }
-                    None => cur = Some((a, b)),
-                }
-            }
-            if let Some((ca, cb)) = cur {
-                total += cb - ca;
-            }
-            total
-        };
 
-        let mut wafer_ids: Vec<usize> = events.iter().map(|e| e.wafer).collect();
-        wafer_ids.extend(telemetry.iter().map(|s| s.wafer));
-        wafer_ids.sort_unstable();
-        wafer_ids.dedup();
-        let wafers = wafer_ids
+        let per_span = |s: f64| if span_s > 0.0 { s / span_s } else { 0.0 };
+        let wafers = wafers
             .into_iter()
-            .map(|wafer| {
-                let busy_s = busy.remove(&wafer).map(union).unwrap_or(0.0);
-                let steps =
-                    markers.get(&wafer).map(|ms| ms.iter().filter(|m| m.is_step).count() as u64).unwrap_or(0);
-                let rows: Vec<&TelemetrySample> = telemetry.iter().filter(|s| s.wafer == wafer).collect();
-                let samples = rows.len();
-                let mean = |f: &dyn Fn(&TelemetrySample) -> f64| {
-                    if samples == 0 {
-                        0.0
-                    } else {
-                        rows.iter().map(|s| f(s)).sum::<f64>() / samples as f64
-                    }
-                };
+            .map(|(wafer, w)| {
+                let resident_s: f64 = w.resident.iter().map(|(a, b)| b - a).sum();
+                let busy_s = union_s(w.resident);
                 WaferUtilization {
                     wafer,
                     busy_s,
-                    busy_fraction: if span_s > 0.0 { busy_s / span_s } else { 0.0 },
-                    steps,
-                    samples,
-                    mean_occupancy: mean(&|s| s.gauges.batch_occupancy as f64),
-                    peak_occupancy: rows.iter().map(|s| s.gauges.batch_occupancy as u64).max().unwrap_or(0),
-                    mean_queue_depth: mean(&|s| s.gauges.queue_depth as f64),
-                    peak_kv_utilization: rows
-                        .iter()
-                        .map(|s| {
-                            if s.gauges.kv_capacity_tokens > 0 {
-                                s.gauges.kv_used_tokens as f64 / s.gauges.kv_capacity_tokens as f64
-                            } else {
-                                0.0
-                            }
-                        })
-                        .fold(0.0, f64::max),
+                    busy_fraction: per_span(busy_s),
+                    steps: w.markers.iter().filter(|m| m.is_step).count() as u64,
+                    mean_occupancy: per_span(resident_s),
+                    peak_occupancy: w.peak_batch,
+                    mean_queue_depth: per_span(w.waiting_s),
+                    peak_kv_utilization: w.peak_kv,
                 }
             })
             .collect();
@@ -664,7 +666,6 @@ impl Analysis {
                     .num("busy_s", w.busy_s)
                     .num("busy_fraction", w.busy_fraction)
                     .int("steps", w.steps)
-                    .int("samples", w.samples as u64)
                     .num("mean_occupancy", w.mean_occupancy)
                     .int("peak_occupancy", w.peak_occupancy)
                     .num("mean_queue_depth", w.mean_queue_depth)
@@ -680,10 +681,14 @@ mod tests {
     use super::*;
     use crate::event::TraceEvent;
     use crate::json;
-    use crate::telemetry::{Counters, WaferGauges};
 
     fn ev(t_s: f64, wafer: usize, req: Option<usize>, kind: EventKind) -> TraceEvent {
         TraceEvent { t_s, wafer, req, kind }
+    }
+
+    /// A `decode_step` with an empty KV cache.
+    fn step(batch: usize, tokens: usize) -> EventKind {
+        EventKind::DecodeStep { batch, tokens, kv_tokens: 0, kv_capacity_tokens: 0 }
     }
 
     const EPS: f64 = 1e-12;
@@ -692,11 +697,11 @@ mod tests {
         let wafer0 = vec![
             ev(0.1, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
             ev(0.1, 0, Some(1), EventKind::PrefillStart { tokens: 8 }),
-            ev(0.3, 0, None, EventKind::DecodeStep { batch: 1, tokens: 8 }),
+            ev(0.3, 0, None, step(1, 8)),
             ev(0.3, 0, Some(1), EventKind::PrefillEnd),
-            ev(0.4, 0, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.4, 0, None, step(1, 1)),
             ev(0.4, 0, Some(1), EventKind::FirstToken),
-            ev(0.5, 0, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.5, 0, None, step(1, 1)),
             ev(0.5, 0, Some(1), EventKind::Complete),
         ];
         let driver = vec![ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 2 })];
@@ -705,7 +710,7 @@ mod tests {
 
     #[test]
     fn colocated_request_decomposes_exactly() {
-        let a = Analysis::from_run(&colocated_timeline(), &[]);
+        let a = Analysis::from_run(&colocated_timeline());
         assert_eq!(a.requests.len(), 1);
         let r = &a.requests[0];
         assert!(r.completed);
@@ -719,12 +724,16 @@ mod tests {
         assert!((r.ttft_phases[DECODE_COMPUTE] - 0.1).abs() < EPS);
     }
 
-    #[test]
-    fn migrated_request_charges_transit_and_stall() {
-        // Prefill on wafer 0, KV shipped to wafer 1 landing at 0.4, but
-        // only admitted at 0.45 — and the admission shares the landing
-        // instant's hazard: at equal timestamps the engine's admission
-        // sorts before the driver's migrate_arrive.
+    /// A `decode_step` holding `kv_tokens` of a 100-token KV cache.
+    fn step_kv(batch: usize, kv_tokens: usize) -> EventKind {
+        EventKind::DecodeStep { batch, tokens: batch, kv_tokens, kv_capacity_tokens: 100 }
+    }
+
+    /// Prefill on wafer 0, KV shipped to wafer 1 landing at 0.4, but only
+    /// admitted at 0.45 — and the admission shares the landing instant's
+    /// hazard: at equal timestamps the engine's admission sorts before the
+    /// driver's migrate_arrive.
+    fn migrated_timeline() -> Trace {
         let wafer0 = vec![
             ev(0.1, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
             ev(0.1, 0, Some(1), EventKind::PrefillStart { tokens: 8 }),
@@ -734,9 +743,9 @@ mod tests {
         let wafer1 = vec![
             ev(0.45, 1, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
             ev(0.45, 1, Some(1), EventKind::KvImport { wire_tokens: 8, deduped_tokens: 0 }),
-            ev(0.5, 1, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.5, 1, None, step_kv(1, 9)),
             ev(0.5, 1, Some(1), EventKind::FirstToken),
-            ev(0.55, 1, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.55, 1, None, step_kv(1, 10)),
             ev(0.55, 1, Some(1), EventKind::Complete),
         ];
         let driver = vec![
@@ -744,7 +753,12 @@ mod tests {
             ev(0.3, 0, Some(1), EventKind::MigrateStart { to_wafer: 1, bytes: 64 }),
             ev(0.4, 1, Some(1), EventKind::MigrateArrive { from_wafer: 0, bytes: 64 }),
         ];
-        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&wafer1, 0), (&driver, 0)]), &[]);
+        Trace::from_streams(&[(&wafer0, 0), (&wafer1, 0), (&driver, 0)])
+    }
+
+    #[test]
+    fn migrated_request_charges_transit_and_stall() {
+        let a = Analysis::from_run(&migrated_timeline());
         let r = &a.requests[0];
         assert!((r.phases[QUEUE] - 0.1).abs() < EPS);
         assert!((r.phases[PREFILL] - 0.2).abs() < EPS);
@@ -761,14 +775,14 @@ mod tests {
         // migrate_arrive -> admission.
         let wafer1 = vec![
             ev(0.4, 1, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
-            ev(0.5, 1, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.5, 1, None, step(1, 1)),
             ev(0.5, 1, Some(1), EventKind::Complete),
         ];
         let driver = vec![
             ev(0.0, 1, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 }),
             ev(0.4, 1, Some(1), EventKind::MigrateArrive { from_wafer: 0, bytes: 64 }),
         ];
-        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer1, 0), (&driver, 0)]), &[]);
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer1, 0), (&driver, 0)]));
         let r = &a.requests[0];
         assert!((r.phases[MIGRATION_STALL]).abs() < EPS, "zero-length stall at the shared instant");
         assert!((r.phases[DECODE_COMPUTE] - 0.1).abs() < EPS);
@@ -779,16 +793,16 @@ mod tests {
     fn fault_markers_inside_decode_become_stall_time() {
         let wafer0 = vec![
             ev(0.0, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
-            ev(0.1, 0, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.1, 0, None, step(1, 1)),
             // A fault stalls the engine; the clock jump ends at the fault
             // event, leaving a step-free gap (0.1, 0.25].
             ev(0.25, 0, None, EventKind::Fault { kv_core: 3, evicted_seqs: 0 }),
             ev(0.25, 0, None, EventKind::Remap { chain_len: 2, moved_tiles: 4 }),
-            ev(0.35, 0, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.35, 0, None, step(1, 1)),
             ev(0.35, 0, Some(1), EventKind::Complete),
         ];
         let driver = vec![ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 2 })];
-        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
         let r = &a.requests[0];
         assert!((r.phases[FAULT_STALL] - 0.15).abs() < EPS, "stall {}", r.phases[FAULT_STALL]);
         assert!((r.phases[DECODE_COMPUTE] - 0.2).abs() < EPS, "compute {}", r.phases[DECODE_COMPUTE]);
@@ -803,11 +817,11 @@ mod tests {
             ev(0.3, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: true }),
             ev(0.4, 0, Some(1), EventKind::Evict { resident_tokens: 8, fault: true }),
             ev(0.6, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: true }),
-            ev(0.7, 0, None, EventKind::DecodeStep { batch: 1, tokens: 1 }),
+            ev(0.7, 0, None, step(1, 1)),
             ev(0.7, 0, Some(1), EventKind::Complete),
         ];
         let driver = vec![ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 })];
-        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
         let r = &a.requests[0];
         assert!((r.phases[QUEUE] - 0.2).abs() < EPS, "arrival wait + capacity requeue");
         assert!((r.phases[FAULT_STALL] - 0.2).abs() < EPS, "fault requeue wait");
@@ -824,7 +838,7 @@ mod tests {
             ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 999, decode_tokens: 1 }),
             ev(0.1, 0, Some(2), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 1 }),
         ];
-        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]), &[]);
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
         assert_eq!(a.requests.len(), 2);
         assert_eq!(a.completed().count(), 0);
         assert_eq!(a.dropped(), 1);
@@ -836,37 +850,52 @@ mod tests {
     }
 
     #[test]
-    fn utilization_unions_spans_and_reads_telemetry() {
-        let trace = colocated_timeline();
-        let sample = |t_s: f64, occ: usize, queue: usize| TelemetrySample {
-            t_s,
-            wafer: 0,
-            gauges: WaferGauges {
-                batch_occupancy: occ,
-                queue_depth: queue,
-                kv_used_tokens: 50,
-                kv_capacity_tokens: 100,
-                ..WaferGauges::default()
-            },
-            counters: Counters::default(),
-        };
-        let a = Analysis::from_run(&trace, &[sample(0.2, 2, 1), sample(0.4, 4, 3)]);
+    fn wafer_columns_are_time_averages_of_the_walk() {
+        // Two requests arrive at 0 on one wafer: request 1 is resident
+        // from 0.1 to 0.4, request 2 from 0.2 to 0.5.
+        let wafer0 = vec![
+            ev(0.1, 0, Some(1), EventKind::Admission { cached_tokens: 0, recompute: false }),
+            ev(0.2, 0, Some(2), EventKind::Admission { cached_tokens: 0, recompute: false }),
+            ev(0.3, 0, None, step_kv(2, 40)),
+            ev(0.4, 0, None, step_kv(2, 50)),
+            ev(0.4, 0, Some(1), EventKind::Complete),
+            ev(0.5, 0, None, step_kv(1, 30)),
+            ev(0.5, 0, Some(2), EventKind::Complete),
+        ];
+        let driver = vec![
+            ev(0.0, 0, Some(1), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 2 }),
+            ev(0.0, 0, Some(2), EventKind::Arrival { prompt_tokens: 8, decode_tokens: 2 }),
+        ];
+        let a = Analysis::from_run(&Trace::from_streams(&[(&wafer0, 0), (&driver, 0)]));
         assert_eq!(a.wafers.len(), 1);
         let w = &a.wafers[0];
-        // Busy from 0.1 (admission) to 0.5 (complete); span is 0.0..0.5.
+        // Busy: [0.1, 0.4] ∪ [0.2, 0.5] is 0.4 s of the 0.5 s span.
         assert!((w.busy_s - 0.4).abs() < EPS, "busy {}", w.busy_s);
         assert!((w.busy_fraction - 0.8).abs() < EPS);
         assert_eq!(w.steps, 3);
-        assert_eq!(w.samples, 2);
-        assert!((w.mean_occupancy - 3.0).abs() < EPS);
-        assert_eq!(w.peak_occupancy, 4);
-        assert!((w.mean_queue_depth - 2.0).abs() < EPS);
+        // Resident 0.3 s + 0.3 s over 0.5 s.
+        assert!((w.mean_occupancy - 1.2).abs() < EPS, "occupancy {}", w.mean_occupancy);
+        assert_eq!(w.peak_occupancy, 2);
+        // Queued 0.1 s + 0.2 s over 0.5 s.
+        assert!((w.mean_queue_depth - 0.6).abs() < EPS, "queue {}", w.mean_queue_depth);
         assert!((w.peak_kv_utilization - 0.5).abs() < EPS);
+
+        // A migration stall waits on the destination wafer and KV transit
+        // on neither; the span is 0.55 s.
+        let m = Analysis::from_run(&migrated_timeline());
+        let (prefill, decode) = (&m.wafers[0], &m.wafers[1]);
+        assert!((prefill.mean_occupancy - 0.2 / 0.55).abs() < EPS, "prefill 0.1..0.3");
+        assert!((prefill.mean_queue_depth - 0.1 / 0.55).abs() < EPS, "queue 0..0.1");
+        assert_eq!((prefill.steps, prefill.peak_occupancy, prefill.peak_kv_utilization), (0, 0, 0.0));
+        assert!((decode.mean_occupancy - 0.1 / 0.55).abs() < EPS, "decode 0.45..0.55");
+        assert!((decode.mean_queue_depth - 0.05 / 0.55).abs() < EPS, "stall 0.4..0.45");
+        assert_eq!(decode.peak_occupancy, 1);
+        assert!((decode.peak_kv_utilization - 0.1).abs() < EPS);
     }
 
     #[test]
     fn report_names_every_phase() {
-        let text = json::render_array(&Analysis::from_run(&colocated_timeline(), &[]).json_rows());
+        let text = json::render_array(&Analysis::from_run(&colocated_timeline()).json_rows());
         let rows = json::read_rows(&text).unwrap();
         for name in PHASE_NAMES {
             assert!(rows.iter().any(|r| r.get_str("phase") == Ok(name)), "missing phase row {name}");
@@ -887,7 +916,7 @@ mod tests {
 
     #[test]
     fn json_rows_match_their_pinned_key_sets() {
-        let a = Analysis::from_run(&colocated_timeline(), &[]);
+        let a = Analysis::from_run(&colocated_timeline());
         let rows = a.json_rows();
         let requests = 4;
         assert_eq!(rows.len(), 1 + PHASE_COUNT + requests + a.wafers.len());
@@ -907,7 +936,7 @@ mod tests {
 
     #[test]
     fn empty_trace_analyses_to_nothing() {
-        let a = Analysis::from_run(&Trace::default(), &[]);
+        let a = Analysis::from_run(&Trace::default());
         assert!(a.requests.is_empty() && a.wafers.is_empty());
         let rows = a.json_rows();
         assert_eq!(rows.len(), 1 + PHASE_COUNT, "no request rows without a completed request");

@@ -134,7 +134,7 @@ impl Trace {
         }
         for e in &self.events {
             match e.kind {
-                EventKind::DecodeStep { batch, tokens } => {
+                EventKind::DecodeStep { batch, tokens, .. } => {
                     rows.push(
                         JsonObject::new()
                             .str("name", "batch")

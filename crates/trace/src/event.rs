@@ -12,9 +12,11 @@
 use crate::json::JsonObject;
 
 /// Version of the flat JSON schema emitted by `TraceEvent::json_object`
-/// (and carried by every trace/telemetry dump). Bumped whenever a key or
-/// an event kind is renamed, removed, or changes meaning.
-pub const TRACE_SCHEMA_VERSION: u32 = 1;
+/// (and carried by every trace dump). Bumped whenever a key or an event
+/// kind is added, renamed, removed, or changes meaning. Version 2 added
+/// the `arg_c`/`arg_d` payload columns for the KV occupancy of
+/// `decode_step`.
+pub const TRACE_SCHEMA_VERSION: u32 = 2;
 
 /// What happened. Payloads carry the quantities that are expensive to
 /// reconstruct after the fact; everything else is recoverable from the
@@ -54,6 +56,11 @@ pub enum EventKind {
         batch: usize,
         /// Tokens moved through the pipeline this step.
         tokens: usize,
+        /// KV tokens the batch holds as the step starts (K side, lazy
+        /// decode tokens included; the step's own new tokens not yet).
+        kv_tokens: usize,
+        /// KV token capacity of the wafer's healthy cores (K side).
+        kv_capacity_tokens: usize,
     },
     /// A finished prefill exported its KV for migration (disaggregated
     /// prefill pool; this is the prefill side's terminal event).
@@ -132,18 +139,19 @@ impl EventKind {
         }
     }
 
-    /// The payload quantities as `(a, b)` integer slots, matching the
-    /// flat JSON columns `arg_a`/`arg_b`. Kinds without a payload emit
-    /// zeros.
-    fn args(&self) -> (u64, u64) {
-        match *self {
+    /// The payload quantities as integer slots, matching the flat JSON
+    /// columns `arg_a` to `arg_d`. Unused slots are zero.
+    fn args(&self) -> [u64; 4] {
+        let (a, b) = match *self {
             EventKind::Arrival { prompt_tokens, decode_tokens } => {
                 (prompt_tokens as u64, decode_tokens as u64)
             }
             EventKind::Admission { cached_tokens, recompute } => (cached_tokens as u64, recompute as u64),
             EventKind::PrefillStart { tokens } => (tokens as u64, 0),
             EventKind::PrefillEnd | EventKind::FirstToken | EventKind::Drop | EventKind::Complete => (0, 0),
-            EventKind::DecodeStep { batch, tokens } => (batch as u64, tokens as u64),
+            EventKind::DecodeStep { batch, tokens, kv_tokens, kv_capacity_tokens } => {
+                return [batch, tokens, kv_tokens, kv_capacity_tokens].map(|n| n as u64)
+            }
             EventKind::KvExport { tokens } => (tokens as u64, 0),
             EventKind::KvImport { wire_tokens, deduped_tokens } => {
                 (wire_tokens as u64, deduped_tokens as u64)
@@ -153,7 +161,8 @@ impl EventKind {
             EventKind::Evict { resident_tokens, fault } => (resident_tokens as u64, fault as u64),
             EventKind::Fault { kv_core, evicted_seqs } => (kv_core as u64, evicted_seqs as u64),
             EventKind::Remap { chain_len, moved_tiles } => (chain_len as u64, moved_tiles as u64),
-        }
+        };
+        [a, b, 0, 0]
     }
 }
 
@@ -174,10 +183,10 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// Flattens the event into one stable JSON row: `schema_version`,
     /// `t_s`, `wafer`, `req` (null for wafer-level events), `kind`, and
-    /// the two payload columns `arg_a`/`arg_b` holding the kind's
+    /// the four payload columns `arg_a` to `arg_d` holding the kind's
     /// integer payload.
     pub(crate) fn json_object(&self) -> JsonObject {
-        let (a, b) = self.kind.args();
+        let [a, b, c, d] = self.kind.args();
         let o = JsonObject::new()
             .int("schema_version", TRACE_SCHEMA_VERSION as u64)
             .num("t_s", self.t_s)
@@ -186,7 +195,7 @@ impl TraceEvent {
             Some(r) => o.int("req", r as u64),
             None => o.null("req"),
         };
-        o.str("kind", self.kind.name()).int("arg_a", a).int("arg_b", b)
+        o.str("kind", self.kind.name()).int("arg_a", a).int("arg_b", b).int("arg_c", c).int("arg_d", d)
     }
 }
 
@@ -202,7 +211,7 @@ mod tests {
             EventKind::PrefillStart { tokens: 5 },
             EventKind::PrefillEnd,
             EventKind::FirstToken,
-            EventKind::DecodeStep { batch: 3, tokens: 3 },
+            EventKind::DecodeStep { batch: 3, tokens: 3, kv_tokens: 30, kv_capacity_tokens: 100 },
             EventKind::KvExport { tokens: 7 },
             EventKind::KvImport { wire_tokens: 7, deduped_tokens: 0 },
             EventKind::MigrateStart { to_wafer: 1, bytes: 10 },
@@ -243,14 +252,21 @@ mod tests {
             req: Some(3),
             kind: EventKind::Admission { cached_tokens: 64, recompute: true },
         };
-        let wafer_level =
-            TraceEvent { t_s: 0.6, wafer: 0, req: None, kind: EventKind::DecodeStep { batch: 2, tokens: 2 } };
+        let wafer_level = TraceEvent {
+            t_s: 0.6,
+            wafer: 0,
+            req: None,
+            kind: EventKind::DecodeStep { batch: 2, tokens: 2, kv_tokens: 40, kv_capacity_tokens: 100 },
+        };
         assert_eq!(with_req.json_object().keys(), wafer_level.json_object().keys());
         let row = with_req.json_object().render();
         assert!(row.contains("\"kind\": \"admission\""));
         assert!(row.contains("\"arg_a\": 64"));
         assert!(row.contains("\"arg_b\": 1"));
-        assert!(wafer_level.json_object().render().contains("\"req\": null"));
+        let step = wafer_level.json_object().render();
+        assert!(step.contains("\"req\": null"));
+        assert!(step.contains("\"arg_c\": 40") && step.contains("\"arg_d\": 100"));
+        assert!(row.contains("\"arg_c\": 0") && row.contains("\"arg_d\": 0"));
         assert!(row.contains(&format!("\"schema_version\": {TRACE_SCHEMA_VERSION}")));
     }
 }

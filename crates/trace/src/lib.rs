@@ -13,23 +13,21 @@
 //!   pinned digest for golden tests, and Chrome trace-event JSON loadable
 //!   in Perfetto whose request spans are the segments of the per-request
 //!   walk behind [`Analysis`].
-//! - `telemetry` — sampled per-wafer gauges and cluster counters on a
-//!   fixed simulated-time cadence ([`TelemetryRecorder`]), dumped as a
-//!   flat JSON time series.
+//! - `analyze` — [`Analysis`]: each request's latency split into exclusive
+//!   phases and each wafer's utilization, all read from the one timeline.
 //! - [`json`] — the dependency-free flat-row JSON writer and reader and
 //!   the FNV-1a content hash, shared by the whole workspace so exporters
 //!   and the snapshot use one implementation of each.
 //!
 //! Every JSON artifact carries its own `schema_version`
-//! ([`TRACE_SCHEMA_VERSION`], [`TELEMETRY_SCHEMA_VERSION`],
-//! [`ANALYZE_SCHEMA_VERSION`]) so downstream tooling can detect drift.
+//! ([`TRACE_SCHEMA_VERSION`], [`ANALYZE_SCHEMA_VERSION`]) so downstream
+//! tooling can detect drift.
 
 mod analyze;
 mod chrome;
 mod event;
 pub mod json;
 mod sink;
-mod telemetry;
 
 pub use analyze::{
     Analysis, PhaseStats, RequestPhases, WaferUtilization, ANALYZE_PHASE_KEYS, ANALYZE_REQUEST_KEYS,
@@ -38,6 +36,3 @@ pub use analyze::{
 pub use chrome::{SpanPhase, Trace};
 pub use event::{EventKind, TraceEvent, TRACE_SCHEMA_VERSION};
 pub use sink::{RingSink, Tracer};
-pub use telemetry::{
-    Counters, TelemetryConfig, TelemetryRecorder, TelemetrySample, WaferGauges, TELEMETRY_SCHEMA_VERSION,
-};

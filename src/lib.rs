@@ -24,9 +24,9 @@
 //!   optical links, runtime fault injection with replacement-chain
 //!   healing, and sweeps over lists of scenarios,
 //! * [`trace`] — the observability layer: request-lifecycle trace events,
-//!   sampled per-wafer telemetry, post-hoc latency analysis, and the Chrome
-//!   trace-event / JSON exporters (armed via [`serve::Scenario::trace`],
-//!   zero-cost when off).
+//!   post-hoc latency and per-wafer utilization analysis read from them,
+//!   and the Chrome trace-event / JSON exporters (armed via
+//!   [`serve::Scenario::trace`], zero-cost when off).
 //!
 //! # Quickstart
 //!

@@ -21,7 +21,6 @@ const SCHEMA_PINS: &[(&str, &str)] = &[
     ("crates/serve/src/snapshot.rs", "SNAPSHOT_SCHEMA_VERSION"),
     ("crates/trace/src/analyze.rs", "ANALYZE_SCHEMA_VERSION"),
     ("crates/trace/src/event.rs", "TRACE_SCHEMA_VERSION"),
-    ("crates/trace/src/telemetry.rs", "TELEMETRY_SCHEMA_VERSION"),
 ];
 
 /// The `FastMap` alias over std `HashMap`. The wall-clock ban has no

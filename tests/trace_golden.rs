@@ -25,7 +25,7 @@ use ouro_bench::serving_setup;
 use ouroboros::model::zoo;
 use ouroboros::serve::{routers, FaultConfig, RunOutcome, Scenario, SloConfig};
 use ouroboros::sim::{OuroborosConfig, OuroborosSystem};
-use ouroboros::trace::{EventKind, Trace, TraceEvent, TELEMETRY_SCHEMA_VERSION, TRACE_SCHEMA_VERSION};
+use ouroboros::trace::{EventKind, Trace, TraceEvent, TRACE_SCHEMA_VERSION};
 use ouroboros::workload::{ArrivalConfig, LengthConfig, TimedTrace, TraceGenerator};
 use proptest::prelude::*;
 
@@ -50,23 +50,24 @@ fn pinned_scenario() -> Scenario {
 }
 
 fn instrumented(scenario: Scenario) -> RunOutcome {
-    scenario.trace(true).telemetry_every(0.005).run_full(tiny_system()).unwrap()
+    scenario.trace(true).run_full(tiny_system()).unwrap()
 }
 
 // ---- the golden trace ----------------------------------------------------
 
 /// Event count and FNV-1a digest of the pinned run, captured when the
-/// trace layer landed. Any drift means event emission, ordering, or the
-/// JSON rendering changed — bump `TRACE_SCHEMA_VERSION` if that was
-/// deliberate.
+/// trace layer landed; the digest was re-captured once at schema version
+/// 2, whose `arg_c`/`arg_d` columns carry the `decode_step` KV occupancy.
+/// Any drift means event emission, ordering, or the JSON rendering
+/// changed — bump `TRACE_SCHEMA_VERSION` if that was deliberate.
 const GOLDEN_EVENTS: usize = 1_876;
-const GOLDEN_DIGEST: u64 = 0x1fc9_b968_7961_8e59;
+const GOLDEN_DIGEST: u64 = 0x88bc_814f_21be_4b9b;
 
 #[test]
 fn pinned_run_reproduces_the_golden_trace() {
     let outcome = instrumented(pinned_scenario());
     let trace = outcome.trace().unwrap();
-    assert_eq!(TRACE_SCHEMA_VERSION, 1, "recapture the golden digest with the schema version");
+    assert_eq!(TRACE_SCHEMA_VERSION, 2, "recapture the golden digest with the schema version");
     assert_eq!(trace.len(), GOLDEN_EVENTS, "event count drifted (digest {:#018x})", trace.digest());
     assert_eq!(trace.digest(), GOLDEN_DIGEST, "event content drifted");
     assert_eq!(trace.dropped(), 0);
@@ -80,7 +81,6 @@ fn identical_runs_trace_identically() {
     assert_eq!(ta.len(), tb.len());
     assert_eq!(ta.digest(), tb.digest());
     assert_eq!(ta.events(), tb.events());
-    assert_eq!(a.telemetry(), b.telemetry());
 }
 
 #[test]
@@ -97,9 +97,8 @@ fn tracing_never_perturbs_the_report() {
 
 /// One prefill and three decode LLaMA-13B wafers (seed 2026) serving 120
 /// bursty (cv = 4) 512/64-token requests at 80% of capacity, with an MTBF
-/// of half the arrival span and telemetry sampled 64 times over it: the
-/// instrumented run reports exactly what the dark run does, and its trace
-/// accounts for every request and every migration.
+/// of half the arrival span: the traced run reports exactly what the dark
+/// run does, and its trace accounts for every request and every migration.
 #[test]
 fn llama_13b_disaggregated_fault_run_traces_every_request_and_migration() {
     const SEED: u64 = 2026;
@@ -111,12 +110,11 @@ fn llama_13b_disaggregated_fault_run_traces_every_request_and_migration() {
     let trace = TraceGenerator::new(SEED).generate(&lengths, REQUESTS);
     let timed = ArrivalConfig::Bursty { rate_rps: rate, cv: 4.0 }.assign(&trace, SEED);
     let mtbf = timed.last_arrival_s() / 2.0;
-    let cadence_s = timed.last_arrival_s() / 64.0;
     let scenario =
         Scenario::disaggregated(1, WAFERS - 1).slo(slo).faults(FaultConfig::new(mtbf, SEED)).workload(timed);
 
     let dark = scenario.clone().run(&system).expect("pools build");
-    let outcome = scenario.trace(true).telemetry_every(cadence_s).run_full(&system).expect("pools build");
+    let outcome = scenario.trace(true).run_full(&system).expect("pools build");
     assert_eq!(
         dark.json_object().render(),
         outcome.report.json_object().render(),
@@ -135,10 +133,14 @@ fn llama_13b_disaggregated_fault_run_traces_every_request_and_migration() {
     assert_eq!(trace.count("migrate_start"), migrations);
     assert_eq!(trace.count("migrate_arrive"), migrations);
 
-    let telemetry = outcome.telemetry();
-    assert!(!telemetry.is_empty(), "the recorder must sample at the cadence");
-    let max_batch = telemetry.iter().map(|s| s.gauges.batch_occupancy).max().unwrap();
-    assert!(max_batch > 0, "some wafer must batch work at some sample");
+    let mut max_batch = 0;
+    for e in trace.events() {
+        if let EventKind::DecodeStep { batch, kv_tokens, kv_capacity_tokens, .. } = e.kind {
+            max_batch = max_batch.max(batch);
+            assert!(kv_tokens <= kv_capacity_tokens, "wafer {} holds {kv_tokens} KV tokens", e.wafer);
+        }
+    }
+    assert!(max_batch > 0, "some wafer must batch work at some step");
 }
 
 // ---- well-formedness laws ------------------------------------------------
@@ -272,7 +274,7 @@ proptest! {
     }
 }
 
-// ---- exporters and telemetry ---------------------------------------------
+// ---- exporters -----------------------------------------------------------
 
 #[test]
 fn chrome_trace_export_is_loadable_shaped() {
@@ -290,68 +292,10 @@ fn chrome_trace_export_is_loadable_shaped() {
 }
 
 #[test]
-fn trace_and_telemetry_rows_carry_their_schema_versions() {
+fn trace_rows_carry_their_schema_version() {
     let outcome = instrumented(pinned_scenario());
     let trace = outcome.trace().unwrap();
     for row in trace.json_rows().iter().take(5) {
         assert!(row.render().starts_with(&format!("{{\"schema_version\": {TRACE_SCHEMA_VERSION}")));
-    }
-    let telemetry = outcome.telemetry();
-    assert!(!telemetry.is_empty(), "the recorder must sample at the cadence");
-    for s in telemetry {
-        let row = s.json_object();
-        assert!(row.render().starts_with(&format!("{{\"schema_version\": {TELEMETRY_SCHEMA_VERSION}")));
-        assert!(s.gauges.kv_used_tokens <= s.gauges.kv_capacity_tokens);
-        assert!(s.gauges.kv_blocks_shared <= s.gauges.kv_blocks_live);
-    }
-    // Counters are monotonic along the series, and samples land on the
-    // cadence grid in (time, wafer) order.
-    for pair in telemetry.windows(2) {
-        let (a, b) = (&pair[0], &pair[1]);
-        assert!(b.t_s >= a.t_s);
-        assert!(b.counters.completions >= a.counters.completions);
-        assert!(b.counters.migrations >= a.counters.migrations);
-        assert!(b.counters.faults >= a.counters.faults);
-        assert!(b.counters.steps >= a.counters.steps);
-    }
-}
-
-#[test]
-fn telemetry_tail_window_is_flushed_not_dropped() {
-    // A cadence far beyond the run's duration used to record nothing:
-    // the final partial window was silently dropped. The tail flush owes
-    // exactly one closing sample per wafer, stamped at the run's end
-    // instant (the same instant the report uses).
-    let outcome = pinned_scenario().trace(true).telemetry_every(1e9).run_full(tiny_system()).unwrap();
-    let telemetry = outcome.telemetry();
-    let wafers = outcome.engines().len();
-    assert_eq!(telemetry.len(), wafers, "one tail sample per wafer, nothing else");
-    let end_s = outcome.report.serving.duration_s;
-    for s in telemetry {
-        assert!((s.t_s - end_s).abs() < 1e-12, "tail stamped at the run end, got {} vs {end_s}", s.t_s);
-    }
-    // The flush is still observational and deterministic.
-    assert_eq!(
-        outcome.report.json_object().render(),
-        pinned_scenario().run(tiny_system()).unwrap().json_object().render()
-    );
-}
-
-#[test]
-fn telemetry_series_ends_at_the_run_end_and_stays_monotone() {
-    let outcome = instrumented(pinned_scenario());
-    let telemetry = outcome.telemetry();
-    let last = telemetry.last().unwrap();
-    let end_s = outcome.report.serving.duration_s;
-    // The series now reaches the run's end instant: either the final
-    // cadence point landed exactly there or the tail flush covered the
-    // partial window.
-    assert!(
-        last.t_s <= end_s + 1e-12 && last.t_s > end_s - 0.005,
-        "series must reach the run end (last {} vs end {end_s})",
-        last.t_s
-    );
-    for pair in telemetry.windows(2) {
-        assert!(pair[1].t_s >= pair[0].t_s, "tail flush must not break time order");
     }
 }
