@@ -45,6 +45,10 @@ pub enum KvError {
     UnknownSequence(u64),
     /// The manager was built with no KV cores at all.
     NoKvCores,
+    /// The configuration has more cores on a side, crossbars per core or
+    /// logical blocks per crossbar than a packed block reference
+    /// addresses (`MAX_BLOCK_INDEX + 1` each).
+    ConfigTooLarge,
 }
 
 impl std::fmt::Display for KvError {
@@ -53,6 +57,7 @@ impl std::fmt::Display for KvError {
             KvError::OutOfCapacity => write!(f, "kv cache out of capacity"),
             KvError::UnknownSequence(s) => write!(f, "sequence {s} is not resident"),
             KvError::NoKvCores => write!(f, "no cores were assigned to the kv cache"),
+            KvError::ConfigTooLarge => write!(f, "the kv cache is larger than a block reference addresses"),
         }
     }
 }
@@ -65,7 +70,8 @@ impl std::error::Error for KvError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KvRestoreError {
     /// A side lists a different number of cores than the configuration
-    /// has. A configuration without KV cores fits no snapshot: every
+    /// has. A configuration no manager can be built from (no KV cores, or
+    /// more than a block reference addresses) fits no snapshot: every
     /// manager has a core per side.
     CoreCount,
     /// A core lists a different number of crossbars than the configuration.
@@ -79,6 +85,9 @@ pub enum KvRestoreError {
     UnknownSequence,
     /// A cursor names a block its sequence does not own on its side.
     NotOwned,
+    /// A private block other than its role's cursor is partly filled:
+    /// growth moves a cursor only off a full block.
+    PartialBlock,
     /// A sequence's K and V blocks hold different token counts.
     FillMismatch,
     /// A shared chain has no node, or nodes on more than one core of a side.
@@ -188,6 +197,36 @@ impl Cursor {
     }
 }
 
+/// Bits of each index in a [`BlockRef`].
+const INDEX_BITS: u32 = 21;
+
+/// The largest core, crossbar or block index a [`BlockRef`] holds;
+/// [`KvManager::new`] rejects a configuration with a larger one.
+const MAX_BLOCK_INDEX: usize = (1 << INDEX_BITS) - 1;
+
+/// One private block of a sequence in 8 bytes: the role bit above the
+/// core, crossbar and block indices, [`INDEX_BITS`] each (a `(KvRole,
+/// Cursor)` pair takes 32).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockRef(u64);
+
+impl BlockRef {
+    fn new(role: KvRole, c: Cursor) -> BlockRef {
+        let packed = [role as usize, c.core_index, c.crossbar, c.block]
+            .into_iter()
+            .fold(0, |packed, index| (packed << INDEX_BITS) | index as u64);
+        let r = BlockRef(packed);
+        debug_assert_eq!(r.unpack(), (role, c), "a block index past the packed range");
+        r
+    }
+
+    fn unpack(self) -> (KvRole, Cursor) {
+        let index = |field: u32| (self.0 >> (field * INDEX_BITS)) as usize & MAX_BLOCK_INDEX;
+        let role = if index(3) == 0 { KvRole::Key } else { KvRole::Value };
+        (role, Cursor { core_index: index(2), crossbar: index(1), block: index(0) })
+    }
+}
+
 /// Dense index of a resident sequence's per-sequence state inside a
 /// [`KvManager`]: its append cursors and private block list.
 /// A sequence keeps its slot for as long as it stays resident; released
@@ -213,20 +252,22 @@ struct SlotTable {
     /// Append cursors per slot, `[key, value]`: the block of each role that
     /// grows next. Every resident sequence has both.
     cursors: Vec<[Cursor; 2]>,
-    /// Every private block allocated to the slot's sequence, in allocation
-    /// order, so [`KvManager::release`] frees exactly the sequence's blocks
-    /// instead of sweeping every crossbar of every core. Shared prefix
-    /// blocks are owned by their group, not the sequence, and are not
-    /// indexed here. Release drops the list rather than keeping its
-    /// capacity for the slot's next sequence, so idle slots hold no blocks.
-    blocks: Vec<Vec<(KvRole, Cursor)>>,
+    /// Every private block allocated to the slot's sequence, packed, so
+    /// [`KvManager::release`] frees exactly the sequence's blocks instead
+    /// of sweeping every crossbar of every core. Shared prefix blocks are
+    /// owned by their group, not the sequence, and are not indexed here.
+    /// Release empties the list but keeps its buffer for the slot's next
+    /// sequence, so a slot holds the capacity of the longest list it has
+    /// served and admission, growth and release allocate nothing once
+    /// the slots have grown.
+    blocks: Vec<Vec<BlockRef>>,
     /// Released slots, reused last-in first-out.
     free: Vec<KvSlot>,
 }
 
 impl SlotTable {
-    /// A slot for the non-resident `seq`, a free one if there is one,
-    /// holding `cursors` and an empty block list.
+    /// A slot for the non-resident `seq`, a free one (and its empty block
+    /// list's buffer) if there is one, holding `cursors`.
     fn occupy(&mut self, seq: u64, cursors: [Cursor; 2]) -> KvSlot {
         let slot = self.free.pop().unwrap_or_else(|| {
             let slot = KvSlot(u32::try_from(self.cursors.len()).expect("fewer than 2^32 slots"));
@@ -234,6 +275,7 @@ impl SlotTable {
             self.blocks.push(Vec::new());
             slot
         });
+        debug_assert!(self.blocks[slot.index()].is_empty(), "a free slot lists no block");
         self.of.insert(seq, slot);
         self.cursors[slot.index()] = cursors;
         slot
@@ -412,10 +454,18 @@ impl KvManager {
     ///
     /// # Errors
     ///
-    /// Returns [`KvError::NoKvCores`] when the core list is empty.
+    /// Returns [`KvError::NoKvCores`] when the core list is empty, and
+    /// [`KvError::ConfigTooLarge`] when a side's cores, a core's crossbars
+    /// or a crossbar's blocks are more than a block reference addresses.
     pub fn new(config: KvManagerConfig) -> Result<KvManager, KvError> {
         if config.kv_cores.is_empty() {
             return Err(KvError::NoKvCores);
+        }
+        // The value side is the larger half.
+        let widest =
+            [config.kv_cores.len().div_ceil(2), config.crossbars_per_core, config.crossbar.logical_blocks];
+        if widest.into_iter().any(|n| n > MAX_BLOCK_INDEX + 1) {
+            return Err(KvError::ConfigTooLarge);
         }
         let mk_core = |id: CoreId| {
             let xb = CrossbarBlocks::new(&config.crossbar, config.head_dim);
@@ -515,10 +565,11 @@ impl KvManager {
     /// # Errors
     ///
     /// Returns the [`KvRestoreError`] of the first part of the snapshot
-    /// that does not fit the configuration (a configuration without KV
-    /// cores is a core-count mismatch) or that no live manager holds, in
-    /// this order: core tables, allocations, sequence entries and cursors,
-    /// private blocks, chains and their blocks, fills, sharers, refcounts.
+    /// that does not fit the configuration (a configuration no manager can
+    /// be built from is a core-count mismatch) or that no live manager
+    /// holds, in this order: core tables, allocations, sequence entries and
+    /// cursors, private blocks (their owners and fills), chains and their
+    /// blocks, K and V fills, sharers, refcounts.
     /// Snapshots are only meaningful against the system that produced them.
     pub fn restore(config: KvManagerConfig, snap: &KvManagerSnapshot) -> Result<KvManager, KvRestoreError> {
         use KvRestoreError as E;
@@ -566,7 +617,12 @@ impl KvManager {
                             continue;
                         }
                         let slot = m.slots.of.get(&owner).ok_or(E::UnknownSequence)?.index();
-                        m.slots.blocks[slot].push((role, Cursor { core_index, crossbar, block }));
+                        let c = Cursor { core_index, crossbar, block };
+                        let partial = (1..xb.tokens_per_block()).contains(&used);
+                        if partial && c != m.slots.cursors[slot][role as usize] {
+                            return Err(E::PartialBlock);
+                        }
+                        m.slots.blocks[slot].push(BlockRef::new(role, c));
                         fills[slot][role as usize] += used;
                     }
                 }
@@ -691,8 +747,12 @@ impl KvManager {
     /// its V blocks hold too.
     pub fn sequence_tokens(&self, seq: u64) -> Option<usize> {
         let blocks = &self.slots.blocks[self.slot_of(seq)?.index()];
-        let private: usize =
-            blocks.iter().filter(|(role, _)| *role == KvRole::Key).map(|&(r, c)| self.fill(r, c)).sum();
+        let private: usize = blocks
+            .iter()
+            .map(|r| r.unpack())
+            .filter(|(role, _)| *role == KvRole::Key)
+            .map(|(role, c)| self.fill(role, c))
+            .sum();
         Some(self.seq_shared.get(&seq).map_or(0, |&(_, n)| n * self.tokens_per_block()) + private)
     }
 
@@ -780,7 +840,8 @@ impl KvManager {
             return Err(KvError::OutOfCapacity);
         };
         let slot = self.slots.occupy(seq, [k, v]);
-        self.slots.blocks[slot.index()].extend([(KvRole::Key, k), (KvRole::Value, v)]);
+        self.slots.blocks[slot.index()]
+            .extend([BlockRef::new(KvRole::Key, k), BlockRef::new(KvRole::Value, v)]);
         Ok(slot)
     }
 
@@ -963,8 +1024,9 @@ impl KvManager {
     ///
     /// Returns [`KvError::OutOfCapacity`] if K or V cannot grow. The append
     /// then writes nothing: the tokens it wrote are taken back, so K and V
-    /// still hold the sequence's token count each. The blocks it allocated
-    /// stay the sequence's, empty, until it is released.
+    /// still hold the sequence's token count each, and the cursors are
+    /// back on the blocks it started from. The blocks it allocated stay
+    /// the sequence's, empty, until it is released.
     pub fn append_at(&mut self, slot: KvSlot, seq: u64, tokens: usize) -> Result<(), KvError> {
         debug_assert_eq!(self.slot_of(seq), Some(slot), "slot {slot:?} does not hold sequence {seq}");
         let i = slot.index();
@@ -976,7 +1038,7 @@ impl KvManager {
                 let mut written = [tokens, 0];
                 written[role as usize] = tokens - unwritten;
                 for at in listed..self.slots.blocks[i].len() {
-                    let (role, c) = self.slots.blocks[i][at];
+                    let (role, c) = self.slots.blocks[i][at].unpack();
                     let fill = self.fill(role, c);
                     self.take_back(role, c, fill);
                     written[role as usize] -= fill;
@@ -984,6 +1046,9 @@ impl KvManager {
                 for role in ROLES {
                     self.take_back(role, cursors[role as usize], written[role as usize]);
                 }
+                // The cursors go back to the blocks they started from, so
+                // every other private block is full or empty.
+                self.slots.cursors[i] = cursors;
                 return Err(KvError::OutOfCapacity);
             }
         }
@@ -1035,7 +1100,7 @@ impl KvManager {
                 KvRole::Value => cursor.crossbar,
             };
             let c = self.alloc_block(role, cursor.core_index, start, seq).ok_or(remaining)?;
-            self.slots.blocks[slot.index()].push((role, c));
+            self.slots.blocks[slot.index()].push(BlockRef::new(role, c));
             self.slots.cursors[slot.index()][at] = c;
         }
         Ok(())
@@ -1051,11 +1116,14 @@ impl KvManager {
             // Free exactly the blocks the allocation paths indexed for this
             // sequence — the only paths that ever free private blocks run
             // through here, so every indexed block is still owned by `seq`.
-            // Its K blocks hold its private tokens.
-            for (role, c) in std::mem::take(&mut self.slots.blocks[slot.index()]) {
+            // Its K blocks hold its private tokens. The emptied list keeps
+            // its buffer for the slot's next sequence.
+            let mut blocks = std::mem::take(&mut self.slots.blocks[slot.index()]);
+            for (role, c) in blocks.drain(..).map(BlockRef::unpack) {
                 let used = self.free_block(role, c);
                 tokens += if role == KvRole::Key { used } else { 0 };
             }
+            self.slots.blocks[slot.index()] = blocks;
             self.slots.free.push(slot);
         }
         for core in self.key_cores.iter().chain(self.value_cores.iter()) {
@@ -1429,6 +1497,36 @@ mod tests {
     }
 
     #[test]
+    fn restore_rejects_a_cursor_moved_off_its_partly_filled_block() {
+        let mut m = manager(8);
+        m.admit(1, 300).unwrap(); // two full blocks a role, and the cursor's 44 tokens
+        m.admit(2, 256).unwrap(); // two full blocks a role, the cursor on the second
+        let snap = m.snapshot();
+        let full_key_blocks = |seq: u64| -> Vec<SnapshotSlot> {
+            let tables = snap.key_cores.iter().enumerate().flat_map(|(core, xbs)| {
+                xbs.iter().enumerate().map(move |(xb, table)| ((core, xb), &table.blocks))
+            });
+            tables
+                .flat_map(|((core, xb), blocks)| {
+                    blocks.iter().enumerate().map(move |(b, e)| ((core, xb, b), *e))
+                })
+                .filter_map(|(at, e)| (e == Some((seq, 128))).then_some(at))
+                .collect()
+        };
+        let (one, two) = (full_key_blocks(1), full_key_blocks(2));
+        assert_eq!((one.len(), two.len()), (2, 2));
+        let mut off_partial = snap.clone();
+        off_partial.sequences[0].1 = one[0];
+        let err = KvManager::restore(m.config.clone(), &off_partial).err();
+        assert_eq!(err, Some(KvRestoreError::PartialBlock));
+        // A cursor moved between two full blocks still restores: a live
+        // cursor may sit on either, so the tables cannot tell them apart.
+        let mut between_full = snap.clone();
+        between_full.sequences[1].1 = *two.iter().find(|&&at| at != snap.sequences[1].1).unwrap();
+        assert!(KvManager::restore(m.config.clone(), &between_full).is_ok());
+    }
+
+    #[test]
     fn a_failed_append_takes_its_tokens_back() {
         // One core per side: sequence 2 takes every block sequence 1 left.
         let mut m = manager(2);
@@ -1445,8 +1543,94 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_append_moves_its_cursors_back_off_the_blocks_it_allocated() {
+        // One core per side and two free blocks a side: an append to
+        // sequence 1 that needs three new blocks allocates two K blocks,
+        // then fails.
+        let mut m = manager(2);
+        m.admit(1, 100).unwrap();
+        let (blocks, tpb) = (m.num_kv_units() / 2 * 8, m.tokens_per_block());
+        m.admit(2, (blocks - 3) * tpb).unwrap();
+        let slot = m.slot_of(1).unwrap();
+        let (used, audit, cursors) = (m.used_tokens(), m.block_audit(), m.slots.cursors[slot.index()]);
+        assert_eq!(m.append_at(slot, 1, 28 + 2 * tpb + 1), Err(KvError::OutOfCapacity));
+        assert_eq!(m.block_audit().allocated, audit.allocated + 2, "the two K blocks stay the sequence's");
+        assert_eq!((m.used_tokens(), m.sequence_tokens(1), m.room(slot)), (used, Some(100), 28));
+        assert_eq!(m.slots.cursors[slot.index()], cursors);
+        // The K block the append started from is partly filled and its
+        // cursor again; the new ones are empty. So the snapshot restores.
+        let snap = m.snapshot();
+        assert_eq!(KvManager::restore(m.config.clone(), &snap).map(|r| r.snapshot()), Ok(snap));
+    }
+
+    #[test]
     fn no_cores_is_an_error() {
         assert_eq!(KvManager::new(KvManagerConfig::new(vec![], 128)).unwrap_err(), KvError::NoKvCores);
+    }
+
+    #[test]
+    fn slot_block_lists_keep_their_buffers_across_sequences() {
+        // Four 128/2048-token sequences at a time, one decode token per
+        // append, released together; the freed slots are reused in turn.
+        let mut m = manager(8);
+        let mut seq = 0;
+        let mut cycle = |m: &mut KvManager| {
+            let seqs: Vec<u64> = (seq..seq + 4).collect();
+            seq += 4;
+            for &s in &seqs {
+                m.admit(s, 128).unwrap();
+            }
+            for _ in 0..2048 {
+                for &s in &seqs {
+                    m.append_at(m.slot_of(s).unwrap(), s, 1).unwrap();
+                }
+            }
+            for &s in &seqs {
+                assert_eq!(m.release(s), 2176);
+            }
+        };
+        let buffers =
+            |m: &KvManager| m.slots.blocks.iter().map(|b| (b.as_ptr(), b.capacity())).collect::<Vec<_>>();
+        cycle(&mut m);
+        let warm = buffers(&m);
+        assert_eq!(warm.len(), 4);
+        assert!(warm.iter().all(|&(_, capacity)| capacity >= 2 * 17), "17 blocks a role");
+        for _ in 0..3 {
+            cycle(&mut m);
+            assert_eq!(buffers(&m), warm, "a slot's list reallocated");
+        }
+        assert!(m.slots.blocks.iter().all(Vec::is_empty));
+    }
+
+    #[test]
+    fn a_block_ref_round_trips_at_the_largest_indices() {
+        let max = MAX_BLOCK_INDEX;
+        for role in ROLES {
+            for c in [
+                Cursor { core_index: max, crossbar: max, block: max },
+                Cursor { core_index: max, crossbar: 0, block: max },
+                Cursor { core_index: 0, crossbar: max, block: 0 },
+            ] {
+                assert_eq!(BlockRef::new(role, c).unpack(), (role, c));
+            }
+        }
+    }
+
+    #[test]
+    fn a_configuration_past_the_packed_range_is_an_error() {
+        // One more core, crossbar or block than a reference addresses.
+        let past = MAX_BLOCK_INDEX + 2;
+        let fits = KvManagerConfig::new((0..2).map(CoreId).collect(), 128);
+        let mut crossbars = fits.clone();
+        crossbars.crossbars_per_core = past;
+        let mut blocks = fits.clone();
+        blocks.crossbar.logical_blocks = past;
+        // The value side is the larger half: 2^21 + 1 cores.
+        let cores = KvManagerConfig::new((0..2 * past - 1).map(CoreId).collect(), 128);
+        for config in [crossbars, blocks, cores] {
+            assert_eq!(KvManager::new(config).unwrap_err(), KvError::ConfigTooLarge);
+        }
+        assert!(KvManager::new(fits).is_ok());
     }
 
     #[test]

@@ -222,6 +222,10 @@ pub struct Engine {
     pub(crate) ctx_tokens: u64,
     /// Decode tokens taken but not yet handed to the KV manager.
     pub(crate) lazy_tokens: usize,
+    /// The active indices whose decode growth failed in the current step,
+    /// evicted at its end. A scratch buffer, empty between steps and never
+    /// serialized, kept so that no step allocates one.
+    pub(crate) evicted_now: Vec<usize>,
     pub(crate) admission_suspended: bool,
     pub(crate) clock_s: f64,
     pub(crate) busy_s: f64,
@@ -264,6 +268,7 @@ impl Engine {
             prefill_tokens: 0,
             ctx_tokens: 0,
             lazy_tokens: 0,
+            evicted_now: Vec::new(),
             admission_suspended: false,
             clock_s: 0.0,
             busy_s: 0.0,
@@ -581,24 +586,24 @@ impl Engine {
         // Handle the due events in ONE interleaved prefill/decode pass in
         // active-set order (two separate passes would reorder
         // `prefill_end` relative to `first_token`).
-        let mut evicted_now: Vec<usize> = Vec::new();
         let mut finished = false;
         let mut i = 0;
         while let Some(due) = self.next_event[i..].iter().position(|&step| step <= now) {
             i += due;
             if !stage::prefill::advance_one(self, i, end_s) {
-                stage::decode::advance_one(self, i, end_s, &mut evicted_now);
+                stage::decode::advance_one(self, i, end_s);
             }
             finished |= self.active[i].done();
             i += 1;
         }
         // Decode-growth failures evict (highest index first so swap_remove
         // keeps earlier indices valid).
-        evicted_now.sort_unstable_by(|a, b| b.cmp(a));
-        for i in evicted_now {
-            let victim = self.take_active(i);
+        self.evicted_now.sort_unstable_by(|a, b| b.cmp(a));
+        for at in 0..self.evicted_now.len() {
+            let victim = self.take_active(self.evicted_now[at]);
             stage::admission::requeue_evicted(self, victim, false);
         }
+        self.evicted_now.clear();
 
         self.clock_s = end_s;
         if !finished {

@@ -471,7 +471,7 @@ impl From<KvRestoreError> for SnapshotError {
         let section = match e {
             Allocations => Kv::NAME,
             CoreCount | CrossbarCount | BlockCount | Overfull => KvCores::NAME,
-            UnknownSequence | NotOwned | FillMismatch | Sharer => KvSeqs::NAME,
+            UnknownSequence | NotOwned | PartialBlock | FillMismatch | Sharer => KvSeqs::NAME,
             ChainCore | ChainNotOwned | Unchained | Unreferenced => KvShared::NAME,
         };
         SnapshotError::resume(None, section, SnapshotErrorKind::Kv(e))

@@ -94,9 +94,9 @@ pub(crate) fn emit_step(e: &mut Engine, end_s: f64, step_tokens: usize) {
 /// Handles a decode event of active sequence `i`: its first token, the
 /// token that needs a new KV block, or its last token. The lazy tokens
 /// and this step's token reach the KV manager in one append; a failure to
-/// grow marks the sequence for eviction instead. The first token stamps
-/// the entry's `first_token_s`.
-pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mut Vec<usize>) {
+/// grow lists the sequence in `Engine::evicted_now` for eviction instead.
+/// The first token stamps the entry's `first_token_s`.
+pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64) {
     let a = e.active[i];
     if !a.decoding() {
         // Prefill-only (decode happens on another wafer) or a zero-decode
@@ -114,7 +114,7 @@ pub(crate) fn advance_one(e: &mut Engine, i: usize, end_s: f64, evicted_now: &mu
             }
             e.schedule(i);
         }
-        Err(KvError::OutOfCapacity) => evicted_now.push(i),
+        Err(KvError::OutOfCapacity) => e.evicted_now.push(i),
         Err(err) => panic!("unexpected kv error during decode: {err}"),
     }
 }

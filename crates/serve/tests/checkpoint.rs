@@ -675,6 +675,62 @@ fn saturated_snapshot_json() -> &'static str {
     })
 }
 
+/// The `kv_seqs` entries of the first wafer of `json` that holds a
+/// sequence whose K cursor block is partly filled and which owns a full K
+/// block, with that cursor moved onto the full block; and the wafer.
+/// Cursors never change core, so the full block is on the cursor's core.
+fn cursor_moved_off_its_partial_block(json: &str) -> (usize, String) {
+    let tokens_per_block = KvManager::new(golden_runs().0.serve_kv_config()).unwrap().tokens_per_block();
+    let rows = rows_of(json);
+    for seqs in rows.iter().filter(|r| on("kv_seqs", None)(r)) {
+        let wafer = field(seqs, "wafer");
+        let mut entries: Vec<String> = field(seqs, "entries").split(';').map(str::to_string).collect();
+        for entry in &mut entries {
+            let mut parts: Vec<String> = entry.split(':').map(str::to_string).collect();
+            let (core, cursor) = parts[1].split_once('.').unwrap();
+            let k_core = format!(r#"{{"section":"kv_cores","wafer":"{wafer}","side":"k","core":"{core}""#);
+            let xbs = field(rows.iter().find(|r| r.starts_with(&k_core)).unwrap(), "xbs");
+            // `(xb.block, used)` of every K block the sequence owns there.
+            let owned: Vec<(String, usize)> = xbs
+                .split(';')
+                .enumerate()
+                .flat_map(|(xb, table)| {
+                    table.split_once('!').unwrap().1.split(',').enumerate().map(move |b| (xb, b))
+                })
+                .filter_map(|(xb, (block, e))| {
+                    let (owner, used) = e.split_once(':')?;
+                    (owner == parts[0]).then(|| (format!("{xb}.{block}"), used.parse().unwrap()))
+                })
+                .collect();
+            let fill = owned.iter().find(|(at, _)| at == cursor).unwrap().1;
+            let full = owned.iter().find(|(_, used)| *used == tokens_per_block);
+            if let (true, Some((full, _))) = (fill > 0 && fill < tokens_per_block, full) {
+                parts[1] = format!("{core}.{full}");
+                *entry = parts.join(":");
+                return (wafer.parse().unwrap(), entries.join(";"));
+            }
+        }
+    }
+    panic!("no sequence with a partly filled cursor block and a full one")
+}
+
+#[test]
+fn resume_rejects_a_cursor_moved_off_its_partly_filled_block() {
+    // Growth moves a cursor only off a full block, so every other private
+    // block of its role is full (or, between a failed append and the
+    // release that follows it, empty). The moved cursor leaves a partly
+    // filled block behind; the first v7 reader resumed it `Ok`, into a run
+    // that appends to the wrong block.
+    let (sys, scenario) = (&golden_runs().0, saturated_long_decode());
+    let json = saturated_snapshot_json();
+    let (wafer, entries) = cursor_moved_off_its_partial_block(json);
+    let (edited, _, _) =
+        edit_row(json, on("kv_seqs", Some(wafer)), |r| with_field(r, "entries", |_| entries.clone()));
+    let snap = Snapshot::parse(&edited).unwrap();
+    let expected = rejected(Some(wafer), "kv_seqs", Kv(KvRestoreError::PartialBlock));
+    assert_eq!(scenario.resume(sys, &snap).err(), Some(expected));
+}
+
 /// A position of `kind` among every kind, exhaustively: a new kind does
 /// not compile until it has a place here, and a case below.
 fn kind_index(kind: SnapshotErrorKind) -> usize {
@@ -714,6 +770,7 @@ fn kind_index(kind: SnapshotErrorKind) -> usize {
                 R::Sharer => 10,
                 R::Unreferenced => 11,
                 R::Allocations => 12,
+                R::PartialBlock => 13,
             }
         }
     }
@@ -1037,6 +1094,16 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         "kv_shared",
         Kv(R::Unchained),
     );
+    let (wafer, off_partial) = cursor_moved_off_its_partial_block(sat);
+    resume(
+        "cursor off its partly filled block",
+        &saturated,
+        sat,
+        &on("kv_seqs", Some(wafer)),
+        &|r| with_field(r, "entries", |_| off_partial.clone()),
+        "kv_seqs",
+        Kv(R::PartialBlock),
+    );
     let local = |r: &str| on("pending", None)(r) && field(r, "imported") == "0";
     resume(
         "pending trace index past the trace",
@@ -1100,7 +1167,7 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
         assert_eq!(err, *expected, "{case}");
         seen.insert(kind_index(err.kind));
     }
-    assert!(seen.into_iter().eq(0..32), "every kind must be reached");
+    assert!(seen.into_iter().eq(0..33), "every kind must be reached");
 }
 
 #[test]
