@@ -19,9 +19,9 @@
 //! count; the serving-style experiments run every request asked for.
 //!
 //! Every subcommand builds its result as JSON rows and writes them with
-//! `--out <path>` (alias: `--json`). Each stdout table is printed from
-//! those rows (`ouro_bench::format_table`, a column subset per table), so
-//! a table and its file cannot disagree. The figure rows are built in the
+//! `--out <path>`. Each stdout table is printed from those rows
+//! (`ouro_bench::format_table`, a column subset per table), so a table
+//! and its file cannot disagree. The figure rows are built in the
 //! library (`ouro_bench::FIGURES`) and pinned by
 //! `crates/bench/tests/figures.rs`.
 //!
@@ -83,7 +83,7 @@ const SUBCOMMANDS: &[&str] = &[
 fn usage_error(message: &str) -> ! {
     eprintln!("error: {message}");
     eprintln!("usage: experiments [<subcommand>] [--requests N] [--threads N] [--out PATH] [--trace PATH]");
-    eprintln!("flags: --out writes the subcommand's JSON rows to PATH (--json is an alias);");
+    eprintln!("flags: --out writes the subcommand's JSON rows to PATH;");
     eprintln!("       --threads sets sweep worker threads (serving/disagg/faults; default: all cores;");
     eprintln!("                 output is identical at any thread count);");
     eprintln!("       --trace writes a Chrome trace-event JSON (scenario subcommand only);");
@@ -127,11 +127,8 @@ fn main() {
                 threads_set = true;
                 i += 2;
             }
-            // `--json` predates `--out` and stays as an alias so existing
-            // CI invocations keep working.
-            flag @ ("--out" | "--json") => {
-                let value =
-                    args.get(i + 1).unwrap_or_else(|| usage_error(&format!("{flag} expects a file path")));
+            "--out" => {
+                let value = args.get(i + 1).unwrap_or_else(|| usage_error("--out expects a file path"));
                 out_path = Some(value.clone());
                 i += 2;
             }

@@ -208,27 +208,23 @@ fn fig15(requests: usize) -> Vec<JsonObject> {
                 let cfg = OuroborosConfig { seed: SEED, mapping_iterations: 1_500, ..cfg };
                 let row =
                     JsonObject::new().str("model", &model.name).str("workload", label).str("step", step);
-                rows.push(match OuroborosSystem::new(cfg, &model) {
-                    Ok(sys) => {
-                        let r = sys.simulate_labeled(&trace, label);
-                        let (speedup, energy) = match &reference {
-                            Some(base) => (r.speedup_over(base), r.energy_ratio_over(base)),
-                            None => (1.0, 1.0),
-                        };
-                        let row = row
-                            .num("tokens_per_s", r.throughput_tokens_per_s)
-                            .num("speedup_vs_baseline", speedup)
-                            .num("j_per_token", r.energy_per_token_j())
-                            .num("energy_vs_baseline", energy)
-                            .null("error");
-                        reference.get_or_insert(r);
-                        row
-                    }
-                    Err(e) => ["tokens_per_s", "speedup_vs_baseline", "j_per_token", "energy_vs_baseline"]
-                        .iter()
-                        .fold(row, |row, key| row.null(key))
-                        .str("error", &format!("does not build: {e}")),
+                let measured = OuroborosSystem::new(cfg, &model).map(|sys| {
+                    let r = sys.simulate_labeled(&trace, label);
+                    let (speedup, energy) = match &reference {
+                        Some(base) => (r.speedup_over(base), r.energy_ratio_over(base)),
+                        None => (1.0, 1.0),
+                    };
+                    let values = [r.throughput_tokens_per_s, speedup, r.energy_per_token_j(), energy];
+                    reference.get_or_insert(r);
+                    values
                 });
+                let values = measured.as_ref().ok();
+                let error = measured.as_ref().err().map(|e| format!("does not build: {e}"));
+                let row = ["tokens_per_s", "speedup_vs_baseline", "j_per_token", "energy_vs_baseline"]
+                    .into_iter()
+                    .enumerate()
+                    .fold(row, |row, (k, key)| row.opt(key, values.map(|v| v[k]), JsonObject::num));
+                rows.push(row.opt("error", error.as_deref(), JsonObject::str));
             }
         }
     }

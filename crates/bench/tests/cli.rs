@@ -13,13 +13,15 @@ use std::time::Duration;
 fn flags_a_subcommand_does_not_honor_are_rejected_before_it_runs() {
     let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join("experiments-rejected-out.json");
     let out_arg = out.to_str().expect("the target directory is UTF-8");
-    // `--threads` on a subcommand that sweeps nothing, and `--requests` on
-    // one that simulates no request trace. Each also names `--out`, which
+    // `--threads` on a subcommand that sweeps nothing, `--requests` on
+    // one that simulates no request trace, and `--json`, which is not a
+    // flag (`--out` names the JSON file). Each also names `--out`, which
     // must stay unwritten.
-    let rejected: [&[&str]; 3] = [
+    let rejected: [&[&str]; 4] = [
         &["fig18", "--threads", "2", "--out", out_arg],
         &["table2", "--requests", "5", "--out", out_arg],
         &["fig18", "--requests", "5", "--out", out_arg],
+        &["fig18", "--json", out_arg, "--out", out_arg],
     ];
     for args in rejected {
         let _ = std::fs::remove_file(&out);

@@ -376,7 +376,8 @@ impl FaultInjector {
     /// [`SnapshotErrorKind::WaferCount`] when the snapshot lists a
     /// different number of wafers than `wafers`, or
     /// [`SnapshotErrorKind::IndexOutOfRange`] when a wafer fired more
-    /// faults than its window holds.
+    /// faults than its window holds or lists a core off the wafer's grid
+    /// (a later fault could draw it as its victim).
     pub(crate) fn restore(
         system: &OuroborosSystem,
         wafers: usize,
@@ -388,8 +389,10 @@ impl FaultInjector {
             return Err(SnapshotError::resume(None, InjectorWafer::NAME, SnapshotErrorKind::WaferCount));
         }
         let mut inj = FaultInjector::new(system, wafers, config, window_s);
+        let cores = inj.geometry.total_cores() as u64;
         for (wafer, (state, w)) in inj.wafers.iter_mut().zip(&snap.wafers).enumerate() {
-            if !state.faults.skip(w.fired) {
+            let on_wafer = w.assignment.iter().chain(&w.kv_cores).all(|&c| c < cores);
+            if !on_wafer || !state.faults.skip(w.fired) {
                 let kind = SnapshotErrorKind::IndexOutOfRange;
                 return Err(SnapshotError::resume(Some(wafer), InjectorWafer::NAME, kind));
             }

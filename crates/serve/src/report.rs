@@ -131,23 +131,16 @@ impl RunReport {
     /// emits the same keys in the same order; sections that do not apply
     /// to this run (migration, faults) render as `null`.
     pub fn json_object(&self) -> JsonObject {
-        let mut o = JsonObject::new()
+        let (s, m, f) = (&self.serving, self.migration.as_ref(), self.faults.as_ref());
+        JsonObject::new()
             .int("schema_version", self.schema_version as u64)
             .str("deployment", &self.deployment.kind)
             .int("wafers", self.deployment.wafers as u64)
             .int("prefill_wafers", self.deployment.prefill_wafers as u64)
             .int("decode_wafers", self.deployment.decode_wafers as u64)
-            .str("router", &self.deployment.router);
-        o = match &self.deployment.placement {
-            Some(p) => o.str("placement", p),
-            None => o.null("placement"),
-        };
-        let s = &self.serving;
-        o = match s.offered_rps {
-            Some(r) => o.num("offered_rps", r),
-            None => o.null("offered_rps"),
-        };
-        o = o
+            .str("router", &self.deployment.router)
+            .opt("placement", self.deployment.placement.as_deref(), JsonObject::str)
+            .opt("offered_rps", s.offered_rps, JsonObject::num)
             .int("injected", s.injected as u64)
             .int("completed", s.completed as u64)
             .int("queued_at_horizon", s.queued_at_horizon as u64)
@@ -176,73 +169,33 @@ impl RunReport {
             .num("e2e_p50_s", s.e2e.p50_s)
             .num("e2e_p95_s", s.e2e.p95_s)
             .num("e2e_p99_s", s.e2e.p99_s)
-            .num("e2e_max_s", s.e2e.max_s);
-        o = match &self.migration {
-            Some(m) => o
-                .int("migrations", m.migrations as u64)
-                .int("migrated_tokens", m.migrated_tokens)
-                .int("exported_kv_bytes", m.exported_kv_bytes)
-                .int("imported_kv_bytes", m.imported_kv_bytes)
-                .int("in_flight_kv_bytes", m.in_flight_kv_bytes)
-                .int("dropped_kv_bytes", m.dropped_kv_bytes)
-                .int("deduped_kv_bytes", m.deduped_kv_bytes)
-                .num("mean_migration_s", m.mean_migration_s)
-                .num("max_migration_s", m.max_migration_s)
-                .num("link_energy_j", m.link_energy_j)
-                .num("prefill_utilization", m.prefill_utilization)
-                .num("decode_utilization", m.decode_utilization),
-            None => [
-                "migrations",
-                "migrated_tokens",
-                "exported_kv_bytes",
-                "imported_kv_bytes",
-                "in_flight_kv_bytes",
-                "dropped_kv_bytes",
-                "deduped_kv_bytes",
-                "mean_migration_s",
-                "max_migration_s",
-                "link_energy_j",
-                "prefill_utilization",
-                "decode_utilization",
-            ]
-            .iter()
-            .fold(o, |o, k| o.null(k)),
-        };
-        match &self.faults {
-            Some(f) => o
-                .num("fault_mtbf_s", f.config.mtbf_s)
-                .int("faults_injected", f.faults_injected)
-                .int("chains_built", f.chains_built)
-                .int("tiles_moved", f.tiles_moved)
-                .int("kv_cores_lost", f.kv_cores_lost)
-                .int("sequences_recomputed", f.sequences_recomputed)
-                .int("kv_tokens_evicted", f.kv_tokens_evicted)
-                .int("kv_bytes_evicted", f.kv_bytes_evicted)
-                .int("unrepaired_faults", f.unrepaired_faults)
-                .int("dead_wafers", f.dead_wafers as u64)
-                .num("total_stall_s", f.total_stall_s)
-                .num("dead_time_s", f.dead_time_s)
-                .num("mean_chain_len", f.mean_chain_len())
-                .num("availability", f.availability),
-            None => [
-                "fault_mtbf_s",
-                "faults_injected",
-                "chains_built",
-                "tiles_moved",
-                "kv_cores_lost",
-                "sequences_recomputed",
-                "kv_tokens_evicted",
-                "kv_bytes_evicted",
-                "unrepaired_faults",
-                "dead_wafers",
-                "total_stall_s",
-                "dead_time_s",
-                "mean_chain_len",
-                "availability",
-            ]
-            .iter()
-            .fold(o, |o, k| o.null(k)),
-        }
+            .num("e2e_max_s", s.e2e.max_s)
+            .opt("migrations", m.map(|m| m.migrations as u64), JsonObject::int)
+            .opt("migrated_tokens", m.map(|m| m.migrated_tokens), JsonObject::int)
+            .opt("exported_kv_bytes", m.map(|m| m.exported_kv_bytes), JsonObject::int)
+            .opt("imported_kv_bytes", m.map(|m| m.imported_kv_bytes), JsonObject::int)
+            .opt("in_flight_kv_bytes", m.map(|m| m.in_flight_kv_bytes), JsonObject::int)
+            .opt("dropped_kv_bytes", m.map(|m| m.dropped_kv_bytes), JsonObject::int)
+            .opt("deduped_kv_bytes", m.map(|m| m.deduped_kv_bytes), JsonObject::int)
+            .opt("mean_migration_s", m.map(|m| m.mean_migration_s), JsonObject::num)
+            .opt("max_migration_s", m.map(|m| m.max_migration_s), JsonObject::num)
+            .opt("link_energy_j", m.map(|m| m.link_energy_j), JsonObject::num)
+            .opt("prefill_utilization", m.map(|m| m.prefill_utilization), JsonObject::num)
+            .opt("decode_utilization", m.map(|m| m.decode_utilization), JsonObject::num)
+            .opt("fault_mtbf_s", f.map(|f| f.config.mtbf_s), JsonObject::num)
+            .opt("faults_injected", f.map(|f| f.faults_injected), JsonObject::int)
+            .opt("chains_built", f.map(|f| f.chains_built), JsonObject::int)
+            .opt("tiles_moved", f.map(|f| f.tiles_moved), JsonObject::int)
+            .opt("kv_cores_lost", f.map(|f| f.kv_cores_lost), JsonObject::int)
+            .opt("sequences_recomputed", f.map(|f| f.sequences_recomputed), JsonObject::int)
+            .opt("kv_tokens_evicted", f.map(|f| f.kv_tokens_evicted), JsonObject::int)
+            .opt("kv_bytes_evicted", f.map(|f| f.kv_bytes_evicted), JsonObject::int)
+            .opt("unrepaired_faults", f.map(|f| f.unrepaired_faults), JsonObject::int)
+            .opt("dead_wafers", f.map(|f| f.dead_wafers as u64), JsonObject::int)
+            .opt("total_stall_s", f.map(|f| f.total_stall_s), JsonObject::num)
+            .opt("dead_time_s", f.map(|f| f.dead_time_s), JsonObject::num)
+            .opt("mean_chain_len", f.map(FaultReport::mean_chain_len), JsonObject::num)
+            .opt("availability", f.map(|f| f.availability), JsonObject::num)
     }
 }
 

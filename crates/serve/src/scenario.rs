@@ -52,15 +52,13 @@ use crate::metrics::{RunTotals, ServingReport, SloConfig};
 use crate::policy::{placements, routers, Placement, Router};
 use crate::report::{DeploymentInfo, MigrationStats, RunReport, SCHEMA_VERSION};
 use crate::snapshot::{Snapshot, SnapshotError};
+use crate::stage;
 use crate::stage::migrate::MigrationTotals;
-use crate::stage::{self, F64Key};
 use ouro_kvcache::{KvError, KvManager};
 use ouro_sim::noc::InterWaferLink;
 use ouro_sim::OuroborosSystem;
 use ouro_trace::{Analysis, Trace, TraceEvent, Tracer};
 use ouro_workload::TimedTrace;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The pool split of a disaggregated deployment.
@@ -426,8 +424,8 @@ impl RunOutcome {
 }
 
 /// The complete mutable state of one in-flight scenario run: the driver
-/// (arrival cursor, engines, event calendar, policies, migration totals,
-/// fault injector). Produced by [`Scenario::start`],
+/// (arrival cursor, engines, policies, migration totals, fault
+/// injector). Produced by [`Scenario::start`],
 /// advanced by [`RunState::step_once`] / [`RunState::run_until`] /
 /// [`RunState::run_to_end`], closed by [`RunState::finish`], and captured
 /// whole by [`Scenario::checkpoint`].
@@ -453,10 +451,10 @@ enum Next {
 
 impl RunState {
     /// Assembles a run over `engines` (one per wafer, from
-    /// `Scenario::wafer_engine`) and `injector`, with no arrival routed;
-    /// the driver books every engine in its calendar. The one construction
-    /// path of [`Scenario::start`] and [`Scenario::resume`]; a resume then
-    /// overwrites the driver state its snapshot restores.
+    /// `Scenario::wafer_engine`) and `injector`, with no arrival routed.
+    /// The one construction path of [`Scenario::start`] and
+    /// [`Scenario::resume`]; a resume then overwrites the driver state its
+    /// snapshot restores.
     pub(crate) fn new(
         scenario: &Scenario,
         system: &OuroborosSystem,
@@ -473,10 +471,8 @@ impl RunState {
     /// injector's wafer index space is global, so a fault can strike
     /// either side of a disaggregation split. An arrival is routed once
     /// every busy engine has simulated past it (an engine event at the
-    /// same instant waits), so routing sees current state. Its only
-    /// mutation (lazy calendar scrubbing) is idempotent, so asking then
-    /// stepping equals stepping directly.
-    fn next_event(&mut self) -> Option<(f64, Next)> {
+    /// same instant waits), so routing sees current state.
+    fn next_event(&self) -> Option<(f64, Next)> {
         let arrival = self.scenario.timed().arrivals.get(self.driver.routed).map(|r| r.arrival_s);
         let engine = self.driver.next_event_engine();
         if let Some(inj) = &self.driver.injector {
@@ -499,17 +495,21 @@ impl RunState {
     /// a no-op.
     pub fn step_once(&mut self) -> bool {
         let Some((_, next)) = self.next_event() else { return false };
+        self.process(next);
+        true
+    }
+
+    /// Processes `next`, the event [`RunState::next_event`] just decided.
+    fn process(&mut self, next: Next) {
         let d = &mut self.driver;
         match next {
             Next::Fault(wafer) => {
                 let inj = d.injector.as_mut().expect("only an armed injector has a due fault");
                 inj.inject(wafer, &mut d.engines[wafer]);
-                d.refresh_engine(wafer);
             }
             Next::Engine(i) => d.step_engine(i),
             Next::Arrival => stage::arrival::route_next(d, self.scenario.timed()),
         }
-        true
     }
 
     /// Drives the run until the next pending event would be at or past
@@ -520,8 +520,8 @@ impl RunState {
     /// `run_until(t)` → [`RunState::finish`] reports the run stopped at `t`,
     /// with its unfinished work queued or in flight.
     pub fn run_until(&mut self, t_s: f64) {
-        while self.next_event().is_some_and(|(next_s, _)| next_s < t_s) {
-            self.step_once();
+        while let Some((_, next)) = self.next_event().filter(|&(next_s, _)| next_s < t_s) {
+            self.process(next);
         }
     }
 
@@ -595,33 +595,19 @@ pub(crate) struct Driver {
     pub(crate) routed: usize,
     /// The armed fault plan: each wafer's fault stream and remap state.
     pub(crate) injector: Option<FaultInjector>,
-    /// The event calendar: one entry per (engine, generation) holding the
-    /// engine's next-event time at refresh. Entries whose generation no
-    /// longer matches [`Driver::engine_gen`] are stale and discarded
-    /// lazily when they surface at the heap top. Ties on time resolve
-    /// toward the lowest wafer index, matching the old linear scan.
-    /// Never checkpointed: it is a pure cache over the engines, rebuilt by
-    /// [`Driver::refresh_engine`] on resume.
-    calendar: BinaryHeap<Reverse<(F64Key, usize, u64)>>,
-    /// Per-engine generation counters, bumped by [`Driver::refresh_engine`]
-    /// after every engine mutation so earlier calendar entries for that
-    /// engine can be recognised as stale.
-    engine_gen: Vec<u64>,
 }
 
 impl Driver {
     /// The one constructor: a fresh driver over `engines` (one per wafer
-    /// of `scenario`'s deployment) with every engine booked in the event
-    /// calendar. A resume overwrites the policy state, migration totals
-    /// and counters it restores.
+    /// of `scenario`'s deployment). A resume overwrites the policy state,
+    /// migration totals and counters it restores.
     fn new(
         scenario: &Scenario,
         system: &OuroborosSystem,
         engines: Vec<Engine>,
         injector: Option<FaultInjector>,
     ) -> Driver {
-        let total = engines.len();
-        let mut driver = Driver {
+        Driver {
             engines,
             prefill_wafers: scenario.prefill_wafers(),
             router: scenario.router.clone(),
@@ -632,71 +618,31 @@ impl Driver {
             tracer: if scenario.trace { Tracer::ring(0) } else { Tracer::off() },
             routed: 0,
             injector,
-            calendar: BinaryHeap::new(),
-            engine_gen: vec![0; total],
-        };
-        for wafer in 0..total {
-            driver.refresh_engine(wafer);
         }
-        driver
     }
 
-    /// The engine whose next event is earliest; ties resolve toward the
-    /// lowest global wafer index, so runs are deterministic. Ordering by
-    /// next event — not raw clock — matters: stepping an idle engine
-    /// commits its clock to its earliest admissible pending, so it must
-    /// wait its global turn or an engine at an earlier simulated time could
-    /// still announce a migration that lands sooner, which would then be
-    /// admitted late (see [`Engine::next_event_s`]).
-    ///
-    /// Answered from the event calendar: stale entries (generation
-    /// mismatch) are popped as they surface; the first live top is the
-    /// global minimum, because every engine mutation goes through
-    /// [`Driver::refresh_engine`]. Debug builds re-derive the answer with
-    /// the old linear scan and assert the two agree, so every debug test
-    /// run doubles as a differential test of the calendar.
-    pub(crate) fn next_event_engine(&mut self) -> Option<(usize, f64)> {
-        let best = loop {
-            match self.calendar.peek() {
-                None => break None,
-                Some(&Reverse((F64Key(event_s), i, gen))) => {
-                    if gen != self.engine_gen[i] {
-                        self.calendar.pop();
-                        continue;
-                    }
-                    break Some((i, event_s));
-                }
+    /// The engine whose next event is earliest, by one scan over the
+    /// engines with work; ties resolve toward the lowest global wafer
+    /// index, so runs are deterministic. Ordering by next event — not raw
+    /// clock — matters: stepping an idle engine commits its clock to its
+    /// earliest admissible pending, so it must wait its global turn or an
+    /// engine at an earlier simulated time could still announce a
+    /// migration that lands sooner, which would then be admitted late (see
+    /// [`Engine::next_event_s`]).
+    pub(crate) fn next_event_engine(&self) -> Option<(usize, f64)> {
+        let mut best: Option<(usize, f64)> = None;
+        for (i, e) in self.engines.iter().enumerate() {
+            // Read before the work check: asking every engine, idle ones
+            // too, measured faster on 32 wafers than skipping them first.
+            let event_s = e.next_event_s();
+            if !e.has_work() {
+                continue;
             }
-        };
-        #[cfg(debug_assertions)]
-        {
-            let mut naive: Option<(usize, f64)> = None;
-            for (i, e) in self.engines.iter().enumerate() {
-                let event_s = e.next_event_s();
-                if !e.has_work() {
-                    continue;
-                }
-                if naive.is_none_or(|(_, c)| event_s.total_cmp(&c).is_lt()) {
-                    naive = Some((i, event_s));
-                }
+            if best.is_none_or(|(_, b)| event_s.total_cmp(&b).is_lt()) {
+                best = Some((i, event_s));
             }
-            debug_assert_eq!(best, naive, "event calendar diverged from the naive engine scan");
         }
         best
-    }
-
-    /// Re-indexes engine `i` in the event calendar after a mutation:
-    /// bumps its generation (invalidating every earlier calendar entry for
-    /// it) and, if it still has work, pushes a fresh entry at its current
-    /// next-event time. Must be called after *every* operation that can
-    /// change an engine's `next_event_s`/`has_work` answers — the
-    /// debug-build assert in [`Driver::next_event_engine`] catches any
-    /// missed site.
-    pub(crate) fn refresh_engine(&mut self, i: usize) {
-        self.engine_gen[i] += 1;
-        if self.engines[i].has_work() {
-            self.calendar.push(Reverse((F64Key(self.engines[i].next_event_s()), i, self.engine_gen[i])));
-        }
     }
 
     /// Advances one engine by one iteration. Entry-pool completions of a
@@ -704,7 +650,6 @@ impl Driver {
     /// all other completions retire the request, as the engine's records.
     pub(crate) fn step_engine(&mut self, i: usize) {
         let completions = self.engines[i].step();
-        self.refresh_engine(i);
         if i < self.prefill_wafers {
             for done in completions {
                 stage::migrate::migrate(self, i, done);
@@ -802,6 +747,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Admission;
     use crate::policy::{placements, routers};
     use ouro_sim::model::zoo;
     use ouro_sim::OuroborosConfig;
@@ -852,6 +798,69 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    /// A started colocated run over `wafers` idle engines whose one trace
+    /// arrival comes long after the work a test submits to them directly.
+    fn idle_run(sys: &OuroborosSystem, wafers: usize) -> RunState {
+        use ouro_workload::TimedRequest;
+        let late = TimedTrace {
+            arrivals: vec![TimedRequest { request: Request::new(0, 16, 4), arrival_s: 100.0 }],
+            config: ArrivalConfig::Poisson { rate_rps: 1.0 },
+            seed: 0,
+        };
+        Scenario::colocated(wafers).slo(slo()).workload(late).start(sys).unwrap()
+    }
+
+    /// The wafer and instant of each of `run`'s next `n` engine steps, in
+    /// the order the event loop takes them.
+    fn engine_steps(run: &mut RunState, n: usize) -> Vec<(usize, f64)> {
+        let mut steps = Vec::new();
+        while steps.len() < n {
+            let (t_s, next) = run.next_event().expect("the run has work left");
+            if let Next::Engine(i) = next {
+                steps.push((i, t_s));
+            }
+            run.process(next);
+        }
+        steps
+    }
+
+    // ---- event ordering ---------------------------------------------------
+
+    #[test]
+    fn engines_whose_next_events_tie_step_in_wafer_order() {
+        let sys = tiny_system();
+        let mut run = idle_run(&sys, 3);
+        // Submitted highest wafer first, so neither submission order nor
+        // any history of the driver's can stand in for the index.
+        for wafer in (0..3).rev() {
+            run.driver.engines[wafer].submit_with(Request::new(wafer, 64, 4), 0.0, Admission::Local, wafer);
+        }
+        assert_eq!(engine_steps(&mut run, 3), [(0, 0.0), (1, 0.0), (2, 0.0)]);
+    }
+
+    #[test]
+    fn an_idle_engine_holding_an_unready_import_waits_for_its_ready_time() {
+        // Both clocks read 0: ordered by clock, wafer 0 would step first and
+        // commit its clock to the import's landing while wafer 1 still has
+        // earlier work (see `Engine::next_event_s`).
+        let sys = tiny_system();
+        let mut run = idle_run(&sys, 2);
+        let import = Admission::Imported { ready_s: 0.5, wire_tokens: 64 };
+        run.driver.engines[0].submit_with(Request::new(0, 64, 4), 0.0, import, 0);
+        run.driver.engines[1].submit_with(Request::new(1, 64, 4), 0.1, Admission::Local, 1);
+        assert!(run.engines().iter().all(|e| e.clock_s() == 0.0));
+        assert_eq!(engine_steps(&mut run, 1), [(1, 0.1)], "the local request is ready first");
+        // Wafer 1 serves its request; wafer 0 first steps when its import lands.
+        let first_import_step_s = loop {
+            match engine_steps(&mut run, 1)[..] {
+                [(0, t_s)] => break t_s,
+                [(_, t_s)] => assert!(t_s < 0.5, "wafer 1 stepped at {t_s} s, past the landing"),
+                _ => unreachable!("one step was asked for"),
+            }
+        };
+        assert_eq!(first_import_step_s, 0.5);
     }
 
     // ---- colocated deployments -------------------------------------------

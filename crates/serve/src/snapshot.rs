@@ -11,8 +11,6 @@
 //!
 //! # What is (deliberately) not captured
 //!
-//! * The driver's **event calendar** — a pure cache over the engines,
-//!   rebuilt by `refresh_engine` on resume.
 //! * **Tracing** — an observational sink that never feeds back into the
 //!   simulation; a resumed run restarts it empty.
 //!

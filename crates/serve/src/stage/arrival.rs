@@ -27,5 +27,4 @@ pub(crate) fn route_next(d: &mut Driver, timed: &TimedTrace) {
     let admission = if d.prefill_wafers > 0 { Admission::PrefillOnly } else { Admission::Local };
     d.engines[wafer].submit_with(request, arrival.arrival_s, admission, index);
     d.routed += 1;
-    d.refresh_engine(wafer);
 }

@@ -73,7 +73,6 @@ pub(crate) fn migrate(d: &mut Driver, from: usize, done: Completion) {
         Admission::Imported { ready_s: arrive_s, wire_tokens },
         id,
     );
-    d.refresh_engine(global_to);
     let (totals, transit_s) = (&mut d.migrations, arrive_s - t_done);
     totals.count += 1;
     totals.wire_tokens += wire_tokens as u64;

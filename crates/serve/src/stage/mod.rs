@@ -161,9 +161,9 @@ pub(crate) struct PendingReq {
 }
 
 /// A total-order key over `f64` (via [`f64::total_cmp`]) so times can
-/// live in a [`BinaryHeap`]: the driver's event calendar and the pending
-/// queue's unready heap. Ties between equal times are broken by the other
-/// tuple elements of the heap entry.
+/// live in a [`BinaryHeap`]: the pending queue's unready heap. Ties
+/// between equal times are broken by the other tuple elements of the heap
+/// entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct F64Key(pub f64);
 

@@ -1171,6 +1171,23 @@ fn every_snapshot_error_kind_is_reachable_from_an_edited_golden_document() {
 }
 
 #[test]
+fn resume_rejects_fault_state_on_cores_off_the_wafer() {
+    // A later fault draws its victim from these lists, and remapping
+    // around a core off the grid has no answer: the resume must refuse
+    // the row instead of the run panicking at that wafer's next fault.
+    let (sys, scenarios) = golden_runs();
+    let off_grid = |list: &str| if list.is_empty() { "99999".to_string() } else { format!("{list};99999") };
+    for key in ["assignment", "kv_cores"] {
+        let (json, _, _) = edit_row(golden_snapshot_json(3), on("injector_wafer", Some(1)), |r| {
+            with_field(r, key, off_grid)
+        });
+        let snap = Snapshot::parse(&json).unwrap();
+        let err = scenarios[3].resume(sys, &snap).err().unwrap_or_else(|| panic!("{key}: resumed"));
+        assert_eq!(err, rejected(Some(1), "injector_wafer", IndexOutOfRange), "{key}");
+    }
+}
+
+#[test]
 fn resume_rejects_kv_rows_that_do_not_fit_the_system() {
     let sys = tiny_system();
     let scenario = golden_shapes().remove(3).1;

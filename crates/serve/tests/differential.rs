@@ -1,11 +1,11 @@
 //! Randomized differential tests of the fast simulator paths.
 //!
 //! Debug builds cross-check every fast path against its naive reference on
-//! every call — the driver's event calendar against a linear engine scan,
-//! and the KV block counters against full bitmap scans — so *running* a
-//! randomized scenario matrix under `cargo test` is itself a differential
-//! test: any divergence between the calendar and the scan panics at the
-//! first step that disagrees. On top of the structural asserts, every
+//! every call — the engine's pending queue against a min-scan over its
+//! entries, and the KV block counters against full bitmap scans — so
+//! *running* a randomized scenario matrix under `cargo test` is itself a
+//! differential test: any divergence between a fast path and its
+//! reference panics at the first step that disagrees. On top of the structural asserts, every
 //! shape is run twice and the two [`ouro_serve::RunReport`]s must be
 //! bit-identical, and the threaded sweep drivers must render byte-identical
 //! JSON at any worker count.
@@ -86,7 +86,7 @@ fn random_scenario(rng: &mut Lcg) -> (String, Scenario) {
 proptest! {
     /// Any composed scenario shape survives the debug cross-checks and
     /// replays bit-identically. Running at all exercises the
-    /// debug_assert differential checks of the event calendar and KV
+    /// debug_assert differential checks of the pending queue and KV
     /// counters on every simulated event; the repeat pins determinism.
     #[test]
     fn randomized_shapes_run_the_debug_cross_checks_and_repeat_bit_identically(

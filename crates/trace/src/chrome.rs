@@ -188,12 +188,7 @@ impl Trace {
     ///
     /// Propagates I/O errors from directory creation or the write.
     pub fn write_chrome_trace(&self, path: &str) -> std::io::Result<()> {
-        if let Some(parent) = std::path::Path::new(path).parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        std::fs::write(path, self.chrome_trace_json())
+        crate::json::write_file(path, &self.chrome_trace_json())
     }
 }
 

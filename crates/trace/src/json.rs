@@ -71,6 +71,21 @@ impl JsonObject {
         self
     }
 
+    /// Adds `value` through `add` (say [`JsonObject::num`]), or an
+    /// explicit `null` under `key` when there is none, so a section that
+    /// may not apply writes each of its keys once.
+    pub fn opt<T>(
+        self,
+        key: &str,
+        value: Option<T>,
+        add: impl FnOnce(JsonObject, &str, T) -> JsonObject,
+    ) -> JsonObject {
+        match value {
+            Some(value) => add(self, key, value),
+            None => self.null(key),
+        }
+    }
+
     /// Adds a nested object field — the Chrome trace-event format carries
     /// per-event metadata in an `args` object, the one place the flat
     /// schema is not enough.
@@ -110,12 +125,17 @@ pub fn render_array(objects: &[JsonObject]) -> String {
 ///
 /// Propagates I/O errors from directory creation or the write.
 pub fn write_array(path: &str, objects: &[JsonObject]) -> std::io::Result<()> {
+    write_file(path, &render_array(objects))
+}
+
+/// Writes `contents` to `path`, creating parent directories as needed.
+pub(crate) fn write_file(path: &str, contents: &str) -> std::io::Result<()> {
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
         }
     }
-    std::fs::write(path, render_array(objects))
+    std::fs::write(path, contents)
 }
 
 /// FNV-1a offset basis: the state [`fnv1a_extend`] starts from.
